@@ -15,6 +15,13 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> paper-shape scenario tests (ignored in debug builds; release only)"
+cargo test --release -q -p ddc-bench
+
+echo "==> frozen benchmark crate still builds and passes against the public API"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> perf smoke (1.3x regression gate against BENCH_cache_ops.json)"
 if [ -f BENCH_cache_ops.json ]; then
     cargo run --release -q -p ddc-bench --bin repro -- perf --smoke --check BENCH_cache_ops.json

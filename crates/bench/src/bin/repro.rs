@@ -751,7 +751,6 @@ fn stress_plane(args: &Args) -> bool {
         "lockfree",
         "replica",
         "batched",
-        "resv r/f",
     ]);
     for c in &report.scaling {
         sc.row(vec![
@@ -767,7 +766,6 @@ fn stress_plane(args: &Args) -> bool {
             c.lockfree_misses.to_string(),
             c.replica_hits.to_string(),
             c.batched_ops.to_string(),
-            format!("{}/{}", c.reservation_retries, c.reservation_fallbacks),
         ]);
     }
     println!("{}", sc.render());

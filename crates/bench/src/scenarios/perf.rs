@@ -524,12 +524,11 @@ fn evict_contention_threads(threads: usize, ticks: u64) -> u64 {
 
 /// When `DDC_PERF_TRACE=1`, dumps a stress-backed cell's batch-plane
 /// counters to stderr after the run: lock acquisitions and journal
-/// appends made on behalf of whole groups, reservation retries and
-/// fallbacks, and journal compactions. Opt-in because the dump is per
-/// repeat (5 lines per cell) and the counters are diagnostics, not
-/// gated quantities — the dump is how a regression found by the gate
-/// gets *attributed* (did lock acquisitions per op go up? did the
-/// reservation path start falling back?).
+/// appends made on behalf of whole groups, and journal compactions.
+/// Opt-in because the dump is per repeat (5 lines per cell) and the
+/// counters are diagnostics, not gated quantities — the dump is how a
+/// regression found by the gate gets *attributed* (did lock
+/// acquisitions per op go up?).
 fn trace_cell(name: &str, out: &StressOutcome) {
     if std::env::var("DDC_PERF_TRACE").as_deref() != Ok("1") {
         return;
@@ -538,8 +537,6 @@ fn trace_cell(name: &str, out: &StressOutcome) {
         batched_ops: out.batched_ops,
         lock_acquisitions: out.batch_lock_acquisitions,
         journal_appends: out.batch_journal_appends,
-        reservation_retries: out.reservation_retries,
-        reservation_fallbacks: out.reservation_fallbacks,
     };
     eprintln!(
         "perf-trace {name}: {} journal_compactions={} total_ops={}",
@@ -553,9 +550,9 @@ fn trace_cell(name: &str, out: &StressOutcome) {
 /// tick as one 64-page `put_many` group, so throughput tracks the
 /// batch plane's ops-per-lock-acquisition rather than per-op dispatch.
 /// The 1-thread cell is the tentpole's headline number (batching alone,
-/// no parallelism); the 8-thread cell gates the reservation path under
-/// contention. Pools alternate mem/ssd/hybrid policies, so hybrid puts
-/// exercise the reserved path instead of lock-all.
+/// no parallelism); the 8-thread cell gates the same groups under
+/// contention. Pools alternate mem/ssd/hybrid policies, so hybrid
+/// placement under the home-shard lock is on the measured path.
 fn batched_put_threads(threads: usize, ticks: u64) -> u64 {
     let mut cfg = StressConfig::write_heavy(0xBA7C);
     cfg.ticks = ticks;

@@ -122,12 +122,6 @@ pub struct ScalingCell {
     /// Journal appends that flushed a whole scratch run in one call.
     /// Diagnostic only.
     pub batch_journal_appends: u64,
-    /// Reserved puts re-tried after a stale placement hint, plus those
-    /// that fell back to the lock-all path. Diagnostic only.
-    pub reservation_retries: u64,
-    /// Reserved puts that exhausted their retries and fell back to the
-    /// lock-all path. Diagnostic only.
-    pub reservation_fallbacks: u64,
 }
 
 /// A full stress run: equivalence matrix plus scaling sweep.
@@ -229,14 +223,6 @@ impl StressReport {
                             "batch_journal_appends",
                             Json::Num(c.batch_journal_appends as f64),
                         );
-                        o.set(
-                            "reservation_retries",
-                            Json::Num(c.reservation_retries as f64),
-                        );
-                        o.set(
-                            "reservation_fallbacks",
-                            Json::Num(c.reservation_fallbacks as f64),
-                        );
                         o
                     })
                     .collect(),
@@ -335,8 +321,6 @@ pub fn run_scaling(seed: u64, smoke: bool, mix: StressMix) -> Vec<ScalingCell> {
                 batched_ops: out.batched_ops,
                 batch_lock_acquisitions: out.batch_lock_acquisitions,
                 batch_journal_appends: out.batch_journal_appends,
-                reservation_retries: out.reservation_retries,
-                reservation_fallbacks: out.reservation_fallbacks,
             });
         }
     }

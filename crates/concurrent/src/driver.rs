@@ -249,7 +249,7 @@ impl StressConfig {
     /// `put_many` group, so throughput tracks ops-per-lock-acquisition
     /// rather than per-op dispatch. Capacity comfortably covers the
     /// aggregate working set: the cell prices batching itself
-    /// (grouping, amortized journaling, the reservation path), not the
+    /// (grouping, amortized journaling, hybrid placement), not the
     /// eviction storm `eviction_storm` already measures. Used by the
     /// `batched_put_threads_*` and `mixed_write_scaling_threads_*`
     /// perf cells and the ci.sh write-heavy stress smoke.
@@ -795,12 +795,6 @@ pub struct StressOutcome {
     /// Journal appends that flushed a whole scratch run in one call
     /// (diagnostic).
     pub batch_journal_appends: u64,
-    /// Reserved puts whose placement hint went stale and were re-tried
-    /// (diagnostic).
-    pub reservation_retries: u64,
-    /// Reserved puts that exhausted their retry budget and fell back to
-    /// the lock-all path (diagnostic).
-    pub reservation_fallbacks: u64,
 }
 
 impl StressOutcome {
@@ -906,8 +900,6 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
         batched_ops: cache.batched_ops(),
         batch_lock_acquisitions: cache.batch_lock_acquisitions(),
         batch_journal_appends: cache.batch_journal_appends(),
-        reservation_retries: cache.reservation_retries(),
-        reservation_fallbacks: cache.reservation_fallbacks(),
     }
 }
 

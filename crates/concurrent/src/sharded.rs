@@ -30,10 +30,11 @@
 //!   so progress is always guaranteed.
 //! * **Lock order** — `registry` before any shard; shards in ascending
 //!   index; never acquire a lower-index (or the registry) lock while
-//!   holding a higher one. Single-shard fast paths (get, flush,
-//!   mem/SSD-policy puts) take only the home shard; the lock-all paths
-//!   (eviction, hybrid placement, strict mode, stats, audit) start from
-//!   no shard lock held.
+//!   holding a higher one. Get, put and flush take only the pool's
+//!   home shard (hybrid-store and strict-mode puts the registry read
+//!   lock before it, for the entitlement table); the lock-all paths
+//!   (eviction fallbacks, compaction, stats, audit) start from no
+//!   shard lock held.
 //!
 //! # Determinism contract
 //!
@@ -93,7 +94,8 @@ use ddc_hypercache::index::{Placement, Pool, SlotId, UsageMirror};
 use ddc_hypercache::policy::{entitlements, select_victim, select_victim_strict};
 use ddc_hypercache::readplane::{ReadPlane, ReadProbe};
 use ddc_hypercache::{
-    AdmissionConfig, CacheConfig, EntityUsage, PartitionMode, EVICTION_BATCH_PAGES,
+    store_kind_code, store_kind_from_code, AdmissionConfig, CacheConfig, EntityUsage,
+    PartitionMode, EVICTION_BATCH_PAGES, JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS,
 };
 use ddc_metrics::{BatchCounters, CounterSnapshot};
 use ddc_sim::{FxHashMap, SimTime};
@@ -386,13 +388,6 @@ struct Inner {
     /// the ledger right after the winner frees room. Acquired with no
     /// other lock held, so it sits above the whole lock order.
     eviction_gate: Mutex<()>,
-    /// Reservation-path puts whose unlocked placement hint went stale
-    /// before the home shard's lock was taken and retried (DESIGN.md
-    /// §18).
-    reservation_retries: AtomicU64,
-    /// Reservation-path puts that spent their retry budget and fell
-    /// back to the lock-all `put_locked`.
-    reservation_fallbacks: AtomicU64,
     /// Operations applied through the batched (`*_many`) entry points.
     batched_ops: AtomicU64,
     /// Shard-lock acquisitions charged to the batched entry points
@@ -400,8 +395,9 @@ struct Inner {
     /// compaction) — `batched_ops / batch_lock_acquisitions` is the
     /// amortization the batch plane buys.
     batch_lock_acquisitions: AtomicU64,
-    /// Scratch-buffer drains: journal batch appends, each covering one
-    /// contiguous generation run claimed with a single `fetch_add`.
+    /// Scratch-buffer drains of the batched entry points: journal batch
+    /// appends, each covering one contiguous generation run claimed
+    /// with a single `fetch_add`.
     batch_journal_appends: AtomicU64,
 }
 
@@ -437,9 +433,24 @@ const HOT_SLOTS: usize = 64;
 /// caching "no such pool".
 type Route = Option<(CachePolicy, Arc<UsageMirror>)>;
 
-/// The guard pair a home-shard (reservation-path) put holds: the
-/// registry read lock and the home shard's lock, in lock order.
-type HomeGuards<'a> = (RwLockReadGuard<'a, Registry>, MutexGuard<'a, Shard>);
+/// The guards a put holds on its pool's home shard, in lock order: the
+/// registry read lock (only for puts that consult the entitlement
+/// table, see [`ShardedCache::lock_home`]) and the home shard's lock.
+type HomeGuards<'a> = (Option<RwLockReadGuard<'a, Registry>>, MutexGuard<'a, Shard>);
+
+/// What one get/put/flush call carries through the group helpers.
+#[derive(Default)]
+struct GroupScratch {
+    /// Journal records pending for the shard visit in progress, drained
+    /// as one contiguous generation run before the shard lock drops.
+    records: Vec<JournalRecord>,
+    /// Shard-lock acquisitions and scratch drains of the call so far.
+    /// Only `*_many` calls add them to the batch-plane counters
+    /// ([`ShardedCache::end_visit`]), so scalar traffic never shows
+    /// up there.
+    lock_visits: u64,
+    drains: u64,
+}
 
 /// One cached *negative* lookup: `(vm, pool, addr)` was absent from its
 /// home shard when the shard's membership version was `stamp`. Exclusive
@@ -472,11 +483,9 @@ struct LocalReplica {
     lockfree_misses: u64,
     /// Of those, lookups answered from `hot` without probing the plane.
     replica_hits: u64,
-    /// Reusable encode buffer for the batched entry points: journal
-    /// records pending for the shard visit in progress, drained as one
-    /// contiguous generation run before the shard lock drops. Kept on
-    /// the handle so a steady batch workload allocates it once.
-    scratch: Vec<JournalRecord>,
+    /// Reusable [`GroupScratch`], kept on the handle so a steady
+    /// workload allocates its record buffer once.
+    scratch: GroupScratch,
     /// Memoized two-level share tables — the concurrent analogue of the
     /// serial engine's cached `share_tables` (§4.2 recomputes on
     /// configuration change, not per operation). The mutex is handle-
@@ -522,7 +531,7 @@ impl LocalReplica {
             hot: vec![None; HOT_SLOTS],
             lockfree_misses: 0,
             replica_hits: 0,
-            scratch: Vec::new(),
+            scratch: GroupScratch::default(),
             entitlements: Mutex::new(EntitlementMemo::default()),
         }
     }
@@ -654,8 +663,6 @@ impl ShardedCache {
                 remote_registry: Mutex::new(RemoteRegistry::new()),
                 remote_on: AtomicBool::new(false),
                 eviction_gate: Mutex::new(()),
-                reservation_retries: AtomicU64::new(0),
-                reservation_fallbacks: AtomicU64::new(0),
                 batched_ops: AtomicU64::new(0),
                 batch_lock_acquisitions: AtomicU64::new(0),
                 batch_journal_appends: AtomicU64::new(0),
@@ -938,14 +945,17 @@ impl ShardedCache {
         self.inner.front_tree_fallbacks.load(Ordering::Relaxed)
     }
 
-    /// Reservation-path puts that re-validated stale and retried.
+    /// Always 0: puts no longer speculate on a placement, so there is
+    /// nothing to retry. Kept only because the frozen `benchmark/`
+    /// crate reads it; goes with the next change to that crate.
     pub fn reservation_retries(&self) -> u64 {
-        self.inner.reservation_retries.load(Ordering::Relaxed)
+        0
     }
 
-    /// Reservation-path puts that took the lock-all fallback.
+    /// Always 0, kept for the same reason as
+    /// [`Self::reservation_retries`].
     pub fn reservation_fallbacks(&self) -> u64 {
-        self.inner.reservation_fallbacks.load(Ordering::Relaxed)
+        0
     }
 
     /// Operations applied through the batched (`*_many`) entry points.
@@ -969,8 +979,6 @@ impl ShardedCache {
             batched_ops: self.batched_ops(),
             lock_acquisitions: self.batch_lock_acquisitions(),
             journal_appends: self.batch_journal_appends(),
-            reservation_retries: self.reservation_retries(),
-            reservation_fallbacks: self.reservation_fallbacks(),
         }
     }
 
@@ -1175,31 +1183,53 @@ impl ShardedCache {
         self.log_in(&mut shard, rec)
     }
 
-    /// Drains the batch scratch buffer into the (locked) shard's
-    /// segment as one contiguous generation run: one `fetch_add(n)` on
-    /// the global generation counter, one buffered batch append
-    /// (wire-identical to per-record appends). Returns the last
-    /// generation claimed, or 0 when nothing was pending or the shard
-    /// has no segment. Must run before the shard lock drops and before
-    /// any direct [`Self::log_in`] on the same shard, so the global
-    /// generation order equals operation order.
-    fn drain_scratch(&self, shard: &mut Shard, scratch: &mut Vec<JournalRecord>) -> u64 {
-        if scratch.is_empty() {
+    /// Drains the pending records into the (locked) shard's segment as
+    /// one contiguous generation run: one `fetch_add(n)` on the global
+    /// generation counter, one buffered batch append (wire-identical to
+    /// per-record appends). Returns the last generation claimed, or 0
+    /// when nothing was pending or the shard has no segment. Must run
+    /// before the shard lock drops and before any direct
+    /// [`Self::log_in`] on the same shard, so the global generation
+    /// order equals operation order.
+    fn drain_scratch(&self, shard: &mut Shard, scratch: &mut GroupScratch) -> u64 {
+        if scratch.records.is_empty() {
             return 0;
         }
         let Some(j) = shard.journal.as_mut() else {
-            scratch.clear();
+            scratch.records.clear();
             return 0;
         };
-        let n = scratch.len() as u64;
+        let n = scratch.records.len() as u64;
         let start = self.inner.journal_gen.fetch_add(n, Ordering::Relaxed);
-        let last = j.append_run(scratch, start);
+        let last = j.append_run(&scratch.records, start);
         self.inner.journal_records.fetch_add(n, Ordering::Relaxed);
-        self.inner
-            .batch_journal_appends
-            .fetch_add(1, Ordering::Relaxed);
-        scratch.clear();
+        scratch.drains += 1;
+        scratch.records.clear();
         last
+    }
+
+    /// Locks shard `si` for a group helper, counting the visit.
+    fn visit_shard(&self, si: usize, scratch: &mut GroupScratch) -> MutexGuard<'_, Shard> {
+        scratch.lock_visits += 1;
+        self.lock_shard(si)
+    }
+
+    /// Hands the scratch back to the handle at the end of a call. A
+    /// `*_many` call (`batched`) charges its lock visits and drains to
+    /// the batch-plane counters; a scalar call's are dropped.
+    fn end_visit(&mut self, mut scratch: GroupScratch, batched: bool) {
+        debug_assert!(scratch.records.is_empty());
+        let locks = std::mem::take(&mut scratch.lock_visits);
+        let drains = std::mem::take(&mut scratch.drains);
+        self.local.scratch = scratch;
+        if batched {
+            self.inner
+                .batch_lock_acquisitions
+                .fetch_add(locks, Ordering::Relaxed);
+            self.inner
+                .batch_journal_appends
+                .fetch_add(drains, Ordering::Relaxed);
+        }
     }
 
     /// The live-compaction trigger with `pending` records still in a
@@ -1212,61 +1242,9 @@ impl ShardedCache {
             return false;
         }
         let live = self.inner.mem.used_pages() + self.inner.ssd.used_pages();
-        let threshold =
-            (live * Self::JOURNAL_COMPACT_FACTOR).max(Self::JOURNAL_COMPACT_MIN_RECORDS);
+        let threshold = (live * JOURNAL_COMPACT_FACTOR).max(JOURNAL_COMPACT_MIN_RECORDS);
         self.inner.journal_records.load(Ordering::Relaxed) + pending as u64 > threshold
     }
-
-    /// `StoreKind` wire discriminant (matches the serial engine).
-    fn store_kind_code(kind: StoreKind) -> u8 {
-        match kind {
-            StoreKind::Mem => 0,
-            StoreKind::Ssd => 1,
-            StoreKind::Hybrid => 2,
-        }
-    }
-
-    fn store_kind_from_code(code: u8) -> Option<StoreKind> {
-        match code {
-            0 => Some(StoreKind::Mem),
-            1 => Some(StoreKind::Ssd),
-            2 => Some(StoreKind::Hybrid),
-            _ => None,
-        }
-    }
-
-    /// `PartitionMode` wire discriminant (matches the serial engine).
-    fn mode_code(mode: PartitionMode) -> u8 {
-        match mode {
-            PartitionMode::DoubleDecker => 0,
-            PartitionMode::Global => 1,
-            PartitionMode::Strict => 2,
-        }
-    }
-
-    /// `Placement` wire discriminant (matches the serial engine).
-    fn placement_code(placement: Placement) -> u8 {
-        match placement {
-            Placement::Mem => 0,
-            Placement::Ssd => 1,
-        }
-    }
-
-    fn placement_from_code(code: u8) -> Option<Placement> {
-        match code {
-            0 => Some(Placement::Mem),
-            1 => Some(Placement::Ssd),
-            _ => None,
-        }
-    }
-
-    /// Journal records per live entry before live compaction kicks in
-    /// (the serial engine's constant — the compaction trigger must fire
-    /// at the same operation for generation parity).
-    const JOURNAL_COMPACT_FACTOR: u64 = 8;
-
-    /// Journals shorter than this are never compacted.
-    const JOURNAL_COMPACT_MIN_RECORDS: u64 = 1024;
 
     /// Live compaction: when the segments have accumulated far more
     /// records than there are live entries, rewrite them as one
@@ -1275,23 +1253,14 @@ impl ShardedCache {
     /// order mirror the serial `maybe_compact_journal` exactly, so a
     /// single-threaded run consumes generations identically.
     fn maybe_compact_journal(&self) {
-        if !self.journal_enabled() {
-            return;
-        }
-        let live = self.inner.mem.used_pages() + self.inner.ssd.used_pages();
-        let threshold =
-            (live * Self::JOURNAL_COMPACT_FACTOR).max(Self::JOURNAL_COMPACT_MIN_RECORDS);
-        if self.inner.journal_records.load(Ordering::Relaxed) <= threshold {
+        if !self.compaction_due(0) {
             return;
         }
         let reg = self.inner.registry.read().expect("registry poisoned");
         let mut shards = self.lock_all_shards();
         // Re-check under the locks: another thread may have compacted
         // (or freed enough) while we were acquiring them.
-        let live = self.inner.mem.used_pages() + self.inner.ssd.used_pages();
-        let threshold =
-            (live * Self::JOURNAL_COMPACT_FACTOR).max(Self::JOURNAL_COMPACT_MIN_RECORDS);
-        if self.inner.journal_records.load(Ordering::Relaxed) <= threshold {
+        if !self.compaction_due(0) {
             return;
         }
         let start_gen = self.inner.journal_gen.load(Ordering::Relaxed);
@@ -1342,7 +1311,7 @@ impl ShardedCache {
         w.emit(
             0,
             &JournalRecord::SetMode {
-                mode: Self::mode_code(self.inner.mode),
+                mode: self.inner.mode.code(),
             },
         );
         w.emit(
@@ -1381,7 +1350,7 @@ impl ShardedCache {
                     &JournalRecord::CreatePool {
                         vm: vm.0,
                         pool: pid.0,
-                        store: Self::store_kind_code(policy.store),
+                        store: store_kind_code(policy.store),
                         weight: policy.weight,
                     },
                 );
@@ -1392,7 +1361,7 @@ impl ShardedCache {
                         pid,
                         addr,
                         slot.version.0,
-                        Self::placement_code(slot.placement),
+                        slot.placement.code(),
                     ));
                 }
             }
@@ -1661,7 +1630,7 @@ impl ShardedCache {
                 store,
                 weight,
             } => {
-                let Some(store) = Self::store_kind_from_code(store) else {
+                let Some(store) = store_kind_from_code(store) else {
                     return;
                 };
                 let policy = CachePolicy { store, weight };
@@ -1716,7 +1685,7 @@ impl ShardedCache {
             } => {
                 // Raw policy swap: the rehoming side effects were
                 // journaled separately as evictions and puts.
-                let Some(store) = Self::store_kind_from_code(store) else {
+                let Some(store) = store_kind_from_code(store) else {
                     return;
                 };
                 let policy = CachePolicy { store, weight };
@@ -1740,7 +1709,7 @@ impl ShardedCache {
                 version,
                 placement,
             } => {
-                let Some(placement) = Self::placement_from_code(placement) else {
+                let Some(placement) = Placement::from_code(placement) else {
                     return;
                 };
                 let (vm, pid) = (VmId(vm), PoolId(pool));
@@ -2321,13 +2290,12 @@ impl ShardedCache {
 
     /// A pool's entitlement through the handle-local memo — no shard
     /// locks, usage entering only via the memo's participation checks.
-    /// The per-op entitlement query of the reservation and batched-put
-    /// paths. Driven single-threaded the mirrors equal the locked
-    /// usage, so this answers exactly what [`Self::pool_entitlement_in`]
-    /// would; under contention it may be momentarily stale, which the
-    /// reservation path tolerates by re-validating (and the batched
-    /// path by deciding under the home shard's lock, where its own
-    /// pool's usage is exact).
+    /// The per-op entitlement query of the put path. Driven
+    /// single-threaded the mirrors equal the locked usage, so this
+    /// answers exactly what [`Self::pool_entitlement_in`] would; under
+    /// contention another pool's participation may be momentarily
+    /// stale, while the put's own pool — whose usage the placement
+    /// decision compares against — is exact under its home-shard lock.
     fn pool_entitlement_memo(
         &self,
         reg: &Registry,
@@ -2863,7 +2831,7 @@ impl ShardedCache {
                             pool: pool_id.0,
                             addr,
                             version: version.0,
-                            placement: Self::placement_code(Placement::Ssd),
+                            placement: Placement::Ssd.code(),
                         },
                     );
                 }
@@ -2935,223 +2903,32 @@ impl ShardedCache {
         }
     }
 
-    /// The single-shard fast path: mem- or SSD-policy puts outside
-    /// strict mode. Placement is policy-determined (usage-independent),
-    /// so only the home shard and the ledgers are touched unless the
-    /// store is full — eviction then takes the lock-all path with no
-    /// shard lock held.
-    fn put_fast(
+    /// Takes the home-shard guards of a put in lock order, counting the
+    /// visit. The registry read guard is taken only when the put will
+    /// consult the entitlement table (Hybrid store or Strict mode), so
+    /// Mem/SSD-policy puts touch no registry lock.
+    fn lock_home(
         &self,
-        now: SimTime,
-        vm: VmId,
-        pool: PoolId,
-        addr: BlockAddr,
-        version: PageVersion,
-        placement: Placement,
-    ) -> PutOutcome {
-        let si = self.shard_of(vm, pool);
-        {
-            // Exclusive overwrite: displace any stale copy first so the
-            // freed page is available to this put.
-            let mut shard = self.lock_shard(si);
-            if let Some(old) = shard
-                .pools
-                .get_mut(&(vm, pool))
-                .and_then(|p| p.remove(addr))
-            {
-                self.ledger(old.placement).free(1);
-                shard.note_stale(old.placement, 1);
-            }
-        }
-
-        if !self.alloc_or_evict(now, placement) {
-            return PutOutcome::Rejected;
-        }
-
-        let seq = self.alloc_seq();
-        let mut shard = self.lock_shard(si);
-        let Some(pool_entry) = shard.pools.get_mut(&(vm, pool)) else {
-            // The pool was destroyed while we were evicting; give the
-            // page back.
-            self.ledger(placement).free(1);
-            return PutOutcome::Rejected;
-        };
-        pool_entry.counters.puts += 1;
-        let (sid, displaced) = pool_entry.insert(addr, placement, version, seq);
-        if let Some(displaced) = displaced {
-            self.ledger(displaced).free(1);
-            shard.note_stale(displaced, 1);
-        }
-        self.push_shard_fifo(si, &mut shard, vm, pool, sid, seq, placement);
-        self.log_in(
-            &mut shard,
-            JournalRecord::Put {
-                vm: vm.0,
-                pool: pool.0,
-                addr,
-                version: version.0,
-                placement: Self::placement_code(placement),
-            },
-        );
-        drop(shard);
-        self.maybe_compact_journal();
-        PutOutcome::Stored { finish: now }
+        si: usize,
+        with_registry: bool,
+        scratch: &mut GroupScratch,
+    ) -> HomeGuards<'_> {
+        let reg = with_registry.then(|| self.inner.registry.read().expect("registry poisoned"));
+        (reg, self.visit_shard(si, scratch))
     }
 
-    /// The lock-all put path: hybrid placement (needs the share table)
-    /// and strict mode (needs the entitlement pre-check). Follows the
-    /// serial `put` statement order exactly.
-    fn put_locked(
-        &self,
-        now: SimTime,
-        vm: VmId,
-        pool: PoolId,
-        addr: BlockAddr,
-        version: PageVersion,
-        policy: CachePolicy,
-    ) -> PutOutcome {
-        let reg = self.inner.registry.read().expect("registry poisoned");
-        let mut shards = self.lock_all_shards();
-        let si = self.shard_of(vm, pool);
-
-        // Placement decision with the old copy still resident (matches
-        // the serial engine, which decides before the overwrite-remove).
-        let placement = match policy.store {
-            StoreKind::Mem => Placement::Mem,
-            StoreKind::Ssd => Placement::Ssd,
-            StoreKind::Hybrid => {
-                let mem_entitlement =
-                    self.pool_entitlement_in(&reg, &shards, vm, pool, Placement::Mem);
-                let used = shards[si]
-                    .pools
-                    .get(&(vm, pool))
-                    .map(|p| p.used(Placement::Mem))
-                    .unwrap_or(0);
-                if used < mem_entitlement {
-                    Placement::Mem
-                } else {
-                    Placement::Ssd
-                }
-            }
-        };
-        if self.ledger(placement).is_disabled() {
-            return PutOutcome::Rejected;
-        }
-
-        // Ghost admission: a hybrid pool spilling into its SSD share
-        // must earn the flash write (serial `put` order: checked before
-        // any mutation, so the engines decide identically).
-        if self.inner.admission.filters_spills()
-            && placement == Placement::Ssd
-            && policy.store == StoreKind::Hybrid
-        {
-            let window = self.inner.admission.ghost_window;
-            if let Some(p) = shards[si].pools.get_mut(&(vm, pool)) {
-                p.wear.spill_attempts += 1;
-                if p.ghost.admit(addr, window) {
-                    p.wear.spill_admits += 1;
-                } else {
-                    p.wear.spill_rejects += 1;
-                    return PutOutcome::Rejected;
-                }
-            }
-        }
-
-        // Exclusive overwrite.
-        {
-            let shard = &mut shards[si];
-            if let Some(old) = shard
-                .pools
-                .get_mut(&(vm, pool))
-                .and_then(|p| p.remove(addr))
-            {
-                self.ledger(old.placement).free(1);
-                shard.note_stale(old.placement, 1);
-            }
-        }
-
-        // Strict-mode pre-check: a pool at its hard partition evicts
-        // from itself before the store-level check.
-        if self.inner.mode == PartitionMode::Strict {
-            let entitlement = self.pool_entitlement_in(&reg, &shards, vm, pool, placement);
-            let used = shards[si]
-                .pools
-                .get(&(vm, pool))
-                .map(|p| p.used(placement))
-                .unwrap_or(0);
-            if used + 1 > entitlement {
-                let freed = self.evict_pages_from_pool_locked(
-                    &reg,
-                    &mut shards,
-                    now,
-                    vm,
-                    pool,
-                    placement,
-                    EVICTION_BATCH_PAGES,
-                );
-                if freed == 0 {
-                    return PutOutcome::Rejected;
-                }
-            }
-        }
-
-        if !self.ledger(placement).has_room() {
-            let freed = self.evict_batch_locked(&reg, &mut shards, now, placement);
-            if freed == 0 {
-                return PutOutcome::Rejected;
-            }
-        }
-        if !self.ledger(placement).try_alloc() {
-            return PutOutcome::Rejected;
-        }
-
-        let seq = self.alloc_seq();
-        let shard = &mut shards[si];
-        let Some(pool_entry) = shard.pools.get_mut(&(vm, pool)) else {
-            self.ledger(placement).free(1);
-            return PutOutcome::Rejected;
-        };
-        pool_entry.counters.puts += 1;
-        let (sid, displaced) = pool_entry.insert(addr, placement, version, seq);
-        if let Some(displaced) = displaced {
-            self.ledger(displaced).free(1);
-            shard.note_stale(displaced, 1);
-        }
-        self.push_shard_fifo(si, shard, vm, pool, sid, seq, placement);
-        self.log_in(
-            shard,
-            JournalRecord::Put {
-                vm: vm.0,
-                pool: pool.0,
-                addr,
-                version: version.0,
-                placement: Self::placement_code(placement),
-            },
-        );
-        drop(shards);
-        drop(reg);
-        self.maybe_compact_journal();
-        PutOutcome::Stored { finish: now }
-    }
-
-    /// Stale placement hints tolerated before a reservation-path put
-    /// gives up and takes the lock-all [`Self::put_locked`] fallback —
-    /// the same bounded-optimism shape as two-phase eviction.
-    const RESERVATION_MAX_RETRIES: u32 = 4;
-
-    /// Applies one Hybrid/Strict put under the home shard's lock with
-    /// the placement already decided — the serial statement order of
-    /// [`Self::put_locked`], minus the lock-all. `reserved` says a page
-    /// was already claimed from `placement`'s ledger (the reservation);
-    /// every rejecting exit gives it back. The store-full path drains
-    /// `scratch`, drops both guards and runs the fast-path eviction
+    /// The one put body: applies one put under the home shard's lock,
+    /// in the serial engine's statement order. Placement is decided
+    /// here, under the lock, where the pool's own usage is exact (the
+    /// entitlement comes from the handle-local memo) — so there is
+    /// nothing to speculate on and nothing to retry. The store-full
+    /// path drains `scratch`, drops the guards and runs the eviction
     /// loop, then re-acquires in lock order — so the caller gets its
     /// guards back through the return value (`None` only when the put
     /// rejected with no locks held).
     ///
     /// The Put record goes to `scratch`, not straight to the segment:
-    /// batch callers drain once per shard visit, the per-op caller
-    /// drains immediately after this returns.
+    /// the group caller drains once per shard visit.
     #[allow(clippy::too_many_arguments)]
     fn put_in_home_shard<'a>(
         &'a self,
@@ -3163,11 +2940,35 @@ impl ShardedCache {
         addr: BlockAddr,
         version: PageVersion,
         policy: CachePolicy,
-        placement: Placement,
-        reserved: bool,
-        scratch: &mut Vec<JournalRecord>,
+        scratch: &mut GroupScratch,
     ) -> (PutOutcome, Option<HomeGuards<'a>>) {
         let (mut reg, mut shard) = guards;
+        let used_in = |shard: &Shard, placement: Placement| {
+            shard
+                .pools
+                .get(&(vm, pool))
+                .map(|p| p.used(placement))
+                .unwrap_or(0)
+        };
+
+        // Placement decided with the old copy still resident, like the
+        // serial engine.
+        let placement = match policy.store {
+            StoreKind::Mem => Placement::Mem,
+            StoreKind::Ssd => Placement::Ssd,
+            StoreKind::Hybrid => {
+                let table = reg.as_deref().expect("hybrid puts hold the registry");
+                let entitlement = self.pool_entitlement_memo(table, vm, pool, Placement::Mem);
+                if used_in(&shard, Placement::Mem) < entitlement {
+                    Placement::Mem
+                } else {
+                    Placement::Ssd
+                }
+            }
+        };
+        if self.ledger(placement).is_disabled() {
+            return (PutOutcome::Rejected, Some((reg, shard)));
+        }
 
         // Ghost admission: a hybrid pool spilling into its SSD share
         // must earn the flash write (serial `put` order: checked before
@@ -3183,15 +2984,13 @@ impl ShardedCache {
                     p.wear.spill_admits += 1;
                 } else {
                     p.wear.spill_rejects += 1;
-                    if reserved {
-                        self.ledger(placement).free(1);
-                    }
                     return (PutOutcome::Rejected, Some((reg, shard)));
                 }
             }
         }
 
-        // Exclusive overwrite.
+        // Exclusive overwrite: displace any stale copy first so the
+        // freed page is available to this put.
         if let Some(old) = shard
             .pools
             .get_mut(&(vm, pool))
@@ -3206,13 +3005,9 @@ impl ShardedCache {
         // from the mirrors (exact when single-threaded); the eviction
         // itself only needs the home shard, which we hold.
         if self.inner.mode == PartitionMode::Strict {
-            let entitlement = self.pool_entitlement_memo(&reg, vm, pool, placement);
-            let used = shard
-                .pools
-                .get(&(vm, pool))
-                .map(|p| p.used(placement))
-                .unwrap_or(0);
-            if used + 1 > entitlement {
+            let table = reg.as_deref().expect("strict puts hold the registry");
+            let entitlement = self.pool_entitlement_memo(table, vm, pool, placement);
+            if used_in(&shard, placement) + 1 > entitlement {
                 let hybrid = policy.store == StoreKind::Hybrid;
                 // The evictor journals straight into the segment —
                 // pending batch records must land first so generation
@@ -3227,29 +3022,23 @@ impl ShardedCache {
                     hybrid,
                 );
                 if freed == 0 {
-                    if reserved {
-                        self.ledger(placement).free(1);
-                    }
                     return (PutOutcome::Rejected, Some((reg, shard)));
                 }
             }
         }
 
-        if !reserved {
-            // Serial order: the overwrite above may have freed the very
-            // page this put needs, so the ledger is retried before any
-            // eviction — this is why a failed phase-A reservation must
-            // not reject eagerly.
-            if !self.ledger(placement).try_alloc() {
-                self.drain_scratch(&mut shard, scratch);
-                drop(shard);
-                drop(reg);
-                if !self.alloc_or_evict(now, placement) {
-                    return (PutOutcome::Rejected, None);
-                }
-                reg = self.inner.registry.read().expect("registry poisoned");
-                shard = self.lock_shard(si);
+        if !self.ledger(placement).try_alloc() {
+            // Store full: land pending records, drop the locks and run
+            // the eviction loop (which starts from no lock held), then
+            // rejoin the group.
+            self.drain_scratch(&mut shard, scratch);
+            let with_registry = reg.is_some();
+            drop(shard);
+            drop(reg);
+            if !self.alloc_or_evict(now, placement) {
+                return (PutOutcome::Rejected, None);
             }
+            (reg, shard) = self.lock_home(si, with_registry, scratch);
         }
 
         let seq = self.alloc_seq();
@@ -3267,146 +3056,93 @@ impl ShardedCache {
         }
         self.push_shard_fifo(si, &mut shard, vm, pool, sid, seq, placement);
         if shard.journal.is_some() {
-            scratch.push(JournalRecord::Put {
+            scratch.records.push(JournalRecord::Put {
                 vm: vm.0,
                 pool: pool.0,
                 addr,
                 version: version.0,
-                placement: Self::placement_code(placement),
+                placement: placement.code(),
             });
         }
         (PutOutcome::Stored { finish: now }, Some((reg, shard)))
     }
 
-    /// The reservation-path put that replaces lock-all dispatch for
-    /// Hybrid-store and Strict-mode puts (DESIGN.md §18). Phase A takes
-    /// a placement hint from the usage mirrors and reserves the page
-    /// against that ledger with no locks held; phase B locks only the
-    /// home shard, re-derives the placement authoritatively, and either
-    /// applies (hint held) or releases the reservation and retries
-    /// (hint stale). A spent retry budget falls back to
-    /// [`Self::put_locked`] — the same bounded-optimism shape as
-    /// two-phase eviction, so the path can never loop without progress.
+    // ------------------------------------------------------------------
+    // Group application (DESIGN.md §18): the only implementation of
+    // get, put and flush. Every call names one `(vm, pool)`, so the
+    // whole group homes on one shard: the group helpers take the shard
+    // lock once, apply the ops in call order, and drain pending journal
+    // records as one contiguous generation run before the lock drops.
+    // The scalar trait methods are the one-element case. Compaction is
+    // checked at every op that would trigger it alone, so the
+    // checkpoint rewrite fires at the same operation however the ops
+    // are grouped — which is what keeps the journal byte-identical
+    // across batch sizes and with the serial engine.
+    // ------------------------------------------------------------------
+
+    /// Answers a get from the lock-free read plane if `addr` is
+    /// *definitively absent* from its home shard (DESIGN.md §15): first
+    /// the handle's hot-miss replica, then the shard's seqlock
+    /// membership table. Exclusive semantics mean a hit must mutate, so
+    /// only the miss — the steady-state common case of a read-heavy
+    /// exclusive cache — can be served without the shard lock. `false`
+    /// means probable hit or degraded plane: take the lock and answer
+    /// authoritatively (the locked path re-decides from scratch).
     ///
-    /// Driven single-threaded the mirrors equal the locked usage: the
-    /// first hint always validates and the statement order below
-    /// matches the serial engine exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn put_reserved(
-        &self,
-        now: SimTime,
+    /// Not for remote-bound pools: "absent from the shard" stops being
+    /// a definitive miss once the remote tier can still serve the
+    /// block, and the binding (whose fault-tolerance state the lookup
+    /// mutates) lives under the shard lock anyway.
+    fn probe_miss(
+        &mut self,
+        si: usize,
         vm: VmId,
         pool: PoolId,
         addr: BlockAddr,
-        version: PageVersion,
-        policy: CachePolicy,
         mirror: &UsageMirror,
-        scratch: &mut Vec<JournalRecord>,
-    ) -> PutOutcome {
-        for _ in 0..Self::RESERVATION_MAX_RETRIES {
-            // Phase A: hint + reservation, no locks. The hybrid
-            // placement decision is taken with the old copy still
-            // resident, matching the serial engine.
-            let hint = match policy.store {
-                StoreKind::Mem => Placement::Mem,
-                StoreKind::Ssd => Placement::Ssd,
-                StoreKind::Hybrid => {
-                    let reg = self.inner.registry.read().expect("registry poisoned");
-                    let entitlement = self.pool_entitlement_memo(&reg, vm, pool, Placement::Mem);
-                    if mirror.pages(Placement::Mem) < entitlement {
-                        Placement::Mem
-                    } else {
-                        Placement::Ssd
-                    }
-                }
-            };
-            if self.ledger(hint).is_disabled() {
-                return PutOutcome::Rejected;
+    ) -> bool {
+        let slot = LocalReplica::hot_slot(vm, pool, addr);
+        if let Some(h) = self.local.hot[slot] {
+            if h.vm == vm
+                && h.pool == pool
+                && h.addr == addr
+                && self.inner.read_planes[si].seq() == h.stamp
+            {
+                // The home shard's membership has not changed since
+                // this negative was cached: still definitively absent.
+                mirror.note_get();
+                self.local.lockfree_misses += 1;
+                self.local.replica_hits += 1;
+                return true;
             }
-            // A full ledger is not a rejection: the overwrite inside
-            // phase B may free the page, and the store-full eviction
-            // loop runs there in serial order.
-            let reserved = self.ledger(hint).try_alloc();
-            // No locks held: the hook (tests only) and any other thread
-            // are free to invalidate the hint before phase B.
-            self.run_eviction_hook();
-
-            // Phase B: registry read + the home shard only.
-            let reg = self.inner.registry.read().expect("registry poisoned");
-            let si = self.shard_of(vm, pool);
-            let shard = self.lock_shard(si);
-            let placement = match policy.store {
-                StoreKind::Mem => Placement::Mem,
-                StoreKind::Ssd => Placement::Ssd,
-                StoreKind::Hybrid => {
-                    let entitlement = self.pool_entitlement_memo(&reg, vm, pool, Placement::Mem);
-                    let used = shard
-                        .pools
-                        .get(&(vm, pool))
-                        .map(|p| p.used(Placement::Mem))
-                        .unwrap_or(0);
-                    if used < entitlement {
-                        Placement::Mem
-                    } else {
-                        Placement::Ssd
-                    }
-                }
-            };
-            if placement != hint {
-                drop(shard);
-                drop(reg);
-                if reserved {
-                    self.ledger(hint).free(1);
-                }
-                self.inner
-                    .reservation_retries
-                    .fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-
-            let (outcome, guards) = self.put_in_home_shard(
-                now,
-                (reg, shard),
-                si,
-                vm,
-                pool,
-                addr,
-                version,
-                policy,
-                placement,
-                reserved,
-                scratch,
-            );
-            if let Some((reg, mut shard)) = guards {
-                self.drain_scratch(&mut shard, scratch);
-                drop(shard);
-                drop(reg);
-            }
-            debug_assert!(scratch.is_empty());
-            if matches!(outcome, PutOutcome::Stored { .. }) {
-                self.maybe_compact_journal();
-            }
-            return outcome;
         }
-        self.inner
-            .reservation_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-        self.put_locked(now, vm, pool, addr, version, policy)
+        let inner = &self.inner;
+        let probe = inner.read_planes[si].lookup(vm, pool, addr, || {
+            if inner.read_hook_on.load(Ordering::Relaxed) {
+                let hook = inner.read_hook.read().expect("hook poisoned").clone();
+                if let Some(hook) = hook {
+                    hook();
+                }
+            }
+        });
+        match probe {
+            ReadProbe::Absent { stamp } => {
+                mirror.note_get();
+                self.local.lockfree_misses += 1;
+                self.local.hot[slot] = Some(HotEntry {
+                    vm,
+                    pool,
+                    addr,
+                    stamp,
+                });
+                true
+            }
+            ReadProbe::Present | ReadProbe::Unavailable => false,
+        }
     }
 
-    // ------------------------------------------------------------------
-    // Batched application (DESIGN.md §18). Every `*_many` call names one
-    // `(vm, pool)`, so the whole group homes on one shard: the group
-    // helpers take the shard lock once, apply the ops in call order, and
-    // drain pending journal records as one contiguous generation run
-    // before the lock drops. Per-op-point compaction checks keep the
-    // checkpoint rewrite firing at the same operation the per-op paths
-    // would, which is what preserves journal byte-identity.
-    // ------------------------------------------------------------------
-
-    /// One locked get against the (locked) home shard — the per-op
-    /// `get`'s locked tail, with the Take record going to `scratch`
-    /// instead of straight to the segment.
+    /// One locked get against the (locked) home shard, the Take record
+    /// going to `scratch`.
     fn get_in_shard(
         &self,
         shard: &mut Shard,
@@ -3414,28 +3150,33 @@ impl ShardedCache {
         vm: VmId,
         pool: PoolId,
         addr: BlockAddr,
-        scratch: &mut Vec<JournalRecord>,
+        scratch: &mut GroupScratch,
     ) -> GetOutcome {
         let Some(p) = shard.pools.get_mut(&(vm, pool)) else {
             return Self::remote_get_in(shard, now, vm, pool, addr);
         };
         p.counters.gets += 1;
         let Some(slot) = p.remove(addr) else {
+            // Miss in the local tiers: fall through to the pool's remote
+            // binding (if any), which fails open back to a miss.
             return Self::remote_get_in(shard, now, vm, pool, addr);
         };
         p.counters.hits += 1;
         // A hit on an SSD-resident block is proven reuse: re-arm its
-        // ghost entry (mirrors the per-op path exactly).
+        // ghost entry so the block's next spill readmits without a
+        // second probation pass (mirrors the serial engine exactly).
         if self.inner.admission.filters_spills()
             && slot.placement == Placement::Ssd
             && p.policy().store == StoreKind::Hybrid
         {
             p.ghost.note(addr);
         }
+        // Exclusive semantics removed the object; its FIFO entry
+        // outlives it as a tombstone.
         self.ledger(slot.placement).free(1);
         shard.note_stale(slot.placement, 1);
         if shard.journal.is_some() {
-            scratch.push(JournalRecord::Take {
+            scratch.records.push(JournalRecord::Take {
                 vm: vm.0,
                 pool: pool.0,
                 addr,
@@ -3447,243 +3188,119 @@ impl ShardedCache {
         }
     }
 
-    /// Applies the ops of a get batch that need the shard lock.
-    /// `locked` holds `(index, addr)` pairs in call order; outcomes land
-    /// in `out[index]`.
+    /// Applies the gets the read plane could not answer. `locked` holds
+    /// `(index, addr)` pairs in call order; outcomes land in
+    /// `out[index]`.
     #[allow(clippy::too_many_arguments)]
     fn get_group_locked(
-        &self,
+        &mut self,
         now: SimTime,
         si: usize,
         vm: VmId,
         pool: PoolId,
         locked: &[(usize, BlockAddr)],
         out: &mut [GetOutcome],
-        scratch: &mut Vec<JournalRecord>,
+        batched: bool,
     ) {
-        let mut shard = self.lock_shard(si);
-        self.inner
-            .batch_lock_acquisitions
-            .fetch_add(1, Ordering::Relaxed);
+        let mut scratch = std::mem::take(&mut self.local.scratch);
+        let mut shard = self.visit_shard(si, &mut scratch);
         for &(i, addr) in locked {
-            let pending = scratch.len();
-            out[i] = self.get_in_shard(&mut shard, now, vm, pool, addr, scratch);
-            // The per-op path compacts only after a local hit (the one
-            // case that journals); check at the same points.
-            if scratch.len() > pending && self.compaction_due(scratch.len()) {
-                self.drain_scratch(&mut shard, scratch);
+            let pending = scratch.records.len();
+            out[i] = self.get_in_shard(&mut shard, now, vm, pool, addr, &mut scratch);
+            // Only a local hit journals, so only a local hit can cross
+            // the compaction threshold.
+            if scratch.records.len() > pending && self.compaction_due(scratch.records.len()) {
+                self.drain_scratch(&mut shard, &mut scratch);
                 drop(shard);
                 self.maybe_compact_journal();
-                shard = self.lock_shard(si);
-                self.inner
-                    .batch_lock_acquisitions
-                    .fetch_add(1, Ordering::Relaxed);
+                shard = self.visit_shard(si, &mut scratch);
             }
         }
-        self.drain_scratch(&mut shard, scratch);
+        self.drain_scratch(&mut shard, &mut scratch);
+        drop(shard);
+        self.end_visit(scratch, batched);
     }
 
-    /// The batched fast-path put group: policy-fixed placements outside
-    /// strict mode, one lock acquisition in the common case.
-    #[allow(clippy::too_many_arguments)]
-    fn put_group_fast(
-        &self,
+    /// The put group: one home-shard visit for the whole group in the
+    /// common case, every page through [`Self::put_in_home_shard`].
+    /// Outcomes land in `out` (same length as `pages`), so the scalar
+    /// caller passes a stack slot and allocates nothing.
+    fn put_group(
+        &mut self,
         now: SimTime,
-        si: usize,
         vm: VmId,
         pool: PoolId,
         pages: &[(BlockAddr, PageVersion)],
-        placement: Placement,
-        scratch: &mut Vec<JournalRecord>,
-    ) -> Vec<PutOutcome> {
-        let mut out = Vec::with_capacity(pages.len());
-        if self.ledger(placement).is_disabled() {
-            out.resize(pages.len(), PutOutcome::Rejected);
-            return out;
+        out: &mut [PutOutcome],
+        batched: bool,
+    ) {
+        // Policy lookup through the handle-local route cache: deciding
+        // the route takes no shard lock and, in the common case, not
+        // even the registry lock.
+        let policy = match self.route(vm, pool) {
+            Some((policy, _)) if policy.is_enabled() => policy,
+            _ => {
+                out.fill(PutOutcome::Rejected);
+                return;
+            }
+        };
+        if batched {
+            self.inner
+                .batched_ops
+                .fetch_add(pages.len() as u64, Ordering::Relaxed);
         }
-        let mut shard = self.lock_shard(si);
-        self.inner
-            .batch_lock_acquisitions
-            .fetch_add(1, Ordering::Relaxed);
-        for &(addr, version) in pages {
-            // Exclusive overwrite: displace any stale copy first so the
-            // freed page is available to this put.
-            if let Some(old) = shard
-                .pools
-                .get_mut(&(vm, pool))
-                .and_then(|p| p.remove(addr))
-            {
-                self.ledger(old.placement).free(1);
-                shard.note_stale(old.placement, 1);
-            }
-            if !self.ledger(placement).try_alloc() {
-                // Store full: land pending records, drop the lock and
-                // run the fast-path eviction loop, then rejoin the
-                // group (the per-op path holds no shard lock there
-                // either, so victim order matches serially).
-                self.drain_scratch(&mut shard, scratch);
-                drop(shard);
-                let allocated = self.alloc_or_evict(now, placement);
-                shard = self.lock_shard(si);
-                self.inner
-                    .batch_lock_acquisitions
-                    .fetch_add(1, Ordering::Relaxed);
-                if !allocated {
-                    out.push(PutOutcome::Rejected);
-                    continue;
-                }
-            }
-            let seq = self.alloc_seq();
-            let Some(pool_entry) = shard.pools.get_mut(&(vm, pool)) else {
-                self.ledger(placement).free(1);
-                out.push(PutOutcome::Rejected);
-                continue;
-            };
-            pool_entry.counters.puts += 1;
-            let (sid, displaced) = pool_entry.insert(addr, placement, version, seq);
-            if let Some(displaced) = displaced {
-                self.ledger(displaced).free(1);
-                shard.note_stale(displaced, 1);
-            }
-            self.push_shard_fifo(si, &mut shard, vm, pool, sid, seq, placement);
-            if shard.journal.is_some() {
-                scratch.push(JournalRecord::Put {
-                    vm: vm.0,
-                    pool: pool.0,
+        let si = self.shard_of(vm, pool);
+        let with_registry =
+            policy.store == StoreKind::Hybrid || self.inner.mode == PartitionMode::Strict;
+        let mut scratch = std::mem::take(&mut self.local.scratch);
+        {
+            let mut guards = None;
+            for (outcome, &(addr, version)) in out.iter_mut().zip(pages) {
+                let held = guards
+                    .take()
+                    .unwrap_or_else(|| self.lock_home(si, with_registry, &mut scratch));
+                (*outcome, guards) = self.put_in_home_shard(
+                    now,
+                    held,
+                    si,
+                    vm,
+                    pool,
                     addr,
-                    version: version.0,
-                    placement: Self::placement_code(placement),
-                });
-            }
-            out.push(PutOutcome::Stored { finish: now });
-            // The per-op path compacts after every stored put.
-            if self.compaction_due(scratch.len()) {
-                self.drain_scratch(&mut shard, scratch);
-                drop(shard);
-                self.maybe_compact_journal();
-                shard = self.lock_shard(si);
-                self.inner
-                    .batch_lock_acquisitions
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.drain_scratch(&mut shard, scratch);
-        out
-    }
-
-    /// The batched reservation-path put group (Hybrid store or Strict
-    /// mode): one registry read + one home-shard acquisition for the
-    /// whole group in the common case. Unlike the per-op
-    /// [`Self::put_reserved`] there is no hint/validate dance — the
-    /// placement is derived directly under the locks, where it is
-    /// authoritative, so the group path never retries.
-    #[allow(clippy::too_many_arguments)]
-    fn put_group_reserved(
-        &self,
-        now: SimTime,
-        si: usize,
-        vm: VmId,
-        pool: PoolId,
-        pages: &[(BlockAddr, PageVersion)],
-        policy: CachePolicy,
-        scratch: &mut Vec<JournalRecord>,
-    ) -> Vec<PutOutcome> {
-        let mut out = Vec::with_capacity(pages.len());
-        self.inner
-            .batch_lock_acquisitions
-            .fetch_add(1, Ordering::Relaxed);
-        let mut guards = Some((
-            self.inner.registry.read().expect("registry poisoned"),
-            self.lock_shard(si),
-        ));
-        for &(addr, version) in pages {
-            let (reg, shard) = match guards.take() {
-                Some(g) => g,
-                None => {
-                    self.inner
-                        .batch_lock_acquisitions
-                        .fetch_add(1, Ordering::Relaxed);
-                    let reg = self.inner.registry.read().expect("registry poisoned");
-                    let shard = self.lock_shard(si);
-                    (reg, shard)
-                }
-            };
-            // Placement decided with the old copy still resident, like
-            // the serial engine. The own pool's usage is exact under
-            // its lock; the entitlement table reads the mirrors.
-            let placement = match policy.store {
-                StoreKind::Mem => Placement::Mem,
-                StoreKind::Ssd => Placement::Ssd,
-                StoreKind::Hybrid => {
-                    let entitlement = self.pool_entitlement_memo(&reg, vm, pool, Placement::Mem);
-                    let used = shard
-                        .pools
-                        .get(&(vm, pool))
-                        .map(|p| p.used(Placement::Mem))
-                        .unwrap_or(0);
-                    if used < entitlement {
-                        Placement::Mem
-                    } else {
-                        Placement::Ssd
+                    version,
+                    policy,
+                    &mut scratch,
+                );
+                // Every stored put is a compaction point; a put that
+                // stored always handed the guards back.
+                if outcome.is_stored() && self.compaction_due(scratch.records.len()) {
+                    if let Some((_reg, mut shard)) = guards.take() {
+                        self.drain_scratch(&mut shard, &mut scratch);
                     }
+                    self.maybe_compact_journal();
                 }
-            };
-            if self.ledger(placement).is_disabled() {
-                out.push(PutOutcome::Rejected);
-                guards = Some((reg, shard));
-                continue;
             }
-            let (outcome, rest) = self.put_in_home_shard(
-                now,
-                (reg, shard),
-                si,
-                vm,
-                pool,
-                addr,
-                version,
-                policy,
-                placement,
-                false,
-                scratch,
-            );
-            out.push(outcome);
-            guards = rest;
-            // The per-op path compacts after every stored put; a put
-            // that stored always handed the guards back.
-            if matches!(outcome, PutOutcome::Stored { .. }) && self.compaction_due(scratch.len()) {
-                if let Some((reg, mut shard)) = guards.take() {
-                    self.drain_scratch(&mut shard, scratch);
-                    drop(shard);
-                    drop(reg);
-                }
-                self.maybe_compact_journal();
+            if let Some((_reg, mut shard)) = guards {
+                self.drain_scratch(&mut shard, &mut scratch);
             }
         }
-        if let Some((reg, mut shard)) = guards.take() {
-            self.drain_scratch(&mut shard, scratch);
-            drop(shard);
-            drop(reg);
-        }
-        debug_assert!(scratch.is_empty());
-        out
+        self.end_visit(scratch, batched);
     }
 
-    /// The batched flush group: one lock acquisition, every Flush
-    /// record drained as one generation run. Returns the flush epoch —
-    /// the last generation claimed (0 with journaling off), exactly the
-    /// maximum the per-op loop would fold.
-    fn flush_group(
-        &self,
-        si: usize,
-        vm: VmId,
-        pool: PoolId,
-        addrs: &[BlockAddr],
-        scratch: &mut Vec<JournalRecord>,
-    ) -> u64 {
-        let mut shard = self.lock_shard(si);
-        self.inner
-            .batch_lock_acquisitions
-            .fetch_add(1, Ordering::Relaxed);
+    /// The flush group: one lock acquisition, every Flush record
+    /// drained as one generation run. Returns the flush epoch — the
+    /// last generation claimed (0 with journaling off), the maximum of
+    /// the per-record epochs.
+    ///
+    /// Unlike the serial plane this does NOT sync — durability arrives
+    /// at the next group-commit tick; the epoch VALUE is the same
+    /// either way, and recovery's per-VM discard covers the window.
+    /// Live compaction is not checked here either: flushes compact at
+    /// batch boundaries (`flush_many`), not per op, like the serial
+    /// engine.
+    fn flush_group(&mut self, vm: VmId, pool: PoolId, addrs: &[BlockAddr], batched: bool) -> u64 {
+        let si = self.shard_of(vm, pool);
+        let mut scratch = std::mem::take(&mut self.local.scratch);
+        let mut shard = self.visit_shard(si, &mut scratch);
         for &addr in addrs {
             if let Some(slot) = shard
                 .pools
@@ -3706,17 +3323,21 @@ impl ShardedCache {
                     .0
                     .push(addr);
             }
-            // Logged even when the block was absent — the epoch must
-            // cover the flush regardless (see the per-op path).
+            // Logged even when the block was absent: the returned epoch
+            // must cover this flush regardless, since a crash may lose
+            // the unsynced put that would have made the block present.
             if shard.journal.is_some() {
-                scratch.push(JournalRecord::Flush {
+                scratch.records.push(JournalRecord::Flush {
                     vm: vm.0,
                     pool: pool.0,
                     addr,
                 });
             }
         }
-        self.drain_scratch(&mut shard, scratch)
+        let epoch = self.drain_scratch(&mut shard, &mut scratch);
+        drop(shard);
+        self.end_visit(scratch, batched);
+        epoch
     }
 
     /// Moves one object between two pools on the *same* shard.
@@ -3755,7 +3376,7 @@ impl ShardedCache {
                     pool: to.0,
                     addr,
                     version: slot.version.0,
-                    placement: Self::placement_code(slot.placement),
+                    placement: slot.placement.code(),
                 },
             );
         } else {
@@ -3791,7 +3412,7 @@ impl SecondChanceCache for ShardedCache {
             JournalRecord::CreatePool {
                 vm: vm.0,
                 pool: id.0,
-                store: Self::store_kind_code(policy.store),
+                store: store_kind_code(policy.store),
                 weight: policy.weight,
             },
         );
@@ -3876,7 +3497,7 @@ impl SecondChanceCache for ShardedCache {
             JournalRecord::SetPolicy {
                 vm: vm.0,
                 pool: pool.0,
-                store: Self::store_kind_code(policy.store),
+                store: store_kind_code(policy.store),
                 weight: policy.weight,
             },
         );
@@ -3920,7 +3541,7 @@ impl SecondChanceCache for ShardedCache {
                                 pool: pool.0,
                                 addr,
                                 version: version.0,
-                                placement: Self::placement_code(new_placement),
+                                placement: new_placement.code(),
                             },
                         );
                     }
@@ -3973,7 +3594,7 @@ impl SecondChanceCache for ShardedCache {
                     pool: to.0,
                     addr,
                     version: slot.version.0,
-                    placement: Self::placement_code(slot.placement),
+                    placement: slot.placement.code(),
                 },
             );
         } else {
@@ -4015,105 +3636,17 @@ impl SecondChanceCache for ShardedCache {
     }
 
     fn get(&mut self, now: SimTime, vm: VmId, pool: PoolId, addr: BlockAddr) -> GetOutcome {
-        // Lock-free fast path (DESIGN.md §15). Exclusive semantics mean
-        // a hit must mutate, so only the *miss* answer can be served
-        // without the shard lock — which is exactly the steady-state
-        // common case of a read-heavy exclusive cache. Route first
-        // through the handle-local cache (unknown pool is a silent miss,
-        // matching the serial engine), then the hot-miss replica, then
-        // the shard's seqlock membership table.
+        // Unknown pool is a silent miss, matching the serial engine.
         let Some((_, mirror)) = self.route(vm, pool) else {
             return GetOutcome::Miss;
         };
         let si = self.shard_of(vm, pool);
-        // Remote-bound pools skip the whole lock-free plane: "absent
-        // from the shard" stops being a definitive miss once the remote
-        // tier can still serve the block, and the binding (whose
-        // fault-tolerance state the lookup mutates) lives under the
-        // shard lock anyway.
-        if !mirror.remote_bound() {
-            let slot = LocalReplica::hot_slot(vm, pool, addr);
-            if let Some(h) = self.local.hot[slot] {
-                if h.vm == vm
-                    && h.pool == pool
-                    && h.addr == addr
-                    && self.inner.read_planes[si].seq() == h.stamp
-                {
-                    // The home shard's membership has not changed since
-                    // this negative was cached: still definitively absent.
-                    mirror.note_get();
-                    self.local.lockfree_misses += 1;
-                    self.local.replica_hits += 1;
-                    return GetOutcome::Miss;
-                }
-            }
-            let inner = &self.inner;
-            let probe = inner.read_planes[si].lookup(vm, pool, addr, || {
-                if inner.read_hook_on.load(Ordering::Relaxed) {
-                    let hook = inner.read_hook.read().expect("hook poisoned").clone();
-                    if let Some(hook) = hook {
-                        hook();
-                    }
-                }
-            });
-            match probe {
-                ReadProbe::Absent { stamp } => {
-                    mirror.note_get();
-                    self.local.lockfree_misses += 1;
-                    self.local.hot[slot] = Some(HotEntry {
-                        vm,
-                        pool,
-                        addr,
-                        stamp,
-                    });
-                    return GetOutcome::Miss;
-                }
-                // Probable hit or degraded plane: take the lock and
-                // answer authoritatively (the plane may have gone stale
-                // between the probe and here; the locked path re-decides
-                // from scratch).
-                ReadProbe::Present | ReadProbe::Unavailable => {}
-            }
+        if !mirror.remote_bound() && self.probe_miss(si, vm, pool, addr, &mirror) {
+            return GetOutcome::Miss;
         }
-
-        let mut shard = self.lock_shard(si);
-        let Some(p) = shard.pools.get_mut(&(vm, pool)) else {
-            return Self::remote_get_in(&mut shard, now, vm, pool, addr);
-        };
-        p.counters.gets += 1;
-        let Some(slot) = p.remove(addr) else {
-            // Miss in the local tiers: fall through to the pool's remote
-            // binding (if any), which fails open back to a miss.
-            return Self::remote_get_in(&mut shard, now, vm, pool, addr);
-        };
-        p.counters.hits += 1;
-        // A hit on an SSD-resident block is proven reuse: re-arm its
-        // ghost entry so the block's next spill readmits without a
-        // second probation pass (mirrors the serial engine exactly).
-        if self.inner.admission.filters_spills()
-            && slot.placement == Placement::Ssd
-            && p.policy().store == StoreKind::Hybrid
-        {
-            p.ghost.note(addr);
-        }
-        // Exclusive semantics removed the object; its FIFO entry
-        // outlives it as a tombstone.
-        self.ledger(slot.placement).free(1);
-        shard.note_stale(slot.placement, 1);
-        self.log_in(
-            &mut shard,
-            JournalRecord::Take {
-                vm: vm.0,
-                pool: pool.0,
-                addr,
-            },
-        );
-        drop(shard);
-        self.maybe_compact_journal();
-        GetOutcome::Hit {
-            finish: now,
-            version: slot.version,
-        }
+        let mut out = [GetOutcome::Miss];
+        self.get_group_locked(now, si, vm, pool, &[(0, addr)], &mut out, false);
+        out[0]
     }
 
     fn put(
@@ -4124,78 +3657,13 @@ impl SecondChanceCache for ShardedCache {
         addr: BlockAddr,
         version: PageVersion,
     ) -> PutOutcome {
-        // Policy lookup through the handle-local route cache: the fast
-        // path must not take a shard lock (and, in the common case, not
-        // even the registry lock) to decide the route.
-        let Some((policy, mirror)) = self.route(vm, pool) else {
-            return PutOutcome::Rejected;
-        };
-        if !policy.is_enabled() {
-            return PutOutcome::Rejected;
-        }
-        // Hybrid placement needs the share table and strict mode needs
-        // the entitlement pre-check — since PR 10 both go through the
-        // reservation path (home shard only, bounded retries) instead
-        // of lock-all.
-        let needs_reservation =
-            policy.store == StoreKind::Hybrid || self.inner.mode == PartitionMode::Strict;
-        if needs_reservation {
-            let mut scratch = std::mem::take(&mut self.local.scratch);
-            let out =
-                self.put_reserved(now, vm, pool, addr, version, policy, &mirror, &mut scratch);
-            self.local.scratch = scratch;
-            return out;
-        }
-        let placement = match policy.store {
-            StoreKind::Mem => Placement::Mem,
-            StoreKind::Ssd => Placement::Ssd,
-            StoreKind::Hybrid => unreachable!("routed to put_reserved above"),
-        };
-        if self.ledger(placement).is_disabled() {
-            return PutOutcome::Rejected;
-        }
-        self.put_fast(now, vm, pool, addr, version, placement)
+        let mut out = [PutOutcome::Rejected];
+        self.put_group(now, vm, pool, &[(addr, version)], &mut out, false);
+        out[0]
     }
 
     fn flush(&mut self, vm: VmId, pool: PoolId, addr: BlockAddr) -> u64 {
-        let si = self.shard_of(vm, pool);
-        let mut shard = self.lock_shard(si);
-        if let Some(slot) = shard
-            .pools
-            .get_mut(&(vm, pool))
-            .and_then(|p| p.remove(addr))
-        {
-            self.ledger(slot.placement).free(1);
-            shard.note_stale(slot.placement, 1);
-        }
-        // The guest is writing the backing block: the remote's copy is
-        // stale forever after (stash it if the pool is not bound yet).
-        if let Some(b) = shard.remote_bindings.get_mut(&(vm, pool)) {
-            b.localize(addr);
-        } else if self.inner.remote_on.load(Ordering::Acquire) {
-            shard
-                .remote_stash
-                .entry((vm, pool))
-                .or_default()
-                .0
-                .push(addr);
-        }
-        // Logged even when the block was absent: the returned epoch must
-        // cover this flush regardless, since a crash may lose the
-        // unsynced put that would have made the block present. Unlike
-        // the serial plane this does NOT sync — durability arrives at
-        // the next group-commit tick; the epoch VALUE is the same either
-        // way, and recovery's per-VM discard covers the window. Live
-        // compaction is NOT checked here: flushes compact at batch
-        // boundaries (`flush_many`), not per op, like the serial engine.
-        self.log_in(
-            &mut shard,
-            JournalRecord::Flush {
-                vm: vm.0,
-                pool: pool.0,
-                addr,
-            },
-        )
+        self.flush_group(vm, pool, &[addr], false)
     }
 
     fn flush_file(&mut self, vm: VmId, pool: PoolId, file: FileId) -> u64 {
@@ -4236,72 +3704,31 @@ impl SecondChanceCache for ShardedCache {
         pool: PoolId,
         addrs: &[BlockAddr],
     ) -> Vec<GetOutcome> {
+        let mut out = vec![GetOutcome::Miss; addrs.len()];
         if addrs.is_empty() {
-            return Vec::new();
+            return out;
         }
         let Some((_, mirror)) = self.route(vm, pool) else {
-            // Unknown pool: a silent miss for the whole group, matching
-            // the per-op path (and the serial engine).
-            return vec![GetOutcome::Miss; addrs.len()];
+            // Unknown pool: a silent miss for the whole group.
+            return out;
         };
         self.inner
             .batched_ops
             .fetch_add(addrs.len() as u64, Ordering::Relaxed);
         let si = self.shard_of(vm, pool);
-        let mut out = vec![GetOutcome::Miss; addrs.len()];
         // First pass: answer definitive misses from the lock-free read
-        // plane (hot-miss replica first), exactly like the per-op path;
-        // everything else queues for one locked shard visit. Gets never
-        // add membership, so an earlier op in the batch cannot
-        // invalidate a later op's lock-free miss. Remote-bound pools
-        // skip the plane wholesale (see `get`).
-        let mut locked: Vec<(usize, BlockAddr)> = Vec::new();
-        if mirror.remote_bound() {
-            locked.extend(addrs.iter().copied().enumerate());
-        } else {
-            for (i, &addr) in addrs.iter().enumerate() {
-                let slot = LocalReplica::hot_slot(vm, pool, addr);
-                if let Some(h) = self.local.hot[slot] {
-                    if h.vm == vm
-                        && h.pool == pool
-                        && h.addr == addr
-                        && self.inner.read_planes[si].seq() == h.stamp
-                    {
-                        mirror.note_get();
-                        self.local.lockfree_misses += 1;
-                        self.local.replica_hits += 1;
-                        continue;
-                    }
-                }
-                let inner = &self.inner;
-                let probe = inner.read_planes[si].lookup(vm, pool, addr, || {
-                    if inner.read_hook_on.load(Ordering::Relaxed) {
-                        let hook = inner.read_hook.read().expect("hook poisoned").clone();
-                        if let Some(hook) = hook {
-                            hook();
-                        }
-                    }
-                });
-                match probe {
-                    ReadProbe::Absent { stamp } => {
-                        mirror.note_get();
-                        self.local.lockfree_misses += 1;
-                        self.local.hot[slot] = Some(HotEntry {
-                            vm,
-                            pool,
-                            addr,
-                            stamp,
-                        });
-                    }
-                    ReadProbe::Present | ReadProbe::Unavailable => locked.push((i, addr)),
-                }
-            }
-        }
+        // plane; everything else queues for one locked shard visit.
+        // Gets never add membership, so an earlier op in the batch
+        // cannot invalidate a later op's lock-free miss.
+        let bypass = mirror.remote_bound();
+        let locked: Vec<(usize, BlockAddr)> = addrs
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, addr)| bypass || !self.probe_miss(si, vm, pool, addr, &mirror))
+            .collect();
         if !locked.is_empty() {
-            let mut scratch = std::mem::take(&mut self.local.scratch);
-            self.get_group_locked(now, si, vm, pool, &locked, &mut out, &mut scratch);
-            debug_assert!(scratch.is_empty());
-            self.local.scratch = scratch;
+            self.get_group_locked(now, si, vm, pool, &locked, &mut out, true);
         }
         out
     }
@@ -4313,32 +3740,10 @@ impl SecondChanceCache for ShardedCache {
         pool: PoolId,
         pages: &[(BlockAddr, PageVersion)],
     ) -> Vec<PutOutcome> {
-        if pages.is_empty() {
-            return Vec::new();
+        let mut out = vec![PutOutcome::Rejected; pages.len()];
+        if !pages.is_empty() {
+            self.put_group(now, vm, pool, pages, &mut out, true);
         }
-        let Some((policy, _)) = self.route(vm, pool) else {
-            return vec![PutOutcome::Rejected; pages.len()];
-        };
-        if !policy.is_enabled() {
-            return vec![PutOutcome::Rejected; pages.len()];
-        }
-        self.inner
-            .batched_ops
-            .fetch_add(pages.len() as u64, Ordering::Relaxed);
-        let si = self.shard_of(vm, pool);
-        let mut scratch = std::mem::take(&mut self.local.scratch);
-        let out = if policy.store == StoreKind::Hybrid || self.inner.mode == PartitionMode::Strict {
-            self.put_group_reserved(now, si, vm, pool, pages, policy, &mut scratch)
-        } else {
-            let placement = match policy.store {
-                StoreKind::Mem => Placement::Mem,
-                StoreKind::Ssd => Placement::Ssd,
-                StoreKind::Hybrid => unreachable!("dispatched to the reserved group above"),
-            };
-            self.put_group_fast(now, si, vm, pool, pages, placement, &mut scratch)
-        };
-        debug_assert!(scratch.is_empty());
-        self.local.scratch = scratch;
         out
     }
 
@@ -4349,11 +3754,7 @@ impl SecondChanceCache for ShardedCache {
         self.inner
             .batched_ops
             .fetch_add(addrs.len() as u64, Ordering::Relaxed);
-        let si = self.shard_of(vm, pool);
-        let mut scratch = std::mem::take(&mut self.local.scratch);
-        let epoch = self.flush_group(si, vm, pool, addrs, &mut scratch);
-        debug_assert!(scratch.is_empty());
-        self.local.scratch = scratch;
+        let epoch = self.flush_group(vm, pool, addrs, true);
         // Live compaction once per batch, not once per flush — the
         // serial engine hoists identically, so the checkpoint rewrite
         // still fires at the same operation on both planes.

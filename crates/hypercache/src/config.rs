@@ -1,5 +1,6 @@
 //! Cache-wide configuration.
 
+use ddc_cleancache::StoreKind;
 use ddc_storage::PAGE_SIZE;
 
 use crate::admission::AdmissionConfig;
@@ -7,6 +8,36 @@ use crate::admission::AdmissionConfig;
 /// Eviction batch size: the paper evicts "a small batch (2 MB)" when a
 /// store request cannot be serviced because of limit violations (§4.3).
 pub const EVICTION_BATCH_PAGES: u64 = 2 * 1024 * 1024 / PAGE_SIZE;
+
+/// Journal records per live entry before live compaction kicks in
+/// (`records > max(JOURNAL_COMPACT_MIN_RECORDS, FACTOR × live)`). Every
+/// engine must trigger at the same operation, or the checkpoint rewrite
+/// consumes generations at a different point and flush epochs diverge.
+pub const JOURNAL_COMPACT_FACTOR: u64 = 8;
+
+/// Journals shorter than this are never compacted — replaying them is
+/// already cheap, and the floor keeps tiny caches from re-checkpointing
+/// on every handful of ops.
+pub const JOURNAL_COMPACT_MIN_RECORDS: u64 = 1024;
+
+/// [`StoreKind`] wire discriminant for journal records.
+pub fn store_kind_code(kind: StoreKind) -> u8 {
+    match kind {
+        StoreKind::Mem => 0,
+        StoreKind::Ssd => 1,
+        StoreKind::Hybrid => 2,
+    }
+}
+
+/// Inverse of [`store_kind_code`]; `None` for a code no version wrote.
+pub fn store_kind_from_code(code: u8) -> Option<StoreKind> {
+    match code {
+        0 => Some(StoreKind::Mem),
+        1 => Some(StoreKind::Ssd),
+        2 => Some(StoreKind::Hybrid),
+        _ => None,
+    }
+}
 
 /// How the cache distributes capacity among its users.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -22,6 +53,27 @@ pub enum PartitionMode {
     /// caps; a pool at its cap evicts from itself, and unused entitlement
     /// is never lent out.
     Strict,
+}
+
+impl PartitionMode {
+    /// Wire discriminant for journal records.
+    pub fn code(self) -> u8 {
+        match self {
+            PartitionMode::DoubleDecker => 0,
+            PartitionMode::Global => 1,
+            PartitionMode::Strict => 2,
+        }
+    }
+
+    /// Inverse of [`Self::code`]; `None` for a code no version wrote.
+    pub fn from_code(code: u8) -> Option<PartitionMode> {
+        match code {
+            0 => Some(PartitionMode::DoubleDecker),
+            1 => Some(PartitionMode::Global),
+            2 => Some(PartitionMode::Strict),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for PartitionMode {
@@ -137,6 +189,30 @@ mod tests {
         assert_eq!(d.admission, AdmissionConfig::off());
         let a = CacheConfig::mem_and_ssd(10, 20).with_admission(AdmissionConfig::ghost(8));
         assert_eq!(a.admission.ghost_window, 8);
+    }
+
+    #[test]
+    fn journal_codes_roundtrip_and_reject_unknown() {
+        use crate::index::Placement;
+        for kind in [StoreKind::Mem, StoreKind::Ssd, StoreKind::Hybrid] {
+            assert_eq!(store_kind_from_code(store_kind_code(kind)), Some(kind));
+        }
+        for mode in [
+            PartitionMode::DoubleDecker,
+            PartitionMode::Global,
+            PartitionMode::Strict,
+        ] {
+            assert_eq!(PartitionMode::from_code(mode.code()), Some(mode));
+        }
+        for placement in [Placement::Mem, Placement::Ssd] {
+            assert_eq!(Placement::from_code(placement.code()), Some(placement));
+        }
+        for code in 3..=u8::MAX {
+            assert_eq!(store_kind_from_code(code), None);
+            assert_eq!(PartitionMode::from_code(code), None);
+            assert_eq!(Placement::from_code(code), None);
+        }
+        assert_eq!(Placement::from_code(2), None);
     }
 
     #[test]

@@ -22,7 +22,10 @@ use crate::admission::AdmissionConfig;
 use crate::index::{Placement, Pool, SlotId};
 use crate::policy::{entitlements, select_victim, select_victim_strict, EntityUsage};
 use crate::store::BackingStore;
-use crate::{CacheConfig, PartitionMode, EVICTION_BATCH_PAGES};
+use crate::{
+    store_kind_code, store_kind_from_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
+    JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS,
+};
 
 /// Aggregate usage of one VM across both stores, in pages.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -347,14 +350,6 @@ impl DoubleDeckerCache {
         self.journal_compactions
     }
 
-    /// Journal records per live entry before live compaction kicks in.
-    const JOURNAL_COMPACT_FACTOR: u64 = 8;
-
-    /// Journals shorter than this are never compacted — replaying them
-    /// is already cheap, and the floor keeps tiny caches from
-    /// re-checkpointing on every handful of ops.
-    const JOURNAL_COMPACT_MIN_RECORDS: u64 = 1024;
-
     /// Live journal compaction: when the journal has accumulated far
     /// more records than there are live entries (`records > max(1024,
     /// 8 × live)`), rewrite it as a checkpoint of the current state so
@@ -372,66 +367,13 @@ impl DoubleDeckerCache {
             return;
         };
         let live = self.mem.used_pages() + self.ssd.used_pages();
-        let threshold =
-            (live * Self::JOURNAL_COMPACT_FACTOR).max(Self::JOURNAL_COMPACT_MIN_RECORDS);
+        let threshold = (live * JOURNAL_COMPACT_FACTOR).max(JOURNAL_COMPACT_MIN_RECORDS);
         if j.records() <= threshold {
             return;
         }
         let start_gen = j.next_gen();
         self.write_checkpoint(start_gen);
         self.journal_compactions += 1;
-    }
-
-    /// `StoreKind` wire discriminant for journal records.
-    fn store_kind_code(kind: StoreKind) -> u8 {
-        match kind {
-            StoreKind::Mem => 0,
-            StoreKind::Ssd => 1,
-            StoreKind::Hybrid => 2,
-        }
-    }
-
-    fn store_kind_from_code(code: u8) -> Option<StoreKind> {
-        match code {
-            0 => Some(StoreKind::Mem),
-            1 => Some(StoreKind::Ssd),
-            2 => Some(StoreKind::Hybrid),
-            _ => None,
-        }
-    }
-
-    /// `PartitionMode` wire discriminant for journal records.
-    fn mode_code(mode: PartitionMode) -> u8 {
-        match mode {
-            PartitionMode::DoubleDecker => 0,
-            PartitionMode::Global => 1,
-            PartitionMode::Strict => 2,
-        }
-    }
-
-    fn mode_from_code(code: u8) -> Option<PartitionMode> {
-        match code {
-            0 => Some(PartitionMode::DoubleDecker),
-            1 => Some(PartitionMode::Global),
-            2 => Some(PartitionMode::Strict),
-            _ => None,
-        }
-    }
-
-    /// `Placement` wire discriminant for journal records.
-    fn placement_code(placement: Placement) -> u8 {
-        match placement {
-            Placement::Mem => 0,
-            Placement::Ssd => 1,
-        }
-    }
-
-    fn placement_from_code(code: u8) -> Option<Placement> {
-        match code {
-            0 => Some(Placement::Mem),
-            1 => Some(Placement::Ssd),
-            _ => None,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -540,9 +482,7 @@ impl DoubleDeckerCache {
     /// Switches partitioning mode at runtime (used by ablation benches).
     pub fn set_mode(&mut self, mode: PartitionMode) {
         self.mode = mode;
-        self.log(JournalRecord::SetMode {
-            mode: Self::mode_code(mode),
-        });
+        self.log(JournalRecord::SetMode { mode: mode.code() });
     }
 
     // ------------------------------------------------------------------
@@ -1224,7 +1164,7 @@ impl DoubleDeckerCache {
                     pool: pool_id.0,
                     addr,
                     version: version.0,
-                    placement: Self::placement_code(Placement::Ssd),
+                    placement: Placement::Ssd.code(),
                 });
             }
         }
@@ -1370,7 +1310,7 @@ impl DoubleDeckerCache {
                         pool: pool_id.0,
                         addr,
                         version: version.0,
-                        placement: Self::placement_code(new_placement),
+                        placement: new_placement.code(),
                     });
                 }
             }
@@ -1589,7 +1529,7 @@ impl DoubleDeckerCache {
                 weight,
             } => {
                 let (vm, pool) = (VmId(vm), PoolId(pool));
-                let Some(store) = Self::store_kind_from_code(store) else {
+                let Some(store) = store_kind_from_code(store) else {
                     return;
                 };
                 let entry = self.vms.entry(vm).or_insert_with(|| VmEntry::new(100, 100));
@@ -1623,7 +1563,7 @@ impl DoubleDeckerCache {
                 store,
                 weight,
             } => {
-                let Some(store) = Self::store_kind_from_code(store) else {
+                let Some(store) = store_kind_from_code(store) else {
                     return;
                 };
                 if let Some(p) = self.pools.get_mut(&(VmId(vm), PoolId(pool))) {
@@ -1638,7 +1578,7 @@ impl DoubleDeckerCache {
                 placement,
             } => {
                 let (vm, pool) = (VmId(vm), PoolId(pool));
-                let Some(placement) = Self::placement_from_code(placement) else {
+                let Some(placement) = Placement::from_code(placement) else {
                     return;
                 };
                 if !self.pools.contains_key(&(vm, pool)) || !self.store(placement).try_alloc() {
@@ -1711,7 +1651,7 @@ impl DoubleDeckerCache {
             JournalRecord::SetMemCapacity { pages } => self.mem.set_capacity_pages(pages),
             JournalRecord::SetSsdCapacity { pages } => self.ssd.set_capacity_pages(pages),
             JournalRecord::SetMode { mode } => {
-                if let Some(mode) = Self::mode_from_code(mode) {
+                if let Some(mode) = PartitionMode::from_code(mode) {
                     self.mode = mode;
                 }
             }
@@ -1760,7 +1700,7 @@ impl DoubleDeckerCache {
     fn write_checkpoint(&mut self, start_gen: u64) -> Vec<(VmId, u64)> {
         let mut journal = Journal::with_start_gen(start_gen);
         journal.append(&JournalRecord::SetMode {
-            mode: Self::mode_code(self.mode),
+            mode: self.mode.code(),
         });
         journal.append(&JournalRecord::SetMemCapacity {
             pages: self.mem.capacity_pages(),
@@ -1786,7 +1726,7 @@ impl DoubleDeckerCache {
                 journal.append(&JournalRecord::CreatePool {
                     vm: vm.0,
                     pool: pid.0,
-                    store: Self::store_kind_code(policy.store),
+                    store: store_kind_code(policy.store),
                     weight: policy.weight,
                 });
                 for (addr, slot) in pool.iter() {
@@ -1796,7 +1736,7 @@ impl DoubleDeckerCache {
                         pid,
                         addr,
                         slot.version.0,
-                        Self::placement_code(slot.placement),
+                        slot.placement.code(),
                     ));
                 }
             }
@@ -1941,7 +1881,7 @@ impl SecondChanceCache for DoubleDeckerCache {
         self.log(JournalRecord::CreatePool {
             vm: vm.0,
             pool: id.0,
-            store: Self::store_kind_code(policy.store),
+            store: store_kind_code(policy.store),
             weight: policy.weight,
         });
         id
@@ -1981,7 +1921,7 @@ impl SecondChanceCache for DoubleDeckerCache {
             self.log(JournalRecord::SetPolicy {
                 vm: vm.0,
                 pool: pool.0,
-                store: Self::store_kind_code(policy.store),
+                store: store_kind_code(policy.store),
                 weight: policy.weight,
             });
             self.rehome_pool_objects(vm, pool);
@@ -2019,7 +1959,7 @@ impl SecondChanceCache for DoubleDeckerCache {
                     pool: to.0,
                     addr,
                     version: slot.version.0,
-                    placement: Self::placement_code(slot.placement),
+                    placement: slot.placement.code(),
                 });
             }
             None => {
@@ -2233,7 +2173,7 @@ impl SecondChanceCache for DoubleDeckerCache {
             pool: pool.0,
             addr,
             version: version.0,
-            placement: Self::placement_code(placement),
+            placement: placement.code(),
         });
         self.maybe_compact_journal();
         PutOutcome::Stored { finish }

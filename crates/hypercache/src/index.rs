@@ -45,6 +45,25 @@ pub enum Placement {
     Ssd,
 }
 
+impl Placement {
+    /// Wire discriminant for journal records.
+    pub fn code(self) -> u8 {
+        match self {
+            Placement::Mem => 0,
+            Placement::Ssd => 1,
+        }
+    }
+
+    /// Inverse of [`Self::code`]; `None` for a code no version wrote.
+    pub fn from_code(code: u8) -> Option<Placement> {
+        match code {
+            0 => Some(Placement::Mem),
+            1 => Some(Placement::Ssd),
+            _ => None,
+        }
+    }
+}
+
 /// Handle to one slab arena entry of a [`Pool`]. See the module docs
 /// for the stability rules; pair it with the slot's sequence stamp when
 /// storing it in a FIFO so reuse is detectable.

@@ -61,7 +61,10 @@ pub mod store;
 
 pub use admission::{AdmissionConfig, GhostFilter};
 pub use audit::{audit, audit_pool_slice, audit_remote_bindings, AuditFinding};
-pub use config::{CacheConfig, PartitionMode, EVICTION_BATCH_PAGES};
+pub use config::{
+    store_kind_code, store_kind_from_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
+    JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS,
+};
 pub use ddcache::{CacheTotals, DoubleDeckerCache, FallbackMode, RecoveryReport, VmUsage};
 pub use policy::{select_victim, select_victim_strict, EntityUsage};
 pub use readplane::{ReadPlane, ReadProbe};

@@ -5,9 +5,9 @@
 //! draining pending journal records as contiguous generation runs.
 //! This block is the attribution story for that plane:
 //! `batched_ops / lock_acquisitions` is the amortization actually
-//! achieved, `journal_appends` counts scratch drains (batch appends),
-//! and the reservation pair tracks how often the optimistic
-//! home-shard-only put path had to retry or fall back to lock-all.
+//! achieved and `journal_appends` counts scratch drains (batch
+//! appends). Scalar get/put/flush run the same group code as groups of
+//! one but are never counted here.
 
 /// Counters for the batched write plane, snapshotted from the sharded
 /// engine's atomics.
@@ -21,18 +21,12 @@ pub struct BatchCounters {
     /// Scratch drains — journal batch appends, each claiming one
     /// contiguous generation run.
     pub journal_appends: u64,
-    /// Reservation-path puts that re-validated stale and retried.
-    pub reservation_retries: u64,
-    /// Reservation-path puts that fell back to the lock-all path.
-    pub reservation_fallbacks: u64,
 }
 
 crate::counter_snapshot!(BatchCounters, "batch", {
     batched_ops,
     lock_acquisitions,
     journal_appends,
-    reservation_retries,
-    reservation_fallbacks,
 });
 
 #[cfg(test)]
@@ -46,14 +40,12 @@ mod tests {
             batched_ops: 10,
             lock_acquisitions: 2,
             journal_appends: 1,
-            reservation_retries: 3,
-            reservation_fallbacks: 1,
         };
         let json = snapshot_json(&a);
         let back: BatchCounters = snapshot_from_json(&json).expect("roundtrip");
         assert_eq!(back, a);
         a.absorb(&back);
         assert_eq!(a.batched_ops, 20);
-        assert_eq!(a.reservation_fallbacks, 2);
+        assert_eq!(a.journal_appends, 2);
     }
 }

@@ -10,18 +10,25 @@
 //!    images. Batching is a locking/amortization strategy, not a
 //!    semantic change; this is checked at *every* split boundary of
 //!    the batch, across 1/2/4/8 shards.
-//! 2. **Reservation convergence** — the eviction hook (which fires in
-//!    the reservation path's unlocked phase, between the placement
-//!    hint and its locked re-validation) is used to flip a hybrid
-//!    pool's entitlement on every firing, so every hint the path
-//!    computes is stale by the time it validates. The path must
-//!    detect the mismatch, retry within its bound or fall back to the
-//!    lock-all put, keep storing every page, and reconcile every
-//!    speculative capacity reservation back into the ledger (zero
-//!    auditor findings after every burst).
+//!    The scalar entry points are the one-element case of the same
+//!    group code, so the transcript, resident entries and stats are
+//!    additionally checked against the same op stream driven through
+//!    the serial `DoubleDeckerCache` — a different implementation.
+//! 2. **Counter attribution** — the batch-plane counters count
+//!    `*_many` traffic only; scalar ops, which run the same group
+//!    helpers, leave them at zero.
+//! 3. **Placement under the lock converges** — hybrid puts decide
+//!    mem-vs-SSD under the home-shard lock from the entitlement memo.
+//!    Threads issuing scalar and `put_many` hybrid puts into one pool
+//!    race a thread that swings a VM weight between extremes (so the
+//!    pool's entitlement, and with it the placement decision, keeps
+//!    flipping): every put must still store or reject, the capacity
+//!    ledger must equal actual residency after every burst, and no
+//!    get may ever return a version other than the last one stored.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Barrier, Mutex};
 
 use ddc_core::cleancache::SecondChanceCache;
 use ddc_core::concurrent::{audit, ShardedCache};
@@ -37,26 +44,38 @@ const GROUP: u64 = 8;
 /// the byte-identity claim is over the uncompacted log).
 const ROUNDS: u64 = 6;
 
-fn build(shards: usize) -> (ShardedCache, Vec<(VmId, PoolId)>) {
-    let cache = ShardedCache::new(
-        CacheConfig {
-            mem_capacity_pages: 96,
-            ssd_capacity_pages: 192,
-            mode: PartitionMode::DoubleDecker,
-            admission: AdmissionConfig::off(),
-        },
-        shards,
-    );
-    cache.enable_journal();
-    cache.add_vm(VmId(1), 100);
-    cache.add_vm(VmId(2), 150);
-    let mut h = cache.clone();
-    let pools = vec![
+const CONFIG: CacheConfig = CacheConfig {
+    mem_capacity_pages: 96,
+    ssd_capacity_pages: 192,
+    mode: PartitionMode::DoubleDecker,
+    admission: AdmissionConfig::off(),
+};
+
+fn create_pools(h: &mut impl SecondChanceCache) -> Vec<(VmId, PoolId)> {
+    vec![
         (VmId(1), h.create_pool(VmId(1), CachePolicy::mem(100))),
         (VmId(1), h.create_pool(VmId(1), CachePolicy::hybrid(80))),
         (VmId(2), h.create_pool(VmId(2), CachePolicy::ssd(60))),
         (VmId(2), h.create_pool(VmId(2), CachePolicy::hybrid(120))),
-    ];
+    ]
+}
+
+fn build(shards: usize) -> (ShardedCache, Vec<(VmId, PoolId)>) {
+    let cache = ShardedCache::new(CONFIG, shards);
+    cache.enable_journal();
+    cache.add_vm(VmId(1), 100);
+    cache.add_vm(VmId(2), 150);
+    let pools = create_pools(&mut cache.clone());
+    (cache, pools)
+}
+
+/// The same set-up on the serial engine: the independent reference.
+fn build_serial() -> (DoubleDeckerCache, Vec<(VmId, PoolId)>) {
+    let mut cache = DoubleDeckerCache::new(CONFIG);
+    cache.enable_journal();
+    cache.add_vm(VmId(1), 100);
+    cache.add_vm(VmId(2), 150);
+    let pools = create_pools(&mut cache);
     (cache, pools)
 }
 
@@ -102,7 +121,7 @@ fn round_ops(
 /// calls cut at index `k`. Returns a transcript of every outcome, so
 /// the comparison covers what callers *observed*, not just where the
 /// cache ended up.
-fn drive(h: &mut ShardedCache, pools: &[(VmId, PoolId)], split: Option<usize>) -> String {
+fn drive(h: &mut impl SecondChanceCache, pools: &[(VmId, PoolId)], split: Option<usize>) -> String {
     let now = SimTime::from_secs(1);
     let mut transcript = String::new();
     for round in 0..ROUNDS {
@@ -151,18 +170,41 @@ fn drive(h: &mut ShardedCache, pools: &[(VmId, PoolId)], split: Option<usize>) -
     transcript
 }
 
-/// Everything observable about where the cache ended up: resident
-/// entries in internal order, per-pool stats, journal record count and
-/// raw per-shard segment bytes.
-fn observe(cache: &ShardedCache, pools: &[(VmId, PoolId)]) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("entries={:?}\n", cache.entries()));
+/// A transcript with the `finish` instants removed: the serial engine
+/// charges its store device models there, the sharded one answers at
+/// `now`, so across engines only outcome kinds, versions and epochs
+/// are comparable.
+fn without_finish_times(transcript: &str) -> String {
+    let mut parts = transcript.split("finish: SimTime(");
+    let mut out = parts.next().unwrap_or("").to_owned();
+    for part in parts {
+        let (_, rest) = part.split_once(')').expect("SimTime(..) closes");
+        out.push_str(rest);
+    }
+    out
+}
+
+/// Where a cache of either engine ended up: resident entries and
+/// per-pool stats.
+fn residency(
+    entries: Vec<(VmId, PoolId, BlockAddr, PageVersion)>,
+    cache: &impl SecondChanceCache,
+    pools: &[(VmId, PoolId)],
+) -> String {
+    let mut s = format!("entries={entries:?}\n");
     for &(vm, pool) in pools {
         s.push_str(&format!(
             "{vm:?}/{pool:?}={:?}\n",
             cache.pool_stats(vm, pool)
         ));
     }
+    s
+}
+
+/// Everything observable about where the sharded cache ended up:
+/// [`residency`], journal record count and raw per-shard segment bytes.
+fn observe(cache: &ShardedCache, pools: &[(VmId, PoolId)]) -> String {
+    let mut s = residency(cache.entries(), cache, pools);
     s.push_str(&format!("records={:?}\n", cache.journal_records()));
     s.push_str(&format!("images={:?}\n", cache.journal_images()));
     s
@@ -170,6 +212,10 @@ fn observe(cache: &ShardedCache, pools: &[(VmId, PoolId)]) -> String {
 
 #[test]
 fn batched_application_is_byte_identical_at_every_split_boundary() {
+    let (mut serial, serial_pools) = build_serial();
+    let serial_transcript = without_finish_times(&drive(&mut serial, &serial_pools, None));
+    let serial_residency = residency(serial.entries(), &serial, &serial_pools);
+
     for shards in [1usize, 2, 4, 8] {
         let (ref_cache, ref_pools) = build(shards);
         let mut h = ref_cache.clone();
@@ -178,6 +224,17 @@ fn batched_application_is_byte_identical_at_every_split_boundary() {
         assert!(
             audit(&ref_cache).is_empty(),
             "reference run broke invariants at {shards} shards"
+        );
+        assert_eq!(serial_pools, ref_pools);
+        assert_eq!(
+            serial_transcript,
+            without_finish_times(&ref_transcript),
+            "outcomes diverged from the serial engine at {shards} shards"
+        );
+        assert_eq!(
+            serial_residency,
+            residency(ref_cache.entries(), &ref_cache, &ref_pools),
+            "state diverged from the serial engine at {shards} shards"
         );
 
         for k in 0..=GROUP as usize {
@@ -205,19 +262,55 @@ fn batched_application_is_byte_identical_at_every_split_boundary() {
     }
 }
 
-/// Forces every reservation hint stale: the hook (which the reserved
-/// put runs in its unlocked phase, after computing the placement hint
-/// and before re-validating it under the home shard lock) swings the
-/// ballast VM's weight between extremes, so the hybrid pool's memory
-/// entitlement — and with it the mem-vs-SSD placement decision —
-/// flips on every firing. Each retry recomputes the hint and gets
-/// invalidated again, so the path must exhaust its retry budget and
-/// take the lock-all fallback, all while keeping the capacity ledger
-/// exact (every speculative reservation freed or consumed — the
-/// auditor checks the ledger against actual residency after every
-/// burst).
 #[test]
-fn reservation_path_converges_under_forced_entitlement_flips() {
+fn batch_counters_count_many_traffic_only() {
+    let (cache, pools) = build(4);
+    let mut h = cache.clone();
+    let batch_counters = |c: &ShardedCache| {
+        (
+            c.batched_ops(),
+            c.batch_lock_acquisitions(),
+            c.batch_journal_appends(),
+        )
+    };
+
+    let before = cache.journal_records();
+    drive(&mut h, &pools, None);
+    assert!(
+        cache.journal_records() > before,
+        "the scalar run journaled nothing"
+    );
+    assert_eq!(
+        batch_counters(&cache),
+        (0, 0, 0),
+        "scalar ops leaked into the batch-plane counters"
+    );
+
+    drive(&mut h, &pools, Some(GROUP as usize / 2));
+    let (ops, locks, appends) = batch_counters(&cache);
+    assert!(
+        ops > 0 && locks > 0 && appends > 0,
+        "the *_many run was not counted: {ops} ops, {locks} locks, {appends} appends"
+    );
+    assert!(locks < ops, "groups did not amortize their lock visits");
+}
+
+/// Two writers share one hybrid pool (disjoint files, so each can keep
+/// an exact model of what it stored) while a third thread swings the
+/// ballast VM's weight between a trivial and a dominant value for as
+/// long as a burst runs: VM 1's memory entitlement jumps between ~60
+/// and ~3 pages, crossing the hybrid pool's resident count, so the
+/// mem-vs-SSD decision taken under the home-shard lock keeps flipping
+/// — also between the pages of one `put_many` group. Bursts are
+/// delimited by barriers so the auditor runs on a quiescent cache;
+/// violations are collected and asserted after the threads join, since
+/// a panic between two barrier waits would hang the others.
+#[test]
+fn hybrid_placement_converges_under_racing_entitlement_flips() {
+    const WRITERS: u64 = 2;
+    const BURSTS: u64 = 12;
+    const PAGES: u64 = 120;
+
     let cache = ShardedCache::new(
         CacheConfig {
             mem_capacity_pages: 64,
@@ -237,59 +330,121 @@ fn reservation_path_converges_under_forced_entitlement_flips() {
     // Ballast residency keeps VM 2's weight relevant to the share
     // table, so swinging it really moves VM 1's entitlement.
     for b in 0..24u64 {
-        backend.put(
-            now,
-            VmId(2),
-            ballast,
-            BlockAddr::new(FileId(9), b),
-            PageVersion(1),
-        );
+        let a = BlockAddr::new(FileId(9), b);
+        backend.put(now, VmId(2), ballast, a, PageVersion(1));
     }
 
-    let hook_fires = Arc::new(AtomicU64::new(0));
-    {
-        let hook_cache = cache.clone();
-        let hook_fires = hook_fires.clone();
-        cache.set_eviction_hook(Some(Arc::new(move || {
-            // Alternate the ballast VM between a trivial and a dominant
-            // weight: VM 1's memory entitlement jumps between ~60 and
-            // ~3 pages, crossing the hybrid pool's resident count, so
-            // the placement computed before this ran no longer matches
-            // the one the locked validation recomputes.
-            let n = hook_fires.fetch_add(1, Ordering::Relaxed);
-            hook_cache.set_vm_weight(VmId(2), if n.is_multiple_of(2) { 2_000 } else { 5 });
-        })));
-    }
+    let burst_edge = Barrier::new(WRITERS as usize + 2);
+    let writers_done = AtomicU64::new(0);
+    let stored = AtomicU64::new(0);
+    let flips = AtomicU64::new(0);
+    let violations: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let violation = |v: String| violations.lock().expect("violations poisoned").push(v);
 
-    let mut stored = 0u64;
-    for burst in 0..12u64 {
-        for b in 0..16u64 {
-            let a = BlockAddr::new(FileId(1), (burst * 16 + b) % 48);
-            if matches!(
-                backend.put(now, VmId(1), hybrid, a, PageVersion(1)),
-                PutOutcome::Stored { .. }
-            ) {
-                stored += 1;
-            }
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let mut h = cache.clone();
+            let (burst_edge, writers_done, stored) = (&burst_edge, &writers_done, &stored);
+            let (flips, violation) = (&flips, &violation);
+            scope.spawn(move || {
+                // addr -> the version the cache may hold (absent: none).
+                let mut model: BTreeMap<BlockAddr, PageVersion> = BTreeMap::new();
+                let note = |h: &mut ShardedCache,
+                            model: &mut BTreeMap<BlockAddr, PageVersion>,
+                            a: BlockAddr,
+                            v: PageVersion,
+                            out: PutOutcome| {
+                    match out {
+                        PutOutcome::Stored { .. } => {
+                            model.insert(a, v);
+                            stored.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // Like a guest: a refused put invalidates the
+                        // block.
+                        PutOutcome::Rejected => {
+                            h.flush(VmId(1), hybrid, a);
+                            model.remove(&a);
+                        }
+                        other => violation(format!("writer {w}: put of {a:?} returned {other:?}")),
+                    }
+                };
+                for burst in 0..BURSTS {
+                    let version = PageVersion(burst + 1);
+                    let pages: Vec<(BlockAddr, PageVersion)> = (0..PAGES)
+                        .map(|b| (BlockAddr::new(FileId(w + 1), b), version))
+                        .collect();
+                    // Groups alternate between the scalar and the
+                    // `put_many` entry point, and the weight is made to
+                    // swing at least once between any two of them.
+                    for (g, group) in pages.chunks(8).enumerate() {
+                        let seen = flips.load(Ordering::Acquire);
+                        let outs = if g % 2 == 0 {
+                            let put = |&(a, v)| h.put(now, VmId(1), hybrid, a, v);
+                            group.iter().map(put).collect()
+                        } else {
+                            h.put_many(now, VmId(1), hybrid, group)
+                        };
+                        if outs.len() != group.len() {
+                            violation(format!("writer {w}: {} outcomes", outs.len()));
+                        }
+                        for (&(a, v), out) in group.iter().zip(outs) {
+                            note(&mut h, &mut model, a, v, out);
+                        }
+                        while flips.load(Ordering::Acquire) == seen {
+                            std::thread::yield_now();
+                        }
+                    }
+                    // Read back every other block; the rest stay to be
+                    // overwritten by the next burst.
+                    for &(a, _) in pages.iter().step_by(2) {
+                        let expected = model.remove(&a);
+                        if let GetOutcome::Hit { version, .. } = h.get(now, VmId(1), hybrid, a) {
+                            if Some(version) != expected {
+                                violation(format!(
+                                    "writer {w} burst {burst}: stale hit on {a:?}: \
+                                     {version:?}, stored {expected:?}"
+                                ));
+                            }
+                        }
+                    }
+                    writers_done.fetch_add(1, Ordering::Release);
+                    burst_edge.wait();
+                    burst_edge.wait();
+                }
+            });
         }
-        let findings = audit(&cache);
-        assert!(
-            findings.is_empty(),
-            "burst {burst}: reservation left the ledger unreconciled: {findings:?}"
-        );
-    }
 
+        let (burst_edge, writers_done, flips) = (&burst_edge, &writers_done, &flips);
+        let swinger = cache.clone();
+        scope.spawn(move || {
+            for burst in 0..BURSTS {
+                while writers_done.load(Ordering::Acquire) < (burst + 1) * WRITERS {
+                    let n = flips.load(Ordering::Relaxed);
+                    swinger.set_vm_weight(VmId(2), if n.is_multiple_of(2) { 2_000 } else { 5 });
+                    flips.store(n + 1, Ordering::Release);
+                    std::thread::yield_now();
+                }
+                burst_edge.wait();
+                burst_edge.wait();
+            }
+        });
+
+        for burst in 0..BURSTS {
+            burst_edge.wait();
+            let findings = audit(&cache);
+            if !findings.is_empty() {
+                violation(format!(
+                    "burst {burst}: ledger and residency disagree: {findings:?}"
+                ));
+            }
+            burst_edge.wait();
+        }
+    });
+
+    let violations = violations.into_inner().expect("violations poisoned");
+    assert!(violations.is_empty(), "{violations:#?}");
     assert!(
-        hook_fires.load(Ordering::Relaxed) > 0,
-        "the entitlement-flip hook never fired — the reservation path was not exercised"
-    );
-    assert!(stored > 0, "every hybrid put wedged under forced staleness");
-    assert!(
-        cache.reservation_retries() > 0,
-        "no hint was ever re-tried (staleness detection is dead)"
-    );
-    assert!(
-        cache.reservation_fallbacks() > 0,
-        "no put exhausted its retries — the flip hook should defeat every re-validation"
+        stored.load(Ordering::Relaxed) > 0,
+        "every hybrid put was refused"
     );
 }
