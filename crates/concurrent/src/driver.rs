@@ -40,8 +40,8 @@ use ddc_hypercache::{AuditFinding, CacheConfig, DoubleDeckerCache, PartitionMode
 use ddc_json::Json;
 use ddc_sim::{BreakerConfig, FaultSchedule, FxHashMap, SimDuration, SimRng, SimTime};
 use ddc_storage::{
-    BlockAddr, ChunkStore, FileId, RemoteConfig, RemoteCounters, RemoteFetchConfig, RemoteId,
-    WearCounters,
+    BlockAddr, ChunkStore, FileId, RemoteConfig, RemoteCounters, RemoteError, RemoteFetchConfig,
+    RemoteId, WearCounters,
 };
 
 use crate::audit;
@@ -1064,11 +1064,16 @@ impl CrashHarness {
     /// guest does to re-establish the invalidation horizon. Only after
     /// that may the remote serve again ("forget, never lie").
     fn reattach_remote(&mut self, setup: &RemoteSetup) {
-        let mut engine = Engine::Sharded(Box::new(self.cache.clone()));
-        let id = engine.attach_remote(setup);
+        let id = Engine::Sharded(Box::new(self.cache.clone())).attach_remote(setup);
         for w in &self.workers {
             for &pool in &w.pools {
-                engine.bind_remote(w.vm, pool, id, setup.fetch);
+                // A cut that lost the pool's (or its VM's) registration
+                // record leaves nothing to bind: the guest's calls on it
+                // fail open from here on.
+                match self.cache.bind_remote(w.vm, pool, id, setup.fetch) {
+                    Ok(()) | Err(RemoteError::UnknownVm(_) | RemoteError::UnknownPool { .. }) => {}
+                    Err(e) => panic!("recovered plane refused a fresh binding: {e}"),
+                }
             }
         }
         let mut backend = self.cache.clone();
