@@ -195,9 +195,14 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
                 Placement::Mem => mem,
                 Placement::Ssd => ssd,
             };
-            let (vm_rows, pool_rows) = cache.build_share_table(reg, shards, placement);
+            let table = cache.build_share_table(reg, placement, |vm, pid, _| {
+                shards[cache.shard_of(vm, pid)]
+                    .pools
+                    .get(&(vm, pid))
+                    .map_or(0, |p| p.used(placement))
+            });
             let capacity = ledger.capacity_pages();
-            let vm_sum: u64 = vm_rows.iter().map(|r| r.1).sum();
+            let vm_sum: u64 = table.rows().map(|r| r.1).sum();
             if vm_sum > capacity {
                 findings.push(AuditFinding {
                     invariant: "entitlement-sums",
@@ -208,8 +213,8 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
                     ),
                 });
             }
-            for (i, &(vm, vm_share, _)) in vm_rows.iter().enumerate() {
-                let pool_sum: u64 = pool_rows[i].iter().map(|r| r.1).sum();
+            for (vm, vm_share, pools) in table.rows() {
+                let pool_sum: u64 = pools.iter().map(|r| r.1).sum();
                 if pool_sum > vm_share {
                     findings.push(AuditFinding {
                         invariant: "entitlement-sums",

@@ -759,8 +759,8 @@ pub struct StressOutcome {
     /// Two-phase evictions whose phase-1 snapshot went stale and were
     /// re-tried (diagnostic, not part of the determinism report).
     pub two_phase_retries: u64,
-    /// Two-phase evictions that exhausted their retry budget and fell
-    /// back to the lock-all path (diagnostic).
+    /// Two-phase evictions that exhausted their retry budget and
+    /// evicted from an unvalidated pick (diagnostic).
     pub two_phase_fallbacks: u64,
     /// Group-commit epoch published by the last tick (diagnostic; 0 on
     /// the volatile plane).
@@ -780,8 +780,8 @@ pub struct StressOutcome {
     /// Tree-guided Global evictions that re-ran the tournament after
     /// locking a stale winner (diagnostic).
     pub front_tree_retries: u64,
-    /// Tree-guided Global evictions that fell back to the lock-all scan
-    /// (diagnostic).
+    /// Tree-guided Global evictions that exhausted their retry budget
+    /// and ended the batch short (diagnostic).
     pub front_tree_fallbacks: u64,
     /// Aggregate remote fetch counters across every binding (all zero
     /// when the run had no remote attached).

@@ -17,33 +17,45 @@
 //!   store itself is full", paper §4.3) keeps working across shards.
 //!   Page allocation is a CAS (`used < capacity → used + 1`), so the
 //!   store can never oversubscribe no matter how threads interleave.
-//! * **Cross-shard eviction** — in DoubleDecker mode a full ledger
-//!   triggers *two-phase* eviction: phase 1 snapshots every entity's
-//!   usage from lock-free per-pool [`UsageMirror`]s (registry read lock
-//!   only, no shard lock) and picks the paper's Algorithm-1 victim
-//!   ([`ddc_hypercache::select_victim`]); phase 2 locks only the
-//!   victim's home shard, re-validates the pick against a fresh
-//!   snapshot, and retries (bounded) if the snapshot went stale —
-//!   shrinking the stop-the-world window from all shards to one. Global
-//!   mode still locks all shards (its FIFO merge is inherently
-//!   cross-shard), as does the bounded fallback when retries run out,
-//!   so progress is always guaranteed.
+//! * **Cross-shard eviction** — a full ledger triggers the one
+//!   eviction path (`evict_batch`), which never holds
+//!   two shard locks. DoubleDecker and Strict mode pick the victim with
+//!   the policy module's two-level walk
+//!   ([`ShareTable::select_victim`], the same function the serial
+//!   engine calls) over the entitlement memo and the lock-free per-pool
+//!   [`UsageMirror`]s — registry read lock only, no shard lock — then
+//!   lock only the victim's home shard, re-validate the pick against a
+//!   fresh snapshot, and retry if it went stale; once the retry budget
+//!   is spent the evictor takes its current pick unvalidated, so
+//!   progress is always guaranteed. Global mode runs a tournament over
+//!   the per-shard FIFO fronts ([`crate::fronts`]) and locks only the
+//!   nominated shard. A batch that frees nothing rejects the put.
 //! * **Lock order** — `registry` before any shard; shards in ascending
 //!   index; never acquire a lower-index (or the registry) lock while
-//!   holding a higher one. Get, put and flush take only the pool's
-//!   home shard (hybrid-store and strict-mode puts the registry read
-//!   lock before it, for the entitlement table); the lock-all paths
-//!   (eviction fallbacks, compaction, stats, audit) start from no
-//!   shard lock held.
+//!   holding a higher one. Get, put, flush, eviction and `pool_stats`
+//!   take only one pool's home shard (hybrid-store and strict-mode
+//!   puts, eviction and `pool_stats` the registry read lock before it,
+//!   for the entitlement table). What still locks every shard, always
+//!   starting from no shard lock held: whole-cache reads that need one
+//!   consistent cut (`entries`, the auditor, wear and remote totals,
+//!   journal images and durable lengths), journal installation and
+//!   checkpoint rewrites (`enable_journal`, live compaction, the end of
+//!   `recover`), and `recover`'s tournament-tree re-sync. None of them
+//!   is reachable from a put's eviction loop.
 //!
 //! # Determinism contract
 //!
 //! Driven from one thread, a `ShardedCache` is *observationally
 //! identical* to the serial engine (journal disabled, no fault
 //! schedules): same outcomes, same per-pool counters, same eviction
-//! victims, same resident entries. The serial engine debug-asserts its
-//! cached share tables against a fresh rebuild, and this implementation
-//! always rebuilds fresh — so the entitlement inputs provably match. The
+//! victims, same resident entries. Both engines build their share
+//! tables with [`ShareTable::build`] and pick victims with
+//! [`ShareTable::select_victim`]; this one memoizes the table per
+//! handle and revalidates it on every use (registry version, capacity,
+//! legacy-pool participation), the serial one caches it and
+//! debug-asserts it against a fresh build — and at quiescence the usage
+//! mirrors equal the locked usage (auditor invariant `mirror-accuracy`),
+//! so the inputs of every decision match. The
 //! equivalence is enforced end-to-end by the driver's byte-identical
 //! report check ([`crate::driver`]) and the workspace property tests.
 //! Under concurrency, outcomes depend on interleaving but every
@@ -91,11 +103,11 @@ use ddc_cleancache::{
     StoreKind, VmId,
 };
 use ddc_hypercache::index::{Placement, Pool, SlotId, UsageMirror};
-use ddc_hypercache::policy::{entitlements, select_victim, select_victim_strict};
+use ddc_hypercache::policy::ShareTable;
 use ddc_hypercache::readplane::{ReadPlane, ReadProbe};
 use ddc_hypercache::{
-    store_kind_code, store_kind_from_code, AdmissionConfig, CacheConfig, EntityUsage,
-    PartitionMode, EVICTION_BATCH_PAGES, JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS,
+    store_kind_code, store_kind_from_code, AdmissionConfig, CacheConfig, PartitionMode,
+    EVICTION_BATCH_PAGES, JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS,
 };
 use ddc_metrics::{BatchCounters, CounterSnapshot};
 use ddc_sim::{FxHashMap, SimTime};
@@ -319,11 +331,11 @@ struct Inner {
     next_seq: AtomicU64,
     evictions: AtomicU64,
     trickle_downs: AtomicU64,
-    /// Two-phase eviction attempts that found their phase-1 snapshot
-    /// stale under the victim-shard lock and retried.
+    /// Weighted-eviction attempts that found their pick stale under the
+    /// victim-shard lock and retried.
     two_phase_retries: AtomicU64,
-    /// Two-phase evictions that fell back to the lock-all batch (retry
-    /// budget spent, or no entity nominally over its entitlement).
+    /// Weighted evictions that spent their retry budget and evicted
+    /// from their current pick without re-validating it.
     two_phase_fallbacks: AtomicU64,
     /// Test hook run between phases 1 and 2 with **no** locks held;
     /// property tests use it to force snapshot staleness at the worst
@@ -366,8 +378,8 @@ struct Inner {
     /// Tree-guided evictions that locked the nominated shard and found
     /// the root stale (front changed or died) and re-ran the tournament.
     front_tree_retries: AtomicU64,
-    /// Tree-guided evictions that spent their retry budget and fell
-    /// back to the lock-all global batch.
+    /// Tree-guided evictions that spent their retry budget and ended
+    /// the batch short.
     front_tree_fallbacks: AtomicU64,
     /// Test hook run inside the lock-free read window (between the
     /// seqlock's first load and the table walk); tests use it to mutate
@@ -510,10 +522,7 @@ struct EntitlementMemo {
 struct MemoTable {
     /// Store capacity the shares were split over.
     capacity: u64,
-    /// `(vm, entitlement, weight)` per participating VM, `VmId` order.
-    vm_rows: Vec<(VmId, u64, u64)>,
-    /// Parallel to `vm_rows`: `(pool, entitlement, weight)` rows.
-    pool_rows: Vec<Vec<(PoolId, u64, u64)>>,
+    shares: ShareTable,
     /// Every pool the registry holds that is *not* assigned to this
     /// store by policy: its usage mirror and whether it participated
     /// (legacy pages > 0) when the table was built. A flip in any of
@@ -871,18 +880,19 @@ impl ShardedCache {
         self.inner.trickle_downs.load(Ordering::Relaxed)
     }
 
-    /// Two-phase evictions that re-validated stale and retried.
+    /// Weighted evictions that re-validated stale and retried.
     pub fn two_phase_retries(&self) -> u64 {
         self.inner.two_phase_retries.load(Ordering::Relaxed)
     }
 
-    /// Two-phase evictions that took the lock-all fallback.
+    /// Weighted evictions that spent their retry budget and evicted
+    /// from an unvalidated pick.
     pub fn two_phase_fallbacks(&self) -> u64 {
         self.inner.two_phase_fallbacks.load(Ordering::Relaxed)
     }
 
-    /// Installs (or clears) a hook run between eviction phases 1 and 2
-    /// with no locks held. Tests use it to mutate the cache from the
+    /// Installs (or clears) a hook run between an eviction's victim
+    /// pick and its shard lock (every mode), with no locks held. Tests use it to mutate the cache from the
     /// evicting thread's blind spot and force snapshot staleness;
     /// production code leaves it unset.
     pub fn set_eviction_hook(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
@@ -940,7 +950,8 @@ impl ShardedCache {
         self.inner.front_tree_retries.load(Ordering::Relaxed)
     }
 
-    /// Tree-guided Global evictions that fell back to the lock-all scan.
+    /// Tree-guided Global evictions that spent their retry budget and
+    /// returned what they had freed.
     pub fn front_tree_fallbacks(&self) -> u64 {
         self.inner.front_tree_fallbacks.load(Ordering::Relaxed)
     }
@@ -1531,38 +1542,32 @@ impl ShardedCache {
             .journal_gen
             .store(last_gen + 1, Ordering::Relaxed);
 
+        // Wholesale tournament-tree re-sync: replay kept the leaves
+        // current incrementally, but make the invariant (leaf == front
+        // entry seq) unconditional before anything reads the tree.
+        for (si, shard) in cache.lock_all_shards().iter().enumerate() {
+            cache.sync_front(si, shard, Placement::Mem);
+            cache.sync_front(si, shard, Placement::Ssd);
+        }
+
         // Replayed capacity records may leave a store oversubscribed
         // (e.g. the journal recorded a shrink whose evictions were
         // lost); shrink with real evictions now.
         for placement in [Placement::Mem, Placement::Ssd] {
-            loop {
-                let ledger = cache.ledger(placement);
-                if ledger.used_pages() <= ledger.capacity_pages() {
-                    break;
-                }
-                let reg = cache.inner.registry.read().expect("registry poisoned");
-                let mut shards = cache.lock_all_shards();
-                if cache.evict_batch_locked(&reg, &mut shards, SimTime::ZERO, placement) == 0 {
+            let ledger = cache.ledger(placement);
+            while ledger.used_pages() > ledger.capacity_pages() {
+                if cache.evict_batch(placement) == 0 {
                     break;
                 }
             }
         }
 
-        {
-            let shards = cache.lock_all_shards();
-            report.recovered_entries = shards
-                .iter()
-                .flat_map(|s| s.pools.values())
-                .map(|p| p.total_used())
-                .sum();
-            // Wholesale tournament-tree re-sync: replay kept the leaves
-            // current incrementally, but make the invariant (leaf ==
-            // front entry seq) unconditional before serving resumes.
-            for (si, shard) in shards.iter().enumerate() {
-                cache.sync_front(si, shard, Placement::Mem);
-                cache.sync_front(si, shard, Placement::Ssd);
-            }
-        }
+        report.recovered_entries = cache
+            .lock_all_shards()
+            .iter()
+            .flat_map(|s| s.pools.values())
+            .map(|p| p.total_used())
+            .sum();
 
         // Re-journal a checkpoint across fresh segments and go live.
         {
@@ -2093,8 +2098,8 @@ impl ShardedCache {
     }
 
     // ------------------------------------------------------------------
-    // Entitlements (fresh rebuild — provably equal to the serial engine's
-    // cached table, which debug-asserts against the same rebuild).
+    // Entitlements (the policy module's share table over this registry,
+    // memoized per handle).
     // ------------------------------------------------------------------
 
     fn pool_by_policy(policy: CachePolicy, placement: Placement) -> bool {
@@ -2104,91 +2109,32 @@ impl ShardedCache {
         }
     }
 
-    /// Share rows for one store: `(vm, vm_entitlement, vm_weight)` plus
-    /// per-VM `(pool, entitlement, weight)` rows, in `(VmId, PoolId)`
-    /// order — the serial `build_share_table` verbatim, reading usage
-    /// through `used_of` (locked shards for the exact paths, the atomic
-    /// mirrors for phase 1 of two-phase eviction).
-    #[allow(clippy::type_complexity)]
-    fn build_share_table_with(
-        &self,
-        reg: &Registry,
-        placement: Placement,
-        used_of: impl Fn(VmId, PoolId, &Arc<UsageMirror>) -> u64,
-    ) -> (Vec<(VmId, u64, u64)>, Vec<Vec<(PoolId, u64, u64)>>) {
-        let mut vm_ids = Vec::new();
-        let mut vm_weights = Vec::new();
-        let mut pool_meta: Vec<Vec<(PoolId, u64)>> = Vec::new();
-        for (&vm, meta) in &reg.vms {
-            let mut pools_here = Vec::new();
-            for (pid, policy, mirror) in &meta.pools {
-                let (pid, policy) = (*pid, *policy);
-                let used = used_of(vm, pid, mirror);
-                let by_policy = Self::pool_by_policy(policy, placement);
-                // Participates: assigned by policy, or legacy objects left.
-                if by_policy || used > 0 {
-                    let weight = if by_policy { policy.weight as u64 } else { 0 };
-                    pools_here.push((pid, weight));
-                }
-            }
-            if !pools_here.is_empty() {
-                vm_ids.push(vm);
-                vm_weights.push(meta.weight_for(placement));
-                pool_meta.push(pools_here);
-            }
-        }
-        let capacity = self.ledger(placement).capacity_pages();
-        let vm_shares = entitlements(capacity, &vm_weights);
-        let mut vm_rows = Vec::with_capacity(vm_ids.len());
-        let mut pool_rows = Vec::with_capacity(vm_ids.len());
-        for (i, &vm) in vm_ids.iter().enumerate() {
-            vm_rows.push((vm, vm_shares[i], vm_weights[i]));
-            let weights: Vec<u64> = pool_meta[i].iter().map(|&(_, w)| w).collect();
-            let shares = entitlements(vm_shares[i], &weights);
-            pool_rows.push(
-                pool_meta[i]
-                    .iter()
-                    .zip(shares)
-                    .map(|(&(p, w), s)| (p, s, w))
-                    .collect(),
-            );
-        }
-        (vm_rows, pool_rows)
-    }
-
-    /// The exact share table, reading usage from the locked shards.
-    #[allow(clippy::type_complexity)]
+    /// One store's share table from the registry, through the policy
+    /// module's one builder. Usage enters only through the
+    /// participation test of pools the policy does *not* assign to the
+    /// store (`by_policy || used > 0`), so `legacy_used` is asked about
+    /// exactly those: the entitlement memo answers from the mirrors,
+    /// the auditor from the locked shards.
     pub(crate) fn build_share_table(
         &self,
         reg: &Registry,
-        shards: &[MutexGuard<'_, Shard>],
         placement: Placement,
-    ) -> (Vec<(VmId, u64, u64)>, Vec<Vec<(PoolId, u64, u64)>>) {
-        self.build_share_table_with(reg, placement, |vm, pid, _| {
-            shards[self.shard_of(vm, pid)]
-                .pools
-                .get(&(vm, pid))
-                .map(|p| p.used(placement))
-                .unwrap_or(0)
-        })
-    }
-
-    fn pool_entitlement_in(
-        &self,
-        reg: &Registry,
-        shards: &[MutexGuard<'_, Shard>],
-        vm: VmId,
-        pool: PoolId,
-        placement: Placement,
-    ) -> u64 {
-        let (vm_rows, pool_rows) = self.build_share_table(reg, shards, placement);
-        let Ok(vi) = vm_rows.binary_search_by_key(&vm, |r| r.0) else {
-            return 0;
-        };
-        pool_rows[vi]
-            .binary_search_by_key(&pool, |r| r.0)
-            .map(|pi| pool_rows[vi][pi].1)
-            .unwrap_or(0)
+        mut legacy_used: impl FnMut(VmId, PoolId, &Arc<UsageMirror>) -> u64,
+    ) -> ShareTable {
+        ShareTable::build(
+            self.ledger(placement).capacity_pages(),
+            reg.vms.iter().map(|(&vm, meta)| {
+                let mut pools = Vec::new();
+                for (pid, policy, mirror) in &meta.pools {
+                    if Self::pool_by_policy(*policy, placement) {
+                        pools.push((*pid, policy.weight as u64));
+                    } else if legacy_used(vm, *pid, mirror) > 0 {
+                        pools.push((*pid, 0));
+                    }
+                }
+                (vm, meta.weight_for(placement), pools)
+            }),
+        )
     }
 
     /// Runs `f` against the handle-local memoized share table for one
@@ -2202,15 +2148,15 @@ impl ShardedCache {
     /// are revalidated here on every call (version, a capacity load,
     /// and a participation probe of the usually-empty legacy list), so
     /// the answer is identical to a from-scratch
-    /// [`Self::build_share_table_with`] over the current mirrors —
-    /// just without the per-call allocations and fair-share division
+    /// [`Self::build_share_table`] over the current mirrors — just
+    /// without the per-call allocations and fair-share division
     /// that made per-op entitlement queries the dominant cost of
     /// hybrid-pool put batches.
     fn with_share_memo<R>(
         &self,
         reg: &Registry,
         placement: Placement,
-        f: impl FnOnce(&MemoTable) -> R,
+        f: impl FnOnce(&ShareTable) -> R,
     ) -> R {
         let mut memo = self.local.entitlements.lock().expect("memo poisoned");
         // The caller holds the registry read lock, so the version
@@ -2233,69 +2179,31 @@ impl ShardedCache {
                     .all(|(m, joined)| (m.pages(placement) > 0) == *joined)
         });
         if !valid {
-            memo.tables[idx] = Some(self.build_memo_table(reg, placement, capacity));
+            // Record every not-by-policy pool with the participation the
+            // build saw, for the probe above.
+            let mut legacy = Vec::new();
+            let shares = self.build_share_table(reg, placement, |_, _, mirror| {
+                let used = mirror.pages(placement);
+                legacy.push((mirror.clone(), used > 0));
+                used
+            });
+            memo.tables[idx] = Some(MemoTable {
+                capacity,
+                shares,
+                legacy,
+            });
         }
-        f(memo.tables[idx].as_ref().expect("filled above"))
-    }
-
-    /// Builds one store's [`MemoTable`] — [`Self::build_share_table_with`]
-    /// over the usage mirrors, additionally recording every
-    /// not-by-policy pool for the memo's participation revalidation.
-    fn build_memo_table(&self, reg: &Registry, placement: Placement, capacity: u64) -> MemoTable {
-        let mut legacy = Vec::new();
-        let mut vm_ids = Vec::new();
-        let mut vm_weights = Vec::new();
-        let mut pool_meta: Vec<Vec<(PoolId, u64)>> = Vec::new();
-        for (&vm, meta) in &reg.vms {
-            let mut pools_here = Vec::new();
-            for (pid, policy, mirror) in &meta.pools {
-                if Self::pool_by_policy(*policy, placement) {
-                    pools_here.push((*pid, policy.weight as u64));
-                } else {
-                    let joined = mirror.pages(placement) > 0;
-                    legacy.push((mirror.clone(), joined));
-                    if joined {
-                        pools_here.push((*pid, 0));
-                    }
-                }
-            }
-            if !pools_here.is_empty() {
-                vm_ids.push(vm);
-                vm_weights.push(meta.weight_for(placement));
-                pool_meta.push(pools_here);
-            }
-        }
-        let vm_shares = entitlements(capacity, &vm_weights);
-        let mut vm_rows = Vec::with_capacity(vm_ids.len());
-        let mut pool_rows = Vec::with_capacity(vm_ids.len());
-        for (i, &vm) in vm_ids.iter().enumerate() {
-            vm_rows.push((vm, vm_shares[i], vm_weights[i]));
-            let weights: Vec<u64> = pool_meta[i].iter().map(|&(_, w)| w).collect();
-            let shares = entitlements(vm_shares[i], &weights);
-            pool_rows.push(
-                pool_meta[i]
-                    .iter()
-                    .zip(shares)
-                    .map(|(&(p, w), s)| (p, s, w))
-                    .collect(),
-            );
-        }
-        MemoTable {
-            capacity,
-            vm_rows,
-            pool_rows,
-            legacy,
-        }
+        f(&memo.tables[idx].as_ref().expect("filled above").shares)
     }
 
     /// A pool's entitlement through the handle-local memo — no shard
     /// locks, usage entering only via the memo's participation checks.
     /// The per-op entitlement query of the put path. Driven
-    /// single-threaded the mirrors equal the locked usage, so this
-    /// answers exactly what [`Self::pool_entitlement_in`] would; under
-    /// contention another pool's participation may be momentarily
-    /// stale, while the put's own pool — whose usage the placement
-    /// decision compares against — is exact under its home-shard lock.
+    /// single-threaded the mirrors equal the locked usage, so this is
+    /// exactly the serial engine's answer; under contention another
+    /// pool's participation may be momentarily stale, while the put's
+    /// own pool — whose usage the placement decision compares against
+    /// — is exact under its home-shard lock.
     fn pool_entitlement_memo(
         &self,
         reg: &Registry,
@@ -2303,88 +2211,60 @@ impl ShardedCache {
         pool: PoolId,
         placement: Placement,
     ) -> u64 {
-        self.with_share_memo(reg, placement, |t| {
-            let Ok(vi) = t.vm_rows.binary_search_by_key(&vm, |r| r.0) else {
-                return 0;
-            };
-            t.pool_rows[vi]
-                .binary_search_by_key(&pool, |r| r.0)
-                .map(|pi| t.pool_rows[vi][pi].1)
-                .unwrap_or(0)
-        })
+        self.with_share_memo(reg, placement, |t| t.pool_entitlement(vm, pool))
     }
 
     // ------------------------------------------------------------------
-    // Two-phase eviction (DoubleDecker mode; see the module docs).
+    // Eviction: one path for every mode (see the module docs).
     // ------------------------------------------------------------------
 
-    /// Stale-snapshot retries before two-phase eviction gives up and
-    /// takes the lock-all fallback. Bounds the work an adversarial
-    /// interleaving can cause while keeping the common case one-shard.
+    /// Stale-snapshot retries before the weighted evictor stops
+    /// re-validating and evicts from its current pick. Bounds the work
+    /// an adversarial interleaving can cause.
     const TWO_PHASE_MAX_RETRIES: u32 = 4;
 
-    /// Phase 1: picks the Algorithm-1 victim `(vm, pool)` from the
-    /// atomic usage mirrors alone — registry read lock, no shard lock.
-    /// Returns `None` when no entity is nominally over its entitlement
-    /// (the rounding-slack case the serial engine answers with
-    /// evict-from-largest, which needs exact usage).
-    fn select_victim_unlocked(
-        &self,
-        reg: &Registry,
-        placement: Placement,
-    ) -> Option<(VmId, PoolId)> {
+    /// Picks the victim `(vm, pool)` with the policy module's two-level
+    /// walk over the entitlement memo and the atomic usage mirrors —
+    /// registry read lock, no shard lock.
+    fn select_victim(&self, reg: &Registry, placement: Placement) -> Option<(VmId, PoolId)> {
+        let strict = self.inner.mode == PartitionMode::Strict;
         self.with_share_memo(reg, placement, |t| {
-            let (vm_rows, pool_rows) = (&t.vm_rows, &t.pool_rows);
-            let mut vm_entities = Vec::with_capacity(vm_rows.len());
-            for &(vm, share, weight) in vm_rows {
-                let used: u64 = reg.vms[&vm]
-                    .pools
-                    .iter()
-                    .map(|(_, _, m)| m.pages(placement))
-                    .sum();
-                vm_entities.push(EntityUsage::new(share, used, weight));
-            }
-            let vm_idx = select_victim(&vm_entities, EVICTION_BATCH_PAGES)?;
-            let victim_vm = vm_rows[vm_idx].0;
-            let meta = &reg.vms[&victim_vm];
-            let rows = &pool_rows[vm_idx];
-            let mut pool_entities = Vec::with_capacity(rows.len());
-            for &(pid, share, weight) in rows {
-                let used = meta.mirror_of(pid).map(|m| m.pages(placement)).unwrap_or(0);
-                pool_entities.push(EntityUsage::new(share, used, weight));
-            }
-            let pool_idx = select_victim(&pool_entities, EVICTION_BATCH_PAGES).or_else(|| {
-                pool_entities
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.used > 0)
-                    .max_by_key(|(_, e)| e.used)
-                    .map(|(i, _)| i)
-            })?;
-            Some((victim_vm, rows[pool_idx].0))
+            t.select_victim(strict, EVICTION_BATCH_PAGES, |vm, pool| {
+                reg.vms
+                    .get(&vm)
+                    .and_then(|m| m.mirror_of(pool))
+                    .map_or(0, |m| m.pages(placement))
+            })
         })
     }
 
-    /// Two-phase weighted eviction: snapshot-select without shard locks,
-    /// then lock only the victim's shard, re-validate, and evict. A
-    /// stale snapshot (Algorithm 1 would now pick someone else, or the
-    /// locked pool turned out empty) retries up to
-    /// [`Self::TWO_PHASE_MAX_RETRIES`] times; after that — or when no
-    /// entity is nominally over its entitlement — the lock-all batch
-    /// takes over, so the scheme can never loop without progress.
+    /// Frees up to one eviction batch from `placement`'s store; 0 means
+    /// nothing could be freed. Caller must hold no shard lock. Never
+    /// holds two shard locks at once.
+    ///
+    /// DoubleDecker and Strict mode: select the victim without shard
+    /// locks ([`Self::select_victim`]), then lock only its home shard,
+    /// re-validate, and evict. A stale snapshot (the walk would now
+    /// pick someone else, or the locked pool turned out empty) retries;
+    /// once [`Self::TWO_PHASE_MAX_RETRIES`] are spent the evictor
+    /// takes its current pick as is, so it can never loop without
+    /// progress. Global mode runs the front-sequence tournament.
     ///
     /// Driven single-threaded the mirrors equal the locked usage, so the
     /// first snapshot re-validates unchanged and the victim (and every
-    /// evicted object) matches the serial engine exactly — the
-    /// determinism contract survives the locking change.
-    fn evict_batch_two_phase(&self, now: SimTime, placement: Placement) -> u64 {
-        for _ in 0..Self::TWO_PHASE_MAX_RETRIES {
+    /// evicted object) matches the serial engine exactly.
+    fn evict_batch(&self, placement: Placement) -> u64 {
+        if self.inner.mode == PartitionMode::Global {
+            return self.evict_batch_global_tree(placement);
+        }
+        let mut retries_left = Self::TWO_PHASE_MAX_RETRIES;
+        loop {
             let victim = {
                 let reg = self.inner.registry.read().expect("registry poisoned");
-                self.select_victim_unlocked(&reg, placement)
+                self.select_victim(&reg, placement)
             };
             let Some((vm, pool_id)) = victim else {
-                break;
+                return 0;
             };
             // No locks held here: the hook (tests only) and any other
             // thread are free to invalidate the snapshot before phase 2.
@@ -2392,141 +2272,51 @@ impl ShardedCache {
 
             // Phase 2: registry read + the victim's home shard only.
             let reg = self.inner.registry.read().expect("registry poisoned");
-            let si = self.shard_of(vm, pool_id);
-            let mut shard = self.lock_shard(si);
-            if self.select_victim_unlocked(&reg, placement) != Some((vm, pool_id)) {
+            let mut shard = self.lock_shard(self.shard_of(vm, pool_id));
+            if retries_left == 0 {
+                self.inner
+                    .two_phase_fallbacks
+                    .fetch_add(1, Ordering::Relaxed);
+            } else if self.select_victim(&reg, placement) != Some((vm, pool_id)) {
                 self.inner.two_phase_retries.fetch_add(1, Ordering::Relaxed);
+                retries_left -= 1;
                 continue;
             }
-            let hybrid = reg
-                .vms
-                .get(&vm)
-                .and_then(|m| m.policy_of(pool_id))
-                .is_some_and(|p| p.store == StoreKind::Hybrid);
             let freed = self.evict_pages_from_shard(
                 &mut shard,
                 vm,
                 pool_id,
                 placement,
                 EVICTION_BATCH_PAGES,
-                hybrid,
             );
-            if freed > 0 {
+            if freed > 0 || retries_left == 0 {
                 return freed;
             }
             // The mirrors promised pages the locked shard no longer has
             // (raced with a flush or destroy): count it as a stale
             // snapshot and retry.
             self.inner.two_phase_retries.fetch_add(1, Ordering::Relaxed);
+            retries_left -= 1;
         }
-        self.inner
-            .two_phase_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-        let reg = self.inner.registry.read().expect("registry poisoned");
-        let mut shards = self.lock_all_shards();
-        self.evict_batch_locked(&reg, &mut shards, now, placement)
-    }
-
-    // ------------------------------------------------------------------
-    // Eviction (cross-shard; all shards locked by the caller).
-    // ------------------------------------------------------------------
-
-    /// Frees up to one eviction batch with every shard locked. Mirrors
-    /// the serial `evict_batch` dispatch.
-    fn evict_batch_locked(
-        &self,
-        reg: &Registry,
-        shards: &mut [MutexGuard<'_, Shard>],
-        now: SimTime,
-        placement: Placement,
-    ) -> u64 {
-        match self.inner.mode {
-            PartitionMode::Global => self.evict_batch_global_locked(shards, placement),
-            PartitionMode::DoubleDecker | PartitionMode::Strict => {
-                self.evict_batch_weighted_locked(reg, shards, now, placement)
-            }
-        }
-    }
-
-    /// Global-mode eviction: the per-shard FIFOs are merged by minimal
-    /// front sequence, which reconstructs the exact store-wide FIFO
-    /// order (pushes happen in strictly increasing seq order).
-    fn evict_batch_global_locked(
-        &self,
-        shards: &mut [MutexGuard<'_, Shard>],
-        placement: Placement,
-    ) -> u64 {
-        let mut freed = 0;
-        while freed < EVICTION_BATCH_PAGES {
-            // Drop dead fronts everywhere, then pick the oldest live one.
-            let mut best: Option<(usize, u64)> = None;
-            for (i, shard) in shards.iter_mut().enumerate() {
-                while let Some(&(vm, pool, sid, seq)) = shard.fifo_ref(placement).front() {
-                    let live = shard
-                        .pools
-                        .get(&(vm, pool))
-                        .and_then(|p| p.fifo_probe(sid, seq, placement))
-                        .is_some();
-                    if live {
-                        if best.is_none_or(|(_, s)| seq < s) {
-                            best = Some((i, seq));
-                        }
-                        break;
-                    }
-                    shard.fifo(placement).pop_front();
-                    shard.note_dead_popped(placement);
-                }
-            }
-            let Some((si, _)) = best else {
-                break;
-            };
-            let shard = &mut shards[si];
-            let (vm, pool_id, sid, _) = shard
-                .fifo(placement)
-                .pop_front()
-                .expect("front verified live");
-            let pool = shard
-                .pools
-                .get_mut(&(vm, pool_id))
-                .expect("liveness checked above");
-            let (addr, _) = pool.remove_by_id(sid).expect("front verified live");
-            pool.counters.evictions += 1;
-            self.ledger(placement).free(1);
-            self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-            self.log_in(
-                shard,
-                JournalRecord::Evict {
-                    vm: vm.0,
-                    pool: pool_id.0,
-                    addr,
-                },
-            );
-            freed += 1;
-        }
-        // Fronts were popped all over; republish every leaf before the
-        // locks drop so the tournament tree is exact at rest.
-        for (si, shard) in shards.iter().enumerate() {
-            self.sync_front(si, shard, placement);
-        }
-        freed
     }
 
     /// Winner re-validations before a tree-guided eviction gives up on
-    /// chasing a moving front and takes the lock-all scan. Generous: a
-    /// retry only happens when another thread changed a front between
+    /// chasing a moving front and returns what it has freed. Generous:
+    /// a retry only happens when another thread changed a front between
     /// the root read and the shard lock.
     const FRONT_TREE_MAX_ATTEMPTS: u32 = 64;
 
     /// Global-mode eviction guided by the tournament tree: read the
     /// root, lock only the nominated shard, re-validate, evict while it
-    /// stays the global minimum. The tree may nominate a shard whose
-    /// front is lazily dead or already stale — popping dead fronts and
-    /// re-running the tournament under that one shard's lock repairs
-    /// it, so the victim *sequence* is identical to the lock-all scan
-    /// ([`Self::evict_batch_global_locked`]); only the locking narrows.
-    /// Driven single-threaded the first nomination re-validates exactly
-    /// (dead-front repair included), so Global-mode determinism against
-    /// the serial engine survives unchanged.
+    /// stays the global minimum. The per-shard FIFOs are pushed in
+    /// strictly increasing seq order, so taking the minimal live front
+    /// each time reconstructs the exact store-wide FIFO order. The tree
+    /// may nominate a shard whose front is lazily dead or already
+    /// stale — popping dead fronts and re-running the tournament under
+    /// that one shard's lock repairs it. Driven single-threaded the
+    /// first nomination re-validates exactly (dead-front repair
+    /// included), so Global-mode determinism against the serial engine
+    /// holds.
     fn evict_batch_global_tree(&self, placement: Placement) -> u64 {
         let tree = self.front_tree(placement);
         let mut freed = 0;
@@ -2535,29 +2325,29 @@ impl ShardedCache {
             let Some(leaf) = tree.winner() else {
                 break;
             };
+            // No locks held: the same blind spot as between the phases
+            // of the weighted evictor.
+            self.run_eviction_hook();
             let mut shard = self.lock_shard(leaf);
-            // Repair a lazily-dead front under the lock, like the
-            // lock-all scan does, then re-run the tournament: the leaf
-            // may no longer be the global minimum.
+            // Repair a lazily-dead front under the lock, then re-run
+            // the tournament: the leaf may no longer be the global
+            // minimum.
             self.pop_dead_fronts(leaf, &mut shard, placement);
             if tree.winner() != Some(leaf) {
                 // Fruitless nomination (dead-front repair, or another
                 // thread moved the front). Each repair fixes its leaf
                 // for good, so single-threaded this is bounded by the
                 // shard count — the budget only trips under adversarial
-                // cross-thread churn, where the lock-all scan finishes
-                // the batch instead of chasing a moving front forever.
+                // cross-thread churn, where the batch ends short instead
+                // of chasing a moving front forever.
                 self.inner
                     .front_tree_retries
                     .fetch_add(1, Ordering::Relaxed);
                 stale_nominations += 1;
                 if stale_nominations > Self::FRONT_TREE_MAX_ATTEMPTS {
-                    drop(shard);
                     self.inner
                         .front_tree_fallbacks
                         .fetch_add(1, Ordering::Relaxed);
-                    let mut shards = self.lock_all_shards();
-                    freed += self.evict_batch_global_locked(&mut shards, placement);
                     break;
                 }
                 continue;
@@ -2614,142 +2404,11 @@ impl ShardedCache {
         self.sync_front(si, shard, placement);
     }
 
-    /// Two-level weighted eviction across shards: Algorithm 1 on the
-    /// fresh share table, then a FIFO batch out of the victim pool.
-    fn evict_batch_weighted_locked(
-        &self,
-        reg: &Registry,
-        shards: &mut [MutexGuard<'_, Shard>],
-        now: SimTime,
-        placement: Placement,
-    ) -> u64 {
-        let strict = self.inner.mode == PartitionMode::Strict;
-        let select = if strict {
-            select_victim_strict
-        } else {
-            select_victim
-        };
-
-        let (vm_rows, pool_rows) = self.build_share_table(reg, shards, placement);
-        let mut vm_entities = Vec::with_capacity(vm_rows.len());
-        for &(vm, share, weight) in &vm_rows {
-            let meta = &reg.vms[&vm];
-            let used: u64 = meta
-                .pools
-                .iter()
-                .map(|&(p, _, _)| {
-                    shards[self.shard_of(vm, p)]
-                        .pools
-                        .get(&(vm, p))
-                        .map(|pool| pool.used(placement))
-                        .unwrap_or(0)
-                })
-                .sum();
-            vm_entities.push(EntityUsage::new(share, used, weight));
-        }
-        let Some(vm_idx) = select(&vm_entities, EVICTION_BATCH_PAGES) else {
-            return self.evict_from_largest_locked(reg, shards, placement);
-        };
-        let victim_vm = vm_rows[vm_idx].0;
-        let rows = &pool_rows[vm_idx];
-        let mut pool_entities = Vec::with_capacity(rows.len());
-        for &(pid, share, weight) in rows {
-            let used = shards[self.shard_of(victim_vm, pid)]
-                .pools
-                .get(&(victim_vm, pid))
-                .map(|p| p.used(placement))
-                .unwrap_or(0);
-            pool_entities.push(EntityUsage::new(share, used, weight));
-        }
-        let pool_idx = select(&pool_entities, EVICTION_BATCH_PAGES).or_else(|| {
-            pool_entities
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.used > 0)
-                .max_by_key(|(_, e)| e.used)
-                .map(|(i, _)| i)
-        });
-        let Some(pool_idx) = pool_idx else {
-            return 0;
-        };
-        let victim_pool = rows[pool_idx].0;
-        self.evict_pages_from_pool_locked(
-            reg,
-            shards,
-            now,
-            victim_vm,
-            victim_pool,
-            placement,
-            EVICTION_BATCH_PAGES,
-        )
-    }
-
-    /// Fallback when no entity is nominally over its entitlement: evict
-    /// from the largest user, walking `(VmId, PoolId)` order with the
-    /// serial engine's strict-`>` first-max tie-break.
-    fn evict_from_largest_locked(
-        &self,
-        reg: &Registry,
-        shards: &mut [MutexGuard<'_, Shard>],
-        placement: Placement,
-    ) -> u64 {
-        let mut victim: Option<(VmId, PoolId)> = None;
-        let mut best = 0;
-        for (&vm, meta) in &reg.vms {
-            for &(pid, _, _) in &meta.pools {
-                let used = shards[self.shard_of(vm, pid)]
-                    .pools
-                    .get(&(vm, pid))
-                    .map(|p| p.used(placement))
-                    .unwrap_or(0);
-                if used > best {
-                    best = used;
-                    victim = Some((vm, pid));
-                }
-            }
-        }
-        let Some((vm, pool)) = victim else {
-            return 0;
-        };
-        self.evict_pages_from_pool_locked(
-            reg,
-            shards,
-            SimTime::ZERO,
-            vm,
-            pool,
-            placement,
-            EVICTION_BATCH_PAGES,
-        )
-    }
-
-    /// Evicts up to `max_pages` oldest objects of one pool from one
-    /// store. Lock-all wrapper around
-    /// [`evict_pages_from_shard`](Self::evict_pages_from_shard).
-    #[allow(clippy::too_many_arguments)]
-    fn evict_pages_from_pool_locked(
-        &self,
-        reg: &Registry,
-        shards: &mut [MutexGuard<'_, Shard>],
-        _now: SimTime,
-        vm: VmId,
-        pool_id: PoolId,
-        placement: Placement,
-        max_pages: u64,
-    ) -> u64 {
-        let si = self.shard_of(vm, pool_id);
-        let hybrid = reg
-            .vms
-            .get(&vm)
-            .and_then(|m| m.policy_of(pool_id))
-            .is_some_and(|p| p.store == StoreKind::Hybrid);
-        self.evict_pages_from_shard(&mut shards[si], vm, pool_id, placement, max_pages, hybrid)
-    }
-
     /// Evicts up to `max_pages` oldest objects of one pool out of its
     /// (locked) home shard, trickling hybrid memory evictions down to
     /// the SSD share. A pool only ever touches its home shard, so one
-    /// guard suffices — this is what lets phase 2 of two-phase eviction
-    /// run without stopping the world.
+    /// guard suffices — this is what lets eviction run without stopping
+    /// the world.
     fn evict_pages_from_shard(
         &self,
         shard: &mut Shard,
@@ -2757,7 +2416,6 @@ impl ShardedCache {
         pool_id: PoolId,
         placement: Placement,
         max_pages: u64,
-        hybrid: bool,
     ) -> u64 {
         let mut freed = 0;
         let mut evicted: Vec<BlockAddr> = Vec::new();
@@ -2766,6 +2424,7 @@ impl ShardedCache {
             let Some(pool) = shard.pools.get_mut(&(vm, pool_id)) else {
                 return 0;
             };
+            let hybrid = pool.policy().store == StoreKind::Hybrid;
             while freed < max_pages {
                 let Some((addr, slot)) = pool.pop_oldest(placement) else {
                     break;
@@ -2850,12 +2509,9 @@ impl ShardedCache {
     /// must reject). Caller must hold no locks.
     ///
     /// Resource-conservative enforcement against the global ledger:
-    /// evict only when the store itself is full. DoubleDecker mode uses
-    /// the two-phase scheme (one shard locked in the common case);
-    /// Global mode runs the front-sequence tournament, locking only the
-    /// nominated shard per victim; Strict stays lock-all (its victim
-    /// choice needs the entitlement table).
-    fn alloc_or_evict(&self, now: SimTime, placement: Placement) -> bool {
+    /// evict only when the store itself is full, one
+    /// [`Self::evict_batch`] at a time.
+    fn alloc_or_evict(&self, placement: Placement) -> bool {
         loop {
             if self.ledger(placement).try_alloc() {
                 return true;
@@ -2883,21 +2539,7 @@ impl ShardedCache {
             if self.ledger(placement).try_alloc() {
                 return true;
             }
-            let freed = match self.inner.mode {
-                PartitionMode::DoubleDecker => self.evict_batch_two_phase(now, placement),
-                PartitionMode::Global => self.evict_batch_global_tree(placement),
-                PartitionMode::Strict => {
-                    let reg = self.inner.registry.read().expect("registry poisoned");
-                    let mut shards = self.lock_all_shards();
-                    // Re-check under the locks: another thread may have
-                    // freed room while we were blocking on them.
-                    if self.ledger(placement).try_alloc() {
-                        return true;
-                    }
-                    self.evict_batch_locked(&reg, &mut shards, now, placement)
-                }
-            };
-            if freed == 0 {
+            if self.evict_batch(placement) == 0 {
                 return false;
             }
         }
@@ -3008,7 +2650,6 @@ impl ShardedCache {
             let table = reg.as_deref().expect("strict puts hold the registry");
             let entitlement = self.pool_entitlement_memo(table, vm, pool, placement);
             if used_in(&shard, placement) + 1 > entitlement {
-                let hybrid = policy.store == StoreKind::Hybrid;
                 // The evictor journals straight into the segment —
                 // pending batch records must land first so generation
                 // order stays equal to operation order.
@@ -3019,7 +2660,6 @@ impl ShardedCache {
                     pool,
                     placement,
                     EVICTION_BATCH_PAGES,
-                    hybrid,
                 );
                 if freed == 0 {
                     return (PutOutcome::Rejected, Some((reg, shard)));
@@ -3035,7 +2675,7 @@ impl ShardedCache {
             let with_registry = reg.is_some();
             drop(shard);
             drop(reg);
-            if !self.alloc_or_evict(now, placement) {
+            if !self.alloc_or_evict(placement) {
                 return (PutOutcome::Rejected, None);
             }
             (reg, shard) = self.lock_home(si, with_registry, scratch);
@@ -3604,14 +3244,13 @@ impl SecondChanceCache for ShardedCache {
 
     fn pool_stats(&self, vm: VmId, pool: PoolId) -> Option<PoolStats> {
         let reg = self.inner.registry.read().expect("registry poisoned");
-        let shards = self.lock_all_shards();
-        let si = self.shard_of(vm, pool);
-        let p = shards[si].pools.get(&(vm, pool))?;
+        let shard = self.lock_shard(self.shard_of(vm, pool));
+        let p = shard.pools.get(&(vm, pool))?;
         let primary = match p.policy().store {
             StoreKind::Mem | StoreKind::Hybrid => Placement::Mem,
             StoreKind::Ssd => Placement::Ssd,
         };
-        let entitlement = self.pool_entitlement_in(&reg, &shards, vm, pool, primary);
+        let entitlement = self.pool_entitlement_memo(&reg, vm, pool, primary);
         // Lock-free misses bump the pool's usage mirror instead of the
         // shard-locked counters; fold them back in so totals match the
         // serial engine exactly.

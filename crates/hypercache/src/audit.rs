@@ -466,7 +466,7 @@ fn entitlement_sums(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>)
             Placement::Mem => cache.mem.capacity_objects(),
             Placement::Ssd => cache.ssd.capacity_objects(),
         };
-        let vm_sum: u64 = table.vm_rows.iter().map(|r| r.1).sum();
+        let vm_sum: u64 = table.rows().map(|r| r.1).sum();
         if vm_sum > capacity {
             findings.push(AuditFinding {
                 invariant: "entitlement-sums",
@@ -476,8 +476,8 @@ fn entitlement_sums(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>)
                 ),
             });
         }
-        for (i, &(vm, vm_share, _)) in table.vm_rows.iter().enumerate() {
-            let pool_sum: u64 = table.pool_rows[i].iter().map(|r| r.1).sum();
+        for (vm, vm_share, pools) in table.rows() {
+            let pool_sum: u64 = pools.iter().map(|r| r.1).sum();
             if pool_sum > vm_share {
                 findings.push(AuditFinding {
                     invariant: "entitlement-sums",

@@ -20,7 +20,7 @@ use ddc_storage::{
 
 use crate::admission::AdmissionConfig;
 use crate::index::{Placement, Pool, SlotId};
-use crate::policy::{entitlements, select_victim, select_victim_strict, EntityUsage};
+use crate::policy::ShareTable;
 use crate::store::BackingStore;
 use crate::{
     store_kind_code, store_kind_from_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
@@ -129,25 +129,6 @@ impl VmEntry {
             Placement::Mem => self.mem_weight,
             Placement::Ssd => self.ssd_weight,
         }
-    }
-}
-
-/// Cached two-level entitlement shares for one store: the pure
-/// weight-derived part of the policy snapshot (usage is always read
-/// fresh). Rebuilt lazily after any control-plane change or
-/// participation transition (a pool's usage in the store crossing zero).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct ShareTable {
-    /// `(vm, entitlement, weight)` per participating VM, in `VmId` order.
-    pub(crate) vm_rows: Vec<(VmId, u64, u64)>,
-    /// Parallel to `vm_rows`: `(pool, entitlement, weight)` per
-    /// participating pool of that VM, in `PoolId` order.
-    pub(crate) pool_rows: Vec<Vec<(PoolId, u64, u64)>>,
-}
-
-impl ShareTable {
-    fn vm_row(&self, vm: VmId) -> Option<usize> {
-        self.vm_rows.binary_search_by_key(&vm, |r| r.0).ok()
     }
 }
 
@@ -836,40 +817,20 @@ impl DoubleDeckerCache {
 
     /// Builds the two-level share table for one store from scratch.
     pub(crate) fn build_share_table(&self, placement: Placement) -> ShareTable {
-        let mut vm_ids = Vec::new();
-        let mut vm_weights = Vec::new();
-        let mut pool_meta: Vec<Vec<(PoolId, u64)>> = Vec::new();
-        for (&vm, entry) in &self.vms {
-            let mut pools_here = Vec::new();
-            for &pid in &entry.pool_ids {
-                let pool = &self.pools[&(vm, pid)];
-                if Self::pool_participates(pool, placement) {
-                    pools_here.push((pid, Self::pool_weight(pool, placement)));
-                }
-            }
-            if !pools_here.is_empty() {
-                vm_ids.push(vm);
-                vm_weights.push(entry.weight_for(placement));
-                pool_meta.push(pools_here);
-            }
-        }
         let capacity = self.store_ref(placement).capacity_objects();
-        let vm_shares = entitlements(capacity, &vm_weights);
-        let mut vm_rows = Vec::with_capacity(vm_ids.len());
-        let mut pool_rows = Vec::with_capacity(vm_ids.len());
-        for (i, &vm) in vm_ids.iter().enumerate() {
-            vm_rows.push((vm, vm_shares[i], vm_weights[i]));
-            let weights: Vec<u64> = pool_meta[i].iter().map(|&(_, w)| w).collect();
-            let shares = entitlements(vm_shares[i], &weights);
-            pool_rows.push(
-                pool_meta[i]
+        ShareTable::build(
+            capacity,
+            self.vms.iter().map(|(&vm, entry)| {
+                let pools = entry
+                    .pool_ids
                     .iter()
-                    .zip(shares)
-                    .map(|(&(p, w), s)| (p, s, w))
-                    .collect(),
-            );
-        }
-        ShareTable { vm_rows, pool_rows }
+                    .map(|&pid| (pid, &self.pools[&(vm, pid)]))
+                    .filter(|(_, pool)| Self::pool_participates(pool, placement))
+                    .map(|(pid, pool)| (pid, Self::pool_weight(pool, placement)))
+                    .collect();
+                (vm, entry.weight_for(placement), pools)
+            }),
+        )
     }
 
     /// Runs `f` against the (lazily rebuilt) share table for one store.
@@ -895,59 +856,10 @@ impl DoubleDeckerCache {
         f(tables[idx].as_ref().expect("table filled above"))
     }
 
-    /// Per-VM usage snapshot for one store: `(vm ids, entities)`.
-    /// Entitlements come from the cached share table; usage is fresh.
-    fn vm_entities(&self, placement: Placement) -> (Vec<VmId>, Vec<EntityUsage>) {
-        self.with_share_table(placement, |table| {
-            let mut ids = Vec::with_capacity(table.vm_rows.len());
-            let mut entities = Vec::with_capacity(table.vm_rows.len());
-            for &(vm, share, weight) in &table.vm_rows {
-                let entry = &self.vms[&vm];
-                let used: u64 = entry
-                    .pool_ids
-                    .iter()
-                    .map(|&p| self.pools[&(vm, p)].used(placement))
-                    .sum();
-                ids.push(vm);
-                entities.push(EntityUsage::new(share, used, weight));
-            }
-            (ids, entities)
-        })
-    }
-
-    /// Per-pool usage snapshot within one VM for one store.
-    fn pool_entities(&self, vm: VmId, placement: Placement) -> (Vec<PoolId>, Vec<EntityUsage>) {
-        self.with_share_table(placement, |table| {
-            let Some(vi) = table.vm_row(vm) else {
-                return (Vec::new(), Vec::new());
-            };
-            let rows = &table.pool_rows[vi];
-            let mut ids = Vec::with_capacity(rows.len());
-            let mut entities = Vec::with_capacity(rows.len());
-            for &(pid, share, weight) in rows {
-                ids.push(pid);
-                entities.push(EntityUsage::new(
-                    share,
-                    self.pools[&(vm, pid)].used(placement),
-                    weight,
-                ));
-            }
-            (ids, entities)
-        })
-    }
-
     /// The current entitlement of one pool in one store (two binary
     /// searches into the cached table).
     fn pool_entitlement_in(&self, vm: VmId, pool: PoolId, placement: Placement) -> u64 {
-        self.with_share_table(placement, |table| {
-            let Some(vi) = table.vm_row(vm) else {
-                return 0;
-            };
-            let rows = &table.pool_rows[vi];
-            rows.binary_search_by_key(&pool, |r| r.0)
-                .map(|pi| rows[pi].1)
-                .unwrap_or(0)
-        })
+        self.with_share_table(placement, |table| table.pool_entitlement(vm, pool))
     }
 
     // ------------------------------------------------------------------
@@ -1014,63 +926,21 @@ impl DoubleDeckerCache {
         freed
     }
 
-    /// Two-level weighted eviction: Algorithm 1 picks the victim VM, then
-    /// the victim container within it; one batch is evicted FIFO from that
-    /// container's pool. Hybrid pools trickle evicted memory objects down
-    /// to their SSD share.
+    /// Two-level weighted eviction: the policy module's victim walk
+    /// ([`ShareTable::select_victim`]) over fresh usage, then one batch
+    /// evicted FIFO from the victim container's pool. Hybrid pools
+    /// trickle evicted memory objects down to their SSD share.
     fn evict_batch_weighted(&mut self, now: SimTime, placement: Placement) -> u64 {
         let strict = self.mode == PartitionMode::Strict;
-        let select = if strict {
-            select_victim_strict
-        } else {
-            select_victim
-        };
-
-        let (vm_ids, vm_entities) = self.vm_entities(placement);
-        let Some(vm_idx) = select(&vm_entities, EVICTION_BATCH_PAGES) else {
-            // Nobody over their effective limit: fall back to the largest
-            // user so that a full store can always make progress.
-            return self.evict_from_largest(placement);
-        };
-        let victim_vm = vm_ids[vm_idx];
-        let (pool_ids, pool_entities) = self.pool_entities(victim_vm, placement);
-        let pool_idx = select(&pool_entities, EVICTION_BATCH_PAGES).or_else(|| {
-            // Within the victim VM fall back to its largest pool.
-            pool_entities
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.used > 0)
-                .max_by_key(|(_, e)| e.used)
-                .map(|(i, _)| i)
+        let victim = self.with_share_table(placement, |table| {
+            table.select_victim(strict, EVICTION_BATCH_PAGES, |vm, pool| {
+                self.pools[&(vm, pool)].used(placement)
+            })
         });
-        let Some(pool_idx) = pool_idx else {
-            return 0;
-        };
-        let victim_pool = pool_ids[pool_idx];
-        self.evict_pages_from_pool(now, victim_vm, victim_pool, placement, EVICTION_BATCH_PAGES)
-    }
-
-    /// Fallback when no entity is nominally over its entitlement (rounding
-    /// slack): evict from the VM/pool with the largest usage.
-    fn evict_from_largest(&mut self, placement: Placement) -> u64 {
-        // Walk the registry in (VmId, PoolId) order so ties break
-        // deterministically (the old HashMap scan picked an arbitrary
-        // co-largest pool, which varied between runs).
-        let mut victim: Option<(VmId, PoolId)> = None;
-        let mut best = 0;
-        for (&vm, entry) in &self.vms {
-            for &pid in &entry.pool_ids {
-                let used = self.pools[&(vm, pid)].used(placement);
-                if used > best {
-                    best = used;
-                    victim = Some((vm, pid));
-                }
-            }
-        }
         let Some((vm, pool)) = victim else {
             return 0;
         };
-        self.evict_pages_from_pool(SimTime::ZERO, vm, pool, placement, EVICTION_BATCH_PAGES)
+        self.evict_pages_from_pool(now, vm, pool, placement, EVICTION_BATCH_PAGES)
     }
 
     /// Evicts up to `max_pages` oldest objects of one pool from one store.

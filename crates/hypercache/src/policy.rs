@@ -12,6 +12,8 @@
 //! unused entitlement of underused entities proportionally to the weights
 //! of the overused ones.
 
+use ddc_cleancache::{PoolId, VmId};
+
 /// The usage snapshot of one cache-consuming entity (a VM at the top
 /// level, a container within a VM) fed to [`select_victim`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -143,6 +145,142 @@ pub fn entitlements(capacity: u64, weights: &[u64]) -> Vec<u64> {
         }
     }
     shares
+}
+
+/// The two-level entitlement shares of one store (paper §4.2): every
+/// participating VM's weight share of the store capacity, and every
+/// participating pool's weight share of its VM's entitlement. A pure
+/// function of capacity, weights and the participant set — usage is
+/// never stored, so the table stays valid until one of those changes.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ShareTable {
+    /// `(vm, entitlement, weight)` per participating VM, in `VmId` order.
+    vm_rows: Vec<(VmId, u64, u64)>,
+    /// Parallel to `vm_rows`: `(pool, entitlement, weight)` per
+    /// participating pool of that VM, in `PoolId` order.
+    pool_rows: Vec<Vec<(PoolId, u64, u64)>>,
+}
+
+impl ShareTable {
+    /// Splits `capacity` over `participants`: one `(vm, weight, pools)`
+    /// per VM in `VmId` order, `pools` holding the `(pool, weight)` of
+    /// each pool of the VM that participates in the store (assigned to
+    /// it by policy, or weight 0 while legacy objects remain), in
+    /// `PoolId` order. A VM without participating pools takes no share.
+    pub fn build(
+        capacity: u64,
+        participants: impl IntoIterator<Item = (VmId, u64, Vec<(PoolId, u64)>)>,
+    ) -> ShareTable {
+        let participants: Vec<_> = participants
+            .into_iter()
+            .filter(|(_, _, pools)| !pools.is_empty())
+            .collect();
+        let vm_weights: Vec<u64> = participants.iter().map(|&(_, w, _)| w).collect();
+        let vm_shares = entitlements(capacity, &vm_weights);
+        let mut table = ShareTable::default();
+        for ((vm, weight, pools), vm_share) in participants.into_iter().zip(vm_shares) {
+            let weights: Vec<u64> = pools.iter().map(|&(_, w)| w).collect();
+            let shares = entitlements(vm_share, &weights);
+            table.vm_rows.push((vm, vm_share, weight));
+            table.pool_rows.push(
+                pools
+                    .into_iter()
+                    .zip(shares)
+                    .map(|((pool, w), share)| (pool, share, w))
+                    .collect(),
+            );
+        }
+        table
+    }
+
+    /// Every participating VM with its entitlement and its pools'
+    /// `(pool, entitlement, weight)` rows, in `(VmId, PoolId)` order.
+    pub fn rows(&self) -> impl Iterator<Item = (VmId, u64, &[(PoolId, u64, u64)])> + '_ {
+        self.vm_rows
+            .iter()
+            .zip(&self.pool_rows)
+            .map(|(&(vm, share, _), pools)| (vm, share, pools.as_slice()))
+    }
+
+    /// The entitlement of one pool in this store, in pages (0 when the
+    /// pool does not participate).
+    pub fn pool_entitlement(&self, vm: VmId, pool: PoolId) -> u64 {
+        let Ok(vi) = self.vm_rows.binary_search_by_key(&vm, |r| r.0) else {
+            return 0;
+        };
+        let rows = &self.pool_rows[vi];
+        rows.binary_search_by_key(&pool, |r| r.0)
+            .map_or(0, |pi| rows[pi].1)
+    }
+
+    /// The two-level victim walk: Algorithm 1 picks the victim VM, then
+    /// the victim pool within it, for an eviction of `batch` pages;
+    /// `used_of` reads a participating pool's current usage in the
+    /// store and `strict` disables slack redistribution at both levels.
+    ///
+    /// So that a full store can always make progress, a level where
+    /// Algorithm 1 finds nobody over its effective limit falls back to
+    /// the largest user: within the victim VM the *last* co-largest
+    /// pool, store-wide (no VM over) the *first* co-largest pool in
+    /// `(VmId, PoolId)` order. `None` only when nothing is resident.
+    ///
+    /// Each level reads usage afresh. Shares sum exactly to the level
+    /// above, so with steady usage the store-wide fallback needs a
+    /// store at least `batch` pages short of full and the in-VM one
+    /// cannot trigger at all; they are there for callers whose usage
+    /// source moves under the walk (the sharded engine's mirrors).
+    pub fn select_victim(
+        &self,
+        strict: bool,
+        batch: u64,
+        used_of: impl Fn(VmId, PoolId) -> u64,
+    ) -> Option<(VmId, PoolId)> {
+        let select = if strict {
+            select_victim_strict
+        } else {
+            select_victim
+        };
+        let used_of = &used_of;
+        let usage_in = |vi: usize| {
+            let vm = self.vm_rows[vi].0;
+            self.pool_rows[vi]
+                .iter()
+                .map(move |&(pool, share, weight)| {
+                    (pool, EntityUsage::new(share, used_of(vm, pool), weight))
+                })
+        };
+        let vms: Vec<EntityUsage> = self
+            .vm_rows
+            .iter()
+            .enumerate()
+            .map(|(vi, &(_, share, weight))| {
+                EntityUsage::new(share, usage_in(vi).map(|(_, e)| e.used).sum(), weight)
+            })
+            .collect();
+        let Some(vi) = select(&vms, batch) else {
+            let mut victim = None;
+            let mut best = 0;
+            for (vi, &(vm, _, _)) in self.vm_rows.iter().enumerate() {
+                for (pool, e) in usage_in(vi) {
+                    if e.used > best {
+                        best = e.used;
+                        victim = Some((vm, pool));
+                    }
+                }
+            }
+            return victim;
+        };
+        let pools: Vec<EntityUsage> = usage_in(vi).map(|(_, e)| e).collect();
+        let pi = select(&pools, batch).or_else(|| {
+            pools
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.used > 0)
+                .max_by_key(|(_, e)| e.used)
+                .map(|(i, _)| i)
+        })?;
+        Some((self.vm_rows[vi].0, self.pool_rows[vi][pi].0))
+    }
 }
 
 #[cfg(test)]
@@ -289,6 +427,117 @@ mod tests {
         let shares = entitlements(10, &[1, 1, 1]);
         assert_eq!(shares.iter().sum::<u64>(), 10);
         assert!(shares.iter().all(|&s| s == 3 || s == 4));
+    }
+
+    /// Three single-pool VMs (`VmId(i)` owning `PoolId(10 + i)`) with
+    /// the given weights over `capacity`.
+    fn three_vms(capacity: u64, weights: [u64; 3]) -> ShareTable {
+        ShareTable::build(
+            capacity,
+            (0..3).map(|i| (VmId(i), weights[i as usize], vec![(PoolId(10 + i), 100)])),
+        )
+    }
+
+    #[test]
+    fn share_table_splits_two_levels_and_skips_poolless_vms() {
+        let table = ShareTable::build(
+            8000,
+            [
+                (VmId(1), 100, vec![(PoolId(1), 25), (PoolId(2), 75)]),
+                (VmId(2), 100, vec![]),
+                (VmId(3), 300, vec![(PoolId(3), 0), (PoolId(4), 10)]),
+            ],
+        );
+        let vms: Vec<(VmId, u64)> = table.rows().map(|(vm, share, _)| (vm, share)).collect();
+        assert_eq!(vms, vec![(VmId(1), 2000), (VmId(3), 6000)]);
+        assert_eq!(table.pool_entitlement(VmId(1), PoolId(1)), 500);
+        assert_eq!(table.pool_entitlement(VmId(1), PoolId(2)), 1500);
+        // A weight-0 (legacy) participant is listed but entitled to nothing.
+        assert_eq!(table.pool_entitlement(VmId(3), PoolId(3)), 0);
+        assert_eq!(table.pool_entitlement(VmId(3), PoolId(4)), 6000);
+        assert_eq!(table.pool_entitlement(VmId(2), PoolId(9)), 0);
+        assert_eq!(table.pool_entitlement(VmId(1), PoolId(4)), 0);
+    }
+
+    #[test]
+    fn walk_picks_victim_vm_then_victim_pool() {
+        let table = ShareTable::build(
+            1000,
+            [
+                (VmId(1), 50, vec![(PoolId(1), 50), (PoolId(2), 50)]),
+                (VmId(2), 50, vec![(PoolId(3), 100)]),
+            ],
+        );
+        // VM 1 holds 700 of its 500; inside it pool 2 holds 600 of 250.
+        let used = |_, pool: PoolId| [0, 100, 600, 300][pool.0 as usize];
+        for strict in [false, true] {
+            assert_eq!(
+                table.select_victim(strict, 10, used),
+                Some((VmId(1), PoolId(2)))
+            );
+        }
+    }
+
+    #[test]
+    fn store_wide_fallback_takes_the_first_co_largest_pool() {
+        // 64 pages over three equal VMs: 22/21/21. Nobody is over with a
+        // zero-page batch, so the walk falls back to the largest user —
+        // strict `>`, i.e. the first of the co-largest in id order.
+        let table = three_vms(64, [1, 1, 1]);
+        let used = |vm: VmId, _| [20, 21, 21][vm.0 as usize];
+        for strict in [false, true] {
+            assert_eq!(
+                table.select_victim(strict, 0, used),
+                Some((VmId(1), PoolId(11)))
+            );
+        }
+    }
+
+    #[test]
+    fn in_vm_fallback_takes_the_last_co_largest_pool() {
+        // VM 1 is entitled to 30 pages, 10 per pool. The VM pass (one
+        // read per pool, four in all) sees it at 90 and picks it; by the
+        // pool pass its usage has dropped to 10/10/5, so no pool is over
+        // and the largest one goes — `max_by_key`, i.e. the last of the
+        // co-largest.
+        let table = ShareTable::build(
+            90,
+            [
+                (
+                    VmId(1),
+                    1,
+                    vec![(PoolId(1), 1), (PoolId(2), 1), (PoolId(3), 1)],
+                ),
+                (VmId(2), 2, vec![(PoolId(4), 1)]),
+            ],
+        );
+        for strict in [false, true] {
+            let reads = std::cell::Cell::new(0);
+            let used = |_, pool: PoolId| {
+                reads.set(reads.get() + 1);
+                if reads.get() <= 4 {
+                    30
+                } else {
+                    [0, 10, 10, 5][pool.0 as usize]
+                }
+            };
+            assert_eq!(
+                table.select_victim(strict, 0, used),
+                Some((VmId(1), PoolId(2)))
+            );
+        }
+    }
+
+    #[test]
+    fn nobody_over_and_everybody_empty_is_none() {
+        let table = three_vms(64, [1, 1, 1]);
+        for strict in [false, true] {
+            assert_eq!(table.select_victim(strict, 0, |_, _| 0), None);
+        }
+        assert_eq!(
+            ShareTable::default().select_victim(false, 512, |_, _| 7),
+            None
+        );
     }
 
     /// Seeded randomized cases (in-tree replacement for proptest, which

@@ -13,11 +13,12 @@
 //!    same seed at several thread counts always finish with zero
 //!    auditor findings and zero stale-read-oracle violations, and
 //!    always issue the same total operation count.
-//! 3. **Two-phase staleness** — the eviction hook (which fires between
-//!    the lock-free victim snapshot and the single-shard locked
-//!    re-validation) is used to force every snapshot stale; the path
-//!    must detect it, retry within its bound or fall back to lock-all,
-//!    and never oversubscribe the ledger or wedge a put.
+//! 3. **Eviction staleness** — the eviction hook (which fires between
+//!    the lock-free victim pick and the single-shard locked
+//!    re-validation, in every partition mode — there is one eviction
+//!    path) is used to force every pick stale; the path must detect
+//!    it, retry within its bound, and never oversubscribe the ledger
+//!    or wedge a put.
 //! 4. **Lock-free read plane** (DESIGN.md §15) — the 95/5 read-heavy
 //!    mix routes misses through the seqlock membership tables and hot
 //!    replicas instead of the shard locks; that path must preserve the
@@ -31,6 +32,7 @@ use ddc_core::cleancache::SecondChanceCache;
 use ddc_core::concurrent::{
     audit, run_equivalence, run_stress, EngineKind, ShardedCache, StressConfig,
 };
+use ddc_core::hypercache::DoubleDeckerCache;
 use ddc_core::prelude::*;
 
 fn config(seed: u64, mode: PartitionMode) -> StressConfig {
@@ -115,19 +117,31 @@ fn journaled_planes_agree_on_flush_epoch_watermarks() {
     }
 }
 
-/// Forces every two-phase snapshot stale: the eviction hook flushes
-/// pages out of the phase-1 victim's pool between the phases, so the
-/// locked re-validation sees different usage than the snapshot did.
-/// The path must take the retry/fallback route (observable via the
+/// Forces every eviction pick stale, in each partition mode: the hook
+/// flushes every heavy-pool page between the pick and the locked
+/// re-validation, so the weighted walk re-validates against different
+/// usage and the Global tournament finds its nominated front dead. All
+/// three modes share the one eviction path, so the hook must fire in
+/// each; the path must take the retry route (observable via the
 /// diagnostic counters), keep serving every put, and leave the ledger
 /// and mirrors exact (zero auditor findings after every burst).
 #[test]
 fn two_phase_eviction_converges_under_forced_snapshot_staleness() {
+    for mode in [
+        PartitionMode::DoubleDecker,
+        PartitionMode::Strict,
+        PartitionMode::Global,
+    ] {
+        forced_staleness_converges(mode);
+    }
+}
+
+fn forced_staleness_converges(mode: PartitionMode) {
     let cache = ShardedCache::new(
         CacheConfig {
             mem_capacity_pages: 64,
             ssd_capacity_pages: 0,
-            mode: PartitionMode::DoubleDecker,
+            mode,
             admission: AdmissionConfig::off(),
         },
         8,
@@ -137,9 +151,14 @@ fn two_phase_eviction_converges_under_forced_snapshot_staleness() {
     let mut backend = cache.clone();
     let heavy = backend.create_pool(VmId(0), CachePolicy::mem(100));
     let light = backend.create_pool(VmId(1), CachePolicy::mem(100));
+    assert_ne!(
+        cache.shard_of(VmId(0), heavy),
+        cache.shard_of(VmId(1), light),
+        "the Global tournament needs the two pools on different shards"
+    );
     let now = SimTime::from_secs(1);
 
-    // Blocks known resident in the heavy pool, shared with the hook.
+    // Blocks possibly resident in the heavy pool, shared with the hook.
     let resident: Arc<Mutex<Vec<BlockAddr>>> = Arc::new(Mutex::new(Vec::new()));
     let hook_flushes = Arc::new(AtomicU64::new(0));
     {
@@ -147,14 +166,10 @@ fn two_phase_eviction_converges_under_forced_snapshot_staleness() {
         let resident = resident.clone();
         let hook_flushes = hook_flushes.clone();
         cache.set_eviction_hook(Some(Arc::new(move || {
-            // Yank a batch of the victim's pages between the phases.
-            // `flush` frees pages without allocating, so the hook can
-            // never recurse into eviction.
-            let batch: Vec<BlockAddr> = {
-                let mut r = resident.lock().expect("resident lock");
-                let at = r.len() - r.len().min(16);
-                r.split_off(at)
-            };
+            // Yank the heavy pool's pages between the phases. `flush`
+            // frees pages without allocating, so the hook can never
+            // recurse into eviction.
+            let batch = std::mem::take(&mut *resident.lock().expect("resident lock"));
             let mut backend = hook_cache.clone();
             for addr in batch {
                 hook_flushes.fetch_add(1, Ordering::Relaxed);
@@ -165,8 +180,11 @@ fn two_phase_eviction_converges_under_forced_snapshot_staleness() {
 
     let mut r = SimRng::new(0x57A1E);
     for burst in 0..24u64 {
-        // Refill the heavy pool past its entitlement so Algorithm 1
-        // would pick it as the victim...
+        // Refill the heavy pool while its VM is entitled to 48 pages,
+        // then drop the VM back to 32: the pool sits past its
+        // entitlement, so the weighted walk picks it as the victim
+        // (Strict mode can only get a pool over its partition this way).
+        cache.set_vm_weight(VmId(0), 300);
         for b in 0..40u64 {
             let addr = BlockAddr::new(FileId(1), burst * 40 + b);
             if matches!(
@@ -176,8 +194,9 @@ fn two_phase_eviction_converges_under_forced_snapshot_staleness() {
                 resident.lock().expect("resident lock").push(addr);
             }
         }
+        cache.set_vm_weight(VmId(0), 100);
         // ...then drive puts into the light pool until eviction fires;
-        // each firing runs the hook, which invalidates the snapshot.
+        // each firing runs the hook, which invalidates the pick.
         for b in 0..r.range_u64(24, 48) {
             let addr = BlockAddr::new(FileId(2), burst * 64 + b);
             assert!(
@@ -185,25 +204,104 @@ fn two_phase_eviction_converges_under_forced_snapshot_staleness() {
                     backend.put(now, VmId(1), light, addr, PageVersion(1)),
                     PutOutcome::Stored { .. }
                 ),
-                "burst {burst}: put wedged under forced staleness"
+                "{mode:?} burst {burst}: put wedged under forced staleness"
             );
         }
         let findings = audit(&cache);
         assert!(
             findings.is_empty(),
-            "burst {burst}: ledger/mirror invariants broke under staleness: {findings:?}"
+            "{mode:?} burst {burst}: ledger/mirror invariants broke under staleness: {findings:?}"
         );
     }
 
     assert!(
         hook_flushes.load(Ordering::Relaxed) > 0,
-        "the staleness hook never fired — the two-phase path was not exercised"
+        "{mode:?}: the staleness hook never fired — the eviction path was not exercised"
     );
-    let detected = cache.two_phase_retries() + cache.two_phase_fallbacks();
+    let detected = cache.two_phase_retries()
+        + cache.two_phase_fallbacks()
+        + cache.front_tree_retries()
+        + cache.front_tree_fallbacks();
     assert!(
         detected > 0,
-        "every forced-stale snapshot re-validated clean (staleness detection is dead)"
+        "{mode:?}: every forced-stale pick re-validated clean (staleness detection is dead)"
     );
+}
+
+/// One store, three equal-weight VMs, 64 pages (entitlements 22/21/21,
+/// so the shares carry rounding slack): a single-threaded op stream
+/// that keeps the store full must evict the same objects in the same
+/// order, and end with the same residents, on the serial engine and on
+/// the sharded one at every shard count, in every mode. This is the
+/// byte-identity contract seen through the evictor alone: every sharded
+/// eviction here goes through the one pick → lock one shard →
+/// re-validate path.
+#[test]
+fn single_threaded_eviction_sequence_matches_serial_on_a_rounding_slack_store() {
+    type Entries = Vec<(VmId, PoolId, BlockAddr, PageVersion)>;
+    fn drive<C: SecondChanceCache>(
+        cache: &mut C,
+        pools: &[(VmId, PoolId)],
+        entries: impl Fn(&C) -> Entries,
+    ) -> (Vec<Entries>, Entries) {
+        let mut r = SimRng::new(0x510C);
+        let mut evicted = Vec::new();
+        let mut before = entries(cache);
+        for op in 0..600u64 {
+            let (vm, pool) = pools[r.range_usize(0, pools.len())];
+            let addr = BlockAddr::new(FileId(u64::from(vm.0) + 1), op);
+            let put = cache.put(SimTime::from_secs(1), vm, pool, addr, PageVersion(1));
+            let after = entries(cache);
+            let gone: Entries = (before.iter().copied())
+                .filter(|e| !after.contains(e))
+                .collect();
+            if !gone.is_empty() {
+                evicted.push(gone);
+            }
+            assert!(
+                put.is_stored(),
+                "op {op}: put rejected on a store that can evict"
+            );
+            before = after;
+        }
+        (evicted, before)
+    }
+
+    for mode in [
+        PartitionMode::DoubleDecker,
+        PartitionMode::Strict,
+        PartitionMode::Global,
+    ] {
+        let config = CacheConfig::mem_only(64).with_mode(mode);
+        let mut serial = DoubleDeckerCache::new(config);
+        let mut pools = Vec::new();
+        for v in 0..3 {
+            serial.add_vm(VmId(v), 100);
+            pools.push((VmId(v), serial.create_pool(VmId(v), CachePolicy::mem(100))));
+        }
+        let (want_evicted, want_entries) = drive(&mut serial, &pools, |c| c.entries());
+        assert!(
+            want_evicted.len() > 3,
+            "{mode:?}: the stream must keep the evictor busy"
+        );
+
+        for shards in [1, 4, 16] {
+            let mut sharded = ShardedCache::new(config, shards);
+            for v in 0..3 {
+                sharded.add_vm(VmId(v), 100);
+                let pool = sharded.create_pool(VmId(v), CachePolicy::mem(100));
+                assert_eq!(pool, pools[v as usize].1, "pool ids line up across engines");
+            }
+            let (evicted, entries) = drive(&mut sharded, &pools, |c| c.entries());
+            assert_eq!(evicted, want_evicted, "{mode:?}/{shards}: evicted sequence");
+            assert_eq!(entries, want_entries, "{mode:?}/{shards}: final residents");
+            assert!(audit(&sharded).is_empty(), "{mode:?}/{shards}: auditor");
+            assert_eq!(
+                sharded.two_phase_retries() + sharded.front_tree_fallbacks(),
+                0
+            );
+        }
+    }
 }
 
 /// The read-heavy mix (the lock-free read plane's target workload) must
