@@ -18,18 +18,18 @@
 //!   Page allocation is a CAS (`used < capacity → used + 1`), so the
 //!   store can never oversubscribe no matter how threads interleave.
 //! * **Cross-shard eviction** — a full ledger triggers the one
-//!   eviction path (`evict_batch`), which never holds
-//!   two shard locks. DoubleDecker and Strict mode pick the victim with
-//!   the policy module's two-level walk
-//!   ([`ShareTable::select_victim`], the same function the serial
-//!   engine calls) over the entitlement memo and the lock-free per-pool
-//!   [`UsageMirror`]s — registry read lock only, no shard lock — then
-//!   lock only the victim's home shard, re-validate the pick against a
-//!   fresh snapshot, and retry if it went stale; once the retry budget
-//!   is spent the evictor takes its current pick unvalidated, so
-//!   progress is always guaranteed. Global mode runs a tournament over
-//!   the per-shard FIFO fronts ([`crate::fronts`]) and locks only the
-//!   nominated shard. A batch that frees nothing rejects the put.
+//!   eviction path (`evict_batch`), which never holds two shard locks.
+//!   DoubleDecker and Strict mode pick the victim with the policy
+//!   module's two-level walk ([`ShareTable::select_victim`], the same
+//!   function the serial engine calls) over the entitlement memo and
+//!   the lock-free per-pool [`UsageMirror`]s — registry read lock
+//!   only, no shard lock — then lock only the victim's home shard,
+//!   re-validate the pick against a fresh snapshot, and retry if it
+//!   went stale; once the retry budget is spent the evictor takes its
+//!   current pick unvalidated, so progress is always guaranteed. Global
+//!   mode runs a tournament over the per-shard FIFO fronts
+//!   ([`crate::fronts`]) and locks only the nominated shard. A batch
+//!   that frees nothing rejects the put.
 //! * **Lock order** — `registry` before any shard; shards in ascending
 //!   index; never acquire a lower-index (or the registry) lock while
 //!   holding a higher one. Get, put, flush, eviction and `pool_stats`
@@ -892,9 +892,9 @@ impl ShardedCache {
     }
 
     /// Installs (or clears) a hook run between an eviction's victim
-    /// pick and its shard lock (every mode), with no locks held. Tests use it to mutate the cache from the
-    /// evicting thread's blind spot and force snapshot staleness;
-    /// production code leaves it unset.
+    /// pick and its shard lock (every mode), with no locks held. Tests
+    /// use it to mutate the cache from the evicting thread's blind spot
+    /// and force snapshot staleness; production code leaves it unset.
     pub fn set_eviction_hook(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
         *self.inner.eviction_hook.write().expect("hook poisoned") = hook;
     }
@@ -2273,28 +2273,31 @@ impl ShardedCache {
             // Phase 2: registry read + the victim's home shard only.
             let reg = self.inner.registry.read().expect("registry poisoned");
             let mut shard = self.lock_shard(self.shard_of(vm, pool_id));
-            if retries_left == 0 {
+            let budget_spent = retries_left == 0;
+            let freed =
+                if budget_spent || self.select_victim(&reg, placement) == Some((vm, pool_id)) {
+                    self.evict_pages_from_shard(
+                        &mut shard,
+                        vm,
+                        pool_id,
+                        placement,
+                        EVICTION_BATCH_PAGES,
+                    )
+                } else {
+                    0
+                };
+            if budget_spent {
                 self.inner
                     .two_phase_fallbacks
                     .fetch_add(1, Ordering::Relaxed);
-            } else if self.select_victim(&reg, placement) != Some((vm, pool_id)) {
-                self.inner.two_phase_retries.fetch_add(1, Ordering::Relaxed);
-                retries_left -= 1;
-                continue;
-            }
-            let freed = self.evict_pages_from_shard(
-                &mut shard,
-                vm,
-                pool_id,
-                placement,
-                EVICTION_BATCH_PAGES,
-            );
-            if freed > 0 || retries_left == 0 {
                 return freed;
             }
-            // The mirrors promised pages the locked shard no longer has
-            // (raced with a flush or destroy): count it as a stale
-            // snapshot and retry.
+            if freed > 0 {
+                return freed;
+            }
+            // Stale snapshot: the walk now picks someone else, or the
+            // mirrors promised pages the locked shard no longer has
+            // (raced with a flush or destroy).
             self.inner.two_phase_retries.fetch_add(1, Ordering::Relaxed);
             retries_left -= 1;
         }

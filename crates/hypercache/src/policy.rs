@@ -246,7 +246,7 @@ impl ShareTable {
             self.pool_rows[vi]
                 .iter()
                 .map(move |&(pool, share, weight)| {
-                    (pool, EntityUsage::new(share, used_of(vm, pool), weight))
+                    EntityUsage::new(share, used_of(vm, pool), weight)
                 })
         };
         let vms: Vec<EntityUsage> = self
@@ -254,31 +254,36 @@ impl ShareTable {
             .iter()
             .enumerate()
             .map(|(vi, &(_, share, weight))| {
-                EntityUsage::new(share, usage_in(vi).map(|(_, e)| e.used).sum(), weight)
+                EntityUsage::new(share, usage_in(vi).map(|e| e.used).sum(), weight)
             })
             .collect();
-        let Some(vi) = select(&vms, batch) else {
-            let mut victim = None;
-            let mut best = 0;
-            for (vi, &(vm, _, _)) in self.vm_rows.iter().enumerate() {
-                for (pool, e) in usage_in(vi) {
-                    if e.used > best {
-                        best = e.used;
-                        victim = Some((vm, pool));
+        let (vi, pi) = match select(&vms, batch) {
+            Some(vi) => {
+                let pools: Vec<EntityUsage> = usage_in(vi).collect();
+                let pi = select(&pools, batch).or_else(|| {
+                    pools
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, e)| e.used > 0)
+                        .max_by_key(|(_, e)| e.used)
+                        .map(|(i, _)| i)
+                })?;
+                (vi, pi)
+            }
+            None => {
+                let mut victim = None;
+                let mut best = 0;
+                for vi in 0..self.vm_rows.len() {
+                    for (pi, e) in usage_in(vi).enumerate() {
+                        if e.used > best {
+                            best = e.used;
+                            victim = Some((vi, pi));
+                        }
                     }
                 }
+                victim?
             }
-            return victim;
         };
-        let pools: Vec<EntityUsage> = usage_in(vi).map(|(_, e)| e).collect();
-        let pi = select(&pools, batch).or_else(|| {
-            pools
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.used > 0)
-                .max_by_key(|(_, e)| e.used)
-                .map(|(i, _)| i)
-        })?;
         Some((self.vm_rows[vi].0, self.pool_rows[vi][pi].0))
     }
 }
