@@ -21,6 +21,10 @@ cargo test --release -q -p ddc-bench
 echo "==> frozen benchmark crate still builds and passes against the public API"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+echo "==> ddbench smoke: all four workloads end to end (exit 1 on a stale hit, audit finding, recovery or same-seed mismatch)"
+cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- run --workload all --smoke \
+    >target/ddbench-smoke.txt || { cat target/ddbench-smoke.txt; exit 1; }
+grep "^ops attempted" target/ddbench-smoke.txt
 
 echo "==> perf smoke (1.3x regression gate against BENCH_cache_ops.json)"
 if [ -f BENCH_cache_ops.json ]; then

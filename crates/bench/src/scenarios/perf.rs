@@ -19,6 +19,7 @@ use std::time::Instant;
 
 use ddc_core::cleancache::{HypercallChannel, SecondChanceCache};
 use ddc_core::concurrent::{run_stress, StressConfig, StressOutcome};
+use ddc_core::guest::{GuestEnv, GuestOs};
 use ddc_core::metrics::{snapshot_json, BatchCounters};
 use ddc_core::parallel;
 use ddc_core::prelude::*;
@@ -685,6 +686,46 @@ fn webserver_e2e(virtual_ms: u64) -> u64 {
     report.threads[0].ops
 }
 
+/// The guest's write path with nothing around it: one cgroup held at
+/// 2,048 resident pages over a memory-only hypervisor cache, writing
+/// through 128 files × 64 blocks, with an `fsync` of the file last
+/// written after every 32 writes and a `delete_file` after every 64.
+/// Each write asks the page cache how many pages are dirty and which
+/// are oldest, each fsync and delete asks for one file's pages, and
+/// each delete makes the engine drop one file — so a scan of either
+/// resident set coming back multiplies this cell's cost.
+fn guest_write_fsync_delete(ops: u64) -> u64 {
+    const FILES: u64 = 128;
+    const BLOCKS: u64 = 64;
+    let mut backend = cache(PartitionMode::DoubleDecker, 4096, 0);
+    backend.add_vm(VmId(1), 100);
+    let mut disk = Device::hdd();
+    let mut env = GuestEnv {
+        backend: &mut backend,
+        disk: &mut disk,
+    };
+    let mut guest = GuestOs::new(VmId(1), GuestConfig::with_mem_mb(64));
+    let cg = guest.create_cgroup(&mut env, "writer", 2048, CachePolicy::mem(100));
+    let mut now = SimTime::from_secs(1);
+    let mut done = 0;
+    let mut i = 0u64;
+    while done < ops {
+        let a = addr(1 + i % FILES, (i / FILES) % BLOCKS);
+        now = guest.write(&mut env, now, cg, a).finish;
+        done += 1;
+        i += 1;
+        if i.is_multiple_of(32) {
+            now = guest.fsync(&mut env, now, cg, a.file);
+            done += 1;
+        }
+        if i.is_multiple_of(64) {
+            guest.delete_file(&mut env, cg, FileId(1 + (i / 64) % FILES));
+            done += 1;
+        }
+    }
+    done
+}
+
 type CellRunner = (&'static str, Box<dyn Fn() -> u64>);
 
 /// Runs the full matrix. `smoke` divides the op budget by 10 for CI.
@@ -722,6 +763,10 @@ pub fn run_matrix(smoke: bool) -> Vec<PerfCell> {
         (
             "webserver_e2e",
             Box::new(move || webserver_e2e(20_000 / scale)),
+        ),
+        (
+            "guest_write_fsync_delete",
+            Box::new(move || guest_write_fsync_delete(200_000 / scale)),
         ),
         // The channel pair carries an ordering assertion (batched must
         // not sit below unbatched in a committed baseline), so it gets
@@ -1049,6 +1094,7 @@ mod tests {
             assert!(cell >= 2_000);
         }
         assert!(webserver_e2e(200) > 0);
+        assert!(guest_write_fsync_delete(2_000) >= 2_000);
         assert!(channel_mix(2_000, true) >= 2_000);
         assert!(channel_mix(2_000, false) >= 2_000);
         assert!(stress_threads(2, 20) > 0);

@@ -38,7 +38,12 @@
 //!    arena index is either live or free, and the address map agrees
 //!    with the slab (each live slot's address looks up to its own
 //!    `SlotId`). A violation means the free-list could hand out a live
-//!    id — the slab equivalent of a use-after-free.
+//!    id — the slab equivalent of a use-after-free. The per-file chains
+//!    partition the live set too: every occupied slot sits on exactly
+//!    one chain, that chain is the one the head map names for the slot's
+//!    file, back links mirror forward links, and no chain reaches a free
+//!    slot (a dangling link would make `flush_file` free a stranger, a
+//!    slot on no chain would survive its file's deletion).
 //! 10. **Remote consistency** — each remote binding's fault-tolerance
 //!     stack is internally coherent: every fetch is accounted for by
 //!     exactly one outcome (served, failed, shed or breaker-skipped),
@@ -380,6 +385,54 @@ fn arena_shape(vm: VmId, pid: PoolId, pool: &Pool, findings: &mut Vec<AuditFindi
             });
         }
     }
+    file_chains(vm, pid, pool, &live, findings);
+}
+
+/// Invariant 9, per-file chains: walking every chain from the head the
+/// map names visits each occupied slot exactly once, under its own file,
+/// with back links mirroring the walk.
+fn file_chains(
+    vm: VmId,
+    pid: PoolId,
+    pool: &Pool,
+    live: &BTreeSet<SlotId>,
+    findings: &mut Vec<AuditFinding>,
+) {
+    let mut finding = |detail: String| {
+        findings.push(AuditFinding {
+            invariant: "arena-file-chain",
+            detail: format!("{vm} {pid}: {detail}"),
+        })
+    };
+    let mut chained: BTreeSet<SlotId> = BTreeSet::new();
+    for (file, head) in pool.file_heads() {
+        let (mut prev, mut at) = (None, Some(head));
+        while let Some(id) = at {
+            let (Some((addr, _)), Some((back, next))) = (pool.slot_by_id(id), pool.file_links(id))
+            else {
+                finding(format!("chain of {file:?} reaches free {id:?}"));
+                break;
+            };
+            if addr.file != file {
+                finding(format!("chain of {file:?} holds {addr:?} at {id:?}"));
+            }
+            if back != prev {
+                finding(format!(
+                    "{id:?} on the chain of {file:?} links back to {back:?}, reached from {prev:?}"
+                ));
+            }
+            if !chained.insert(id) {
+                finding(format!("{id:?} is reached twice (chain of {file:?})"));
+                break;
+            }
+            (prev, at) = (Some(id), next);
+        }
+    }
+    for id in live.difference(&chained) {
+        finding(format!(
+            "live {id:?} is on no file chain (flush_file would miss it)"
+        ));
+    }
 }
 
 /// Invariant 1: store used-page counters match the pool indexes and
@@ -583,6 +636,25 @@ mod tests {
         cache.flush_file(VmId(1), other, FileId(3));
         let findings = audit(&cache);
         assert!(findings.is_empty(), "unexpected findings: {findings:?}");
+    }
+
+    #[test]
+    fn detects_a_live_slot_missing_from_its_file_chain() {
+        let mut pool = Pool::new(VmId(0), CachePolicy::mem(100));
+        for b in 0..3 {
+            pool.insert(addr(1, b), Placement::Mem, PageVersion(0), b);
+        }
+        let pools = [(VmId(0), PoolId(0), &pool)];
+        assert_eq!(audit_pool_slice(&pools, 3), vec![]);
+        pool.orphan_from_file_chain(addr(1, 1));
+        let pools = [(VmId(0), PoolId(0), &pool)];
+        let findings = audit_pool_slice(&pools, 3);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].invariant, "arena-file-chain");
+        assert!(findings[0].detail.contains("on no file chain"));
+        // flush_file now misses the orphan — what the invariant guards.
+        assert_eq!(pool.remove_file(FileId(1)), (2, 0));
+        assert!(pool.peek(addr(1, 1)).is_some());
     }
 
     #[test]

@@ -5,7 +5,15 @@
 //! etc.". [`Pool`] flattens that hierarchy into a slab arena: slots live
 //! in one dense `Vec` with a free-list, addressed by [`SlotId`], and the
 //! lookup path is a single [`FxHashMap`] probe from [`BlockAddr`] into
-//! contiguous memory — no per-file tree to re-walk on get/put/evict.
+//! contiguous memory. What the paper's per-file level buys — a
+//! `flush_file` that costs O(blocks of that file) — is kept by an
+//! intrusive doubly-linked chain per file threaded through the slab
+//! entries, headed by a `FileId -> SlotId` map: [`Pool::remove_file`]
+//! walks one chain instead of the slab. The upkeep is one head-map probe
+//! per *new* key (an overwrite keeps its links) and two neighbour writes
+//! per removal; the head map is written on removal only when the head
+//! itself leaves.
+//!
 //! Per-placement FIFO queues (with lazy deletion) implement the paper's
 //! FIFO eviction order — "LRU equivalent for exclusive caches" (§4.2) —
 //! and carry `SlotId`s, so popping the queue lands directly on the slab
@@ -198,7 +206,14 @@ impl UsageMirror {
 struct ArenaEntry {
     addr: BlockAddr,
     slot: Slot,
+    /// Neighbours on the chain of `addr.file`'s entries ([`NIL`] at
+    /// either end). New keys join at the head.
+    file_prev: u32,
+    file_next: u32,
 }
+
+/// "No neighbour" slab index on a file chain.
+const NIL: u32 = u32::MAX;
 
 /// The index for one container's cache pool: a slab arena of slots plus
 /// the lookup map and eviction queues (see the module docs).
@@ -213,6 +228,8 @@ pub struct Pool {
     free: Vec<u32>,
     /// The single-probe lookup path: block address → slab index.
     map: FxHashMap<BlockAddr, u32>,
+    /// Head of each resident file's chain (no entry for an empty chain).
+    file_heads: FxHashMap<FileId, u32>,
     fifo_mem: VecDeque<(SlotId, u64)>,
     fifo_ssd: VecDeque<(SlotId, u64)>,
     used_mem: u64,
@@ -253,6 +270,7 @@ impl Pool {
             slots: Vec::new(),
             free: Vec::new(),
             map: FxHashMap::default(),
+            file_heads: FxHashMap::default(),
             fifo_mem: VecDeque::new(),
             fifo_ssd: VecDeque::new(),
             used_mem: 0,
@@ -400,17 +418,23 @@ impl Pool {
                 (idx, Some(old))
             }
             None => {
-                let idx = match self.free.pop() {
-                    Some(idx) => {
-                        self.slots[idx as usize] = Some(ArenaEntry { addr, slot });
-                        idx
-                    }
-                    None => {
-                        let idx = self.slots.len() as u32;
-                        self.slots.push(Some(ArenaEntry { addr, slot }));
-                        idx
-                    }
-                };
+                let idx = self.free.pop().unwrap_or(self.slots.len() as u32);
+                // The head map is probed once per new key; the old head
+                // is the only other entry written.
+                let file_next = self.file_heads.insert(addr.file, idx).unwrap_or(NIL);
+                if file_next != NIL {
+                    self.entry_mut(file_next).file_prev = idx;
+                }
+                let entry = Some(ArenaEntry {
+                    addr,
+                    slot,
+                    file_prev: NIL,
+                    file_next,
+                });
+                match self.slots.get_mut(idx as usize) {
+                    Some(cell) => *cell = entry,
+                    None => self.slots.push(entry),
+                }
                 self.map.insert(addr, idx);
                 self.plane_publish(addr);
                 (idx, None)
@@ -447,8 +471,38 @@ impl Pool {
         self.release(id.0).map(|e| (e.addr, e.slot))
     }
 
-    /// Frees one slab entry and recycles its index.
+    fn entry_mut(&mut self, idx: u32) -> &mut ArenaEntry {
+        self.slots[idx as usize]
+            .as_mut()
+            .expect("chained slot is occupied")
+    }
+
+    /// Frees one slab entry, taking it off its file's chain, and
+    /// recycles its index.
     fn release(&mut self, idx: u32) -> Option<ArenaEntry> {
+        let entry = self.free_slot(idx)?;
+        self.unlink_file(&entry);
+        Some(entry)
+    }
+
+    /// Joins `entry`'s chain neighbours around it. The head map is
+    /// written only when the head itself leaves.
+    fn unlink_file(&mut self, entry: &ArenaEntry) {
+        if entry.file_next != NIL {
+            self.entry_mut(entry.file_next).file_prev = entry.file_prev;
+        }
+        if entry.file_prev != NIL {
+            self.entry_mut(entry.file_prev).file_next = entry.file_next;
+        } else if entry.file_next != NIL {
+            self.file_heads.insert(entry.addr.file, entry.file_next);
+        } else {
+            self.file_heads.remove(&entry.addr.file);
+        }
+    }
+
+    /// [`Self::release`] minus the chain repair, for callers that drop
+    /// the entry's whole chain.
+    fn free_slot(&mut self, idx: u32) -> Option<ArenaEntry> {
         let entry = self.slots[idx as usize].take()?;
         self.free.push(idx);
         self.debit(entry.slot.placement);
@@ -474,20 +528,33 @@ impl Pool {
     }
 
     /// Removes every object of `file`, returning how many pages were freed
-    /// from each store as `(mem, ssd)`.
+    /// from each store as `(mem, ssd)`. Costs O(blocks of `file`): only
+    /// that file's chain is walked.
+    ///
+    /// Slots are released in **ascending slab index**, whatever order the
+    /// chain holds them in: the free-list is a stack, so the release
+    /// order decides which `SlotId` each later insert gets — and with it
+    /// `slot_birth` and the per-slot wear ledger, which reports and
+    /// journal replay must reproduce exactly.
     pub fn remove_file(&mut self, file: FileId) -> (u64, u64) {
+        let mut chain = Vec::new();
+        let mut idx = self.file_heads.remove(&file).unwrap_or(NIL);
+        while idx != NIL {
+            chain.push(idx);
+            idx = self.slots[idx as usize]
+                .as_ref()
+                .expect("chained slot is occupied")
+                .file_next;
+        }
+        chain.sort_unstable();
         let mut freed = (0, 0);
-        for idx in 0..self.slots.len() as u32 {
-            let (addr, placement) = match &self.slots[idx as usize] {
-                Some(e) if e.addr.file == file => (e.addr, e.slot.placement),
-                _ => continue,
-            };
-            match placement {
+        for idx in chain {
+            let entry = self.free_slot(idx).expect("chained slot is occupied");
+            match entry.slot.placement {
                 Placement::Mem => freed.0 += 1,
                 Placement::Ssd => freed.1 += 1,
             }
-            self.map.remove(&addr);
-            self.release(idx);
+            self.map.remove(&entry.addr);
         }
         freed
     }
@@ -522,6 +589,7 @@ impl Pool {
         self.slots.clear();
         self.free.clear();
         self.map.clear();
+        self.file_heads.clear();
         self.fifo_mem.clear();
         self.fifo_ssd.clear();
         self.set_used(Placement::Mem, 0);
@@ -575,6 +643,16 @@ impl Pool {
         true
     }
 
+    /// Takes `addr`'s entry off its file's chain while leaving it live:
+    /// the damage the auditor's file-chain invariant exists to find.
+    #[cfg(test)]
+    pub(crate) fn orphan_from_file_chain(&mut self, addr: BlockAddr) {
+        let idx = self.map[&addr];
+        let entry = *self.entry_mut(idx);
+        self.unlink_file(&entry);
+        (self.entry_mut(idx).file_prev, self.entry_mut(idx).file_next) = (NIL, NIL);
+    }
+
     /// Iterates one placement's FIFO queue entries `(id, seq)`,
     /// including dead (lazily deleted) entries — the invariant auditor
     /// checks queue↔slab coherence with this.
@@ -600,6 +678,20 @@ impl Pool {
             .iter()
             .enumerate()
             .filter_map(|(i, e)| e.as_ref().map(|e| (SlotId(i as u32), e.addr, &e.slot)))
+    }
+
+    /// The head of every non-empty file chain, in no particular order
+    /// (the auditor walks each with [`Self::file_links`]).
+    pub(crate) fn file_heads(&self) -> impl Iterator<Item = (FileId, SlotId)> + '_ {
+        self.file_heads.iter().map(|(&f, &i)| (f, SlotId(i)))
+    }
+
+    /// An occupied entry's `(previous, next)` neighbours on its file's
+    /// chain.
+    pub(crate) fn file_links(&self, id: SlotId) -> Option<(Option<SlotId>, Option<SlotId>)> {
+        let entry = self.slots.get(id.0 as usize)?.as_ref()?;
+        let link = |i: u32| (i != NIL).then_some(SlotId(i));
+        Some((link(entry.file_prev), link(entry.file_next)))
     }
 
     /// Number of slab entries (occupied + free) — the arena's dense
@@ -747,6 +839,61 @@ mod tests {
         assert_eq!((mem, ssd), (4, 1));
         assert_eq!(p.total_used(), 1);
         assert_eq!(p.remove_file(FileId(99)), (0, 0));
+    }
+
+    fn chain_of(p: &Pool, file: u64) -> Vec<BlockAddr> {
+        let head = p.file_heads().find(|(f, _)| *f == FileId(file));
+        let mut at = head.map(|(_, id)| id);
+        let mut out = Vec::new();
+        while let Some(id) = at {
+            out.push(p.slot_by_id(id).unwrap().0);
+            at = p.file_links(id).unwrap().1;
+        }
+        out
+    }
+
+    #[test]
+    fn file_chain_follows_inserts_overwrites_and_removals() {
+        let mut p = pool();
+        for b in 0..4 {
+            p.insert(addr(1, b), Placement::Mem, PageVersion(0), b);
+        }
+        p.insert(addr(2, 0), Placement::Ssd, PageVersion(0), 4);
+        // New keys join at the head; an overwrite keeps its place.
+        p.insert(addr(1, 1), Placement::Ssd, PageVersion(1), 5);
+        assert_eq!(
+            chain_of(&p, 1),
+            vec![addr(1, 3), addr(1, 2), addr(1, 1), addr(1, 0)]
+        );
+        p.remove(addr(1, 2)); // middle
+        p.remove(addr(1, 3)); // head: the map now names the next entry
+        assert_eq!(chain_of(&p, 1), vec![addr(1, 1), addr(1, 0)]);
+        p.pop_oldest(Placement::Mem); // addr(1, 0), the tail
+        assert_eq!(chain_of(&p, 1), vec![addr(1, 1)]);
+        p.drain_placement(Placement::Ssd);
+        assert_eq!(p.file_heads().count(), 0, "empty chains leave the map");
+        p.insert(addr(1, 9), Placement::Mem, PageVersion(0), 6);
+        p.drain();
+        assert_eq!(p.file_heads().count(), 0);
+    }
+
+    #[test]
+    fn remove_file_releases_in_ascending_slab_order() {
+        let mut p = pool();
+        // Slab order 0..6 alternates files; the chain of file 1 runs
+        // newest-first, i.e. in *descending* slab order.
+        for b in 0..6 {
+            p.insert(addr(1 + b % 2, b), Placement::Mem, PageVersion(0), b);
+        }
+        p.remove_file(FileId(1));
+        assert_eq!(
+            p.free_ids().collect::<Vec<_>>(),
+            vec![SlotId(0), SlotId(2), SlotId(4)]
+        );
+        // The stack hands the highest index back first.
+        let (id, _) = p.insert(addr(3, 0), Placement::Mem, PageVersion(0), 6);
+        assert_eq!(id, SlotId(4));
+        assert_eq!(chain_of(&p, 2).len(), 3);
     }
 
     #[test]

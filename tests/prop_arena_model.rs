@@ -4,17 +4,21 @@
 //! observably identical to the naive model it replaced — a
 //! `BTreeMap<BlockAddr, Slot>` — under arbitrary put/flush/evict/drain
 //! sequences, and its free-list must never hand a live `SlotId` to a
-//! second object. A third test churns a full `DoubleDeckerCache` in
-//! Global mode (overwrite + flush heavy, working set over capacity) so
-//! global-FIFO tombstone compaction runs repeatedly over recycled
-//! `SlotId`s, with the serial auditor as the oracle. (Seeded SimRng
+//! second object. `Pool::remove_file`, which walks the file's intrusive
+//! chain, is additionally held against the full slab scan it replaced —
+//! down to the `SlotId`s the free-list hands out afterwards — and every
+//! step runs the pool auditor, whose arena-shape invariant includes that
+//! the file chains partition the live set. A third test churns a full
+//! `DoubleDeckerCache` in Global mode (overwrite + flush heavy, working
+//! set over capacity) so global-FIFO tombstone compaction runs repeatedly
+//! over recycled `SlotId`s, with the serial auditor as the oracle. (Seeded SimRng
 //! schedules — the in-tree replacement for proptest.)
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use ddc_core::cleancache::SecondChanceCache;
 use ddc_core::hypercache::index::{Placement, Pool, SlotId};
-use ddc_core::hypercache::{audit, DoubleDeckerCache};
+use ddc_core::hypercache::{audit, audit_pool_slice, DoubleDeckerCache};
 use ddc_core::prelude::*;
 
 /// What the naive model remembers per resident block.
@@ -93,6 +97,31 @@ fn check_against_model(pool: &Pool, model: &Model) {
     for (id, addr, _) in pool.iter_ids() {
         assert_eq!(pool.lookup(addr), Some(id), "map/slab disagreement");
     }
+
+    // The auditor's view of the same pool: among the rest, every
+    // occupied slot sits on exactly one file chain — its own file's, the
+    // one the head map names — and nothing dangles.
+    let findings = audit_pool_slice(&[(VmId(1), PoolId(0), pool)], u64::MAX);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+/// `Pool::remove_file` as it was before the per-file chain: a scan of
+/// the whole slab in index order, releasing every match as it goes.
+fn remove_file_by_full_scan(pool: &mut Pool, file: FileId) -> (u64, u64) {
+    let victims: Vec<(SlotId, Placement)> = pool
+        .iter_ids()
+        .filter(|(_, addr, _)| addr.file == file)
+        .map(|(id, _, slot)| (id, slot.placement))
+        .collect();
+    let mut freed = (0, 0);
+    for (id, placement) in victims {
+        match placement {
+            Placement::Mem => freed.0 += 1,
+            Placement::Ssd => freed.1 += 1,
+        }
+        pool.remove_by_id(id).expect("victim is live");
+    }
+    freed
 }
 
 #[test]
@@ -173,10 +202,29 @@ fn arena_matches_naive_map_model_under_random_sequences() {
                         }
                     }
                 }
-                // Invalidate a whole file.
+                // Invalidate a whole file: the chain walk against the
+                // full scan on a clone — same counts, same survivors,
+                // and the same free-list, so the same `SlotId`s go to
+                // the next inserts.
                 9 => {
                     let file = FileId(r.range_u64(1, 5));
+                    let mut scanned = pool.clone();
                     let (mem, ssd) = pool.remove_file(file);
+                    assert_eq!((mem, ssd), remove_file_by_full_scan(&mut scanned, file));
+                    assert!(pool
+                        .iter_ids()
+                        .map(|(id, a, s)| (id, a, *s))
+                        .eq(scanned.iter_ids().map(|(id, a, s)| (id, a, *s))));
+                    assert!(pool.free_ids().eq(scanned.free_ids()), "free-list order");
+                    let mut chained = pool.clone();
+                    for k in 1..=3 {
+                        let fresh = BlockAddr::new(FileId(9), k);
+                        assert_eq!(
+                            chained.insert(fresh, Placement::Mem, PageVersion(1), seq + k),
+                            scanned.insert(fresh, Placement::Mem, PageVersion(1), seq + k),
+                            "the next inserts must land in the same slots"
+                        );
+                    }
                     let before = (
                         model_used(&model, Placement::Mem),
                         model_used(&model, Placement::Ssd),
