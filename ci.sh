@@ -17,6 +17,8 @@ cargo test -q
 
 echo "==> paper-shape scenario tests (ignored in debug builds; release only)"
 cargo test --release -q -p ddc-bench
+echo "==> journal codec under optimisation (CRC offset x length sweep, golden image; the sliced loop is only unrolled in release)"
+cargo test --release -q -p ddc-storage
 
 echo "==> frozen benchmark crate still builds and passes against the public API"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
@@ -25,6 +27,10 @@ echo "==> ddbench smoke: all four workloads end to end (exit 1 on a stale hit, a
 cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- run --workload all --smoke \
     >target/ddbench-smoke.txt || { cat target/ddbench-smoke.txt; exit 1; }
 grep "^ops attempted" target/ddbench-smoke.txt
+echo "==> journal record kernel, ns per record (ddbench trace, engine-batched, smoke)"
+cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- trace --workload engine-batched --smoke \
+    >target/ddbench-trace-smoke.txt || { cat target/ddbench-trace-smoke.txt; exit 1; }
+grep -E "^journal\.(append|replay)_ns_per_record" target/ddbench-trace-smoke.txt
 
 echo "==> perf smoke (1.3x regression gate against BENCH_cache_ops.json)"
 if [ -f BENCH_cache_ops.json ]; then

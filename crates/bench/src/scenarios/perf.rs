@@ -23,6 +23,7 @@ use ddc_core::guest::{GuestEnv, GuestOs};
 use ddc_core::metrics::{snapshot_json, BatchCounters};
 use ddc_core::parallel;
 use ddc_core::prelude::*;
+use ddc_core::storage::{Journal, JournalRecord};
 use ddc_json::Json;
 
 /// JSON schema tag of the baseline file.
@@ -726,6 +727,49 @@ fn guest_write_fsync_delete(ops: u64) -> u64 {
     done
 }
 
+/// The journal's record kernel with no engine around it: one seeded
+/// stream of `Put` (half), `Take` and `Flush` records appended in
+/// 32-record `append_run` groups (the shape `drain_scratch` hands a
+/// segment), synced, and the durable image replayed. Framing, checksum
+/// and decode are all the cell does, so the checksum going back to one
+/// bit per step (5× on this cell) cannot hide inside the 1.3× gate the
+/// way it can inside `journaled_stress_threads_*`. Ops = records
+/// appended + records replayed.
+fn journal_append_replay(records: u64) -> u64 {
+    const RUN: u64 = 32;
+    let mut rng = SimRng::new(0x10C);
+    let mut journal = Journal::new();
+    let mut run = Vec::with_capacity(RUN as usize);
+    let mut appended = 0;
+    while appended < records {
+        run.clear();
+        for _ in 0..RUN {
+            let (vm, pool) = (rng.range_u64(1, 3) as u32, rng.range_u64(1, 3) as u32);
+            let addr = addr(rng.range_u64(0, 16), rng.range_u64(0, 8192));
+            run.push(match rng.next_below(4) {
+                0 => JournalRecord::Take { vm, pool, addr },
+                1 => JournalRecord::Flush { vm, pool, addr },
+                _ => JournalRecord::Put {
+                    vm,
+                    pool,
+                    addr,
+                    version: appended,
+                    placement: (appended % 2) as u8,
+                },
+            });
+        }
+        journal.append_run(&run, appended + 1);
+        appended += RUN;
+    }
+    journal.sync();
+    let (replayed, stats) = Journal::replay(&journal.bytes()[..journal.durable_len()]);
+    assert!(
+        replayed.len() as u64 == appended && !stats.torn_tail && !stats.corrupt,
+        "journal cell replayed {stats} of {appended} records appended"
+    );
+    appended + replayed.len() as u64
+}
+
 type CellRunner = (&'static str, Box<dyn Fn() -> u64>);
 
 /// Runs the full matrix. `smoke` divides the op budget by 10 for CI.
@@ -864,6 +908,10 @@ pub fn run_matrix(smoke: bool) -> Vec<PerfCell> {
         (
             "remote_miss_fetch",
             Box::new(move || remote_miss_fetch(500 / scale)),
+        ),
+        (
+            "journal_append_replay",
+            Box::new(move || journal_append_replay(200_000 / scale)),
         ),
     ];
     cells
@@ -1112,6 +1160,16 @@ mod tests {
         // The durability-tax comparison is only honest if both cells
         // issue the same op stream; the op counters prove they do.
         assert_eq!(stress_threads(2, 20), journaled_stress_threads(2, 20));
+    }
+
+    #[test]
+    fn journal_cell_replays_every_record_it_appends() {
+        // At its smoke budget: 625 whole runs, each record counted once
+        // going in and once coming back (the cell itself asserts that
+        // the replay was complete and clean).
+        assert_eq!(journal_append_replay(20_000), 40_000);
+        // A budget that is not a multiple of the run finishes the run.
+        assert_eq!(journal_append_replay(33), 128);
     }
 
     #[test]

@@ -1350,7 +1350,15 @@ impl ShardedCache {
             let epoch = w.emit(0, &JournalRecord::Epoch { vm: vm.0 });
             new_epochs.push((vm, epoch));
         }
-        let mut puts: Vec<(u64, VmId, PoolId, BlockAddr, u64, u8)> = Vec::new();
+        // The rewrite stalls every client: `puts` is sized from the live
+        // count and each segment from the bytes its puts encode to, so
+        // neither regrows mid-rewrite. Every entry of a pool lands in
+        // the pool's home segment, so routing is resolved once per pool
+        // (as a `u32`, which leaves the sorted tuples at 48 bytes).
+        let live = self.inner.mem.used_pages() + self.inner.ssd.used_pages();
+        let mut puts: Vec<(u64, VmId, PoolId, BlockAddr, u64, u8, u32)> =
+            Vec::with_capacity(live as usize);
+        let mut put_bytes = vec![0usize; shards.len()];
         for (&vm, meta) in &reg.vms {
             for &(pid, _, _) in &meta.pools {
                 let si = self.shard_of(vm, pid);
@@ -1365,6 +1373,7 @@ impl ShardedCache {
                         weight: policy.weight,
                     },
                 );
+                put_bytes[si] += pool.total_used() as usize * JournalRecord::PUT_LEN;
                 for (addr, slot) in pool.iter() {
                     puts.push((
                         slot.seq,
@@ -1373,15 +1382,18 @@ impl ShardedCache {
                         addr,
                         slot.version.0,
                         slot.placement.code(),
+                        si as u32,
                     ));
                 }
             }
         }
         puts.sort_unstable();
-        for (_, vm, pid, addr, version, placement) in puts {
-            let si = self.shard_of(vm, pid);
+        for (seg, bytes) in w.segs.iter_mut().zip(put_bytes) {
+            seg.reserve(bytes);
+        }
+        for (_, vm, pid, addr, version, placement, si) in puts {
             w.emit(
-                si,
+                si as usize,
                 &JournalRecord::Put {
                     vm: vm.0,
                     pool: pid.0,

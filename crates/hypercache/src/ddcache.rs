@@ -1588,7 +1588,11 @@ impl DoubleDeckerCache {
             let epoch = journal.append(&JournalRecord::Epoch { vm: vm.0 });
             new_epochs.push((vm, epoch));
         }
-        let mut puts: Vec<(u64, VmId, PoolId, BlockAddr, u64, u8)> = Vec::new();
+        // Sized from the live count; `append_all` below then reserves
+        // the exact bytes the puts encode to, so neither regrows.
+        let live = self.mem.used_pages() + self.ssd.used_pages();
+        let mut puts: Vec<(u64, VmId, PoolId, BlockAddr, u64, u8)> =
+            Vec::with_capacity(live as usize);
         for (&vm, entry) in &self.vms {
             for &pid in &entry.pool_ids {
                 let pool = &self.pools[&(vm, pid)];

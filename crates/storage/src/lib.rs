@@ -35,7 +35,7 @@ pub mod wear;
 
 pub use addr::{pages_for_bytes, BlockAddr, FileId, PAGE_SIZE};
 pub use device::{Device, DeviceKind, IoCompletion, IoError};
-pub use journal::{Journal, JournalRecord, ReplayStats};
+pub use journal::{crc32, Journal, JournalRecord, ReplayStats};
 pub use latency::LatencyModel;
 pub use remote::{
     AttemptOutcome, ChunkKey, ChunkStore, RemoteBinding, RemoteConfig, RemoteCounters, RemoteError,
