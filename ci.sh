@@ -27,10 +27,10 @@ echo "==> ddbench smoke: all four workloads end to end (exit 1 on a stale hit, a
 cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- run --workload all --smoke \
     >target/ddbench-smoke.txt || { cat target/ddbench-smoke.txt; exit 1; }
 grep "^ops attempted" target/ddbench-smoke.txt
-echo "==> journal record kernel, ns per record (ddbench trace, engine-batched, smoke)"
+echo "==> journal record kernel (ns per record) and group commit (total s, p99 ns; ddbench trace, engine-batched, smoke)"
 cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- trace --workload engine-batched --smoke \
     >target/ddbench-trace-smoke.txt || { cat target/ddbench-trace-smoke.txt; exit 1; }
-grep -E "^journal\.(append|replay)_ns_per_record" target/ddbench-trace-smoke.txt
+grep -E "^journal\.((append|replay)_ns_per_record|commit_(s|p99_ns))" target/ddbench-trace-smoke.txt
 
 echo "==> perf smoke (1.3x regression gate against BENCH_cache_ops.json)"
 if [ -f BENCH_cache_ops.json ]; then
@@ -86,8 +86,8 @@ done
 
 # Optional race-detector smoke: opt in with DDC_TSAN=1. Needs a nightly
 # toolchain (-Zsanitizer); tier-1 above never depends on it, so CI stays
-# green on stable-only machines. Runs the seqlock/replica/tournament race
-# tests of ddc-concurrent under ThreadSanitizer.
+# green on stable-only machines. Runs the seqlock/replica/tournament and
+# group-commit race tests of ddc-concurrent under ThreadSanitizer.
 if [ "${DDC_TSAN:-0}" = "1" ]; then
     if rustup run nightly rustc --version >/dev/null 2>&1; then
         echo "==> TSan smoke (nightly, ddc-concurrent race tests)"
@@ -95,7 +95,7 @@ if [ "${DDC_TSAN:-0}" = "1" ]; then
             rustup run nightly cargo test -q -p ddc-concurrent \
             -Z build-std --target "$(rustc -vV | sed -n 's/^host: //p')" \
             --target-dir target/tsan \
-            -- seqlock racing read_heavy 2>/dev/null \
+            -- seqlock racing read_heavy commit 2>/dev/null \
             || echo "TSan smoke unavailable (missing rust-src or build-std); skipping"
     else
         echo "DDC_TSAN=1 set but no nightly toolchain; skipping TSan smoke"

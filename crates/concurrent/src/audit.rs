@@ -39,6 +39,12 @@
 //!    group-commit path emits records a crash would mangle), with
 //!    strictly increasing generations per segment, no generation
 //!    claimed twice across segments, and the record counter exact.
+//!    **Durable marks** (`journal-durable`, DESIGN.md §14.2): no
+//!    segment's commit cell is mid-append at rest, its published
+//!    length is the segment's length, its durable mark sits on a record
+//!    boundary at or below that length under the same install epoch,
+//!    and every record at or below the commit epoch lies below its
+//!    segment's mark — the promise `commit_tick` makes without a lock.
 //! 8. **Read-plane coherence** (DESIGN.md §15) — every shard's seqlock
 //!    sequence word is even at rest (an odd value means a writer died
 //!    mid-publish and readers would spin forever); unless the plane
@@ -286,6 +292,9 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
 
         // 7. Journal health (only when the plane journals).
         if let Some(expected_records) = cache.journal_records() {
+            // Sampled before the marks: a committer still sweeping only
+            // raises marks, and publishes its epoch after them.
+            let commit_epoch = cache.commit_epoch();
             let mut all_gens: Vec<u64> = Vec::new();
             for (si, shard) in shards.iter().enumerate() {
                 let Some(journal) = shard.journal.as_ref() else {
@@ -321,6 +330,46 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
                     }
                     prev = gen;
                     all_gens.push(gen);
+                }
+
+                let mut durable_finding = |detail: String| {
+                    findings.push(AuditFinding {
+                        invariant: "journal-durable",
+                        detail: format!("shard {si}: {detail}"),
+                    })
+                };
+                let cell = cache.commit_cell(si);
+                if cell.append_in_flight() {
+                    durable_finding("commit cell is odd at rest — an append never closed".into());
+                }
+                let (appended_epoch, appended) = cell.appended();
+                let (durable_epoch, durable) = cell.durable();
+                if appended != journal.len() {
+                    durable_finding(format!(
+                        "cell publishes {appended} appended bytes but the segment holds {}",
+                        journal.len()
+                    ));
+                }
+                if durable_epoch != appended_epoch || durable > appended {
+                    durable_finding(format!(
+                        "durable mark {durable} (install {durable_epoch}) is not within \
+                         the {appended} appended bytes (install {appended_epoch})"
+                    ));
+                }
+                let bounds = Journal::record_boundaries(journal.bytes());
+                if durable != 0 && bounds.binary_search(&durable).is_err() {
+                    durable_finding(format!("durable mark {durable} splits a record"));
+                }
+                let promised = records
+                    .iter()
+                    .zip(&bounds)
+                    .filter(|&(&(gen, _), &end)| gen <= commit_epoch && end > durable)
+                    .count();
+                if promised > 0 {
+                    durable_finding(format!(
+                        "{promised} records at or below commit epoch {commit_epoch} \
+                         lie above the durable mark {durable}"
+                    ));
                 }
             }
             all_gens.sort_unstable();
@@ -445,4 +494,73 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
 
         findings
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ddc_cleancache::{CachePolicy, PageVersion, SecondChanceCache};
+    use ddc_hypercache::CacheConfig;
+    use ddc_sim::SimTime;
+    use ddc_storage::{FileId, JournalRecord};
+
+    fn durable_findings(cache: &ShardedCache) -> Vec<String> {
+        audit(cache)
+            .into_iter()
+            .filter(|f| f.invariant == "journal-durable")
+            .map(|f| f.detail)
+            .collect()
+    }
+
+    #[test]
+    fn a_durable_mark_moved_by_half_a_record_is_detected() {
+        let mut cache = ShardedCache::new(CacheConfig::mem_only(64), 4);
+        cache.enable_journal();
+        cache.add_vm(VmId(1), 100);
+        let pool = cache.create_pool(VmId(1), CachePolicy::mem(100));
+        let si = cache.shard_of(VmId(1), pool);
+        let put = |cache: &mut ShardedCache, block: u64| {
+            let addr = BlockAddr::new(FileId(1), block);
+            cache.put(SimTime::ZERO, VmId(1), pool, addr, PageVersion(1));
+        };
+        for block in 0..8 {
+            put(&mut cache, block);
+        }
+        cache.commit_tick();
+        for block in 8..12 {
+            put(&mut cache, block);
+        }
+        assert!(audit(&cache).is_empty(), "{:?}", audit(&cache));
+        let half = (JournalRecord::PUT_LEN / 2) as i64;
+
+        // Rolled back: the mark splits a record, and a record the
+        // commit epoch promises is no longer below it.
+        cache.skew_durable_mark(si, -half);
+        let found = durable_findings(&cache);
+        assert!(
+            found.iter().any(|d| d.contains("splits a record")),
+            "{found:?}"
+        );
+        assert!(found.iter().any(|d| d.contains("lie above")), "{found:?}");
+        cache.skew_durable_mark(si, half);
+        assert!(audit(&cache).is_empty());
+
+        // Rolled forward into the uncommitted tail: splits a record.
+        cache.skew_durable_mark(si, half);
+        let found = durable_findings(&cache);
+        assert!(
+            found.iter().any(|d| d.contains("splits a record")),
+            "{found:?}"
+        );
+        cache.skew_durable_mark(si, -half);
+
+        // Rolled forward past everything appended.
+        cache.commit_tick();
+        assert!(audit(&cache).is_empty());
+        cache.skew_durable_mark(si, half);
+        let found = durable_findings(&cache);
+        assert!(found.iter().any(|d| d.contains("not within")), "{found:?}");
+        cache.skew_durable_mark(si, -half);
+        assert!(audit(&cache).is_empty());
+    }
 }

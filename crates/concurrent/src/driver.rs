@@ -1335,4 +1335,108 @@ mod tests {
         assert_eq!(h.stale_reads(), 0);
         assert!(h.audit().is_empty(), "{:?}", h.audit());
     }
+
+    /// What a crash at the moment of `snapshot` is guaranteed to leave
+    /// behind: every segment cut to its durable mark. Checks the two
+    /// promises `commit_tick` makes about those marks against an epoch
+    /// read *before* the snapshot was taken.
+    fn durable_cut(epoch: u64, snapshot: Vec<(Vec<u8>, usize)>) -> Vec<Vec<u8>> {
+        use ddc_storage::Journal;
+        let mut first = u64::MAX;
+        let mut durable_gens: Vec<u64> = Vec::new();
+        let mut cut = Vec::with_capacity(snapshot.len());
+        for (si, (mut image, durable)) in snapshot.into_iter().enumerate() {
+            let bounds = Journal::record_boundaries(&image);
+            assert_eq!(
+                bounds.last().copied().unwrap_or(0),
+                image.len(),
+                "shard {si}: a snapshot under lock-all ends on a record boundary"
+            );
+            assert!(
+                durable == 0 || bounds.binary_search(&durable).is_ok(),
+                "shard {si}: durable mark {durable} splits a record"
+            );
+            if let Some(&(gen, _)) = Journal::replay(&image).0.first() {
+                first = first.min(gen);
+            }
+            image.truncate(durable);
+            durable_gens.extend(Journal::replay(&image).0.iter().map(|&(gen, _)| gen));
+            cut.push(image);
+        }
+        // Every generation from the oldest one any segment still holds
+        // up to the epoch must be in some durable prefix. (A compaction
+        // between the epoch read and the snapshot makes this vacuous:
+        // its checkpoint starts above the epoch and is synced in full.)
+        durable_gens.sort_unstable();
+        let mut next = first;
+        for gen in durable_gens {
+            if gen == next {
+                next += 1;
+            }
+        }
+        assert!(
+            first > epoch || next > epoch,
+            "commit epoch {epoch} but generation {next} is not durable (segments start at {first})"
+        );
+        cut
+    }
+
+    #[test]
+    fn racing_commit_ticks_keep_every_durable_cut_gap_free_and_recoverable() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Stores this small hold the compaction threshold at its floor
+        // (1,024 records), which three clients cross every ~25 ticks.
+        let mut cfg = StressConfig::smoke(0xC0117);
+        cfg.cache = CacheConfig::mem_and_ssd(48, 64);
+        cfg.working_set = 64;
+        cfg.shards = 4;
+        let mut h = CrashHarness::new(&cfg);
+        let cache = h.cache().clone();
+        let done = AtomicBool::new(false);
+        let (checks, mid_run_cut) = std::thread::scope(|scope| {
+            let checker = scope.spawn(|| {
+                let mut checks = 0u64;
+                let mut last = None;
+                while !done.load(Ordering::Acquire) {
+                    let epoch = cache.commit_epoch();
+                    let snapshot = cache.journal_snapshot().expect("harness journals");
+                    last = Some(durable_cut(epoch, snapshot));
+                    checks += 1;
+                }
+                (checks, last)
+            });
+            h.drive_threaded(0, 400, 3);
+            done.store(true, Ordering::Release);
+            checker.join().expect("checker panicked")
+        });
+        assert!(
+            h.cache().journal_compactions() >= 8,
+            "store too large to compact"
+        );
+        assert!(checks > 0, "the checker never ran beside the clients");
+        assert_eq!(h.stale_reads(), 0);
+        assert!(h.audit().is_empty(), "{:?}", h.audit());
+
+        // Quiescent: every client's last tick committed everything.
+        let epoch = h.cache().commit_epoch();
+        let snapshot = h.cache().journal_snapshot().expect("harness journals");
+        assert!(snapshot
+            .iter()
+            .all(|(image, durable)| *durable == image.len()));
+        let final_cut = durable_cut(epoch, snapshot);
+
+        // A crash at the checker's last mid-run cut, or now: the guests'
+        // acked epochs cover whatever either cut lost.
+        for (what, cut) in [("mid-run", mid_run_cut), ("final", Some(final_cut))] {
+            let cut = cut.expect("checked above");
+            let (recovered, report) = ShardedCache::recover(cfg.cache, &cut, &h.guest_epochs());
+            assert_eq!(
+                h.stale_entries_in(&recovered),
+                0,
+                "{what} cut: recovery resurrected a stale version ({report:?})"
+            );
+            let findings = audit::audit(&recovered);
+            assert!(findings.is_empty(), "{what} cut: {findings:?}");
+        }
+    }
 }

@@ -73,8 +73,10 @@
 //! one segment; VM/store control records go to segment 0. `flush` /
 //! `flush_file` return their record's generation as a real, non-zero
 //! flush epoch *without* syncing — group commit
-//! ([`ShardedCache::commit_tick`]) syncs all segments at virtual-time
-//! tick boundaries instead of once per operation. Losing an unsynced
+//! ([`ShardedCache::commit_tick`]) raises every segment's durable mark
+//! at virtual-time tick boundaries instead of once per operation, and
+//! takes no shard lock to do it (the marks live in per-segment atomic
+//! commit cells beside the shards). Losing an unsynced
 //! flush record is safe: the per-VM epoch discard at
 //! [`ShardedCache::recover`] covers everything below the guest's acked
 //! epoch, exactly like the serial plane — the cache can forget, never
@@ -185,6 +187,119 @@ impl Ledger {
     }
 }
 
+/// Bits of a packed commit-cell word that hold the byte count; the
+/// install epoch sits above them.
+const CELL_LEN_BITS: u32 = 40;
+const CELL_LEN_MASK: u64 = (1 << CELL_LEN_BITS) - 1;
+
+/// Spins a committer spends on an in-flight append before it starts
+/// yielding its time slice: an `append_run` is ~2 µs, a descheduled
+/// appender is not worth burning a quantum on.
+const COMMIT_SPINS: u32 = 256;
+
+/// One segment's group-commit state (DESIGN.md §14.2): what
+/// [`ShardedCache::commit_tick`] reads instead of taking the shard's
+/// lock. The cells live in an allocation of their own, one cache line
+/// each, so a committer never touches a line a lock holder is working
+/// on.
+///
+/// `appended` and `durable` are `install_epoch << 40 | bytes`. Writers:
+/// `seq` and `appended` only under the home shard's lock (appends) or
+/// every shard's lock (installs), so plain load+store suffices;
+/// `durable` by any committer through `fetch_max`, and by installs.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct CommitCell {
+    /// Odd while a claimed generation run is being appended.
+    seq: AtomicU64,
+    /// The segment's length after the last completed append.
+    appended: AtomicU64,
+    /// The segment's durable mark (the `fsync` stand-in of this plane).
+    durable: AtomicU64,
+}
+
+impl CommitCell {
+    /// Opens an append. Must come *before* the generation claim: the
+    /// claim is what a committer's watermark sample synchronizes with,
+    /// so a committer that sampled a claimed generation is guaranteed
+    /// to see this store (or a later one) and wait the append out.
+    fn begin_append(&self) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        debug_assert!(seq.is_multiple_of(2), "one appender per cell at a time");
+        self.seq.store(seq + 1, Ordering::Release);
+    }
+
+    /// Closes an append: publishes the segment's new length, then makes
+    /// `seq` even. Both `Release`, paired with the committer's
+    /// `Acquire` loads — whoever sees `seq` move sees the length.
+    fn end_append(&self, len: usize) {
+        assert!(
+            len as u64 <= CELL_LEN_MASK,
+            "segment outgrew its commit cell"
+        );
+        let epoch = self.appended.load(Ordering::Relaxed) & !CELL_LEN_MASK;
+        self.appended.store(epoch | len as u64, Ordering::Release);
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq + 1, Ordering::Release);
+    }
+
+    /// A committer's visit: wait out an append in flight, then raise
+    /// the durable mark to everything appended. One change of `seq` is
+    /// enough — an appender that turned it odd after this visit began
+    /// claimed its generations after the caller's watermark sample.
+    fn commit(&self) {
+        let seq = self.seq.load(Ordering::Acquire);
+        if !seq.is_multiple_of(2) {
+            let mut spins = 0;
+            while self.seq.load(Ordering::Acquire) == seq {
+                if spins < COMMIT_SPINS {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        self.durable
+            .fetch_max(self.appended.load(Ordering::Acquire), Ordering::AcqRel);
+    }
+
+    /// A segment of `len` fully synced bytes replaces this cell's
+    /// segment (caller holds every shard lock). The bumped epoch makes
+    /// a committer that still holds the old segment's `appended` lose
+    /// its `fetch_max`, so it can never mark bytes of the new segment
+    /// durable.
+    fn install(&self, len: usize) {
+        let epoch = (self.appended.load(Ordering::Relaxed) >> CELL_LEN_BITS) + 1;
+        assert!(
+            epoch >> (64 - CELL_LEN_BITS) == 0 && len as u64 <= CELL_LEN_MASK,
+            "commit cell overflow (install {epoch}, {len} bytes)"
+        );
+        let word = epoch << CELL_LEN_BITS | len as u64;
+        self.appended.store(word, Ordering::Release);
+        self.durable.store(word, Ordering::Release);
+    }
+
+    /// Whether an append is in flight (auditor use).
+    pub(crate) fn append_in_flight(&self) -> bool {
+        !self.seq.load(Ordering::Acquire).is_multiple_of(2)
+    }
+
+    /// `(install epoch, bytes)` of the last completed append.
+    pub(crate) fn appended(&self) -> (u64, usize) {
+        Self::unpack(self.appended.load(Ordering::Acquire))
+    }
+
+    /// `(install epoch, bytes)` of the durable mark.
+    pub(crate) fn durable(&self) -> (u64, usize) {
+        Self::unpack(self.durable.load(Ordering::Acquire))
+    }
+
+    fn unpack(word: u64) -> (u64, usize) {
+        (word >> CELL_LEN_BITS, (word & CELL_LEN_MASK) as usize)
+    }
+}
+
 /// One shard: the pools that hash here plus their share of the
 /// global-mode FIFO (entries are seq-stamped, so the cross-shard merge
 /// in [`ShardedCache`] recovers the exact store-wide FIFO order).
@@ -198,7 +313,8 @@ pub(crate) struct Shard {
     /// This shard's journal segment (`None` until
     /// [`ShardedCache::enable_journal`]). Appends happen under the
     /// shard lock with generations from the cache-global cell, so the
-    /// segment is generation-monotone.
+    /// segment is generation-monotone. Its durable mark is not here but
+    /// in the shard's [`CommitCell`].
     pub(crate) journal: Option<Journal>,
     /// Remote bindings of the pools homed here, mutated only under this
     /// shard's lock. With each VM driven by one thread, a binding's
@@ -318,6 +434,10 @@ impl VmMeta {
     }
 }
 
+/// See [`Inner::append_hook`].
+#[cfg(test)]
+type AppendHook = Arc<dyn Fn(u64) + Send + Sync>;
+
 struct Inner {
     mode: PartitionMode,
     /// SSD admission plane (ghost filter window + TTL), from the
@@ -341,6 +461,12 @@ struct Inner {
     /// property tests use it to force snapshot staleness at the worst
     /// possible moment.
     eviction_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
+    /// Test hook run between a generation claim and its append (home
+    /// shard locked, its commit cell odd), with the first claimed
+    /// generation: parks an appender exactly where a committer must
+    /// wait for it.
+    #[cfg(test)]
+    append_hook: RwLock<Option<AppendHook>>,
     /// Whether journaling is on (segments installed in every shard).
     /// Checked lock-free on the hot paths so the volatile plane pays
     /// nothing for the durability machinery.
@@ -350,6 +476,9 @@ struct Inner {
     /// lock is held and appended before that lock drops, so the global
     /// sequence is dense and each segment is monotone — recovery can
     /// merge segments by generation and detect lost suffixes as gaps.
+    /// Claims are `AcqRel` and installs store with `Release`, so the
+    /// `Acquire` sample in [`ShardedCache::commit_tick`] synchronizes
+    /// with every claim at or below it.
     /// Deliberately separate from `next_seq` (they drift apart live and
     /// only unify at recovery, like the serial plane).
     journal_gen: AtomicU64,
@@ -359,7 +488,7 @@ struct Inner {
     /// Checkpoint rewrites performed by live compaction.
     journal_compactions: AtomicU64,
     /// Group-commit watermark: every record generation at or below this
-    /// is durable (its segment has been synced past it).
+    /// is durable (its segment's durable mark has passed it).
     commit_epoch: AtomicU64,
     /// One lock-free membership table per shard (DESIGN.md §15): the
     /// seqlock-guarded mirror of every live `(vm, pool, addr)` key homed
@@ -424,6 +553,10 @@ struct Inner {
 /// the shared `Arc` is cloned, the replica starts empty.
 pub struct ShardedCache {
     inner: Arc<Inner>,
+    /// One commit cell per segment, indexed like `Inner::shards` and
+    /// shared by every handle. Deliberately neither a field of
+    /// [`Shard`] nor of [`Inner`]: see `shard_stays_line_aligned`.
+    commit_cells: Arc<[CommitCell]>,
     local: LocalReplica,
 }
 
@@ -431,6 +564,7 @@ impl Clone for ShardedCache {
     fn clone(&self) -> ShardedCache {
         ShardedCache {
             inner: Arc::clone(&self.inner),
+            commit_cells: Arc::clone(&self.commit_cells),
             local: LocalReplica::new(),
         }
     }
@@ -654,6 +788,8 @@ impl ShardedCache {
                 two_phase_retries: AtomicU64::new(0),
                 two_phase_fallbacks: AtomicU64::new(0),
                 eviction_hook: RwLock::new(None),
+                #[cfg(test)]
+                append_hook: RwLock::new(None),
                 journal_on: AtomicBool::new(false),
                 journal_gen: AtomicU64::new(1),
                 journal_records: AtomicU64::new(0),
@@ -676,6 +812,9 @@ impl ShardedCache {
                 batch_lock_acquisitions: AtomicU64::new(0),
                 batch_journal_appends: AtomicU64::new(0),
             }),
+            // Allocated after `Inner` on purpose (see
+            // `shard_stays_line_aligned`).
+            commit_cells: (0..n).map(|_| CommitCell::default()).collect(),
         }
     }
 
@@ -911,6 +1050,24 @@ impl ShardedCache {
         }
     }
 
+    #[cfg(test)]
+    fn set_append_hook(&self, hook: Option<AppendHook>) {
+        *self.inner.append_hook.write().expect("hook poisoned") = hook;
+    }
+
+    #[cfg(test)]
+    fn run_append_hook(&self, first_gen: u64) {
+        let hook = self
+            .inner
+            .append_hook
+            .read()
+            .expect("hook poisoned")
+            .clone();
+        if let Some(hook) = hook {
+            hook(first_gen);
+        }
+    }
+
     /// Installs (or clears) a hook run inside every lock-free read
     /// window — between the seqlock's first sequence load and the table
     /// walk. Tests use it to mutate membership from the reader's blind
@@ -991,6 +1148,22 @@ impl ShardedCache {
             lock_acquisitions: self.batch_lock_acquisitions(),
             journal_appends: self.batch_journal_appends(),
         }
+    }
+
+    /// Shard `si`'s commit cell (auditor use).
+    pub(crate) fn commit_cell(&self, si: usize) -> &CommitCell {
+        &self.commit_cells[si]
+    }
+
+    /// Moves shard `si`'s durable mark by `delta` bytes behind the
+    /// protocol's back, so tests can show the auditor notices.
+    #[cfg(test)]
+    pub(crate) fn skew_durable_mark(&self, si: usize, delta: i64) {
+        let durable = &self.commit_cells[si].durable;
+        durable.store(
+            durable.load(Ordering::Relaxed).wrapping_add_signed(delta),
+            Ordering::Release,
+        );
     }
 
     /// Shard `si`'s lock-free membership table (auditor use).
@@ -1079,8 +1252,21 @@ impl ShardedCache {
         if self.inner.journal_on.swap(true, Ordering::Relaxed) {
             return;
         }
-        for shard in shards.iter_mut() {
-            shard.journal = Some(Journal::new());
+        let fresh = shards.iter().map(|_| Journal::new()).collect();
+        self.install_segments(&mut shards, fresh);
+    }
+
+    /// Replaces every shard's segment (caller holds every shard lock):
+    /// syncs the new segments in full and publishes their lengths in
+    /// the commit cells under a fresh install epoch. A caller that
+    /// moves `journal_gen` stores it *after* this, with `Release`, so a
+    /// committer whose watermark sample covers the new generations
+    /// also sees the new cells.
+    fn install_segments(&self, shards: &mut [MutexGuard<'_, Shard>], segs: Vec<Journal>) {
+        for ((shard, cell), mut seg) in shards.iter_mut().zip(self.commit_cells.iter()).zip(segs) {
+            seg.sync();
+            cell.install(seg.len());
+            shard.journal = Some(seg);
         }
     }
 
@@ -1089,36 +1275,44 @@ impl ShardedCache {
         self.inner.journal_on.load(Ordering::Relaxed)
     }
 
+    /// Every segment's raw image (including unsynced bytes) paired with
+    /// its durable byte watermark, in shard order, if journaling is on
+    /// — one cut under a single lock-all acquisition, so no compaction
+    /// can land between an image and its mark. Truncating each image to
+    /// its mark is what a crash is guaranteed to leave behind.
+    pub fn journal_snapshot(&self) -> Option<Vec<(Vec<u8>, usize)>> {
+        if !self.journal_enabled() {
+            return None;
+        }
+        let shards = self.lock_all_shards();
+        Some(
+            shards
+                .iter()
+                .zip(self.commit_cells.iter())
+                .map(|(s, cell)| {
+                    let journal = s.journal.as_ref().expect("journaling on");
+                    (journal.bytes().to_vec(), cell.durable().1)
+                })
+                .collect(),
+        )
+    }
+
     /// The raw per-shard segment images (including unsynced bytes), in
     /// shard order, if journaling is on. Crash harnesses snapshot these
     /// and hand (possibly independently truncated or corrupted) copies
     /// to [`ShardedCache::recover`].
     pub fn journal_images(&self) -> Option<Vec<Vec<u8>>> {
-        if !self.journal_enabled() {
-            return None;
-        }
-        let shards = self.lock_all_shards();
-        Some(
-            shards
-                .iter()
-                .map(|s| s.journal.as_ref().expect("journaling on").bytes().to_vec())
-                .collect(),
-        )
+        let snapshot = self.journal_snapshot()?;
+        Some(snapshot.into_iter().map(|(image, _)| image).collect())
     }
 
-    /// Per-shard durable byte watermarks (at or below each segment's
-    /// last sync), in shard order, if journaling is on.
+    /// Per-shard durable byte watermarks (what group commit has made
+    /// durable so far), in shard order, if journaling is on. Take
+    /// [`Self::journal_snapshot`] instead when the marks must match a
+    /// set of images and other threads are still appending.
     pub fn journal_durable_lens(&self) -> Option<Vec<usize>> {
-        if !self.journal_enabled() {
-            return None;
-        }
-        let shards = self.lock_all_shards();
-        Some(
-            shards
-                .iter()
-                .map(|s| s.journal.as_ref().expect("journaling on").durable_len())
-                .collect(),
-        )
+        let snapshot = self.journal_snapshot()?;
+        Some(snapshot.into_iter().map(|(_, durable)| durable).collect())
     }
 
     /// Records across all segments since the last checkpoint install,
@@ -1135,19 +1329,30 @@ impl ShardedCache {
 
     /// The group-commit watermark: the highest record generation known
     /// durable across every segment (0 before the first commit tick).
+    /// `Acquire`, paired with the `Release` that published it: whoever
+    /// reads an epoch also sees the durable marks that justify it.
     pub fn commit_epoch(&self) -> u64 {
-        self.inner.commit_epoch.load(Ordering::Relaxed)
+        self.inner.commit_epoch.load(Ordering::Acquire)
     }
 
-    /// Group commit: syncs every segment and advances the commit
-    /// epoch. Returns the new watermark (0 when journaling is off).
+    /// Group commit: makes every record claimed so far durable and
+    /// advances the commit epoch. Returns the watermark now published —
+    /// the generation sampled here, or a higher one if a checkpoint
+    /// install or a racing committer already got further (0 when
+    /// journaling is off).
     ///
-    /// The watermark is sampled *before* the sweep: a generation below
-    /// it was claimed-and-appended under some shard's lock before the
-    /// sample, and the sweep then acquires every shard's lock and syncs
-    /// — so every such record is durable when this returns. The driver
-    /// calls this once per virtual-time tick, which is what narrows the
-    /// crash-discard window without a sync per operation.
+    /// Takes no lock. The watermark is sampled first; then each
+    /// segment's [`CommitCell`] is visited in ascending order: an
+    /// append in flight is waited out (one `append_run`, never a whole
+    /// group), and the durable mark is raised to the appended length.
+    /// An appender turns its cell's `seq` odd *before* it claims its
+    /// generations, and the claims form a release sequence on
+    /// `journal_gen` that the sample acquires — so every generation at
+    /// or below the watermark is either fully appended and visible in
+    /// `appended`, or its cell is seen odd and waited for. Every record
+    /// at or below the returned watermark is durable when this returns.
+    /// The driver calls this once per virtual-time tick, which is what
+    /// narrows the crash-discard window without a sync per operation.
     pub fn commit_tick(&self) -> u64 {
         if !self.journal_enabled() {
             return 0;
@@ -1155,32 +1360,46 @@ impl ShardedCache {
         let watermark = self
             .inner
             .journal_gen
-            .load(Ordering::Relaxed)
+            .load(Ordering::Acquire)
             .saturating_sub(1);
-        for s in &self.inner.shards {
-            let mut shard = s.lock().expect("shard poisoned");
-            if let Some(j) = shard.journal.as_mut() {
-                j.sync();
-            }
+        for cell in self.commit_cells.iter() {
+            cell.commit();
         }
         self.inner
             .commit_epoch
-            .fetch_max(watermark, Ordering::Relaxed);
-        watermark
+            .fetch_max(watermark, Ordering::AcqRel)
+            .max(watermark)
     }
 
-    /// Appends `rec` to the (locked) shard's segment with a freshly
+    /// Appends `recs` to shard `si`'s (locked) segment as one
+    /// contiguous generation run claimed with a single `fetch_add` —
+    /// the only way a record reaches a live segment. Cell `seq` odd,
+    /// *then* the claim, the append, the published length, `seq` even:
+    /// the order [`Self::commit_tick`] relies on. Returns the last
+    /// generation of the run.
+    fn append_claimed(&self, si: usize, journal: &mut Journal, recs: &[JournalRecord]) -> u64 {
+        let cell = &self.commit_cells[si];
+        let n = recs.len() as u64;
+        cell.begin_append();
+        let start = self.inner.journal_gen.fetch_add(n, Ordering::AcqRel);
+        #[cfg(test)]
+        self.run_append_hook(start);
+        let last = journal.append_run(recs, start);
+        cell.end_append(journal.len());
+        self.inner.journal_records.fetch_add(n, Ordering::Relaxed);
+        last
+    }
+
+    /// Appends `rec` to shard `si`'s (locked) segment with a freshly
     /// claimed global generation. Returns the generation, or 0 when
     /// journaling is off. Must be called with the routing shard's lock
-    /// held (enforced by taking the guard's target).
-    fn log_in(&self, shard: &mut Shard, rec: JournalRecord) -> u64 {
+    /// held (enforced by taking the guard's target), and `si` must be
+    /// that shard's index.
+    fn log_in(&self, si: usize, shard: &mut Shard, rec: JournalRecord) -> u64 {
         let Some(j) = shard.journal.as_mut() else {
             return 0;
         };
-        let gen = self.inner.journal_gen.fetch_add(1, Ordering::Relaxed);
-        j.append_with_gen(&rec, gen);
-        self.inner.journal_records.fetch_add(1, Ordering::Relaxed);
-        gen
+        self.append_claimed(si, j, std::slice::from_ref(&rec))
     }
 
     /// Appends a control-plane record to shard `si`'s segment, taking
@@ -1191,10 +1410,10 @@ impl ShardedCache {
             return 0;
         }
         let mut shard = self.lock_shard(si);
-        self.log_in(&mut shard, rec)
+        self.log_in(si, &mut shard, rec)
     }
 
-    /// Drains the pending records into the (locked) shard's segment as
+    /// Drains the pending records into shard `si`'s (locked) segment as
     /// one contiguous generation run: one `fetch_add(n)` on the global
     /// generation counter, one buffered batch append (wire-identical to
     /// per-record appends). Returns the last generation claimed, or 0
@@ -1202,7 +1421,7 @@ impl ShardedCache {
     /// before the shard lock drops and before any direct
     /// [`Self::log_in`] on the same shard, so the global generation
     /// order equals operation order.
-    fn drain_scratch(&self, shard: &mut Shard, scratch: &mut GroupScratch) -> u64 {
+    fn drain_scratch(&self, si: usize, shard: &mut Shard, scratch: &mut GroupScratch) -> u64 {
         if scratch.records.is_empty() {
             return 0;
         }
@@ -1210,10 +1429,7 @@ impl ShardedCache {
             scratch.records.clear();
             return 0;
         };
-        let n = scratch.records.len() as u64;
-        let start = self.inner.journal_gen.fetch_add(n, Ordering::Relaxed);
-        let last = j.append_run(&scratch.records, start);
-        self.inner.journal_records.fetch_add(n, Ordering::Relaxed);
+        let last = self.append_claimed(si, j, &scratch.records);
         scratch.drains += 1;
         scratch.records.clear();
         last
@@ -1418,24 +1634,18 @@ impl ShardedCache {
                 },
             );
         }
-        let CkptWriter {
-            mut segs,
-            gen,
-            count,
-        } = w;
-        for seg in &mut segs {
-            seg.sync();
-        }
-        for (shard, seg) in shards.iter_mut().zip(segs) {
-            shard.journal = Some(seg);
-        }
-        self.inner.journal_gen.store(gen, Ordering::Relaxed);
+        let CkptWriter { segs, gen, count } = w;
+        // Cells first, then the generation cell (`Release`): a committer
+        // whose sample covers the checkpoint's generations sees its
+        // cells (see `install_segments`).
+        self.install_segments(shards, segs);
+        self.inner.journal_gen.store(gen, Ordering::Release);
         self.inner.journal_records.store(count, Ordering::Relaxed);
         // The checkpoint is synced in full, so everything up to its last
         // generation is durable.
         self.inner
             .commit_epoch
-            .fetch_max(gen.saturating_sub(1), Ordering::Relaxed);
+            .fetch_max(gen.saturating_sub(1), Ordering::AcqRel);
         new_epochs
     }
 
@@ -2016,6 +2226,7 @@ impl ShardedCache {
                     demoted += 1;
                     shard.note_stale(Placement::Ssd, 1);
                     self.log_in(
+                        si,
                         &mut shard,
                         JournalRecord::Evict {
                             vm: vm.0,
@@ -2284,11 +2495,13 @@ impl ShardedCache {
 
             // Phase 2: registry read + the victim's home shard only.
             let reg = self.inner.registry.read().expect("registry poisoned");
-            let mut shard = self.lock_shard(self.shard_of(vm, pool_id));
+            let si = self.shard_of(vm, pool_id);
+            let mut shard = self.lock_shard(si);
             let budget_spent = retries_left == 0;
             let freed =
                 if budget_spent || self.select_victim(&reg, placement) == Some((vm, pool_id)) {
                     self.evict_pages_from_shard(
+                        si,
                         &mut shard,
                         vm,
                         pool_id,
@@ -2383,6 +2596,7 @@ impl ShardedCache {
                 self.ledger(placement).free(1);
                 self.inner.evictions.fetch_add(1, Ordering::Relaxed);
                 self.log_in(
+                    leaf,
                     &mut shard,
                     JournalRecord::Evict {
                         vm: vm.0,
@@ -2426,6 +2640,7 @@ impl ShardedCache {
     /// the world.
     fn evict_pages_from_shard(
         &self,
+        si: usize,
         shard: &mut Shard,
         vm: VmId,
         pool_id: PoolId,
@@ -2457,6 +2672,7 @@ impl ShardedCache {
         self.inner.evictions.fetch_add(freed, Ordering::Relaxed);
         for addr in evicted {
             self.log_in(
+                si,
                 shard,
                 JournalRecord::Evict {
                     vm: vm.0,
@@ -2499,6 +2715,7 @@ impl ShardedCache {
                     }
                     self.inner.trickle_downs.fetch_add(1, Ordering::Relaxed);
                     self.log_in(
+                        si,
                         shard,
                         JournalRecord::Put {
                             vm: vm.0,
@@ -2668,8 +2885,9 @@ impl ShardedCache {
                 // The evictor journals straight into the segment —
                 // pending batch records must land first so generation
                 // order stays equal to operation order.
-                self.drain_scratch(&mut shard, scratch);
+                self.drain_scratch(si, &mut shard, scratch);
                 let freed = self.evict_pages_from_shard(
+                    si,
                     &mut shard,
                     vm,
                     pool,
@@ -2686,7 +2904,7 @@ impl ShardedCache {
             // Store full: land pending records, drop the locks and run
             // the eviction loop (which starts from no lock held), then
             // rejoin the group.
-            self.drain_scratch(&mut shard, scratch);
+            self.drain_scratch(si, &mut shard, scratch);
             let with_registry = reg.is_some();
             drop(shard);
             drop(reg);
@@ -2865,13 +3083,13 @@ impl ShardedCache {
             // Only a local hit journals, so only a local hit can cross
             // the compaction threshold.
             if scratch.records.len() > pending && self.compaction_due(scratch.records.len()) {
-                self.drain_scratch(&mut shard, &mut scratch);
+                self.drain_scratch(si, &mut shard, &mut scratch);
                 drop(shard);
                 self.maybe_compact_journal();
                 shard = self.visit_shard(si, &mut scratch);
             }
         }
-        self.drain_scratch(&mut shard, &mut scratch);
+        self.drain_scratch(si, &mut shard, &mut scratch);
         drop(shard);
         self.end_visit(scratch, batched);
     }
@@ -2929,13 +3147,13 @@ impl ShardedCache {
                 // stored always handed the guards back.
                 if outcome.is_stored() && self.compaction_due(scratch.records.len()) {
                     if let Some((_reg, mut shard)) = guards.take() {
-                        self.drain_scratch(&mut shard, &mut scratch);
+                        self.drain_scratch(si, &mut shard, &mut scratch);
                     }
                     self.maybe_compact_journal();
                 }
             }
             if let Some((_reg, mut shard)) = guards {
-                self.drain_scratch(&mut shard, &mut scratch);
+                self.drain_scratch(si, &mut shard, &mut scratch);
             }
         }
         self.end_visit(scratch, batched);
@@ -2989,7 +3207,7 @@ impl ShardedCache {
                 });
             }
         }
-        let epoch = self.drain_scratch(&mut shard, &mut scratch);
+        let epoch = self.drain_scratch(si, &mut shard, &mut scratch);
         drop(shard);
         self.end_visit(scratch, batched);
         epoch
@@ -3008,6 +3226,7 @@ impl ShardedCache {
         // The FIFO entry the source pool pushed is a tombstone now.
         shard.note_stale(slot.placement, 1);
         self.log_in(
+            si,
             &mut shard,
             JournalRecord::Take {
                 vm: vm.0,
@@ -3025,6 +3244,7 @@ impl ShardedCache {
             }
             self.push_shard_fifo(si, &mut shard, vm, to, sid, seq, slot.placement);
             self.log_in(
+                si,
                 &mut shard,
                 JournalRecord::Put {
                     vm: vm.0,
@@ -3063,6 +3283,7 @@ impl SecondChanceCache for ShardedCache {
         pool.set_read_plane(id, Arc::clone(&self.inner.read_planes[si]));
         shard.pools.insert((vm, id), pool);
         self.log_in(
+            si,
             &mut shard,
             JournalRecord::CreatePool {
                 vm: vm.0,
@@ -3093,6 +3314,7 @@ impl SecondChanceCache for ShardedCache {
             shard.stale_mem += mem;
             shard.stale_ssd += ssd;
             self.log_in(
+                si,
                 &mut shard,
                 JournalRecord::DestroyPool {
                     vm: vm.0,
@@ -3148,6 +3370,7 @@ impl SecondChanceCache for ShardedCache {
         // replay applies the policy raw and then the logged evictions
         // and puts in causal order (mirrors the serial engine).
         self.log_in(
+            si,
             &mut shard,
             JournalRecord::SetPolicy {
                 vm: vm.0,
@@ -3163,6 +3386,7 @@ impl SecondChanceCache for ShardedCache {
             self.ledger(old_placement).free(1);
             shard.note_stale(old_placement, 1);
             self.log_in(
+                si,
                 &mut shard,
                 JournalRecord::Evict {
                     vm: vm.0,
@@ -3190,6 +3414,7 @@ impl SecondChanceCache for ShardedCache {
                         }
                         self.push_shard_fifo(si, &mut shard, vm, pool, sid, seq, new_placement);
                         self.log_in(
+                            si,
                             &mut shard,
                             JournalRecord::Put {
                                 vm: vm.0,
@@ -3226,6 +3451,7 @@ impl SecondChanceCache for ShardedCache {
         };
         src.note_stale(slot.placement, 1);
         self.log_in(
+            si_from,
             src,
             JournalRecord::Take {
                 vm: vm.0,
@@ -3243,6 +3469,7 @@ impl SecondChanceCache for ShardedCache {
             }
             self.push_shard_fifo(si_to, dst, vm, to, sid, seq, slot.placement);
             self.log_in(
+                si_to,
                 dst,
                 JournalRecord::Put {
                     vm: vm.0,
@@ -3342,6 +3569,7 @@ impl SecondChanceCache for ShardedCache {
         }
         // Compaction hoisted to batch boundaries, like `flush`.
         self.log_in(
+            si,
             &mut shard,
             JournalRecord::FlushFile {
                 vm: vm.0,
@@ -3574,6 +3802,125 @@ mod tests {
         let mut rec = rec;
         let e3 = rec.flush(VmId(1), p, addr(1, 2));
         assert!(e3 > ckpt_top, "post-recovery epochs continue the line");
+
+        // A tick right after a forced compaction returns what is
+        // published — the fully synced checkpoint's last generation —
+        // and finds nothing left to mark.
+        let compactions = cache.journal_compactions();
+        let absent: Vec<BlockAddr> = (0..JOURNAL_COMPACT_MIN_RECORDS)
+            .map(|i| addr(9, i))
+            .collect();
+        let e4 = cache.flush_many(VmId(1), p, &absent);
+        assert_eq!(cache.journal_compactions(), compactions + 1);
+        let installed = cache.commit_epoch();
+        assert!(
+            installed > e4,
+            "the checkpoint's generations follow the batch"
+        );
+        assert_eq!(cache.commit_tick(), installed);
+        assert_eq!(cache.commit_epoch(), installed);
+        assert!(cache
+            .journal_snapshot()
+            .unwrap()
+            .iter()
+            .all(|(image, durable)| *durable == image.len()));
+        let findings = audit(&cache);
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn shard_stays_line_aligned() {
+        // `Inner::shards` is a `Vec<Mutex<Shard>>`: 256 bytes an
+        // element, four cache lines, so no two shards' hot words share
+        // a line. A prototype of the commit cells that kept an 8-byte
+        // `Arc` in `Shard` (264 B) cost `ddbench guest-read-evict` —
+        // journal off, not one new instruction on its paths — 11 % on 7
+        // of 7 pairs (2.31-2.58 M → 2.01-2.22 M op/s); line-aligning the
+        // element brought it back. `Inner` is as touchy: the cells as a
+        // `Vec` field beside `shards` (24 bytes, moving every hot atomic
+        // behind it) cost the same workload 15 % (2.43 M → 2.07 M, 8
+        // alternated rounds). Per-shard state that is not the shard's
+        // own goes where `commit_cells` went: its own allocation, made
+        // after `Inner`'s, held by the handle, indexed by shard.
+        assert_eq!(std::mem::size_of::<Mutex<Shard>>() % 64, 0);
+    }
+
+    #[test]
+    fn commit_tick_waits_out_an_append_parked_between_claim_and_write() {
+        use std::sync::mpsc;
+        let mut cache = ShardedCache::new(CacheConfig::mem_only(64), 4);
+        cache.enable_journal();
+        cache.add_vm(VmId(1), 100);
+        let p = cache.create_pool(VmId(1), CachePolicy::mem(100));
+        cache.put(SimTime::ZERO, VmId(1), p, addr(1, 0), PageVersion(1));
+        let settled = cache.commit_tick();
+
+        // The next append parks right after its generation claim: home
+        // shard locked, commit cell odd, not a byte written.
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let ends = Mutex::new((parked_tx, release_rx));
+        let fired = AtomicBool::new(false);
+        cache.set_append_hook(Some(Arc::new(move |first_gen| {
+            if !fired.swap(true, Ordering::Relaxed) {
+                let ends = ends.lock().expect("hook channels");
+                ends.0.send(first_gen).expect("test alive");
+                ends.1.recv().expect("test alive");
+            }
+        })));
+
+        let released = AtomicBool::new(false);
+        let (parked_gen, epoch_while_parked, tick, returned_after_release) =
+            std::thread::scope(|scope| {
+                let mut appender = cache.clone();
+                scope.spawn(move || {
+                    appender.put(SimTime::ZERO, VmId(1), p, addr(1, 1), PageVersion(2));
+                });
+                let parked_gen: u64 = parked_rx.recv().expect("appender parks");
+
+                let (started_tx, started_rx) = mpsc::channel();
+                let committer = cache.clone();
+                let released = &released;
+                let ticking = scope.spawn(move || {
+                    started_tx.send(()).expect("test alive");
+                    let tick = committer.commit_tick();
+                    (tick, released.load(Ordering::Acquire))
+                });
+                started_rx.recv().expect("committer starts");
+                // The interleaving is forced by the hook; this pause
+                // only hands a committer that does not wait every
+                // chance to return before the release. A correct one
+                // cannot, however long or short the pause.
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                let epoch_while_parked = cache.commit_epoch();
+                released.store(true, Ordering::Release);
+                release_tx.send(()).expect("appender parked");
+                let (tick, returned_after_release) = ticking.join().expect("committer panicked");
+                (parked_gen, epoch_while_parked, tick, returned_after_release)
+            });
+        cache.set_append_hook(None);
+
+        assert!(parked_gen > settled);
+        assert_eq!(
+            epoch_while_parked, settled,
+            "the commit epoch passed a generation that was claimed but not written"
+        );
+        assert!(
+            returned_after_release,
+            "commit_tick returned while a generation at or below its watermark was unwritten"
+        );
+        assert!(
+            tick >= parked_gen,
+            "the watermark was sampled after the claim"
+        );
+        assert!(cache.commit_epoch() >= parked_gen);
+        assert!(cache
+            .journal_snapshot()
+            .unwrap()
+            .iter()
+            .all(|(image, durable)| *durable == image.len()));
+        let findings = audit(&cache);
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //!   and mid-record (torn), and with a flipped bit (corrupt), while the
 //!   other shards keep their full images;
 //! * seeded *joint* cuts of several segments at once;
+//! * the cut a crash is *guaranteed* to leave — every segment at its
+//!   durable mark (what group commit published), taken mid-tick after
+//!   single-threaded and threaded driving, alone and with any one
+//!   segment having kept its unsynced tail;
 //! * flush epochs from the future (a guest that outlived a journal the
 //!   cache lost) — recovery must discard, never serve.
 //!
@@ -129,6 +133,56 @@ fn independent_joint_cuts_across_shards_recover_sound() {
         }
         check(&h, &cfg, &segs, &format!("joint cut round {round}"));
     }
+}
+
+#[test]
+fn cuts_at_the_durable_marks_recover_sound() {
+    // (seed, ticks driven, OS threads, killed VM, hypercall budget)
+    let runs = [
+        (0xDD65, 6, 1, 1, 3),
+        (0xDD66, 18, 1, 3, 9),
+        (0xDD67, 12, 3, 0, 5),
+        (0xDD68, 30, 4, 2, 7),
+    ];
+    let mut lost_bytes = 0;
+    for (seed, ticks, threads, kill_vm, budget) in runs {
+        let (mut h, cfg) = harness(seed);
+        if threads == 1 {
+            h.drive(0, ticks);
+        } else {
+            h.drive_threaded(0, ticks, threads);
+        }
+        // Mid-tick: the last commit closed tick `ticks - 1`, so this
+        // tick's records sit above the marks on whichever shards they
+        // reached.
+        h.drive_killed_tick(ticks, kill_vm, budget);
+        let snapshot = h.cache().journal_snapshot().expect("harness journals");
+        let durable: Vec<Vec<u8>> = snapshot
+            .iter()
+            .map(|(image, mark)| {
+                assert!(
+                    *mark == 0 || Journal::record_boundaries(image).contains(mark),
+                    "seed {seed:#x}: durable mark {mark} splits a record"
+                );
+                lost_bytes += image.len() - mark;
+                image[..*mark].to_vec()
+            })
+            .collect();
+        check(
+            &h,
+            &cfg,
+            &durable,
+            &format!("seed {seed:#x} at the durable marks"),
+        );
+        // Anything above a mark may or may not have reached the disk.
+        for (shard, (image, _)) in snapshot.iter().enumerate() {
+            let mut segs = durable.clone();
+            segs[shard] = image.clone();
+            let what = format!("seed {seed:#x} at the durable marks, shard {shard} whole");
+            check(&h, &cfg, &segs, &what);
+        }
+    }
+    assert!(lost_bytes > 0, "no run left anything above a durable mark");
 }
 
 #[test]
