@@ -1,0 +1,203 @@
+//! The serial and the sharded engine are one state machine (DESIGN.md
+//! §11.5): driven by one op stream they write the same journal, and
+//! handed one journal image they recover the same cache.
+//!
+//! * **One journal.** A seeded stream of scalar put/get/flush,
+//!   `flush_many` and periodic `flush_file` over four pools, long
+//!   enough for ten live compactions, in every partition mode: the
+//!   compaction counts agree, a 1-shard segment equals the serial
+//!   journal byte for byte, and the segments of 4 and 16 shards, merged
+//!   by generation, equal the serial record list.
+//! * **One recovery.** Every 53-byte cut of such an image (and the
+//!   whole image), with and without guest flush epochs, through both
+//!   `recover`s: same entries, same report counters, same fresh epochs,
+//!   same wear totals, and a byte-identical fresh checkpoint.
+
+use ddc_core::cleancache::SecondChanceCache;
+use ddc_core::concurrent::ShardedCache;
+use ddc_core::prelude::*;
+use ddc_core::storage::{Journal, JournalRecord};
+
+const MODES: [PartitionMode; 3] = [
+    PartitionMode::DoubleDecker,
+    PartitionMode::Global,
+    PartitionMode::Strict,
+];
+
+fn config(mode: PartitionMode) -> CacheConfig {
+    CacheConfig {
+        mem_capacity_pages: 96,
+        ssd_capacity_pages: 192,
+        mode,
+        admission: AdmissionConfig::off(),
+    }
+}
+
+fn create_pools(h: &mut impl SecondChanceCache) -> Vec<(VmId, PoolId)> {
+    vec![
+        (VmId(1), h.create_pool(VmId(1), CachePolicy::mem(100))),
+        (VmId(1), h.create_pool(VmId(1), CachePolicy::hybrid(80))),
+        (VmId(2), h.create_pool(VmId(2), CachePolicy::ssd(60))),
+        (VmId(2), h.create_pool(VmId(2), CachePolicy::hybrid(120))),
+    ]
+}
+
+fn build_serial(mode: PartitionMode) -> (DoubleDeckerCache, Vec<(VmId, PoolId)>) {
+    let mut cache = DoubleDeckerCache::new(config(mode));
+    cache.enable_journal();
+    cache.add_vm(VmId(1), 100);
+    cache.add_vm(VmId(2), 150);
+    let pools = create_pools(&mut cache);
+    (cache, pools)
+}
+
+fn build_sharded(mode: PartitionMode, shards: usize) -> (ShardedCache, Vec<(VmId, PoolId)>) {
+    let cache = ShardedCache::new(config(mode), shards);
+    cache.enable_journal();
+    cache.add_vm(VmId(1), 100);
+    cache.add_vm(VmId(2), 150);
+    let pools = create_pools(&mut cache.clone());
+    (cache, pools)
+}
+
+/// Steps of the stream: enough for well over ten compactions of a
+/// journal whose threshold is `max(1024, 8 × 288)` records.
+const STEPS: u64 = 40_000;
+
+/// The op stream. Working sets (3 files × 80 blocks a pool) are far
+/// past every share, so puts evict, hybrid pools spill and trickle
+/// down, and gets hit often enough to journal takes.
+fn drive(h: &mut impl SecondChanceCache, pools: &[(VmId, PoolId)], seed: u64) {
+    let mut rng = SimRng::new(seed);
+    let now = SimTime::from_secs(1);
+    for step in 0..STEPS {
+        let pi = rng.range_usize(0, pools.len());
+        let (vm, pool) = pools[pi];
+        let file = FileId(pi as u64 * 3 + rng.range_u64(0, 3));
+        let addr = BlockAddr::new(file, rng.range_u64(0, 80));
+        match rng.range_u64(0, 10) {
+            0..=4 => {
+                h.put(now, vm, pool, addr, PageVersion(1 + step % 5));
+            }
+            5..=7 => {
+                h.get(now, vm, pool, addr);
+            }
+            8 => {
+                h.flush(vm, pool, addr);
+            }
+            _ => {
+                let addrs: Vec<BlockAddr> = (0..4)
+                    .map(|_| BlockAddr::new(file, rng.range_u64(0, 80)))
+                    .collect();
+                h.flush_many(vm, pool, &addrs);
+            }
+        }
+        if step % 997 == 996 {
+            h.flush_file(vm, pool, file);
+        }
+    }
+}
+
+fn merged_records(segments: &[Vec<u8>]) -> Vec<(u64, JournalRecord)> {
+    let mut merged = Vec::new();
+    for seg in segments {
+        let (records, stats) = Journal::replay(seg);
+        assert!(!stats.torn_tail && !stats.corrupt, "live segment {stats}");
+        merged.extend(records);
+    }
+    merged.sort_unstable_by_key(|&(gen, _)| gen);
+    merged
+}
+
+#[test]
+fn one_op_stream_writes_one_journal_on_both_engines() {
+    for (mi, mode) in MODES.into_iter().enumerate() {
+        let seed = 0x05E0 + mi as u64;
+        let (mut serial, pools) = build_serial(mode);
+        drive(&mut serial, &pools, seed);
+        let compactions = serial.journal_compactions();
+        assert!(
+            compactions >= 10,
+            "{mode:?}: only {compactions} live compactions, stream too short"
+        );
+        let image = serial.journal_bytes().expect("journaling on").to_vec();
+        let (serial_records, _) = Journal::replay(&image);
+
+        for shards in [1usize, 4, 16] {
+            let (mut sharded, sharded_pools) = build_sharded(mode, shards);
+            assert_eq!(pools, sharded_pools);
+            drive(&mut sharded, &pools, seed);
+            assert_eq!(
+                sharded.journal_compactions(),
+                compactions,
+                "{mode:?}, {shards} shards: compaction count"
+            );
+            let segments = sharded.journal_images().expect("journaling on");
+            if shards == 1 {
+                assert!(
+                    segments[0] == image,
+                    "{mode:?}: the 1-shard segment is not the serial journal"
+                );
+            }
+            assert!(
+                merged_records(&segments) == serial_records,
+                "{mode:?}, {shards} shards: merged records differ from the serial journal"
+            );
+            assert_eq!(sharded.entries(), serial.entries());
+        }
+    }
+}
+
+/// Recovers `image` through both engines and holds everything the two
+/// reports and caches share against each other.
+fn recover_both(config: CacheConfig, image: &[u8], epochs: &[(VmId, u64)], what: &str) {
+    let (serial, sr) = DoubleDeckerCache::recover(config, image, epochs);
+    let (sharded, hr) = ShardedCache::recover(config, &[image.to_vec()], epochs);
+    assert_eq!(serial.entries(), sharded.entries(), "{what}: entries");
+    assert_eq!(
+        (
+            sr.records_replayed,
+            sr.discarded_stale,
+            sr.dropped_no_room,
+            sr.recovered_entries
+        ),
+        (
+            hr.records_replayed,
+            hr.discarded_stale,
+            hr.dropped_no_room,
+            hr.recovered_entries
+        ),
+        "{what}: report counters"
+    );
+    assert_eq!(sr.new_epochs, hr.new_epochs, "{what}: new epochs");
+    assert_eq!(serial.mode(), sharded.mode(), "{what}: mode");
+    assert_eq!(
+        serial.wear_totals(),
+        sharded.wear_totals(),
+        "{what}: wear totals"
+    );
+    let fresh = sharded.journal_images().expect("recovered caches journal");
+    assert!(
+        serial.journal_bytes().expect("recovered caches journal") == &fresh[0][..],
+        "{what}: fresh checkpoints differ"
+    );
+}
+
+#[test]
+fn one_image_recovers_to_one_cache_on_both_engines() {
+    let mode = PartitionMode::DoubleDecker;
+    let (mut serial, pools) = build_serial(mode);
+    drive(&mut serial, &pools, 0x05E7);
+    let image = serial.journal_bytes().expect("journaling on").to_vec();
+    assert!(serial.journal_compactions() >= 10);
+
+    let epoch_sets: [&[(VmId, u64)]; 2] = [&[], &[(VmId(1), 1 << 40), (VmId(2), 3)]];
+    let mut cuts: Vec<usize> = (0..image.len()).step_by(53).collect();
+    cuts.push(image.len());
+    for cut in cuts {
+        for (ei, epochs) in epoch_sets.iter().enumerate() {
+            let what = format!("cut {cut} of {}, epoch set {ei}", image.len());
+            recover_both(config(mode), &image[..cut], epochs, &what);
+        }
+    }
+}
