@@ -20,6 +20,9 @@ cargo test --release -q -p ddc-bench
 echo "==> journal codec under optimisation (CRC offset x length sweep, golden image; the sliced loop is only unrolled in release)"
 cargo test --release -q -p ddc-storage
 
+echo "==> one shard state machine: both engines write one journal and recover one cache (every 53-byte cut; release only for speed)"
+cargo test --release -q -p ddc-core --test prop_one_state_machine
+
 echo "==> frozen benchmark crate still builds and passes against the public API"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
@@ -31,6 +34,26 @@ echo "==> journal record kernel (ns per record) and group commit (total s, p99 n
 cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- trace --workload engine-batched --smoke \
     >target/ddbench-trace-smoke.txt || { cat target/ddbench-trace-smoke.txt; exit 1; }
 grep -E "^journal\.((append|replay)_ns_per_record|commit_(s|p99_ns))" target/ddbench-trace-smoke.txt
+echo "==> journal bytes gate (ddbench trace --smoke --threads 1: single-threaded, so exact; a PR that moves these on purpose edits them here and says why)"
+trace_gate() {
+    workload=$1
+    shift
+    out=target/ddbench-trace-$workload-t1.txt
+    cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- trace --workload "$workload" --smoke --threads 1 \
+        >"$out" || { cat "$out"; exit 1; }
+    while [ $# -gt 0 ]; do
+        got=$(awk -v metric="journal.$1" '$1 == metric { printf "%d", $2 }' "$out")
+        if [ "$got" != "$2" ]; then
+            echo "journal.$1 on $workload: expected $2, got ${got:-nothing}"
+            exit 1
+        fi
+        shift 2
+    done
+    echo "$workload: journal bytes unchanged"
+}
+trace_gate engine-batched records_at_end 42664 bytes_at_end 1944379 compactions 1
+trace_gate guest-durable-write records_at_end 80397 bytes_at_end 3402680 compactions 1 \
+    recover_records_replayed 80397 recover_entries 20177
 
 echo "==> perf smoke (1.3x regression gate against BENCH_cache_ops.json)"
 if [ -f BENCH_cache_ops.json ]; then

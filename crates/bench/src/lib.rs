@@ -1,9 +1,7 @@
 //! Benchmark harness for the DoubleDecker reproduction.
 //!
 //! One scenario module per paper artifact; the `repro` binary dispatches
-//! to them and prints paper-style tables and occupancy charts, and the
-//! `cargo bench` targets reuse the same builders for micro-measurements
-//! (timed with the dependency-free [`harness`] module).
+//! to them and prints paper-style tables and occupancy charts.
 //!
 //! All scenarios are **scaled** versions of the paper's testbed (see
 //! DESIGN.md): sizes divided by ~8, durations compressed, and the
@@ -11,7 +9,6 @@
 //! where crossovers fall — are the reproduction target, not absolute
 //! numbers.
 
-pub mod harness;
 pub mod scenarios;
 
 pub use scenarios::common::{mb, to_mb};

@@ -95,7 +95,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             };
             let pooled: u64 = shards
                 .iter()
-                .flat_map(|s| s.pools.values())
+                .flat_map(|s| s.state.pools.values())
                 .map(|p| p.used(placement))
                 .sum();
             if ledger.used_pages() != pooled {
@@ -124,7 +124,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
         // 2. Shard map: placement by hash, and registry ↔ shard agreement.
         let mut shard_keys: Vec<(VmId, PoolId)> = Vec::new();
         for (si, shard) in shards.iter().enumerate() {
-            for &(vm, pid) in shard.pools.keys() {
+            for &(vm, pid) in shard.state.pools.keys() {
                 shard_keys.push((vm, pid));
                 let home = cache.shard_of(vm, pid);
                 if home != si {
@@ -159,7 +159,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
         let mut flat: Vec<(VmId, PoolId, &Pool)> = Vec::new();
         for (&vm, meta) in &reg.vms {
             for &(pid, _, _) in &meta.pools {
-                if let Some(pool) = shards[cache.shard_of(vm, pid)].pools.get(&(vm, pid)) {
+                if let Some(pool) = shards[cache.shard_of(vm, pid)].state.pools.get(&(vm, pid)) {
                     flat.push((vm, pid, pool));
                 }
             }
@@ -170,18 +170,8 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
         // counter (see the module docs for why over-counting is benign).
         for (si, shard) in shards.iter().enumerate() {
             for placement in placements() {
-                let dead = shard
-                    .fifo_ref(placement)
-                    .iter()
-                    .filter(|&&(vm, pool, sid, seq)| {
-                        shard
-                            .pools
-                            .get(&(vm, pool))
-                            .and_then(|p| p.fifo_probe(sid, seq, placement))
-                            .is_none()
-                    })
-                    .count() as u64;
-                let stale = shard.stale(placement);
+                let dead = shard.state.dead_fifo_entries(placement);
+                let stale = shard.state.stale(placement);
                 if dead > stale {
                     findings.push(AuditFinding {
                         invariant: "shard-fifo-tombstones",
@@ -203,6 +193,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             };
             let table = cache.build_share_table(reg, placement, |vm, pid, _| {
                 shards[cache.shard_of(vm, pid)]
+                    .state
                     .pools
                     .get(&(vm, pid))
                     .map_or(0, |p| p.used(placement))
@@ -238,7 +229,11 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
         // the exact usage while everything is locked.
         for (&vm, meta) in &reg.vms {
             for (pid, _, mirror) in &meta.pools {
-                let Some(pool) = shards[cache.shard_of(vm, *pid)].pools.get(&(vm, *pid)) else {
+                let Some(pool) = shards[cache.shard_of(vm, *pid)]
+                    .state
+                    .pools
+                    .get(&(vm, *pid))
+                else {
                     continue;
                 };
                 for placement in placements() {
@@ -267,7 +262,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
         // answer misses the remote should have served.
         let mut bindings: Vec<(VmId, PoolId, &RemoteBinding)> = Vec::new();
         for shard in shards.iter() {
-            for (&(vm, pid), b) in &shard.remote_bindings {
+            for (&(vm, pid), b) in &shard.state.remote_bindings {
                 bindings.push((vm, pid, b));
             }
         }
@@ -409,6 +404,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
                 continue;
             }
             let mut live: Vec<(VmId, PoolId, BlockAddr)> = shard
+                .state
                 .pools
                 .iter()
                 .flat_map(|(&(vm, pid), pool)| pool.iter().map(move |(addr, _)| (vm, pid, addr)))
@@ -437,6 +433,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
                 continue; // stale entry, will be discarded on next probe
             }
             let present = shards[si]
+                .state
                 .pools
                 .get(&(h.vm, h.pool))
                 .is_some_and(|p| p.peek(h.addr).is_some());
@@ -463,7 +460,8 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             let tree = cache.front_tree(placement);
             for (si, shard) in shards.iter().enumerate() {
                 let want = shard
-                    .fifo_ref(placement)
+                    .state
+                    .fifo(placement)
                     .front()
                     .map(|&(_, _, _, seq)| seq)
                     .unwrap_or(EMPTY_FRONT);

@@ -10,7 +10,11 @@
 //!
 //! * **Shard map** — a pool lives in shard
 //!   `mix(vm, pool) % n` ([`ShardedCache::shard_of`]); every object of the
-//!   pool (index slots, FIFO entries, tombstone counters) lives with it.
+//!   pool (index slots, FIFO entries, tombstone counters) lives with it,
+//!   in the shard's [`ShardState`]. What a put, take, evict, flush or
+//!   destroy does to that state is the serial engine's code too
+//!   ([`ddc_hypercache::shard`]): this crate adds the locks, the
+//!   routing and the group journaling around it.
 //! * **Global-pressure ledger** — store occupancy is *global*, not
 //!   per-shard: a [`Ledger`] per store tracks `used`/`capacity` with
 //!   atomics so the resource-conservative rule ("evict only when the
@@ -80,11 +84,9 @@
 //! flush record is safe: the per-VM epoch discard at
 //! [`ShardedCache::recover`] covers everything below the guest's acked
 //! epoch, exactly like the serial plane — the cache can forget, never
-//! lie. Recovery replays each segment independently (tolerating a torn
-//! or corrupt tail per shard), merges by generation, truncates at the
-//! first generation gap (a gap proves a suffix of some segment was
-//! lost, so everything after it is a possibly-inconsistent future), and
-//! re-journals a checkpoint across fresh segments.
+//! lie. Recovery ([`ShardedCache::recover`]) merges the segments by
+//! generation, keeps what precedes the first gap, and re-journals a
+//! checkpoint across fresh segments.
 //!
 //! Driven single-threaded with journaling on, the sharded plane emits
 //! the *same record sequence* as the journaled serial engine (same
@@ -96,7 +98,6 @@
 //! quarantine and in-band memory compression.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
@@ -104,18 +105,19 @@ use ddc_cleancache::{
     CachePolicy, GetOutcome, PageVersion, PoolId, PoolStats, PutOutcome, SecondChanceCache,
     StoreKind, VmId,
 };
-use ddc_hypercache::index::{Placement, Pool, SlotId, UsageMirror};
+use ddc_hypercache::index::{Placement, Pool, Slot, UsageMirror};
 use ddc_hypercache::policy::ShareTable;
 use ddc_hypercache::readplane::{ReadPlane, ReadProbe};
+use ddc_hypercache::shard::{self, Cut, PageLedger, ReplayLog, ShardState};
 use ddc_hypercache::{
     store_kind_code, store_kind_from_code, AdmissionConfig, CacheConfig, PartitionMode,
-    EVICTION_BATCH_PAGES, JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS,
+    EVICTION_BATCH_PAGES,
 };
-use ddc_metrics::{BatchCounters, CounterSnapshot};
+use ddc_metrics::BatchCounters;
 use ddc_sim::{FxHashMap, SimTime};
 use ddc_storage::{
     BlockAddr, ChunkStore, FileId, Journal, JournalRecord, RemoteBinding, RemoteCounters,
-    RemoteError, RemoteFetchConfig, RemoteId, RemoteLookup, RemoteRegistry, WearCounters,
+    RemoteError, RemoteFetchConfig, RemoteId, RemoteRegistry, WearCounters,
 };
 
 use crate::fronts::{FrontTree, EMPTY_FRONT};
@@ -163,10 +165,6 @@ impl Ledger {
         }
     }
 
-    fn has_room(&self) -> bool {
-        self.used.load(Ordering::Relaxed) < self.capacity.load(Ordering::Relaxed)
-    }
-
     fn is_disabled(&self) -> bool {
         self.capacity.load(Ordering::Relaxed) == 0
     }
@@ -184,6 +182,23 @@ impl Ledger {
     /// any resulting oversubscription is shrunk after replay.
     fn set_capacity(&self, pages: u64) {
         self.capacity.store(pages, Ordering::Relaxed);
+    }
+}
+
+/// Both stores' ledgers, as the shard transitions take them.
+struct Ledgers<'a>(&'a Inner);
+
+impl PageLedger for Ledgers<'_> {
+    fn try_alloc(&mut self, placement: Placement) -> bool {
+        self.0.ledger(placement).try_alloc()
+    }
+
+    fn free(&mut self, placement: Placement, pages: u64) {
+        self.0.ledger(placement).free(pages);
+    }
+
+    fn used_pages(&self, placement: Placement) -> u64 {
+        self.0.ledger(placement).used_pages()
     }
 }
 
@@ -300,74 +315,23 @@ impl CommitCell {
     }
 }
 
-/// One shard: the pools that hash here plus their share of the
-/// global-mode FIFO (entries are seq-stamped, so the cross-shard merge
-/// in [`ShardedCache`] recovers the exact store-wide FIFO order).
+/// One shard: the state of the pools that hash here (seq-stamped, so
+/// the cross-shard merge in [`ShardedCache`] recovers the exact
+/// store-wide FIFO order), mutated only under this shard's lock —
+/// device wear totals sum the shards' retirements, so no cross-shard
+/// lock is ever taken for wear accounting; and with each VM driven by
+/// one thread, a remote binding's fault-tolerance state evolves in
+/// program order regardless of the thread count, so the determinism
+/// contract extends to the remote tier.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
-    pub(crate) pools: FxHashMap<(VmId, PoolId), Pool>,
-    fifo_mem: VecDeque<(VmId, PoolId, SlotId, u64)>,
-    fifo_ssd: VecDeque<(VmId, PoolId, SlotId, u64)>,
-    pub(crate) stale_mem: u64,
-    pub(crate) stale_ssd: u64,
+    pub(crate) state: ShardState,
     /// This shard's journal segment (`None` until
     /// [`ShardedCache::enable_journal`]). Appends happen under the
     /// shard lock with generations from the cache-global cell, so the
     /// segment is generation-monotone. Its durable mark is not here but
     /// in the shard's [`CommitCell`].
     pub(crate) journal: Option<Journal>,
-    /// Remote bindings of the pools homed here, mutated only under this
-    /// shard's lock. With each VM driven by one thread, a binding's
-    /// fault-tolerance state evolves in program order regardless of the
-    /// thread count — the determinism contract extends to the remote
-    /// tier.
-    pub(crate) remote_bindings: FxHashMap<(VmId, PoolId), RemoteBinding>,
-    /// Flush localization for pools that are not (yet) remote-bound;
-    /// consumed by [`ShardedCache::bind_remote`] (recovery replay and
-    /// pre-binding runtime flushes land here).
-    remote_stash: FxHashMap<(VmId, PoolId), (Vec<BlockAddr>, Vec<FileId>)>,
-    /// Wear carried by pools that were destroyed on this shard (plus
-    /// checkpoint carry-over corrections). Mutated only under this
-    /// shard's lock; device totals sum it across shards, so no
-    /// cross-shard lock is ever taken for wear accounting.
-    pub(crate) retired_wear: BTreeMap<VmId, WearCounters>,
-}
-
-impl Shard {
-    fn fifo(&mut self, placement: Placement) -> &mut VecDeque<(VmId, PoolId, SlotId, u64)> {
-        match placement {
-            Placement::Mem => &mut self.fifo_mem,
-            Placement::Ssd => &mut self.fifo_ssd,
-        }
-    }
-
-    pub(crate) fn fifo_ref(&self, placement: Placement) -> &VecDeque<(VmId, PoolId, SlotId, u64)> {
-        match placement {
-            Placement::Mem => &self.fifo_mem,
-            Placement::Ssd => &self.fifo_ssd,
-        }
-    }
-
-    pub(crate) fn stale(&self, placement: Placement) -> u64 {
-        match placement {
-            Placement::Mem => self.stale_mem,
-            Placement::Ssd => self.stale_ssd,
-        }
-    }
-
-    fn note_stale(&mut self, placement: Placement, count: u64) {
-        match placement {
-            Placement::Mem => self.stale_mem += count,
-            Placement::Ssd => self.stale_ssd += count,
-        }
-    }
-
-    fn note_dead_popped(&mut self, placement: Placement) {
-        match placement {
-            Placement::Mem => self.stale_mem = self.stale_mem.saturating_sub(1),
-            Placement::Ssd => self.stale_ssd = self.stale_ssd.saturating_sub(1),
-        }
-    }
 }
 
 /// The control-plane registry: VM weights and each VM's pool list (with
@@ -540,6 +504,15 @@ struct Inner {
     /// appends, each covering one contiguous generation run claimed
     /// with a single `fetch_add`.
     batch_journal_appends: AtomicU64,
+}
+
+impl Inner {
+    fn ledger(&self, placement: Placement) -> &Ledger {
+        match placement {
+            Placement::Mem => &self.mem,
+            Placement::Ssd => &self.ssd,
+        }
+    }
 }
 
 /// A concurrent sharded DoubleDecker cache (see the [module
@@ -833,7 +806,7 @@ impl ShardedCache {
     // ------------------------------------------------------------------
 
     /// Registers a remote chunk store with this host; duplicate ids are
-    /// rejected with a typed error (mirrors the serial engine).
+    /// rejected with a typed error.
     pub fn register_remote(&self, store: ChunkStore) -> Result<RemoteId, RemoteError> {
         let id = store.id();
         self.inner
@@ -881,19 +854,9 @@ impl ShardedCache {
         };
         let si = self.shard_of(vm, pool);
         let mut shard = self.lock_shard(si);
-        if shard.remote_bindings.contains_key(&(vm, pool)) {
-            return Err(RemoteError::AlreadyBound {
-                vm: vm.0,
-                pool: pool.0,
-            });
-        }
-        let mut binding = RemoteBinding::new(store, fetch);
-        if let Some((addrs, files)) = shard.remote_stash.remove(&(vm, pool)) {
-            // Flushes that predate the binding (runtime or recovery
-            // replay): the remote must never serve those blocks.
-            binding.preload_localized(addrs, files);
-        }
-        shard.remote_bindings.insert((vm, pool), binding);
+        shard
+            .state
+            .bind_remote(vm, pool, RemoteBinding::new(store, fetch))?;
         // Published while the binding is already in place: any get that
         // sees the flag takes the locked path and finds the binding.
         mirror.set_remote_bound();
@@ -904,56 +867,22 @@ impl ShardedCache {
     pub fn remote_counters_of(&self, vm: VmId, pool: PoolId) -> Option<RemoteCounters> {
         let si = self.shard_of(vm, pool);
         let shard = self.lock_shard(si);
-        shard.remote_bindings.get(&(vm, pool)).map(|b| b.counters())
+        let binding = shard.state.remote_bindings.get(&(vm, pool));
+        binding.map(|b| b.counters())
     }
 
     /// Aggregate remote-tier counters across all bindings.
     pub fn remote_totals(&self) -> RemoteCounters {
-        let shards = self.lock_all_shards();
-        let mut totals = RemoteCounters::default();
-        for shard in shards.iter() {
-            for binding in shard.remote_bindings.values() {
-                totals.absorb(&binding.counters());
-            }
-        }
-        totals
+        self.with_locked_cut(|cut| cut.remote_totals())
     }
 
-    /// The remote consultation shared by the locked miss branches:
-    /// serves the image's initial contents through the binding, failing
-    /// open to a plain miss.
-    fn remote_get_in(
-        shard: &mut Shard,
-        now: SimTime,
-        vm: VmId,
-        pool: PoolId,
-        addr: BlockAddr,
-    ) -> GetOutcome {
-        let Some(binding) = shard.remote_bindings.get_mut(&(vm, pool)) else {
-            return GetOutcome::Miss;
-        };
-        match binding.lookup(now, addr) {
-            RemoteLookup::Served { finish } => GetOutcome::Hit {
-                finish,
-                version: PageVersion::INITIAL,
-            },
-            RemoteLookup::Miss => GetOutcome::Miss,
-        }
-    }
-
-    /// The home shard of a pool: a dependency-free integer mix of the
-    /// `(vm, pool)` key, reduced modulo the shard count. Deterministic
-    /// across runs and processes.
+    /// The home shard of a pool ([`shard::home_shard`]).
     pub fn shard_of(&self, vm: VmId, pool: PoolId) -> usize {
-        let mixed = (vm.0 as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(31)
-            ^ (pool.0 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        (mixed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as usize % self.inner.shards.len()
+        shard::home_shard(vm, pool, self.inner.shards.len())
     }
 
     /// Registers a VM with a cache weight applied to both stores.
-    /// Re-registering updates the weights (mirrors the serial engine).
+    /// Re-registering updates the weights.
     pub fn add_vm(&self, vm: VmId, weight: u64) {
         self.add_vm_with_store_weights(vm, weight, weight);
     }
@@ -1208,7 +1137,8 @@ impl ShardedCache {
             return;
         }
         let seq = shard
-            .fifo_ref(placement)
+            .state
+            .fifo(placement)
             .front()
             .map(|&(_, _, _, s)| s)
             .unwrap_or(EMPTY_FRONT);
@@ -1469,16 +1399,14 @@ impl ShardedCache {
             return false;
         }
         let live = self.inner.mem.used_pages() + self.inner.ssd.used_pages();
-        let threshold = (live * JOURNAL_COMPACT_FACTOR).max(JOURNAL_COMPACT_MIN_RECORDS);
-        self.inner.journal_records.load(Ordering::Relaxed) + pending as u64 > threshold
+        let records = self.inner.journal_records.load(Ordering::Relaxed) + pending as u64;
+        shard::compaction_due(records, live)
     }
 
     /// Live compaction: when the segments have accumulated far more
     /// records than there are live entries, rewrite them as one
     /// checkpoint so replay time stays proportional to cache size.
-    /// Caller must hold no shard lock. Trigger, threshold and record
-    /// order mirror the serial `maybe_compact_journal` exactly, so a
-    /// single-threaded run consumes generations identically.
+    /// Caller must hold no shard lock.
     fn maybe_compact_journal(&self) {
         if !self.compaction_due(0) {
             return;
@@ -1497,284 +1425,117 @@ impl ShardedCache {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Replaces every segment with a checkpoint of the current state,
-    /// continuing generations from `start_gen`. Returns the freshly
-    /// minted per-VM epochs.
-    ///
-    /// Record order mirrors the serial `write_checkpoint` verbatim —
-    /// mode, capacities, per-VM `AddVm`+`Epoch`, per-pool `CreatePool`,
-    /// then every `Put` in FIFO (sequence) order — so both planes
-    /// consume the same number of generations per checkpoint. Routing:
-    /// control records to segment 0, pool-scoped records to the pool's
-    /// home segment. Each VM's `Epoch` precedes every `Put`, so a
-    /// corrupted checkpoint prefix can never resurrect state.
+    /// The whole cache as a [`Cut`] of already-held locks.
+    fn cut<'a>(reg: &Registry, shards: &'a [MutexGuard<'_, Shard>]) -> Cut<'a> {
+        let registry = reg.vms.iter().map(|(&vm, meta)| {
+            let pools = meta.pools.iter().map(|r| r.0);
+            (vm, meta.mem_weight, meta.ssd_weight, pools)
+        });
+        Cut::new(registry, shards.iter().map(|s| &s.state).collect())
+    }
+
+    /// Reads a [`Cut`] under the crate's lock-all discipline: registry
+    /// read lock, then every shard in ascending order.
+    fn with_locked_cut<R>(&self, f: impl FnOnce(Cut<'_>) -> R) -> R {
+        let reg = self.inner.registry.read().expect("registry poisoned");
+        let shards = self.lock_all_shards();
+        f(Self::cut(&reg, &shards))
+    }
+
+    /// Replaces every segment with a checkpoint of the current state
+    /// ([`Cut::write_checkpoint`]), continuing generations from
+    /// `start_gen`. Returns the freshly minted per-VM epochs.
     fn write_checkpoint_locked(
         &self,
         reg: &Registry,
         shards: &mut [MutexGuard<'_, Shard>],
         start_gen: u64,
     ) -> Vec<(VmId, u64)> {
-        struct CkptWriter {
-            segs: Vec<Journal>,
-            gen: u64,
-            count: u64,
-        }
-        impl CkptWriter {
-            fn emit(&mut self, si: usize, rec: &JournalRecord) -> u64 {
-                let gen = self.gen;
-                self.segs[si].append_with_gen(rec, gen);
-                self.gen += 1;
-                self.count += 1;
-                gen
-            }
-        }
-        let mut w = CkptWriter {
-            segs: (0..shards.len())
-                .map(|_| Journal::with_start_gen(start_gen))
-                .collect(),
-            gen: start_gen,
-            count: 0,
-        };
-        w.emit(
-            0,
-            &JournalRecord::SetMode {
-                mode: self.inner.mode.code(),
-            },
+        let checkpoint = Self::cut(reg, shards).write_checkpoint(
+            self.inner.mode,
+            self.inner.mem.capacity_pages(),
+            self.inner.ssd.capacity_pages(),
+            start_gen,
         );
-        w.emit(
-            0,
-            &JournalRecord::SetMemCapacity {
-                pages: self.inner.mem.capacity_pages(),
-            },
-        );
-        w.emit(
-            0,
-            &JournalRecord::SetSsdCapacity {
-                pages: self.inner.ssd.capacity_pages(),
-            },
-        );
-        let mut new_epochs = Vec::with_capacity(reg.vms.len());
-        for (&vm, meta) in &reg.vms {
-            w.emit(
-                0,
-                &JournalRecord::AddVm {
-                    vm: vm.0,
-                    mem_weight: meta.mem_weight,
-                    ssd_weight: meta.ssd_weight,
-                },
-            );
-            let epoch = w.emit(0, &JournalRecord::Epoch { vm: vm.0 });
-            new_epochs.push((vm, epoch));
-        }
-        // The rewrite stalls every client: `puts` is sized from the live
-        // count and each segment from the bytes its puts encode to, so
-        // neither regrows mid-rewrite. Every entry of a pool lands in
-        // the pool's home segment, so routing is resolved once per pool
-        // (as a `u32`, which leaves the sorted tuples at 48 bytes).
-        let live = self.inner.mem.used_pages() + self.inner.ssd.used_pages();
-        let mut puts: Vec<(u64, VmId, PoolId, BlockAddr, u64, u8, u32)> =
-            Vec::with_capacity(live as usize);
-        let mut put_bytes = vec![0usize; shards.len()];
-        for (&vm, meta) in &reg.vms {
-            for &(pid, _, _) in &meta.pools {
-                let si = self.shard_of(vm, pid);
-                let pool = &shards[si].pools[&(vm, pid)];
-                let policy = pool.policy();
-                w.emit(
-                    si,
-                    &JournalRecord::CreatePool {
-                        vm: vm.0,
-                        pool: pid.0,
-                        store: store_kind_code(policy.store),
-                        weight: policy.weight,
-                    },
-                );
-                put_bytes[si] += pool.total_used() as usize * JournalRecord::PUT_LEN;
-                for (addr, slot) in pool.iter() {
-                    puts.push((
-                        slot.seq,
-                        vm,
-                        pid,
-                        addr,
-                        slot.version.0,
-                        slot.placement.code(),
-                        si as u32,
-                    ));
-                }
-            }
-        }
-        puts.sort_unstable();
-        for (seg, bytes) in w.segs.iter_mut().zip(put_bytes) {
-            seg.reserve(bytes);
-        }
-        for (_, vm, pid, addr, version, placement, si) in puts {
-            w.emit(
-                si as usize,
-                &JournalRecord::Put {
-                    vm: vm.0,
-                    pool: pid.0,
-                    addr,
-                    version,
-                    placement,
-                },
-            );
-        }
-        // Wear carry-over, AFTER the puts (serial checkpoint order):
-        // replay re-accrues the live entries' wear through the puts,
-        // then each VM's record tops the totals up to the cumulative
-        // value (see the `WearTotals` arm of `apply_record`).
-        for vm in Self::wear_vm_ids_in(reg, shards) {
-            let wear = self.vm_wear_in(reg, shards, vm);
-            w.emit(
-                0,
-                &JournalRecord::WearTotals {
-                    vm: vm.0,
-                    ssd_pages_written: wear.ssd_pages_written,
-                    pages_admitted: wear.pages_admitted,
-                },
-            );
-        }
-        let CkptWriter { segs, gen, count } = w;
         // Cells first, then the generation cell (`Release`): a committer
         // whose sample covers the checkpoint's generations sees its
         // cells (see `install_segments`).
-        self.install_segments(shards, segs);
-        self.inner.journal_gen.store(gen, Ordering::Release);
-        self.inner.journal_records.store(count, Ordering::Relaxed);
+        self.install_segments(shards, checkpoint.segments);
+        self.inner
+            .journal_gen
+            .store(checkpoint.next_gen, Ordering::Release);
+        self.inner
+            .journal_records
+            .store(checkpoint.records, Ordering::Relaxed);
         // The checkpoint is synced in full, so everything up to its last
         // generation is durable.
         self.inner
             .commit_epoch
-            .fetch_max(gen.saturating_sub(1), Ordering::AcqRel);
-        new_epochs
+            .fetch_max(checkpoint.next_gen.saturating_sub(1), Ordering::AcqRel);
+        checkpoint.new_epochs
     }
 
     /// Warm restart: rebuilds a sharded cache from the per-shard segment
     /// images a crash left behind (`segments[i]` is shard `i`'s segment;
-    /// the new cache has `segments.len()` shards).
+    /// the new cache has `segments.len()` shards) — the recovery core
+    /// ([`ReplayLog`]) over `n` segments: independent replay, merge by
+    /// generation, truncation at the first gap, per-VM epoch discard
+    /// ([`ReplayLog::suspects`]), shrink, and a
+    /// fresh checkpoint (with fresh per-VM epochs) journaled before the
+    /// cache starts serving. The cache runs in the journal's partition
+    /// mode if the kept prefix recorded one, else in `config.mode`.
     ///
-    /// Each segment replays independently and tolerates its own torn or
-    /// corrupt tail. The decoded records are merged by generation and
-    /// truncated at the first generation *gap*: generations are globally
-    /// dense, so a gap proves some segment lost a suffix, and everything
-    /// after the gap is a possibly-inconsistent future (a later flush
-    /// could otherwise survive while the earlier flush it depends on was
-    /// lost). What remains is an exact prefix of the global record
-    /// sequence — the serial single-journal situation — so the per-VM
-    /// epoch discard argument applies verbatim: for every guest whose
-    /// acked flush epoch exceeds what replay recovered, every entry
-    /// older than that epoch is dropped. The global-pressure ledgers and
-    /// usage mirrors are rebuilt by the replay itself (every applied put
-    /// allocates through the ledger and inserts through the mirror-
-    /// attached pool), oversubscription from replayed capacity records
-    /// is shrunk by real evictions, and a fresh checkpoint (with fresh
-    /// per-VM epochs) is journaled before the cache starts serving.
+    /// The global-pressure ledgers and usage mirrors are rebuilt by the
+    /// replay itself: every applied put allocates through the ledger
+    /// and inserts through the mirror-attached pool.
     pub fn recover(
         config: CacheConfig,
         segments: &[Vec<u8>],
         guest_epochs: &[(VmId, u64)],
     ) -> (ShardedCache, ShardedRecoveryReport) {
-        let cache = ShardedCache::new(config, segments.len().max(1));
-        let mut report = ShardedRecoveryReport::default();
-
-        let mut merged: Vec<(u64, JournalRecord)> = Vec::new();
-        for (i, seg) in segments.iter().enumerate() {
-            let (records, stats) = Journal::replay(seg);
+        let log = ReplayLog::decode(segments);
+        let mode = log.mode.unwrap_or(config.mode);
+        let cache = ShardedCache::new(CacheConfig { mode, ..config }, segments.len().max(1));
+        let mut report = ShardedRecoveryReport {
+            records_replayed: log.records.len() as u64,
+            gap_discarded: log.gap_discarded,
+            ..ShardedRecoveryReport::default()
+        };
+        for (shard, stats) in log.segments.iter().enumerate() {
             report.segments.push(SegmentReplay {
-                shard: i,
-                records: records.len() as u64,
+                shard,
+                records: stats.records,
                 torn_tail: stats.torn_tail,
                 corrupt: stats.corrupt,
             });
-            merged.extend(records);
         }
-        merged.sort_unstable_by_key(|&(gen, _)| gen);
-        let mut keep = merged.len();
-        for i in 1..merged.len() {
-            if merged[i].0 != merged[i - 1].0 + 1 {
-                keep = i;
-                break;
+        for (gen, rec) in &log.records {
+            report.dropped_no_room += u64::from(!cache.apply_record(*gen, rec));
+        }
+        // Forget, never lie.
+        for (vm, epoch) in log.suspects(guest_epochs) {
+            for (_, pid) in cache.pool_ids().into_iter().filter(|p| p.0 == vm) {
+                let mut shard = cache.lock_shard(cache.shard_of(vm, pid));
+                report.discarded_stale +=
+                    shard
+                        .state
+                        .discard_older_than(&mut cache.ledgers(), vm, pid, epoch);
             }
         }
-        report.gap_discarded = (merged.len() - keep) as u64;
-        merged.truncate(keep);
-        report.records_replayed = merged.len() as u64;
+        // The two counters drift apart live and unify only here.
+        let inner = &cache.inner;
+        inner.next_seq.store(log.next_gen, Ordering::Relaxed);
+        inner.journal_gen.store(log.next_gen, Ordering::Relaxed);
 
-        // Replay, tracking the highest epoch-bearing generation each VM
-        // got back (flushes and epoch markers are what guests ack).
-        let mut replayed_epochs: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut last_gen = 0u64;
-        for (gen, rec) in &merged {
-            if let JournalRecord::Flush { vm, .. }
-            | JournalRecord::FlushFile { vm, .. }
-            | JournalRecord::Epoch { vm } = rec
-            {
-                let e = replayed_epochs.entry(*vm).or_insert(0);
-                *e = (*e).max(*gen);
-            }
-            cache.apply_record(*gen, rec, &mut report);
-            last_gen = *gen;
-        }
-
-        // Epoch discard: if replay recovered everything up to the
-        // guest's acked epoch, every invalidation the guest observed is
-        // already applied. Otherwise the tail was lost and any entry
-        // older than the acked epoch may have been invalidated by a lost
-        // flush — drop them all (forget, never lie).
-        for &(vm, guest_epoch) in guest_epochs {
-            if replayed_epochs.get(&vm.0).copied().unwrap_or(0) >= guest_epoch {
-                continue;
-            }
-            let pids: Vec<PoolId> = {
-                let reg = cache.inner.registry.read().expect("registry poisoned");
-                match reg.vms.get(&vm) {
-                    Some(meta) => meta.pools.iter().map(|r| r.0).collect(),
-                    None => continue,
-                }
-            };
-            for pid in pids {
-                let si = cache.shard_of(vm, pid);
-                let mut shard = cache.lock_shard(si);
-                let mut suspects: Vec<BlockAddr> = match shard.pools.get(&(vm, pid)) {
-                    Some(pool) => pool
-                        .iter()
-                        .filter(|&(_, slot)| slot.seq < guest_epoch)
-                        .map(|(addr, _)| addr)
-                        .collect(),
-                    None => continue,
-                };
-                suspects.sort_unstable();
-                for addr in suspects {
-                    if let Some(slot) = shard.pools.get_mut(&(vm, pid)).and_then(|p| p.remove(addr))
-                    {
-                        cache.ledger(slot.placement).free(1);
-                        shard.note_stale(slot.placement, 1);
-                        report.discarded_stale += 1;
-                    }
-                }
-            }
-        }
-
-        // Sequence counters resume past everything replayed (replayed
-        // entries carry their generation as seq, so live seqs must stay
-        // above them; the two counters unify only at this point).
-        cache.inner.next_seq.store(last_gen + 1, Ordering::Relaxed);
-        cache
-            .inner
-            .journal_gen
-            .store(last_gen + 1, Ordering::Relaxed);
-
-        // Wholesale tournament-tree re-sync: replay kept the leaves
-        // current incrementally, but make the invariant (leaf == front
-        // entry seq) unconditional before anything reads the tree.
+        // Replay left the tournament tree alone: make the invariant
+        // (leaf == front entry seq) hold before anything reads it.
         for (si, shard) in cache.lock_all_shards().iter().enumerate() {
             cache.sync_front(si, shard, Placement::Mem);
             cache.sync_front(si, shard, Placement::Ssd);
         }
-
         // Replayed capacity records may leave a store oversubscribed
-        // (e.g. the journal recorded a shrink whose evictions were
-        // lost); shrink with real evictions now.
+        // (the journal recorded a shrink whose evictions were lost);
+        // shrink with real evictions now.
         for placement in [Placement::Mem, Placement::Ssd] {
             let ledger = cache.ledger(placement);
             while ledger.used_pages() > ledger.capacity_pages() {
@@ -1783,72 +1544,47 @@ impl ShardedCache {
                 }
             }
         }
-
-        report.recovered_entries = cache
-            .lock_all_shards()
-            .iter()
-            .flat_map(|s| s.pools.values())
-            .map(|p| p.total_used())
-            .sum();
+        report.recovered_entries = cache.with_locked_cut(|cut| cut.resident());
 
         // Re-journal a checkpoint across fresh segments and go live.
         {
-            let reg = cache.inner.registry.read().expect("registry poisoned");
+            let reg = inner.registry.read().expect("registry poisoned");
             let mut shards = cache.lock_all_shards();
-            cache.inner.journal_on.store(true, Ordering::Relaxed);
-            report.new_epochs = cache.write_checkpoint_locked(&reg, &mut shards, last_gen + 1);
+            inner.journal_on.store(true, Ordering::Relaxed);
+            report.new_epochs = cache.write_checkpoint_locked(&reg, &mut shards, log.next_gen);
         }
         (cache, report)
     }
 
-    /// Applies one replayed record. Mirrors the serial engine's
-    /// `apply_record` semantics on the sharded structures; the journals
-    /// are still `None` here, so nothing re-logs.
-    fn apply_record(&self, gen: u64, rec: &JournalRecord, report: &mut ShardedRecoveryReport) {
+    /// Applies one replayed record: the registry half of a control
+    /// record here, everything that touches pools through the shard
+    /// transitions on the pool's home shard. The journals are still
+    /// `None`, so nothing re-logs; the tournament tree is re-synced
+    /// wholesale once replay is over. `false` for a dropped `Put`.
+    fn apply_record(&self, gen: u64, rec: &JournalRecord) -> bool {
         match *rec {
+            // Both upsert (nothing journals during replay): re-registering
+            // a VM updates its weights, and weights for a VM whose
+            // `AddVm` the image lost register it.
             JournalRecord::AddVm {
                 vm,
                 mem_weight,
                 ssd_weight,
-            } => {
-                let mut reg = self.inner.registry.write().expect("registry poisoned");
-                reg.vms
-                    .entry(VmId(vm))
-                    .and_modify(|e| {
-                        e.mem_weight = mem_weight;
-                        e.ssd_weight = ssd_weight;
-                    })
-                    .or_insert_with(|| VmMeta::new(mem_weight, ssd_weight));
             }
-            JournalRecord::SetVmWeights {
+            | JournalRecord::SetVmWeights {
                 vm,
                 mem_weight,
                 ssd_weight,
-            } => {
-                let mut reg = self.inner.registry.write().expect("registry poisoned");
-                if let Some(e) = reg.vms.get_mut(&VmId(vm)) {
-                    e.mem_weight = mem_weight;
-                    e.ssd_weight = ssd_weight;
-                }
-            }
+            } => self.add_vm_with_store_weights(VmId(vm), mem_weight, ssd_weight),
             JournalRecord::RemoveVm { vm } => {
                 let vm = VmId(vm);
                 let mut reg = self.inner.registry.write().expect("registry poisoned");
                 let Some(meta) = reg.vms.remove(&vm) else {
-                    return;
+                    return true;
                 };
                 for (pid, _, _) in meta.pools {
-                    let si = self.shard_of(vm, pid);
-                    let mut shard = self.lock_shard(si);
-                    if let Some(mut p) = shard.pools.remove(&(vm, pid)) {
-                        let (mem, ssd) = p.drain();
-                        let worn = p.wear.retire();
-                        shard.retired_wear.entry(vm).or_default().absorb(&worn);
-                        self.inner.mem.free(mem);
-                        self.inner.ssd.free(ssd);
-                        shard.stale_mem += mem;
-                        shard.stale_ssd += ssd;
-                    }
+                    let mut shard = self.lock_shard(self.shard_of(vm, pid));
+                    shard.state.drain_pool(&mut self.ledgers(), vm, pid);
                 }
             }
             JournalRecord::CreatePool {
@@ -1858,52 +1594,13 @@ impl ShardedCache {
                 weight,
             } => {
                 let Some(store) = store_kind_from_code(store) else {
-                    return;
+                    return true;
                 };
+                let mut reg = self.inner.registry.write().expect("registry poisoned");
                 let policy = CachePolicy { store, weight };
-                let (vm, pid) = (VmId(vm), PoolId(pool));
-                let mut reg = self.inner.registry.write().expect("registry poisoned");
-                let meta = reg.vms.entry(vm).or_insert_with(|| VmMeta::new(100, 100));
-                let mirror = match meta.pools.binary_search_by_key(&pid, |r| r.0) {
-                    Ok(i) => {
-                        meta.pools[i].1 = policy;
-                        meta.pools[i].2.clone()
-                    }
-                    Err(i) => {
-                        let mirror = Arc::new(UsageMirror::default());
-                        meta.pools.insert(i, (pid, policy, mirror.clone()));
-                        mirror
-                    }
-                };
-                reg.next_pool = reg.next_pool.max(pool + 1);
-                self.bump_registry_version();
-                let si = self.shard_of(vm, pid);
-                let mut shard = self.lock_shard(si);
-                let mut p = Pool::new(vm, policy);
-                p.set_mirror(mirror);
-                p.set_read_plane(pid, Arc::clone(&self.inner.read_planes[si]));
-                shard.pools.insert((vm, pid), p);
+                drop(self.install_pool(&mut reg, VmId(vm), PoolId(pool), policy));
             }
-            JournalRecord::DestroyPool { vm, pool } => {
-                let (vm, pid) = (VmId(vm), PoolId(pool));
-                let mut reg = self.inner.registry.write().expect("registry poisoned");
-                let si = self.shard_of(vm, pid);
-                let mut shard = self.lock_shard(si);
-                if let Some(mut p) = shard.pools.remove(&(vm, pid)) {
-                    let (mem, ssd) = p.drain();
-                    let worn = p.wear.retire();
-                    shard.retired_wear.entry(vm).or_default().absorb(&worn);
-                    self.inner.mem.free(mem);
-                    self.inner.ssd.free(ssd);
-                    shard.stale_mem += mem;
-                    shard.stale_ssd += ssd;
-                }
-                if let Some(meta) = reg.vms.get_mut(&vm) {
-                    if let Ok(i) = meta.pools.binary_search_by_key(&pid, |r| r.0) {
-                        meta.pools.remove(i);
-                    }
-                }
-            }
+            JournalRecord::DestroyPool { vm, pool } => self.remove_pool(VmId(vm), PoolId(pool)),
             JournalRecord::SetPolicy {
                 vm,
                 pool,
@@ -1912,132 +1609,28 @@ impl ShardedCache {
             } => {
                 // Raw policy swap: the rehoming side effects were
                 // journaled separately as evictions and puts.
-                let Some(store) = store_kind_from_code(store) else {
-                    return;
-                };
-                let policy = CachePolicy { store, weight };
-                let (vm, pid) = (VmId(vm), PoolId(pool));
-                let mut reg = self.inner.registry.write().expect("registry poisoned");
-                if let Some(meta) = reg.vms.get_mut(&vm) {
-                    if let Ok(i) = meta.pools.binary_search_by_key(&pid, |r| r.0) {
-                        meta.pools[i].1 = policy;
-                    }
-                }
-                let si = self.shard_of(vm, pid);
-                let mut shard = self.lock_shard(si);
-                if let Some(p) = shard.pools.get_mut(&(vm, pid)) {
-                    p.set_policy(policy);
+                if let Some(store) = store_kind_from_code(store) {
+                    let policy = CachePolicy { store, weight };
+                    drop(self.swap_policy(VmId(vm), PoolId(pool), policy));
                 }
             }
-            JournalRecord::Put {
-                vm,
-                pool,
-                addr,
-                version,
-                placement,
-            } => {
-                let Some(placement) = Placement::from_code(placement) else {
-                    return;
-                };
-                let (vm, pid) = (VmId(vm), PoolId(pool));
-                let si = self.shard_of(vm, pid);
-                let mut shard = self.lock_shard(si);
-                // Pool checked before the ledger so a put into a missing
-                // pool never leaks an allocation (serial order). A dropped
-                // replay Put still accrues its wear into the retired
-                // ledger: the flash write physically happened before the
-                // crash, so losing the *entry* must not lose the *wear* —
-                // replayed totals stay exact even when recovery forgets.
-                if !shard.pools.contains_key(&(vm, pid)) {
-                    report.dropped_no_room += 1;
-                    let worn = shard.retired_wear.entry(vm).or_default();
-                    worn.pages_admitted += 1;
-                    if placement == Placement::Ssd {
-                        worn.ssd_pages_written += 1;
-                    }
-                    return;
-                }
-                if !self.ledger(placement).try_alloc() {
-                    report.dropped_no_room += 1;
-                    let worn = shard.retired_wear.entry(vm).or_default();
-                    worn.pages_admitted += 1;
-                    if placement == Placement::Ssd {
-                        worn.ssd_pages_written += 1;
-                    }
-                    return;
-                }
-                let p = shard.pools.get_mut(&(vm, pid)).expect("checked above");
-                // The record's generation doubles as the entry's seq, so
-                // replayed FIFO order equals the original seq order.
-                let (sid, displaced) = p.insert(addr, placement, PageVersion(version), gen);
-                if let Some(d) = displaced {
-                    self.ledger(d).free(1);
-                    shard.note_stale(d, 1);
-                }
-                self.push_shard_fifo(si, &mut shard, vm, pid, sid, gen, placement);
+            JournalRecord::Put { vm, pool, .. }
+            | JournalRecord::Take { vm, pool, .. }
+            | JournalRecord::Evict { vm, pool, .. }
+            | JournalRecord::Flush { vm, pool, .. }
+            | JournalRecord::FlushFile { vm, pool, .. } => {
+                let mut shard = self.lock_shard(self.shard_of(VmId(vm), PoolId(pool)));
+                return shard.state.replay(&mut self.ledgers(), gen, rec);
             }
-            JournalRecord::Take { vm, pool, addr } | JournalRecord::Evict { vm, pool, addr } => {
-                let (vm, pid) = (VmId(vm), PoolId(pool));
-                let si = self.shard_of(vm, pid);
-                let mut shard = self.lock_shard(si);
-                if let Some(slot) = shard.pools.get_mut(&(vm, pid)).and_then(|p| p.remove(addr)) {
-                    self.ledger(slot.placement).free(1);
-                    shard.note_stale(slot.placement, 1);
-                }
-            }
-            JournalRecord::Flush { vm, pool, addr } => {
-                let (vm, pid) = (VmId(vm), PoolId(pool));
-                let si = self.shard_of(vm, pid);
-                let mut shard = self.lock_shard(si);
-                if let Some(slot) = shard.pools.get_mut(&(vm, pid)).and_then(|p| p.remove(addr)) {
-                    self.ledger(slot.placement).free(1);
-                    shard.note_stale(slot.placement, 1);
-                }
-                // Bindings are not journaled, but flush localization must
-                // survive the crash: stash it for the post-recovery
-                // re-bind (mirrors the serial engine).
-                shard
-                    .remote_stash
-                    .entry((vm, pid))
-                    .or_default()
-                    .0
-                    .push(addr);
-            }
-            JournalRecord::FlushFile { vm, pool, file } => {
-                let (vm, pid) = (VmId(vm), PoolId(pool));
-                let si = self.shard_of(vm, pid);
-                let mut shard = self.lock_shard(si);
-                if let Some(p) = shard.pools.get_mut(&(vm, pid)) {
-                    let (mem, ssd) = p.remove_file(file);
-                    self.inner.mem.free(mem);
-                    self.inner.ssd.free(ssd);
-                    shard.stale_mem += mem;
-                    shard.stale_ssd += ssd;
-                }
-                shard
-                    .remote_stash
-                    .entry((vm, pid))
-                    .or_default()
-                    .1
-                    .push(file);
-            }
-            JournalRecord::Epoch { .. } => {}
+            // `SetMode`: the recovery core picked the journal's mode
+            // before this cache was built (the field is immutable).
+            JournalRecord::Epoch { .. } | JournalRecord::SetMode { .. } => {}
             JournalRecord::SetMemCapacity { pages } => self.inner.mem.set_capacity(pages),
             JournalRecord::SetSsdCapacity { pages } => self.inner.ssd.set_capacity(pages),
-            // The mode is fixed at construction from the recovery
-            // config; the checkpoint's SetMode always matches it.
-            JournalRecord::SetMode { .. } => {}
             JournalRecord::SsdDrain => {
-                for (si, s) in self.inner.shards.iter().enumerate() {
+                for s in &self.inner.shards {
                     let mut shard = s.lock().expect("shard poisoned");
-                    let mut freed = 0;
-                    for p in shard.pools.values_mut() {
-                        freed += p.drain_placement(Placement::Ssd);
-                    }
-                    self.inner.ssd.free(freed);
-                    shard.fifo_ssd.clear();
-                    shard.stale_ssd = 0;
-                    self.sync_front(si, &shard, Placement::Ssd);
+                    shard.state.drain_ssd(&mut self.ledgers());
                 }
             }
             JournalRecord::WearTotals {
@@ -2045,26 +1638,21 @@ impl ShardedCache {
                 ssd_pages_written,
                 pages_admitted,
             } => {
-                // Checkpoint wear carry-over (serial semantics): the
-                // checkpoint's Put records re-accrue only the *live*
-                // entries' wear; this record holds the VM's true
-                // cumulative totals at checkpoint time. Apply as a
-                // max-correction — monotone and idempotent — into shard
-                // 0's retired accumulator (the record lives on segment 0
-                // with the other control records; device totals sum
-                // retirements across shards, so the home is arbitrary).
+                // Into shard 0's retired accumulator: the record lives on
+                // segment 0 with the other control records, and device
+                // totals sum retirements across shards, so the home is
+                // arbitrary.
                 let vm = VmId(vm);
                 let current = self.vm_wear(vm);
-                let mut shard = self.lock_shard(0);
-                let r = shard.retired_wear.entry(vm).or_default();
-                if ssd_pages_written > current.ssd_pages_written {
-                    r.ssd_pages_written += ssd_pages_written - current.ssd_pages_written;
-                }
-                if pages_admitted > current.pages_admitted {
-                    r.pages_admitted += pages_admitted - current.pages_admitted;
-                }
+                self.lock_shard(0).state.correct_wear(
+                    vm,
+                    current,
+                    ssd_pages_written,
+                    pages_admitted,
+                );
             }
         }
+        true
     }
 
     /// Every resident entry as `(vm, pool, addr, version)`, sorted —
@@ -2072,21 +1660,7 @@ impl ShardedCache {
     /// [`entries`](ddc_hypercache::DoubleDeckerCache::entries), used by
     /// the stale-read oracle and the equivalence reports.
     pub fn entries(&self) -> Vec<(VmId, PoolId, BlockAddr, PageVersion)> {
-        let reg = self.inner.registry.read().expect("registry poisoned");
-        let shards = self.lock_all_shards();
-        let mut out = Vec::new();
-        for (&vm, meta) in &reg.vms {
-            for &(pid, _, _) in &meta.pools {
-                let shard = &shards[self.shard_of(vm, pid)];
-                if let Some(pool) = shard.pools.get(&(vm, pid)) {
-                    for (addr, slot) in pool.iter() {
-                        out.push((vm, pid, addr, slot.version));
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
+        self.with_locked_cut(|cut| cut.entries())
     }
 
     /// Runs `f` with the registry read-locked and every shard locked in
@@ -2111,69 +1685,21 @@ impl ShardedCache {
     // Endurance plane: wear accounting and TTL demotion.
     // ------------------------------------------------------------------
 
-    /// Every VM with wear on the books (live VMs plus retired wear),
-    /// sorted — computed from already-held locks.
-    fn wear_vm_ids_in(reg: &Registry, shards: &[MutexGuard<'_, Shard>]) -> Vec<VmId> {
-        let mut ids: Vec<VmId> = reg.vms.keys().copied().collect();
-        for shard in shards.iter() {
-            for &vm in shard.retired_wear.keys() {
-                if let Err(i) = ids.binary_search(&vm) {
-                    ids.insert(i, vm);
-                }
-            }
-        }
-        ids
-    }
-
-    /// One VM's cumulative wear from already-held locks: retirements
-    /// across every shard plus its live pools.
-    fn vm_wear_in(
-        &self,
-        reg: &Registry,
-        shards: &[MutexGuard<'_, Shard>],
-        vm: VmId,
-    ) -> WearCounters {
-        let mut t = WearCounters::default();
-        for shard in shards.iter() {
-            if let Some(w) = shard.retired_wear.get(&vm) {
-                t.absorb(w);
-            }
-        }
-        if let Some(meta) = reg.vms.get(&vm) {
-            for &(pid, _, _) in &meta.pools {
-                if let Some(p) = shards[self.shard_of(vm, pid)].pools.get(&(vm, pid)) {
-                    t.absorb(&p.wear.totals());
-                }
-            }
-        }
-        t
-    }
-
     /// Every VM with wear on the books: live VMs plus VMs whose pools
     /// were all destroyed but whose retired wear persists. Sorted.
     pub fn wear_vm_ids(&self) -> Vec<VmId> {
-        let reg = self.inner.registry.read().expect("registry poisoned");
-        let shards = self.lock_all_shards();
-        Self::wear_vm_ids_in(&reg, &shards)
+        self.with_locked_cut(|cut| cut.wear_vm_ids())
     }
 
     /// Cumulative wear charged to one VM: its live pools plus everything
     /// retired when pools were destroyed. Never decreases.
     pub fn vm_wear(&self, vm: VmId) -> WearCounters {
-        let reg = self.inner.registry.read().expect("registry poisoned");
-        let shards = self.lock_all_shards();
-        self.vm_wear_in(&reg, &shards, vm)
+        self.with_locked_cut(|cut| cut.vm_wear(vm))
     }
 
     /// Device-level wear totals across every VM ever seen.
     pub fn wear_totals(&self) -> WearCounters {
-        let reg = self.inner.registry.read().expect("registry poisoned");
-        let shards = self.lock_all_shards();
-        let mut t = WearCounters::default();
-        for vm in Self::wear_vm_ids_in(&reg, &shards) {
-            t.absorb(&self.vm_wear_in(&reg, &shards, vm));
-        }
-        t
+        self.with_locked_cut(|cut| cut.wear_totals())
     }
 
     /// The admission plane this cache runs under.
@@ -2183,10 +1709,9 @@ impl ShardedCache {
 
     /// TTL staleness sweep: demotes (drops) SSD-resident entries older
     /// than the configured `ssd_ttl`, measured in per-pool insert
-    /// distance — the same engine-independent clock the serial sweep
-    /// uses, so the engines demote the same entries in the same order.
-    /// Demotions are journaled as evictions. Returns pages demoted; a
-    /// no-op when `ssd_ttl` is 0.
+    /// distance — an engine-independent clock, so both engines demote
+    /// the same entries in the same order. Demotions are journaled as
+    /// evictions. Returns pages demoted; a no-op when `ssd_ttl` is 0.
     ///
     /// Driver-invoked at deterministic points (tick boundaries) only —
     /// never from the threaded fast path.
@@ -2196,47 +1721,19 @@ impl ShardedCache {
             return 0;
         }
         let mut demoted = 0;
-        let targets: Vec<(VmId, Vec<PoolId>)> = {
-            let reg = self.inner.registry.read().expect("registry poisoned");
-            reg.vms
-                .iter()
-                .map(|(&vm, m)| (vm, m.pools.iter().map(|r| r.0).collect()))
-                .collect()
-        };
-        for (vm, pids) in targets {
-            for pid in pids {
-                let si = self.shard_of(vm, pid);
-                let mut shard = self.lock_shard(si);
-                let stale = shard
-                    .pools
-                    .get(&(vm, pid))
-                    .map(|p| p.stale_ssd_entries(ttl))
-                    .unwrap_or_default();
-                for addr in stale {
-                    let Some(p) = shard.pools.get_mut(&(vm, pid)) else {
-                        break;
-                    };
-                    if p.remove(addr).is_none() {
-                        continue;
-                    }
-                    p.counters.evictions += 1;
-                    p.wear.ttl_demotions += 1;
-                    self.inner.ssd.free(1);
-                    self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-                    demoted += 1;
-                    shard.note_stale(Placement::Ssd, 1);
-                    self.log_in(
-                        si,
-                        &mut shard,
-                        JournalRecord::Evict {
-                            vm: vm.0,
-                            pool: pid.0,
-                            addr,
-                        },
-                    );
-                }
-                self.sync_front(si, &shard, Placement::Ssd);
+        for (vm, pid) in self.pool_ids() {
+            let si = self.shard_of(vm, pid);
+            let mut shard = self.lock_shard(si);
+            let gone = shard
+                .state
+                .ttl_sweep_pool(&mut self.ledgers(), vm, pid, ttl);
+            let count = gone.len() as u64;
+            self.inner.evictions.fetch_add(count, Ordering::Relaxed);
+            demoted += count;
+            for addr in gone {
+                self.log_in(si, &mut shard, shard::evict_record(vm, pid, addr));
             }
+            self.sync_front(si, &shard, Placement::Ssd);
         }
         demoted
     }
@@ -2245,11 +1742,20 @@ impl ShardedCache {
     // Internal helpers.
     // ------------------------------------------------------------------
 
+    /// Every registered pool, in registry order.
+    fn pool_ids(&self) -> Vec<(VmId, PoolId)> {
+        let reg = self.inner.registry.read().expect("registry poisoned");
+        let rows = reg.vms.iter();
+        rows.flat_map(|(&vm, m)| m.pools.iter().map(move |r| (vm, r.0)))
+            .collect()
+    }
+
     fn ledger(&self, placement: Placement) -> &Ledger {
-        match placement {
-            Placement::Mem => &self.inner.mem,
-            Placement::Ssd => &self.inner.ssd,
-        }
+        self.inner.ledger(placement)
+    }
+
+    fn ledgers(&self) -> Ledgers<'_> {
+        Ledgers(&self.inner)
     }
 
     fn alloc_seq(&self) -> u64 {
@@ -2269,68 +1775,33 @@ impl ShardedCache {
         self.inner.shards[idx].lock().expect("shard poisoned")
     }
 
-    /// Pushes a FIFO entry on the pool's home shard and compacts the
-    /// shard queue with the serial engine's amortized heuristic
-    /// (tombstone-dominated, or oversized relative to the global store
-    /// occupancy).
+    /// [`ShardState::insert`] on a (locked) shard, then the front
+    /// republished: the push (into a possibly-empty queue) or the
+    /// compaction may have changed the head tuple.
     #[allow(clippy::too_many_arguments)]
-    fn push_shard_fifo(
+    fn insert_in(
         &self,
         si: usize,
         shard: &mut Shard,
         vm: VmId,
         pool: PoolId,
-        sid: SlotId,
-        seq: u64,
+        addr: BlockAddr,
         placement: Placement,
-    ) {
-        let store_used = self.ledger(placement).used_pages();
-        let stale = shard.stale(placement);
-        let queue = shard.fifo(placement);
-        queue.push_back((vm, pool, sid, seq));
-        let len = queue.len() as u64;
-        let dominated = stale * 2 > len && len >= 1024;
-        let oversized = len > store_used.saturating_mul(8).max(1024);
-        if dominated || oversized {
-            let Shard {
-                pools,
-                fifo_mem,
-                fifo_ssd,
-                stale_mem,
-                stale_ssd,
-                journal: _,
-                remote_bindings: _,
-                remote_stash: _,
-                retired_wear: _,
-            } = shard;
-            let (queue, stale) = match placement {
-                Placement::Mem => (fifo_mem, stale_mem),
-                Placement::Ssd => (fifo_ssd, stale_ssd),
-            };
-            queue.retain(|&(v, p, id, s)| {
-                pools
-                    .get(&(v, p))
-                    .and_then(|pool| pool.fifo_probe(id, s, placement))
-                    .is_some()
-            });
-            *stale = 0;
-        }
-        // The push (into a possibly-empty queue) or the compaction may
-        // have changed the head tuple — republish it for the evictor.
+        version: PageVersion,
+        seq: u64,
+    ) -> bool {
+        let inserted =
+            shard
+                .state
+                .insert(&mut self.ledgers(), vm, pool, addr, placement, version, seq);
         self.sync_front(si, shard, placement);
+        inserted
     }
 
     // ------------------------------------------------------------------
     // Entitlements (the policy module's share table over this registry,
     // memoized per handle).
     // ------------------------------------------------------------------
-
-    fn pool_by_policy(policy: CachePolicy, placement: Placement) -> bool {
-        match placement {
-            Placement::Mem => policy.store.uses_mem(),
-            Placement::Ssd => policy.store.uses_ssd(),
-        }
-    }
 
     /// One store's share table from the registry, through the policy
     /// module's one builder. Usage enters only through the
@@ -2349,7 +1820,7 @@ impl ShardedCache {
             reg.vms.iter().map(|(&vm, meta)| {
                 let mut pools = Vec::new();
                 for (pid, policy, mirror) in &meta.pools {
-                    if Self::pool_by_policy(*policy, placement) {
+                    if placement.allowed_by(policy.store) {
                         pools.push((*pid, policy.weight as u64));
                     } else if legacy_used(vm, *pid, mirror) > 0 {
                         pools.push((*pid, 0));
@@ -2390,10 +1861,7 @@ impl ShardedCache {
             memo.tables = [None, None];
             memo.registry_version = version;
         }
-        let idx = match placement {
-            Placement::Mem => 0,
-            Placement::Ssd => 1,
-        };
+        let idx = placement.idx();
         let capacity = self.ledger(placement).capacity_pages();
         let valid = memo.tables[idx].as_ref().is_some_and(|t| {
             t.capacity == capacity
@@ -2583,27 +2051,12 @@ impl ShardedCache {
             // The leaf is the (live) global minimum and we hold its
             // shard: evict from it for as long as that stays true.
             while freed < EVICTION_BATCH_PAGES {
-                let Some(&(vm, pool_id, sid, _)) = shard.fifo_ref(placement).front() else {
+                let evicted = shard.state.evict_front(&mut self.ledgers(), placement);
+                let Some((vm, pool_id, addr)) = evicted else {
                     continue 'tournament;
                 };
-                shard.fifo(placement).pop_front();
-                let pool = shard
-                    .pools
-                    .get_mut(&(vm, pool_id))
-                    .expect("front verified live");
-                let (addr, _) = pool.remove_by_id(sid).expect("front verified live");
-                pool.counters.evictions += 1;
-                self.ledger(placement).free(1);
                 self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-                self.log_in(
-                    leaf,
-                    &mut shard,
-                    JournalRecord::Evict {
-                        vm: vm.0,
-                        pool: pool_id.0,
-                        addr,
-                    },
-                );
+                self.log_in(leaf, &mut shard, shard::evict_record(vm, pool_id, addr));
                 freed += 1;
                 self.pop_dead_fronts(leaf, &mut shard, placement);
                 if tree.winner() != Some(leaf) {
@@ -2618,18 +2071,7 @@ impl ShardedCache {
     /// republishes its leaf. On return the front is live or the queue is
     /// empty, and the leaf is exact.
     fn pop_dead_fronts(&self, si: usize, shard: &mut Shard, placement: Placement) {
-        while let Some(&(vm, pool, sid, seq)) = shard.fifo_ref(placement).front() {
-            let live = shard
-                .pools
-                .get(&(vm, pool))
-                .and_then(|p| p.fifo_probe(sid, seq, placement))
-                .is_some();
-            if live {
-                break;
-            }
-            shard.fifo(placement).pop_front();
-            shard.note_dead_popped(placement);
-        }
+        shard.state.pop_dead_fronts(placement);
         self.sync_front(si, shard, placement);
     }
 
@@ -2647,88 +2089,27 @@ impl ShardedCache {
         placement: Placement,
         max_pages: u64,
     ) -> u64 {
-        let mut freed = 0;
-        let mut evicted: Vec<BlockAddr> = Vec::new();
-        let mut trickle: Vec<(BlockAddr, PageVersion)> = Vec::new();
-        {
-            let Some(pool) = shard.pools.get_mut(&(vm, pool_id)) else {
-                return 0;
-            };
-            let hybrid = pool.policy().store == StoreKind::Hybrid;
-            while freed < max_pages {
-                let Some((addr, slot)) = pool.pop_oldest(placement) else {
-                    break;
-                };
-                pool.counters.evictions += 1;
-                freed += 1;
-                evicted.push(addr);
-                if hybrid && placement == Placement::Mem {
-                    trickle.push((addr, slot.version));
+        let admission = self.inner.admission;
+        let Shard { state, journal } = shard;
+        let (freed, trickled) = state.evict_batch(
+            &mut self.ledgers(),
+            vm,
+            pool_id,
+            placement,
+            max_pages,
+            admission.filters_spills().then_some(admission.ghost_window),
+            // No device model on this plane: a trickle only needs its
+            // sequence stamp.
+            Some(|_: &mut Ledgers<'_>, _| Some(self.alloc_seq())),
+            |rec| {
+                if let Some(j) = journal.as_mut() {
+                    self.append_claimed(si, j, std::slice::from_ref(&rec));
                 }
-            }
-            shard.note_stale(placement, freed);
-        }
-        self.ledger(placement).free(freed);
-        self.inner.evictions.fetch_add(freed, Ordering::Relaxed);
-        for addr in evicted {
-            self.log_in(
-                si,
-                shard,
-                JournalRecord::Evict {
-                    vm: vm.0,
-                    pool: pool_id.0,
-                    addr,
-                },
-            );
-        }
-
-        // Trickle-down: keep evicted hybrid memory objects alive in the
-        // SSD share while room remains. Like the serial engine, trickled
-        // objects get no FIFO entry (they are policy-managed, not
-        // global-FIFO-managed).
-        for (addr, version) in trickle {
-            // Ghost admission on the trickle path, mirroring the serial
-            // engine: a rejected object is simply dropped (its Evict is
-            // already journaled).
-            if self.inner.admission.filters_spills() {
-                let window = self.inner.admission.ghost_window;
-                if let Some(pool) = shard.pools.get_mut(&(vm, pool_id)) {
-                    pool.wear.spill_attempts += 1;
-                    if pool.ghost.admit(addr, window) {
-                        pool.wear.spill_admits += 1;
-                    } else {
-                        pool.wear.spill_rejects += 1;
-                        continue;
-                    }
-                }
-            }
-            if !self.inner.ssd.has_room() || !self.inner.ssd.try_alloc() {
-                break;
-            }
-            let seq = self.alloc_seq();
-            match shard.pools.get_mut(&(vm, pool_id)) {
-                Some(pool) => {
-                    let (_, displaced) = pool.insert(addr, Placement::Ssd, version, seq);
-                    if let Some(displaced) = displaced {
-                        self.ledger(displaced).free(1);
-                        shard.note_stale(displaced, 1);
-                    }
-                    self.inner.trickle_downs.fetch_add(1, Ordering::Relaxed);
-                    self.log_in(
-                        si,
-                        shard,
-                        JournalRecord::Put {
-                            vm: vm.0,
-                            pool: pool_id.0,
-                            addr,
-                            version: version.0,
-                            placement: Placement::Ssd.code(),
-                        },
-                    );
-                }
-                None => self.inner.ssd.free(1),
-            }
-        }
+            },
+        );
+        let inner = &self.inner;
+        inner.evictions.fetch_add(freed, Ordering::Relaxed);
+        inner.trickle_downs.fetch_add(trickled, Ordering::Relaxed);
         freed
     }
 
@@ -2817,13 +2198,6 @@ impl ShardedCache {
         scratch: &mut GroupScratch,
     ) -> (PutOutcome, Option<HomeGuards<'a>>) {
         let (mut reg, mut shard) = guards;
-        let used_in = |shard: &Shard, placement: Placement| {
-            shard
-                .pools
-                .get(&(vm, pool))
-                .map(|p| p.used(placement))
-                .unwrap_or(0)
-        };
 
         // Placement decided with the old copy still resident, like the
         // serial engine.
@@ -2833,7 +2207,7 @@ impl ShardedCache {
             StoreKind::Hybrid => {
                 let table = reg.as_deref().expect("hybrid puts hold the registry");
                 let entitlement = self.pool_entitlement_memo(table, vm, pool, Placement::Mem);
-                if used_in(&shard, Placement::Mem) < entitlement {
+                if shard.state.used(vm, pool, Placement::Mem) < entitlement {
                     Placement::Mem
                 } else {
                     Placement::Ssd
@@ -2845,34 +2219,26 @@ impl ShardedCache {
         }
 
         // Ghost admission: a hybrid pool spilling into its SSD share
-        // must earn the flash write (serial `put` order: checked before
-        // any mutation, so the engines decide identically).
+        // must earn the flash write. Checked before any mutation, so
+        // both engines decide identically.
         if self.inner.admission.filters_spills()
             && placement == Placement::Ssd
             && policy.store == StoreKind::Hybrid
         {
             let window = self.inner.admission.ghost_window;
-            if let Some(p) = shard.pools.get_mut(&(vm, pool)) {
-                p.wear.spill_attempts += 1;
-                if p.ghost.admit(addr, window) {
-                    p.wear.spill_admits += 1;
-                } else {
-                    p.wear.spill_rejects += 1;
-                    return (PutOutcome::Rejected, Some((reg, shard)));
-                }
+            let rejected = shard
+                .state
+                .pools
+                .get_mut(&(vm, pool))
+                .is_some_and(|p| !p.admit_spill(addr, window));
+            if rejected {
+                return (PutOutcome::Rejected, Some((reg, shard)));
             }
         }
 
         // Exclusive overwrite: displace any stale copy first so the
         // freed page is available to this put.
-        if let Some(old) = shard
-            .pools
-            .get_mut(&(vm, pool))
-            .and_then(|p| p.remove(addr))
-        {
-            self.ledger(old.placement).free(1);
-            shard.note_stale(old.placement, 1);
-        }
+        shard.state.remove(&mut self.ledgers(), vm, pool, addr);
 
         // Strict-mode pre-check: a pool at its hard partition evicts
         // from itself before the store-level check. Entitlement comes
@@ -2881,7 +2247,7 @@ impl ShardedCache {
         if self.inner.mode == PartitionMode::Strict {
             let table = reg.as_deref().expect("strict puts hold the registry");
             let entitlement = self.pool_entitlement_memo(table, vm, pool, placement);
-            if used_in(&shard, placement) + 1 > entitlement {
+            if shard.state.used(vm, pool, placement) + 1 > entitlement {
                 // The evictor journals straight into the segment —
                 // pending batch records must land first so generation
                 // order stays equal to operation order.
@@ -2915,27 +2281,18 @@ impl ShardedCache {
         }
 
         let seq = self.alloc_seq();
-        let Some(pool_entry) = shard.pools.get_mut(&(vm, pool)) else {
+        let Some(pool_entry) = shard.state.pools.get_mut(&(vm, pool)) else {
             // The pool was destroyed while we were evicting; give the
             // page back.
             self.ledger(placement).free(1);
             return (PutOutcome::Rejected, Some((reg, shard)));
         };
         pool_entry.counters.puts += 1;
-        let (sid, displaced) = pool_entry.insert(addr, placement, version, seq);
-        if let Some(displaced) = displaced {
-            self.ledger(displaced).free(1);
-            shard.note_stale(displaced, 1);
-        }
-        self.push_shard_fifo(si, &mut shard, vm, pool, sid, seq, placement);
+        self.insert_in(si, &mut shard, vm, pool, addr, placement, version, seq);
         if shard.journal.is_some() {
-            scratch.records.push(JournalRecord::Put {
-                vm: vm.0,
-                pool: pool.0,
-                addr,
-                version: version.0,
-                placement: placement.code(),
-            });
+            scratch
+                .records
+                .push(shard::put_record(vm, pool, addr, version, placement));
         }
         (PutOutcome::Stored { finish: now }, Some((reg, shard)))
     }
@@ -3025,35 +2382,17 @@ impl ShardedCache {
         addr: BlockAddr,
         scratch: &mut GroupScratch,
     ) -> GetOutcome {
-        let Some(p) = shard.pools.get_mut(&(vm, pool)) else {
-            return Self::remote_get_in(shard, now, vm, pool, addr);
-        };
-        p.counters.gets += 1;
-        let Some(slot) = p.remove(addr) else {
+        // Exclusive semantics remove the object on a hit; its FIFO entry
+        // outlives it as a tombstone.
+        let taken = shard.state.take(&mut self.ledgers(), vm, pool, addr);
+        let Some((p, Some(slot))) = taken else {
             // Miss in the local tiers: fall through to the pool's remote
             // binding (if any), which fails open back to a miss.
-            return Self::remote_get_in(shard, now, vm, pool, addr);
+            return shard.state.remote_get(now, vm, pool, addr);
         };
-        p.counters.hits += 1;
-        // A hit on an SSD-resident block is proven reuse: re-arm its
-        // ghost entry so the block's next spill readmits without a
-        // second probation pass (mirrors the serial engine exactly).
-        if self.inner.admission.filters_spills()
-            && slot.placement == Placement::Ssd
-            && p.policy().store == StoreKind::Hybrid
-        {
-            p.ghost.note(addr);
-        }
-        // Exclusive semantics removed the object; its FIFO entry
-        // outlives it as a tombstone.
-        self.ledger(slot.placement).free(1);
-        shard.note_stale(slot.placement, 1);
+        p.note_hit(addr, slot.placement, self.inner.admission.filters_spills());
         if shard.journal.is_some() {
-            scratch.records.push(JournalRecord::Take {
-                vm: vm.0,
-                pool: pool.0,
-                addr,
-            });
+            scratch.records.push(shard::take_record(vm, pool, addr));
         }
         GetOutcome::Hit {
             finish: now,
@@ -3174,37 +2513,18 @@ impl ShardedCache {
         let si = self.shard_of(vm, pool);
         let mut scratch = std::mem::take(&mut self.local.scratch);
         let mut shard = self.visit_shard(si, &mut scratch);
+        let remotes = self.inner.remote_on.load(Ordering::Acquire);
         for &addr in addrs {
-            if let Some(slot) = shard
-                .pools
-                .get_mut(&(vm, pool))
-                .and_then(|p| p.remove(addr))
-            {
-                self.ledger(slot.placement).free(1);
-                shard.note_stale(slot.placement, 1);
-            }
+            shard.state.remove(&mut self.ledgers(), vm, pool, addr);
             // The guest is writing the backing block: the remote's copy
             // is stale forever after (stash it if the pool is not bound
             // yet).
-            if let Some(b) = shard.remote_bindings.get_mut(&(vm, pool)) {
-                b.localize(addr);
-            } else if self.inner.remote_on.load(Ordering::Acquire) {
-                shard
-                    .remote_stash
-                    .entry((vm, pool))
-                    .or_default()
-                    .0
-                    .push(addr);
-            }
+            shard.state.note_flush(vm, pool, addr, remotes);
             // Logged even when the block was absent: the returned epoch
             // must cover this flush regardless, since a crash may lose
             // the unsynced put that would have made the block present.
             if shard.journal.is_some() {
-                scratch.records.push(JournalRecord::Flush {
-                    vm: vm.0,
-                    pool: pool.0,
-                    addr,
-                });
+                scratch.records.push(shard::flush_record(vm, pool, addr));
             }
         }
         let epoch = self.drain_scratch(si, &mut shard, &mut scratch);
@@ -3213,106 +2533,80 @@ impl ShardedCache {
         epoch
     }
 
-    /// Moves one object between two pools on the *same* shard.
-    fn migrate_same_shard(&self, si: usize, vm: VmId, from: PoolId, to: PoolId, addr: BlockAddr) {
-        let mut shard = self.lock_shard(si);
-        let Some(slot) = shard
-            .pools
-            .get_mut(&(vm, from))
-            .and_then(|p| p.remove(addr))
-        else {
-            return;
-        };
-        // The FIFO entry the source pool pushed is a tombstone now.
-        shard.note_stale(slot.placement, 1);
-        self.log_in(
-            si,
-            &mut shard,
-            JournalRecord::Take {
-                vm: vm.0,
-                pool: from.0,
-                addr,
-            },
-        );
-        if shard.pools.contains_key(&(vm, to)) {
-            let seq = self.alloc_seq();
-            let target = shard.pools.get_mut(&(vm, to)).expect("checked above");
-            let (sid, displaced) = target.insert(addr, slot.placement, slot.version, seq);
-            if let Some(displaced) = displaced {
-                self.ledger(displaced).free(1);
-                shard.note_stale(displaced, 1);
+    /// Registers `pid` for `vm` (an unknown VM is auto-registered at
+    /// 100/100) and creates its pool on its home shard, wired to a
+    /// usage mirror and the shard's read plane. Registry before shard
+    /// (lock-order rule); the pool becomes routable the moment the
+    /// shard insert lands, and the caller gets that shard still locked.
+    fn install_pool(
+        &self,
+        reg: &mut Registry,
+        vm: VmId,
+        pid: PoolId,
+        policy: CachePolicy,
+    ) -> (usize, MutexGuard<'_, Shard>) {
+        let meta = reg.vms.entry(vm).or_insert_with(|| VmMeta::new(100, 100));
+        // Live ids are minted monotonically (the row goes last); a
+        // replayed id may already be there.
+        let mirror = match meta.pools.binary_search_by_key(&pid, |r| r.0) {
+            Ok(i) => {
+                meta.pools[i].1 = policy;
+                meta.pools[i].2.clone()
             }
-            self.push_shard_fifo(si, &mut shard, vm, to, sid, seq, slot.placement);
-            self.log_in(
-                si,
-                &mut shard,
-                JournalRecord::Put {
-                    vm: vm.0,
-                    pool: to.0,
-                    addr,
-                    version: slot.version.0,
-                    placement: slot.placement.code(),
-                },
-            );
-        } else {
-            // Unknown target: the object has no owner; drop it.
-            self.ledger(slot.placement).free(1);
-        }
-    }
-}
-
-impl SecondChanceCache for ShardedCache {
-    fn create_pool(&mut self, vm: VmId, policy: CachePolicy) -> PoolId {
-        let mut reg = self.inner.registry.write().expect("registry poisoned");
-        reg.vms.entry(vm).or_insert_with(|| VmMeta::new(100, 100));
-        let id = PoolId(reg.next_pool);
-        reg.next_pool += 1;
-        let mirror = Arc::new(UsageMirror::default());
-        reg.vms
-            .get_mut(&vm)
-            .expect("inserted above")
-            .pools
-            .push((id, policy, mirror.clone()));
+            Err(i) => {
+                let mirror = Arc::new(UsageMirror::default());
+                meta.pools.insert(i, (pid, policy, mirror.clone()));
+                mirror
+            }
+        };
+        reg.next_pool = reg.next_pool.max(pid.0 + 1);
         self.bump_registry_version();
-        // Registry before shard (lock-order rule); the pool becomes
-        // routable the moment the shard insert lands.
-        let si = self.shard_of(vm, id);
+        let si = self.shard_of(vm, pid);
         let mut shard = self.lock_shard(si);
         let mut pool = Pool::new(vm, policy);
         pool.set_mirror(mirror);
-        pool.set_read_plane(id, Arc::clone(&self.inner.read_planes[si]));
-        shard.pools.insert((vm, id), pool);
-        self.log_in(
-            si,
-            &mut shard,
-            JournalRecord::CreatePool {
-                vm: vm.0,
-                pool: id.0,
-                store: store_kind_code(policy.store),
-                weight: policy.weight,
-            },
-        );
-        id
+        pool.set_read_plane(pid, Arc::clone(&self.inner.read_planes[si]));
+        shard.state.pools.insert((vm, pid), pool);
+        (si, shard)
     }
 
-    fn destroy_pool(&mut self, vm: VmId, pool: PoolId) {
+    /// Swaps one pool's policy, live (`set_policy`) or replayed: in its
+    /// registry row, then in the pool itself on its home shard, which
+    /// the caller gets still locked. `None` if there is no such pool.
+    fn swap_policy(
+        &self,
+        vm: VmId,
+        pool: PoolId,
+        policy: CachePolicy,
+    ) -> Option<(usize, MutexGuard<'_, Shard>)> {
+        {
+            let mut reg = self.inner.registry.write().expect("registry poisoned");
+            let meta = reg.vms.get_mut(&vm)?;
+            let i = meta.pools.binary_search_by_key(&pool, |r| r.0).ok()?;
+            meta.pools[i].1 = policy;
+            self.bump_registry_version();
+        }
+        let si = self.shard_of(vm, pool);
+        let mut shard = self.lock_shard(si);
+        shard.state.pools.get_mut(&(vm, pool))?.set_policy(policy);
+        Some((si, shard))
+    }
+
+    /// Destroys a pool, live (`destroy_pool`) or replayed: its binding
+    /// and stashed flushes go, its objects are drained and the
+    /// `DestroyPool` journaled (a no-op during replay), then its
+    /// registry row goes.
+    fn remove_pool(&self, vm: VmId, pool: PoolId) {
         let mut reg = self.inner.registry.write().expect("registry poisoned");
         let si = self.shard_of(vm, pool);
         let mut shard = self.lock_shard(si);
-        if shard.remote_bindings.remove(&(vm, pool)).is_some() {
+        if shard.state.remote_bindings.remove(&(vm, pool)).is_some() {
             if let Some(m) = reg.vms.get(&vm).and_then(|meta| meta.mirror_of(pool)) {
                 m.clear_remote_bound();
             }
         }
-        shard.remote_stash.remove(&(vm, pool));
-        if let Some(mut p) = shard.pools.remove(&(vm, pool)) {
-            let (mem, ssd) = p.drain();
-            let worn = p.wear.retire();
-            shard.retired_wear.entry(vm).or_default().absorb(&worn);
-            self.inner.mem.free(mem);
-            self.inner.ssd.free(ssd);
-            shard.stale_mem += mem;
-            shard.stale_ssd += ssd;
+        shard.state.remote_stash.remove(&(vm, pool));
+        if shard.state.drain_pool(&mut self.ledgers(), vm, pool) {
             self.log_in(
                 si,
                 &mut shard,
@@ -3330,45 +2624,76 @@ impl SecondChanceCache for ShardedCache {
         }
     }
 
-    fn set_policy(&mut self, vm: VmId, pool: PoolId, policy: CachePolicy) {
-        {
-            let mut reg = self.inner.registry.write().expect("registry poisoned");
-            let Some(meta) = reg.vms.get_mut(&vm) else {
-                return;
-            };
-            let Ok(i) = meta.pools.binary_search_by_key(&pool, |r| r.0) else {
-                return;
-            };
-            meta.pools[i].1 = policy;
-            self.bump_registry_version();
-        }
+    /// The source half of a migration on its (locked) home shard: the
+    /// object leaves `from` and its page goes back to the ledger.
+    fn migrate_out(
+        &self,
+        si: usize,
+        shard: &mut Shard,
+        vm: VmId,
+        from: PoolId,
+        addr: BlockAddr,
+    ) -> Option<Slot> {
+        let slot = shard.state.remove(&mut self.ledgers(), vm, from, addr)?;
+        self.log_in(si, shard, shard::take_record(vm, from, addr));
+        Some(slot)
+    }
 
-        let si = self.shard_of(vm, pool);
-        let mut shard = self.lock_shard(si);
-        let Some(p) = shard.pools.get_mut(&(vm, pool)) else {
+    /// The target half on `to`'s (locked) home shard: the object takes
+    /// a page of its old store again and joins `to`. An unknown target
+    /// (the object has no owner) or a page a racing put took first
+    /// drops it — it is clean, so dropping is always safe.
+    fn migrate_in(
+        &self,
+        si: usize,
+        shard: &mut Shard,
+        vm: VmId,
+        to: PoolId,
+        addr: BlockAddr,
+        slot: Slot,
+    ) {
+        if !shard.state.pools.contains_key(&(vm, to)) || !self.ledger(slot.placement).try_alloc() {
+            return;
+        }
+        let seq = self.alloc_seq();
+        self.insert_in(si, shard, vm, to, addr, slot.placement, slot.version, seq);
+        self.log_in(
+            si,
+            shard,
+            shard::put_record(vm, to, addr, slot.version, slot.placement),
+        );
+    }
+}
+
+impl SecondChanceCache for ShardedCache {
+    fn create_pool(&mut self, vm: VmId, policy: CachePolicy) -> PoolId {
+        let mut reg = self.inner.registry.write().expect("registry poisoned");
+        let id = PoolId(reg.next_pool);
+        let (si, mut shard) = self.install_pool(&mut reg, vm, id, policy);
+        self.log_in(
+            si,
+            &mut shard,
+            JournalRecord::CreatePool {
+                vm: vm.0,
+                pool: id.0,
+                store: store_kind_code(policy.store),
+                weight: policy.weight,
+            },
+        );
+        id
+    }
+
+    fn destroy_pool(&mut self, vm: VmId, pool: PoolId) {
+        self.remove_pool(vm, pool);
+    }
+
+    fn set_policy(&mut self, vm: VmId, pool: PoolId, policy: CachePolicy) {
+        let Some((si, mut shard)) = self.swap_policy(vm, pool, policy) else {
             return;
         };
-        p.set_policy(policy);
-
-        // Re-home objects whose placement the new policy disallows
-        // (mirrors the serial engine's rehome, minus the fault plane).
-        let mut displaced: Vec<(BlockAddr, PageVersion, Placement)> = Vec::new();
-        for (addr, slot) in p.iter() {
-            let allowed = match slot.placement {
-                Placement::Mem => policy.store.uses_mem(),
-                Placement::Ssd => policy.store.uses_ssd(),
-            };
-            if !allowed && policy.is_enabled() {
-                displaced.push((addr, slot.version, slot.placement));
-            }
-        }
-        // The slab iterates in arena order, which depends on free-list
-        // history; sort by address so the rehome sequence is a pure
-        // function of the visible cache state.
-        displaced.sort_unstable_by_key(|&(addr, _, _)| addr);
         // Journal the policy change before the re-homing records, so
         // replay applies the policy raw and then the logged evictions
-        // and puts in causal order (mirrors the serial engine).
+        // and puts in causal order.
         self.log_in(
             si,
             &mut shard,
@@ -3379,54 +2704,21 @@ impl SecondChanceCache for ShardedCache {
                 weight: policy.weight,
             },
         );
-        for (addr, version, old_placement) in displaced {
-            if let Some(p) = shard.pools.get_mut(&(vm, pool)) {
-                p.remove(addr);
-            }
-            self.ledger(old_placement).free(1);
-            shard.note_stale(old_placement, 1);
-            self.log_in(
-                si,
-                &mut shard,
-                JournalRecord::Evict {
-                    vm: vm.0,
-                    pool: pool.0,
-                    addr,
-                },
-            );
-            let new_placement = match old_placement {
-                Placement::Mem => Placement::Ssd,
-                Placement::Ssd => Placement::Mem,
-            };
+        // Re-home what the new policy no longer allows where it is (the
+        // serial engine's rehome, minus the fault plane).
+        for (addr, version, new_placement) in shard.state.misplaced(vm, pool) {
+            shard.state.remove(&mut self.ledgers(), vm, pool, addr);
+            self.log_in(si, &mut shard, shard::evict_record(vm, pool, addr));
             // Move to the newly-allowed store if it has room; drop
             // otherwise (the object is clean, dropping is always safe).
-            if self.ledger(new_placement).has_room() && self.ledger(new_placement).try_alloc() {
+            if self.ledger(new_placement).try_alloc() {
                 let seq = self.alloc_seq();
-                let inserted = shard
-                    .pools
-                    .get_mut(&(vm, pool))
-                    .map(|p| p.insert(addr, new_placement, version, seq));
-                match inserted {
-                    Some((sid, displaced_old)) => {
-                        if let Some(d) = displaced_old {
-                            self.ledger(d).free(1);
-                            shard.note_stale(d, 1);
-                        }
-                        self.push_shard_fifo(si, &mut shard, vm, pool, sid, seq, new_placement);
-                        self.log_in(
-                            si,
-                            &mut shard,
-                            JournalRecord::Put {
-                                vm: vm.0,
-                                pool: pool.0,
-                                addr,
-                                version: version.0,
-                                placement: new_placement.code(),
-                            },
-                        );
-                    }
-                    None => self.ledger(new_placement).free(1),
-                }
+                self.insert_in(si, &mut shard, vm, pool, addr, new_placement, version, seq);
+                self.log_in(
+                    si,
+                    &mut shard,
+                    shard::put_record(vm, pool, addr, version, new_placement),
+                );
             }
         }
     }
@@ -3434,65 +2726,30 @@ impl SecondChanceCache for ShardedCache {
     fn migrate_object(&mut self, vm: VmId, from: PoolId, to: PoolId, addr: BlockAddr) {
         let (si_from, si_to) = (self.shard_of(vm, from), self.shard_of(vm, to));
         if si_from == si_to {
-            return self.migrate_same_shard(si_from, vm, from, to, addr);
+            let mut shard = self.lock_shard(si_from);
+            if let Some(slot) = self.migrate_out(si_from, &mut shard, vm, from, addr) {
+                self.migrate_in(si_to, &mut shard, vm, to, addr, slot);
+            }
+            return;
         }
         // Lock both home shards in ascending order (lock-order rule).
-        let lo = si_from.min(si_to);
-        let hi = si_from.max(si_to);
-        let mut guard_lo = self.lock_shard(lo);
-        let mut guard_hi = self.lock_shard(hi);
-        let (src, dst): (&mut Shard, &mut Shard) = if si_from == lo {
+        let mut guard_lo = self.lock_shard(si_from.min(si_to));
+        let mut guard_hi = self.lock_shard(si_from.max(si_to));
+        let (src, dst): (&mut Shard, &mut Shard) = if si_from < si_to {
             (&mut guard_lo, &mut guard_hi)
         } else {
             (&mut guard_hi, &mut guard_lo)
         };
-        let Some(slot) = src.pools.get_mut(&(vm, from)).and_then(|p| p.remove(addr)) else {
-            return;
-        };
-        src.note_stale(slot.placement, 1);
-        self.log_in(
-            si_from,
-            src,
-            JournalRecord::Take {
-                vm: vm.0,
-                pool: from.0,
-                addr,
-            },
-        );
-        if dst.pools.contains_key(&(vm, to)) {
-            let seq = self.alloc_seq();
-            let target = dst.pools.get_mut(&(vm, to)).expect("checked above");
-            let (sid, displaced) = target.insert(addr, slot.placement, slot.version, seq);
-            if let Some(displaced) = displaced {
-                self.ledger(displaced).free(1);
-                dst.note_stale(displaced, 1);
-            }
-            self.push_shard_fifo(si_to, dst, vm, to, sid, seq, slot.placement);
-            self.log_in(
-                si_to,
-                dst,
-                JournalRecord::Put {
-                    vm: vm.0,
-                    pool: to.0,
-                    addr,
-                    version: slot.version.0,
-                    placement: slot.placement.code(),
-                },
-            );
-        } else {
-            self.ledger(slot.placement).free(1);
+        if let Some(slot) = self.migrate_out(si_from, src, vm, from, addr) {
+            self.migrate_in(si_to, dst, vm, to, addr, slot);
         }
     }
 
     fn pool_stats(&self, vm: VmId, pool: PoolId) -> Option<PoolStats> {
         let reg = self.inner.registry.read().expect("registry poisoned");
         let shard = self.lock_shard(self.shard_of(vm, pool));
-        let p = shard.pools.get(&(vm, pool))?;
-        let primary = match p.policy().store {
-            StoreKind::Mem | StoreKind::Hybrid => Placement::Mem,
-            StoreKind::Ssd => Placement::Ssd,
-        };
-        let entitlement = self.pool_entitlement_memo(&reg, vm, pool, primary);
+        let p = shard.state.pools.get(&(vm, pool))?;
+        let entitlement = self.pool_entitlement_memo(&reg, vm, pool, p.primary_placement());
         // Lock-free misses bump the pool's usage mirror instead of the
         // shard-locked counters; fold them back in so totals match the
         // serial engine exactly.
@@ -3502,17 +2759,10 @@ impl SecondChanceCache for ShardedCache {
             .and_then(|m| m.mirror_of(pool))
             .map(|m| m.lockfree_gets())
             .unwrap_or(0);
+        let stats = p.stats(entitlement);
         Some(PoolStats {
-            mem_pages: p.used(Placement::Mem),
-            ssd_pages: p.used(Placement::Ssd),
-            entitlement_pages: entitlement,
-            gets: p.counters.gets + lockfree_gets,
-            hits: p.counters.hits,
-            puts: p.counters.puts,
-            evictions: p.counters.evictions,
-            failed_gets: p.counters.failed_gets,
-            failed_puts: p.counters.failed_puts,
-            ssd_writes: p.wear.pages_written,
+            gets: stats.gets + lockfree_gets,
+            ..stats
         })
     }
 
@@ -3550,33 +2800,11 @@ impl SecondChanceCache for ShardedCache {
     fn flush_file(&mut self, vm: VmId, pool: PoolId, file: FileId) -> u64 {
         let si = self.shard_of(vm, pool);
         let mut shard = self.lock_shard(si);
-        if let Some(p) = shard.pools.get_mut(&(vm, pool)) {
-            let (mem, ssd) = p.remove_file(file);
-            self.inner.mem.free(mem);
-            self.inner.ssd.free(ssd);
-            shard.stale_mem += mem;
-            shard.stale_ssd += ssd;
-        }
-        if let Some(b) = shard.remote_bindings.get_mut(&(vm, pool)) {
-            b.localize_file(file);
-        } else if self.inner.remote_on.load(Ordering::Acquire) {
-            shard
-                .remote_stash
-                .entry((vm, pool))
-                .or_default()
-                .1
-                .push(file);
-        }
+        shard.state.remove_file(&mut self.ledgers(), vm, pool, file);
+        let remotes = self.inner.remote_on.load(Ordering::Acquire);
+        shard.state.note_flush_file(vm, pool, file, remotes);
         // Compaction hoisted to batch boundaries, like `flush`.
-        self.log_in(
-            si,
-            &mut shard,
-            JournalRecord::FlushFile {
-                vm: vm.0,
-                pool: pool.0,
-                file,
-            },
-        )
+        self.log_in(si, &mut shard, shard::flush_file_record(vm, pool, file))
     }
 
     fn get_many(
@@ -3807,7 +3035,7 @@ mod tests {
         // published — the fully synced checkpoint's last generation —
         // and finds nothing left to mark.
         let compactions = cache.journal_compactions();
-        let absent: Vec<BlockAddr> = (0..JOURNAL_COMPACT_MIN_RECORDS)
+        let absent: Vec<BlockAddr> = (0..ddc_hypercache::JOURNAL_COMPACT_MIN_RECORDS)
             .map(|i| addr(9, i))
             .collect();
         let e4 = cache.flush_many(VmId(1), p, &absent);
@@ -3824,6 +3052,48 @@ mod tests {
             .unwrap()
             .iter()
             .all(|(image, durable)| *durable == image.len()));
+        let findings = audit(&cache);
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn the_atomic_ledgers_equal_pool_usage_after_every_shard_transition() {
+        use ddc_sim::SimRng;
+        let mut cache = ShardedCache::new(CacheConfig::mem_and_ssd(24, 48), 1);
+        let vm = VmId(1);
+        let pool = cache.create_pool(vm, CachePolicy::hybrid(100));
+        let mut rng = SimRng::new(0x1ED6);
+        let mut shard = cache.lock_shard(0);
+        for _ in 0..4_000 {
+            let a = addr(rng.range_u64(1, 4), rng.range_u64(0, 16));
+            let placement = *rng.pick(&[Placement::Mem, Placement::Ssd]);
+            let state = &mut shard.state;
+            let mut ledgers = cache.ledgers();
+            match rng.range_u64(0, 8) {
+                0..=3 => {
+                    if cache.ledger(placement).try_alloc() {
+                        let seq = cache.alloc_seq();
+                        state.insert(&mut ledgers, vm, pool, a, placement, PageVersion(seq), seq);
+                    }
+                }
+                4 => drop(state.remove(&mut ledgers, vm, pool, a)),
+                5 => drop(state.remove_file(&mut ledgers, vm, pool, a.file)),
+                6 => drop(state.evict_front(&mut ledgers, placement)),
+                _ => {
+                    let spill = Some(|_: &mut Ledgers<'_>, _| Some(cache.alloc_seq()));
+                    state.evict_batch(&mut ledgers, vm, pool, placement, 3, None, spill, |_| {});
+                }
+            }
+            for placement in [Placement::Mem, Placement::Ssd] {
+                let ledger = cache.ledger(placement);
+                assert_eq!(
+                    ledger.used_pages(),
+                    state.pools[&(vm, pool)].used(placement)
+                );
+                assert!(ledger.used_pages() <= ledger.capacity_pages());
+            }
+        }
+        drop(shard);
         let findings = audit(&cache);
         assert!(findings.is_empty(), "{findings:?}");
     }

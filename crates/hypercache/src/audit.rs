@@ -80,6 +80,13 @@ fn placements() -> [Placement; 2] {
     [Placement::Mem, Placement::Ssd]
 }
 
+fn store_name(placement: Placement) -> &'static str {
+    match placement {
+        Placement::Mem => "mem",
+        Placement::Ssd => "ssd",
+    }
+}
+
 /// Audits every cross-layer invariant of `cache`, returning one finding
 /// per violation (empty = healthy). Read-only and side-effect free, so
 /// it can run at any point of a simulation.
@@ -91,6 +98,7 @@ pub fn audit(cache: &DoubleDeckerCache) -> Vec<AuditFinding> {
     entitlement_sums(cache, &mut findings);
     quarantine_emptiness(cache, &mut findings);
     let mut bindings: Vec<(VmId, PoolId, &RemoteBinding)> = cache
+        .state
         .remote_bindings
         .iter()
         .map(|(&(vm, pid), b)| (vm, pid, b))
@@ -439,11 +447,9 @@ fn file_chains(
 /// respect capacity.
 fn store_accounting(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>) {
     for placement in placements() {
-        let (store, name) = match placement {
-            Placement::Mem => (&cache.mem, "mem"),
-            Placement::Ssd => (&cache.ssd, "ssd"),
-        };
-        let pooled: u64 = cache.pools.values().map(|p| p.used(placement)).sum();
+        let store = cache.stores.of(placement);
+        let name = store_name(placement);
+        let pooled: u64 = cache.state.pools.values().map(|p| p.used(placement)).sum();
         if store.used_pages() != pooled {
             findings.push(AuditFinding {
                 invariant: "store-accounting",
@@ -469,6 +475,7 @@ fn store_accounting(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>)
 /// Invariants 2, 3, 6 and 8 via [`audit_pool_slice`] over every pool.
 fn pool_coherence(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>) {
     let pools: Vec<(VmId, PoolId, &Pool)> = cache
+        .state
         .pools
         .iter()
         .map(|(&(vm, pid), pool)| (vm, pid, pool))
@@ -480,20 +487,9 @@ fn pool_coherence(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>) {
 /// dead-entry counts.
 fn global_fifo_tombstones(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>) {
     for placement in placements() {
-        let (queue, stale, name) = match placement {
-            Placement::Mem => (&cache.global_fifo_mem, cache.global_stale_mem, "mem"),
-            Placement::Ssd => (&cache.global_fifo_ssd, cache.global_stale_ssd, "ssd"),
-        };
-        let dead = queue
-            .iter()
-            .filter(|&&(vm, pool, id, seq)| {
-                cache
-                    .pools
-                    .get(&(vm, pool))
-                    .and_then(|p| p.fifo_probe(id, seq, placement))
-                    .is_none()
-            })
-            .count() as u64;
+        let stale = cache.state.stale(placement);
+        let name = store_name(placement);
+        let dead = cache.state.dead_fifo_entries(placement);
         if dead != stale {
             findings.push(AuditFinding {
                 invariant: "global-fifo-tombstones",
@@ -510,15 +506,9 @@ fn global_fifo_tombstones(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFin
 /// to at most the level above.
 fn entitlement_sums(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>) {
     for placement in placements() {
-        let name = match placement {
-            Placement::Mem => "mem",
-            Placement::Ssd => "ssd",
-        };
+        let name = store_name(placement);
         let table = cache.build_share_table(placement);
-        let capacity = match placement {
-            Placement::Mem => cache.mem.capacity_objects(),
-            Placement::Ssd => cache.ssd.capacity_objects(),
-        };
+        let capacity = cache.stores.of(placement).capacity_objects();
         let vm_sum: u64 = table.rows().map(|r| r.1).sum();
         if vm_sum > capacity {
             findings.push(AuditFinding {
@@ -574,16 +564,16 @@ fn quarantine_emptiness(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFindi
     if !cache.ssd_quarantined() {
         return;
     }
-    if cache.ssd.used_pages() != 0 {
+    if cache.stores.ssd.used_pages() != 0 {
         findings.push(AuditFinding {
             invariant: "quarantine-empty",
             detail: format!(
                 "SSD tier is quarantined yet its store counts {} used pages",
-                cache.ssd.used_pages()
+                cache.stores.ssd.used_pages()
             ),
         });
     }
-    for (&(vm, pid), pool) in &cache.pools {
+    for (&(vm, pid), pool) in &cache.state.pools {
         if pool.used(Placement::Ssd) != 0 {
             findings.push(AuditFinding {
                 invariant: "quarantine-empty",
@@ -594,12 +584,12 @@ fn quarantine_emptiness(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFindi
             });
         }
     }
-    if !cache.global_fifo_ssd.is_empty() {
+    if !cache.state.fifo(Placement::Ssd).is_empty() {
         findings.push(AuditFinding {
             invariant: "quarantine-empty",
             detail: format!(
                 "SSD tier is quarantined yet its global FIFO retains {} entries",
-                cache.global_fifo_ssd.len()
+                cache.state.fifo(Placement::Ssd).len()
             ),
         });
     }

@@ -5,26 +5,25 @@
 //! every knob and the Global/Strict comparator modes.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use ddc_cleancache::{
     CachePolicy, GetOutcome, PageVersion, PoolId, PoolStats, PutOutcome, SecondChanceCache,
     StoreKind, VmId,
 };
-use ddc_metrics::CounterSnapshot;
-use ddc_sim::{BreakerConfig, CircuitBreaker, FaultSchedule, FxHashMap, SimDuration, SimTime};
+use ddc_sim::{BreakerConfig, CircuitBreaker, FaultSchedule, SimDuration, SimTime};
 use ddc_storage::{
     BlockAddr, ChunkStore, FileId, Journal, JournalRecord, RemoteBinding, RemoteCounters,
-    RemoteError, RemoteFetchConfig, RemoteId, RemoteLookup, RemoteRegistry, WearCounters,
+    RemoteError, RemoteFetchConfig, RemoteId, RemoteRegistry, WearCounters,
 };
 
 use crate::admission::AdmissionConfig;
-use crate::index::{Placement, Pool, SlotId};
+use crate::index::{Placement, Pool};
 use crate::policy::ShareTable;
+use crate::shard::{self, Cut, PageLedger, ReplayLog, ShardState};
 use crate::store::BackingStore;
 use crate::{
     store_kind_code, store_kind_from_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
-    JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS,
 };
 
 /// Aggregate usage of one VM across both stores, in pages.
@@ -132,31 +131,57 @@ impl VmEntry {
     }
 }
 
+/// The serial engine's two stores, addressed by placement: its
+/// [`PageLedger`].
+#[derive(Debug)]
+pub(crate) struct Stores {
+    pub(crate) mem: BackingStore,
+    pub(crate) ssd: BackingStore,
+}
+
+impl Stores {
+    pub(crate) fn of(&self, placement: Placement) -> &BackingStore {
+        match placement {
+            Placement::Mem => &self.mem,
+            Placement::Ssd => &self.ssd,
+        }
+    }
+
+    fn of_mut(&mut self, placement: Placement) -> &mut BackingStore {
+        match placement {
+            Placement::Mem => &mut self.mem,
+            Placement::Ssd => &mut self.ssd,
+        }
+    }
+}
+
+impl PageLedger for Stores {
+    fn try_alloc(&mut self, placement: Placement) -> bool {
+        self.of_mut(placement).try_alloc()
+    }
+
+    fn free(&mut self, placement: Placement, pages: u64) {
+        self.of_mut(placement).free(pages);
+    }
+
+    fn used_pages(&self, placement: Placement) -> u64 {
+        self.of(placement).used_pages()
+    }
+}
+
 /// The DoubleDecker hypervisor cache store.
 ///
 /// See the [crate-level documentation](crate) for an overview and example.
 #[derive(Debug)]
 pub struct DoubleDeckerCache {
     mode: PartitionMode,
-    pub(crate) mem: BackingStore,
-    pub(crate) ssd: BackingStore,
+    pub(crate) stores: Stores,
     pub(crate) vms: BTreeMap<VmId, VmEntry>,
-    pub(crate) pools: FxHashMap<(VmId, PoolId), Pool>,
+    /// Every pool, the Global-mode FIFOs and the retired wear: the one
+    /// shard of this engine (see [`crate::shard`]).
+    pub(crate) state: ShardState,
     next_pool: u32,
     pub(crate) next_seq: u64,
-    // Global-mode FIFO queues with lazy deletion (seq-stamped). Entries
-    // carry arena `SlotId`s, so liveness probes and compaction index
-    // straight into the pools' contiguous slabs instead of re-walking
-    // per-file trees.
-    pub(crate) global_fifo_mem: VecDeque<(VmId, PoolId, SlotId, u64)>,
-    pub(crate) global_fifo_ssd: VecDeque<(VmId, PoolId, SlotId, u64)>,
-    // Tombstone counters: how many entries of each global FIFO are known
-    // dead (their object was removed or re-stamped without the entry
-    // being popped). Compaction triggers when tombstones dominate, so
-    // the scrub is amortized O(1) per removal instead of rescanning on a
-    // size heuristic.
-    pub(crate) global_stale_mem: u64,
-    pub(crate) global_stale_ssd: u64,
     // Lazily rebuilt entitlement shares per store ([mem, ssd]); see
     // [`ShareTable`]. Interior mutability because readers
     // (`pool_stats`) fill it behind `&self`.
@@ -184,22 +209,8 @@ pub struct DoubleDeckerCache {
     journal: Option<Journal>,
     /// Remote chunk stores registered with this host.
     remote_registry: RemoteRegistry,
-    /// Per-pool remote bindings: the third tier consulted on the miss
-    /// path, each carrying its own fault-tolerance stack.
-    pub(crate) remote_bindings: FxHashMap<(VmId, PoolId), RemoteBinding>,
-    /// Flush localization waiting for a binding: populated by recovery
-    /// replay (bindings are not journaled) and by runtime flushes that
-    /// arrive while remotes are registered but the pool is unbound;
-    /// consumed by [`DoubleDeckerCache::bind_remote`]. Guarantees a
-    /// rebound pool never serves a block the guest invalidated before
-    /// the crash.
-    remote_stash: FxHashMap<(VmId, PoolId), (Vec<BlockAddr>, Vec<FileId>)>,
     /// SSD admission plane (ghost filter window + TTL), from the config.
     admission: AdmissionConfig,
-    /// Wear of pools that no longer exist, folded in when a pool is
-    /// destroyed (or its VM removed) so device totals never decrease.
-    /// Keyed independently of `vms`: a removed VM's wear persists.
-    retired_wear: BTreeMap<VmId, WearCounters>,
 }
 
 impl DoubleDeckerCache {
@@ -207,16 +218,14 @@ impl DoubleDeckerCache {
     pub fn new(config: CacheConfig) -> DoubleDeckerCache {
         DoubleDeckerCache {
             mode: config.mode,
-            mem: BackingStore::mem(config.mem_capacity_pages),
-            ssd: BackingStore::ssd(config.ssd_capacity_pages),
+            stores: Stores {
+                mem: BackingStore::mem(config.mem_capacity_pages),
+                ssd: BackingStore::ssd(config.ssd_capacity_pages),
+            },
             vms: BTreeMap::new(),
-            pools: FxHashMap::default(),
+            state: ShardState::default(),
             next_pool: 1,
             next_seq: 1,
-            global_fifo_mem: VecDeque::new(),
-            global_fifo_ssd: VecDeque::new(),
-            global_stale_mem: 0,
-            global_stale_ssd: 0,
             share_tables: RefCell::new([None, None]),
             evictions: 0,
             trickle_downs: 0,
@@ -234,10 +243,7 @@ impl DoubleDeckerCache {
             journal_compactions: 0,
             journal: None,
             remote_registry: RemoteRegistry::new(),
-            remote_bindings: FxHashMap::default(),
-            remote_stash: FxHashMap::default(),
             admission: config.admission,
-            retired_wear: BTreeMap::new(),
         }
     }
 
@@ -256,8 +262,8 @@ impl DoubleDeckerCache {
     /// (capacities follow runtime resizes).
     pub fn current_config(&self) -> CacheConfig {
         CacheConfig {
-            mem_capacity_pages: self.mem.capacity_pages(),
-            ssd_capacity_pages: self.ssd.capacity_pages(),
+            mem_capacity_pages: self.stores.mem.capacity_pages(),
+            ssd_capacity_pages: self.stores.ssd.capacity_pages(),
             mode: self.mode,
             admission: self.admission,
         }
@@ -347,9 +353,8 @@ impl DoubleDeckerCache {
         let Some(j) = self.journal.as_ref() else {
             return;
         };
-        let live = self.mem.used_pages() + self.ssd.used_pages();
-        let threshold = (live * JOURNAL_COMPACT_FACTOR).max(JOURNAL_COMPACT_MIN_RECORDS);
-        if j.records() <= threshold {
+        let live = self.stores.mem.used_pages() + self.stores.ssd.used_pages();
+        if !shard::compaction_due(j.records(), live) {
             return;
         }
         let start_gen = j.next_gen();
@@ -372,20 +377,19 @@ impl DoubleDeckerCache {
     /// stores — the generalized setup the paper's footnote 1 describes as
     /// "a straightforward extension".
     pub fn add_vm_with_store_weights(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64) {
-        // Re-registration must keep the pool registry: only weights change.
-        self.vms
-            .entry(vm)
-            .and_modify(|e| {
-                e.mem_weight = mem_weight;
-                e.ssd_weight = ssd_weight;
-            })
-            .or_insert_with(|| VmEntry::new(mem_weight, ssd_weight));
-        self.invalidate_all_entitlements();
-        self.log(JournalRecord::AddVm {
+        self.control(JournalRecord::AddVm {
             vm: vm.0,
             mem_weight,
             ssd_weight,
         });
+    }
+
+    /// A control-plane verb: applies `rec` exactly as replay will, drops
+    /// the cached entitlements, and journals it.
+    fn control(&mut self, rec: JournalRecord) {
+        self.apply_record(0, &rec);
+        self.invalidate_all_entitlements();
+        self.log(rec);
     }
 
     /// Updates a VM's weight in both stores (dynamic provisioning,
@@ -400,11 +404,8 @@ impl DoubleDeckerCache {
     /// extension). Unknown VMs are ignored, as in
     /// [`set_vm_weight`](DoubleDeckerCache::set_vm_weight).
     pub fn set_vm_store_weights(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64) {
-        if let Some(entry) = self.vms.get_mut(&vm) {
-            entry.mem_weight = mem_weight;
-            entry.ssd_weight = ssd_weight;
-            self.invalidate_all_entitlements();
-            self.log(JournalRecord::SetVmWeights {
+        if self.vms.contains_key(&vm) {
+            self.control(JournalRecord::SetVmWeights {
                 vm: vm.0,
                 mem_weight,
                 ssd_weight,
@@ -414,26 +415,12 @@ impl DoubleDeckerCache {
 
     /// Removes a VM, dropping every object of all its pools.
     pub fn remove_vm(&mut self, vm: VmId) {
-        let Some(entry) = self.vms.remove(&vm) else {
+        if !self.vms.contains_key(&vm) {
             return;
-        };
-        self.remote_bindings.retain(|&(v, _), _| v != vm);
-        self.remote_stash.retain(|&(v, _), _| v != vm);
-        for pid in entry.pool_ids {
-            if let Some(mut pool) = self.pools.remove(&(vm, pid)) {
-                let (mem, ssd) = pool.drain();
-                let worn = pool.wear.retire();
-                self.retired_wear.entry(vm).or_default().absorb(&worn);
-                self.mem.free(mem);
-                self.ssd.free(ssd);
-                // Any global-FIFO entries of the drained objects are now
-                // tombstones.
-                self.global_stale_mem += mem;
-                self.global_stale_ssd += ssd;
-            }
         }
-        self.invalidate_all_entitlements();
-        self.log(JournalRecord::RemoveVm { vm: vm.0 });
+        self.state.remote_bindings.retain(|&(v, _), _| v != vm);
+        self.state.remote_stash.retain(|&(v, _), _| v != vm);
+        self.control(JournalRecord::RemoveVm { vm: vm.0 });
     }
 
     /// Registered VM ids.
@@ -444,19 +431,15 @@ impl DoubleDeckerCache {
     /// Resizes the memory store, evicting the excess if shrinking
     /// (capacity growth — paper Fig. 13 — takes effect immediately).
     pub fn set_mem_capacity(&mut self, now: SimTime, pages: u64) {
-        self.mem.set_capacity_pages(pages);
-        self.invalidate_entitlements(Placement::Mem);
-        // Log the resize before the shrink so replay sees the evictions
-        // it caused in causal order.
-        self.log(JournalRecord::SetMemCapacity { pages });
+        // Logged before the shrink so replay sees the evictions it
+        // caused in causal order.
+        self.control(JournalRecord::SetMemCapacity { pages });
         self.shrink_to_capacity(now, Placement::Mem);
     }
 
     /// Resizes the SSD store, evicting the excess if shrinking.
     pub fn set_ssd_capacity(&mut self, now: SimTime, pages: u64) {
-        self.ssd.set_capacity_pages(pages);
-        self.invalidate_entitlements(Placement::Ssd);
-        self.log(JournalRecord::SetSsdCapacity { pages });
+        self.control(JournalRecord::SetSsdCapacity { pages });
         self.shrink_to_capacity(now, Placement::Ssd);
     }
 
@@ -472,7 +455,7 @@ impl DoubleDeckerCache {
 
     /// Attaches (or clears) a fault schedule on the SSD store's device.
     pub fn set_ssd_fault_schedule(&mut self, faults: Option<FaultSchedule>) {
-        self.ssd.set_fault_schedule(faults);
+        self.stores.ssd.set_fault_schedule(faults);
     }
 
     /// Selects where `<SSD, W>` puts go while the tier is quarantined.
@@ -516,86 +499,24 @@ impl DoubleDeckerCache {
         if !self.vms.contains_key(&vm) {
             return Err(RemoteError::UnknownVm(vm.0));
         }
-        if !self.pools.contains_key(&(vm, pool)) {
+        if !self.state.pools.contains_key(&(vm, pool)) {
             return Err(RemoteError::UnknownPool {
                 vm: vm.0,
                 pool: pool.0,
             });
         }
-        if self.remote_bindings.contains_key(&(vm, pool)) {
-            return Err(RemoteError::AlreadyBound {
-                vm: vm.0,
-                pool: pool.0,
-            });
-        }
-        let mut binding = RemoteBinding::new(store, fetch);
-        if let Some((addrs, files)) = self.remote_stash.remove(&(vm, pool)) {
-            // Flushes the guest issued before the binding existed (or
-            // before a crash): the remote must never serve those blocks.
-            binding.preload_localized(addrs, files);
-        }
-        self.remote_bindings.insert((vm, pool), binding);
-        Ok(())
+        self.state
+            .bind_remote(vm, pool, RemoteBinding::new(store, fetch))
     }
 
     /// The remote binding of `pool`, if any (for audits and reports).
     pub fn remote_binding(&self, vm: VmId, pool: PoolId) -> Option<&RemoteBinding> {
-        self.remote_bindings.get(&(vm, pool))
+        self.state.remote_bindings.get(&(vm, pool))
     }
 
     /// Aggregate remote-tier counters across all bindings.
     pub fn remote_totals(&self) -> RemoteCounters {
-        let mut totals = RemoteCounters::default();
-        for binding in self.remote_bindings.values() {
-            totals.absorb(&binding.counters());
-        }
-        totals
-    }
-
-    /// The miss path's remote consultation: serves the image's initial
-    /// contents through the binding's fault-tolerance stack, failing
-    /// open to a plain miss. Remote serves do not touch the pool's
-    /// hit/miss counters — tier stats stay pure; the remote's own
-    /// counters carry the tier's story.
-    fn remote_get(&mut self, now: SimTime, vm: VmId, pool: PoolId, addr: BlockAddr) -> GetOutcome {
-        let Some(binding) = self.remote_bindings.get_mut(&(vm, pool)) else {
-            return GetOutcome::Miss;
-        };
-        match binding.lookup(now, addr) {
-            RemoteLookup::Served { finish } => GetOutcome::Hit {
-                finish,
-                version: PageVersion::INITIAL,
-            },
-            RemoteLookup::Miss => GetOutcome::Miss,
-        }
-    }
-
-    /// Records a flush against the remote tier: the block is guest-owned
-    /// from now on. Bound pools localize directly; unbound pools stash
-    /// the flush for a future binding while remotes are registered.
-    fn remote_note_flush(&mut self, vm: VmId, pool: PoolId, addr: BlockAddr) {
-        if let Some(binding) = self.remote_bindings.get_mut(&(vm, pool)) {
-            binding.localize(addr);
-        } else if !self.remote_registry.is_empty() {
-            self.remote_stash
-                .entry((vm, pool))
-                .or_default()
-                .0
-                .push(addr);
-        }
-    }
-
-    /// File-granularity variant of [`Self::remote_note_flush`].
-    fn remote_note_flush_file(&mut self, vm: VmId, pool: PoolId, file: FileId) {
-        if let Some(binding) = self.remote_bindings.get_mut(&(vm, pool)) {
-            binding.localize_file(file);
-        } else if !self.remote_registry.is_empty() {
-            self.remote_stash
-                .entry((vm, pool))
-                .or_default()
-                .1
-                .push(file);
-        }
+        self.cut().remote_totals()
     }
 
     /// Whether the SSD tier is currently quarantined.
@@ -613,13 +534,7 @@ impl DoubleDeckerCache {
         if !self.ssd_breaker.note_failure(now) {
             return;
         }
-        let mut invalidated = 0;
-        for pool in self.pools.values_mut() {
-            invalidated += pool.drain_placement(Placement::Ssd);
-        }
-        self.ssd.free(self.ssd.used_pages());
-        self.global_fifo_ssd.clear();
-        self.global_stale_ssd = 0;
+        let invalidated = self.state.drain_ssd(&mut self.stores);
         self.invalidate_entitlements(Placement::Ssd);
         self.quarantine_invalidated += invalidated;
         self.ssd_quarantines += 1;
@@ -646,7 +561,9 @@ impl DoubleDeckerCache {
         object_millipages: u64,
         codec_cost: ddc_sim::SimDuration,
     ) {
-        self.mem.set_compression(object_millipages, codec_cost);
+        self.stores
+            .mem
+            .set_compression(object_millipages, codec_cost);
         // Compression changes the memory store's capacity in objects.
         self.invalidate_entitlements(Placement::Mem);
     }
@@ -660,7 +577,7 @@ impl DoubleDeckerCache {
         let mut usage = VmUsage::default();
         if let Some(entry) = self.vms.get(&vm) {
             for &pid in &entry.pool_ids {
-                let pool = &self.pools[&(vm, pid)];
+                let pool = &self.state.pools[&(vm, pid)];
                 usage.mem_pages += pool.used(Placement::Mem);
                 usage.ssd_pages += pool.used(Placement::Ssd);
             }
@@ -671,10 +588,10 @@ impl DoubleDeckerCache {
     /// Cache-wide totals.
     pub fn totals(&self) -> CacheTotals {
         CacheTotals {
-            mem_used_pages: self.mem.used_pages(),
-            mem_capacity_pages: self.mem.capacity_pages(),
-            ssd_used_pages: self.ssd.used_pages(),
-            ssd_capacity_pages: self.ssd.capacity_pages(),
+            mem_used_pages: self.stores.mem.used_pages(),
+            mem_capacity_pages: self.stores.mem.capacity_pages(),
+            ssd_used_pages: self.stores.ssd.used_pages(),
+            ssd_capacity_pages: self.stores.ssd.capacity_pages(),
             evictions: self.evictions,
             trickle_downs: self.trickle_downs,
             ssd_quarantines: self.ssd_quarantines,
@@ -696,28 +613,10 @@ impl DoubleDeckerCache {
     /// The entitlement of one pool in its primary store, in pages
     /// (recomputed on demand; exposed for GET_STATS and tests).
     pub fn pool_entitlement(&self, vm: VmId, pool: PoolId) -> u64 {
-        let Some(p) = self.pools.get(&(vm, pool)) else {
+        let Some(p) = self.state.pools.get(&(vm, pool)) else {
             return 0;
         };
-        let placement = match p.policy().store {
-            StoreKind::Mem | StoreKind::Hybrid => Placement::Mem,
-            StoreKind::Ssd => Placement::Ssd,
-        };
-        self.pool_entitlement_in(vm, pool, placement)
-    }
-
-    fn store(&mut self, placement: Placement) -> &mut BackingStore {
-        match placement {
-            Placement::Mem => &mut self.mem,
-            Placement::Ssd => &mut self.ssd,
-        }
-    }
-
-    fn store_ref(&self, placement: Placement) -> &BackingStore {
-        match placement {
-            Placement::Mem => &self.mem,
-            Placement::Ssd => &self.ssd,
-        }
+        self.pool_entitlement_in(vm, pool, p.primary_placement())
     }
 
     fn alloc_seq(&mut self) -> u64 {
@@ -738,39 +637,24 @@ impl DoubleDeckerCache {
     // in a store crossing zero). Usage itself is always read fresh.
     // ------------------------------------------------------------------
 
-    /// Whether the pool's policy assigns it to the store.
-    fn pool_by_policy(pool: &Pool, placement: Placement) -> bool {
-        match placement {
-            Placement::Mem => pool.policy().store.uses_mem(),
-            Placement::Ssd => pool.policy().store.uses_ssd(),
-        }
-    }
-
     /// Whether the pool participates in the store: it is assigned there by
     /// policy, or still holds legacy objects there.
     fn pool_participates(pool: &Pool, placement: Placement) -> bool {
-        Self::pool_by_policy(pool, placement) || pool.used(placement) > 0
+        placement.allowed_by(pool.policy().store) || pool.used(placement) > 0
     }
 
     /// The pool's weight within the store (zero if only legacy objects).
     fn pool_weight(pool: &Pool, placement: Placement) -> u64 {
-        if Self::pool_by_policy(pool, placement) {
+        if placement.allowed_by(pool.policy().store) {
             pool.policy().weight as u64
         } else {
             0
         }
     }
 
-    fn table_idx(placement: Placement) -> usize {
-        match placement {
-            Placement::Mem => 0,
-            Placement::Ssd => 1,
-        }
-    }
-
     /// Drops the cached share table for one store.
     fn invalidate_entitlements(&mut self, placement: Placement) {
-        self.share_tables.get_mut()[Self::table_idx(placement)] = None;
+        self.share_tables.get_mut()[placement.idx()] = None;
     }
 
     /// Drops both cached share tables (control-plane changes that touch
@@ -784,8 +668,8 @@ impl DoubleDeckerCache {
     /// there) the participant set changed, so the share table is stale.
     /// A missing pool (destroyed mid-flight) invalidates conservatively.
     fn note_removal(&mut self, vm: VmId, pool: PoolId, placement: Placement) {
-        let exits = match self.pools.get(&(vm, pool)) {
-            Some(p) => p.used(placement) == 0 && !Self::pool_by_policy(p, placement),
+        let exits = match self.state.pools.get(&(vm, pool)) {
+            Some(p) => p.used(placement) == 0 && !placement.allowed_by(p.policy().store),
             None => true,
         };
         if exits {
@@ -798,33 +682,25 @@ impl DoubleDeckerCache {
     /// rises from zero.
     fn note_insertion(&mut self, vm: VmId, pool: PoolId, placement: Placement) {
         let joined = self
+            .state
             .pools
             .get(&(vm, pool))
-            .is_some_and(|p| p.used(placement) == 1 && !Self::pool_by_policy(p, placement));
+            .is_some_and(|p| p.used(placement) == 1 && !placement.allowed_by(p.policy().store));
         if joined {
             self.invalidate_entitlements(placement);
         }
     }
 
-    /// Counts `count` global-FIFO entries of `placement` as tombstones
-    /// (their objects were removed without consuming the entries).
-    fn note_stale(&mut self, placement: Placement, count: u64) {
-        match placement {
-            Placement::Mem => self.global_stale_mem += count,
-            Placement::Ssd => self.global_stale_ssd += count,
-        }
-    }
-
     /// Builds the two-level share table for one store from scratch.
     pub(crate) fn build_share_table(&self, placement: Placement) -> ShareTable {
-        let capacity = self.store_ref(placement).capacity_objects();
+        let capacity = self.stores.of(placement).capacity_objects();
         ShareTable::build(
             capacity,
             self.vms.iter().map(|(&vm, entry)| {
                 let pools = entry
                     .pool_ids
                     .iter()
-                    .map(|&pid| (pid, &self.pools[&(vm, pid)]))
+                    .map(|&pid| (pid, &self.state.pools[&(vm, pid)]))
                     .filter(|(_, pool)| Self::pool_participates(pool, placement))
                     .map(|(pid, pool)| (pid, Self::pool_weight(pool, placement)))
                     .collect();
@@ -839,7 +715,7 @@ impl DoubleDeckerCache {
     /// matches the cache, so any missed invalidation site fails loudly in
     /// `cargo test` instead of silently skewing entitlements.
     fn with_share_table<R>(&self, placement: Placement, f: impl FnOnce(&ShareTable) -> R) -> R {
-        let idx = Self::table_idx(placement);
+        let idx = placement.idx();
         let mut tables = self.share_tables.borrow_mut();
         if tables[idx].is_none() {
             tables[idx] = Some(self.build_share_table(placement));
@@ -882,45 +758,12 @@ impl DoubleDeckerCache {
     fn evict_batch_global(&mut self, placement: Placement) -> u64 {
         let mut freed = 0;
         while freed < EVICTION_BATCH_PAGES {
-            let entry = match placement {
-                Placement::Mem => self.global_fifo_mem.pop_front(),
-                Placement::Ssd => self.global_fifo_ssd.pop_front(),
-            };
-            let Some((vm, pool_id, sid, seq)) = entry else {
+            let Some((vm, pool, addr)) = self.state.evict_front(&mut self.stores, placement) else {
                 break;
             };
-            let live = self
-                .pools
-                .get(&(vm, pool_id))
-                .and_then(|p| p.fifo_probe(sid, seq, placement))
-                .is_some();
-            if !live {
-                // A tombstone got consumed the cheap way (popped off the
-                // front): it no longer needs a compaction pass.
-                match placement {
-                    Placement::Mem => {
-                        self.global_stale_mem = self.global_stale_mem.saturating_sub(1)
-                    }
-                    Placement::Ssd => {
-                        self.global_stale_ssd = self.global_stale_ssd.saturating_sub(1)
-                    }
-                }
-                continue;
-            }
-            let pool = self
-                .pools
-                .get_mut(&(vm, pool_id))
-                .expect("liveness checked above");
-            let (addr, _) = pool.remove_by_id(sid).expect("probed live above");
-            pool.counters.evictions += 1;
-            self.store(placement).free(1);
             self.evictions += 1;
-            self.note_removal(vm, pool_id, placement);
-            self.log(JournalRecord::Evict {
-                vm: vm.0,
-                pool: pool_id.0,
-                addr,
-            });
+            self.note_removal(vm, pool, placement);
+            self.log(shard::evict_record(vm, pool, addr));
             freed += 1;
         }
         freed
@@ -934,7 +777,7 @@ impl DoubleDeckerCache {
         let strict = self.mode == PartitionMode::Strict;
         let victim = self.with_share_table(placement, |table| {
             table.select_victim(strict, EVICTION_BATCH_PAGES, |vm, pool| {
-                self.pools[&(vm, pool)].used(placement)
+                self.state.pools[&(vm, pool)].used(placement)
             })
         });
         let Some((vm, pool)) = victim else {
@@ -952,106 +795,52 @@ impl DoubleDeckerCache {
         placement: Placement,
         max_pages: u64,
     ) -> u64 {
-        let mut freed = 0;
-        let mut trickle: Vec<(BlockAddr, PageVersion)> = Vec::new();
-        let mut evicted: Vec<BlockAddr> = Vec::new();
-        {
-            let Some(pool) = self.pools.get_mut(&(vm, pool_id)) else {
-                return 0;
-            };
-            let hybrid = pool.policy().store == StoreKind::Hybrid;
-            while freed < max_pages {
-                let Some((addr, slot)) = pool.pop_oldest(placement) else {
-                    break;
-                };
-                pool.counters.evictions += 1;
-                freed += 1;
-                evicted.push(addr);
-                if hybrid && placement == Placement::Mem {
-                    trickle.push((addr, slot.version));
-                }
-            }
+        if !self.state.pools.contains_key(&(vm, pool_id)) {
+            return 0;
         }
-        self.store(placement).free(freed);
+        let admission = self.admission;
+        let ghost_window = admission.filters_spills().then_some(admission.ghost_window);
+        let (journal, next_seq) = (&mut self.journal, &mut self.next_seq);
+        let mut write_failed = false;
+        // A quarantined tier takes no trickle.
+        let spill = (!self.ssd_breaker.is_open()).then_some(|stores: &mut Stores, addr| {
+            let seq = *next_seq;
+            *next_seq += 1;
+            write_failed = stores.ssd.try_write(now, addr).is_err();
+            (!write_failed).then_some(seq)
+        });
+        let (freed, trickled) = self.state.evict_batch(
+            &mut self.stores,
+            vm,
+            pool_id,
+            placement,
+            max_pages,
+            ghost_window,
+            spill,
+            |rec| {
+                if let Some(j) = journal.as_mut() {
+                    j.append(&rec);
+                }
+            },
+        );
         self.evictions += freed;
-        // The evicted objects' global-FIFO entries (if any) are stale now.
-        self.note_stale(placement, freed);
+        self.trickle_downs += trickled;
+        // A trickle joins no store (a hybrid pool is in the SSD store by
+        // policy), so only the removal can change the participant set.
         self.note_removal(vm, pool_id, placement);
-        for addr in evicted {
-            self.log(JournalRecord::Evict {
-                vm: vm.0,
-                pool: pool_id.0,
-                addr,
-            });
-        }
-
-        // Trickle-down: hybrid pools keep evicted memory objects alive in
-        // their SSD share while room remains (paper §3.3's hybrid mode).
-        // A quarantined tier takes no trickle: the objects are clean, so
-        // dropping them is always safe.
-        for (addr, version) in trickle {
-            if self.ssd_quarantined() {
-                break;
-            }
-            // Ghost admission on the trickle path: an evicted memory
-            // object must earn its SSD write like any other spill. A
-            // rejected object is simply dropped — its Evict is already
-            // journaled, so replay needs nothing extra.
-            if self.admission.filters_spills() {
-                let window = self.admission.ghost_window;
-                if let Some(pool) = self.pools.get_mut(&(vm, pool_id)) {
-                    pool.wear.spill_attempts += 1;
-                    if pool.ghost.admit(addr, window) {
-                        pool.wear.spill_admits += 1;
-                    } else {
-                        pool.wear.spill_rejects += 1;
-                        continue;
-                    }
-                }
-            }
-            if !self.ssd.has_room() || !self.ssd.try_alloc() {
-                break;
-            }
-            let seq = self.alloc_seq();
-            if self.ssd.try_write(now, addr).is_err() {
-                self.ssd.free(1);
-                self.failed_puts += 1;
-                self.quarantine_ssd(now);
-                break;
-            }
-            if let Some(pool) = self.pools.get_mut(&(vm, pool_id)) {
-                // Trickled objects get no global-FIFO entry (unchanged
-                // behavior): the per-pool SSD FIFO alone ages them out.
-                let (_, displaced) = pool.insert(addr, Placement::Ssd, version, seq);
-                if let Some(displaced) = displaced {
-                    self.store(displaced).free(1);
-                    self.note_stale(displaced, 1);
-                }
-                self.trickle_downs += 1;
-                self.note_insertion(vm, pool_id, Placement::Ssd);
-                self.log(JournalRecord::Put {
-                    vm: vm.0,
-                    pool: pool_id.0,
-                    addr,
-                    version: version.0,
-                    placement: Placement::Ssd.code(),
-                });
-            }
+        if write_failed {
+            self.failed_puts += 1;
+            self.quarantine_ssd(now);
         }
         freed
     }
 
     /// After a capacity shrink, evicts batches until usage fits again.
     fn shrink_to_capacity(&mut self, now: SimTime, placement: Placement) {
-        let mut guard = 0u32;
-        while self.store_ref(placement).used_pages() > self.store_ref(placement).capacity_objects()
+        while self.stores.of(placement).used_pages() > self.stores.of(placement).capacity_objects()
         {
-            let freed = self.evict_batch(now, placement);
-            if freed == 0 {
-                break;
-            }
-            guard += 1;
-            if guard > 10_000_000 {
+            // Every batch frees at least a page or ends the loop.
+            if self.evict_batch(now, placement) == 0 {
                 break;
             }
         }
@@ -1059,7 +848,7 @@ impl DoubleDeckerCache {
 
     /// Decides the physical placement for a put into `pool`.
     fn placement_for_put(&self, vm: VmId, pool_id: PoolId) -> Option<Placement> {
-        let pool = self.pools.get(&(vm, pool_id))?;
+        let pool = self.state.pools.get(&(vm, pool_id))?;
         let policy = pool.policy();
         if !policy.is_enabled() {
             return None;
@@ -1078,7 +867,7 @@ impl DoubleDeckerCache {
                 }
             }
         };
-        if self.store_ref(placement).is_disabled() {
+        if self.stores.of(placement).is_disabled() {
             return None;
         }
         Some(placement)
@@ -1105,7 +894,7 @@ impl DoubleDeckerCache {
             return Some(Placement::Ssd);
         }
         match self.fallback {
-            FallbackMode::ToMem if !self.mem.is_disabled() => Some(Placement::Mem),
+            FallbackMode::ToMem if !self.stores.mem.is_disabled() => Some(Placement::Mem),
             _ => None,
         }
     }
@@ -1114,118 +903,41 @@ impl DoubleDeckerCache {
     /// disallowed (e.g. a container switched from `Mem` to `SSD`,
     /// Fig. 12's third phase).
     fn rehome_pool_objects(&mut self, vm: VmId, pool_id: PoolId) {
-        let Some(pool) = self.pools.get(&(vm, pool_id)) else {
-            return;
-        };
-        let policy = pool.policy();
-        let mut displaced: Vec<(BlockAddr, PageVersion, Placement)> = Vec::new();
-        for (addr, slot) in pool.iter() {
-            let allowed = match slot.placement {
-                Placement::Mem => policy.store.uses_mem(),
-                Placement::Ssd => policy.store.uses_ssd(),
-            };
-            if !allowed && policy.is_enabled() {
-                displaced.push((addr, slot.version, slot.placement));
-            }
-        }
-        // `Pool::iter` walks the slab in arena order, which depends on the
-        // allocation history; sort by address so the re-homing sequence
-        // (and the fresh seqs it mints) is a pure function of the visible
-        // cache state.
-        displaced.sort_unstable_by_key(|&(addr, _, _)| addr);
-        for (addr, version, old_placement) in displaced {
-            if let Some(pool) = self.pools.get_mut(&(vm, pool_id)) {
-                pool.remove(addr);
-            }
-            self.store(old_placement).free(1);
-            self.note_stale(old_placement, 1);
-            self.log(JournalRecord::Evict {
-                vm: vm.0,
-                pool: pool_id.0,
-                addr,
-            });
-            let new_placement = match old_placement {
-                Placement::Mem => Placement::Ssd,
-                Placement::Ssd => Placement::Mem,
-            };
+        for (addr, version, new_placement) in self.state.misplaced(vm, pool_id) {
+            self.state.remove(&mut self.stores, vm, pool_id, addr);
+            self.log(shard::evict_record(vm, pool_id, addr));
             // Move to the newly-allowed store if it has room; drop
             // otherwise (the object is clean, dropping is always safe).
             // A quarantined SSD tier accepts no re-homed objects.
             if new_placement == Placement::Ssd && self.ssd_quarantined() {
                 continue;
             }
-            if self.store_ref(new_placement).has_room() && self.store(new_placement).try_alloc() {
+            if self.stores.try_alloc(new_placement) {
                 let seq = self.alloc_seq();
                 if self
-                    .store(new_placement)
+                    .stores
+                    .of_mut(new_placement)
                     .try_write(SimTime::ZERO, addr)
                     .is_err()
                 {
-                    self.store(new_placement).free(1);
+                    self.stores.free(new_placement, 1);
                     self.failed_puts += 1;
                     if new_placement == Placement::Ssd {
                         self.quarantine_ssd(SimTime::ZERO);
                     }
                     continue;
                 }
-                if let Some(pool) = self.pools.get_mut(&(vm, pool_id)) {
-                    let (sid, d) = pool.insert(addr, new_placement, version, seq);
-                    if let Some(d) = d {
-                        self.store(d).free(1);
-                        self.note_stale(d, 1);
-                    }
-                    self.push_global_fifo(vm, pool_id, sid, seq, new_placement);
-                    self.log(JournalRecord::Put {
-                        vm: vm.0,
-                        pool: pool_id.0,
-                        addr,
-                        version: version.0,
-                        placement: new_placement.code(),
-                    });
-                }
+                self.state.insert(
+                    &mut self.stores,
+                    vm,
+                    pool_id,
+                    addr,
+                    new_placement,
+                    version,
+                    seq,
+                );
+                self.log(shard::put_record(vm, pool_id, addr, version, new_placement));
             }
-        }
-    }
-
-    fn push_global_fifo(
-        &mut self,
-        vm: VmId,
-        pool: PoolId,
-        sid: SlotId,
-        seq: u64,
-        placement: Placement,
-    ) {
-        let (queue, stale, store_used) = match placement {
-            Placement::Mem => (
-                &mut self.global_fifo_mem,
-                &mut self.global_stale_mem,
-                self.mem.used_pages(),
-            ),
-            Placement::Ssd => (
-                &mut self.global_fifo_ssd,
-                &mut self.global_stale_ssd,
-                self.ssd.used_pages(),
-            ),
-        };
-        queue.push_back((vm, pool, sid, seq));
-        // Compact when tombstones dominate the queue: every removal funds
-        // at most ~two retained-entry visits here, so the scrub is
-        // amortized O(1) per removal (the old heuristic rescanned the
-        // whole queue whenever it outgrew a multiple of store usage,
-        // which is O(n) per put under churn). The size fallback bounds
-        // the queue even if a removal path ever fails to tombstone.
-        let len = queue.len() as u64;
-        let dominated = *stale * 2 > len && len >= 1024;
-        let oversized = len > store_used.saturating_mul(8).max(1024);
-        if dominated || oversized {
-            let pools = &self.pools;
-            queue.retain(|&(v, p, id, s)| {
-                pools
-                    .get(&(v, p))
-                    .and_then(|pool| pool.fifo_probe(id, s, placement))
-                    .is_some()
-            });
-            *stale = 0;
         }
     }
 
@@ -1233,52 +945,47 @@ impl DoubleDeckerCache {
     // Crash recovery (warm restart from a journal image).
     // ------------------------------------------------------------------
 
+    /// The whole cache as a one-shard [`Cut`].
+    fn cut(&self) -> Cut<'_> {
+        let registry = self.vms.iter().map(|(&vm, entry)| {
+            let pools = entry.pool_ids.iter().copied();
+            (vm, entry.mem_weight, entry.ssd_weight, pools)
+        });
+        Cut::new(registry, vec![&self.state])
+    }
+
     /// Every resident entry as `(vm, pool, addr, version)`, sorted.
     /// Chaos harnesses sweep this against the guests' authoritative disk
     /// versions as the stale-read oracle.
     pub fn entries(&self) -> Vec<(VmId, PoolId, BlockAddr, PageVersion)> {
-        let mut out = Vec::new();
-        for (&vm, entry) in &self.vms {
-            for &pid in &entry.pool_ids {
-                for (addr, slot) in self.pools[&(vm, pid)].iter() {
-                    out.push((vm, pid, addr, slot.version));
-                }
-            }
-        }
-        out.sort_unstable();
-        out
+        self.cut().entries()
     }
 
     /// Corrupts the stored checksum of one resident entry (chaos testing:
     /// models bit rot in the backing store that verify-on-read must
     /// catch). Returns `false` if the entry is not resident.
     pub fn corrupt_entry(&mut self, vm: VmId, pool: PoolId, addr: BlockAddr) -> bool {
-        self.pools
+        self.state
+            .pools
             .get_mut(&(vm, pool))
             .is_some_and(|p| p.corrupt(addr))
     }
 
     /// Warm-restarts a cache from a (possibly truncated or corrupted)
-    /// journal image.
+    /// journal image: the recovery core ([`ReplayLog`]) over one segment.
     ///
     /// Replays the longest valid prefix of `journal_image` on a fresh
-    /// cache built from `config`, then applies the **lose-don't-resurrect
-    /// rule**: `guest_epochs` carries each surviving guest's flush epoch
-    /// (the largest generation any acked flush hypercall returned). Flush
-    /// records are synced before their hypercall returns, so a replay
-    /// whose last flush generation for a VM is *below* that epoch proves
-    /// the image lost acked flushes (bit rot below the watermark); every
-    /// entry of that VM whose put generation predates the epoch is then
-    /// discarded as potentially stale. Entries with later generations are
-    /// provably clean: any write superseding them would have issued a
-    /// flush with a still-later generation, raising the epoch.
+    /// cache built from `config` (in the journal's partition mode, if it
+    /// recorded one), then discards what [`ReplayLog::suspects`] names:
+    /// flush records are synced before their hypercall returns, so a
+    /// replay that stops short of a guest's flush epoch proves the image
+    /// lost acked flushes (bit rot below the watermark).
     ///
     /// The recovered cache starts a fresh journal seeded with a
-    /// checkpoint of the surviving state (control plane, then one `Put`
-    /// per entry in FIFO order), so a second crash recovers from a short
-    /// journal instead of the whole history. The checkpoint mints new
-    /// per-VM epochs (returned in the report) which the hypervisor
-    /// distributes to the guests' hypercall channels.
+    /// checkpoint of the surviving state, so a second crash recovers
+    /// from a short journal instead of the whole history. The checkpoint
+    /// mints new per-VM epochs (returned in the report) which the
+    /// hypervisor distributes to the guests' hypercall channels.
     ///
     /// In-band memory compression is *not* journaled: a recovered cache
     /// starts uncompressed, which can only shrink effective capacity
@@ -1288,76 +995,45 @@ impl DoubleDeckerCache {
         journal_image: &[u8],
         guest_epochs: &[(VmId, u64)],
     ) -> (DoubleDeckerCache, RecoveryReport) {
-        let (records, stats) = Journal::replay(journal_image);
+        let log = ReplayLog::decode(&[journal_image]);
+        let mode = log.mode.unwrap_or(config.mode);
+        let mut cache = DoubleDeckerCache::new(CacheConfig { mode, ..config });
         let mut report = RecoveryReport {
-            records_replayed: stats.records,
-            torn_tail: stats.torn_tail,
-            corrupt: stats.corrupt,
+            records_replayed: log.records.len() as u64,
+            torn_tail: log.segments[0].torn_tail,
+            corrupt: log.segments[0].corrupt,
             ..RecoveryReport::default()
         };
-        let mut cache = DoubleDeckerCache::new(config);
-        // Last flush generation replayed per VM; compared against the
-        // guests' epochs to detect lost acked flushes.
-        let mut replayed_epochs: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut last_gen = 0;
-        for (gen, rec) in records {
-            last_gen = last_gen.max(gen);
-            match rec {
-                JournalRecord::Flush { vm, .. }
-                | JournalRecord::FlushFile { vm, .. }
-                | JournalRecord::Epoch { vm } => {
-                    let e = replayed_epochs.entry(vm).or_insert(0);
-                    *e = (*e).max(gen);
-                }
-                _ => {}
-            }
-            cache.apply_record(gen, rec, &mut report);
+        for (gen, rec) in &log.records {
+            report.dropped_no_room += u64::from(!cache.apply_record(*gen, rec));
         }
-
-        // Epoch discard: drop suspect entries of VMs whose acked flushes
-        // the image lost. Recovery may lose entries, never resurrect one.
-        for &(vm, guest_epoch) in guest_epochs {
-            let replayed = replayed_epochs.get(&vm.0).copied().unwrap_or(0);
-            if replayed >= guest_epoch {
-                continue;
-            }
+        // Recovery may lose entries, never resurrect one.
+        for (vm, epoch) in log.suspects(guest_epochs) {
             for pid in cache.pool_ids(vm) {
-                let mut suspects: Vec<BlockAddr> = cache
-                    .pools
-                    .get(&(vm, pid))
-                    .map(|p| {
-                        p.iter()
-                            .filter(|(_, s)| s.seq < guest_epoch)
-                            .map(|(a, _)| a)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                suspects.sort_unstable();
-                for addr in suspects {
-                    if let Some(slot) = cache.pools.get_mut(&(vm, pid)).and_then(|p| p.remove(addr))
-                    {
-                        cache.store(slot.placement).free(1);
-                        cache.note_stale(slot.placement, 1);
-                        report.discarded_stale += 1;
-                    }
-                }
+                report.discarded_stale +=
+                    cache
+                        .state
+                        .discard_older_than(&mut cache.stores, vm, pid, epoch);
             }
         }
-
-        cache.next_seq = last_gen + 1;
+        cache.next_seq = log.next_gen;
         cache.invalidate_all_entitlements();
         cache.shrink_to_capacity(SimTime::ZERO, Placement::Mem);
         cache.shrink_to_capacity(SimTime::ZERO, Placement::Ssd);
-        report.recovered_entries = cache.pools.values().map(|p| p.total_used()).sum();
-        report.new_epochs = cache.write_checkpoint(last_gen + 1);
+        report.recovered_entries = cache.cut().resident();
+        report.new_epochs = cache.write_checkpoint(log.next_gen);
         (cache, report)
     }
 
-    /// Applies one replayed record to raw state: no journaling, and no
-    /// side effects (re-homing, shrinking, trickle-down) — those were
-    /// themselves journaled by the live cache and replay in order.
-    fn apply_record(&mut self, gen: u64, rec: JournalRecord, report: &mut RecoveryReport) {
-        match rec {
+    /// Applies one replayed record to raw state: the registry half of a
+    /// control record here, everything that touches pools through the
+    /// shard transitions. No journaling, and no side effects (re-homing,
+    /// shrinking, trickle-down) — those were themselves journaled by the
+    /// live cache and replay in order. `false` for a dropped `Put`.
+    fn apply_record(&mut self, gen: u64, rec: &JournalRecord) -> bool {
+        match *rec {
+            // Both upsert: re-registering a VM updates its weights, and
+            // weights for a VM whose `AddVm` the image lost register it.
             JournalRecord::AddVm {
                 vm,
                 mem_weight,
@@ -1380,15 +1056,7 @@ impl DoubleDeckerCache {
                 let vm = VmId(vm);
                 if let Some(entry) = self.vms.remove(&vm) {
                     for pid in entry.pool_ids {
-                        if let Some(mut pool) = self.pools.remove(&(vm, pid)) {
-                            let (mem, ssd) = pool.drain();
-                            let worn = pool.wear.retire();
-                            self.retired_wear.entry(vm).or_default().absorb(&worn);
-                            self.mem.free(mem);
-                            self.ssd.free(ssd);
-                            self.global_stale_mem += mem;
-                            self.global_stale_ssd += ssd;
-                        }
+                        self.state.drain_pool(&mut self.stores, vm, pid);
                     }
                 }
             }
@@ -1400,31 +1068,21 @@ impl DoubleDeckerCache {
             } => {
                 let (vm, pool) = (VmId(vm), PoolId(pool));
                 let Some(store) = store_kind_from_code(store) else {
-                    return;
+                    return true;
                 };
                 let entry = self.vms.entry(vm).or_insert_with(|| VmEntry::new(100, 100));
                 if let Err(i) = entry.pool_ids.binary_search(&pool) {
                     entry.pool_ids.insert(i, pool);
                 }
-                self.pools
+                self.state
+                    .pools
                     .insert((vm, pool), Pool::new(vm, CachePolicy { store, weight }));
                 self.next_pool = self.next_pool.max(pool.0 + 1);
             }
             JournalRecord::DestroyPool { vm, pool } => {
                 let (vm, pool) = (VmId(vm), PoolId(pool));
-                if let Some(mut p) = self.pools.remove(&(vm, pool)) {
-                    let (mem, ssd) = p.drain();
-                    let worn = p.wear.retire();
-                    self.retired_wear.entry(vm).or_default().absorb(&worn);
-                    self.mem.free(mem);
-                    self.ssd.free(ssd);
-                    self.global_stale_mem += mem;
-                    self.global_stale_ssd += ssd;
-                    if let Some(entry) = self.vms.get_mut(&vm) {
-                        if let Ok(i) = entry.pool_ids.binary_search(&pool) {
-                            entry.pool_ids.remove(i);
-                        }
-                    }
+                if self.state.drain_pool(&mut self.stores, vm, pool) {
+                    self.unregister_pool(vm, pool);
                 }
             }
             JournalRecord::SetPolicy {
@@ -1434,216 +1092,65 @@ impl DoubleDeckerCache {
                 weight,
             } => {
                 let Some(store) = store_kind_from_code(store) else {
-                    return;
+                    return true;
                 };
-                if let Some(p) = self.pools.get_mut(&(VmId(vm), PoolId(pool))) {
+                if let Some(p) = self.state.pools.get_mut(&(VmId(vm), PoolId(pool))) {
                     p.set_policy(CachePolicy { store, weight });
                 }
             }
-            JournalRecord::Put {
-                vm,
-                pool,
-                addr,
-                version,
-                placement,
-            } => {
-                let (vm, pool) = (VmId(vm), PoolId(pool));
-                let Some(placement) = Placement::from_code(placement) else {
-                    return;
-                };
-                if !self.pools.contains_key(&(vm, pool)) || !self.store(placement).try_alloc() {
-                    report.dropped_no_room += 1;
-                    // A dropped replay Put still accrues its wear into the
-                    // retired ledger: the flash write physically happened
-                    // before the crash, so losing the *entry* must not
-                    // lose the *wear*.
-                    let worn = self.retired_wear.entry(vm).or_default();
-                    worn.pages_admitted += 1;
-                    if placement == Placement::Ssd {
-                        worn.ssd_pages_written += 1;
-                    }
-                    return;
-                }
-                let p = self.pools.get_mut(&(vm, pool)).expect("checked above");
-                // The record's generation becomes the FIFO sequence:
-                // generations are monotone, so replay preserves order.
-                let (sid, displaced) = p.insert(addr, placement, PageVersion(version), gen);
-                if let Some(displaced) = displaced {
-                    self.store(displaced).free(1);
-                    self.note_stale(displaced, 1);
-                }
-                self.push_global_fifo(vm, pool, sid, gen, placement);
+            JournalRecord::Put { .. }
+            | JournalRecord::Take { .. }
+            | JournalRecord::Evict { .. }
+            | JournalRecord::Flush { .. }
+            | JournalRecord::FlushFile { .. } => {
+                return self.state.replay(&mut self.stores, gen, rec);
             }
-            JournalRecord::Take { vm, pool, addr } | JournalRecord::Evict { vm, pool, addr } => {
-                if let Some(slot) = self
-                    .pools
-                    .get_mut(&(VmId(vm), PoolId(pool)))
-                    .and_then(|p| p.remove(addr))
-                {
-                    self.store(slot.placement).free(1);
-                    self.note_stale(slot.placement, 1);
-                }
-            }
-            JournalRecord::Flush { vm, pool, addr } => {
-                if let Some(slot) = self
-                    .pools
-                    .get_mut(&(VmId(vm), PoolId(pool)))
-                    .and_then(|p| p.remove(addr))
-                {
-                    self.store(slot.placement).free(1);
-                    self.note_stale(slot.placement, 1);
-                }
-                // Remote bindings are not journaled, but flush
-                // localization must survive the crash: stash it for the
-                // post-recovery re-bind so the remote never serves a
-                // block the lost instance acked a flush for.
-                self.remote_stash
-                    .entry((VmId(vm), PoolId(pool)))
-                    .or_default()
-                    .0
-                    .push(addr);
-            }
-            JournalRecord::FlushFile { vm, pool, file } => {
-                if let Some(p) = self.pools.get_mut(&(VmId(vm), PoolId(pool))) {
-                    let (mem, ssd) = p.remove_file(file);
-                    self.mem.free(mem);
-                    self.ssd.free(ssd);
-                    self.global_stale_mem += mem;
-                    self.global_stale_ssd += ssd;
-                }
-                self.remote_stash
-                    .entry((VmId(vm), PoolId(pool)))
-                    .or_default()
-                    .1
-                    .push(file);
-            }
-            JournalRecord::Epoch { .. } => {}
-            JournalRecord::SetMemCapacity { pages } => self.mem.set_capacity_pages(pages),
-            JournalRecord::SetSsdCapacity { pages } => self.ssd.set_capacity_pages(pages),
-            JournalRecord::SetMode { mode } => {
-                if let Some(mode) = PartitionMode::from_code(mode) {
-                    self.mode = mode;
-                }
-            }
+            // `SetMode`: the recovery core picked the journal's mode
+            // before this cache was built.
+            JournalRecord::Epoch { .. } | JournalRecord::SetMode { .. } => {}
+            JournalRecord::SetMemCapacity { pages } => self.stores.mem.set_capacity_pages(pages),
+            JournalRecord::SetSsdCapacity { pages } => self.stores.ssd.set_capacity_pages(pages),
             JournalRecord::SsdDrain => {
-                for pool in self.pools.values_mut() {
-                    pool.drain_placement(Placement::Ssd);
-                }
-                self.ssd.free(self.ssd.used_pages());
-                self.global_fifo_ssd.clear();
-                self.global_stale_ssd = 0;
+                self.state.drain_ssd(&mut self.stores);
             }
             JournalRecord::WearTotals {
                 vm,
                 ssd_pages_written,
                 pages_admitted,
             } => {
-                // Checkpoint wear carry-over: the checkpoint's Put records
-                // re-accrue only the *live* entries' wear; this record
-                // holds the VM's true cumulative totals at checkpoint
-                // time. Apply as a max-correction into the retired
-                // accumulator — monotone and idempotent, so a replayed
-                // prefix never exceeds and never loses wear.
                 let vm = VmId(vm);
                 let current = self.vm_wear(vm);
-                let r = self.retired_wear.entry(vm).or_default();
-                if ssd_pages_written > current.ssd_pages_written {
-                    r.ssd_pages_written += ssd_pages_written - current.ssd_pages_written;
-                }
-                if pages_admitted > current.pages_admitted {
-                    r.pages_admitted += pages_admitted - current.pages_admitted;
-                }
+                self.state
+                    .correct_wear(vm, current, ssd_pages_written, pages_admitted);
+            }
+        }
+        true
+    }
+
+    /// Drops `pool` from its VM's registry row.
+    fn unregister_pool(&mut self, vm: VmId, pool: PoolId) {
+        if let Some(entry) = self.vms.get_mut(&vm) {
+            if let Ok(i) = entry.pool_ids.binary_search(&pool) {
+                entry.pool_ids.remove(i);
             }
         }
     }
 
-    /// Seeds a fresh journal with a checkpoint of the current state so a
-    /// later crash replays the checkpoint instead of the whole history.
-    /// Generations continue from `start_gen` to stay monotone across the
-    /// restart. Returns the freshly minted per-VM epochs.
-    ///
-    /// Record order matters: each VM's `Epoch` precedes every `Put`, so a
-    /// corrupted checkpoint prefix can never make the epoch-discard pass
-    /// drop into resurrecting state — puts carry generations above every
-    /// distributed epoch. Puts are written in FIFO (sequence) order so
-    /// replay reproduces eviction order.
+    /// Replaces the journal with a checkpoint of the current state
+    /// ([`Cut::write_checkpoint`] over one segment), generations
+    /// continuing from `start_gen`. Returns the freshly minted per-VM
+    /// epochs.
     fn write_checkpoint(&mut self, start_gen: u64) -> Vec<(VmId, u64)> {
-        let mut journal = Journal::with_start_gen(start_gen);
-        journal.append(&JournalRecord::SetMode {
-            mode: self.mode.code(),
-        });
-        journal.append(&JournalRecord::SetMemCapacity {
-            pages: self.mem.capacity_pages(),
-        });
-        journal.append(&JournalRecord::SetSsdCapacity {
-            pages: self.ssd.capacity_pages(),
-        });
-        let mut new_epochs = Vec::with_capacity(self.vms.len());
-        for (&vm, entry) in &self.vms {
-            journal.append(&JournalRecord::AddVm {
-                vm: vm.0,
-                mem_weight: entry.mem_weight,
-                ssd_weight: entry.ssd_weight,
-            });
-            let epoch = journal.append(&JournalRecord::Epoch { vm: vm.0 });
-            new_epochs.push((vm, epoch));
-        }
-        // Sized from the live count; `append_all` below then reserves
-        // the exact bytes the puts encode to, so neither regrows.
-        let live = self.mem.used_pages() + self.ssd.used_pages();
-        let mut puts: Vec<(u64, VmId, PoolId, BlockAddr, u64, u8)> =
-            Vec::with_capacity(live as usize);
-        for (&vm, entry) in &self.vms {
-            for &pid in &entry.pool_ids {
-                let pool = &self.pools[&(vm, pid)];
-                let policy = pool.policy();
-                journal.append(&JournalRecord::CreatePool {
-                    vm: vm.0,
-                    pool: pid.0,
-                    store: store_kind_code(policy.store),
-                    weight: policy.weight,
-                });
-                for (addr, slot) in pool.iter() {
-                    puts.push((
-                        slot.seq,
-                        vm,
-                        pid,
-                        addr,
-                        slot.version.0,
-                        slot.placement.code(),
-                    ));
-                }
-            }
-        }
-        puts.sort_unstable();
-        let put_records: Vec<JournalRecord> = puts
-            .into_iter()
-            .map(
-                |(_, vm, pid, addr, version, placement)| JournalRecord::Put {
-                    vm: vm.0,
-                    pool: pid.0,
-                    addr,
-                    version,
-                    placement,
-                },
-            )
-            .collect();
-        journal.append_all(&put_records);
-        // Wear carry-over, AFTER the puts: replaying the checkpoint
-        // re-accrues the live entries' wear through the puts, then each
-        // VM's record tops the totals up to the true cumulative value
-        // (see the `WearTotals` arm of `apply_record`).
-        for vm in self.wear_vm_ids() {
-            let w = self.vm_wear(vm);
-            journal.append(&JournalRecord::WearTotals {
-                vm: vm.0,
-                ssd_pages_written: w.ssd_pages_written,
-                pages_admitted: w.pages_admitted,
-            });
-        }
+        let mut checkpoint = self.cut().write_checkpoint(
+            self.mode,
+            self.stores.mem.capacity_pages(),
+            self.stores.ssd.capacity_pages(),
+            start_gen,
+        );
+        let mut journal = checkpoint.segments.pop().expect("one shard, one segment");
         journal.sync();
         self.journal = Some(journal);
-        new_epochs
+        checkpoint.new_epochs
     }
 
     // ------------------------------------------------------------------
@@ -1653,34 +1160,18 @@ impl DoubleDeckerCache {
     /// Every VM with wear on the books: live VMs plus VMs that were
     /// removed but whose retired wear persists. Sorted.
     pub fn wear_vm_ids(&self) -> Vec<VmId> {
-        let mut ids: Vec<VmId> = self.vms.keys().copied().collect();
-        for &vm in self.retired_wear.keys() {
-            if let Err(i) = ids.binary_search(&vm) {
-                ids.insert(i, vm);
-            }
-        }
-        ids
+        self.cut().wear_vm_ids()
     }
 
     /// Cumulative wear charged to one VM: its live pools plus everything
     /// retired when pools were destroyed. Never decreases.
     pub fn vm_wear(&self, vm: VmId) -> WearCounters {
-        let mut t = self.retired_wear.get(&vm).copied().unwrap_or_default();
-        if let Some(entry) = self.vms.get(&vm) {
-            for &pid in &entry.pool_ids {
-                t.absorb(&self.pools[&(vm, pid)].wear.totals());
-            }
-        }
-        t
+        self.cut().vm_wear(vm)
     }
 
     /// Device-level wear totals across every VM ever seen.
     pub fn wear_totals(&self) -> WearCounters {
-        let mut t = WearCounters::default();
-        for vm in self.wear_vm_ids() {
-            t.absorb(&self.vm_wear(vm));
-        }
-        t
+        self.cut().wear_totals()
     }
 
     /// The admission plane this cache runs under.
@@ -1703,38 +1194,20 @@ impl DoubleDeckerCache {
             return 0;
         }
         let mut demoted = 0;
-        let targets: Vec<(VmId, Vec<PoolId>)> = self
-            .vms
-            .iter()
-            .map(|(&vm, e)| (vm, e.pool_ids.clone()))
+        let rows = self.vms.iter();
+        let targets: Vec<(VmId, PoolId)> = rows
+            .flat_map(|(&vm, entry)| entry.pool_ids.iter().map(move |&pid| (vm, pid)))
             .collect();
-        for (vm, pids) in targets {
-            for pid in pids {
-                let stale = self
-                    .pools
-                    .get(&(vm, pid))
-                    .map(|p| p.stale_ssd_entries(ttl))
-                    .unwrap_or_default();
-                for addr in stale {
-                    let Some(p) = self.pools.get_mut(&(vm, pid)) else {
-                        break;
-                    };
-                    if p.remove(addr).is_none() {
-                        continue;
-                    }
-                    p.counters.evictions += 1;
-                    p.wear.ttl_demotions += 1;
-                    self.ssd.free(1);
-                    self.evictions += 1;
-                    demoted += 1;
-                    self.note_stale(Placement::Ssd, 1);
-                    self.note_removal(vm, pid, Placement::Ssd);
-                    self.log(JournalRecord::Evict {
-                        vm: vm.0,
-                        pool: pid.0,
-                        addr,
-                    });
-                }
+        for (vm, pid) in targets {
+            let gone = self.state.ttl_sweep_pool(&mut self.stores, vm, pid, ttl);
+            if gone.is_empty() {
+                continue;
+            }
+            self.evictions += gone.len() as u64;
+            demoted += gone.len() as u64;
+            self.note_removal(vm, pid, Placement::Ssd);
+            for addr in gone {
+                self.log(shard::evict_record(vm, pid, addr));
             }
         }
         demoted
@@ -1743,16 +1216,10 @@ impl DoubleDeckerCache {
 
 impl SecondChanceCache for DoubleDeckerCache {
     fn create_pool(&mut self, vm: VmId, policy: CachePolicy) -> PoolId {
-        // Auto-register unknown VMs with a default weight so single-VM
-        // setups need no explicit add_vm call.
-        let entry = self.vms.entry(vm).or_insert_with(|| VmEntry::new(100, 100));
+        // Unknown VMs are auto-registered with a default weight, so
+        // single-VM setups need no explicit add_vm call.
         let id = PoolId(self.next_pool);
-        self.next_pool += 1;
-        // `next_pool` is monotonic, so pushing keeps the registry sorted.
-        entry.pool_ids.push(id);
-        self.pools.insert((vm, id), Pool::new(vm, policy));
-        self.invalidate_all_entitlements();
-        self.log(JournalRecord::CreatePool {
+        self.control(JournalRecord::CreatePool {
             vm: vm.0,
             pool: id.0,
             store: store_kind_code(policy.store),
@@ -1762,23 +1229,10 @@ impl SecondChanceCache for DoubleDeckerCache {
     }
 
     fn destroy_pool(&mut self, vm: VmId, pool: PoolId) {
-        self.remote_bindings.remove(&(vm, pool));
-        self.remote_stash.remove(&(vm, pool));
-        if let Some(mut p) = self.pools.remove(&(vm, pool)) {
-            let (mem, ssd) = p.drain();
-            let worn = p.wear.retire();
-            self.retired_wear.entry(vm).or_default().absorb(&worn);
-            self.mem.free(mem);
-            self.ssd.free(ssd);
-            self.global_stale_mem += mem;
-            self.global_stale_ssd += ssd;
-            if let Some(entry) = self.vms.get_mut(&vm) {
-                if let Ok(i) = entry.pool_ids.binary_search(&pool) {
-                    entry.pool_ids.remove(i);
-                }
-            }
-            self.invalidate_all_entitlements();
-            self.log(JournalRecord::DestroyPool {
+        self.state.remote_bindings.remove(&(vm, pool));
+        self.state.remote_stash.remove(&(vm, pool));
+        if self.state.pools.contains_key(&(vm, pool)) {
+            self.control(JournalRecord::DestroyPool {
                 vm: vm.0,
                 pool: pool.0,
             });
@@ -1786,99 +1240,72 @@ impl SecondChanceCache for DoubleDeckerCache {
     }
 
     fn set_policy(&mut self, vm: VmId, pool: PoolId, policy: CachePolicy) {
-        if let Some(p) = self.pools.get_mut(&(vm, pool)) {
-            p.set_policy(policy);
-            self.invalidate_all_entitlements();
-            // Journal the policy change before re-homing: replay applies
-            // the policy raw and then re-applies the re-homing's logged
-            // evictions and puts in order.
-            self.log(JournalRecord::SetPolicy {
-                vm: vm.0,
-                pool: pool.0,
-                store: store_kind_code(policy.store),
-                weight: policy.weight,
-            });
-            self.rehome_pool_objects(vm, pool);
-            // Re-homing moves usage between stores, which can change the
-            // participant sets again.
-            self.invalidate_all_entitlements();
+        if !self.state.pools.contains_key(&(vm, pool)) {
+            return;
         }
+        // Journaled before the re-homing: replay applies the policy raw
+        // and then the re-homing's logged evictions and puts in order.
+        self.control(JournalRecord::SetPolicy {
+            vm: vm.0,
+            pool: pool.0,
+            store: store_kind_code(policy.store),
+            weight: policy.weight,
+        });
+        self.rehome_pool_objects(vm, pool);
+        // Re-homing moves usage between stores, which can change the
+        // participant sets again.
+        self.invalidate_all_entitlements();
     }
 
     fn migrate_object(&mut self, vm: VmId, from: PoolId, to: PoolId, addr: BlockAddr) {
-        let Some(slot) = self.pools.get_mut(&(vm, from)).and_then(|p| p.remove(addr)) else {
+        let Some(slot) = self.state.remove(&mut self.stores, vm, from, addr) else {
             return;
         };
-        // The entry the source pool pushed for this object is stale now.
-        self.note_stale(slot.placement, 1);
         self.note_removal(vm, from, slot.placement);
-        self.log(JournalRecord::Take {
-            vm: vm.0,
-            pool: from.0,
-            addr,
-        });
-        match self.pools.get_mut(&(vm, to)) {
-            Some(target) => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                let (sid, displaced) = target.insert(addr, slot.placement, slot.version, seq);
-                if let Some(displaced) = displaced {
-                    self.store(displaced).free(1);
-                    self.note_stale(displaced, 1);
-                }
-                self.push_global_fifo(vm, to, sid, seq, slot.placement);
-                self.note_insertion(vm, to, slot.placement);
-                self.log(JournalRecord::Put {
-                    vm: vm.0,
-                    pool: to.0,
-                    addr,
-                    version: slot.version.0,
-                    placement: slot.placement.code(),
-                });
-            }
-            None => {
-                // Unknown target: the object has no owner; drop it.
-                self.store(slot.placement).free(1);
-            }
+        self.log(shard::take_record(vm, from, addr));
+        // The page the source just gave back carries the object over. An
+        // unknown target leaves it freed: the object has no owner.
+        if !self.state.pools.contains_key(&(vm, to)) || !self.stores.try_alloc(slot.placement) {
+            return;
         }
+        let seq = self.alloc_seq();
+        self.state.insert(
+            &mut self.stores,
+            vm,
+            to,
+            addr,
+            slot.placement,
+            slot.version,
+            seq,
+        );
+        self.note_insertion(vm, to, slot.placement);
+        self.log(shard::put_record(
+            vm,
+            to,
+            addr,
+            slot.version,
+            slot.placement,
+        ));
     }
 
     fn pool_stats(&self, vm: VmId, pool: PoolId) -> Option<PoolStats> {
-        let p = self.pools.get(&(vm, pool))?;
-        Some(PoolStats {
-            mem_pages: p.used(Placement::Mem),
-            ssd_pages: p.used(Placement::Ssd),
-            entitlement_pages: self.pool_entitlement(vm, pool),
-            gets: p.counters.gets,
-            hits: p.counters.hits,
-            puts: p.counters.puts,
-            evictions: p.counters.evictions,
-            failed_gets: p.counters.failed_gets,
-            failed_puts: p.counters.failed_puts,
-            ssd_writes: p.wear.pages_written,
-        })
+        let p = self.state.pools.get(&(vm, pool))?;
+        Some(p.stats(self.pool_entitlement(vm, pool)))
     }
 
     fn get(&mut self, now: SimTime, vm: VmId, pool: PoolId, addr: BlockAddr) -> GetOutcome {
-        let Some(p) = self.pools.get_mut(&(vm, pool)) else {
-            return GetOutcome::Miss;
-        };
-        p.counters.gets += 1;
-        let Some(slot) = p.remove(addr) else {
-            // Miss in both local tiers: fall through to the pool's remote
-            // binding (if any), which fails open back to a miss.
-            return self.remote_get(now, vm, pool, addr);
-        };
-        self.store(slot.placement).free(1);
         // Exclusive semantics remove the object on a hit; its FIFO entry
         // outlives it as a tombstone.
-        self.note_stale(slot.placement, 1);
+        let Some((_, taken)) = self.state.take(&mut self.stores, vm, pool, addr) else {
+            return GetOutcome::Miss;
+        };
+        let Some(slot) = taken else {
+            // Miss in both local tiers: fall through to the pool's remote
+            // binding (if any), which fails open back to a miss.
+            return self.state.remote_get(now, vm, pool, addr);
+        };
         self.note_removal(vm, pool, slot.placement);
-        self.log(JournalRecord::Take {
-            vm: vm.0,
-            pool: pool.0,
-            addr,
-        });
+        self.log(shard::take_record(vm, pool, addr));
         // Verify-on-read: a slot whose checksum no longer matches its key
         // rotted in the backing store (e.g. SSD corruption surviving a
         // crash). It was already removed above, so it can never be served
@@ -1886,7 +1313,7 @@ impl SecondChanceCache for DoubleDeckerCache {
         // existing ToMem/Reject fallback takes over.
         if !slot.verifies(addr) {
             self.failed_gets += 1;
-            if let Some(p) = self.pools.get_mut(&(vm, pool)) {
+            if let Some(p) = self.state.pools.get_mut(&(vm, pool)) {
                 p.counters.failed_gets += 1;
             }
             if slot.placement == Placement::Ssd {
@@ -1895,15 +1322,15 @@ impl SecondChanceCache for DoubleDeckerCache {
             return GetOutcome::Failed { finish: now };
         }
         let finish = match slot.placement {
-            Placement::Mem => self.mem.read(now, addr),
-            Placement::Ssd => match self.ssd.try_read(now, addr) {
+            Placement::Mem => self.stores.mem.read(now, addr),
+            Placement::Ssd => match self.stores.ssd.try_read(now, addr) {
                 Ok(finish) => finish,
                 Err(err) => {
                     // The object was already removed above, so the failed
                     // read can never be served stale later; the whole
                     // tier is quarantined to keep it that way.
                     self.failed_gets += 1;
-                    if let Some(p) = self.pools.get_mut(&(vm, pool)) {
+                    if let Some(p) = self.state.pools.get_mut(&(vm, pool)) {
                         p.counters.failed_gets += 1;
                     }
                     self.quarantine_ssd(now);
@@ -1911,17 +1338,8 @@ impl SecondChanceCache for DoubleDeckerCache {
                 }
             },
         };
-        if let Some(p) = self.pools.get_mut(&(vm, pool)) {
-            p.counters.hits += 1;
-            // A hit on an SSD-resident block is proven reuse: re-arm its
-            // ghost entry so the block's next spill readmits without a
-            // second probation pass.
-            if self.admission.filters_spills()
-                && slot.placement == Placement::Ssd
-                && p.policy().store == StoreKind::Hybrid
-            {
-                p.ghost.note(addr);
-            }
+        if let Some(p) = self.state.pools.get_mut(&(vm, pool)) {
+            p.note_hit(addr, slot.placement, self.admission.filters_spills());
         }
         self.maybe_compact_journal();
         GetOutcome::Hit {
@@ -1950,29 +1368,19 @@ impl SecondChanceCache for DoubleDeckerCache {
         // version change always travels through a flush first, so the
         // overwrite-displacement below never had to happen for a
         // rejected put.
-        if self.admission.filters_spills()
-            && placement == Placement::Ssd
-            && self
-                .pools
-                .get(&(vm, pool))
-                .is_some_and(|p| p.policy().store == StoreKind::Hybrid)
-        {
+        if self.admission.filters_spills() && placement == Placement::Ssd {
             let window = self.admission.ghost_window;
-            let p = self.pools.get_mut(&(vm, pool)).expect("checked above");
-            p.wear.spill_attempts += 1;
-            if p.ghost.admit(addr, window) {
-                p.wear.spill_admits += 1;
-            } else {
-                p.wear.spill_rejects += 1;
+            let spilled_and_rejected = self.state.pools.get_mut(&(vm, pool)).is_some_and(|p| {
+                p.policy().store == StoreKind::Hybrid && !p.admit_spill(addr, window)
+            });
+            if spilled_and_rejected {
                 return PutOutcome::Rejected;
             }
         }
 
         // Exclusive overwrite: displace any stale copy first so the freed
         // page is available to this put.
-        if let Some(old) = self.pools.get_mut(&(vm, pool)).and_then(|p| p.remove(addr)) {
-            self.store(old.placement).free(1);
-            self.note_stale(old.placement, 1);
+        if let Some(old) = self.state.remove(&mut self.stores, vm, pool, addr) {
             self.note_removal(vm, pool, old.placement);
         }
 
@@ -1980,12 +1388,7 @@ impl SecondChanceCache for DoubleDeckerCache {
         // itself before the store-level check.
         if self.mode == PartitionMode::Strict {
             let entitlement = self.pool_entitlement_in(vm, pool, placement);
-            let used = self
-                .pools
-                .get(&(vm, pool))
-                .map(|p| p.used(placement))
-                .unwrap_or(0);
-            if used + 1 > entitlement {
+            if self.state.used(vm, pool, placement) + 1 > entitlement {
                 let freed =
                     self.evict_pages_from_pool(now, vm, pool, placement, EVICTION_BATCH_PAGES);
                 if freed == 0 {
@@ -1996,18 +1399,18 @@ impl SecondChanceCache for DoubleDeckerCache {
 
         // Resource-conservative enforcement: evict only when the store
         // itself is full (§4.3).
-        if !self.store_ref(placement).has_room() {
+        if !self.stores.of(placement).has_room() {
             let freed = self.evict_batch(now, placement);
             if freed == 0 {
                 return PutOutcome::Rejected;
             }
         }
-        if !self.store(placement).try_alloc() {
+        if !self.stores.of_mut(placement).try_alloc() {
             return PutOutcome::Rejected;
         }
 
         let seq = self.alloc_seq();
-        let finish = match self.store(placement).try_write(now, addr) {
+        let finish = match self.stores.of_mut(placement).try_write(now, addr) {
             Ok(finish) => {
                 if placement == Placement::Ssd {
                     // A successful SSD write while quarantined is the
@@ -2017,9 +1420,9 @@ impl SecondChanceCache for DoubleDeckerCache {
                 finish
             }
             Err(err) => {
-                self.store(placement).free(1);
+                self.stores.of_mut(placement).free(1);
                 self.failed_puts += 1;
-                if let Some(p) = self.pools.get_mut(&(vm, pool)) {
+                if let Some(p) = self.state.pools.get_mut(&(vm, pool)) {
                     p.counters.failed_puts += 1;
                 }
                 if placement == Placement::Ssd {
@@ -2028,40 +1431,28 @@ impl SecondChanceCache for DoubleDeckerCache {
                 return PutOutcome::Failed { finish: err.finish };
             }
         };
-        let pool_entry = self
+        self.state
             .pools
             .get_mut(&(vm, pool))
-            .expect("pool verified by effective_placement");
-        pool_entry.counters.puts += 1;
-        let (sid, displaced) = pool_entry.insert(addr, placement, version, seq);
-        if let Some(displaced) = displaced {
-            // Unreachable in practice (old copy removed above), but keep
-            // accounting exact if insert displaces.
-            self.store(displaced).free(1);
-            self.note_stale(displaced, 1);
-        }
-        self.push_global_fifo(vm, pool, sid, seq, placement);
+            .expect("pool verified by effective_placement")
+            .counters
+            .puts += 1;
+        self.state
+            .insert(&mut self.stores, vm, pool, addr, placement, version, seq);
         self.note_insertion(vm, pool, placement);
-        self.log(JournalRecord::Put {
-            vm: vm.0,
-            pool: pool.0,
-            addr,
-            version: version.0,
-            placement: placement.code(),
-        });
+        self.log(shard::put_record(vm, pool, addr, version, placement));
         self.maybe_compact_journal();
         PutOutcome::Stored { finish }
     }
 
     fn flush(&mut self, vm: VmId, pool: PoolId, addr: BlockAddr) -> u64 {
-        if let Some(slot) = self.pools.get_mut(&(vm, pool)).and_then(|p| p.remove(addr)) {
-            self.store(slot.placement).free(1);
-            self.note_stale(slot.placement, 1);
+        if let Some(slot) = self.state.remove(&mut self.stores, vm, pool, addr) {
             self.note_removal(vm, pool, slot.placement);
         }
         // A flush means the guest is writing the backing block: the
         // remote's copy of it is stale forever after.
-        self.remote_note_flush(vm, pool, addr);
+        let remotes = !self.remote_registry.is_empty();
+        self.state.note_flush(vm, pool, addr, remotes);
         // Logged (and synced) even when the block was absent: the returned
         // epoch must cover this flush regardless, since a crash may lose
         // the unsynced put that would have made the block present. Live
@@ -2069,34 +1460,21 @@ impl SecondChanceCache for DoubleDeckerCache {
         // boundaries (`flush_many`), not per op — the sharded engine
         // hoists identically, which keeps the checkpoint rewrite firing
         // at the same operation on both planes.
-        self.log_synced(JournalRecord::Flush {
-            vm: vm.0,
-            pool: pool.0,
-            addr,
-        })
+        self.log_synced(shard::flush_record(vm, pool, addr))
     }
 
     fn flush_file(&mut self, vm: VmId, pool: PoolId, file: FileId) -> u64 {
-        if let Some(p) = self.pools.get_mut(&(vm, pool)) {
-            let (mem, ssd) = p.remove_file(file);
-            self.mem.free(mem);
-            self.ssd.free(ssd);
-            self.global_stale_mem += mem;
-            self.global_stale_ssd += ssd;
-            if mem > 0 {
-                self.note_removal(vm, pool, Placement::Mem);
-            }
-            if ssd > 0 {
-                self.note_removal(vm, pool, Placement::Ssd);
-            }
+        let (mem, ssd) = self.state.remove_file(&mut self.stores, vm, pool, file);
+        if mem > 0 {
+            self.note_removal(vm, pool, Placement::Mem);
         }
-        self.remote_note_flush_file(vm, pool, file);
+        if ssd > 0 {
+            self.note_removal(vm, pool, Placement::Ssd);
+        }
+        let remotes = !self.remote_registry.is_empty();
+        self.state.note_flush_file(vm, pool, file, remotes);
         // Compaction hoisted to batch boundaries, like `flush`.
-        self.log_synced(JournalRecord::FlushFile {
-            vm: vm.0,
-            pool: pool.0,
-            file,
-        })
+        self.log_synced(shard::flush_file_record(vm, pool, file))
     }
 
     // The batched entry points: the serial engine has no locks to

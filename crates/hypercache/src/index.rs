@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ddc_cleancache::{CachePolicy, PageVersion, PoolId, VmId};
+use ddc_cleancache::{CachePolicy, PageVersion, PoolId, PoolStats, StoreKind, VmId};
 use ddc_sim::FxHashMap;
 use ddc_storage::{BlockAddr, FileId, PoolWear};
 
@@ -68,6 +68,20 @@ impl Placement {
             0 => Some(Placement::Mem),
             1 => Some(Placement::Ssd),
             _ => None,
+        }
+    }
+
+    /// Position in the `[mem, ssd]` pairs both engines keep per store.
+    pub fn idx(self) -> usize {
+        self.code() as usize
+    }
+
+    /// Whether a pool whose policy names `store` is assigned to this
+    /// store (a hybrid pool is assigned to both).
+    pub fn allowed_by(self, store: StoreKind) -> bool {
+        match self {
+            Placement::Mem => store.uses_mem(),
+            Placement::Ssd => store.uses_ssd(),
         }
     }
 }
@@ -601,6 +615,57 @@ impl Pool {
         self.insert_count = 0;
         self.slot_birth.clear();
         freed
+    }
+
+    /// Ghost admission of one mem→SSD spill: the first sighting of
+    /// `addr` is remembered and rejected, a second within `window`
+    /// admits. Counted in the pool's wear ledger either way.
+    pub fn admit_spill(&mut self, addr: BlockAddr, window: u32) -> bool {
+        self.wear.spill_attempts += 1;
+        let admitted = self.ghost.admit(addr, window);
+        if admitted {
+            self.wear.spill_admits += 1;
+        } else {
+            self.wear.spill_rejects += 1;
+        }
+        admitted
+    }
+
+    /// Counts a local hit on an object that sat in `placement`. A hit on
+    /// an SSD-resident block of a hybrid pool is proven reuse: with
+    /// `rearm_ghost` (the admission plane filters spills) its ghost
+    /// entry is re-armed, so the block's next spill readmits without a
+    /// second probation pass.
+    pub fn note_hit(&mut self, addr: BlockAddr, placement: Placement, rearm_ghost: bool) {
+        self.counters.hits += 1;
+        if rearm_ghost && placement == Placement::Ssd && self.policy.store == StoreKind::Hybrid {
+            self.ghost.note(addr);
+        }
+    }
+
+    /// The store a pool's GET_STATS entitlement is quoted in.
+    pub fn primary_placement(&self) -> Placement {
+        match self.policy.store {
+            StoreKind::Mem | StoreKind::Hybrid => Placement::Mem,
+            StoreKind::Ssd => Placement::Ssd,
+        }
+    }
+
+    /// The pool's GET_STATS block, given its entitlement in its
+    /// [primary store](Self::primary_placement).
+    pub fn stats(&self, entitlement_pages: u64) -> PoolStats {
+        PoolStats {
+            mem_pages: self.used_mem,
+            ssd_pages: self.used_ssd,
+            entitlement_pages,
+            gets: self.counters.gets,
+            hits: self.counters.hits,
+            puts: self.counters.puts,
+            evictions: self.counters.evictions,
+            failed_gets: self.counters.failed_gets,
+            failed_puts: self.counters.failed_puts,
+            ssd_writes: self.wear.pages_written,
+        }
     }
 
     /// Inserts into this pool since creation (or since the last drain) —

@@ -57,6 +57,7 @@ mod ddcache;
 pub mod index;
 pub mod policy;
 pub mod readplane;
+pub mod shard;
 pub mod store;
 
 pub use admission::{AdmissionConfig, GhostFilter};

@@ -1,0 +1,1495 @@
+//! The shard state machine: what a put, take, evict, flush or destroy
+//! *does* to the index, the page accounting, the FIFO tombstones and the
+//! wear ledger — written once and called by both engines, live and on
+//! replay (DESIGN.md §11.5).
+//!
+//! A [`ShardState`] is the pools that hash to one shard plus their share
+//! of the Global-mode FIFO. The serial
+//! [`DoubleDeckerCache`](crate::DoubleDeckerCache) holds one; the
+//! sharded engine holds one per shard lock. Every journal record kind
+//! has one transition here; a live path decides (placement, victim,
+//! admission), calls the transition, and journals the record, and
+//! [`ShardState::replay`] calls the same transition when the record
+//! comes back — so replay cannot drift from the live path.
+//!
+//! Page accounting is the engine's ([`PageLedger`]): the serial pair of
+//! [`BackingStore`](crate::store::BackingStore)s, or the sharded
+//! engine's cache-global atomic ledgers. On top of the transitions sit
+//! the three whole-cache procedures both engines run under their
+//! consistent cut: the checkpoint writer ([`Cut::write_checkpoint`]),
+//! the recovery core ([`ReplayLog`]) and the live-compaction threshold
+//! ([`compaction_due`]).
+//!
+//! The per-operation transitions and the record builders are
+//! `#[inline]`: they used to be statements of the engines' own get, put
+//! and flush, and from a codegen unit of their own each is a call (a
+//! serial miss-get: 25.5 ns without the attribute, 22 ns with it).
+
+use std::collections::{BTreeMap, VecDeque};
+
+use ddc_cleancache::{GetOutcome, PageVersion, PoolId, StoreKind, VmId};
+use ddc_metrics::CounterSnapshot;
+use ddc_sim::{FxHashMap, SimTime};
+use ddc_storage::{
+    BlockAddr, FileId, Journal, JournalRecord, RemoteBinding, RemoteCounters, RemoteError,
+    RemoteLookup, ReplayStats, WearCounters,
+};
+
+use crate::index::{Placement, Pool, Slot, SlotId};
+use crate::{store_kind_code, PartitionMode, JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS};
+
+/// Page accounting for the two stores, as the transitions need it. The
+/// engines own capacity, devices and faults; a transition only ever
+/// gives pages back, takes one for a replayed put, and reads occupancy
+/// for the FIFO size bound.
+pub trait PageLedger {
+    /// Reserves one page in `placement`'s store if it has room.
+    fn try_alloc(&mut self, placement: Placement) -> bool;
+    /// Gives `pages` pages of `placement`'s store back.
+    fn free(&mut self, placement: Placement, pages: u64);
+    /// Pages in use in `placement`'s store, cache-wide.
+    fn used_pages(&self, placement: Placement) -> u64;
+}
+
+/// A Global-mode FIFO entry: the object's pool, its slab handle and the
+/// sequence stamp it was queued under. Deleted lazily — an entry whose
+/// slot no longer carries the stamp is a tombstone.
+pub type FifoEntry = (VmId, PoolId, SlotId, u64);
+
+/// FIFO queues shorter than this are never compacted.
+const FIFO_COMPACT_MIN_LEN: u64 = 1024;
+
+/// Whether a FIFO entry still names the object it was queued for.
+#[inline]
+fn is_live(
+    pools: &FxHashMap<(VmId, PoolId), Pool>,
+    &(vm, pool, sid, seq): &FifoEntry,
+    placement: Placement,
+) -> bool {
+    let probe = pools.get(&(vm, pool));
+    probe.is_some_and(|p| p.fifo_probe(sid, seq, placement).is_some())
+}
+
+/// `pages` objects of one store just left their pools: their pages go
+/// back to the ledger and their FIFO entries (still queued) count as
+/// tombstones.
+#[inline]
+fn release(ledger: &mut impl PageLedger, stale: &mut [u64; 2], placement: Placement, pages: u64) {
+    ledger.free(placement, pages);
+    stale[placement.idx()] += pages;
+}
+
+/// Takes one object out of its pool: index remove, then [`release`].
+#[inline]
+fn remove_from(
+    pool: &mut Pool,
+    stale: &mut [u64; 2],
+    ledger: &mut impl PageLedger,
+    addr: BlockAddr,
+) -> Option<Slot> {
+    let slot = pool.remove(addr)?;
+    release(ledger, stale, slot.placement, 1);
+    Some(slot)
+}
+
+/// The pools of one shard and everything that must change with them.
+///
+/// `pools` is public because the engines' drivers read usage and bump
+/// per-pool counters in place; *membership* (insert, remove, drain) goes
+/// through the transitions, which keep the ledger equal to the pools'
+/// usage and the tombstone counters at or above the dead FIFO entries.
+#[derive(Debug, Default)]
+pub struct ShardState {
+    /// The pools homed here.
+    pub pools: FxHashMap<(VmId, PoolId), Pool>,
+    /// Seq-stamped Global-mode FIFOs, `[mem, ssd]`.
+    fifo: [VecDeque<FifoEntry>; 2],
+    /// How many entries of each FIFO are known dead. Compaction triggers
+    /// when tombstones dominate, so the scrub is amortized O(1) per
+    /// removal.
+    stale: [u64; 2],
+    /// Wear of pools that no longer exist, folded in when a pool is
+    /// drained for good so device totals never decrease. Keyed
+    /// independently of the registry: a removed VM's wear persists.
+    retired_wear: BTreeMap<VmId, WearCounters>,
+    /// Remote bindings of the pools homed here: the third tier consulted
+    /// on the miss path, each carrying its own fault-tolerance stack.
+    /// Not journaled — a recovered host re-binds.
+    pub remote_bindings: FxHashMap<(VmId, PoolId), RemoteBinding>,
+    /// Flush localization waiting for a binding: replayed flushes and
+    /// runtime flushes of unbound pools while remotes are registered.
+    /// The engine's `bind_remote` consumes it, so a rebound pool never
+    /// serves a block the guest invalidated.
+    pub remote_stash: FxHashMap<(VmId, PoolId), (Vec<BlockAddr>, Vec<FileId>)>,
+}
+
+impl ShardState {
+    /// One store's FIFO, oldest first.
+    pub fn fifo(&self, placement: Placement) -> &VecDeque<FifoEntry> {
+        &self.fifo[placement.idx()]
+    }
+
+    /// One store's tombstone counter.
+    pub fn stale(&self, placement: Placement) -> u64 {
+        self.stale[placement.idx()]
+    }
+
+    /// The entries of one FIFO that are dead right now, counted the
+    /// slow way: what the auditors hold [`Self::stale`] against.
+    pub fn dead_fifo_entries(&self, placement: Placement) -> u64 {
+        let dead = |entry: &&FifoEntry| !is_live(&self.pools, entry, placement);
+        self.fifo(placement).iter().filter(dead).count() as u64
+    }
+
+    /// Pages one pool holds in one store (0 for an unknown pool).
+    #[inline]
+    pub fn used(&self, vm: VmId, pool: PoolId, placement: Placement) -> u64 {
+        self.pools.get(&(vm, pool)).map_or(0, |p| p.used(placement))
+    }
+
+    /// Removes one object (if resident): the body of `Take`, `Evict` and
+    /// `Flush`, of the exclusive overwrite, the migration source and the
+    /// re-homing of a policy change.
+    #[inline]
+    pub fn remove(
+        &mut self,
+        ledger: &mut impl PageLedger,
+        vm: VmId,
+        pool: PoolId,
+        addr: BlockAddr,
+    ) -> Option<Slot> {
+        let p = self.pools.get_mut(&(vm, pool))?;
+        remove_from(p, &mut self.stale, ledger, addr)
+    }
+
+    /// The exclusive lookup of a `get`: counted against the pool, a hit
+    /// removed like [`Self::remove`] — one probe of the pool map for
+    /// both. `None` if there is no such pool; the pool comes back so the
+    /// caller can finish a hit ([`Pool::note_hit`]) without a second.
+    #[inline]
+    pub fn take(
+        &mut self,
+        ledger: &mut impl PageLedger,
+        vm: VmId,
+        pool: PoolId,
+        addr: BlockAddr,
+    ) -> Option<(&mut Pool, Option<Slot>)> {
+        let p = self.pools.get_mut(&(vm, pool))?;
+        p.counters.gets += 1;
+        let slot = remove_from(p, &mut self.stale, ledger, addr);
+        Some((p, slot))
+    }
+
+    /// Inserts one object whose page the caller already holds: index
+    /// insert, the displaced older copy's page freed, and a FIFO entry
+    /// pushed (compacting the queue when tombstones dominate it). `false`
+    /// — and nothing changed, the page still the caller's — if the pool
+    /// does not exist.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn insert(
+        &mut self,
+        ledger: &mut impl PageLedger,
+        vm: VmId,
+        pool: PoolId,
+        addr: BlockAddr,
+        placement: Placement,
+        version: PageVersion,
+        seq: u64,
+    ) -> bool {
+        let Some(p) = self.pools.get_mut(&(vm, pool)) else {
+            return false;
+        };
+        let (sid, displaced) = p.insert(addr, placement, version, seq);
+        if let Some(displaced) = displaced {
+            release(ledger, &mut self.stale, displaced, 1);
+        }
+        self.push_fifo(
+            ledger.used_pages(placement),
+            (vm, pool, sid, seq),
+            placement,
+        );
+        true
+    }
+
+    /// Queues `entry` and compacts the queue when tombstones dominate
+    /// it: every removal funds at most ~two retained-entry visits, so
+    /// the scrub is amortized O(1) per removal. The size fallback
+    /// (against the store's occupancy `store_used`) bounds the queue
+    /// even if a removal path ever fails to tombstone.
+    #[inline]
+    fn push_fifo(&mut self, store_used: u64, entry: FifoEntry, placement: Placement) {
+        let i = placement.idx();
+        self.fifo[i].push_back(entry);
+        let len = self.fifo[i].len() as u64;
+        let dominated = self.stale[i] * 2 > len && len >= FIFO_COMPACT_MIN_LEN;
+        let oversized = len > store_used.saturating_mul(8).max(FIFO_COMPACT_MIN_LEN);
+        if dominated || oversized {
+            let pools = &self.pools;
+            self.fifo[i].retain(|entry| is_live(pools, entry, placement));
+            self.stale[i] = 0;
+        }
+    }
+
+    /// Pops lazily-dead entries off one FIFO's front. On return the
+    /// front is live or the queue is empty. A tombstone consumed this
+    /// way no longer needs a compaction pass.
+    pub fn pop_dead_fronts(&mut self, placement: Placement) {
+        let i = placement.idx();
+        while let Some(front) = self.fifo[i].front() {
+            if is_live(&self.pools, front, placement) {
+                break;
+            }
+            self.fifo[i].pop_front();
+            self.stale[i] = self.stale[i].saturating_sub(1);
+        }
+    }
+
+    /// Evicts the oldest live object of one FIFO (Global mode): the
+    /// entry is consumed, so no tombstone is left behind.
+    pub fn evict_front(
+        &mut self,
+        ledger: &mut impl PageLedger,
+        placement: Placement,
+    ) -> Option<(VmId, PoolId, BlockAddr)> {
+        self.pop_dead_fronts(placement);
+        let (vm, pool, sid, _) = self.fifo[placement.idx()].pop_front()?;
+        let p = self
+            .pools
+            .get_mut(&(vm, pool))
+            .expect("front verified live");
+        let (addr, _) = p.remove_by_id(sid).expect("front verified live");
+        p.counters.evictions += 1;
+        ledger.free(placement, 1);
+        Some((vm, pool, addr))
+    }
+
+    /// Evicts up to `max_pages` of one pool's oldest objects from one
+    /// store, oldest first, journaling an `Evict` for each.
+    ///
+    /// Trickle-down: a hybrid pool keeps evicted *memory* objects alive
+    /// in its SSD share while room remains (paper §3.3). Each must earn
+    /// its flash write from the ghost filter like any other spill
+    /// (`ghost_window`, when the admission plane filters spills); a
+    /// rejected object is simply dropped — its `Evict` is already
+    /// journaled, so replay needs nothing extra. `spill` is the engine's
+    /// half of one trickle, the device write and the sequence stamp;
+    /// `None` from it ends the trickling and the page goes back. Pass no
+    /// `spill` while the SSD tier takes none: the objects are clean, so
+    /// dropping them is always safe. A trickled object gets a journaled
+    /// `Put` but no Global FIFO entry: the pool's own SSD FIFO alone ages
+    /// it out. (Replayed, that `Put` does queue one — a recovered cache
+    /// is allowed to evict it in Global order.)
+    ///
+    /// Returns `(evicted, trickled)`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn evict_batch<L: PageLedger>(
+        &mut self,
+        ledger: &mut L,
+        vm: VmId,
+        pool: PoolId,
+        placement: Placement,
+        max_pages: u64,
+        ghost_window: Option<u32>,
+        spill: Option<impl FnMut(&mut L, BlockAddr) -> Option<u64>>,
+        mut journal: impl FnMut(JournalRecord),
+    ) -> (u64, u64) {
+        let Some(p) = self.pools.get_mut(&(vm, pool)) else {
+            return (0, 0);
+        };
+        let mut evicted = Vec::new();
+        while (evicted.len() as u64) < max_pages {
+            let Some((addr, slot)) = p.pop_oldest(placement) else {
+                break;
+            };
+            p.counters.evictions += 1;
+            evicted.push((addr, slot.version));
+            journal(evict_record(vm, pool, addr));
+        }
+        let freed = evicted.len() as u64;
+        release(ledger, &mut self.stale, placement, freed);
+
+        let hybrid = p.policy().store == StoreKind::Hybrid;
+        let Some(mut spill) = spill.filter(|_| hybrid && placement == Placement::Mem) else {
+            return (freed, 0);
+        };
+        let mut trickled = 0;
+        for (addr, version) in evicted {
+            let rejected = ghost_window.is_some_and(|w| !p.admit_spill(addr, w));
+            if rejected {
+                continue;
+            }
+            if !ledger.try_alloc(Placement::Ssd) {
+                break;
+            }
+            let Some(seq) = spill(ledger, addr) else {
+                ledger.free(Placement::Ssd, 1);
+                break;
+            };
+            let (_, displaced) = p.insert(addr, Placement::Ssd, version, seq);
+            if let Some(displaced) = displaced {
+                release(ledger, &mut self.stale, displaced, 1);
+            }
+            trickled += 1;
+            journal(put_record(vm, pool, addr, version, Placement::Ssd));
+        }
+        (freed, trickled)
+    }
+
+    /// The objects of one pool that its (just changed) policy no longer
+    /// allows where they are, each with the store it should move to, in
+    /// address order: the slab's own order depends on free-list history,
+    /// and the re-homing sequence (and the fresh stamps it mints) must
+    /// be a pure function of the visible cache state. A disabled policy
+    /// displaces nothing.
+    pub fn misplaced(&self, vm: VmId, pool: PoolId) -> Vec<(BlockAddr, PageVersion, Placement)> {
+        let Some(p) = self.pools.get(&(vm, pool)) else {
+            return Vec::new();
+        };
+        let store = p.policy().store;
+        let mut moves: Vec<_> = p
+            .iter()
+            .filter_map(|(addr, slot)| match slot.placement {
+                Placement::Mem if !store.uses_mem() => Some((addr, slot.version, Placement::Ssd)),
+                Placement::Ssd if !store.uses_ssd() => Some((addr, slot.version, Placement::Mem)),
+                _ => None,
+            })
+            .collect();
+        if !p.policy().is_enabled() {
+            moves.clear();
+        }
+        moves.sort_unstable_by_key(|&(addr, _, _)| addr);
+        moves
+    }
+
+    /// Removes every object of `file` from one pool (`FlushFile`),
+    /// returning the pages freed as `(mem, ssd)`.
+    pub fn remove_file(
+        &mut self,
+        ledger: &mut impl PageLedger,
+        vm: VmId,
+        pool: PoolId,
+        file: FileId,
+    ) -> (u64, u64) {
+        let Some(p) = self.pools.get_mut(&(vm, pool)) else {
+            return (0, 0);
+        };
+        let (mem, ssd) = p.remove_file(file);
+        release(ledger, &mut self.stale, Placement::Mem, mem);
+        release(ledger, &mut self.stale, Placement::Ssd, ssd);
+        (mem, ssd)
+    }
+
+    /// Destroys one pool (`DestroyPool`, and `RemoveVm` per pool): its
+    /// objects drained, its wear retired into the VM's accumulator, its
+    /// pages freed and its FIFO entries left as tombstones. `false` if
+    /// there was no such pool.
+    pub fn drain_pool(&mut self, ledger: &mut impl PageLedger, vm: VmId, pool: PoolId) -> bool {
+        let Some(mut p) = self.pools.remove(&(vm, pool)) else {
+            return false;
+        };
+        let (mem, ssd) = p.drain();
+        let worn = p.wear.retire();
+        self.retired_wear.entry(vm).or_default().absorb(&worn);
+        release(ledger, &mut self.stale, Placement::Mem, mem);
+        release(ledger, &mut self.stale, Placement::Ssd, ssd);
+        true
+    }
+
+    /// Invalidates every SSD-resident object wholesale (`SsdDrain`: a
+    /// failed store must never serve a potentially-corrupt hit).
+    /// Returns the pages invalidated.
+    pub fn drain_ssd(&mut self, ledger: &mut impl PageLedger) -> u64 {
+        let freed = self
+            .pools
+            .values_mut()
+            .map(|p| p.drain_placement(Placement::Ssd))
+            .sum();
+        ledger.free(Placement::Ssd, freed);
+        let i = Placement::Ssd.idx();
+        self.fifo[i].clear();
+        self.stale[i] = 0;
+        freed
+    }
+
+    /// Epoch discard: drops every object of one pool whose sequence
+    /// stamp predates `epoch`, in address order (the slab's own order
+    /// depends on free-list history). Returns how many went.
+    pub fn discard_older_than(
+        &mut self,
+        ledger: &mut impl PageLedger,
+        vm: VmId,
+        pool: PoolId,
+        epoch: u64,
+    ) -> u64 {
+        let Some(p) = self.pools.get(&(vm, pool)) else {
+            return 0;
+        };
+        let mut suspects: Vec<BlockAddr> = p
+            .iter()
+            .filter(|(_, slot)| slot.seq < epoch)
+            .map(|(addr, _)| addr)
+            .collect();
+        suspects.sort_unstable();
+        let mut discarded = 0;
+        for addr in suspects {
+            discarded += u64::from(self.remove(ledger, vm, pool, addr).is_some());
+        }
+        discarded
+    }
+
+    /// One pool's share of the TTL sweep: demotes (drops) its
+    /// SSD-resident objects older than `ttl` inserts, in slab order.
+    /// Returns the demoted addresses; the caller journals them as
+    /// evictions.
+    pub fn ttl_sweep_pool(
+        &mut self,
+        ledger: &mut impl PageLedger,
+        vm: VmId,
+        pool: PoolId,
+        ttl: u64,
+    ) -> Vec<BlockAddr> {
+        let mut stale = self
+            .pools
+            .get(&(vm, pool))
+            .map(|p| p.stale_ssd_entries(ttl))
+            .unwrap_or_default();
+        stale.retain(|&addr| self.remove(ledger, vm, pool, addr).is_some());
+        if let Some(p) = self.pools.get_mut(&(vm, pool)) {
+            p.counters.evictions += stale.len() as u64;
+            p.wear.ttl_demotions += stale.len() as u64;
+        }
+        stale
+    }
+
+    /// The remote half of a flush: the guest is writing the backing
+    /// block, so the remote's copy is stale forever after. A bound pool
+    /// localizes it; an unbound one stashes it for a future binding if
+    /// `stash_unbound` (remotes are registered, or this is a replay).
+    #[inline]
+    pub fn note_flush(&mut self, vm: VmId, pool: PoolId, addr: BlockAddr, stash_unbound: bool) {
+        if let Some(binding) = self.remote_bindings.get_mut(&(vm, pool)) {
+            binding.localize(addr);
+        } else if stash_unbound {
+            self.remote_stash
+                .entry((vm, pool))
+                .or_default()
+                .0
+                .push(addr);
+        }
+    }
+
+    /// File-granularity variant of [`Self::note_flush`].
+    pub fn note_flush_file(&mut self, vm: VmId, pool: PoolId, file: FileId, stash_unbound: bool) {
+        if let Some(binding) = self.remote_bindings.get_mut(&(vm, pool)) {
+            binding.localize_file(file);
+        } else if stash_unbound {
+            self.remote_stash
+                .entry((vm, pool))
+                .or_default()
+                .1
+                .push(file);
+        }
+    }
+
+    /// Binds `pool` to a remote (once), handing it the flushes that
+    /// predate the binding (runtime or replayed): the remote must never
+    /// serve those blocks.
+    pub fn bind_remote(
+        &mut self,
+        vm: VmId,
+        pool: PoolId,
+        mut binding: RemoteBinding,
+    ) -> Result<(), RemoteError> {
+        if self.remote_bindings.contains_key(&(vm, pool)) {
+            let (vm, pool) = (vm.0, pool.0);
+            return Err(RemoteError::AlreadyBound { vm, pool });
+        }
+        if let Some((addrs, files)) = self.remote_stash.remove(&(vm, pool)) {
+            binding.preload_localized(addrs, files);
+        }
+        self.remote_bindings.insert((vm, pool), binding);
+        Ok(())
+    }
+
+    /// The miss path's remote consultation: serves the image's initial
+    /// contents through the pool's binding (if any), failing open to a
+    /// plain miss. Remote serves do not touch the pool's hit/miss
+    /// counters — the remote's own counters carry the tier's story.
+    #[inline]
+    pub fn remote_get(
+        &mut self,
+        now: SimTime,
+        vm: VmId,
+        pool: PoolId,
+        addr: BlockAddr,
+    ) -> GetOutcome {
+        let Some(binding) = self.remote_bindings.get_mut(&(vm, pool)) else {
+            return GetOutcome::Miss;
+        };
+        match binding.lookup(now, addr) {
+            RemoteLookup::Served { finish } => GetOutcome::Hit {
+                finish,
+                version: PageVersion::INITIAL,
+            },
+            RemoteLookup::Miss => GetOutcome::Miss,
+        }
+    }
+
+    /// Checkpoint wear carry-over (`WearTotals`): a checkpoint's puts
+    /// re-accrue only the *live* entries' wear, the record holds the
+    /// VM's true cumulative totals. Applied as a max-correction against
+    /// `current` (the VM's wear across the whole cache right now) into
+    /// this state's retired accumulator — monotone and idempotent, so a
+    /// replayed prefix never exceeds and never loses wear.
+    pub fn correct_wear(
+        &mut self,
+        vm: VmId,
+        current: WearCounters,
+        ssd_pages_written: u64,
+        pages_admitted: u64,
+    ) {
+        let retired = self.retired_wear.entry(vm).or_default();
+        retired.ssd_pages_written += ssd_pages_written.saturating_sub(current.ssd_pages_written);
+        retired.pages_admitted += pages_admitted.saturating_sub(current.pages_admitted);
+    }
+
+    /// Applies one replayed data record (`Put`, `Take`, `Evict`, `Flush`
+    /// or `FlushFile`; any other kind is a no-op here) through the
+    /// transitions the live paths use. No side effects beyond the
+    /// record's own: re-homing, shrinking and trickle-down were
+    /// themselves journaled and replay in order. `false` only for a
+    /// `Put` that had to be dropped (pool gone or store full).
+    pub fn replay(&mut self, ledger: &mut impl PageLedger, gen: u64, rec: &JournalRecord) -> bool {
+        match *rec {
+            JournalRecord::Put {
+                vm,
+                pool,
+                addr,
+                version,
+                placement,
+            } => {
+                let (vm, pool) = (VmId(vm), PoolId(pool));
+                let Some(placement) = Placement::from_code(placement) else {
+                    return true;
+                };
+                // Pool before ledger, so a put into a missing pool never
+                // leaks a page.
+                if !self.pools.contains_key(&(vm, pool)) || !ledger.try_alloc(placement) {
+                    // The flash write physically happened before the
+                    // crash: losing the *entry* must not lose the *wear*.
+                    let worn = self.retired_wear.entry(vm).or_default();
+                    worn.pages_admitted += 1;
+                    worn.ssd_pages_written += u64::from(placement == Placement::Ssd);
+                    return false;
+                }
+                // The record's generation becomes the sequence stamp:
+                // generations are monotone, so replay preserves FIFO
+                // order.
+                self.insert(ledger, vm, pool, addr, placement, PageVersion(version), gen);
+            }
+            JournalRecord::Take { vm, pool, addr } | JournalRecord::Evict { vm, pool, addr } => {
+                self.remove(ledger, VmId(vm), PoolId(pool), addr);
+            }
+            JournalRecord::Flush { vm, pool, addr } => {
+                let (vm, pool) = (VmId(vm), PoolId(pool));
+                self.remove(ledger, vm, pool, addr);
+                self.note_flush(vm, pool, addr, true);
+            }
+            JournalRecord::FlushFile { vm, pool, file } => {
+                let (vm, pool) = (VmId(vm), PoolId(pool));
+                self.remove_file(ledger, vm, pool, file);
+                self.note_flush_file(vm, pool, file, true);
+            }
+            _ => {}
+        }
+        true
+    }
+}
+
+/// The data records in engine terms: the inverse of the decoding in
+/// [`ShardState::replay`].
+#[inline]
+pub fn put_record(
+    vm: VmId,
+    pool: PoolId,
+    addr: BlockAddr,
+    version: PageVersion,
+    placement: Placement,
+) -> JournalRecord {
+    JournalRecord::Put {
+        vm: vm.0,
+        pool: pool.0,
+        addr,
+        version: version.0,
+        placement: placement.code(),
+    }
+}
+
+/// An exclusive hit (or a migration) took the object out.
+#[inline]
+pub fn take_record(vm: VmId, pool: PoolId, addr: BlockAddr) -> JournalRecord {
+    let (vm, pool) = (vm.0, pool.0);
+    JournalRecord::Take { vm, pool, addr }
+}
+
+/// The policy module evicted, demoted or re-homed the object.
+#[inline]
+pub fn evict_record(vm: VmId, pool: PoolId, addr: BlockAddr) -> JournalRecord {
+    let (vm, pool) = (vm.0, pool.0);
+    JournalRecord::Evict { vm, pool, addr }
+}
+
+/// The guest invalidated the block.
+#[inline]
+pub fn flush_record(vm: VmId, pool: PoolId, addr: BlockAddr) -> JournalRecord {
+    let (vm, pool) = (vm.0, pool.0);
+    JournalRecord::Flush { vm, pool, addr }
+}
+
+/// The guest invalidated the whole file.
+#[inline]
+pub fn flush_file_record(vm: VmId, pool: PoolId, file: FileId) -> JournalRecord {
+    let (vm, pool) = (vm.0, pool.0);
+    JournalRecord::FlushFile { vm, pool, file }
+}
+
+/// The live-compaction trigger: a journal (all segments together) of
+/// `records` records over `live_pages` live entries is worth rewriting
+/// as a checkpoint. Every engine must trigger at the same operation, or
+/// the rewrite consumes generations at a different point and flush
+/// epochs diverge.
+pub fn compaction_due(records: u64, live_pages: u64) -> bool {
+    records > (live_pages * JOURNAL_COMPACT_FACTOR).max(JOURNAL_COMPACT_MIN_RECORDS)
+}
+
+/// A fresh set of journal segments holding a checkpoint.
+#[derive(Debug)]
+pub struct Checkpoint {
+    /// One synced-on-install segment per shard.
+    pub segments: Vec<Journal>,
+    /// The per-VM flush epochs the checkpoint minted.
+    pub new_epochs: Vec<(VmId, u64)>,
+    /// The generation after the checkpoint's last record.
+    pub next_gen: u64,
+    /// Records written, all segments together.
+    pub records: u64,
+}
+
+impl Checkpoint {
+    fn emit(&mut self, si: usize, rec: &JournalRecord) -> u64 {
+        let gen = self.next_gen;
+        self.segments[si].append_with_gen(rec, gen);
+        self.next_gen += 1;
+        self.records += 1;
+        gen
+    }
+}
+
+/// The home shard of a pool among `shards` shards: a dependency-free
+/// integer mix of the `(vm, pool)` key, deterministic across runs and
+/// processes. Every object of the pool (index slots, FIFO entries,
+/// journal records) lives with it.
+pub fn home_shard(vm: VmId, pool: PoolId, shards: usize) -> usize {
+    let mixed = (vm.0 as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(31)
+        ^ (pool.0 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    (mixed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as usize % shards
+}
+
+/// One consistent cut of an engine, held still by the caller (the
+/// serial engine's `&self`; the sharded engine's registry read lock plus
+/// every shard lock): what the whole-cache readers walk.
+pub struct Cut<'a> {
+    /// `(vm, mem weight, ssd weight)`, in registry order.
+    vms: Vec<(VmId, u64, u64)>,
+    /// Every registered pool its home shard holds, in registry order,
+    /// with the home's index.
+    pools: Vec<(VmId, PoolId, u32, &'a Pool)>,
+    shards: Vec<&'a ShardState>,
+}
+
+impl<'a> Cut<'a> {
+    /// Resolves the registry (`(vm, mem weight, ssd weight, pool ids)`
+    /// in `VmId` order) against every shard's state, in shard order.
+    pub fn new<P: IntoIterator<Item = PoolId>>(
+        registry: impl IntoIterator<Item = (VmId, u64, u64, P)>,
+        shards: Vec<&'a ShardState>,
+    ) -> Cut<'a> {
+        let (mut vms, mut pools) = (Vec::new(), Vec::new());
+        for (vm, mem_weight, ssd_weight, pids) in registry {
+            vms.push((vm, mem_weight, ssd_weight));
+            for pid in pids {
+                let si = home_shard(vm, pid, shards.len());
+                if let Some(pool) = shards[si].pools.get(&(vm, pid)) {
+                    pools.push((vm, pid, si as u32, pool));
+                }
+            }
+        }
+        Cut { vms, pools, shards }
+    }
+
+    /// Every resident entry as `(vm, pool, addr, version)`, sorted.
+    pub fn entries(&self) -> Vec<(VmId, PoolId, BlockAddr, PageVersion)> {
+        let mut out = Vec::new();
+        for &(vm, pid, _, pool) in &self.pools {
+            out.extend(
+                pool.iter()
+                    .map(|(addr, slot)| (vm, pid, addr, slot.version)),
+            );
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Entries resident across every pool.
+    pub fn resident(&self) -> u64 {
+        self.pools.iter().map(|p| p.3.total_used()).sum()
+    }
+
+    /// Aggregate remote-tier counters across every binding.
+    pub fn remote_totals(&self) -> RemoteCounters {
+        let mut totals = RemoteCounters::default();
+        for binding in self.shards.iter().flat_map(|s| s.remote_bindings.values()) {
+            totals.absorb(&binding.counters());
+        }
+        totals
+    }
+
+    /// Every VM with wear on the books: live VMs plus VMs whose pools
+    /// are gone but whose retired wear persists. Sorted.
+    pub fn wear_vm_ids(&self) -> Vec<VmId> {
+        let mut ids: Vec<VmId> = self.vms.iter().map(|row| row.0).collect();
+        for shard in &self.shards {
+            for &vm in shard.retired_wear.keys() {
+                if let Err(i) = ids.binary_search(&vm) {
+                    ids.insert(i, vm);
+                }
+            }
+        }
+        ids
+    }
+
+    /// Cumulative wear charged to one VM: everything retired on any
+    /// shard plus its live pools. Never decreases.
+    pub fn vm_wear(&self, vm: VmId) -> WearCounters {
+        let mut total = WearCounters::default();
+        for shard in &self.shards {
+            if let Some(retired) = shard.retired_wear.get(&vm) {
+                total.absorb(retired);
+            }
+        }
+        for (_, _, _, pool) in self.pools.iter().filter(|p| p.0 == vm) {
+            total.absorb(&pool.wear.totals());
+        }
+        total
+    }
+
+    /// Device-level wear totals across every VM ever seen.
+    pub fn wear_totals(&self) -> WearCounters {
+        let mut total = WearCounters::default();
+        for vm in self.wear_vm_ids() {
+            total.absorb(&self.vm_wear(vm));
+        }
+        total
+    }
+
+    /// Writes a checkpoint of the cut across fresh segments, continuing
+    /// generations from `start_gen` so they stay monotone across the
+    /// rewrite. Control records go to segment 0, pool-scoped records to
+    /// the pool's home segment; with one shard that is one journal.
+    ///
+    /// Record order matters: mode, capacities, `AddVm` + `Epoch` per VM,
+    /// `CreatePool` per pool, then every `Put` in FIFO (sequence) order
+    /// so replay reproduces eviction order, then the wear carry-over.
+    /// Each VM's `Epoch` precedes every `Put`, so a corrupted checkpoint
+    /// prefix can never make the epoch-discard pass resurrect state —
+    /// puts carry generations above every distributed epoch.
+    pub fn write_checkpoint(
+        &self,
+        mode: PartitionMode,
+        mem_capacity: u64,
+        ssd_capacity: u64,
+        start_gen: u64,
+    ) -> Checkpoint {
+        let mut w = Checkpoint {
+            segments: (0..self.shards.len())
+                .map(|_| Journal::with_start_gen(start_gen))
+                .collect(),
+            new_epochs: Vec::with_capacity(self.vms.len()),
+            next_gen: start_gen,
+            records: 0,
+        };
+        w.emit(0, &JournalRecord::SetMode { mode: mode.code() });
+        w.emit(
+            0,
+            &JournalRecord::SetMemCapacity {
+                pages: mem_capacity,
+            },
+        );
+        w.emit(
+            0,
+            &JournalRecord::SetSsdCapacity {
+                pages: ssd_capacity,
+            },
+        );
+        for &(vm, mem_weight, ssd_weight) in &self.vms {
+            w.emit(
+                0,
+                &JournalRecord::AddVm {
+                    vm: vm.0,
+                    mem_weight,
+                    ssd_weight,
+                },
+            );
+            let epoch = w.emit(0, &JournalRecord::Epoch { vm: vm.0 });
+            w.new_epochs.push((vm, epoch));
+        }
+        // A live rewrite stalls every client: `puts` is sized from the
+        // live count and each segment from the bytes its puts encode to,
+        // so neither regrows mid-rewrite. Every entry of a pool lands in
+        // the pool's home segment, so the shard map is asked once per
+        // pool (carried as a `u32`, which leaves the sorted tuples at 48
+        // bytes).
+        let mut puts: Vec<(u64, VmId, PoolId, BlockAddr, u64, u8, u32)> =
+            Vec::with_capacity(self.resident() as usize);
+        let mut put_bytes = vec![0usize; self.shards.len()];
+        for &(vm, pid, si, pool) in &self.pools {
+            let si = si as usize;
+            let policy = pool.policy();
+            w.emit(
+                si,
+                &JournalRecord::CreatePool {
+                    vm: vm.0,
+                    pool: pid.0,
+                    store: store_kind_code(policy.store),
+                    weight: policy.weight,
+                },
+            );
+            put_bytes[si] += pool.total_used() as usize * JournalRecord::PUT_LEN;
+            puts.extend(pool.iter().map(|(addr, slot)| {
+                (
+                    slot.seq,
+                    vm,
+                    pid,
+                    addr,
+                    slot.version.0,
+                    slot.placement.code(),
+                    si as u32,
+                )
+            }));
+        }
+        puts.sort_unstable();
+        for (seg, bytes) in w.segments.iter_mut().zip(put_bytes) {
+            seg.reserve(bytes);
+        }
+        for (_, vm, pid, addr, version, placement, si) in puts {
+            w.emit(
+                si as usize,
+                &JournalRecord::Put {
+                    vm: vm.0,
+                    pool: pid.0,
+                    addr,
+                    version,
+                    placement,
+                },
+            );
+        }
+        // Wear carry-over, AFTER the puts: replaying the checkpoint
+        // re-accrues the live entries' wear through the puts, then each
+        // VM's record tops the totals up to the true cumulative value
+        // (see [`ShardState::correct_wear`]).
+        for vm in self.wear_vm_ids() {
+            let wear = self.vm_wear(vm);
+            w.emit(
+                0,
+                &JournalRecord::WearTotals {
+                    vm: vm.0,
+                    ssd_pages_written: wear.ssd_pages_written,
+                    pages_admitted: wear.pages_admitted,
+                },
+            );
+        }
+        w
+    }
+}
+
+/// The journal a crash left behind, decoded: the recovery core both
+/// engines replay from (`segments[i]` is shard `i`'s; the serial engine
+/// has one).
+///
+/// Each segment replays independently and tolerates its own torn or
+/// corrupt tail. The decoded records are merged by generation and
+/// truncated at the first generation *gap*: generations are dense across
+/// all segments, so a gap proves some segment lost a suffix, and
+/// everything after it is a possibly-inconsistent future (a later flush
+/// could otherwise survive while the earlier flush it depends on was
+/// lost). With one segment the rule is vacuous. What remains is an exact
+/// prefix of the record sequence.
+#[derive(Debug)]
+pub struct ReplayLog {
+    /// How each segment's decoding terminated, in shard order.
+    pub segments: Vec<ReplayStats>,
+    /// The kept prefix, in generation order.
+    pub records: Vec<(u64, JournalRecord)>,
+    /// Decoded records discarded by the gap barrier.
+    pub gap_discarded: u64,
+    /// The mode of the last `SetMode` in the kept prefix: the journal's
+    /// mode wins over the recovery config's.
+    pub mode: Option<PartitionMode>,
+    /// One past the last kept generation: where the sequence and
+    /// generation counters resume (replayed entries carry their
+    /// generation as sequence stamp, so live stamps must stay above
+    /// them) and where the recovery checkpoint starts.
+    pub next_gen: u64,
+    /// The highest epoch-bearing generation each VM got back (flushes
+    /// and epoch markers are what guests ack).
+    replayed_epochs: BTreeMap<u32, u64>,
+}
+
+impl ReplayLog {
+    /// Decodes, merges and gap-truncates `segments`.
+    pub fn decode(segments: &[impl AsRef<[u8]>]) -> ReplayLog {
+        let mut stats = Vec::with_capacity(segments.len());
+        let mut records: Vec<(u64, JournalRecord)> = Vec::new();
+        for seg in segments {
+            let (decoded, seg_stats) = Journal::replay(seg.as_ref());
+            stats.push(seg_stats);
+            records.extend(decoded);
+        }
+        records.sort_unstable_by_key(|&(gen, _)| gen);
+        let keep = (1..records.len())
+            .find(|&i| records[i].0 != records[i - 1].0 + 1)
+            .unwrap_or(records.len());
+        let gap_discarded = (records.len() - keep) as u64;
+        records.truncate(keep);
+
+        let (mut mode, mut replayed_epochs) = (None, BTreeMap::new());
+        for (gen, rec) in &records {
+            match *rec {
+                JournalRecord::Flush { vm, .. }
+                | JournalRecord::FlushFile { vm, .. }
+                | JournalRecord::Epoch { vm } => {
+                    replayed_epochs.insert(vm, *gen);
+                }
+                JournalRecord::SetMode { mode: code } => {
+                    mode = PartitionMode::from_code(code).or(mode);
+                }
+                _ => {}
+            }
+        }
+        ReplayLog {
+            segments: stats,
+            next_gen: records.last().map_or(0, |&(gen, _)| gen) + 1,
+            records,
+            gap_discarded,
+            mode,
+            replayed_epochs,
+        }
+    }
+
+    /// The **lose-don't-resurrect rule**: `guest_epochs` carries each
+    /// surviving guest's flush epoch (the largest generation any acked
+    /// flush returned). A replay whose last epoch-bearing generation for
+    /// a VM is *below* that proves the image lost acked flushes; every
+    /// entry of that VM whose sequence stamp predates the epoch must
+    /// then be discarded ([`ShardState::discard_older_than`]) as
+    /// potentially stale. Later entries are provably clean: any write
+    /// superseding them would have issued a flush with a still-later
+    /// generation, raising the epoch. Yields those `(vm, epoch)` pairs.
+    pub fn suspects<'a>(
+        &'a self,
+        guest_epochs: &'a [(VmId, u64)],
+    ) -> impl Iterator<Item = (VmId, u64)> + 'a {
+        guest_epochs
+            .iter()
+            .copied()
+            .filter(|&(vm, epoch)| self.replayed_epochs.get(&vm.0).copied().unwrap_or(0) < epoch)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use ddc_cleancache::CachePolicy;
+    use ddc_sim::SimRng;
+
+    use super::*;
+    use crate::ddcache::Stores;
+    use crate::store::BackingStore;
+
+    const CAPACITY: [u64; 2] = [40, 60];
+    const POOLS: [(VmId, PoolId); 3] = [
+        (VmId(1), PoolId(1)),
+        (VmId(1), PoolId(2)),
+        (VmId(2), PoolId(3)),
+    ];
+    const PLACEMENTS: [Placement; 2] = [Placement::Mem, Placement::Ssd];
+
+    /// The shape of the sharded engine's ledger: shared counters behind
+    /// `&self`, allocation by compare-and-swap.
+    struct AtomicPair([AtomicU64; 2]);
+
+    impl PageLedger for &AtomicPair {
+        fn try_alloc(&mut self, placement: Placement) -> bool {
+            let i = placement.idx();
+            self.0[i]
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
+                    (used < CAPACITY[i]).then_some(used + 1)
+                })
+                .is_ok()
+        }
+
+        fn free(&mut self, placement: Placement, pages: u64) {
+            self.0[placement.idx()].fetch_sub(pages, Ordering::Relaxed);
+        }
+
+        fn used_pages(&self, placement: Placement) -> u64 {
+            self.0[placement.idx()].load(Ordering::Relaxed)
+        }
+    }
+
+    type Key = (VmId, PoolId, BlockAddr);
+
+    /// The brute-force model: every resident entry, and from it the
+    /// pages each store must hold.
+    #[derive(Default)]
+    struct Model {
+        /// `(placement, version, seq, birth)` of every resident entry.
+        entries: BTreeMap<Key, (Placement, PageVersion, u64, u64)>,
+        /// Inserts per pool since its last drain (the TTL clock).
+        inserts: BTreeMap<(VmId, PoolId), u64>,
+    }
+
+    impl Model {
+        fn pages(&self, placement: Placement) -> u64 {
+            self.entries.values().filter(|e| e.0 == placement).count() as u64
+        }
+
+        fn insert(
+            &mut self,
+            key: (VmId, PoolId, BlockAddr),
+            placement: Placement,
+            version: PageVersion,
+            seq: u64,
+        ) {
+            let birth = self.inserts.entry((key.0, key.1)).or_default();
+            *birth += 1;
+            self.entries.insert(key, (placement, version, seq, *birth));
+        }
+
+        /// Keys of one pool in one store, oldest first.
+        fn oldest(
+            &self,
+            vm: VmId,
+            pool: PoolId,
+            placement: Placement,
+        ) -> Vec<(VmId, PoolId, BlockAddr)> {
+            let mut keys: Vec<_> = self
+                .entries
+                .iter()
+                .filter(|(k, e)| (k.0, k.1) == (vm, pool) && e.0 == placement)
+                .map(|(k, e)| (e.2, *k))
+                .collect();
+            keys.sort_unstable();
+            keys.into_iter().map(|(_, k)| k).collect()
+        }
+
+        fn drop_pool(&mut self, vm: VmId, pool: PoolId) {
+            self.entries.retain(|k, _| (k.0, k.1) != (vm, pool));
+            self.inserts.remove(&(vm, pool));
+        }
+    }
+
+    fn vm_wear(state: &ShardState, vm: VmId) -> WearCounters {
+        let registry = [VmId(1), VmId(2)].map(|v| {
+            let pools = POOLS.iter().filter(move |p| p.0 == v).map(|p| p.1);
+            (v, 100, 100, pools)
+        });
+        Cut::new(registry, vec![state]).vm_wear(vm)
+    }
+
+    /// Holds the state against the model after a step.
+    fn check(
+        state: &ShardState,
+        ledger: &impl PageLedger,
+        model: &Model,
+        exact_tombstones: bool,
+        step: &str,
+    ) {
+        let mut resident = BTreeMap::new();
+        for (&(vm, pool), p) in &state.pools {
+            for (addr, slot) in p.iter() {
+                resident.insert((vm, pool, addr), (slot.placement, slot.version, slot.seq));
+            }
+        }
+        let expected: BTreeMap<_, _> = model
+            .entries
+            .iter()
+            .map(|(k, e)| (*k, (e.0, e.1, e.2)))
+            .collect();
+        assert_eq!(resident, expected, "{step}: resident entries");
+        for placement in PLACEMENTS {
+            let pooled: u64 = state.pools.values().map(|p| p.used(placement)).sum();
+            assert_eq!(pooled, model.pages(placement), "{step}: pool usage");
+            assert_eq!(
+                ledger.used_pages(placement),
+                pooled,
+                "{step}: ledger vs pool usage in {placement:?}"
+            );
+            let (dead, stale) = (state.dead_fifo_entries(placement), state.stale(placement));
+            if exact_tombstones {
+                assert_eq!(stale, dead, "{step}: tombstones in {placement:?}");
+            } else {
+                // A trickle-down leaves no entry behind, so its removal
+                // counts a tombstone that is not there: the queue only
+                // compacts early.
+                assert!(stale >= dead, "{step}: {stale} tombstones < {dead} dead");
+            }
+        }
+    }
+
+    fn create_pool(state: &mut ShardState, vm: VmId, pool: PoolId) {
+        state
+            .pools
+            .insert((vm, pool), Pool::new(vm, CachePolicy::hybrid(100)));
+    }
+
+    /// Drives every transition in a seeded random order.
+    fn run(mut ledger: impl PageLedger, seed: u64, trickle: bool) {
+        let mut rng = SimRng::new(seed);
+        let mut state = ShardState::default();
+        let mut model = Model::default();
+        for (vm, pool) in POOLS {
+            create_pool(&mut state, vm, pool);
+        }
+        let mut seq = 0u64;
+        let mut wear_floor = [WearCounters::default(); 2];
+        for step in 0..6_000 {
+            let (vm, pool) = *rng.pick(&POOLS);
+            let file = FileId(rng.range_u64(1, 4));
+            let addr = BlockAddr::new(file, rng.range_u64(0, 12));
+            let placement = *rng.pick(&PLACEMENTS);
+            let op = rng.range_u64(0, 16);
+            let what = format!("seed {seed:#x} step {step} op {op}");
+            match op {
+                0..=5 => {
+                    // A put, live (0..=3) or replayed.
+                    seq += 1;
+                    let version = PageVersion(rng.range_u64(1, 9));
+                    let key = (vm, pool, addr);
+                    let exists = state.pools.contains_key(&(vm, pool));
+                    if op <= 3 {
+                        if !ledger.try_alloc(placement) {
+                            continue;
+                        }
+                        let inserted =
+                            state.insert(&mut ledger, vm, pool, addr, placement, version, seq);
+                        assert_eq!(inserted, exists, "{what}");
+                        if inserted {
+                            model.insert(key, placement, version, seq);
+                        } else {
+                            ledger.free(placement, 1);
+                        }
+                    } else {
+                        let full = ledger.used_pages(placement) >= CAPACITY[placement.idx()];
+                        let before = vm_wear(&state, vm);
+                        let applied = state.replay(
+                            &mut ledger,
+                            seq,
+                            &JournalRecord::Put {
+                                vm: vm.0,
+                                pool: pool.0,
+                                addr,
+                                version: version.0,
+                                placement: placement.code(),
+                            },
+                        );
+                        assert_eq!(applied, exists && !full, "{what}");
+                        if applied {
+                            model.insert(key, placement, version, seq);
+                        }
+                        // Kept or dropped, the write's wear is on the books.
+                        let after = vm_wear(&state, vm);
+                        assert_eq!(after.pages_admitted, before.pages_admitted + 1, "{what}");
+                    }
+                }
+                6 => {
+                    let removed = state.remove(&mut ledger, vm, pool, addr);
+                    let expected = model.entries.remove(&(vm, pool, addr));
+                    assert_eq!(
+                        removed.map(|s| (s.placement, s.version, s.seq)),
+                        expected.map(|e| (e.0, e.1, e.2)),
+                        "{what}"
+                    );
+                }
+                7 => {
+                    let rec = match rng.range_u64(0, 3) {
+                        0 => JournalRecord::Take {
+                            vm: vm.0,
+                            pool: pool.0,
+                            addr,
+                        },
+                        1 => JournalRecord::Evict {
+                            vm: vm.0,
+                            pool: pool.0,
+                            addr,
+                        },
+                        _ => JournalRecord::Flush {
+                            vm: vm.0,
+                            pool: pool.0,
+                            addr,
+                        },
+                    };
+                    assert!(state.replay(&mut ledger, 0, &rec), "{what}");
+                    model.entries.remove(&(vm, pool, addr));
+                }
+                8 => {
+                    let expected = |p| {
+                        model
+                            .entries
+                            .iter()
+                            .filter(|(k, e)| (k.0, k.1, k.2.file) == (vm, pool, file) && e.0 == p)
+                            .count() as u64
+                    };
+                    let expected = (expected(Placement::Mem), expected(Placement::Ssd));
+                    let freed = if rng.chance(0.5) {
+                        state.remove_file(&mut ledger, vm, pool, file)
+                    } else {
+                        let rec = JournalRecord::FlushFile {
+                            vm: vm.0,
+                            pool: pool.0,
+                            file,
+                        };
+                        assert!(state.replay(&mut ledger, 0, &rec), "{what}");
+                        expected
+                    };
+                    assert_eq!(freed, expected, "{what}");
+                    model
+                        .entries
+                        .retain(|k, _| (k.0, k.1, k.2.file) != (vm, pool, file));
+                }
+                9 if !trickle => {
+                    // With every live entry queued, the Global front is
+                    // the oldest entry of the store.
+                    let oldest = model
+                        .entries
+                        .iter()
+                        .filter(|(_, e)| e.0 == placement)
+                        .min_by_key(|(_, e)| e.2)
+                        .map(|(k, _)| *k);
+                    assert_eq!(state.evict_front(&mut ledger, placement), oldest, "{what}");
+                    if let Some(key) = oldest {
+                        model.entries.remove(&key);
+                    }
+                }
+                10 => {
+                    // A pool's eviction batch; with `trickle`, memory
+                    // objects move to the SSD share while it has room.
+                    let max = rng.range_u64(0, 6);
+                    let mut expected: Vec<JournalRecord> = Vec::new();
+                    let victims: Vec<_> = model
+                        .oldest(vm, pool, placement)
+                        .into_iter()
+                        .take(max as usize)
+                        .collect();
+                    let versions: Vec<_> = victims.iter().map(|k| model.entries[k].1).collect();
+                    for key in &victims {
+                        model.entries.remove(key);
+                        expected.push(evict_record(vm, pool, key.2));
+                    }
+                    let mut trickled = 0;
+                    if trickle && placement == Placement::Mem {
+                        for (key, version) in victims.iter().zip(versions) {
+                            if model.pages(Placement::Ssd) >= CAPACITY[1] {
+                                break;
+                            }
+                            trickled += 1;
+                            model.insert(*key, Placement::Ssd, version, seq + trickled);
+                            expected.push(put_record(vm, pool, key.2, version, Placement::Ssd));
+                        }
+                    }
+                    let mut journaled = Vec::new();
+                    let mut next = seq;
+                    let spill = trickle.then_some(|_: &mut _, _| {
+                        next += 1;
+                        Some(next)
+                    });
+                    let counts = state.evict_batch(
+                        &mut ledger,
+                        vm,
+                        pool,
+                        placement,
+                        max,
+                        None,
+                        spill,
+                        |rec| journaled.push(rec),
+                    );
+                    assert_eq!(counts, (victims.len() as u64, trickled), "{what}");
+                    assert!(journaled == expected, "{what}: journaled records");
+                    seq += trickled;
+                }
+                11 => {
+                    let epoch = seq.saturating_sub(rng.range_u64(0, 40));
+                    let suspects: BTreeSet<_> = model
+                        .entries
+                        .iter()
+                        .filter(|(k, e)| (k.0, k.1) == (vm, pool) && e.2 < epoch)
+                        .map(|(k, _)| *k)
+                        .collect();
+                    let discarded = state.discard_older_than(&mut ledger, vm, pool, epoch);
+                    assert_eq!(discarded, suspects.len() as u64, "{what}");
+                    model.entries.retain(|k, _| !suspects.contains(k));
+                }
+                12 => {
+                    let ttl = rng.range_u64(1, 30);
+                    let clock = model.inserts.get(&(vm, pool)).copied().unwrap_or(0);
+                    let stale: BTreeSet<_> = model
+                        .entries
+                        .iter()
+                        .filter(|(k, e)| {
+                            (k.0, k.1) == (vm, pool) && e.0 == Placement::Ssd && clock - e.3 > ttl
+                        })
+                        .map(|(k, _)| k.2)
+                        .collect();
+                    let gone = state.ttl_sweep_pool(&mut ledger, vm, pool, ttl);
+                    assert_eq!(
+                        gone.iter().copied().collect::<BTreeSet<_>>(),
+                        stale,
+                        "{what}"
+                    );
+                    assert_eq!(gone.len(), stale.len(), "{what}: a block demoted twice");
+                    model
+                        .entries
+                        .retain(|k, _| (k.0, k.1) != (vm, pool) || !stale.contains(&k.2));
+                }
+                13 => {
+                    state.pop_dead_fronts(placement);
+                    if let Some(&(v, p, sid, s)) = state.fifo(placement).front() {
+                        let live = state.pools[&(v, p)].fifo_probe(sid, s, placement);
+                        assert!(live.is_some(), "{what}: dead front left behind");
+                    }
+                }
+                14 if step % 7 == 0 => {
+                    let live = state.pools.get(&(vm, pool)).map(|p| p.wear.totals());
+                    let retired = state.retired_wear.get(&vm).copied().unwrap_or_default();
+                    assert_eq!(
+                        state.drain_pool(&mut ledger, vm, pool),
+                        live.is_some(),
+                        "{what}"
+                    );
+                    model.drop_pool(vm, pool);
+                    if let Some(live) = live {
+                        let mut moved = retired;
+                        moved.absorb(&live);
+                        assert_eq!(state.retired_wear[&vm], moved, "{what}: retired wear");
+                    }
+                    if rng.chance(0.7) {
+                        create_pool(&mut state, vm, pool);
+                    }
+                }
+                15 if step % 11 == 0 => {
+                    let freed = state.drain_ssd(&mut ledger);
+                    assert_eq!(freed, model.pages(Placement::Ssd), "{what}");
+                    model.entries.retain(|_, e| e.0 != Placement::Ssd);
+                    assert!(state.fifo(Placement::Ssd).is_empty(), "{what}");
+                }
+                _ => {
+                    if !state.pools.contains_key(&(vm, pool)) {
+                        create_pool(&mut state, vm, pool);
+                    }
+                    // A checkpoint's carry-over: tops the totals up,
+                    // never takes them down, and twice is once.
+                    let current = vm_wear(&state, vm);
+                    let target = current.ssd_pages_written + rng.range_u64(0, 3);
+                    state.correct_wear(vm, current, target, 0);
+                    let current = vm_wear(&state, vm);
+                    state.correct_wear(vm, current, target, 0);
+                    assert_eq!(vm_wear(&state, vm).ssd_pages_written, target, "{what}");
+                }
+            }
+            check(&state, &ledger, &model, !trickle, &what);
+            for (floor, vm) in wear_floor.iter_mut().zip([VmId(1), VmId(2)]) {
+                let now = vm_wear(&state, vm);
+                assert!(
+                    now.pages_admitted >= floor.pages_admitted
+                        && now.ssd_pages_written >= floor.ssd_pages_written,
+                    "{what}: {vm} wear went down"
+                );
+                *floor = now;
+            }
+        }
+        assert!(seq > 1_000, "the run never stored anything");
+    }
+
+    fn stores() -> Stores {
+        Stores {
+            mem: BackingStore::mem(CAPACITY[0]),
+            ssd: BackingStore::ssd(CAPACITY[1]),
+        }
+    }
+
+    #[test]
+    fn transitions_match_the_model_with_the_serial_stores() {
+        run(stores(), 0x5A01, false);
+        run(stores(), 0x5A02, true);
+    }
+
+    #[test]
+    fn transitions_match_the_model_with_an_atomic_ledger() {
+        run(&AtomicPair(Default::default()), 0x5A01, false);
+        run(&AtomicPair(Default::default()), 0x5A03, true);
+    }
+
+    #[test]
+    fn the_fifo_compacts_when_tombstones_dominate_it() {
+        let mut ledger = stores();
+        let mut state = ShardState::default();
+        let (vm, pool) = POOLS[0];
+        create_pool(&mut state, vm, pool);
+        let addr = BlockAddr::new(FileId(1), 0);
+        // One block overwritten over and over: every push kills the
+        // entry before it.
+        assert!(ledger.try_alloc(Placement::Mem));
+        for seq in 1..=FIFO_COMPACT_MIN_LEN {
+            state.insert(
+                &mut ledger,
+                vm,
+                pool,
+                addr,
+                Placement::Mem,
+                PageVersion(1),
+                seq,
+            );
+            // The overwrite gave the old copy's page back.
+            assert!(ledger.try_alloc(Placement::Mem));
+        }
+        assert_eq!(
+            state.fifo(Placement::Mem).len(),
+            1,
+            "compacted to the live entry"
+        );
+        assert_eq!(state.stale(Placement::Mem), 0);
+        assert_eq!(state.dead_fifo_entries(Placement::Mem), 0);
+    }
+
+    #[test]
+    fn the_compaction_threshold_has_a_floor_and_a_slope() {
+        assert!(!compaction_due(JOURNAL_COMPACT_MIN_RECORDS, 0));
+        assert!(compaction_due(JOURNAL_COMPACT_MIN_RECORDS + 1, 0));
+        let live = 1_000;
+        assert!(!compaction_due(live * JOURNAL_COMPACT_FACTOR, live));
+        assert!(compaction_due(live * JOURNAL_COMPACT_FACTOR + 1, live));
+    }
+
+    #[test]
+    fn one_shard_is_everyones_home() {
+        for (vm, pool) in POOLS {
+            assert_eq!(home_shard(vm, pool, 1), 0);
+            assert!(home_shard(vm, pool, 16) < 16);
+        }
+    }
+}

@@ -12,6 +12,9 @@
 //!   whole image), with and without guest flush epochs, through both
 //!   `recover`s: same entries, same report counters, same fresh epochs,
 //!   same wear totals, and a byte-identical fresh checkpoint.
+//! * **One answer where replay used to drift.** Hand-built images with
+//!   a `SetVmWeights` for a VM no `AddVm` registered, and with a
+//!   `SetMode` that disagrees with the recovery config.
 
 use ddc_core::cleancache::SecondChanceCache;
 use ddc_core::concurrent::ShardedCache;
@@ -200,4 +203,95 @@ fn one_image_recovers_to_one_cache_on_both_engines() {
             recover_both(config(mode), &image[..cut], epochs, &what);
         }
     }
+}
+
+/// A journal written by hand, record by record (valid CRCs, dense
+/// generations): what a live engine would never write but a replay must
+/// still answer one way.
+fn image(records: &[JournalRecord]) -> Vec<u8> {
+    let mut journal = Journal::new();
+    for rec in records {
+        journal.append(rec);
+    }
+    journal.bytes().to_vec()
+}
+
+fn forty_puts(vm: u32, pool: u32) -> impl Iterator<Item = JournalRecord> {
+    (0..40).map(move |block| JournalRecord::Put {
+        vm,
+        pool,
+        addr: BlockAddr::new(FileId(1), block),
+        version: 1,
+        placement: 0,
+    })
+}
+
+#[test]
+fn weights_for_an_unregistered_vm_register_it_on_both_engines() {
+    // The image lost the VM's `AddVm`; its `SetVmWeights` survives. The
+    // weights must not fall back to the 100/100 a later `CreatePool`
+    // auto-registers with.
+    let mut records = vec![
+        JournalRecord::SetVmWeights {
+            vm: 7,
+            mem_weight: 300,
+            ssd_weight: 50,
+        },
+        JournalRecord::CreatePool {
+            vm: 7,
+            pool: 1,
+            store: ddc_core::hypercache::store_kind_code(StoreKind::Mem),
+            weight: 100,
+        },
+    ];
+    records.extend(forty_puts(7, 1));
+    records.push(JournalRecord::SetMemCapacity { pages: 40 });
+    let image = image(&records);
+
+    let config = config(PartitionMode::DoubleDecker);
+    recover_both(config, &image, &[], "SetVmWeights before AddVm");
+    let (serial, report) = DoubleDeckerCache::recover(config, &image, &[]);
+    assert_eq!(report.recovered_entries, 40);
+    let (fresh, _) = Journal::replay(serial.journal_bytes().expect("journaling on"));
+    let registered = JournalRecord::AddVm {
+        vm: 7,
+        mem_weight: 300,
+        ssd_weight: 50,
+    };
+    assert!(
+        fresh.iter().any(|(_, rec)| *rec == registered),
+        "the checkpoint registers VM 7 at 100/100"
+    );
+}
+
+#[test]
+fn the_journals_mode_wins_over_the_recovery_configs_on_both_engines() {
+    let mut records = vec![
+        JournalRecord::SetMode {
+            mode: PartitionMode::Global.code(),
+        },
+        JournalRecord::AddVm {
+            vm: 1,
+            mem_weight: 100,
+            ssd_weight: 100,
+        },
+        JournalRecord::CreatePool {
+            vm: 1,
+            pool: 1,
+            store: ddc_core::hypercache::store_kind_code(StoreKind::Mem),
+            weight: 100,
+        },
+    ];
+    records.extend(forty_puts(1, 1));
+    let image = image(&records);
+
+    let config = config(PartitionMode::DoubleDecker);
+    recover_both(config, &image, &[], "SetMode against the config");
+    let (serial, _) = DoubleDeckerCache::recover(config, &image, &[]);
+    let (sharded, _) = ShardedCache::recover(config, std::slice::from_ref(&image), &[]);
+    assert_eq!(serial.mode(), PartitionMode::Global);
+    assert_eq!(sharded.mode(), PartitionMode::Global);
+    // A journal that never recorded a mode leaves the config's.
+    let (sharded, _) = ShardedCache::recover(config, &[Vec::new()], &[]);
+    assert_eq!(sharded.mode(), PartitionMode::DoubleDecker);
 }
