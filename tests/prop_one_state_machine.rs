@@ -15,6 +15,14 @@
 //! * **One answer where replay used to drift.** Hand-built images with
 //!   a `SetVmWeights` for a VM no `AddVm` registered, and with a
 //!   `SetMode` that disagrees with the recovery config.
+//! * **One control plane.** A second stream that interleaves every
+//!   control verb both engines have (VM registration and re-weighting,
+//!   pool create / destroy, policy swaps that move a pool between the
+//!   stores and switch it off while it still holds pages, migrations
+//!   that leave a pool holding pages in a store its policy does not
+//!   name) with data ops: the entitlement every engine reports agrees
+//!   after every verb, and the journal and recovery claims above hold
+//!   for it too.
 
 use ddc_core::cleancache::SecondChanceCache;
 use ddc_core::concurrent::ShardedCache;
@@ -294,4 +302,267 @@ fn the_journals_mode_wins_over_the_recovery_configs_on_both_engines() {
     // A journal that never recorded a mode leaves the config's.
     let (sharded, _) = ShardedCache::recover(config, &[Vec::new()], &[]);
     assert_eq!(sharded.mode(), PartitionMode::DoubleDecker);
+}
+
+/// The control verbs both engines have, behind one name each (the
+/// serial engine takes them on `&mut self`, the sharded one on `&self`).
+trait Engine: SecondChanceCache {
+    fn register_vm(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64);
+    fn reweigh_vm(&mut self, vm: VmId, weight: u64);
+}
+
+impl Engine for DoubleDeckerCache {
+    fn register_vm(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64) {
+        self.add_vm_with_store_weights(vm, mem_weight, ssd_weight);
+    }
+    fn reweigh_vm(&mut self, vm: VmId, weight: u64) {
+        self.set_vm_weight(vm, weight);
+    }
+}
+
+impl Engine for ShardedCache {
+    fn register_vm(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64) {
+        self.add_vm_with_store_weights(vm, mem_weight, ssd_weight);
+    }
+    fn reweigh_vm(&mut self, vm: VmId, weight: u64) {
+        self.set_vm_weight(vm, weight);
+    }
+}
+
+#[derive(Clone, Debug)]
+enum Op {
+    RegisterVm(VmId, u64, u64),
+    ReweighVm(VmId, u64),
+    Create(VmId, CachePolicy, PoolId),
+    SetPolicy(VmId, PoolId, CachePolicy),
+    Destroy(VmId, PoolId),
+    Migrate(VmId, PoolId, PoolId, BlockAddr),
+    Put(VmId, PoolId, BlockAddr, PageVersion),
+    Get(VmId, PoolId, BlockAddr),
+    Flush(VmId, PoolId, BlockAddr),
+    FlushMany(VmId, PoolId, Vec<BlockAddr>),
+    FlushFile(VmId, PoolId, FileId),
+}
+
+impl Op {
+    fn is_control(&self) -> bool {
+        !matches!(
+            self,
+            Op::Put(..) | Op::Get(..) | Op::Flush(..) | Op::FlushMany(..) | Op::FlushFile(..)
+        )
+    }
+}
+
+fn apply(h: &mut impl Engine, op: &Op) {
+    let now = SimTime::from_secs(1);
+    match *op {
+        Op::RegisterVm(vm, mem, ssd) => h.register_vm(vm, mem, ssd),
+        Op::ReweighVm(vm, weight) => h.reweigh_vm(vm, weight),
+        Op::Create(vm, policy, expected) => assert_eq!(h.create_pool(vm, policy), expected),
+        Op::SetPolicy(vm, pool, policy) => h.set_policy(vm, pool, policy),
+        Op::Destroy(vm, pool) => h.destroy_pool(vm, pool),
+        Op::Migrate(vm, from, to, addr) => h.migrate_object(vm, from, to, addr),
+        Op::Put(vm, pool, addr, version) => drop(h.put(now, vm, pool, addr, version)),
+        Op::Get(vm, pool, addr) => drop(h.get(now, vm, pool, addr)),
+        Op::Flush(vm, pool, addr) => drop(h.flush(vm, pool, addr)),
+        Op::FlushMany(vm, pool, ref addrs) => drop(h.flush_many(vm, pool, addrs)),
+        Op::FlushFile(vm, pool, file) => drop(h.flush_file(vm, pool, file)),
+    }
+}
+
+const CONTROL_STEPS: u64 = 14_000;
+
+/// The control-plane stream, generated up front (pool ids are minted
+/// densely from 1 on both engines, so the generator can name them) and
+/// returned with every pool id it ever created. VM 3 is never
+/// registered before its first pool, VM 4 never at all; a policy's
+/// weight is 0 one time in four, which switches the pool off *without*
+/// re-homing, so its pages stay behind in a store its policy no longer
+/// names until gets and flushes drain them.
+fn control_stream(seed: u64) -> (Vec<Op>, Vec<(VmId, PoolId)>) {
+    let mut rng = SimRng::new(seed);
+    let mut ops = vec![
+        Op::RegisterVm(VmId(1), 100, 100),
+        Op::RegisterVm(VmId(2), 150, 50),
+    ];
+    let mut live: Vec<(VmId, PoolId)> = Vec::new();
+    let mut ever = Vec::new();
+    let mut next_pool = 1;
+    let policy = |rng: &mut SimRng| {
+        let weight = [0, 40, 100, 250][rng.range_usize(0, 4)];
+        match rng.range_u64(0, 3) {
+            0 => CachePolicy::mem(weight),
+            1 => CachePolicy::ssd(weight),
+            _ => CachePolicy::hybrid(weight),
+        }
+    };
+    for step in 0..CONTROL_STEPS {
+        let vm = VmId(1 + rng.range_u64(0, 3) as u32);
+        let control = live.len() < 3 || rng.range_u64(0, 40) == 0;
+        if control {
+            match rng.range_u64(0, 10) {
+                0 => ops.push(Op::RegisterVm(
+                    vm,
+                    50 + rng.range_u64(0, 300),
+                    50 + rng.range_u64(0, 300),
+                )),
+                // VM 4 has no pool and no registration: ignored by both.
+                1 => ops.push(Op::ReweighVm(
+                    VmId(1 + rng.range_u64(0, 4) as u32),
+                    50 + rng.range_u64(0, 300),
+                )),
+                2 | 3 if live.len() < 7 => {
+                    let id = PoolId(next_pool);
+                    next_pool += 1;
+                    ops.push(Op::Create(vm, policy(&mut rng), id));
+                    live.push((vm, id));
+                    ever.push((vm, id));
+                }
+                4 if live.len() > 3 => {
+                    let (vm, pool) = live.swap_remove(rng.range_usize(0, live.len()));
+                    ops.push(Op::Destroy(vm, pool));
+                    // Destroying it again, and a pool of the wrong VM,
+                    // are no-ops that must not journal.
+                    ops.push(Op::Destroy(vm, pool));
+                    ops.push(Op::SetPolicy(VmId(4), pool, CachePolicy::mem(10)));
+                }
+                5 if !live.is_empty() => {
+                    // An object changes pools inside its VM and keeps
+                    // its store, whatever the target's policy says.
+                    let (vm, from) = live[rng.range_usize(0, live.len())];
+                    let to = live.iter().find(|&&(v, p)| v == vm && p != from);
+                    if let Some(&(_, to)) = to {
+                        let file = FileId(u64::from(from.0) * 3);
+                        for block in 0..6 {
+                            let addr = BlockAddr::new(file, rng.range_u64(0, 80) + block);
+                            ops.push(Op::Migrate(vm, from, to, addr));
+                        }
+                    }
+                }
+                _ if !live.is_empty() => {
+                    let (vm, pool) = live[rng.range_usize(0, live.len())];
+                    ops.push(Op::SetPolicy(vm, pool, policy(&mut rng)));
+                }
+                _ => {}
+            }
+            continue;
+        }
+        let (vm, pool) = live[rng.range_usize(0, live.len())];
+        let file = FileId(u64::from(pool.0) * 3 + rng.range_u64(0, 3));
+        let addr = BlockAddr::new(file, rng.range_u64(0, 80));
+        ops.push(match rng.range_u64(0, 10) {
+            0..=4 => Op::Put(vm, pool, addr, PageVersion(1 + step % 5)),
+            5..=7 => Op::Get(vm, pool, addr),
+            8 => Op::Flush(vm, pool, addr),
+            _ => Op::FlushMany(
+                vm,
+                pool,
+                (0..4)
+                    .map(|_| BlockAddr::new(file, rng.range_u64(0, 80)))
+                    .collect(),
+            ),
+        });
+        if step % 997 == 996 {
+            ops.push(Op::FlushFile(vm, pool, file));
+        }
+    }
+    (ops, ever)
+}
+
+#[test]
+fn one_control_stream_is_one_policy_module_on_both_engines() {
+    for (mi, mode) in MODES.into_iter().enumerate() {
+        let (ops, ever) = control_stream(0xC0_4701 + mi as u64);
+        let mut serial = DoubleDeckerCache::new(config(mode));
+        serial.enable_journal();
+        let mut sharded: Vec<ShardedCache> = [1usize, 4, 16]
+            .into_iter()
+            .map(|shards| {
+                let cache = ShardedCache::new(config(mode), shards);
+                cache.enable_journal();
+                cache
+            })
+            .collect();
+
+        // The policy each live pool is under, to tell when one holds
+        // pages in a store its policy does not assign it to.
+        let mut policies = std::collections::BTreeMap::new();
+        let (mut legacy_seen, mut verbs) = (0u64, 0u64);
+        for (i, op) in ops.iter().enumerate() {
+            apply(&mut serial, op);
+            for cache in &mut sharded {
+                apply(cache, op);
+            }
+            match *op {
+                Op::Create(vm, policy, pool) => drop(policies.insert((vm, pool), policy)),
+                Op::SetPolicy(vm, pool, policy) => {
+                    policies.entry((vm, pool)).and_modify(|p| *p = policy);
+                }
+                Op::Destroy(vm, pool) => drop(policies.remove(&(vm, pool))),
+                _ => {}
+            }
+            if !op.is_control() {
+                continue;
+            }
+            verbs += 1;
+            // Every pool that ever existed: a destroyed one answers
+            // `None` on both.
+            for &(vm, pool) in &ever {
+                let want = serial.pool_stats(vm, pool);
+                for cache in &sharded {
+                    assert_eq!(
+                        cache.pool_stats(vm, pool),
+                        want,
+                        "{mode:?}, {} shards, after op {i} {op:?}: stats of {vm} {pool}",
+                        cache.shard_count()
+                    );
+                }
+                if let (Some(stats), Some(policy)) = (want, policies.get(&(vm, pool))) {
+                    let legacy = stats.mem_pages > 0 && !policy.store.uses_mem()
+                        || stats.ssd_pages > 0 && !policy.store.uses_ssd();
+                    legacy_seen += u64::from(legacy);
+                }
+            }
+        }
+        assert!(verbs > 200, "{mode:?}: only {verbs} control verbs");
+        assert!(
+            legacy_seen > 20,
+            "{mode:?}: pools held pages outside their policy's stores only {legacy_seen} times"
+        );
+
+        let compactions = serial.journal_compactions();
+        assert!(
+            compactions >= 3,
+            "{mode:?}: only {compactions} live compactions, stream too short"
+        );
+        let image = serial.journal_bytes().expect("journaling on").to_vec();
+        let (serial_records, _) = Journal::replay(&image);
+        for cache in &sharded {
+            let shards = cache.shard_count();
+            assert_eq!(
+                cache.journal_compactions(),
+                compactions,
+                "{mode:?}, {shards}"
+            );
+            let segments = cache.journal_images().expect("journaling on");
+            if shards == 1 {
+                assert!(
+                    segments[0] == image,
+                    "{mode:?}: the 1-shard segment is not the serial journal"
+                );
+            }
+            assert!(
+                merged_records(&segments) == serial_records,
+                "{mode:?}, {shards} shards: merged records differ from the serial journal"
+            );
+            assert_eq!(cache.entries(), serial.entries());
+        }
+
+        let mut cuts: Vec<usize> = (0..image.len()).step_by(53).collect();
+        cuts.push(image.len());
+        for cut in cuts {
+            let what = format!("{mode:?}, control stream, cut {cut} of {}", image.len());
+            recover_both(config(mode), &image[..cut], &[], &what);
+        }
+    }
 }
