@@ -9,10 +9,12 @@
 //!    exceeds capacity. This is the invariant the CAS allocation loop
 //!    exists to protect; a mismatch means pages leaked or
 //!    double-freed across threads.
-//! 2. **Shard map** — every pool sits in the shard its key hashes to,
-//!    and the registry's pool set matches the union of the shards' pool
-//!    sets (a divergence would make hypercalls route to a shard that
-//!    doesn't hold the pool).
+//! 2. **Shard map** — every pool sits in the shard its key hashes to.
+//!    **Registry** (`registry-policy`) — the registry's pool set is the
+//!    union of the shards' pool sets (a divergence would make
+//!    hypercalls route to a shard that doesn't hold the pool), and each
+//!    row mirrors its pool's policy: puts are routed and share tables
+//!    built from the rows, re-homing is decided from the pools.
 //! 3. **Pool coherence** — index coherence, FIFO coverage and order,
 //!    the exclusive-cache property and sequence monotonicity, via
 //!    [`ddc_hypercache::audit_pool_slice`] over the flattened pools.
@@ -26,7 +28,10 @@
 //! 5. **Entitlement sums** — per store, VM entitlements sum to at most
 //!    capacity and pool entitlements to at most the VM share
 //!    (normalized shares, paper §4.2), computed from a fresh share
-//!    table over the locked usage.
+//!    table over the locked usage. **Memo accuracy** — the auditing
+//!    handle's share memo, where it is filled and still valid by its
+//!    own rule, equals that fresh table (the share-table twin of the
+//!    hot-replica check in 8).
 //! 6. **Mirror accuracy** — each pool's atomic usage mirror (the
 //!    lock-free snapshot source for two-phase eviction) equals the
 //!    pool's exact usage under lock-all quiescence. A drift here means
@@ -63,7 +68,10 @@
 
 use ddc_cleancache::{PoolId, VmId};
 use ddc_hypercache::index::{Placement, Pool};
-use ddc_hypercache::{audit_pool_slice, audit_remote_bindings, AuditFinding};
+use ddc_hypercache::{
+    audit_pool_slice, audit_registry_policies, audit_remote_bindings, audit_share_table,
+    AuditFinding,
+};
 use ddc_storage::{BlockAddr, Journal, RemoteBinding};
 
 use crate::fronts::EMPTY_FRONT;
@@ -122,10 +130,10 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
         }
 
         // 2. Shard map: placement by hash, and registry ↔ shard agreement.
-        let mut shard_keys: Vec<(VmId, PoolId)> = Vec::new();
+        let mut shard_pools = Vec::new();
         for (si, shard) in shards.iter().enumerate() {
-            for &(vm, pid) in shard.state.pools.keys() {
-                shard_keys.push((vm, pid));
+            for (&(vm, pid), pool) in &shard.state.pools {
+                shard_pools.push((vm, pid, pool.policy()));
                 let home = cache.shard_of(vm, pid);
                 if home != si {
                     findings.push(AuditFinding {
@@ -135,35 +143,15 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
                 }
             }
         }
-        shard_keys.sort_unstable();
-        let mut registry_keys: Vec<(VmId, PoolId)> = Vec::new();
-        for (&vm, meta) in &reg.vms {
-            for &(pid, _, _) in &meta.pools {
-                registry_keys.push((vm, pid));
-            }
-        }
-        registry_keys.sort_unstable();
-        if shard_keys != registry_keys {
-            findings.push(AuditFinding {
-                invariant: "shard-map",
-                detail: format!(
-                    "registry lists {} pools but the shards hold {} \
-                     (routing and storage disagree)",
-                    registry_keys.len(),
-                    shard_keys.len()
-                ),
-            });
-        }
+        shard_pools.sort_unstable_by_key(|&(vm, pid, _)| (vm, pid));
+        findings.extend(audit_registry_policies(reg, &shard_pools));
 
         // 3. Pool coherence, in registry order like the serial engine.
-        let mut flat: Vec<(VmId, PoolId, &Pool)> = Vec::new();
-        for (&vm, meta) in &reg.vms {
-            for &(pid, _, _) in &meta.pools {
-                if let Some(pool) = shards[cache.shard_of(vm, pid)].state.pools.get(&(vm, pid)) {
-                    flat.push((vm, pid, pool));
-                }
-            }
-        }
+        let locked_pool = |vm, pid| shards[cache.shard_of(vm, pid)].state.pools.get(&(vm, pid));
+        let flat: Vec<(VmId, PoolId, &Pool)> = reg
+            .pool_ids()
+            .filter_map(|(vm, pid)| Some((vm, pid, locked_pool(vm, pid)?)))
+            .collect();
         findings.extend(audit_pool_slice(&flat, next_seq));
 
         // 4. Shard-FIFO tombstones: dead entries must not outnumber the
@@ -185,55 +173,37 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             }
         }
 
-        // 5. Entitlement sums from a fresh share table.
+        // 5. Entitlement sums from a fresh share table over the locked
+        // usage, and this handle's memo against it.
         for placement in placements() {
             let ledger = match placement {
                 Placement::Mem => mem,
                 Placement::Ssd => ssd,
             };
-            let table = cache.build_share_table(reg, placement, |vm, pid, _| {
-                shards[cache.shard_of(vm, pid)]
-                    .state
-                    .pools
-                    .get(&(vm, pid))
-                    .map_or(0, |p| p.used(placement))
+            let table = reg.share_table(ledger.capacity_pages(), placement, |vm, pid, _| {
+                locked_pool(vm, pid).map_or(0, |p| p.used(placement))
             });
-            let capacity = ledger.capacity_pages();
-            let vm_sum: u64 = table.rows().map(|r| r.1).sum();
-            if vm_sum > capacity {
+            let name = store_name(placement);
+            findings.extend(audit_share_table(name, &table, ledger.capacity_pages()));
+            if cache
+                .cached_share_table(placement)
+                .is_some_and(|t| t != table)
+            {
                 findings.push(AuditFinding {
-                    invariant: "entitlement-sums",
+                    invariant: "memo-accuracy",
                     detail: format!(
-                        "{} store: VM entitlements sum to {vm_sum}, over the \
-                         capacity of {capacity} pages",
-                        store_name(placement)
+                        "{name} store: this handle's share memo passes its own validity \
+                         check but differs from a fresh build (entitlements served stale)"
                     ),
                 });
-            }
-            for (vm, vm_share, pools) in table.rows() {
-                let pool_sum: u64 = pools.iter().map(|r| r.1).sum();
-                if pool_sum > vm_share {
-                    findings.push(AuditFinding {
-                        invariant: "entitlement-sums",
-                        detail: format!(
-                            "{} store: {vm} pool entitlements sum to {pool_sum}, \
-                             over the VM's entitlement of {vm_share}",
-                            store_name(placement)
-                        ),
-                    });
-                }
             }
         }
 
         // 6. Mirror accuracy: the two-phase snapshot source must match
         // the exact usage while everything is locked.
-        for (&vm, meta) in &reg.vms {
-            for (pid, _, mirror) in &meta.pools {
-                let Some(pool) = shards[cache.shard_of(vm, *pid)]
-                    .state
-                    .pools
-                    .get(&(vm, *pid))
-                else {
+        for (vm, row) in reg.vms() {
+            for (pid, _, mirror) in &row.pools {
+                let Some(pool) = locked_pool(vm, *pid) else {
                     continue;
                 };
                 for placement in placements() {
@@ -269,11 +239,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
         bindings.sort_unstable_by_key(|&(vm, pid, _)| (vm, pid));
         findings.extend(audit_remote_bindings(&bindings));
         for &(vm, pid, _) in &bindings {
-            let flagged = reg
-                .vms
-                .get(&vm)
-                .and_then(|meta| meta.mirror_of(pid))
-                .is_some_and(|m| m.remote_bound());
+            let flagged = reg.pool(vm, pid).is_some_and(|row| row.2.remote_bound());
             if !flagged {
                 findings.push(AuditFinding {
                     invariant: "remote-consistency",
@@ -503,11 +469,51 @@ mod tests {
     use ddc_storage::{FileId, JournalRecord};
 
     fn durable_findings(cache: &ShardedCache) -> Vec<String> {
-        audit(cache)
-            .into_iter()
-            .filter(|f| f.invariant == "journal-durable")
-            .map(|f| f.detail)
-            .collect()
+        findings_of(cache, "journal-durable")
+    }
+
+    fn findings_of(cache: &ShardedCache, invariant: &str) -> Vec<String> {
+        let found = audit(cache).into_iter();
+        let found = found.filter(|f| f.invariant == invariant);
+        found.map(|f| f.detail).collect()
+    }
+
+    #[test]
+    fn a_registry_row_that_drifted_from_its_pool_is_detected() {
+        let mut cache = ShardedCache::new(CacheConfig::mem_and_ssd(64, 64), 4);
+        let pool = cache.create_pool(VmId(1), CachePolicy::mem(70));
+        assert_eq!(audit(&cache), vec![]);
+        // Puts are routed by the row (memory), re-homing would be
+        // decided by the pool (SSD).
+        cache.skew_pool_policy(VmId(1), pool, CachePolicy::ssd(70));
+        let found = findings_of(&cache, "registry-policy");
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("the pool runs"), "{found:?}");
+        cache.skew_pool_policy(VmId(1), pool, CachePolicy::mem(70));
+        assert_eq!(audit(&cache), vec![]);
+    }
+
+    #[test]
+    fn a_share_memo_that_validates_but_is_wrong_is_detected() {
+        let mut cache = ShardedCache::new(CacheConfig::mem_and_ssd(64, 64), 4);
+        cache.add_vm(VmId(1), 100);
+        cache.add_vm(VmId(2), 300);
+        let a = cache.create_pool(VmId(1), CachePolicy::mem(100));
+        cache.create_pool(VmId(2), CachePolicy::hybrid(100));
+        // Warm the memo: filled and right.
+        assert_eq!(cache.pool_stats(VmId(1), a).unwrap().entitlement_pages, 16);
+        assert_eq!(audit(&cache), vec![]);
+        for placement in placements() {
+            cache.skew_share_memo(placement);
+            let found = findings_of(&cache, "memo-accuracy");
+            assert_eq!(found.len(), 1, "{placement:?}: {found:?}");
+            assert!(found[0].starts_with(store_name(placement)), "{found:?}");
+            // Any registry mutation retires it (a read would serve it,
+            // and in a debug build trip the memo's own assertion).
+            cache.set_vm_weight(VmId(1), 100);
+            assert_eq!(audit(&cache), vec![]);
+        }
+        assert_eq!(cache.pool_stats(VmId(1), a).unwrap().entitlement_pages, 16);
     }
 
     #[test]

@@ -24,7 +24,12 @@
 //! 5. **Entitlement consistency** — per store, VM entitlements sum to at
 //!    most the store capacity, and each VM's pool entitlements sum to at
 //!    most the VM's entitlement (weights are normalized shares, paper
-//!    §4.2, so the sums can never exceed the level above).
+//!    §4.2, so the sums can never exceed the level above), over a fresh
+//!    share table ([`audit_share_table`]). **Registry** — the registry's
+//!    `(vm, pool)` set is the set of pools that exist, and each row
+//!    mirrors its pool's policy ([`audit_registry_policies`]): the share
+//!    tables are built from the rows, placement is decided from the
+//!    pools.
 //! 6. **Exclusive cache** — no block address is cached by two pools of
 //!    the same VM (each guest file belongs to one container; duplicates
 //!    would mean a migrate/put path leaked a copy).
@@ -54,10 +59,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ddc_cleancache::{PoolId, VmId};
+use ddc_cleancache::{CachePolicy, PoolId, VmId};
 use ddc_storage::{BlockAddr, RemoteBinding};
 
 use crate::index::{Placement, Pool, SlotId};
+use crate::policy::ShareTable;
+use crate::registry::Registry;
 use crate::DoubleDeckerCache;
 
 /// One violated invariant, as structured data (never a panic).
@@ -95,7 +102,19 @@ pub fn audit(cache: &DoubleDeckerCache) -> Vec<AuditFinding> {
     store_accounting(cache, &mut findings);
     pool_coherence(cache, &mut findings);
     global_fifo_tombstones(cache, &mut findings);
-    entitlement_sums(cache, &mut findings);
+    for placement in placements() {
+        let capacity = cache.stores.of(placement).capacity_objects();
+        let table = cache
+            .registry
+            .share_table(capacity, placement, |vm, pool, ()| {
+                cache.state.used(vm, pool, placement)
+            });
+        findings.extend(audit_share_table(store_name(placement), &table, capacity));
+    }
+    let pools = cache.state.pools.iter();
+    let mut pools: Vec<_> = pools.map(|(&(vm, pid), p)| (vm, pid, p.policy())).collect();
+    pools.sort_unstable_by_key(|&(vm, pid, _)| (vm, pid));
+    findings.extend(audit_registry_policies(&cache.registry, &pools));
     quarantine_emptiness(cache, &mut findings);
     let mut bindings: Vec<(VmId, PoolId, &RemoteBinding)> = cache
         .state
@@ -291,6 +310,75 @@ pub fn audit_pool_slice(pools: &[(VmId, PoolId, &Pool)], next_seq: u64) -> Vec<A
         }
     }
     exclusive_property(pools, &mut findings);
+    findings
+}
+
+/// Invariant 5 over one store's share table (built fresh by the caller
+/// from its registry and locked usage): entitlements are normalized
+/// shares, so each level sums to at most the level above.
+pub fn audit_share_table(store_name: &str, table: &ShareTable, capacity: u64) -> Vec<AuditFinding> {
+    let mut findings = Vec::new();
+    let vm_sum: u64 = table.rows().map(|r| r.1).sum();
+    if vm_sum > capacity {
+        findings.push(AuditFinding {
+            invariant: "entitlement-sums",
+            detail: format!(
+                "{store_name} store: VM entitlements sum to {vm_sum}, over the \
+                 capacity of {capacity} objects"
+            ),
+        });
+    }
+    for (vm, vm_share, pools) in table.rows() {
+        let pool_sum: u64 = pools.iter().map(|r| r.1).sum();
+        if pool_sum > vm_share {
+            findings.push(AuditFinding {
+                invariant: "entitlement-sums",
+                detail: format!(
+                    "{store_name} store: {vm} pool entitlements sum to {pool_sum}, \
+                     over the VM's entitlement of {vm_share}"
+                ),
+            });
+        }
+    }
+    findings
+}
+
+/// The registry's rows against the pools that exist (`pools` sorted by
+/// `(vm, pool)`, as the rows are): the same keys, and under each the
+/// same policy.
+pub fn audit_registry_policies<M: Clone>(
+    registry: &Registry<M>,
+    pools: &[(VmId, PoolId, CachePolicy)],
+) -> Vec<AuditFinding> {
+    let rows = registry.vms();
+    let rows = rows.flat_map(|(vm, row)| row.pools.iter().map(move |r| (vm, r.0, r.1)));
+    let rows: Vec<_> = rows.collect();
+    let mut findings = Vec::new();
+    if !rows
+        .iter()
+        .map(|r| (r.0, r.1))
+        .eq(pools.iter().map(|p| (p.0, p.1)))
+    {
+        findings.push(AuditFinding {
+            invariant: "registry-policy",
+            detail: format!(
+                "registry lists {} pools but {} exist, or under other ids",
+                rows.len(),
+                pools.len()
+            ),
+        });
+        return findings;
+    }
+    for (&(vm, pid, row), &(_, _, pool)) in rows.iter().zip(pools) {
+        if row != pool {
+            findings.push(AuditFinding {
+                invariant: "registry-policy",
+                detail: format!(
+                    "{vm} {pid}: the registry row says {row:?} but the pool runs {pool:?}"
+                ),
+            });
+        }
+    }
     findings
 }
 
@@ -502,38 +590,6 @@ fn global_fifo_tombstones(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFin
     }
 }
 
-/// Invariant 5: entitlements are normalized shares, so each level sums
-/// to at most the level above.
-fn entitlement_sums(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>) {
-    for placement in placements() {
-        let name = store_name(placement);
-        let table = cache.build_share_table(placement);
-        let capacity = cache.stores.of(placement).capacity_objects();
-        let vm_sum: u64 = table.rows().map(|r| r.1).sum();
-        if vm_sum > capacity {
-            findings.push(AuditFinding {
-                invariant: "entitlement-sums",
-                detail: format!(
-                    "{name} store: VM entitlements sum to {vm_sum}, over the \
-                     capacity of {capacity} objects"
-                ),
-            });
-        }
-        for (vm, vm_share, pools) in table.rows() {
-            let pool_sum: u64 = pools.iter().map(|r| r.1).sum();
-            if pool_sum > vm_share {
-                findings.push(AuditFinding {
-                    invariant: "entitlement-sums",
-                    detail: format!(
-                        "{name} store: {vm} pool entitlements sum to {pool_sum}, \
-                         over the VM's entitlement of {vm_share}"
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// Invariant 6: no block is cached twice within one VM.
 fn exclusive_property(pools: &[(VmId, PoolId, &Pool)], findings: &mut Vec<AuditFinding>) {
     let mut owners: BTreeMap<(VmId, BlockAddr), PoolId> = BTreeMap::new();
@@ -645,6 +701,36 @@ mod tests {
         // flush_file now misses the orphan — what the invariant guards.
         assert_eq!(pool.remove_file(FileId(1)), (2, 0));
         assert!(pool.peek(addr(1, 1)).is_some());
+    }
+
+    #[test]
+    fn detects_a_registry_row_that_drifted_from_its_pool() {
+        let mut cache = DoubleDeckerCache::new(CacheConfig::mem_and_ssd(64, 64));
+        let kept = cache.create_pool(VmId(0), CachePolicy::mem(70));
+        let lost = cache.create_pool(VmId(0), CachePolicy::ssd(30));
+        assert_eq!(audit(&cache), vec![]);
+        let registry_findings = |cache: &DoubleDeckerCache| -> Vec<String> {
+            let found = audit(cache).into_iter();
+            let found = found.filter(|f| f.invariant == "registry-policy");
+            found.map(|f| f.detail).collect()
+        };
+
+        // A policy set on the pool behind the registry's back: puts
+        // would go to the SSD store, the share tables still say memory.
+        let pool = cache.state.pools.get_mut(&(VmId(0), kept)).unwrap();
+        pool.set_policy(CachePolicy::ssd(70));
+        let found = registry_findings(&cache);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("the pool runs"), "{found:?}");
+        let pool = cache.state.pools.get_mut(&(VmId(0), kept)).unwrap();
+        pool.set_policy(CachePolicy::mem(70));
+        assert_eq!(audit(&cache), vec![]);
+
+        // A pool that went without its row.
+        cache.state.pools.remove(&(VmId(0), lost));
+        let found = registry_findings(&cache);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("lists 2 pools but 1 exist"), "{found:?}");
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! every knob and the Global/Strict comparator modes.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 use ddc_cleancache::{
     CachePolicy, GetOutcome, PageVersion, PoolId, PoolStats, PutOutcome, SecondChanceCache,
@@ -20,11 +19,10 @@ use ddc_storage::{
 use crate::admission::AdmissionConfig;
 use crate::index::{Placement, Pool};
 use crate::policy::ShareTable;
+use crate::registry::{Control, Registry, ShareMemo};
 use crate::shard::{self, Cut, PageLedger, ReplayLog, ShardState};
 use crate::store::BackingStore;
-use crate::{
-    store_kind_code, store_kind_from_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
-};
+use crate::{store_kind_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES};
 
 /// Aggregate usage of one VM across both stores, in pages.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -102,35 +100,6 @@ pub struct RecoveryReport {
     pub new_epochs: Vec<(VmId, u64)>,
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct VmEntry {
-    pub(crate) mem_weight: u64,
-    pub(crate) ssd_weight: u64,
-    /// Dense registry of the VM's pool ids, kept sorted. Replaces the
-    /// O(total pools) `pools.keys().filter(...)` scans on the eviction
-    /// and stats paths, and doubles as the pre-sorted view that
-    /// [`DoubleDeckerCache::pool_ids`] used to rebuild (and re-sort) per
-    /// call.
-    pub(crate) pool_ids: Vec<PoolId>,
-}
-
-impl VmEntry {
-    fn new(mem_weight: u64, ssd_weight: u64) -> VmEntry {
-        VmEntry {
-            mem_weight,
-            ssd_weight,
-            pool_ids: Vec::new(),
-        }
-    }
-
-    fn weight_for(&self, placement: Placement) -> u64 {
-        match placement {
-            Placement::Mem => self.mem_weight,
-            Placement::Ssd => self.ssd_weight,
-        }
-    }
-}
-
 /// The serial engine's two stores, addressed by placement: its
 /// [`PageLedger`].
 #[derive(Debug)]
@@ -176,16 +145,17 @@ impl PageLedger for Stores {
 pub struct DoubleDeckerCache {
     mode: PartitionMode,
     pub(crate) stores: Stores,
-    pub(crate) vms: BTreeMap<VmId, VmEntry>,
+    /// Registered VMs and pools ([`crate::registry`]); `registry_version`
+    /// counts its mutations for the share memo.
+    pub(crate) registry: Registry<()>,
+    registry_version: u64,
     /// Every pool, the Global-mode FIFOs and the retired wear: the one
     /// shard of this engine (see [`crate::shard`]).
     pub(crate) state: ShardState,
-    next_pool: u32,
     pub(crate) next_seq: u64,
-    // Lazily rebuilt entitlement shares per store ([mem, ssd]); see
-    // [`ShareTable`]. Interior mutability because readers
-    // (`pool_stats`) fill it behind `&self`.
-    share_tables: RefCell<[Option<ShareTable>; 2]>,
+    // Interior mutability because readers (`pool_stats`) fill it behind
+    // `&self`.
+    pub(crate) share_memo: RefCell<ShareMemo<()>>,
     evictions: u64,
     trickle_downs: u64,
     /// SSD-tier health as a threshold-1 [`CircuitBreaker`]: a single
@@ -222,11 +192,11 @@ impl DoubleDeckerCache {
                 mem: BackingStore::mem(config.mem_capacity_pages),
                 ssd: BackingStore::ssd(config.ssd_capacity_pages),
             },
-            vms: BTreeMap::new(),
+            registry: Registry::default(),
+            registry_version: 0,
             state: ShardState::default(),
-            next_pool: 1,
             next_seq: 1,
-            share_tables: RefCell::new([None, None]),
+            share_memo: RefCell::default(),
             evictions: 0,
             trickle_downs: 0,
             ssd_breaker: CircuitBreaker::new(BreakerConfig {
@@ -384,11 +354,10 @@ impl DoubleDeckerCache {
         });
     }
 
-    /// A control-plane verb: applies `rec` exactly as replay will, drops
-    /// the cached entitlements, and journals it.
+    /// A control-plane verb: applies `rec` exactly as replay will and
+    /// journals it.
     fn control(&mut self, rec: JournalRecord) {
         self.apply_record(0, &rec);
-        self.invalidate_all_entitlements();
         self.log(rec);
     }
 
@@ -404,7 +373,7 @@ impl DoubleDeckerCache {
     /// extension). Unknown VMs are ignored, as in
     /// [`set_vm_weight`](DoubleDeckerCache::set_vm_weight).
     pub fn set_vm_store_weights(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64) {
-        if self.vms.contains_key(&vm) {
+        if self.registry.vm(vm).is_some() {
             self.control(JournalRecord::SetVmWeights {
                 vm: vm.0,
                 mem_weight,
@@ -415,7 +384,7 @@ impl DoubleDeckerCache {
 
     /// Removes a VM, dropping every object of all its pools.
     pub fn remove_vm(&mut self, vm: VmId) {
-        if !self.vms.contains_key(&vm) {
+        if self.registry.vm(vm).is_none() {
             return;
         }
         self.state.remote_bindings.retain(|&(v, _), _| v != vm);
@@ -425,7 +394,7 @@ impl DoubleDeckerCache {
 
     /// Registered VM ids.
     pub fn vm_ids(&self) -> Vec<VmId> {
-        self.vms.keys().copied().collect()
+        self.registry.vms().map(|(vm, _)| vm).collect()
     }
 
     /// Resizes the memory store, evicting the excess if shrinking
@@ -496,15 +465,7 @@ impl DoubleDeckerCache {
         fetch: RemoteFetchConfig,
     ) -> Result<(), RemoteError> {
         let store = self.remote_registry.get(remote)?;
-        if !self.vms.contains_key(&vm) {
-            return Err(RemoteError::UnknownVm(vm.0));
-        }
-        if !self.state.pools.contains_key(&(vm, pool)) {
-            return Err(RemoteError::UnknownPool {
-                vm: vm.0,
-                pool: pool.0,
-            });
-        }
+        self.registry.bind_target(vm, pool)?;
         self.state
             .bind_remote(vm, pool, RemoteBinding::new(store, fetch))
     }
@@ -535,7 +496,6 @@ impl DoubleDeckerCache {
             return;
         }
         let invalidated = self.state.drain_ssd(&mut self.stores);
-        self.invalidate_entitlements(Placement::Ssd);
         self.quarantine_invalidated += invalidated;
         self.ssd_quarantines += 1;
         self.log(JournalRecord::SsdDrain);
@@ -564,8 +524,6 @@ impl DoubleDeckerCache {
         self.stores
             .mem
             .set_compression(object_millipages, codec_cost);
-        // Compression changes the memory store's capacity in objects.
-        self.invalidate_entitlements(Placement::Mem);
     }
 
     // ------------------------------------------------------------------
@@ -575,12 +533,9 @@ impl DoubleDeckerCache {
     /// Aggregate pages used by all pools of `vm`.
     pub fn vm_usage(&self, vm: VmId) -> VmUsage {
         let mut usage = VmUsage::default();
-        if let Some(entry) = self.vms.get(&vm) {
-            for &pid in &entry.pool_ids {
-                let pool = &self.state.pools[&(vm, pid)];
-                usage.mem_pages += pool.used(Placement::Mem);
-                usage.ssd_pages += pool.used(Placement::Ssd);
-            }
+        for pid in self.pool_ids(vm) {
+            usage.mem_pages += self.state.used(vm, pid, Placement::Mem);
+            usage.ssd_pages += self.state.used(vm, pid, Placement::Ssd);
         }
         usage
     }
@@ -604,10 +559,8 @@ impl DoubleDeckerCache {
 
     /// The pool ids currently registered for `vm`, in `PoolId` order.
     pub fn pool_ids(&self, vm: VmId) -> Vec<PoolId> {
-        self.vms
-            .get(&vm)
-            .map(|e| e.pool_ids.clone())
-            .unwrap_or_default()
+        let row = self.registry.vm(vm);
+        row.map_or_else(Vec::new, |row| row.pools.iter().map(|r| r.0).collect())
     }
 
     /// The entitlement of one pool in its primary store, in pages
@@ -630,106 +583,20 @@ impl DoubleDeckerCache {
     // change, the policy module recalculates cache store entitlements at
     // two levels — per-VM level and container (pool) level").
     //
-    // Entitlements are pure functions of weights, capacities and the
-    // participant sets, none of which change on the data path's steady
-    // state — so the share split is cached per store and dropped only on
-    // control-plane changes and participation transitions (a pool's usage
-    // in a store crossing zero). Usage itself is always read fresh.
+    // The share split is memoized per store and revalidated on every
+    // use ([`ShareMemo`]); usage itself is always read fresh.
     // ------------------------------------------------------------------
 
-    /// Whether the pool participates in the store: it is assigned there by
-    /// policy, or still holds legacy objects there.
-    fn pool_participates(pool: &Pool, placement: Placement) -> bool {
-        placement.allowed_by(pool.policy().store) || pool.used(placement) > 0
-    }
-
-    /// The pool's weight within the store (zero if only legacy objects).
-    fn pool_weight(pool: &Pool, placement: Placement) -> u64 {
-        if placement.allowed_by(pool.policy().store) {
-            pool.policy().weight as u64
-        } else {
-            0
-        }
-    }
-
-    /// Drops the cached share table for one store.
-    fn invalidate_entitlements(&mut self, placement: Placement) {
-        self.share_tables.get_mut()[placement.idx()] = None;
-    }
-
-    /// Drops both cached share tables (control-plane changes that touch
-    /// VM-level weights or registration affect both stores).
-    fn invalidate_all_entitlements(&mut self) {
-        *self.share_tables.get_mut() = [None, None];
-    }
-
-    /// Records an object removal from `pool` in `placement`: if the pool
-    /// just left the store (usage hit zero and policy does not keep it
-    /// there) the participant set changed, so the share table is stale.
-    /// A missing pool (destroyed mid-flight) invalidates conservatively.
-    fn note_removal(&mut self, vm: VmId, pool: PoolId, placement: Placement) {
-        let exits = match self.state.pools.get(&(vm, pool)) {
-            Some(p) => p.used(placement) == 0 && !placement.allowed_by(p.policy().store),
-            None => true,
-        };
-        if exits {
-            self.invalidate_entitlements(placement);
-        }
-    }
-
-    /// Records an object insertion into `pool` in `placement`: a pool not
-    /// assigned there by policy joins the participant set when its usage
-    /// rises from zero.
-    fn note_insertion(&mut self, vm: VmId, pool: PoolId, placement: Placement) {
-        let joined = self
-            .state
-            .pools
-            .get(&(vm, pool))
-            .is_some_and(|p| p.used(placement) == 1 && !placement.allowed_by(p.policy().store));
-        if joined {
-            self.invalidate_entitlements(placement);
-        }
-    }
-
-    /// Builds the two-level share table for one store from scratch.
-    pub(crate) fn build_share_table(&self, placement: Placement) -> ShareTable {
-        let capacity = self.stores.of(placement).capacity_objects();
-        ShareTable::build(
-            capacity,
-            self.vms.iter().map(|(&vm, entry)| {
-                let pools = entry
-                    .pool_ids
-                    .iter()
-                    .map(|&pid| (pid, &self.state.pools[&(vm, pid)]))
-                    .filter(|(_, pool)| Self::pool_participates(pool, placement))
-                    .map(|(pid, pool)| (pid, Self::pool_weight(pool, placement)))
-                    .collect();
-                (vm, entry.weight_for(placement), pools)
-            }),
-        )
-    }
-
-    /// Runs `f` against the (lazily rebuilt) share table for one store.
-    ///
-    /// Debug builds re-derive the table from scratch and assert it
-    /// matches the cache, so any missed invalidation site fails loudly in
-    /// `cargo test` instead of silently skewing entitlements.
+    /// Runs `f` against the share table for one store, through the memo.
     fn with_share_table<R>(&self, placement: Placement, f: impl FnOnce(&ShareTable) -> R) -> R {
-        let idx = placement.idx();
-        let mut tables = self.share_tables.borrow_mut();
-        if tables[idx].is_none() {
-            tables[idx] = Some(self.build_share_table(placement));
-        }
-        #[cfg(debug_assertions)]
-        {
-            let fresh = self.build_share_table(placement);
-            assert_eq!(
-                tables[idx].as_ref().unwrap(),
-                &fresh,
-                "stale cached share table for {placement:?}: an invalidation site was missed"
-            );
-        }
-        f(tables[idx].as_ref().expect("table filled above"))
+        self.share_memo.borrow_mut().with(
+            &self.registry,
+            self.registry_version,
+            self.stores.of(placement).capacity_objects(),
+            placement,
+            |vm, pool, ()| self.state.used(vm, pool, placement),
+            f,
+        )
     }
 
     /// The current entitlement of one pool in one store (two binary
@@ -762,7 +629,6 @@ impl DoubleDeckerCache {
                 break;
             };
             self.evictions += 1;
-            self.note_removal(vm, pool, placement);
             self.log(shard::evict_record(vm, pool, addr));
             freed += 1;
         }
@@ -825,9 +691,6 @@ impl DoubleDeckerCache {
         );
         self.evictions += freed;
         self.trickle_downs += trickled;
-        // A trickle joins no store (a hybrid pool is in the SSD store by
-        // policy), so only the removal can change the participant set.
-        self.note_removal(vm, pool_id, placement);
         if write_failed {
             self.failed_puts += 1;
             self.quarantine_ssd(now);
@@ -947,11 +810,7 @@ impl DoubleDeckerCache {
 
     /// The whole cache as a one-shard [`Cut`].
     fn cut(&self) -> Cut<'_> {
-        let registry = self.vms.iter().map(|(&vm, entry)| {
-            let pools = entry.pool_ids.iter().copied();
-            (vm, entry.mem_weight, entry.ssd_weight, pools)
-        });
-        Cut::new(registry, vec![&self.state])
+        Cut::new(&self.registry, vec![&self.state])
     }
 
     /// Every resident entry as `(vm, pool, addr, version)`, sorted.
@@ -1017,7 +876,6 @@ impl DoubleDeckerCache {
             }
         }
         cache.next_seq = log.next_gen;
-        cache.invalidate_all_entitlements();
         cache.shrink_to_capacity(SimTime::ZERO, Placement::Mem);
         cache.shrink_to_capacity(SimTime::ZERO, Placement::Ssd);
         report.recovered_entries = cache.cut().resident();
@@ -1025,79 +883,14 @@ impl DoubleDeckerCache {
         (cache, report)
     }
 
-    /// Applies one replayed record to raw state: the registry half of a
-    /// control record here, everything that touches pools through the
-    /// shard transitions. No journaling, and no side effects (re-homing,
-    /// shrinking, trickle-down) — those were themselves journaled by the
-    /// live cache and replay in order. `false` for a dropped `Put`.
+    /// Applies one replayed record to raw state: a control record goes
+    /// to the registry and this acts on what it returns, everything
+    /// that touches pools through the shard transitions. No journaling,
+    /// and no side effects (re-homing, shrinking, trickle-down) — those
+    /// were themselves journaled by the live cache and replay in order.
+    /// `false` for a dropped `Put`.
     fn apply_record(&mut self, gen: u64, rec: &JournalRecord) -> bool {
         match *rec {
-            // Both upsert: re-registering a VM updates its weights, and
-            // weights for a VM whose `AddVm` the image lost register it.
-            JournalRecord::AddVm {
-                vm,
-                mem_weight,
-                ssd_weight,
-            }
-            | JournalRecord::SetVmWeights {
-                vm,
-                mem_weight,
-                ssd_weight,
-            } => {
-                self.vms
-                    .entry(VmId(vm))
-                    .and_modify(|e| {
-                        e.mem_weight = mem_weight;
-                        e.ssd_weight = ssd_weight;
-                    })
-                    .or_insert_with(|| VmEntry::new(mem_weight, ssd_weight));
-            }
-            JournalRecord::RemoveVm { vm } => {
-                let vm = VmId(vm);
-                if let Some(entry) = self.vms.remove(&vm) {
-                    for pid in entry.pool_ids {
-                        self.state.drain_pool(&mut self.stores, vm, pid);
-                    }
-                }
-            }
-            JournalRecord::CreatePool {
-                vm,
-                pool,
-                store,
-                weight,
-            } => {
-                let (vm, pool) = (VmId(vm), PoolId(pool));
-                let Some(store) = store_kind_from_code(store) else {
-                    return true;
-                };
-                let entry = self.vms.entry(vm).or_insert_with(|| VmEntry::new(100, 100));
-                if let Err(i) = entry.pool_ids.binary_search(&pool) {
-                    entry.pool_ids.insert(i, pool);
-                }
-                self.state
-                    .pools
-                    .insert((vm, pool), Pool::new(vm, CachePolicy { store, weight }));
-                self.next_pool = self.next_pool.max(pool.0 + 1);
-            }
-            JournalRecord::DestroyPool { vm, pool } => {
-                let (vm, pool) = (VmId(vm), PoolId(pool));
-                if self.state.drain_pool(&mut self.stores, vm, pool) {
-                    self.unregister_pool(vm, pool);
-                }
-            }
-            JournalRecord::SetPolicy {
-                vm,
-                pool,
-                store,
-                weight,
-            } => {
-                let Some(store) = store_kind_from_code(store) else {
-                    return true;
-                };
-                if let Some(p) = self.state.pools.get_mut(&(VmId(vm), PoolId(pool))) {
-                    p.set_policy(CachePolicy { store, weight });
-                }
-            }
             JournalRecord::Put { .. }
             | JournalRecord::Take { .. }
             | JournalRecord::Evict { .. }
@@ -1123,17 +916,28 @@ impl DoubleDeckerCache {
                 self.state
                     .correct_wear(vm, current, ssd_pages_written, pages_admitted);
             }
-        }
-        true
-    }
-
-    /// Drops `pool` from its VM's registry row.
-    fn unregister_pool(&mut self, vm: VmId, pool: PoolId) {
-        if let Some(entry) = self.vms.get_mut(&vm) {
-            if let Ok(i) = entry.pool_ids.binary_search(&pool) {
-                entry.pool_ids.remove(i);
+            // Every other record is the registry's.
+            _ => {
+                self.registry_version += 1;
+                match self.registry.apply(rec, || ()) {
+                    Control::Ignored | Control::Weights => {}
+                    Control::Drain(vm, pools) => {
+                        for (pid, ()) in pools {
+                            self.state.drain_pool(&mut self.stores, vm, pid);
+                        }
+                    }
+                    Control::Install(vm, pool, policy, ()) => {
+                        self.state.pools.insert((vm, pool), Pool::new(vm, policy));
+                    }
+                    Control::Swap(vm, pool, policy) => {
+                        if let Some(p) = self.state.pools.get_mut(&(vm, pool)) {
+                            p.set_policy(policy);
+                        }
+                    }
+                }
             }
         }
+        true
     }
 
     /// Replaces the journal with a checkpoint of the current state
@@ -1194,10 +998,7 @@ impl DoubleDeckerCache {
             return 0;
         }
         let mut demoted = 0;
-        let rows = self.vms.iter();
-        let targets: Vec<(VmId, PoolId)> = rows
-            .flat_map(|(&vm, entry)| entry.pool_ids.iter().map(move |&pid| (vm, pid)))
-            .collect();
+        let targets: Vec<(VmId, PoolId)> = self.registry.pool_ids().collect();
         for (vm, pid) in targets {
             let gone = self.state.ttl_sweep_pool(&mut self.stores, vm, pid, ttl);
             if gone.is_empty() {
@@ -1205,7 +1006,6 @@ impl DoubleDeckerCache {
             }
             self.evictions += gone.len() as u64;
             demoted += gone.len() as u64;
-            self.note_removal(vm, pid, Placement::Ssd);
             for addr in gone {
                 self.log(shard::evict_record(vm, pid, addr));
             }
@@ -1218,7 +1018,7 @@ impl SecondChanceCache for DoubleDeckerCache {
     fn create_pool(&mut self, vm: VmId, policy: CachePolicy) -> PoolId {
         // Unknown VMs are auto-registered with a default weight, so
         // single-VM setups need no explicit add_vm call.
-        let id = PoolId(self.next_pool);
+        let id = self.registry.next_pool();
         self.control(JournalRecord::CreatePool {
             vm: vm.0,
             pool: id.0,
@@ -1252,16 +1052,12 @@ impl SecondChanceCache for DoubleDeckerCache {
             weight: policy.weight,
         });
         self.rehome_pool_objects(vm, pool);
-        // Re-homing moves usage between stores, which can change the
-        // participant sets again.
-        self.invalidate_all_entitlements();
     }
 
     fn migrate_object(&mut self, vm: VmId, from: PoolId, to: PoolId, addr: BlockAddr) {
         let Some(slot) = self.state.remove(&mut self.stores, vm, from, addr) else {
             return;
         };
-        self.note_removal(vm, from, slot.placement);
         self.log(shard::take_record(vm, from, addr));
         // The page the source just gave back carries the object over. An
         // unknown target leaves it freed: the object has no owner.
@@ -1278,7 +1074,6 @@ impl SecondChanceCache for DoubleDeckerCache {
             slot.version,
             seq,
         );
-        self.note_insertion(vm, to, slot.placement);
         self.log(shard::put_record(
             vm,
             to,
@@ -1304,7 +1099,6 @@ impl SecondChanceCache for DoubleDeckerCache {
             // binding (if any), which fails open back to a miss.
             return self.state.remote_get(now, vm, pool, addr);
         };
-        self.note_removal(vm, pool, slot.placement);
         self.log(shard::take_record(vm, pool, addr));
         // Verify-on-read: a slot whose checksum no longer matches its key
         // rotted in the backing store (e.g. SSD corruption surviving a
@@ -1380,9 +1174,7 @@ impl SecondChanceCache for DoubleDeckerCache {
 
         // Exclusive overwrite: displace any stale copy first so the freed
         // page is available to this put.
-        if let Some(old) = self.state.remove(&mut self.stores, vm, pool, addr) {
-            self.note_removal(vm, pool, old.placement);
-        }
+        self.state.remove(&mut self.stores, vm, pool, addr);
 
         // Strict mode pre-check: a pool at its hard partition evicts from
         // itself before the store-level check.
@@ -1439,16 +1231,13 @@ impl SecondChanceCache for DoubleDeckerCache {
             .puts += 1;
         self.state
             .insert(&mut self.stores, vm, pool, addr, placement, version, seq);
-        self.note_insertion(vm, pool, placement);
         self.log(shard::put_record(vm, pool, addr, version, placement));
         self.maybe_compact_journal();
         PutOutcome::Stored { finish }
     }
 
     fn flush(&mut self, vm: VmId, pool: PoolId, addr: BlockAddr) -> u64 {
-        if let Some(slot) = self.state.remove(&mut self.stores, vm, pool, addr) {
-            self.note_removal(vm, pool, slot.placement);
-        }
+        self.state.remove(&mut self.stores, vm, pool, addr);
         // A flush means the guest is writing the backing block: the
         // remote's copy of it is stale forever after.
         let remotes = !self.remote_registry.is_empty();
@@ -1464,13 +1253,7 @@ impl SecondChanceCache for DoubleDeckerCache {
     }
 
     fn flush_file(&mut self, vm: VmId, pool: PoolId, file: FileId) -> u64 {
-        let (mem, ssd) = self.state.remove_file(&mut self.stores, vm, pool, file);
-        if mem > 0 {
-            self.note_removal(vm, pool, Placement::Mem);
-        }
-        if ssd > 0 {
-            self.note_removal(vm, pool, Placement::Ssd);
-        }
+        self.state.remove_file(&mut self.stores, vm, pool, file);
         let remotes = !self.remote_registry.is_empty();
         self.state.note_flush_file(vm, pool, file, remotes);
         // Compaction hoisted to batch boundaries, like `flush`.

@@ -14,7 +14,8 @@
 //! * a **policy module** ([`policy`]) computing two-level entitlements
 //!   (per-VM weights set by the host administrator, per-container `<T, W>`
 //!   tuples set from inside each VM) and selecting eviction victims with
-//!   the paper's Algorithm 1,
+//!   the paper's Algorithm 1, over the one [`registry`] of VMs, pools and
+//!   policies both engines keep,
 //! * dynamic reconfiguration of every knob at runtime (capacities, VM
 //!   weights, container policies, store types),
 //! * the **Global** baseline mode (tmem-style container-agnostic FIFO) and
@@ -57,11 +58,15 @@ mod ddcache;
 pub mod index;
 pub mod policy;
 pub mod readplane;
+pub mod registry;
 pub mod shard;
 pub mod store;
 
 pub use admission::{AdmissionConfig, GhostFilter};
-pub use audit::{audit, audit_pool_slice, audit_remote_bindings, AuditFinding};
+pub use audit::{
+    audit, audit_pool_slice, audit_registry_policies, audit_remote_bindings, audit_share_table,
+    AuditFinding,
+};
 pub use config::{
     store_kind_code, store_kind_from_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
     JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS,

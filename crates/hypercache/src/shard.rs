@@ -36,6 +36,7 @@ use ddc_storage::{
 };
 
 use crate::index::{Placement, Pool, Slot, SlotId};
+use crate::registry::Registry;
 use crate::{store_kind_code, PartitionMode, JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS};
 
 /// Page accounting for the two stores, as the transitions need it. The
@@ -711,16 +712,13 @@ pub struct Cut<'a> {
 }
 
 impl<'a> Cut<'a> {
-    /// Resolves the registry (`(vm, mem weight, ssd weight, pool ids)`
-    /// in `VmId` order) against every shard's state, in shard order.
-    pub fn new<P: IntoIterator<Item = PoolId>>(
-        registry: impl IntoIterator<Item = (VmId, u64, u64, P)>,
-        shards: Vec<&'a ShardState>,
-    ) -> Cut<'a> {
+    /// Resolves the registry against every shard's state, in shard
+    /// order.
+    pub fn new<M: Clone>(registry: &Registry<M>, shards: Vec<&'a ShardState>) -> Cut<'a> {
         let (mut vms, mut pools) = (Vec::new(), Vec::new());
-        for (vm, mem_weight, ssd_weight, pids) in registry {
-            vms.push((vm, mem_weight, ssd_weight));
-            for pid in pids {
+        for (vm, row) in registry.vms() {
+            vms.push((vm, row.mem_weight, row.ssd_weight));
+            for &(pid, _, _) in &row.pools {
                 let si = home_shard(vm, pid, shards.len());
                 if let Some(pool) = shards[si].pools.get(&(vm, pid)) {
                     pools.push((vm, pid, si as u32, pool));
@@ -1105,11 +1103,20 @@ mod tests {
     }
 
     fn vm_wear(state: &ShardState, vm: VmId) -> WearCounters {
-        let registry = [VmId(1), VmId(2)].map(|v| {
-            let pools = POOLS.iter().filter(move |p| p.0 == v).map(|p| p.1);
-            (v, 100, 100, pools)
-        });
-        Cut::new(registry, vec![state]).vm_wear(vm)
+        let mut registry = Registry::default();
+        for &(vm, pool) in &POOLS {
+            let (vm, pool, store, weight) = (vm.0, pool.0, 0, 100);
+            registry.apply(
+                &JournalRecord::CreatePool {
+                    vm,
+                    pool,
+                    store,
+                    weight,
+                },
+                || (),
+            );
+        }
+        Cut::new(&registry, vec![state]).vm_wear(vm)
     }
 
     /// Holds the state against the model after a step.
