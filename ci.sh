@@ -60,30 +60,18 @@ echo "==> perf smoke (1.3x regression gate against BENCH_cache_ops.json; up to t
 if [ -f BENCH_cache_ops.json ]; then
     # Wall-clock on a shared runner at 3 ms a cell: in the box's slow
     # spells (about one run in four, on any commit) some cell reads
-    # >1.3x slow, and not the same cell twice. So one failed attempt is
-    # not evidence: the step passes on the first attempt that passes,
-    # and fails only if some cell fails all three — which a real
-    # regression does.
-    attempt=1
-    until cargo run --release -q -p ddc-bench --bin repro -- perf --smoke --check BENCH_cache_ops.json \
-        >target/perf-smoke.txt 2>&1; do
+    # >1.3x slow. So the step passes on the first attempt that passes and
+    # fails only if all three attempts fail.
+    for attempt in 1 2 3; do
+        if cargo run --release -q -p ddc-bench --bin repro -- perf --smoke --check BENCH_cache_ops.json \
+            >target/perf-smoke.txt 2>&1; then
+            cat target/perf-smoke.txt
+            break
+        fi
         echo "perf smoke attempt $attempt of 3 failed:"
-        grep "^perf regression:" target/perf-smoke.txt || { cat target/perf-smoke.txt; exit 1; }
-        sed -n 's/^perf regression: \([^:]*\):.*/\1/p' target/perf-smoke.txt | sort >target/perf-failed-now.txt
-        if [ "$attempt" -gt 1 ]; then
-            comm -12 target/perf-failed.txt target/perf-failed-now.txt >target/perf-failed-both.txt
-            mv target/perf-failed-both.txt target/perf-failed-now.txt
-        fi
-        mv target/perf-failed-now.txt target/perf-failed.txt
-        [ -s target/perf-failed.txt ] || { echo "no cell failed every attempt so far"; break; }
-        if [ "$attempt" -eq 3 ]; then
-            echo "failed all three attempts:"
-            cat target/perf-failed.txt
-            exit 1
-        fi
-        attempt=$((attempt + 1))
+        grep "^perf regression:" target/perf-smoke.txt || cat target/perf-smoke.txt
+        [ "$attempt" -lt 3 ] || exit 1
     done
-    cat target/perf-smoke.txt
 else
     echo "no baseline found; recording one (commit BENCH_cache_ops.json)"
     cargo run --release -q -p ddc-bench --bin repro -- perf --smoke --out BENCH_cache_ops.json

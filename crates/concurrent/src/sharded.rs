@@ -2304,20 +2304,22 @@ impl ShardedCache {
 
     /// Every registry mutation, live or replayed (a replay's journals
     /// are still `None`, so it logs nothing): [`registry::Registry::apply`]
-    /// and the version bump under the caller's write guard — a reader
-    /// that sees the new version blocks on the read lock until the
-    /// mutation is complete, so it never caches a route newer than its
-    /// tag — then what the registry says must happen to pools (registry
-    /// before shard, the lock-order rule) and the record into its
-    /// segment. Installing a pool or swapping its policy hands the home
-    /// shard back still locked.
+    /// and, unless the record changed nothing, the version bump under
+    /// the caller's write guard — a reader that sees the new version
+    /// blocks on the read lock until the mutation is complete, so it
+    /// never caches a route newer than its tag — then what the registry
+    /// says must happen to pools (registry before shard, the lock-order
+    /// rule) and the record into its segment. Installing a pool or
+    /// swapping its policy hands the home shard back still locked.
     fn control<'a>(
         &'a self,
         reg: &mut Registry,
         rec: JournalRecord,
     ) -> Option<(usize, MutexGuard<'a, Shard>)> {
         let control = reg.apply(&rec, Arc::default);
-        self.inner.registry_version.fetch_add(1, Ordering::Release);
+        if !matches!(control, Control::Ignored) {
+            self.inner.registry_version.fetch_add(1, Ordering::Release);
+        }
         let (si, mut shard) = match control {
             Control::Ignored => return None,
             Control::Weights => {
@@ -2907,6 +2909,21 @@ mod tests {
         cache.apply_record(0, &JournalRecord::RemoveVm { vm: vm_a.0 });
         assert_eq!(entitlement(&cache), 1000);
         assert_eq!(audit(&cache), vec![]);
+    }
+
+    #[test]
+    fn a_verb_that_names_nothing_leaves_the_registry_version_alone() {
+        let mut cache = ShardedCache::new(CacheConfig::mem_only(1000), 4);
+        cache.add_vm(VmId(1), 100);
+        let pool = cache.create_pool(VmId(1), CachePolicy::mem(100));
+        let version = |cache: &ShardedCache| cache.inner.registry_version.load(Ordering::Acquire);
+        let before = version(&cache);
+        cache.destroy_pool(VmId(1), PoolId(pool.0 + 1));
+        cache.set_policy(VmId(9), pool, CachePolicy::ssd(50));
+        cache.apply_record(0, &JournalRecord::RemoveVm { vm: 9 });
+        assert_eq!(version(&cache), before);
+        cache.set_policy(VmId(1), pool, CachePolicy::ssd(50));
+        assert_eq!(version(&cache), before + 1);
     }
 
     #[test]

@@ -918,8 +918,9 @@ impl DoubleDeckerCache {
             }
             // Every other record is the registry's.
             _ => {
-                self.registry_version += 1;
-                match self.registry.apply(rec, || ()) {
+                let control = self.registry.apply(rec, || ());
+                self.registry_version += u64::from(control != Control::Ignored);
+                match control {
                     Control::Ignored | Control::Weights => {}
                     Control::Drain(vm, pools) => {
                         for (pid, ()) in pools {
@@ -1532,6 +1533,18 @@ mod tests {
         cache.destroy_pool(VM, pool);
         assert_eq!(cache.totals().mem_used_pages, 0);
         assert_eq!(cache.pool_stats(VM, pool), None);
+    }
+
+    #[test]
+    fn a_replayed_record_that_names_nothing_leaves_the_registry_version_alone() {
+        let mut cache = small_cache(PartitionMode::DoubleDecker);
+        let pool = cache.create_pool(VM, CachePolicy::mem(100)).0;
+        let before = cache.registry_version;
+        cache.apply_record(0, &JournalRecord::RemoveVm { vm: 9 });
+        cache.apply_record(0, &JournalRecord::DestroyPool { vm: 9, pool });
+        assert_eq!(cache.registry_version, before);
+        cache.apply_record(0, &JournalRecord::DestroyPool { vm: VM.0, pool });
+        assert_eq!(cache.registry_version, before + 1);
     }
 
     #[test]

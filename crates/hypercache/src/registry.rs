@@ -13,7 +13,8 @@
 //! fair-share division. The registry's contents are checked by version:
 //! the owner bumps a counter it keeps beside the registry (an atomic
 //! for the sharded engine, which must read it without the registry
-//! lock; a plain integer for the serial one) after every `apply`.
+//! lock; a plain integer for the serial one) after every `apply` that
+//! does not answer [`Control::Ignored`].
 //!
 //! `M` is what an engine hangs on a pool's row: nothing for the serial
 //! engine, the pool's lock-free usage mirror for the sharded one. It is
@@ -508,6 +509,8 @@ mod tests {
                     _ => Control::Ignored,
                 };
                 assert_eq!(control, want, "seed {seed} step {step} {rec:?}");
+                // The engines skip the version bump on `Ignored`.
+                assert!(control != Control::Ignored || model == before);
             }
         }
         // An id at the top of the range does not wrap the mint.
