@@ -26,8 +26,6 @@ struct Args {
     smoke: bool,
     read_heavy: bool,
     write_heavy: bool,
-    check: Option<PathBuf>,
-    out: Option<PathBuf>,
 }
 
 fn parse_args() -> Args {
@@ -38,8 +36,6 @@ fn parse_args() -> Args {
         smoke: false,
         read_heavy: false,
         write_heavy: false,
-        check: None,
-        out: None,
     };
     let mut it = env::args().skip(1);
     while let Some(a) = it.next() {
@@ -56,12 +52,6 @@ fn parse_args() -> Args {
             "--smoke" => args.smoke = true,
             "--read-heavy" => args.read_heavy = true,
             "--write-heavy" => args.write_heavy = true,
-            "--check" => {
-                args.check = Some(PathBuf::from(it.next().expect("--check needs a file")));
-            }
-            "--out" => {
-                args.out = Some(PathBuf::from(it.next().expect("--out needs a file")));
-            }
             "--help" | "-h" => {
                 print_help();
                 std::process::exit(0);
@@ -77,6 +67,8 @@ fn print_help() {
     println!(
         "repro — regenerate the DoubleDecker paper's tables and figures\n\n\
          usage: repro [COMMAND] [--secs N] [--json DIR]\n\n\
+         --json DIR writes every report the command produces to DIR; the\n\
+         committed results/ directory is `repro all --json` byte for byte.\n\n\
          commands:\n\
            fig3    per-container cache usage, containers run separately\n\
            fig4    non-deterministic sharing (same start + 200s-offset variants)\n\
@@ -94,35 +86,43 @@ fn print_help() {
            faults  SSD brownout: graceful degradation and recovery\n\
            chaos   crash-and-recovery sweep over randomized journal prefixes,\n\
                    plus threaded-plane kills (per-shard segment cuts, 8-thread\n\
-                   continuation) [--smoke] [--out FILE]; exits non-zero on any\n\
-                   stale read or invariant violation\n\
+                   continuation) [--smoke]; exits non-zero on any stale read\n\
+                   or invariant violation\n\
            stress  concurrent serving plane: serial-vs-sharded equivalence\n\
-                   matrix + 1/2/4/8-thread stress [--smoke] [--out FILE]\n\
+                   matrix + 1/2/4/8-thread stress [--smoke]\n\
                    [--read-heavy: 95/5 get/put mix through the lock-free\n\
                    read plane] [--write-heavy: put-dominant large-batch mix\n\
                    through the batched write plane]; exits non-zero on any\n\
                    divergence, stale read or finding\n\
            remote  remote chunk-store tier: fault-axis determinism matrix,\n\
-                   8-thread degradation ladder (baseline/brownout/healed) and\n\
-                   the cold-boot storm [--smoke] [--out FILE]; exits non-zero\n\
-                   on any divergence, stale read or missed robustness gate\n\
+                   degradation ladder (fault-free vs a brownout over the middle\n\
+                   third, counted per third) and the cold-boot storm [--smoke];\n\
+                   exits non-zero on any divergence, stale read or missed gate\n\
            wear    SSD endurance plane: ghost admission + TTL demotion over\n\
                    write-heavy / scan-polluted / phase-change tenant mixes\n\
-                   [--smoke] [--out FILE] [--check BASELINE]; exits non-zero\n\
-                   on a divergence, a missed reduction/hit gate or a wear\n\
-                   regression against the committed BENCH_wear.json\n\
-           perf    cache-ops perf matrix [--smoke] [--out FILE] [--check BASELINE]\n\
-           all     everything above except perf (default)\n\n\
+                   [--smoke]; exits non-zero on a divergence or a missed\n\
+                   reduction/hit gate\n\
+           work    cache-ops matrix, each cell once: the exact work it does\n\
+                   (ops, hits, evictions, journal bytes, hypercalls, lock\n\
+                   visits ...) [--smoke]\n\
+           all     everything above (default)\n\
+           perf    the same matrix timed: min/median/max ns per op, printed\n\
+                   and never gated [--smoke]\n\n\
          parallelism: independent experiment cells fan out across cores\n\
          (override worker count with DDC_THREADS=N; N=1 forces serial).\n"
     );
 }
 
 fn maybe_dump(args: &Args, name: &str, report: &ddc_core::ExperimentReport) {
+    dump(args, name, &report.to_json());
+}
+
+/// Writes `json` to `DIR/name.json` when `--json DIR` was given.
+fn dump(args: &Args, name: &str, json: &str) {
     if let Some(dir) = &args.json_dir {
         fs::create_dir_all(dir).expect("create json dir");
         let path = dir.join(format!("{name}.json"));
-        fs::write(&path, report.to_json()).expect("write json");
+        fs::write(&path, json).expect("write json");
         println!("[json written to {}]", path.display());
     }
 }
@@ -673,16 +673,7 @@ fn chaos_sweep(args: &Args) -> bool {
         report.cases.len() + report.threaded.len() + report.remote.len()
     );
 
-    if let Some(out) = &args.out {
-        fs::write(out, report.to_json()).expect("write chaos json");
-        println!("[chaos report written to {}]", out.display());
-    }
-    if let Some(dir) = &args.json_dir {
-        fs::create_dir_all(dir).expect("create json dir");
-        let path = dir.join("chaos.json");
-        fs::write(&path, report.to_json()).expect("write json");
-        println!("[json written to {}]", path.display());
-    }
+    dump(args, "chaos", &report.to_json());
 
     let again = chaos::run(chaos::DEFAULT_SEED, cases, threaded_cases, remote_cases);
     println!(
@@ -752,15 +743,15 @@ fn stress_plane(args: &Args) -> bool {
         "replica",
         "batched",
     ]);
-    for c in &report.scaling {
+    for (journal, c) in report.scaling.iter().map(|c| (c.journal, &c.out)) {
         sc.row(vec![
             c.threads.to_string(),
-            if c.journal { "yes" } else { "no" }.to_owned(),
+            if journal { "yes" } else { "no" }.to_owned(),
             c.total_ops.to_string(),
-            format!("{:.3}", c.wall_secs),
-            format!("{:.0}", c.ops_per_sec),
+            format!("{:.3}", c.elapsed.as_secs_f64()),
+            format!("{:.0}", c.ops_per_sec()),
             c.stale_reads.to_string(),
-            c.audit_findings.to_string(),
+            c.findings.len().to_string(),
             c.commit_epoch.to_string(),
             c.journal_compactions.to_string(),
             c.lockfree_misses.to_string(),
@@ -777,16 +768,7 @@ fn stress_plane(args: &Args) -> bool {
         report.scaling_factor()
     );
 
-    if let Some(out) = &args.out {
-        fs::write(out, report.to_json()).expect("write stress json");
-        println!("[stress report written to {}]", out.display());
-    }
-    if let Some(dir) = &args.json_dir {
-        fs::create_dir_all(dir).expect("create json dir");
-        let path = dir.join("stress.json");
-        fs::write(&path, report.to_json()).expect("write json");
-        println!("[json written to {}]", path.display());
-    }
+    dump(args, "stress", &report.to_json());
     println!(
         "shape check: every equivalence cell byte-identical (sharding is a\n\
          locking strategy, not a semantic change); every thread count finishes\n\
@@ -835,43 +817,44 @@ fn remote_tier(args: &Args) -> bool {
     }
     println!("{}", ax.render());
 
-    println!(
-        "degradation ladder ({} threads, {} interleaved repeats, best-of):",
-        remote::LADDER_THREADS,
-        report.ladder.first().map_or(0, |c| c.runs)
-    );
+    println!("degradation ladder (one thread, same seed; brownout over the middle third):");
     let mut ld = TextTable::new(vec![
-        "phase",
-        "ops/run",
-        "best ops/sec",
-        "stale",
-        "audit",
+        "run",
+        "third",
         "served",
+        "failed",
         "timeouts",
         "breaker trips",
+        "recoveries",
         "breaker skipped",
     ]);
     for c in &report.ladder {
-        ld.row(vec![
-            c.phase.to_owned(),
-            c.total_ops.to_string(),
-            format!("{:.0}", c.ops_per_sec_best),
-            c.stale_reads.to_string(),
-            c.audit_findings.to_string(),
-            c.remote.served.to_string(),
-            c.remote.timeouts.to_string(),
-            c.remote.breaker_trips.to_string(),
-            c.remote.breaker_skipped.to_string(),
-        ]);
+        for (third, t) in c.thirds.iter().enumerate() {
+            ld.row(vec![
+                c.run.to_owned(),
+                (third + 1).to_string(),
+                t.served.to_string(),
+                t.failed.to_string(),
+                t.timeouts.to_string(),
+                t.breaker_trips.to_string(),
+                t.breaker_recoveries.to_string(),
+                t.breaker_skipped.to_string(),
+            ]);
+        }
     }
     println!("{}", ld.render());
+    let verdict = remote::judge_ladder(&report.ladder);
+    let yes_no = |ok: bool| if ok { "yes" } else { "NO" };
     println!(
-        "brownout sustains {:.0}% of baseline (gate: >= {:.0}%); healed recovers to \
-         {:.0}% (gate: >= {:.0}%)",
-        report.brownout_fraction() * 100.0,
-        remote::MIN_BROWNOUT_FRACTION * 100.0,
-        report.healed_fraction() * 100.0,
-        remote::MAX_HEALED_REGRESSION * 100.0
+        "clean: {}; slowed, not stalled, inside the window: {}; healed after it (a breaker\n\
+         recovery and >= {}% of the fault-free run's served fetches over the same ticks): {};\n\
+         brownout run on {} threads clean: {}",
+        yes_no(verdict.clean),
+        yes_no(verdict.degraded_not_stalled),
+        remote::MIN_HEALED_SERVED_PCT,
+        yes_no(verdict.healed),
+        remote::LADDER_THREADS,
+        yes_no(report.threaded_brownout_clean),
     );
 
     let cb = &report.cold_boot;
@@ -919,16 +902,7 @@ fn remote_tier(args: &Args) -> bool {
     ]);
     println!("{}", cbt.render());
 
-    if let Some(out) = &args.out {
-        fs::write(out, report.to_json()).expect("write remote json");
-        println!("[remote report written to {}]", out.display());
-    }
-    if let Some(dir) = &args.json_dir {
-        fs::create_dir_all(dir).expect("create json dir");
-        let path = dir.join("remote.json");
-        fs::write(&path, report.to_json()).expect("write json");
-        println!("[json written to {}]", path.display());
-    }
+    dump(args, "remote", &report.to_json());
     println!(
         "shape check: network faults only ever surface as misses (zero stale\n\
          reads on every axis), the breaker keeps a browning-out remote from\n\
@@ -983,42 +957,7 @@ fn wear_plane(args: &Args) -> bool {
         }
     }
 
-    if let Some(out) = &args.out {
-        fs::write(out, wear::baseline_json(&results, args.smoke)).expect("write wear baseline");
-        println!("[wear baseline written to {}]", out.display());
-    }
-    if let Some(dir) = &args.json_dir {
-        fs::create_dir_all(dir).expect("create json dir");
-        let path = dir.join("wear.json");
-        fs::write(&path, wear::to_json(&results, args.smoke)).expect("write json");
-        println!("[json written to {}]", path.display());
-    }
-    let mut passed = results.iter().all(wear::MixResult::ok);
-    if let Some(baseline_path) = &args.check {
-        let text = fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {}: {e}", baseline_path.display());
-            std::process::exit(1);
-        });
-        match wear::check_against(&results, args.smoke, &text) {
-            Err(e) => {
-                eprintln!("bad wear baseline {}: {e}", baseline_path.display());
-                passed = false;
-            }
-            Ok(violations) if violations.is_empty() => {
-                println!(
-                    "wear check PASSED against {} ({}x write-amplification tolerance)",
-                    baseline_path.display(),
-                    wear::WEAR_TOLERANCE
-                );
-            }
-            Ok(violations) => {
-                for v in &violations {
-                    eprintln!("wear regression: {v}");
-                }
-                passed = false;
-            }
-        }
-    }
+    dump(args, "wear", &wear::to_json(&results, args.smoke));
     println!(
         "shape check: the ghost filter cuts SSD writes >= {:.0}% on the\n\
          write-heavy and scan-polluted mixes at an equal-or-better hit count,\n\
@@ -1026,64 +965,72 @@ fn wear_plane(args: &Args) -> bool {
          byte-identical serial vs sharded and across same-seed reruns.",
         wear::MIN_REDUCTION_PCT
     );
-    passed
+    results.iter().all(wear::MixResult::ok)
+}
+
+/// Flattens a work row into `key=value` pairs, dotted for nested blocks,
+/// leaving out what stayed at zero.
+fn work_summary(prefix: &str, work: &ddc_json::Json, out: &mut Vec<String>) {
+    for (key, value) in work.as_object().unwrap_or_default() {
+        match value.as_u64() {
+            Some(0) => {}
+            Some(n) => out.push(format!("{prefix}{key}={n}")),
+            None => work_summary(&format!("{prefix}{key}."), value, out),
+        }
+    }
+}
+
+fn work_matrix(args: &Args) {
+    banner(if args.smoke {
+        "Work matrix: what each cache-ops cell does, exactly (smoke budget)"
+    } else {
+        "Work matrix: what each cache-ops cell does, exactly"
+    });
+    let rows = perf::run_work(args.smoke);
+    for (cell, work) in perf::CELLS.iter().zip(&rows) {
+        let mut pairs = Vec::new();
+        work_summary("", work, &mut pairs);
+        println!("{}: {}", cell.name, pairs.join(" "));
+    }
+    dump(args, "work", &perf::to_json(rows, args.smoke));
+    println!(
+        "shape check: every number above is a function of the seed; results/work.json\n\
+         pins them, so a change that adds an eviction, a lock visit, a journal record\n\
+         or a hypercall to any cell shows up as a diff of that file."
+    );
 }
 
 fn perf_matrix(args: &Args) {
     banner(if args.smoke {
-        "Perf matrix: cache-ops throughput (smoke budget)"
+        "Perf matrix: cache-ops wall clock (smoke budget; printed, not gated)"
     } else {
-        "Perf matrix: cache-ops throughput"
+        "Perf matrix: cache-ops wall clock (printed, not gated)"
     });
-    let runner = perf::RunnerProfile::current();
     println!(
-        "runner: DDC_THREADS resolves to {}, available parallelism {}",
-        runner.ddc_threads, runner.available_parallelism
+        "available parallelism {}; {} runs per cell, one after another",
+        std::thread::available_parallelism().map_or(1, usize::from),
+        perf::REPEATS
     );
-    let cells = perf::run_matrix(args.smoke);
-    let mut table = TextTable::new(vec!["cell", "sim ops", "wall (s)", "ops/sec"]);
-    for c in &cells {
-        table.row(vec![
-            c.name.to_owned(),
-            c.sim_ops.to_string(),
-            format!("{:.3}", c.wall_secs),
-            format!("{:.0}", c.ops_per_sec),
-        ]);
+    let mut table = TextTable::new(vec!["cell", "ops", "min ns/op", "median", "max"]);
+    for c in perf::run_perf(args.smoke) {
+        let [min, median, max] = c.ns_per_op.map(|ns| format!("{ns:.1}"));
+        table.row(vec![c.name.to_owned(), c.ops.to_string(), min, median, max]);
     }
     println!("{}", table.render());
+}
 
-    if let Some(out) = &args.out {
-        fs::write(out, perf::to_json(&cells, args.smoke)).expect("write perf json");
-        println!("[perf results written to {}]", out.display());
-    }
-    if let Some(baseline_path) = &args.check {
-        let text = fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {}: {e}", baseline_path.display());
-            std::process::exit(1);
-        });
-        let baseline = perf::parse_baseline(&text).unwrap_or_else(|e| {
-            eprintln!("bad baseline {}: {e}", baseline_path.display());
-            std::process::exit(1);
-        });
-        let report = perf::check_against(&cells, &baseline, perf::REGRESSION_FACTOR);
-        for s in &report.skipped {
-            println!("perf check SKIPPED {s}");
-        }
-        if report.violations.is_empty() {
-            println!(
-                "perf check PASSED against {} ({}x regression threshold, {} cells skipped)",
-                baseline_path.display(),
-                perf::REGRESSION_FACTOR,
-                report.skipped.len()
-            );
-        } else {
-            for v in &report.violations {
-                eprintln!("perf regression: {v}");
-            }
-            std::process::exit(1);
-        }
+/// Exits 1 with `what` when a gated scenario did not pass.
+fn gate(passed: bool, what: &str) {
+    if !passed {
+        eprintln!("{what}");
+        std::process::exit(1);
     }
 }
+
+const CHAOS_FAILED: &str = "chaos sweep FAILED (stale reads or invariant violations)";
+const STRESS_FAILED: &str = "stress run FAILED (divergence, stale reads or invariant violations)";
+const REMOTE_FAILED: &str = "remote tier FAILED (divergence, stale reads or a missed gate)";
+const WEAR_FAILED: &str = "wear plane FAILED (divergence or a missed gate)";
 
 fn main() {
     let args = parse_args();
@@ -1104,30 +1051,11 @@ fn main() {
         "fig13" => fig13(&args),
         "ext" => extensions(&args),
         "faults" => fault_plane(&args),
-        "chaos" => {
-            if !chaos_sweep(&args) {
-                eprintln!("chaos sweep FAILED (stale reads or invariant violations)");
-                std::process::exit(1);
-            }
-        }
-        "stress" => {
-            if !stress_plane(&args) {
-                eprintln!("stress run FAILED (divergence, stale reads or invariant violations)");
-                std::process::exit(1);
-            }
-        }
-        "remote" => {
-            if !remote_tier(&args) {
-                eprintln!("remote tier FAILED (divergence, stale reads or a missed gate)");
-                std::process::exit(1);
-            }
-        }
-        "wear" => {
-            if !wear_plane(&args) {
-                eprintln!("wear plane FAILED (divergence, missed gate or wear regression)");
-                std::process::exit(1);
-            }
-        }
+        "chaos" => gate(chaos_sweep(&args), CHAOS_FAILED),
+        "stress" => gate(stress_plane(&args), STRESS_FAILED),
+        "remote" => gate(remote_tier(&args), REMOTE_FAILED),
+        "wear" => gate(wear_plane(&args), WEAR_FAILED),
+        "work" => work_matrix(&args),
         "perf" => perf_matrix(&args),
         "all" => {
             fig3(&args);
@@ -1149,22 +1077,11 @@ fn main() {
             fig13_print(&args, &r13);
             extensions(&args);
             fault_plane(&args);
-            if !chaos_sweep(&args) {
-                eprintln!("chaos sweep FAILED (stale reads or invariant violations)");
-                std::process::exit(1);
-            }
-            if !stress_plane(&args) {
-                eprintln!("stress run FAILED (divergence, stale reads or invariant violations)");
-                std::process::exit(1);
-            }
-            if !remote_tier(&args) {
-                eprintln!("remote tier FAILED (divergence, stale reads or a missed gate)");
-                std::process::exit(1);
-            }
-            if !wear_plane(&args) {
-                eprintln!("wear plane FAILED (divergence, missed gate or wear regression)");
-                std::process::exit(1);
-            }
+            gate(chaos_sweep(&args), CHAOS_FAILED);
+            gate(stress_plane(&args), STRESS_FAILED);
+            gate(remote_tier(&args), REMOTE_FAILED);
+            gate(wear_plane(&args), WEAR_FAILED);
+            work_matrix(&args);
         }
         other => {
             eprintln!("unknown command {other}");

@@ -1,126 +1,263 @@
-//! `repro perf` — the perf-regression harness.
+//! `repro work` and `repro perf` — one fixed matrix of hot-path cells.
 //!
-//! Runs a fixed matrix of hot-path workloads (direct cache-op loops plus
-//! one end-to-end experiment cell) and reports wall-clock simulated
-//! ops/sec per cell. The matrix is deliberately small and fixed so the
-//! numbers are comparable across commits: the committed
-//! `BENCH_cache_ops.json` baseline is checked in CI with a generous
-//! regression factor (wall-clock on shared runners is noisy; the check
-//! catches algorithmic regressions — an accidental O(n) scan on the put
-//! path — not percent-level drift).
+//! Each cell drives one path of the cache (direct cache-op loops on the
+//! serial engine, the `ddc-concurrent` stress driver on the sharded
+//! one, one guest and one end-to-end experiment) and returns its
+//! **work**: what it issued and what the engine counted while serving
+//! it, integers only. `repro work` runs every cell once and writes the
+//! rows to `work.json`, which sits in `results/` and is compared byte
+//! for byte like the figures — an extra eviction, lock visit per batch,
+//! journal record or hypercall fails on every machine, with no rerun.
+//! `repro perf` times the same cells and gates nothing: speed is judged
+//! by alternating `ddbench` pairs (benchmark/README.md), not by a
+//! wall-clock threshold on a shared runner.
 //!
-//! Cell workloads target the paths the hypercache overhaul touched:
-//! weighted eviction + entitlement lookups, Global-FIFO tombstone
-//! compaction, Strict-mode per-put entitlement prechecks, hybrid
-//! spill/trickle (with and without the ghost admission filter), the
-//! GET_STATS scan, and control-plane invalidation churn.
+//! The sharded engine's cells run at one thread, where every counter it
+//! keeps is a function of the seed; what threads add is covered by
+//! `repro stress` (clean at 1/2/4/8 threads) and `ddbench`.
 
 use std::time::Instant;
 
-use ddc_core::cleancache::{HypercallChannel, SecondChanceCache};
-use ddc_core::concurrent::{run_stress, StressConfig, StressOutcome};
+use ddc_core::cleancache::{ChannelCounters, HypercallChannel, SecondChanceCache};
+use ddc_core::concurrent::{run_stress, StressConfig};
 use ddc_core::guest::{GuestEnv, GuestOs};
-use ddc_core::metrics::{snapshot_json, BatchCounters};
+use ddc_core::metrics::snapshot_json;
 use ddc_core::parallel;
 use ddc_core::prelude::*;
 use ddc_core::storage::{Journal, JournalRecord};
 use ddc_json::Json;
 
-/// JSON schema tag of the baseline file.
-pub const SCHEMA: &str = "ddc-bench-cache-ops-v1";
+/// JSON schema tag of `work.json`.
+pub const SCHEMA: &str = "ddc-work-v1";
 
-/// CI fails when a cell drops below `baseline / REGRESSION_FACTOR`.
-/// Median-of-[`REPEATS`] measurement suppresses scheduler noise, so the
-/// gate can sit much closer to the baseline than a single-shot run
-/// could afford.
-pub const REGRESSION_FACTOR: f64 = 1.3;
-
-/// Times each cell is run; the median measurement is reported.
+/// Times `repro perf` runs each cell.
 pub const REPEATS: usize = 5;
 
-/// Tolerated drift between the 2- and 8-thread eviction-contention
-/// cells in a *committed baseline* (the 8-thread cell may sit at most
-/// 10% below the 2-thread one). The duplicate-batch herd the
-/// single-evictor gate removed inverted the pair far beyond this; the
-/// tolerance only absorbs the few percent of per-thread scheduler
-/// overhead a single-core runner charges every threaded cell, which no
-/// gating scheme can remove.
-pub const EVICT_INVERSION_TOLERANCE: f64 = 1.10;
-
-/// Tolerated drift between the batched and unbatched channel cells in a
-/// *committed baseline* (the batched cell may sit at most 5% below the
-/// unbatched one). Batched hypercalls exist to amortize per-call
-/// overhead, so a baseline where they run *slower* than the per-page
-/// loop encodes a dispatch pathology (the outcome-vector copy pass the
-/// in-place channel fix removed inverted the pair by ~35%); the small
-/// tolerance only absorbs run-to-run noise between two single-threaded
-/// cells measured back-to-back on the same machine.
-pub const CHANNEL_INVERSION_TOLERANCE: f64 = 1.05;
-
-/// The machine shape a perf run was measured on. Recorded into the
-/// baseline so [`check_against`] can tell whether thread-scaling cells
-/// are comparable at all: an 8-thread cell recorded on a 16-core box
-/// and replayed on a 1-core CI runner measures a different thing
-/// (contention and scheduling, not the code), so those cells are
-/// skipped — loudly — instead of silently compared.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RunnerProfile {
-    /// What `DDC_THREADS` resolves to on this runner (the experiment
-    /// fan-out width; recorded for provenance — perf cells pin their
-    /// own thread counts, so this does not gate comparability).
-    pub ddc_threads: u64,
-    /// `std::thread::available_parallelism()` — the physical core
-    /// budget threaded cells actually scale against. Thread-scaling
-    /// cells are only compared when this matches the baseline's.
-    pub available_parallelism: u64,
+/// One cell of the matrix.
+#[derive(Clone, Copy)]
+pub struct Cell {
+    /// Stable name (the row's key in `work.json`).
+    pub name: &'static str,
+    /// Op budget of a full run; `--smoke` runs a tenth of it.
+    pub budget: u64,
+    /// The counters the cell exists to exercise, as dotted paths into
+    /// its work row. A run that leaves one at zero measured some other
+    /// path than the one the cell is named for.
+    pub signature: &'static [&'static str],
+    run: fn(u64) -> Json,
 }
 
-impl RunnerProfile {
-    /// Profiles the current runner.
-    pub fn current() -> RunnerProfile {
-        RunnerProfile {
-            ddc_threads: parallel::num_threads() as u64,
-            available_parallelism: std::thread::available_parallelism()
-                .map(|n| n.get() as u64)
-                .unwrap_or(1),
+/// Builds [`CELLS`] from rows of `function: full budget => [signature
+/// counters]`; a cell is named after the function that runs it.
+macro_rules! cells {
+    ($($run:ident: $budget:literal => [$($counter:literal),+],)+) => {
+        [$(Cell {
+            name: stringify!($run),
+            budget: $budget,
+            signature: &[$($counter),+],
+            run: $run,
+        }),+]
+    };
+}
+
+/// The matrix, in report order.
+pub const CELLS: [Cell; 21] = cells![
+    dd_put_get_mix: 400_000 => ["hits", "evictions"],
+    global_fifo_churn: 400_000 => ["evictions", "flushes"],
+    strict_partition_churn: 200_000 => ["evictions"],
+    hybrid_spill_trickle: 200_000 => ["trickle_downs", "wear.ssd_pages_written"],
+    ssd_admission_filter: 200_000 => ["wear.spill_rejects", "wear.spill_admits"],
+    stats_entitlement_scan: 400_000 => ["entitlement_pages_read"],
+    reconfig_invalidation: 200_000 => ["reconfigurations", "evictions"],
+    webserver_e2e: 20_000 => ["hypercalls", "hits"],
+    guest_write_fsync_delete: 200_000 => ["hypercalls", "flushes"],
+    // One page-op stream issued two ways: the rows must agree on
+    // everything but `hypercalls`.
+    channel_batched_mix: 2_000_000 => ["hypercalls"],
+    channel_unbatched_mix: 2_000_000 => ["hypercalls"],
+    arena_slot_churn: 400_000 => ["flushes"],
+    stress_read_heavy: 500 => ["lockfree_misses"],
+    stress_hot_blocks: 500 => ["replica_hits"],
+    stress_eviction_storm: 500 => ["evictions"],
+    stress_standard: 500 => ["hits", "stores"],
+    stress_standard_journaled: 500 => ["commit_epoch", "journal_records"],
+    stress_write_heavy: 500 => ["batch.batched_ops", "batch.lock_acquisitions"],
+    stress_mixed_write: 500 => ["batch.batched_ops", "batch.lock_acquisitions"],
+    remote_miss_fetch: 500 => ["remote.served"],
+    journal_append_replay: 200_000 => ["journal_bytes"],
+];
+
+impl Cell {
+    /// Runs the cell once and returns its work row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell's own correctness assertions fail or one of
+    /// its [`Cell::signature`] counters is zero.
+    pub fn work(&self, smoke: bool) -> Json {
+        let work = (self.run)(self.budget / if smoke { 10 } else { 1 });
+        self.assert_signature(&work);
+        work
+    }
+
+    fn assert_signature(&self, work: &Json) {
+        for path in self.signature {
+            let count = path
+                .split('.')
+                .try_fold(work, |at, key| at.get(key))
+                .and_then(Json::as_u64);
+            assert!(
+                count.is_some_and(|n| n > 0),
+                "{}: signature counter {path} is {count:?}",
+                self.name
+            );
         }
     }
 }
 
-/// A parsed baseline: per-cell throughput rows plus the profile of the
-/// runner that recorded them (`None` for baselines predating the
-/// `runner` field — their thread-scaling cells are uncheckable and get
-/// skipped until the baseline is re-recorded).
-#[derive(Clone, Debug)]
-pub struct Baseline {
-    /// `(cell name, ops_per_sec)` rows in file order.
-    pub rows: Vec<(String, f64)>,
-    /// The recording machine's shape, when the baseline carries one.
-    pub runner: Option<RunnerProfile>,
+/// Runs every cell once, fanned out over the experiment workers, and
+/// returns the work rows in [`CELLS`] order.
+pub fn run_work(smoke: bool) -> Vec<Json> {
+    run_work_with(parallel::num_threads(), smoke)
 }
 
-/// Outcome of a baseline comparison: hard failures plus the cells that
-/// were deliberately not judged (with the reason inline, for the log).
-#[derive(Clone, Debug, Default)]
-pub struct CheckReport {
-    /// Regression-gate failures; non-empty fails CI.
-    pub violations: Vec<String>,
-    /// Thread-scaling cells excluded because the runner shapes differ
-    /// (or the baseline predates runner recording). Informational.
-    pub skipped: Vec<String>,
+/// [`run_work`] with an explicit worker count.
+pub fn run_work_with(threads: usize, smoke: bool) -> Vec<Json> {
+    parallel::run_cells_with(threads, CELLS.to_vec(), move |cell| cell.work(smoke))
 }
 
-/// One measured cell of the matrix.
+/// Renders `work.json` from the rows of [`run_work`].
+pub fn to_json(rows: Vec<Json>, smoke: bool) -> String {
+    let mut root = Json::object();
+    root.set("schema", SCHEMA);
+    root.set("smoke", smoke);
+    root.set(
+        "cells",
+        CELLS
+            .iter()
+            .zip(rows)
+            .map(|(cell, work)| {
+                let mut row = Json::object();
+                row.set("name", cell.name);
+                row.set("work", work);
+                row
+            })
+            .collect::<Vec<Json>>(),
+    );
+    let mut s = root.to_string_pretty();
+    s.push('\n');
+    s
+}
+
+/// One timed cell of `repro perf`.
 #[derive(Clone, Debug)]
 pub struct PerfCell {
-    /// Stable cell name (baseline rows are matched by it).
+    /// The cell's name.
     pub name: &'static str,
-    /// Simulated cache/workload operations the cell executed.
-    pub sim_ops: u64,
-    /// Wall-clock seconds the cell took.
-    pub wall_secs: f64,
-    /// `sim_ops / wall_secs`.
-    pub ops_per_sec: f64,
+    /// Operations one run executes.
+    pub ops: u64,
+    /// Fastest, median and slowest of the [`REPEATS`] runs, in
+    /// wall-clock nanoseconds per operation.
+    pub ns_per_op: [f64; 3],
+}
+
+/// Times every cell [`REPEATS`] times, one after another.
+pub fn run_perf(smoke: bool) -> Vec<PerfCell> {
+    CELLS
+        .iter()
+        .map(|cell| {
+            let mut ops = 0;
+            let mut ns: Vec<f64> = (0..REPEATS)
+                .map(|_| {
+                    let start = Instant::now();
+                    let work = cell.work(smoke);
+                    let nanos = start.elapsed().as_nanos();
+                    ops = work.get("ops").and_then(Json::as_u64).unwrap_or(0);
+                    nanos as f64 / ops.max(1) as f64
+                })
+                .collect();
+            ns.sort_by(f64::total_cmp);
+            PerfCell {
+                name: cell.name,
+                ops,
+                ns_per_op: [ns[0], ns[REPEATS / 2], ns[REPEATS - 1]],
+            }
+        })
+        .collect()
+}
+
+const NOW: SimTime = SimTime::from_secs(1);
+
+/// What a cell issued and what came back, op by op.
+#[derive(Default)]
+struct Issued {
+    ops: u64,
+    hypercalls: u64,
+    gets: u64,
+    hits: u64,
+    puts: u64,
+    stores: u64,
+    flushes: u64,
+}
+
+type PoolKey = (VmId, PoolId);
+
+impl Issued {
+    fn put(&mut self, c: &mut DoubleDeckerCache, (vm, pool): PoolKey, a: BlockAddr) {
+        self.ops += 1;
+        self.puts += 1;
+        self.stores += u64::from(c.put(NOW, vm, pool, a, PageVersion(1)).is_stored());
+    }
+
+    fn get(&mut self, c: &mut DoubleDeckerCache, (vm, pool): PoolKey, a: BlockAddr) {
+        self.ops += 1;
+        self.gets += 1;
+        self.hits += u64::from(matches!(c.get(NOW, vm, pool, a), GetOutcome::Hit { .. }));
+    }
+
+    fn flush(&mut self, c: &mut DoubleDeckerCache, (vm, pool): PoolKey, a: BlockAddr) {
+        self.ops += 1;
+        self.flushes += 1;
+        c.flush(vm, pool, a);
+    }
+
+    /// The tally of a cell whose page ops all went through `channel`.
+    fn through(ops: u64, channel: ChannelCounters) -> Issued {
+        Issued {
+            ops,
+            hypercalls: channel.calls,
+            gets: channel.gets,
+            hits: channel.get_hits,
+            puts: channel.puts,
+            stores: channel.put_stores,
+            flushes: channel.flushes,
+        }
+    }
+
+    fn row(&self) -> Json {
+        let mut o = Json::object();
+        o.set("ops", self.ops);
+        o.set("hypercalls", self.hypercalls);
+        o.set("hits", self.hits);
+        o.set("misses", self.gets - self.hits);
+        o.set("stores", self.stores);
+        o.set("rejects", self.puts - self.stores);
+        o.set("flushes", self.flushes);
+        o
+    }
+
+    /// The work row of a serial-engine cell: the tally plus what the
+    /// engine counted while serving it.
+    fn work(&self, c: &DoubleDeckerCache) -> Json {
+        let totals = c.totals();
+        let mut o = self.row();
+        o.set("evictions", totals.evictions);
+        o.set("trickle_downs", totals.trickle_downs);
+        o.set("mem_pages", totals.mem_used_pages);
+        o.set("ssd_pages", totals.ssd_used_pages);
+        o.set("wear", snapshot_json(&c.wear_totals()));
+        o
+    }
 }
 
 fn addr(file: u64, block: u64) -> BlockAddr {
@@ -136,256 +273,196 @@ fn cache(mode: PartitionMode, mem: u64, ssd: u64) -> DoubleDeckerCache {
     })
 }
 
-/// Mixed put/get traffic over two VMs × two mem pools under DoubleDecker
-/// weighted eviction: the steady-state data path.
-fn dd_put_get_mix(ops: u64) -> u64 {
-    let mut c = cache(PartitionMode::DoubleDecker, 4096, 0);
-    c.add_vm(VmId(1), 100);
-    c.add_vm(VmId(2), 200);
-    let pools: Vec<(VmId, PoolId)> = [(VmId(1), 60), (VmId(1), 40), (VmId(2), 100), (VmId(2), 50)]
-        .iter()
-        .map(|&(vm, w)| (vm, c.create_pool(vm, CachePolicy::mem(w))))
-        .collect();
-    let mut done = 0;
+/// Adds one VM per `(weight, pool policies)` entry, ids from 1.
+fn tenants<const N: usize>(
+    c: &mut DoubleDeckerCache,
+    vms: &[(u64, [CachePolicy; N])],
+) -> Vec<PoolKey> {
+    let mut pools = Vec::new();
+    for (i, &(weight, policies)) in vms.iter().enumerate() {
+        let vm = VmId(i as u32 + 1);
+        c.add_vm(vm, weight);
+        pools.extend(policies.map(|p| (vm, c.create_pool(vm, p))));
+    }
+    pools
+}
+
+/// Mixed put/get traffic over two VMs × two mem pools, 1,024 distinct
+/// blocks over a 512-page store: the steady-state data path under
+/// DoubleDecker weighted eviction.
+fn dd_put_get_mix(ops: u64) -> Json {
+    let mut c = cache(PartitionMode::DoubleDecker, 512, 0);
+    let pools = tenants(
+        &mut c,
+        &[
+            (100, [CachePolicy::mem(60), CachePolicy::mem(40)]),
+            (200, [CachePolicy::mem(100), CachePolicy::mem(50)]),
+        ],
+    );
+    let mut t = Issued::default();
     let mut i = 0u64;
-    while done < ops {
-        let (vm, pool) = pools[(i % 4) as usize];
-        let a = addr(i % 16, i % 1024);
-        c.put(SimTime::from_secs(1), vm, pool, a, PageVersion(1));
-        done += 1;
-        if i.is_multiple_of(2) && done < ops {
+    while t.ops < ops {
+        t.put(&mut c, pools[(i % 4) as usize], addr(i % 16, i % 1024));
+        if i.is_multiple_of(2) && t.ops < ops {
             let back = i.saturating_sub(512);
-            let (gvm, gpool) = pools[(back % 4) as usize];
-            c.get(
-                SimTime::from_secs(1),
-                gvm,
-                gpool,
+            t.get(
+                &mut c,
+                pools[(back % 4) as usize],
                 addr(back % 16, back % 1024),
             );
-            done += 1;
         }
         i += 1;
     }
-    done
+    t.work(&c)
 }
 
-/// Overwrite/flush churn in Global mode: every removal leaves a
-/// tombstone in the global FIFO, driving the lazy compaction path.
-fn global_fifo_churn(ops: u64) -> u64 {
-    let mut c = cache(PartitionMode::Global, 4096, 0);
-    let pools: Vec<(VmId, PoolId)> = (1..=4u64)
-        .map(|v| {
-            let vm = VmId(v as u32);
-            c.add_vm(vm, 100);
-            (vm, c.create_pool(vm, CachePolicy::mem(100)))
-        })
-        .collect();
-    let mut done = 0;
+/// Overwrite/flush churn in Global mode over a working set 3× the
+/// store: puts evict FIFO-globally and every removal leaves a tombstone
+/// in the global FIFO, driving the lazy compaction path.
+fn global_fifo_churn(ops: u64) -> Json {
+    let mut c = cache(PartitionMode::Global, 1024, 0);
+    let pools = tenants(&mut c, &[(100, [CachePolicy::mem(100)]); 4]);
+    let mut t = Issued::default();
     let mut i = 0u64;
-    while done < ops {
-        let (vm, pool) = pools[(i % 4) as usize];
-        // A working set ~3× capacity: puts evict FIFO-globally, and the
-        // overwrite/flush mix below keeps the tombstone ratio high.
+    while t.ops < ops {
+        let pool = pools[(i % 4) as usize];
         let a = addr(i % 8, i % 3072);
-        c.put(SimTime::from_secs(1), vm, pool, a, PageVersion(1));
-        done += 1;
-        if i.is_multiple_of(3) && done < ops {
-            c.flush(vm, pool, a);
-            done += 1;
+        t.put(&mut c, pool, a);
+        if i.is_multiple_of(3) && t.ops < ops {
+            t.flush(&mut c, pool, a);
         }
         i += 1;
     }
-    done
+    t.work(&c)
 }
 
-/// Put churn past the hard partitions of Strict mode: every put runs the
-/// per-put entitlement precheck (a cached-table lookup after the
-/// overhaul).
-fn strict_partition_churn(ops: u64) -> u64 {
-    let mut c = cache(PartitionMode::Strict, 2048, 0);
-    c.add_vm(VmId(1), 100);
-    c.add_vm(VmId(2), 100);
-    let pools: Vec<(VmId, PoolId)> = [
-        (VmId(1), 100),
-        (VmId(1), 100),
-        (VmId(2), 100),
-        (VmId(2), 100),
-    ]
-    .iter()
-    .map(|&(vm, w)| (vm, c.create_pool(vm, CachePolicy::mem(w))))
-    .collect();
-    let mut done = 0;
+/// Put churn past the hard partitions of Strict mode (375 blocks a
+/// pool against a 256-page share): every put runs the per-put
+/// entitlement precheck and most evict from their own pool.
+fn strict_partition_churn(ops: u64) -> Json {
+    let mut c = cache(PartitionMode::Strict, 1024, 0);
+    let pools = tenants(
+        &mut c,
+        &[(100, [CachePolicy::mem(100), CachePolicy::mem(100)]); 2],
+    );
+    let mut t = Issued::default();
     let mut i = 0u64;
-    while done < ops {
-        let (vm, pool) = pools[(i % 4) as usize];
-        c.put(
-            SimTime::from_secs(1),
-            vm,
-            pool,
-            addr(i % 4, i % 1500),
-            PageVersion(1),
-        );
-        done += 1;
+    while t.ops < ops {
+        t.put(&mut c, pools[(i % 4) as usize], addr(i % 4, i % 1500));
         i += 1;
     }
-    done
+    t.work(&c)
 }
 
-/// Hybrid pools spilling from a small memory share to SSD, with
-/// trickle-down on memory eviction.
-fn hybrid_spill_trickle(ops: u64) -> u64 {
-    let mut c = cache(PartitionMode::DoubleDecker, 1024, 4096);
-    c.add_vm(VmId(1), 100);
-    let p1 = c.create_pool(VmId(1), CachePolicy::hybrid(100));
-    let p2 = c.create_pool(VmId(1), CachePolicy::hybrid(100));
-    let mut done = 0;
+/// Two hybrid pools spilling from a small memory share to SSD. Every
+/// 4,096 puts they trade memory weights 3:1 ↔ 1:3: the pool that shrank
+/// sits over its entitlement, the other's memory puts evict from it,
+/// and those evictions trickle down to the SSD share. (A hybrid pool
+/// never outgrows a *fixed* memory entitlement, so without the trade
+/// nothing is ever evicted from memory and nothing trickles.)
+fn hybrid_spill(ops: u64, admission: AdmissionConfig) -> Json {
+    let mut c =
+        DoubleDeckerCache::new(CacheConfig::mem_and_ssd(1024, 4096).with_admission(admission));
+    let pools = tenants(
+        &mut c,
+        &[(100, [CachePolicy::hybrid(100), CachePolicy::hybrid(100)])],
+    );
+    let mut t = Issued::default();
     let mut i = 0u64;
-    while done < ops {
-        let pool = if i.is_multiple_of(2) { p1 } else { p2 };
-        c.put(
-            SimTime::from_secs(1),
-            VmId(1),
-            pool,
-            addr(i % 8, i % 4000),
-            PageVersion(1),
-        );
-        done += 1;
-        if i.is_multiple_of(5) && done < ops {
+    while t.ops < ops {
+        if i.is_multiple_of(4096) {
+            let heavy = (i / 4096 % 2) as usize;
+            c.set_policy(VmId(1), pools[heavy].1, CachePolicy::hybrid(300));
+            c.set_policy(VmId(1), pools[1 - heavy].1, CachePolicy::hybrid(100));
+        }
+        t.put(&mut c, pools[(i % 2) as usize], addr(i % 8, i % 4000));
+        if i.is_multiple_of(5) && t.ops < ops {
             let back = i.saturating_sub(700);
-            let gpool = if back.is_multiple_of(2) { p1 } else { p2 };
-            c.get(
-                SimTime::from_secs(1),
-                VmId(1),
-                gpool,
+            t.get(
+                &mut c,
+                pools[(back % 2) as usize],
                 addr(back % 8, back % 4000),
             );
-            done += 1;
         }
         i += 1;
     }
-    done
+    t.work(&c)
+}
+
+fn hybrid_spill_trickle(ops: u64) -> Json {
+    hybrid_spill(ops, AdmissionConfig::off())
 }
 
 /// The hybrid spill path with the ghost admission filter engaged: every
 /// mem→SSD spill pays the filter's table probe plus sliding-window
-/// prune, and get hits on SSD-resident blocks pay the re-arm note.
-/// Compare against `hybrid_spill_trickle` (same traffic, filter off)
-/// to price the endurance plane.
-fn ssd_admission_filter(ops: u64) -> u64 {
-    let mut c = DoubleDeckerCache::new(
-        CacheConfig::mem_and_ssd(1024, 4096).with_admission(AdmissionConfig::ghost(2048)),
-    );
-    c.add_vm(VmId(1), 100);
-    let p1 = c.create_pool(VmId(1), CachePolicy::hybrid(100));
-    let p2 = c.create_pool(VmId(1), CachePolicy::hybrid(100));
-    let mut done = 0;
-    let mut i = 0u64;
-    while done < ops {
-        let pool = if i.is_multiple_of(2) { p1 } else { p2 };
-        c.put(
-            SimTime::from_secs(1),
-            VmId(1),
-            pool,
-            addr(i % 8, i % 4000),
-            PageVersion(1),
-        );
-        done += 1;
-        if i.is_multiple_of(5) && done < ops {
-            let back = i.saturating_sub(700);
-            let gpool = if back.is_multiple_of(2) { p1 } else { p2 };
-            c.get(
-                SimTime::from_secs(1),
-                VmId(1),
-                gpool,
-                addr(back % 8, back % 4000),
-            );
-            done += 1;
-        }
-        i += 1;
-    }
-    done
+/// prune, and get hits on SSD-resident blocks pay the re-arm note. Its
+/// row against `hybrid_spill_trickle`'s (same traffic, filter off) is
+/// what the endurance plane costs and saves.
+fn ssd_admission_filter(ops: u64) -> Json {
+    hybrid_spill(ops, AdmissionConfig::ghost(2048))
 }
 
 /// GET_STATS over a wide host: every `pool_stats` call resolves the
-/// pool's entitlement (two binary searches into the cached share table
-/// after the overhaul; two full host scans before it).
-fn stats_entitlement_scan(ops: u64) -> u64 {
+/// pool's entitlement (two binary searches into the cached share table).
+fn stats_entitlement_scan(ops: u64) -> Json {
     let mut c = cache(PartitionMode::DoubleDecker, 8192, 0);
-    let mut pools: Vec<(VmId, PoolId)> = Vec::new();
-    for v in 1..=8u32 {
-        let vm = VmId(v);
-        c.add_vm(vm, 50 + u64::from(v) * 10);
-        for w in 0..4u32 {
-            let pool = c.create_pool(vm, CachePolicy::mem(50 + w * 25));
-            pools.push((vm, pool));
-            for b in 0..8 {
-                c.put(
-                    SimTime::from_secs(1),
-                    vm,
-                    pool,
-                    addr(u64::from(v), b),
-                    PageVersion(1),
-                );
-            }
+    let widths = [50, 75, 100, 125].map(CachePolicy::mem);
+    let vms: Vec<_> = (1..=8).map(|v| (50 + v * 10, widths)).collect();
+    let pools = tenants(&mut c, &vms);
+    let mut t = Issued::default();
+    for &pool in &pools {
+        for b in 0..8 {
+            t.put(&mut c, pool, addr(u64::from(pool.0 .0), b));
         }
     }
-    let mut done = 0;
+    let mut entitlement_pages_read = 0;
     let mut i = 0usize;
-    while done < ops {
+    while t.ops < ops {
         let (vm, pool) = pools[i % pools.len()];
-        let _ = c.pool_stats(vm, pool);
-        done += 1;
+        entitlement_pages_read += c.pool_stats(vm, pool).map_or(0, |s| s.entitlement_pages);
+        t.ops += 1;
         i += 1;
     }
-    done
+    let mut o = t.work(&c);
+    o.set("entitlement_pages_read", entitlement_pages_read);
+    o
 }
 
-/// Data-path puts interleaved with control-plane weight changes: the
-/// worst case for entitlement caching (every reconfiguration drops the
-/// tables, the next put rebuilds them).
-fn reconfig_invalidation(ops: u64) -> u64 {
-    let mut c = cache(PartitionMode::DoubleDecker, 4096, 0);
-    let pools: Vec<(VmId, PoolId)> = (1..=4u64)
-        .map(|v| {
-            let vm = VmId(v as u32);
-            c.add_vm(vm, 100);
-            (vm, c.create_pool(vm, CachePolicy::mem(100)))
-        })
-        .collect();
-    let mut done = 0;
+/// Evicting puts interleaved with control-plane weight changes: the
+/// worst case for entitlement caching (every reconfiguration moves the
+/// share table's inputs, the next eviction rebuilds it).
+fn reconfig_invalidation(ops: u64) -> Json {
+    let mut c = cache(PartitionMode::DoubleDecker, 1024, 0);
+    let pools = tenants(&mut c, &[(100, [CachePolicy::mem(100)]); 4]);
+    let mut t = Issued::default();
+    let mut reconfigurations = 0u64;
     let mut i = 0u64;
-    while done < ops {
+    while t.ops < ops {
         if i.is_multiple_of(64) {
             c.set_vm_weight(VmId((i / 64 % 4 + 1) as u32), 50 + i % 200);
-            done += 1;
+            reconfigurations += 1;
+            t.ops += 1;
         }
-        let (vm, pool) = pools[(i % 4) as usize];
-        c.put(
-            SimTime::from_secs(1),
-            vm,
-            pool,
-            addr(i % 8, i % 2048),
-            PageVersion(1),
-        );
-        done += 1;
+        t.put(&mut c, pools[(i % 4) as usize], addr(i % 8, i % 2048));
         i += 1;
     }
-    done
+    let mut o = t.work(&c);
+    o.set("reconfigurations", reconfigurations);
+    o
 }
 
-/// The shared body of the batched/unbatched channel cells: the same
-/// put/get/flush page-op stream, issued either as `BATCH`-page
-/// vectorized hypercalls or one call per page. The throughput delta
-/// between the two cells is the per-call overhead the batched
-/// front-end amortizes.
+/// Pages per hypercall of the batched channel cell.
 const CHANNEL_BATCH: u64 = 32;
 
-fn channel_mix(ops: u64, batched: bool) -> u64 {
+/// The shared body of the channel pair: one put/get/flush page-op
+/// stream, issued either as [`CHANNEL_BATCH`]-page vectorized hypercalls
+/// or one call per page. The two rows differ in `hypercalls` and in
+/// nothing else; that difference is what batching amortizes.
+fn channel_mix(ops: u64, batched: bool) -> Json {
     let mut c = cache(PartitionMode::DoubleDecker, 4096, 0);
     c.add_vm(VmId(1), 100);
     let pool = c.create_pool(VmId(1), CachePolicy::mem(100));
     let mut ch = HypercallChannel::new(VmId(1));
-    let now = SimTime::from_secs(1);
     let mut done = 0;
     let mut i = 0u64;
     while done < ops {
@@ -393,10 +470,10 @@ fn channel_mix(ops: u64, batched: bool) -> u64 {
             .map(|k| (addr((i + k) % 8, (i + k) % 2048), PageVersion(1)))
             .collect();
         if batched {
-            ch.put_many(&mut c, now, pool, &puts);
+            ch.put_many(&mut c, NOW, pool, &puts);
         } else {
             for &(a, v) in &puts {
-                ch.put(&mut c, now, pool, a, v);
+                ch.put(&mut c, NOW, pool, a, v);
             }
         }
         done += CHANNEL_BATCH;
@@ -405,10 +482,10 @@ fn channel_mix(ops: u64, batched: bool) -> u64 {
             .map(|k| addr((back + k) % 8, (back + k) % 2048))
             .collect();
         if batched {
-            ch.get_many(&mut c, now, pool, &gets);
+            ch.get_many(&mut c, NOW, pool, &gets);
         } else {
             for &a in &gets {
-                ch.get(&mut c, now, pool, a);
+                ch.get(&mut c, NOW, pool, a);
             }
         }
         done += CHANNEL_BATCH;
@@ -427,247 +504,51 @@ fn channel_mix(ops: u64, batched: bool) -> u64 {
         }
         i += CHANNEL_BATCH;
     }
-    done
+    Issued::through(done, ch.counters()).work(&c)
+}
+
+fn channel_batched_mix(ops: u64) -> Json {
+    channel_mix(ops, true)
+}
+
+fn channel_unbatched_mix(ops: u64) -> Json {
+    channel_mix(ops, false)
 }
 
 /// Slab alloc/free heavy mix: puts populate the arena, flushes return
 /// slots to the free-list, and the interleave keeps both the free-list
 /// pop (reuse) and push (grow) paths hot along with overwrite-in-place.
-/// This is the cell the arena refactor exists for — it never evicts, so
-/// the time is pure index work.
-fn arena_slot_churn(ops: u64) -> u64 {
+/// It never evicts, so the time is pure index work.
+fn arena_slot_churn(ops: u64) -> Json {
     let mut c = cache(PartitionMode::DoubleDecker, 8192, 0);
-    c.add_vm(VmId(1), 100);
-    let p1 = c.create_pool(VmId(1), CachePolicy::mem(100));
-    let p2 = c.create_pool(VmId(1), CachePolicy::mem(100));
-    let mut done = 0;
+    let pools = tenants(
+        &mut c,
+        &[(100, [CachePolicy::mem(100), CachePolicy::mem(100)])],
+    );
+    let mut t = Issued::default();
     let mut i = 0u64;
-    while done < ops {
-        let pool = if i.is_multiple_of(2) { p1 } else { p2 };
-        let a = addr(i % 16, i % 2048);
-        c.put(SimTime::from_secs(1), VmId(1), pool, a, PageVersion(1));
-        done += 1;
+    while t.ops < ops {
+        t.put(&mut c, pools[(i % 2) as usize], addr(i % 16, i % 2048));
         // Flush a trailing window: slots free in a different order than
         // they were allocated, so the free-list actually cycles instead
         // of behaving like a bump allocator.
-        if i.is_multiple_of(2) && done < ops {
+        if i.is_multiple_of(2) && t.ops < ops {
             let back = i.saturating_sub(96);
-            let bpool = if back.is_multiple_of(2) { p1 } else { p2 };
-            c.flush(VmId(1), bpool, addr(back % 16, back % 2048));
-            done += 1;
+            t.flush(
+                &mut c,
+                pools[(back % 2) as usize],
+                addr(back % 16, back % 2048),
+            );
         }
         i += 1;
     }
-    done
-}
-
-/// Read-heavy (95/5 get/put) threaded cell: the workload the lock-free
-/// read plane exists for. In an exclusive cache's steady state nearly
-/// every get is a definitive miss, answered by the per-shard seqlock
-/// table (or a per-handle hot replica) without touching a lock — so on
-/// a multi-core runner `read_scaling_threads_8` should run several
-/// times the 1-thread cell; a single-core runner instead gates the
-/// overhead of the lock-free path itself.
-fn read_scaling_threads(threads: usize, ticks: u64) -> u64 {
-    let mut cfg = StressConfig::read_heavy(0x9EAD);
-    cfg.ticks = ticks;
-    let out = run_stress(&cfg, threads);
-    assert!(
-        out.clean(),
-        "read-scaling cell violated its gates: {} stale reads, findings {:?}",
-        out.stale_reads,
-        out.findings
-    );
-    assert!(
-        out.lockfree_misses > 0,
-        "the read plane served nothing in its own cell"
-    );
-    out.total_ops
-}
-
-/// The read-heavy mix against a tiny (8-block) working set: every
-/// thread hammers the same few keys, so the cell measures the hot-miss
-/// replica short-circuit plus seqlock retry behaviour under maximum
-/// key contention.
-fn hot_block_contention_threads(threads: usize, ticks: u64) -> u64 {
-    let mut cfg = StressConfig::hot_blocks(0x407B);
-    cfg.ticks = ticks;
-    let out = run_stress(&cfg, threads);
-    assert!(
-        out.clean(),
-        "hot-block cell violated its gates: {} stale reads, findings {:?}",
-        out.stale_reads,
-        out.findings
-    );
-    out.total_ops
-}
-
-/// Threaded put storm against an undersized store: nearly every put
-/// runs the two-phase eviction path, so the cell measures victim
-/// selection + single-shard locking under contention (the lock-all
-/// scheme this replaced serialized every thread here). Since the
-/// single-evictor gate landed, blocked putters no longer run duplicate
-/// eviction batches, so the 8-thread cell must track the 2-thread cell
-/// in the committed baseline instead of falling far below it (the old
-/// inversion) — [`check_against`] rejects any baseline that encodes a
-/// gap beyond [`EVICT_INVERSION_TOLERANCE`].
-fn evict_contention_threads(threads: usize, ticks: u64) -> u64 {
-    let mut cfg = StressConfig::eviction_storm(0xEC0);
-    cfg.ticks = ticks;
-    let out = run_stress(&cfg, threads);
-    assert!(
-        out.clean(),
-        "eviction-contention cell violated its gates: {} stale reads, findings {:?}",
-        out.stale_reads,
-        out.findings
-    );
-    out.total_ops
-}
-
-/// When `DDC_PERF_TRACE=1`, dumps a stress-backed cell's batch-plane
-/// counters to stderr after the run: lock acquisitions and journal
-/// appends made on behalf of whole groups, and journal compactions.
-/// Opt-in because the dump is per repeat (5 lines per cell) and the
-/// counters are diagnostics, not gated quantities — the dump is how a
-/// regression found by the gate gets *attributed* (did lock
-/// acquisitions per op go up?).
-fn trace_cell(name: &str, out: &StressOutcome) {
-    if std::env::var("DDC_PERF_TRACE").as_deref() != Ok("1") {
-        return;
-    }
-    let counters = BatchCounters {
-        batched_ops: out.batched_ops,
-        lock_acquisitions: out.batch_lock_acquisitions,
-        journal_appends: out.batch_journal_appends,
-    };
-    eprintln!(
-        "perf-trace {name}: {} journal_compactions={} total_ops={}",
-        snapshot_json(&counters),
-        out.journal_compactions,
-        out.total_ops,
-    );
-}
-
-/// Put-dominant batched cell: the write-heavy mix issues most of each
-/// tick as one 64-page `put_many` group, so throughput tracks the
-/// batch plane's ops-per-lock-acquisition rather than per-op dispatch.
-/// The 1-thread cell is the tentpole's headline number (batching alone,
-/// no parallelism); the 8-thread cell gates the same groups under
-/// contention. Pools alternate mem/ssd/hybrid policies, so hybrid
-/// placement under the home-shard lock is on the measured path.
-fn batched_put_threads(threads: usize, ticks: u64) -> u64 {
-    let mut cfg = StressConfig::write_heavy(0xBA7C);
-    cfg.ticks = ticks;
-    let out = run_stress(&cfg, threads);
-    assert!(
-        out.clean(),
-        "batched-put cell violated its gates: {} stale reads, findings {:?}",
-        out.stale_reads,
-        out.findings
-    );
-    assert!(
-        out.batched_ops > 0 && out.batch_lock_acquisitions > 0,
-        "the batch plane served nothing in its own cell"
-    );
-    trace_cell(&format!("batched_put_threads_{threads}"), &out);
-    out.total_ops
-}
-
-/// Balanced write-heavy scaling cell: equal thirds of flush, put and
-/// get batches per tick, so every `*_many` entry point (and the
-/// amortized journal drain behind flush groups) is on the measured
-/// path. The 1/2/4/8 ladder measures how the batched write plane
-/// scales across threads the same way `stress_threads_*` does for the
-/// general mix.
-fn mixed_write_scaling_threads(threads: usize, ticks: u64) -> u64 {
-    let mut cfg = StressConfig::write_heavy(0x3117);
-    cfg.writes_per_tick = 16;
-    cfg.puts_per_tick = 24;
-    cfg.gets_per_tick = 24;
-    cfg.ticks = ticks;
-    let out = run_stress(&cfg, threads);
-    assert!(
-        out.clean(),
-        "mixed-write cell violated its gates: {} stale reads, findings {:?}",
-        out.stale_reads,
-        out.findings
-    );
-    assert!(
-        out.batched_ops > 0,
-        "the batch plane served nothing in its own cell"
-    );
-    trace_cell(&format!("mixed_write_scaling_threads_{threads}"), &out);
-    out.total_ops
-}
-
-/// Multi-threaded stress cell: the `ddc-concurrent` driver against the
-/// sharded cache at a given thread count. Total work is independent of
-/// the thread count, so the 1/2/4/8 cells measure scaling directly
-/// (on a single-core runner the factor hovers around 1x — the cells
-/// then still gate the locking overhead). Every cell re-checks the
-/// stress gates: zero audit findings, zero stale reads.
-fn stress_threads(threads: usize, ticks: u64) -> u64 {
-    let mut cfg = StressConfig::standard(0xD1CE);
-    cfg.ticks = ticks;
-    let out = run_stress(&cfg, threads);
-    assert!(
-        out.clean(),
-        "stress perf cell violated its gates: {} stale reads, findings {:?}",
-        out.stale_reads,
-        out.findings
-    );
-    trace_cell(&format!("stress_threads_{threads}"), &out);
-    out.total_ops
-}
-
-/// The same stress workload with per-shard journaling and a group
-/// commit per tick (DESIGN.md §14): the gap between this cell and its
-/// volatile `stress_threads_*` twin is the durability tax of the WAL
-/// append + segment sync on the serving path.
-fn journaled_stress_threads(threads: usize, ticks: u64) -> u64 {
-    let mut cfg = StressConfig::standard(0xD1CE);
-    cfg.ticks = ticks;
-    cfg.journal = true;
-    let out = run_stress(&cfg, threads);
-    assert!(
-        out.clean() && out.commit_epoch > 0,
-        "journaled stress perf cell violated its gates: {} stale reads, \
-         commit epoch {}, findings {:?}",
-        out.stale_reads,
-        out.commit_epoch,
-        out.findings
-    );
-    trace_cell(&format!("journaled_stress_threads_{threads}"), &out);
-    out.total_ops
-}
-
-/// Single-threaded stress mix with every pool bound to a simulated
-/// chunk-store remote: misses walk the full fetch path (buffer probe,
-/// breaker check, hedge/retry bookkeeping, chunk staging), so the cell
-/// gates the overhead the remote tier adds to the miss path. One
-/// thread keeps the counters deterministic; the throughput is the
-/// point, not the interleaving.
-fn remote_miss_fetch(ticks: u64) -> u64 {
-    let mut cfg = StressConfig::remote_smoke(0x6E07);
-    cfg.ticks = ticks;
-    let out = run_stress(&cfg, 1);
-    assert!(
-        out.clean(),
-        "remote-fetch perf cell violated its gates: {} stale reads, findings {:?}",
-        out.stale_reads,
-        out.findings
-    );
-    assert!(
-        out.remote.served > 0,
-        "the remote tier served nothing in its own cell"
-    );
-    out.total_ops
+    t.work(&c)
 }
 
 /// One end-to-end cell: a webserver VM through guest page cache,
 /// cleancache channel and hypervisor cache, covering the full stack the
-/// `repro` figures exercise. `ops` here is virtual milliseconds.
-fn webserver_e2e(virtual_ms: u64) -> u64 {
+/// `repro` figures exercise. The budget is virtual milliseconds.
+fn webserver_e2e(virtual_ms: u64) -> Json {
     let mut host = Host::new(HostConfig::new(CacheConfig::mem_only(4096)));
     let vm = host.boot_vm(64, 100);
     let cg = host.create_container(vm, "web", 64, CachePolicy::mem(100));
@@ -684,7 +565,8 @@ fn webserver_e2e(virtual_ms: u64) -> u64 {
     let mut exp = Experiment::new(host, SimDuration::from_secs(1));
     exp.add_thread(Box::new(web));
     let report = exp.run_until(SimTime::from_nanos(virtual_ms * 1_000_000));
-    report.threads[0].ops
+    let host = exp.host();
+    Issued::through(report.threads[0].ops, host.guest(vm).channel().counters()).work(host.cache())
 }
 
 /// The guest's write path with nothing around it: one cgroup held at
@@ -695,7 +577,7 @@ fn webserver_e2e(virtual_ms: u64) -> u64 {
 /// are oldest, each fsync and delete asks for one file's pages, and
 /// each delete makes the engine drop one file — so a scan of either
 /// resident set coming back multiplies this cell's cost.
-fn guest_write_fsync_delete(ops: u64) -> u64 {
+fn guest_write_fsync_delete(ops: u64) -> Json {
     const FILES: u64 = 128;
     const BLOCKS: u64 = 64;
     let mut backend = cache(PartitionMode::DoubleDecker, 4096, 0);
@@ -707,7 +589,7 @@ fn guest_write_fsync_delete(ops: u64) -> u64 {
     };
     let mut guest = GuestOs::new(VmId(1), GuestConfig::with_mem_mb(64));
     let cg = guest.create_cgroup(&mut env, "writer", 2048, CachePolicy::mem(100));
-    let mut now = SimTime::from_secs(1);
+    let mut now = NOW;
     let mut done = 0;
     let mut i = 0u64;
     while done < ops {
@@ -724,18 +606,125 @@ fn guest_write_fsync_delete(ops: u64) -> u64 {
             done += 1;
         }
     }
-    done
+    Issued::through(done, guest.channel().counters()).work(&backend)
+}
+
+/// Drives `cfg` for `ticks` ticks on one thread of the sharded engine
+/// and returns everything the plane counted.
+fn stress_work(cfg: StressConfig, ticks: u64) -> Json {
+    let cfg = StressConfig { ticks, ..cfg };
+    let out = run_stress(&cfg, 1);
+    assert!(
+        out.clean(),
+        "stress cell violated its gates: {} stale reads, findings {:?}",
+        out.stale_reads,
+        out.findings
+    );
+    let issued = |per_tick: u64| u64::from(cfg.vms) * ticks * per_tick;
+    let plane = &out.cache;
+    let mut o = Json::object();
+    o.set("ops", out.total_ops);
+    o.set("hypercalls", out.hypercalls);
+    o.set("hits", out.hits);
+    o.set("misses", issued(cfg.gets_per_tick) - out.hits);
+    o.set("stores", out.stores);
+    o.set("rejects", issued(cfg.puts_per_tick) - out.stores);
+    o.set("flushes", issued(cfg.writes_per_tick));
+    o.set("evictions", plane.evictions());
+    o.set("trickle_downs", plane.trickle_downs());
+    o.set("mem_pages", plane.mem_used_pages());
+    o.set("ssd_pages", plane.ssd_used_pages());
+    o.set("lockfree_misses", out.lockfree_misses);
+    o.set("replica_hits", out.replica_hits);
+    o.set("seqlock_retries", out.seqlock_retries);
+    o.set("two_phase_retries", out.two_phase_retries);
+    o.set("two_phase_fallbacks", out.two_phase_fallbacks);
+    o.set("front_tree_retries", out.front_tree_retries);
+    o.set("front_tree_fallbacks", out.front_tree_fallbacks);
+    o.set("commit_epoch", out.commit_epoch);
+    o.set("journal_records", plane.journal_records().unwrap_or(0));
+    let images = plane.journal_images().unwrap_or_default();
+    o.set("journal_bytes", images.iter().map(Vec::len).sum::<usize>());
+    o.set("journal_compactions", out.journal_compactions);
+    o.set("batch", snapshot_json(&plane.batch_counters()));
+    o.set("remote", snapshot_json(&out.remote));
+    o.set("wear", snapshot_json(&plane.wear_totals()));
+    o
+}
+
+/// 95/5 get/put: in an exclusive cache's steady state nearly every get
+/// is a definitive miss, answered by the per-shard seqlock table or a
+/// per-handle hot replica without touching a lock.
+fn stress_read_heavy(ticks: u64) -> Json {
+    stress_work(StressConfig::read_heavy(0x9EAD), ticks)
+}
+
+/// The read-heavy mix against an 8-block working set: the same few keys
+/// over and over, the case the hot-miss replica short-circuits.
+fn stress_hot_blocks(ticks: u64) -> Json {
+    stress_work(StressConfig::hot_blocks(0x407B), ticks)
+}
+
+/// A put storm against an undersized store: nearly every put runs the
+/// two-phase eviction path.
+fn stress_eviction_storm(ticks: u64) -> Json {
+    stress_work(StressConfig::eviction_storm(0xEC0), ticks)
+}
+
+fn stress_standard(ticks: u64) -> Json {
+    stress_work(StressConfig::standard(0xD1CE), ticks)
+}
+
+/// The standard mix with per-shard journaling and a group commit per
+/// tick (DESIGN.md §14): its row against `stress_standard`'s is the
+/// durable path's extra work, and the two must agree on everything the
+/// journal does not touch.
+fn stress_standard_journaled(ticks: u64) -> Json {
+    stress_work(
+        StressConfig {
+            journal: true,
+            ..StressConfig::standard(0xD1CE)
+        },
+        ticks,
+    )
+}
+
+/// Put-dominant: most of each tick is one 64-page `put_many` group, so
+/// the row's `batch.lock_acquisitions` per `batch.batched_ops` is the
+/// amortization the batch plane achieves. Pools alternate mem/ssd/hybrid
+/// policies, so hybrid placement under the home-shard lock is on the path.
+fn stress_write_heavy(ticks: u64) -> Json {
+    stress_work(StressConfig::write_heavy(0xBA7C), ticks)
+}
+
+/// Equal thirds of flush, put and get batches per tick, so every
+/// `*_many` entry point is on the path.
+fn stress_mixed_write(ticks: u64) -> Json {
+    stress_work(
+        StressConfig {
+            writes_per_tick: 16,
+            puts_per_tick: 24,
+            gets_per_tick: 24,
+            ..StressConfig::write_heavy(0x3117)
+        },
+        ticks,
+    )
+}
+
+/// The smoke mix with every pool bound to a simulated chunk-store
+/// remote: misses walk the full fetch path (buffer probe, breaker
+/// check, hedge/retry bookkeeping, chunk staging).
+fn remote_miss_fetch(ticks: u64) -> Json {
+    stress_work(StressConfig::remote_smoke(0x6E07), ticks)
 }
 
 /// The journal's record kernel with no engine around it: one seeded
 /// stream of `Put` (half), `Take` and `Flush` records appended in
 /// 32-record `append_run` groups (the shape `drain_scratch` hands a
 /// segment), synced, and the durable image replayed. Framing, checksum
-/// and decode are all the cell does, so the checksum going back to one
-/// bit per step (5× on this cell) cannot hide inside the 1.3× gate the
-/// way it can inside `journaled_stress_threads_*`. Ops = records
-/// appended + records replayed.
-fn journal_append_replay(records: u64) -> u64 {
+/// and decode are all the cell does. Ops = records appended + records
+/// replayed.
+fn journal_append_replay(records: u64) -> Json {
     const RUN: u64 = 32;
     let mut rng = SimRng::new(0x10C);
     let mut journal = Journal::new();
@@ -767,399 +756,95 @@ fn journal_append_replay(records: u64) -> u64 {
         replayed.len() as u64 == appended && !stats.torn_tail && !stats.corrupt,
         "journal cell replayed {stats} of {appended} records appended"
     );
-    appended + replayed.len() as u64
-}
-
-type CellRunner = (&'static str, Box<dyn Fn() -> u64>);
-
-/// Runs the full matrix. `smoke` divides the op budget by 10 for CI.
-pub fn run_matrix(smoke: bool) -> Vec<PerfCell> {
-    let scale = if smoke { 10 } else { 1 };
-    let cells: Vec<CellRunner> = vec![
-        (
-            "dd_put_get_mix",
-            Box::new(move || dd_put_get_mix(400_000 / scale)),
-        ),
-        (
-            "global_fifo_churn",
-            Box::new(move || global_fifo_churn(400_000 / scale)),
-        ),
-        (
-            "strict_partition_churn",
-            Box::new(move || strict_partition_churn(200_000 / scale)),
-        ),
-        (
-            "hybrid_spill_trickle",
-            Box::new(move || hybrid_spill_trickle(200_000 / scale)),
-        ),
-        (
-            "ssd_admission_filter",
-            Box::new(move || ssd_admission_filter(200_000 / scale)),
-        ),
-        (
-            "stats_entitlement_scan",
-            Box::new(move || stats_entitlement_scan(400_000 / scale)),
-        ),
-        (
-            "reconfig_invalidation",
-            Box::new(move || reconfig_invalidation(200_000 / scale)),
-        ),
-        (
-            "webserver_e2e",
-            Box::new(move || webserver_e2e(20_000 / scale)),
-        ),
-        (
-            "guest_write_fsync_delete",
-            Box::new(move || guest_write_fsync_delete(200_000 / scale)),
-        ),
-        // The channel pair carries an ordering assertion (batched must
-        // not sit below unbatched in a committed baseline), so it gets
-        // a 10x op budget: at the ~15M ops/s these cells run, the
-        // default budget finishes in ~1ms and scheduler noise swamps
-        // the few-percent per-call overhead the batching amortizes.
-        (
-            "channel_batched_mix",
-            Box::new(move || channel_mix(2_000_000 / scale, true)),
-        ),
-        (
-            "channel_unbatched_mix",
-            Box::new(move || channel_mix(2_000_000 / scale, false)),
-        ),
-        (
-            "arena_slot_churn",
-            Box::new(move || arena_slot_churn(400_000 / scale)),
-        ),
-        (
-            "read_scaling_threads_1",
-            Box::new(move || read_scaling_threads(1, 500 / scale)),
-        ),
-        (
-            "read_scaling_threads_2",
-            Box::new(move || read_scaling_threads(2, 500 / scale)),
-        ),
-        (
-            "read_scaling_threads_4",
-            Box::new(move || read_scaling_threads(4, 500 / scale)),
-        ),
-        (
-            "read_scaling_threads_8",
-            Box::new(move || read_scaling_threads(8, 500 / scale)),
-        ),
-        (
-            "hot_block_contention_threads_8",
-            Box::new(move || hot_block_contention_threads(8, 500 / scale)),
-        ),
-        (
-            "evict_contention_threads_2",
-            Box::new(move || evict_contention_threads(2, 500 / scale)),
-        ),
-        (
-            "evict_contention_threads_8",
-            Box::new(move || evict_contention_threads(8, 500 / scale)),
-        ),
-        (
-            "stress_threads_1",
-            Box::new(move || stress_threads(1, 500 / scale)),
-        ),
-        (
-            "stress_threads_2",
-            Box::new(move || stress_threads(2, 500 / scale)),
-        ),
-        (
-            "stress_threads_4",
-            Box::new(move || stress_threads(4, 500 / scale)),
-        ),
-        (
-            "stress_threads_8",
-            Box::new(move || stress_threads(8, 500 / scale)),
-        ),
-        (
-            "batched_put_threads_1",
-            Box::new(move || batched_put_threads(1, 500 / scale)),
-        ),
-        (
-            "batched_put_threads_8",
-            Box::new(move || batched_put_threads(8, 500 / scale)),
-        ),
-        (
-            "mixed_write_scaling_threads_1",
-            Box::new(move || mixed_write_scaling_threads(1, 500 / scale)),
-        ),
-        (
-            "mixed_write_scaling_threads_2",
-            Box::new(move || mixed_write_scaling_threads(2, 500 / scale)),
-        ),
-        (
-            "mixed_write_scaling_threads_4",
-            Box::new(move || mixed_write_scaling_threads(4, 500 / scale)),
-        ),
-        (
-            "mixed_write_scaling_threads_8",
-            Box::new(move || mixed_write_scaling_threads(8, 500 / scale)),
-        ),
-        (
-            "journaled_stress_threads_1",
-            Box::new(move || journaled_stress_threads(1, 500 / scale)),
-        ),
-        (
-            "journaled_stress_threads_8",
-            Box::new(move || journaled_stress_threads(8, 500 / scale)),
-        ),
-        (
-            "remote_miss_fetch",
-            Box::new(move || remote_miss_fetch(500 / scale)),
-        ),
-        (
-            "journal_append_replay",
-            Box::new(move || journal_append_replay(200_000 / scale)),
-        ),
-    ];
-    cells
-        .into_iter()
-        .map(|(name, run)| {
-            // Median of REPEATS runs: one slow outlier (CI neighbor, page
-            // fault storm) cannot fail the gate or inflate the baseline.
-            let mut samples: Vec<(f64, u64)> = (0..REPEATS)
-                .map(|_| {
-                    let start = Instant::now();
-                    let sim_ops = run();
-                    (start.elapsed().as_secs_f64().max(1e-9), sim_ops)
-                })
-                .collect();
-            samples.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let (wall_secs, sim_ops) = samples[REPEATS / 2];
-            PerfCell {
-                name,
-                sim_ops,
-                wall_secs,
-                ops_per_sec: sim_ops as f64 / wall_secs,
-            }
-        })
-        .collect()
-}
-
-/// Serializes results into the committed baseline format, stamping the
-/// current runner's profile. [`to_json_with`] takes an explicit profile
-/// (tests use it to fabricate foreign-machine baselines).
-pub fn to_json(cells: &[PerfCell], smoke: bool) -> String {
-    to_json_with(cells, smoke, &RunnerProfile::current())
-}
-
-/// [`to_json`] with an explicit [`RunnerProfile`].
-pub fn to_json_with(cells: &[PerfCell], smoke: bool, runner: &RunnerProfile) -> String {
-    let mut root = Json::object();
-    root.set("schema", Json::Str(SCHEMA.to_owned()));
-    root.set("smoke", Json::Bool(smoke));
-    let mut machine = Json::object();
-    machine.set("ddc_threads", Json::Num(runner.ddc_threads as f64));
-    machine.set(
-        "available_parallelism",
-        Json::Num(runner.available_parallelism as f64),
-    );
-    root.set("runner", machine);
-    root.set(
-        "results",
-        Json::Arr(
-            cells
-                .iter()
-                .map(|c| {
-                    let mut o = Json::object();
-                    o.set("name", Json::Str(c.name.to_owned()));
-                    o.set("sim_ops", Json::Num(c.sim_ops as f64));
-                    o.set("wall_secs", Json::Num(c.wall_secs));
-                    o.set("ops_per_sec", Json::Num(c.ops_per_sec));
-                    o
-                })
-                .collect(),
-        ),
-    );
-    let mut s = root.to_string_pretty();
-    s.push('\n');
-    s
-}
-
-/// Parses a baseline file into its rows and (if present) the recording
-/// runner's profile. Baselines written before the `runner` field are
-/// still accepted — their profile comes back `None` and the checker
-/// refuses to judge their thread-scaling cells.
-pub fn parse_baseline(json: &str) -> Result<Baseline, String> {
-    let doc = Json::parse(json).map_err(|e| e.to_string())?;
-    if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        return Err(format!("baseline schema is not {SCHEMA}"));
-    }
-    let runner = doc.get("runner").and_then(|m| {
-        Some(RunnerProfile {
-            ddc_threads: m.get("ddc_threads").and_then(Json::as_f64)? as u64,
-            available_parallelism: m.get("available_parallelism").and_then(Json::as_f64)? as u64,
-        })
-    });
-    let results = doc
-        .get("results")
-        .and_then(Json::as_array)
-        .ok_or("baseline has no results array")?;
-    let rows = results
-        .iter()
-        .map(|r| {
-            let name = r
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("result without name")?;
-            let ops = r
-                .get("ops_per_sec")
-                .and_then(Json::as_f64)
-                .ok_or("result without ops_per_sec")?;
-            Ok((name.to_owned(), ops))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(Baseline { rows, runner })
-}
-
-/// Whether a cell's throughput depends on the machine's core count
-/// (its workload pins an explicit thread count, by naming convention
-/// `*_threads_N`).
-fn is_thread_scaling(name: &str) -> bool {
-    name.contains("_threads_")
-}
-
-/// Compares a run against a baseline: every baseline cell must still
-/// exist and reach at least `baseline / factor` ops/sec.
-///
-/// Thread-scaling cells (`*_threads_N`) are only judged when the
-/// baseline was recorded on a machine with the same available
-/// parallelism as this one — an 8-thread cell recorded on 16 cores and
-/// replayed on 1 core compares scheduler thrash against real scaling,
-/// which gates nothing. Mismatched (or unrecorded) profiles move those
-/// cells into [`CheckReport::skipped`] with the reason; the cells must
-/// still *run* (a missing cell is a violation regardless).
-///
-/// The *baseline itself* is also asserted: its 8-thread eviction-
-/// contention cell must not sit more than
-/// [`EVICT_INVERSION_TOLERANCE`] below its 2-thread cell. The single-
-/// evictor gate fixed the duplicate-batch pathology that used to invert
-/// them, and this check keeps anyone from re-committing a baseline that
-/// encodes the inversion (it judges committed data, not this run's
-/// timings, so it cannot flake on a noisy machine).
-pub fn check_against(cells: &[PerfCell], baseline: &Baseline, factor: f64) -> CheckReport {
-    check_against_with(cells, baseline, factor, &RunnerProfile::current())
-}
-
-/// [`check_against`] with an explicit current-runner profile (tests use
-/// it to simulate checking on a machine shape other than this one).
-pub fn check_against_with(
-    cells: &[PerfCell],
-    baseline: &Baseline,
-    factor: f64,
-    current: &RunnerProfile,
-) -> CheckReport {
-    let mut report = CheckReport::default();
-    let rows = &baseline.rows;
-    let base = |n: &str| rows.iter().find(|(name, _)| name == n).map(|&(_, o)| o);
-    // The inversion check judges the baseline against itself — both
-    // cells were recorded on the same machine, so it holds regardless
-    // of where the check runs.
-    if let (Some(two), Some(eight)) = (
-        base("evict_contention_threads_2"),
-        base("evict_contention_threads_8"),
-    ) {
-        if eight * EVICT_INVERSION_TOLERANCE < two {
-            report.violations.push(format!(
-                "baseline encodes the eviction-contention inversion: \
-                 8 threads {eight:.0} ops/s < 2 threads {two:.0} ops/s — re-record it"
-            ));
-        }
-    }
-    // Same self-judgment for the channel pair: a committed baseline in
-    // which the batched hypercall cell runs slower than the per-page
-    // loop encodes the vectorized-dispatch pathology (the copy pass the
-    // in-place channel fix removed), and must be re-recorded rather
-    // than quietly gated against.
-    if let (Some(batched), Some(unbatched)) =
-        (base("channel_batched_mix"), base("channel_unbatched_mix"))
-    {
-        if batched * CHANNEL_INVERSION_TOLERANCE < unbatched {
-            report.violations.push(format!(
-                "baseline encodes the channel-batching inversion: \
-                 batched {batched:.0} ops/s < unbatched {unbatched:.0} ops/s — re-record it"
-            ));
-        }
-    }
-    let threaded_comparable = match baseline.runner {
-        Some(b) => b.available_parallelism == current.available_parallelism,
-        None => false,
-    };
-    for (name, base_ops) in rows {
-        let cell = cells.iter().find(|c| c.name == name.as_str());
-        if cell.is_none() {
-            report
-                .violations
-                .push(format!("cell {name} missing from this run"));
-            continue;
-        }
-        if is_thread_scaling(name) && !threaded_comparable {
-            report.skipped.push(match baseline.runner {
-                Some(b) => format!(
-                    "{name}: baseline recorded on {} cores, this runner has {} — \
-                     thread-scaling cell not comparable",
-                    b.available_parallelism, current.available_parallelism
-                ),
-                None => format!(
-                    "{name}: baseline predates runner recording — re-record it to \
-                     gate thread-scaling cells"
-                ),
-            });
-            continue;
-        }
-        if let Some(c) = cell {
-            if c.ops_per_sec * factor < *base_ops {
-                report.violations.push(format!(
-                    "{name}: {:.0} ops/s is a >{factor}x regression from baseline {:.0} ops/s",
-                    c.ops_per_sec, base_ops
-                ));
-            }
-        }
-    }
-    report
+    let mut o = Json::object();
+    o.set("ops", appended + replayed.len() as u64);
+    o.set("journal_records", appended);
+    o.set("journal_bytes", journal.durable_len());
+    o.set("records_replayed", replayed.len());
+    o
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn count(work: &Json, key: &str) -> u64 {
+        work.get(key)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("row has no integer {key}: {work}"))
+    }
+
+    /// Every value of a work row is a non-negative integer, at any depth.
+    fn integers_only(v: &Json) -> bool {
+        match v {
+            Json::Obj(members) => members.iter().all(|(_, v)| integers_only(v)),
+            other => other.as_u64().is_some(),
+        }
+    }
+
     #[test]
     fn matrix_runs_and_counts_ops() {
-        // A tiny fraction of the real budget keeps the test fast while
-        // still driving every cell through its workload shape.
-        for cell in [
-            dd_put_get_mix(2_000),
-            global_fifo_churn(2_000),
-            strict_partition_churn(2_000),
-            hybrid_spill_trickle(2_000),
-            ssd_admission_filter(2_000),
-            stats_entitlement_scan(2_000),
-            reconfig_invalidation(2_000),
-            arena_slot_churn(2_000),
-        ] {
-            assert!(cell >= 2_000);
+        // The smoke budget drives every cell through its workload shape;
+        // `Cell::work` itself asserts each signature counter non-zero,
+        // and no cell may be exempt from that.
+        let rows = run_work_with(2, true);
+        assert_eq!(rows.len(), CELLS.len());
+        for (cell, work) in CELLS.iter().zip(&rows) {
+            assert!(!cell.signature.is_empty(), "{}: no signature", cell.name);
+            assert!(count(work, "ops") > 0, "{}", cell.name);
+            assert!(integers_only(work), "{}: {work}", cell.name);
         }
-        assert!(webserver_e2e(200) > 0);
-        assert!(guest_write_fsync_delete(2_000) >= 2_000);
-        assert!(channel_mix(2_000, true) >= 2_000);
-        assert!(channel_mix(2_000, false) >= 2_000);
-        assert!(stress_threads(2, 20) > 0);
-        assert!(batched_put_threads(2, 20) > 0);
-        assert!(mixed_write_scaling_threads(2, 20) > 0);
-        assert!(evict_contention_threads(2, 20) > 0);
-        assert!(journaled_stress_threads(2, 20) > 0);
-        assert!(read_scaling_threads(2, 20) > 0);
-        assert!(hot_block_contention_threads(2, 20) > 0);
-        assert!(remote_miss_fetch(40) > 0);
+        let doc = Json::parse(&to_json(rows, true)).expect("own JSON parses");
+        let cells = doc.get("cells").and_then(Json::as_array).expect("cells");
+        assert_eq!(cells.len(), CELLS.len());
+        assert_eq!(
+            cells[0].get("name").and_then(Json::as_str),
+            Some(CELLS[0].name)
+        );
+    }
+
+    #[test]
+    fn committed_work_rows_carry_their_signatures() {
+        // The golden file is what CI compares against, so it is the
+        // file that must not go vacuous: one row per cell, signature
+        // counters non-zero at the full budget, and — only reachable at
+        // that budget — a journaled run long enough to compact.
+        let golden = include_str!("../../../../results/work.json");
+        let doc = Json::parse(golden).expect("results/work.json parses");
+        let rows = doc.get("cells").and_then(Json::as_array).expect("cells");
+        assert_eq!(rows.len(), CELLS.len());
+        for (cell, row) in CELLS.iter().zip(rows) {
+            assert_eq!(row.get("name").and_then(Json::as_str), Some(cell.name));
+            let work = row.get("work").expect("work");
+            cell.assert_signature(work);
+            assert!(integers_only(work), "{}: {work}", cell.name);
+            if cell.name == "stress_standard_journaled" {
+                assert!(count(work, "journal_compactions") > 0);
+            }
+        }
     }
 
     #[test]
     fn journaled_and_volatile_stress_cells_do_identical_work() {
-        // The durability-tax comparison is only honest if both cells
-        // issue the same op stream; the op counters prove they do.
-        assert_eq!(stress_threads(2, 20), journaled_stress_threads(2, 20));
+        // The two rows are only a durability tax if both cells serve the
+        // same op stream the same way: every counter the journal does
+        // not own must agree.
+        let (volatile, journaled) = (stress_standard(20), stress_standard_journaled(20));
+        for key in [
+            "ops",
+            "hypercalls",
+            "hits",
+            "stores",
+            "evictions",
+            "trickle_downs",
+            "mem_pages",
+            "ssd_pages",
+        ] {
+            assert_eq!(count(&volatile, key), count(&journaled, key), "{key}");
+        }
+        assert_eq!(volatile.get("wear"), journaled.get("wear"));
+        assert_eq!(count(&volatile, "journal_records"), 0);
+        assert!(count(&journaled, "journal_bytes") > 0);
     }
 
     #[test]
@@ -1167,184 +852,25 @@ mod tests {
         // At its smoke budget: 625 whole runs, each record counted once
         // going in and once coming back (the cell itself asserts that
         // the replay was complete and clean).
-        assert_eq!(journal_append_replay(20_000), 40_000);
+        assert_eq!(count(&journal_append_replay(20_000), "ops"), 40_000);
         // A budget that is not a multiple of the run finishes the run.
-        assert_eq!(journal_append_replay(33), 128);
+        assert_eq!(count(&journal_append_replay(33), "ops"), 128);
     }
 
     #[test]
     fn batched_and_unbatched_channel_cells_do_identical_work() {
-        // The two cells are only comparable if the page-op streams are
-        // the same; the op counters prove they are.
-        assert_eq!(channel_mix(5_000, true), channel_mix(5_000, false));
-    }
-
-    #[test]
-    fn json_roundtrip_and_check() {
-        let cells = vec![
-            PerfCell {
-                name: "dd_put_get_mix",
-                sim_ops: 1000,
-                wall_secs: 0.5,
-                ops_per_sec: 2000.0,
-            },
-            PerfCell {
-                name: "global_fifo_churn",
-                sim_ops: 1000,
-                wall_secs: 0.25,
-                ops_per_sec: 4000.0,
-            },
-        ];
-        let json = to_json(&cells, true);
-        let baseline = parse_baseline(&json).expect("roundtrip");
-        assert_eq!(baseline.rows.len(), 2);
-        assert_eq!(baseline.rows[0], ("dd_put_get_mix".to_owned(), 2000.0));
-        assert_eq!(baseline.runner, Some(RunnerProfile::current()));
-        let report = check_against(&cells, &baseline, REGRESSION_FACTOR);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(report.skipped.is_empty(), "{:?}", report.skipped);
-
-        // A 2x+ drop (or a vanished cell) must be flagged.
-        let slow = vec![PerfCell {
-            name: "dd_put_get_mix",
-            sim_ops: 1000,
-            wall_secs: 2.0,
-            ops_per_sec: 500.0,
-        }];
-        let report = check_against(&slow, &baseline, REGRESSION_FACTOR);
-        assert_eq!(report.violations.len(), 2);
-    }
-
-    #[test]
-    fn skips_thread_scaling_cells_on_core_count_mismatch() {
-        let cell = |name, ops_per_sec| PerfCell {
-            name,
-            sim_ops: 1000,
-            wall_secs: 1.0,
-            ops_per_sec,
+        // Same page ops, same outcomes, same engine state; the batched
+        // cell just crosses the hypercall boundary far less often.
+        let (batched, unbatched) = (channel_mix(5_000, true), channel_mix(5_000, false));
+        let (Json::Obj(b), Json::Obj(u)) = (&batched, &unbatched) else {
+            panic!("work rows are objects");
         };
-        let recorded = RunnerProfile {
-            ddc_threads: 8,
-            available_parallelism: 16,
-        };
-        let cells = vec![
-            cell("dd_put_get_mix", 1000.0),
-            cell("stress_threads_8", 1000.0),
-        ];
-        let baseline = parse_baseline(&to_json_with(&cells, true, &recorded)).expect("roundtrip");
-
-        // Same shape: the threaded cell is judged (and a 10x drop on it
-        // is a violation).
-        let slow = vec![
-            cell("dd_put_get_mix", 1000.0),
-            cell("stress_threads_8", 100.0),
-        ];
-        let same = check_against_with(&slow, &baseline, REGRESSION_FACTOR, &recorded);
-        assert_eq!(same.violations.len(), 1, "{:?}", same.violations);
-        assert!(same.skipped.is_empty(), "{:?}", same.skipped);
-
-        // Different core count: the same 10x drop is skipped, not
-        // flagged — but the scalar cells are still gated.
-        let one_core = RunnerProfile {
-            ddc_threads: 1,
-            available_parallelism: 1,
-        };
-        let diff = check_against_with(&slow, &baseline, REGRESSION_FACTOR, &one_core);
-        assert!(diff.violations.is_empty(), "{:?}", diff.violations);
-        assert_eq!(diff.skipped.len(), 1, "{:?}", diff.skipped);
-        assert!(diff.skipped[0].contains("stress_threads_8"));
-        let scalar_slow = vec![
-            cell("dd_put_get_mix", 100.0),
-            cell("stress_threads_8", 100.0),
-        ];
-        let diff = check_against_with(&scalar_slow, &baseline, REGRESSION_FACTOR, &one_core);
-        assert_eq!(diff.violations.len(), 1, "{:?}", diff.violations);
-        assert!(diff.violations[0].contains("dd_put_get_mix"));
-
-        // A vanished threaded cell is a violation even when its timing
-        // would have been skipped: the cell must still run.
-        let gone = vec![cell("dd_put_get_mix", 1000.0)];
-        let missing = check_against_with(&gone, &baseline, REGRESSION_FACTOR, &one_core);
-        assert_eq!(missing.violations.len(), 1, "{:?}", missing.violations);
-        assert!(missing.violations[0].contains("missing"));
-
-        // A legacy baseline with no runner profile cannot vouch for its
-        // threaded cells either way: skip with a re-record hint.
-        let legacy = Baseline {
-            rows: baseline.rows.clone(),
-            runner: None,
-        };
-        let report = check_against_with(&slow, &legacy, REGRESSION_FACTOR, &recorded);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert_eq!(report.skipped.len(), 1, "{:?}", report.skipped);
-        assert!(report.skipped[0].contains("re-record"));
-    }
-
-    #[test]
-    fn check_rejects_baseline_encoding_the_eviction_inversion() {
-        let cell = |name, ops_per_sec| PerfCell {
-            name,
-            sim_ops: 1000,
-            wall_secs: 1.0,
-            ops_per_sec,
-        };
-        // Inverted committed baseline (8 more than the tolerance below
-        // 2): flagged even though this run's own timings are fine.
-        let bad = vec![
-            cell("evict_contention_threads_2", 1000.0),
-            cell("evict_contention_threads_8", 850.0),
-        ];
-        let baseline = parse_baseline(&to_json(&bad, true)).expect("roundtrip");
-        let violations = check_against(&bad, &baseline, REGRESSION_FACTOR).violations;
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("inversion"), "{violations:?}");
-
-        // Healthy baseline (8 within tolerance of 2): clean.
-        let good = vec![
-            cell("evict_contention_threads_2", 1000.0),
-            cell("evict_contention_threads_8", 950.0),
-        ];
-        let baseline = parse_baseline(&to_json(&good, true)).expect("roundtrip");
-        let report = check_against(&good, &baseline, REGRESSION_FACTOR);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn check_rejects_baseline_encoding_the_channel_inversion() {
-        let cell = |name, ops_per_sec| PerfCell {
-            name,
-            sim_ops: 1000,
-            wall_secs: 1.0,
-            ops_per_sec,
-        };
-        // Inverted committed baseline (batched more than the tolerance
-        // below unbatched): flagged even though this run's own timings
-        // are fine.
-        let bad = vec![
-            cell("channel_batched_mix", 900.0),
-            cell("channel_unbatched_mix", 1000.0),
-        ];
-        let baseline = parse_baseline(&to_json(&bad, true)).expect("roundtrip");
-        let violations = check_against(&bad, &baseline, REGRESSION_FACTOR).violations;
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(
-            violations[0].contains("channel-batching inversion"),
-            "{violations:?}"
-        );
-
-        // Healthy baseline (batched ahead of unbatched): clean.
-        let good = vec![
-            cell("channel_batched_mix", 1200.0),
-            cell("channel_unbatched_mix", 1000.0),
-        ];
-        let baseline = parse_baseline(&to_json(&good, true)).expect("roundtrip");
-        let report = check_against(&good, &baseline, REGRESSION_FACTOR);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn rejects_foreign_schema() {
-        assert!(parse_baseline("{\"schema\": \"other\", \"results\": []}").is_err());
-        assert!(parse_baseline("not json").is_err());
+        for ((key, b), (_, u)) in b.iter().zip(u) {
+            if key != "hypercalls" {
+                assert_eq!(b, u, "{key}");
+            }
+        }
+        assert!(count(&batched, "hypercalls") * 8 < count(&unbatched, "hypercalls"));
+        assert_eq!(count(&unbatched, "hypercalls"), count(&unbatched, "ops"));
     }
 }

@@ -12,18 +12,19 @@
 //!    never lie). Per-axis counter gates pin the interesting behaviour
 //!    (partitions trip and then recover the breaker, brownouts eat
 //!    deadlines, flaps force origin fetches and hedges).
-//! 2. **Degradation ladder** — the 8-thread stress harness runs
-//!    baseline / 30%-brownout / healed phases. The brownout phase must
-//!    stay clean with the breaker visibly cycling, sustain at least
-//!    [`MIN_BROWNOUT_FRACTION`] of fault-free throughput (no thread
-//!    ever stalls on a dead remote — deadlines bound every fetch), and
-//!    the healed phase must recover to within
-//!    [`MAX_HEALED_REGRESSION`] of baseline. Wall-clock numbers keep
-//!    the fastest of the interleaved repeats: every run performs the
-//!    same fixed amount of simulated work, so the fastest repeat is
-//!    the one least disturbed by unrelated machine load, and a burst
-//!    would have to flatten *every* repeat of one phase while sparing
-//!    another's to skew the cross-phase fractions.
+//! 2. **Degradation ladder** — two single-threaded same-seed stress
+//!    runs, one fault-free and one with a 30% remote brownout over the
+//!    middle third of the run, compared third by third on what the
+//!    remote bindings counted (sim time only: a tick is 1µs, a fault
+//!    window is a `SimTime` range). Inside the window the breaker must
+//!    trip, deadlines must be eaten and fetches must still be served
+//!    (slowed, never stalled); after it a breaker must recover and the
+//!    remote must serve at least [`MIN_HEALED_SERVED_PCT`] percent of
+//!    what the fault-free run serves in the *same* third. Cold misses
+//!    thin out as the guests write their working sets, so thirds of one
+//!    run are not comparable with each other. The brownout run is
+//!    repeated on [`LADDER_THREADS`] threads for its stale-read and
+//!    audit verdict only.
 //! 3. **Cold-boot storm** — the flagship: many tenants boot the same
 //!    image from one CDN-backed [`ChunkStore`]. Edge placement is a
 //!    pure function of `(store seed, chunk)`, so every tenant sees the
@@ -32,37 +33,33 @@
 //!    readahead-buffer hits. Guests then write (flush) part of the
 //!    image; the remote must never serve a flushed block again.
 //!
-//! Phases 1 and 3 are fully deterministic; phase 2 carries wall-clock
-//! numbers, so the combined JSON is not byte-stable across runs (the
-//! pass/fail verdict is).
+//! Every number in the report is a function of the seed, so
+//! `results/remote.json` gates it byte for byte.
 
 use ddc_core::cleancache::SecondChanceCache;
 use ddc_core::concurrent::{run_equivalence, run_stress, EngineKind, RemoteSetup, StressConfig};
-use ddc_core::metrics::CounterSnapshot;
+use ddc_core::metrics::{snapshot_json, CounterSnapshot};
 use ddc_core::prelude::*;
 use ddc_core::storage::{ChunkStore, RemoteConfig, RemoteCounters, RemoteFetchConfig, RemoteId};
 use ddc_json::Json;
 
 /// JSON schema tag of the remote-tier report.
-pub const SCHEMA: &str = "ddc-remote-v1";
+pub const SCHEMA: &str = "ddc-remote-v2";
 
 /// Default master seed of the harness.
 pub const DEFAULT_SEED: u64 = 0xCD47;
 
-/// OS threads of the degradation-ladder stress runs.
+/// OS threads of the ladder's threaded brownout run.
 pub const LADDER_THREADS: usize = 8;
 
 /// Per-attempt failure probability of the ladder's brownout window
 /// (the ISSUE's "30% remote-brownout schedule").
 pub const BROWNOUT_RATE: f64 = 0.3;
 
-/// Minimum brownout-over-baseline throughput fraction the ladder gates
-/// on: a browning-out remote may slow the cache, never stall it.
-pub const MIN_BROWNOUT_FRACTION: f64 = 0.5;
-
-/// The healed phase must recover to at least this fraction of the
-/// fault-free baseline ("within 10% after the window closes").
-pub const MAX_HEALED_REGRESSION: f64 = 0.9;
+/// After the brownout window closes the remote must serve at least
+/// this percentage of what the fault-free run serves over the same
+/// ticks.
+pub const MIN_HEALED_SERVED_PCT: u64 = 90;
 
 /// The fault axes of the determinism matrix, in report order.
 pub const AXES: [&str; 4] = ["healthy", "partition", "brownout", "edge-flap"];
@@ -85,25 +82,36 @@ pub struct AxisCell {
     pub gates_ok: bool,
 }
 
-/// One phase of the degradation ladder.
+/// One run of the degradation ladder.
 #[derive(Clone, Debug)]
 pub struct LadderCell {
-    /// `"baseline"`, `"brownout"` or `"healed"`.
-    pub phase: &'static str,
-    /// Interleaved repeats the best-of sample is taken over.
-    pub runs: usize,
-    /// Hypercall operations per run (fixed by the config, so the
-    /// throughput comparison is apples to apples).
+    /// `"fault-free"` or `"brownout"`.
+    pub run: &'static str,
+    /// Hypercall operations issued (fixed by the config, so the two
+    /// runs serve the same op stream).
     pub total_ops: u64,
-    /// Fastest wall-clock throughput across the repeats (the repeat
-    /// least disturbed by unrelated machine load).
-    pub ops_per_sec_best: f64,
-    /// Stale-read-oracle violations summed over every repeat. Gate: 0.
+    /// Stale-read-oracle violations. Gate: 0.
     pub stale_reads: u64,
-    /// Invariant-auditor findings summed over every repeat. Gate: 0.
+    /// Invariant-auditor findings. Gate: 0.
     pub audit_findings: u64,
-    /// Remote fetch counters summed over every repeat.
-    pub remote: RemoteCounters,
+    /// What the remote bindings counted in each third of the run; the
+    /// brownout window is the middle one.
+    pub thirds: [RemoteCounters; 3],
+}
+
+/// The ladder's verdicts, each read off integer counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LadderVerdict {
+    /// Both runs finished with no stale read and no finding, and the
+    /// fault-free one never failed a fetch.
+    pub clean: bool,
+    /// Inside the window the breaker tripped, deadlines were eaten and
+    /// the remote still served: slowed, never stalled.
+    pub degraded_not_stalled: bool,
+    /// After the window a breaker recovered and the remote served at
+    /// least [`MIN_HEALED_SERVED_PCT`] percent of the fault-free run's
+    /// last third.
+    pub healed: bool,
 }
 
 /// The cold-boot-storm flagship cell.
@@ -142,37 +150,16 @@ pub struct RemoteReport {
     pub smoke: bool,
     /// Fault-axis determinism matrix, in [`AXES`] order.
     pub axes: Vec<AxisCell>,
-    /// Degradation ladder, baseline / brownout / healed.
+    /// Degradation ladder, in [`LADDER_RUNS`] order.
     pub ladder: Vec<LadderCell>,
+    /// The brownout run on [`LADDER_THREADS`] threads finished with no
+    /// stale read and no auditor finding.
+    pub threaded_brownout_clean: bool,
     /// The cold-boot-storm flagship.
     pub cold_boot: ColdBootCell,
 }
 
 impl RemoteReport {
-    /// Best-of brownout-over-baseline throughput fraction (0 when a
-    /// phase is missing).
-    pub fn brownout_fraction(&self) -> f64 {
-        self.phase_fraction("brownout")
-    }
-
-    /// Best-of healed-over-baseline throughput fraction.
-    pub fn healed_fraction(&self) -> f64 {
-        self.phase_fraction("healed")
-    }
-
-    fn phase_fraction(&self, phase: &str) -> f64 {
-        let ops = |p: &str| {
-            self.ladder
-                .iter()
-                .find(|c| c.phase == p)
-                .map(|c| c.ops_per_sec_best)
-        };
-        match (ops("baseline"), ops(phase)) {
-            (Some(base), Some(x)) if base > 0.0 => x / base,
-            _ => 0.0,
-        }
-    }
-
     /// `true` when every gate of all three phases held.
     pub fn passed(&self) -> bool {
         let axes_ok = self.axes.len() == AXES.len()
@@ -180,20 +167,12 @@ impl RemoteReport {
                 .axes
                 .iter()
                 .all(|c| c.identical && c.rerun_identical && c.stale_reads == 0 && c.gates_ok);
-        let ladder_clean = self
-            .ladder
-            .iter()
-            .all(|c| c.stale_reads == 0 && c.audit_findings == 0 && c.remote.served > 0);
-        let brown = self.ladder.iter().find(|c| c.phase == "brownout");
-        let breaker_cycled =
-            brown.is_some_and(|c| c.remote.breaker_trips > 0 && c.remote.timeouts > 0);
-        let throughput_ok = self.brownout_fraction() >= MIN_BROWNOUT_FRACTION
-            && self.healed_fraction() >= MAX_HEALED_REGRESSION;
+        let ladder = judge_ladder(&self.ladder);
         axes_ok
-            && self.ladder.len() == 3
-            && ladder_clean
-            && breaker_cycled
-            && throughput_ok
+            && ladder.clean
+            && ladder.degraded_not_stalled
+            && ladder.healed
+            && self.threaded_brownout_clean
             && cold_boot_gates(&self.cold_boot)
     }
 
@@ -204,8 +183,6 @@ impl RemoteReport {
         root.set("seed", self.seed);
         root.set("smoke", self.smoke);
         root.set("passed", self.passed());
-        root.set("brownout_fraction", self.brownout_fraction());
-        root.set("healed_fraction", self.healed_fraction());
         root.set(
             "axes",
             Json::Arr(
@@ -218,57 +195,37 @@ impl RemoteReport {
                         o.set("rerun_identical", c.rerun_identical);
                         o.set("stale_reads", c.stale_reads);
                         o.set("gates_ok", c.gates_ok);
-                        o.set("remote", counters_json(&c.remote));
+                        o.set("remote", snapshot_json(&c.remote));
                         o
                     })
                     .collect(),
             ),
         );
-        root.set(
-            "ladder",
-            Json::Arr(
-                self.ladder
-                    .iter()
-                    .map(|c| {
-                        let mut o = Json::object();
-                        o.set("phase", c.phase);
-                        o.set("runs", c.runs);
-                        o.set("total_ops", c.total_ops);
-                        o.set("ops_per_sec_best", c.ops_per_sec_best);
-                        o.set("stale_reads", c.stale_reads);
-                        o.set("audit_findings", c.audit_findings);
-                        o.set("remote", counters_json(&c.remote));
-                        o
-                    })
-                    .collect(),
-            ),
-        );
+        let verdict = judge_ladder(&self.ladder);
+        let mut ladder = Json::object();
+        ladder.set("clean", verdict.clean);
+        ladder.set("degraded_not_stalled", verdict.degraded_not_stalled);
+        ladder.set("healed", verdict.healed);
+        ladder.set("threaded_brownout_clean", self.threaded_brownout_clean);
+        let runs = self.ladder.iter().map(|c| {
+            let mut o = Json::object();
+            o.set("run", c.run);
+            o.set("total_ops", c.total_ops);
+            o.set("stale_reads", c.stale_reads);
+            o.set("audit_findings", c.audit_findings);
+            o.set(
+                "thirds",
+                c.thirds.iter().map(snapshot_json).collect::<Vec<Json>>(),
+            );
+            o
+        });
+        ladder.set("runs", runs.collect::<Vec<Json>>());
+        root.set("ladder", ladder);
         root.set("cold_boot", cold_boot_json(&self.cold_boot));
         let mut s = root.to_string_pretty();
         s.push('\n');
         s
     }
-}
-
-/// Renders remote counters as a JSON object (field order matches
-/// [`RemoteCounters`]).
-fn counters_json(t: &RemoteCounters) -> Json {
-    let mut o = Json::object();
-    o.set("fetches", t.fetches);
-    o.set("served", t.served);
-    o.set("failed", t.failed);
-    o.set("shed", t.shed);
-    o.set("breaker_skipped", t.breaker_skipped);
-    o.set("breaker_trips", t.breaker_trips);
-    o.set("breaker_recoveries", t.breaker_recoveries);
-    o.set("retries", t.retries);
-    o.set("timeouts", t.timeouts);
-    o.set("hedges", t.hedges);
-    o.set("hedge_wins", t.hedge_wins);
-    o.set("edge_hits", t.edge_hits);
-    o.set("origin_fetches", t.origin_fetches);
-    o.set("readahead_hits", t.readahead_hits);
-    o
 }
 
 fn cold_boot_json(c: &ColdBootCell) -> Json {
@@ -281,7 +238,7 @@ fn cold_boot_json(c: &ColdBootCell) -> Json {
     o.set("buffered_localized_overlap", c.buffered_localized_overlap);
     o.set("per_tenant_uniform", c.per_tenant_uniform);
     o.set("identical", c.identical);
-    o.set("remote", counters_json(&c.remote));
+    o.set("remote", snapshot_json(&c.remote));
     o
 }
 
@@ -393,75 +350,80 @@ pub fn run_axes(seed: u64, smoke: bool) -> Vec<AxisCell> {
 // Phase 2: degradation ladder.
 // ---------------------------------------------------------------------
 
-/// The ladder phases, in report order.
-pub const LADDER_PHASES: [&str; 3] = ["baseline", "brownout", "healed"];
+/// The ladder's runs, in report order.
+pub const LADDER_RUNS: [&str; 2] = ["fault-free", "brownout"];
 
-fn ladder_config(seed: u64, smoke: bool, phase: &str) -> StressConfig {
+/// The config both ladder runs share. `brownout` installs the fault
+/// window on the remote: `Some(true)` over the middle third of the run,
+/// `Some(false)` from one third in and never closing.
+fn ladder_config(seed: u64, smoke: bool, brownout: Option<bool>) -> StressConfig {
     let mut cfg = if smoke {
-        let mut c = StressConfig::smoke(seed);
-        // Long enough that a run takes tens of milliseconds —
-        // sub-millisecond runs would gate on scheduler noise.
-        c.ticks = 1_000;
-        c
+        StressConfig::smoke(seed)
     } else {
         StressConfig::standard(seed)
     };
-    let setup = RemoteSetup::for_driver(seed ^ 0xB007);
-    let setup = if phase == "brownout" {
-        setup.with_faults(FaultSchedule::new(seed ^ 0xFA17).with_window(
-            SimTime::ZERO,
-            None,
+    // A third must outlast the breaker's 1ms `max_backoff` (1,000
+    // ticks), or a breaker that backed off all the way inside the
+    // window could not probe again before the run ends. The working set
+    // is sized so that blocks no guest has written yet — the only ones
+    // the remote may serve — last into the final third.
+    let third = if smoke { 1_200 } else { 2_000 };
+    cfg.ticks = 3 * third;
+    cfg.working_set = 4 * third;
+    let tick = |n: u64| SimTime::from_nanos(n * 1_000);
+    let mut setup = RemoteSetup::for_driver(seed ^ 0xB007);
+    if let Some(closes) = brownout {
+        setup = setup.with_faults(FaultSchedule::new(seed ^ 0xFA17).with_window(
+            tick(third),
+            closes.then(|| tick(2 * third)),
             FaultKind::RemoteBrownout {
                 rate: BROWNOUT_RATE,
                 stall: SimDuration::from_nanos(11_000),
             },
-        ))
-    } else {
-        setup
-    };
-    cfg = cfg.with_remote(setup);
-    cfg
-}
-
-fn best(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(0.0, f64::max)
-}
-
-/// Runs the ladder: `repeats` interleaved rounds of baseline /
-/// brownout / healed at [`LADDER_THREADS`] threads, reporting the
-/// fastest throughput per phase. The work per run is fixed, so the
-/// fastest repeat is the least-noise-disturbed sample; interleaving
-/// decorrelates machine-load bursts across phases.
-pub fn run_ladder(seed: u64, smoke: bool, repeats: usize) -> Vec<LadderCell> {
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); LADDER_PHASES.len()];
-    let mut stale = [0u64; 3];
-    let mut findings = [0u64; 3];
-    let mut remote = [RemoteCounters::default(); 3];
-    let mut total_ops = 0;
-    for _ in 0..repeats.max(1) {
-        for (i, phase) in LADDER_PHASES.iter().enumerate() {
-            let cfg = ladder_config(seed, smoke, phase);
-            let out = run_stress(&cfg, LADDER_THREADS);
-            total_ops = out.total_ops;
-            samples[i].push(out.ops_per_sec());
-            stale[i] += out.stale_reads;
-            findings[i] += out.findings.len() as u64;
-            remote[i].absorb(&out.remote);
-        }
+        ));
     }
-    LADDER_PHASES
-        .iter()
-        .enumerate()
-        .map(|(i, phase)| LadderCell {
-            phase,
-            runs: samples[i].len(),
-            total_ops,
-            ops_per_sec_best: best(&samples[i]),
-            stale_reads: stale[i],
-            audit_findings: findings[i],
-            remote: remote[i],
-        })
-        .collect()
+    cfg.with_remote(setup)
+}
+
+/// Runs the ladder: the fault-free run and the brownout run, one thread
+/// each, same seed, so the per-third counters are exact and the two
+/// runs serve the same op stream.
+pub fn run_ladder(seed: u64, smoke: bool) -> Vec<LadderCell> {
+    ladder_runs(seed, smoke, true)
+}
+
+fn ladder_runs(seed: u64, smoke: bool, window_closes: bool) -> Vec<LadderCell> {
+    let runs = vec![
+        (LADDER_RUNS[0], None),
+        (LADDER_RUNS[1], Some(window_closes)),
+    ];
+    ddc_core::parallel::run_cells(runs, move |(run, brownout)| {
+        let out = run_stress(&ladder_config(seed, smoke, brownout), 1);
+        LadderCell {
+            run,
+            total_ops: out.total_ops,
+            stale_reads: out.stale_reads,
+            audit_findings: out.findings.len() as u64,
+            thirds: out.remote_thirds,
+        }
+    })
+}
+
+/// Judges a ladder (all verdicts `false` unless it has both runs).
+pub fn judge_ladder(ladder: &[LadderCell]) -> LadderVerdict {
+    let [free, brown] = ladder else {
+        return LadderVerdict::default();
+    };
+    let (during, after) = (&brown.thirds[1], &brown.thirds[2]);
+    LadderVerdict {
+        clean: ladder
+            .iter()
+            .all(|c| c.stale_reads == 0 && c.audit_findings == 0)
+            && free.thirds.iter().all(|t| t.served > 0 && t.failed == 0),
+        degraded_not_stalled: during.breaker_trips > 0 && during.timeouts > 0 && during.served > 0,
+        healed: after.breaker_recoveries > 0
+            && after.served * 100 >= free.thirds[2].served * MIN_HEALED_SERVED_PCT,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -571,15 +533,19 @@ pub fn run_cold_boot(seed: u64, smoke: bool) -> ColdBootCell {
     cell
 }
 
-/// Runs the full harness: axis matrix, degradation ladder (5 repeats
-/// smoke, 7 full), cold-boot storm.
+/// Runs the full harness: axis matrix, degradation ladder with its
+/// threaded brownout run, cold-boot storm.
 pub fn run(seed: u64, smoke: bool) -> RemoteReport {
-    let repeats = if smoke { 5 } else { 7 };
     RemoteReport {
         seed,
         smoke,
         axes: run_axes(seed, smoke),
-        ladder: run_ladder(seed, smoke, repeats),
+        ladder: run_ladder(seed, smoke),
+        threaded_brownout_clean: run_stress(
+            &ladder_config(seed, smoke, Some(true)),
+            LADDER_THREADS,
+        )
+        .clean(),
         cold_boot: run_cold_boot(seed, smoke),
     }
 }
@@ -606,20 +572,46 @@ mod tests {
 
     #[test]
     fn ladder_stays_clean_with_breaker_cycling_under_brownout() {
-        // One repeat: the throughput gates need a quiet machine and are
-        // exercised by `repro remote`; here we gate on correctness and
-        // the breaker actually cycling.
-        let cells = run_ladder(DEFAULT_SEED, true, 1);
-        assert_eq!(cells.len(), 3);
-        for c in &cells {
-            assert_eq!(c.stale_reads, 0, "{}: stale reads", c.phase);
-            assert_eq!(c.audit_findings, 0, "{}: findings", c.phase);
-            assert!(c.remote.served > 0, "{}: remote idle", c.phase);
+        let cells = run_ladder(DEFAULT_SEED, true);
+        assert_eq!(cells.len(), 2);
+        let [free, brown] = &cells[..] else {
+            unreachable!()
+        };
+        assert_eq!(free.total_ops, brown.total_ops, "one op stream");
+        let verdict = judge_ladder(&cells);
+        assert!(
+            verdict.clean && verdict.degraded_not_stalled && verdict.healed,
+            "{verdict:?}: {cells:?}"
+        );
+    }
+
+    #[test]
+    fn a_window_that_never_closes_fails_the_healed_gate() {
+        // At the parent the "healed" phase was the baseline config run
+        // again, so no fault schedule could fail it.
+        let verdict = judge_ladder(&ladder_runs(DEFAULT_SEED, true, false));
+        assert!(verdict.clean && verdict.degraded_not_stalled, "{verdict:?}");
+        assert!(!verdict.healed, "{verdict:?}");
+    }
+
+    #[test]
+    fn same_seed_reports_are_byte_identical_and_gated_on_integers() {
+        let report = run(DEFAULT_SEED, true);
+        assert!(report.passed(), "{}", report.to_json());
+        let json = report.to_json();
+        assert_eq!(json, run(DEFAULT_SEED, true).to_json());
+        // Every number of the ladder is a counter: the wall-clock
+        // fields the parent wrote here differed on every run.
+        let doc = Json::parse(&json).expect("own JSON parses");
+        fn integers_only(v: &Json) -> bool {
+            match v {
+                Json::Obj(members) => members.iter().all(|(_, v)| integers_only(v)),
+                Json::Arr(items) => items.iter().all(integers_only),
+                Json::Num(_) => v.as_u64().is_some(),
+                _ => true,
+            }
         }
-        let brown = &cells[1];
-        assert!(brown.remote.timeouts > 0, "brownout never ate a deadline");
-        assert!(brown.remote.breaker_trips > 0, "breaker never tripped");
-        assert_eq!(cells[0].remote.failed, 0, "baseline remote failed");
+        assert!(integers_only(doc.get("ladder").expect("ladder")), "{json}");
     }
 
     #[test]

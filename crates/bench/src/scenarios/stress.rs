@@ -13,14 +13,16 @@
 //!    once journaled with per-tick group commits (DESIGN.md §14).
 //!    Every run must finish with zero invariant-auditor findings and
 //!    zero stale-read-oracle violations, and journaled rows must land
-//!    a non-zero commit epoch. The 8-vs-1 throughput factor is
-//!    *reported*, not gated: on a single-core runner it hovers around
-//!    1x and only measures locking overhead. Commit epochs and segment
-//!    compaction counts ride along as diagnostics.
+//!    a non-zero commit epoch. Wall time, ops/s and the 8-vs-1
+//!    throughput factor are *printed*, never gated and never written.
 //!
-//! The equivalence phase is fully deterministic; the scaling phase
-//! carries wall-clock numbers, so the JSON report is not expected to
-//! be byte-stable across runs (the pass/fail verdict is).
+//! `stress.json` holds only what is a function of the seed, so it sits
+//! in `results/` with the figures: the equivalence verdicts, every
+//! row's op count and clean/durable verdicts, and — on the one-thread
+//! rows, where a single thread orders every op — the plane's counters.
+//! What two or more threads count (lock-free misses, compactions, lock
+//! visits) depends on how they interleave and stays in the printed
+//! table.
 //!
 //! Both phases can run on the **standard** mix, (`--read-heavy`) on
 //! the 95/5 get-heavy mix that the lock-free read plane (DESIGN.md §15)
@@ -30,12 +32,12 @@
 //! lock; every row reports the batch plane's lock-acquisition and
 //! journal-append counters.
 
-use ddc_core::concurrent::{run_equivalence, run_stress, EngineKind, StressConfig};
+use ddc_core::concurrent::{run_equivalence, run_stress, EngineKind, StressConfig, StressOutcome};
 use ddc_core::prelude::*;
 use ddc_json::Json;
 
 /// JSON schema tag of the stress report.
-pub const SCHEMA: &str = "ddc-stress-v2";
+pub const SCHEMA: &str = "ddc-stress-v3";
 
 /// Default master seed of the harness.
 pub const DEFAULT_SEED: u64 = 0x57E5;
@@ -87,41 +89,12 @@ pub struct EquivalenceCell {
 /// One cell of the thread-scaling phase.
 #[derive(Clone, Debug)]
 pub struct ScalingCell {
-    /// OS threads driving the shared cache.
-    pub threads: usize,
     /// Whether the plane journaled with per-tick group commits
     /// (DESIGN.md §14) or ran volatile.
     pub journal: bool,
-    /// Hypercall operations issued across all VMs.
-    pub total_ops: u64,
-    /// Wall-clock seconds of the drive phase.
-    pub wall_secs: f64,
-    /// Throughput in operations per second.
-    pub ops_per_sec: f64,
-    /// Stale-read-oracle violations. Must be zero.
-    pub stale_reads: u64,
-    /// Invariant-auditor findings after the join. Must be zero.
-    pub audit_findings: u64,
-    /// Durability watermark after the final group commit. Diagnostic;
-    /// must be non-zero on journaled cells, always zero on volatile.
-    pub commit_epoch: u64,
-    /// Segment compactions across the run. Diagnostic only.
-    pub journal_compactions: u64,
-    /// Lookups served without any lock (seqlock table + hot replicas,
-    /// DESIGN.md §15). Diagnostic only.
-    pub lockfree_misses: u64,
-    /// Of those, lookups served straight from a per-handle hot-miss
-    /// replica. Diagnostic only.
-    pub replica_hits: u64,
-    /// Operations that entered through a `*_many` batch entry point
-    /// (DESIGN.md §18). Diagnostic only.
-    pub batched_ops: u64,
-    /// Shard-lock acquisitions made on behalf of whole batch groups.
-    /// Diagnostic only.
-    pub batch_lock_acquisitions: u64,
-    /// Journal appends that flushed a whole scratch run in one call.
-    /// Diagnostic only.
-    pub batch_journal_appends: u64,
+    /// What the run did and counted, `out.threads` OS threads driving
+    /// the shared cache. Its wall clock is for the printed table only.
+    pub out: StressOutcome,
 }
 
 /// A full stress run: equivalence matrix plus scaling sweep.
@@ -140,15 +113,14 @@ pub struct StressReport {
 }
 
 impl StressReport {
-    /// 8-thread over 1-thread throughput factor on the volatile rows
-    /// (0 when either is missing). Reported, never gated — see the
-    /// module docs.
+    /// 8-thread over 1-thread wall-clock throughput factor on the
+    /// volatile rows (0 when either is missing). Printed only.
     pub fn scaling_factor(&self) -> f64 {
         let ops = |t: usize| {
             self.scaling
                 .iter()
-                .find(|c| c.threads == t && !c.journal)
-                .map(|c| c.ops_per_sec)
+                .find(|c| c.out.threads == t && !c.journal)
+                .map(|c| c.out.ops_per_sec())
         };
         match (ops(1), ops(8)) {
             (Some(one), Some(eight)) if one > 0.0 => eight / one,
@@ -163,71 +135,52 @@ impl StressReport {
         self.equivalence
             .iter()
             .all(|c| c.identical && c.stale_reads == 0)
-            && self.scaling.iter().all(|c| {
-                c.stale_reads == 0 && c.audit_findings == 0 && (c.commit_epoch > 0) == c.journal
-            })
+            && self
+                .scaling
+                .iter()
+                .all(|c| c.out.clean() && (c.out.commit_epoch > 0) == c.journal)
     }
 
-    /// Machine-readable report (schema [`SCHEMA`]).
+    /// Machine-readable report (schema [`SCHEMA`]): seed-determined
+    /// fields only, see the module docs.
     pub fn to_json(&self) -> String {
         let mut root = Json::object();
-        root.set("schema", Json::Str(SCHEMA.to_owned()));
-        root.set("seed", Json::Num(self.seed as f64));
-        root.set("smoke", Json::Bool(self.smoke));
-        root.set("mix", Json::Str(self.mix.name().to_owned()));
-        root.set("passed", Json::Bool(self.passed()));
-        root.set("scaling_factor_8_over_1", Json::Num(self.scaling_factor()));
-        root.set(
-            "equivalence",
-            Json::Arr(
-                self.equivalence
-                    .iter()
-                    .map(|c| {
-                        let mut o = Json::object();
-                        o.set("mode", Json::Str(mode_name(c.mode).to_owned()));
-                        o.set("shards", Json::Num(c.shards as f64));
-                        o.set("identical", Json::Bool(c.identical));
-                        o.set("stale_reads", Json::Num(c.stale_reads as f64));
-                        o
-                    })
-                    .collect(),
-            ),
-        );
-        root.set(
-            "scaling",
-            Json::Arr(
-                self.scaling
-                    .iter()
-                    .map(|c| {
-                        let mut o = Json::object();
-                        o.set("threads", Json::Num(c.threads as f64));
-                        o.set("journal", Json::Bool(c.journal));
-                        o.set("total_ops", Json::Num(c.total_ops as f64));
-                        o.set("wall_secs", Json::Num(c.wall_secs));
-                        o.set("ops_per_sec", Json::Num(c.ops_per_sec));
-                        o.set("stale_reads", Json::Num(c.stale_reads as f64));
-                        o.set("audit_findings", Json::Num(c.audit_findings as f64));
-                        o.set("commit_epoch", Json::Num(c.commit_epoch as f64));
-                        o.set(
-                            "journal_compactions",
-                            Json::Num(c.journal_compactions as f64),
-                        );
-                        o.set("lockfree_misses", Json::Num(c.lockfree_misses as f64));
-                        o.set("replica_hits", Json::Num(c.replica_hits as f64));
-                        o.set("batched_ops", Json::Num(c.batched_ops as f64));
-                        o.set(
-                            "batch_lock_acquisitions",
-                            Json::Num(c.batch_lock_acquisitions as f64),
-                        );
-                        o.set(
-                            "batch_journal_appends",
-                            Json::Num(c.batch_journal_appends as f64),
-                        );
-                        o
-                    })
-                    .collect(),
-            ),
-        );
+        root.set("schema", SCHEMA);
+        root.set("seed", self.seed);
+        root.set("smoke", self.smoke);
+        root.set("mix", self.mix.name());
+        root.set("passed", self.passed());
+        let equivalence = self.equivalence.iter().map(|c| {
+            let mut o = Json::object();
+            o.set("mode", mode_name(c.mode));
+            o.set("shards", c.shards);
+            o.set("identical", c.identical);
+            o.set("stale_reads", c.stale_reads);
+            o
+        });
+        root.set("equivalence", equivalence.collect::<Vec<Json>>());
+        let scaling = self.scaling.iter().map(|c| {
+            let out = &c.out;
+            let mut o = Json::object();
+            o.set("threads", out.threads);
+            o.set("journal", c.journal);
+            o.set("total_ops", out.total_ops);
+            o.set("clean", out.clean());
+            o.set("durable", out.commit_epoch > 0);
+            if out.threads == 1 {
+                o.set("hits", out.hits);
+                o.set("stores", out.stores);
+                o.set("commit_epoch", out.commit_epoch);
+                o.set("journal_compactions", out.journal_compactions);
+                o.set("lockfree_misses", out.lockfree_misses);
+                o.set("replica_hits", out.replica_hits);
+                o.set("batched_ops", out.batched_ops);
+                o.set("batch_lock_acquisitions", out.batch_lock_acquisitions);
+                o.set("batch_journal_appends", out.batch_journal_appends);
+            }
+            o
+        });
+        root.set("scaling", scaling.collect::<Vec<Json>>());
         let mut s = root.to_string_pretty();
         s.push('\n');
         s
@@ -305,22 +258,9 @@ pub fn run_scaling(seed: u64, smoke: bool, mix: StressMix) -> Vec<ScalingCell> {
         for journal in [false, true] {
             let mut cfg = base_config(seed, smoke, mix);
             cfg.journal = journal;
-            let out = run_stress(&cfg, threads);
             cells.push(ScalingCell {
-                threads,
                 journal,
-                total_ops: out.total_ops,
-                wall_secs: out.elapsed.as_secs_f64(),
-                ops_per_sec: out.ops_per_sec(),
-                stale_reads: out.stale_reads,
-                audit_findings: out.findings.len() as u64,
-                commit_epoch: out.commit_epoch,
-                journal_compactions: out.journal_compactions,
-                lockfree_misses: out.lockfree_misses,
-                replica_hits: out.replica_hits,
-                batched_ops: out.batched_ops,
-                batch_lock_acquisitions: out.batch_lock_acquisitions,
-                batch_journal_appends: out.batch_journal_appends,
+                out: run_stress(&cfg, threads),
             });
         }
     }
@@ -350,8 +290,14 @@ mod tests {
         assert_eq!(r.scaling.len(), 2 * THREAD_COUNTS.len());
         assert!(r.passed(), "report: {}", r.to_json());
         for c in &r.scaling {
-            assert_eq!(c.journal, c.commit_epoch > 0, "cell: {c:?}");
+            assert_eq!(c.journal, c.out.commit_epoch > 0, "cell: {c:?}");
         }
+        // The report is a function of the seed: nothing a clock or a
+        // thread interleaving decides is in it.
+        assert_eq!(
+            r.to_json(),
+            run(DEFAULT_SEED, true, StressMix::Standard).to_json()
+        );
     }
 
     #[test]
@@ -373,9 +319,9 @@ mod tests {
         // every scaling cell.
         for c in &r.scaling {
             assert!(
-                c.lockfree_misses > 0,
+                c.out.lockfree_misses > 0,
                 "read plane idle at {} threads: {c:?}",
-                c.threads
+                c.out.threads
             );
         }
     }
@@ -389,13 +335,13 @@ mod tests {
         // records through the amortized run-append path.
         for c in &r.scaling {
             assert!(
-                c.batched_ops > 0 && c.batch_lock_acquisitions > 0,
+                c.out.batched_ops > 0 && c.out.batch_lock_acquisitions > 0,
                 "batch plane idle at {} threads: {c:?}",
-                c.threads
+                c.out.threads
             );
             if c.journal {
                 assert!(
-                    c.batch_journal_appends > 0,
+                    c.out.batch_journal_appends > 0,
                     "journaled cell never batch-appended: {c:?}"
                 );
             }

@@ -38,6 +38,7 @@ use ddc_cleancache::{
 };
 use ddc_hypercache::{AuditFinding, CacheConfig, DoubleDeckerCache, PartitionMode};
 use ddc_json::Json;
+use ddc_metrics::CounterSnapshot;
 use ddc_sim::{BreakerConfig, FaultSchedule, FxHashMap, SimDuration, SimRng, SimTime};
 use ddc_storage::{
     BlockAddr, ChunkStore, FileId, RemoteConfig, RemoteCounters, RemoteError, RemoteFetchConfig,
@@ -174,7 +175,7 @@ impl StressConfig {
     /// A put-heavy storm against a deliberately undersized store: most
     /// puts force an eviction, so the run spends its time in the
     /// two-phase eviction path under thread contention. Used by the
-    /// `evict_contention_threads_*` perf cells.
+    /// `stress_eviction_storm` work cell and this crate's contention test.
     pub fn eviction_storm(seed: u64) -> StressConfig {
         StressConfig {
             vms: 8,
@@ -196,7 +197,7 @@ impl StressConfig {
     /// lock-free read plane exists for. Exclusive semantics keep the
     /// steady-state hit rate low, so nearly every get is a definitive
     /// miss the seqlock table answers without a lock. Used by the
-    /// `read_scaling_threads_*` perf cells.
+    /// `stress_read_heavy` work cell and `repro stress --read-heavy`.
     pub fn read_heavy(seed: u64) -> StressConfig {
         StressConfig {
             vms: 8,
@@ -217,8 +218,7 @@ impl StressConfig {
     /// The read-heavy mix squeezed onto a tiny working set: every
     /// thread hammers the same handful of blocks, so the same keys are
     /// looked up over and over — the case the per-handle hot-miss
-    /// replicas short-circuit. Used by the
-    /// `hot_block_contention_threads_*` perf cells.
+    /// replicas short-circuit. Used by the `stress_hot_blocks` work cell.
     pub fn hot_blocks(seed: u64) -> StressConfig {
         StressConfig {
             working_set: 8,
@@ -251,8 +251,8 @@ impl StressConfig {
     /// aggregate working set: the cell prices batching itself
     /// (grouping, amortized journaling, hybrid placement), not the
     /// eviction storm `eviction_storm` already measures. Used by the
-    /// `batched_put_threads_*` and `mixed_write_scaling_threads_*`
-    /// perf cells and the ci.sh write-heavy stress smoke.
+    /// `stress_write_heavy` and `stress_mixed_write` work cells and
+    /// `repro stress --write-heavy`.
     pub fn write_heavy(seed: u64) -> StressConfig {
         StressConfig {
             vms: 8,
@@ -750,7 +750,14 @@ pub struct StressOutcome {
     /// Total hypercall operations issued across all VMs.
     pub total_ops: u64,
     /// Wall-clock time of the drive phase (setup and audit excluded).
+    /// For printing only: no gate and no JSON report may read it.
     pub elapsed: Duration,
+    /// Hypercalls issued, summed over every VM's channel.
+    pub hypercalls: u64,
+    /// Lookups that hit, summed over every VM's channel.
+    pub hits: u64,
+    /// Stores the cache accepted, summed over every VM's channel.
+    pub stores: u64,
     /// Stale reads the oracle observed across all VMs (gate: 0).
     pub stale_reads: u64,
     /// Findings from the cross-shard auditor after the join (gate:
@@ -786,6 +793,11 @@ pub struct StressOutcome {
     /// Aggregate remote fetch counters across every binding (all zero
     /// when the run had no remote attached).
     pub remote: RemoteCounters,
+    /// [`StressOutcome::remote`] split by thirds of the run: what the
+    /// bindings counted during ticks `[0, n/3)`, `[n/3, 2n/3)` and
+    /// `[2n/3, n)`. The first thread snapshots the totals as it crosses
+    /// each boundary, so the split is exact at one thread only.
+    pub remote_thirds: [RemoteCounters; 3],
     /// Operations that entered through a `*_many` batch entry point
     /// (diagnostic, DESIGN.md §18).
     pub batched_ops: u64,
@@ -795,6 +807,18 @@ pub struct StressOutcome {
     /// Journal appends that flushed a whole scratch run in one call
     /// (diagnostic).
     pub batch_journal_appends: u64,
+    /// The plane the run left behind, for the counters this struct does
+    /// not copy out (evictions, trickle-downs, journal records, wear).
+    pub cache: ShardedCache,
+}
+
+/// Field-wise `later - earlier` of two cumulative snapshots.
+fn since(later: &RemoteCounters, earlier: &RemoteCounters) -> RemoteCounters {
+    let mut delta = RemoteCounters::default();
+    for ((name, now), (_, then)) in later.fields().into_iter().zip(earlier.fields()) {
+        delta.set_field(name, now - then);
+    }
+    delta
 }
 
 impl StressOutcome {
@@ -837,14 +861,20 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
 
     let ticks = cfg.ticks;
     let started = std::time::Instant::now();
-    let joined: Vec<(Vec<VmWorker>, (u64, u64))> = std::thread::scope(|scope| {
+    type Joined = (Vec<VmWorker>, (u64, u64), Vec<RemoteCounters>);
+    let joined: Vec<Joined> = std::thread::scope(|scope| {
         let handles: Vec<_> = hands
             .into_iter()
-            .map(|mut hand| {
+            .enumerate()
+            .map(|(thread, mut hand)| {
                 let mut backend = cache.clone();
                 let journal = cfg.journal;
                 scope.spawn(move || {
+                    let mut marks = Vec::new();
                     for tick in 0..ticks {
+                        if thread == 0 && (tick == ticks / 3 || tick == ticks * 2 / 3) {
+                            marks.push(backend.remote_totals());
+                        }
                         for w in &mut hand {
                             w.tick(&mut backend, tick);
                         }
@@ -858,7 +888,7 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
                     // The hot-miss replica dies with this thread's
                     // handle; salvage its counters for the outcome.
                     let local = backend.local_read_stats();
-                    (hand, local)
+                    (hand, local, marks)
                 })
             })
             .collect();
@@ -873,18 +903,30 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
     let mut stale_reads = 0;
     let mut lockfree_misses = 0;
     let mut replica_hits = 0;
-    for (hand, (lf, rh)) in &joined {
+    let (mut hypercalls, mut hits, mut stores) = (0, 0, 0);
+    for (hand, (lf, rh), _) in &joined {
         for w in hand {
             total_ops += w.ops;
             stale_reads += w.stale_reads;
+            let c = w.channel.counters();
+            hypercalls += c.calls;
+            hits += c.get_hits;
+            stores += c.put_stores;
         }
         lockfree_misses += lf;
         replica_hits += rh;
     }
+    let remote = cache.remote_totals();
+    // A run of fewer than three ticks takes fewer than two marks, all
+    // at tick 0: a missing one reads as zero too.
+    let mark = |i: usize| joined[0].2.get(i).copied().unwrap_or_default();
     StressOutcome {
         threads,
         total_ops,
         elapsed,
+        hypercalls,
+        hits,
+        stores,
         stale_reads,
         findings: audit::audit(&cache),
         two_phase_retries: cache.two_phase_retries(),
@@ -896,10 +938,12 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
         seqlock_retries: cache.seqlock_retries(),
         front_tree_retries: cache.front_tree_retries(),
         front_tree_fallbacks: cache.front_tree_fallbacks(),
-        remote: cache.remote_totals(),
+        remote,
+        remote_thirds: [mark(0), since(&mark(1), &mark(0)), since(&remote, &mark(1))],
         batched_ops: cache.batched_ops(),
         batch_lock_acquisitions: cache.batch_lock_acquisitions(),
         batch_journal_appends: cache.batch_journal_appends(),
+        cache,
     }
 }
 
@@ -1192,6 +1236,17 @@ mod tests {
             );
             assert_eq!(out.stale_reads, 0, "{threads} threads: stale reads");
             assert_eq!(out.total_ops, StressConfig::smoke(13).ops_per_vm() * 4);
+        }
+    }
+
+    #[test]
+    fn eviction_storm_is_clean_under_contention() {
+        // Nearly every put evicts, so the racing threads spend the run
+        // in two-phase eviction behind the single-evictor gate.
+        for threads in [2, 8] {
+            let out = run_stress(&StressConfig::eviction_storm(0xEC0), threads);
+            assert!(out.clean(), "{threads} threads: {:?}", out.findings);
+            assert!(out.cache.evictions() > 0, "{threads} threads: no eviction");
         }
     }
 

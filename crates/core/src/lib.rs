@@ -50,7 +50,6 @@ pub mod parallel;
 mod report;
 mod runner;
 pub mod scenario;
-pub mod sla;
 
 pub use report::{ExperimentReport, FaultTotals, SeriesReport, ThreadReport};
 pub use runner::{Experiment, ThreadPool};

@@ -53,7 +53,8 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl Json {
-    /// Parses a JSON document. Trailing garbage is an error.
+    /// Parses a JSON document. Trailing garbage is an error, and so is
+    /// nesting deeper than [`MAX_DEPTH`] containers.
     ///
     /// # Errors
     ///
@@ -62,6 +63,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -307,9 +309,15 @@ impl From<BTreeMap<String, Json>> for Json {
     }
 }
 
+/// Deepest container nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a few hundred kilobytes
+/// of `[` overflow the stack; the reports nest five or six deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -350,8 +358,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let container = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                container
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),

@@ -7,7 +7,8 @@
 //! These tests run the same cell batches serially (`threads = 1`) and in
 //! parallel (`threads = 4`, more workers than this machine may have
 //! cores — oversubscription is the harder case) and compare full report
-//! JSON bytes.
+//! JSON bytes. The last test does the same for `repro work`'s matrix,
+//! whose rows are golden in `results/work.json`.
 
 use ddc_core::parallel::run_cells_with;
 use ddc_core::scenario::{self, ScenarioSpec};
@@ -83,4 +84,12 @@ fn results_keep_input_order_under_parallelism() {
     });
     let got: Vec<String> = reports.iter().map(|(n, _)| n.clone()).collect();
     assert_eq!(got, names);
+}
+
+#[test]
+fn work_matrix_is_byte_identical_across_reruns_and_worker_counts() {
+    use ddc_bench::scenarios::perf;
+    let serial = perf::to_json(perf::run_work_with(1, true), true);
+    assert_eq!(serial, perf::to_json(perf::run_work_with(1, true), true));
+    assert_eq!(serial, perf::to_json(perf::run_work_with(8, true), true));
 }
