@@ -2892,6 +2892,59 @@ mod tests {
         assert_eq!(std::mem::size_of::<ShardedCache>(), 320);
     }
 
+    /// What `f` panics with (the engine's lock failures are `&str` or
+    /// `String` payloads).
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call returned instead of panicking");
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => (*payload.downcast::<&str>().expect("a string payload")).to_string(),
+        }
+    }
+
+    /// A thread dies holding `lock`.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        let died = std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = lock.lock().expect("not poisoned yet");
+                panic!("poisoning the lock on purpose");
+            });
+            holder.join()
+        });
+        assert!(died.is_err() && lock.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_lock_fails_every_waiter_with_the_message_it_always_had() {
+        let mut cache = ShardedCache::new(CacheConfig::mem_only(4), 4);
+        cache.add_vm(VmId(1), 100);
+        let p = cache.create_pool(VmId(1), CachePolicy::mem(100));
+        for i in 0..4 {
+            cache.put(SimTime::ZERO, VmId(1), p, addr(1, i), PageVersion(1));
+        }
+        assert_eq!(cache.mem_used_pages(), 4, "the next put must evict");
+
+        // The evictor gate: the put drops its shard lock, finds the gate
+        // poisoned and panics before touching anything.
+        poison(&cache.inner.eviction_gate);
+        let mut putter = cache.clone();
+        let message = panic_message(move || {
+            putter.put(SimTime::ZERO, VmId(1), p, addr(1, 9), PageVersion(1));
+        });
+        assert!(message.contains("eviction gate poisoned"), "{message}");
+
+        // One shard, taken alone (a get) and with all the others.
+        poison(&cache.inner.shards[cache.shard_of(VmId(1), p)]);
+        let mut getter = cache.clone();
+        let message = panic_message(move || {
+            getter.get(SimTime::ZERO, VmId(1), p, addr(1, 0));
+        });
+        assert!(message.contains("shard poisoned"), "{message}");
+        let message = panic_message(|| drop(cache.entries()));
+        assert!(message.contains("shard poisoned"), "{message}");
+    }
+
     #[test]
     fn a_replayed_remove_vm_invalidates_what_handles_cached() {
         let mut cache = ShardedCache::new(CacheConfig::mem_only(1000), 4);

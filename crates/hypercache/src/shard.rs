@@ -1009,6 +1009,7 @@ impl ReplayLog {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1481,6 +1482,183 @@ mod tests {
         );
         assert_eq!(state.stale(Placement::Mem), 0);
         assert_eq!(state.dead_fifo_entries(Placement::Mem), 0);
+    }
+
+    /// What one `evict_batch` did to its ledger and its journal, in
+    /// call order.
+    #[derive(Debug, PartialEq)]
+    enum Event {
+        Alloc(Placement, bool),
+        /// Pages given back, and the store's `used` right after.
+        Free(Placement, u64, u64),
+        Journal(JournalRecord),
+    }
+
+    /// An atomic ledger that logs every call into the log the journal
+    /// callback writes too.
+    struct Recording<'a>(&'a AtomicPair, &'a RefCell<Vec<Event>>);
+
+    impl PageLedger for Recording<'_> {
+        fn try_alloc(&mut self, placement: Placement) -> bool {
+            let mut pair = self.0;
+            let ok = pair.try_alloc(placement);
+            self.1.borrow_mut().push(Event::Alloc(placement, ok));
+            ok
+        }
+
+        fn free(&mut self, placement: Placement, pages: u64) {
+            let mut pair = self.0;
+            pair.free(placement, pages);
+            let used = pair.used_pages(placement);
+            self.1
+                .borrow_mut()
+                .push(Event::Free(placement, pages, used));
+        }
+
+        fn used_pages(&self, placement: Placement) -> u64 {
+            self.0.used_pages(placement)
+        }
+    }
+
+    /// One pool of `resident` pages in `placement`, the SSD otherwise
+    /// filled to `ssd_free` pages of room, then one `evict_batch` of
+    /// `max_pages`: what it returned, what it did, and what it should
+    /// have journaled.
+    fn recorded_batch(
+        policy: CachePolicy,
+        placement: Placement,
+        resident: u64,
+        max_pages: u64,
+        ssd_free: u64,
+    ) -> ((u64, u64), Vec<Event>, Vec<JournalRecord>) {
+        let pair = AtomicPair(Default::default());
+        let log = RefCell::new(Vec::new());
+        let mut state = ShardState::default();
+        let (vm, pool) = POOLS[0];
+        state.pools.insert((vm, pool), Pool::new(vm, policy));
+        let mut ledger = &pair;
+        for seq in 1..=resident {
+            assert!(ledger.try_alloc(placement));
+            let addr = BlockAddr::new(FileId(1), 100 - seq);
+            state.insert(
+                &mut ledger,
+                vm,
+                pool,
+                addr,
+                placement,
+                PageVersion(seq),
+                seq,
+            );
+        }
+        while ledger.used_pages(Placement::Ssd) + ssd_free < CAPACITY[1] {
+            assert!(ledger.try_alloc(Placement::Ssd));
+        }
+
+        let evicted = resident.min(max_pages);
+        let trickles = policy.store == StoreKind::Hybrid && placement == Placement::Mem;
+        let trickled = if trickles { evicted.min(ssd_free) } else { 0 };
+        let oldest = |n: u64| (1..=n).map(|seq| (BlockAddr::new(FileId(1), 100 - seq), seq));
+        let mut expected: Vec<_> = oldest(evicted)
+            .map(|(addr, _)| evict_record(vm, pool, addr))
+            .collect();
+        expected.extend(
+            oldest(trickled)
+                .map(|(addr, v)| put_record(vm, pool, addr, PageVersion(v), Placement::Ssd)),
+        );
+
+        let mut next = resident;
+        let counts = state.evict_batch(
+            &mut Recording(&pair, &log),
+            vm,
+            pool,
+            placement,
+            max_pages,
+            None,
+            Some(|_: &mut Recording<'_>, _| {
+                next += 1;
+                Some(next)
+            }),
+            |rec| log.borrow_mut().push(Event::Journal(rec)),
+        );
+        assert_eq!(counts, (evicted, trickled));
+        assert_eq!(state.used(vm, pool, placement), resident - evicted);
+        assert_eq!(ledger.used_pages(placement), {
+            let kept = if placement == Placement::Ssd {
+                CAPACITY[1] - ssd_free
+            } else {
+                resident
+            };
+            kept - evicted
+        });
+        (counts, log.into_inner(), expected)
+    }
+
+    #[test]
+    fn an_eviction_batch_pays_its_pages_back_in_pop_order() {
+        let cases = [
+            (CachePolicy::mem(100), Placement::Mem, 10, 6, 0),
+            (CachePolicy::ssd(100), Placement::Ssd, 10, 6, 50),
+            // Trickle-down into a full SSD, one with room for two, and
+            // one that takes the whole batch.
+            (CachePolicy::hybrid(100), Placement::Mem, 10, 6, 0),
+            (CachePolicy::hybrid(100), Placement::Mem, 10, 6, 2),
+            (CachePolicy::hybrid(100), Placement::Mem, 10, 6, 20),
+            (CachePolicy::hybrid(100), Placement::Ssd, 10, 6, 50),
+            // A batch larger than the pool ends short.
+            (CachePolicy::mem(100), Placement::Mem, 3, 32, 0),
+            (CachePolicy::mem(100), Placement::Mem, 0, 32, 0),
+        ];
+        for (policy, placement, resident, max_pages, ssd_free) in cases {
+            let what = format!("{policy:?} {placement:?} {resident}/{max_pages}/{ssd_free}");
+            let ((evicted, _), events, expected) =
+                recorded_batch(policy, placement, resident, max_pages, ssd_free);
+
+            // Journal order: the evictions oldest first, then the
+            // trickled puts in the same order.
+            let journaled: Vec<_> = events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Journal(rec) => Some(*rec),
+                    _ => None,
+                })
+                .collect();
+            assert!(journaled == expected, "{what}: {journaled:?}");
+
+            // No page goes back before the pop that frees it, all of
+            // them do, and the evicted store's occupancy only falls.
+            let (mut popped, mut freed, mut last_used) = (0, 0, u64::MAX);
+            for event in &events {
+                match *event {
+                    Event::Journal(JournalRecord::Evict { .. }) => popped += 1,
+                    Event::Free(store, pages, used) if store == placement => {
+                        freed += pages;
+                        assert!(freed <= popped, "{what}: {freed} freed, {popped} popped");
+                        assert!(used <= last_used, "{what}: occupancy rose to {used}");
+                        last_used = used;
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!((popped, freed), (evicted, evicted), "{what}");
+        }
+    }
+
+    #[test]
+    fn evicting_from_a_pool_that_is_not_there_touches_nothing() {
+        let pair = AtomicPair(Default::default());
+        let log = RefCell::new(Vec::new());
+        let counts = ShardState::default().evict_batch(
+            &mut Recording(&pair, &log),
+            VmId(9),
+            PoolId(9),
+            Placement::Mem,
+            32,
+            None,
+            Some(|_: &mut Recording<'_>, _| Some(1)),
+            |rec| log.borrow_mut().push(Event::Journal(rec)),
+        );
+        assert_eq!(counts, (0, 0));
+        assert!(log.borrow().is_empty());
     }
 
     #[test]

@@ -53,7 +53,12 @@ impl Zipf {
 
     /// Draws one sample in `0..n` (0 is the most popular rank).
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.next_f64();
+        self.rank(rng.next_f64())
+    }
+
+    /// The rank a uniform draw `u` in `[0, 1)` lands on: the first
+    /// whose cumulative probability reaches `u`.
+    fn rank(&self, u: f64) -> usize {
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 }
@@ -106,6 +111,53 @@ mod tests {
         let z = Zipf::new(1, 0.99);
         let mut rng = SimRng::new(9);
         assert_eq!(z.sample(&mut rng), 0);
+    }
+
+    /// The sampler's definition, searched the slow way.
+    fn full_search(z: &Zipf, u: f64) -> usize {
+        z.cdf.partition_point(|&c| c < u).min(z.cdf.len() - 1)
+    }
+
+    const DOMAINS: [usize; 5] = [1, 2, 1000, 32_768, 50_001];
+    const SKEWS: [f64; 5] = [0.0, 0.7, 0.9, 0.99, 1.2];
+
+    #[test]
+    fn every_draw_lands_on_the_rank_the_full_search_finds() {
+        for n in DOMAINS {
+            for theta in SKEWS {
+                let z = Zipf::new(n, theta);
+                let mut rng = SimRng::new(n as u64 ^ theta.to_bits());
+                for _ in 0..100_000 {
+                    let u = rng.next_f64();
+                    assert_eq!(z.rank(u), full_search(&z, u), "n={n} theta={theta} u={u:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn draws_at_the_edges_land_on_the_rank_the_full_search_finds() {
+        for n in DOMAINS {
+            for theta in SKEWS {
+                let z = Zipf::new(n, theta);
+                // Every k/K a power-of-two table could cut at, every
+                // cumulative probability itself, and the neighbours of
+                // both: where an off-by-one bucket would show.
+                let buckets = (n.next_power_of_two() * 2) as u64;
+                let cuts = (0..buckets).map(|k| k as f64 / buckets as f64);
+                for edge in cuts.chain(z.cdf.iter().copied()) {
+                    for u in [edge.next_down(), edge, edge.next_up()] {
+                        if (0.0..1.0).contains(&u) {
+                            assert_eq!(
+                                z.rank(u),
+                                full_search(&z, u),
+                                "n={n} theta={theta} u={u:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
