@@ -24,6 +24,11 @@ echo "==> one shard state machine, one control plane: both engines write one jou
 cargo test --release -q -p ddc-core --test prop_one_state_machine
 cargo test --release -q -p ddc-hypercache registry
 
+echo "==> one wait policy: an eviction batch frees page by page (recording ledger), the Zipf guide table lands on the full search's rank, the backoff is bounded and a poisoned lock still panics (release too: the guide's debug assertion is compiled out there)"
+cargo test --release -q -p ddc-hypercache --lib shard::
+cargo test --release -q -p ddc-workloads --lib zipf
+cargo test --release -q -p ddc-concurrent --lib -- backoff poisoned
+
 echo "==> frozen benchmark crate still builds and passes against the public API"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
@@ -87,6 +92,10 @@ cargo test -q -p ddc-core --test prop_remote_determinism
 
 echo "==> stress smoke (serial-vs-sharded equivalence + threaded stress)"
 cargo run --release -q -p ddc-bench --bin repro -- stress --smoke
+# The three 8-worker smokes below oversubscribe the box, which is where a
+# spinning waiter could hurt: their "[repro finished in ...]" lines are the
+# wall times to compare before and after a change to crates/concurrent's
+# backoff (printed, never gated; EXPERIMENTS.md "One wait policy").
 echo "==> stress smoke again with 8 experiment workers (cross-cell contention)"
 DDC_THREADS=8 cargo run --release -q -p ddc-bench --bin repro -- stress --smoke
 echo "==> stress smoke, 95/5 read-heavy mix through the lock-free read plane"

@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+mod backoff;
 pub mod driver;
 pub mod fronts;
 pub mod sharded;

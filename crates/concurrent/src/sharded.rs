@@ -117,6 +117,7 @@ use ddc_storage::{
     RemoteError, RemoteFetchConfig, RemoteId, RemoteRegistry, WearCounters,
 };
 
+use crate::backoff::{self, Backoff};
 use crate::fronts::{FrontTree, EMPTY_FRONT};
 
 /// Global page accounting for one store: capacity and used pages shared
@@ -204,11 +205,6 @@ impl PageLedger for Ledgers<'_> {
 const CELL_LEN_BITS: u32 = 40;
 const CELL_LEN_MASK: u64 = (1 << CELL_LEN_BITS) - 1;
 
-/// Spins a committer spends on an in-flight append before it starts
-/// yielding its time slice: an `append_run` is ~2 µs, a descheduled
-/// appender is not worth burning a quantum on.
-const COMMIT_SPINS: u32 = 256;
-
 /// One segment's group-commit state (DESIGN.md §14.2): what
 /// [`ShardedCache::commit_tick`] reads instead of taking the shard's
 /// lock. The cells live in an allocation of their own, one cache line
@@ -262,14 +258,12 @@ impl CommitCell {
     fn commit(&self) {
         let seq = self.seq.load(Ordering::Acquire);
         if !seq.is_multiple_of(2) {
-            let mut spins = 0;
+            // Nothing to block on here: past its budget the backoff
+            // keeps yielding (an `append_run` is ~2 µs; a descheduled
+            // appender is not worth burning a quantum on).
+            let mut backoff = Backoff::new();
             while self.seq.load(Ordering::Acquire) == seq {
-                if spins < COMMIT_SPINS {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                backoff.snooze();
             }
         }
         self.durable
@@ -417,10 +411,12 @@ struct Inner {
     front_tree_fallbacks: AtomicU64,
     /// Test hook run inside the lock-free read window (between the
     /// seqlock's first load and the table walk); tests use it to mutate
-    /// membership mid-read and force torn-snapshot retries. Guarded by
-    /// the flag below so production reads pay one relaxed load.
+    /// membership mid-read and force torn-snapshot retries.
     read_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
-    read_hook_on: AtomicBool,
+    /// Whether `read_hook` or `eviction_hook` is installed: production
+    /// reads and eviction batches pay one relaxed load for the hooks,
+    /// not a lock and an `Arc` clone.
+    hooks_on: AtomicBool,
     /// Registered remote chunk stores (bindings live per shard).
     remote_registry: Mutex<RemoteRegistry>,
     /// Whether any remote store is registered; checked lock-free on the
@@ -692,7 +688,7 @@ impl ShardedCache {
                 front_tree_retries: AtomicU64::new(0),
                 front_tree_fallbacks: AtomicU64::new(0),
                 read_hook: RwLock::new(None),
-                read_hook_on: AtomicBool::new(false),
+                hooks_on: AtomicBool::new(false),
                 remote_registry: Mutex::new(RemoteRegistry::new()),
                 remote_on: AtomicBool::new(false),
                 eviction_gate: Mutex::new(()),
@@ -851,9 +847,20 @@ impl ShardedCache {
     /// and force snapshot staleness; production code leaves it unset.
     pub fn set_eviction_hook(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
         *self.inner.eviction_hook.write().expect("hook poisoned") = hook;
+        self.publish_hooks();
+    }
+
+    /// Raises `hooks_on` while either test hook is installed.
+    fn publish_hooks(&self) {
+        let installed = |hook: &RwLock<Option<_>>| hook.read().expect("hook poisoned").is_some();
+        let on = installed(&self.inner.eviction_hook) || installed(&self.inner.read_hook);
+        self.inner.hooks_on.store(on, Ordering::Release);
     }
 
     fn run_eviction_hook(&self) {
+        if !self.inner.hooks_on.load(Ordering::Relaxed) {
+            return;
+        }
         let hook = self
             .inner
             .eviction_hook
@@ -889,9 +896,8 @@ impl ShardedCache {
     /// spot and prove torn snapshots are retried, never served;
     /// production code leaves it unset (one relaxed load on the path).
     pub fn set_read_hook(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
-        let on = hook.is_some();
         *self.inner.read_hook.write().expect("hook poisoned") = hook;
-        self.inner.read_hook_on.store(on, Ordering::Release);
+        self.publish_hooks();
     }
 
     /// Torn-snapshot retries across every shard's read plane.
@@ -1593,7 +1599,9 @@ impl ShardedCache {
         self.inner.next_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Locks every shard in ascending index order.
+    /// Locks every shard in ascending index order. Parks on a busy one:
+    /// a sweep holds what it has taken so far, so every microsecond it
+    /// spins is one every client of those shards waits too.
     fn lock_all_shards(&self) -> Vec<MutexGuard<'_, Shard>> {
         self.inner
             .shards
@@ -1602,8 +1610,11 @@ impl ShardedCache {
             .collect()
     }
 
+    /// One shard's lock, under the wait policy ([`crate::backoff`]):
+    /// whoever holds it is mid-operation (an eviction batch at worst),
+    /// so the waiter polls for a few batches' time before it parks.
     fn lock_shard(&self, idx: usize) -> MutexGuard<'_, Shard> {
-        self.inner.shards[idx].lock().expect("shard poisoned")
+        backoff::lock(&self.inner.shards[idx], "shard poisoned")
     }
 
     /// [`ShardState::insert`] on a (locked) shard, then the front
@@ -1895,24 +1906,29 @@ impl ShardedCache {
                 return true;
             }
             // Single-evictor gate (see [`Inner::eviction_gate`]): blocked
-            // putters back off here instead of each running a duplicate
-            // batch; the re-check below usually succeeds off the winner's
-            // freed pages. `try_lock` + yield rather than `lock`: parking
-            // losers on the mutex would wake them one by one in a futex
-            // handoff chain after every batch, and on few cores that
-            // chain of context switches is what the gate exists to avoid.
-            // The winner always makes progress (evicts or rejects), so
-            // the spin is bounded by one batch. Single-threaded the
-            // try_lock always succeeds and the re-check always fails
-            // (nothing freed since the check above), so the serial victim
+            // putters wait here instead of each running a duplicate
+            // batch, and take the winner's pages as it pops them — the
+            // ledger is re-checked every round of the wait policy
+            // ([`crate::backoff`]), with no system call while the winner
+            // is running; only a waiter that outlasts the budget (the
+            // winner lost its core) parks on the gate. The winner always
+            // makes progress (evicts or rejects), so the wait is bounded
+            // by one batch. Single-threaded the first try_lock always
+            // succeeds and the re-check below always fails (nothing
+            // freed since the check above), so the serial victim
             // sequence — and byte-identity — is untouched.
-            let _evictor = match self.inner.eviction_gate.try_lock() {
-                Ok(guard) => guard,
-                Err(std::sync::TryLockError::WouldBlock) => {
-                    std::thread::yield_now();
-                    continue;
+            let gate = &self.inner.eviction_gate;
+            let mut backoff = Backoff::new();
+            let _evictor = loop {
+                if let Some(guard) = backoff::try_lock(gate, "eviction gate poisoned") {
+                    break guard;
                 }
-                Err(std::sync::TryLockError::Poisoned(_)) => panic!("eviction gate poisoned"),
+                if !backoff.snooze() {
+                    break gate.lock().expect("eviction gate poisoned");
+                }
+                if self.ledger(placement).try_alloc() {
+                    return true;
+                }
             };
             if self.ledger(placement).try_alloc() {
                 return true;
@@ -2113,7 +2129,7 @@ impl ShardedCache {
         }
         let inner = &self.inner;
         let probe = inner.read_planes[si].lookup(vm, pool, addr, || {
-            if inner.read_hook_on.load(Ordering::Relaxed) {
+            if inner.hooks_on.load(Ordering::Relaxed) {
                 let hook = inner.read_hook.read().expect("hook poisoned").clone();
                 if let Some(hook) = hook {
                     hook();
@@ -2940,9 +2956,9 @@ mod tests {
         let message = panic_message(move || {
             getter.get(SimTime::ZERO, VmId(1), p, addr(1, 0));
         });
-        assert!(message.contains("shard poisoned"), "{message}");
+        assert!(message.contains("shard poisoned: PoisonError"), "{message}");
         let message = panic_message(|| drop(cache.entries()));
-        assert!(message.contains("shard poisoned"), "{message}");
+        assert!(message.contains("shard poisoned: PoisonError"), "{message}");
     }
 
     #[test]

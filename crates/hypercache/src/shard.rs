@@ -298,7 +298,7 @@ impl ShardState {
         let Some(p) = self.pools.get_mut(&(vm, pool)) else {
             return (0, 0);
         };
-        let mut evicted = Vec::new();
+        let mut evicted = Vec::with_capacity(max_pages as usize);
         while (evicted.len() as u64) < max_pages {
             let Some((addr, slot)) = p.pop_oldest(placement) else {
                 break;
@@ -306,9 +306,12 @@ impl ShardState {
             p.counters.evictions += 1;
             evicted.push((addr, slot.version));
             journal(evict_record(vm, pool, addr));
+            // Page by page, not once at the end: on the sharded engine a
+            // put waiting for room takes this page while the rest of the
+            // batch is still being popped.
+            release(ledger, &mut self.stale, placement, 1);
         }
         let freed = evicted.len() as u64;
-        release(ledger, &mut self.stale, placement, freed);
 
         let hybrid = p.policy().store == StoreKind::Hybrid;
         let Some(mut spill) = spill.filter(|_| hybrid && placement == Placement::Mem) else {
@@ -1486,7 +1489,7 @@ mod tests {
 
     /// What one `evict_batch` did to its ledger and its journal, in
     /// call order.
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug)]
     enum Event {
         Alloc(Placement, bool),
         /// Pages given back, and the store's `used` right after.
@@ -1610,7 +1613,7 @@ mod tests {
         ];
         for (policy, placement, resident, max_pages, ssd_free) in cases {
             let what = format!("{policy:?} {placement:?} {resident}/{max_pages}/{ssd_free}");
-            let ((evicted, _), events, expected) =
+            let ((evicted, trickled), events, expected) =
                 recorded_batch(policy, placement, resident, max_pages, ssd_free);
 
             // Journal order: the evictions oldest first, then the
@@ -1624,15 +1627,22 @@ mod tests {
                 .collect();
             assert!(journaled == expected, "{what}: {journaled:?}");
 
-            // No page goes back before the pop that frees it, all of
-            // them do, and the evicted store's occupancy only falls.
+            // Pops and frees alternate one for one — a put waiting for
+            // room gets each page as it is popped, not the batch at its
+            // end — and the evicted store's occupancy only falls.
             let (mut popped, mut freed, mut last_used) = (0, 0, u64::MAX);
-            for event in &events {
+            for (i, event) in events.iter().enumerate() {
                 match *event {
-                    Event::Journal(JournalRecord::Evict { .. }) => popped += 1,
+                    Event::Journal(JournalRecord::Evict { .. }) => {
+                        popped += 1;
+                        assert!(
+                            matches!(events.get(i + 1), Some(&Event::Free(store, 1, _)) if store == placement),
+                            "{what}: pop {popped} not paid back at once: {events:?}"
+                        );
+                    }
                     Event::Free(store, pages, used) if store == placement => {
                         freed += pages;
-                        assert!(freed <= popped, "{what}: {freed} freed, {popped} popped");
+                        assert_eq!(freed, popped, "{what}: a page freed that no pop paid for");
                         assert!(used <= last_used, "{what}: occupancy rose to {used}");
                         last_used = used;
                     }
@@ -1640,6 +1650,16 @@ mod tests {
                 }
             }
             assert_eq!((popped, freed), (evicted, evicted), "{what}");
+
+            // A trickle takes one SSD page each, and the first refusal
+            // ends the trickling.
+            let asked = |granted| {
+                let hit =
+                    |e: &&Event| matches!(**e, Event::Alloc(Placement::Ssd, ok) if ok == granted);
+                events.iter().filter(hit).count() as u64
+            };
+            assert_eq!(asked(true), trickled, "{what}");
+            assert!(asked(false) <= 1, "{what}: {events:?}");
         }
     }
 

@@ -3,7 +3,8 @@
 use ddc_sim::SimRng;
 
 /// A Zipf(θ) sampler over `0..n` using a precomputed CDF and binary
-/// search. θ = 0 degenerates to uniform; θ ≈ 0.99 is the YCSB default.
+/// search, narrowed first by a guide table. θ = 0 degenerates to
+/// uniform; θ ≈ 0.99 is the YCSB default.
 ///
 /// # Example
 ///
@@ -19,6 +20,12 @@ use ddc_sim::SimRng;
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[k]` = how many cumulative probabilities lie below `k / K`,
+    /// for `K = guide.len() - 1`, a power of two (so `u * K` and `k / K`
+    /// are exact in `f64`): a draw `u` in bucket `b = floor(u * K)` has
+    /// its rank in `guide[b]..=guide[b + 1]`, usually a range of one or
+    /// two, where the full search takes `log2(n)` steps over the CDF.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -26,9 +33,11 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or `theta` is negative or not finite.
+    /// Panics if `n` is zero or above `u32::MAX`, or `theta` is negative
+    /// or not finite.
     pub fn new(n: usize, theta: f64) -> Zipf {
         assert!(n > 0, "zipf needs a non-empty domain");
+        assert!(u32::try_from(n).is_ok(), "zipf ranks are 32-bit");
         assert!(
             theta.is_finite() && theta >= 0.0,
             "zipf skew must be finite and non-negative"
@@ -43,7 +52,17 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        let buckets = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut below = 0;
+        for k in 0..=buckets {
+            let edge = k as f64 / buckets as f64;
+            while below < n && cdf[below] < edge {
+                below += 1;
+            }
+            guide.push(below as u32);
+        }
+        Zipf { cdf, guide }
     }
 
     /// Domain size.
@@ -59,7 +78,15 @@ impl Zipf {
     /// The rank a uniform draw `u` in `[0, 1)` lands on: the first
     /// whose cumulative probability reaches `u`.
     fn rank(&self, u: f64) -> usize {
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        // Everything below `guide[bucket]` is under `bucket / K <= u`,
+        // everything from `guide[bucket + 1]` on is at least
+        // `(bucket + 1) / K > u`: the partition point of the whole CDF
+        // lies between them.
+        let bucket = (u * (self.guide.len() - 1) as f64) as usize;
+        let (lo, hi) = (self.guide[bucket] as usize, self.guide[bucket + 1] as usize);
+        let rank = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        debug_assert_eq!(rank, self.cdf.partition_point(|&c| c < u), "u = {u:e}");
+        rank.min(self.cdf.len() - 1)
     }
 }
 
