@@ -3,17 +3,17 @@
 //! Everything a client of [`crate::sharded`] waits for on its hot paths
 //! is short and held by a *running* thread: a shard lock (a get, put or
 //! flush: under a microsecond; an eviction batch of the victim's home
-//! shard: ~8 µs), the single-evictor gate (one batch, ~14 µs at two
-//! threads) and an append in flight on a commit cell (~2 µs). Parking in
-//! the kernel for those costs more than the wait itself — `std`'s mutex
-//! gives up after ~100 spins (~0.3 µs) and a futex wake-up on a shared
-//! micro-VM is tens of microseconds — and a `sched_yield` per poll is a
-//! system call per poll. So a waiter polls with [`Backoff`]: a bounded
+//! shard: 5–9 µs), the single-evictor gate (one batch) and an append in
+//! flight on a commit cell (~2 µs). Parking in the kernel for those
+//! costs more than the wait itself — `std`'s mutex gives up after ~100
+//! spins (~0.3 µs), and a parked `lock_shard` waiter was measured
+//! getting its lock after 28 µs from a holder that had it for 8 — and a
+//! `sched_yield` per poll is a system call per poll. So a waiter polls with [`Backoff`]: a bounded
 //! number of rounds of `spin_loop` pauses, the pause doubling up to a
 //! cap; then a few `yield_now` rounds, for the case where the holder is
 //! not running because the waiter has its core; then the caller's
-//! blocking call. The spin budget is about two to four eviction batches
-//! (~30 µs): past that the holder has been descheduled and spinning only
+//! blocking call. The spin budget is two to four eviction batches
+//! (~19 µs): past that the holder has been descheduled and spinning only
 //! burns its quantum.
 //!
 //! Single-threaded no waiter ever runs a round: the first `try_lock`
@@ -35,7 +35,7 @@ impl Backoff {
     /// before the next one.
     const PAUSE_CAP_SHIFT: u32 = 4;
     /// Spinning rounds: 1 + 2 + 4 + 8 pauses, then 64 rounds of 16 —
-    /// 1,039 pauses, ~28 µs on the reference box.
+    /// 1,039 pauses and 68 `try_lock`s, ~19 µs on the reference box.
     const SPIN_ROUNDS: u32 = 68;
     /// Yielding rounds before the caller should block.
     const YIELD_ROUNDS: u32 = 8;
