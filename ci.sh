@@ -23,6 +23,9 @@ cargo test --release -q -p ddc-storage
 echo "==> one shard state machine, one control plane: both engines write one journal, report one entitlement and recover one cache (every 53-byte cut; release too, where the share memo runs without its debug assertion)"
 cargo test --release -q -p ddc-core --test prop_one_state_machine
 cargo test --release -q -p ddc-hypercache registry
+echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, memo placements = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, an all-miss get_many under a held shard lock (release too: the memo's debug assertion is compiled out there)"
+cargo test --release -q -p ddc-core --test prop_shared_touches
+cargo test --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses an_all_miss_get_many
 
 echo "==> one wait policy: an eviction batch frees page by page (recording ledger), the Zipf guide table lands on the full search's rank, the backoff is bounded and a poisoned lock still panics (release too: the guide's debug assertion is compiled out there)"
 cargo test --release -q -p ddc-hypercache --lib shard::

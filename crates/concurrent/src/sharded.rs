@@ -3260,6 +3260,198 @@ mod tests {
     }
 
     #[test]
+    fn control_verbs_racing_hybrid_puts_serve_nothing_stale_and_leave_clean_memos() {
+        use std::sync::Barrier;
+        const ROUNDS: u64 = 60;
+        let cache = ShardedCache::new(CacheConfig::mem_and_ssd(64, 128), 4);
+        cache.add_vm(VmId(1), 100);
+        cache.add_vm(VmId(2), 200);
+        let mut setup = cache.clone();
+        let mine = [
+            (VmId(1), setup.create_pool(VmId(1), CachePolicy::hybrid(80))),
+            (
+                VmId(2),
+                setup.create_pool(VmId(2), CachePolicy::hybrid(120)),
+            ),
+        ];
+        let swung = setup.create_pool(VmId(2), CachePolicy::mem(60));
+        let barrier = Barrier::new(3);
+
+        let handles = std::thread::scope(|scope| {
+            // The only writer of `mine`: whatever a get of it hits is the
+            // version this thread stored last.
+            let putter = scope.spawn(|| {
+                let mut h = cache.clone();
+                let mut last = std::collections::BTreeMap::new();
+                let mut version = 0u64;
+                for round in 0..ROUNDS {
+                    for step in 0..40u64 {
+                        let (vm, pool) = mine[(step % 2) as usize];
+                        let block = |i: u64| addr(vm.0 as u64, (round * 7 + step * 3 + i) % 90);
+                        version += 1;
+                        if step % 4 == 0 {
+                            let a = block(0);
+                            match h.get(SimTime::ZERO, vm, pool, a) {
+                                GetOutcome::Hit { version: got, .. } => {
+                                    assert_eq!(Some(got), last.remove(&(pool, a)), "stale hit");
+                                }
+                                _ => drop(last.remove(&(pool, a))),
+                            }
+                        } else if step % 4 == 1 {
+                            let out =
+                                h.put(SimTime::ZERO, vm, pool, block(0), PageVersion(version));
+                            if out.is_stored() {
+                                last.insert((pool, block(0)), PageVersion(version));
+                            } else {
+                                last.remove(&(pool, block(0)));
+                            }
+                        } else {
+                            let pages: Vec<_> =
+                                (0..8).map(|i| (block(i), PageVersion(version))).collect();
+                            let out = h.put_many(SimTime::ZERO, vm, pool, &pages);
+                            for (&(a, v), o) in pages.iter().zip(out) {
+                                if o.is_stored() {
+                                    last.insert((pool, a), v);
+                                } else {
+                                    last.remove(&(pool, a));
+                                }
+                            }
+                        }
+                    }
+                    barrier.wait();
+                    barrier.wait();
+                }
+                h
+            });
+            // Every verb that moves a share table, all the while.
+            let controller = scope.spawn(|| {
+                let mut h = cache.clone();
+                for round in 0..ROUNDS {
+                    for step in 0..12u64 {
+                        match step % 6 {
+                            0 => h.set_vm_weight(VmId(1), 50 + 50 * ((round + step) % 5)),
+                            1 => h.add_vm_with_store_weights(VmId(2), 30 * (round % 7), 200),
+                            2 => {
+                                let policy = [CachePolicy::mem(60), CachePolicy::hybrid(40)];
+                                h.set_policy(VmId(2), swung, policy[(round % 2) as usize]);
+                            }
+                            3 => {
+                                let extra = h.create_pool(VmId(1), CachePolicy::hybrid(30));
+                                h.put(SimTime::ZERO, VmId(1), extra, addr(9, step), PageVersion(1));
+                                h.destroy_pool(VmId(1), extra);
+                            }
+                            4 => {
+                                let guest = h.create_pool(VmId(9), CachePolicy::ssd(50));
+                                h.put(SimTime::ZERO, VmId(9), guest, addr(8, step), PageVersion(1));
+                            }
+                            _ => drop(h.apply_record(0, &JournalRecord::RemoveVm { vm: 9 })),
+                        }
+                    }
+                    barrier.wait();
+                    barrier.wait();
+                }
+                h
+            });
+            for round in 0..ROUNDS {
+                barrier.wait();
+                assert_eq!(audit(&cache), vec![], "round {round}");
+                barrier.wait();
+            }
+            [
+                putter.join().expect("putter"),
+                controller.join().expect("controller"),
+            ]
+        });
+        // Each handle's own memo, as it was left: right or invalid.
+        for h in &handles {
+            assert_eq!(audit(h), vec![]);
+        }
+    }
+
+    #[test]
+    fn a_put_group_that_loses_its_pool_while_it_evicts_rejects_the_rest_and_keeps_the_books() {
+        let mut cache = ShardedCache::new(CacheConfig::mem_only(8), 4);
+        cache.add_vm(VmId(1), 100);
+        cache.add_vm(VmId(2), 100);
+        let doomed = cache.create_pool(VmId(1), CachePolicy::mem(100));
+        let full = cache.create_pool(VmId(2), CachePolicy::mem(100));
+        for i in 0..8 {
+            cache.put(SimTime::ZERO, VmId(2), full, addr(2, i), PageVersion(1));
+        }
+        assert_eq!(
+            cache.mem_used_pages(),
+            8,
+            "the group's first put must evict"
+        );
+
+        // The group's first put finds the store full, drops its shard
+        // lock and evicts; the hook runs there, with no lock held, and
+        // destroys the group's pool before the put gets its lock back.
+        let destroyer = Mutex::new(cache.clone());
+        cache.set_eviction_hook(Some(Arc::new(move || {
+            let mut h = destroyer.lock().expect("destroyer handle");
+            h.destroy_pool(VmId(1), doomed);
+        })));
+        let pages: Vec<_> = (0..6).map(|i| (addr(1, i), PageVersion(1))).collect();
+        let out = cache.put_many(SimTime::ZERO, VmId(1), doomed, &pages);
+        cache.set_eviction_hook(None);
+
+        assert_eq!(out, vec![PutOutcome::Rejected; 6]);
+        assert!(cache.evictions() > 0, "the put never evicted");
+        assert!(cache.pool_stats(VmId(1), doomed).is_none());
+        // Every page the group took while its pool was gone went back.
+        let kept = cache.pool_stats(VmId(2), full).expect("untouched pool");
+        assert_eq!(cache.mem_used_pages(), kept.mem_pages);
+        assert_eq!(audit(&cache), vec![]);
+        // The survivor keeps serving what the eviction left it.
+        let hits = (0..8)
+            .filter(|&i| cache.get(SimTime::ZERO, VmId(2), full, addr(2, i)).is_hit())
+            .count() as u64;
+        assert_eq!(hits, kept.mem_pages);
+    }
+
+    #[test]
+    fn an_all_miss_get_many_takes_no_shard_lock_and_counts_every_miss() {
+        use std::sync::mpsc;
+        let mut cache = ShardedCache::new(CacheConfig::mem_only(64), 4);
+        cache.add_vm(VmId(1), 100);
+        let p = cache.create_pool(VmId(1), CachePolicy::mem(100));
+        for i in 0..4 {
+            cache.put(SimTime::ZERO, VmId(1), p, addr(1, i), PageVersion(1));
+        }
+        let gets_before = cache.pool_stats(VmId(1), p).expect("pool").gets;
+        let (ops_before, locks_before) = (cache.batched_ops(), cache.batch_lock_acquisitions());
+        let absent: Vec<BlockAddr> = (100..132).map(|i| addr(1, i)).collect();
+
+        // The batch runs while this thread holds the pool's home shard:
+        // a batch that wanted the lock would still be waiting for it.
+        let held = cache.lock_shard(cache.shard_of(VmId(1), p));
+        let (done_tx, done_rx) = mpsc::channel();
+        let answered = std::thread::scope(|scope| {
+            let mut h = cache.clone();
+            let absent = &absent;
+            scope.spawn(move || {
+                let out = h.get_many(SimTime::ZERO, VmId(1), p, absent);
+                done_tx
+                    .send((out, h.local_read_stats()))
+                    .expect("test alive");
+            });
+            let answered = done_rx.recv_timeout(std::time::Duration::from_secs(20));
+            drop(held);
+            answered
+        });
+        let (out, (lockfree_misses, _)) = answered.expect("the batch waited for the shard lock");
+        assert_eq!(out, vec![GetOutcome::Miss; 32]);
+        assert_eq!(lockfree_misses, 32);
+        assert_eq!(cache.batch_lock_acquisitions(), locks_before);
+        assert_eq!(cache.batched_ops(), ops_before + 32);
+        // Every miss is a get of the pool, as the serial engine counts.
+        let gets = cache.pool_stats(VmId(1), p).expect("pool").gets;
+        assert_eq!(gets, gets_before + 32);
+        assert_eq!(audit(&cache), vec![]);
+    }
+
+    #[test]
     fn strict_mode_confines_a_pool_to_its_partition() {
         let mut cache = ShardedCache::new(
             CacheConfig::mem_only(64).with_mode(PartitionMode::Strict),
