@@ -35,17 +35,20 @@
 //!   ([`crate::fronts`]) and locks only the nominated shard. A batch
 //!   that frees nothing rejects the put.
 //! * **Lock order** — `registry` before any shard; shards in ascending
-//!   index; never acquire a lower-index (or the registry) lock while
+//!   index; never wait for a lower-index (or the registry) lock while
 //!   holding a higher one. Get, put, flush, eviction and `pool_stats`
-//!   take only one pool's home shard (hybrid-store and strict-mode
-//!   puts, eviction and `pool_stats` the registry read lock before it,
-//!   for the entitlement table). What still locks every shard, always
-//!   starting from no shard lock held: whole-cache reads that need one
-//!   consistent cut (`entries`, the auditor, wear and remote totals,
-//!   journal images and durable lengths), journal installation and
-//!   checkpoint rewrites (`enable_journal`, live compaction, the end of
-//!   `recover`), and `recover`'s tournament-tree re-sync. None of them
-//!   is reachable from a put's eviction loop.
+//!   take only one pool's home shard — eviction and `pool_stats` the
+//!   registry read lock before it, for the entitlement table; a
+//!   hybrid-store or strict-mode put reads its handle's share memo with
+//!   no registry lock, and only to rebuild it takes the registry, under
+//!   the shard if that needs no waiting (`try_read`), else by leaving
+//!   the shard and coming back in order. What still locks every shard,
+//!   always starting from no shard lock held: whole-cache reads that
+//!   need one consistent cut (`entries`, the auditor, wear and remote
+//!   totals, journal images and durable lengths), journal installation
+//!   and checkpoint rewrites (`enable_journal`, live compaction, the
+//!   end of `recover`), and `recover`'s tournament-tree re-sync. None
+//!   of them is reachable from a put's eviction loop.
 //!
 //! # Determinism contract
 //!
@@ -96,7 +99,7 @@
 //! quarantine and in-band memory compression.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 
 use ddc_cleancache::{
     CachePolicy, GetOutcome, PageVersion, PoolId, PoolStats, PutOutcome, SecondChanceCache,
@@ -106,11 +109,12 @@ use ddc_hypercache::index::{Placement, Pool, Slot, UsageMirror};
 use ddc_hypercache::policy::ShareTable;
 use ddc_hypercache::readplane::{ReadPlane, ReadProbe};
 use ddc_hypercache::registry::{self, Control, ShareMemo};
-use ddc_hypercache::shard::{self, Cut, PageLedger, ReplayLog, ShardState};
+use ddc_hypercache::shard::{self, Cut, FifoScrub, PageLedger, PoolVisit, ReplayLog, ShardState};
 use ddc_hypercache::{
     store_kind_code, AdmissionConfig, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
+    JOURNAL_COMPACT_FACTOR,
 };
-use ddc_metrics::BatchCounters;
+use ddc_metrics::{BatchCounters, CounterSnapshot};
 use ddc_sim::{FxHashMap, SimTime};
 use ddc_storage::{
     BlockAddr, ChunkStore, FileId, Journal, JournalRecord, RemoteBinding, RemoteCounters,
@@ -122,8 +126,11 @@ use crate::fronts::{FrontTree, EMPTY_FRONT};
 
 /// Global page accounting for one store: capacity and used pages shared
 /// by every shard. `try_alloc` is a CAS loop, so concurrent puts can
-/// never push `used` past `capacity`.
+/// never push `used` past `capacity`. A cache line of its own: a put
+/// into one store does not wait for the line a put into the other is
+/// writing.
 #[derive(Debug)]
+#[repr(align(64))]
 pub(crate) struct Ledger {
     capacity: AtomicU64,
     used: AtomicU64,
@@ -183,20 +190,26 @@ impl Ledger {
     }
 }
 
-/// Both stores' ledgers, as the shard transitions take them.
-struct Ledgers<'a>(&'a Inner);
+/// Both stores' ledgers, as the shard transitions take them, and the
+/// handle's compaction budget: a page freed is a page of `live` fewer,
+/// which lowers the trigger's threshold ([`ShardedCache::compaction_due`]).
+struct Ledgers<'a> {
+    put: &'a PutWords,
+    budget: &'a CompactionBudget,
+}
 
 impl PageLedger for Ledgers<'_> {
     fn try_alloc(&mut self, placement: Placement) -> bool {
-        self.0.ledger(placement).try_alloc()
+        self.put.ledger(placement).try_alloc()
     }
 
     fn free(&mut self, placement: Placement, pages: u64) {
-        self.0.ledger(placement).free(pages);
+        self.put.ledger(placement).free(pages);
+        self.budget.owe(pages * JOURNAL_COMPACT_FACTOR);
     }
 
     fn used_pages(&self, placement: Placement) -> u64 {
-        self.0.ledger(placement).used_pages()
+        self.put.ledger(placement).used_pages()
     }
 }
 
@@ -315,6 +328,7 @@ impl CommitCell {
 /// program order regardless of the thread count, so the determinism
 /// contract extends to the remote tier.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub(crate) struct Shard {
     pub(crate) state: ShardState,
     /// This shard's journal segment (`None` until
@@ -323,6 +337,10 @@ pub(crate) struct Shard {
     /// segment is generation-monotone. Its durable mark is not here but
     /// in the shard's [`CommitCell`].
     pub(crate) journal: Option<Journal>,
+    /// What the batched (`*_many`) entry points did on this shard:
+    /// plain words, added to under the lock the call holds anyway and
+    /// summed over the shards by the accessors.
+    batch: BatchCounters,
 }
 
 /// The control-plane registry ([`ddc_hypercache::registry`]), each pool's
@@ -336,39 +354,97 @@ pub(crate) type Registry = registry::Registry<Arc<UsageMirror>>;
 #[cfg(test)]
 type AppendHook = Arc<dyn Fn(u64) + Send + Sync>;
 
+/// The state every handle shares, as groups of words that are touched
+/// together, each group on cache lines of its own (DESIGN.md "Layout of
+/// the shared core"). What decides the grouping is who *writes* a line
+/// and how often: a client that only reads a line keeps it in its
+/// cache until somebody writes it, so a word every operation reads must
+/// not share a line with a word any operation writes. A new field goes
+/// into the group whose writers it shares, or into a group of its own;
+/// `inner_groups_share_no_cache_line` holds the rest.
 struct Inner {
+    ro: ReadMostly,
+    put: PutWords,
+    append: AppendWords,
+    stats: StatCounters,
+    batch: BatchWords,
+    registry: RegistryLock,
+    evictor: EvictorGate,
+    cold: Cold,
+}
+
+/// Read on every operation, written by none: the configuration, the
+/// shard array, the flags, and two versions that move only with the
+/// control plane and with the compaction budget.
+#[repr(align(64))]
+struct ReadMostly {
     mode: PartitionMode,
     /// SSD admission plane (ghost filter window + TTL), from the
     /// config. Immutable after construction, so hot paths read it
     /// without synchronization.
     admission: AdmissionConfig,
-    shards: Vec<Mutex<Shard>>,
-    registry: RwLock<Registry>,
-    mem: Ledger,
-    ssd: Ledger,
-    next_seq: AtomicU64,
-    evictions: AtomicU64,
-    trickle_downs: AtomicU64,
-    /// Weighted-eviction attempts that found their pick stale under the
-    /// victim-shard lock and retried.
-    two_phase_retries: AtomicU64,
-    /// Weighted evictions that spent their retry budget and evicted
-    /// from their current pick without re-validating it.
-    two_phase_fallbacks: AtomicU64,
-    /// Test hook run between phases 1 and 2 with **no** locks held;
-    /// property tests use it to force snapshot staleness at the worst
-    /// possible moment.
-    eviction_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
-    /// Test hook run between a generation claim and its append (home
-    /// shard locked, its commit cell odd), with the first claimed
-    /// generation: parks an appender exactly where a committer must
-    /// wait for it.
-    #[cfg(test)]
-    append_hook: RwLock<Option<AppendHook>>,
+    /// The shards, 64-aligned like every element ([`Shard`]).
+    shards: Box<[Mutex<Shard>]>,
+    /// One commit cell per segment, indexed like `shards`.
+    commit_cells: Box<[CommitCell]>,
+    /// One lock-free membership table per shard (DESIGN.md §15): the
+    /// seqlock-guarded mirror of every live `(vm, pool, addr)` key homed
+    /// on that shard. `get` answers definitive misses from it without
+    /// the shard lock — the hot path of an exclusive cleancache, where
+    /// every hit consumes its entry and steady state is mostly misses.
+    read_planes: Box<[Arc<ReadPlane>]>,
     /// Whether journaling is on (segments installed in every shard).
     /// Checked lock-free on the hot paths so the volatile plane pays
     /// nothing for the durability machinery.
     journal_on: AtomicBool,
+    /// Whether `read_hook` or `eviction_hook` is installed: production
+    /// reads and eviction batches pay one relaxed load for the hooks,
+    /// not a lock and an `Arc` clone.
+    hooks_on: AtomicBool,
+    /// Whether any remote store is registered; checked lock-free on the
+    /// flush path to decide if unbound flushes must be stashed.
+    remote_on: AtomicBool,
+    /// Bumped (under the registry write lock) by every registry
+    /// mutation; each handle's route cache and share memo revalidate
+    /// against it.
+    registry_version: AtomicU64,
+    /// Bumped whenever every handle's compaction budget must be
+    /// measured afresh ([`ShardedCache::compaction_due`]): by a handle
+    /// that spent its share, by a clone, by a checkpoint install.
+    budget_epoch: AtomicU64,
+}
+
+/// What every stored put writes: its store's ledger and the sequence,
+/// a line each. Ten pairs decided it: with the three words on one line
+/// `engine-batched` read ×0.91 of this (EXPERIMENTS.md, "An owned
+/// layout") — two clients then take turns on one line for three
+/// updates a put, where here a client's ledger update and the other's
+/// sequence claim do not meet.
+#[repr(align(64))]
+struct PutWords {
+    mem: Ledger,
+    ssd: Ledger,
+    next_seq: Sequence,
+}
+
+/// The insertion sequence every stored object is stamped from.
+#[repr(align(64))]
+struct Sequence {
+    next: AtomicU64,
+}
+
+impl PutWords {
+    fn ledger(&self, placement: Placement) -> &Ledger {
+        match placement {
+            Placement::Mem => &self.mem,
+            Placement::Ssd => &self.ssd,
+        }
+    }
+}
+
+/// What every journal append writes.
+#[repr(align(64))]
+struct AppendWords {
     /// The next record generation. One cell for all segments: a
     /// generation is claimed (`fetch_add`) while the target shard's
     /// lock is held and appended before that lock drops, so the global
@@ -383,73 +459,90 @@ struct Inner {
     /// Records across all segments since the last checkpoint install
     /// (checkpoint records included) — the live-compaction trigger.
     journal_records: AtomicU64,
-    /// Checkpoint rewrites performed by live compaction.
-    journal_compactions: AtomicU64,
     /// Group-commit watermark: every record generation at or below this
     /// is durable (its segment's durable mark has passed it).
     commit_epoch: AtomicU64,
-    /// One lock-free membership table per shard (DESIGN.md §15): the
-    /// seqlock-guarded mirror of every live `(vm, pool, addr)` key homed
-    /// on that shard. `get` answers definitive misses from it without
-    /// the shard lock — the hot path of an exclusive cleancache, where
-    /// every hit consumes its entry and steady state is mostly misses.
-    read_planes: Vec<Arc<ReadPlane>>,
-    /// Bumped (under the registry write lock) by every registry
-    /// mutation; each handle's route cache and share memo revalidate
-    /// against it.
-    registry_version: AtomicU64,
-    /// Tournament trees over per-shard FIFO front sequences, one per
-    /// store — Global-mode eviction reads the root instead of locking
-    /// every shard (see [`crate::fronts`]).
-    fronts_mem: FrontTree,
-    fronts_ssd: FrontTree,
+}
+
+/// Counters of what eviction and compaction did; nothing reads them on
+/// a hot path.
+#[derive(Default)]
+#[repr(align(64))]
+struct StatCounters {
+    evictions: AtomicU64,
+    trickle_downs: AtomicU64,
+    /// Weighted-eviction attempts that found their pick stale under the
+    /// victim-shard lock and retried.
+    two_phase_retries: AtomicU64,
+    /// Weighted evictions that spent their retry budget and evicted
+    /// from their current pick without re-validating it.
+    two_phase_fallbacks: AtomicU64,
     /// Tree-guided evictions that locked the nominated shard and found
     /// the root stale (front changed or died) and re-ran the tournament.
     front_tree_retries: AtomicU64,
     /// Tree-guided evictions that spent their retry budget and ended
     /// the batch short.
     front_tree_fallbacks: AtomicU64,
+    /// Checkpoint rewrites performed by live compaction.
+    journal_compactions: AtomicU64,
+}
+
+/// The one batch-plane count no shard lock covers (the rest are plain
+/// words in [`Shard`]).
+#[derive(Default)]
+#[repr(align(64))]
+struct BatchWords {
+    /// Operations of `get_many` batches the read plane answered whole,
+    /// without a shard visit to count them under.
+    lockfree_ops: AtomicU64,
+}
+
+/// The registry and its lock word: every reader writes the word, so no
+/// other group may sit beside it.
+#[derive(Default)]
+#[repr(align(64))]
+struct RegistryLock {
+    lock: RwLock<Registry>,
+}
+
+/// Single-evictor gate for the fast-path eviction loop. Without it,
+/// every putter blocked on a full ledger ran its *own* full batch —
+/// N threads × [`EVICTION_BATCH_PAGES`] of duplicated victim work
+/// against the same full store, which made the 8-thread contention
+/// cell slower than the 2-thread one. Losers block here and re-check
+/// the ledger right after the winner frees room. Acquired with no
+/// other lock held, so it sits above the whole lock order.
+#[derive(Default)]
+#[repr(align(64))]
+struct EvictorGate {
+    gate: Mutex<()>,
+}
+
+/// Everything else: the test hooks, the Global-mode tournament trees
+/// and the remote registry.
+#[repr(align(64))]
+struct Cold {
+    /// Test hook run between phases 1 and 2 with **no** locks held;
+    /// property tests use it to force snapshot staleness at the worst
+    /// possible moment.
+    eviction_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
+    /// Test hook run between a generation claim and its append (home
+    /// shard locked, its commit cell odd), with the first claimed
+    /// generation: parks an appender exactly where a committer must
+    /// wait for it.
+    #[cfg(test)]
+    append_hook: RwLock<Option<AppendHook>>,
     /// Test hook run inside the lock-free read window (between the
     /// seqlock's first load and the table walk); tests use it to mutate
     /// membership mid-read and force torn-snapshot retries.
     read_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
-    /// Whether `read_hook` or `eviction_hook` is installed: production
-    /// reads and eviction batches pay one relaxed load for the hooks,
-    /// not a lock and an `Arc` clone.
-    hooks_on: AtomicBool,
+    /// Tournament trees over per-shard FIFO front sequences, one per
+    /// store — Global-mode eviction reads the root instead of locking
+    /// every shard (see [`crate::fronts`]).
+    fronts_mem: FrontTree,
+    fronts_ssd: FrontTree,
     /// Registered remote chunk stores (bindings live per shard).
     remote_registry: Mutex<RemoteRegistry>,
-    /// Whether any remote store is registered; checked lock-free on the
-    /// flush path to decide if unbound flushes must be stashed.
-    remote_on: AtomicBool,
-    /// Single-evictor gate for the fast-path eviction loop. Without it,
-    /// every putter blocked on a full ledger ran its *own* full batch —
-    /// N threads × [`EVICTION_BATCH_PAGES`] of duplicated victim work
-    /// against the same full store, which made the 8-thread contention
-    /// cell slower than the 2-thread one. Losers block here and re-check
-    /// the ledger right after the winner frees room. Acquired with no
-    /// other lock held, so it sits above the whole lock order.
-    eviction_gate: Mutex<()>,
-    /// Operations applied through the batched (`*_many`) entry points.
-    batched_ops: AtomicU64,
-    /// Shard-lock acquisitions charged to the batched entry points
-    /// (group entries plus mid-group re-locks around eviction and
-    /// compaction) — `batched_ops / batch_lock_acquisitions` is the
-    /// amortization the batch plane buys.
-    batch_lock_acquisitions: AtomicU64,
-    /// Scratch-buffer drains of the batched entry points: journal batch
-    /// appends, each covering one contiguous generation run claimed
-    /// with a single `fetch_add`.
-    batch_journal_appends: AtomicU64,
-}
-
-impl Inner {
-    fn ledger(&self, placement: Placement) -> &Ledger {
-        match placement {
-            Placement::Mem => &self.mem,
-            Placement::Ssd => &self.ssd,
-        }
-    }
 }
 
 /// A concurrent sharded DoubleDecker cache (see the [module
@@ -458,25 +551,27 @@ impl Inner {
 /// Cloning is cheap and shares the same cache: give each serving thread
 /// its own clone. The [`SecondChanceCache`] impl takes `&mut self` only
 /// to satisfy the (object-safe) trait; all synchronization is internal.
-/// Each clone additionally carries a private [`LocalReplica`] — a route
-/// cache plus a small hot-miss cache — which is why `Clone` is manual:
-/// the shared `Arc` is cloned, the replica starts empty.
+/// Each clone additionally carries what only it writes — a route cache,
+/// a small hot-miss cache, a share memo and a compaction budget, every
+/// one on cache lines of its own, so two handles side by side in a
+/// `Vec` share none — which is why `Clone` is manual: the shared `Arc`
+/// is cloned, the rest starts empty.
 pub struct ShardedCache {
     inner: Arc<Inner>,
-    /// One commit cell per segment, indexed like `Inner::shards` and
-    /// shared by every handle. Deliberately neither a field of
-    /// [`Shard`] nor of [`Inner`]: see `shard_stays_line_aligned`.
-    commit_cells: Arc<[CommitCell]>,
-    local: LocalReplica,
+    routes: RouteCache,
+    reads: ReadReplica,
+    /// Memoized two-level share tables (§4.2 recomputes on
+    /// configuration change, not per operation).
+    entitlements: ShareMemoLine,
+    budget: CompactionBudget,
 }
 
 impl Clone for ShardedCache {
     fn clone(&self) -> ShardedCache {
-        ShardedCache {
-            inner: Arc::clone(&self.inner),
-            commit_cells: Arc::clone(&self.commit_cells),
-            local: LocalReplica::new(),
-        }
+        // One more handle to share the compaction slack with: the
+        // shares handed out so far were sized for fewer.
+        self.inner.ro.budget_epoch.fetch_add(1, Ordering::AcqRel);
+        ShardedCache::handle(Arc::clone(&self.inner))
     }
 }
 
@@ -489,23 +584,29 @@ const HOT_SLOTS: usize = 64;
 /// caching "no such pool".
 type Route = Option<(CachePolicy, Arc<UsageMirror>)>;
 
-/// The guards a put holds on its pool's home shard, in lock order: the
-/// registry read lock (only for puts that consult the entitlement
-/// table, see [`ShardedCache::lock_home`]) and the home shard's lock.
-type HomeGuards<'a> = (Option<RwLockReadGuard<'a, Registry>>, MutexGuard<'a, Shard>);
-
 /// What one get/put/flush call carries through the group helpers.
 #[derive(Default)]
 struct GroupScratch {
     /// Journal records pending for the shard visit in progress, drained
     /// as one contiguous generation run before the shard lock drops.
     records: Vec<JournalRecord>,
-    /// Shard-lock acquisitions and scratch drains of the call so far.
-    /// Only `*_many` calls add them to the batch-plane counters
-    /// ([`ShardedCache::end_visit`]), so scalar traffic never shows
-    /// up there.
-    lock_visits: u64,
-    drains: u64,
+    /// What a `*_many` call did since it last left a shard — its
+    /// operations, its shard-lock acquisitions and its scratch drains —
+    /// added to the shard's batch counters before the lock drops
+    /// ([`ShardedCache::leave_shard`]). A scalar call counts nothing,
+    /// so scalar traffic never shows up there.
+    batch: Option<BatchCounters>,
+}
+
+impl GroupScratch {
+    /// Starts a call of `ops` operations.
+    fn begin(&mut self, batched: bool, ops: usize) {
+        debug_assert!(self.records.is_empty());
+        self.batch = batched.then(|| BatchCounters {
+            batched_ops: ops as u64,
+            ..BatchCounters::default()
+        });
+    }
 }
 
 /// One cached *negative* lookup: `(vm, pool, addr)` was absent from its
@@ -522,17 +623,48 @@ pub(crate) struct HotEntry {
     pub(crate) stamp: u64,
 }
 
-/// The per-handle (per-core, when each serving thread owns one clone)
-/// read-side replica: a registry route cache and the hot-miss cache.
-/// Never shared — no locks, no atomics, invalidation is by version
-/// comparison against the shared counters.
-struct LocalReplica {
-    /// The [`Inner::registry_version`] the route cache was filled under.
+/// The handle's registry route cache. Never shared — no locks, no
+/// atomics, invalidation is by version comparison against
+/// [`ReadMostly::registry_version`].
+#[derive(Default)]
+#[repr(align(64))]
+struct RouteCache {
+    /// The registry version the cache was filled under.
     registry_version: u64,
     /// `(vm, pool)` → policy + usage mirror, `None` caching "no such
     /// pool". Pool ids are never reused, so entries can't alias; any
     /// registry mutation bumps the version and flushes the whole map.
     routes: FxHashMap<(VmId, PoolId), Route>,
+}
+
+impl RouteCache {
+    /// Resolves `(vm, pool)` to its policy and usage mirror,
+    /// revalidated against the registry version. `None` (also cached)
+    /// means the pool does not exist. The mirror is lent, not cloned:
+    /// a call pays no reference count for it.
+    fn resolve(
+        &mut self,
+        inner: &Inner,
+        vm: VmId,
+        pool: PoolId,
+    ) -> Option<(CachePolicy, &UsageMirror)> {
+        let version = inner.ro.registry_version.load(Ordering::Acquire);
+        if self.registry_version != version {
+            self.routes.clear();
+            self.registry_version = version;
+        }
+        let route = self.routes.entry((vm, pool)).or_insert_with(|| {
+            let reg = inner.registry.lock.read().expect("registry poisoned");
+            reg.pool(vm, pool).map(|row| (row.1, row.2.clone()))
+        });
+        route.as_ref().map(|(policy, mirror)| (*policy, &**mirror))
+    }
+}
+
+/// The handle's read-side replica and what else only its own calls
+/// write: the hot-miss cache, the diagnostics and the reusable scratch.
+#[repr(align(64))]
+struct ReadReplica {
     /// Direct-mapped negative cache, indexed by key hash.
     hot: Vec<Option<HotEntry>>,
     /// Lookups this handle answered without any lock (diagnostic).
@@ -542,24 +674,15 @@ struct LocalReplica {
     /// Reusable [`GroupScratch`], kept on the handle so a steady
     /// workload allocates its record buffer once.
     scratch: GroupScratch,
-    /// Memoized two-level share tables (§4.2 recomputes on
-    /// configuration change, not per operation). The mutex is handle-
-    /// local and therefore uncontended; it exists only to keep the
-    /// handle `Sync` while the hot put paths (which run on `&self`)
-    /// mutate the memo.
-    entitlements: Mutex<ShareMemo<Arc<UsageMirror>>>,
 }
 
-impl LocalReplica {
-    fn new() -> LocalReplica {
-        LocalReplica {
-            registry_version: 0,
-            routes: FxHashMap::default(),
+impl ReadReplica {
+    fn new() -> ReadReplica {
+        ReadReplica {
             hot: vec![None; HOT_SLOTS],
             lockfree_misses: 0,
             replica_hits: 0,
             scratch: GroupScratch::default(),
-            entitlements: Mutex::default(),
         }
     }
 
@@ -580,13 +703,78 @@ impl LocalReplica {
     }
 }
 
+/// The handle's share memo. The mutex is handle-local and therefore
+/// uncontended; it exists only to keep the handle `Sync` while the hot
+/// put paths (which run on `&self`) mutate the memo.
+#[derive(Default)]
+#[repr(align(64))]
+struct ShareMemoLine {
+    memo: Mutex<ShareMemo<Arc<UsageMirror>>>,
+}
+
+/// A [`CompactionBudget::epoch`] no shared epoch ever equals: the
+/// handle holds no share, its next check measures.
+const NO_SHARE: u64 = u64::MAX;
+
+/// The handle's share of the journal's compaction slack
+/// ([`ShardedCache::compaction_due`]): how much it may still add to the
+/// journal (a record counts 1, a freed page [`JOURNAL_COMPACT_FACTOR`])
+/// before it has to look at the shared words again. Written by this
+/// handle only, so plain loads and stores; atomics because the handle
+/// is `Sync` and the paths that spend run on `&self`.
+#[repr(align(64))]
+struct CompactionBudget {
+    /// The [`ReadMostly::budget_epoch`] the share was measured under.
+    epoch: AtomicU64,
+    /// What is left of the share.
+    left: AtomicU64,
+    /// Spent since the last settle: pages freed under a shard lock the
+    /// handle still holds.
+    owed: AtomicU64,
+}
+
+impl CompactionBudget {
+    fn new() -> CompactionBudget {
+        CompactionBudget {
+            epoch: AtomicU64::new(NO_SHARE),
+            left: AtomicU64::new(0),
+            owed: AtomicU64::new(0),
+        }
+    }
+
+    fn owe(&self, cost: u64) {
+        let owed = self.owed.load(Ordering::Relaxed);
+        self.owed.store(owed.wrapping_add(cost), Ordering::Relaxed);
+    }
+}
+
+/// What [`ShardedCache::place`] decided for one put.
+enum Placed {
+    /// Store it here: a page of this store is taken for it.
+    At(Placement),
+    Rejected,
+    /// This store is full: leave the shard, evict, come back.
+    Full(Placement),
+    /// The share memo must be rebuilt: come back with the registry.
+    Unshared,
+}
+
+/// Why a put group's shard visit ended.
+enum Pause {
+    /// The group is through.
+    Done,
+    Evict(Placement),
+    Compact,
+    FetchRegistry,
+}
+
 impl std::fmt::Debug for ShardedCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCache")
-            .field("shards", &self.inner.shards.len())
-            .field("mode", &self.inner.mode)
-            .field("mem_used", &self.inner.mem.used_pages())
-            .field("ssd_used", &self.inner.ssd.used_pages())
+            .field("shards", &self.inner.ro.shards.len())
+            .field("mode", &self.inner.ro.mode)
+            .field("mem_used", &self.inner.put.mem.used_pages())
+            .field("ssd_used", &self.inner.put.ssd.used_pages())
             .finish()
     }
 }
@@ -657,59 +845,68 @@ impl ShardedCache {
             .mem_capacity_pages
             .saturating_add(config.ssd_capacity_pages))
             / n as u64;
-        ShardedCache {
-            local: LocalReplica::new(),
-            inner: Arc::new(Inner {
+        ShardedCache::handle(Arc::new(Inner {
+            ro: ReadMostly {
                 mode: config.mode,
                 admission: config.admission,
                 shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-                registry: RwLock::new(Registry::default()),
-                mem: Ledger::new(config.mem_capacity_pages),
-                ssd: Ledger::new(config.ssd_capacity_pages),
-                next_seq: AtomicU64::new(1),
-                evictions: AtomicU64::new(0),
-                trickle_downs: AtomicU64::new(0),
-                two_phase_retries: AtomicU64::new(0),
-                two_phase_fallbacks: AtomicU64::new(0),
-                eviction_hook: RwLock::new(None),
-                #[cfg(test)]
-                append_hook: RwLock::new(None),
-                journal_on: AtomicBool::new(false),
-                journal_gen: AtomicU64::new(1),
-                journal_records: AtomicU64::new(0),
-                journal_compactions: AtomicU64::new(0),
-                commit_epoch: AtomicU64::new(0),
+                commit_cells: (0..n).map(|_| CommitCell::default()).collect(),
                 read_planes: (0..n)
                     .map(|_| Arc::new(ReadPlane::with_capacity(plane_hint)))
                     .collect(),
+                journal_on: AtomicBool::new(false),
+                hooks_on: AtomicBool::new(false),
+                remote_on: AtomicBool::new(false),
                 registry_version: AtomicU64::new(0),
+                budget_epoch: AtomicU64::new(0),
+            },
+            put: PutWords {
+                mem: Ledger::new(config.mem_capacity_pages),
+                ssd: Ledger::new(config.ssd_capacity_pages),
+                next_seq: Sequence {
+                    next: AtomicU64::new(1),
+                },
+            },
+            append: AppendWords {
+                journal_gen: AtomicU64::new(1),
+                journal_records: AtomicU64::new(0),
+                commit_epoch: AtomicU64::new(0),
+            },
+            stats: StatCounters::default(),
+            batch: BatchWords::default(),
+            registry: RegistryLock::default(),
+            evictor: EvictorGate::default(),
+            cold: Cold {
+                eviction_hook: RwLock::new(None),
+                #[cfg(test)]
+                append_hook: RwLock::new(None),
+                read_hook: RwLock::new(None),
                 fronts_mem: FrontTree::new(n),
                 fronts_ssd: FrontTree::new(n),
-                front_tree_retries: AtomicU64::new(0),
-                front_tree_fallbacks: AtomicU64::new(0),
-                read_hook: RwLock::new(None),
-                hooks_on: AtomicBool::new(false),
                 remote_registry: Mutex::new(RemoteRegistry::new()),
-                remote_on: AtomicBool::new(false),
-                eviction_gate: Mutex::new(()),
-                batched_ops: AtomicU64::new(0),
-                batch_lock_acquisitions: AtomicU64::new(0),
-                batch_journal_appends: AtomicU64::new(0),
-            }),
-            // Allocated after `Inner` on purpose (see
-            // `shard_stays_line_aligned`).
-            commit_cells: (0..n).map(|_| CommitCell::default()).collect(),
+            },
+        }))
+    }
+
+    /// A fresh handle on `inner`: nothing cached, no compaction share.
+    fn handle(inner: Arc<Inner>) -> ShardedCache {
+        ShardedCache {
+            inner,
+            routes: RouteCache::default(),
+            reads: ReadReplica::new(),
+            entitlements: ShareMemoLine::default(),
+            budget: CompactionBudget::new(),
         }
     }
 
     /// Number of index shards.
     pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
+        self.inner.ro.shards.len()
     }
 
     /// The partition mode the cache runs in.
     pub fn mode(&self) -> PartitionMode {
-        self.inner.mode
+        self.inner.ro.mode
     }
 
     // ------------------------------------------------------------------
@@ -721,11 +918,12 @@ impl ShardedCache {
     pub fn register_remote(&self, store: ChunkStore) -> Result<RemoteId, RemoteError> {
         let id = store.id();
         self.inner
+            .cold
             .remote_registry
             .lock()
             .expect("remote registry poisoned")
             .register(store)?;
-        self.inner.remote_on.store(true, Ordering::Release);
+        self.inner.ro.remote_on.store(true, Ordering::Release);
         Ok(id)
     }
 
@@ -744,12 +942,13 @@ impl ShardedCache {
     ) -> Result<(), RemoteError> {
         let store = self
             .inner
+            .cold
             .remote_registry
             .lock()
             .expect("remote registry poisoned")
             .get(remote)?;
         let mirror = {
-            let reg = self.inner.registry.read().expect("registry poisoned");
+            let reg = self.inner.registry.lock.read().expect("registry poisoned");
             Arc::clone(reg.bind_target(vm, pool)?)
         };
         let si = self.shard_of(vm, pool);
@@ -778,7 +977,7 @@ impl ShardedCache {
 
     /// The home shard of a pool ([`shard::home_shard`]).
     pub fn shard_of(&self, vm: VmId, pool: PoolId) -> usize {
-        shard::home_shard(vm, pool, self.inner.shards.len())
+        shard::home_shard(vm, pool, self.inner.ro.shards.len())
     }
 
     /// Registers a VM with a cache weight applied to both stores.
@@ -812,33 +1011,33 @@ impl ShardedCache {
 
     /// Pages resident in the memory store (global ledger).
     pub fn mem_used_pages(&self) -> u64 {
-        self.inner.mem.used_pages()
+        self.inner.put.mem.used_pages()
     }
 
     /// Pages resident in the SSD store (global ledger).
     pub fn ssd_used_pages(&self) -> u64 {
-        self.inner.ssd.used_pages()
+        self.inner.put.ssd.used_pages()
     }
 
     /// Objects evicted by the policy module since creation.
     pub fn evictions(&self) -> u64 {
-        self.inner.evictions.load(Ordering::Relaxed)
+        self.inner.stats.evictions.load(Ordering::Relaxed)
     }
 
     /// Hybrid-pool objects trickled from memory down to the SSD store.
     pub fn trickle_downs(&self) -> u64 {
-        self.inner.trickle_downs.load(Ordering::Relaxed)
+        self.inner.stats.trickle_downs.load(Ordering::Relaxed)
     }
 
     /// Weighted evictions that re-validated stale and retried.
     pub fn two_phase_retries(&self) -> u64 {
-        self.inner.two_phase_retries.load(Ordering::Relaxed)
+        self.inner.stats.two_phase_retries.load(Ordering::Relaxed)
     }
 
     /// Weighted evictions that spent their retry budget and evicted
     /// from an unvalidated pick.
     pub fn two_phase_fallbacks(&self) -> u64 {
-        self.inner.two_phase_fallbacks.load(Ordering::Relaxed)
+        self.inner.stats.two_phase_fallbacks.load(Ordering::Relaxed)
     }
 
     /// Installs (or clears) a hook run between an eviction's victim
@@ -846,23 +1045,29 @@ impl ShardedCache {
     /// use it to mutate the cache from the evicting thread's blind spot
     /// and force snapshot staleness; production code leaves it unset.
     pub fn set_eviction_hook(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
-        *self.inner.eviction_hook.write().expect("hook poisoned") = hook;
+        *self
+            .inner
+            .cold
+            .eviction_hook
+            .write()
+            .expect("hook poisoned") = hook;
         self.publish_hooks();
     }
 
     /// Raises `hooks_on` while either test hook is installed.
     fn publish_hooks(&self) {
         let installed = |hook: &RwLock<Option<_>>| hook.read().expect("hook poisoned").is_some();
-        let on = installed(&self.inner.eviction_hook) || installed(&self.inner.read_hook);
-        self.inner.hooks_on.store(on, Ordering::Release);
+        let on = installed(&self.inner.cold.eviction_hook) || installed(&self.inner.cold.read_hook);
+        self.inner.ro.hooks_on.store(on, Ordering::Release);
     }
 
     fn run_eviction_hook(&self) {
-        if !self.inner.hooks_on.load(Ordering::Relaxed) {
+        if !self.inner.ro.hooks_on.load(Ordering::Relaxed) {
             return;
         }
         let hook = self
             .inner
+            .cold
             .eviction_hook
             .read()
             .expect("hook poisoned")
@@ -874,13 +1079,14 @@ impl ShardedCache {
 
     #[cfg(test)]
     fn set_append_hook(&self, hook: Option<AppendHook>) {
-        *self.inner.append_hook.write().expect("hook poisoned") = hook;
+        *self.inner.cold.append_hook.write().expect("hook poisoned") = hook;
     }
 
     #[cfg(test)]
     fn run_append_hook(&self, first_gen: u64) {
         let hook = self
             .inner
+            .cold
             .append_hook
             .read()
             .expect("hook poisoned")
@@ -896,19 +1102,20 @@ impl ShardedCache {
     /// spot and prove torn snapshots are retried, never served;
     /// production code leaves it unset (one relaxed load on the path).
     pub fn set_read_hook(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
-        *self.inner.read_hook.write().expect("hook poisoned") = hook;
+        *self.inner.cold.read_hook.write().expect("hook poisoned") = hook;
         self.publish_hooks();
     }
 
     /// Torn-snapshot retries across every shard's read plane.
     pub fn seqlock_retries(&self) -> u64 {
-        self.inner.read_planes.iter().map(|p| p.retries()).sum()
+        self.inner.ro.read_planes.iter().map(|p| p.retries()).sum()
     }
 
     /// Shards whose read plane latched its overflow flag (degraded to
     /// locked gets).
     pub fn read_plane_overflows(&self) -> u64 {
         self.inner
+            .ro
             .read_planes
             .iter()
             .filter(|p| p.overflowed())
@@ -919,19 +1126,22 @@ impl ShardedCache {
     /// `(lockfree_misses, replica_hits)` — lookups answered with no lock
     /// at all, and the subset served straight from the hot-miss cache.
     pub fn local_read_stats(&self) -> (u64, u64) {
-        (self.local.lockfree_misses, self.local.replica_hits)
+        (self.reads.lockfree_misses, self.reads.replica_hits)
     }
 
     /// Tree-guided Global evictions that re-ran the tournament after
     /// locking a stale winner.
     pub fn front_tree_retries(&self) -> u64 {
-        self.inner.front_tree_retries.load(Ordering::Relaxed)
+        self.inner.stats.front_tree_retries.load(Ordering::Relaxed)
     }
 
     /// Tree-guided Global evictions that spent their retry budget and
     /// returned what they had freed.
     pub fn front_tree_fallbacks(&self) -> u64 {
-        self.inner.front_tree_fallbacks.load(Ordering::Relaxed)
+        self.inner
+            .stats
+            .front_tree_fallbacks
+            .load(Ordering::Relaxed)
     }
 
     /// Always 0: puts no longer speculate on a placement, so there is
@@ -949,38 +1159,42 @@ impl ShardedCache {
 
     /// Operations applied through the batched (`*_many`) entry points.
     pub fn batched_ops(&self) -> u64 {
-        self.inner.batched_ops.load(Ordering::Relaxed)
+        self.batch_counters().batched_ops
     }
 
     /// Shard-lock acquisitions charged to the batched entry points.
     pub fn batch_lock_acquisitions(&self) -> u64 {
-        self.inner.batch_lock_acquisitions.load(Ordering::Relaxed)
+        self.batch_counters().lock_acquisitions
     }
 
     /// Journal batch appends issued by scratch drains.
     pub fn batch_journal_appends(&self) -> u64 {
-        self.inner.batch_journal_appends.load(Ordering::Relaxed)
+        self.batch_counters().journal_appends
     }
 
-    /// The batch plane's counters as one snapshot block.
+    /// The batch plane's counters as one snapshot block: every shard's
+    /// words (each read under its lock) plus the batches no shard saw.
     pub fn batch_counters(&self) -> BatchCounters {
-        BatchCounters {
-            batched_ops: self.batched_ops(),
-            lock_acquisitions: self.batch_lock_acquisitions(),
-            journal_appends: self.batch_journal_appends(),
+        let mut total = BatchCounters {
+            batched_ops: self.inner.batch.lockfree_ops.load(Ordering::Relaxed),
+            ..BatchCounters::default()
+        };
+        for si in 0..self.shard_count() {
+            total.absorb(&self.lock_shard(si).batch);
         }
+        total
     }
 
     /// Shard `si`'s commit cell (auditor use).
     pub(crate) fn commit_cell(&self, si: usize) -> &CommitCell {
-        &self.commit_cells[si]
+        &self.inner.ro.commit_cells[si]
     }
 
     /// Moves shard `si`'s durable mark by `delta` bytes behind the
     /// protocol's back, so tests can show the auditor notices.
     #[cfg(test)]
     pub(crate) fn skew_durable_mark(&self, si: usize, delta: i64) {
-        let durable = &self.commit_cells[si].durable;
+        let durable = &self.inner.ro.commit_cells[si].durable;
         durable.store(
             durable.load(Ordering::Relaxed).wrapping_add_signed(delta),
             Ordering::Release,
@@ -989,22 +1203,22 @@ impl ShardedCache {
 
     /// Shard `si`'s lock-free membership table (auditor use).
     pub(crate) fn read_plane(&self, si: usize) -> &ReadPlane {
-        &self.inner.read_planes[si]
+        &self.inner.ro.read_planes[si]
     }
 
     /// The tournament tree for one store (auditor use).
     pub(crate) fn front_tree(&self, placement: Placement) -> &FrontTree {
         match placement {
-            Placement::Mem => &self.inner.fronts_mem,
-            Placement::Ssd => &self.inner.fronts_ssd,
+            Placement::Mem => &self.inner.cold.fronts_mem,
+            Placement::Ssd => &self.inner.cold.fronts_ssd,
         }
     }
 
     /// This handle's memoized share table for one store, if it is filled
     /// and still valid by the memo's own rule (auditor use).
     pub(crate) fn cached_share_table(&self, placement: Placement) -> Option<ShareTable> {
-        let memo = self.local.entitlements.lock().expect("memo poisoned");
-        let version = self.inner.registry_version.load(Ordering::Acquire);
+        let memo = self.entitlements.memo.lock().expect("memo poisoned");
+        let version = self.inner.ro.registry_version.load(Ordering::Acquire);
         let capacity = self.ledger(placement).capacity_pages();
         memo.cached(version, capacity, placement, |_, _, m| m.pages(placement))
             .cloned()
@@ -1012,7 +1226,7 @@ impl ShardedCache {
 
     /// This handle's live hot-miss entries (auditor use).
     pub(crate) fn local_hot(&self) -> impl Iterator<Item = &HotEntry> + '_ {
-        self.local.hot.iter().flatten()
+        self.reads.hot.iter().flatten()
     }
 
     /// Republishes shard `si`'s FIFO front for one store into the
@@ -1027,36 +1241,17 @@ impl ShardedCache {
     /// each front pop would otherwise take the tree's propagate mutex,
     /// a per-evicted-page tax on eviction paths that never consult it.
     fn sync_front(&self, si: usize, shard: &Shard, placement: Placement) {
-        if self.inner.mode != PartitionMode::Global {
-            return;
-        }
-        let seq = shard
-            .state
-            .fifo(placement)
-            .front()
-            .map(|&(_, _, _, s)| s)
-            .unwrap_or(EMPTY_FRONT);
-        self.front_tree(placement).set_leaf(si, seq);
+        let front = shard.state.fifo(placement).front();
+        self.publish_front(si, placement, front.map(|&(_, _, _, seq)| seq));
     }
 
-    /// Resolves `(vm, pool)` to its policy and usage mirror through the
-    /// handle-local route cache, revalidated against the registry
-    /// version. `None` (also cached) means the pool does not exist.
-    fn route(&mut self, vm: VmId, pool: PoolId) -> Option<(CachePolicy, Arc<UsageMirror>)> {
-        let version = self.inner.registry_version.load(Ordering::Acquire);
-        if self.local.registry_version != version {
-            self.local.routes.clear();
-            self.local.registry_version = version;
+    /// [`Self::sync_front`] for a caller that holds the front's stamp
+    /// itself (a [`shard::PoolVisit`] in progress).
+    fn publish_front(&self, si: usize, placement: Placement, front_seq: Option<u64>) {
+        if self.inner.ro.mode == PartitionMode::Global {
+            let seq = front_seq.unwrap_or(EMPTY_FRONT);
+            self.front_tree(placement).set_leaf(si, seq);
         }
-        if let Some(r) = self.local.routes.get(&(vm, pool)) {
-            return r.clone();
-        }
-        let r = {
-            let reg = self.inner.registry.read().expect("registry poisoned");
-            reg.pool(vm, pool).map(|row| (row.1, row.2.clone()))
-        };
-        self.local.routes.insert((vm, pool), r.clone());
-        r
     }
 
     // ------------------------------------------------------------------
@@ -1070,7 +1265,7 @@ impl ShardedCache {
     /// callers normally enable right after construction.
     pub fn enable_journal(&self) {
         let mut shards = self.lock_all_shards();
-        if self.inner.journal_on.swap(true, Ordering::Relaxed) {
+        if self.inner.ro.journal_on.swap(true, Ordering::Relaxed) {
             return;
         }
         let fresh = shards.iter().map(|_| Journal::new()).collect();
@@ -1084,7 +1279,11 @@ impl ShardedCache {
     /// committer whose watermark sample covers the new generations
     /// also sees the new cells.
     fn install_segments(&self, shards: &mut [MutexGuard<'_, Shard>], segs: Vec<Journal>) {
-        for ((shard, cell), mut seg) in shards.iter_mut().zip(self.commit_cells.iter()).zip(segs) {
+        for ((shard, cell), mut seg) in shards
+            .iter_mut()
+            .zip(self.inner.ro.commit_cells.iter())
+            .zip(segs)
+        {
             seg.sync();
             cell.install(seg.len());
             shard.journal = Some(seg);
@@ -1093,7 +1292,7 @@ impl ShardedCache {
 
     /// Whether journaling is on.
     pub fn journal_enabled(&self) -> bool {
-        self.inner.journal_on.load(Ordering::Relaxed)
+        self.inner.ro.journal_on.load(Ordering::Relaxed)
     }
 
     /// Every segment's raw image (including unsynced bytes) paired with
@@ -1109,7 +1308,7 @@ impl ShardedCache {
         Some(
             shards
                 .iter()
-                .zip(self.commit_cells.iter())
+                .zip(self.inner.ro.commit_cells.iter())
                 .map(|(s, cell)| {
                     let journal = s.journal.as_ref().expect("journaling on");
                     (journal.bytes().to_vec(), cell.durable().1)
@@ -1140,12 +1339,12 @@ impl ShardedCache {
     /// if journaling is on.
     pub fn journal_records(&self) -> Option<u64> {
         self.journal_enabled()
-            .then(|| self.inner.journal_records.load(Ordering::Relaxed))
+            .then(|| self.inner.append.journal_records.load(Ordering::Relaxed))
     }
 
     /// How many times live compaction rewrote the segments.
     pub fn journal_compactions(&self) -> u64 {
-        self.inner.journal_compactions.load(Ordering::Relaxed)
+        self.inner.stats.journal_compactions.load(Ordering::Relaxed)
     }
 
     /// The group-commit watermark: the highest record generation known
@@ -1153,7 +1352,7 @@ impl ShardedCache {
     /// `Acquire`, paired with the `Release` that published it: whoever
     /// reads an epoch also sees the durable marks that justify it.
     pub fn commit_epoch(&self) -> u64 {
-        self.inner.commit_epoch.load(Ordering::Acquire)
+        self.inner.append.commit_epoch.load(Ordering::Acquire)
     }
 
     /// Group commit: makes every record claimed so far durable and
@@ -1180,13 +1379,15 @@ impl ShardedCache {
         }
         let watermark = self
             .inner
+            .append
             .journal_gen
             .load(Ordering::Acquire)
             .saturating_sub(1);
-        for cell in self.commit_cells.iter() {
+        for cell in self.inner.ro.commit_cells.iter() {
             cell.commit();
         }
         self.inner
+            .append
             .commit_epoch
             .fetch_max(watermark, Ordering::AcqRel)
             .max(watermark)
@@ -1199,15 +1400,19 @@ impl ShardedCache {
     /// the order [`Self::commit_tick`] relies on. Returns the last
     /// generation of the run.
     fn append_claimed(&self, si: usize, journal: &mut Journal, recs: &[JournalRecord]) -> u64 {
-        let cell = &self.commit_cells[si];
+        let cell = &self.inner.ro.commit_cells[si];
         let n = recs.len() as u64;
         cell.begin_append();
-        let start = self.inner.journal_gen.fetch_add(n, Ordering::AcqRel);
+        let start = self.inner.append.journal_gen.fetch_add(n, Ordering::AcqRel);
         #[cfg(test)]
         self.run_append_hook(start);
         let last = journal.append_run(recs, start);
         cell.end_append(journal.len());
-        self.inner.journal_records.fetch_add(n, Ordering::Relaxed);
+        self.inner
+            .append
+            .journal_records
+            .fetch_add(n, Ordering::Relaxed);
+        self.settle(n);
         last
     }
 
@@ -1242,56 +1447,151 @@ impl ShardedCache {
     /// before the shard lock drops and before any direct
     /// [`Self::log_in`] on the same shard, so the global generation
     /// order equals operation order.
-    fn drain_scratch(&self, si: usize, shard: &mut Shard, scratch: &mut GroupScratch) -> u64 {
+    fn drain_scratch(
+        &self,
+        si: usize,
+        journal: &mut Option<Journal>,
+        scratch: &mut GroupScratch,
+    ) -> u64 {
         if scratch.records.is_empty() {
             return 0;
         }
-        let Some(j) = shard.journal.as_mut() else {
+        let Some(j) = journal.as_mut() else {
             scratch.records.clear();
             return 0;
         };
         let last = self.append_claimed(si, j, &scratch.records);
-        scratch.drains += 1;
+        if let Some(batch) = scratch.batch.as_mut() {
+            batch.journal_appends += 1;
+        }
         scratch.records.clear();
         last
     }
 
     /// Locks shard `si` for a group helper, counting the visit.
     fn visit_shard(&self, si: usize, scratch: &mut GroupScratch) -> MutexGuard<'_, Shard> {
-        scratch.lock_visits += 1;
+        if let Some(batch) = scratch.batch.as_mut() {
+            batch.lock_acquisitions += 1;
+        }
         self.lock_shard(si)
     }
 
-    /// Hands the scratch back to the handle at the end of a call. A
-    /// `*_many` call (`batched`) charges its lock visits and drains to
-    /// the batch-plane counters; a scalar call's are dropped.
-    fn end_visit(&mut self, mut scratch: GroupScratch, batched: bool) {
-        debug_assert!(scratch.records.is_empty());
-        let locks = std::mem::take(&mut scratch.lock_visits);
-        let drains = std::mem::take(&mut scratch.drains);
-        self.local.scratch = scratch;
-        if batched {
-            self.inner
-                .batch_lock_acquisitions
-                .fetch_add(locks, Ordering::Relaxed);
-            self.inner
-                .batch_journal_appends
-                .fetch_add(drains, Ordering::Relaxed);
+    /// Ends a group helper's visit of shard `si`: pending records
+    /// drained, what a `*_many` call did since it last left a shard
+    /// added to the shard's batch counters, the pages the visit freed
+    /// settled against the compaction budget — all before the lock
+    /// drops. Returns the last generation the drain claimed.
+    fn leave_shard(
+        &self,
+        si: usize,
+        mut shard: MutexGuard<'_, Shard>,
+        scratch: &mut GroupScratch,
+    ) -> u64 {
+        let Shard { journal, batch, .. } = &mut *shard;
+        let last = self.drain_scratch(si, journal, scratch);
+        if let Some(counted) = scratch.batch.as_mut() {
+            batch.absorb(&std::mem::take(counted));
         }
+        if journal.is_some() {
+            self.settle(0);
+        }
+        last
     }
 
-    /// The live-compaction trigger with `pending` records still in a
-    /// batch's scratch buffer — the batched paths must observe the
-    /// threshold at the same operation the per-op paths would, or the
-    /// checkpoint rewrite consumes generations at a different point and
-    /// journal byte-identity with the serial engine breaks.
+    /// Whether live compaction is due, with `pending` records of this
+    /// handle still in a batch's scratch buffer — the batched paths
+    /// must observe the threshold at the same operation the per-op
+    /// paths would, or the checkpoint rewrite consumes generations at a
+    /// different point and journal byte-identity with the serial engine
+    /// breaks.
+    ///
+    /// The trigger compares three words every client writes (the record
+    /// count and the two ledgers), and this runs after every stored put
+    /// and every local hit. So a handle does not read them each time:
+    /// when it does ([`Self::measure`]) it takes a *share* of the slack
+    /// it found — the distance to the threshold divided by the live
+    /// handle count — and until what it has itself added to the journal
+    /// since (a record counts 1, a freed page [`JOURNAL_COMPACT_FACTOR`],
+    /// the most it can lower the threshold by; pages it allocated only
+    /// raise it and are ignored) has used the share up, compaction
+    /// cannot be due: the shares of one [`ReadMostly::budget_epoch`]
+    /// are taken once per handle and never add up to more than the
+    /// slack, and whoever adds more than its share moves the epoch,
+    /// which voids them all. Driven from one thread, through any number
+    /// of handles, the checkpoint therefore fires at the operation the
+    /// per-op check fires at. Between threads a measurement can miss
+    /// what another handle's visit in flight has not yet appended, so
+    /// the trigger may be seen late by one group per other handle.
     fn compaction_due(&self, pending: usize) -> bool {
         if !self.journal_enabled() {
             return false;
         }
-        let live = self.inner.mem.used_pages() + self.inner.ssd.used_pages();
-        let records = self.inner.journal_records.load(Ordering::Relaxed) + pending as u64;
-        shard::compaction_due(records, live)
+        let budget = &self.budget;
+        let owed = budget.owed.load(Ordering::Relaxed);
+        let shared = self.inner.ro.budget_epoch.load(Ordering::Acquire);
+        if budget.epoch.load(Ordering::Relaxed) == shared
+            && owed + pending as u64 <= budget.left.load(Ordering::Relaxed)
+        {
+            return false;
+        }
+        self.measure(pending as u64, owed)
+    }
+
+    /// Charges `appended` records (already in the shared count) and the
+    /// pages freed since the last settle to the handle's share;
+    /// measures afresh when the share does not cover them.
+    fn settle(&self, appended: u64) {
+        let budget = &self.budget;
+        let cost = budget.owed.load(Ordering::Relaxed) + appended;
+        if cost == 0 {
+            return;
+        }
+        budget.owed.store(0, Ordering::Relaxed);
+        let left = budget.left.load(Ordering::Relaxed);
+        let shared = self.inner.ro.budget_epoch.load(Ordering::Acquire);
+        if budget.epoch.load(Ordering::Relaxed) == shared && cost <= left {
+            budget.left.store(left - cost, Ordering::Relaxed);
+        } else {
+            self.measure(0, cost);
+        }
+    }
+
+    /// The trigger itself, from the shared words, with `pending`
+    /// records of this handle not yet appended and `spent` already in
+    /// those words but covered by no share: whether compaction is due,
+    /// and if not, a fresh share of the slack (see
+    /// [`Self::compaction_due`]). A handle that held a share of this
+    /// epoch and overran it, or spent more without one than the share
+    /// it now finds, has eaten into what the others were promised: it
+    /// moves the epoch.
+    fn measure(&self, pending: u64, spent: u64) -> bool {
+        let (inner, budget) = (&*self.inner, &self.budget);
+        budget.owed.store(0, Ordering::Relaxed);
+        let mut shared = inner.ro.budget_epoch.load(Ordering::Acquire);
+        let overran = budget.epoch.load(Ordering::Relaxed) == shared;
+        if overran {
+            shared = inner.ro.budget_epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        }
+        let live = inner.put.mem.used_pages() + inner.put.ssd.used_pages();
+        let records = inner.append.journal_records.load(Ordering::Relaxed) + pending;
+        let threshold = shard::compaction_threshold(live);
+        let handles = Arc::strong_count(&self.inner) as u64;
+        let mut share = threshold.saturating_sub(records) / handles;
+        if !overran {
+            if spent > share {
+                shared = inner.ro.budget_epoch.fetch_add(1, Ordering::AcqRel) + 1;
+            } else {
+                share -= spent;
+            }
+        }
+        if records > threshold {
+            budget.epoch.store(NO_SHARE, Ordering::Relaxed);
+            return true;
+        }
+        // The pending records are charged when they are appended.
+        budget.left.store(share + pending, Ordering::Relaxed);
+        budget.epoch.store(shared, Ordering::Relaxed);
+        false
     }
 
     /// Live compaction: when the segments have accumulated far more
@@ -1302,16 +1602,17 @@ impl ShardedCache {
         if !self.compaction_due(0) {
             return;
         }
-        let reg = self.inner.registry.read().expect("registry poisoned");
+        let reg = self.inner.registry.lock.read().expect("registry poisoned");
         let mut shards = self.lock_all_shards();
         // Re-check under the locks: another thread may have compacted
         // (or freed enough) while we were acquiring them.
         if !self.compaction_due(0) {
             return;
         }
-        let start_gen = self.inner.journal_gen.load(Ordering::Relaxed);
+        let start_gen = self.inner.append.journal_gen.load(Ordering::Relaxed);
         self.write_checkpoint_locked(&reg, &mut shards, start_gen);
         self.inner
+            .stats
             .journal_compactions
             .fetch_add(1, Ordering::Relaxed);
     }
@@ -1324,7 +1625,7 @@ impl ShardedCache {
     /// Reads a [`Cut`] under the crate's lock-all discipline: registry
     /// read lock, then every shard in ascending order.
     fn with_locked_cut<R>(&self, f: impl FnOnce(Cut<'_>) -> R) -> R {
-        let reg = self.inner.registry.read().expect("registry poisoned");
+        let reg = self.inner.registry.lock.read().expect("registry poisoned");
         let shards = self.lock_all_shards();
         f(Self::cut(&reg, &shards))
     }
@@ -1339,9 +1640,9 @@ impl ShardedCache {
         start_gen: u64,
     ) -> Vec<(VmId, u64)> {
         let checkpoint = Self::cut(reg, shards).write_checkpoint(
-            self.inner.mode,
-            self.inner.mem.capacity_pages(),
-            self.inner.ssd.capacity_pages(),
+            self.inner.ro.mode,
+            self.inner.put.mem.capacity_pages(),
+            self.inner.put.ssd.capacity_pages(),
             start_gen,
         );
         // Cells first, then the generation cell (`Release`): a committer
@@ -1349,14 +1650,20 @@ impl ShardedCache {
         // cells (see `install_segments`).
         self.install_segments(shards, checkpoint.segments);
         self.inner
+            .append
             .journal_gen
             .store(checkpoint.next_gen, Ordering::Release);
         self.inner
+            .append
             .journal_records
             .store(checkpoint.records, Ordering::Relaxed);
+        // The record count was just rewritten: every share of the old
+        // slack is void.
+        self.inner.ro.budget_epoch.fetch_add(1, Ordering::AcqRel);
         // The checkpoint is synced in full, so everything up to its last
         // generation is durable.
         self.inner
+            .append
             .commit_epoch
             .fetch_max(checkpoint.next_gen.saturating_sub(1), Ordering::AcqRel);
         checkpoint.new_epochs
@@ -1411,8 +1718,15 @@ impl ShardedCache {
         }
         // The two counters drift apart live and unify only here.
         let inner = &cache.inner;
-        inner.next_seq.store(log.next_gen, Ordering::Relaxed);
-        inner.journal_gen.store(log.next_gen, Ordering::Relaxed);
+        inner
+            .put
+            .next_seq
+            .next
+            .store(log.next_gen, Ordering::Relaxed);
+        inner
+            .append
+            .journal_gen
+            .store(log.next_gen, Ordering::Relaxed);
 
         // Replay left the tournament tree alone: make the invariant
         // (leaf == front entry seq) hold before anything reads it.
@@ -1435,9 +1749,9 @@ impl ShardedCache {
 
         // Re-journal a checkpoint across fresh segments and go live.
         {
-            let reg = inner.registry.read().expect("registry poisoned");
+            let reg = inner.registry.lock.read().expect("registry poisoned");
             let mut shards = cache.lock_all_shards();
-            inner.journal_on.store(true, Ordering::Relaxed);
+            inner.ro.journal_on.store(true, Ordering::Relaxed);
             report.new_epochs = cache.write_checkpoint_locked(&reg, &mut shards, log.next_gen);
         }
         (cache, report)
@@ -1462,10 +1776,10 @@ impl ShardedCache {
             // `SetMode`: the recovery core picked the journal's mode
             // before this cache was built (the field is immutable).
             JournalRecord::Epoch { .. } | JournalRecord::SetMode { .. } => {}
-            JournalRecord::SetMemCapacity { pages } => self.inner.mem.set_capacity(pages),
-            JournalRecord::SetSsdCapacity { pages } => self.inner.ssd.set_capacity(pages),
+            JournalRecord::SetMemCapacity { pages } => self.inner.put.mem.set_capacity(pages),
+            JournalRecord::SetSsdCapacity { pages } => self.inner.put.ssd.set_capacity(pages),
             JournalRecord::SsdDrain => {
-                for s in &self.inner.shards {
+                for s in &self.inner.ro.shards {
                     let mut shard = s.lock().expect("shard poisoned");
                     shard.state.drain_ssd(&mut self.ledgers());
                 }
@@ -1509,14 +1823,14 @@ impl ShardedCache {
         &self,
         f: impl FnOnce(&Registry, &[MutexGuard<'_, Shard>], &Ledger, &Ledger, u64) -> R,
     ) -> R {
-        let reg = self.inner.registry.read().expect("registry poisoned");
+        let reg = self.inner.registry.lock.read().expect("registry poisoned");
         let shards = self.lock_all_shards();
         f(
             &reg,
             &shards,
-            &self.inner.mem,
-            &self.inner.ssd,
-            self.inner.next_seq.load(Ordering::Relaxed),
+            &self.inner.put.mem,
+            &self.inner.put.ssd,
+            self.inner.put.next_seq.next.load(Ordering::Relaxed),
         )
     }
 
@@ -1543,7 +1857,7 @@ impl ShardedCache {
 
     /// The admission plane this cache runs under.
     pub fn admission_config(&self) -> AdmissionConfig {
-        self.inner.admission
+        self.inner.ro.admission
     }
 
     /// TTL staleness sweep: demotes (drops) SSD-resident entries older
@@ -1555,7 +1869,7 @@ impl ShardedCache {
     /// Driver-invoked at deterministic points (tick boundaries) only —
     /// never from the threaded fast path.
     pub fn ttl_sweep(&mut self) -> u64 {
-        let ttl = self.inner.admission.ssd_ttl;
+        let ttl = self.inner.ro.admission.ssd_ttl;
         if ttl == 0 {
             return 0;
         }
@@ -1567,7 +1881,10 @@ impl ShardedCache {
                 .state
                 .ttl_sweep_pool(&mut self.ledgers(), vm, pid, ttl);
             let count = gone.len() as u64;
-            self.inner.evictions.fetch_add(count, Ordering::Relaxed);
+            self.inner
+                .stats
+                .evictions
+                .fetch_add(count, Ordering::Relaxed);
             demoted += count;
             for addr in gone {
                 self.log_in(si, &mut shard, shard::evict_record(vm, pid, addr));
@@ -1583,20 +1900,23 @@ impl ShardedCache {
 
     /// Every registered pool, in registry order.
     fn pool_ids(&self) -> Vec<(VmId, PoolId)> {
-        let reg = self.inner.registry.read().expect("registry poisoned");
+        let reg = self.inner.registry.lock.read().expect("registry poisoned");
         reg.pool_ids().collect()
     }
 
     fn ledger(&self, placement: Placement) -> &Ledger {
-        self.inner.ledger(placement)
+        self.inner.put.ledger(placement)
     }
 
     fn ledgers(&self) -> Ledgers<'_> {
-        Ledgers(&self.inner)
+        Ledgers {
+            put: &self.inner.put,
+            budget: &self.budget,
+        }
     }
 
     fn alloc_seq(&self) -> u64 {
-        self.inner.next_seq.fetch_add(1, Ordering::Relaxed)
+        self.inner.put.next_seq.next.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Locks every shard in ascending index order. Parks on a busy one:
@@ -1604,6 +1924,7 @@ impl ShardedCache {
     /// spins is one every client of those shards waits too.
     fn lock_all_shards(&self) -> Vec<MutexGuard<'_, Shard>> {
         self.inner
+            .ro
             .shards
             .iter()
             .map(|s| s.lock().expect("shard poisoned"))
@@ -1614,7 +1935,7 @@ impl ShardedCache {
     /// whoever holds it is mid-operation (an eviction batch at worst),
     /// so the waiter polls for a few batches' time before it parks.
     fn lock_shard(&self, idx: usize) -> MutexGuard<'_, Shard> {
-        backoff::lock(&self.inner.shards[idx], "shard poisoned")
+        backoff::lock(&self.inner.ro.shards[idx], "shard poisoned")
     }
 
     /// [`ShardState::insert`] on a (locked) shard, then the front
@@ -1655,10 +1976,10 @@ impl ShardedCache {
         placement: Placement,
         f: impl FnOnce(&ShareTable) -> R,
     ) -> R {
-        let mut memo = self.local.entitlements.lock().expect("memo poisoned");
+        let mut memo = self.entitlements.memo.lock().expect("memo poisoned");
         memo.with(
             reg,
-            self.inner.registry_version.load(Ordering::Acquire),
+            self.inner.ro.registry_version.load(Ordering::Acquire),
             self.ledger(placement).capacity_pages(),
             placement,
             |_, _, mirror| mirror.pages(placement),
@@ -1674,14 +1995,52 @@ impl ShardedCache {
     /// pool's participation may be momentarily stale, while the put's
     /// own pool — whose usage the placement decision compares against
     /// — is exact under its home-shard lock.
+    ///
+    /// The memo validates itself (registry version, capacity, legacy
+    /// participation), so a valid one is read with no registry lock: a
+    /// control verb that lands right after the version was loaded
+    /// orders after this put. Only a rebuild reads the registry: the
+    /// caller's (`reg`), or one had without waiting; `None` asks the
+    /// caller to come back with it (registry before shard, the lock
+    /// order).
     fn pool_entitlement_memo(
         &self,
-        reg: &Registry,
+        reg: Option<&Registry>,
         vm: VmId,
         pool: PoolId,
         placement: Placement,
-    ) -> u64 {
-        self.with_share_memo(reg, placement, |t| t.pool_entitlement(vm, pool))
+    ) -> Option<u64> {
+        let mut memo = self.entitlements.memo.lock().expect("memo poisoned");
+        let version = self.inner.ro.registry_version.load(Ordering::Acquire);
+        let capacity = self.ledger(placement).capacity_pages();
+        let used = |_: VmId, _: PoolId, mirror: &Arc<UsageMirror>| mirror.pages(placement);
+        if let Some(table) = memo.cached(version, capacity, placement, used) {
+            let entitlement = table.pool_entitlement(vm, pool);
+            // The memo's own assertion against a fresh build, whenever
+            // the registry can be had without waiting (never in lock
+            // order here) and has not moved on.
+            #[cfg(debug_assertions)]
+            if let Ok(reg) = self.inner.registry.lock.try_read() {
+                if self.inner.ro.registry_version.load(Ordering::Acquire) == version {
+                    memo.with(&reg, version, capacity, placement, used, |_| ());
+                }
+            }
+            return Some(entitlement);
+        }
+        // A rebuild under a shard lock asks for the registry without
+        // waiting (out of lock order, so it must not wait): only when a
+        // control verb holds it does the caller have to leave the shard
+        // and come back in order.
+        let unordered;
+        let reg = match reg {
+            Some(reg) => reg,
+            None => {
+                unordered = self.inner.registry.lock.try_read().ok()?;
+                &unordered
+            }
+        };
+        let pool_share = |t: &ShareTable| t.pool_entitlement(vm, pool);
+        Some(memo.with(reg, version, capacity, placement, used, pool_share))
     }
 
     // ------------------------------------------------------------------
@@ -1697,7 +2056,7 @@ impl ShardedCache {
     /// walk over the share memo and the atomic usage mirrors —
     /// registry read lock, no shard lock.
     fn select_victim(&self, reg: &Registry, placement: Placement) -> Option<(VmId, PoolId)> {
-        let strict = self.inner.mode == PartitionMode::Strict;
+        let strict = self.inner.ro.mode == PartitionMode::Strict;
         self.with_share_memo(reg, placement, |t| {
             t.select_victim(strict, EVICTION_BATCH_PAGES, |vm, pool| {
                 reg.pool(vm, pool).map_or(0, |row| row.2.pages(placement))
@@ -1721,13 +2080,13 @@ impl ShardedCache {
     /// first snapshot re-validates unchanged and the victim (and every
     /// evicted object) matches the serial engine exactly.
     fn evict_batch(&self, placement: Placement) -> u64 {
-        if self.inner.mode == PartitionMode::Global {
+        if self.inner.ro.mode == PartitionMode::Global {
             return self.evict_batch_global_tree(placement);
         }
         let mut retries_left = Self::TWO_PHASE_MAX_RETRIES;
         loop {
             let victim = {
-                let reg = self.inner.registry.read().expect("registry poisoned");
+                let reg = self.inner.registry.lock.read().expect("registry poisoned");
                 self.select_victim(&reg, placement)
             };
             let Some((vm, pool_id)) = victim else {
@@ -1738,25 +2097,22 @@ impl ShardedCache {
             self.run_eviction_hook();
 
             // Phase 2: registry read + the victim's home shard only.
-            let reg = self.inner.registry.read().expect("registry poisoned");
+            let reg = self.inner.registry.lock.read().expect("registry poisoned");
             let si = self.shard_of(vm, pool_id);
             let mut shard = self.lock_shard(si);
             let budget_spent = retries_left == 0;
             let freed =
                 if budget_spent || self.select_victim(&reg, placement) == Some((vm, pool_id)) {
-                    self.evict_pages_from_shard(
-                        si,
-                        &mut shard,
-                        vm,
-                        pool_id,
-                        placement,
-                        EVICTION_BATCH_PAGES,
-                    )
+                    let Shard { state, journal, .. } = &mut *shard;
+                    state.visit(vm, pool_id).map_or(0, |mut victim| {
+                        self.evict_from(si, &mut victim, journal, placement, EVICTION_BATCH_PAGES)
+                    })
                 } else {
                     0
                 };
             if budget_spent {
                 self.inner
+                    .stats
                     .two_phase_fallbacks
                     .fetch_add(1, Ordering::Relaxed);
                 return freed;
@@ -1767,7 +2123,10 @@ impl ShardedCache {
             // Stale snapshot: the walk now picks someone else, or the
             // mirrors promised pages the locked shard no longer has
             // (raced with a flush or destroy).
-            self.inner.two_phase_retries.fetch_add(1, Ordering::Relaxed);
+            self.inner
+                .stats
+                .two_phase_retries
+                .fetch_add(1, Ordering::Relaxed);
             retries_left -= 1;
         }
     }
@@ -1813,11 +2172,13 @@ impl ShardedCache {
                 // cross-thread churn, where the batch ends short instead
                 // of chasing a moving front forever.
                 self.inner
+                    .stats
                     .front_tree_retries
                     .fetch_add(1, Ordering::Relaxed);
                 stale_nominations += 1;
                 if stale_nominations > Self::FRONT_TREE_MAX_ATTEMPTS {
                     self.inner
+                        .stats
                         .front_tree_fallbacks
                         .fetch_add(1, Ordering::Relaxed);
                     break;
@@ -1831,7 +2192,7 @@ impl ShardedCache {
                 let Some((vm, pool_id, addr)) = evicted else {
                     continue 'tournament;
                 };
-                self.inner.evictions.fetch_add(1, Ordering::Relaxed);
+                self.inner.stats.evictions.fetch_add(1, Ordering::Relaxed);
                 self.log_in(leaf, &mut shard, shard::evict_record(vm, pool_id, addr));
                 freed += 1;
                 self.pop_dead_fronts(leaf, &mut shard, placement);
@@ -1856,21 +2217,17 @@ impl ShardedCache {
     /// the SSD share. A pool only ever touches its home shard, so one
     /// guard suffices — this is what lets eviction run without stopping
     /// the world.
-    fn evict_pages_from_shard(
+    fn evict_from(
         &self,
         si: usize,
-        shard: &mut Shard,
-        vm: VmId,
-        pool_id: PoolId,
+        pool: &mut PoolVisit<'_>,
+        journal: &mut Option<Journal>,
         placement: Placement,
         max_pages: u64,
     ) -> u64 {
-        let admission = self.inner.admission;
-        let Shard { state, journal } = shard;
-        let (freed, trickled) = state.evict_batch(
+        let admission = self.inner.ro.admission;
+        let (freed, trickled) = pool.evict_batch(
             &mut self.ledgers(),
-            vm,
-            pool_id,
             placement,
             max_pages,
             admission.filters_spills().then_some(admission.ghost_window),
@@ -1883,9 +2240,9 @@ impl ShardedCache {
                 }
             },
         );
-        let inner = &self.inner;
-        inner.evictions.fetch_add(freed, Ordering::Relaxed);
-        inner.trickle_downs.fetch_add(trickled, Ordering::Relaxed);
+        let stats = &self.inner.stats;
+        stats.evictions.fetch_add(freed, Ordering::Relaxed);
+        stats.trickle_downs.fetch_add(trickled, Ordering::Relaxed);
         freed
     }
 
@@ -1917,7 +2274,7 @@ impl ShardedCache {
             // succeeds and the re-check below always fails (nothing
             // freed since the check above), so the serial victim
             // sequence — and byte-identity — is untouched.
-            let gate = &self.inner.eviction_gate;
+            let gate = &self.inner.evictor.gate;
             let mut backoff = Backoff::new();
             let _evictor = loop {
                 if let Some(guard) = backoff::try_lock(gate, "eviction gate poisoned") {
@@ -1939,198 +2296,156 @@ impl ShardedCache {
         }
     }
 
-    /// Takes the home-shard guards of a put in lock order, counting the
-    /// visit. The registry read guard is taken only when the put will
-    /// consult the entitlement table (Hybrid store or Strict mode), so
-    /// Mem/SSD-policy puts touch no registry lock.
-    fn lock_home(
+    /// Decides where one put goes and clears the way for it, on the
+    /// put's (visited) pool under the home shard's lock, in the serial
+    /// engine's statement order. Placement is decided here, under the
+    /// lock, where the pool's own usage is exact (the entitlement comes
+    /// from the handle-local memo) — so there is nothing to speculate
+    /// on and nothing to retry. Both entitlements are read before
+    /// anything is changed, so a put that has to come back with the
+    /// registry ([`Placed::Unshared`]) starts over from an untouched
+    /// pool.
+    #[allow(clippy::too_many_arguments)]
+    fn place(
         &self,
         si: usize,
-        with_registry: bool,
-        scratch: &mut GroupScratch,
-    ) -> HomeGuards<'_> {
-        let reg = with_registry.then(|| self.inner.registry.read().expect("registry poisoned"));
-        (reg, self.visit_shard(si, scratch))
-    }
-
-    /// The one put body: applies one put under the home shard's lock,
-    /// in the serial engine's statement order. Placement is decided
-    /// here, under the lock, where the pool's own usage is exact (the
-    /// entitlement comes from the handle-local memo) — so there is
-    /// nothing to speculate on and nothing to retry. The store-full
-    /// path drains `scratch`, drops the guards and runs the eviction
-    /// loop, then re-acquires in lock order — so the caller gets its
-    /// guards back through the return value (`None` only when the put
-    /// rejected with no locks held).
-    ///
-    /// The Put record goes to `scratch`, not straight to the segment:
-    /// the group caller drains once per shard visit.
-    #[allow(clippy::too_many_arguments)]
-    fn put_in_home_shard<'a>(
-        &'a self,
-        now: SimTime,
-        guards: HomeGuards<'a>,
-        si: usize,
-        vm: VmId,
-        pool: PoolId,
-        addr: BlockAddr,
-        version: PageVersion,
+        (vm, pool): (VmId, PoolId),
+        visit: &mut PoolVisit<'_>,
+        journal: &mut Option<Journal>,
+        reg: Option<&Registry>,
         policy: CachePolicy,
+        addr: BlockAddr,
         scratch: &mut GroupScratch,
-    ) -> (PutOutcome, Option<HomeGuards<'a>>) {
-        let (mut reg, mut shard) = guards;
-
+    ) -> Placed {
         // Placement decided with the old copy still resident, like the
         // serial engine.
         let placement = match policy.store {
             StoreKind::Mem => Placement::Mem,
             StoreKind::Ssd => Placement::Ssd,
             StoreKind::Hybrid => {
-                let table = reg.as_deref().expect("hybrid puts hold the registry");
-                let entitlement = self.pool_entitlement_memo(table, vm, pool, Placement::Mem);
-                if shard.state.used(vm, pool, Placement::Mem) < entitlement {
+                let Some(entitlement) = self.pool_entitlement_memo(reg, vm, pool, Placement::Mem)
+                else {
+                    return Placed::Unshared;
+                };
+                if visit.pool.used(Placement::Mem) < entitlement {
                     Placement::Mem
                 } else {
                     Placement::Ssd
                 }
             }
         };
+        // Strict mode's hard partition (the pool's own stale copy, gone
+        // by the time the serial engine asks, is in a store the pool is
+        // assigned to and so never moves this table).
+        let mut partition = None;
+        if self.inner.ro.mode == PartitionMode::Strict {
+            partition = self.pool_entitlement_memo(reg, vm, pool, placement);
+            if partition.is_none() {
+                return Placed::Unshared;
+            }
+        }
         if self.ledger(placement).is_disabled() {
-            return (PutOutcome::Rejected, Some((reg, shard)));
+            return Placed::Rejected;
         }
 
         // Ghost admission: a hybrid pool spilling into its SSD share
         // must earn the flash write. Checked before any mutation, so
         // both engines decide identically.
-        if self.inner.admission.filters_spills()
+        let admission = self.inner.ro.admission;
+        if admission.filters_spills()
             && placement == Placement::Ssd
             && policy.store == StoreKind::Hybrid
+            && !visit.pool.admit_spill(addr, admission.ghost_window)
         {
-            let window = self.inner.admission.ghost_window;
-            let rejected = shard
-                .state
-                .pools
-                .get_mut(&(vm, pool))
-                .is_some_and(|p| !p.admit_spill(addr, window));
-            if rejected {
-                return (PutOutcome::Rejected, Some((reg, shard)));
-            }
+            return Placed::Rejected;
         }
 
         // Exclusive overwrite: displace any stale copy first so the
         // freed page is available to this put.
-        shard.state.remove(&mut self.ledgers(), vm, pool, addr);
+        visit.remove(&mut self.ledgers(), addr);
 
         // Strict-mode pre-check: a pool at its hard partition evicts
         // from itself before the store-level check. Entitlement comes
         // from the mirrors (exact when single-threaded); the eviction
         // itself only needs the home shard, which we hold.
-        if self.inner.mode == PartitionMode::Strict {
-            let table = reg.as_deref().expect("strict puts hold the registry");
-            let entitlement = self.pool_entitlement_memo(table, vm, pool, placement);
-            if shard.state.used(vm, pool, placement) + 1 > entitlement {
-                // The evictor journals straight into the segment —
-                // pending batch records must land first so generation
-                // order stays equal to operation order.
-                self.drain_scratch(si, &mut shard, scratch);
-                let freed = self.evict_pages_from_shard(
-                    si,
-                    &mut shard,
-                    vm,
-                    pool,
-                    placement,
-                    EVICTION_BATCH_PAGES,
-                );
-                if freed == 0 {
-                    return (PutOutcome::Rejected, Some((reg, shard)));
-                }
+        if partition.is_some_and(|entitlement| visit.pool.used(placement) + 1 > entitlement) {
+            // The evictor journals straight into the segment — pending
+            // batch records must land first so generation order stays
+            // equal to operation order.
+            self.drain_scratch(si, journal, scratch);
+            if self.evict_from(si, visit, journal, placement, EVICTION_BATCH_PAGES) == 0 {
+                return Placed::Rejected;
             }
         }
 
-        if !self.ledger(placement).try_alloc() {
-            // Store full: land pending records, drop the locks and run
-            // the eviction loop (which starts from no lock held), then
-            // rejoin the group.
-            self.drain_scratch(si, &mut shard, scratch);
-            let with_registry = reg.is_some();
-            drop(shard);
-            drop(reg);
-            if !self.alloc_or_evict(placement) {
-                return (PutOutcome::Rejected, None);
-            }
-            (reg, shard) = self.lock_home(si, with_registry, scratch);
+        if self.ledger(placement).try_alloc() {
+            Placed::At(placement)
+        } else {
+            Placed::Full(placement)
         }
-
-        let seq = self.alloc_seq();
-        let Some(pool_entry) = shard.state.pools.get_mut(&(vm, pool)) else {
-            // The pool was destroyed while we were evicting; give the
-            // page back.
-            self.ledger(placement).free(1);
-            return (PutOutcome::Rejected, Some((reg, shard)));
-        };
-        pool_entry.counters.puts += 1;
-        self.insert_in(si, &mut shard, vm, pool, addr, placement, version, seq);
-        if shard.journal.is_some() {
-            scratch
-                .records
-                .push(shard::put_record(vm, pool, addr, version, placement));
-        }
-        (PutOutcome::Stored { finish: now }, Some((reg, shard)))
     }
 
     // ------------------------------------------------------------------
     // Group application (DESIGN.md §18): the only implementation of
     // get, put and flush. Every call names one `(vm, pool)`, so the
     // whole group homes on one shard: the group helpers take the shard
-    // lock once, apply the ops in call order, and drain pending journal
-    // records as one contiguous generation run before the lock drops.
-    // The scalar trait methods are the one-element case. Compaction is
-    // checked at every op that would trigger it alone, so the
-    // checkpoint rewrite fires at the same operation however the ops
-    // are grouped — which is what keeps the journal byte-identical
-    // across batch sizes and with the serial engine.
+    // lock once, resolve the pool once ([`ShardState::visit`]), apply
+    // the ops in call order, and drain pending journal records as one
+    // contiguous generation run before the lock drops; a helper that
+    // has to drop the lock mid-group (to evict, to compact, to fetch
+    // the registry) resolves again when it has it back. The scalar
+    // trait methods are the one-element case. Compaction is checked at
+    // every op that would trigger it alone, so the checkpoint rewrite
+    // fires at the same operation however the ops are grouped — which
+    // is what keeps the journal byte-identical across batch sizes and
+    // with the serial engine.
     // ------------------------------------------------------------------
 
-    /// Answers a get from the lock-free read plane if `addr` is
-    /// *definitively absent* from its home shard (DESIGN.md §15): first
-    /// the handle's hot-miss replica, then the shard's seqlock
-    /// membership table. Exclusive semantics mean a hit must mutate, so
-    /// only the miss — the steady-state common case of a read-heavy
-    /// exclusive cache — can be served without the shard lock. `false`
-    /// means probable hit or degraded plane: take the lock and answer
-    /// authoritatively (the locked path re-decides from scratch).
+    /// Whether `addr` is *definitively absent* from its home shard
+    /// (DESIGN.md §15), answered without a lock: first by the handle's
+    /// hot-miss replica, then by the shard's seqlock membership table.
+    /// Exclusive semantics mean a hit must mutate, so only the miss —
+    /// the steady-state common case of a read-heavy exclusive cache —
+    /// can be served without the shard lock. `false` means probable hit
+    /// or degraded plane: take the lock and answer authoritatively (the
+    /// locked path re-decides from scratch). The caller counts the miss
+    /// against the pool's mirror, one by one or a batch at a time.
+    ///
+    /// A definitive miss is cached in the replica; `replace` is whether
+    /// it may take the slot of another key's negative. The scalar get's
+    /// may (a guest's get → migrate → get asks for one block twice in a
+    /// row); a batch's may not, so a batch over a working set the
+    /// replica cannot hold stops writing slots once they are taken (one
+    /// replica hit in six hundred misses did not pay for a slot written
+    /// per miss), while a handful of blocks polled in batches still
+    /// lives there.
     ///
     /// Not for remote-bound pools: "absent from the shard" stops being
     /// a definitive miss once the remote tier can still serve the
     /// block, and the binding (whose fault-tolerance state the lookup
     /// mutates) lives under the shard lock anyway.
     fn probe_miss(
-        &mut self,
+        reads: &mut ReadReplica,
+        inner: &Inner,
         si: usize,
-        vm: VmId,
-        pool: PoolId,
-        addr: BlockAddr,
-        mirror: &UsageMirror,
+        (vm, pool, addr): (VmId, PoolId, BlockAddr),
+        replace: bool,
     ) -> bool {
-        let slot = LocalReplica::hot_slot(vm, pool, addr);
-        if let Some(h) = self.local.hot[slot] {
-            if h.vm == vm
-                && h.pool == pool
-                && h.addr == addr
-                && self.inner.read_planes[si].seq() == h.stamp
-            {
+        let plane = &inner.ro.read_planes[si];
+        let slot = ReadReplica::hot_slot(vm, pool, addr);
+        let mut mine = true;
+        if let Some(h) = reads.hot[slot] {
+            mine = h.vm == vm && h.pool == pool && h.addr == addr;
+            if mine && plane.seq() == h.stamp {
                 // The home shard's membership has not changed since
                 // this negative was cached: still definitively absent.
-                mirror.note_get();
-                self.local.lockfree_misses += 1;
-                self.local.replica_hits += 1;
+                reads.replica_hits += 1;
                 return true;
             }
         }
-        let inner = &self.inner;
-        let probe = inner.read_planes[si].lookup(vm, pool, addr, || {
-            if inner.hooks_on.load(Ordering::Relaxed) {
-                let hook = inner.read_hook.read().expect("hook poisoned").clone();
+        let probe = plane.lookup(vm, pool, addr, || {
+            if inner.ro.hooks_on.load(Ordering::Relaxed) {
+                let hook = inner.cold.read_hook.read().expect("hook poisoned").clone();
                 if let Some(hook) = hook {
                     hook();
                 }
@@ -2138,52 +2453,25 @@ impl ShardedCache {
         });
         match probe {
             ReadProbe::Absent { stamp } => {
-                mirror.note_get();
-                self.local.lockfree_misses += 1;
-                self.local.hot[slot] = Some(HotEntry {
-                    vm,
-                    pool,
-                    addr,
-                    stamp,
-                });
+                if mine || replace {
+                    reads.hot[slot] = Some(HotEntry {
+                        vm,
+                        pool,
+                        addr,
+                        stamp,
+                    });
+                }
                 true
             }
             ReadProbe::Present | ReadProbe::Unavailable => false,
         }
     }
 
-    /// One locked get against the (locked) home shard, the Take record
-    /// going to `scratch`.
-    fn get_in_shard(
-        &self,
-        shard: &mut Shard,
-        now: SimTime,
-        vm: VmId,
-        pool: PoolId,
-        addr: BlockAddr,
-        scratch: &mut GroupScratch,
-    ) -> GetOutcome {
-        // Exclusive semantics remove the object on a hit; its FIFO entry
-        // outlives it as a tombstone.
-        let taken = shard.state.take(&mut self.ledgers(), vm, pool, addr);
-        let Some((p, Some(slot))) = taken else {
-            // Miss in the local tiers: fall through to the pool's remote
-            // binding (if any), which fails open back to a miss.
-            return shard.state.remote_get(now, vm, pool, addr);
-        };
-        p.note_hit(addr, slot.placement, self.inner.admission.filters_spills());
-        if shard.journal.is_some() {
-            scratch.records.push(shard::take_record(vm, pool, addr));
-        }
-        GetOutcome::Hit {
-            finish: now,
-            version: slot.version,
-        }
-    }
-
     /// Applies the gets the read plane could not answer. `locked` holds
     /// `(index, addr)` pairs in call order; outcomes land in
-    /// `out[index]`.
+    /// `out[index]`. `batch_ops` is the size of the `get_many` batch
+    /// they come from (lock-free misses included), `None` for a scalar
+    /// get.
     #[allow(clippy::too_many_arguments)]
     fn get_group_locked(
         &mut self,
@@ -2193,31 +2481,66 @@ impl ShardedCache {
         pool: PoolId,
         locked: &[(usize, BlockAddr)],
         out: &mut [GetOutcome],
-        batched: bool,
+        batch_ops: Option<usize>,
     ) {
-        let mut scratch = std::mem::take(&mut self.local.scratch);
-        let mut shard = self.visit_shard(si, &mut scratch);
-        for &(i, addr) in locked {
-            let pending = scratch.records.len();
-            out[i] = self.get_in_shard(&mut shard, now, vm, pool, addr, &mut scratch);
-            // Only a local hit journals, so only a local hit can cross
-            // the compaction threshold.
-            if scratch.records.len() > pending && self.compaction_due(scratch.records.len()) {
-                self.drain_scratch(si, &mut shard, &mut scratch);
-                drop(shard);
+        let mut scratch = std::mem::take(&mut self.reads.scratch);
+        scratch.begin(batch_ops.is_some(), batch_ops.unwrap_or(0));
+        let filters_spills = self.inner.ro.admission.filters_spills();
+        let mut next = 0;
+        while next < locked.len() {
+            let mut shard = self.visit_shard(si, &mut scratch);
+            let Shard { state, journal, .. } = &mut *shard;
+            // No such pool: every get is the miss `out` already holds.
+            let mut visit = state.visit(vm, pool);
+            let mut compact = false;
+            while let (Some(visit), false) = (visit.as_mut(), compact) {
+                let Some(&(i, addr)) = locked.get(next) else {
+                    break;
+                };
+                next += 1;
+                // Exclusive semantics remove the object on a hit; its
+                // FIFO entry outlives it as a tombstone.
+                let Some(slot) = visit.take(&mut self.ledgers(), addr) else {
+                    // Miss in the local tiers: fall through to the
+                    // pool's remote binding (if any), which fails open
+                    // back to a miss.
+                    out[i] = visit.remote_get(now, addr);
+                    continue;
+                };
+                visit.pool.note_hit(addr, slot.placement, filters_spills);
+                out[i] = GetOutcome::Hit {
+                    finish: now,
+                    version: slot.version,
+                };
+                // Only a local hit journals, so only a local hit can
+                // cross the compaction threshold.
+                if journal.is_some() {
+                    scratch.records.push(shard::take_record(vm, pool, addr));
+                    compact = self.compaction_due(scratch.records.len());
+                }
+            }
+            if visit.is_none() {
+                next = locked.len();
+            }
+            self.leave_shard(si, shard, &mut scratch);
+            if compact {
                 self.maybe_compact_journal();
-                shard = self.visit_shard(si, &mut scratch);
             }
         }
-        self.drain_scratch(si, &mut shard, &mut scratch);
-        drop(shard);
-        self.end_visit(scratch, batched);
+        self.reads.scratch = scratch;
     }
 
     /// The put group: one home-shard visit for the whole group in the
-    /// common case, every page through [`Self::put_in_home_shard`].
-    /// Outcomes land in `out` (same length as `pages`), so the scalar
-    /// caller passes a stack slot and allocates nothing.
+    /// common case, every page through [`Self::place`] and the insert
+    /// below it. Outcomes land in `out` (same length as `pages`), so
+    /// the scalar caller passes a stack slot and allocates nothing.
+    ///
+    /// A visit ends early for three reasons, each with no lock held
+    /// afterwards: the store is full (run the eviction loop, come back
+    /// with the page in hand), the put just stored crossed the
+    /// compaction threshold (every stored put is a compaction point),
+    /// or the share memo must be rebuilt (come back holding the
+    /// registry read lock, taken before the shard's: the lock order).
     fn put_group(
         &mut self,
         now: SimTime,
@@ -2230,53 +2553,123 @@ impl ShardedCache {
         // Policy lookup through the handle-local route cache: deciding
         // the route takes no shard lock and, in the common case, not
         // even the registry lock.
-        let policy = match self.route(vm, pool) {
+        let policy = match self.routes.resolve(&self.inner, vm, pool) {
             Some((policy, _)) if policy.is_enabled() => policy,
             _ => {
                 out.fill(PutOutcome::Rejected);
                 return;
             }
         };
-        if batched {
-            self.inner
-                .batched_ops
-                .fetch_add(pages.len() as u64, Ordering::Relaxed);
-        }
         let si = self.shard_of(vm, pool);
-        let with_registry =
-            policy.store == StoreKind::Hybrid || self.inner.mode == PartitionMode::Strict;
-        let mut scratch = std::mem::take(&mut self.local.scratch);
-        {
-            let mut guards = None;
-            for (outcome, &(addr, version)) in out.iter_mut().zip(pages) {
-                let held = guards
-                    .take()
-                    .unwrap_or_else(|| self.lock_home(si, with_registry, &mut scratch));
-                (*outcome, guards) = self.put_in_home_shard(
-                    now,
-                    held,
-                    si,
-                    vm,
-                    pool,
-                    addr,
-                    version,
-                    policy,
-                    &mut scratch,
+        let mut scratch = std::mem::take(&mut self.reads.scratch);
+        scratch.begin(batched, pages.len());
+        let mut next = 0;
+        // A page of this store, taken for `pages[next]` by the eviction
+        // loop while no lock was held.
+        let mut in_hand = None;
+        let mut with_registry = false;
+        while next < pages.len() {
+            let reg =
+                with_registry.then(|| self.inner.registry.lock.read().expect("registry poisoned"));
+            with_registry = false;
+            let mut shard = self.visit_shard(si, &mut scratch);
+            let Shard { state, journal, .. } = &mut *shard;
+            let Some(mut visit) = state.visit(vm, pool) else {
+                // The pool was destroyed under the group (while it was
+                // evicting, at the earliest): the page goes back and
+                // what is left of the group is rejected.
+                if let Some(placement) = in_hand.take() {
+                    self.ledger(placement).free(1);
+                }
+                out[next..].fill(PutOutcome::Rejected);
+                self.leave_shard(si, shard, &mut scratch);
+                break;
+            };
+            let mut pause = Pause::Done;
+            while let Some(&(addr, version)) = pages.get(next) {
+                let placed = in_hand.take().map_or_else(
+                    || {
+                        let reg = reg.as_deref();
+                        self.place(
+                            si,
+                            (vm, pool),
+                            &mut visit,
+                            journal,
+                            reg,
+                            policy,
+                            addr,
+                            &mut scratch,
+                        )
+                    },
+                    Placed::At,
                 );
-                // Every stored put is a compaction point; a put that
-                // stored always handed the guards back.
-                if outcome.is_stored() && self.compaction_due(scratch.records.len()) {
-                    if let Some((_reg, mut shard)) = guards.take() {
-                        self.drain_scratch(si, &mut shard, &mut scratch);
+                let placement = match placed {
+                    Placed::At(placement) => placement,
+                    Placed::Rejected => {
+                        out[next] = PutOutcome::Rejected;
+                        next += 1;
+                        continue;
                     }
-                    self.maybe_compact_journal();
+                    Placed::Full(placement) => {
+                        pause = Pause::Evict(placement);
+                        break;
+                    }
+                    Placed::Unshared => {
+                        pause = Pause::FetchRegistry;
+                        break;
+                    }
+                };
+                let seq = self.alloc_seq();
+                visit.pool.counters.puts += 1;
+                visit.insert(&mut self.ledgers(), addr, placement, version, seq);
+                // The push (into a possibly-empty queue) may have
+                // changed the head tuple.
+                self.publish_front(si, placement, visit.front_seq(placement));
+                if journal.is_some() {
+                    let record = shard::put_record(vm, pool, addr, version, placement);
+                    scratch.records.push(record);
+                }
+                out[next] = PutOutcome::Stored { finish: now };
+                next += 1;
+                if self.compaction_due(scratch.records.len()) {
+                    pause = Pause::Compact;
+                    break;
                 }
             }
-            if let Some((_reg, mut shard)) = guards {
-                self.drain_scratch(si, &mut shard, &mut scratch);
+            let scrub = visit.end();
+            self.scrub_fifos(si, state, scrub);
+            self.leave_shard(si, shard, &mut scratch);
+            drop(reg);
+            match pause {
+                Pause::Done => {}
+                Pause::Compact => self.maybe_compact_journal(),
+                Pause::FetchRegistry => with_registry = true,
+                // Resource-conservative enforcement: evict only when
+                // the store itself is full, from no lock held.
+                Pause::Evict(placement) if self.alloc_or_evict(placement) => {
+                    in_hand = Some(placement);
+                }
+                Pause::Evict(_) => {
+                    out[next] = PutOutcome::Rejected;
+                    next += 1;
+                }
             }
         }
-        self.end_visit(scratch, batched);
+        self.reads.scratch = scratch;
+    }
+
+    /// What a finished [`PoolVisit`] left to do on its (locked) shard:
+    /// the FIFOs its inserts left dominated by tombstones compacted,
+    /// and their fronts, which the compaction may have changed,
+    /// republished.
+    fn scrub_fifos(&self, si: usize, state: &mut ShardState, due: FifoScrub) {
+        state.scrub(due);
+        for placement in [Placement::Mem, Placement::Ssd] {
+            if due.wants(placement) {
+                let front = state.fifo(placement).front();
+                self.publish_front(si, placement, front.map(|&(_, _, _, seq)| seq));
+            }
+        }
     }
 
     /// The flush group: one lock acquisition, every Flush record
@@ -2292,30 +2685,40 @@ impl ShardedCache {
     /// engine.
     fn flush_group(&mut self, vm: VmId, pool: PoolId, addrs: &[BlockAddr], batched: bool) -> u64 {
         let si = self.shard_of(vm, pool);
-        let mut scratch = std::mem::take(&mut self.local.scratch);
+        let mut scratch = std::mem::take(&mut self.reads.scratch);
+        scratch.begin(batched, addrs.len());
         let mut shard = self.visit_shard(si, &mut scratch);
-        let remotes = self.inner.remote_on.load(Ordering::Acquire);
-        for &addr in addrs {
-            shard.state.remove(&mut self.ledgers(), vm, pool, addr);
-            // The guest is writing the backing block: the remote's copy
-            // is stale forever after (stash it if the pool is not bound
-            // yet).
-            shard.state.note_flush(vm, pool, addr, remotes);
-            // Logged even when the block was absent: the returned epoch
-            // must cover this flush regardless, since a crash may lose
-            // the unsynced put that would have made the block present.
-            if shard.journal.is_some() {
-                scratch.records.push(shard::flush_record(vm, pool, addr));
+        let Shard { state, journal, .. } = &mut *shard;
+        // The guest is writing the backing block: the remote's copy is
+        // stale forever after (stash it if the pool is not bound yet).
+        let remotes = self.inner.ro.remote_on.load(Ordering::Acquire);
+        if let Some(mut visit) = state.visit(vm, pool) {
+            for &addr in addrs {
+                visit.remove(&mut self.ledgers(), addr);
+                visit.note_flush(addr, remotes);
+            }
+        } else {
+            // No such pool: nothing to remove, stale all the same.
+            for &addr in addrs {
+                state.note_flush(vm, pool, addr, remotes);
             }
         }
-        let epoch = self.drain_scratch(si, &mut shard, &mut scratch);
-        drop(shard);
-        self.end_visit(scratch, batched);
+        // Logged even when the block was absent: the returned epoch
+        // must cover this flush regardless, since a crash may lose the
+        // unsynced put that would have made the block present.
+        if journal.is_some() {
+            let records = addrs
+                .iter()
+                .map(|&addr| shard::flush_record(vm, pool, addr));
+            scratch.records.extend(records);
+        }
+        let epoch = self.leave_shard(si, shard, &mut scratch);
+        self.reads.scratch = scratch;
         epoch
     }
 
     fn registry_mut(&self) -> RwLockWriteGuard<'_, Registry> {
-        self.inner.registry.write().expect("registry poisoned")
+        self.inner.registry.lock.write().expect("registry poisoned")
     }
 
     /// Every registry mutation, live or replayed (a replay's journals
@@ -2334,7 +2737,10 @@ impl ShardedCache {
     ) -> Option<(usize, MutexGuard<'a, Shard>)> {
         let control = reg.apply(&rec, Arc::default);
         if !matches!(control, Control::Ignored) {
-            self.inner.registry_version.fetch_add(1, Ordering::Release);
+            self.inner
+                .ro
+                .registry_version
+                .fetch_add(1, Ordering::Release);
         }
         let (si, mut shard) = match control {
             Control::Ignored => return None,
@@ -2369,7 +2775,7 @@ impl ShardedCache {
                 let mut shard = self.lock_shard(si);
                 let mut pool = Pool::new(vm, policy);
                 pool.set_mirror(mirror);
-                pool.set_read_plane(pid, Arc::clone(&self.inner.read_planes[si]));
+                pool.set_read_plane(pid, Arc::clone(&self.inner.ro.read_planes[si]));
                 shard.state.pools.insert((vm, pid), pool);
                 (si, shard)
             }
@@ -2502,10 +2908,12 @@ impl SecondChanceCache for ShardedCache {
     }
 
     fn pool_stats(&self, vm: VmId, pool: PoolId) -> Option<PoolStats> {
-        let reg = self.inner.registry.read().expect("registry poisoned");
+        let reg = self.inner.registry.lock.read().expect("registry poisoned");
         let shard = self.lock_shard(self.shard_of(vm, pool));
         let p = shard.state.pools.get(&(vm, pool))?;
-        let entitlement = self.pool_entitlement_memo(&reg, vm, pool, p.primary_placement());
+        let entitlement = self
+            .pool_entitlement_memo(Some(&reg), vm, pool, p.primary_placement())
+            .expect("the registry is at hand");
         // Lock-free misses bump the pool's usage mirror instead of the
         // shard-locked counters; fold them back in so totals match the
         // serial engine exactly.
@@ -2518,16 +2926,20 @@ impl SecondChanceCache for ShardedCache {
     }
 
     fn get(&mut self, now: SimTime, vm: VmId, pool: PoolId, addr: BlockAddr) -> GetOutcome {
+        let si = self.shard_of(vm, pool);
         // Unknown pool is a silent miss, matching the serial engine.
-        let Some((_, mirror)) = self.route(vm, pool) else {
+        let Some((_, mirror)) = self.routes.resolve(&self.inner, vm, pool) else {
             return GetOutcome::Miss;
         };
-        let si = self.shard_of(vm, pool);
-        if !mirror.remote_bound() && self.probe_miss(si, vm, pool, addr, &mirror) {
+        if !mirror.remote_bound()
+            && Self::probe_miss(&mut self.reads, &self.inner, si, (vm, pool, addr), true)
+        {
+            mirror.note_gets(1);
+            self.reads.lockfree_misses += 1;
             return GetOutcome::Miss;
         }
         let mut out = [GetOutcome::Miss];
-        self.get_group_locked(now, si, vm, pool, &[(0, addr)], &mut out, false);
+        self.get_group_locked(now, si, vm, pool, &[(0, addr)], &mut out, None);
         out[0]
     }
 
@@ -2552,7 +2964,7 @@ impl SecondChanceCache for ShardedCache {
         let si = self.shard_of(vm, pool);
         let mut shard = self.lock_shard(si);
         shard.state.remove_file(&mut self.ledgers(), vm, pool, file);
-        let remotes = self.inner.remote_on.load(Ordering::Acquire);
+        let remotes = self.inner.ro.remote_on.load(Ordering::Acquire);
         shard.state.note_flush_file(vm, pool, file, remotes);
         // Compaction hoisted to batch boundaries, like `flush`.
         self.log_in(si, &mut shard, shard::flush_file_record(vm, pool, file))
@@ -2569,27 +2981,37 @@ impl SecondChanceCache for ShardedCache {
         if addrs.is_empty() {
             return out;
         }
-        let Some((_, mirror)) = self.route(vm, pool) else {
+        let si = self.shard_of(vm, pool);
+        let Some((_, mirror)) = self.routes.resolve(&self.inner, vm, pool) else {
             // Unknown pool: a silent miss for the whole group.
             return out;
         };
-        self.inner
-            .batched_ops
-            .fetch_add(addrs.len() as u64, Ordering::Relaxed);
-        let si = self.shard_of(vm, pool);
         // First pass: answer definitive misses from the lock-free read
         // plane; everything else queues for one locked shard visit.
         // Gets never add membership, so an earlier op in the batch
         // cannot invalidate a later op's lock-free miss.
         let bypass = mirror.remote_bound();
+        let (reads, inner) = (&mut self.reads, &*self.inner);
         let locked: Vec<(usize, BlockAddr)> = addrs
             .iter()
             .copied()
             .enumerate()
-            .filter(|&(_, addr)| bypass || !self.probe_miss(si, vm, pool, addr, &mirror))
+            .filter(|&(_, addr)| {
+                bypass || !Self::probe_miss(reads, inner, si, (vm, pool, addr), false)
+            })
             .collect();
-        if !locked.is_empty() {
-            self.get_group_locked(now, si, vm, pool, &locked, &mut out, true);
+        // The batch's misses against the pool in one add.
+        let misses = (addrs.len() - locked.len()) as u64;
+        if misses > 0 {
+            mirror.note_gets(misses);
+            reads.lockfree_misses += misses;
+        }
+        if locked.is_empty() {
+            // No shard visit to count the batch under.
+            let ops = addrs.len() as u64;
+            inner.batch.lockfree_ops.fetch_add(ops, Ordering::Relaxed);
+        } else {
+            self.get_group_locked(now, si, vm, pool, &locked, &mut out, Some(addrs.len()));
         }
         out
     }
@@ -2612,9 +3034,6 @@ impl SecondChanceCache for ShardedCache {
         if addrs.is_empty() {
             return 0;
         }
-        self.inner
-            .batched_ops
-            .fetch_add(addrs.len() as u64, Ordering::Relaxed);
         let epoch = self.flush_group(vm, pool, addrs, true);
         // Live compaction once per batch, not once per flush — the
         // serial engine hoists identically, so the checkpoint rewrite
@@ -2655,7 +3074,7 @@ mod tests {
                 },
                 Arc::default,
             );
-            *self.local.entitlements.lock().expect("memo poisoned") = ShareMemo::default();
+            *self.entitlements.memo.lock().expect("memo poisoned") = ShareMemo::default();
             self.with_share_memo(&other, placement, |_| ());
         }
     }
@@ -2880,32 +3299,85 @@ mod tests {
         assert!(findings.is_empty(), "{findings:?}");
     }
 
+    /// The layout is owned, not pinned (DESIGN.md "Layout of the shared
+    /// core"): what must hold is that no two groups of the shared core,
+    /// no two shards, no two commit cells and no two handles share a
+    /// cache line, whatever their sizes are today.
     #[test]
     fn shard_stays_line_aligned() {
-        // `Inner::shards` is a `Vec<Mutex<Shard>>`: 256 bytes an
-        // element, four cache lines, so no two shards' hot words share
-        // a line. A prototype of the commit cells that kept an 8-byte
-        // `Arc` in `Shard` (264 B) cost `ddbench guest-read-evict` —
-        // journal off, not one new instruction on its paths — 11 % on 7
-        // of 7 pairs (2.31-2.58 M → 2.01-2.22 M op/s); line-aligning the
-        // element brought it back. `Inner` is as touchy: the cells as a
-        // `Vec` field beside `shards` (24 bytes, moving every hot atomic
-        // behind it) cost the same workload 15 % (2.43 M → 2.07 M, 8
-        // alternated rounds). Per-shard state that is not the shard's
-        // own goes where `commit_cells` went: its own allocation, made
-        // after `Inner`'s, held by the handle, indexed by shard.
-        assert_eq!(std::mem::size_of::<Mutex<Shard>>() % 64, 0);
-        // Same accident, same rule for what sits in `Inner`: shrinking
-        // two of its fields read `guest-read-evict` at ×0.951 (1.890 M →
-        // 1.798 M op/s, won 3 of 10 pairs) on a path that never touches
-        // them, so the registry keeps the 32 bytes it always had.
-        assert_eq!(std::mem::size_of::<Registry>(), 32);
-        // And the handle: a first cut of the share memo that tagged each
-        // store's table with its own version made the handle 328 bytes
-        // and read `guest-durable-write` at ×0.948 (won 2 of 10 pairs;
-        // held-out ×0.954) with every single-threaded engine metric
-        // even or better; back at 320 it reads ×1.000 (7 of 10).
-        assert_eq!(std::mem::size_of::<ShardedCache>(), 320);
+        use std::mem::{align_of, size_of};
+        // One shard's lock word and hot words never share a line with
+        // its neighbour's, and the shard array starts on a line.
+        assert_eq!(align_of::<Mutex<Shard>>(), 64);
+        assert_eq!(size_of::<Mutex<Shard>>() % 64, 0);
+        assert_eq!(align_of::<CommitCell>(), 64);
+        assert_eq!(size_of::<CommitCell>() % 64, 0);
+        // Two handles side by side (a `Vec` of them) share no line, and
+        // inside one the route cache, the read replica, the share memo
+        // and the compaction budget each start a line.
+        assert_eq!(align_of::<ShardedCache>(), 64);
+        assert_eq!(size_of::<ShardedCache>() % 64, 0);
+        let handle_lines = [
+            std::mem::offset_of!(ShardedCache, routes),
+            std::mem::offset_of!(ShardedCache, reads),
+            std::mem::offset_of!(ShardedCache, entitlements),
+            std::mem::offset_of!(ShardedCache, budget),
+        ];
+        assert!(
+            handle_lines.iter().all(|at| at % 64 == 0),
+            "{handle_lines:?}"
+        );
+
+        let cache = ShardedCache::new(CacheConfig::mem_only(64), 3);
+        assert_eq!(cache.inner.ro.shards.as_ptr() as usize % 64, 0);
+        assert_eq!(cache.inner.ro.commit_cells.as_ptr() as usize % 64, 0);
+        assert_eq!(std::ptr::from_ref::<Inner>(&cache.inner) as usize % 64, 0);
+    }
+
+    #[test]
+    fn inner_groups_share_no_cache_line() {
+        use std::mem::{offset_of, size_of};
+        assert_eq!(std::mem::align_of::<Inner>(), 64);
+        // (offset, size) of every group, in declaration order.
+        let groups = [
+            ("ro", offset_of!(Inner, ro), size_of::<ReadMostly>()),
+            ("put", offset_of!(Inner, put), size_of::<PutWords>()),
+            (
+                "append",
+                offset_of!(Inner, append),
+                size_of::<AppendWords>(),
+            ),
+            ("stats", offset_of!(Inner, stats), size_of::<StatCounters>()),
+            ("batch", offset_of!(Inner, batch), size_of::<BatchWords>()),
+            (
+                "registry",
+                offset_of!(Inner, registry),
+                size_of::<RegistryLock>(),
+            ),
+            (
+                "evictor",
+                offset_of!(Inner, evictor),
+                size_of::<EvictorGate>(),
+            ),
+            ("cold", offset_of!(Inner, cold), size_of::<Cold>()),
+        ];
+        let mut covered = 0;
+        for (name, at, size) in groups {
+            assert_eq!(at % 64, 0, "group `{name}` starts mid-line");
+            assert_eq!(size % 64, 0, "group `{name}` ends mid-line");
+            covered += size;
+        }
+        // Nothing in `Inner` lives outside a group.
+        assert_eq!(covered, size_of::<Inner>());
+        // The words an append writes are one line; the words a put
+        // writes a line each (see `PutWords`).
+        assert_eq!(size_of::<AppendWords>(), 64);
+        let put_lines = [
+            offset_of!(PutWords, mem),
+            offset_of!(PutWords, ssd),
+            offset_of!(PutWords, next_seq),
+        ];
+        assert_eq!(put_lines, [0, 64, 128]);
     }
 
     /// What `f` panics with (the engine's lock failures are `&str` or
@@ -2943,7 +3415,7 @@ mod tests {
 
         // The evictor gate: the put drops its shard lock, finds the gate
         // poisoned and panics before touching anything.
-        poison(&cache.inner.eviction_gate);
+        poison(&cache.inner.evictor.gate);
         let mut putter = cache.clone();
         let message = panic_message(move || {
             putter.put(SimTime::ZERO, VmId(1), p, addr(1, 9), PageVersion(1));
@@ -2951,7 +3423,7 @@ mod tests {
         assert!(message.contains("eviction gate poisoned"), "{message}");
 
         // One shard, taken alone (a get) and with all the others.
-        poison(&cache.inner.shards[cache.shard_of(VmId(1), p)]);
+        poison(&cache.inner.ro.shards[cache.shard_of(VmId(1), p)]);
         let mut getter = cache.clone();
         let message = panic_message(move || {
             getter.get(SimTime::ZERO, VmId(1), p, addr(1, 0));
@@ -2985,7 +3457,8 @@ mod tests {
         let mut cache = ShardedCache::new(CacheConfig::mem_only(1000), 4);
         cache.add_vm(VmId(1), 100);
         let pool = cache.create_pool(VmId(1), CachePolicy::mem(100));
-        let version = |cache: &ShardedCache| cache.inner.registry_version.load(Ordering::Acquire);
+        let version =
+            |cache: &ShardedCache| cache.inner.ro.registry_version.load(Ordering::Acquire);
         let before = version(&cache);
         cache.destroy_pool(VmId(1), PoolId(pool.0 + 1));
         cache.set_policy(VmId(9), pool, CachePolicy::ssd(50));

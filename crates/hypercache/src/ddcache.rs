@@ -1092,7 +1092,7 @@ impl SecondChanceCache for DoubleDeckerCache {
     fn get(&mut self, now: SimTime, vm: VmId, pool: PoolId, addr: BlockAddr) -> GetOutcome {
         // Exclusive semantics remove the object on a hit; its FIFO entry
         // outlives it as a tombstone.
-        let Some((_, taken)) = self.state.take(&mut self.stores, vm, pool, addr) else {
+        let Some(taken) = self.state.take(&mut self.stores, vm, pool, addr) else {
             return GetOutcome::Miss;
         };
         let Some(slot) = taken else {

@@ -153,7 +153,12 @@ pub struct PoolCounters {
 /// pool and snapshot every entity's usage *without* taking the locks
 /// that guard the pools themselves — phase 1 of the two-phase eviction
 /// in `ddc-concurrent` is built on exactly this.
+///
+/// Starts a cache line: every put, hit and eviction of the owning pool
+/// writes it, and two pools' mirrors are two clients' more often than
+/// not.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct UsageMirror {
     mem: AtomicU64,
     ssd: AtomicU64,
@@ -171,9 +176,10 @@ pub struct UsageMirror {
 }
 
 impl UsageMirror {
-    /// Records one lock-free lookup against the owning pool.
-    pub fn note_get(&self) {
-        self.lockfree_gets.fetch_add(1, Ordering::Relaxed);
+    /// Records `lookups` lock-free lookups against the owning pool: one
+    /// for a scalar get, a batch's misses in one add.
+    pub fn note_gets(&self, lookups: u64) {
+        self.lockfree_gets.fetch_add(lookups, Ordering::Relaxed);
     }
 
     /// Lookups served lock-free so far.

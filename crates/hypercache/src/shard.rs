@@ -80,18 +80,36 @@ fn release(ledger: &mut impl PageLedger, stale: &mut [u64; 2], placement: Placem
     stale[placement.idx()] += pages;
 }
 
-/// Takes one object out of its pool: index remove, then [`release`].
+/// [`ShardState::note_flush`] on an already resolved binding.
 #[inline]
-fn remove_from(
-    pool: &mut Pool,
-    stale: &mut [u64; 2],
-    ledger: &mut impl PageLedger,
+fn localize_or_stash(
+    binding: Option<&mut RemoteBinding>,
+    stash: &mut RemoteStash,
+    key: (VmId, PoolId),
     addr: BlockAddr,
-) -> Option<Slot> {
-    let slot = pool.remove(addr)?;
-    release(ledger, stale, slot.placement, 1);
-    Some(slot)
+    stash_unbound: bool,
+) {
+    if let Some(binding) = binding {
+        binding.localize(addr);
+    } else if stash_unbound {
+        stash.entry(key).or_default().0.push(addr);
+    }
 }
+
+/// [`ShardState::remote_get`] on an already resolved binding.
+#[inline]
+fn remote_lookup(binding: Option<&mut RemoteBinding>, now: SimTime, addr: BlockAddr) -> GetOutcome {
+    match binding.map(|b| b.lookup(now, addr)) {
+        Some(RemoteLookup::Served { finish }) => GetOutcome::Hit {
+            finish,
+            version: PageVersion::INITIAL,
+        },
+        Some(RemoteLookup::Miss) | None => GetOutcome::Miss,
+    }
+}
+
+/// Flush localization waiting for a binding, per pool.
+type RemoteStash = FxHashMap<(VmId, PoolId), (Vec<BlockAddr>, Vec<FileId>)>;
 
 /// The pools of one shard and everything that must change with them.
 ///
@@ -121,7 +139,7 @@ pub struct ShardState {
     /// runtime flushes of unbound pools while remotes are registered.
     /// The engine's `bind_remote` consumes it, so a rebound pool never
     /// serves a block the guest invalidated.
-    pub remote_stash: FxHashMap<(VmId, PoolId), (Vec<BlockAddr>, Vec<FileId>)>,
+    pub remote_stash: RemoteStash,
 }
 
 impl ShardState {
@@ -148,6 +166,41 @@ impl ShardState {
         self.pools.get(&(vm, pool)).map_or(0, |p| p.used(placement))
     }
 
+    /// Resolves one pool for a run of transitions: the one probe of the
+    /// pool map (and of the binding map) that every transition of the
+    /// run then shares. `None` if there is no such pool. The caller ends
+    /// the run with [`PoolVisit::end`] and hands what it returns to
+    /// [`Self::scrub`]; the keyed transitions below are runs of one.
+    #[inline]
+    pub fn visit(&mut self, vm: VmId, pool: PoolId) -> Option<PoolVisit<'_>> {
+        Some(PoolVisit {
+            vm,
+            id: pool,
+            pool: self.pools.get_mut(&(vm, pool))?,
+            fifo: &mut self.fifo,
+            stale: &mut self.stale,
+            binding: self.remote_bindings.get_mut(&(vm, pool)),
+            stash: &mut self.remote_stash,
+            scrub: FifoScrub::default(),
+        })
+    }
+
+    /// Compacts the FIFOs a finished visit found dominated by
+    /// tombstones (or oversized): the scrub asks every queued entry's
+    /// pool whether the entry is still live, so it cannot run while a
+    /// visit holds one of them.
+    #[inline]
+    pub fn scrub(&mut self, due: FifoScrub) {
+        for placement in [Placement::Mem, Placement::Ssd] {
+            let i = placement.idx();
+            if due.0[i] {
+                let pools = &self.pools;
+                self.fifo[i].retain(|entry| is_live(pools, entry, placement));
+                self.stale[i] = 0;
+            }
+        }
+    }
+
     /// Removes one object (if resident): the body of `Take`, `Evict` and
     /// `Flush`, of the exclusive overwrite, the migration source and the
     /// re-homing of a policy change.
@@ -159,14 +212,11 @@ impl ShardState {
         pool: PoolId,
         addr: BlockAddr,
     ) -> Option<Slot> {
-        let p = self.pools.get_mut(&(vm, pool))?;
-        remove_from(p, &mut self.stale, ledger, addr)
+        self.visit(vm, pool)?.remove(ledger, addr)
     }
 
-    /// The exclusive lookup of a `get`: counted against the pool, a hit
-    /// removed like [`Self::remove`] — one probe of the pool map for
-    /// both. `None` if there is no such pool; the pool comes back so the
-    /// caller can finish a hit ([`Pool::note_hit`]) without a second.
+    /// The exclusive lookup of a `get` ([`PoolVisit::take`]). `None` if
+    /// there is no such pool.
     #[inline]
     pub fn take(
         &mut self,
@@ -174,18 +224,13 @@ impl ShardState {
         vm: VmId,
         pool: PoolId,
         addr: BlockAddr,
-    ) -> Option<(&mut Pool, Option<Slot>)> {
-        let p = self.pools.get_mut(&(vm, pool))?;
-        p.counters.gets += 1;
-        let slot = remove_from(p, &mut self.stale, ledger, addr);
-        Some((p, slot))
+    ) -> Option<Option<Slot>> {
+        Some(self.visit(vm, pool)?.take(ledger, addr))
     }
 
-    /// Inserts one object whose page the caller already holds: index
-    /// insert, the displaced older copy's page freed, and a FIFO entry
-    /// pushed (compacting the queue when tombstones dominate it). `false`
-    /// — and nothing changed, the page still the caller's — if the pool
-    /// does not exist.
+    /// Inserts one object whose page the caller already holds
+    /// ([`PoolVisit::insert`]). `false` — and nothing changed, the page
+    /// still the caller's — if the pool does not exist.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn insert(
@@ -198,38 +243,13 @@ impl ShardState {
         version: PageVersion,
         seq: u64,
     ) -> bool {
-        let Some(p) = self.pools.get_mut(&(vm, pool)) else {
+        let Some(mut visit) = self.visit(vm, pool) else {
             return false;
         };
-        let (sid, displaced) = p.insert(addr, placement, version, seq);
-        if let Some(displaced) = displaced {
-            release(ledger, &mut self.stale, displaced, 1);
-        }
-        self.push_fifo(
-            ledger.used_pages(placement),
-            (vm, pool, sid, seq),
-            placement,
-        );
+        visit.insert(ledger, addr, placement, version, seq);
+        let due = visit.end();
+        self.scrub(due);
         true
-    }
-
-    /// Queues `entry` and compacts the queue when tombstones dominate
-    /// it: every removal funds at most ~two retained-entry visits, so
-    /// the scrub is amortized O(1) per removal. The size fallback
-    /// (against the store's occupancy `store_used`) bounds the queue
-    /// even if a removal path ever fails to tombstone.
-    #[inline]
-    fn push_fifo(&mut self, store_used: u64, entry: FifoEntry, placement: Placement) {
-        let i = placement.idx();
-        self.fifo[i].push_back(entry);
-        let len = self.fifo[i].len() as u64;
-        let dominated = self.stale[i] * 2 > len && len >= FIFO_COMPACT_MIN_LEN;
-        let oversized = len > store_used.saturating_mul(8).max(FIFO_COMPACT_MIN_LEN);
-        if dominated || oversized {
-            let pools = &self.pools;
-            self.fifo[i].retain(|entry| is_live(pools, entry, placement));
-            self.stale[i] = 0;
-        }
     }
 
     /// Pops lazily-dead entries off one FIFO's front. On return the
@@ -266,23 +286,8 @@ impl ShardState {
     }
 
     /// Evicts up to `max_pages` of one pool's oldest objects from one
-    /// store, oldest first, journaling an `Evict` for each.
-    ///
-    /// Trickle-down: a hybrid pool keeps evicted *memory* objects alive
-    /// in its SSD share while room remains (paper §3.3). Each must earn
-    /// its flash write from the ghost filter like any other spill
-    /// (`ghost_window`, when the admission plane filters spills); a
-    /// rejected object is simply dropped — its `Evict` is already
-    /// journaled, so replay needs nothing extra. `spill` is the engine's
-    /// half of one trickle, the device write and the sequence stamp;
-    /// `None` from it ends the trickling and the page goes back. Pass no
-    /// `spill` while the SSD tier takes none: the objects are clean, so
-    /// dropping them is always safe. A trickled object gets a journaled
-    /// `Put` but no Global FIFO entry: the pool's own SSD FIFO alone ages
-    /// it out. (Replayed, that `Put` does queue one — a recovered cache
-    /// is allowed to evict it in Global order.)
-    ///
-    /// Returns `(evicted, trickled)`.
+    /// store ([`PoolVisit::evict_batch`]); `(0, 0)` if there is no such
+    /// pool.
     #[allow(clippy::too_many_arguments)]
     pub fn evict_batch<L: PageLedger>(
         &mut self,
@@ -293,51 +298,12 @@ impl ShardState {
         max_pages: u64,
         ghost_window: Option<u32>,
         spill: Option<impl FnMut(&mut L, BlockAddr) -> Option<u64>>,
-        mut journal: impl FnMut(JournalRecord),
+        journal: impl FnMut(JournalRecord),
     ) -> (u64, u64) {
-        let Some(p) = self.pools.get_mut(&(vm, pool)) else {
+        let Some(mut visit) = self.visit(vm, pool) else {
             return (0, 0);
         };
-        let mut evicted = Vec::with_capacity(max_pages as usize);
-        while (evicted.len() as u64) < max_pages {
-            let Some((addr, slot)) = p.pop_oldest(placement) else {
-                break;
-            };
-            p.counters.evictions += 1;
-            evicted.push((addr, slot.version));
-            journal(evict_record(vm, pool, addr));
-            // Page by page, not once at the end: on the sharded engine a
-            // put waiting for room takes this page while the rest of the
-            // batch is still being popped.
-            release(ledger, &mut self.stale, placement, 1);
-        }
-        let freed = evicted.len() as u64;
-
-        let hybrid = p.policy().store == StoreKind::Hybrid;
-        let Some(mut spill) = spill.filter(|_| hybrid && placement == Placement::Mem) else {
-            return (freed, 0);
-        };
-        let mut trickled = 0;
-        for (addr, version) in evicted {
-            let rejected = ghost_window.is_some_and(|w| !p.admit_spill(addr, w));
-            if rejected {
-                continue;
-            }
-            if !ledger.try_alloc(Placement::Ssd) {
-                break;
-            }
-            let Some(seq) = spill(ledger, addr) else {
-                ledger.free(Placement::Ssd, 1);
-                break;
-            };
-            let (_, displaced) = p.insert(addr, Placement::Ssd, version, seq);
-            if let Some(displaced) = displaced {
-                release(ledger, &mut self.stale, displaced, 1);
-            }
-            trickled += 1;
-            journal(put_record(vm, pool, addr, version, Placement::Ssd));
-        }
-        (freed, trickled)
+        visit.evict_batch(ledger, placement, max_pages, ghost_window, spill, journal)
     }
 
     /// The objects of one pool that its (just changed) policy no longer
@@ -472,15 +438,14 @@ impl ShardState {
     /// `stash_unbound` (remotes are registered, or this is a replay).
     #[inline]
     pub fn note_flush(&mut self, vm: VmId, pool: PoolId, addr: BlockAddr, stash_unbound: bool) {
-        if let Some(binding) = self.remote_bindings.get_mut(&(vm, pool)) {
-            binding.localize(addr);
-        } else if stash_unbound {
-            self.remote_stash
-                .entry((vm, pool))
-                .or_default()
-                .0
-                .push(addr);
-        }
+        let binding = self.remote_bindings.get_mut(&(vm, pool));
+        localize_or_stash(
+            binding,
+            &mut self.remote_stash,
+            (vm, pool),
+            addr,
+            stash_unbound,
+        );
     }
 
     /// File-granularity variant of [`Self::note_flush`].
@@ -528,16 +493,7 @@ impl ShardState {
         pool: PoolId,
         addr: BlockAddr,
     ) -> GetOutcome {
-        let Some(binding) = self.remote_bindings.get_mut(&(vm, pool)) else {
-            return GetOutcome::Miss;
-        };
-        match binding.lookup(now, addr) {
-            RemoteLookup::Served { finish } => GetOutcome::Hit {
-                finish,
-                version: PageVersion::INITIAL,
-            },
-            RemoteLookup::Miss => GetOutcome::Miss,
-        }
+        remote_lookup(self.remote_bindings.get_mut(&(vm, pool)), now, addr)
     }
 
     /// Checkpoint wear carry-over (`WearTotals`): a checkpoint's puts
@@ -611,6 +567,192 @@ impl ShardState {
     }
 }
 
+/// The FIFOs a [`PoolVisit`] left wanting a compaction
+/// ([`ShardState::scrub`]).
+#[derive(Clone, Copy, Debug, Default)]
+#[must_use = "hand it to ShardState::scrub, or the FIFOs keep their tombstones"]
+pub struct FifoScrub([bool; 2]);
+
+impl FifoScrub {
+    /// Whether `placement`'s FIFO is among them.
+    pub fn wants(self, placement: Placement) -> bool {
+        self.0[placement.idx()]
+    }
+}
+
+/// One pool of a [`ShardState`], resolved once ([`ShardState::visit`])
+/// for a run of transitions: what a group of puts, gets or flushes that
+/// names one pool runs through while it holds the shard. Every
+/// transition here is the whole of the keyed one of the same name.
+#[derive(Debug)]
+pub struct PoolVisit<'a> {
+    vm: VmId,
+    id: PoolId,
+    /// The pool itself: the engines' drivers read its usage and bump
+    /// its counters in place, as they do through `ShardState::pools`.
+    pub pool: &'a mut Pool,
+    fifo: &'a mut [VecDeque<FifoEntry>; 2],
+    stale: &'a mut [u64; 2],
+    binding: Option<&'a mut RemoteBinding>,
+    stash: &'a mut RemoteStash,
+    scrub: FifoScrub,
+}
+
+impl PoolVisit<'_> {
+    /// Ends the visit: which FIFOs its inserts left dominated by
+    /// tombstones (or oversized), for [`ShardState::scrub`].
+    #[inline]
+    pub fn end(self) -> FifoScrub {
+        self.scrub
+    }
+
+    /// The sequence stamp at the front of one FIFO, dead or live.
+    #[inline]
+    pub fn front_seq(&self, placement: Placement) -> Option<u64> {
+        self.fifo[placement.idx()]
+            .front()
+            .map(|&(_, _, _, seq)| seq)
+    }
+
+    /// Removes one object (if resident): see [`ShardState::remove`].
+    #[inline]
+    pub fn remove(&mut self, ledger: &mut impl PageLedger, addr: BlockAddr) -> Option<Slot> {
+        let slot = self.pool.remove(addr)?;
+        release(ledger, self.stale, slot.placement, 1);
+        Some(slot)
+    }
+
+    /// The exclusive lookup of a `get`: counted against the pool, a hit
+    /// removed like [`Self::remove`]. The caller finishes a hit on
+    /// [`Self::pool`] ([`Pool::note_hit`]).
+    #[inline]
+    pub fn take(&mut self, ledger: &mut impl PageLedger, addr: BlockAddr) -> Option<Slot> {
+        self.pool.counters.gets += 1;
+        self.remove(ledger, addr)
+    }
+
+    /// Inserts one object whose page the caller already holds: index
+    /// insert, the displaced older copy's page freed, and a FIFO entry
+    /// pushed. A queue that tombstones now dominate (every removal
+    /// funds at most ~two retained-entry visits, so the scrub is
+    /// amortized O(1) per removal) or that outgrew eight times the
+    /// store's occupancy (which bounds it even if a removal path ever
+    /// fails to tombstone) is marked for compaction when the visit
+    /// ends.
+    #[inline]
+    pub fn insert(
+        &mut self,
+        ledger: &mut impl PageLedger,
+        addr: BlockAddr,
+        placement: Placement,
+        version: PageVersion,
+        seq: u64,
+    ) {
+        let (sid, displaced) = self.pool.insert(addr, placement, version, seq);
+        if let Some(displaced) = displaced {
+            release(ledger, self.stale, displaced, 1);
+        }
+        let i = placement.idx();
+        self.fifo[i].push_back((self.vm, self.id, sid, seq));
+        let len = self.fifo[i].len() as u64;
+        let store_used = ledger.used_pages(placement);
+        let dominated = self.stale[i] * 2 > len && len >= FIFO_COMPACT_MIN_LEN;
+        let oversized = len > store_used.saturating_mul(8).max(FIFO_COMPACT_MIN_LEN);
+        self.scrub.0[i] |= dominated || oversized;
+    }
+
+    /// Evicts up to `max_pages` of the pool's oldest objects from one
+    /// store, oldest first, journaling an `Evict` for each.
+    ///
+    /// Trickle-down: a hybrid pool keeps evicted *memory* objects alive
+    /// in its SSD share while room remains (paper §3.3). Each must earn
+    /// its flash write from the ghost filter like any other spill
+    /// (`ghost_window`, when the admission plane filters spills); a
+    /// rejected object is simply dropped — its `Evict` is already
+    /// journaled, so replay needs nothing extra. `spill` is the engine's
+    /// half of one trickle, the device write and the sequence stamp;
+    /// `None` from it ends the trickling and the page goes back. Pass no
+    /// `spill` while the SSD tier takes none: the objects are clean, so
+    /// dropping them is always safe. A trickled object gets a journaled
+    /// `Put` but no Global FIFO entry: the pool's own SSD FIFO alone ages
+    /// it out. (Replayed, that `Put` does queue one — a recovered cache
+    /// is allowed to evict it in Global order.)
+    ///
+    /// Returns `(evicted, trickled)`.
+    pub fn evict_batch<L: PageLedger>(
+        &mut self,
+        ledger: &mut L,
+        placement: Placement,
+        max_pages: u64,
+        ghost_window: Option<u32>,
+        spill: Option<impl FnMut(&mut L, BlockAddr) -> Option<u64>>,
+        mut journal: impl FnMut(JournalRecord),
+    ) -> (u64, u64) {
+        let (vm, pool) = (self.vm, self.id);
+        let p = &mut *self.pool;
+        let mut evicted = Vec::with_capacity(max_pages as usize);
+        while (evicted.len() as u64) < max_pages {
+            let Some((addr, slot)) = p.pop_oldest(placement) else {
+                break;
+            };
+            p.counters.evictions += 1;
+            evicted.push((addr, slot.version));
+            journal(evict_record(vm, pool, addr));
+            // Page by page, not once at the end: on the sharded engine a
+            // put waiting for room takes this page while the rest of the
+            // batch is still being popped.
+            release(ledger, self.stale, placement, 1);
+        }
+        let freed = evicted.len() as u64;
+
+        let hybrid = p.policy().store == StoreKind::Hybrid;
+        let Some(mut spill) = spill.filter(|_| hybrid && placement == Placement::Mem) else {
+            return (freed, 0);
+        };
+        let mut trickled = 0;
+        for (addr, version) in evicted {
+            let rejected = ghost_window.is_some_and(|w| !p.admit_spill(addr, w));
+            if rejected {
+                continue;
+            }
+            if !ledger.try_alloc(Placement::Ssd) {
+                break;
+            }
+            let Some(seq) = spill(ledger, addr) else {
+                ledger.free(Placement::Ssd, 1);
+                break;
+            };
+            let (_, displaced) = p.insert(addr, Placement::Ssd, version, seq);
+            if let Some(displaced) = displaced {
+                release(ledger, self.stale, displaced, 1);
+            }
+            trickled += 1;
+            journal(put_record(vm, pool, addr, version, Placement::Ssd));
+        }
+        (freed, trickled)
+    }
+
+    /// The remote half of a flush: see [`ShardState::note_flush`].
+    #[inline]
+    pub fn note_flush(&mut self, addr: BlockAddr, stash_unbound: bool) {
+        let key = (self.vm, self.id);
+        localize_or_stash(
+            self.binding.as_deref_mut(),
+            self.stash,
+            key,
+            addr,
+            stash_unbound,
+        );
+    }
+
+    /// The miss path's remote consultation: see
+    /// [`ShardState::remote_get`].
+    #[inline]
+    pub fn remote_get(&mut self, now: SimTime, addr: BlockAddr) -> GetOutcome {
+        remote_lookup(self.binding.as_deref_mut(), now, addr)
+    }
+}
+
 /// The data records in engine terms: the inverse of the decoding in
 /// [`ShardState::replay`].
 #[inline]
@@ -664,7 +806,13 @@ pub fn flush_file_record(vm: VmId, pool: PoolId, file: FileId) -> JournalRecord 
 /// the rewrite consumes generations at a different point and flush
 /// epochs diverge.
 pub fn compaction_due(records: u64, live_pages: u64) -> bool {
-    records > (live_pages * JOURNAL_COMPACT_FACTOR).max(JOURNAL_COMPACT_MIN_RECORDS)
+    records > compaction_threshold(live_pages)
+}
+
+/// The most records a journal over `live_pages` live entries may hold
+/// before [`compaction_due`].
+pub fn compaction_threshold(live_pages: u64) -> u64 {
+    (live_pages * JOURNAL_COMPACT_FACTOR).max(JOURNAL_COMPACT_MIN_RECORDS)
 }
 
 /// A fresh set of journal segments holding a checkpoint.
@@ -1453,6 +1601,130 @@ mod tests {
     fn transitions_match_the_model_with_an_atomic_ledger() {
         run(&AtomicPair(Default::default()), 0x5A01, false);
         run(&AtomicPair(Default::default()), 0x5A03, true);
+    }
+
+    /// Runs of transitions through one [`PoolVisit`] each — the pool
+    /// resolved once, as a `*_many` group holds it — against the same
+    /// model, with whole-pool transitions (a destroy, an SSD drain, a
+    /// scrub) landing between the runs the way they land between a
+    /// group's shard visits: the next visit re-resolves, and finds its
+    /// pool gone when it is.
+    fn run_visits(mut ledger: impl PageLedger, seed: u64) {
+        let mut rng = SimRng::new(seed);
+        let mut state = ShardState::default();
+        let mut model = Model::default();
+        for (vm, pool) in POOLS {
+            create_pool(&mut state, vm, pool);
+        }
+        let (mut seq, mut gone, mut scrubs) = (0u64, 0, 0);
+        for step in 0..3_000 {
+            let (vm, pool) = *rng.pick(&POOLS);
+            let what = format!("seed {seed:#x} step {step}");
+            let exists = state.pools.contains_key(&(vm, pool));
+            let Some(mut visit) = state.visit(vm, pool) else {
+                assert!(!exists, "{what}: a live pool did not resolve");
+                gone += 1;
+                create_pool(&mut state, vm, pool);
+                continue;
+            };
+            assert!(exists, "{what}");
+            for _ in 0..rng.range_u64(1, 33) {
+                let addr = BlockAddr::new(FileId(rng.range_u64(1, 4)), rng.range_u64(0, 12));
+                let key = (vm, pool, addr);
+                let placement = *rng.pick(&PLACEMENTS);
+                match rng.range_u64(0, 8) {
+                    0..=3 => {
+                        if !ledger.try_alloc(placement) {
+                            continue;
+                        }
+                        seq += 1;
+                        let version = PageVersion(rng.range_u64(1, 9));
+                        visit.insert(&mut ledger, addr, placement, version, seq);
+                        model.insert(key, placement, version, seq);
+                        assert_eq!(visit.pool.used(placement), {
+                            let in_store = |(k, e): (&Key, &(Placement, _, _, _))| {
+                                (k.0, k.1) == (vm, pool) && e.0 == placement
+                            };
+                            model.entries.iter().filter(|&e| in_store(e)).count() as u64
+                        });
+                    }
+                    4 => {
+                        let removed = visit.remove(&mut ledger, addr);
+                        let expected = model.entries.remove(&key);
+                        assert_eq!(
+                            removed.map(|s| (s.placement, s.version, s.seq)),
+                            expected.map(|e| (e.0, e.1, e.2)),
+                            "{what}"
+                        );
+                    }
+                    5 => {
+                        let gets = visit.pool.counters.gets;
+                        let taken = visit.take(&mut ledger, addr);
+                        let expected = model.entries.remove(&key);
+                        assert_eq!(taken.map(|s| s.seq), expected.map(|e| e.2), "{what}");
+                        assert_eq!(visit.pool.counters.gets, gets + 1, "{what}");
+                    }
+                    6 => {
+                        let max = rng.range_u64(0, 6);
+                        let victims: Vec<_> = model
+                            .oldest(vm, pool, placement)
+                            .into_iter()
+                            .take(max as usize)
+                            .collect();
+                        let mut journaled = Vec::new();
+                        let no_spill = None::<fn(&mut _, BlockAddr) -> Option<u64>>;
+                        let counts =
+                            visit.evict_batch(&mut ledger, placement, max, None, no_spill, |rec| {
+                                journaled.push(rec)
+                            });
+                        assert_eq!(counts, (victims.len() as u64, 0), "{what}");
+                        let expected: Vec<_> = victims
+                            .iter()
+                            .map(|k| evict_record(vm, pool, k.2))
+                            .collect();
+                        assert!(journaled == expected, "{what}: journaled records");
+                        for key in &victims {
+                            model.entries.remove(key);
+                        }
+                    }
+                    _ => {
+                        visit.note_flush(addr, true);
+                        assert!(matches!(
+                            visit.remote_get(SimTime::ZERO, addr),
+                            GetOutcome::Miss
+                        ));
+                    }
+                }
+            }
+            let due = visit.end();
+            scrubs += u64::from(due.0 != [false; 2]);
+            state.scrub(due);
+            // What the visit did is what the keyed transitions would
+            // have left, tombstone counters included.
+            check(&state, &ledger, &model, true, &what);
+            match rng.range_u64(0, 40) {
+                0 => {
+                    assert!(state.drain_pool(&mut ledger, vm, pool), "{what}");
+                    model.drop_pool(vm, pool);
+                }
+                1 => {
+                    state.drain_ssd(&mut ledger);
+                    model.entries.retain(|_, e| e.0 != Placement::Ssd);
+                }
+                _ => {}
+            }
+        }
+        assert!(seq > 1_000, "the run never stored anything");
+        assert!(gone > 10, "no visit ever found its pool destroyed");
+        assert!(scrubs > 0, "no visit ever left a FIFO to scrub");
+        let stashed: usize = state.remote_stash.values().map(|s| s.0.len()).sum();
+        assert!(stashed > 1_000, "unbound flushes were not stashed");
+    }
+
+    #[test]
+    fn a_visit_runs_the_keyed_transitions_on_a_pool_resolved_once() {
+        run_visits(stores(), 0x5A04);
+        run_visits(&AtomicPair(Default::default()), 0x5A05);
     }
 
     #[test]

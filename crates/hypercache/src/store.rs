@@ -35,6 +35,10 @@ pub struct BackingStore {
     kind: StoreKind,
     device: Device,
     capacity_pages: u64,
+    /// `capacity_pages * 1000 / object_millipages`, kept by the two
+    /// setters that move either: `has_room` runs on every put and a
+    /// 64-bit divide is most of it.
+    capacity_objects: u64,
     used_pages: u64,
     /// Fixed CPU-side cost of staging an asynchronous write (the caller
     /// pays this instead of the device time).
@@ -55,6 +59,7 @@ impl BackingStore {
             kind: StoreKind::Mem,
             device: Device::ram(),
             capacity_pages,
+            capacity_objects: capacity_pages,
             used_pages: 0,
             async_stage_cost: SimDuration::ZERO,
             sync_writes: true,
@@ -70,6 +75,7 @@ impl BackingStore {
             kind: StoreKind::Ssd,
             device: Device::ssd_sata(),
             capacity_pages,
+            capacity_objects: capacity_pages,
             used_pages: 0,
             // Staging a page for async write costs about a RAM copy.
             async_stage_cost: SimDuration::from_micros(1),
@@ -94,11 +100,12 @@ impl BackingStore {
         );
         self.object_millipages = object_millipages;
         self.codec_cost = codec_cost;
+        self.capacity_objects = self.capacity_pages * 1000 / object_millipages;
     }
 
     /// Effective capacity in objects, accounting for compression.
     pub fn capacity_objects(&self) -> u64 {
-        self.capacity_pages * 1000 / self.object_millipages
+        self.capacity_objects
     }
 
     /// The store kind (`Mem` or `Ssd`).
@@ -120,6 +127,7 @@ impl BackingStore {
     /// caller (policy module) is responsible for evicting the excess.
     pub fn set_capacity_pages(&mut self, capacity_pages: u64) {
         self.capacity_pages = capacity_pages;
+        self.capacity_objects = capacity_pages * 1000 / self.object_millipages;
     }
 
     /// Pages currently allocated.
@@ -319,6 +327,15 @@ mod tests {
         }
         assert!(!s.try_alloc(), "effective capacity enforced");
         assert_eq!(s.capacity_pages(), 4, "raw capacity unchanged");
+        // The object capacity follows whichever of the two moves, in
+        // either order.
+        s.set_capacity_pages(7);
+        assert_eq!(s.capacity_objects(), 14);
+        s.set_compression(300, SimDuration::ZERO);
+        assert_eq!(s.capacity_objects(), 7 * 1000 / 300);
+        s.set_compression(1000, SimDuration::ZERO);
+        assert_eq!(s.capacity_objects(), 7);
+        assert_eq!(s.free_pages(), 0, "8 objects in use");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! appends). Scalar get/put/flush run the same group code as groups of
 //! one but are never counted here.
 
-/// Counters for the batched write plane, snapshotted from the sharded
-/// engine's atomics.
+/// Counters for the batched write plane: the sharded engine keeps one
+/// block per shard (plain words under the shard's lock) and reports
+/// their sum.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BatchCounters {
     /// Operations applied through the batched (`*_many`) entry points.
