@@ -23,9 +23,9 @@ cargo test --release -q -p ddc-storage
 echo "==> one shard state machine, one control plane: both engines write one journal, report one entitlement and recover one cache (every 53-byte cut; release too, where the share memo runs without its debug assertion)"
 cargo test --release -q -p ddc-core --test prop_one_state_machine
 cargo test --release -q -p ddc-hypercache registry
-echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, memo placements = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, an all-miss get_many under a held shard lock (release too: the memo's debug assertion is compiled out there)"
+echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, memo placements = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, an all-miss get_many under a held shard lock, and the layout itself: no two groups of the shared core, no two shards and no two handles on one cache line (release too: the memo's debug assertion is compiled out there)"
 cargo test --release -q -p ddc-core --test prop_shared_touches
-cargo test --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses an_all_miss_get_many
+cargo test --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses an_all_miss_get_many line_aligned share_no_cache_line
 
 echo "==> one wait policy: an eviction batch frees page by page (recording ledger), the Zipf guide table lands on the full search's rank, the backoff is bounded and a poisoned lock still panics (release too: the guide's debug assertion is compiled out there)"
 cargo test --release -q -p ddc-hypercache --lib shard::
@@ -43,6 +43,18 @@ echo "==> journal record kernel (ns per record) and group commit (total s, p99 n
 cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- trace --workload engine-batched --smoke \
     >target/ddbench-trace-smoke.txt || { cat target/ddbench-trace-smoke.txt; exit 1; }
 grep -E "^journal\.((append|replay)_ns_per_record|commit_(s|p99_ns))" target/ddbench-trace-smoke.txt
+echo "==> what a second client is worth (printed, never judged: the number to watch for the shared core's layout; 2.00 is what two separate processes get): engine-batched ops_per_s, --threads 2 over --threads 1"
+if [ "$(nproc)" -ge 2 ]; then
+    batched_ops_per_s() {
+        cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- run --workload engine-batched --seconds 2 --threads "$1" |
+            awk '$1 == "ops_per_s" { printf "%d", $2 }'
+    }
+    one=$(batched_ops_per_s 1)
+    two=$(batched_ops_per_s 2)
+    awk -v one="$one" -v two="$two" 'BEGIN { printf "engine-batched: %d op/s at 1 thread, %d at 2, second client x%.2f\n", one, two, two / one }'
+else
+    echo "one core: nothing to compare"
+fi
 echo "==> journal bytes gate (ddbench trace --smoke --threads 1: single-threaded, so exact; a PR that moves these on purpose edits them here and says why)"
 trace_gate() {
     workload=$1

@@ -599,10 +599,11 @@ struct GroupScratch {
 }
 
 impl GroupScratch {
-    /// Starts a call of `ops` operations.
-    fn begin(&mut self, batched: bool, ops: usize) {
+    /// Starts a call: a `*_many` call of `batch_ops` operations, or a
+    /// scalar one.
+    fn begin(&mut self, batch_ops: Option<usize>) {
         debug_assert!(self.records.is_empty());
-        self.batch = batched.then(|| BatchCounters {
+        self.batch = batch_ops.map(|ops| BatchCounters {
             batched_ops: ops as u64,
             ..BatchCounters::default()
         });
@@ -1241,8 +1242,7 @@ impl ShardedCache {
     /// each front pop would otherwise take the tree's propagate mutex,
     /// a per-evicted-page tax on eviction paths that never consult it.
     fn sync_front(&self, si: usize, shard: &Shard, placement: Placement) {
-        let front = shard.state.fifo(placement).front();
-        self.publish_front(si, placement, front.map(|&(_, _, _, seq)| seq));
+        self.publish_front(si, placement, shard.state.front_seq(placement));
     }
 
     /// [`Self::sync_front`] for a caller that holds the front's stamp
@@ -1567,22 +1567,17 @@ impl ShardedCache {
     fn measure(&self, pending: u64, spent: u64) -> bool {
         let (inner, budget) = (&*self.inner, &self.budget);
         budget.owed.store(0, Ordering::Relaxed);
-        let mut shared = inner.ro.budget_epoch.load(Ordering::Acquire);
-        let overran = budget.epoch.load(Ordering::Relaxed) == shared;
-        if overran {
-            shared = inner.ro.budget_epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        }
+        let mut epoch = inner.ro.budget_epoch.load(Ordering::Acquire);
+        let overran = budget.epoch.load(Ordering::Relaxed) == epoch;
         let live = inner.put.mem.used_pages() + inner.put.ssd.used_pages();
         let records = inner.append.journal_records.load(Ordering::Relaxed) + pending;
         let threshold = shard::compaction_threshold(live);
         let handles = Arc::strong_count(&self.inner) as u64;
         let mut share = threshold.saturating_sub(records) / handles;
-        if !overran {
-            if spent > share {
-                shared = inner.ro.budget_epoch.fetch_add(1, Ordering::AcqRel) + 1;
-            } else {
-                share -= spent;
-            }
+        if overran || spent > share {
+            epoch = inner.ro.budget_epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        } else {
+            share -= spent;
         }
         if records > threshold {
             budget.epoch.store(NO_SHARE, Ordering::Relaxed);
@@ -1590,7 +1585,7 @@ impl ShardedCache {
         }
         // The pending records are charged when they are appended.
         budget.left.store(share + pending, Ordering::Relaxed);
-        budget.epoch.store(shared, Ordering::Relaxed);
+        budget.epoch.store(epoch, Ordering::Relaxed);
         false
     }
 
@@ -2484,19 +2479,20 @@ impl ShardedCache {
         batch_ops: Option<usize>,
     ) {
         let mut scratch = std::mem::take(&mut self.reads.scratch);
-        scratch.begin(batch_ops.is_some(), batch_ops.unwrap_or(0));
+        scratch.begin(batch_ops);
         let filters_spills = self.inner.ro.admission.filters_spills();
         let mut next = 0;
         while next < locked.len() {
             let mut shard = self.visit_shard(si, &mut scratch);
             let Shard { state, journal, .. } = &mut *shard;
-            // No such pool: every get is the miss `out` already holds.
-            let mut visit = state.visit(vm, pool);
+            let Some(mut visit) = state.visit(vm, pool) else {
+                // No such pool: every get is the miss `out` already
+                // holds.
+                self.leave_shard(si, shard, &mut scratch);
+                break;
+            };
             let mut compact = false;
-            while let (Some(visit), false) = (visit.as_mut(), compact) {
-                let Some(&(i, addr)) = locked.get(next) else {
-                    break;
-                };
+            while let (Some(&(i, addr)), false) = (locked.get(next), compact) {
                 next += 1;
                 // Exclusive semantics remove the object on a hit; its
                 // FIFO entry outlives it as a tombstone.
@@ -2518,9 +2514,6 @@ impl ShardedCache {
                     scratch.records.push(shard::take_record(vm, pool, addr));
                     compact = self.compaction_due(scratch.records.len());
                 }
-            }
-            if visit.is_none() {
-                next = locked.len();
             }
             self.leave_shard(si, shard, &mut scratch);
             if compact {
@@ -2562,7 +2555,7 @@ impl ShardedCache {
         };
         let si = self.shard_of(vm, pool);
         let mut scratch = std::mem::take(&mut self.reads.scratch);
-        scratch.begin(batched, pages.len());
+        scratch.begin(batched.then_some(pages.len()));
         let mut next = 0;
         // A page of this store, taken for `pages[next]` by the eviction
         // loop while no lock was held.
@@ -2646,12 +2639,13 @@ impl ShardedCache {
                 Pause::FetchRegistry => with_registry = true,
                 // Resource-conservative enforcement: evict only when
                 // the store itself is full, from no lock held.
-                Pause::Evict(placement) if self.alloc_or_evict(placement) => {
-                    in_hand = Some(placement);
-                }
-                Pause::Evict(_) => {
-                    out[next] = PutOutcome::Rejected;
-                    next += 1;
+                Pause::Evict(placement) => {
+                    if self.alloc_or_evict(placement) {
+                        in_hand = Some(placement);
+                    } else {
+                        out[next] = PutOutcome::Rejected;
+                        next += 1;
+                    }
                 }
             }
         }
@@ -2666,8 +2660,7 @@ impl ShardedCache {
         state.scrub(due);
         for placement in [Placement::Mem, Placement::Ssd] {
             if due.wants(placement) {
-                let front = state.fifo(placement).front();
-                self.publish_front(si, placement, front.map(|&(_, _, _, seq)| seq));
+                self.publish_front(si, placement, state.front_seq(placement));
             }
         }
     }
@@ -2686,7 +2679,7 @@ impl ShardedCache {
     fn flush_group(&mut self, vm: VmId, pool: PoolId, addrs: &[BlockAddr], batched: bool) -> u64 {
         let si = self.shard_of(vm, pool);
         let mut scratch = std::mem::take(&mut self.reads.scratch);
-        scratch.begin(batched, addrs.len());
+        scratch.begin(batched.then_some(addrs.len()));
         let mut shard = self.visit_shard(si, &mut scratch);
         let Shard { state, journal, .. } = &mut *shard;
         // The guest is writing the backing block: the remote's copy is

@@ -148,6 +148,12 @@ impl ShardState {
         &self.fifo[placement.idx()]
     }
 
+    /// The sequence stamp at the front of one FIFO, dead or live.
+    #[inline]
+    pub fn front_seq(&self, placement: Placement) -> Option<u64> {
+        self.fifo(placement).front().map(|&(_, _, _, seq)| seq)
+    }
+
     /// One store's tombstone counter.
     pub fn stale(&self, placement: Placement) -> u64 {
         self.stale[placement.idx()]
