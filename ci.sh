@@ -43,10 +43,10 @@ echo "==> journal record kernel (ns per record) and group commit (total s, p99 n
 cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- trace --workload engine-batched --smoke \
     >target/ddbench-trace-smoke.txt || { cat target/ddbench-trace-smoke.txt; exit 1; }
 grep -E "^journal\.((append|replay)_ns_per_record|commit_(s|p99_ns))" target/ddbench-trace-smoke.txt
-echo "==> what a second client is worth (printed, never judged: the number to watch for the shared core's layout; 2.00 is what two separate processes get): engine-batched ops_per_s, --threads 2 over --threads 1"
+echo "==> what a second client is worth (printed, never judged: the number to watch for the shared core's layout; two separate one-thread processes get 1.9 on the reference box, short runs scatter): engine-batched ops_per_s, --threads 2 over --threads 1"
 if [ "$(nproc)" -ge 2 ]; then
     batched_ops_per_s() {
-        cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- run --workload engine-batched --seconds 2 --threads "$1" |
+        cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- run --workload engine-batched --seconds 5 --threads "$1" |
             awk '$1 == "ops_per_s" { printf "%d", $2 }'
     }
     one=$(batched_ops_per_s 1)

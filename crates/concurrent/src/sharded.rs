@@ -412,11 +412,11 @@ struct ReadMostly {
 }
 
 /// What every stored put writes: its store's ledger and the sequence,
-/// a line each. Ten pairs decided it: with the three words on one line
-/// `engine-batched` read ×0.91 of this (EXPERIMENTS.md, "An owned
-/// layout") — two clients then take turns on one line for three
-/// updates a put, where here a client's ledger update and the other's
-/// sequence claim do not meet.
+/// a line each. Pairs decided it: with the three words on one line
+/// `engine-batched` lost eighteen pairs of eighteen (×0.91 and ×0.95;
+/// EXPERIMENTS.md, "An owned layout") — two clients then take turns on
+/// one line for every update a put makes, where here one client's
+/// ledger update and the other's sequence claim do not meet.
 #[repr(align(64))]
 struct PutWords {
     mem: Ledger,
