@@ -116,14 +116,14 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
                     ),
                 });
             }
-            if ledger.used_pages() > cache.store_capacity(placement) {
+            if ledger.used_pages() > ledger.capacity_pages() {
                 findings.push(AuditFinding {
                     invariant: "ledger-accounting",
                     detail: format!(
                         "{} ledger uses {} pages over its capacity of {}",
                         store_name(placement),
                         ledger.used_pages(),
-                        cache.store_capacity(placement)
+                        ledger.capacity_pages()
                     ),
                 });
             }
@@ -176,12 +176,15 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
         // 5. Entitlement sums from a fresh share table over the locked
         // usage, and this handle's memo against it.
         for placement in placements() {
-            let capacity = cache.store_capacity(placement);
-            let table = reg.share_table(capacity, placement, |vm, pid, _| {
+            let ledger = match placement {
+                Placement::Mem => mem,
+                Placement::Ssd => ssd,
+            };
+            let table = reg.share_table(ledger.capacity_pages(), placement, |vm, pid, _| {
                 locked_pool(vm, pid).map_or(0, |p| p.used(placement))
             });
             let name = store_name(placement);
-            findings.extend(audit_share_table(name, &table, capacity));
+            findings.extend(audit_share_table(name, &table, ledger.capacity_pages()));
             if cache
                 .cached_share_table(placement)
                 .is_some_and(|t| t != table)

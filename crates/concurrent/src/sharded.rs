@@ -124,25 +124,32 @@ use ddc_storage::{
 use crate::backoff::{self, Backoff};
 use crate::fronts::{FrontTree, EMPTY_FRONT};
 
-/// Global page accounting for one store: the pages in use, shared by
-/// every shard (the capacity they are held against only ever changes
-/// during recovery and sits with the read-mostly words).
-/// `try_alloc` is a CAS loop, so concurrent puts can never push `used`
-/// past the capacity. A cache line of its own: a put into one store
-/// does not wait for the line a put into the other is writing.
-#[derive(Debug, Default)]
+/// Global page accounting for one store: capacity and used pages shared
+/// by every shard. `try_alloc` is a CAS loop, so concurrent puts can
+/// never push `used` past `capacity`. A cache line of its own: a put
+/// into one store does not wait for the line a put into the other is
+/// writing.
+#[derive(Debug)]
 #[repr(align(64))]
 pub(crate) struct Ledger {
+    capacity: AtomicU64,
     used: AtomicU64,
 }
 
 impl Ledger {
-    /// Reserves one page if the store, `capacity` pages large, has
-    /// room. Lock-free.
-    fn try_alloc(&self, capacity: u64) -> bool {
+    fn new(capacity: u64) -> Ledger {
+        Ledger {
+            capacity: AtomicU64::new(capacity),
+            used: AtomicU64::new(0),
+        }
+    }
+
+    /// Reserves one page if the store has room. Lock-free.
+    fn try_alloc(&self) -> bool {
+        let cap = self.capacity.load(Ordering::Relaxed);
         let mut used = self.used.load(Ordering::Relaxed);
         loop {
-            if used >= capacity {
+            if used >= cap {
                 return false;
             }
             match self.used.compare_exchange_weak(
@@ -163,8 +170,23 @@ impl Ledger {
         }
     }
 
+    fn is_disabled(&self) -> bool {
+        self.capacity.load(Ordering::Relaxed) == 0
+    }
+
     pub(crate) fn used_pages(&self) -> u64 {
         self.used.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn capacity_pages(&self) -> u64 {
+        self.capacity.load(Ordering::Relaxed)
+    }
+
+    /// Replaces the capacity without touching `used`. Recovery applies
+    /// replayed `SetMemCapacity`/`SetSsdCapacity` records with this;
+    /// any resulting oversubscription is shrunk after replay.
+    fn set_capacity(&self, pages: u64) {
+        self.capacity.store(pages, Ordering::Relaxed);
     }
 }
 
@@ -172,22 +194,22 @@ impl Ledger {
 /// handle's compaction budget: a page freed is a page of `live` fewer,
 /// which lowers the trigger's threshold ([`ShardedCache::compaction_due`]).
 struct Ledgers<'a> {
-    inner: &'a Inner,
+    put: &'a PutWords,
     budget: &'a CompactionBudget,
 }
 
 impl PageLedger for Ledgers<'_> {
     fn try_alloc(&mut self, placement: Placement) -> bool {
-        self.inner.try_alloc(placement)
+        self.put.ledger(placement).try_alloc()
     }
 
     fn free(&mut self, placement: Placement, pages: u64) {
-        self.inner.put.ledger(placement).free(pages);
+        self.put.ledger(placement).free(pages);
         self.budget.owe(pages * JOURNAL_COMPACT_FACTOR);
     }
 
     fn used_pages(&self, placement: Placement) -> u64 {
-        self.inner.put.ledger(placement).used_pages()
+        self.put.ledger(placement).used_pages()
     }
 }
 
@@ -351,20 +373,6 @@ struct Inner {
     cold: Cold,
 }
 
-impl Inner {
-    /// One store's capacity in pages (0: the store is disabled).
-    fn capacity(&self, placement: Placement) -> u64 {
-        self.ro.capacity[placement.idx()].load(Ordering::Relaxed)
-    }
-
-    /// Reserves one page of `placement`'s store if it has room.
-    fn try_alloc(&self, placement: Placement) -> bool {
-        self.put
-            .ledger(placement)
-            .try_alloc(self.capacity(placement))
-    }
-}
-
 /// Read on every operation, written by none: the configuration, the
 /// shard array, the flags, and two versions that move only with the
 /// control plane and with the compaction budget.
@@ -375,11 +383,6 @@ struct ReadMostly {
     /// config. Immutable after construction, so hot paths read it
     /// without synchronization.
     admission: AdmissionConfig,
-    /// The stores' capacities in pages, `[mem, ssd]`. Fixed while the
-    /// cache serves: only a replayed `SetMemCapacity`/`SetSsdCapacity`
-    /// stores here, and any resulting oversubscription is shrunk after
-    /// replay.
-    capacity: [AtomicU64; 2],
     /// The shards, 64-aligned like every element ([`Shard`]).
     shards: Box<[Mutex<Shard>]>,
     /// One commit cell per segment, indexed like `shards`.
@@ -746,19 +749,6 @@ impl CompactionBudget {
     }
 }
 
-/// What a put group knows for the length of one shard visit.
-struct PutVisit<'r> {
-    si: usize,
-    vm: VmId,
-    pool: PoolId,
-    policy: CachePolicy,
-    /// The registry, if the visit was entered holding it.
-    reg: Option<&'r Registry>,
-    /// The pool's entitlement per store (`[mem, ssd]`), once read
-    /// ([`ShardedCache::entitlement`]).
-    entitled: [Option<u64>; 2],
-}
-
 /// What [`ShardedCache::place`] decided for one put.
 enum Placed {
     /// Store it here: a page of this store is taken for it.
@@ -860,10 +850,6 @@ impl ShardedCache {
             ro: ReadMostly {
                 mode: config.mode,
                 admission: config.admission,
-                capacity: [
-                    AtomicU64::new(config.mem_capacity_pages),
-                    AtomicU64::new(config.ssd_capacity_pages),
-                ],
                 shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
                 commit_cells: (0..n).map(|_| CommitCell::default()).collect(),
                 read_planes: (0..n)
@@ -876,8 +862,8 @@ impl ShardedCache {
                 budget_epoch: AtomicU64::new(0),
             },
             put: PutWords {
-                mem: Ledger::default(),
-                ssd: Ledger::default(),
+                mem: Ledger::new(config.mem_capacity_pages),
+                ssd: Ledger::new(config.ssd_capacity_pages),
                 next_seq: Sequence {
                     next: AtomicU64::new(1),
                 },
@@ -1234,7 +1220,7 @@ impl ShardedCache {
     pub(crate) fn cached_share_table(&self, placement: Placement) -> Option<ShareTable> {
         let memo = self.entitlements.memo.lock().expect("memo poisoned");
         let version = self.inner.ro.registry_version.load(Ordering::Acquire);
-        let capacity = self.store_capacity(placement);
+        let capacity = self.ledger(placement).capacity_pages();
         memo.cached(version, capacity, placement, |_, _, m| m.pages(placement))
             .cloned()
     }
@@ -1650,8 +1636,8 @@ impl ShardedCache {
     ) -> Vec<(VmId, u64)> {
         let checkpoint = Self::cut(reg, shards).write_checkpoint(
             self.inner.ro.mode,
-            self.store_capacity(Placement::Mem),
-            self.store_capacity(Placement::Ssd),
+            self.inner.put.mem.capacity_pages(),
+            self.inner.put.ssd.capacity_pages(),
             start_gen,
         );
         // Cells first, then the generation cell (`Release`): a committer
@@ -1748,7 +1734,7 @@ impl ShardedCache {
         // shrink with real evictions now.
         for placement in [Placement::Mem, Placement::Ssd] {
             let ledger = cache.ledger(placement);
-            while ledger.used_pages() > cache.store_capacity(placement) {
+            while ledger.used_pages() > ledger.capacity_pages() {
                 if cache.evict_batch(placement) == 0 {
                     break;
                 }
@@ -1785,8 +1771,8 @@ impl ShardedCache {
             // `SetMode`: the recovery core picked the journal's mode
             // before this cache was built (the field is immutable).
             JournalRecord::Epoch { .. } | JournalRecord::SetMode { .. } => {}
-            JournalRecord::SetMemCapacity { pages } => self.set_capacity(Placement::Mem, pages),
-            JournalRecord::SetSsdCapacity { pages } => self.set_capacity(Placement::Ssd, pages),
+            JournalRecord::SetMemCapacity { pages } => self.inner.put.mem.set_capacity(pages),
+            JournalRecord::SetSsdCapacity { pages } => self.inner.put.ssd.set_capacity(pages),
             JournalRecord::SsdDrain => {
                 for s in &self.inner.ro.shards {
                     let mut shard = s.lock().expect("shard poisoned");
@@ -1917,20 +1903,9 @@ impl ShardedCache {
         self.inner.put.ledger(placement)
     }
 
-    /// One store's capacity in pages (auditor use too).
-    pub(crate) fn store_capacity(&self, placement: Placement) -> u64 {
-        self.inner.capacity(placement)
-    }
-
-    /// Replaces a store's capacity without touching its ledger: how
-    /// recovery applies a replayed capacity record.
-    fn set_capacity(&self, placement: Placement, pages: u64) {
-        self.inner.ro.capacity[placement.idx()].store(pages, Ordering::Relaxed);
-    }
-
     fn ledgers(&self) -> Ledgers<'_> {
         Ledgers {
-            inner: &self.inner,
+            put: &self.inner.put,
             budget: &self.budget,
         }
     }
@@ -2000,7 +1975,7 @@ impl ShardedCache {
         memo.with(
             reg,
             self.inner.ro.registry_version.load(Ordering::Acquire),
-            self.store_capacity(placement),
+            self.ledger(placement).capacity_pages(),
             placement,
             |_, _, mirror| mirror.pages(placement),
             f,
@@ -2032,7 +2007,7 @@ impl ShardedCache {
     ) -> Option<u64> {
         let mut memo = self.entitlements.memo.lock().expect("memo poisoned");
         let version = self.inner.ro.registry_version.load(Ordering::Acquire);
-        let capacity = self.store_capacity(placement);
+        let capacity = self.ledger(placement).capacity_pages();
         let used = |_: VmId, _: PoolId, mirror: &Arc<UsageMirror>| mirror.pages(placement);
         if let Some(table) = memo.cached(version, capacity, placement, used) {
             let entitlement = table.pool_entitlement(vm, pool);
@@ -2279,7 +2254,7 @@ impl ShardedCache {
     /// [`Self::evict_batch`] at a time.
     fn alloc_or_evict(&self, placement: Placement) -> bool {
         loop {
-            if self.inner.try_alloc(placement) {
+            if self.ledger(placement).try_alloc() {
                 return true;
             }
             // Single-evictor gate (see [`Inner::eviction_gate`]): blocked
@@ -2303,29 +2278,17 @@ impl ShardedCache {
                 if !backoff.snooze() {
                     break gate.lock().expect("eviction gate poisoned");
                 }
-                if self.inner.try_alloc(placement) {
+                if self.ledger(placement).try_alloc() {
                     return true;
                 }
             };
-            if self.inner.try_alloc(placement) {
+            if self.ledger(placement).try_alloc() {
                 return true;
             }
             if self.evict_batch(placement) == 0 {
                 return false;
             }
         }
-    }
-
-    /// The group's pool's entitlement in one store, read from the share
-    /// memo once a shard visit: nothing the table is built from moves
-    /// under a visit except by another thread's hand (the group's own
-    /// evictions, which can take a legacy pool's last page, end it).
-    fn entitlement(&self, group: &mut PutVisit<'_>, placement: Placement) -> Option<u64> {
-        let read = &mut group.entitled[placement.idx()];
-        if read.is_none() {
-            *read = self.pool_entitlement_memo(group.reg, group.vm, group.pool, placement);
-        }
-        *read
     }
 
     /// Decides where one put goes and clears the way for it, on the
@@ -2337,22 +2300,26 @@ impl ShardedCache {
     /// anything is changed, so a put that has to come back with the
     /// registry ([`Placed::Unshared`]) starts over from an untouched
     /// pool.
+    #[allow(clippy::too_many_arguments)]
     fn place(
         &self,
-        group: &mut PutVisit<'_>,
+        si: usize,
+        (vm, pool): (VmId, PoolId),
         visit: &mut PoolVisit<'_>,
         journal: &mut Option<Journal>,
+        reg: Option<&Registry>,
+        policy: CachePolicy,
         addr: BlockAddr,
         scratch: &mut GroupScratch,
     ) -> Placed {
-        let (si, policy) = (group.si, group.policy);
         // Placement decided with the old copy still resident, like the
         // serial engine.
         let placement = match policy.store {
             StoreKind::Mem => Placement::Mem,
             StoreKind::Ssd => Placement::Ssd,
             StoreKind::Hybrid => {
-                let Some(entitlement) = self.entitlement(group, Placement::Mem) else {
+                let Some(entitlement) = self.pool_entitlement_memo(reg, vm, pool, Placement::Mem)
+                else {
                     return Placed::Unshared;
                 };
                 if visit.pool.used(Placement::Mem) < entitlement {
@@ -2367,12 +2334,12 @@ impl ShardedCache {
         // assigned to and so never moves this table).
         let mut partition = None;
         if self.inner.ro.mode == PartitionMode::Strict {
-            partition = self.entitlement(group, placement);
+            partition = self.pool_entitlement_memo(reg, vm, pool, placement);
             if partition.is_none() {
                 return Placed::Unshared;
             }
         }
-        if self.store_capacity(placement) == 0 {
+        if self.ledger(placement).is_disabled() {
             return Placed::Rejected;
         }
 
@@ -2410,7 +2377,7 @@ impl ShardedCache {
             }
         }
 
-        if in_hand || self.inner.try_alloc(placement) {
+        if in_hand || self.ledger(placement).try_alloc() {
             Placed::At(placement)
         } else {
             Placed::Full(placement)
@@ -2615,18 +2582,22 @@ impl ShardedCache {
                 self.leave_shard(si, shard, &mut scratch);
                 break;
             };
-            let mut group = PutVisit {
-                si,
-                vm,
-                pool,
-                policy,
-                reg: reg.as_deref(),
-                entitled: [None; 2],
-            };
             let mut pause = Pause::Done;
             while let Some(&(addr, version)) = pages.get(next) {
                 let placed = in_hand.take().map_or_else(
-                    || self.place(&mut group, &mut visit, journal, addr, &mut scratch),
+                    || {
+                        let reg = reg.as_deref();
+                        self.place(
+                            si,
+                            (vm, pool),
+                            &mut visit,
+                            journal,
+                            reg,
+                            policy,
+                            addr,
+                            &mut scratch,
+                        )
+                    },
                     Placed::At,
                 );
                 let placement = match placed {
@@ -2846,7 +2817,7 @@ impl ShardedCache {
         addr: BlockAddr,
         slot: Slot,
     ) {
-        if !shard.state.pools.contains_key(&(vm, to)) || !self.inner.try_alloc(slot.placement) {
+        if !shard.state.pools.contains_key(&(vm, to)) || !self.ledger(slot.placement).try_alloc() {
             return;
         }
         let seq = self.alloc_seq();
@@ -2899,7 +2870,7 @@ impl SecondChanceCache for ShardedCache {
             self.log_in(si, &mut shard, shard::evict_record(vm, pool, addr));
             // Move to the newly-allowed store if it has room; drop
             // otherwise (the object is clean, dropping is always safe).
-            if self.inner.try_alloc(new_placement) {
+            if self.ledger(new_placement).try_alloc() {
                 let seq = self.alloc_seq();
                 self.insert_in(si, &mut shard, vm, pool, addr, new_placement, version, seq);
                 self.log_in(
@@ -3298,7 +3269,7 @@ mod tests {
             let mut ledgers = cache.ledgers();
             match rng.range_u64(0, 8) {
                 0..=3 => {
-                    if cache.inner.try_alloc(placement) {
+                    if cache.ledger(placement).try_alloc() {
                         let seq = cache.alloc_seq();
                         state.insert(&mut ledgers, vm, pool, a, placement, PageVersion(seq), seq);
                     }
@@ -3317,7 +3288,7 @@ mod tests {
                     ledger.used_pages(),
                     state.pools[&(vm, pool)].used(placement)
                 );
-                assert!(ledger.used_pages() <= cache.store_capacity(placement));
+                assert!(ledger.used_pages() <= ledger.capacity_pages());
             }
         }
         drop(shard);
