@@ -2355,10 +2355,9 @@ impl ShardedCache {
             return Placed::Rejected;
         }
 
-        // Exclusive overwrite: displace any stale copy first so its
-        // page is available to this put — in hand if it is a page of
-        // the store the put goes to, with no ledger traffic at all.
-        let in_hand = visit.remove_keeping(&mut self.ledgers(), addr, placement);
+        // Exclusive overwrite: displace any stale copy first so the
+        // freed page is available to this put.
+        visit.remove(&mut self.ledgers(), addr);
 
         // Strict-mode pre-check: a pool at its hard partition evicts
         // from itself before the store-level check. Entitlement comes
@@ -2370,14 +2369,11 @@ impl ShardedCache {
             // equal to operation order.
             self.drain_scratch(si, journal, scratch);
             if self.evict_from(si, visit, journal, placement, EVICTION_BATCH_PAGES) == 0 {
-                if in_hand {
-                    self.ledgers().free(placement, 1);
-                }
                 return Placed::Rejected;
             }
         }
 
-        if in_hand || self.ledger(placement).try_alloc() {
+        if self.ledger(placement).try_alloc() {
             Placed::At(placement)
         } else {
             Placed::Full(placement)

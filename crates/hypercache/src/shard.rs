@@ -628,30 +628,6 @@ impl PoolVisit<'_> {
         Some(slot)
     }
 
-    /// [`Self::remove`] for a caller about to store `addr` again in
-    /// `keep`'s store: a copy that sits there leaves its page with the
-    /// caller (`true`) instead of paying it back for the caller to take
-    /// it again — the store's occupancy reads the same once the new
-    /// copy is in, and nobody else's accounting is touched for it.
-    #[inline]
-    pub fn remove_keeping(
-        &mut self,
-        ledger: &mut impl PageLedger,
-        addr: BlockAddr,
-        keep: Placement,
-    ) -> bool {
-        let Some(slot) = self.pool.remove(addr) else {
-            return false;
-        };
-        let kept = slot.placement == keep;
-        if kept {
-            self.stale[keep.idx()] += 1;
-        } else {
-            release(ledger, self.stale, slot.placement, 1);
-        }
-        kept
-    }
-
     /// The exclusive lookup of a `get`: counted against the pool, a hit
     /// removed like [`Self::remove`]. The caller finishes a hit on
     /// [`Self::pool`] ([`Pool::note_hit`]).
@@ -1662,7 +1638,7 @@ mod tests {
                 let addr = BlockAddr::new(FileId(rng.range_u64(1, 4)), rng.range_u64(0, 12));
                 let key = (vm, pool, addr);
                 let placement = *rng.pick(&PLACEMENTS);
-                match rng.range_u64(0, 9) {
+                match rng.range_u64(0, 8) {
                     0..=3 => {
                         if !ledger.try_alloc(placement) {
                             continue;
@@ -1715,20 +1691,6 @@ mod tests {
                         assert!(journaled == expected, "{what}: journaled records");
                         for key in &victims {
                             model.entries.remove(key);
-                        }
-                    }
-                    7 => {
-                        // An overwrite in place: the old copy's page is
-                        // the new copy's, and the ledger never hears.
-                        let used = ledger.used_pages(placement);
-                        let kept = visit.remove_keeping(&mut ledger, addr, placement);
-                        let old = model.entries.remove(&key);
-                        assert_eq!(kept, old.is_some_and(|e| e.0 == placement), "{what}");
-                        if kept {
-                            assert_eq!(ledger.used_pages(placement), used, "{what}");
-                            seq += 1;
-                            visit.insert(&mut ledger, addr, placement, PageVersion(9), seq);
-                            model.insert(key, placement, PageVersion(9), seq);
                         }
                     }
                     _ => {
