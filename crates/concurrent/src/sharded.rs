@@ -35,20 +35,17 @@
 //!   ([`crate::fronts`]) and locks only the nominated shard. A batch
 //!   that frees nothing rejects the put.
 //! * **Lock order** — `registry` before any shard; shards in ascending
-//!   index; never wait for a lower-index (or the registry) lock while
+//!   index; never acquire a lower-index (or the registry) lock while
 //!   holding a higher one. Get, put, flush, eviction and `pool_stats`
-//!   take only one pool's home shard — eviction and `pool_stats` the
-//!   registry read lock before it, for the entitlement table; a
-//!   hybrid-store or strict-mode put reads its handle's share memo with
-//!   no registry lock, and only to rebuild it takes the registry, under
-//!   the shard if that needs no waiting (`try_read`), else by leaving
-//!   the shard and coming back in order. What still locks every shard,
-//!   always starting from no shard lock held: whole-cache reads that
-//!   need one consistent cut (`entries`, the auditor, wear and remote
-//!   totals, journal images and durable lengths), journal installation
-//!   and checkpoint rewrites (`enable_journal`, live compaction, the
-//!   end of `recover`), and `recover`'s tournament-tree re-sync. None
-//!   of them is reachable from a put's eviction loop.
+//!   take only one pool's home shard (hybrid-store and strict-mode
+//!   puts, eviction and `pool_stats` the registry read lock before it,
+//!   for the entitlement table). What still locks every shard, always
+//!   starting from no shard lock held: whole-cache reads that need one
+//!   consistent cut (`entries`, the auditor, wear and remote totals,
+//!   journal images and durable lengths), journal installation and
+//!   checkpoint rewrites (`enable_journal`, live compaction, the end of
+//!   `recover`), and `recover`'s tournament-tree re-sync. None of them
+//!   is reachable from a put's eviction loop.
 //!
 //! # Determinism contract
 //!
@@ -366,6 +363,7 @@ struct Inner {
     ro: ReadMostly,
     put: PutWords,
     append: AppendWords,
+    budget: BudgetWords,
     stats: StatCounters,
     batch: BatchWords,
     registry: RegistryLock,
@@ -374,8 +372,8 @@ struct Inner {
 }
 
 /// Read on every operation, written by none: the configuration, the
-/// shard array, the flags, and two versions that move only with the
-/// control plane and with the compaction budget.
+/// shard array, the flags, and the version that moves only with the
+/// control plane.
 #[repr(align(64))]
 struct ReadMostly {
     mode: PartitionMode,
@@ -408,10 +406,19 @@ struct ReadMostly {
     /// mutation; each handle's route cache and share memo revalidate
     /// against it.
     registry_version: AtomicU64,
+}
+
+/// The version of the compaction slack's split: read by every journaled
+/// put and local hit, written only when a split ends, so it shares a
+/// line neither with the words every operation reads nor with the ones
+/// every append writes.
+#[derive(Default)]
+#[repr(align(64))]
+struct BudgetWords {
     /// Bumped whenever every handle's compaction budget must be
     /// measured afresh ([`ShardedCache::compaction_due`]): by a handle
     /// that spent its share, by a clone, by a checkpoint install.
-    budget_epoch: AtomicU64,
+    epoch: AtomicU64,
 }
 
 /// What every stored put writes: its store's ledger and the sequence,
@@ -570,7 +577,7 @@ impl Clone for ShardedCache {
     fn clone(&self) -> ShardedCache {
         // One more handle to share the compaction slack with: the
         // shares handed out so far were sized for fewer.
-        self.inner.ro.budget_epoch.fetch_add(1, Ordering::AcqRel);
+        self.inner.budget.epoch.fetch_add(1, Ordering::AcqRel);
         ShardedCache::handle(Arc::clone(&self.inner))
     }
 }
@@ -725,7 +732,7 @@ const NO_SHARE: u64 = u64::MAX;
 /// is `Sync` and the paths that spend run on `&self`.
 #[repr(align(64))]
 struct CompactionBudget {
-    /// The [`ReadMostly::budget_epoch`] the share was measured under.
+    /// The [`BudgetWords::epoch`] the share was measured under.
     epoch: AtomicU64,
     /// What is left of the share.
     left: AtomicU64,
@@ -756,8 +763,6 @@ enum Placed {
     Rejected,
     /// This store is full: leave the shard, evict, come back.
     Full(Placement),
-    /// The share memo must be rebuilt: come back with the registry.
-    Unshared,
 }
 
 /// Why a put group's shard visit ended.
@@ -766,7 +771,6 @@ enum Pause {
     Done,
     Evict(Placement),
     Compact,
-    FetchRegistry,
 }
 
 impl std::fmt::Debug for ShardedCache {
@@ -859,7 +863,6 @@ impl ShardedCache {
                 hooks_on: AtomicBool::new(false),
                 remote_on: AtomicBool::new(false),
                 registry_version: AtomicU64::new(0),
-                budget_epoch: AtomicU64::new(0),
             },
             put: PutWords {
                 mem: Ledger::new(config.mem_capacity_pages),
@@ -873,6 +876,7 @@ impl ShardedCache {
                 journal_records: AtomicU64::new(0),
                 commit_epoch: AtomicU64::new(0),
             },
+            budget: BudgetWords::default(),
             stats: StatCounters::default(),
             batch: BatchWords::default(),
             registry: RegistryLock::default(),
@@ -1514,7 +1518,7 @@ impl ShardedCache {
     /// since (a record counts 1, a freed page [`JOURNAL_COMPACT_FACTOR`],
     /// the most it can lower the threshold by; pages it allocated only
     /// raise it and are ignored) has used the share up, compaction
-    /// cannot be due: the shares of one [`ReadMostly::budget_epoch`]
+    /// cannot be due: the shares of one [`BudgetWords::epoch`]
     /// are taken once per handle and never add up to more than the
     /// slack, and whoever adds more than its share moves the epoch,
     /// which voids them all. Driven from one thread, through any number
@@ -1528,7 +1532,7 @@ impl ShardedCache {
         }
         let budget = &self.budget;
         let owed = budget.owed.load(Ordering::Relaxed);
-        let shared = self.inner.ro.budget_epoch.load(Ordering::Acquire);
+        let shared = self.inner.budget.epoch.load(Ordering::Acquire);
         if budget.epoch.load(Ordering::Relaxed) == shared
             && owed + pending as u64 <= budget.left.load(Ordering::Relaxed)
         {
@@ -1548,7 +1552,7 @@ impl ShardedCache {
         }
         budget.owed.store(0, Ordering::Relaxed);
         let left = budget.left.load(Ordering::Relaxed);
-        let shared = self.inner.ro.budget_epoch.load(Ordering::Acquire);
+        let shared = self.inner.budget.epoch.load(Ordering::Acquire);
         if budget.epoch.load(Ordering::Relaxed) == shared && cost <= left {
             budget.left.store(left - cost, Ordering::Relaxed);
         } else {
@@ -1567,7 +1571,7 @@ impl ShardedCache {
     fn measure(&self, pending: u64, spent: u64) -> bool {
         let (inner, budget) = (&*self.inner, &self.budget);
         budget.owed.store(0, Ordering::Relaxed);
-        let mut epoch = inner.ro.budget_epoch.load(Ordering::Acquire);
+        let mut epoch = inner.budget.epoch.load(Ordering::Acquire);
         let overran = budget.epoch.load(Ordering::Relaxed) == epoch;
         let live = inner.put.mem.used_pages() + inner.put.ssd.used_pages();
         let records = inner.append.journal_records.load(Ordering::Relaxed) + pending;
@@ -1575,7 +1579,7 @@ impl ShardedCache {
         let handles = Arc::strong_count(&self.inner) as u64;
         let mut share = threshold.saturating_sub(records) / handles;
         if overran || spent > share {
-            epoch = inner.ro.budget_epoch.fetch_add(1, Ordering::AcqRel) + 1;
+            epoch = inner.budget.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         } else {
             share -= spent;
         }
@@ -1654,7 +1658,7 @@ impl ShardedCache {
             .store(checkpoint.records, Ordering::Relaxed);
         // The record count was just rewritten: every share of the old
         // slack is void.
-        self.inner.ro.budget_epoch.fetch_add(1, Ordering::AcqRel);
+        self.inner.budget.epoch.fetch_add(1, Ordering::AcqRel);
         // The checkpoint is synced in full, so everything up to its last
         // generation is durable.
         self.inner
@@ -1990,52 +1994,14 @@ impl ShardedCache {
     /// pool's participation may be momentarily stale, while the put's
     /// own pool — whose usage the placement decision compares against
     /// — is exact under its home-shard lock.
-    ///
-    /// The memo validates itself (registry version, capacity, legacy
-    /// participation), so a valid one is read with no registry lock: a
-    /// control verb that lands right after the version was loaded
-    /// orders after this put. Only a rebuild reads the registry: the
-    /// caller's (`reg`), or one had without waiting; `None` asks the
-    /// caller to come back with it (registry before shard, the lock
-    /// order).
     fn pool_entitlement_memo(
         &self,
-        reg: Option<&Registry>,
+        reg: &Registry,
         vm: VmId,
         pool: PoolId,
         placement: Placement,
-    ) -> Option<u64> {
-        let mut memo = self.entitlements.memo.lock().expect("memo poisoned");
-        let version = self.inner.ro.registry_version.load(Ordering::Acquire);
-        let capacity = self.ledger(placement).capacity_pages();
-        let used = |_: VmId, _: PoolId, mirror: &Arc<UsageMirror>| mirror.pages(placement);
-        if let Some(table) = memo.cached(version, capacity, placement, used) {
-            let entitlement = table.pool_entitlement(vm, pool);
-            // The memo's own assertion against a fresh build, whenever
-            // the registry can be had without waiting (never in lock
-            // order here) and has not moved on.
-            #[cfg(debug_assertions)]
-            if let Ok(reg) = self.inner.registry.lock.try_read() {
-                if self.inner.ro.registry_version.load(Ordering::Acquire) == version {
-                    memo.with(&reg, version, capacity, placement, used, |_| ());
-                }
-            }
-            return Some(entitlement);
-        }
-        // A rebuild under a shard lock asks for the registry without
-        // waiting (out of lock order, so it must not wait): only when a
-        // control verb holds it does the caller have to leave the shard
-        // and come back in order.
-        let unordered;
-        let reg = match reg {
-            Some(reg) => reg,
-            None => {
-                unordered = self.inner.registry.lock.try_read().ok()?;
-                &unordered
-            }
-        };
-        let pool_share = |t: &ShareTable| t.pool_entitlement(vm, pool);
-        Some(memo.with(reg, version, capacity, placement, used, pool_share))
+    ) -> u64 {
+        self.with_share_memo(reg, placement, |t| t.pool_entitlement(vm, pool))
     }
 
     // ------------------------------------------------------------------
@@ -2296,10 +2262,8 @@ impl ShardedCache {
     /// engine's statement order. Placement is decided here, under the
     /// lock, where the pool's own usage is exact (the entitlement comes
     /// from the handle-local memo) — so there is nothing to speculate
-    /// on and nothing to retry. Both entitlements are read before
-    /// anything is changed, so a put that has to come back with the
-    /// registry ([`Placed::Unshared`]) starts over from an untouched
-    /// pool.
+    /// on and nothing to retry. `reg` is the registry a hybrid-store or
+    /// strict-mode visit entered holding.
     #[allow(clippy::too_many_arguments)]
     fn place(
         &self,
@@ -2318,10 +2282,8 @@ impl ShardedCache {
             StoreKind::Mem => Placement::Mem,
             StoreKind::Ssd => Placement::Ssd,
             StoreKind::Hybrid => {
-                let Some(entitlement) = self.pool_entitlement_memo(reg, vm, pool, Placement::Mem)
-                else {
-                    return Placed::Unshared;
-                };
+                let reg = reg.expect("hybrid puts hold the registry");
+                let entitlement = self.pool_entitlement_memo(reg, vm, pool, Placement::Mem);
                 if visit.pool.used(Placement::Mem) < entitlement {
                     Placement::Mem
                 } else {
@@ -2332,13 +2294,10 @@ impl ShardedCache {
         // Strict mode's hard partition (the pool's own stale copy, gone
         // by the time the serial engine asks, is in a store the pool is
         // assigned to and so never moves this table).
-        let mut partition = None;
-        if self.inner.ro.mode == PartitionMode::Strict {
-            partition = self.pool_entitlement_memo(reg, vm, pool, placement);
-            if partition.is_none() {
-                return Placed::Unshared;
-            }
-        }
+        let partition = (self.inner.ro.mode == PartitionMode::Strict).then(|| {
+            let reg = reg.expect("strict-mode puts hold the registry");
+            self.pool_entitlement_memo(reg, vm, pool, placement)
+        });
         if self.ledger(placement).is_disabled() {
             return Placed::Rejected;
         }
@@ -2387,13 +2346,13 @@ impl ShardedCache {
     // lock once, resolve the pool once ([`ShardState::visit`]), apply
     // the ops in call order, and drain pending journal records as one
     // contiguous generation run before the lock drops; a helper that
-    // has to drop the lock mid-group (to evict, to compact, to fetch
-    // the registry) resolves again when it has it back. The scalar
-    // trait methods are the one-element case. Compaction is checked at
-    // every op that would trigger it alone, so the checkpoint rewrite
-    // fires at the same operation however the ops are grouped — which
-    // is what keeps the journal byte-identical across batch sizes and
-    // with the serial engine.
+    // has to drop the lock mid-group (to evict, to compact) resolves
+    // again when it has it back. The scalar trait methods are the
+    // one-element case. Compaction is checked at every op that would
+    // trigger it alone, so the checkpoint rewrite fires at the same
+    // operation however the ops are grouped — which is what keeps the
+    // journal byte-identical across batch sizes and with the serial
+    // engine.
     // ------------------------------------------------------------------
 
     /// Whether `addr` is *definitively absent* from its home shard
@@ -2482,7 +2441,10 @@ impl ShardedCache {
         scratch.begin(batch_ops);
         let filters_spills = self.inner.ro.admission.filters_spills();
         let mut next = 0;
-        while next < locked.len() {
+        // A visit that pauses to compact comes back to its shard, as it
+        // always has — after the batch's last hit too, so the lock
+        // visits `results/` counts stay what they were.
+        loop {
             let mut shard = self.visit_shard(si, &mut scratch);
             let Shard { state, journal, .. } = &mut *shard;
             let Some(mut visit) = state.visit(vm, pool) else {
@@ -2516,9 +2478,10 @@ impl ShardedCache {
                 }
             }
             self.leave_shard(si, shard, &mut scratch);
-            if compact {
-                self.maybe_compact_journal();
+            if !compact {
+                break;
             }
+            self.maybe_compact_journal();
         }
         self.reads.scratch = scratch;
     }
@@ -2528,12 +2491,12 @@ impl ShardedCache {
     /// below it. Outcomes land in `out` (same length as `pages`), so
     /// the scalar caller passes a stack slot and allocates nothing.
     ///
-    /// A visit ends early for three reasons, each with no lock held
+    /// A visit ends early for two reasons, each with no lock held
     /// afterwards: the store is full (run the eviction loop, come back
-    /// with the page in hand), the put just stored crossed the
-    /// compaction threshold (every stored put is a compaction point),
-    /// or the share memo must be rebuilt (come back holding the
-    /// registry read lock, taken before the shard's: the lock order).
+    /// with the page in hand), or the put just stored crossed the
+    /// compaction threshold (every stored put is a compaction point).
+    /// A hybrid-store or strict-mode visit reads entitlements, so it
+    /// takes the registry read lock before the shard's: the lock order.
     fn put_group(
         &mut self,
         now: SimTime,
@@ -2560,11 +2523,11 @@ impl ShardedCache {
         // A page of this store, taken for `pages[next]` by the eviction
         // loop while no lock was held.
         let mut in_hand = None;
-        let mut with_registry = false;
+        let with_registry =
+            policy.store == StoreKind::Hybrid || self.inner.ro.mode == PartitionMode::Strict;
         while next < pages.len() {
             let reg =
                 with_registry.then(|| self.inner.registry.lock.read().expect("registry poisoned"));
-            with_registry = false;
             let mut shard = self.visit_shard(si, &mut scratch);
             let Shard { state, journal, .. } = &mut *shard;
             let Some(mut visit) = state.visit(vm, pool) else {
@@ -2572,7 +2535,7 @@ impl ShardedCache {
                 // evicting, at the earliest): the page goes back and
                 // what is left of the group is rejected.
                 if let Some(placement) = in_hand.take() {
-                    self.ledger(placement).free(1);
+                    self.ledgers().free(placement, 1);
                 }
                 out[next..].fill(PutOutcome::Rejected);
                 self.leave_shard(si, shard, &mut scratch);
@@ -2607,10 +2570,6 @@ impl ShardedCache {
                         pause = Pause::Evict(placement);
                         break;
                     }
-                    Placed::Unshared => {
-                        pause = Pause::FetchRegistry;
-                        break;
-                    }
                 };
                 let seq = self.alloc_seq();
                 visit.pool.counters.puts += 1;
@@ -2636,7 +2595,6 @@ impl ShardedCache {
             match pause {
                 Pause::Done => {}
                 Pause::Compact => self.maybe_compact_journal(),
-                Pause::FetchRegistry => with_registry = true,
                 // Resource-conservative enforcement: evict only when
                 // the store itself is full, from no lock held.
                 Pause::Evict(placement) => {
@@ -2904,9 +2862,7 @@ impl SecondChanceCache for ShardedCache {
         let reg = self.inner.registry.lock.read().expect("registry poisoned");
         let shard = self.lock_shard(self.shard_of(vm, pool));
         let p = shard.state.pools.get(&(vm, pool))?;
-        let entitlement = self
-            .pool_entitlement_memo(Some(&reg), vm, pool, p.primary_placement())
-            .expect("the registry is at hand");
+        let entitlement = self.pool_entitlement_memo(&reg, vm, pool, p.primary_placement());
         // Lock-free misses bump the pool's usage mirror instead of the
         // shard-locked counters; fold them back in so totals match the
         // serial engine exactly.
@@ -3339,6 +3295,11 @@ mod tests {
                 "append",
                 offset_of!(Inner, append),
                 size_of::<AppendWords>(),
+            ),
+            (
+                "budget",
+                offset_of!(Inner, budget),
+                size_of::<BudgetWords>(),
             ),
             ("stats", offset_of!(Inner, stats), size_of::<StatCounters>()),
             ("batch", offset_of!(Inner, batch), size_of::<BatchWords>()),
@@ -3834,32 +3795,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_put_group_that_loses_its_pool_while_it_evicts_rejects_the_rest_and_keeps_the_books() {
-        let mut cache = ShardedCache::new(CacheConfig::mem_only(8), 4);
+    /// Fills a memory store of `pages` pages from one pool, then sends
+    /// a put group into another whose first put finds the store full,
+    /// drops its shard lock and evicts; the eviction hook runs there,
+    /// with no lock held, and destroys the group's pool before the put
+    /// gets its lock back. Returns the cache and the surviving pool.
+    fn lose_a_pool_mid_eviction(pages: u64, journaled: bool) -> (ShardedCache, PoolId) {
+        let mut cache = ShardedCache::new(CacheConfig::mem_only(pages), 4);
+        if journaled {
+            cache.enable_journal();
+        }
         cache.add_vm(VmId(1), 100);
         cache.add_vm(VmId(2), 100);
         let doomed = cache.create_pool(VmId(1), CachePolicy::mem(100));
         let full = cache.create_pool(VmId(2), CachePolicy::mem(100));
-        for i in 0..8 {
+        for i in 0..pages {
             cache.put(SimTime::ZERO, VmId(2), full, addr(2, i), PageVersion(1));
         }
         assert_eq!(
             cache.mem_used_pages(),
-            8,
+            pages,
             "the group's first put must evict"
         );
 
-        // The group's first put finds the store full, drops its shard
-        // lock and evicts; the hook runs there, with no lock held, and
-        // destroys the group's pool before the put gets its lock back.
         let destroyer = Mutex::new(cache.clone());
         cache.set_eviction_hook(Some(Arc::new(move || {
             let mut h = destroyer.lock().expect("destroyer handle");
             h.destroy_pool(VmId(1), doomed);
         })));
-        let pages: Vec<_> = (0..6).map(|i| (addr(1, i), PageVersion(1))).collect();
-        let out = cache.put_many(SimTime::ZERO, VmId(1), doomed, &pages);
+        let group: Vec<_> = (0..6).map(|i| (addr(1, i), PageVersion(1))).collect();
+        let out = cache.put_many(SimTime::ZERO, VmId(1), doomed, &group);
         cache.set_eviction_hook(None);
 
         assert_eq!(out, vec![PutOutcome::Rejected; 6]);
@@ -3869,11 +3834,54 @@ mod tests {
         let kept = cache.pool_stats(VmId(2), full).expect("untouched pool");
         assert_eq!(cache.mem_used_pages(), kept.mem_pages);
         assert_eq!(audit(&cache), vec![]);
+        (cache, full)
+    }
+
+    #[test]
+    fn a_put_group_that_loses_its_pool_while_it_evicts_rejects_the_rest_and_keeps_the_books() {
+        let (mut cache, full) = lose_a_pool_mid_eviction(8, false);
         // The survivor keeps serving what the eviction left it.
+        let left = cache.mem_used_pages();
         let hits = (0..8)
             .filter(|&i| cache.get(SimTime::ZERO, VmId(2), full, addr(2, i)).is_hit())
             .count() as u64;
-        assert_eq!(hits, kept.mem_pages);
+        assert_eq!(hits, left);
+    }
+
+    #[test]
+    fn a_put_group_that_loses_its_pool_leaves_the_compaction_point_where_the_per_op_check_has_it() {
+        // Large enough that the live pages, not the floor, set the
+        // threshold: the page the group gave back moved it.
+        const PAGES: u64 = 2 * EVICTION_BATCH_PAGES;
+        let (mut cache, full) = lose_a_pool_mid_eviction(PAGES, true);
+        // What the serial engine runs after every stored put, on the
+        // books as the group left them: a put into the full store
+        // evicts a batch (a record a page), then stores.
+        let mut records = cache.journal_records().expect("journaling on");
+        let mut live = cache.mem_used_pages();
+        let before = cache.journal_compactions();
+        for op in 0.. {
+            assert!(op < 16 * PAGES, "the stream never reached the threshold");
+            if live == PAGES {
+                records += EVICTION_BATCH_PAGES;
+                live -= EVICTION_BATCH_PAGES;
+            }
+            (records, live) = (records + 1, live + 1);
+            let due = shard::compaction_due(records, live);
+            let put = cache.put(SimTime::ZERO, VmId(2), full, addr(3, op), PageVersion(1));
+            assert!(put.is_stored(), "op {op}");
+            assert_eq!(cache.mem_used_pages(), live, "op {op}: live pages");
+            assert_eq!(
+                cache.journal_compactions() - before,
+                u64::from(due),
+                "op {op}: {records} records over {live} live pages"
+            );
+            if due {
+                break;
+            }
+            assert_eq!(cache.journal_records(), Some(records), "op {op}: records");
+        }
+        assert_eq!(audit(&cache), vec![]);
     }
 
     #[test]

@@ -153,12 +153,7 @@ pub struct PoolCounters {
 /// pool and snapshot every entity's usage *without* taking the locks
 /// that guard the pools themselves — phase 1 of the two-phase eviction
 /// in `ddc-concurrent` is built on exactly this.
-///
-/// Starts a cache line: every put, hit and eviction of the owning pool
-/// writes it, and two pools' mirrors are two clients' more often than
-/// not.
 #[derive(Debug, Default)]
-#[repr(align(64))]
 pub struct UsageMirror {
     mem: AtomicU64,
     ssd: AtomicU64,
