@@ -357,8 +357,9 @@ type AppendHook = Arc<dyn Fn(u64) + Send + Sync>;
 /// and how often: a client that only reads a line keeps it in its
 /// cache until somebody writes it, so a word every operation reads must
 /// not share a line with a word any operation writes. A new field goes
-/// into the group whose writers it shares, or into a group of its own;
-/// `inner_groups_share_no_cache_line` holds the rest.
+/// into the group whose writers it shares, or into a group of its own
+/// (one no hot path reads: [`Cold`], not the lines every operation
+/// reads); `inner_groups_share_no_cache_line` holds the rest.
 struct Inner {
     ro: ReadMostly,
     put: PutWords,
@@ -2441,9 +2442,9 @@ impl ShardedCache {
         scratch.begin(batch_ops);
         let filters_spills = self.inner.ro.admission.filters_spills();
         let mut next = 0;
-        // A visit that pauses to compact comes back to its shard, as it
-        // always has — after the batch's last hit too, so the lock
-        // visits `results/` counts stay what they were.
+        // A visit that pauses to compact comes back to its shard even
+        // when that was the batch's last hit: the batch counters count
+        // the visit, and `results/` holds them to the byte.
         loop {
             let mut shard = self.visit_shard(si, &mut scratch);
             let Shard { state, journal, .. } = &mut *shard;
