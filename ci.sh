@@ -26,6 +26,8 @@ cargo test --release -q -p ddc-hypercache registry
 echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, memo placements = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, an all-miss get_many under a held shard lock, and the layout itself: no two groups of the shared core, no two shards and no two handles on one cache line (release too: the memo's debug assertion is compiled out there)"
 cargo test --release -q -p ddc-core --test prop_shared_touches
 cargo test --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses an_all_miss_get_many line_aligned share_no_cache_line
+echo "==> Global eviction over the shard front leaves: re-nomination when a front moves between nomination and lock (2 and 4 threads), and one evicted sequence and one journal with the serial engine at 1/4/16 shards with dead fronts between batches"
+cargo test --release -q -p ddc-core --test prop_concurrent_equivalence -- global_eviction_renominates single_threaded_eviction_sequence
 
 echo "==> one wait policy: an eviction batch frees page by page (recording ledger), the Zipf guide table lands on the full search's rank, the backoff is bounded and a poisoned lock still panics (release too: the guide's debug assertion is compiled out there)"
 cargo test --release -q -p ddc-hypercache --lib shard::

@@ -34,6 +34,7 @@ use ddc_core::concurrent::{
 };
 use ddc_core::hypercache::DoubleDeckerCache;
 use ddc_core::prelude::*;
+use ddc_core::storage::{Journal, JournalRecord};
 
 fn config(seed: u64, mode: PartitionMode) -> StressConfig {
     let mut cfg = StressConfig::smoke(seed);
@@ -228,17 +229,106 @@ fn forced_staleness_converges(mode: PartitionMode) {
     );
 }
 
+/// Global mode under 2 and 4 threads, with the eviction hook flushing
+/// every page of the threads' "old" pools between the evictor's
+/// nomination and its shard lock: the nominated shard's front is dead
+/// by the time the evictor holds it, so the global minimum has moved to
+/// another shard and the evictor must nominate again. Every put
+/// returns, no get sees a version its thread did not store last, the
+/// auditor is clean, and the re-nominations are counted.
+#[test]
+fn global_eviction_renominates_when_a_front_moves_between_nomination_and_lock() {
+    use std::collections::BTreeMap;
+    const ROUNDS: u64 = 300;
+    for threads in [2u32, 4] {
+        let config = CacheConfig::mem_only(96).with_mode(PartitionMode::Global);
+        let cache = ShardedCache::new(config, 8);
+        let mut setup = cache.clone();
+        // Thread `t` owns VM `t`: an "old" pool it fills first each
+        // round, and a "new" pool it writes and reads after.
+        let pools: Vec<(VmId, PoolId, PoolId)> = (0..threads)
+            .map(|t| {
+                let vm = VmId(t);
+                setup.add_vm(vm, 100);
+                let old = setup.create_pool(vm, CachePolicy::mem(100));
+                (vm, old, setup.create_pool(vm, CachePolicy::mem(100)))
+            })
+            .collect();
+        let yank: Arc<Mutex<Vec<(VmId, PoolId, BlockAddr)>>> = Arc::default();
+        {
+            let (hook_cache, yank) = (cache.clone(), Arc::clone(&yank));
+            cache.set_eviction_hook(Some(Arc::new(move || {
+                let pages = std::mem::take(&mut *yank.lock().expect("yank lock"));
+                let mut h = hook_cache.clone();
+                for (vm, pool, addr) in pages {
+                    h.flush(vm, pool, addr);
+                }
+            })));
+        }
+
+        std::thread::scope(|scope| {
+            for &(vm, old, new) in &pools {
+                let (mut h, yank) = (cache.clone(), &yank);
+                scope.spawn(move || {
+                    let mut r = SimRng::new(0x6F0 + u64::from(vm.0));
+                    let mut last = BTreeMap::new();
+                    let mut version = 0;
+                    for round in 0..ROUNDS {
+                        for b in 0..16 {
+                            let addr = BlockAddr::new(FileId(1), round * 16 + b);
+                            if h.put(SimTime::ZERO, vm, old, addr, PageVersion(1))
+                                .is_stored()
+                            {
+                                yank.lock().expect("yank lock").push((vm, old, addr));
+                            }
+                        }
+                        for _ in 0..40 {
+                            let addr = BlockAddr::new(FileId(2), r.range_u64(0, 64));
+                            version += 1;
+                            if r.chance(0.25) {
+                                let want = last.remove(&addr);
+                                if let GetOutcome::Hit { version: got, .. } =
+                                    h.get(SimTime::ZERO, vm, new, addr)
+                                {
+                                    assert_eq!(Some(got), want, "{threads} threads: stale hit");
+                                }
+                            } else if h
+                                .put(SimTime::ZERO, vm, new, addr, PageVersion(version))
+                                .is_stored()
+                            {
+                                last.insert(addr, PageVersion(version));
+                            } else {
+                                last.remove(&addr);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        cache.set_eviction_hook(None);
+
+        assert_eq!(audit(&cache), vec![], "{threads} threads");
+        assert!(cache.evictions() > 0, "{threads} threads: nothing evicted");
+        assert!(
+            cache.front_tree_retries() > 0,
+            "{threads} threads: no nomination went stale under the hook"
+        );
+    }
+}
+
 /// One store, three equal-weight VMs, 64 pages (entitlements 22/21/21,
-/// so the shares carry rounding slack): a single-threaded op stream
-/// that keeps the store full must evict the same objects in the same
-/// order, and end with the same residents, on the serial engine and on
-/// the sharded one at every shard count, in every mode. This is the
-/// byte-identity contract seen through the evictor alone: every sharded
-/// eviction here goes through the one pick → lock one shard →
-/// re-validate path. (The walk's largest-user fallbacks stay out of
-/// reach even here: on a full store somebody is always over — see
-/// DESIGN.md §13.3 — so they are pinned in `policy.rs` and
-/// `prop_policy_model` instead.)
+/// so the shares carry rounding slack): a single-threaded, journaled op
+/// stream that keeps the store full, with exclusive hits and flushes
+/// killing entries in place between the eviction batches (dead FIFO
+/// fronts for the Global evictor to pop), must evict the same objects
+/// in the same order, end with the same residents and write the same
+/// journal on the serial engine and on the sharded one at every shard
+/// count, in every mode. This is the byte-identity contract seen
+/// through the evictor alone: every sharded eviction here goes through
+/// the one pick → lock one shard → re-validate path. (The walk's
+/// largest-user fallbacks stay out of reach even here: on a full store
+/// somebody is always over — see DESIGN.md §13.3 — so they are pinned
+/// in `policy.rs` and `prop_policy_model` instead.)
 #[test]
 fn single_threaded_eviction_sequence_matches_serial_on_a_rounding_slack_store() {
     type Entries = Vec<(VmId, PoolId, BlockAddr, PageVersion)>;
@@ -252,22 +342,38 @@ fn single_threaded_eviction_sequence_matches_serial_on_a_rounding_slack_store() 
         let mut before = entries(cache);
         for op in 0..600u64 {
             let (vm, pool) = pools[r.range_usize(0, pools.len())];
-            let addr = BlockAddr::new(FileId(u64::from(vm.0) + 1), op);
-            let put = cache.put(SimTime::from_secs(1), vm, pool, addr, PageVersion(1));
-            let after = entries(cache);
-            let gone: Entries = (before.iter().copied())
-                .filter(|e| !after.contains(e))
-                .collect();
-            if !gone.is_empty() {
-                evicted.push(gone);
+            let file = FileId(u64::from(vm.0) + 1);
+            // An earlier block of the pool: a hit or a flush of it
+            // leaves a dead entry in the FIFO.
+            let earlier = BlockAddr::new(file, r.range_u64(0, op + 1));
+            match r.range_u64(0, 8) {
+                0 => drop(cache.get(SimTime::from_secs(1), vm, pool, earlier)),
+                1 => drop(cache.flush(vm, pool, earlier)),
+                _ => {
+                    let addr = BlockAddr::new(file, op);
+                    let put = cache.put(SimTime::from_secs(1), vm, pool, addr, PageVersion(1));
+                    assert!(
+                        put.is_stored(),
+                        "op {op}: put rejected on a store that can evict"
+                    );
+                    let after = entries(cache);
+                    let gone: Entries = (before.iter().copied())
+                        .filter(|e| !after.contains(e))
+                        .collect();
+                    if !gone.is_empty() {
+                        evicted.push(gone);
+                    }
+                }
             }
-            assert!(
-                put.is_stored(),
-                "op {op}: put rejected on a store that can evict"
-            );
-            before = after;
+            before = entries(cache);
         }
         (evicted, before)
+    }
+
+    fn merged_records(segments: &[Vec<u8>]) -> Vec<(u64, JournalRecord)> {
+        let mut merged: Vec<_> = segments.iter().flat_map(|s| Journal::replay(s).0).collect();
+        merged.sort_unstable_by_key(|&(gen, _)| gen);
+        merged
     }
 
     for mode in [
@@ -277,6 +383,7 @@ fn single_threaded_eviction_sequence_matches_serial_on_a_rounding_slack_store() 
     ] {
         let config = CacheConfig::mem_only(64).with_mode(mode);
         let mut serial = DoubleDeckerCache::new(config);
+        serial.enable_journal();
         let mut pools = Vec::new();
         for v in 0..3 {
             serial.add_vm(VmId(v), 100);
@@ -284,12 +391,14 @@ fn single_threaded_eviction_sequence_matches_serial_on_a_rounding_slack_store() 
         }
         let (want_evicted, want_entries) = drive(&mut serial, &pools, |c| c.entries());
         assert!(
-            want_evicted.len() > 3,
+            want_evicted.len() >= 3,
             "{mode:?}: the stream must keep the evictor busy"
         );
+        let image = serial.journal_bytes().expect("journaling on").to_vec();
 
         for shards in [1, 4, 16] {
             let mut sharded = ShardedCache::new(config, shards);
+            sharded.enable_journal();
             for v in 0..3 {
                 sharded.add_vm(VmId(v), 100);
                 let pool = sharded.create_pool(VmId(v), CachePolicy::mem(100));
@@ -298,12 +407,26 @@ fn single_threaded_eviction_sequence_matches_serial_on_a_rounding_slack_store() 
             let (evicted, entries) = drive(&mut sharded, &pools, |c| c.entries());
             assert_eq!(evicted, want_evicted, "{mode:?}/{shards}: evicted sequence");
             assert_eq!(entries, want_entries, "{mode:?}/{shards}: final residents");
+            let segments = sharded.journal_images().expect("journaling on");
+            if shards == 1 {
+                assert!(segments[0] == image, "{mode:?}: segment ≠ serial journal");
+            }
+            assert!(
+                merged_records(&segments) == Journal::replay(&image).0,
+                "{mode:?}/{shards}: merged records differ from the serial journal"
+            );
             assert!(audit(&sharded).is_empty(), "{mode:?}/{shards}: auditor");
             assert_eq!(
                 sharded.two_phase_retries() + sharded.two_phase_fallbacks(),
                 0,
                 "{mode:?}/{shards}: a single-threaded pick must re-validate clean"
             );
+            assert_eq!(sharded.front_tree_fallbacks(), 0, "{mode:?}/{shards}");
+            if mode == PartitionMode::Global && shards > 1 {
+                // A dead front popped under its shard's lock moved the
+                // global minimum to another shard.
+                assert!(sharded.front_tree_retries() > 0, "{shards}: no repair");
+            }
         }
     }
 }
