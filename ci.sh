@@ -26,7 +26,8 @@ cargo test --release -q -p ddc-hypercache registry
 echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, memo placements = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, an all-miss get_many under a held shard lock, and the layout itself: no two groups of the shared core, no two shards and no two handles on one cache line (release too: the memo's debug assertion is compiled out there)"
 cargo test --release -q -p ddc-core --test prop_shared_touches
 cargo test --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses an_all_miss_get_many line_aligned share_no_cache_line
-echo "==> Global eviction over the shard front leaves: re-nomination when a front moves between nomination and lock (2 and 4 threads), and one evicted sequence and one journal with the serial engine at 1/4/16 shards with dead fronts between batches"
+echo "==> Global eviction over the shard front leaves: re-nomination when a front moves between nomination and lock (2 and 4 threads), one evicted sequence and one journal with the serial engine at 1/4/16 shards with dead fronts between batches, and the auditor catching a leaf that drifted from its FIFO"
+cargo test --release -q -p ddc-concurrent --lib -- a_front_leaf_that_drifted
 cargo test --release -q -p ddc-core --test prop_concurrent_equivalence -- global_eviction_renominates single_threaded_eviction_sequence
 
 echo "==> one wait policy: an eviction batch frees page by page (recording ledger), the Zipf guide table lands on the full search's rank, the backoff is bounded and a poisoned lock still panics (release too: the guide's debug assertion is compiled out there)"
@@ -130,8 +131,9 @@ cargo test -q -p ddc-core --test prop_wear_admission
 
 # Optional race-detector smoke: opt in with DDC_TSAN=1. Needs a nightly
 # toolchain (-Zsanitizer); tier-1 above never depends on it, so CI stays
-# green on stable-only machines. Runs the seqlock/replica/tournament and
-# group-commit race tests of ddc-concurrent under ThreadSanitizer.
+# green on stable-only machines. Runs the seqlock and group-commit race
+# tests of ddc-concurrent, and Global eviction's front-leaf race test, under
+# ThreadSanitizer.
 if [ "${DDC_TSAN:-0}" = "1" ]; then
     if rustup run nightly rustc --version >/dev/null 2>&1; then
         echo "==> TSan smoke (nightly, ddc-concurrent race tests)"
@@ -140,6 +142,11 @@ if [ "${DDC_TSAN:-0}" = "1" ]; then
             -Z build-std --target "$(rustc -vV | sed -n 's/^host: //p')" \
             --target-dir target/tsan \
             -- seqlock racing read_heavy commit 2>/dev/null \
+            && RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
+            rustup run nightly cargo test -q -p ddc-core --test prop_concurrent_equivalence \
+            -Z build-std --target "$(rustc -vV | sed -n 's/^host: //p')" \
+            --target-dir target/tsan \
+            -- global_eviction_renominates 2>/dev/null \
             || echo "TSan smoke unavailable (missing rust-src or build-std); skipping"
     else
         echo "DDC_TSAN=1 set but no nightly toolchain; skipping TSan smoke"

@@ -740,7 +740,6 @@ fn stress_plane(args: &Args) -> bool {
         "commit epoch",
         "compactions",
         "lockfree",
-        "replica",
         "batched",
     ]);
     for (journal, c) in report.scaling.iter().map(|c| (c.journal, &c.out)) {
@@ -755,7 +754,6 @@ fn stress_plane(args: &Args) -> bool {
             c.commit_epoch.to_string(),
             c.journal_compactions.to_string(),
             c.lockfree_misses.to_string(),
-            c.replica_hits.to_string(),
             c.batched_ops.to_string(),
         ]);
     }

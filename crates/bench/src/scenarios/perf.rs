@@ -61,7 +61,7 @@ macro_rules! cells {
 }
 
 /// The matrix, in report order.
-pub const CELLS: [Cell; 21] = cells![
+pub const CELLS: [Cell; 20] = cells![
     dd_put_get_mix: 400_000 => ["hits", "evictions"],
     global_fifo_churn: 400_000 => ["evictions", "flushes"],
     strict_partition_churn: 200_000 => ["evictions"],
@@ -77,7 +77,6 @@ pub const CELLS: [Cell; 21] = cells![
     channel_unbatched_mix: 2_000_000 => ["hypercalls"],
     arena_slot_churn: 400_000 => ["flushes"],
     stress_read_heavy: 500 => ["lockfree_misses"],
-    stress_hot_blocks: 500 => ["replica_hits"],
     stress_eviction_storm: 500 => ["evictions"],
     stress_standard: 500 => ["hits", "stores"],
     stress_standard_journaled: 500 => ["commit_epoch", "journal_records"],
@@ -635,7 +634,6 @@ fn stress_work(cfg: StressConfig, ticks: u64) -> Json {
     o.set("mem_pages", plane.mem_used_pages());
     o.set("ssd_pages", plane.ssd_used_pages());
     o.set("lockfree_misses", out.lockfree_misses);
-    o.set("replica_hits", out.replica_hits);
     o.set("seqlock_retries", out.seqlock_retries);
     o.set("two_phase_retries", out.two_phase_retries);
     o.set("two_phase_fallbacks", out.two_phase_fallbacks);
@@ -653,16 +651,10 @@ fn stress_work(cfg: StressConfig, ticks: u64) -> Json {
 }
 
 /// 95/5 get/put: in an exclusive cache's steady state nearly every get
-/// is a definitive miss, answered by the per-shard seqlock table or a
-/// per-handle hot replica without touching a lock.
+/// is a definitive miss, answered by the per-shard seqlock table
+/// without touching a lock.
 fn stress_read_heavy(ticks: u64) -> Json {
     stress_work(StressConfig::read_heavy(0x9EAD), ticks)
-}
-
-/// The read-heavy mix against an 8-block working set: the same few keys
-/// over and over, the case the hot-miss replica short-circuits.
-fn stress_hot_blocks(ticks: u64) -> Json {
-    stress_work(StressConfig::hot_blocks(0x407B), ticks)
 }
 
 /// A put storm against an undersized store: nearly every put runs the

@@ -173,7 +173,6 @@ impl StressReport {
                 o.set("commit_epoch", out.commit_epoch);
                 o.set("journal_compactions", out.journal_compactions);
                 o.set("lockfree_misses", out.lockfree_misses);
-                o.set("replica_hits", out.replica_hits);
                 o.set("batched_ops", out.batched_ops);
                 o.set("batch_lock_acquisitions", out.batch_lock_acquisitions);
                 o.set("batch_journal_appends", out.batch_journal_appends);

@@ -30,8 +30,7 @@
 //!    (normalized shares, paper §4.2), computed from a fresh share
 //!    table over the locked usage. **Memo accuracy** — the auditing
 //!    handle's share memo, where it is filled and still valid by its
-//!    own rule, equals that fresh table (the share-table twin of the
-//!    hot-replica check in 8).
+//!    own rule, equals that fresh table.
 //! 6. **Mirror accuracy** — each pool's atomic usage mirror (the
 //!    lock-free snapshot source for two-phase eviction) equals the
 //!    pool's exact usage under lock-all quiescence. A drift here means
@@ -56,15 +55,17 @@
 //!    latched its overflow flag, its membership equals the exact union
 //!    of live `(vm, pool, addr)` keys homed on the shard (a missing key
 //!    is a wrong lock-free miss — the one lie the design must never
-//!    tell); every still-valid hot-replica entry on the auditing handle
-//!    is genuinely absent from its home shard; and — in Global mode,
-//!    the only mode that maintains or consults them — each tournament
-//!    tree's leaves equal their shards' FIFO front sequences with the
-//!    stored root agreeing with a from-scratch recomputation.
+//!    tell). **Front leaves** (`front-tree`) — in Global mode, the only
+//!    mode that maintains or reads them, each store's leaf for a shard
+//!    holds the sequence stamp of that shard's raw FIFO front (live or
+//!    dead), or the empty marker for an empty FIFO: a wrong leaf sends
+//!    Global eviction to the wrong shard.
 //!
 //! Arena-shape invariants (free-list disjoint from the live set, every
 //! live slot covered by exactly one FIFO entry or tombstone) ride along
 //! via [`ddc_hypercache::audit_pool_slice`] in step 3.
+
+use std::sync::atomic::Ordering;
 
 use ddc_cleancache::{PoolId, VmId};
 use ddc_hypercache::index::{Placement, Pool};
@@ -74,8 +75,7 @@ use ddc_hypercache::{
 };
 use ddc_storage::{BlockAddr, Journal, RemoteBinding};
 
-use crate::fronts::EMPTY_FRONT;
-use crate::sharded::ShardedCache;
+use crate::sharded::{ShardedCache, EMPTY_FRONT};
 
 fn placements() -> [Placement; 2] {
     [Placement::Mem, Placement::Ssd]
@@ -391,47 +391,18 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             }
         }
 
-        // 8b. Hot replicas (this handle's): an entry whose stamp still
-        // matches the home plane must describe a genuinely absent key.
-        for h in cache.local_hot() {
-            let si = cache.shard_of(h.vm, h.pool);
-            if cache.read_plane(si).seq() != h.stamp {
-                continue; // stale entry, will be discarded on next probe
-            }
-            let present = shards[si]
-                .state
-                .pools
-                .get(&(h.vm, h.pool))
-                .is_some_and(|p| p.peek(h.addr).is_some());
-            if present {
-                findings.push(AuditFinding {
-                    invariant: "hot-replica",
-                    detail: format!(
-                        "{} {} {:?} is cached as a valid miss but the home shard \
-                         holds it",
-                        h.vm, h.pool, h.addr
-                    ),
-                });
-            }
-        }
-
-        // 8c. Tournament trees: leaves mirror the raw FIFO fronts (dead
-        // or live), and the stored root is the recomputed minimum.
-        // Global mode only — the other modes never consult the tree and
-        // skip its maintenance, so their leaves are legitimately stale.
+        // 8b. Front leaves: each mirrors its shard's raw FIFO front (dead
+        // or live). Global mode only — the other modes never read the
+        // leaves and skip their maintenance, so theirs are legitimately
+        // stale.
         for placement in placements()
             .into_iter()
             .filter(|_| matches!(cache.mode(), ddc_hypercache::PartitionMode::Global))
         {
-            let tree = cache.front_tree(placement);
-            for (si, shard) in shards.iter().enumerate() {
-                let want = shard
-                    .state
-                    .fifo(placement)
-                    .front()
-                    .map(|&(_, _, _, seq)| seq)
-                    .unwrap_or(EMPTY_FRONT);
-                let got = tree.leaf(si);
+            let leaves = cache.front_leaves(placement);
+            for ((si, shard), leaf) in shards.iter().enumerate().zip(leaves) {
+                let want = shard.state.front_seq(placement).unwrap_or(EMPTY_FRONT);
+                let got = leaf.load(Ordering::Acquire);
                 if got != want {
                     findings.push(AuditFinding {
                         invariant: "front-tree",
@@ -443,17 +414,6 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
                     });
                 }
             }
-            if tree.winner() != tree.recompute_winner() {
-                findings.push(AuditFinding {
-                    invariant: "front-tree",
-                    detail: format!(
-                        "{} tree root nominates {:?} but the leaves say {:?}",
-                        store_name(placement),
-                        tree.winner(),
-                        tree.recompute_winner()
-                    ),
-                });
-            }
         }
 
         findings
@@ -464,7 +424,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
 mod tests {
     use super::*;
     use ddc_cleancache::{CachePolicy, PageVersion, SecondChanceCache};
-    use ddc_hypercache::CacheConfig;
+    use ddc_hypercache::{CacheConfig, PartitionMode};
     use ddc_sim::SimTime;
     use ddc_storage::{FileId, JournalRecord};
 
@@ -514,6 +474,42 @@ mod tests {
             assert_eq!(audit(&cache), vec![]);
         }
         assert_eq!(cache.pool_stats(VmId(1), a).unwrap().entitlement_pages, 16);
+    }
+
+    #[test]
+    fn a_front_leaf_that_drifted_from_its_fifo_is_detected_in_global_mode() {
+        for mode in [PartitionMode::Global, PartitionMode::DoubleDecker] {
+            let config = CacheConfig::mem_and_ssd(64, 64).with_mode(mode);
+            let mut cache = ShardedCache::new(config, 4);
+            cache.add_vm(VmId(1), 100);
+            let pool = cache.create_pool(VmId(1), CachePolicy::mem(100));
+            let si = cache.shard_of(VmId(1), pool);
+            for block in 0..8 {
+                let addr = BlockAddr::new(FileId(1), block);
+                cache.put(SimTime::ZERO, VmId(1), pool, addr, PageVersion(1));
+            }
+            assert_eq!(audit(&cache), vec![], "{mode:?}");
+            // An occupied leaf that points past its front, and an empty
+            // shard's leaf that claims a front.
+            let empty = (si + 1) % cache.shard_count();
+            cache.skew_front_leaf(si, Placement::Mem, 1 << 40);
+            cache.skew_front_leaf(empty, Placement::Ssd, 1);
+            let found = findings_of(&cache, "front-tree");
+            if mode == PartitionMode::Global {
+                assert_eq!(found.len(), 2, "{found:?}");
+                assert!(
+                    found[0].starts_with(&format!("shard {si} mem")),
+                    "{found:?}"
+                );
+                assert!(
+                    found[1].starts_with(&format!("shard {empty} ssd")),
+                    "{found:?}"
+                );
+            } else {
+                // Nothing reads the leaves outside Global mode.
+                assert_eq!(found, Vec::<String>::new());
+            }
+        }
     }
 
     #[test]

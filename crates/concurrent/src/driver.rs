@@ -215,17 +215,6 @@ impl StressConfig {
         }
     }
 
-    /// The read-heavy mix squeezed onto a tiny working set: every
-    /// thread hammers the same handful of blocks, so the same keys are
-    /// looked up over and over — the case the per-handle hot-miss
-    /// replicas short-circuit. Used by the `stress_hot_blocks` work cell.
-    pub fn hot_blocks(seed: u64) -> StressConfig {
-        StressConfig {
-            working_set: 8,
-            ..StressConfig::read_heavy(seed)
-        }
-    }
-
     /// The full stress configuration used by `repro stress`.
     pub fn standard(seed: u64) -> StressConfig {
         StressConfig {
@@ -778,17 +767,14 @@ pub struct StressOutcome {
     /// Lookups answered with no lock at all, summed over every thread's
     /// handle (diagnostic, DESIGN.md §15).
     pub lockfree_misses: u64,
-    /// Of those, lookups served straight from a per-handle hot-miss
-    /// replica without probing the seqlock table (diagnostic).
-    pub replica_hits: u64,
     /// Torn-snapshot retries across every shard's read plane
     /// (diagnostic).
     pub seqlock_retries: u64,
-    /// Tree-guided Global evictions that re-ran the tournament after
-    /// locking a stale winner (diagnostic).
+    /// Global evictions that locked a shard no longer holding the
+    /// smallest front and nominated again (diagnostic).
     pub front_tree_retries: u64,
-    /// Tree-guided Global evictions that exhausted their retry budget
-    /// and ended the batch short (diagnostic).
+    /// Global evictions that exhausted their nomination budget and
+    /// ended the batch short (diagnostic).
     pub front_tree_fallbacks: u64,
     /// Aggregate remote fetch counters across every binding (all zero
     /// when the run had no remote attached).
@@ -861,7 +847,7 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
 
     let ticks = cfg.ticks;
     let started = std::time::Instant::now();
-    type Joined = (Vec<VmWorker>, (u64, u64), Vec<RemoteCounters>);
+    type Joined = (Vec<VmWorker>, u64, Vec<RemoteCounters>);
     let joined: Vec<Joined> = std::thread::scope(|scope| {
         let handles: Vec<_> = hands
             .into_iter()
@@ -885,10 +871,10 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
                             backend.commit_tick();
                         }
                     }
-                    // The hot-miss replica dies with this thread's
-                    // handle; salvage its counters for the outcome.
-                    let local = backend.local_read_stats();
-                    (hand, local, marks)
+                    // The lock-free miss count dies with this thread's
+                    // handle; salvage it for the outcome.
+                    let (lockfree_misses, _) = backend.local_read_stats();
+                    (hand, lockfree_misses, marks)
                 })
             })
             .collect();
@@ -902,9 +888,8 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
     let mut total_ops = 0;
     let mut stale_reads = 0;
     let mut lockfree_misses = 0;
-    let mut replica_hits = 0;
     let (mut hypercalls, mut hits, mut stores) = (0, 0, 0);
-    for (hand, (lf, rh), _) in &joined {
+    for (hand, lf, _) in &joined {
         for w in hand {
             total_ops += w.ops;
             stale_reads += w.stale_reads;
@@ -914,7 +899,6 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
             stores += c.put_stores;
         }
         lockfree_misses += lf;
-        replica_hits += rh;
     }
     let remote = cache.remote_totals();
     // A run of fewer than three ticks takes fewer than two marks, all
@@ -934,7 +918,6 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
         commit_epoch: cache.commit_epoch(),
         journal_compactions: cache.journal_compactions(),
         lockfree_misses,
-        replica_hits,
         seqlock_retries: cache.seqlock_retries(),
         front_tree_retries: cache.front_tree_retries(),
         front_tree_fallbacks: cache.front_tree_fallbacks(),
@@ -1259,13 +1242,15 @@ mod tests {
         let sharded = run_equivalence(&cfg, EngineKind::Sharded { shards: 16 });
         assert_eq!(serial.json, sharded.json);
         // ...and under threads it must actually serve misses without a
-        // lock, including straight from the hot-miss replicas on the
-        // tiny-working-set variant.
-        let out = run_stress(&StressConfig::hot_blocks(5), 4);
+        // lock, on a working set small enough that every thread asks
+        // for the same few blocks.
+        let tiny = StressConfig {
+            working_set: 8,
+            ..cfg
+        };
+        let out = run_stress(&tiny, 4);
         assert!(out.clean(), "{:?}", out.findings);
         assert!(out.lockfree_misses > 0, "read plane never served a miss");
-        assert!(out.replica_hits > 0, "hot replicas never hit");
-        assert!(out.replica_hits <= out.lockfree_misses);
     }
 
     #[test]

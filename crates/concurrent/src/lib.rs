@@ -10,10 +10,9 @@
 //!   unchanged), plus per-shard journal segments with group commit and
 //!   [`ShardedCache::recover`] warm restart (DESIGN.md §14). Reads are
 //!   lock-free: definitive misses are answered by a per-shard seqlock
-//!   membership table plus per-handle hot replicas (DESIGN.md §15).
-//! * [`fronts`] — the tournament tree over per-shard FIFO front
-//!   sequences that lets Global-mode eviction find its victim without
-//!   locking every shard.
+//!   membership table (DESIGN.md §15). Global-mode eviction finds its
+//!   victim by scanning one front leaf per shard and locks only the
+//!   shard it nominates.
 //! * [`driver`] — a multi-threaded VM driver: each guest runs its
 //!   hypercall stream on its own OS thread against the shared cache,
 //!   with a seeded deterministic-equivalence mode (single-threaded
@@ -34,7 +33,6 @@
 pub mod audit;
 mod backoff;
 pub mod driver;
-pub mod fronts;
 pub mod sharded;
 
 pub use audit::audit;

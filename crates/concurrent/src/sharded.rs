@@ -31,10 +31,11 @@
 //!   re-validate the pick against a fresh snapshot, and retry if it
 //!   went stale; once the retry budget is spent the evictor takes its
 //!   current pick unvalidated, so progress is always guaranteed. Global
-//!   mode runs a tournament over the per-shard FIFO fronts
-//!   ([`crate::fronts`]) and locks only the nominated shard. A batch
+//!   mode scans one atomic leaf per shard — the sequence stamp of its
+//!   FIFO front — for the smallest, and locks only that shard. A batch
 //!   that frees nothing rejects the put.
-//! * **Lock order** — `registry` before any shard; shards in ascending
+//! * **Lock order** — the evictor gate above all (taken with no other
+//!   lock held); then `registry` before any shard; shards in ascending
 //!   index; never acquire a lower-index (or the registry) lock while
 //!   holding a higher one. Get, put, flush, eviction and `pool_stats`
 //!   take only one pool's home shard (hybrid-store and strict-mode
@@ -44,8 +45,8 @@
 //!   consistent cut (`entries`, the auditor, wear and remote totals,
 //!   journal images and durable lengths), journal installation and
 //!   checkpoint rewrites (`enable_journal`, live compaction, the end of
-//!   `recover`), and `recover`'s tournament-tree re-sync. None of them
-//!   is reachable from a put's eviction loop.
+//!   `recover`), and `recover`'s front-leaf re-sync. None of them is
+//!   reachable from a put's eviction loop.
 //!
 //! # Determinism contract
 //!
@@ -119,7 +120,9 @@ use ddc_storage::{
 };
 
 use crate::backoff::{self, Backoff};
-use crate::fronts::{FrontTree, EMPTY_FRONT};
+
+/// A front leaf whose shard's FIFO (for that store) is empty.
+pub(crate) const EMPTY_FRONT: u64 = u64::MAX;
 
 /// Global page accounting for one store: capacity and used pages shared
 /// by every shard. `try_alloc` is a CAS loop, so concurrent puts can
@@ -485,10 +488,11 @@ struct StatCounters {
     /// Weighted evictions that spent their retry budget and evicted
     /// from their current pick without re-validating it.
     two_phase_fallbacks: AtomicU64,
-    /// Tree-guided evictions that locked the nominated shard and found
-    /// the root stale (front changed or died) and re-ran the tournament.
+    /// Global evictions that locked the nominated shard, found that it
+    /// no longer holds the smallest front (its front died or moved) and
+    /// nominated again.
     front_tree_retries: AtomicU64,
-    /// Tree-guided evictions that spent their retry budget and ended
+    /// Global evictions that spent their nomination budget and ended
     /// the batch short.
     front_tree_fallbacks: AtomicU64,
     /// Checkpoint rewrites performed by live compaction.
@@ -526,8 +530,8 @@ struct EvictorGate {
     gate: Mutex<()>,
 }
 
-/// Everything else: the test hooks, the Global-mode tournament trees
-/// and the remote registry.
+/// Everything else: the test hooks, the Global-mode front leaves and
+/// the remote registry.
 #[repr(align(64))]
 struct Cold {
     /// Test hook run between phases 1 and 2 with **no** locks held;
@@ -544,11 +548,12 @@ struct Cold {
     /// seqlock's first load and the table walk); tests use it to mutate
     /// membership mid-read and force torn-snapshot retries.
     read_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
-    /// Tournament trees over per-shard FIFO front sequences, one per
-    /// store — Global-mode eviction reads the root instead of locking
-    /// every shard (see [`crate::fronts`]).
-    fronts_mem: FrontTree,
-    fronts_ssd: FrontTree,
+    /// Global mode's front leaves, one array per store (indexed by
+    /// [`Placement::idx`]): leaf `s` holds the sequence stamp of shard
+    /// `s`'s FIFO front, live or lazily dead, or [`EMPTY_FRONT`] — the
+    /// shard with the smallest is the one Global eviction locks
+    /// ([`ShardedCache::publish_front`]).
+    front_leaves: [Box<[AtomicU64]>; 2],
     /// Registered remote chunk stores (bindings live per shard).
     remote_registry: Mutex<RemoteRegistry>,
 }
@@ -560,14 +565,14 @@ struct Cold {
 /// its own clone. The [`SecondChanceCache`] impl takes `&mut self` only
 /// to satisfy the (object-safe) trait; all synchronization is internal.
 /// Each clone additionally carries what only it writes — a route cache,
-/// a small hot-miss cache, a share memo and a compaction budget, every
-/// one on cache lines of its own, so two handles side by side in a
-/// `Vec` share none — which is why `Clone` is manual: the shared `Arc`
-/// is cloned, the rest starts empty.
+/// its diagnostics and scratch, a share memo and a compaction budget,
+/// every one on cache lines of its own, so two handles side by side in
+/// a `Vec` share none — which is why `Clone` is manual: the shared
+/// `Arc` is cloned, the rest starts empty.
 pub struct ShardedCache {
     inner: Arc<Inner>,
     routes: RouteCache,
-    reads: ReadReplica,
+    local: HandleLocal,
     /// Memoized two-level share tables (§4.2 recomputes on
     /// configuration change, not per operation).
     entitlements: ShareMemoLine,
@@ -582,11 +587,6 @@ impl Clone for ShardedCache {
         ShardedCache::handle(Arc::clone(&self.inner))
     }
 }
-
-/// Hot-miss cache slots per handle (direct-mapped). Small on purpose:
-/// the point is to keep the handful of ultra-hot blocks a guest polls
-/// from even touching the shard's seqlock table.
-const HOT_SLOTS: usize = 64;
 
 /// A route-cache entry: the pool's policy and usage mirror, or `None`
 /// caching "no such pool".
@@ -616,20 +616,6 @@ impl GroupScratch {
             ..BatchCounters::default()
         });
     }
-}
-
-/// One cached *negative* lookup: `(vm, pool, addr)` was absent from its
-/// home shard when the shard's membership version was `stamp`. Exclusive
-/// caches can only replicate misses — a hit consumes its entry, so a
-/// positive replica would be stale the moment it was served. The entry
-/// is valid while the home shard's [`ReadPlane::seq`] still equals
-/// `stamp`; any membership change on the shard silently invalidates it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct HotEntry {
-    pub(crate) vm: VmId,
-    pub(crate) pool: PoolId,
-    pub(crate) addr: BlockAddr,
-    pub(crate) stamp: u64,
 }
 
 /// The handle's registry route cache. Never shared — no locks, no
@@ -670,46 +656,16 @@ impl RouteCache {
     }
 }
 
-/// The handle's read-side replica and what else only its own calls
-/// write: the hot-miss cache, the diagnostics and the reusable scratch.
+/// What else only the handle's own calls write: its diagnostics and
+/// the reusable scratch.
+#[derive(Default)]
 #[repr(align(64))]
-struct ReadReplica {
-    /// Direct-mapped negative cache, indexed by key hash.
-    hot: Vec<Option<HotEntry>>,
+struct HandleLocal {
     /// Lookups this handle answered without any lock (diagnostic).
     lockfree_misses: u64,
-    /// Of those, lookups answered from `hot` without probing the plane.
-    replica_hits: u64,
     /// Reusable [`GroupScratch`], kept on the handle so a steady
     /// workload allocates its record buffer once.
     scratch: GroupScratch,
-}
-
-impl ReadReplica {
-    fn new() -> ReadReplica {
-        ReadReplica {
-            hot: vec![None; HOT_SLOTS],
-            lockfree_misses: 0,
-            replica_hits: 0,
-            scratch: GroupScratch::default(),
-        }
-    }
-
-    /// Direct-mapped slot for a key (same mixing constants as
-    /// [`ShardedCache::shard_of`], different rotation).
-    fn hot_slot(vm: VmId, pool: PoolId, addr: BlockAddr) -> usize {
-        let mut h = (vm.0 as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(17)
-            ^ (pool.0 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        h ^= addr
-            .file
-            .0
-            .wrapping_mul(0x2545_F491_4F6C_DD1D)
-            .rotate_left(43);
-        h ^= addr.block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize % HOT_SLOTS
-    }
 }
 
 /// The handle's share memo. The mutex is handle-local and therefore
@@ -887,8 +843,8 @@ impl ShardedCache {
                 #[cfg(test)]
                 append_hook: RwLock::new(None),
                 read_hook: RwLock::new(None),
-                fronts_mem: FrontTree::new(n),
-                fronts_ssd: FrontTree::new(n),
+                front_leaves: [(); 2]
+                    .map(|_| (0..n).map(|_| AtomicU64::new(EMPTY_FRONT)).collect()),
                 remote_registry: Mutex::new(RemoteRegistry::new()),
             },
         }))
@@ -899,7 +855,7 @@ impl ShardedCache {
         ShardedCache {
             inner,
             routes: RouteCache::default(),
-            reads: ReadReplica::new(),
+            local: HandleLocal::default(),
             entitlements: ShareMemoLine::default(),
             budget: CompactionBudget::new(),
         }
@@ -1128,20 +1084,22 @@ impl ShardedCache {
             .count() as u64
     }
 
-    /// This handle's read-side diagnostics:
-    /// `(lockfree_misses, replica_hits)` — lookups answered with no lock
-    /// at all, and the subset served straight from the hot-miss cache.
+    /// This handle's read-side diagnostics: lookups it answered with no
+    /// lock at all, and a second element that is always 0 (it counted a
+    /// per-handle cache of misses that is gone; kept only because the
+    /// frozen `benchmark/` crate reads the pair, like
+    /// [`Self::reservation_retries`]).
     pub fn local_read_stats(&self) -> (u64, u64) {
-        (self.reads.lockfree_misses, self.reads.replica_hits)
+        (self.local.lockfree_misses, 0)
     }
 
-    /// Tree-guided Global evictions that re-ran the tournament after
-    /// locking a stale winner.
+    /// Global evictions that locked their nominated shard, found it no
+    /// longer held the smallest front and nominated again.
     pub fn front_tree_retries(&self) -> u64 {
         self.inner.stats.front_tree_retries.load(Ordering::Relaxed)
     }
 
-    /// Tree-guided Global evictions that spent their retry budget and
+    /// Global evictions that spent their nomination budget and
     /// returned what they had freed.
     pub fn front_tree_fallbacks(&self) -> u64 {
         self.inner
@@ -1212,12 +1170,9 @@ impl ShardedCache {
         &self.inner.ro.read_planes[si]
     }
 
-    /// The tournament tree for one store (auditor use).
-    pub(crate) fn front_tree(&self, placement: Placement) -> &FrontTree {
-        match placement {
-            Placement::Mem => &self.inner.cold.fronts_mem,
-            Placement::Ssd => &self.inner.cold.fronts_ssd,
-        }
+    /// The front leaves of one store, one per shard (auditor use).
+    pub(crate) fn front_leaves(&self, placement: Placement) -> &[AtomicU64] {
+        &self.inner.cold.front_leaves[placement.idx()]
     }
 
     /// This handle's memoized share table for one store, if it is filled
@@ -1230,32 +1185,28 @@ impl ShardedCache {
             .cloned()
     }
 
-    /// This handle's live hot-miss entries (auditor use).
-    pub(crate) fn local_hot(&self) -> impl Iterator<Item = &HotEntry> + '_ {
-        self.reads.hot.iter().flatten()
-    }
-
-    /// Republishes shard `si`'s FIFO front for one store into the
-    /// tournament tree. Call under the shard's lock after any operation
-    /// that changed the queue's *head tuple* (push into an empty queue,
+    /// Republishes shard `si`'s FIFO front for one store into its front
+    /// leaf. Call under the shard's lock after any operation that
+    /// changed the queue's *head tuple* (push into an empty queue,
     /// front pop, compaction, wholesale clear) — operations that merely
     /// kill an entry in place leave the head tuple intact and need no
-    /// sync (the evictor skips dead fronts under the winner's lock).
+    /// sync (the evictor pops dead fronts under the nominated shard's
+    /// lock).
     ///
-    /// Only Global mode ever *reads* the tree (its eviction runs the
-    /// tournament), so the other modes skip maintenance entirely —
-    /// each front pop would otherwise take the tree's propagate mutex,
-    /// a per-evicted-page tax on eviction paths that never consult it.
+    /// Only Global mode ever *reads* the leaves (its eviction scans
+    /// them), so the other modes skip maintenance entirely.
     fn sync_front(&self, si: usize, shard: &Shard, placement: Placement) {
         self.publish_front(si, placement, shard.state.front_seq(placement));
     }
 
     /// [`Self::sync_front`] for a caller that holds the front's stamp
-    /// itself (a [`shard::PoolVisit`] in progress).
+    /// itself (a [`shard::PoolVisit`] in progress). A release store
+    /// under the shard's lock: the leaf can only go stale through
+    /// another holder of that lock, who publishes in turn.
     fn publish_front(&self, si: usize, placement: Placement, front_seq: Option<u64>) {
         if self.inner.ro.mode == PartitionMode::Global {
             let seq = front_seq.unwrap_or(EMPTY_FRONT);
-            self.front_tree(placement).set_leaf(si, seq);
+            self.front_leaves(placement)[si].store(seq, Ordering::Release);
         }
     }
 
@@ -1728,8 +1679,8 @@ impl ShardedCache {
             .journal_gen
             .store(log.next_gen, Ordering::Relaxed);
 
-        // Replay left the tournament tree alone: make the invariant
-        // (leaf == front entry seq) hold before anything reads it.
+        // Replay left the front leaves alone: make the invariant (leaf
+        // == front entry seq) hold before anything reads them.
         for (si, shard) in cache.lock_all_shards().iter().enumerate() {
             cache.sync_front(si, shard, Placement::Mem);
             cache.sync_front(si, shard, Placement::Ssd);
@@ -1760,8 +1711,8 @@ impl ShardedCache {
     /// Applies one replayed record: a control record through
     /// [`Self::control`], everything that touches pools through the
     /// shard transitions on the pool's home shard. The journals are
-    /// still `None`, so nothing re-logs; the tournament tree is
-    /// re-synced wholesale once replay is over. `false` for a dropped
+    /// still `None`, so nothing re-logs; the front leaves are re-synced
+    /// wholesale once replay is over. `false` for a dropped
     /// `Put`.
     fn apply_record(&self, gen: u64, rec: &JournalRecord) -> bool {
         match *rec {
@@ -2036,14 +1987,15 @@ impl ShardedCache {
     /// pick someone else, or the locked pool turned out empty) retries;
     /// once [`Self::TWO_PHASE_MAX_RETRIES`] are spent the evictor
     /// takes its current pick as is, so it can never loop without
-    /// progress. Global mode runs the front-sequence tournament.
+    /// progress. Global mode nominates from the front leaves
+    /// ([`Self::evict_batch_global`]).
     ///
     /// Driven single-threaded the mirrors equal the locked usage, so the
     /// first snapshot re-validates unchanged and the victim (and every
     /// evicted object) matches the serial engine exactly.
     fn evict_batch(&self, placement: Placement) -> u64 {
         if self.inner.ro.mode == PartitionMode::Global {
-            return self.evict_batch_global_tree(placement);
+            return self.evict_batch_global(placement);
         }
         let mut retries_left = Self::TWO_PHASE_MAX_RETRIES;
         loop {
@@ -2093,40 +2045,47 @@ impl ShardedCache {
         }
     }
 
-    /// Winner re-validations before a tree-guided eviction gives up on
-    /// chasing a moving front and returns what it has freed. Generous:
-    /// a retry only happens when another thread changed a front between
-    /// the root read and the shard lock.
+    /// Stale nominations before a Global eviction gives up on chasing a
+    /// moving front and returns what it has freed. Generous: a retry
+    /// only happens when a front died in place or another thread moved
+    /// one between the scan and the shard lock.
     const FRONT_TREE_MAX_ATTEMPTS: u32 = 64;
 
-    /// Global-mode eviction guided by the tournament tree: read the
-    /// root, lock only the nominated shard, re-validate, evict while it
-    /// stays the global minimum. The per-shard FIFOs are pushed in
-    /// strictly increasing seq order, so taking the minimal live front
-    /// each time reconstructs the exact store-wide FIFO order. The tree
-    /// may nominate a shard whose front is lazily dead or already
-    /// stale — popping dead fronts and re-running the tournament under
-    /// that one shard's lock repairs it. Driven single-threaded the
-    /// first nomination re-validates exactly (dead-front repair
-    /// included), so Global-mode determinism against the serial engine
-    /// holds.
-    fn evict_batch_global_tree(&self, placement: Placement) -> u64 {
-        let tree = self.front_tree(placement);
+    /// The shard whose front leaf holds the smallest sequence stamp, or
+    /// `None` when every leaf is empty. Stamps are unique, so there is
+    /// one such shard.
+    fn nominate(leaves: &[AtomicU64]) -> Option<usize> {
+        let seqs = leaves.iter().map(|leaf| leaf.load(Ordering::Acquire));
+        let (si, seq) = seqs.enumerate().min_by_key(|&(_, seq)| seq)?;
+        (seq != EMPTY_FRONT).then_some(si)
+    }
+
+    /// Global-mode eviction: scan the front leaves, lock only the
+    /// nominated shard, re-validate, evict while it stays the global
+    /// minimum. The per-shard FIFOs are pushed in strictly increasing
+    /// seq order, so taking the minimal live front each time
+    /// reconstructs the exact store-wide FIFO order. The scan may
+    /// nominate a shard whose front is lazily dead or already stale —
+    /// popping dead fronts and scanning again under that one shard's
+    /// lock repairs it. Driven single-threaded the first nomination
+    /// re-validates exactly (dead-front repair included), so
+    /// Global-mode determinism against the serial engine holds.
+    fn evict_batch_global(&self, placement: Placement) -> u64 {
+        let leaves = self.front_leaves(placement);
         let mut freed = 0;
         let mut stale_nominations = 0u32;
-        'tournament: while freed < EVICTION_BATCH_PAGES {
-            let Some(leaf) = tree.winner() else {
+        'nominate: while freed < EVICTION_BATCH_PAGES {
+            let Some(si) = Self::nominate(leaves) else {
                 break;
             };
             // No locks held: the same blind spot as between the phases
             // of the weighted evictor.
             self.run_eviction_hook();
-            let mut shard = self.lock_shard(leaf);
-            // Repair a lazily-dead front under the lock, then re-run
-            // the tournament: the leaf may no longer be the global
-            // minimum.
-            self.pop_dead_fronts(leaf, &mut shard, placement);
-            if tree.winner() != Some(leaf) {
+            let mut shard = self.lock_shard(si);
+            // Repair a lazily-dead front under the lock, then scan
+            // again: the shard may no longer hold the global minimum.
+            self.pop_dead_fronts(si, &mut shard, placement);
+            if Self::nominate(leaves) != Some(si) {
                 // Fruitless nomination (dead-front repair, or another
                 // thread moved the front). Each repair fixes its leaf
                 // for good, so single-threaded this is bounded by the
@@ -2147,19 +2106,19 @@ impl ShardedCache {
                 }
                 continue;
             }
-            // The leaf is the (live) global minimum and we hold its
-            // shard: evict from it for as long as that stays true.
+            // The shard's front is the (live) global minimum and we hold
+            // the shard: evict from it for as long as that stays true.
             while freed < EVICTION_BATCH_PAGES {
                 let evicted = shard.state.evict_front(&mut self.ledgers(), placement);
                 let Some((vm, pool_id, addr)) = evicted else {
-                    continue 'tournament;
+                    continue 'nominate;
                 };
                 self.inner.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                self.log_in(leaf, &mut shard, shard::evict_record(vm, pool_id, addr));
+                self.log_in(si, &mut shard, shard::evict_record(vm, pool_id, addr));
                 freed += 1;
-                self.pop_dead_fronts(leaf, &mut shard, placement);
-                if tree.winner() != Some(leaf) {
-                    continue 'tournament;
+                self.pop_dead_fronts(si, &mut shard, placement);
+                if Self::nominate(leaves) != Some(si) {
+                    continue 'nominate;
                 }
             }
         }
@@ -2357,48 +2316,21 @@ impl ShardedCache {
     // ------------------------------------------------------------------
 
     /// Whether `addr` is *definitively absent* from its home shard
-    /// (DESIGN.md §15), answered without a lock: first by the handle's
-    /// hot-miss replica, then by the shard's seqlock membership table.
-    /// Exclusive semantics mean a hit must mutate, so only the miss —
-    /// the steady-state common case of a read-heavy exclusive cache —
-    /// can be served without the shard lock. `false` means probable hit
-    /// or degraded plane: take the lock and answer authoritatively (the
-    /// locked path re-decides from scratch). The caller counts the miss
-    /// against the pool's mirror, one by one or a batch at a time.
-    ///
-    /// A definitive miss is cached in the replica; `replace` is whether
-    /// it may take the slot of another key's negative. The scalar get's
-    /// may (a guest's get → migrate → get asks for one block twice in a
-    /// row); a batch's may not, so a batch over a working set the
-    /// replica cannot hold stops writing slots once they are taken (one
-    /// replica hit in six hundred misses did not pay for a slot written
-    /// per miss), while a handful of blocks polled in batches still
-    /// lives there.
+    /// (DESIGN.md §15), answered without a lock by the shard's seqlock
+    /// membership table. Exclusive semantics mean a hit must mutate, so
+    /// only the miss — the steady-state common case of a read-heavy
+    /// exclusive cache — can be served without the shard lock. `false`
+    /// means probable hit or degraded plane: take the lock and answer
+    /// authoritatively (the locked path re-decides from scratch). The
+    /// caller counts the miss against the pool's mirror, one by one or
+    /// a batch at a time.
     ///
     /// Not for remote-bound pools: "absent from the shard" stops being
     /// a definitive miss once the remote tier can still serve the
     /// block, and the binding (whose fault-tolerance state the lookup
     /// mutates) lives under the shard lock anyway.
-    fn probe_miss(
-        reads: &mut ReadReplica,
-        inner: &Inner,
-        si: usize,
-        (vm, pool, addr): (VmId, PoolId, BlockAddr),
-        replace: bool,
-    ) -> bool {
-        let plane = &inner.ro.read_planes[si];
-        let slot = ReadReplica::hot_slot(vm, pool, addr);
-        let mut mine = true;
-        if let Some(h) = reads.hot[slot] {
-            mine = h.vm == vm && h.pool == pool && h.addr == addr;
-            if mine && plane.seq() == h.stamp {
-                // The home shard's membership has not changed since
-                // this negative was cached: still definitively absent.
-                reads.replica_hits += 1;
-                return true;
-            }
-        }
-        let probe = plane.lookup(vm, pool, addr, || {
+    fn probe_miss(inner: &Inner, si: usize, (vm, pool, addr): (VmId, PoolId, BlockAddr)) -> bool {
+        let probe = inner.ro.read_planes[si].lookup(vm, pool, addr, || {
             if inner.ro.hooks_on.load(Ordering::Relaxed) {
                 let hook = inner.cold.read_hook.read().expect("hook poisoned").clone();
                 if let Some(hook) = hook {
@@ -2406,20 +2338,7 @@ impl ShardedCache {
                 }
             }
         });
-        match probe {
-            ReadProbe::Absent { stamp } => {
-                if mine || replace {
-                    reads.hot[slot] = Some(HotEntry {
-                        vm,
-                        pool,
-                        addr,
-                        stamp,
-                    });
-                }
-                true
-            }
-            ReadProbe::Present | ReadProbe::Unavailable => false,
-        }
+        probe == ReadProbe::Absent
     }
 
     /// Applies the gets the read plane could not answer. `locked` holds
@@ -2438,7 +2357,7 @@ impl ShardedCache {
         out: &mut [GetOutcome],
         batch_ops: Option<usize>,
     ) {
-        let mut scratch = std::mem::take(&mut self.reads.scratch);
+        let mut scratch = std::mem::take(&mut self.local.scratch);
         scratch.begin(batch_ops);
         let filters_spills = self.inner.ro.admission.filters_spills();
         let mut next = 0;
@@ -2484,7 +2403,7 @@ impl ShardedCache {
             }
             self.maybe_compact_journal();
         }
-        self.reads.scratch = scratch;
+        self.local.scratch = scratch;
     }
 
     /// The put group: one home-shard visit for the whole group in the
@@ -2518,7 +2437,7 @@ impl ShardedCache {
             }
         };
         let si = self.shard_of(vm, pool);
-        let mut scratch = std::mem::take(&mut self.reads.scratch);
+        let mut scratch = std::mem::take(&mut self.local.scratch);
         scratch.begin(batched.then_some(pages.len()));
         let mut next = 0;
         // A page of this store, taken for `pages[next]` by the eviction
@@ -2608,7 +2527,7 @@ impl ShardedCache {
                 }
             }
         }
-        self.reads.scratch = scratch;
+        self.local.scratch = scratch;
     }
 
     /// What a finished [`PoolVisit`] left to do on its (locked) shard:
@@ -2637,7 +2556,7 @@ impl ShardedCache {
     /// engine.
     fn flush_group(&mut self, vm: VmId, pool: PoolId, addrs: &[BlockAddr], batched: bool) -> u64 {
         let si = self.shard_of(vm, pool);
-        let mut scratch = std::mem::take(&mut self.reads.scratch);
+        let mut scratch = std::mem::take(&mut self.local.scratch);
         scratch.begin(batched.then_some(addrs.len()));
         let mut shard = self.visit_shard(si, &mut scratch);
         let Shard { state, journal, .. } = &mut *shard;
@@ -2665,7 +2584,7 @@ impl ShardedCache {
             scratch.records.extend(records);
         }
         let epoch = self.leave_shard(si, shard, &mut scratch);
-        self.reads.scratch = scratch;
+        self.local.scratch = scratch;
         epoch
     }
 
@@ -2881,11 +2800,9 @@ impl SecondChanceCache for ShardedCache {
         let Some((_, mirror)) = self.routes.resolve(&self.inner, vm, pool) else {
             return GetOutcome::Miss;
         };
-        if !mirror.remote_bound()
-            && Self::probe_miss(&mut self.reads, &self.inner, si, (vm, pool, addr), true)
-        {
+        if !mirror.remote_bound() && Self::probe_miss(&self.inner, si, (vm, pool, addr)) {
             mirror.note_gets(1);
-            self.reads.lockfree_misses += 1;
+            self.local.lockfree_misses += 1;
             return GetOutcome::Miss;
         }
         let mut out = [GetOutcome::Miss];
@@ -2941,20 +2858,18 @@ impl SecondChanceCache for ShardedCache {
         // Gets never add membership, so an earlier op in the batch
         // cannot invalidate a later op's lock-free miss.
         let bypass = mirror.remote_bound();
-        let (reads, inner) = (&mut self.reads, &*self.inner);
+        let inner = &*self.inner;
         let locked: Vec<(usize, BlockAddr)> = addrs
             .iter()
             .copied()
             .enumerate()
-            .filter(|&(_, addr)| {
-                bypass || !Self::probe_miss(reads, inner, si, (vm, pool, addr), false)
-            })
+            .filter(|&(_, addr)| bypass || !Self::probe_miss(inner, si, (vm, pool, addr)))
             .collect();
         // The batch's misses against the pool in one add.
         let misses = (addrs.len() - locked.len()) as u64;
         if misses > 0 {
             mirror.note_gets(misses);
-            reads.lockfree_misses += misses;
+            self.local.lockfree_misses += misses;
         }
         if locked.is_empty() {
             // No shard visit to count the batch under.
@@ -3026,6 +2941,13 @@ mod tests {
             );
             *self.entitlements.memo.lock().expect("memo poisoned") = ShareMemo::default();
             self.with_share_memo(&other, placement, |_| ());
+        }
+
+        /// Overwrites shard `si`'s front leaf for one store with `seq`
+        /// behind the shard's back, so tests can show the auditor
+        /// notices.
+        pub(crate) fn skew_front_leaf(&self, si: usize, placement: Placement, seq: u64) {
+            self.front_leaves(placement)[si].store(seq, Ordering::Release);
         }
     }
 
@@ -3263,13 +3185,13 @@ mod tests {
         assert_eq!(align_of::<CommitCell>(), 64);
         assert_eq!(size_of::<CommitCell>() % 64, 0);
         // Two handles side by side (a `Vec` of them) share no line, and
-        // inside one the route cache, the read replica, the share memo
-        // and the compaction budget each start a line.
+        // inside one the route cache, the diagnostics and scratch, the
+        // share memo and the compaction budget each start a line.
         assert_eq!(align_of::<ShardedCache>(), 64);
         assert_eq!(size_of::<ShardedCache>() % 64, 0);
         let handle_lines = [
             std::mem::offset_of!(ShardedCache, routes),
-            std::mem::offset_of!(ShardedCache, reads),
+            std::mem::offset_of!(ShardedCache, local),
             std::mem::offset_of!(ShardedCache, entitlements),
             std::mem::offset_of!(ShardedCache, budget),
         ];
@@ -3908,14 +3830,14 @@ mod tests {
             scope.spawn(move || {
                 let out = h.get_many(SimTime::ZERO, VmId(1), p, absent);
                 done_tx
-                    .send((out, h.local_read_stats()))
+                    .send((out, h.local.lockfree_misses))
                     .expect("test alive");
             });
             let answered = done_rx.recv_timeout(std::time::Duration::from_secs(20));
             drop(held);
             answered
         });
-        let (out, (lockfree_misses, _)) = answered.expect("the batch waited for the shard lock");
+        let (out, lockfree_misses) = answered.expect("the batch waited for the shard lock");
         assert_eq!(out, vec![GetOutcome::Miss; 32]);
         assert_eq!(lockfree_misses, 32);
         assert_eq!(cache.batch_lock_acquisitions(), locks_before);

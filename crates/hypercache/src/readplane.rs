@@ -36,13 +36,8 @@
 //! the table, load the word again; any change means the snapshot may be
 //! torn and the probe retries. After a bounded number of retries the
 //! caller falls back to the locked path, so writer storms can delay but
-//! never starve a reader.
-//!
-//! The sequence word doubles as the shard's membership version: it
-//! advances on every membership change, so a cached absent-answer
-//! stamped with the word is valid for exactly as long as the word holds
-//! still. The per-thread hot-replica caches in `ddc-concurrent` are
-//! built on that reading.
+//! never starve a reader. An answer is good for the moment of its
+//! snapshot only: nothing caches it.
 //!
 //! # Exactness and overflow
 //!
@@ -95,13 +90,8 @@ pub enum ReadProbe {
     /// The key is live on this shard; the caller must take the shard
     /// lock to consume it (exclusive-cache hits mutate).
     Present,
-    /// The key is definitively absent, as of the consistent snapshot
-    /// identified by `stamp` (the sequence word both loads agreed on).
-    Absent {
-        /// Sequence word of the validated snapshot; the answer stays
-        /// correct for exactly as long as [`ReadPlane::seq`] equals it.
-        stamp: u64,
-    },
+    /// The key is definitively absent, as of a consistent snapshot.
+    Absent,
     /// No consistent lock-free answer (table overflowed, retry budget
     /// spent, or the key is outside the packable id range); take the
     /// locked path.
@@ -183,8 +173,7 @@ impl ReadPlane {
         }
     }
 
-    /// The current sequence word (even at rest). Doubles as the shard's
-    /// membership version for replica invalidation.
+    /// The current sequence word (even at rest; auditor use).
     pub fn seq(&self) -> u64 {
         self.seq.load(Ordering::Acquire)
     }
@@ -406,7 +395,7 @@ impl ReadPlane {
             return if found {
                 ReadProbe::Present
             } else {
-                ReadProbe::Absent { stamp: s1 }
+                ReadProbe::Absent
             };
         }
         ReadProbe::Unavailable
@@ -450,25 +439,13 @@ mod tests {
     #[test]
     fn publish_erase_roundtrip() {
         let p = ReadPlane::with_capacity(16);
-        assert!(matches!(
-            probe(&p, 1, 2, addr(3, 4)),
-            ReadProbe::Absent { .. }
-        ));
+        assert_eq!(probe(&p, 1, 2, addr(3, 4)), ReadProbe::Absent);
         p.publish(VmId(1), PoolId(2), addr(3, 4));
         assert_eq!(probe(&p, 1, 2, addr(3, 4)), ReadProbe::Present);
-        assert!(matches!(
-            probe(&p, 1, 2, addr(3, 5)),
-            ReadProbe::Absent { .. }
-        ));
-        assert!(matches!(
-            probe(&p, 1, 3, addr(3, 4)),
-            ReadProbe::Absent { .. }
-        ));
+        assert_eq!(probe(&p, 1, 2, addr(3, 5)), ReadProbe::Absent);
+        assert_eq!(probe(&p, 1, 3, addr(3, 4)), ReadProbe::Absent);
         p.erase(VmId(1), PoolId(2), addr(3, 4));
-        assert!(matches!(
-            probe(&p, 1, 2, addr(3, 4)),
-            ReadProbe::Absent { .. }
-        ));
+        assert_eq!(probe(&p, 1, 2, addr(3, 4)), ReadProbe::Absent);
         assert_eq!(p.live_len(), 0);
     }
 
@@ -490,17 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn absent_stamp_validates_membership_version() {
-        let p = ReadPlane::with_capacity(16);
-        let ReadProbe::Absent { stamp } = probe(&p, 1, 1, addr(9, 9)) else {
-            panic!("expected absent");
-        };
-        assert_eq!(p.seq(), stamp);
-        p.publish(VmId(1), PoolId(1), addr(9, 9));
-        assert_ne!(p.seq(), stamp, "publish must invalidate the stamp");
-    }
-
-    #[test]
     fn erase_pool_sweeps_only_that_pool() {
         let p = ReadPlane::with_capacity(16);
         for b in 0..8 {
@@ -510,10 +476,7 @@ mod tests {
         assert_eq!(p.live_len(), 16);
         p.erase_pool(VmId(1), PoolId(1));
         assert_eq!(p.live_len(), 8);
-        assert!(matches!(
-            probe(&p, 1, 1, addr(0, 3)),
-            ReadProbe::Absent { .. }
-        ));
+        assert_eq!(probe(&p, 1, 1, addr(0, 3)), ReadProbe::Absent);
         assert_eq!(probe(&p, 1, 2, addr(0, 3)), ReadProbe::Present);
     }
 

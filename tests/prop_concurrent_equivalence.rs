@@ -18,11 +18,12 @@
 //!    re-validation, in every partition mode — there is one eviction
 //!    path) is used to force every pick stale; the path must detect
 //!    it, retry within its bound, and never oversubscribe the ledger
-//!    or wedge a put.
+//!    or wedge a put — in Global mode under several threads too, where
+//!    the hook moves the nominated shard's front before it is locked.
 //! 4. **Lock-free read plane** (DESIGN.md §15) — the 95/5 read-heavy
-//!    mix routes misses through the seqlock membership tables and hot
-//!    replicas instead of the shard locks; that path must preserve the
-//!    same byte-identity and interleaving-stability contracts, while
+//!    mix routes misses through the seqlock membership tables instead
+//!    of the shard locks; that path must preserve the same
+//!    byte-identity and interleaving-stability contracts, while
 //!    demonstrably carrying load (the lock-free counters are non-zero).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -433,8 +434,8 @@ fn single_threaded_eviction_sequence_matches_serial_on_a_rounding_slack_store() 
 
 /// The read-heavy mix (the lock-free read plane's target workload) must
 /// uphold the same byte-identity contract as the standard mix: routing
-/// misses through the seqlock tables and hot replicas instead of the
-/// shard locks is a locking strategy, not a semantic change. Checked
+/// misses through the seqlock tables instead of the shard locks is a
+/// locking strategy, not a semantic change. Checked
 /// across every partition mode and shard count, journaled and not.
 #[test]
 fn read_heavy_mix_is_byte_identical_to_serial_across_modes() {
@@ -464,16 +465,20 @@ fn read_heavy_mix_is_byte_identical_to_serial_across_modes() {
     }
 }
 
-/// Interleaving stability on the read plane's target mix: repeated
-/// multi-threaded runs stay clean (no stale reads, no auditor findings,
-/// stable op counts) while the lock-free path demonstrably carries load
-/// and the hot replicas demonstrably short-circuit repeat misses.
+/// Interleaving stability on the read plane's target mix, squeezed onto
+/// an 8-block working set so every thread asks for the same few keys:
+/// repeated multi-threaded runs stay clean (no stale reads, no auditor
+/// findings, stable op counts) while the lock-free path demonstrably
+/// carries load.
 #[test]
 fn read_heavy_interleavings_stay_clean_and_serve_lock_free() {
     for seed in [9, 0x9EAD] {
         let mut expected_ops = None;
         for threads in [2, 4, 8] {
-            let cfg = StressConfig::hot_blocks(seed);
+            let cfg = StressConfig {
+                working_set: 8,
+                ..StressConfig::read_heavy(seed)
+            };
             let out = run_stress(&cfg, threads);
             assert_eq!(out.stale_reads, 0, "stale reads: seed {seed}, {threads}t");
             assert!(
@@ -489,10 +494,6 @@ fn read_heavy_interleavings_stay_clean_and_serve_lock_free() {
             assert!(
                 out.lockfree_misses > 0,
                 "read plane idle on its target mix (seed {seed}, {threads} threads)"
-            );
-            assert!(
-                out.replica_hits <= out.lockfree_misses,
-                "replica hits are a subset of lock-free lookups"
             );
         }
     }
