@@ -1085,10 +1085,9 @@ impl ShardedCache {
     }
 
     /// This handle's read-side diagnostics: lookups it answered with no
-    /// lock at all, and a second element that is always 0 (it counted a
-    /// per-handle cache of misses that is gone; kept only because the
-    /// frozen `benchmark/` crate reads the pair, like
-    /// [`Self::reservation_retries`]).
+    /// lock at all, and 0. The second element is kept only because the
+    /// frozen `benchmark/` crate reads the pair; it goes with the next
+    /// change to that crate, like [`Self::reservation_retries`].
     pub fn local_read_stats(&self) -> (u64, u64) {
         (self.local.lockfree_misses, 0)
     }
@@ -2049,7 +2048,7 @@ impl ShardedCache {
     /// moving front and returns what it has freed. Generous: a retry
     /// only happens when a front died in place or another thread moved
     /// one between the scan and the shard lock.
-    const FRONT_TREE_MAX_ATTEMPTS: u32 = 64;
+    const MAX_STALE_NOMINATIONS: u32 = 64;
 
     /// The shard whose front leaf holds the smallest sequence stamp, or
     /// `None` when every leaf is empty. Stamps are unique, so there is
@@ -2097,7 +2096,7 @@ impl ShardedCache {
                     .front_tree_retries
                     .fetch_add(1, Ordering::Relaxed);
                 stale_nominations += 1;
-                if stale_nominations > Self::FRONT_TREE_MAX_ATTEMPTS {
+                if stale_nominations > Self::MAX_STALE_NOMINATIONS {
                     self.inner
                         .stats
                         .front_tree_fallbacks

@@ -36,8 +36,7 @@
 //! the table, load the word again; any change means the snapshot may be
 //! torn and the probe retries. After a bounded number of retries the
 //! caller falls back to the locked path, so writer storms can delay but
-//! never starve a reader. An answer is good for the moment of its
-//! snapshot only: nothing caches it.
+//! never starve a reader.
 //!
 //! # Exactness and overflow
 //!
