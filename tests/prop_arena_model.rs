@@ -11,8 +11,12 @@
 //! the file chains partition the live set. A third test churns a full
 //! `DoubleDeckerCache` in Global mode (overwrite + flush heavy, working
 //! set over capacity) so global-FIFO tombstone compaction runs repeatedly
-//! over recycled `SlotId`s, with the serial auditor as the oracle. (Seeded SimRng
-//! schedules — the in-tree replacement for proptest.)
+//! over recycled `SlotId`s, with the serial auditor as the oracle. A
+//! fourth drives one pool through tombstone-heavy schedules (removals
+//! outnumber evictions twenty to one and more) against a model that
+//! replays the free-list, so the eviction order and the id of every
+//! insert are pinned while the pool's own FIFOs fill with dead entries.
+//! (Seeded SimRng schedules — the in-tree replacement for proptest.)
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -247,6 +251,189 @@ fn arena_matches_naive_map_model_under_random_sequences() {
             check_against_model(&pool, &model);
         }
     }
+}
+
+/// The model of [`tombstone_heavy_schedules_keep_fifo_order_and_slot_ids`]:
+/// the live set with each block's `SlotId`, and the slab's free-list
+/// replayed (a stack, released in the order the pool releases), so it
+/// names the id every insert must receive.
+#[derive(Default)]
+struct SlabModel {
+    live: BTreeMap<BlockAddr, (SlotId, ModelSlot)>,
+    free: Vec<SlotId>,
+    arena_len: u32,
+}
+
+impl SlabModel {
+    /// The id the insert of `addr` must return: the key's own if it is
+    /// resident, else the top of the free-list, else a new cell.
+    fn insert(&mut self, addr: BlockAddr, slot: ModelSlot) -> SlotId {
+        let id = match self.live.get(&addr) {
+            Some(&(id, _)) => id,
+            None => self.free.pop().unwrap_or_else(|| {
+                self.arena_len += 1;
+                SlotId(self.arena_len - 1)
+            }),
+        };
+        self.live.insert(addr, (id, slot));
+        id
+    }
+
+    fn release(&mut self, addr: BlockAddr) -> Option<ModelSlot> {
+        let (id, slot) = self.live.remove(&addr)?;
+        self.free.push(id);
+        Some(slot)
+    }
+
+    /// One store's live entries in eviction order: by sequence stamp.
+    fn queue(&self, placement: Placement) -> Vec<(SlotId, u64)> {
+        let mut queue: Vec<_> = self
+            .live
+            .values()
+            .filter(|(_, s)| s.placement == placement)
+            .map(|&(id, s)| (id, s.seq))
+            .collect();
+        queue.sort_unstable_by_key(|&(_, seq)| seq);
+        queue
+    }
+}
+
+/// How often the schedule below reaches the point at which a FIFO that
+/// drops dead entries must drop them: a push leaves at least 1,024
+/// entries, and the dead ones outnumber the live ones. Counted on a
+/// queue of the model's own (every push, pops from the front, a retain
+/// of the live entries at that point), so it measures the schedule, not
+/// the pool.
+#[derive(Default)]
+struct CompactionPoints {
+    queues: [std::collections::VecDeque<(SlotId, u64)>; 2],
+    reached: u64,
+}
+
+impl CompactionPoints {
+    fn push(&mut self, model: &SlabModel, placement: Placement, entry: (SlotId, u64)) {
+        let queue = &mut self.queues[placement.idx()];
+        queue.push_back(entry);
+        let live = model.queue(placement);
+        if queue.len() >= 1024 && queue.len() > 2 * live.len() {
+            self.reached += 1;
+            queue.retain(|e| live.contains(e));
+        }
+    }
+
+    fn pop(&mut self, placement: Placement, popped: (SlotId, u64)) {
+        let queue = &mut self.queues[placement.idx()];
+        while queue.pop_front().is_some_and(|e| e != popped) {}
+    }
+}
+
+/// Tombstone-heavy schedules: exclusive takes, flushes and overwrites
+/// outnumber FIFO pops (one op in a thousand) by hundreds to one, so a
+/// pool's queues fill
+/// with dead entries far faster than eviction consumes them, and pass
+/// "1,024 entries, dead outnumber live" again and again. Every op is
+/// held against [`SlabModel`]: a pop returns the oldest live block of
+/// its store, an insert receives the predicted `SlotId`, the free-list
+/// (which names the ids of the next inserts) is the model's, and each
+/// queue's live entries are the model's live set in sequence order.
+#[test]
+fn tombstone_heavy_schedules_keep_fifo_order_and_slot_ids() {
+    let mut rng = SimRng::new(0x70B5);
+    let (mut removals, mut pops, mut points) = (0u64, 0u64, 0u64);
+    for case in 0..5 {
+        let mut r = rng.fork(case);
+        let mut pool = Pool::new(VmId(1), CachePolicy::hybrid(100));
+        let mut model = SlabModel::default();
+        let mut compaction = CompactionPoints::default();
+        for seq in 1..=10_000u64 {
+            let addr = BlockAddr::new(FileId(r.range_u64(1, 5)), r.range_u64(0, 96));
+            // Four puts in five go to memory: its queue turns over fastest.
+            let placement = if r.chance(0.8) {
+                Placement::Mem
+            } else {
+                Placement::Ssd
+            };
+            let what = format!("case {case} op {seq}");
+            match r.range_u64(0, 1_000) {
+                // Put: a new key, or an overwrite that kills its entry.
+                0..=479 => {
+                    removals += u64::from(model.live.contains_key(&addr));
+                    let version = r.range_u64(1, 8);
+                    let slot = ModelSlot {
+                        placement,
+                        version,
+                        seq,
+                    };
+                    let want = model.insert(addr, slot);
+                    let (got, _) = pool.insert(addr, placement, PageVersion(version), seq);
+                    assert_eq!(got, want, "{what}: insert landed in another slot");
+                    compaction.push(&model, placement, (got, seq));
+                }
+                // Exclusive take of a resident block.
+                480..=729 => {
+                    if model.live.is_empty() {
+                        continue;
+                    }
+                    let nth = r.range_usize(0, model.live.len());
+                    let addr = *model.live.keys().nth(nth).expect("in range");
+                    removals += 1;
+                    let got = pool.remove(addr).map(|s| (s.placement, s.version.0, s.seq));
+                    let want = model.release(addr).map(|s| (s.placement, s.version, s.seq));
+                    assert_eq!(got, want, "{what}: take");
+                }
+                // Flush: a block that may or may not be resident.
+                730..=998 => {
+                    let got = pool.remove(addr).map(|s| s.seq);
+                    let want = model.release(addr).map(|s| s.seq);
+                    removals += u64::from(want.is_some());
+                    assert_eq!(got, want, "{what}: flush");
+                }
+                // Evict: the oldest live entry of one store, four in
+                // five from the SSD, so the memory queue runs long.
+                _ => {
+                    let placement = if r.chance(0.2) {
+                        Placement::Mem
+                    } else {
+                        Placement::Ssd
+                    };
+                    pops += 1;
+                    let want = model.queue(placement).first().copied();
+                    let got = pool.pop_oldest(placement);
+                    assert_eq!(got.map(|(_, s)| s.seq), want.map(|w| w.1), "{what}: pop");
+                    if let (Some((addr, _)), Some(popped)) = (got, want) {
+                        model.release(addr).expect("popped block was live");
+                        compaction.pop(placement, popped);
+                    }
+                }
+            }
+            assert!(
+                pool.free_ids().eq(model.free.iter().copied()),
+                "{what}: the free-list (the next inserts' ids) diverged"
+            );
+            for placement in [Placement::Mem, Placement::Ssd] {
+                let live = pool
+                    .fifo_entries(placement)
+                    .filter(|&(id, seq)| pool.fifo_probe(id, seq, placement).is_some());
+                assert!(
+                    live.eq(model.queue(placement)),
+                    "{what}: {placement:?} FIFO order diverged"
+                );
+            }
+            if seq % 1_000 == 0 {
+                let findings = audit_pool_slice(&[(VmId(1), PoolId(0), &pool)], u64::MAX);
+                assert!(findings.is_empty(), "{what}: {findings:?}");
+            }
+        }
+        points += compaction.reached;
+    }
+    assert!(
+        removals >= 20 * pops,
+        "{removals} removals against {pops} pops: not tombstone-heavy"
+    );
+    assert!(
+        points >= 10,
+        "the queues reached a compaction point {points} times"
+    );
 }
 
 /// Heavy id recycling: fill, drain, refill many times over a small key
