@@ -18,13 +18,11 @@
 //! 3. **Pool coherence** — index coherence, FIFO coverage and order,
 //!    the exclusive-cache property and sequence monotonicity, via
 //!    [`ddc_hypercache::audit_pool_slice`] over the flattened pools.
-//! 4. **Shard-FIFO tombstones** — per shard and store, the dead-entry
-//!    count in the eviction FIFO must not exceed the shard's tombstone
-//!    counter. (The counter may legitimately over-count: trickled-down
-//!    objects carry no FIFO entry, so their later removal bumps the
-//!    counter without creating a tombstone — same slack as the serial
-//!    engine. Over-counting only makes compaction more eager; an
-//!    *under*-count would starve it, so that direction is flagged.)
+//! 4. **Shard-FIFO tombstones** — in Global mode, the one mode whose
+//!    shards keep Global FIFOs, per shard and store the dead-entry count
+//!    in the Global FIFO equals the shard's tombstone counter, as on the
+//!    serial engine (an under-count would starve compaction, an
+//!    over-count means a removal was counted twice).
 //! 5. **Entitlement sums** — per store, VM entitlements sum to at most
 //!    capacity and pool entitlements to at most the VM share
 //!    (normalized shares, paper §4.2), computed from a fresh share
@@ -154,18 +152,20 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             .collect();
         findings.extend(audit_pool_slice(&flat, next_seq));
 
-        // 4. Shard-FIFO tombstones: dead entries must not outnumber the
-        // counter (see the module docs for why over-counting is benign).
+        // 4. Shard-FIFO tombstones, where the shard keeps Global FIFOs.
         for (si, shard) in shards.iter().enumerate() {
+            let Some(global) = shard.state.global_fifos() else {
+                continue;
+            };
             for placement in placements() {
                 let dead = shard.state.dead_fifo_entries(placement);
-                let stale = shard.state.stale(placement);
-                if dead > stale {
+                let stale = global.stale(placement);
+                if dead != stale {
                     findings.push(AuditFinding {
                         invariant: "shard-fifo-tombstones",
                         detail: format!(
                             "shard {si} {} FIFO has {dead} dead entries but the \
-                             tombstone counter says {stale} (compaction would starve)",
+                             tombstone counter says {stale} (compaction is skewed)",
                             store_name(placement)
                         ),
                     });
@@ -391,17 +391,17 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             }
         }
 
-        // 8b. Front leaves: each mirrors its shard's raw FIFO front (dead
-        // or live). Global mode only — the other modes never read the
-        // leaves and skip their maintenance, so theirs are legitimately
-        // stale.
-        for placement in placements()
-            .into_iter()
-            .filter(|_| matches!(cache.mode(), ddc_hypercache::PartitionMode::Global))
-        {
+        // 8b. Front leaves: each mirrors its shard's raw Global FIFO
+        // front (dead or live). Only shards that keep Global FIFOs have
+        // fronts — the other modes never read the leaves and skip their
+        // maintenance, so theirs are legitimately stale.
+        for placement in placements() {
             let leaves = cache.front_leaves(placement);
             for ((si, shard), leaf) in shards.iter().enumerate().zip(leaves) {
-                let want = shard.state.front_seq(placement).unwrap_or(EMPTY_FRONT);
+                let Some(global) = shard.state.global_fifos() else {
+                    continue;
+                };
+                let want = global.front_seq(placement).unwrap_or(EMPTY_FRONT);
                 let got = leaf.load(Ordering::Acquire);
                 if got != want {
                     findings.push(AuditFinding {

@@ -18,9 +18,10 @@
 //!    queue for its placement with a matching sequence stamp (lazy
 //!    deletion leaves dead entries behind, never drops live ones), and
 //!    live queue sequences are strictly increasing.
-//! 4. **Global-FIFO tombstones** — each global queue's tombstone counter
-//!    equals the number of dead entries actually in the queue (the
-//!    compaction trigger depends on it).
+//! 4. **Global-FIFO tombstones** — in Global mode, the one mode that
+//!    keeps Global FIFOs, each queue's tombstone counter equals the
+//!    number of dead entries actually in it (the compaction trigger
+//!    depends on it).
 //! 5. **Entitlement consistency** — per store, VM entitlements sum to at
 //!    most the store capacity, and each VM's pool entitlements sum to at
 //!    most the VM's entitlement (weights are normalized shares, paper
@@ -34,7 +35,8 @@
 //!    the same VM (each guest file belongs to one container; duplicates
 //!    would mean a migrate/put path leaked a copy).
 //! 7. **Quarantine emptiness** — a quarantined SSD tier holds no pages
-//!    anywhere (store counter, pools, global FIFO).
+//!    anywhere (store counter, pools, and in Global mode the Global SSD
+//!    FIFO).
 //! 8. **Sequence monotonicity** — the next-sequence allocator is above
 //!    every live slot's stamp (a stale allocator would break FIFO order
 //!    and lazy-deletion liveness checks).
@@ -571,11 +573,14 @@ fn pool_coherence(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>) {
     findings.extend(audit_pool_slice(&pools, cache.next_seq));
 }
 
-/// Invariant 4: the global queues' tombstone counters match the actual
+/// Invariant 4: the Global queues' tombstone counters match the actual
 /// dead-entry counts.
 fn global_fifo_tombstones(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>) {
+    let Some(global) = cache.state.global_fifos() else {
+        return;
+    };
     for placement in placements() {
-        let stale = cache.state.stale(placement);
+        let stale = global.stale(placement);
         let name = store_name(placement);
         let dead = cache.state.dead_fifo_entries(placement);
         if dead != stale {
@@ -640,12 +645,13 @@ fn quarantine_emptiness(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFindi
             });
         }
     }
-    if !cache.state.fifo(Placement::Ssd).is_empty() {
+    let global_ssd = cache.state.global_fifos().map(|g| g.fifo(Placement::Ssd));
+    if let Some(fifo) = global_ssd.filter(|fifo| !fifo.is_empty()) {
         findings.push(AuditFinding {
             invariant: "quarantine-empty",
             detail: format!(
                 "SSD tier is quarantined yet its global FIFO retains {} entries",
-                cache.state.fifo(Placement::Ssd).len()
+                fifo.len()
             ),
         });
     }
@@ -766,6 +772,71 @@ mod tests {
             let findings = audit(&cache);
             assert!(findings.is_empty(), "{mode:?}: {findings:?}");
         }
+    }
+
+    fn findings_of(cache: &DoubleDeckerCache, invariant: &str) -> Vec<String> {
+        let found = audit(cache).into_iter();
+        let found = found.filter(|f| f.invariant == invariant);
+        found.map(|f| f.detail).collect()
+    }
+
+    #[test]
+    fn an_uncounted_tombstone_is_detected_in_global_mode() {
+        use crate::PartitionMode;
+        for mode in [PartitionMode::Global, PartitionMode::DoubleDecker] {
+            let config = CacheConfig::mem_and_ssd(64, 64).with_mode(mode);
+            let mut cache = DoubleDeckerCache::new(config);
+            let pool = cache.create_pool(VmId(0), CachePolicy::mem(100));
+            for b in 0..8 {
+                cache.put(SimTime::ZERO, VmId(0), pool, addr(1, b), PageVersion(1));
+            }
+            cache.flush(VmId(0), pool, addr(1, 3));
+            assert_eq!(audit(&cache), vec![], "{mode:?}");
+            cache.state.skew_global_fifo(Placement::Mem, false);
+            let found = findings_of(&cache, "global-fifo-tombstones");
+            if mode == PartitionMode::Global {
+                assert_eq!(found.len(), 1, "{found:?}");
+                assert!(
+                    found[0].starts_with("mem global FIFO has 2 dead"),
+                    "{found:?}"
+                );
+            } else {
+                // No Global FIFO, nothing to miscount.
+                assert_eq!(found, Vec::<String>::new());
+            }
+        }
+    }
+
+    #[test]
+    fn a_global_ssd_fifo_that_outlives_quarantine_is_detected() {
+        use crate::PartitionMode;
+        use ddc_sim::{FaultKind, FaultSchedule};
+        let config = CacheConfig::mem_and_ssd(64, 64).with_mode(PartitionMode::Global);
+        let mut cache = DoubleDeckerCache::new(config);
+        let pool = cache.create_pool(VmId(0), CachePolicy::ssd(100));
+        for b in 0..8 {
+            cache.put(SimTime::ZERO, VmId(0), pool, addr(1, b), PageVersion(1));
+        }
+        // Every SSD write from here on fails: the next put quarantines.
+        let outage = FaultKind::TransientErrors { rate: 1.0 };
+        let faults = FaultSchedule::new(0xFA).with_window(SimTime::ZERO, None, outage);
+        cache.set_ssd_fault_schedule(Some(faults));
+        cache.put(SimTime::ZERO, VmId(0), pool, addr(1, 8), PageVersion(1));
+        assert!(cache.ssd_quarantined());
+        assert_eq!(audit(&cache), vec![]);
+        // A dead entry the drain missed, counted, so only the quarantine
+        // clause can see it.
+        cache.state.skew_global_fifo(Placement::Ssd, true);
+        let found = findings_of(&cache, "quarantine-empty");
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(
+            found[0].contains("global FIFO retains 1 entries"),
+            "{found:?}"
+        );
+        assert_eq!(
+            findings_of(&cache, "global-fifo-tombstones"),
+            Vec::<String>::new()
+        );
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! Per-placement FIFO queues (with lazy deletion) implement the paper's
 //! FIFO eviction order — "LRU equivalent for exclusive caches" (§4.2) —
 //! and carry `SlotId`s, so popping the queue lands directly on the slab
-//! entry. The map uses [`FxHashMap`]: block addresses are internal, so
-//! the cheaper seed-free hash wins on every operation without any
-//! flooding exposure.
+//! entry. A removal leaves its entry behind; an insert that leaves dead
+//! entries outnumbering live ones compacts the queue
+//! ([`fifo_compaction_due`]), so a queue stays within about twice its
+//! store's live count. The map uses [`FxHashMap`]: block addresses are
+//! internal, so the cheaper seed-free hash wins on every operation
+//! without any flooding exposure.
 //!
 //! # `SlotId` stability
 //!
@@ -230,6 +233,33 @@ struct ArenaEntry {
 /// "No neighbour" slab index on a file chain.
 const NIL: u32 = u32::MAX;
 
+/// Eviction queues shorter than this are never compacted.
+pub(crate) const FIFO_COMPACT_MIN_LEN: u64 = 1024;
+
+/// The one compaction rule of every lazily deleted eviction queue, a
+/// pool's own and the Global ones alike: at least
+/// [`FIFO_COMPACT_MIN_LEN`] entries, and the `dead` ones outnumber the
+/// live ones. Each removal then funds at most about two retained-entry
+/// visits, so compaction is amortized O(1) per removal, and a queue
+/// never holds more than `max(1,024, 2 × live + 1)` entries after a push.
+#[inline]
+pub(crate) fn fifo_compaction_due(len: u64, dead: u64) -> bool {
+    len >= FIFO_COMPACT_MIN_LEN && dead * 2 > len
+}
+
+/// [`Pool::fifo_probe`] on the slab alone, so a queue of the same pool
+/// can be compacted while it is borrowed.
+#[inline]
+fn probe(
+    slots: &[Option<ArenaEntry>],
+    id: SlotId,
+    seq: u64,
+    placement: Placement,
+) -> Option<BlockAddr> {
+    let entry = slots.get(id.0 as usize)?.as_ref()?;
+    (entry.slot.seq == seq && entry.slot.placement == placement).then_some(entry.addr)
+}
+
 /// The index for one container's cache pool: a slab arena of slots plus
 /// the lookup map and eviction queues (see the module docs).
 #[derive(Clone, Debug)]
@@ -399,8 +429,7 @@ impl Pool {
     /// carries the queued sequence stamp and placement. A recycled or
     /// removed slot fails the probe.
     pub fn fifo_probe(&self, id: SlotId, seq: u64, placement: Placement) -> Option<BlockAddr> {
-        let entry = self.slots.get(id.0 as usize)?.as_ref()?;
-        (entry.slot.seq == seq && entry.slot.placement == placement).then_some(entry.addr)
+        probe(&self.slots, id, seq, placement)
     }
 
     /// Inserts an object, returning its slab handle and the placement of
@@ -463,15 +492,25 @@ impl Pool {
         }
         self.slot_birth[idx as usize] = self.insert_count;
         self.credit(placement);
-        match placement {
-            Placement::Mem => self.fifo_mem.push_back((SlotId(idx), seq)),
-            Placement::Ssd => self.fifo_ssd.push_back((SlotId(idx), seq)),
+        let live = self.used(placement);
+        let fifo = match placement {
+            Placement::Mem => &mut self.fifo_mem,
+            Placement::Ssd => &mut self.fifo_ssd,
+        };
+        fifo.push_back((SlotId(idx), seq));
+        // Every live slot has exactly one entry in its store's queue, so
+        // the rest are dead.
+        let len = fifo.len() as u64;
+        if fifo_compaction_due(len, len - live) {
+            let slots = &self.slots;
+            fifo.retain(|&(id, seq)| probe(slots, id, seq, placement).is_some());
         }
         (SlotId(idx), displaced)
     }
 
     /// Removes an object by key (exclusive `get`, or `flush`). The FIFO
-    /// entry is left behind and skipped lazily.
+    /// entry is left behind, skipped lazily and dropped by the next
+    /// compaction.
     pub fn remove(&mut self, addr: BlockAddr) -> Option<Slot> {
         let idx = self.map.remove(&addr)?;
         self.release(idx).map(|e| e.slot)
