@@ -358,6 +358,15 @@ mod parse {
         }
     }
 
+    /// [`opt_u64`] for a 32-bit field: a larger value is an error, never
+    /// silently truncated.
+    fn opt_u32(obj: &Json, key: &str) -> Result<Option<u32>, ScenarioError> {
+        let too_big = |_| err(format!("field {key:?} must fit in 32 bits"));
+        opt_u64(obj, key)?
+            .map(|n| u32::try_from(n).map_err(too_big))
+            .transpose()
+    }
+
     fn opt_f64(obj: &Json, key: &str) -> Result<Option<f64>, ScenarioError> {
         match obj.get(key) {
             None | Some(Json::Null) => Ok(None),
@@ -413,7 +422,7 @@ mod parse {
     fn policy(v: &Json) -> Result<PolicySpec, ScenarioError> {
         Ok(PolicySpec {
             store: str_field(v, "store")?,
-            weight: opt_u64(v, "weight")?.unwrap_or(0) as u32,
+            weight: opt_u32(v, "weight")?.unwrap_or(0),
         })
     }
 
@@ -435,7 +444,7 @@ mod parse {
             },
             Some("videoserver") => WorkloadSpec::Videoserver {
                 videos: opt_usize("videos")?,
-                video_blocks: opt_u64(v, "video_blocks")?.map(|n| n as u32),
+                video_blocks: opt_u32(v, "video_blocks")?,
             },
             Some("fileserver") => WorkloadSpec::Fileserver {
                 files: opt_usize("files")?,
@@ -460,7 +469,7 @@ mod parse {
             limit_mb: u64_field(v, "limit_mb")?,
             policy: policy(field(v, "policy")?)?,
             workload: workload(field(v, "workload")?)?,
-            threads: opt_u64(v, "threads")?.map(|n| n as u32),
+            threads: opt_u32(v, "threads")?,
             start_secs: opt_u64(v, "start_secs")?,
         })
     }
