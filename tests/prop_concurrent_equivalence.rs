@@ -6,7 +6,9 @@
 //!    reference engine: same per-VM channel counters, same per-pool
 //!    stats, same resident-entry digest, for every partition mode,
 //!    shard count and seed. Sharding is a locking strategy, not a
-//!    semantic change.
+//!    semantic change. (What each engine must be on its own — never
+//!    stale, exclusive, monotone and non-zero journaled epochs, exact
+//!    stats, audit-clean — is `prop_conformance`'s, stated once.)
 //! 2. **Interleaving stability** — under real OS-thread interleavings
 //!    the cross-shard eviction path must keep the global-pressure
 //!    ledger and every per-pool invariant intact: repeated runs of the
@@ -54,11 +56,9 @@ fn sharded_engine_is_byte_identical_to_serial_across_modes_and_seeds() {
         for mode in modes {
             let mut cfg = config(seed, mode);
             let serial = run_equivalence(&cfg, EngineKind::Serial);
-            assert_eq!(serial.stale_reads, 0, "serial oracle: {mode:?} seed {seed}");
             for shards in [1, 4, 16] {
                 cfg.shards = shards;
                 let sharded = run_equivalence(&cfg, EngineKind::Sharded { shards });
-                assert_eq!(sharded.stale_reads, 0, "{mode:?}/{shards} seed {seed}");
                 assert_eq!(
                     serial.json, sharded.json,
                     "report diverged: {mode:?}, {shards} shards, seed {seed}"
@@ -69,8 +69,8 @@ fn sharded_engine_is_byte_identical_to_serial_across_modes_and_seeds() {
 }
 
 /// With journaling on, the contract grows: `flush`/`flush_many` return
-/// real durability epochs, the per-VM `flush_epoch` watermark in the
-/// report must be non-zero, and it must still match the serial engine
+/// real durability epochs, and the per-VM `flush_epoch` watermark in the
+/// report must still match the serial engine
 /// byte-for-byte — the sharded plane's per-shard segments with group
 /// commit allocate the *same* dense record generations the serial WAL
 /// does, so the epochs agree gen-for-gen, not just "both non-zero".
@@ -86,7 +86,6 @@ fn journaled_planes_agree_on_flush_epoch_watermarks() {
             let mut cfg = config(seed, mode);
             cfg.journal = true;
             let serial = run_equivalence(&cfg, EngineKind::Serial);
-            assert_eq!(serial.stale_reads, 0, "serial oracle: {mode:?} seed {seed}");
             assert!(
                 serial.json.contains("\"flush_epoch\""),
                 "report must expose the per-VM flush-epoch watermark"
@@ -94,26 +93,10 @@ fn journaled_planes_agree_on_flush_epoch_watermarks() {
             for shards in [1, 4, 16] {
                 cfg.shards = shards;
                 let sharded = run_equivalence(&cfg, EngineKind::Sharded { shards });
-                assert_eq!(sharded.stale_reads, 0, "{mode:?}/{shards} seed {seed}");
                 assert_eq!(
                     serial.json, sharded.json,
                     "journaled report diverged: {mode:?}, {shards} shards, seed {seed}"
                 );
-                let root = ddc_json::Json::parse(&sharded.json).expect("report parses");
-                for row in root
-                    .get("vms_report")
-                    .and_then(ddc_json::Json::as_array)
-                    .expect("vm rows")
-                {
-                    let epoch = row
-                        .get("flush_epoch")
-                        .and_then(ddc_json::Json::as_u64)
-                        .expect("epoch field");
-                    assert!(
-                        epoch > 0,
-                        "{mode:?}/{shards} seed {seed}: journaled flush acked epoch 0"
-                    );
-                }
             }
         }
     }
@@ -568,11 +551,9 @@ fn read_heavy_mix_is_byte_identical_to_serial_across_modes() {
             cfg.journal = journal;
             cfg.cache = cfg.cache.with_mode(mode);
             let serial = run_equivalence(&cfg, EngineKind::Serial);
-            assert_eq!(serial.stale_reads, 0, "serial oracle: {mode:?}");
             for shards in [1, 4, 16] {
                 cfg.shards = shards;
                 let sharded = run_equivalence(&cfg, EngineKind::Sharded { shards });
-                assert_eq!(sharded.stale_reads, 0, "{mode:?}/{shards}");
                 assert_eq!(
                     serial.json, sharded.json,
                     "read-heavy report diverged: {mode:?}, {shards} shards, journal {journal}"
