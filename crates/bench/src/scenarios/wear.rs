@@ -32,8 +32,8 @@
 //! must reproduce `results/wear.json` byte for byte, and one extra SSD
 //! write on any mix is a diff of that file.
 
-use ddc_core::cleancache::SecondChanceCache;
 use ddc_core::concurrent::ShardedCache;
+use ddc_core::hypercache::Engine;
 use ddc_core::metrics::snapshot_json;
 use ddc_core::prelude::*;
 use ddc_core::storage::WearCounters;
@@ -138,65 +138,6 @@ pub fn mixes(smoke: bool) -> Vec<MixSpec> {
     ]
 }
 
-/// Either cache engine behind one seam, so the generator drives both
-/// with the byte-identical op sequence.
-enum WearEngine {
-    Serial(Box<DoubleDeckerCache>),
-    Sharded(Box<ShardedCache>),
-}
-
-impl WearEngine {
-    fn build(serial: bool, cfg: CacheConfig) -> WearEngine {
-        if serial {
-            WearEngine::Serial(Box::new(DoubleDeckerCache::new(cfg)))
-        } else {
-            WearEngine::Sharded(Box::new(ShardedCache::new(cfg, SHARDS)))
-        }
-    }
-
-    fn add_vm(&mut self, vm: VmId, weight: u64) {
-        match self {
-            WearEngine::Serial(c) => c.add_vm(vm, weight),
-            WearEngine::Sharded(c) => c.add_vm(vm, weight),
-        }
-    }
-
-    fn cache(&mut self) -> &mut dyn SecondChanceCache {
-        match self {
-            WearEngine::Serial(c) => c.as_mut(),
-            WearEngine::Sharded(c) => c.as_mut(),
-        }
-    }
-
-    fn ttl_sweep(&mut self) -> u64 {
-        match self {
-            WearEngine::Serial(c) => c.ttl_sweep(),
-            WearEngine::Sharded(c) => c.ttl_sweep(),
-        }
-    }
-
-    fn wear_totals(&self) -> WearCounters {
-        match self {
-            WearEngine::Serial(c) => c.wear_totals(),
-            WearEngine::Sharded(c) => c.wear_totals(),
-        }
-    }
-
-    fn vm_wear(&self, vm: VmId) -> WearCounters {
-        match self {
-            WearEngine::Serial(c) => c.vm_wear(vm),
-            WearEngine::Sharded(c) => c.vm_wear(vm),
-        }
-    }
-
-    fn audit_findings(&self) -> u64 {
-        match self {
-            WearEngine::Serial(c) => ddc_core::hypercache::audit(c).len() as u64,
-            WearEngine::Sharded(c) => ddc_core::concurrent::audit(c).len() as u64,
-        }
-    }
-}
-
 /// One engine pass over one (mix, variant) cell.
 struct EngineRun {
     /// Canonical report — engine-agnostic on purpose, so serial and
@@ -215,9 +156,9 @@ fn block_addr(file: u64, block: u64) -> BlockAddr {
 /// Drives one engine through one mix under one admission config. The
 /// op stream is a pure function of `(mix, seed)` — identical across
 /// engines and variants, so hit counts compare apples to apples.
-fn run_engine(mix: &MixSpec, admission: AdmissionConfig, serial: bool, seed: u64) -> EngineRun {
+fn run_engine<E: Engine>(mix: &MixSpec, admission: AdmissionConfig, seed: u64) -> EngineRun {
     let cfg = CacheConfig::mem_and_ssd(MEM_PAGES, SSD_PAGES).with_admission(admission);
-    let mut eng = WearEngine::build(serial, cfg);
+    let mut eng = E::build(cfg, SHARDS);
     let mut pools: Vec<(VmId, PoolId)> = Vec::new();
     let mut rngs: Vec<SimRng> = Vec::new();
     let mut scan_cursor: Vec<u64> = Vec::new();
@@ -225,7 +166,7 @@ fn run_engine(mix: &MixSpec, admission: AdmissionConfig, serial: bool, seed: u64
     for v in 1..=mix.vms {
         let vm = VmId(v);
         eng.add_vm(vm, 100);
-        let pool = eng.cache().create_pool(vm, CachePolicy::hybrid(100));
+        let pool = eng.create_pool(vm, CachePolicy::hybrid(100));
         pools.push((vm, pool));
         rngs.push(master.fork(u64::from(v)));
         scan_cursor.push(0);
@@ -250,18 +191,16 @@ fn run_engine(mix: &MixSpec, admission: AdmissionConfig, serial: bool, seed: u64
             let scan_file = u64::from(vm.0) * 10 + 2;
             for _ in 0..mix.hot_puts {
                 let b = hot_base + rngs[i].next_below(mix.hot_pages);
-                eng.cache()
-                    .put(now, vm, pool, block_addr(hot_file, b), PageVersion(1));
+                eng.put(now, vm, pool, block_addr(hot_file, b), PageVersion(1));
             }
             for _ in 0..mix.scan_puts {
                 let b = scan_cursor[i];
                 scan_cursor[i] += 1;
-                eng.cache()
-                    .put(now, vm, pool, block_addr(scan_file, b), PageVersion(1));
+                eng.put(now, vm, pool, block_addr(scan_file, b), PageVersion(1));
             }
             for _ in 0..mix.gets {
                 let b = hot_base + rngs[i].next_below(mix.hot_pages);
-                let outcome = eng.cache().get(now, vm, pool, block_addr(hot_file, b));
+                let outcome = eng.get(now, vm, pool, block_addr(hot_file, b));
                 if measured {
                     gets += 1;
                     if let GetOutcome::Hit { .. } = outcome {
@@ -275,7 +214,7 @@ fn run_engine(mix: &MixSpec, admission: AdmissionConfig, serial: bool, seed: u64
         }
     }
 
-    let audit_findings = eng.audit_findings();
+    let audit_findings = eng.audit().len() as u64;
     let wear = eng.wear_totals();
     let mut root = Json::object();
     root.set("schema", SCHEMA);
@@ -294,7 +233,7 @@ fn run_engine(mix: &MixSpec, admission: AdmissionConfig, serial: bool, seed: u64
         let mut row = Json::object();
         row.set("vm", u64::from(vm.0));
         row.set("wear", snapshot_json(&eng.vm_wear(vm)));
-        if let Some(s) = eng.cache().pool_stats(vm, pool) {
+        if let Some(s) = eng.pool_stats(vm, pool) {
             row.set("mem_pages", s.mem_pages);
             row.set("ssd_pages", s.ssd_pages);
             row.set("puts", s.puts);
@@ -340,9 +279,9 @@ pub struct VariantResult {
 }
 
 fn run_variant(mix: &MixSpec, admission: AdmissionConfig, seed: u64) -> VariantResult {
-    let a = run_engine(mix, admission, true, seed);
-    let rerun = run_engine(mix, admission, true, seed);
-    let sharded = run_engine(mix, admission, false, seed);
+    let a = run_engine::<DoubleDeckerCache>(mix, admission, seed);
+    let rerun = run_engine::<DoubleDeckerCache>(mix, admission, seed);
+    let sharded = run_engine::<ShardedCache>(mix, admission, seed);
     VariantResult {
         variant: if admission.filters_spills() {
             "filtered"

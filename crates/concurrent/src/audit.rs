@@ -1,40 +1,25 @@
 //! Cross-shard invariant auditor for [`ShardedCache`].
 //!
 //! Locks the registry and every shard (the crate's lock-all discipline),
-//! then cross-checks the sharded assembly the same way
-//! `ddc_hypercache::audit` checks the serial engine:
+//! runs the invariants both engines hold over that cut
+//! ([`ddc_hypercache::audit_cut`]: store accounting against the atomic
+//! ledgers — the invariant the CAS allocation loop exists to protect —
+//! Global-FIFO tombstones per shard, entitlement sums, registry
+//! policies, remote bindings, and index coherence, FIFO coverage and
+//! order, exclusivity, sequence monotonicity and arena shape over every
+//! pool), then what only the sharded layout has:
 //!
-//! 1. **Ledger accounting** — each store's atomic used-page ledger
-//!    equals the sum of per-pool usage across all shards and never
-//!    exceeds capacity. This is the invariant the CAS allocation loop
-//!    exists to protect; a mismatch means pages leaked or
-//!    double-freed across threads.
-//! 2. **Shard map** — every pool sits in the shard its key hashes to.
-//!    **Registry** (`registry-policy`) — the registry's pool set is the
-//!    union of the shards' pool sets (a divergence would make
-//!    hypercalls route to a shard that doesn't hold the pool), and each
-//!    row mirrors its pool's policy: puts are routed and share tables
-//!    built from the rows, re-homing is decided from the pools.
-//! 3. **Pool coherence** — index coherence, FIFO coverage and order,
-//!    the exclusive-cache property and sequence monotonicity, via
-//!    [`ddc_hypercache::audit_pool_slice`] over the flattened pools.
-//! 4. **Shard-FIFO tombstones** — in Global mode, the one mode whose
-//!    shards keep Global FIFOs, per shard and store the dead-entry count
-//!    in the Global FIFO equals the shard's tombstone counter, as on the
-//!    serial engine (an under-count would starve compaction, an
-//!    over-count means a removal was counted twice).
-//! 5. **Entitlement sums** — per store, VM entitlements sum to at most
-//!    capacity and pool entitlements to at most the VM share
-//!    (normalized shares, paper §4.2), computed from a fresh share
-//!    table over the locked usage. **Memo accuracy** — the auditing
-//!    handle's share memo, where it is filled and still valid by its
-//!    own rule, equals that fresh table.
-//! 6. **Mirror accuracy** — each pool's atomic usage mirror (the
+//! 1. **Shard map** — every pool sits in the shard its key hashes to.
+//! 2. **Memo accuracy** — the auditing handle's share memo, where it is
+//!    filled and still valid by its own rule, equals a fresh table.
+//! 3. **Mirror accuracy** — each pool's atomic usage mirror (the
 //!    lock-free snapshot source for two-phase eviction) equals the
 //!    pool's exact usage under lock-all quiescence. A drift here means
 //!    phase-1 victim selection is working from corrupt data.
-//!
-//! 7. **Journal health** — when the plane journals (DESIGN.md §14),
+//! 4. **Remote flag** (`remote-consistency`) — a pool with a binding is
+//!    marked remote-bound on its mirror, or lock-free misses bypass the
+//!    remote.
+//! 5. **Journal health** — when the plane journals (DESIGN.md §14),
 //!    every live shard segment must replay clean end-to-end under
 //!    quiescence (the auditor holds every lock, and we wrote every
 //!    byte ourselves — a torn or corrupt frame here means the
@@ -47,7 +32,7 @@
 //!    boundary at or below that length under the same install epoch,
 //!    and every record at or below the commit epoch lies below its
 //!    segment's mark — the promise `commit_tick` makes without a lock.
-//! 8. **Read-plane coherence** (DESIGN.md §15) — every shard's seqlock
+//! 6. **Read-plane coherence** (DESIGN.md §15) — every shard's seqlock
 //!    sequence word is even at rest (an odd value means a writer died
 //!    mid-publish and readers would spin forever); unless the plane
 //!    latched its overflow flag, its membership equals the exact union
@@ -58,20 +43,13 @@
 //!    holds the sequence stamp of that shard's raw FIFO front (live or
 //!    dead), or the empty marker for an empty FIFO: a wrong leaf sends
 //!    Global eviction to the wrong shard.
-//!
-//! Arena-shape invariants (free-list disjoint from the live set, every
-//! live slot covered by exactly one FIFO entry or tombstone) ride along
-//! via [`ddc_hypercache::audit_pool_slice`] in step 3.
 
 use std::sync::atomic::Ordering;
 
 use ddc_cleancache::{PoolId, VmId};
-use ddc_hypercache::index::{Placement, Pool};
-use ddc_hypercache::{
-    audit_pool_slice, audit_registry_policies, audit_remote_bindings, audit_share_table,
-    AuditFinding,
-};
-use ddc_storage::{BlockAddr, Journal, RemoteBinding};
+use ddc_hypercache::index::Placement;
+use ddc_hypercache::{audit_cut, AuditFinding};
+use ddc_storage::{BlockAddr, Journal};
 
 use crate::sharded::{ShardedCache, EMPTY_FRONT};
 
@@ -90,48 +68,13 @@ fn store_name(placement: Placement) -> &'static str {
 /// per violation (empty = healthy). Takes the lock-all path, so call it
 /// between phases, not on the hot path.
 pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
-    cache.with_all_locked(|reg, shards, mem, ssd, next_seq| {
-        let mut findings = Vec::new();
+    cache.with_all_locked(|reg, shards, stores, next_seq| {
+        let mut findings = audit_cut(reg, &ShardedCache::cut(reg, shards), stores, next_seq);
+        let locked_pool = |vm, pid| shards[cache.shard_of(vm, pid)].state.pools.get(&(vm, pid));
 
-        // 1. Ledger accounting.
-        for placement in placements() {
-            let ledger = match placement {
-                Placement::Mem => mem,
-                Placement::Ssd => ssd,
-            };
-            let pooled: u64 = shards
-                .iter()
-                .flat_map(|s| s.state.pools.values())
-                .map(|p| p.used(placement))
-                .sum();
-            if ledger.used_pages() != pooled {
-                findings.push(AuditFinding {
-                    invariant: "ledger-accounting",
-                    detail: format!(
-                        "{} ledger counts {} used pages but pools hold {pooled}",
-                        store_name(placement),
-                        ledger.used_pages()
-                    ),
-                });
-            }
-            if ledger.used_pages() > ledger.capacity_pages() {
-                findings.push(AuditFinding {
-                    invariant: "ledger-accounting",
-                    detail: format!(
-                        "{} ledger uses {} pages over its capacity of {}",
-                        store_name(placement),
-                        ledger.used_pages(),
-                        ledger.capacity_pages()
-                    ),
-                });
-            }
-        }
-
-        // 2. Shard map: placement by hash, and registry ↔ shard agreement.
-        let mut shard_pools = Vec::new();
+        // 1. Shard map.
         for (si, shard) in shards.iter().enumerate() {
-            for (&(vm, pid), pool) in &shard.state.pools {
-                shard_pools.push((vm, pid, pool.policy()));
+            for &(vm, pid) in shard.state.pools.keys() {
                 let home = cache.shard_of(vm, pid);
                 if home != si {
                     findings.push(AuditFinding {
@@ -141,65 +84,29 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
                 }
             }
         }
-        shard_pools.sort_unstable_by_key(|&(vm, pid, _)| (vm, pid));
-        findings.extend(audit_registry_policies(reg, &shard_pools));
 
-        // 3. Pool coherence, in registry order like the serial engine.
-        let locked_pool = |vm, pid| shards[cache.shard_of(vm, pid)].state.pools.get(&(vm, pid));
-        let flat: Vec<(VmId, PoolId, &Pool)> = reg
-            .pool_ids()
-            .filter_map(|(vm, pid)| Some((vm, pid, locked_pool(vm, pid)?)))
-            .collect();
-        findings.extend(audit_pool_slice(&flat, next_seq));
-
-        // 4. Shard-FIFO tombstones, where the shard keeps Global FIFOs.
-        for (si, shard) in shards.iter().enumerate() {
-            let Some(global) = shard.state.global_fifos() else {
-                continue;
-            };
-            for placement in placements() {
-                let dead = shard.state.dead_fifo_entries(placement);
-                let stale = global.stale(placement);
-                if dead != stale {
-                    findings.push(AuditFinding {
-                        invariant: "shard-fifo-tombstones",
-                        detail: format!(
-                            "shard {si} {} FIFO has {dead} dead entries but the \
-                             tombstone counter says {stale} (compaction is skewed)",
-                            store_name(placement)
-                        ),
-                    });
-                }
-            }
-        }
-
-        // 5. Entitlement sums from a fresh share table over the locked
-        // usage, and this handle's memo against it.
+        // 2. This handle's memo against a fresh share table.
         for placement in placements() {
-            let ledger = match placement {
-                Placement::Mem => mem,
-                Placement::Ssd => ssd,
-            };
-            let table = reg.share_table(ledger.capacity_pages(), placement, |vm, pid, _| {
+            let capacity = stores[placement.idx()].1;
+            let fresh = reg.share_table(capacity, placement, |vm, pid, _| {
                 locked_pool(vm, pid).map_or(0, |p| p.used(placement))
             });
-            let name = store_name(placement);
-            findings.extend(audit_share_table(name, &table, ledger.capacity_pages()));
             if cache
                 .cached_share_table(placement)
-                .is_some_and(|t| t != table)
+                .is_some_and(|t| t != fresh)
             {
                 findings.push(AuditFinding {
                     invariant: "memo-accuracy",
                     detail: format!(
-                        "{name} store: this handle's share memo passes its own validity \
-                         check but differs from a fresh build (entitlements served stale)"
+                        "{} store: this handle's share memo passes its own validity \
+                         check but differs from a fresh build (entitlements served stale)",
+                        store_name(placement)
                     ),
                 });
             }
         }
 
-        // 6. Mirror accuracy: the two-phase snapshot source must match
+        // 3. Mirror accuracy: the two-phase snapshot source must match
         // the exact usage while everything is locked.
         for (vm, row) in reg.vms() {
             for (pid, _, mirror) in &row.pools {
@@ -223,35 +130,25 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             }
         }
 
-        // 6b. Remote bindings: the shared invariant-10 checks (outcome
-        // accounting, breaker agreement, in-flight cap, no stale staged
-        // pages), plus the routing flag — a pool is marked remote-bound
-        // on its mirror iff its home shard holds a binding; a flag
-        // without a binding would still be safe (locked path, plain
-        // miss) but a binding without the flag lets the lock-free plane
-        // answer misses the remote should have served.
-        let mut bindings: Vec<(VmId, PoolId, &RemoteBinding)> = Vec::new();
+        // 4. The routing flag: a flag without a binding would still be
+        // safe (locked path, plain miss), a binding without the flag
+        // lets the lock-free plane answer misses the remote should have
+        // served.
         for shard in shards.iter() {
-            for (&(vm, pid), b) in &shard.state.remote_bindings {
-                bindings.push((vm, pid, b));
-            }
-        }
-        bindings.sort_unstable_by_key(|&(vm, pid, _)| (vm, pid));
-        findings.extend(audit_remote_bindings(&bindings));
-        for &(vm, pid, _) in &bindings {
-            let flagged = reg.pool(vm, pid).is_some_and(|row| row.2.remote_bound());
-            if !flagged {
-                findings.push(AuditFinding {
-                    invariant: "remote-consistency",
-                    detail: format!(
-                        "{vm} {pid} has a remote binding but its mirror is not \
-                         marked remote-bound (lock-free misses bypass the remote)"
-                    ),
-                });
+            for &(vm, pid) in shard.state.remote_bindings.keys() {
+                if !reg.pool(vm, pid).is_some_and(|row| row.2.remote_bound()) {
+                    findings.push(AuditFinding {
+                        invariant: "remote-consistency",
+                        detail: format!(
+                            "{vm} {pid} has a remote binding but its mirror is not \
+                             marked remote-bound (lock-free misses bypass the remote)"
+                        ),
+                    });
+                }
             }
         }
 
-        // 7. Journal health (only when the plane journals).
+        // 5. Journal health (only when the plane journals).
         if let Some(expected_records) = cache.journal_records() {
             // Sampled before the marks: a committer still sweeping only
             // raises marks, and publishes its epoch after them.
@@ -351,7 +248,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             }
         }
 
-        // 8a. Read planes: seq word even at rest; membership exactly the
+        // 6a. Read planes: seq word even at rest; membership exactly the
         // live key union of the shard (unless the plane overflowed and
         // lock-free reads are already disabled there).
         for (si, shard) in shards.iter().enumerate() {
@@ -391,7 +288,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             }
         }
 
-        // 8b. Front leaves: each mirrors its shard's raw Global FIFO
+        // 6b. Front leaves: each mirrors its shard's raw Global FIFO
         // front (dead or live). Only shards that keep Global FIFOs have
         // fronts — the other modes never read the leaves and skip their
         // maintenance, so theirs are legitimately stale.

@@ -36,13 +36,13 @@ use std::time::Duration;
 use ddc_cleancache::{
     CachePolicy, GetOutcome, HypercallChannel, PageVersion, PoolId, SecondChanceCache, VmId,
 };
-use ddc_hypercache::{AuditFinding, CacheConfig, DoubleDeckerCache, PartitionMode};
+use ddc_hypercache::{AuditFinding, CacheConfig, DoubleDeckerCache, Engine, PartitionMode};
 use ddc_json::Json;
 use ddc_metrics::CounterSnapshot;
 use ddc_sim::{BreakerConfig, FaultSchedule, FxHashMap, SimDuration, SimRng, SimTime};
 use ddc_storage::{
     BlockAddr, ChunkStore, FileId, RemoteConfig, RemoteCounters, RemoteError, RemoteFetchConfig,
-    RemoteId, WearCounters,
+    RemoteId,
 };
 
 use crate::audit;
@@ -317,7 +317,7 @@ impl VmWorker {
     /// Runs one tick against `backend`: a write batch (version bumps +
     /// `flush_many`), a put batch and a get batch checked against the
     /// disk model.
-    fn tick(&mut self, backend: &mut dyn SecondChanceCache, tick: u64) {
+    fn tick(&mut self, backend: &mut impl SecondChanceCache, tick: u64) {
         let now = SimTime::from_nanos(tick.wrapping_mul(1_000));
         let pi = (tick % self.pools.len() as u64) as usize;
         let pool = self.pools[pi];
@@ -376,7 +376,7 @@ impl VmWorker {
     /// the oracle report false staleness. The put batch is then cut
     /// mid-`put_many` (a prefix of the batch lands), then the get
     /// batch; whatever the budget doesn't reach was never issued.
-    fn partial_tick(&mut self, backend: &mut dyn SecondChanceCache, tick: u64, budget: u64) {
+    fn partial_tick(&mut self, backend: &mut impl SecondChanceCache, tick: u64, budget: u64) {
         if budget == 0 {
             return;
         }
@@ -430,117 +430,25 @@ impl VmWorker {
     }
 }
 
-/// A cache engine under test, with the inherent (non-trait) surface the
-/// driver needs: weight registration and the resident-entry dump.
-enum Engine {
-    Serial(Box<DoubleDeckerCache>),
-    Sharded(Box<ShardedCache>),
-}
-
-impl Engine {
-    fn build(cache: CacheConfig, kind: EngineKind, journal: bool) -> Engine {
-        let mut engine = match kind {
-            EngineKind::Serial => Engine::Serial(Box::new(DoubleDeckerCache::new(cache))),
-            EngineKind::Sharded { shards } => {
-                Engine::Sharded(Box::new(ShardedCache::new(cache, shards)))
-            }
-        };
-        if journal {
-            match &mut engine {
-                Engine::Serial(c) => c.enable_journal(),
-                Engine::Sharded(c) => c.enable_journal(),
-            }
-        }
-        engine
+/// Registers `setup`'s chunk store (with its fault schedule) and returns
+/// the id to bind pools against.
+fn attach_remote(engine: &mut impl Engine, setup: &RemoteSetup) -> RemoteId {
+    let mut store = ChunkStore::new(RemoteId(1), setup.config);
+    if let Some(faults) = &setup.faults {
+        store = store.with_faults(faults.clone());
     }
-
-    /// Closes one virtual-time tick: on the sharded plane this is the
-    /// group-commit point (sync every shard segment, publish the commit
-    /// epoch). The serial engine syncs per operation, so its tick is a
-    /// no-op — the returned watermarks differ, but the per-VM flush
-    /// epochs the contract compares do not.
-    fn commit_tick(&self) {
-        match self {
-            Engine::Serial(_) => {}
-            Engine::Sharded(c) => {
-                c.commit_tick();
-            }
-        }
-    }
-
-    fn add_vm(&mut self, vm: VmId, weight: u64) {
-        match self {
-            Engine::Serial(c) => c.add_vm(vm, weight),
-            Engine::Sharded(c) => c.add_vm(vm, weight),
-        }
-    }
-
-    fn backend(&mut self) -> &mut dyn SecondChanceCache {
-        match self {
-            Engine::Serial(c) => c.as_mut(),
-            Engine::Sharded(c) => c.as_mut(),
-        }
-    }
-
-    fn entries(&self) -> Vec<(VmId, PoolId, BlockAddr, PageVersion)> {
-        match self {
-            Engine::Serial(c) => c.entries(),
-            Engine::Sharded(c) => c.entries(),
-        }
-    }
-
-    /// Registers `setup`'s chunk store (with its fault schedule) and
-    /// returns the id to bind pools against.
-    fn attach_remote(&mut self, setup: &RemoteSetup) -> RemoteId {
-        let mut store = ChunkStore::new(RemoteId(1), setup.config);
-        if let Some(faults) = &setup.faults {
-            store = store.with_faults(faults.clone());
-        }
-        match self {
-            Engine::Serial(c) => c.register_remote(store),
-            Engine::Sharded(c) => c.register_remote(store),
-        }
-        .expect("fresh registry accepts the store")
-    }
-
-    fn bind_remote(&mut self, vm: VmId, pool: PoolId, remote: RemoteId, fetch: RemoteFetchConfig) {
-        match self {
-            Engine::Serial(c) => c.bind_remote(vm, pool, remote, fetch),
-            Engine::Sharded(c) => c.bind_remote(vm, pool, remote, fetch),
-        }
-        .expect("freshly created pool binds cleanly")
-    }
-
-    fn remote_totals(&self) -> RemoteCounters {
-        match self {
-            Engine::Serial(c) => c.remote_totals(),
-            Engine::Sharded(c) => c.remote_totals(),
-        }
-    }
-
-    fn wear_totals(&self) -> WearCounters {
-        match self {
-            Engine::Serial(c) => c.wear_totals(),
-            Engine::Sharded(c) => c.wear_totals(),
-        }
-    }
-
-    /// Demotes TTL-stale SSD entries on both engines at the same
-    /// deterministic point (tick boundaries). A no-op unless the config
-    /// set an `ssd_ttl`.
-    fn ttl_sweep(&mut self) -> u64 {
-        match self {
-            Engine::Serial(c) => c.ttl_sweep(),
-            Engine::Sharded(c) => c.ttl_sweep(),
-        }
-    }
+    let registered = engine.register_remote(store);
+    registered.expect("fresh registry accepts the store")
 }
 
 /// Builds the VM workers and registers VMs + pools on `engine`. Pool
 /// creation order is VM-major, so pool ids line up across engines.
-fn build_workers(cfg: &StressConfig, engine: &mut Engine) -> Vec<VmWorker> {
+fn build_workers(cfg: &StressConfig, engine: &mut impl Engine) -> Vec<VmWorker> {
     let mut root = SimRng::new(cfg.seed);
-    let remote_id = cfg.remote.as_ref().map(|setup| engine.attach_remote(setup));
+    let remote_id = cfg
+        .remote
+        .as_ref()
+        .map(|setup| attach_remote(engine, setup));
     let mut workers = Vec::with_capacity(cfg.vms as usize);
     for i in 0..cfg.vms {
         let vm = VmId(i);
@@ -548,11 +456,10 @@ fn build_workers(cfg: &StressConfig, engine: &mut Engine) -> Vec<VmWorker> {
         let mut pools = Vec::with_capacity(cfg.pools_per_vm as usize);
         let mut files = Vec::with_capacity(cfg.pools_per_vm as usize);
         for p in 0..cfg.pools_per_vm {
-            let pool = engine
-                .backend()
-                .create_pool(vm, StressConfig::pool_policy(i, p));
+            let pool = engine.create_pool(vm, StressConfig::pool_policy(i, p));
             if let (Some(id), Some(setup)) = (remote_id, &cfg.remote) {
-                engine.bind_remote(vm, pool, id, setup.fetch);
+                let bound = engine.bind_remote(vm, pool, id, setup.fetch);
+                bound.expect("freshly created pool binds cleanly");
             }
             pools.push(pool);
             files.push(cfg.file_of(i, p));
@@ -616,7 +523,11 @@ fn mode_name(mode: PartitionMode) -> &'static str {
     }
 }
 
-fn render_report(cfg: &StressConfig, engine: &Engine, workers: &[VmWorker]) -> EquivalenceReport {
+fn render_report(
+    cfg: &StressConfig,
+    engine: &impl Engine,
+    workers: &[VmWorker],
+) -> EquivalenceReport {
     let mut root = Json::object();
     let mut config = Json::object();
     config.set("vms", cfg.vms);
@@ -677,14 +588,12 @@ fn remote_totals_json(t: &RemoteCounters) -> Json {
     ddc_metrics::snapshot_json(t)
 }
 
-/// Appends the per-pool stats rows to a rendered report. Separate from
-/// [`render_report`] because `pool_stats` needs `&Engine` after the
-/// drive loop released the workers.
-fn pool_stats_json(engine: &mut Engine, workers: &[VmWorker]) -> Json {
+/// The per-pool stats rows of a report.
+fn pool_stats_json(engine: &impl Engine, workers: &[VmWorker]) -> Json {
     let mut rows = Vec::new();
     for w in workers {
         for &pool in &w.pools {
-            if let Some(s) = engine.backend().pool_stats(w.vm, pool) {
+            if let Some(s) = engine.pool_stats(w.vm, pool) {
                 let mut row = Json::object();
                 row.set("vm", w.vm.0);
                 row.set("pool", pool.0);
@@ -710,11 +619,21 @@ fn pool_stats_json(engine: &mut Engine, workers: &[VmWorker]) -> Json {
 /// [`EngineKind::Sharded`] must produce byte-identical `json` — the
 /// determinism contract of the sharded plane.
 pub fn run_equivalence(cfg: &StressConfig, kind: EngineKind) -> EquivalenceReport {
-    let mut engine = Engine::build(cfg.cache, kind, cfg.journal);
+    match kind {
+        EngineKind::Serial => equivalence::<DoubleDeckerCache>(cfg, 1),
+        EngineKind::Sharded { shards } => equivalence::<ShardedCache>(cfg, shards),
+    }
+}
+
+fn equivalence<E: Engine>(cfg: &StressConfig, shards: usize) -> EquivalenceReport {
+    let mut engine = E::build(cfg.cache, shards);
+    if cfg.journal {
+        engine.enable_journal();
+    }
     let mut workers = build_workers(cfg, &mut engine);
     for tick in 0..cfg.ticks {
         for w in &mut workers {
-            w.tick(engine.backend(), tick);
+            w.tick(&mut engine, tick);
         }
         // TTL demotion runs at the tick boundary on both engines — a
         // deterministic point outside any threaded fast path.
@@ -726,7 +645,7 @@ pub fn run_equivalence(cfg: &StressConfig, kind: EngineKind) -> EquivalenceRepor
     let mut report = render_report(cfg, &engine, &workers);
     // Splice the pool-stats rows into the JSON (stable order).
     let mut root = Json::parse(&report.json).expect("own JSON parses");
-    root.set("pools_report", pool_stats_json(&mut engine, &workers));
+    root.set("pools_report", pool_stats_json(&engine, &workers));
     report.json = root.to_string_pretty();
     report
 }
@@ -836,8 +755,7 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
     if cfg.journal {
         cache.enable_journal();
     }
-    let mut engine = Engine::Sharded(Box::new(cache.clone()));
-    let workers = build_workers(cfg, &mut engine);
+    let workers = build_workers(cfg, &mut cache.clone());
 
     // Deal the workers round-robin into per-thread hands.
     let mut hands: Vec<Vec<VmWorker>> = (0..threads).map(|_| Vec::new()).collect();
@@ -954,14 +872,12 @@ impl CrashHarness {
     pub fn new(cfg: &StressConfig) -> CrashHarness {
         let mut cfg = cfg.clone();
         cfg.journal = true;
-        let mut engine = Engine::build(cfg.cache, EngineKind::Sharded { shards: cfg.shards }, true);
-        let workers = build_workers(&cfg, &mut engine);
-        let Engine::Sharded(cache) = engine else {
-            unreachable!("harness builds the sharded engine")
-        };
+        let mut cache = ShardedCache::new(cfg.cache, cfg.shards);
+        cache.enable_journal();
+        let workers = build_workers(&cfg, &mut cache);
         CrashHarness {
             cfg,
-            cache: *cache,
+            cache,
             workers,
         }
     }
@@ -1091,7 +1007,7 @@ impl CrashHarness {
     /// guest does to re-establish the invalidation horizon. Only after
     /// that may the remote serve again ("forget, never lie").
     fn reattach_remote(&mut self, setup: &RemoteSetup) {
-        let id = Engine::Sharded(Box::new(self.cache.clone())).attach_remote(setup);
+        let id = attach_remote(&mut self.cache.clone(), setup);
         for w in &self.workers {
             for &pool in &w.pools {
                 // A cut that lost the pool's (or its VM's) registration

@@ -20,10 +20,10 @@
 //!   gated by the invariant auditor and a stale-read oracle, and
 //!   [`CrashHarness`] — kill the journaled plane mid-tick, recover
 //!   from mutilated segment snapshots, keep driving the same guests.
-//! * [`audit`] — the cross-shard invariant auditor (ledger accounting,
-//!   shard-map placement, per-pool coherence via
-//!   `ddc_hypercache::audit_pool_slice`, tombstone counts, entitlement
-//!   sums).
+//! * [`audit`] — the cross-shard invariant auditor: the checks both
+//!   engines share (`ddc_hypercache::audit_cut`) over a lock-all cut,
+//!   plus shard-map placement, memo and mirror accuracy, journal health
+//!   and the read planes.
 //!
 //! [`SecondChanceCache`]: ddc_cleancache::SecondChanceCache
 
@@ -33,6 +33,7 @@
 pub mod audit;
 mod backoff;
 pub mod driver;
+mod engine;
 pub mod sharded;
 
 pub use audit::audit;
@@ -48,4 +49,4 @@ pub use ddc_cleancache::{
     CachePolicy, GetOutcome, HypercallChannel, PageVersion, PoolId, PutOutcome, SecondChanceCache,
     StoreKind, VmId,
 };
-pub use ddc_hypercache::{AuditFinding, CacheConfig, PartitionMode};
+pub use ddc_hypercache::{AuditFinding, CacheConfig, Engine, PartitionMode};

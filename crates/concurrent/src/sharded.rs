@@ -94,8 +94,13 @@
 //! order), so flush epochs are value-identical across the two planes —
 //! the equivalence contract extends to durability watermarks.
 //!
-//! Still out of scope (serial-engine only): SSD fault injection +
-//! quarantine and in-band memory compression.
+//! The data plane is the serial engine's too: placement, admission,
+//! verify-on-read, re-homing and trickle-down are the shard transitions'
+//! ([`PoolVisit`]), run over this engine's store backend — the atomic
+//! ledgers and the sequence, with no device: every I/O finishes at `now`
+//! and succeeds, and the SSD tier always admits. What is still
+//! serial-only is what a backend has: the device clock, the SSD fault
+//! schedule and its quarantine, and in-band compression.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
@@ -108,7 +113,9 @@ use ddc_hypercache::index::{Placement, Pool, Slot, UsageMirror};
 use ddc_hypercache::policy::ShareTable;
 use ddc_hypercache::readplane::{ReadPlane, ReadProbe};
 use ddc_hypercache::registry::{self, Control, ShareMemo};
-use ddc_hypercache::shard::{self, Cut, FifoScrub, PageLedger, PoolVisit, ReplayLog, ShardState};
+use ddc_hypercache::shard::{
+    self, Cut, FifoScrub, Placed, PoolVisit, ReplayLog, ShardState, StoreBackend,
+};
 use ddc_hypercache::{
     store_kind_code, AdmissionConfig, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
     JOURNAL_COMPACT_FACTOR,
@@ -191,22 +198,37 @@ impl Ledger {
     }
 }
 
-/// Both stores' ledgers, as the shard transitions take them, and the
-/// handle's compaction budget: a page freed is a page of `live` fewer,
-/// which lowers the trigger's threshold ([`ShardedCache::compaction_due`]).
+/// This engine's [`StoreBackend`]: both stores' ledgers and the
+/// sequence, as the shard transitions take them, and the handle's
+/// compaction budget (a page freed is a page of `live` fewer, which
+/// lowers the trigger's threshold, [`ShardedCache::compaction_due`]).
+/// It has no device: an I/O finishes at `now` and never fails, and the
+/// SSD tier is always healthy (the trait's provided methods).
 struct Ledgers<'a> {
     put: &'a PutWords,
     budget: &'a CompactionBudget,
 }
 
-impl PageLedger for Ledgers<'_> {
+impl StoreBackend for Ledgers<'_> {
+    #[inline]
     fn try_alloc(&mut self, placement: Placement) -> bool {
         self.put.ledger(placement).try_alloc()
     }
 
+    #[inline]
     fn free(&mut self, placement: Placement, pages: u64) {
         self.put.ledger(placement).free(pages);
         self.budget.owe(pages * JOURNAL_COMPACT_FACTOR);
+    }
+
+    #[inline]
+    fn is_disabled(&self, placement: Placement) -> bool {
+        self.put.ledger(placement).is_disabled()
+    }
+
+    #[inline]
+    fn next_seq(&mut self) -> u64 {
+        self.put.next_seq.next.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -477,8 +499,6 @@ struct AppendWords {
 #[derive(Default)]
 #[repr(align(64))]
 struct StatCounters {
-    evictions: AtomicU64,
-    trickle_downs: AtomicU64,
     /// Weighted-eviction attempts that found their pick stale under the
     /// victim-shard lock and retried.
     two_phase_retries: AtomicU64,
@@ -708,15 +728,6 @@ impl CompactionBudget {
         let owed = self.owed.load(Ordering::Relaxed);
         self.owed.store(owed.wrapping_add(cost), Ordering::Relaxed);
     }
-}
-
-/// What [`ShardedCache::place`] decided for one put.
-enum Placed {
-    /// Store it here: a page of this store is taken for it.
-    At(Placement),
-    Rejected,
-    /// This store is full: leave the shard, evict, come back.
-    Full(Placement),
 }
 
 /// Why a put group's shard visit ended.
@@ -987,12 +998,24 @@ impl ShardedCache {
 
     /// Objects evicted by the policy module since creation.
     pub fn evictions(&self) -> u64 {
-        self.inner.stats.evictions.load(Ordering::Relaxed)
+        self.evicted().pages
     }
 
     /// Hybrid-pool objects trickled from memory down to the SSD store.
     pub fn trickle_downs(&self) -> u64 {
-        self.inner.stats.trickle_downs.load(Ordering::Relaxed)
+        self.evicted().trickled
+    }
+
+    /// What every shard's eviction transitions did, each read under its
+    /// lock.
+    fn evicted(&self) -> shard::Evicted {
+        (0..self.shard_count()).fold(shard::Evicted::default(), |sum, si| {
+            let shard = self.lock_shard(si).state.evicted;
+            shard::Evicted {
+                pages: sum.pages + shard.pages,
+                trickled: sum.trickled + shard.trickled,
+            }
+        })
     }
 
     /// Weighted evictions that re-validated stale and retried.
@@ -1378,10 +1401,10 @@ impl ShardedCache {
     /// Appends `rec` to shard `si`'s (locked) segment with a freshly
     /// claimed global generation. Returns the generation, or 0 when
     /// journaling is off. Must be called with the routing shard's lock
-    /// held (enforced by taking the guard's target), and `si` must be
-    /// that shard's index.
-    fn log_in(&self, si: usize, shard: &mut Shard, rec: JournalRecord) -> u64 {
-        let Some(j) = shard.journal.as_mut() else {
+    /// held (enforced by taking its segment from the guard's target),
+    /// and `si` must be that shard's index.
+    fn log_in(&self, si: usize, journal: &mut Option<Journal>, rec: JournalRecord) -> u64 {
+        let Some(j) = journal.as_mut() else {
             return 0;
         };
         self.append_claimed(si, j, std::slice::from_ref(&rec))
@@ -1395,7 +1418,7 @@ impl ShardedCache {
             return 0;
         }
         let mut shard = self.lock_shard(si);
-        self.log_in(si, &mut shard, rec)
+        self.log_in(si, &mut shard.journal, rec)
     }
 
     /// Drains the pending records into shard `si`'s (locked) segment as
@@ -1572,7 +1595,7 @@ impl ShardedCache {
     }
 
     /// The whole cache as a [`Cut`] of already-held locks.
-    fn cut<'a>(reg: &Registry, shards: &'a [MutexGuard<'_, Shard>]) -> Cut<'a> {
+    pub(crate) fn cut<'a>(reg: &Registry, shards: &'a [MutexGuard<'_, Shard>]) -> Cut<'a> {
         Cut::new(reg, shards.iter().map(|s| &s.state).collect())
     }
 
@@ -1694,7 +1717,7 @@ impl ShardedCache {
         for placement in [Placement::Mem, Placement::Ssd] {
             let ledger = cache.ledger(placement);
             while ledger.used_pages() > ledger.capacity_pages() {
-                if cache.evict_batch(placement) == 0 {
+                if cache.evict_batch(SimTime::ZERO, placement) == 0 {
                     break;
                 }
             }
@@ -1771,20 +1794,22 @@ impl ShardedCache {
     }
 
     /// Runs `f` with the registry read-locked and every shard locked in
-    /// ascending order (the crate's lock-all discipline). Used by the
-    /// invariant auditor.
+    /// ascending order (the crate's lock-all discipline), with the
+    /// stores' `(used, capacity)` and the next sequence stamp. Used by
+    /// the invariant auditor.
     pub(crate) fn with_all_locked<R>(
         &self,
-        f: impl FnOnce(&Registry, &[MutexGuard<'_, Shard>], &Ledger, &Ledger, u64) -> R,
+        f: impl FnOnce(&Registry, &[MutexGuard<'_, Shard>], [(u64, u64); 2], u64) -> R,
     ) -> R {
         let reg = self.inner.registry.lock.read().expect("registry poisoned");
         let shards = self.lock_all_shards();
+        let put = &self.inner.put;
+        let stores = [&put.mem, &put.ssd].map(|l| (l.used_pages(), l.capacity_pages()));
         f(
             &reg,
             &shards,
-            &self.inner.put.mem,
-            &self.inner.put.ssd,
-            self.inner.put.next_seq.next.load(Ordering::Relaxed),
+            stores,
+            put.next_seq.next.load(Ordering::Relaxed),
         )
     }
 
@@ -1831,18 +1856,10 @@ impl ShardedCache {
         for (vm, pid) in self.pool_ids() {
             let si = self.shard_of(vm, pid);
             let mut shard = self.lock_shard(si);
-            let gone = shard
-                .state
-                .ttl_sweep_pool(&mut self.ledgers(), vm, pid, ttl);
-            let count = gone.len() as u64;
-            self.inner
-                .stats
-                .evictions
-                .fetch_add(count, Ordering::Relaxed);
-            demoted += count;
-            for addr in gone {
-                self.log_in(si, &mut shard, shard::evict_record(vm, pid, addr));
-            }
+            let Shard { state, journal, .. } = &mut *shard;
+            demoted += state.ttl_sweep_pool(&mut self.ledgers(), (vm, pid), ttl, |rec| {
+                self.log_in(si, journal, rec);
+            });
             self.sync_front(si, &shard, Placement::Ssd);
         }
         demoted
@@ -1869,10 +1886,6 @@ impl ShardedCache {
         }
     }
 
-    fn alloc_seq(&self) -> u64 {
-        self.inner.put.next_seq.next.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Locks every shard in ascending index order. Parks on a busy one:
     /// a sweep holds what it has taken so far, so every microsecond it
     /// spins is one every client of those shards waits too.
@@ -1892,38 +1905,16 @@ impl ShardedCache {
         backoff::lock(&self.inner.ro.shards[idx], "shard poisoned")
     }
 
-    /// [`ShardState::insert`] on a (locked) shard, then the front
-    /// republished: the push (into a possibly-empty queue) or the
-    /// compaction may have changed the head tuple.
-    #[allow(clippy::too_many_arguments)]
-    fn insert_in(
-        &self,
-        si: usize,
-        shard: &mut Shard,
-        vm: VmId,
-        pool: PoolId,
-        addr: BlockAddr,
-        placement: Placement,
-        version: PageVersion,
-        seq: u64,
-    ) -> bool {
-        let inserted =
-            shard
-                .state
-                .insert(&mut self.ledgers(), vm, pool, addr, placement, version, seq);
-        self.sync_front(si, shard, placement);
-        inserted
-    }
-
     // ------------------------------------------------------------------
     // Entitlements (the registry's share table, memoized per handle).
     // ------------------------------------------------------------------
 
     /// Runs `f` against the handle-local memoized share table for one
     /// store ([`ShareMemo`]: exact, revalidated on every call), usage
-    /// read from the mirrors. The caller holds the registry read lock,
-    /// so the version cannot move under it (mutations bump it under the
-    /// write lock).
+    /// read from the mirrors — the locked usage on one thread, so an
+    /// entitlement read here is the serial engine's. The caller holds
+    /// the registry read lock, so the version cannot move under it
+    /// (mutations bump it under the write lock).
     fn with_share_memo<R>(
         &self,
         reg: &Registry,
@@ -1939,24 +1930,6 @@ impl ShardedCache {
             |_, _, mirror| mirror.pages(placement),
             f,
         )
-    }
-
-    /// A pool's entitlement through the handle-local memo — no shard
-    /// locks, usage entering only via the memo's participation checks.
-    /// The per-op entitlement query of the put path. Driven
-    /// single-threaded the mirrors equal the locked usage, so this is
-    /// exactly the serial engine's answer; under contention another
-    /// pool's participation may be momentarily stale, while the put's
-    /// own pool — whose usage the placement decision compares against
-    /// — is exact under its home-shard lock.
-    fn pool_entitlement_memo(
-        &self,
-        reg: &Registry,
-        vm: VmId,
-        pool: PoolId,
-        placement: Placement,
-    ) -> u64 {
-        self.with_share_memo(reg, placement, |t| t.pool_entitlement(vm, pool))
     }
 
     // ------------------------------------------------------------------
@@ -1995,8 +1968,9 @@ impl ShardedCache {
     ///
     /// Driven single-threaded the mirrors equal the locked usage, so the
     /// first snapshot re-validates unchanged and the victim (and every
-    /// evicted object) matches the serial engine exactly.
-    fn evict_batch(&self, placement: Placement) -> u64 {
+    /// evicted object) matches the serial engine exactly. Trickle-down
+    /// writes are charged at `now`.
+    fn evict_batch(&self, now: SimTime, placement: Placement) -> u64 {
         if self.inner.ro.mode == PartitionMode::Global {
             return self.evict_batch_global(placement);
         }
@@ -2022,7 +1996,8 @@ impl ShardedCache {
                 if budget_spent || self.select_victim(&reg, placement) == Some((vm, pool_id)) {
                     let Shard { state, journal, .. } = &mut *shard;
                     state.visit(vm, pool_id).map_or(0, |mut victim| {
-                        self.evict_from(si, &mut victim, journal, placement, EVICTION_BATCH_PAGES)
+                        let ledgers = &mut self.ledgers();
+                        self.evict_from(si, &mut victim, ledgers, journal, now, placement)
                     })
                 } else {
                     0
@@ -2116,8 +2091,11 @@ impl ShardedCache {
                 let Some((vm, pool_id, addr)) = evicted else {
                     continue 'nominate;
                 };
-                self.inner.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                self.log_in(si, &mut shard, shard::evict_record(vm, pool_id, addr));
+                self.log_in(
+                    si,
+                    &mut shard.journal,
+                    shard::evict_record(vm, pool_id, addr),
+                );
                 freed += 1;
                 self.pop_dead_fronts(si, &mut shard, placement);
                 if Self::nominate(leaves) != Some(si) {
@@ -2136,38 +2114,25 @@ impl ShardedCache {
         self.sync_front(si, shard, placement);
     }
 
-    /// Evicts up to `max_pages` oldest objects of one pool out of its
-    /// (locked) home shard, trickling hybrid memory evictions down to
-    /// the SSD share. A pool only ever touches its home shard, so one
-    /// guard suffices — this is what lets eviction run without stopping
-    /// the world.
+    /// One eviction batch of one pool out of its (locked) home shard
+    /// ([`PoolVisit::evict_batch`]), each record journaled as it comes.
+    /// A pool only ever touches its home shard, so one guard suffices —
+    /// this is what lets eviction run without stopping the world.
     fn evict_from(
         &self,
         si: usize,
         pool: &mut PoolVisit<'_>,
+        ledgers: &mut Ledgers<'_>,
         journal: &mut Option<Journal>,
+        now: SimTime,
         placement: Placement,
-        max_pages: u64,
     ) -> u64 {
-        let admission = self.inner.ro.admission;
-        let (freed, trickled) = pool.evict_batch(
-            &mut self.ledgers(),
-            placement,
-            max_pages,
-            admission.filters_spills().then_some(admission.ghost_window),
-            // No device model on this plane: a trickle only needs its
-            // sequence stamp.
-            Some(|_: &mut Ledgers<'_>, _| Some(self.alloc_seq())),
-            |rec| {
-                if let Some(j) = journal.as_mut() {
-                    self.append_claimed(si, j, std::slice::from_ref(&rec));
-                }
-            },
-        );
-        let stats = &self.inner.stats;
-        stats.evictions.fetch_add(freed, Ordering::Relaxed);
-        stats.trickle_downs.fetch_add(trickled, Ordering::Relaxed);
-        freed
+        let (batch, admission) = (EVICTION_BATCH_PAGES, self.inner.ro.admission);
+        let log = |rec| {
+            self.log_in(si, journal, rec);
+        };
+        pool.evict_batch(ledgers, now, placement, batch, admission, log)
+            .0
     }
 
     // ------------------------------------------------------------------
@@ -2181,7 +2146,7 @@ impl ShardedCache {
     /// Resource-conservative enforcement against the global ledger:
     /// evict only when the store itself is full, one
     /// [`Self::evict_batch`] at a time.
-    fn alloc_or_evict(&self, placement: Placement) -> bool {
+    fn alloc_or_evict(&self, now: SimTime, placement: Placement) -> bool {
         loop {
             if self.ledger(placement).try_alloc() {
                 return true;
@@ -2214,91 +2179,9 @@ impl ShardedCache {
             if self.ledger(placement).try_alloc() {
                 return true;
             }
-            if self.evict_batch(placement) == 0 {
+            if self.evict_batch(now, placement) == 0 {
                 return false;
             }
-        }
-    }
-
-    /// Decides where one put goes and clears the way for it, on the
-    /// put's (visited) pool under the home shard's lock, in the serial
-    /// engine's statement order. Placement is decided here, under the
-    /// lock, where the pool's own usage is exact (the entitlement comes
-    /// from the handle-local memo) — so there is nothing to speculate
-    /// on and nothing to retry. `reg` is the registry a hybrid-store or
-    /// strict-mode visit entered holding.
-    #[allow(clippy::too_many_arguments)]
-    fn place(
-        &self,
-        si: usize,
-        (vm, pool): (VmId, PoolId),
-        visit: &mut PoolVisit<'_>,
-        journal: &mut Option<Journal>,
-        reg: Option<&Registry>,
-        policy: CachePolicy,
-        addr: BlockAddr,
-        scratch: &mut GroupScratch,
-    ) -> Placed {
-        // Placement decided with the old copy still resident, like the
-        // serial engine.
-        let placement = match policy.store {
-            StoreKind::Mem => Placement::Mem,
-            StoreKind::Ssd => Placement::Ssd,
-            StoreKind::Hybrid => {
-                let reg = reg.expect("hybrid puts hold the registry");
-                let entitlement = self.pool_entitlement_memo(reg, vm, pool, Placement::Mem);
-                if visit.pool.used(Placement::Mem) < entitlement {
-                    Placement::Mem
-                } else {
-                    Placement::Ssd
-                }
-            }
-        };
-        // Strict mode's hard partition (the pool's own stale copy, gone
-        // by the time the serial engine asks, is in a store the pool is
-        // assigned to and so never moves this table).
-        let partition = (self.inner.ro.mode == PartitionMode::Strict).then(|| {
-            let reg = reg.expect("strict-mode puts hold the registry");
-            self.pool_entitlement_memo(reg, vm, pool, placement)
-        });
-        if self.ledger(placement).is_disabled() {
-            return Placed::Rejected;
-        }
-
-        // Ghost admission: a hybrid pool spilling into its SSD share
-        // must earn the flash write. Checked before any mutation, so
-        // both engines decide identically.
-        let admission = self.inner.ro.admission;
-        if admission.filters_spills()
-            && placement == Placement::Ssd
-            && policy.store == StoreKind::Hybrid
-            && !visit.pool.admit_spill(addr, admission.ghost_window)
-        {
-            return Placed::Rejected;
-        }
-
-        // Exclusive overwrite: displace any stale copy first so the
-        // freed page is available to this put.
-        visit.remove(&mut self.ledgers(), addr);
-
-        // Strict-mode pre-check: a pool at its hard partition evicts
-        // from itself before the store-level check. Entitlement comes
-        // from the mirrors (exact when single-threaded); the eviction
-        // itself only needs the home shard, which we hold.
-        if partition.is_some_and(|entitlement| visit.pool.used(placement) + 1 > entitlement) {
-            // The evictor journals straight into the segment — pending
-            // batch records must land first so generation order stays
-            // equal to operation order.
-            self.drain_scratch(si, journal, scratch);
-            if self.evict_from(si, visit, journal, placement, EVICTION_BATCH_PAGES) == 0 {
-                return Placed::Rejected;
-            }
-        }
-
-        if self.ledger(placement).try_alloc() {
-            Placed::At(placement)
-        } else {
-            Placed::Full(placement)
         }
     }
 
@@ -2362,7 +2245,7 @@ impl ShardedCache {
     ) {
         let mut scratch = std::mem::take(&mut self.local.scratch);
         scratch.begin(batch_ops);
-        let filters_spills = self.inner.ro.admission.filters_spills();
+        let admission = self.inner.ro.admission;
         let mut next = 0;
         // A visit that pauses to compact comes back to its shard even
         // when that was the batch's last hit: the batch counters count
@@ -2381,23 +2264,19 @@ impl ShardedCache {
                 next += 1;
                 // Exclusive semantics remove the object on a hit; its
                 // FIFO entry outlives it as a tombstone.
-                let Some(slot) = visit.take(&mut self.ledgers(), addr) else {
+                let Some(got) = visit.take(&mut self.ledgers(), now, addr, admission) else {
                     // Miss in the local tiers: fall through to the
                     // pool's remote binding (if any), which fails open
                     // back to a miss.
                     out[i] = visit.remote_get(now, addr);
                     continue;
                 };
-                visit.pool.note_hit(addr, slot.placement, filters_spills);
-                out[i] = GetOutcome::Hit {
-                    finish: now,
-                    version: slot.version,
-                };
-                // Only a local hit journals, so only a local hit can
-                // cross the compaction threshold.
+                out[i] = got;
+                // The object is gone, served or failed: it journals, and
+                // a hit is a compaction point, as on the serial engine.
                 if journal.is_some() {
                     scratch.records.push(shard::take_record(vm, pool, addr));
-                    compact = self.compaction_due(scratch.records.len());
+                    compact = got.is_hit() && self.compaction_due(scratch.records.len());
                 }
             }
             self.leave_shard(si, shard, &mut scratch);
@@ -2410,8 +2289,11 @@ impl ShardedCache {
     }
 
     /// The put group: one home-shard visit for the whole group in the
-    /// common case, every page through [`Self::place`] and the insert
-    /// below it. Outcomes land in `out` (same length as `pages`), so
+    /// common case, every page through [`PoolVisit::place`] and
+    /// [`PoolVisit::store`]: placement is decided under the lock, where
+    /// the pool's own usage is exact (entitlements come from the
+    /// handle-local memo), so there is nothing to speculate on and
+    /// nothing to retry. Outcomes land in `out` (same length as `pages`), so
     /// the scalar caller passes a stack slot and allocates nothing.
     ///
     /// A visit ends early for two reasons, each with no lock held
@@ -2446,8 +2328,8 @@ impl ShardedCache {
         // A page of this store, taken for `pages[next]` by the eviction
         // loop while no lock was held.
         let mut in_hand = None;
-        let with_registry =
-            policy.store == StoreKind::Hybrid || self.inner.ro.mode == PartitionMode::Strict;
+        let (mode, admission) = (self.inner.ro.mode, self.inner.ro.admission);
+        let with_registry = policy.store == StoreKind::Hybrid || mode == PartitionMode::Strict;
         while next < pages.len() {
             let reg =
                 with_registry.then(|| self.inner.registry.lock.read().expect("registry poisoned"));
@@ -2466,22 +2348,29 @@ impl ShardedCache {
             };
             let mut pause = Pause::Done;
             while let Some(&(addr, version)) = pages.get(next) {
-                let placed = in_hand.take().map_or_else(
-                    || {
-                        let reg = reg.as_deref();
-                        self.place(
-                            si,
-                            (vm, pool),
-                            &mut visit,
-                            journal,
-                            reg,
-                            policy,
-                            addr,
-                            &mut scratch,
-                        )
-                    },
-                    Placed::At,
-                );
+                let entitlement = |placement| {
+                    let reg = reg.as_deref().expect("the visit holds the registry");
+                    self.with_share_memo(reg, placement, |t| t.pool_entitlement(vm, pool))
+                };
+                let placed = match in_hand.take() {
+                    Some(placement) => Placed::At(placement),
+                    None => visit.place(
+                        &mut self.ledgers(),
+                        now,
+                        addr,
+                        policy,
+                        mode,
+                        admission,
+                        entitlement,
+                        |visit, ledgers, placement| {
+                            // The evictor journals straight into the
+                            // segment: pending batch records land first,
+                            // so generation order stays operation order.
+                            self.drain_scratch(si, journal, &mut scratch);
+                            self.evict_from(si, visit, ledgers, journal, now, placement)
+                        },
+                    ),
+                };
                 let placement = match placed {
                     Placed::At(placement) => placement,
                     Placed::Rejected => {
@@ -2494,9 +2383,16 @@ impl ShardedCache {
                         break;
                     }
                 };
-                let seq = self.alloc_seq();
-                visit.pool.counters.puts += 1;
-                visit.insert(&mut self.ledgers(), addr, placement, version, seq);
+                let stored = visit.store(&mut self.ledgers(), now, addr, placement, version);
+                next += 1;
+                let finish = match stored {
+                    Ok(finish) => finish,
+                    Err(err) => {
+                        out[next - 1] = PutOutcome::Failed { finish: err.finish };
+                        continue;
+                    }
+                };
+                out[next - 1] = PutOutcome::Stored { finish };
                 // The push (into a possibly-empty queue) may have
                 // changed the head tuple.
                 self.publish_front(si, placement, visit.front_seq(placement));
@@ -2504,8 +2400,6 @@ impl ShardedCache {
                     let record = shard::put_record(vm, pool, addr, version, placement);
                     scratch.records.push(record);
                 }
-                out[next] = PutOutcome::Stored { finish: now };
-                next += 1;
                 if self.compaction_due(scratch.records.len()) {
                     pause = Pause::Compact;
                     break;
@@ -2521,7 +2415,7 @@ impl ShardedCache {
                 // Resource-conservative enforcement: evict only when
                 // the store itself is full, from no lock held.
                 Pause::Evict(placement) => {
-                    if self.alloc_or_evict(placement) {
+                    if self.alloc_or_evict(now, placement) {
                         in_hand = Some(placement);
                     } else {
                         out[next] = PutOutcome::Rejected;
@@ -2635,7 +2529,7 @@ impl ShardedCache {
                     shard.state.remote_stash.remove(&(vm, pid));
                     shard.state.drain_pool(&mut self.ledgers(), vm, pid);
                     if !whole_vm {
-                        self.log_in(si, &mut shard, rec);
+                        self.log_in(si, &mut shard.journal, rec);
                     }
                 }
                 if whole_vm {
@@ -2662,7 +2556,7 @@ impl ShardedCache {
                 (si, shard)
             }
         };
-        self.log_in(si, &mut shard, rec);
+        self.log_in(si, &mut shard.journal, rec);
         Some((si, shard))
     }
 
@@ -2677,14 +2571,13 @@ impl ShardedCache {
         addr: BlockAddr,
     ) -> Option<Slot> {
         let slot = shard.state.remove(&mut self.ledgers(), vm, from, addr)?;
-        self.log_in(si, shard, shard::take_record(vm, from, addr));
+        self.log_in(si, &mut shard.journal, shard::take_record(vm, from, addr));
         Some(slot)
     }
 
-    /// The target half on `to`'s (locked) home shard: the object takes
-    /// a page of its old store again and joins `to`. An unknown target
-    /// (the object has no owner) or a page a racing put took first
-    /// drops it — it is clean, so dropping is always safe.
+    /// The target half on `to`'s (locked) home shard
+    /// ([`ShardState::adopt`]; a page a racing put took first drops the
+    /// object too), then the front republished and the `Put` journaled.
     fn migrate_in(
         &self,
         si: usize,
@@ -2694,16 +2587,11 @@ impl ShardedCache {
         addr: BlockAddr,
         slot: Slot,
     ) {
-        if !shard.state.pools.contains_key(&(vm, to)) || !self.ledger(slot.placement).try_alloc() {
-            return;
+        if shard.state.adopt(&mut self.ledgers(), vm, to, addr, slot) {
+            self.sync_front(si, shard, slot.placement);
+            let put = shard::put_record(vm, to, addr, slot.version, slot.placement);
+            self.log_in(si, &mut shard.journal, put);
         }
-        let seq = self.alloc_seq();
-        self.insert_in(si, shard, vm, to, addr, slot.placement, slot.version, seq);
-        self.log_in(
-            si,
-            shard,
-            shard::put_record(vm, to, addr, slot.version, slot.placement),
-        );
     }
 }
 
@@ -2740,21 +2628,18 @@ impl SecondChanceCache for ShardedCache {
         let Some((si, mut shard)) = self.control(&mut self.registry_mut(), rec) else {
             return;
         };
-        // Re-home what the new policy no longer allows where it is (the
-        // serial engine's rehome, minus the fault plane).
-        for (addr, version, new_placement) in shard.state.misplaced(vm, pool) {
-            shard.state.remove(&mut self.ledgers(), vm, pool, addr);
-            self.log_in(si, &mut shard, shard::evict_record(vm, pool, addr));
-            // Move to the newly-allowed store if it has room; drop
-            // otherwise (the object is clean, dropping is always safe).
-            if self.ledger(new_placement).try_alloc() {
-                let seq = self.alloc_seq();
-                self.insert_in(si, &mut shard, vm, pool, addr, new_placement, version, seq);
-                self.log_in(
-                    si,
-                    &mut shard,
-                    shard::put_record(vm, pool, addr, version, new_placement),
-                );
+        // Re-home what the new policy no longer allows where it is.
+        let Shard { state, journal, .. } = &mut *shard;
+        for (addr, version, to) in state.misplaced(vm, pool) {
+            let mut visit = state.visit(vm, pool).expect("re-homing keeps the pool");
+            let moved = visit.rehome(&mut self.ledgers(), SimTime::ZERO, addr, to);
+            let scrub = visit.end();
+            state.scrub(scrub);
+            self.log_in(si, journal, shard::evict_record(vm, pool, addr));
+            if moved {
+                // The insert may have changed the head tuple.
+                self.publish_front(si, to, state.front_seq(to));
+                self.log_in(si, journal, shard::put_record(vm, pool, addr, version, to));
             }
         }
     }
@@ -2785,7 +2670,8 @@ impl SecondChanceCache for ShardedCache {
         let reg = self.inner.registry.lock.read().expect("registry poisoned");
         let shard = self.lock_shard(self.shard_of(vm, pool));
         let p = shard.state.pools.get(&(vm, pool))?;
-        let entitlement = self.pool_entitlement_memo(&reg, vm, pool, p.primary_placement());
+        let entitled = |t: &ShareTable| t.pool_entitlement(vm, pool);
+        let entitlement = self.with_share_memo(&reg, p.primary_placement(), entitled);
         // Lock-free misses bump the pool's usage mirror instead of the
         // shard-locked counters; fold them back in so totals match the
         // serial engine exactly.
@@ -2837,7 +2723,11 @@ impl SecondChanceCache for ShardedCache {
         let remotes = self.inner.ro.remote_on.load(Ordering::Acquire);
         shard.state.note_flush_file(vm, pool, file, remotes);
         // Compaction hoisted to batch boundaries, like `flush`.
-        self.log_in(si, &mut shard, shard::flush_file_record(vm, pool, file))
+        self.log_in(
+            si,
+            &mut shard.journal,
+            shard::flush_file_record(vm, pool, file),
+        )
     }
 
     fn get_many(
@@ -2952,10 +2842,54 @@ mod tests {
         pub(crate) fn skew_front_leaf(&self, si: usize, placement: Placement, seq: u64) {
             self.front_leaves(placement)[si].store(seq, Ordering::Release);
         }
+
+        /// Corrupts one resident object's stored checksum behind the
+        /// engine's back (bit rot in its store), so tests can show a get
+        /// fails it rather than serve it. `false` if it is not resident.
+        pub(crate) fn rot_slot(&self, vm: VmId, pool: PoolId, addr: BlockAddr) -> bool {
+            let mut shard = self.lock_shard(self.shard_of(vm, pool));
+            let pool = shard.state.pools.get_mut(&(vm, pool));
+            pool.is_some_and(|p| p.corrupt(addr))
+        }
     }
 
     fn addr(f: u64, b: u64) -> BlockAddr {
         BlockAddr::new(FileId(f), b)
+    }
+
+    /// Verify-on-read: a rotten copy, in memory or on the SSD, is taken
+    /// out and failed, never served, and counted against its pool; the
+    /// journal records the take, the audit stays clean, and a healthy
+    /// neighbour still hits.
+    #[test]
+    fn a_rotten_hit_is_failed_never_served() {
+        let mut cache = ShardedCache::new(CacheConfig::mem_and_ssd(64, 64), 4);
+        cache.enable_journal();
+        let vm = VmId(1);
+        let pools = [
+            cache.create_pool(vm, CachePolicy::mem(100)),
+            cache.create_pool(vm, CachePolicy::ssd(100)),
+        ];
+        for (file, pool) in (1..).zip(pools) {
+            let (rotten, healthy) = (addr(file, 0), addr(file, 1));
+            for a in [rotten, healthy] {
+                assert!(cache
+                    .put(SimTime::ZERO, vm, pool, a, PageVersion(7))
+                    .is_stored());
+            }
+            assert!(cache.rot_slot(vm, pool, rotten));
+            let records = cache.journal_records();
+            let now = SimTime::from_secs(1);
+            let failed = cache.get(now, vm, pool, rotten);
+            assert_eq!(failed, GetOutcome::Failed { finish: now }, "{pool}");
+            assert_eq!(cache.journal_records(), records.map(|r| r + 1), "a take");
+            assert_eq!(cache.get(now, vm, pool, rotten), GetOutcome::Miss, "{pool}");
+            assert!(cache.get(now, vm, pool, healthy).is_hit(), "{pool}");
+            let stats = cache.pool_stats(vm, pool).unwrap();
+            assert_eq!((stats.failed_gets, stats.hits, stats.gets), (1, 1, 3));
+            assert_eq!(stats.total_pages(), 0, "{pool}");
+        }
+        assert_eq!(audit(&cache), vec![]);
     }
 
     #[test]
@@ -3199,7 +3133,7 @@ mod tests {
                 match rng.range_u64(0, 8) {
                     0..=3 => {
                         if cache.ledger(placement).try_alloc() {
-                            let seq = cache.alloc_seq();
+                            let seq = ledgers.next_seq();
                             state.insert(
                                 &mut ledgers,
                                 vm,
@@ -3219,19 +3153,13 @@ mod tests {
                     }
                     _ => {
                         // Global mode evicts no pool batch live, so
-                        // nothing trickles there.
-                        let spill =
-                            (!global).then_some(|_: &mut Ledgers<'_>, _| Some(cache.alloc_seq()));
-                        state.evict_batch(
-                            &mut ledgers,
-                            vm,
-                            pool,
-                            placement,
-                            3,
-                            None,
-                            spill,
-                            |_| {},
-                        );
+                        // nothing trickles there: its batches here take
+                        // SSD objects, which never trickle.
+                        let placement = if global { Placement::Ssd } else { placement };
+                        let mut visit = state.visit(vm, pool).expect("the pool");
+                        let admit_all = AdmissionConfig::off();
+                        let now = SimTime::ZERO;
+                        visit.evict_batch(&mut ledgers, now, placement, 3, admit_all, |_| {});
                     }
                 }
                 for placement in [Placement::Mem, Placement::Ssd] {

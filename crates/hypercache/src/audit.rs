@@ -7,11 +7,13 @@
 //! bringing the host down. An empty result means every audited invariant
 //! holds.
 //!
-//! Audited invariants:
+//! Every invariant but the 7th is one check for both engines
+//! ([`audit_cut`], over a consistent [`Cut`] of either); the sharded
+//! engine's auditor adds what only its layout has. Audited invariants:
 //!
-//! 1. **Store accounting** — each backing store's used-page counter
-//!    equals the sum of its pools' per-placement usage and never exceeds
-//!    the store's effective capacity.
+//! 1. **Store accounting** — each store's used-page counter equals the
+//!    sum of its pools' per-placement usage over every shard and never
+//!    exceeds the store's effective capacity.
 //! 2. **Index coherence** — each pool's per-placement usage counters
 //!    equal the number of live slots with that placement.
 //! 3. **FIFO coverage** — every live slot appears in its pool's FIFO
@@ -19,18 +21,17 @@
 //!    deletion leaves dead entries behind, never drops live ones), and
 //!    live queue sequences are strictly increasing.
 //! 4. **Global-FIFO tombstones** — in Global mode, the one mode that
-//!    keeps Global FIFOs, each queue's tombstone counter equals the
-//!    number of dead entries actually in it (the compaction trigger
+//!    keeps Global FIFOs, each shard's queue's tombstone counter equals
+//!    the number of dead entries actually in it (the compaction trigger
 //!    depends on it).
 //! 5. **Entitlement consistency** — per store, VM entitlements sum to at
 //!    most the store capacity, and each VM's pool entitlements sum to at
 //!    most the VM's entitlement (weights are normalized shares, paper
 //!    §4.2, so the sums can never exceed the level above), over a fresh
-//!    share table ([`audit_share_table`]). **Registry** — the registry's
+//!    share table. **Registry** (`registry-policy`) — the registry's
 //!    `(vm, pool)` set is the set of pools that exist, and each row
-//!    mirrors its pool's policy ([`audit_registry_policies`]): the share
-//!    tables are built from the rows, placement is decided from the
-//!    pools.
+//!    mirrors its pool's policy: the share tables are built from the
+//!    rows, placement is decided from the pools.
 //! 6. **Exclusive cache** — no block address is cached by two pools of
 //!    the same VM (each guest file belongs to one container; duplicates
 //!    would mean a migrate/put path leaked a copy).
@@ -65,8 +66,8 @@ use ddc_cleancache::{CachePolicy, PoolId, VmId};
 use ddc_storage::{BlockAddr, RemoteBinding};
 
 use crate::index::{Placement, Pool, SlotId};
-use crate::policy::ShareTable;
 use crate::registry::Registry;
+use crate::shard::{home_shard, Cut};
 use crate::DoubleDeckerCache;
 
 /// One violated invariant, as structured data (never a panic).
@@ -100,39 +101,96 @@ fn store_name(placement: Placement) -> &'static str {
 /// per violation (empty = healthy). Read-only and side-effect free, so
 /// it can run at any point of a simulation.
 pub fn audit(cache: &DoubleDeckerCache) -> Vec<AuditFinding> {
-    let mut findings = Vec::new();
-    store_accounting(cache, &mut findings);
-    pool_coherence(cache, &mut findings);
-    global_fifo_tombstones(cache, &mut findings);
-    for placement in placements() {
-        let capacity = cache.stores.of(placement).capacity_objects();
-        let table = cache
-            .registry
-            .share_table(capacity, placement, |vm, pool, ()| {
-                cache.state.used(vm, pool, placement)
-            });
-        findings.extend(audit_share_table(store_name(placement), &table, capacity));
-    }
-    let pools = cache.state.pools.iter();
-    let mut pools: Vec<_> = pools.map(|(&(vm, pid), p)| (vm, pid, p.policy())).collect();
-    pools.sort_unstable_by_key(|&(vm, pid, _)| (vm, pid));
-    findings.extend(audit_registry_policies(&cache.registry, &pools));
+    let stores = placements().map(|placement| {
+        let store = cache.stores.of(placement);
+        (store.used_pages(), store.capacity_objects())
+    });
+    let mut findings = audit_cut(&cache.registry, &cache.cut(), stores, cache.stores.next_seq);
     quarantine_emptiness(cache, &mut findings);
-    let mut bindings: Vec<(VmId, PoolId, &RemoteBinding)> = cache
-        .state
-        .remote_bindings
-        .iter()
-        .map(|(&(vm, pid), b)| (vm, pid, b))
-        .collect();
-    bindings.sort_unstable_by_key(|&(vm, pid, _)| (vm, pid));
-    findings.extend(audit_remote_bindings(&bindings));
     findings
 }
 
-/// Invariant 10 over an arbitrary set of remote bindings. Factored out
-/// like [`audit_pool_slice`] so the sharded engine can audit the
-/// bindings it holds per shard with the same checks.
-pub fn audit_remote_bindings(bindings: &[(VmId, PoolId, &RemoteBinding)]) -> Vec<AuditFinding> {
+/// The invariants both engines hold, checked once over a consistent
+/// [`Cut`] of either (every shard held still): store accounting against
+/// `stores` — `(used, capacity)` of `[mem, ssd]` — Global-FIFO
+/// tombstones per shard, entitlement sums over a fresh share table, the
+/// registry's rows against the pools, remote-binding consistency, and
+/// the pool slice under the engine's next stamp `next_seq`.
+pub fn audit_cut<M: Clone>(
+    registry: &Registry<M>,
+    cut: &Cut<'_>,
+    stores: [(u64, u64); 2],
+    next_seq: u64,
+) -> Vec<AuditFinding> {
+    let mut findings = Vec::new();
+    let mut finding = |invariant, detail| findings.push(AuditFinding { invariant, detail });
+    let shards = &cut.shards;
+    for placement in placements() {
+        let (name, (used, capacity)) = (store_name(placement), stores[placement.idx()]);
+        let pools = shards.iter().flat_map(|s| s.pools.values());
+        let pooled: u64 = pools.map(|p| p.used(placement)).sum();
+        if used != pooled {
+            let detail = format!("{name} store counts {used} used pages but pools hold {pooled}");
+            finding("store-accounting", detail);
+        }
+        if used > capacity {
+            let detail = format!("{name} store uses {used} pages over its capacity of {capacity}");
+            finding("store-accounting", detail);
+        }
+        for (si, shard) in shards.iter().enumerate() {
+            let Some(global) = shard.global_fifos() else {
+                continue;
+            };
+            let (dead, stale) = (shard.dead_fifo_entries(placement), global.stale(placement));
+            if dead != stale {
+                let detail = format!(
+                    "shard {si}: {name} global FIFO has {dead} dead entries but the tombstone \
+                     counter says {stale} (compaction trigger is skewed)"
+                );
+                finding("global-fifo-tombstones", detail);
+            }
+        }
+        let table = registry.share_table(capacity, placement, |vm, pool, _| {
+            shards[home_shard(vm, pool, shards.len())].used(vm, pool, placement)
+        });
+        let vm_sum: u64 = table.rows().map(|r| r.1).sum();
+        if vm_sum > capacity {
+            let detail = format!(
+                "{name} store: VM entitlements sum to {vm_sum}, over the capacity of \
+                 {capacity} objects"
+            );
+            finding("entitlement-sums", detail);
+        }
+        for (vm, vm_share, pools) in table.rows() {
+            let pool_sum: u64 = pools.iter().map(|r| r.1).sum();
+            if pool_sum > vm_share {
+                let detail = format!(
+                    "{name} store: {vm} pool entitlements sum to {pool_sum}, over the VM's \
+                     entitlement of {vm_share}"
+                );
+                finding("entitlement-sums", detail);
+            }
+        }
+    }
+    let pools = shards.iter().flat_map(|s| s.pools.iter());
+    let mut pools: Vec<_> = pools.map(|(&(vm, pid), p)| (vm, pid, p.policy())).collect();
+    pools.sort_unstable_by_key(|&(vm, pid, _)| (vm, pid));
+    findings.extend(audit_registry_policies(registry, &pools));
+    let bindings = shards.iter().flat_map(|s| s.remote_bindings.iter());
+    let mut bindings: Vec<_> = bindings.map(|(&(vm, pid), b)| (vm, pid, b)).collect();
+    bindings.sort_unstable_by_key(|&(vm, pid, _)| (vm, pid));
+    findings.extend(audit_remote_bindings(&bindings));
+    let pools: Vec<_> = cut
+        .pools
+        .iter()
+        .map(|&(vm, pid, _, p)| (vm, pid, p))
+        .collect();
+    findings.extend(audit_pool_slice(&pools, next_seq));
+    findings
+}
+
+/// Invariant 10 over every remote binding, sorted by pool.
+fn audit_remote_bindings(bindings: &[(VmId, PoolId, &RemoteBinding)]) -> Vec<AuditFinding> {
     let mut findings = Vec::new();
     for &(vm, pid, b) in bindings {
         let c = b.counters();
@@ -229,14 +287,9 @@ pub fn audit_remote_bindings(bindings: &[(VmId, PoolId, &RemoteBinding)]) -> Vec
 }
 
 /// Audits the pool-local invariant families — index coherence (2), FIFO
-/// coverage and order (3), the exclusive-cache property (6), and
-/// sequence monotonicity (8) — over an arbitrary collection of pools.
-///
-/// Factored out of [`audit`] so other cache assemblies built on
-/// [`crate::index::Pool`] (the sharded serving plane in
-/// `ddc-concurrent`) can enforce the same invariants: callers flatten
-/// whatever pool topology they hold into one slice and pass the global
-/// sequence-allocator watermark.
+/// coverage and order (3), the exclusive-cache property (6), sequence
+/// monotonicity (8) and the arena (9) — over an arbitrary collection of
+/// pools, below the sequence allocator's watermark `next_seq`.
 pub fn audit_pool_slice(pools: &[(VmId, PoolId, &Pool)], next_seq: u64) -> Vec<AuditFinding> {
     let mut findings = Vec::new();
     for &(vm, pid, pool) in pools {
@@ -315,40 +368,10 @@ pub fn audit_pool_slice(pools: &[(VmId, PoolId, &Pool)], next_seq: u64) -> Vec<A
     findings
 }
 
-/// Invariant 5 over one store's share table (built fresh by the caller
-/// from its registry and locked usage): entitlements are normalized
-/// shares, so each level sums to at most the level above.
-pub fn audit_share_table(store_name: &str, table: &ShareTable, capacity: u64) -> Vec<AuditFinding> {
-    let mut findings = Vec::new();
-    let vm_sum: u64 = table.rows().map(|r| r.1).sum();
-    if vm_sum > capacity {
-        findings.push(AuditFinding {
-            invariant: "entitlement-sums",
-            detail: format!(
-                "{store_name} store: VM entitlements sum to {vm_sum}, over the \
-                 capacity of {capacity} objects"
-            ),
-        });
-    }
-    for (vm, vm_share, pools) in table.rows() {
-        let pool_sum: u64 = pools.iter().map(|r| r.1).sum();
-        if pool_sum > vm_share {
-            findings.push(AuditFinding {
-                invariant: "entitlement-sums",
-                detail: format!(
-                    "{store_name} store: {vm} pool entitlements sum to {pool_sum}, \
-                     over the VM's entitlement of {vm_share}"
-                ),
-            });
-        }
-    }
-    findings
-}
-
 /// The registry's rows against the pools that exist (`pools` sorted by
 /// `(vm, pool)`, as the rows are): the same keys, and under each the
 /// same policy.
-pub fn audit_registry_policies<M: Clone>(
+fn audit_registry_policies<M: Clone>(
     registry: &Registry<M>,
     pools: &[(VmId, PoolId, CachePolicy)],
 ) -> Vec<AuditFinding> {
@@ -530,68 +553,6 @@ fn file_chains(
         finding(format!(
             "live {id:?} is on no file chain (flush_file would miss it)"
         ));
-    }
-}
-
-/// Invariant 1: store used-page counters match the pool indexes and
-/// respect capacity.
-fn store_accounting(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>) {
-    for placement in placements() {
-        let store = cache.stores.of(placement);
-        let name = store_name(placement);
-        let pooled: u64 = cache.state.pools.values().map(|p| p.used(placement)).sum();
-        if store.used_pages() != pooled {
-            findings.push(AuditFinding {
-                invariant: "store-accounting",
-                detail: format!(
-                    "{name} store counts {} used pages but pools hold {pooled}",
-                    store.used_pages()
-                ),
-            });
-        }
-        if store.used_pages() > store.capacity_objects() {
-            findings.push(AuditFinding {
-                invariant: "store-accounting",
-                detail: format!(
-                    "{name} store uses {} pages over its capacity of {} objects",
-                    store.used_pages(),
-                    store.capacity_objects()
-                ),
-            });
-        }
-    }
-}
-
-/// Invariants 2, 3, 6 and 8 via [`audit_pool_slice`] over every pool.
-fn pool_coherence(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>) {
-    let pools: Vec<(VmId, PoolId, &Pool)> = cache
-        .state
-        .pools
-        .iter()
-        .map(|(&(vm, pid), pool)| (vm, pid, pool))
-        .collect();
-    findings.extend(audit_pool_slice(&pools, cache.next_seq));
-}
-
-/// Invariant 4: the Global queues' tombstone counters match the actual
-/// dead-entry counts.
-fn global_fifo_tombstones(cache: &DoubleDeckerCache, findings: &mut Vec<AuditFinding>) {
-    let Some(global) = cache.state.global_fifos() else {
-        return;
-    };
-    for placement in placements() {
-        let stale = global.stale(placement);
-        let name = store_name(placement);
-        let dead = cache.state.dead_fifo_entries(placement);
-        if dead != stale {
-            findings.push(AuditFinding {
-                invariant: "global-fifo-tombstones",
-                detail: format!(
-                    "{name} global FIFO has {dead} dead entries but the tombstone \
-                     counter says {stale} (compaction trigger is skewed)"
-                ),
-            });
-        }
     }
 }
 
@@ -797,7 +758,7 @@ mod tests {
             if mode == PartitionMode::Global {
                 assert_eq!(found.len(), 1, "{found:?}");
                 assert!(
-                    found[0].starts_with("mem global FIFO has 2 dead"),
+                    found[0].starts_with("shard 0: mem global FIFO has 2 dead"),
                     "{found:?}"
                 );
             } else {

@@ -20,7 +20,7 @@ use crate::admission::AdmissionConfig;
 use crate::index::{Placement, Pool};
 use crate::policy::ShareTable;
 use crate::registry::{Control, Registry, ShareMemo};
-use crate::shard::{self, Cut, PageLedger, ReplayLog, ShardState};
+use crate::shard::{self, Cut, IoResult, Placed, ReplayLog, ShardState, SsdHealth, StoreBackend};
 use crate::store::BackingStore;
 use crate::{store_kind_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES};
 
@@ -100,15 +100,49 @@ pub struct RecoveryReport {
     pub new_epochs: Vec<(VmId, u64)>,
 }
 
-/// The serial engine's two stores, addressed by placement: its
-/// [`PageLedger`].
+/// The serial engine's [`StoreBackend`]: its two stores addressed by
+/// placement, the insertion sequence, and the SSD tier's health — a
+/// quarantine breaker over the SSD device, the fallback while it is
+/// open, and the faults counted.
 #[derive(Debug)]
 pub(crate) struct Stores {
     pub(crate) mem: BackingStore,
     pub(crate) ssd: BackingStore,
+    pub(crate) next_seq: u64,
+    /// SSD-tier health as a threshold-1 [`CircuitBreaker`]: a single
+    /// store fault quarantines (opens) the tier, `allows` gates the
+    /// recovery-probe put, and failed probes double the backoff. Shares
+    /// the state machine with the hypercall put breaker and the remote
+    /// client.
+    ssd_breaker: CircuitBreaker,
+    fallback: FallbackMode,
+    /// A fault just opened the breaker: the engine drains the tier
+    /// ([`DoubleDeckerCache::drain_tripped_ssd`]).
+    tripped: bool,
+    /// Reads and writes that failed on a store fault (a rotten copy is a
+    /// failed read).
+    failed_gets: u64,
+    failed_puts: u64,
 }
 
 impl Stores {
+    pub(crate) fn new(config: &CacheConfig) -> Stores {
+        Stores {
+            mem: BackingStore::mem(config.mem_capacity_pages),
+            ssd: BackingStore::ssd(config.ssd_capacity_pages),
+            next_seq: 1,
+            ssd_breaker: CircuitBreaker::new(BreakerConfig {
+                threshold: 1,
+                initial_backoff: DoubleDeckerCache::SSD_PROBE_INITIAL_BACKOFF,
+                max_backoff: DoubleDeckerCache::SSD_PROBE_MAX_BACKOFF,
+            }),
+            fallback: FallbackMode::default(),
+            tripped: false,
+            failed_gets: 0,
+            failed_puts: 0,
+        }
+    }
+
     pub(crate) fn of(&self, placement: Placement) -> &BackingStore {
         match placement {
             Placement::Mem => &self.mem,
@@ -122,16 +156,88 @@ impl Stores {
             Placement::Ssd => &mut self.ssd,
         }
     }
+
+    /// A fault of `placement`'s store at `now`; one of the SSD tier may
+    /// trip its breaker.
+    fn fault(&mut self, now: SimTime, placement: Placement) {
+        if placement == Placement::Ssd {
+            self.tripped |= self.ssd_breaker.note_failure(now);
+        }
+    }
 }
 
-impl PageLedger for Stores {
+impl StoreBackend for Stores {
+    #[inline]
     fn try_alloc(&mut self, placement: Placement) -> bool {
         self.of_mut(placement).try_alloc()
     }
 
+    #[inline]
     fn free(&mut self, placement: Placement, pages: u64) {
         self.of_mut(placement).free(pages);
     }
+
+    #[inline]
+    fn is_disabled(&self, placement: Placement) -> bool {
+        self.of(placement).is_disabled()
+    }
+
+    #[inline]
+    fn next_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    #[inline]
+    fn read(&mut self, now: SimTime, placement: Placement, addr: BlockAddr) -> IoResult {
+        let read = self.of_mut(placement).try_read(now, addr);
+        if read.is_err() {
+            self.failed_gets += 1;
+            self.fault(now, placement);
+        }
+        read
+    }
+
+    /// A write that succeeds on the SSD closes its breaker: while the
+    /// tier is quarantined only a put's recovery probe writes there.
+    #[inline]
+    fn write(&mut self, now: SimTime, placement: Placement, addr: BlockAddr) -> IoResult {
+        let written = self.of_mut(placement).try_write(now, addr);
+        if written.is_err() {
+            self.failed_puts += 1;
+            self.fault(now, placement);
+        } else if placement == Placement::Ssd {
+            self.ssd_breaker.note_success();
+        }
+        written
+    }
+
+    fn note_rot(&mut self, now: SimTime, placement: Placement) {
+        self.failed_gets += 1;
+        self.fault(now, placement);
+    }
+
+    #[inline]
+    fn ssd_health(&self, now: SimTime) -> SsdHealth {
+        if self.ssd_breaker.allows(now) {
+            SsdHealth::Through
+        } else if self.fallback == FallbackMode::ToMem && !self.mem.is_disabled() {
+            SsdHealth::ToMem
+        } else {
+            SsdHealth::Reject
+        }
+    }
+
+    #[inline]
+    fn ssd_quarantined(&self) -> bool {
+        self.ssd_breaker.is_open()
+    }
+}
+
+/// Appends a record lazily (not yet durable). Returns the record's
+/// generation, or 0 when journaling is off.
+fn append(journal: &mut Option<Journal>, rec: &JournalRecord) -> u64 {
+    journal.as_mut().map_or(0, |j| j.append(rec))
 }
 
 /// The DoubleDecker hypervisor cache store.
@@ -148,24 +254,10 @@ pub struct DoubleDeckerCache {
     /// Every pool, the Global FIFOs (Global mode only) and the retired
     /// wear: the one shard of this engine (see [`crate::shard`]).
     pub(crate) state: ShardState,
-    pub(crate) next_seq: u64,
     // Interior mutability because readers (`pool_stats`) fill it behind
     // `&self`.
     pub(crate) share_memo: RefCell<ShareMemo<()>>,
-    evictions: u64,
-    trickle_downs: u64,
-    /// SSD-tier health as a threshold-1 [`CircuitBreaker`]: a single
-    /// store fault quarantines (opens) the tier, `allows` gates the
-    /// recovery-probe put, and failed probes double the backoff. Shares
-    /// the state machine with the hypercall put breaker and the remote
-    /// client.
-    ssd_breaker: CircuitBreaker,
-    fallback: FallbackMode,
-    ssd_quarantines: u64,
-    ssd_recoveries: u64,
     quarantine_invalidated: u64,
-    failed_gets: u64,
-    failed_puts: u64,
     /// How many times live compaction rewrote the journal as a
     /// checkpoint (see [`DoubleDeckerCache::maybe_compact_journal`]).
     journal_compactions: u64,
@@ -184,28 +276,12 @@ impl DoubleDeckerCache {
     pub fn new(config: CacheConfig) -> DoubleDeckerCache {
         DoubleDeckerCache {
             mode: config.mode,
-            stores: Stores {
-                mem: BackingStore::mem(config.mem_capacity_pages),
-                ssd: BackingStore::ssd(config.ssd_capacity_pages),
-            },
+            stores: Stores::new(&config),
             registry: Registry::default(),
             registry_version: 0,
             state: ShardState::new(config.mode),
-            next_seq: 1,
             share_memo: RefCell::default(),
-            evictions: 0,
-            trickle_downs: 0,
-            ssd_breaker: CircuitBreaker::new(BreakerConfig {
-                threshold: 1,
-                initial_backoff: Self::SSD_PROBE_INITIAL_BACKOFF,
-                max_backoff: Self::SSD_PROBE_MAX_BACKOFF,
-            }),
-            fallback: FallbackMode::default(),
-            ssd_quarantines: 0,
-            ssd_recoveries: 0,
             quarantine_invalidated: 0,
-            failed_gets: 0,
-            failed_puts: 0,
             journal_compactions: 0,
             journal: None,
             remote_registry: RemoteRegistry::new(),
@@ -269,13 +345,9 @@ impl DoubleDeckerCache {
         self.journal.as_ref().map(|j| j.durable_len())
     }
 
-    /// Appends a record lazily (not yet durable). Returns the record's
-    /// generation, or 0 when journaling is off.
+    /// Appends a record lazily ([`append`]).
     fn log(&mut self, rec: JournalRecord) -> u64 {
-        match self.journal.as_mut() {
-            Some(j) => j.append(&rec),
-            None => 0,
-        }
+        append(&mut self.journal, &rec)
     }
 
     /// Appends a record and syncs the journal (flush hypercalls are
@@ -428,12 +500,12 @@ impl DoubleDeckerCache {
 
     /// Selects where `<SSD, W>` puts go while the tier is quarantined.
     pub fn set_ssd_fallback_mode(&mut self, fallback: FallbackMode) {
-        self.fallback = fallback;
+        self.stores.fallback = fallback;
     }
 
     /// The configured quarantine fallback mode.
     pub fn ssd_fallback_mode(&self) -> FallbackMode {
-        self.fallback
+        self.stores.fallback
     }
 
     // ------------------------------------------------------------------
@@ -481,30 +553,22 @@ impl DoubleDeckerCache {
 
     /// Whether the SSD tier is currently quarantined.
     pub fn ssd_quarantined(&self) -> bool {
-        self.ssd_breaker.is_open()
+        self.stores.ssd_quarantined()
     }
 
-    /// Quarantines the SSD tier after a store fault at `now`: every
-    /// SSD-resident page of every pool is invalidated (a failed store
-    /// must never serve a potentially-corrupt hit), and placements are
-    /// redirected until a recovery probe succeeds. A fault while already
-    /// quarantined (a failed recovery probe) only doubles the breaker's
-    /// backoff — the tier is already empty.
-    fn quarantine_ssd(&mut self, now: SimTime) {
-        if !self.ssd_breaker.note_failure(now) {
+    /// Quarantines the SSD tier if a store fault just tripped its
+    /// breaker ([`Stores`]): every SSD-resident page of every pool is
+    /// invalidated (a failed store must never serve a potentially-corrupt
+    /// hit), and placements are redirected until a recovery probe
+    /// succeeds. A fault while already quarantined (a failed probe) only
+    /// doubled the breaker's backoff: the tier is already empty. Runs
+    /// after every shared transition that can charge the SSD.
+    fn drain_tripped_ssd(&mut self) {
+        if !std::mem::take(&mut self.stores.tripped) {
             return;
         }
-        let invalidated = self.state.drain_ssd(&mut self.stores);
-        self.quarantine_invalidated += invalidated;
-        self.ssd_quarantines += 1;
+        self.quarantine_invalidated += self.state.drain_ssd(&mut self.stores);
         self.log(JournalRecord::SsdDrain);
-    }
-
-    /// Marks the SSD tier healthy again after a successful probe write.
-    fn recover_ssd(&mut self) {
-        if self.ssd_breaker.note_success() {
-            self.ssd_recoveries += 1;
-        }
     }
 
     /// Enables zcache-style compression in the memory store: objects
@@ -546,13 +610,13 @@ impl DoubleDeckerCache {
             mem_capacity_pages: self.stores.mem.capacity_pages(),
             ssd_used_pages: self.stores.ssd.used_pages(),
             ssd_capacity_pages: self.stores.ssd.capacity_pages(),
-            evictions: self.evictions,
-            trickle_downs: self.trickle_downs,
-            ssd_quarantines: self.ssd_quarantines,
-            ssd_recoveries: self.ssd_recoveries,
+            evictions: self.state.evicted.pages,
+            trickle_downs: self.state.evicted.trickled,
+            ssd_quarantines: self.stores.ssd_breaker.trips(),
+            ssd_recoveries: self.stores.ssd_breaker.recoveries(),
             quarantine_invalidated_pages: self.quarantine_invalidated,
-            failed_gets: self.failed_gets,
-            failed_puts: self.failed_puts,
+            failed_gets: self.stores.failed_gets,
+            failed_puts: self.stores.failed_puts,
         }
     }
 
@@ -569,12 +633,6 @@ impl DoubleDeckerCache {
             return 0;
         };
         self.pool_entitlement_in(vm, pool, p.primary_placement())
-    }
-
-    fn alloc_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
     }
 
     // ------------------------------------------------------------------
@@ -627,7 +685,6 @@ impl DoubleDeckerCache {
             let Some((vm, pool, addr)) = self.state.evict_front(&mut self.stores, placement) else {
                 break;
             };
-            self.evictions += 1;
             self.log(shard::evict_record(vm, pool, addr));
             freed += 1;
         }
@@ -645,55 +702,21 @@ impl DoubleDeckerCache {
                 self.state.pools[&(vm, pool)].used(placement)
             })
         });
-        let Some((vm, pool)) = victim else {
+        let Some(mut visit) = victim.and_then(|(vm, pool)| self.state.visit(vm, pool)) else {
             return 0;
         };
-        self.evict_pages_from_pool(now, vm, pool, placement, EVICTION_BATCH_PAGES)
-    }
-
-    /// Evicts up to `max_pages` oldest objects of one pool from one store.
-    fn evict_pages_from_pool(
-        &mut self,
-        now: SimTime,
-        vm: VmId,
-        pool_id: PoolId,
-        placement: Placement,
-        max_pages: u64,
-    ) -> u64 {
-        if !self.state.pools.contains_key(&(vm, pool_id)) {
-            return 0;
-        }
-        let admission = self.admission;
-        let ghost_window = admission.filters_spills().then_some(admission.ghost_window);
-        let (journal, next_seq) = (&mut self.journal, &mut self.next_seq);
-        let mut write_failed = false;
-        // A quarantined tier takes no trickle.
-        let spill = (!self.ssd_breaker.is_open()).then_some(|stores: &mut Stores, addr| {
-            let seq = *next_seq;
-            *next_seq += 1;
-            write_failed = stores.ssd.try_write(now, addr).is_err();
-            (!write_failed).then_some(seq)
-        });
-        let (freed, trickled) = self.state.evict_batch(
+        let journal = &mut self.journal;
+        let (freed, _) = visit.evict_batch(
             &mut self.stores,
-            vm,
-            pool_id,
+            now,
             placement,
-            max_pages,
-            ghost_window,
-            spill,
+            EVICTION_BATCH_PAGES,
+            self.admission,
             |rec| {
-                if let Some(j) = journal.as_mut() {
-                    j.append(&rec);
-                }
+                append(journal, &rec);
             },
         );
-        self.evictions += freed;
-        self.trickle_downs += trickled;
-        if write_failed {
-            self.failed_puts += 1;
-            self.quarantine_ssd(now);
-        }
+        self.drain_tripped_ssd();
         freed
     }
 
@@ -708,99 +731,21 @@ impl DoubleDeckerCache {
         }
     }
 
-    /// Decides the physical placement for a put into `pool`.
-    fn placement_for_put(&self, vm: VmId, pool_id: PoolId) -> Option<Placement> {
-        let pool = self.state.pools.get(&(vm, pool_id))?;
-        let policy = pool.policy();
-        if !policy.is_enabled() {
-            return None;
-        }
-        let placement = match policy.store {
-            StoreKind::Mem => Placement::Mem,
-            StoreKind::Ssd => Placement::Ssd,
-            StoreKind::Hybrid => {
-                // Memory share first; spill to SSD when the pool's memory
-                // entitlement is exhausted.
-                let mem_entitlement = self.pool_entitlement_in(vm, pool_id, Placement::Mem);
-                if pool.used(Placement::Mem) < mem_entitlement {
-                    Placement::Mem
-                } else {
-                    Placement::Ssd
-                }
+    /// What [`shard::PoolVisit::place`] may ask for one put, read before the
+    /// visit holds the pool (this engine's share memo reads every pool's
+    /// usage): a hybrid pool's memory entitlement, and in Strict mode
+    /// the partition in either store.
+    fn put_entitlements(&self, vm: VmId, pool: PoolId) -> [u64; 2] {
+        let strict = self.mode == PartitionMode::Strict;
+        let policy = self.state.pools.get(&(vm, pool)).map(|p| p.policy());
+        let hybrid = policy.is_some_and(|p| p.store == StoreKind::Hybrid);
+        [Placement::Mem, Placement::Ssd].map(|placement| {
+            if strict || hybrid && placement == Placement::Mem {
+                self.pool_entitlement_in(vm, pool, placement)
+            } else {
+                0
             }
-        };
-        if self.stores.of(placement).is_disabled() {
-            return None;
-        }
-        Some(placement)
-    }
-
-    /// The placement a put actually uses at `now`, applying the SSD
-    /// quarantine redirection on top of
-    /// [`placement_for_put`](Self::placement_for_put). Because placement
-    /// is re-evaluated per put, the original `<SSD, W>` placement is
-    /// restored automatically the moment the tier recovers — policies
-    /// are never mutated.
-    ///
-    /// While quarantined, the put scheduled at or after the probe time
-    /// is let through to the SSD as the recovery probe.
-    fn effective_placement(&self, now: SimTime, vm: VmId, pool_id: PoolId) -> Option<Placement> {
-        let placement = self.placement_for_put(vm, pool_id)?;
-        if placement != Placement::Ssd {
-            return Some(placement);
-        }
-        if self.ssd_breaker.allows(now) {
-            // Healthy, or quarantined with the probe due: this put goes
-            // through to the SSD (as the recovery probe in the latter
-            // case).
-            return Some(Placement::Ssd);
-        }
-        match self.fallback {
-            FallbackMode::ToMem if !self.stores.mem.is_disabled() => Some(Placement::Mem),
-            _ => None,
-        }
-    }
-
-    /// Re-homes or drops objects whose placement a policy change
-    /// disallowed (e.g. a container switched from `Mem` to `SSD`,
-    /// Fig. 12's third phase).
-    fn rehome_pool_objects(&mut self, vm: VmId, pool_id: PoolId) {
-        for (addr, version, new_placement) in self.state.misplaced(vm, pool_id) {
-            self.state.remove(&mut self.stores, vm, pool_id, addr);
-            self.log(shard::evict_record(vm, pool_id, addr));
-            // Move to the newly-allowed store if it has room; drop
-            // otherwise (the object is clean, dropping is always safe).
-            // A quarantined SSD tier accepts no re-homed objects.
-            if new_placement == Placement::Ssd && self.ssd_quarantined() {
-                continue;
-            }
-            if self.stores.try_alloc(new_placement) {
-                let seq = self.alloc_seq();
-                if self
-                    .stores
-                    .of_mut(new_placement)
-                    .try_write(SimTime::ZERO, addr)
-                    .is_err()
-                {
-                    self.stores.free(new_placement, 1);
-                    self.failed_puts += 1;
-                    if new_placement == Placement::Ssd {
-                        self.quarantine_ssd(SimTime::ZERO);
-                    }
-                    continue;
-                }
-                self.state.insert(
-                    &mut self.stores,
-                    vm,
-                    pool_id,
-                    addr,
-                    new_placement,
-                    version,
-                    seq,
-                );
-                self.log(shard::put_record(vm, pool_id, addr, version, new_placement));
-            }
-        }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -808,7 +753,7 @@ impl DoubleDeckerCache {
     // ------------------------------------------------------------------
 
     /// The whole cache as a one-shard [`Cut`].
-    fn cut(&self) -> Cut<'_> {
+    pub(crate) fn cut(&self) -> Cut<'_> {
         Cut::new(&self.registry, vec![&self.state])
     }
 
@@ -874,7 +819,7 @@ impl DoubleDeckerCache {
                         .discard_older_than(&mut cache.stores, vm, pid, epoch);
             }
         }
-        cache.next_seq = log.next_gen;
+        cache.stores.next_seq = log.next_gen;
         cache.shrink_to_capacity(SimTime::ZERO, Placement::Mem);
         cache.shrink_to_capacity(SimTime::ZERO, Placement::Ssd);
         report.recovered_entries = cache.cut().resident();
@@ -998,17 +943,12 @@ impl DoubleDeckerCache {
             return 0;
         }
         let mut demoted = 0;
-        let targets: Vec<(VmId, PoolId)> = self.registry.pool_ids().collect();
-        for (vm, pid) in targets {
-            let gone = self.state.ttl_sweep_pool(&mut self.stores, vm, pid, ttl);
-            if gone.is_empty() {
-                continue;
-            }
-            self.evictions += gone.len() as u64;
-            demoted += gone.len() as u64;
-            for addr in gone {
-                self.log(shard::evict_record(vm, pid, addr));
-            }
+        for pool in self.registry.pool_ids() {
+            demoted += self
+                .state
+                .ttl_sweep_pool(&mut self.stores, pool, ttl, |rec| {
+                    append(&mut self.journal, &rec);
+                });
         }
         demoted
     }
@@ -1051,7 +991,23 @@ impl SecondChanceCache for DoubleDeckerCache {
             store: store_kind_code(policy.store),
             weight: policy.weight,
         });
-        self.rehome_pool_objects(vm, pool);
+        // What the new policy no longer allows where it is moves or goes
+        // (e.g. a container switched from `Mem` to `SSD`, Fig. 12's
+        // third phase).
+        for (addr, version, to) in self.state.misplaced(vm, pool) {
+            let mut visit = self
+                .state
+                .visit(vm, pool)
+                .expect("re-homing keeps the pool");
+            let moved = visit.rehome(&mut self.stores, SimTime::ZERO, addr, to);
+            let scrub = visit.end();
+            self.state.scrub(scrub);
+            self.log(shard::evict_record(vm, pool, addr));
+            if moved {
+                self.log(shard::put_record(vm, pool, addr, version, to));
+            }
+            self.drain_tripped_ssd();
+        }
     }
 
     fn migrate_object(&mut self, vm: VmId, from: PoolId, to: PoolId, addr: BlockAddr) {
@@ -1059,28 +1015,11 @@ impl SecondChanceCache for DoubleDeckerCache {
             return;
         };
         self.log(shard::take_record(vm, from, addr));
-        // The page the source just gave back carries the object over. An
-        // unknown target leaves it freed: the object has no owner.
-        if !self.state.pools.contains_key(&(vm, to)) || !self.stores.try_alloc(slot.placement) {
-            return;
+        // The page the source just gave back carries the object over.
+        if self.state.adopt(&mut self.stores, vm, to, addr, slot) {
+            let (version, placement) = (slot.version, slot.placement);
+            self.log(shard::put_record(vm, to, addr, version, placement));
         }
-        let seq = self.alloc_seq();
-        self.state.insert(
-            &mut self.stores,
-            vm,
-            to,
-            addr,
-            slot.placement,
-            slot.version,
-            seq,
-        );
-        self.log(shard::put_record(
-            vm,
-            to,
-            addr,
-            slot.version,
-            slot.placement,
-        ));
     }
 
     fn pool_stats(&self, vm: VmId, pool: PoolId) -> Option<PoolStats> {
@@ -1089,57 +1028,25 @@ impl SecondChanceCache for DoubleDeckerCache {
     }
 
     fn get(&mut self, now: SimTime, vm: VmId, pool: PoolId, addr: BlockAddr) -> GetOutcome {
-        // Exclusive semantics remove the object on a hit; its FIFO entry
-        // outlives it as a tombstone.
-        let Some(taken) = self.state.take(&mut self.stores, vm, pool, addr) else {
+        let Some(mut visit) = self.state.visit(vm, pool) else {
             return GetOutcome::Miss;
         };
-        let Some(slot) = taken else {
+        // Exclusive semantics remove the object on a hit; its FIFO entry
+        // outlives it as a tombstone.
+        let Some(got) = visit.take(&mut self.stores, now, addr, self.admission) else {
             // Miss in both local tiers: fall through to the pool's remote
             // binding (if any), which fails open back to a miss.
-            return self.state.remote_get(now, vm, pool, addr);
+            return visit.remote_get(now, addr);
         };
         self.log(shard::take_record(vm, pool, addr));
-        // Verify-on-read: a slot whose checksum no longer matches its key
-        // rotted in the backing store (e.g. SSD corruption surviving a
-        // crash). It was already removed above, so it can never be served
-        // later; fail the lookup and quarantine a rotten SSD tier so the
-        // existing ToMem/Reject fallback takes over.
-        if !slot.verifies(addr) {
-            self.failed_gets += 1;
-            if let Some(p) = self.state.pools.get_mut(&(vm, pool)) {
-                p.counters.failed_gets += 1;
-            }
-            if slot.placement == Placement::Ssd {
-                self.quarantine_ssd(now);
-            }
-            return GetOutcome::Failed { finish: now };
+        if got.is_hit() {
+            self.maybe_compact_journal();
+        } else {
+            // A failed read or a rotten SSD copy quarantines the tier, so
+            // the ToMem/Reject fallback takes over.
+            self.drain_tripped_ssd();
         }
-        let finish = match slot.placement {
-            Placement::Mem => self.stores.mem.read(now, addr),
-            Placement::Ssd => match self.stores.ssd.try_read(now, addr) {
-                Ok(finish) => finish,
-                Err(err) => {
-                    // The object was already removed above, so the failed
-                    // read can never be served stale later; the whole
-                    // tier is quarantined to keep it that way.
-                    self.failed_gets += 1;
-                    if let Some(p) = self.state.pools.get_mut(&(vm, pool)) {
-                        p.counters.failed_gets += 1;
-                    }
-                    self.quarantine_ssd(now);
-                    return GetOutcome::Failed { finish: err.finish };
-                }
-            },
-        };
-        if let Some(p) = self.state.pools.get_mut(&(vm, pool)) {
-            p.note_hit(addr, slot.placement, self.admission.filters_spills());
-        }
-        self.maybe_compact_journal();
-        GetOutcome::Hit {
-            finish,
-            version: slot.version,
-        }
+        got
     }
 
     fn put(
@@ -1150,90 +1057,58 @@ impl SecondChanceCache for DoubleDeckerCache {
         addr: BlockAddr,
         version: PageVersion,
     ) -> PutOutcome {
-        let Some(placement) = self.effective_placement(now, vm, pool) else {
+        let entitled = self.put_entitlements(vm, pool);
+        let (mode, admission) = (self.mode, self.admission);
+        let Some(mut visit) = self.state.visit(vm, pool) else {
             return PutOutcome::Rejected;
         };
-
-        // Ghost admission: a hybrid pool spilling into its SSD share must
-        // earn the flash write — first sighting is remembered and dropped
-        // (fail-open, same as a full tier), the second within the window
-        // admits. Checked before any mutation so serial and sharded
-        // engines decide identically, and rejecting is oracle-safe: a
-        // version change always travels through a flush first, so the
-        // overwrite-displacement below never had to happen for a
-        // rejected put.
-        if self.admission.filters_spills() && placement == Placement::Ssd {
-            let window = self.admission.ghost_window;
-            let spilled_and_rejected = self.state.pools.get_mut(&(vm, pool)).is_some_and(|p| {
-                p.policy().store == StoreKind::Hybrid && !p.admit_spill(addr, window)
-            });
-            if spilled_and_rejected {
-                return PutOutcome::Rejected;
-            }
-        }
-
-        // Exclusive overwrite: displace any stale copy first so the freed
-        // page is available to this put.
-        self.state.remove(&mut self.stores, vm, pool, addr);
-
-        // Strict mode pre-check: a pool at its hard partition evicts from
-        // itself before the store-level check.
-        if self.mode == PartitionMode::Strict {
-            let entitlement = self.pool_entitlement_in(vm, pool, placement);
-            if self.state.used(vm, pool, placement) + 1 > entitlement {
-                let freed =
-                    self.evict_pages_from_pool(now, vm, pool, placement, EVICTION_BATCH_PAGES);
-                if freed == 0 {
+        let journal = &mut self.journal;
+        let placed = visit.place(
+            &mut self.stores,
+            now,
+            addr,
+            visit.pool.policy(),
+            mode,
+            admission,
+            |placement| entitled[placement.idx()],
+            |visit, stores, placement| {
+                let batch = EVICTION_BATCH_PAGES;
+                let log = |rec| {
+                    append(journal, &rec);
+                };
+                visit
+                    .evict_batch(stores, now, placement, batch, admission, log)
+                    .0
+            },
+        );
+        self.drain_tripped_ssd();
+        let placement = match placed {
+            Placed::At(placement) => placement,
+            Placed::Rejected => return PutOutcome::Rejected,
+            // Resource-conservative enforcement: evict only when the
+            // store itself is full (§4.3).
+            Placed::Full(placement) => {
+                if self.evict_batch(now, placement) == 0 || !self.stores.try_alloc(placement) {
                     return PutOutcome::Rejected;
                 }
-            }
-        }
-
-        // Resource-conservative enforcement: evict only when the store
-        // itself is full (§4.3).
-        if !self.stores.of(placement).has_room() {
-            let freed = self.evict_batch(now, placement);
-            if freed == 0 {
-                return PutOutcome::Rejected;
-            }
-        }
-        if !self.stores.of_mut(placement).try_alloc() {
-            return PutOutcome::Rejected;
-        }
-
-        let seq = self.alloc_seq();
-        let finish = match self.stores.of_mut(placement).try_write(now, addr) {
-            Ok(finish) => {
-                if placement == Placement::Ssd {
-                    // A successful SSD write while quarantined is the
-                    // recovery probe succeeding.
-                    self.recover_ssd();
-                }
-                finish
-            }
-            Err(err) => {
-                self.stores.of_mut(placement).free(1);
-                self.failed_puts += 1;
-                if let Some(p) = self.state.pools.get_mut(&(vm, pool)) {
-                    p.counters.failed_puts += 1;
-                }
-                if placement == Placement::Ssd {
-                    self.quarantine_ssd(now);
-                }
-                return PutOutcome::Failed { finish: err.finish };
+                placement
             }
         };
-        self.state
-            .pools
-            .get_mut(&(vm, pool))
-            .expect("pool verified by effective_placement")
-            .counters
-            .puts += 1;
-        self.state
-            .insert(&mut self.stores, vm, pool, addr, placement, version, seq);
-        self.log(shard::put_record(vm, pool, addr, version, placement));
-        self.maybe_compact_journal();
-        PutOutcome::Stored { finish }
+        let mut visit = self.state.visit(vm, pool).expect("eviction keeps the pool");
+        let stored = visit.store(&mut self.stores, now, addr, placement, version);
+        let scrub = visit.end();
+        self.state.scrub(scrub);
+        match stored {
+            Ok(finish) => {
+                self.log(shard::put_record(vm, pool, addr, version, placement));
+                self.maybe_compact_journal();
+                PutOutcome::Stored { finish }
+            }
+            Err(err) => {
+                self.drain_tripped_ssd();
+                PutOutcome::Failed { finish: err.finish }
+            }
+        }
     }
 
     fn flush(&mut self, vm: VmId, pool: PoolId, addr: BlockAddr) -> u64 {
@@ -1260,41 +1135,11 @@ impl SecondChanceCache for DoubleDeckerCache {
         self.log_synced(shard::flush_file_record(vm, pool, file))
     }
 
-    // The batched entry points: the serial engine has no locks to
-    // amortize, so each override is the exact per-op loop with one
-    // up-front allocation (the trait defaults collect through iterator
-    // adapters). `flush_many` additionally owns the batch-boundary
-    // compaction check that the per-op `flush` no longer runs — the
-    // sharded engine's batch plane does the same, which is what keeps
-    // journal generations byte-identical across engines.
-
-    fn get_many(
-        &mut self,
-        now: SimTime,
-        vm: VmId,
-        pool: PoolId,
-        addrs: &[BlockAddr],
-    ) -> Vec<GetOutcome> {
-        let mut out = Vec::with_capacity(addrs.len());
-        for &addr in addrs {
-            out.push(self.get(now, vm, pool, addr));
-        }
-        out
-    }
-
-    fn put_many(
-        &mut self,
-        now: SimTime,
-        vm: VmId,
-        pool: PoolId,
-        pages: &[(BlockAddr, PageVersion)],
-    ) -> Vec<PutOutcome> {
-        let mut out = Vec::with_capacity(pages.len());
-        for &(addr, version) in pages {
-            out.push(self.put(now, vm, pool, addr, version));
-        }
-        out
-    }
+    // The serial engine has no locks to amortize: `get_many` and
+    // `put_many` are the trait's per-op loops. `flush_many` owns the
+    // batch-boundary compaction check that the per-op `flush` does not
+    // run — the sharded engine's batch plane does the same, which is
+    // what keeps journal generations byte-identical across engines.
 
     fn flush_many(&mut self, vm: VmId, pool: PoolId, addrs: &[BlockAddr]) -> u64 {
         if addrs.is_empty() {

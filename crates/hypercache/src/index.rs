@@ -124,14 +124,14 @@ impl Slot {
 /// for a content hash: the simulation has no page payloads, so the
 /// address/version pair identifies the bytes that would be hashed.
 pub fn slot_checksum(addr: BlockAddr, version: PageVersion) -> u32 {
-    // FNV-1a over the three words; cheap and deterministic.
-    let mut h = 0x811C_9DC5u32;
+    // FNV-1a over the three words, a word at a time: every put and every
+    // hit of both engines computes one, so three dependent multiplies,
+    // not twenty-four.
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
     for word in [addr.file.0, addr.block, version.0] {
-        for b in word.to_le_bytes() {
-            h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-        }
+        h = (h ^ word).wrapping_mul(0x0000_0100_0000_01B3);
     }
-    h
+    (h ^ h >> 32) as u32
 }
 
 /// Per-pool operation counters (the source of GET_STATS).

@@ -55,6 +55,7 @@ pub mod admission;
 pub mod audit;
 mod config;
 mod ddcache;
+mod engine;
 pub mod index;
 pub mod policy;
 pub mod readplane;
@@ -63,15 +64,13 @@ pub mod shard;
 pub mod store;
 
 pub use admission::{AdmissionConfig, GhostFilter};
-pub use audit::{
-    audit, audit_pool_slice, audit_registry_policies, audit_remote_bindings, audit_share_table,
-    AuditFinding,
-};
+pub use audit::{audit, audit_cut, audit_pool_slice, AuditFinding};
 pub use config::{
     store_kind_code, store_kind_from_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
     JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS,
 };
 pub use ddcache::{CacheTotals, DoubleDeckerCache, FallbackMode, RecoveryReport, VmUsage};
+pub use engine::Engine;
 pub use policy::{select_victim, select_victim_strict, EntityUsage};
 pub use readplane::{ReadPlane, ReadProbe};
 

@@ -26,6 +26,7 @@
 
 use ddc_core::cleancache::SecondChanceCache;
 use ddc_core::concurrent::ShardedCache;
+use ddc_core::hypercache::Engine;
 use ddc_core::prelude::*;
 use ddc_core::storage::{Journal, JournalRecord};
 
@@ -304,31 +305,6 @@ fn the_journals_mode_wins_over_the_recovery_configs_on_both_engines() {
     assert_eq!(sharded.mode(), PartitionMode::DoubleDecker);
 }
 
-/// The control verbs both engines have, behind one name each (the
-/// serial engine takes them on `&mut self`, the sharded one on `&self`).
-trait Engine: SecondChanceCache {
-    fn register_vm(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64);
-    fn reweigh_vm(&mut self, vm: VmId, weight: u64);
-}
-
-impl Engine for DoubleDeckerCache {
-    fn register_vm(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64) {
-        self.add_vm_with_store_weights(vm, mem_weight, ssd_weight);
-    }
-    fn reweigh_vm(&mut self, vm: VmId, weight: u64) {
-        self.set_vm_weight(vm, weight);
-    }
-}
-
-impl Engine for ShardedCache {
-    fn register_vm(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64) {
-        self.add_vm_with_store_weights(vm, mem_weight, ssd_weight);
-    }
-    fn reweigh_vm(&mut self, vm: VmId, weight: u64) {
-        self.set_vm_weight(vm, weight);
-    }
-}
-
 #[derive(Clone, Debug)]
 enum Op {
     RegisterVm(VmId, u64, u64),
@@ -356,8 +332,8 @@ impl Op {
 fn apply(h: &mut impl Engine, op: &Op) {
     let now = SimTime::from_secs(1);
     match *op {
-        Op::RegisterVm(vm, mem, ssd) => h.register_vm(vm, mem, ssd),
-        Op::ReweighVm(vm, weight) => h.reweigh_vm(vm, weight),
+        Op::RegisterVm(vm, mem, ssd) => h.add_vm_with_store_weights(vm, mem, ssd),
+        Op::ReweighVm(vm, weight) => h.set_vm_weight(vm, weight),
         Op::Create(vm, policy, expected) => assert_eq!(h.create_pool(vm, policy), expected),
         Op::SetPolicy(vm, pool, policy) => h.set_policy(vm, pool, policy),
         Op::Destroy(vm, pool) => h.destroy_pool(vm, pool),

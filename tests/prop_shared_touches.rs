@@ -30,6 +30,7 @@ use std::sync::Barrier;
 use ddc_core::cleancache::SecondChanceCache;
 use ddc_core::concurrent::{audit, ShardedCache};
 use ddc_core::hypercache::shard::compaction_due;
+use ddc_core::hypercache::Engine;
 use ddc_core::prelude::*;
 
 const CONFIG: CacheConfig = CacheConfig {
@@ -44,36 +45,9 @@ const GROUP: usize = 32;
 
 const NOW: SimTime = SimTime::ZERO;
 
-/// What the compaction stream needs of an engine besides the trait.
-trait Journaled: SecondChanceCache {
-    fn compactions(&self) -> u64;
-    fn records(&self) -> u64;
-    fn live_pages(&self) -> u64;
-}
-
-impl Journaled for DoubleDeckerCache {
-    fn compactions(&self) -> u64 {
-        self.journal_compactions()
-    }
-    fn records(&self) -> u64 {
-        self.journal_records().expect("journaling on")
-    }
-    fn live_pages(&self) -> u64 {
-        let totals = self.totals();
-        totals.mem_used_pages + totals.ssd_used_pages
-    }
-}
-
-impl Journaled for ShardedCache {
-    fn compactions(&self) -> u64 {
-        self.journal_compactions()
-    }
-    fn records(&self) -> u64 {
-        self.journal_records().expect("journaling on")
-    }
-    fn live_pages(&self) -> u64 {
-        self.mem_used_pages() + self.ssd_used_pages()
-    }
+/// Journal records since the last compaction.
+fn records_of(h: &impl Engine) -> u64 {
+    h.journal_records().expect("journaling on")
 }
 
 /// One step of the compaction stream, drawn once and applied to every
@@ -221,7 +195,7 @@ fn compaction_fires_at_the_serial_engines_operation(seed: u64) {
 
     for (i, step) in steps.iter().enumerate() {
         let checked = apply(&mut serial, &mut serial_pools, step);
-        let (compactions, records) = (serial.compactions(), serial.records());
+        let (compactions, records) = (serial.journal_compactions(), records_of(&serial));
         // The per-op check: an op that ends on the trigger leaves a
         // journal that is not due (it compacted if it was).
         if checked {
@@ -238,8 +212,12 @@ fn compaction_fires_at_the_serial_engines_operation(seed: u64) {
             );
             assert_eq!(apply(&mut handles[turn], pools, step), checked, "{what}");
             assert_eq!(*pools, serial_pools, "{what}: pool ids");
-            assert_eq!(cache.compactions(), compactions, "{what}: compactions");
-            assert_eq!(cache.records(), records, "{what}: records");
+            assert_eq!(
+                cache.journal_compactions(),
+                compactions,
+                "{what}: compactions"
+            );
+            assert_eq!(records_of(cache), records, "{what}: records");
             assert_eq!(
                 cache.live_pages(),
                 serial.live_pages(),
@@ -248,9 +226,9 @@ fn compaction_fires_at_the_serial_engines_operation(seed: u64) {
         }
     }
     assert!(
-        serial.compactions() >= 10,
+        serial.journal_compactions() >= 10,
         "only {} compactions: the stream never reached the threshold often enough",
-        serial.compactions()
+        serial.journal_compactions()
     );
 
     let image = serial.journal_bytes().expect("journaling on");
@@ -277,7 +255,7 @@ fn two_threads_see_the_compaction_threshold_within_a_group_of_each_other() {
     let config = CacheConfig::mem_and_ssd(2_048, 4_096);
     let (cache, pools) = build_sharded(config, 8);
     let barrier = Barrier::new(THREADS + 1);
-    let before = cache.compactions();
+    let before = cache.journal_compactions();
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -308,7 +286,7 @@ fn two_threads_see_the_compaction_threshold_within_a_group_of_each_other() {
         }
         for round in 0..ROUNDS {
             barrier.wait();
-            let (records, live) = (cache.records(), cache.live_pages());
+            let (records, live) = (records_of(&cache), cache.live_pages());
             // The stated bound: a handle may see the trigger late by
             // what each other handle's group in flight had not yet
             // appended.
@@ -321,28 +299,11 @@ fn two_threads_see_the_compaction_threshold_within_a_group_of_each_other() {
         }
     });
     assert!(
-        cache.compactions() >= before + 5,
+        cache.journal_compactions() >= before + 5,
         "only {} compactions: the threads never reached the threshold",
-        cache.compactions() - before
+        cache.journal_compactions() - before
     );
     assert_eq!(audit(&cache), vec![]);
-}
-
-/// The control verbs both engines have, behind one name each.
-trait Engine: SecondChanceCache {
-    fn reweigh(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64);
-}
-
-impl Engine for DoubleDeckerCache {
-    fn reweigh(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64) {
-        self.add_vm_with_store_weights(vm, mem_weight, ssd_weight);
-    }
-}
-
-impl Engine for ShardedCache {
-    fn reweigh(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64) {
-        self.add_vm_with_store_weights(vm, mem_weight, ssd_weight);
-    }
 }
 
 /// One step of the control-and-put stream: the control verbs that move
@@ -351,7 +312,7 @@ fn control_step(h: &mut impl Engine, pools: &mut Vec<(VmId, PoolId)>, rng: &mut 
     let pi = rng.range_usize(0, pools.len());
     let (vm, pool) = pools[pi];
     match rng.range_u64(0, 40) {
-        0 => h.reweigh(vm, rng.range_u64(0, 4) * 90, rng.range_u64(1, 4) * 60),
+        0 => h.add_vm_with_store_weights(vm, rng.range_u64(0, 4) * 90, rng.range_u64(1, 4) * 60),
         1 => {
             let policy = match rng.range_u64(0, 3) {
                 0 => CachePolicy::mem(50),
