@@ -1170,6 +1170,33 @@ mod tests {
     }
 
     #[test]
+    fn threaded_read_heavy_stress_counts_every_get_against_its_pool() {
+        let cfg = StressConfig::read_heavy(17);
+        // Pool ids are handed out in creation order, so a fresh engine
+        // built the same way names the run's pools.
+        let layout = build_workers(&cfg, &mut ShardedCache::new(cfg.cache, cfg.shards));
+        for threads in [2, 4] {
+            let out = run_stress(&cfg, threads);
+            assert!(out.clean(), "{threads} threads: {:?}", out.findings);
+            for w in &layout {
+                for (pi, &pool) in w.pools.iter().enumerate() {
+                    // A VM's ticks take its pools in turn.
+                    let ticks = (0..cfg.ticks)
+                        .filter(|t| t % w.pools.len() as u64 == pi as u64)
+                        .count() as u64;
+                    let stats = out.cache.pool_stats(w.vm, pool).expect("live pool");
+                    assert_eq!(
+                        stats.gets,
+                        ticks * cfg.gets_per_tick,
+                        "{threads} threads: {} {pool}",
+                        w.vm
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn equivalence_report_is_reproducible() {
         let cfg = StressConfig::smoke(99);
         let a = run_equivalence(&cfg, EngineKind::Sharded { shards: 4 });

@@ -324,6 +324,91 @@ fn sixteen_shards_conform() {
     conform::<ShardedCache>(16);
 }
 
+/// What a get answered, without the device time the serial engine
+/// charges: the version a hit served, `None` for a miss.
+fn answer(outcome: &GetOutcome) -> Option<PageVersion> {
+    match *outcome {
+        GetOutcome::Hit { version, .. } => Some(version),
+        GetOutcome::Miss => None,
+        GetOutcome::Failed { .. } => panic!("no store faults here"),
+    }
+}
+
+/// One engine's answers to the mixed `get_many` script: every batch's
+/// outcomes, then each pool's stats (the unknown ones included).
+#[allow(clippy::type_complexity)]
+fn mixed_get_many<E: Engine>(
+    shards: usize,
+) -> (Vec<Vec<Option<PageVersion>>>, Vec<Option<PoolStats>>) {
+    let mut cache = E::build(CacheConfig::mem_and_ssd(64, 64), shards);
+    cache.add_vm(VmId(1), 100);
+    let pools = [
+        cache.create_pool(VmId(1), CachePolicy::mem(100)),
+        cache.create_pool(VmId(1), CachePolicy::hybrid(80)),
+        cache.create_pool(VmId(1), CachePolicy::ssd(60)),
+    ];
+    let gone = cache.create_pool(VmId(1), CachePolicy::mem(100));
+    let never = PoolId(gone.0 + 100);
+    let file = |pool: PoolId| FileId(1 + u64::from(pool.0));
+    let now = SimTime::from_secs(1);
+    for pool in pools.into_iter().chain([gone]) {
+        let pages: Vec<(BlockAddr, PageVersion)> = (0..12)
+            .map(|b| (BlockAddr::new(file(pool), b * 2), PageVersion(b + 1)))
+            .collect();
+        cache.put_many(now, VmId(1), pool, &pages);
+    }
+    cache.destroy_pool(VmId(1), gone);
+    // Even blocks were stored, odd ones never were; every batch asks
+    // for both, some twice, and the same batch goes to the pool that
+    // was destroyed, to one that never existed and to an unknown VM.
+    let batch = |pool: PoolId| -> Vec<BlockAddr> {
+        [0, 1, 2, 2, 3, 7, 10, 22, 23, 40]
+            .map(|b| BlockAddr::new(file(pool), b))
+            .to_vec()
+    };
+    let mut out = Vec::new();
+    for (vm, pool) in pools
+        .into_iter()
+        .chain([gone, never])
+        .map(|p| (VmId(1), p))
+        .chain([(VmId(9), pools[0])])
+    {
+        // Twice: what the first batch took is gone for the second.
+        for _ in 0..2 {
+            let got = cache.get_many(now, vm, pool, &batch(pool));
+            out.push(got.iter().map(answer).collect());
+        }
+        out.push(vec![answer(&cache.get(now, vm, pool, batch(pool)[0]))]);
+    }
+    let stats = pools
+        .into_iter()
+        .chain([gone, never])
+        .map(|p| cache.pool_stats(VmId(1), p))
+        .collect();
+    assert!(cache.audit().is_empty(), "{shards} shards");
+    (out, stats)
+}
+
+/// A `get_many` batch that mixes hits, absent blocks and repeats, sent
+/// to live pools, a destroyed pool, a pool that never existed and an
+/// unknown VM: every engine answers with the serial engine's outcomes
+/// and counts the serial engine's `pool_stats`.
+#[test]
+fn a_mixed_get_many_answers_as_the_serial_engine_does() {
+    let serial = mixed_get_many::<DoubleDeckerCache>(1);
+    let hits = serial.0.iter().flatten().filter(|o| o.is_some()).count();
+    // Blocks 0, 2, 10 and 22 of each live pool, once each.
+    assert_eq!(hits, 12);
+    assert_eq!(serial.1[3..], [None, None]);
+    for shards in [1, 16] {
+        assert_eq!(
+            mixed_get_many::<ShardedCache>(shards),
+            serial,
+            "{shards} shards"
+        );
+    }
+}
+
 #[test]
 fn the_null_cache_conforms_where_it_can() {
     let mut cache = NullCache::new();
