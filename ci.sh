@@ -28,9 +28,9 @@ cargo test --release -q -p ddc-hypercache registry
 echo "==> one conformance battery (serial, 1 and 16 shards, the null cache: exclusive, never stale, monotone epochs, exact stats, audit-clean after every step) and the serial fault pin (SSD faults, quarantine, rot, re-homing and trickle-down into a faulting tier hash to recorded literals)"
 cargo test --release -q -p ddc-core --test prop_conformance
 cargo test --release -q -p ddc-core --test serial_fault_pin
-echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, memo placements = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, an all-miss get_many under a held shard lock, and the layout itself: no two groups of the shared core, no two shards and no two handles on one cache line (release too: the memo's debug assertion is compiled out there)"
+echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, memo placements = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, an all-miss get_many answered in one shard visit once a held shard lock drops, and the layout itself: no two groups of the shared core, no two shards and no two handles on one cache line (release too: the memo's debug assertion is compiled out there)"
 cargo test --release -q -p ddc-core --test prop_shared_touches
-cargo test --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses an_all_miss_get_many line_aligned share_no_cache_line
+cargo test --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses an_all_miss_get_many_takes_one_shard_visit line_aligned share_no_cache_line
 echo "==> Global eviction over the shard front leaves: re-nomination when a front moves between nomination and lock (2 and 4 threads), one evicted sequence and one journal with the serial engine at 1/4/16 shards with dead fronts between batches, and the auditor catching a leaf that drifted from its FIFO"
 cargo test --release -q -p ddc-concurrent --lib -- a_front_leaf_that_drifted
 cargo test --release -q -p ddc-core --test prop_concurrent_equivalence -- global_eviction_renominates single_threaded_eviction_sequence
@@ -128,7 +128,7 @@ cargo run --release -q -p ddc-bench --bin repro -- stress --smoke
 # backoff (printed, never gated; EXPERIMENTS.md "One wait policy").
 echo "==> stress smoke again with 8 experiment workers (cross-cell contention)"
 DDC_THREADS=8 cargo run --release -q -p ddc-bench --bin repro -- stress --smoke
-echo "==> stress smoke, 95/5 read-heavy mix through the lock-free read plane"
+echo "==> stress smoke, 95/5 read-heavy mix (nearly every get a miss, each one a locked home-shard visit)"
 DDC_THREADS=8 cargo run --release -q -p ddc-bench --bin repro -- stress --smoke --read-heavy
 echo "==> stress smoke, put-dominant write-heavy mix through the batched write plane"
 DDC_THREADS=8 cargo run --release -q -p ddc-bench --bin repro -- stress --smoke --write-heavy
@@ -143,7 +143,7 @@ cargo test -q -p ddc-core --test prop_wear_admission
 
 # Optional race-detector smoke: opt in with DDC_TSAN=1. Needs a nightly
 # toolchain (-Zsanitizer); tier-1 above never depends on it, so CI stays
-# green on stable-only machines. Runs the seqlock and group-commit race
+# green on stable-only machines. Runs the racing-gets and group-commit race
 # tests of ddc-concurrent, and Global eviction's front-leaf race test, under
 # ThreadSanitizer.
 if [ "${DDC_TSAN:-0}" = "1" ]; then
@@ -153,7 +153,7 @@ if [ "${DDC_TSAN:-0}" = "1" ]; then
             rustup run nightly cargo test -q -p ddc-concurrent \
             -Z build-std --target "$(rustc -vV | sed -n 's/^host: //p')" \
             --target-dir target/tsan \
-            -- seqlock racing read_heavy commit 2>/dev/null \
+            -- racing read_heavy commit 2>/dev/null \
             && RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
             rustup run nightly cargo test -q -p ddc-core --test prop_concurrent_equivalence \
             -Z build-std --target "$(rustc -vV | sed -n 's/^host: //p')" \

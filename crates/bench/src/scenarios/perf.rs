@@ -76,7 +76,7 @@ pub const CELLS: [Cell; 20] = cells![
     channel_batched_mix: 2_000_000 => ["hypercalls"],
     channel_unbatched_mix: 2_000_000 => ["hypercalls"],
     arena_slot_churn: 400_000 => ["flushes"],
-    stress_read_heavy: 500 => ["lockfree_misses"],
+    stress_read_heavy: 500 => ["misses"],
     stress_eviction_storm: 500 => ["evictions"],
     stress_standard: 500 => ["hits", "stores"],
     stress_standard_journaled: 500 => ["commit_epoch", "journal_records"],
@@ -651,8 +651,7 @@ fn stress_work(cfg: StressConfig, ticks: u64) -> Json {
 }
 
 /// 95/5 get/put: in an exclusive cache's steady state nearly every get
-/// is a definitive miss, answered by the per-shard seqlock table
-/// without touching a lock.
+/// is a miss, answered in its batch's one home-shard visit.
 fn stress_read_heavy(ticks: u64) -> Json {
     stress_work(StressConfig::read_heavy(0x9EAD), ticks)
 }

@@ -16,10 +16,7 @@
 //!    lock-free snapshot source for two-phase eviction) equals the
 //!    pool's exact usage under lock-all quiescence. A drift here means
 //!    phase-1 victim selection is working from corrupt data.
-//! 4. **Remote flag** (`remote-consistency`) — a pool with a binding is
-//!    marked remote-bound on its mirror, or lock-free misses bypass the
-//!    remote.
-//! 5. **Journal health** — when the plane journals (DESIGN.md §14),
+//! 4. **Journal health** — when the plane journals (DESIGN.md §14),
 //!    every live shard segment must replay clean end-to-end under
 //!    quiescence (the auditor holds every lock, and we wrote every
 //!    byte ourselves — a torn or corrupt frame here means the
@@ -32,24 +29,17 @@
 //!    boundary at or below that length under the same install epoch,
 //!    and every record at or below the commit epoch lies below its
 //!    segment's mark — the promise `commit_tick` makes without a lock.
-//! 6. **Read-plane coherence** (DESIGN.md §15) — every shard's seqlock
-//!    sequence word is even at rest (an odd value means a writer died
-//!    mid-publish and readers would spin forever); unless the plane
-//!    latched its overflow flag, its membership equals the exact union
-//!    of live `(vm, pool, addr)` keys homed on the shard (a missing key
-//!    is a wrong lock-free miss — the one lie the design must never
-//!    tell). **Front leaves** (`front-tree`) — in Global mode, the only
-//!    mode that maintains or reads them, each store's leaf for a shard
-//!    holds the sequence stamp of that shard's raw FIFO front (live or
-//!    dead), or the empty marker for an empty FIFO: a wrong leaf sends
-//!    Global eviction to the wrong shard.
+//! 5. **Front leaves** (`front-tree`) — in Global mode, the only mode
+//!    that maintains or reads them, each store's leaf for a shard holds
+//!    the sequence stamp of that shard's raw FIFO front (live or dead),
+//!    or the empty marker for an empty FIFO: a wrong leaf sends Global
+//!    eviction to the wrong shard.
 
 use std::sync::atomic::Ordering;
 
-use ddc_cleancache::{PoolId, VmId};
 use ddc_hypercache::index::Placement;
 use ddc_hypercache::{audit_cut, AuditFinding};
-use ddc_storage::{BlockAddr, Journal};
+use ddc_storage::Journal;
 
 use crate::sharded::{ShardedCache, EMPTY_FRONT};
 
@@ -130,25 +120,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             }
         }
 
-        // 4. The routing flag: a flag without a binding would still be
-        // safe (locked path, plain miss), a binding without the flag
-        // lets the lock-free plane answer misses the remote should have
-        // served.
-        for shard in shards.iter() {
-            for &(vm, pid) in shard.state.remote_bindings.keys() {
-                if !reg.pool(vm, pid).is_some_and(|row| row.2.remote_bound()) {
-                    findings.push(AuditFinding {
-                        invariant: "remote-consistency",
-                        detail: format!(
-                            "{vm} {pid} has a remote binding but its mirror is not \
-                             marked remote-bound (lock-free misses bypass the remote)"
-                        ),
-                    });
-                }
-            }
-        }
-
-        // 5. Journal health (only when the plane journals).
+        // 4. Journal health (only when the plane journals).
         if let Some(expected_records) = cache.journal_records() {
             // Sampled before the marks: a committer still sweeping only
             // raises marks, and publishes its epoch after them.
@@ -248,47 +220,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             }
         }
 
-        // 6a. Read planes: seq word even at rest; membership exactly the
-        // live key union of the shard (unless the plane overflowed and
-        // lock-free reads are already disabled there).
-        for (si, shard) in shards.iter().enumerate() {
-            let plane = cache.read_plane(si);
-            if !plane.seq().is_multiple_of(2) {
-                findings.push(AuditFinding {
-                    invariant: "read-plane",
-                    detail: format!(
-                        "shard {si} seqlock word is odd ({}) at rest — a write \
-                         never completed",
-                        plane.seq()
-                    ),
-                });
-            }
-            if plane.overflowed() {
-                continue;
-            }
-            let mut live: Vec<(VmId, PoolId, BlockAddr)> = shard
-                .state
-                .pools
-                .iter()
-                .flat_map(|(&(vm, pid), pool)| pool.iter().map(move |(addr, _)| (vm, pid, addr)))
-                .collect();
-            live.sort_unstable();
-            let mut published = plane.entries();
-            published.sort_unstable();
-            if live != published {
-                findings.push(AuditFinding {
-                    invariant: "read-plane",
-                    detail: format!(
-                        "shard {si} read plane publishes {} keys but the shard \
-                         holds {} live keys (lock-free misses would lie)",
-                        published.len(),
-                        live.len()
-                    ),
-                });
-            }
-        }
-
-        // 6b. Front leaves: each mirrors its shard's raw Global FIFO
+        // 5. Front leaves: each mirrors its shard's raw Global FIFO
         // front (dead or live). Only shards that keep Global FIFOs have
         // fronts — the other modes never read the leaves and skip their
         // maintenance, so theirs are legitimately stale.
@@ -320,10 +252,10 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddc_cleancache::{CachePolicy, PageVersion, SecondChanceCache};
+    use ddc_cleancache::{CachePolicy, PageVersion, SecondChanceCache, VmId};
     use ddc_hypercache::{CacheConfig, PartitionMode};
     use ddc_sim::SimTime;
-    use ddc_storage::{FileId, JournalRecord};
+    use ddc_storage::{BlockAddr, FileId, JournalRecord};
 
     fn durable_findings(cache: &ShardedCache) -> Vec<String> {
         findings_of(cache, "journal-durable")

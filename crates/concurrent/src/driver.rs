@@ -193,11 +193,10 @@ impl StressConfig {
         }
     }
 
-    /// A 95/5 read-heavy mix (19 gets per put): the workload the
-    /// lock-free read plane exists for. Exclusive semantics keep the
-    /// steady-state hit rate low, so nearly every get is a definitive
-    /// miss the seqlock table answers without a lock. Used by the
-    /// `stress_read_heavy` work cell and `repro stress --read-heavy`.
+    /// A 95/5 read-heavy mix (19 gets per put). Exclusive semantics
+    /// keep the steady-state hit rate low, so nearly every get is a
+    /// miss, answered under its home shard's lock like a hit. Used by
+    /// the `stress_read_heavy` work cell and `repro stress --read-heavy`.
     pub fn read_heavy(seed: u64) -> StressConfig {
         StressConfig {
             vms: 8,
@@ -1151,22 +1150,19 @@ mod tests {
 
     #[test]
     fn read_heavy_mix_matches_serial_and_serves_lock_free() {
-        // The lock-free read plane must not perturb the determinism
-        // contract on its own target workload...
+        // The get-dominated mix keeps the determinism contract...
         let cfg = StressConfig::read_heavy(5);
         let serial = run_equivalence(&cfg, EngineKind::Serial);
         let sharded = run_equivalence(&cfg, EngineKind::Sharded { shards: 16 });
         assert_eq!(serial.json, sharded.json);
-        // ...and under threads it must actually serve misses without a
-        // lock, on a working set small enough that every thread asks
-        // for the same few blocks.
+        // ...and stays clean under threads on a working set small
+        // enough that every thread asks for the same few blocks.
         let tiny = StressConfig {
             working_set: 8,
             ..cfg
         };
         let out = run_stress(&tiny, 4);
         assert!(out.clean(), "{:?}", out.findings);
-        assert!(out.lockfree_misses > 0, "read plane never served a miss");
     }
 
     #[test]

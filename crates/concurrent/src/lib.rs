@@ -8,11 +8,11 @@
 //!   index is split into per-lock shards, with a global atomic pressure
 //!   ledger and cross-shard resource-conservative eviction (Algorithm 1
 //!   unchanged), plus per-shard journal segments with group commit and
-//!   [`ShardedCache::recover`] warm restart (DESIGN.md §14). Reads are
-//!   lock-free: definitive misses are answered by a per-shard seqlock
-//!   membership table (DESIGN.md §15). Global-mode eviction finds its
-//!   victim by scanning one front leaf per shard and locks only the
-//!   shard it nominates.
+//!   [`ShardedCache::recover`] warm restart (DESIGN.md §14). Every get,
+//!   hit or miss, is one visit to its pool's home shard under that
+//!   shard's lock, as on the serial engine (DESIGN.md §15). Global-mode
+//!   eviction finds its victim by scanning one front leaf per shard and
+//!   locks only the shard it nominates.
 //! * [`driver`] — a multi-threaded VM driver: each guest runs its
 //!   hypercall stream on its own OS thread against the shared cache,
 //!   with a seeded deterministic-equivalence mode (single-threaded
@@ -23,7 +23,7 @@
 //! * [`audit`] — the cross-shard invariant auditor: the checks both
 //!   engines share (`ddc_hypercache::audit_cut`) over a lock-all cut,
 //!   plus shard-map placement, memo and mirror accuracy, journal health
-//!   and the read planes.
+//!   and Global mode's front leaves.
 //!
 //! [`SecondChanceCache`]: ddc_cleancache::SecondChanceCache
 

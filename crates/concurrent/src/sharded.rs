@@ -41,7 +41,8 @@
 //!   holding a higher one. Get, put, flush, eviction and `pool_stats`
 //!   take only one pool's home shard (hybrid-store and strict-mode
 //!   puts, eviction and `pool_stats` the registry read lock before it,
-//!   for the entitlement table). What still locks every shard, always
+//!   for the entitlement table); a get, or a whole `get_many` batch,
+//!   hit or miss, is one visit of it. What still locks every shard, always
 //!   starting from no shard lock held: whole-cache reads that need one
 //!   consistent cut (`entries`, the auditor, wear and remote totals,
 //!   journal images and durable lengths), journal installation and
@@ -111,7 +112,6 @@ use ddc_cleancache::{
 };
 use ddc_hypercache::index::{Placement, Pool, Slot, UsageMirror};
 use ddc_hypercache::policy::ShareTable;
-use ddc_hypercache::readplane::{ReadPlane, ReadProbe};
 use ddc_hypercache::registry::{self, Control, ShareMemo};
 use ddc_hypercache::shard::{
     self, Cut, FifoScrub, Placed, PoolVisit, ReplayLog, ShardState, StoreBackend,
@@ -388,7 +388,6 @@ struct Inner {
     append: AppendWords,
     budget: BudgetWords,
     stats: StatCounters,
-    batch: BatchWords,
     registry: RegistryLock,
     evictor: EvictorGate,
     cold: Cold,
@@ -408,19 +407,13 @@ struct ReadMostly {
     shards: Box<[Mutex<Shard>]>,
     /// One commit cell per segment, indexed like `shards`.
     commit_cells: Box<[CommitCell]>,
-    /// One lock-free membership table per shard (DESIGN.md §15): the
-    /// seqlock-guarded mirror of every live `(vm, pool, addr)` key homed
-    /// on that shard. `get` answers definitive misses from it without
-    /// the shard lock — the hot path of an exclusive cleancache, where
-    /// every hit consumes its entry and steady state is mostly misses.
-    read_planes: Box<[Arc<ReadPlane>]>,
     /// Whether journaling is on (segments installed in every shard).
     /// Checked lock-free on the hot paths so the volatile plane pays
     /// nothing for the durability machinery.
     journal_on: AtomicBool,
-    /// Whether `read_hook` or `eviction_hook` is installed: production
-    /// reads and eviction batches pay one relaxed load for the hooks,
-    /// not a lock and an `Arc` clone.
+    /// Whether `eviction_hook` is installed: production eviction
+    /// batches pay one relaxed load for the hook, not a lock and an
+    /// `Arc` clone.
     hooks_on: AtomicBool,
     /// Whether any remote store is registered; checked lock-free on the
     /// flush path to decide if unbound flushes must be stashed.
@@ -516,16 +509,6 @@ struct StatCounters {
     journal_compactions: AtomicU64,
 }
 
-/// The one batch-plane count no shard lock covers (the rest are plain
-/// words in [`Shard`]).
-#[derive(Default)]
-#[repr(align(64))]
-struct BatchWords {
-    /// Operations of `get_many` batches the read plane answered whole,
-    /// without a shard visit to count them under.
-    lockfree_ops: AtomicU64,
-}
-
 /// The registry and its lock word: every reader writes the word, so no
 /// other group may sit beside it.
 #[derive(Default)]
@@ -561,10 +544,6 @@ struct Cold {
     /// wait for it.
     #[cfg(test)]
     append_hook: RwLock<Option<AppendHook>>,
-    /// Test hook run inside the lock-free read window (between the
-    /// seqlock's first load and the table walk); tests use it to mutate
-    /// membership mid-read and force torn-snapshot retries.
-    read_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
     /// Global mode's front leaves, one array per store (indexed by
     /// [`Placement::idx`]): leaf `s` holds the sequence stamp of shard
     /// `s`'s FIFO front, live or lazily dead, or [`EMPTY_FRONT`] — the
@@ -582,7 +561,7 @@ struct Cold {
 /// its own clone. The [`SecondChanceCache`] impl takes `&mut self` only
 /// to satisfy the (object-safe) trait; all synchronization is internal.
 /// Each clone additionally carries what only it writes — a route cache,
-/// its diagnostics and scratch, a share memo and a compaction budget,
+/// its scratch, a share memo and a compaction budget,
 /// every one on cache lines of its own, so two handles side by side in
 /// a `Vec` share none — which is why `Clone` is manual: the shared
 /// `Arc` is cloned, the rest starts empty.
@@ -604,10 +583,6 @@ impl Clone for ShardedCache {
         ShardedCache::handle(Arc::clone(&self.inner))
     }
 }
-
-/// A route-cache entry: the pool's policy and usage mirror, or `None`
-/// caching "no such pool".
-type Route = Option<(CachePolicy, Arc<UsageMirror>)>;
 
 /// What one get/put/flush call carries through the group helpers.
 #[derive(Default)]
@@ -643,43 +618,33 @@ impl GroupScratch {
 struct RouteCache {
     /// The registry version the cache was filled under.
     registry_version: u64,
-    /// `(vm, pool)` → policy + usage mirror, `None` caching "no such
-    /// pool". Pool ids are never reused, so entries can't alias; any
-    /// registry mutation bumps the version and flushes the whole map.
-    routes: FxHashMap<(VmId, PoolId), Route>,
+    /// `(vm, pool)` → policy, `None` caching "no such pool". Pool ids
+    /// are never reused, so entries can't alias; any registry mutation
+    /// bumps the version and flushes the whole map.
+    routes: FxHashMap<(VmId, PoolId), Option<CachePolicy>>,
 }
 
 impl RouteCache {
-    /// Resolves `(vm, pool)` to its policy and usage mirror,
-    /// revalidated against the registry version. `None` (also cached)
-    /// means the pool does not exist. The mirror is lent, not cloned:
-    /// a call pays no reference count for it.
-    fn resolve(
-        &mut self,
-        inner: &Inner,
-        vm: VmId,
-        pool: PoolId,
-    ) -> Option<(CachePolicy, &UsageMirror)> {
+    /// Resolves `(vm, pool)` to its policy, revalidated against the
+    /// registry version. `None` (also cached) means the pool does not
+    /// exist.
+    fn resolve(&mut self, inner: &Inner, vm: VmId, pool: PoolId) -> Option<CachePolicy> {
         let version = inner.ro.registry_version.load(Ordering::Acquire);
         if self.registry_version != version {
             self.routes.clear();
             self.registry_version = version;
         }
-        let route = self.routes.entry((vm, pool)).or_insert_with(|| {
+        *self.routes.entry((vm, pool)).or_insert_with(|| {
             let reg = inner.registry.lock.read().expect("registry poisoned");
-            reg.pool(vm, pool).map(|row| (row.1, row.2.clone()))
-        });
-        route.as_ref().map(|(policy, mirror)| (*policy, &**mirror))
+            reg.pool(vm, pool).map(|row| row.1)
+        })
     }
 }
 
-/// What else only the handle's own calls write: its diagnostics and
-/// the reusable scratch.
+/// What else only the handle's own calls write: the reusable scratch.
 #[derive(Default)]
 #[repr(align(64))]
 struct HandleLocal {
-    /// Lookups this handle answered without any lock (diagnostic).
-    lockfree_misses: u64,
     /// Reusable [`GroupScratch`], kept on the handle so a steady
     /// workload allocates its record buffer once.
     scratch: GroupScratch,
@@ -807,14 +772,6 @@ impl ShardedCache {
     /// least 1).
     pub fn new(config: CacheConfig, shards: usize) -> ShardedCache {
         let n = shards.max(1);
-        // Size each shard's membership table for its share of the total
-        // resident set. Undersizing is safe (the plane latches overflow
-        // and the shard degrades to locked gets), it just loses the
-        // lock-free path.
-        let plane_hint = (config
-            .mem_capacity_pages
-            .saturating_add(config.ssd_capacity_pages))
-            / n as u64;
         ShardedCache::handle(Arc::new(Inner {
             ro: ReadMostly {
                 mode: config.mode,
@@ -828,9 +785,6 @@ impl ShardedCache {
                     })
                     .collect(),
                 commit_cells: (0..n).map(|_| CommitCell::default()).collect(),
-                read_planes: (0..n)
-                    .map(|_| Arc::new(ReadPlane::with_capacity(plane_hint)))
-                    .collect(),
                 journal_on: AtomicBool::new(false),
                 hooks_on: AtomicBool::new(false),
                 remote_on: AtomicBool::new(false),
@@ -850,14 +804,12 @@ impl ShardedCache {
             },
             budget: BudgetWords::default(),
             stats: StatCounters::default(),
-            batch: BatchWords::default(),
             registry: RegistryLock::default(),
             evictor: EvictorGate::default(),
             cold: Cold {
                 eviction_hook: RwLock::new(None),
                 #[cfg(test)]
                 append_hook: RwLock::new(None),
-                read_hook: RwLock::new(None),
                 front_leaves: [(); 2]
                     .map(|_| (0..n).map(|_| AtomicU64::new(EMPTY_FRONT)).collect()),
                 remote_registry: Mutex::new(RemoteRegistry::new()),
@@ -924,19 +876,12 @@ impl ShardedCache {
             .lock()
             .expect("remote registry poisoned")
             .get(remote)?;
-        let mirror = {
-            let reg = self.inner.registry.lock.read().expect("registry poisoned");
-            Arc::clone(reg.bind_target(vm, pool)?)
-        };
-        let si = self.shard_of(vm, pool);
-        let mut shard = self.lock_shard(si);
+        let reg = self.inner.registry.lock.read().expect("registry poisoned");
+        reg.bind_target(vm, pool)?;
+        let mut shard = self.lock_shard(self.shard_of(vm, pool));
         shard
             .state
-            .bind_remote(vm, pool, RemoteBinding::new(store, fetch))?;
-        // Published while the binding is already in place: any get that
-        // sees the flag takes the locked path and finds the binding.
-        mirror.set_remote_bound();
-        Ok(())
+            .bind_remote(vm, pool, RemoteBinding::new(store, fetch))
     }
 
     /// The remote counters of one binding, if the pool is bound.
@@ -1043,10 +988,10 @@ impl ShardedCache {
         self.publish_hooks();
     }
 
-    /// Raises `hooks_on` while either test hook is installed.
+    /// Raises `hooks_on` while the eviction hook is installed.
     fn publish_hooks(&self) {
-        let installed = |hook: &RwLock<Option<_>>| hook.read().expect("hook poisoned").is_some();
-        let on = installed(&self.inner.cold.eviction_hook) || installed(&self.inner.cold.read_hook);
+        let on = self.inner.cold.eviction_hook.read();
+        let on = on.expect("hook poisoned").is_some();
         self.inner.ro.hooks_on.store(on, Ordering::Release);
     }
 
@@ -1085,38 +1030,23 @@ impl ShardedCache {
         }
     }
 
-    /// Installs (or clears) a hook run inside every lock-free read
-    /// window — between the seqlock's first sequence load and the table
-    /// walk. Tests use it to mutate membership from the reader's blind
-    /// spot and prove torn snapshots are retried, never served;
-    /// production code leaves it unset (one relaxed load on the path).
-    pub fn set_read_hook(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
-        *self.inner.cold.read_hook.write().expect("hook poisoned") = hook;
-        self.publish_hooks();
-    }
-
-    /// Torn-snapshot retries across every shard's read plane.
+    /// Always 0: there is no lock-free read plane whose snapshots could
+    /// tear. Kept only because the frozen `benchmark/` crate reads it;
+    /// goes with the next change to that crate, like
+    /// [`Self::reservation_retries`].
     pub fn seqlock_retries(&self) -> u64 {
-        self.inner.ro.read_planes.iter().map(|p| p.retries()).sum()
+        0
     }
 
-    /// Shards whose read plane latched its overflow flag (degraded to
-    /// locked gets).
+    /// Always 0, kept for the same reason as [`Self::seqlock_retries`].
     pub fn read_plane_overflows(&self) -> u64 {
-        self.inner
-            .ro
-            .read_planes
-            .iter()
-            .filter(|p| p.overflowed())
-            .count() as u64
+        0
     }
 
-    /// This handle's read-side diagnostics: lookups it answered with no
-    /// lock at all, and 0. The second element is kept only because the
-    /// frozen `benchmark/` crate reads the pair; it goes with the next
-    /// change to that crate, like [`Self::reservation_retries`].
+    /// Always `(0, 0)`: every lookup takes its home shard's lock. Kept
+    /// for the same reason as [`Self::seqlock_retries`].
     pub fn local_read_stats(&self) -> (u64, u64) {
-        (self.local.lockfree_misses, 0)
+        (0, 0)
     }
 
     /// Global evictions that locked their nominated shard, found it no
@@ -1163,12 +1093,9 @@ impl ShardedCache {
     }
 
     /// The batch plane's counters as one snapshot block: every shard's
-    /// words (each read under its lock) plus the batches no shard saw.
+    /// words, each read under its lock.
     pub fn batch_counters(&self) -> BatchCounters {
-        let mut total = BatchCounters {
-            batched_ops: self.inner.batch.lockfree_ops.load(Ordering::Relaxed),
-            ..BatchCounters::default()
-        };
+        let mut total = BatchCounters::default();
         for si in 0..self.shard_count() {
             total.absorb(&self.lock_shard(si).batch);
         }
@@ -1189,11 +1116,6 @@ impl ShardedCache {
             durable.load(Ordering::Relaxed).wrapping_add_signed(delta),
             Ordering::Release,
         );
-    }
-
-    /// Shard `si`'s lock-free membership table (auditor use).
-    pub(crate) fn read_plane(&self, si: usize) -> &ReadPlane {
-        &self.inner.ro.read_planes[si]
     }
 
     /// The front leaves of one store, one per shard (auditor use).
@@ -2201,50 +2123,26 @@ impl ShardedCache {
     // engine.
     // ------------------------------------------------------------------
 
-    /// Whether `addr` is *definitively absent* from its home shard
-    /// (DESIGN.md §15), answered without a lock by the shard's seqlock
-    /// membership table. Exclusive semantics mean a hit must mutate, so
-    /// only the miss — the steady-state common case of a read-heavy
-    /// exclusive cache — can be served without the shard lock. `false`
-    /// means probable hit or degraded plane: take the lock and answer
-    /// authoritatively (the locked path re-decides from scratch). The
-    /// caller counts the miss against the pool's mirror, one by one or
-    /// a batch at a time.
-    ///
-    /// Not for remote-bound pools: "absent from the shard" stops being
-    /// a definitive miss once the remote tier can still serve the
-    /// block, and the binding (whose fault-tolerance state the lookup
-    /// mutates) lives under the shard lock anyway.
-    fn probe_miss(inner: &Inner, si: usize, (vm, pool, addr): (VmId, PoolId, BlockAddr)) -> bool {
-        let probe = inner.ro.read_planes[si].lookup(vm, pool, addr, || {
-            if inner.ro.hooks_on.load(Ordering::Relaxed) {
-                let hook = inner.cold.read_hook.read().expect("hook poisoned").clone();
-                if let Some(hook) = hook {
-                    hook();
-                }
-            }
-        });
-        probe == ReadProbe::Absent
-    }
-
-    /// Applies the gets the read plane could not answer. `locked` holds
-    /// `(index, addr)` pairs in call order; outcomes land in
-    /// `out[index]`. `batch_ops` is the size of the `get_many` batch
-    /// they come from (lock-free misses included), `None` for a scalar
-    /// get.
-    #[allow(clippy::too_many_arguments)]
-    fn get_group_locked(
+    /// The get group: one home-shard visit for the whole group in the
+    /// common case, every address through [`PoolVisit::take`] (a local
+    /// miss falls through to the pool's remote binding). Outcomes land
+    /// in `out` (same length as `addrs`, all misses on entry), so the
+    /// scalar caller passes a stack slot and allocates nothing. An
+    /// unknown pool needs no route lookup: the locked visit finds no
+    /// pool and every get stays the miss `out` holds, as on the serial
+    /// engine.
+    fn get_group(
         &mut self,
         now: SimTime,
-        si: usize,
         vm: VmId,
         pool: PoolId,
-        locked: &[(usize, BlockAddr)],
+        addrs: &[BlockAddr],
         out: &mut [GetOutcome],
-        batch_ops: Option<usize>,
+        batched: bool,
     ) {
+        let si = self.shard_of(vm, pool);
         let mut scratch = std::mem::take(&mut self.local.scratch);
-        scratch.begin(batch_ops);
+        scratch.begin(batched.then_some(addrs.len()));
         let admission = self.inner.ro.admission;
         let mut next = 0;
         // A visit that pauses to compact comes back to its shard even
@@ -2260,7 +2158,8 @@ impl ShardedCache {
                 break;
             };
             let mut compact = false;
-            while let (Some(&(i, addr)), false) = (locked.get(next), compact) {
+            while let (Some(&addr), false) = (addrs.get(next), compact) {
+                let i = next;
                 next += 1;
                 // Exclusive semantics remove the object on a hit; its
                 // FIFO entry outlives it as a tombstone.
@@ -2315,7 +2214,7 @@ impl ShardedCache {
         // the route takes no shard lock and, in the common case, not
         // even the registry lock.
         let policy = match self.routes.resolve(&self.inner, vm, pool) {
-            Some((policy, _)) if policy.is_enabled() => policy,
+            Some(policy) if policy.is_enabled() => policy,
             _ => {
                 out.fill(PutOutcome::Rejected);
                 return;
@@ -2520,12 +2419,10 @@ impl ShardedCache {
                 // A pool's binding and stashed flushes go with it;
                 // `RemoveVm` is a VM record, on segment 0 like `AddVm`.
                 let whole_vm = matches!(rec, JournalRecord::RemoveVm { .. });
-                for (pid, mirror) in pools {
+                for (pid, _) in pools {
                     let si = self.shard_of(vm, pid);
                     let mut shard = self.lock_shard(si);
-                    if shard.state.remote_bindings.remove(&(vm, pid)).is_some() {
-                        mirror.clear_remote_bound();
-                    }
+                    shard.state.remote_bindings.remove(&(vm, pid));
                     shard.state.remote_stash.remove(&(vm, pid));
                     shard.state.drain_pool(&mut self.ledgers(), vm, pid);
                     if !whole_vm {
@@ -2543,7 +2440,6 @@ impl ShardedCache {
                 let mut shard = self.lock_shard(si);
                 let mut pool = Pool::new(vm, policy);
                 pool.set_mirror(mirror);
-                pool.set_read_plane(pid, Arc::clone(&self.inner.ro.read_planes[si]));
                 shard.state.pools.insert((vm, pid), pool);
                 (si, shard)
             }
@@ -2672,30 +2568,12 @@ impl SecondChanceCache for ShardedCache {
         let p = shard.state.pools.get(&(vm, pool))?;
         let entitled = |t: &ShareTable| t.pool_entitlement(vm, pool);
         let entitlement = self.with_share_memo(&reg, p.primary_placement(), entitled);
-        // Lock-free misses bump the pool's usage mirror instead of the
-        // shard-locked counters; fold them back in so totals match the
-        // serial engine exactly.
-        let lockfree_gets = reg.pool(vm, pool).map_or(0, |row| row.2.lockfree_gets());
-        let stats = p.stats(entitlement);
-        Some(PoolStats {
-            gets: stats.gets + lockfree_gets,
-            ..stats
-        })
+        Some(p.stats(entitlement))
     }
 
     fn get(&mut self, now: SimTime, vm: VmId, pool: PoolId, addr: BlockAddr) -> GetOutcome {
-        let si = self.shard_of(vm, pool);
-        // Unknown pool is a silent miss, matching the serial engine.
-        let Some((_, mirror)) = self.routes.resolve(&self.inner, vm, pool) else {
-            return GetOutcome::Miss;
-        };
-        if !mirror.remote_bound() && Self::probe_miss(&self.inner, si, (vm, pool, addr)) {
-            mirror.note_gets(1);
-            self.local.lockfree_misses += 1;
-            return GetOutcome::Miss;
-        }
         let mut out = [GetOutcome::Miss];
-        self.get_group_locked(now, si, vm, pool, &[(0, addr)], &mut out, None);
+        self.get_group(now, vm, pool, &[addr], &mut out, false);
         out[0]
     }
 
@@ -2738,38 +2616,8 @@ impl SecondChanceCache for ShardedCache {
         addrs: &[BlockAddr],
     ) -> Vec<GetOutcome> {
         let mut out = vec![GetOutcome::Miss; addrs.len()];
-        if addrs.is_empty() {
-            return out;
-        }
-        let si = self.shard_of(vm, pool);
-        let Some((_, mirror)) = self.routes.resolve(&self.inner, vm, pool) else {
-            // Unknown pool: a silent miss for the whole group.
-            return out;
-        };
-        // First pass: answer definitive misses from the lock-free read
-        // plane; everything else queues for one locked shard visit.
-        // Gets never add membership, so an earlier op in the batch
-        // cannot invalidate a later op's lock-free miss.
-        let bypass = mirror.remote_bound();
-        let inner = &*self.inner;
-        let locked: Vec<(usize, BlockAddr)> = addrs
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, addr)| bypass || !Self::probe_miss(inner, si, (vm, pool, addr)))
-            .collect();
-        // The batch's misses against the pool in one add.
-        let misses = (addrs.len() - locked.len()) as u64;
-        if misses > 0 {
-            mirror.note_gets(misses);
-            self.local.lockfree_misses += misses;
-        }
-        if locked.is_empty() {
-            // No shard visit to count the batch under.
-            let ops = addrs.len() as u64;
-            inner.batch.lockfree_ops.fetch_add(ops, Ordering::Relaxed);
-        } else {
-            self.get_group_locked(now, si, vm, pool, &locked, &mut out, Some(addrs.len()));
+        if !addrs.is_empty() {
+            self.get_group(now, vm, pool, addrs, &mut out, true);
         }
         out
     }
@@ -3195,8 +3043,8 @@ mod tests {
         assert_eq!(align_of::<CommitCell>(), 64);
         assert_eq!(size_of::<CommitCell>() % 64, 0);
         // Two handles side by side (a `Vec` of them) share no line, and
-        // inside one the route cache, the diagnostics and scratch, the
-        // share memo and the compaction budget each start a line.
+        // inside one the route cache, the scratch, the share memo and
+        // the compaction budget each start a line.
         assert_eq!(align_of::<ShardedCache>(), 64);
         assert_eq!(size_of::<ShardedCache>() % 64, 0);
         let handle_lines = [
@@ -3235,7 +3083,6 @@ mod tests {
                 size_of::<BudgetWords>(),
             ),
             ("stats", offset_of!(Inner, stats), size_of::<StatCounters>()),
-            ("batch", offset_of!(Inner, batch), size_of::<BatchWords>()),
             (
                 "registry",
                 offset_of!(Inner, registry),
@@ -3498,54 +3345,6 @@ mod tests {
         );
         assert!(report.discarded_stale > 0);
         assert!(audit(&rec).is_empty());
-    }
-
-    #[test]
-    fn seqlock_forced_interleaving_retries_and_never_tears() {
-        use std::sync::atomic::AtomicU32;
-        let mut cache = ShardedCache::new(CacheConfig::mem_only(64), 1);
-        cache.add_vm(VmId(0), 100);
-        let p = cache.create_pool(VmId(0), CachePolicy::mem(100));
-        cache.put(SimTime::ZERO, VmId(0), p, addr(1, 0), PageVersion(7));
-
-        // Fire exactly once, from inside the reader's seqlock window
-        // (no locks held there): publish a new block, changing the
-        // plane's membership out from under the in-flight snapshot.
-        let fires = Arc::new(AtomicU32::new(0));
-        let mutator = Mutex::new(cache.clone());
-        let hook_fires = Arc::clone(&fires);
-        cache.set_read_hook(Some(Arc::new(move || {
-            if hook_fires.fetch_add(1, Ordering::Relaxed) == 0 {
-                let mut h = mutator.lock().expect("mutator handle");
-                h.put(SimTime::ZERO, VmId(0), p, addr(1, 1), PageVersion(9));
-            }
-        })));
-
-        let before = cache.seqlock_retries();
-        let out = cache.get(SimTime::ZERO, VmId(0), p, addr(1, 2));
-        assert!(matches!(out, GetOutcome::Miss), "absent block must miss");
-        assert!(
-            cache.seqlock_retries() > before,
-            "the mid-read mutation must have forced a snapshot retry"
-        );
-        assert!(
-            fires.load(Ordering::Relaxed) >= 2,
-            "retry re-ran the window"
-        );
-        cache.set_read_hook(None);
-
-        // Nothing tore: both the pre-existing block and the one
-        // published mid-read are served intact.
-        assert!(matches!(
-            cache.get(SimTime::ZERO, VmId(0), p, addr(1, 1)),
-            GetOutcome::Hit { version, .. } if version == PageVersion(9)
-        ));
-        assert!(matches!(
-            cache.get(SimTime::ZERO, VmId(0), p, addr(1, 0)),
-            GetOutcome::Hit { version, .. } if version == PageVersion(7)
-        ));
-        let findings = audit(&cache);
-        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
@@ -3818,7 +3617,7 @@ mod tests {
     }
 
     #[test]
-    fn an_all_miss_get_many_takes_no_shard_lock_and_counts_every_miss() {
+    fn an_all_miss_get_many_takes_one_shard_visit_and_counts_every_miss() {
         use std::sync::mpsc;
         let mut cache = ShardedCache::new(CacheConfig::mem_only(64), 4);
         cache.add_vm(VmId(1), 100);
@@ -3830,27 +3629,27 @@ mod tests {
         let (ops_before, locks_before) = (cache.batched_ops(), cache.batch_lock_acquisitions());
         let absent: Vec<BlockAddr> = (100..132).map(|i| addr(1, i)).collect();
 
-        // The batch runs while this thread holds the pool's home shard:
-        // a batch that wanted the lock would still be waiting for it.
+        // The batch starts while this thread holds the pool's home
+        // shard: it answers nothing until the lock is free, then
+        // answers every miss in that one visit.
         let held = cache.lock_shard(cache.shard_of(VmId(1), p));
         let (done_tx, done_rx) = mpsc::channel();
-        let answered = std::thread::scope(|scope| {
+        let out = std::thread::scope(|scope| {
             let mut h = cache.clone();
             let absent = &absent;
             scope.spawn(move || {
                 let out = h.get_many(SimTime::ZERO, VmId(1), p, absent);
-                done_tx
-                    .send((out, h.local.lockfree_misses))
-                    .expect("test alive");
+                done_tx.send(out).expect("test alive");
             });
-            let answered = done_rx.recv_timeout(std::time::Duration::from_secs(20));
+            let early = done_rx.recv_timeout(std::time::Duration::from_millis(50));
+            assert!(early.is_err(), "the batch answered without the shard lock");
             drop(held);
-            answered
+            done_rx
+                .recv()
+                .expect("the batch answers once the lock is free")
         });
-        let (out, lockfree_misses) = answered.expect("the batch waited for the shard lock");
         assert_eq!(out, vec![GetOutcome::Miss; 32]);
-        assert_eq!(lockfree_misses, 32);
-        assert_eq!(cache.batch_lock_acquisitions(), locks_before);
+        assert_eq!(cache.batch_lock_acquisitions(), locks_before + 1);
         assert_eq!(cache.batched_ops(), ops_before + 32);
         // Every miss is a get of the pool, as the serial engine counts.
         let gets = cache.pool_stats(VmId(1), p).expect("pool").gets;

@@ -38,12 +38,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ddc_cleancache::{CachePolicy, PageVersion, PoolId, PoolStats, StoreKind, VmId};
+use ddc_cleancache::{CachePolicy, PageVersion, PoolStats, StoreKind, VmId};
 use ddc_sim::FxHashMap;
 use ddc_storage::{BlockAddr, FileId, PoolWear};
 
 use crate::admission::GhostFilter;
-use crate::readplane::ReadPlane;
 
 /// Where an object physically resides. Unlike
 /// [`StoreKind`](crate::StoreKind) this has no `Hybrid`: a hybrid-policy
@@ -160,45 +159,9 @@ pub struct PoolCounters {
 pub struct UsageMirror {
     mem: AtomicU64,
     ssd: AtomicU64,
-    /// Lookups served entirely lock-free (definitive misses answered by
-    /// the shard's [`ReadPlane`] without touching `counters.gets`).
-    /// Stats reporting adds this to the locked-path counter so the
-    /// total is identical to what a serial engine would have counted.
-    lockfree_gets: AtomicU64,
-    /// Whether the owning pool has a remote chunk-store binding. A
-    /// remote-bound pool must not answer misses lock-free: "absent from
-    /// the shard" is no longer definitive when the remote tier can still
-    /// serve the block, so its gets always take the locked path (where
-    /// the binding lives).
-    remote_bound: std::sync::atomic::AtomicBool,
 }
 
 impl UsageMirror {
-    /// Records `lookups` lock-free lookups against the owning pool: one
-    /// for a scalar get, a batch's misses in one add.
-    pub fn note_gets(&self, lookups: u64) {
-        self.lockfree_gets.fetch_add(lookups, Ordering::Relaxed);
-    }
-
-    /// Lookups served lock-free so far.
-    pub fn lockfree_gets(&self) -> u64 {
-        self.lockfree_gets.load(Ordering::Relaxed)
-    }
-
-    /// Marks the owning pool remote-bound (see the field docs).
-    pub fn set_remote_bound(&self) {
-        self.remote_bound.store(true, Ordering::Release);
-    }
-
-    /// Clears the remote-bound mark (pool unbound or destroyed).
-    pub fn clear_remote_bound(&self) {
-        self.remote_bound.store(false, Ordering::Release);
-    }
-
-    /// Whether the owning pool is remote-bound.
-    pub fn remote_bound(&self) -> bool {
-        self.remote_bound.load(Ordering::Acquire)
-    }
     /// Pages the owning pool currently holds in the given store, as of
     /// the last accounting update (exact under a quiescent pool; a
     /// best-effort snapshot under concurrent mutation).
@@ -281,12 +244,6 @@ pub struct Pool {
     used_ssd: u64,
     /// Optional lock-free usage mirror (see [`UsageMirror`]).
     mirror: Option<Arc<UsageMirror>>,
-    /// Optional lock-free membership mirror: the owning shard's
-    /// [`ReadPlane`] plus this pool's id in it. Every membership change
-    /// (new key inserted, slot released, pool drained) is reflected
-    /// through the accounting funnels below, so the plane always holds
-    /// exactly the live key set. The serial engine runs without one.
-    read_plane: Option<(PoolId, Arc<ReadPlane>)>,
     /// Public counters, updated by the cache front-end.
     pub counters: PoolCounters,
     /// SSD endurance ledger: every insert is charged here (slot-level
@@ -321,7 +278,6 @@ impl Pool {
             used_mem: 0,
             used_ssd: 0,
             mirror: None,
-            read_plane: None,
             counters: PoolCounters::default(),
             wear: PoolWear::default(),
             ghost: GhostFilter::default(),
@@ -340,35 +296,6 @@ impl Pool {
             .cell(Placement::Ssd)
             .store(self.used_ssd, Ordering::Relaxed);
         self.mirror = Some(mirror);
-    }
-
-    /// Attaches the owning shard's lock-free read plane; the current
-    /// live key set is published immediately and every subsequent
-    /// membership change is reflected through the accounting funnels.
-    /// The caller must hold whatever lock guards this pool.
-    pub fn set_read_plane(&mut self, id: PoolId, plane: Arc<ReadPlane>) {
-        for (addr, _) in self.iter() {
-            plane.publish(self.vm, id, addr);
-        }
-        self.read_plane = Some((id, plane));
-    }
-
-    fn plane_publish(&self, addr: BlockAddr) {
-        if let Some((id, plane)) = &self.read_plane {
-            plane.publish(self.vm, *id, addr);
-        }
-    }
-
-    fn plane_erase(&self, addr: BlockAddr) {
-        if let Some((id, plane)) = &self.read_plane {
-            plane.erase(self.vm, *id, addr);
-        }
-    }
-
-    fn plane_erase_pool(&self) {
-        if let Some((id, plane)) = &self.read_plane {
-            plane.erase_pool(self.vm, *id);
-        }
     }
 
     /// The owning VM.
@@ -480,7 +407,6 @@ impl Pool {
                     None => self.slots.push(entry),
                 }
                 self.map.insert(addr, idx);
-                self.plane_publish(addr);
                 (idx, None)
             }
         };
@@ -560,7 +486,6 @@ impl Pool {
         let entry = self.slots[idx as usize].take()?;
         self.free.push(idx);
         self.debit(entry.slot.placement);
-        self.plane_erase(entry.addr);
         Some(entry)
     }
 
@@ -639,7 +564,6 @@ impl Pool {
     /// issued `SlotId`s are all dead afterwards.
     pub fn drain(&mut self) -> (u64, u64) {
         let freed = (self.used_mem, self.used_ssd);
-        self.plane_erase_pool();
         self.slots.clear();
         self.free.clear();
         self.map.clear();

@@ -58,7 +58,6 @@ mod ddcache;
 mod engine;
 pub mod index;
 pub mod policy;
-pub mod readplane;
 pub mod registry;
 pub mod shard;
 pub mod store;
@@ -72,7 +71,6 @@ pub use config::{
 pub use ddcache::{CacheTotals, DoubleDeckerCache, FallbackMode, RecoveryReport, VmUsage};
 pub use engine::Engine;
 pub use policy::{select_victim, select_victim_strict, EntityUsage};
-pub use readplane::{ReadPlane, ReadProbe};
 
 // Re-export the interface vocabulary so downstream crates only need this
 // crate for the common case.
