@@ -90,8 +90,8 @@ fn print_help() {
                    or invariant violation\n\
            stress  concurrent serving plane: serial-vs-sharded equivalence\n\
                    matrix + 1/2/4/8-thread stress [--smoke]\n\
-                   [--read-heavy: 95/5 get/put mix through the lock-free\n\
-                   read plane] [--write-heavy: put-dominant large-batch mix\n\
+                   [--read-heavy: 95/5 get/put mix, nearly every get a\n\
+                   miss] [--write-heavy: put-dominant large-batch mix\n\
                    through the batched write plane]; exits non-zero on any\n\
                    divergence, stale read or finding\n\
            remote  remote chunk-store tier: fault-axis determinism matrix,\n\
@@ -739,7 +739,6 @@ fn stress_plane(args: &Args) -> bool {
         "audit",
         "commit epoch",
         "compactions",
-        "lockfree",
         "batched",
     ]);
     for (journal, c) in report.scaling.iter().map(|c| (c.journal, &c.out)) {
@@ -753,7 +752,6 @@ fn stress_plane(args: &Args) -> bool {
             c.findings.len().to_string(),
             c.commit_epoch.to_string(),
             c.journal_compactions.to_string(),
-            c.lockfree_misses.to_string(),
             c.batched_ops.to_string(),
         ]);
     }

@@ -633,8 +633,6 @@ fn stress_work(cfg: StressConfig, ticks: u64) -> Json {
     o.set("trickle_downs", plane.trickle_downs());
     o.set("mem_pages", plane.mem_used_pages());
     o.set("ssd_pages", plane.ssd_used_pages());
-    o.set("lockfree_misses", out.lockfree_misses);
-    o.set("seqlock_retries", out.seqlock_retries);
     o.set("two_phase_retries", out.two_phase_retries);
     o.set("two_phase_fallbacks", out.two_phase_fallbacks);
     o.set("front_tree_retries", out.front_tree_retries);

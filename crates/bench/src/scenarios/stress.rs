@@ -20,17 +20,14 @@
 //! in `results/` with the figures: the equivalence verdicts, every
 //! row's op count and clean/durable verdicts, and — on the one-thread
 //! rows, where a single thread orders every op — the plane's counters.
-//! What two or more threads count (lock-free misses, compactions, lock
-//! visits) depends on how they interleave and stays in the printed
-//! table.
+//! What two or more threads count (compactions, lock visits) depends
+//! on how they interleave and stays in the printed table.
 //!
 //! Both phases can run on the **standard** mix, (`--read-heavy`) on
-//! the 95/5 get-heavy mix that the lock-free read plane (DESIGN.md §15)
-//! targets, or (`--write-heavy`) on the put-dominant large-batch mix
-//! the batched write plane (DESIGN.md §18) targets. The read-heavy
-//! rows additionally report how many lookups were answered without any
-//! lock; every row reports the batch plane's lock-acquisition and
-//! journal-append counters.
+//! the 95/5 get-heavy mix, where nearly every get misses, or
+//! (`--write-heavy`) on the put-dominant large-batch mix the batched
+//! write plane (DESIGN.md §18) targets. Every row reports the batch
+//! plane's lock-acquisition and journal-append counters.
 
 use ddc_core::concurrent::{run_equivalence, run_stress, EngineKind, StressConfig, StressOutcome};
 use ddc_core::prelude::*;
@@ -55,7 +52,7 @@ pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 pub enum StressMix {
     /// The general put/get/flush mix.
     Standard,
-    /// 95/5 get-heavy: the lock-free read plane's target (DESIGN.md §15).
+    /// 95/5 get-heavy: nearly every get misses.
     ReadHeavy,
     /// Put-dominant with large per-tick batches: the batched write
     /// plane's target (DESIGN.md §18).
@@ -172,7 +169,6 @@ impl StressReport {
                 o.set("stores", out.stores);
                 o.set("commit_epoch", out.commit_epoch);
                 o.set("journal_compactions", out.journal_compactions);
-                o.set("lockfree_misses", out.lockfree_misses);
                 o.set("batched_ops", out.batched_ops);
                 o.set("batch_lock_acquisitions", out.batch_lock_acquisitions);
                 o.set("batch_journal_appends", out.batch_journal_appends);

@@ -682,12 +682,6 @@ pub struct StressOutcome {
     /// Journal checkpoint rewrites triggered during the run
     /// (diagnostic; 0 on the volatile plane).
     pub journal_compactions: u64,
-    /// Lookups answered with no lock at all, summed over every thread's
-    /// handle (diagnostic, DESIGN.md §15).
-    pub lockfree_misses: u64,
-    /// Torn-snapshot retries across every shard's read plane
-    /// (diagnostic).
-    pub seqlock_retries: u64,
     /// Global evictions that locked a shard no longer holding the
     /// smallest front and nominated again (diagnostic).
     pub front_tree_retries: u64,
@@ -764,7 +758,7 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
 
     let ticks = cfg.ticks;
     let started = std::time::Instant::now();
-    type Joined = (Vec<VmWorker>, u64, Vec<RemoteCounters>);
+    type Joined = (Vec<VmWorker>, Vec<RemoteCounters>);
     let joined: Vec<Joined> = std::thread::scope(|scope| {
         let handles: Vec<_> = hands
             .into_iter()
@@ -788,10 +782,7 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
                             backend.commit_tick();
                         }
                     }
-                    // The lock-free miss count dies with this thread's
-                    // handle; salvage it for the outcome.
-                    let (lockfree_misses, _) = backend.local_read_stats();
-                    (hand, lockfree_misses, marks)
+                    (hand, marks)
                 })
             })
             .collect();
@@ -804,9 +795,8 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
 
     let mut total_ops = 0;
     let mut stale_reads = 0;
-    let mut lockfree_misses = 0;
     let (mut hypercalls, mut hits, mut stores) = (0, 0, 0);
-    for (hand, lf, _) in &joined {
+    for (hand, _) in &joined {
         for w in hand {
             total_ops += w.ops;
             stale_reads += w.stale_reads;
@@ -815,12 +805,11 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
             hits += c.get_hits;
             stores += c.put_stores;
         }
-        lockfree_misses += lf;
     }
     let remote = cache.remote_totals();
     // A run of fewer than three ticks takes fewer than two marks, all
     // at tick 0: a missing one reads as zero too.
-    let mark = |i: usize| joined[0].2.get(i).copied().unwrap_or_default();
+    let mark = |i: usize| joined[0].1.get(i).copied().unwrap_or_default();
     StressOutcome {
         threads,
         total_ops,
@@ -834,8 +823,6 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
         two_phase_fallbacks: cache.two_phase_fallbacks(),
         commit_epoch: cache.commit_epoch(),
         journal_compactions: cache.journal_compactions(),
-        lockfree_misses,
-        seqlock_retries: cache.seqlock_retries(),
         front_tree_retries: cache.front_tree_retries(),
         front_tree_fallbacks: cache.front_tree_fallbacks(),
         remote,
