@@ -876,8 +876,8 @@ impl ShardedCache {
             .lock()
             .expect("remote registry poisoned")
             .get(remote)?;
-        let reg = self.inner.registry.lock.read().expect("registry poisoned");
-        reg.bind_target(vm, pool)?;
+        let reg = self.inner.registry.lock.read();
+        reg.expect("registry poisoned").bind_target(vm, pool)?;
         let mut shard = self.lock_shard(self.shard_of(vm, pool));
         shard
             .state
@@ -990,8 +990,8 @@ impl ShardedCache {
 
     /// Raises `hooks_on` while the eviction hook is installed.
     fn publish_hooks(&self) {
-        let on = self.inner.cold.eviction_hook.read();
-        let on = on.expect("hook poisoned").is_some();
+        let on = self.inner.cold.eviction_hook.read().expect("hook poisoned");
+        let on = on.is_some();
         self.inner.ro.hooks_on.store(on, Ordering::Release);
     }
 

@@ -169,9 +169,9 @@ fn build_sharded(config: CacheConfig, shards: usize) -> (ShardedCache, Vec<PoolI
 
 #[test]
 fn compaction_fires_at_the_same_operation_however_many_handles_drive() {
-    // 0xC0AA latches a shard's read plane mid-stream: from then on every
-    // get of that shard takes the lock (a miss cached before the latch
-    // once went on answering, and a hit was lost at op 5,419).
+    // 0xC0AA once lost a hit at op 5,419 to a cached miss that outlived
+    // the shard state it was read from; the seed stays as a regression
+    // input.
     for seed in [0xC0A7, 0xC0AA, 0xC0B1] {
         compaction_fires_at_the_serial_engines_operation(seed);
     }
