@@ -876,8 +876,10 @@ impl ShardedCache {
             .lock()
             .expect("remote registry poisoned")
             .get(remote)?;
-        let reg = self.inner.registry.lock.read();
-        reg.expect("registry poisoned").bind_target(vm, pool)?;
+        // Checked and released before the shard lock is taken.
+        let registry = self.inner.registry.lock.read().expect("registry poisoned");
+        registry.bind_target(vm, pool)?;
+        drop(registry);
         let mut shard = self.lock_shard(self.shard_of(vm, pool));
         shard
             .state
@@ -979,20 +981,19 @@ impl ShardedCache {
     /// use it to mutate the cache from the evicting thread's blind spot
     /// and force snapshot staleness; production code leaves it unset.
     pub fn set_eviction_hook(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
-        *self
+        let mut slot = self
             .inner
             .cold
             .eviction_hook
             .write()
-            .expect("hook poisoned") = hook;
-        self.publish_hooks();
-    }
-
-    /// Raises `hooks_on` while the eviction hook is installed.
-    fn publish_hooks(&self) {
-        let on = self.inner.cold.eviction_hook.read().expect("hook poisoned");
-        let on = on.is_some();
-        self.inner.ro.hooks_on.store(on, Ordering::Release);
+            .expect("hook poisoned");
+        // Under the write lock, so racing setters leave `hooks_on` and
+        // the slot in agreement.
+        self.inner
+            .ro
+            .hooks_on
+            .store(hook.is_some(), Ordering::Release);
+        *slot = hook;
     }
 
     fn run_eviction_hook(&self) {
