@@ -409,6 +409,131 @@ fn a_mixed_get_many_answers_as_the_serial_engine_does() {
     }
 }
 
+/// What a put answered, without the device time the serial engine
+/// charges: `true` if it stored, `false` if it was rejected.
+fn stored(outcome: &PutOutcome) -> bool {
+    match *outcome {
+        PutOutcome::Stored { .. } => true,
+        PutOutcome::Rejected => false,
+        PutOutcome::Failed { .. } => panic!("no store faults here"),
+    }
+}
+
+/// The client whose turn it is: the second handle on odd turns where
+/// the engine has one, the cache itself otherwise.
+fn client<'a, E>(cache: &'a mut E, other: &'a mut Option<E>, turn: usize) -> &'a mut E {
+    match other {
+        Some(other) if turn % 2 == 1 => other,
+        _ => cache,
+    }
+}
+
+/// One engine's answers to the mixed `put_many` script, sent through
+/// two clients in turn (`second` makes the other handle; the serial
+/// engine has none and answers both turns itself): every group's
+/// outcomes, then each pool's stats (the unknown ones included).
+#[allow(clippy::type_complexity)]
+fn mixed_put_many<E: Engine>(
+    shards: usize,
+    second: impl Fn(&E) -> Option<E>,
+) -> (Vec<Vec<bool>>, Vec<Option<PoolStats>>) {
+    // Small stores: the groups fill them and have to evict.
+    let mut cache = E::build(CacheConfig::mem_and_ssd(16, 24), shards);
+    cache.add_vm(VmId(1), 100);
+    cache.add_vm(VmId(2), 300);
+    let mut other = second(&cache);
+    let live = [
+        (VmId(1), CachePolicy::mem(100)),
+        (VmId(1), CachePolicy::hybrid(80)),
+        (VmId(2), CachePolicy::ssd(60)),
+        (VmId(2), CachePolicy::mem(0)),
+    ]
+    .map(|(vm, policy)| (vm, cache.create_pool(vm, policy)));
+    let gone = cache.create_pool(VmId(1), CachePolicy::mem(100));
+    cache.destroy_pool(VmId(1), gone);
+    let never = PoolId(gone.0 + 100);
+    let dead = [(VmId(1), gone), (VmId(1), never)];
+    let targets: Vec<(VmId, PoolId)> = live
+        .into_iter()
+        .chain(dead)
+        .chain([(VmId(9), live[0].1)])
+        .collect();
+    // Between groups the other client swaps a live pool's policy: a
+    // store change re-homes what the pool holds, and the weight 0 pool
+    // comes alive and goes dark again.
+    let swaps = [
+        CachePolicy::hybrid(50),
+        CachePolicy::ssd(100),
+        CachePolicy::mem(0),
+        CachePolicy::mem(40),
+        CachePolicy::hybrid(120),
+    ];
+    let now = SimTime::from_secs(1);
+    let mut out = Vec::new();
+    for round in 0..6u64 {
+        for (i, &(vm, pool)) in targets.iter().enumerate() {
+            let turn = round as usize + i;
+            let file = FileId(1 + u64::from(pool.0) + 10 * u64::from(vm.0));
+            // Overlapping blocks round to round: some puts overwrite.
+            let pages: Vec<(BlockAddr, PageVersion)> = (0..9)
+                .map(|b| {
+                    let addr = BlockAddr::new(file, (round * 5 + b) % 20);
+                    (addr, PageVersion(round * 100 + b + 1))
+                })
+                .collect();
+            let putter = client(&mut cache, &mut other, turn);
+            out.push(
+                putter
+                    .put_many(now, vm, pool, &pages)
+                    .iter()
+                    .map(stored)
+                    .collect(),
+            );
+            let (addr, version) = pages[4];
+            let one = putter.put(now, vm, pool, addr, PageVersion(version.0 + 50));
+            out.push(vec![stored(&one)]);
+            let (swapped_vm, swapped) = live[(turn + 1) % live.len()];
+            let policy = swaps[(turn + round as usize) % swaps.len()];
+            client(&mut cache, &mut other, turn + 1).set_policy(swapped_vm, swapped, policy);
+        }
+    }
+    let stats = live
+        .into_iter()
+        .chain(dead)
+        .map(|(vm, p)| cache.pool_stats(vm, p))
+        .collect();
+    assert!(cache.audit().is_empty(), "{shards} shards");
+    (out, stats)
+}
+
+/// `put` and `put_many` groups through two clients, sent to live mem,
+/// hybrid and SSD pools, a pool at weight 0, a destroyed pool, a pool
+/// that never existed and an unknown VM, with a policy swap through the
+/// other client between groups: every engine stores and rejects what
+/// the serial engine does and counts its `pool_stats`.
+#[test]
+fn a_mixed_put_many_answers_as_the_serial_engine_does() {
+    let serial = mixed_put_many::<DoubleDeckerCache>(1, |_| None);
+    let puts = serial.0.iter().flatten();
+    let stored_puts = puts.clone().filter(|&&s| s).count();
+    // Some stored, some rejected: the script reaches both answers.
+    assert!(
+        stored_puts > 50 && stored_puts < puts.count(),
+        "{stored_puts}"
+    );
+    // And the groups had to evict.
+    let evictions: u64 = serial.1.iter().flatten().map(|s| s.evictions).sum();
+    assert!(evictions > 0, "no group evicted");
+    assert_eq!(serial.1[4..], [None, None]);
+    for shards in [1, 16] {
+        assert_eq!(
+            mixed_put_many::<ShardedCache>(shards, |cache| Some(cache.clone())),
+            serial,
+            "{shards} shards"
+        );
+    }
+}
+
 #[test]
 fn the_null_cache_conforms_where_it_can() {
     let mut cache = NullCache::new();
