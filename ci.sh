@@ -28,9 +28,10 @@ cargo test --release -q -p ddc-hypercache registry
 echo "==> one conformance battery (serial, 1 and 16 shards, the null cache: exclusive, never stale, monotone epochs, exact stats, audit-clean after every step) and the serial fault pin (SSD faults, quarantine, rot, re-homing and trickle-down into a faulting tier hash to recorded literals)"
 cargo test --release -q -p ddc-core --test prop_conformance
 cargo test --release -q -p ddc-core --test serial_fault_pin
-echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, memo placements = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, an all-miss get_many answered in one shard visit once a held shard lock drops, and the layout itself: no two groups of the shared core, no two shards and no two handles on one cache line (release too: the memo's debug assertion is compiled out there)"
+echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, memo placements = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, a put that evicts across a policy swap storing nothing under the old policy, a mixed put_many through two handles answering as the serial engine does, an all-miss get_many answered in one shard visit once a held shard lock drops, and the layout itself: no two groups of the shared core, no two shards and no two handles on one cache line (release too: the memo's debug assertion is compiled out there)"
 cargo test --release -q -p ddc-core --test prop_shared_touches
-cargo test --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses an_all_miss_get_many_takes_one_shard_visit line_aligned share_no_cache_line
+cargo test --release -q -p ddc-core --test prop_conformance -- a_mixed_put_many_answers_as_the_serial_engine_does
+cargo test --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses a_put_that_evicts_across_a_policy_swap an_all_miss_get_many_takes_one_shard_visit line_aligned share_no_cache_line
 echo "==> Global eviction over the shard front leaves: re-nomination when a front moves between nomination and lock (2 and 4 threads), one evicted sequence and one journal with the serial engine at 1/4/16 shards with dead fronts between batches, and the auditor catching a leaf that drifted from its FIFO"
 cargo test --release -q -p ddc-concurrent --lib -- a_front_leaf_that_drifted
 cargo test --release -q -p ddc-core --test prop_concurrent_equivalence -- global_eviction_renominates single_threaded_eviction_sequence

@@ -307,7 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn read_heavy_smoke_passes_and_serves_lock_free() {
+    fn read_heavy_smoke_passes_and_every_cell_hits() {
         let r = run(DEFAULT_SEED, true, StressMix::ReadHeavy);
         assert!(r.passed(), "report: {}", r.to_json());
         // Every scaling cell reaches hits, not only misses.

@@ -1136,7 +1136,7 @@ mod tests {
     }
 
     #[test]
-    fn read_heavy_mix_matches_serial_and_serves_lock_free() {
+    fn read_heavy_mix_matches_serial_and_stays_clean_on_a_tiny_working_set() {
         // The get-dominated mix keeps the determinism contract...
         let cfg = StressConfig::read_heavy(5);
         let serial = run_equivalence(&cfg, EngineKind::Serial);

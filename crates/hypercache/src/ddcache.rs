@@ -247,10 +247,8 @@ fn append(journal: &mut Option<Journal>, rec: &JournalRecord) -> u64 {
 pub struct DoubleDeckerCache {
     mode: PartitionMode,
     pub(crate) stores: Stores,
-    /// Registered VMs and pools ([`crate::registry`]); `registry_version`
-    /// counts its mutations for the share memo.
+    /// Registered VMs and pools ([`crate::registry`]).
     pub(crate) registry: Registry<()>,
-    registry_version: u64,
     /// Every pool, the Global FIFOs (Global mode only) and the retired
     /// wear: the one shard of this engine (see [`crate::shard`]).
     pub(crate) state: ShardState,
@@ -278,7 +276,6 @@ impl DoubleDeckerCache {
             mode: config.mode,
             stores: Stores::new(&config),
             registry: Registry::default(),
-            registry_version: 0,
             state: ShardState::new(config.mode),
             share_memo: RefCell::default(),
             quarantine_invalidated: 0,
@@ -648,7 +645,7 @@ impl DoubleDeckerCache {
     fn with_share_table<R>(&self, placement: Placement, f: impl FnOnce(&ShareTable) -> R) -> R {
         self.share_memo.borrow_mut().with(
             &self.registry,
-            self.registry_version,
+            self.registry.version(),
             self.stores.of(placement).capacity_objects(),
             placement,
             |vm, pool, ()| self.state.used(vm, pool, placement),
@@ -861,26 +858,22 @@ impl DoubleDeckerCache {
                     .correct_wear(vm, current, ssd_pages_written, pages_admitted);
             }
             // Every other record is the registry's.
-            _ => {
-                let control = self.registry.apply(rec, || ());
-                self.registry_version += u64::from(control != Control::Ignored);
-                match control {
-                    Control::Ignored | Control::Weights => {}
-                    Control::Drain(vm, pools) => {
-                        for (pid, ()) in pools {
-                            self.state.drain_pool(&mut self.stores, vm, pid);
-                        }
-                    }
-                    Control::Install(vm, pool, policy, ()) => {
-                        self.state.pools.insert((vm, pool), Pool::new(vm, policy));
-                    }
-                    Control::Swap(vm, pool, policy) => {
-                        if let Some(p) = self.state.pools.get_mut(&(vm, pool)) {
-                            p.set_policy(policy);
-                        }
+            _ => match self.registry.apply(rec, || ()) {
+                Control::Ignored | Control::Weights => {}
+                Control::Drain(vm, pools) => {
+                    for (pid, ()) in pools {
+                        self.state.drain_pool(&mut self.stores, vm, pid);
                     }
                 }
-            }
+                Control::Install(vm, pool, policy, ()) => {
+                    self.state.pools.insert((vm, pool), Pool::new(vm, policy));
+                }
+                Control::Swap(vm, pool, policy) => {
+                    if let Some(p) = self.state.pools.get_mut(&(vm, pool)) {
+                        p.set_policy(policy);
+                    }
+                }
+            },
         }
         true
     }
@@ -1377,18 +1370,6 @@ mod tests {
         cache.destroy_pool(VM, pool);
         assert_eq!(cache.totals().mem_used_pages, 0);
         assert_eq!(cache.pool_stats(VM, pool), None);
-    }
-
-    #[test]
-    fn a_replayed_record_that_names_nothing_leaves_the_registry_version_alone() {
-        let mut cache = small_cache(PartitionMode::DoubleDecker);
-        let pool = cache.create_pool(VM, CachePolicy::mem(100)).0;
-        let before = cache.registry_version;
-        cache.apply_record(0, &JournalRecord::RemoveVm { vm: 9 });
-        cache.apply_record(0, &JournalRecord::DestroyPool { vm: 9, pool });
-        assert_eq!(cache.registry_version, before);
-        cache.apply_record(0, &JournalRecord::DestroyPool { vm: VM.0, pool });
-        assert_eq!(cache.registry_version, before + 1);
     }
 
     #[test]

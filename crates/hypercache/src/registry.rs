@@ -11,10 +11,10 @@
 //! what it saw of each and re-checks all three on every use, so its
 //! answer is the from-scratch table, minus the allocations and the
 //! fair-share division. The registry's contents are checked by version:
-//! the owner bumps a counter it keeps beside the registry (an atomic
-//! for the sharded engine, which must read it without the registry
-//! lock; a plain integer for the serial one) after every `apply` that
-//! does not answer [`Control::Ignored`].
+//! [`Registry::apply`] moves [`Registry::version`] on every answer but
+//! [`Control::Ignored`], and a memo is only read by a holder of the
+//! registry (the sharded engine's read lock), so the version cannot move
+//! under it.
 //!
 //! `M` is what an engine hangs on a pool's row: nothing for the serial
 //! engine, the pool's lock-free usage mirror for the sharded one. It is
@@ -51,6 +51,8 @@ pub struct Registry<M> {
     vms: BTreeMap<VmId, VmRow<M>>,
     /// The highest pool id ever registered (0, never minted: none yet).
     last_pool: u32,
+    /// How many records changed the registry (see [`Self::version`]).
+    version: u64,
 }
 
 /// What a control record, once applied to the registry, leaves for the
@@ -122,6 +124,14 @@ impl<M: Clone> Registry<M> {
         PoolId(self.last_pool.saturating_add(1))
     }
 
+    /// The registry's version: moved by every [`Self::apply`] whose
+    /// answer is not [`Control::Ignored`] (a record that names nothing
+    /// changed nothing, so no memo is retired over it). The version a
+    /// [`ShareMemo`] is validated against.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// Applies the registry half of one control record, live or
     /// replayed; `new_row` makes the payload of a pool row that did not
     /// exist. Every answer a replay needs is decided here, once:
@@ -130,8 +140,18 @@ impl<M: Clone> Registry<M> {
     /// register it); a `CreatePool` for an unknown VM registers it at
     /// 100/100, so single-VM setups need no `AddVm`, and one for an id
     /// already registered keeps the row's payload and takes the new
-    /// policy; records that name nothing registered are ignored.
+    /// policy; records that name nothing registered are ignored. Every
+    /// other answer moves [`Self::version`].
     pub fn apply(&mut self, rec: &JournalRecord, new_row: impl FnOnce() -> M) -> Control<M> {
+        let control = self.transition(rec, new_row);
+        if !matches!(control, Control::Ignored) {
+            self.version += 1;
+        }
+        control
+    }
+
+    /// [`Self::apply`] without the version.
+    fn transition(&mut self, rec: &JournalRecord, new_row: impl FnOnce() -> M) -> Control<M> {
         let vm_row = |mem_weight, ssd_weight| VmRow {
             mem_weight,
             ssd_weight,
@@ -473,6 +493,7 @@ mod tests {
                 let rec = arbitrary_control(&mut rng, last + 1);
                 let before = model.clone();
                 model_apply(&mut model, &mut last, &rec, step);
+                let version = registry.version();
                 let control = registry.apply(&rec, || step);
                 assert_eq!(flatten(&registry), model, "seed {seed} step {step} {rec:?}");
                 assert_eq!(registry.next_pool(), PoolId(last + 1));
@@ -509,8 +530,12 @@ mod tests {
                     _ => Control::Ignored,
                 };
                 assert_eq!(control, want, "seed {seed} step {step} {rec:?}");
-                // The engines skip the version bump on `Ignored`.
-                assert!(control != Control::Ignored || model == before);
+                // The version moves exactly when the answer is not
+                // `Ignored`, and `Ignored` changed nothing: no memo is
+                // retired over a record that names nothing.
+                let moved = control != Control::Ignored;
+                assert_eq!(registry.version(), version + u64::from(moved));
+                assert!(moved || model == before);
             }
         }
         // An id at the top of the range does not wrap the mint.
@@ -579,7 +604,7 @@ mod tests {
         let mut by_key = (Registry::<()>::default(), ShareMemo::default());
         let mut by_row = (Registry::<Mirror>::default(), ShareMemo::default());
         let mut usage: BTreeMap<(VmId, PoolId), [u64; 2]> = BTreeMap::new();
-        let (mut version, mut pages, mut millipages) = (0u64, [400u64, 900], 1000u64);
+        let (mut pages, mut millipages) = ([400u64, 900], 1000u64);
         let (mut crossings, mut rebuilds) = (0, 0);
         for step in 0..4000 {
             let pools: Vec<(VmId, PoolId)> = by_key.0.pool_ids().collect();
@@ -588,7 +613,6 @@ mod tests {
                     let rec = arbitrary_control(&mut rng, by_key.0.next_pool().0);
                     by_key.0.apply(&rec, || ());
                     by_row.0.apply(&rec, Mirror::default);
-                    version += 1;
                     usage.retain(|&(vm, pool), _| by_key.0.pool(vm, pool).is_some());
                 }
                 3 => pages[rng.range_usize(0, 2)] = rng.range_u64(0, 5) * 300,
@@ -615,6 +639,8 @@ mod tests {
                     pages[1]
                 };
                 let want = from_scratch(&by_key.0, capacity, placement, &usage);
+                let version = by_key.0.version();
+                assert_eq!(by_row.0.version(), version);
                 let was_cached = |cached: Option<&ShareTable>| u64::from(cached.is_none());
                 let keyed = |vm, pool, _: &()| usage.get(&(vm, pool)).map_or(0, |u| u[i]);
                 rebuilds += was_cached(by_key.1.cached(version, capacity, placement, keyed));

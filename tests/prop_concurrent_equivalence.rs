@@ -564,7 +564,7 @@ fn read_heavy_mix_is_byte_identical_to_serial_across_modes() {
 /// repeated multi-threaded runs stay clean (no stale reads, no auditor
 /// findings, stable op counts).
 #[test]
-fn read_heavy_interleavings_stay_clean_and_serve_lock_free() {
+fn read_heavy_interleavings_stay_clean() {
     for seed in [9, 0x9EAD] {
         let mut expected_ops = None;
         for threads in [2, 4, 8] {
