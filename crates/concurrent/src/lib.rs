@@ -10,7 +10,9 @@
 //!   unchanged), plus per-shard journal segments with group commit and
 //!   [`ShardedCache::recover`] warm restart (DESIGN.md §14). Every get,
 //!   hit or miss, is one visit to its pool's home shard under that
-//!   shard's lock, as on the serial engine (DESIGN.md §15). Global-mode
+//!   shard's lock, as on the serial engine, and every put visit reads
+//!   its pool's policy under the registry and shard locks it holds
+//!   (DESIGN.md §15). Global-mode
 //!   eviction finds its victim by scanning one front leaf per shard and
 //!   locks only the shard it nominates.
 //! * [`driver`] — a multi-threaded VM driver: each guest runs its
