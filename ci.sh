@@ -35,10 +35,10 @@ cargo test --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_gr
 echo "==> Global eviction over the shard front leaves: re-nomination when a front moves between nomination and lock (2 and 4 threads), one evicted sequence and one journal with the serial engine at 1/4/16 shards with dead fronts between batches, and the auditor catching a leaf that drifted from its FIFO"
 cargo test --release -q -p ddc-concurrent --lib -- a_front_leaf_that_drifted
 cargo test --release -q -p ddc-core --test prop_concurrent_equivalence -- global_eviction_renominates single_threaded_eviction_sequence
-echo "==> no eviction queue keeps entries nobody will pop: a pool's FIFOs under tombstone-heavy schedules (order and SlotIds against a model), one evicted sequence and journal with the serial engine after a tombstone-heavy prefix in every mode at 1/4/16 shards, a pool drained only by exclusive gets within max(1024, 2 x live + 1) entries on both engines, no Global FIFO outside Global mode, and a switch into Global mode queueing every resident, trickled ones too"
+echo "==> no eviction queue keeps entries nobody will pop: a pool's FIFOs under tombstone-heavy schedules (order and SlotIds against a model), one evicted sequence and journal with the serial engine after a tombstone-heavy prefix in every mode at 1/4/16 shards, a pool drained only by exclusive gets within max(1024, 2 x live + 1) entries on both engines, and no Global FIFO outside Global mode"
 cargo test --release -q -p ddc-core --test prop_arena_model
 cargo test --release -q -p ddc-core --test prop_concurrent_equivalence -- eviction_sequence_matches_serial_after
-cargo test --release -q -p ddc-hypercache --lib -- exclusive_gets_alone a_shard_outside_global_mode a_switch_into_global_mode
+cargo test --release -q -p ddc-hypercache --lib -- exclusive_gets_alone a_shard_outside_global_mode
 cargo test --release -q -p ddc-concurrent --lib -- exclusive_gets_alone
 
 echo "==> one wait policy: an eviction batch frees page by page (recording ledger), the Zipf guide table lands on the full search's rank, the backoff is bounded and a poisoned lock still panics (release too: the guide's debug assertion is compiled out there)"

@@ -82,7 +82,7 @@ fn print_help() {
            table4  Morai++ (centralized) vs DoubleDecker (cooperative)\n\
            fig12   dynamic container policy changes\n\
            fig13   dynamic VM provisioning\n\
-           ext     extensions: compression ablation, hybrid store, adaptive weights\n\
+           ext     extensions: hybrid store, adaptive weights\n\
            faults  SSD brownout: graceful degradation and recovery\n\
            chaos   crash-and-recovery sweep over randomized journal prefixes,\n\
                    plus threaded-plane kills (per-shard segment cuts, 8-thread\n\
@@ -465,24 +465,8 @@ fn fig13_print(args: &Args, report: &ddc_core::ExperimentReport) {
 }
 
 fn extensions(args: &Args) {
-    banner("Extensions: compression ablation / hybrid store / adaptive weights");
+    banner("Extensions: hybrid store / adaptive weights");
     let secs = SimTime::from_secs(args.secs.unwrap_or(400));
-
-    let comp = ablations::compression(secs);
-    println!("\nzcache-style 2:1 compression of the memory store:");
-    let mut t = TextTable::new(vec!["workload", "plain (MB/s)", "compressed (MB/s)"]);
-    for (kind, plain, compressed) in &comp.throughput {
-        t.row(vec![
-            kind.name().to_owned(),
-            format!("{plain:.1}"),
-            format!("{compressed:.1}"),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "evictions: plain {} -> compressed {}",
-        comp.evictions_plain, comp.evictions_compressed
-    );
 
     let hyb = ablations::hybrid(secs);
     println!(

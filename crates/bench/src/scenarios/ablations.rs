@@ -2,8 +2,6 @@
 //! exercising the features the paper sketches as design options or
 //! future work:
 //!
-//! * **zcache-style compression** in the memory store (paper §1 lists
-//!   in-band compression among hypervisor-cache benefits),
 //! * the **hybrid store** (`<Hybrid, W>`): memory share first with
 //!   trickle-down spill to the SSD share (paper §3.3),
 //! * **MRC-driven adaptive weights** (paper §5.2.1's suggested policy
@@ -13,61 +11,6 @@ use ddc_core::adaptive::{self, AdaptiveConfig};
 use ddc_core::prelude::*;
 
 use super::common::{mb, spawn_four_kind, FourKind};
-
-/// Result of the compression ablation: the same contended four-workload
-/// run with the memory store uncompressed vs 2:1 compressed.
-pub struct CompressionAblation {
-    /// `(workload, plain MB/s, compressed MB/s)`.
-    pub throughput: Vec<(FourKind, f64, f64)>,
-    /// Total evictions, plain.
-    pub evictions_plain: u64,
-    /// Total evictions, compressed.
-    pub evictions_compressed: u64,
-}
-
-fn four_workload_run(compress: bool, duration: SimTime) -> ddc_core::ExperimentReport {
-    let mut host = Host::new(HostConfig::new(CacheConfig::mem_only(mb(384))));
-    if compress {
-        // 2:1 ratio at ~5 µs/block codec cost (LZO-class on 64 KiB).
-        host.set_mem_cache_compression(500, SimDuration::from_micros(5));
-    }
-    let vm = host.boot_vm(1024, 100);
-    let mut exp_host = host;
-    let mut cgs = Vec::new();
-    for kind in FourKind::ALL {
-        cgs.push((
-            kind,
-            exp_host.create_container(vm, kind.name(), mb(128), CachePolicy::mem(25)),
-        ));
-    }
-    let mut exp = Experiment::new(exp_host, SimDuration::from_secs(1));
-    for (i, (kind, cg)) in cgs.iter().enumerate() {
-        spawn_four_kind(&mut exp, *kind, vm, *cg, 2, 7000 * (i as u64 + 1));
-    }
-    exp.mark_steady_state_at(SimTime::from_nanos(duration.as_nanos() / 2));
-    exp.run_until(duration)
-}
-
-/// Runs the compression ablation.
-pub fn compression(duration: SimTime) -> CompressionAblation {
-    let plain = four_workload_run(false, duration);
-    let compressed = four_workload_run(true, duration);
-    let throughput = FourKind::ALL
-        .iter()
-        .map(|k| {
-            (
-                *k,
-                plain.mb_per_sec_of(k.name()),
-                compressed.mb_per_sec_of(k.name()),
-            )
-        })
-        .collect();
-    CompressionAblation {
-        throughput,
-        evictions_plain: plain.evictions,
-        evictions_compressed: compressed.evictions,
-    }
-}
 
 /// Result of the hybrid-store experiment.
 pub struct HybridResult {
@@ -205,18 +148,6 @@ mod tests {
     use super::*;
 
     const SHORT: SimTime = SimTime::from_secs(200);
-
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "scenario-scale; run with --release")]
-    fn compression_reduces_evictions() {
-        let r = compression(SHORT);
-        assert!(
-            r.evictions_compressed < r.evictions_plain,
-            "2:1 compression must relieve pressure ({} vs {})",
-            r.evictions_compressed,
-            r.evictions_plain
-        );
-    }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "scenario-scale; run with --release")]

@@ -100,8 +100,8 @@
 //! ([`PoolVisit`]), run over this engine's store backend — the atomic
 //! ledgers and the sequence, with no device: every I/O finishes at `now`
 //! and succeeds, and the SSD tier always admits. What is still
-//! serial-only is what a backend has: the device clock, the SSD fault
-//! schedule and its quarantine, and in-band compression.
+//! serial-only is what a backend has: the device clock and the SSD
+//! fault schedule with its quarantine.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
@@ -1714,11 +1714,6 @@ impl ShardedCache {
     /// Device-level wear totals across every VM ever seen.
     pub fn wear_totals(&self) -> WearCounters {
         self.with_locked_cut(|cut| cut.wear_totals())
-    }
-
-    /// The admission plane this cache runs under.
-    pub fn admission_config(&self) -> AdmissionConfig {
-        self.inner.ro.admission
     }
 
     /// TTL staleness sweep: demotes (drops) SSD-resident entries older

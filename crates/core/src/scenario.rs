@@ -61,9 +61,6 @@ pub struct CacheSpec {
     pub ssd_mb: u64,
     /// `"doubledecker"` (default), `"global"` or `"strict"`.
     pub mode: Option<String>,
-    /// Optional zcache-style compression `(millipages per object,
-    /// codec µs)`.
-    pub compression: Option<(u64, u64)>,
 }
 
 /// A container's `<T, W>` policy.
@@ -386,24 +383,14 @@ mod parse {
         }
     }
 
+    /// A key the cache object does not know is an error: an old spec's
+    /// setting must not be dropped without a word.
     fn cache(v: &Json) -> Result<CacheSpec, ScenarioError> {
-        let compression = match v.get("compression") {
-            None | Some(Json::Null) => None,
-            Some(c) => {
-                let pair = c
-                    .as_array()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| err("\"compression\" must be a [millipages, codec_us] pair"))?;
-                Some((
-                    pair[0]
-                        .as_u64()
-                        .ok_or_else(|| err("compression millipages must be an integer"))?,
-                    pair[1]
-                        .as_u64()
-                        .ok_or_else(|| err("compression codec_us must be an integer"))?,
-                ))
-            }
-        };
+        let known = ["mem_mb", "ssd_mb", "mode"];
+        let fields = v.as_object().unwrap_or_default();
+        if let Some((key, _)) = fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            return Err(err(format!("unknown cache field {key:?}")));
+        }
         Ok(CacheSpec {
             mem_mb: u64_field(v, "mem_mb")?,
             ssd_mb: opt_u64(v, "ssd_mb")?.unwrap_or(0),
@@ -415,7 +402,6 @@ mod parse {
                         .to_owned(),
                 ),
             },
-            compression,
         })
     }
 
@@ -706,12 +692,6 @@ mod emit {
         cache.set("mem_mb", s.cache.mem_mb);
         cache.set("ssd_mb", s.cache.ssd_mb);
         set_opt(&mut cache, "mode", s.cache.mode.as_deref());
-        if let Some((millipages, codec_us)) = s.cache.compression {
-            cache.set(
-                "compression",
-                vec![Json::from(millipages), Json::from(codec_us)],
-            );
-        }
         v.set("cache", cache);
         v.set("duration_secs", s.duration_secs);
         set_opt(&mut v, "sample_secs", s.sample_secs);
@@ -878,9 +858,6 @@ pub fn build(spec: &ScenarioSpec) -> Result<Experiment, ScenarioError> {
         admission: AdmissionConfig::off(),
     };
     let mut host = Host::new(HostConfig::new(cache));
-    if let Some((millipages, codec_us)) = spec.cache.compression {
-        host.set_mem_cache_compression(millipages, SimDuration::from_micros(codec_us));
-    }
 
     let mut containers: BTreeMap<String, (VmId, CgroupId)> = BTreeMap::new();
     // Spec-order view of the container names: probes must be registered
@@ -1208,10 +1185,10 @@ mod tests {
     }
 
     #[test]
-    fn delayed_start_and_compression() {
+    fn delayed_start() {
         let json = r#"{
             "name": "late",
-            "cache": { "mem_mb": 32, "compression": [500, 5] },
+            "cache": { "mem_mb": 32 },
             "duration_secs": 6,
             "warmup_secs": 0,
             "vms": [ { "mem_mb": 32, "weight": 100, "containers": [
@@ -1227,5 +1204,19 @@ mod tests {
         let before = series.mean_in(1.0, 4.0).unwrap_or(0.0);
         assert_eq!(before, 0.0, "no activity before the delayed start");
         assert!(report.threads[0].ops > 0, "workload ran after its start");
+    }
+
+    /// A spec written for a cache that compressed its memory store still
+    /// carries the key: it is refused by name, not run uncompressed.
+    #[test]
+    fn an_unknown_cache_field_is_an_error_that_names_it() {
+        let json = r#"{
+            "name": "old",
+            "cache": { "mem_mb": 32, "compression": [500, 5] },
+            "duration_secs": 1,
+            "vms": []
+        }"#;
+        let e = ScenarioSpec::from_json(json).unwrap_err();
+        assert!(e.to_string().contains("\"compression\""), "{e}");
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! 1. **Store accounting** — each store's used-page counter equals the
 //!    sum of its pools' per-placement usage over every shard and never
-//!    exceeds the store's effective capacity.
+//!    exceeds the store's capacity.
 //! 2. **Index coherence** — each pool's per-placement usage counters
 //!    equal the number of live slots with that placement.
 //! 3. **FIFO coverage** — every live slot appears in its pool's FIFO
@@ -103,7 +103,7 @@ fn store_name(placement: Placement) -> &'static str {
 pub fn audit(cache: &DoubleDeckerCache) -> Vec<AuditFinding> {
     let stores = placements().map(|placement| {
         let store = cache.stores.of(placement);
-        (store.used_pages(), store.capacity_objects())
+        (store.used_pages(), store.capacity_pages())
     });
     let mut findings = audit_cut(&cache.registry, &cache.cut(), stores, cache.stores.next_seq);
     quarantine_emptiness(cache, &mut findings);
@@ -157,7 +157,7 @@ pub fn audit_cut<M: Clone>(
         if vm_sum > capacity {
             let detail = format!(
                 "{name} store: VM entitlements sum to {vm_sum}, over the capacity of \
-                 {capacity} objects"
+                 {capacity} pages"
             );
             finding("entitlement-sums", detail);
         }

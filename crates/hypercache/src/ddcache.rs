@@ -2,7 +2,8 @@
 //!
 //! Wires the indexing module, the two backing stores and the policy module
 //! into a [`SecondChanceCache`] backend, with dynamic reconfiguration of
-//! every knob and the Global/Strict comparator modes.
+//! weights, policies and capacities, and the Global/Strict comparator
+//! modes (fixed at construction).
 
 use std::cell::RefCell;
 
@@ -477,15 +478,6 @@ impl DoubleDeckerCache {
         self.shrink_to_capacity(now, Placement::Ssd);
     }
 
-    /// Switches partitioning mode at runtime (used by ablation benches).
-    /// Entering Global mode queues every resident object in the Global
-    /// FIFOs in sequence order, trickled ones too; leaving it drops them.
-    pub fn set_mode(&mut self, mode: PartitionMode) {
-        self.mode = mode;
-        self.state.set_mode(mode);
-        self.log(JournalRecord::SetMode { mode: mode.code() });
-    }
-
     // ------------------------------------------------------------------
     // Fault plane: SSD tier health.
     // ------------------------------------------------------------------
@@ -568,24 +560,6 @@ impl DoubleDeckerCache {
         self.log(JournalRecord::SsdDrain);
     }
 
-    /// Enables zcache-style compression in the memory store: objects
-    /// occupy `object_millipages`/1000 of a page and each store/load pays
-    /// `codec_cost` (paper §1: hypervisors "can improve memory efficiency
-    /// by ... in-band compression").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object_millipages` is zero or above 1000.
-    pub fn set_mem_compression(
-        &mut self,
-        object_millipages: u64,
-        codec_cost: ddc_sim::SimDuration,
-    ) {
-        self.stores
-            .mem
-            .set_compression(object_millipages, codec_cost);
-    }
-
     // ------------------------------------------------------------------
     // Introspection.
     // ------------------------------------------------------------------
@@ -646,7 +620,7 @@ impl DoubleDeckerCache {
         self.share_memo.borrow_mut().with(
             &self.registry,
             self.registry.version(),
-            self.stores.of(placement).capacity_objects(),
+            self.stores.of(placement).capacity_pages(),
             placement,
             |vm, pool, ()| self.state.used(vm, pool, placement),
             f,
@@ -719,8 +693,7 @@ impl DoubleDeckerCache {
 
     /// After a capacity shrink, evicts batches until usage fits again.
     fn shrink_to_capacity(&mut self, now: SimTime, placement: Placement) {
-        while self.stores.of(placement).used_pages() > self.stores.of(placement).capacity_objects()
-        {
+        while self.stores.of(placement).used_pages() > self.stores.of(placement).capacity_pages() {
             // Every batch frees at least a page or ends the loop.
             if self.evict_batch(now, placement) == 0 {
                 break;
@@ -786,10 +759,6 @@ impl DoubleDeckerCache {
     /// from a short journal instead of the whole history. The checkpoint
     /// mints new per-VM epochs (returned in the report) which the
     /// hypervisor distributes to the guests' hypercall channels.
-    ///
-    /// In-band memory compression is *not* journaled: a recovered cache
-    /// starts uncompressed, which can only shrink effective capacity
-    /// (replayed puts that no longer fit are dropped — a safe loss).
     pub fn recover(
         config: CacheConfig,
         journal_image: &[u8],
@@ -914,11 +883,6 @@ impl DoubleDeckerCache {
     /// Device-level wear totals across every VM ever seen.
     pub fn wear_totals(&self) -> WearCounters {
         self.cut().wear_totals()
-    }
-
-    /// The admission plane this cache runs under.
-    pub fn admission_config(&self) -> AdmissionConfig {
-        self.admission
     }
 
     /// TTL staleness sweep: demotes (drops) SSD-resident entries older
@@ -1298,6 +1262,7 @@ mod tests {
     #[test]
     fn global_mode_evicts_oldest_regardless_of_owner() {
         let mut cache = small_cache(PartitionMode::Global);
+        assert_eq!(cache.mode(), PartitionMode::Global);
         let p1 = cache.create_pool(VM, CachePolicy::mem(50));
         let p2 = cache.create_pool(VM, CachePolicy::mem(50));
         let cap = 2 * EVICTION_BATCH_PAGES;
@@ -1636,92 +1601,6 @@ mod tests {
             );
             assert!(t.mem_used_pages <= t.mem_capacity_pages);
         }
-    }
-
-    #[test]
-    fn compression_defers_evictions() {
-        let mut plain = small_cache(PartitionMode::DoubleDecker);
-        let mut zcache = small_cache(PartitionMode::DoubleDecker);
-        zcache.set_mem_compression(500, ddc_sim::SimDuration::from_micros(3));
-        let p1 = plain.create_pool(VM, CachePolicy::mem(100));
-        let p2 = zcache.create_pool(VM, CachePolicy::mem(100));
-        let n = 3 * EVICTION_BATCH_PAGES; // over raw capacity, under 2x
-        fill(&mut plain, p1, 1, n);
-        fill(&mut zcache, p2, 1, n);
-        assert!(plain.totals().evictions > 0, "plain cache overflows");
-        assert_eq!(zcache.totals().evictions, 0, "2:1 compression absorbs it");
-        assert_eq!(zcache.totals().mem_used_pages, n);
-    }
-
-    #[test]
-    fn mode_accessor_and_switch() {
-        let mut cache = small_cache(PartitionMode::Global);
-        assert_eq!(cache.mode(), PartitionMode::Global);
-        cache.set_mode(PartitionMode::DoubleDecker);
-        assert_eq!(cache.mode(), PartitionMode::DoubleDecker);
-    }
-
-    /// DoubleDecker → Global → DoubleDecker with trickled objects
-    /// resident: the switch into Global mode queues every resident in
-    /// sequence order, so Global eviction takes the trickled objects in
-    /// their turn; the switch out drops the Global FIFOs.
-    #[test]
-    fn a_switch_into_global_mode_queues_every_resident_trickled_ones_too() {
-        let mut cache = DoubleDeckerCache::new(CacheConfig::mem_and_ssd(8, 64));
-        cache.enable_journal();
-        cache.add_vm(VM, 100);
-        let pool = cache.create_pool(VM, CachePolicy::hybrid(100));
-        // Eight to memory, its entitlement, then four straight to the SSD.
-        fill(&mut cache, pool, 1, 12);
-        // The shrink evicts the memory objects and trickles them down.
-        cache.set_mem_capacity(SimTime::ZERO, 4);
-        assert_eq!(cache.totals().trickle_downs, 8);
-        for b in 12..14 {
-            let out = cache.put(SimTime::ZERO, VM, pool, addr(1, b), PageVersion(1));
-            assert!(out.is_stored());
-        }
-        assert!(cache.state.global_fifos().is_none(), "DoubleDecker mode");
-
-        cache.set_mode(PartitionMode::Global);
-        assert_eq!(crate::audit(&cache), vec![]);
-        let oldest_first = |placement| {
-            let pool = &cache.state.pools[&(VM, pool)];
-            let mut live: Vec<_> = pool
-                .iter()
-                .filter(|(_, s)| s.placement == placement)
-                .collect();
-            live.sort_unstable_by_key(|(_, s)| s.seq);
-            live.into_iter().map(|(a, _)| a).collect::<Vec<_>>()
-        };
-        let mut want = oldest_first(Placement::Ssd);
-        let trickled: Vec<_> = (0..8).map(|b| addr(1, b)).collect();
-        assert_eq!(
-            want[4..],
-            trickled[..],
-            "the trickled objects are the youngest"
-        );
-        want.extend(oldest_first(Placement::Mem));
-
-        let before = Journal::replay(cache.journal_bytes().unwrap()).0.len();
-        cache.set_ssd_capacity(SimTime::ZERO, 0);
-        cache.set_mem_capacity(SimTime::ZERO, 0);
-        let (records, _) = Journal::replay(cache.journal_bytes().unwrap());
-        let evicted: Vec<_> = records[before..]
-            .iter()
-            .filter_map(|(_, rec)| match *rec {
-                JournalRecord::Evict { addr, .. } => Some(addr),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(evicted, want, "Global eviction order");
-        assert_eq!(crate::audit(&cache), vec![]);
-
-        cache.set_mode(PartitionMode::DoubleDecker);
-        assert!(
-            cache.state.global_fifos().is_none(),
-            "dropped on the way out"
-        );
-        assert_eq!(crate::audit(&cache), vec![]);
     }
 
     /// A pool that only exclusive gets drain — nothing evicts, so

@@ -588,9 +588,8 @@ mod tests {
     /// seeded stream that changes each of the table's three inputs on
     /// its own: registry records (weights, policy store and weight,
     /// pool create / destroy, VM removal — the only steps that move the
-    /// version), capacity (a resize, and a compression-style change of
-    /// the capacity in objects at unchanged pages), and a legacy pool's
-    /// usage crossing zero in either direction. Both probe shapes run
+    /// version), capacity (a resize of either store), and a legacy
+    /// pool's usage crossing zero in either direction. Both probe shapes run
     /// side by side: usage looked up by `(vm, pool)` (payload `()`, the
     /// serial engine) and usage read off the row's payload (the sharded
     /// engine's mirror).
@@ -604,7 +603,7 @@ mod tests {
         let mut by_key = (Registry::<()>::default(), ShareMemo::default());
         let mut by_row = (Registry::<Mirror>::default(), ShareMemo::default());
         let mut usage: BTreeMap<(VmId, PoolId), [u64; 2]> = BTreeMap::new();
-        let (mut pages, mut millipages) = ([400u64, 900], 1000u64);
+        let mut pages = [400u64, 900];
         let (mut crossings, mut rebuilds) = (0, 0);
         for step in 0..4000 {
             let pools: Vec<(VmId, PoolId)> = by_key.0.pool_ids().collect();
@@ -615,8 +614,7 @@ mod tests {
                     by_row.0.apply(&rec, Mirror::default);
                     usage.retain(|&(vm, pool), _| by_key.0.pool(vm, pool).is_some());
                 }
-                3 => pages[rng.range_usize(0, 2)] = rng.range_u64(0, 5) * 300,
-                4 => millipages = [1000, 500, 250][rng.range_usize(0, 3)],
+                3 | 4 => pages[rng.range_usize(0, 2)] = rng.range_u64(0, 5) * 300,
                 _ if !pools.is_empty() => {
                     // Mostly to and from zero: that is what moves a
                     // legacy pool in and out of a store.
@@ -633,11 +631,7 @@ mod tests {
             }
             for placement in [Placement::Mem, Placement::Ssd] {
                 let i = placement.idx();
-                let capacity = if i == 0 {
-                    pages[0] * 1000 / millipages
-                } else {
-                    pages[1]
-                };
+                let capacity = pages[i];
                 let want = from_scratch(&by_key.0, capacity, placement, &usage);
                 let version = by_key.0.version();
                 assert_eq!(by_row.0.version(), version);

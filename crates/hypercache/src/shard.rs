@@ -140,25 +140,6 @@ pub struct GlobalFifos {
 }
 
 impl GlobalFifos {
-    /// Every live object of `pools` queued in its store's FIFO, in
-    /// sequence order: the order the FIFOs would hold had they been fed
-    /// all along.
-    fn of_live(pools: &FxHashMap<(VmId, PoolId), Pool>) -> GlobalFifos {
-        let mut live: Vec<(Placement, FifoEntry)> = Vec::new();
-        for (&(vm, pool), p) in pools {
-            live.extend(
-                p.iter_ids()
-                    .map(|(sid, _, slot)| (slot.placement, (vm, pool, sid, slot.seq))),
-            );
-        }
-        live.sort_unstable_by_key(|&(_, (_, _, _, seq))| seq);
-        let mut fifos = GlobalFifos::default();
-        for (placement, entry) in live {
-            fifos.fifo[placement.idx()].push_back(entry);
-        }
-        fifos
-    }
-
     /// One store's FIFO, oldest first.
     pub fn fifo(&self, placement: Placement) -> &VecDeque<FifoEntry> {
         &self.fifo[placement.idx()]
@@ -282,17 +263,6 @@ impl ShardState {
         ShardState {
             global,
             ..ShardState::default()
-        }
-    }
-
-    /// Switches the shard to `mode`'s eviction order. Entering Global
-    /// mode queues every live object in sequence order, trickled ones
-    /// too; leaving it drops the FIFOs.
-    pub fn set_mode(&mut self, mode: PartitionMode) {
-        if mode != PartitionMode::Global {
-            self.global = None;
-        } else if self.global.is_none() {
-            self.global = Some(GlobalFifos::of_live(&self.pools));
         }
     }
 

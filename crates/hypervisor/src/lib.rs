@@ -186,22 +186,6 @@ impl Host {
         self.cache.set_ssd_capacity(now, pages);
     }
 
-    /// Enables zcache-style compression in the memory store (objects cost
-    /// `object_millipages`/1000 of a page; each store/load pays
-    /// `codec_cost`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object_millipages` is zero or above 1000.
-    pub fn set_mem_cache_compression(
-        &mut self,
-        object_millipages: u64,
-        codec_cost: ddc_sim::SimDuration,
-    ) {
-        self.cache
-            .set_mem_compression(object_millipages, codec_cost);
-    }
-
     /// Ids of running VMs.
     pub fn vm_ids(&self) -> Vec<VmId> {
         self.vms.keys().copied().collect()

@@ -164,7 +164,7 @@ pub enum JournalRecord {
         /// New capacity in pages.
         pages: u64,
     },
-    /// The partition mode changed.
+    /// The cache's partition mode, recorded by every checkpoint.
     SetMode {
         /// Partition-mode discriminant.
         mode: u8,

@@ -19,10 +19,10 @@ use ddc_core::sim::SimRng;
 const DERIVATIVE_CLOUD: &str = include_str!("../examples/scenarios/derivative_cloud.json");
 
 /// Every optional field and every variant the parser knows: each
-/// workload kind, each action, compression and a fault plan.
+/// workload kind, each action and a fault plan.
 const EVERY_FIELD: &str = r#"{
   "name": "every-field",
-  "cache": { "mem_mb": 64, "ssd_mb": 256, "mode": "strict", "compression": [500, 5] },
+  "cache": { "mem_mb": 64, "ssd_mb": 256, "mode": "strict" },
   "duration_secs": 20, "sample_secs": 2, "warmup_secs": 5,
   "vms": [ { "mem_mb": 64, "weight": 100, "containers": [
     { "name": "w", "limit_mb": 8, "policy": { "store": "mem", "weight": 20 }, "threads": 2,
