@@ -710,18 +710,6 @@ pub struct ShardedRecoveryReport {
     pub segments: Vec<SegmentReplay>,
 }
 
-impl ShardedRecoveryReport {
-    /// Segments whose tail was torn mid-record.
-    pub fn torn_segments(&self) -> u64 {
-        self.segments.iter().filter(|s| s.torn_tail).count() as u64
-    }
-
-    /// Segments whose replay stopped at a CRC failure.
-    pub fn corrupt_segments(&self) -> u64 {
-        self.segments.iter().filter(|s| s.corrupt).count() as u64
-    }
-}
-
 impl ShardedCache {
     /// Creates a sharded cache with `shards` index shards (clamped to at
     /// least 1).
@@ -837,14 +825,6 @@ impl ShardedCache {
         shard
             .state
             .bind_remote(vm, pool, RemoteBinding::new(store, fetch))
-    }
-
-    /// The remote counters of one binding, if the pool is bound.
-    pub fn remote_counters_of(&self, vm: VmId, pool: PoolId) -> Option<RemoteCounters> {
-        let si = self.shard_of(vm, pool);
-        let shard = self.lock_shard(si);
-        let binding = shard.state.remote_bindings.get(&(vm, pool));
-        binding.map(|b| b.counters())
     }
 
     /// Aggregate remote-tier counters across all bindings.
@@ -2358,14 +2338,11 @@ impl ShardedCache {
                 return None;
             }
             Control::Drain(vm, pools) => {
-                // A pool's binding and stashed flushes go with it;
                 // `RemoveVm` is a VM record, on segment 0 like `AddVm`.
                 let whole_vm = matches!(rec, JournalRecord::RemoveVm { .. });
                 for (pid, _) in pools {
                     let si = self.shard_of(vm, pid);
                     let mut shard = self.lock_shard(si);
-                    shard.state.remote_bindings.remove(&(vm, pid));
-                    shard.state.remote_stash.remove(&(vm, pid));
                     shard.state.drain_pool(&mut self.ledgers(), vm, pid);
                     if !whole_vm {
                         self.log_in(si, &mut shard.journal, rec);

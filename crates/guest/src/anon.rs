@@ -139,15 +139,6 @@ impl AnonSpace {
         }
     }
 
-    /// Whether the page was ever swapped out and not yet touched back in —
-    /// approximated as "allocated, not resident, and previously touched".
-    /// First-touch faults are distinguished by the caller tracking a
-    /// high-water mark; this model treats any non-resident page below the
-    /// allocation as swap-resident once the space has seen any swap-out.
-    pub fn has_swap_activity(&self) -> bool {
-        self.swapped_out_total > 0
-    }
-
     fn maybe_compact(&mut self) {
         if self.lru.len() > self.resident.len().saturating_mul(4).max(1024) {
             let resident = &self.resident;
@@ -193,7 +184,6 @@ mod tests {
         assert_eq!(a.swap_out_lru(), Some(0));
         assert_eq!(a.swap_out_lru(), None);
         assert_eq!(a.swap_outs(), 3);
-        assert!(a.has_swap_activity());
     }
 
     #[test]

@@ -453,8 +453,6 @@ impl DoubleDeckerCache {
         if self.registry.vm(vm).is_none() {
             return;
         }
-        self.state.remote_bindings.retain(|&(v, _), _| v != vm);
-        self.state.remote_stash.retain(|&(v, _), _| v != vm);
         self.control(JournalRecord::RemoveVm { vm: vm.0 });
     }
 
@@ -490,11 +488,6 @@ impl DoubleDeckerCache {
     /// Selects where `<SSD, W>` puts go while the tier is quarantined.
     pub fn set_ssd_fallback_mode(&mut self, fallback: FallbackMode) {
         self.stores.fallback = fallback;
-    }
-
-    /// The configured quarantine fallback mode.
-    pub fn ssd_fallback_mode(&self) -> FallbackMode {
-        self.stores.fallback
     }
 
     // ------------------------------------------------------------------
@@ -926,8 +919,6 @@ impl SecondChanceCache for DoubleDeckerCache {
     }
 
     fn destroy_pool(&mut self, vm: VmId, pool: PoolId) {
-        self.state.remote_bindings.remove(&(vm, pool));
-        self.state.remote_stash.remove(&(vm, pool));
         if self.state.pools.contains_key(&(vm, pool)) {
             self.control(JournalRecord::DestroyPool {
                 vm: vm.0,
@@ -1759,7 +1750,6 @@ mod tests {
         fn reject_fallback_sends_puts_straight_to_disk() {
             let (mut cache, pool) = ssd_cache();
             cache.set_ssd_fallback_mode(FallbackMode::Reject);
-            assert_eq!(cache.ssd_fallback_mode(), FallbackMode::Reject);
             cache.set_ssd_fault_schedule(Some(outage(SimTime::ZERO, None)));
             assert!(cache
                 .put(SimTime::ZERO, VM, pool, addr(1, 0), PageVersion(1))

@@ -249,7 +249,8 @@ pub struct ShardState {
     /// Flush localization waiting for a binding: replayed flushes and
     /// runtime flushes of unbound pools while remotes are registered.
     /// The engine's `bind_remote` consumes it, so a rebound pool never
-    /// serves a block the guest invalidated.
+    /// serves a block the guest invalidated; [`Self::drain_pool`] drops
+    /// it, and the binding, with the pool.
     pub remote_stash: RemoteStash,
     /// What the eviction transitions did: the engines' totals.
     pub evicted: Evicted,
@@ -475,10 +476,13 @@ impl ShardState {
     }
 
     /// Destroys one pool (`DestroyPool`, and `RemoveVm` per pool): its
-    /// objects drained, its wear retired into the VM's accumulator, its
-    /// pages freed and its Global FIFO entries left as tombstones.
-    /// `false` if there was no such pool.
+    /// remote binding and stashed flushes dropped, its objects drained,
+    /// its wear retired into the VM's accumulator, its pages freed and its
+    /// Global FIFO entries left as tombstones. `false` if there was no
+    /// such pool.
     pub fn drain_pool(&mut self, backend: &mut impl StoreBackend, vm: VmId, pool: PoolId) -> bool {
+        self.remote_bindings.remove(&(vm, pool));
+        self.remote_stash.remove(&(vm, pool));
         let Some(mut p) = self.pools.remove(&(vm, pool)) else {
             return false;
         };
@@ -1978,6 +1982,10 @@ mod tests {
             create_pool(&mut state, vm, pool, false);
         }
         let (mut seq, mut gone, mut scrubs) = (0u64, 0, 0);
+        // Each pool's flushes since its last drain: what its stash holds
+        // for a future binding.
+        let mut stash: BTreeMap<(VmId, PoolId), Vec<BlockAddr>> = BTreeMap::new();
+        let mut stashes_dropped = 0;
         for step in 0..3_000 {
             let (vm, pool) = *rng.pick(&POOLS);
             let what = format!("seed {seed:#x} step {step}");
@@ -2059,6 +2067,7 @@ mod tests {
                     }
                     _ => {
                         visit.note_flush(addr, true);
+                        stash.entry((vm, pool)).or_default().push(addr);
                         assert!(matches!(
                             visit.remote_get(SimTime::ZERO, addr),
                             GetOutcome::Miss
@@ -2076,6 +2085,7 @@ mod tests {
                 0 => {
                     assert!(state.drain_pool(&mut ledger, vm, pool), "{what}");
                     model.drop_pool(vm, pool);
+                    stashes_dropped += u64::from(stash.remove(&(vm, pool)).is_some());
                 }
                 1 => {
                     state.drain_ssd(&mut ledger);
@@ -2083,12 +2093,13 @@ mod tests {
                 }
                 _ => {}
             }
+            let held = state.remote_stash.iter().map(|(&k, s)| (k, s.0.clone()));
+            assert!(held.collect::<BTreeMap<_, _>>() == stash, "{what}: stash");
         }
         assert!(seq > 1_000, "the run never stored anything");
         assert!(gone > 10, "no visit ever found its pool destroyed");
         assert!(scrubs > 0, "no visit ever left a FIFO to scrub");
-        let stashed: usize = state.remote_stash.values().map(|s| s.0.len()).sum();
-        assert!(stashed > 1_000, "unbound flushes were not stashed");
+        assert!(stashes_dropped > 10, "no drain ever dropped a stash");
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.headers.len();
@@ -151,7 +146,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains('|'));
         assert!(lines[1].starts_with('-'));
-        assert_eq!(t.row_count(), 2);
         // All rows same width.
         assert_eq!(lines[0].len(), lines[2].len());
         assert_eq!(lines[2].len(), lines[3].len());

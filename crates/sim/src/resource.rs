@@ -18,18 +18,6 @@ pub struct Grant {
     pub finish: SimTime,
 }
 
-impl Grant {
-    /// Total request latency including queueing, relative to `issued`.
-    pub fn latency_from(&self, issued: SimTime) -> SimDuration {
-        self.finish.saturating_since(issued)
-    }
-
-    /// Time spent waiting in the queue before service began.
-    pub fn queue_delay_from(&self, issued: SimTime) -> SimDuration {
-        self.start.saturating_since(issued)
-    }
-}
-
 /// A single-channel first-come-first-served resource.
 ///
 /// # Example
@@ -130,11 +118,6 @@ impl MultiQueuedResource {
         ch.access(now, service)
     }
 
-    /// Number of parallel channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
     /// Total requests across all channels.
     pub fn requests(&self) -> u64 {
         self.channels.iter().map(QueuedResource::requests).sum()
@@ -203,8 +186,10 @@ mod tests {
         let mut r = QueuedResource::new();
         r.access(SimTime::ZERO, MS * 10);
         let g = r.access(SimTime::ZERO, MS);
-        assert_eq!(g.latency_from(SimTime::ZERO), MS * 11);
-        assert_eq!(g.queue_delay_from(SimTime::ZERO), MS * 10);
+        assert_eq!(
+            (g.start, g.finish),
+            (SimTime::ZERO + MS * 10, SimTime::ZERO + MS * 11)
+        );
     }
 
     #[test]
@@ -233,7 +218,6 @@ mod tests {
         assert_eq!(g2.start, SimTime::ZERO);
         assert_eq!(g3.start, g1.finish.min(g2.finish));
         assert_eq!(r.requests(), 3);
-        assert_eq!(r.channel_count(), 2);
     }
 
     #[test]

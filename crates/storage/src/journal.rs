@@ -507,20 +507,6 @@ impl Journal {
         self.buf.reserve(bytes);
     }
 
-    /// Appends a batch of records in order, returning the generation of
-    /// the last one (0 for an empty batch). Wire-identical to calling
-    /// [`Journal::append`] per record; one reservation of the exact
-    /// encoded length covers the batch, so checkpoint writers never
-    /// regrow the image mid-batch.
-    pub fn append_all(&mut self, recs: &[JournalRecord]) -> u64 {
-        self.reserve_for(recs);
-        let mut last = 0;
-        for rec in recs {
-            last = self.append(rec);
-        }
-        last
-    }
-
     /// Appends a batch of records carrying a contiguous, explicitly
     /// claimed generation run: record `i` gets `start_gen + i`. The
     /// sharded serving plane claims the run from its cache-global
@@ -863,7 +849,7 @@ mod tests {
         // steps with each tail. (`tests/prop_journal_codec.rs` sweeps
         // start offsets and seeded bytes against its own copy.)
         let mut j = Journal::new();
-        j.append_all(&sample_records());
+        j.append_run(&sample_records(), 1);
         for len in 0..=j.len() {
             let s = &j.bytes()[..len];
             assert_eq!(crc32(s), crc32_bitwise(s), "length {len}");
@@ -896,26 +882,6 @@ mod tests {
         let cap = j.buf.capacity();
         j.append_run(&recs, 2);
         assert_eq!(j.buf.capacity(), cap, "the run regrew the segment");
-        j.reserve_for(&recs);
-        let cap = j.buf.capacity();
-        j.append_all(&recs);
-        assert_eq!(j.buf.capacity(), cap, "the batch regrew the segment");
-    }
-
-    #[test]
-    fn append_all_is_wire_identical_to_sequential_appends() {
-        let recs = sample_records();
-        let mut one_by_one = Journal::new();
-        let mut last = 0;
-        for r in &recs {
-            last = one_by_one.append(r);
-        }
-        let mut batched = Journal::new();
-        assert_eq!(batched.append_all(&recs), last);
-        assert_eq!(batched.bytes(), one_by_one.bytes());
-        assert_eq!(batched.records(), one_by_one.records());
-        assert_eq!(batched.next_gen(), one_by_one.next_gen());
-        assert_eq!(Journal::new().append_all(&[]), 0, "empty batch");
     }
 
     #[test]

@@ -538,11 +538,6 @@ impl RemoteBinding {
         self.buffered.len()
     }
 
-    /// Number of localized (never-serve-again) blocks and files.
-    pub fn localized_len(&self) -> (usize, usize) {
-        (self.localized.len(), self.localized_files.len())
-    }
-
     /// Whether the remote is forbidden from serving `addr`.
     pub fn is_localized(&self, addr: BlockAddr) -> bool {
         self.localized_files.contains(&addr.file) || self.localized.contains(&addr)
