@@ -1,5 +1,5 @@
 #!/bin/sh
-# Repository CI gate: formatting, lints, then the tier-1 build + tests.
+# Repository CI gate: formatting, lints, rustdoc, then the tier-1 build + tests.
 # Run from the workspace root; any failure aborts the script.
 set -eu
 
@@ -8,6 +8,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> rustdoc (deny warnings: a deletion that leaves a dangling doc link fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> tier-1: cargo build --release"
 cargo build --release

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use ddc_storage::BlockAddr;
-
 /// Identifies one virtual machine at the hypervisor. The hypervisor cache
 /// extends every guest-provided key with the VM id (paper §2.1).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -49,44 +47,15 @@ impl fmt::Display for PageVersion {
     }
 }
 
-/// The full key of one cached object: `(vm-id, pool-id, inode, block)` —
-/// exactly the tuple the paper's indexing module maps to a storage object
-/// (§4.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ObjectKey {
-    /// Originating virtual machine.
-    pub vm: VmId,
-    /// Container pool inside the VM.
-    pub pool: PoolId,
-    /// File and page-offset address.
-    pub addr: BlockAddr,
-}
-
-impl ObjectKey {
-    /// Assembles a key.
-    pub const fn new(vm: VmId, pool: PoolId, addr: BlockAddr) -> ObjectKey {
-        ObjectKey { vm, pool, addr }
-    }
-}
-
-impl fmt::Display for ObjectKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}/{}", self.vm, self.pool, self.addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddc_storage::FileId;
 
     #[test]
     fn displays() {
         assert_eq!(VmId(1).to_string(), "vm1");
         assert_eq!(PoolId(2).to_string(), "pool2");
         assert_eq!(PageVersion(3).to_string(), "v3");
-        let key = ObjectKey::new(VmId(1), PoolId(2), BlockAddr::new(FileId(3), 4));
-        assert_eq!(key.to_string(), "vm1/pool2/inode3:4");
     }
 
     #[test]
@@ -95,18 +64,5 @@ mod tests {
         let v2 = v.bump();
         assert!(v2 > v);
         assert_eq!(v2, PageVersion(1));
-    }
-
-    #[test]
-    fn keys_hash_and_order() {
-        use std::collections::HashSet;
-        let a = ObjectKey::new(VmId(1), PoolId(1), BlockAddr::new(FileId(1), 1));
-        let b = ObjectKey::new(VmId(1), PoolId(1), BlockAddr::new(FileId(1), 2));
-        let mut set = HashSet::new();
-        set.insert(a);
-        set.insert(b);
-        set.insert(a);
-        assert_eq!(set.len(), 2);
-        assert!(a < b);
     }
 }

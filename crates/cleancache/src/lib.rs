@@ -37,7 +37,7 @@ mod policy;
 mod traits;
 
 pub use channel::{ChannelCounters, HypercallChannel};
-pub use ids::{ObjectKey, PageVersion, PoolId, VmId};
+pub use ids::{PageVersion, PoolId, VmId};
 pub use null::NullCache;
 pub use policy::{CachePolicy, StoreKind};
 pub use traits::{GetOutcome, PoolStats, PutOutcome, SecondChanceCache};

@@ -16,7 +16,7 @@
 //! * **Stress mode** ([`run_stress`]) — `threads` OS threads share one
 //!   [`ShardedCache`], each owning a disjoint subset of the VMs. After
 //!   the join the run is gated on the cross-shard auditor
-//!   ([`crate::audit`]) returning zero findings and on the stale-read
+//!   ([`crate::audit()`]) returning zero findings and on the stale-read
 //!   oracle counting zero violations.
 //!
 //! # Stale-read oracle
@@ -927,7 +927,7 @@ impl CrashHarness {
     /// Runs tick `tick` but crashes mid-flight: workers before
     /// `kill_vm` complete the tick, the killed VM issues only a
     /// `budget`-bounded prefix of its hypercalls (see
-    /// [`VmWorker::partial_tick`] — the cut can land mid-`put_many`),
+    /// `VmWorker::partial_tick` — the cut can land mid-`put_many`),
     /// and later workers plus the tick's group commit never happen, so
     /// everything since the previous commit epoch is at the mercy of
     /// the segment snapshot.

@@ -22,7 +22,7 @@
 //!   gated by the invariant auditor and a stale-read oracle, and
 //!   [`CrashHarness`] — kill the journaled plane mid-tick, recover
 //!   from mutilated segment snapshots, keep driving the same guests.
-//! * [`audit`] — the cross-shard invariant auditor: the checks both
+//! * [`audit`](mod@audit) — the cross-shard invariant auditor: the checks both
 //!   engines share (`ddc_hypercache::audit_cut`) over a lock-all cut,
 //!   plus shard-map placement, memo and mirror accuracy, journal health
 //!   and Global mode's front leaves.

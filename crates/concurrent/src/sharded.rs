@@ -17,7 +17,7 @@
 //!   ([`ddc_hypercache::shard`]): this crate adds the locks, the
 //!   routing and the group journaling around it.
 //! * **Global-pressure ledger** — store occupancy is *global*, not
-//!   per-shard: a [`Ledger`] per store tracks `used`/`capacity` with
+//!   per-shard: a `Ledger` per store tracks `used`/`capacity` with
 //!   atomics so the resource-conservative rule ("evict only when the
 //!   store itself is full", paper §4.3) keeps working across shards.
 //!   Page allocation is a CAS (`used < capacity → used + 1`), so the
@@ -55,7 +55,7 @@
 //! Driven from one thread, a `ShardedCache` is *observationally
 //! identical* to the serial engine (journal disabled, no fault
 //! schedules): same outcomes, same per-pool counters, same eviction
-//! victims, same resident entries. Both engines keep one [`Registry`]
+//! victims, same resident entries. Both engines keep one `Registry`
 //! type, read their share tables through one validate-on-use
 //! [`ShareMemo`] (this engine keeps a memo per handle) and pick victims
 //! with [`ShareTable::select_victim`] — and at quiescence the usage
@@ -64,7 +64,7 @@
 //! The equivalence is enforced end-to-end by the driver's byte-identical
 //! report check ([`crate::driver`]) and the workspace property tests.
 //! Under concurrency, outcomes depend on interleaving but every
-//! structural invariant still holds (see [`crate::audit`]).
+//! structural invariant still holds (see [`crate::audit`](mod@crate::audit)).
 //!
 //! # Durability: per-shard segments, group commit (DESIGN.md §14)
 //!
@@ -1206,7 +1206,7 @@ impl ShardedCache {
     /// journaling is off).
     ///
     /// Takes no lock. The watermark is sampled first; then each
-    /// segment's [`CommitCell`] is visited in ascending order: an
+    /// segment's `CommitCell` is visited in ascending order: an
     /// append in flight is waited out (one `append_run`, never a whole
     /// group), and the durable mark is raised to the appended length.
     /// An appender turns its cell's `seq` odd *before* it claims its

@@ -77,8 +77,8 @@ pub mod prelude {
     pub use ddc_storage::{BlockAddr, Device, FileId, PAGE_SIZE};
     pub use ddc_workloads::{
         FileServer, FileServerConfig, MailConfig, MailServer, Oltp, OltpConfig, ProxyConfig,
-        Proxycache, ReplayPacing, StoreModel, Trace, TraceOp, TraceRecord, TraceReplayer,
-        VideoConfig, VideoServer, WebConfig, Webserver, WorkloadThread, YcsbClient, YcsbConfig,
+        Proxycache, StoreModel, VideoConfig, VideoServer, WebConfig, Webserver, WorkloadThread,
+        YcsbClient, YcsbConfig,
     };
 }
 

@@ -7,8 +7,8 @@
 //! runs render byte-identical reports, which the fault-injection
 //! determinism tests assert.
 
-use ddc_json::{Json, JsonError};
-use ddc_metrics::{counter_snapshot, snapshot_from_json, snapshot_json, OpsRecorder};
+use ddc_json::Json;
+use ddc_metrics::{counter_snapshot, snapshot_json, OpsRecorder};
 use ddc_sim::{SimTime, TimeSeries};
 
 /// Per-thread throughput/latency summary.
@@ -221,83 +221,6 @@ impl ExperimentReport {
         v.set("faults", snapshot_json(&self.faults));
         v.to_string_pretty()
     }
-
-    /// Parses a report previously produced by [`ExperimentReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] for malformed or schema-mismatched input.
-    pub fn from_json(json: &str) -> Result<ExperimentReport, JsonError> {
-        let bad = |message: &str| JsonError {
-            message: message.to_owned(),
-            offset: 0,
-        };
-        let v = Json::parse(json)?;
-        let num = |obj: &Json, key: &str| {
-            obj.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad(&format!("missing number {key:?}")))
-        };
-        let int = |obj: &Json, key: &str| num(obj, key).map(|n| n as u64);
-        let mut threads = Vec::new();
-        for t in v.get("threads").and_then(Json::as_array).unwrap_or(&[]) {
-            threads.push(ThreadReport {
-                label: t
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("thread needs a label"))?
-                    .to_owned(),
-                ops: int(t, "ops")?,
-                ops_per_sec: num(t, "ops_per_sec")?,
-                mb_per_sec: num(t, "mb_per_sec")?,
-                mean_latency_ms: num(t, "mean_latency_ms")?,
-                p99_latency_ms: num(t, "p99_latency_ms")?,
-            });
-        }
-        let mut series = Vec::new();
-        for s in v.get("series").and_then(Json::as_array).unwrap_or(&[]) {
-            let mut points = Vec::new();
-            for p in s.get("points").and_then(Json::as_array).unwrap_or(&[]) {
-                let pair = p
-                    .as_array()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| bad("series point must be a [t, v] pair"))?;
-                points.push((
-                    pair[0]
-                        .as_f64()
-                        .ok_or_else(|| bad("point t not a number"))?,
-                    pair[1]
-                        .as_f64()
-                        .ok_or_else(|| bad("point v not a number"))?,
-                ));
-            }
-            series.push(SeriesReport {
-                name: s
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("series needs a name"))?
-                    .to_owned(),
-                points,
-            });
-        }
-        // Reports from before the fault plane have no "faults" object;
-        // treat them as fault-free.
-        let faults = match v.get("faults") {
-            None | Some(Json::Null) => FaultTotals::default(),
-            Some(f) => {
-                snapshot_from_json(f).ok_or_else(|| bad("faults block missing a counter"))?
-            }
-        };
-        Ok(ExperimentReport {
-            end: num(&v, "end")?,
-            threads,
-            series,
-            mem_cache_used_pages: int(&v, "mem_cache_used_pages")?,
-            ssd_cache_used_pages: int(&v, "ssd_cache_used_pages")?,
-            evictions: int(&v, "evictions")?,
-            faults,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -393,19 +316,12 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("web/t0"));
         assert!(json.contains("ssd_quarantines"));
-        assert_eq!(r.clone().to_json(), json, "emission is byte-identical");
+        assert_eq!(
+            sample_report().to_json(),
+            json,
+            "emission is byte-identical"
+        );
         let back = Json::parse(&json).expect("the report is JSON");
         assert_eq!(back.to_string_pretty(), json, "and re-emits as itself");
-    }
-
-    #[test]
-    fn reports_without_fault_counters_parse_as_fault_free() {
-        let legacy = r#"{
-            "end": 1.0, "threads": [], "series": [],
-            "mem_cache_used_pages": 0, "ssd_cache_used_pages": 0,
-            "evictions": 0
-        }"#;
-        let r = ExperimentReport::from_json(legacy).unwrap();
-        assert_eq!(r.faults, FaultTotals::default());
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! A [`ScenarioSpec`] describes a complete experiment — cache
 //! configuration, VMs, containers, workloads, timed reconfiguration
-//! actions and probes — as plain serializable data, so experiments can be
-//! defined in JSON and run with the `scenario` binary (or embedded via
-//! [`build`]): the no-code path for exploring DoubleDecker policies.
+//! actions and probes — as plain data read from JSON, so experiments can
+//! be defined without code and run with the `scenario` binary (or
+//! embedded via [`build`]): the no-code path for exploring DoubleDecker
+//! policies. [`ScenarioSpec::from_json`] refuses a spec the run could not
+//! survive (a workload with nothing to draw from, a skew the sampler
+//! rejects) with an error naming the field.
 //!
 //! ```json
 //! {
@@ -315,11 +318,6 @@ impl ScenarioSpec {
         let root = Json::parse(json).map_err(|e| err(e.to_string()))?;
         parse::scenario(&root)
     }
-
-    /// Serializes to pretty JSON.
-    pub fn to_json(&self) -> String {
-        emit::scenario(self).to_string_pretty()
-    }
 }
 
 /// JSON → spec conversion (hand-rolled; the workspace builds offline
@@ -374,6 +372,14 @@ mod parse {
         }
     }
 
+    /// A count a workload draws from: zero would leave it an empty range.
+    fn positive<T: Default + PartialEq>(key: &str, n: T) -> Result<T, ScenarioError> {
+        if n == T::default() {
+            return Err(err(format!("field {key:?} must be positive")));
+        }
+        Ok(n)
+    }
+
     fn list<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], ScenarioError> {
         match obj.get(key) {
             None | Some(Json::Null) => Ok(&[]),
@@ -413,27 +419,36 @@ mod parse {
     }
 
     fn workload(v: &Json) -> Result<WorkloadSpec, ScenarioError> {
-        let opt_usize = |key: &str| -> Result<Option<usize>, ScenarioError> {
-            Ok(opt_u64(v, key)?.map(|n| n as usize))
+        let count = |key: &str| -> Result<Option<usize>, ScenarioError> {
+            opt_u64(v, key)?
+                .map(|n| positive(key, n as usize))
+                .transpose()
         };
         Ok(match field(v, "kind")?.as_str() {
             Some("webserver") => WorkloadSpec::Webserver {
-                files: opt_usize("files")?,
-                zipf_theta: opt_f64(v, "zipf_theta")?,
+                files: count("files")?,
+                zipf_theta: match opt_f64(v, "zipf_theta")? {
+                    Some(t) if !(t.is_finite() && t >= 0.0) => {
+                        return Err(err("field \"zipf_theta\" must be finite and non-negative"))
+                    }
+                    t => t,
+                },
                 think_us: opt_u64(v, "think_us")?,
             },
             Some("proxycache") => WorkloadSpec::Proxycache {
-                files: opt_usize("files")?,
+                files: count("files")?,
             },
             Some("mail") => WorkloadSpec::Mail {
-                files: opt_usize("files")?,
+                files: count("files")?,
             },
             Some("videoserver") => WorkloadSpec::Videoserver {
-                videos: opt_usize("videos")?,
-                video_blocks: opt_u32(v, "video_blocks")?,
+                videos: count("videos")?,
+                video_blocks: opt_u32(v, "video_blocks")?
+                    .map(|n| positive("video_blocks", n))
+                    .transpose()?,
             },
             Some("fileserver") => WorkloadSpec::Fileserver {
-                files: opt_usize("files")?,
+                files: count("files")?,
             },
             Some("oltp") => WorkloadSpec::Oltp {
                 data_blocks: opt_u64(v, "data_blocks")?,
@@ -441,7 +456,7 @@ mod parse {
             },
             Some("ycsb") => WorkloadSpec::Ycsb {
                 store: str_field(v, "store")?,
-                dataset_blocks: u64_field(v, "dataset_blocks")?,
+                dataset_blocks: positive("dataset_blocks", u64_field(v, "dataset_blocks")?)?,
                 update_fraction: opt_f64(v, "update_fraction")?,
             },
             Some(other) => return Err(err(format!("unknown workload kind {other:?}"))),
@@ -551,193 +566,6 @@ mod parse {
                 Some(f) => Some(faults(f)?),
             },
         })
-    }
-}
-
-/// Spec → JSON conversion. Optional fields are emitted only when set, so
-/// `from_json(to_json(spec)) == spec` and emission is deterministic.
-mod emit {
-    use super::*;
-
-    fn policy(p: &PolicySpec) -> Json {
-        let mut v = Json::object();
-        v.set("store", p.store.as_str());
-        v.set("weight", p.weight);
-        v
-    }
-
-    fn set_opt(v: &mut Json, key: &str, value: Option<impl Into<Json>>) {
-        if let Some(value) = value {
-            v.set(key, value);
-        }
-    }
-
-    fn workload(w: &WorkloadSpec) -> Json {
-        let mut v = Json::object();
-        match w {
-            WorkloadSpec::Webserver {
-                files,
-                zipf_theta,
-                think_us,
-            } => {
-                v.set("kind", "webserver");
-                set_opt(&mut v, "files", *files);
-                set_opt(&mut v, "zipf_theta", *zipf_theta);
-                set_opt(&mut v, "think_us", *think_us);
-            }
-            WorkloadSpec::Proxycache { files } => {
-                v.set("kind", "proxycache");
-                set_opt(&mut v, "files", *files);
-            }
-            WorkloadSpec::Mail { files } => {
-                v.set("kind", "mail");
-                set_opt(&mut v, "files", *files);
-            }
-            WorkloadSpec::Videoserver {
-                videos,
-                video_blocks,
-            } => {
-                v.set("kind", "videoserver");
-                set_opt(&mut v, "videos", *videos);
-                set_opt(&mut v, "video_blocks", *video_blocks);
-            }
-            WorkloadSpec::Fileserver { files } => {
-                v.set("kind", "fileserver");
-                set_opt(&mut v, "files", *files);
-            }
-            WorkloadSpec::Oltp {
-                data_blocks,
-                write_fraction,
-            } => {
-                v.set("kind", "oltp");
-                set_opt(&mut v, "data_blocks", *data_blocks);
-                set_opt(&mut v, "write_fraction", *write_fraction);
-            }
-            WorkloadSpec::Ycsb {
-                store,
-                dataset_blocks,
-                update_fraction,
-            } => {
-                v.set("kind", "ycsb");
-                v.set("store", store.as_str());
-                v.set("dataset_blocks", *dataset_blocks);
-                set_opt(&mut v, "update_fraction", *update_fraction);
-            }
-        }
-        v
-    }
-
-    fn container(c: &ContainerSpec) -> Json {
-        let mut v = Json::object();
-        v.set("name", c.name.as_str());
-        v.set("limit_mb", c.limit_mb);
-        v.set("policy", policy(&c.policy));
-        v.set("workload", workload(&c.workload));
-        set_opt(&mut v, "threads", c.threads);
-        set_opt(&mut v, "start_secs", c.start_secs);
-        v
-    }
-
-    fn action(a: &ActionSpec) -> Json {
-        let mut v = Json::object();
-        match a {
-            ActionSpec::SetContainerPolicy {
-                at_secs,
-                container,
-                policy: p,
-            } => {
-                v.set("action", "set_container_policy");
-                v.set("at_secs", *at_secs);
-                v.set("container", container.as_str());
-                v.set("policy", policy(p));
-            }
-            ActionSpec::SetVmWeight {
-                at_secs,
-                vm,
-                weight,
-            } => {
-                v.set("action", "set_vm_weight");
-                v.set("at_secs", *at_secs);
-                v.set("vm", *vm);
-                v.set("weight", *weight);
-            }
-            ActionSpec::SetMemCapacityMb { at_secs, mem_mb } => {
-                v.set("action", "set_mem_capacity_mb");
-                v.set("at_secs", *at_secs);
-                v.set("mem_mb", *mem_mb);
-            }
-            ActionSpec::SetContainerLimitMb {
-                at_secs,
-                container,
-                limit_mb,
-            } => {
-                v.set("action", "set_container_limit_mb");
-                v.set("at_secs", *at_secs);
-                v.set("container", container.as_str());
-                v.set("limit_mb", *limit_mb);
-            }
-            ActionSpec::DropCaches { at_secs, container } => {
-                v.set("action", "drop_caches");
-                v.set("at_secs", *at_secs);
-                v.set("container", container.as_str());
-            }
-        }
-        v
-    }
-
-    pub(super) fn scenario(s: &ScenarioSpec) -> Json {
-        let mut v = Json::object();
-        v.set("name", s.name.as_str());
-        let mut cache = Json::object();
-        cache.set("mem_mb", s.cache.mem_mb);
-        cache.set("ssd_mb", s.cache.ssd_mb);
-        set_opt(&mut cache, "mode", s.cache.mode.as_deref());
-        v.set("cache", cache);
-        v.set("duration_secs", s.duration_secs);
-        set_opt(&mut v, "sample_secs", s.sample_secs);
-        set_opt(&mut v, "warmup_secs", s.warmup_secs);
-        v.set("vms", s.vms.iter().map(container_list).collect::<Vec<_>>());
-        v.set(
-            "schedule",
-            s.schedule.iter().map(action).collect::<Vec<_>>(),
-        );
-        if let Some(f) = &s.faults {
-            v.set("faults", faults(f));
-        }
-        v
-    }
-
-    fn fault_window(w: &FaultWindowSpec) -> Json {
-        let mut v = Json::object();
-        v.set("from_secs", w.from_secs);
-        set_opt(&mut v, "until_secs", w.until_secs);
-        v.set("kind", w.kind.as_str());
-        set_opt(&mut v, "error_rate", w.error_rate);
-        set_opt(&mut v, "extra_latency_us", w.extra_latency_us);
-        v
-    }
-
-    fn faults(f: &FaultSpec) -> Json {
-        let mut v = Json::object();
-        v.set("seed", f.seed);
-        set_opt(&mut v, "ssd_fallback", f.ssd_fallback.as_deref());
-        v.set("ssd", f.ssd.iter().map(fault_window).collect::<Vec<_>>());
-        v.set(
-            "channel",
-            f.channel.iter().map(fault_window).collect::<Vec<_>>(),
-        );
-        v
-    }
-
-    fn container_list(vm: &VmSpec) -> Json {
-        let mut v = Json::object();
-        v.set("mem_mb", vm.mem_mb);
-        v.set("weight", vm.weight);
-        v.set(
-            "containers",
-            vm.containers.iter().map(container).collect::<Vec<_>>(),
-        );
-        v
     }
 }
 
@@ -1214,5 +1042,55 @@ mod tests {
         }"#;
         let e = ScenarioSpec::from_json(json).unwrap_err();
         assert!(e.to_string().contains("\"compression\""), "{e}");
+    }
+
+    /// The error `from_json` gives a one-container spec running
+    /// `workload`; panics if the spec is accepted.
+    fn refusal(workload: &str) -> String {
+        let json = format!(
+            r#"{{ "name": "bad", "cache": {{ "mem_mb": 16 }}, "duration_secs": 2,
+            "vms": [ {{ "mem_mb": 16, "weight": 100, "containers": [ {{ "name": "c",
+            "limit_mb": 4, "policy": {{ "store": "mem" }}, "workload": {workload} }} ] }} ] }}"#
+        );
+        ScenarioSpec::from_json(&json).unwrap_err().to_string()
+    }
+
+    /// No files to pick from: the run would draw from an empty range.
+    #[test]
+    fn zero_files_is_an_error_that_names_the_field() {
+        for kind in ["webserver", "proxycache", "mail", "fileserver"] {
+            let e = refusal(&format!(r#"{{ "kind": "{kind}", "files": 0 }}"#));
+            assert!(e.contains("\"files\""), "{kind}: {e}");
+        }
+    }
+
+    #[test]
+    fn zero_videos_is_an_error_that_names_the_field() {
+        let e = refusal(r#"{ "kind": "videoserver", "videos": 0 }"#);
+        assert!(e.contains("\"videos\""), "{e}");
+    }
+
+    #[test]
+    fn zero_video_blocks_is_an_error_that_names_the_field() {
+        let e = refusal(r#"{ "kind": "videoserver", "video_blocks": 0 }"#);
+        assert!(e.contains("\"video_blocks\""), "{e}");
+    }
+
+    #[test]
+    fn zero_dataset_blocks_is_an_error_that_names_the_field() {
+        let e = refusal(r#"{ "kind": "ycsb", "store": "redis", "dataset_blocks": 0 }"#);
+        assert!(e.contains("\"dataset_blocks\""), "{e}");
+    }
+
+    /// A negative skew, or one too large for a float (`1e999` reads as
+    /// infinity), is refused before the sampler sees it.
+    #[test]
+    fn a_negative_or_infinite_zipf_theta_is_an_error_that_names_the_field() {
+        for theta in ["-1", "1e999"] {
+            let e = refusal(&format!(
+                r#"{{ "kind": "webserver", "files": 10, "zipf_theta": {theta} }}"#
+            ));
+            assert!(e.contains("\"zipf_theta\""), "{theta}: {e}");
+        }
     }
 }

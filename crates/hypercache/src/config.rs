@@ -89,9 +89,8 @@ impl std::fmt::Display for PartitionMode {
 
 /// Construction-time configuration of a [`crate::DoubleDeckerCache`].
 ///
-/// Capacities are in 4 KiB pages and may be changed later at runtime via
-/// [`crate::DoubleDeckerCache::set_mem_capacity`] /
-/// [`crate::DoubleDeckerCache::set_ssd_capacity`].
+/// Capacities are in 4 KiB pages; the memory store's may be changed
+/// later at runtime via [`crate::DoubleDeckerCache::set_mem_capacity`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Memory store capacity in pages (0 disables the store).

@@ -432,18 +432,11 @@ impl DoubleDeckerCache {
     /// caller-supplied ids and must not bring the host down over a stale
     /// one (the VM may have been shut down concurrently).
     pub fn set_vm_weight(&mut self, vm: VmId, weight: u64) {
-        self.set_vm_store_weights(vm, weight, weight);
-    }
-
-    /// Updates a VM's per-store weights independently (footnote 1
-    /// extension). Unknown VMs are ignored, as in
-    /// [`set_vm_weight`](DoubleDeckerCache::set_vm_weight).
-    pub fn set_vm_store_weights(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64) {
         if self.registry.vm(vm).is_some() {
             self.control(JournalRecord::SetVmWeights {
                 vm: vm.0,
-                mem_weight,
-                ssd_weight,
+                mem_weight: weight,
+                ssd_weight: weight,
             });
         }
     }
@@ -468,12 +461,6 @@ impl DoubleDeckerCache {
         // caused in causal order.
         self.control(JournalRecord::SetMemCapacity { pages });
         self.shrink_to_capacity(now, Placement::Mem);
-    }
-
-    /// Resizes the SSD store, evicting the excess if shrinking.
-    pub fn set_ssd_capacity(&mut self, now: SimTime, pages: u64) {
-        self.control(JournalRecord::SetSsdCapacity { pages });
-        self.shrink_to_capacity(now, Placement::Ssd);
     }
 
     // ------------------------------------------------------------------
@@ -1640,7 +1627,6 @@ mod tests {
         // VM shut down concurrently) must not bring the host down.
         let mut cache = small_cache(PartitionMode::DoubleDecker);
         cache.set_vm_weight(VmId(9), 10);
-        cache.set_vm_store_weights(VmId(9), 10, 20);
         assert!(cache.vm_ids().is_empty());
     }
 
@@ -1664,9 +1650,9 @@ mod tests {
         assert_eq!(cache.pool_entitlement(VmId(2), m2), 250);
         assert_eq!(cache.pool_entitlement(VmId(1), s1), 250);
         assert_eq!(cache.pool_entitlement(VmId(2), s2), 750);
-        // Dynamic update flips the split.
-        cache.set_vm_store_weights(VmId(1), 10, 90);
-        cache.set_vm_store_weights(VmId(2), 90, 10);
+        // Re-registering flips the split.
+        cache.add_vm_with_store_weights(VmId(1), 10, 90);
+        cache.add_vm_with_store_weights(VmId(2), 90, 10);
         assert_eq!(cache.pool_entitlement(VmId(1), m1), 100);
         assert_eq!(cache.pool_entitlement(VmId(1), s1), 900);
         // The uniform setter still applies to both stores.
@@ -1932,11 +1918,8 @@ mod tests {
                                 live_vm[vm as usize] = false;
                             }
                         }
-                        27 => {
-                            cache.set_mem_capacity(SimTime::ZERO, r.range_u64(8, 128));
-                        }
                         _ => {
-                            cache.set_ssd_capacity(SimTime::ZERO, r.range_u64(8, 128));
+                            cache.set_mem_capacity(SimTime::ZERO, r.range_u64(8, 128));
                         }
                     }
                     // Invariants after every operation.

@@ -19,7 +19,7 @@
 //! and carry `SlotId`s, so popping the queue lands directly on the slab
 //! entry. A removal leaves its entry behind; an insert that leaves dead
 //! entries outnumbering live ones compacts the queue
-//! ([`fifo_compaction_due`]), so a queue stays within about twice its
+//! (`fifo_compaction_due`), so a queue stays within about twice its
 //! store's live count. The map uses [`FxHashMap`]: block addresses are
 //! internal, so the cheaper seed-free hash wins on every operation
 //! without any flooding exposure.
@@ -45,7 +45,7 @@ use ddc_storage::{BlockAddr, FileId, PoolWear};
 use crate::admission::GhostFilter;
 
 /// Where an object physically resides. Unlike
-/// [`StoreKind`](crate::StoreKind) this has no `Hybrid`: a hybrid-policy
+/// [`StoreKind`] this has no `Hybrid`: a hybrid-policy
 /// container still places every individual object in exactly one store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Placement {

@@ -2,7 +2,7 @@
 //! contribution (§3–§4).
 //!
 //! [`DoubleDeckerCache`] implements the
-//! [`SecondChanceCache`](ddc_cleancache::SecondChanceCache) backend trait
+//! [`SecondChanceCache`] backend trait
 //! with:
 //!
 //! * an **indexing module** ([`index`]) mapping `(vm, pool, inode, block)`
@@ -25,7 +25,7 @@
 //!   transition ([`DoubleDeckerCache::enable_journal`]), warm restart
 //!   from a truncated or corrupted journal image
 //!   ([`DoubleDeckerCache::recover`]) that can lose entries but never
-//!   resurrect stale ones, and a runtime invariant auditor ([`audit`]).
+//!   resurrect stale ones, and a runtime invariant auditor ([`audit`](mod@audit)).
 //!
 //! # Quick start
 //!

@@ -946,7 +946,7 @@ impl PoolVisit<'_> {
     /// insert (which compacts the pool's own queue when it is due), the
     /// displaced older copy's page freed, and in Global mode a Global
     /// FIFO entry pushed. A Global FIFO that tombstones now dominate
-    /// ([`fifo_compaction_due`], the pool queues' rule) is marked for
+    /// (`fifo_compaction_due`, the pool queues' rule) is marked for
     /// compaction when the visit ends.
     #[inline]
     pub fn insert(

@@ -1,7 +1,7 @@
 //! Dependency-free JSON parsing and emission.
 //!
-//! The workspace builds in fully offline environments, so the scenario,
-//! report and trace layers serialize through this small hand-rolled JSON
+//! The workspace builds in fully offline environments, so scenario specs
+//! are read, and reports written, through this small hand-rolled JSON
 //! module instead of an external crate. It supports the complete JSON
 //! grammar (objects, arrays, strings with escapes, numbers, booleans,
 //! null) and preserves object key order, so emission is deterministic:

@@ -19,5 +19,5 @@ mod table;
 pub use batch::BatchCounters;
 pub use histogram::LatencyHistogram;
 pub use recorder::{Counter, OpsRecorder, ThroughputReport};
-pub use snapshot::{snapshot_from_json, snapshot_json, CounterSnapshot};
+pub use snapshot::{snapshot_json, CounterSnapshot};
 pub use table::{render_ascii_chart, TextTable};

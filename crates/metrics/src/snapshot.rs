@@ -1,24 +1,24 @@
 //! One snapshot/merge interface for the ad-hoc counter blocks
 //! (`FaultTotals`, `RemoteCounters`, `WearCounters`, ...).
 //!
-//! Every subsystem used to hand-roll the same three things for its
-//! counter struct: a field-wise `absorb`, a field-by-field JSON
-//! renderer, and a field-by-field JSON parser. [`CounterSnapshot`]
-//! centralizes the shape — implementors list their fields once via
-//! [`counter_snapshot!`] and the render/parse/merge plumbing falls out
-//! of the field list, in a stable declared order (which is what keeps
-//! the byte-identical report contracts honest).
+//! Every subsystem used to hand-roll the same two things for its
+//! counter struct: a field-wise `absorb` and a field-by-field JSON
+//! renderer. [`CounterSnapshot`] centralizes the shape — implementors
+//! list their fields once via [`counter_snapshot!`] and the
+//! render/merge plumbing falls out of the field list, in a stable
+//! declared order (which is what keeps the byte-identical report
+//! contracts honest).
 
 use ddc_json::Json;
 
-/// A plain block of `u64` counters that can be snapshotted into JSON,
-/// parsed back, and merged field-wise.
+/// A plain block of `u64` counters that can be snapshotted into JSON
+/// and merged field-wise.
 pub trait CounterSnapshot: Default {
     /// Stable subsystem name (used as a JSON key / report label).
     const NAME: &'static str;
 
     /// `(field name, value)` pairs in declared order — the JSON render
-    /// order and the parse schema.
+    /// order.
     fn fields(&self) -> Vec<(&'static str, u64)>;
 
     /// Sets one field by name; `false` if the name is unknown.
@@ -29,8 +29,8 @@ pub trait CounterSnapshot: Default {
 }
 
 /// Implements [`CounterSnapshot`] for a struct of `u64` fields. The
-/// field list is the single source of truth for merge order, JSON
-/// render order and the parse schema.
+/// field list is the single source of truth for merge order and JSON
+/// render order.
 #[macro_export]
 macro_rules! counter_snapshot {
     ($ty:ty, $name:literal, { $($field:ident),+ $(,)? }) => {
@@ -67,17 +67,6 @@ pub fn snapshot_json<T: CounterSnapshot>(t: &T) -> Json {
     o
 }
 
-/// Parses a snapshot from a JSON object. Every declared field must be
-/// present as a number; unknown extra keys are ignored.
-pub fn snapshot_from_json<T: CounterSnapshot>(v: &Json) -> Option<T> {
-    let mut out = T::default();
-    for (name, _) in T::default().fields() {
-        let value = v.get(name).and_then(Json::as_f64)? as u64;
-        out.set_field(name, value);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,12 +84,9 @@ mod tests {
         assert_eq!(Demo::NAME, "demo");
         assert_eq!(d.fields(), vec![("alpha", 3), ("beta", 9)]);
         let json = snapshot_json(&d);
-        let back: Demo = snapshot_from_json(&json).expect("roundtrip");
-        assert_eq!(back, d);
-        // A missing field refuses to parse.
-        let mut partial = Json::object();
-        partial.set("alpha", 1u64);
-        assert!(snapshot_from_json::<Demo>(&partial).is_none());
+        let text = json.to_string();
+        assert_eq!(text, r#"{"alpha":3,"beta":9}"#);
+        assert_eq!(Json::parse(&text), Ok(json));
     }
 
     #[test]

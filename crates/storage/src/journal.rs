@@ -728,7 +728,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 /// xor `0xFFFF_FFFF`) — the checksum trailing every journal record.
 ///
 /// Table-driven, slice-by-8: eight bytes per step through the
-/// compile-time [`CRC_TABLES`], the tail byte by byte. The value is
+/// compile-time `CRC_TABLES`, the tail byte by byte. The value is
 /// bit-for-bit the one the bitwise definition yields (the unit tests
 /// keep that loop as the oracle), so images written by either decode
 /// under the other. Every record is checksummed under its shard's lock

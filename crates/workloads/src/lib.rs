@@ -19,7 +19,7 @@
 //!
 //! Every thread implements [`WorkloadThread`]: a `step` that performs one
 //! application operation on the host and returns when the thread is next
-//! runnable, plus an [`OpsRecorder`] for throughput/latency reporting.
+//! runnable, plus an [`OpsRecorder`](ddc_metrics::OpsRecorder) for throughput/latency reporting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +28,6 @@ mod filebench;
 mod filebench_extra;
 mod fileset;
 mod thread;
-mod trace;
 mod ycsb;
 mod zipf;
 
@@ -38,6 +37,5 @@ pub use filebench::{
 pub use filebench_extra::{FileServer, FileServerConfig, Oltp, OltpConfig};
 pub use fileset::FileSet;
 pub use thread::WorkloadThread;
-pub use trace::{ReplayPacing, Trace, TraceOp, TraceRecord, TraceReplayer};
 pub use ycsb::{StoreModel, YcsbClient, YcsbConfig};
 pub use zipf::Zipf;

@@ -91,126 +91,40 @@ fn container(name: &str, policy: PolicySpec, workload: WorkloadSpec) -> Containe
     }
 }
 
-fn window(from_secs: u64, until_secs: Option<u64>, kind: &str) -> FaultWindowSpec {
-    FaultWindowSpec {
-        from_secs,
-        until_secs,
-        kind: kind.to_owned(),
-        error_rate: None,
-        extra_latency_us: None,
-    }
-}
-
-/// `EVERY_FIELD` written out by hand: a value parsed into the wrong
-/// field, or not parsed at all, differs from it.
+/// `EVERY_FIELD` written out by hand, line for line: a value parsed into
+/// the wrong field, or not parsed at all, differs from it.
+#[rustfmt::skip]
 fn every_field_spec() -> ScenarioSpec {
+    use ActionSpec::*;
+    use WorkloadSpec::*;
+    let window = |from_secs, until_secs, kind: &str, error_rate, extra_latency_us| {
+        FaultWindowSpec { from_secs, until_secs, kind: kind.to_owned(), error_rate, extra_latency_us }
+    };
     ScenarioSpec {
         name: "every-field".to_owned(),
-        cache: CacheSpec {
-            mem_mb: 64,
-            ssd_mb: 256,
-            mode: Some("strict".to_owned()),
-        },
-        duration_secs: 20,
-        sample_secs: Some(2),
-        warmup_secs: Some(5),
-        vms: vec![VmSpec {
-            mem_mb: 64,
-            weight: 100,
-            containers: vec![
-                ContainerSpec {
-                    threads: Some(2),
-                    start_secs: Some(1),
-                    ..container(
-                        "w",
-                        policy("mem", 20),
-                        WorkloadSpec::Webserver {
-                            files: Some(40),
-                            zipf_theta: Some(0.9),
-                            think_us: Some(10),
-                        },
-                    )
-                },
-                container(
-                    "p",
-                    policy("hybrid", 20),
-                    WorkloadSpec::Proxycache { files: Some(30) },
-                ),
-                container(
-                    "m",
-                    policy("ssd", 20),
-                    WorkloadSpec::Mail { files: Some(20) },
-                ),
-                container(
-                    "v",
-                    policy("ssd", 100),
-                    WorkloadSpec::Videoserver {
-                        videos: Some(8),
-                        video_blocks: Some(16),
-                    },
-                ),
-                container(
-                    "f",
-                    policy("hybrid", 20),
-                    WorkloadSpec::Fileserver { files: Some(10) },
-                ),
-                container(
-                    "o",
-                    policy("mem", 20),
-                    WorkloadSpec::Oltp {
-                        data_blocks: Some(64),
-                        write_fraction: Some(0.25),
-                    },
-                ),
-                container(
-                    "y",
-                    policy("disabled", 0),
-                    WorkloadSpec::Ycsb {
-                        store: "mongodb".to_owned(),
-                        dataset_blocks: 64,
-                        update_fraction: Some(0.5),
-                    },
-                ),
-            ],
-        }],
+        cache: CacheSpec { mem_mb: 64, ssd_mb: 256, mode: Some("strict".to_owned()) },
+        duration_secs: 20, sample_secs: Some(2), warmup_secs: Some(5),
+        vms: vec![VmSpec { mem_mb: 64, weight: 100, containers: vec![
+            ContainerSpec { threads: Some(2), start_secs: Some(1), ..container("w", policy("mem", 20),
+                Webserver { files: Some(40), zipf_theta: Some(0.9), think_us: Some(10) }) },
+            container("p", policy("hybrid", 20), Proxycache { files: Some(30) }),
+            container("m", policy("ssd", 20), Mail { files: Some(20) }),
+            container("v", policy("ssd", 100), Videoserver { videos: Some(8), video_blocks: Some(16) }),
+            container("f", policy("hybrid", 20), Fileserver { files: Some(10) }),
+            container("o", policy("mem", 20), Oltp { data_blocks: Some(64), write_fraction: Some(0.25) }),
+            container("y", policy("disabled", 0), Ycsb { store: "mongodb".to_owned(), dataset_blocks: 64,
+                update_fraction: Some(0.5) }),
+        ] }],
         schedule: vec![
-            ActionSpec::SetContainerPolicy {
-                at_secs: 3,
-                container: "w".to_owned(),
-                policy: policy("ssd", 50),
-            },
-            ActionSpec::SetVmWeight {
-                at_secs: 4,
-                vm: 0,
-                weight: 70,
-            },
-            ActionSpec::SetMemCapacityMb {
-                at_secs: 5,
-                mem_mb: 48,
-            },
-            ActionSpec::SetContainerLimitMb {
-                at_secs: 6,
-                container: "p".to_owned(),
-                limit_mb: 4,
-            },
-            ActionSpec::DropCaches {
-                at_secs: 7,
-                container: "m".to_owned(),
-            },
+            SetContainerPolicy { at_secs: 3, container: "w".to_owned(), policy: policy("ssd", 50) },
+            SetVmWeight { at_secs: 4, vm: 0, weight: 70 },
+            SetMemCapacityMb { at_secs: 5, mem_mb: 48 },
+            SetContainerLimitMb { at_secs: 6, container: "p".to_owned(), limit_mb: 4 },
+            DropCaches { at_secs: 7, container: "m".to_owned() },
         ],
-        faults: Some(FaultSpec {
-            seed: 7,
-            ssd_fallback: Some("reject".to_owned()),
-            ssd: vec![FaultWindowSpec {
-                error_rate: Some(0.5),
-                extra_latency_us: Some(500),
-                ..window(2, Some(5), "brownout")
-            }],
-            channel: vec![FaultWindowSpec {
-                error_rate: Some(0.2),
-                ..window(3, None, "transient_errors")
-            }],
-        }),
+        faults: Some(FaultSpec { seed: 7, ssd_fallback: Some("reject".to_owned()),
+            ssd: vec![window(2, Some(5), "brownout", Some(0.5), Some(500))],
+            channel: vec![window(3, None, "transient_errors", Some(0.2), None)] }),
     }
 }
 
