@@ -35,9 +35,9 @@ echo "==> shared touches off the hot path: compaction at the serial engine's ope
 cargo test --release -q -p ddc-core --test prop_shared_touches
 cargo test --release -q -p ddc-core --test prop_conformance -- a_mixed_put_many_answers_as_the_serial_engine_does
 cargo test --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses a_put_that_evicts_across_a_policy_swap an_all_miss_get_many_takes_one_shard_visit line_aligned share_no_cache_line
-echo "==> Global eviction over the shard front leaves: re-nomination when a front moves between nomination and lock (2 and 4 threads), one evicted sequence and one journal with the serial engine at 1/4/16 shards with dead fronts between batches, and the auditor catching a leaf that drifted from its FIFO"
+echo "==> Global eviction over the shard front leaves: threads flushing their own pages race dead fronts against the evictor (2 and 4 threads), one evicted sequence and one journal with the serial engine at 1/4/16 shards with dead fronts between batches, and the auditor catching a leaf that drifted from its FIFO"
 cargo test --release -q -p ddc-concurrent --lib -- a_front_leaf_that_drifted
-cargo test --release -q -p ddc-core --test prop_concurrent_equivalence -- global_eviction_renominates single_threaded_eviction_sequence
+cargo test --release -q -p ddc-core --test prop_concurrent_equivalence -- global_eviction_races single_threaded_eviction_sequence
 echo "==> no eviction queue keeps entries nobody will pop: a pool's FIFOs under tombstone-heavy schedules (order and SlotIds against a model), one evicted sequence and journal with the serial engine after a tombstone-heavy prefix in every mode at 1/4/16 shards, a pool drained only by exclusive gets within max(1024, 2 x live + 1) entries on both engines, and no Global FIFO outside Global mode"
 cargo test --release -q -p ddc-core --test prop_arena_model
 cargo test --release -q -p ddc-core --test prop_concurrent_equivalence -- eviction_sequence_matches_serial_after
@@ -162,7 +162,7 @@ if [ "${DDC_TSAN:-0}" = "1" ]; then
             rustup run nightly cargo test -q -p ddc-core --test prop_concurrent_equivalence \
             -Z build-std --target "$(rustc -vV | sed -n 's/^host: //p')" \
             --target-dir target/tsan \
-            -- global_eviction_renominates 2>/dev/null \
+            -- global_eviction_races 2>/dev/null \
             || echo "TSan smoke unavailable (missing rust-src or build-std); skipping"
     else
         echo "DDC_TSAN=1 set but no nightly toolchain; skipping TSan smoke"
