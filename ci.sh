@@ -3,6 +3,32 @@
 # Run from the workspace root; any failure aborts the script.
 set -eu
 
+# `cargo test ARGS -- FILTER...` passes when a filter matches no test, so
+# a renamed or deleted test would leave its step green and empty.
+# `need_tests ARGS -- FILTER...` lists the tests of `cargo test ARGS`
+# and fails unless every filter matches at least one; `filtered` then
+# runs them.
+need_tests() {
+    cargo_args=
+    while [ "$1" != "--" ]; do
+        cargo_args="$cargo_args $1"
+        shift
+    done
+    shift
+    for filter in "$@"; do
+        # shellcheck disable=SC2086 # one word per cargo argument
+        listed=$(cargo test $cargo_args -- --list "$filter" | grep -c ': test$' || true)
+        if [ "$listed" -eq 0 ]; then
+            echo "cargo test$cargo_args -- $filter: the filter matches no test"
+            exit 1
+        fi
+    done
+}
+filtered() {
+    need_tests "$@"
+    cargo test "$@"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -27,27 +53,26 @@ cargo test --release -q -p ddc-storage
 
 echo "==> one shard state machine, one control plane: both engines write one journal, report one entitlement and recover one cache (every 53-byte cut; release too, where the share memo runs without its debug assertion)"
 cargo test --release -q -p ddc-core --test prop_one_state_machine
-cargo test --release -q -p ddc-hypercache registry
+filtered --release -q -p ddc-hypercache -- registry
 echo "==> one conformance battery (serial, 1 and 16 shards, the null cache: exclusive, never stale, monotone epochs, exact stats, audit-clean after every step; a remote binding's localization; a destroyed pool id's stash kept for the pool that later takes the id) and the serial fault pin (SSD faults, quarantine, rot, re-homing and trickle-down into a faulting tier hash to recorded literals)"
 cargo test --release -q -p ddc-core --test prop_conformance
 cargo test --release -q -p ddc-core --test serial_fault_pin
 echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, memo placements = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, a put that evicts across a policy swap storing nothing under the old policy, a mixed put_many through two handles answering as the serial engine does, an all-miss get_many answered in one shard visit once a held shard lock drops, and the layout itself: no two groups of the shared core, no two shards and no two handles on one cache line (release too: the memo's debug assertion is compiled out there)"
 cargo test --release -q -p ddc-core --test prop_shared_touches
-cargo test --release -q -p ddc-core --test prop_conformance -- a_mixed_put_many_answers_as_the_serial_engine_does
-cargo test --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses a_put_that_evicts_across_a_policy_swap an_all_miss_get_many_takes_one_shard_visit line_aligned share_no_cache_line
-echo "==> Global eviction over the shard front leaves: threads flushing their own pages race dead fronts against the evictor (2 and 4 threads), one evicted sequence and one journal with the serial engine at 1/4/16 shards with dead fronts between batches, and the auditor catching a leaf that drifted from its FIFO"
-cargo test --release -q -p ddc-concurrent --lib -- a_front_leaf_that_drifted
-cargo test --release -q -p ddc-core --test prop_concurrent_equivalence -- global_eviction_races single_threaded_eviction_sequence
+filtered --release -q -p ddc-core --test prop_conformance -- a_mixed_put_many_answers_as_the_serial_engine_does
+filtered --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses a_put_that_evicts_across_a_policy_swap an_all_miss_get_many_takes_one_shard_visit line_aligned share_no_cache_line
+echo "==> Global eviction holding every shard it compares: threads flushing their own pages race dead fronts against the evictor (2 and 4 threads), a put is stored while flushes take the oldest page, and one evicted sequence and one journal with the serial engine at 1/4/16 shards with dead fronts between batches"
+filtered --release -q -p ddc-core --test prop_concurrent_equivalence -- global_eviction_races a_global_put_is_stored single_threaded_eviction_sequence
 echo "==> no eviction queue keeps entries nobody will pop: a pool's FIFOs under tombstone-heavy schedules (order and SlotIds against a model), one evicted sequence and journal with the serial engine after a tombstone-heavy prefix in every mode at 1/4/16 shards, a pool drained only by exclusive gets within max(1024, 2 x live + 1) entries on both engines, and no Global FIFO outside Global mode"
 cargo test --release -q -p ddc-core --test prop_arena_model
-cargo test --release -q -p ddc-core --test prop_concurrent_equivalence -- eviction_sequence_matches_serial_after
-cargo test --release -q -p ddc-hypercache --lib -- exclusive_gets_alone a_shard_outside_global_mode
-cargo test --release -q -p ddc-concurrent --lib -- exclusive_gets_alone
+filtered --release -q -p ddc-core --test prop_concurrent_equivalence -- eviction_sequence_matches_serial_after
+filtered --release -q -p ddc-hypercache --lib -- exclusive_gets_alone a_shard_outside_global_mode
+filtered --release -q -p ddc-concurrent --lib -- exclusive_gets_alone
 
 echo "==> one wait policy: an eviction batch frees page by page (recording ledger), the Zipf guide table lands on the full search's rank, the backoff is bounded and a poisoned lock still panics (release too: the guide's debug assertion is compiled out there)"
-cargo test --release -q -p ddc-hypercache --lib shard::
-cargo test --release -q -p ddc-workloads --lib zipf
-cargo test --release -q -p ddc-concurrent --lib -- backoff poisoned
+filtered --release -q -p ddc-hypercache --lib -- shard::
+filtered --release -q -p ddc-workloads --lib -- zipf
+filtered --release -q -p ddc-concurrent --lib -- backoff poisoned
 
 echo "==> frozen benchmark crate still builds and passes against the public API"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
@@ -148,9 +173,11 @@ cargo test -q -p ddc-core --test prop_wear_admission
 # Optional race-detector smoke: opt in with DDC_TSAN=1. Needs a nightly
 # toolchain (-Zsanitizer); tier-1 above never depends on it, so CI stays
 # green on stable-only machines. Runs the racing-gets and group-commit race
-# tests of ddc-concurrent, and Global eviction's front-leaf race test, under
+# tests of ddc-concurrent, and Global eviction's dead-front race test, under
 # ThreadSanitizer.
 if [ "${DDC_TSAN:-0}" = "1" ]; then
+    need_tests --release -q -p ddc-concurrent -- racing read_heavy commit
+    need_tests --release -q -p ddc-core --test prop_concurrent_equivalence -- global_eviction_races
     if rustup run nightly rustc --version >/dev/null 2>&1; then
         echo "==> TSan smoke (nightly, ddc-concurrent race tests)"
         RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \

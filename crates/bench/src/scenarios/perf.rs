@@ -635,8 +635,6 @@ fn stress_work(cfg: StressConfig, ticks: u64) -> Json {
     o.set("ssd_pages", plane.ssd_used_pages());
     o.set("two_phase_retries", out.two_phase_retries);
     o.set("two_phase_fallbacks", out.two_phase_fallbacks);
-    o.set("front_tree_retries", out.front_tree_retries);
-    o.set("front_tree_fallbacks", out.front_tree_fallbacks);
     o.set("commit_epoch", out.commit_epoch);
     o.set("journal_records", plane.journal_records().unwrap_or(0));
     let images = plane.journal_images().unwrap_or_default();

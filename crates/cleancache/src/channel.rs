@@ -92,18 +92,16 @@ pub struct ChannelCounters {
 #[derive(Clone, Debug)]
 pub struct HypercallChannel {
     vm: VmId,
-    call_cost: SimDuration,
     counters: ChannelCounters,
-    enabled: bool,
     faults: Option<FaultSchedule>,
     breaker: CircuitBreaker,
     flush_epoch: u64,
 }
 
 impl HypercallChannel {
-    /// Default VMCALL + argument copy cost: ~2 µs round trip, the order of
-    /// magnitude measured for KVM hypercalls on the paper's era of
-    /// hardware.
+    /// VMCALL + argument copy cost, charged on entry and again on return:
+    /// ~2 µs, the order of magnitude measured for KVM hypercalls on the
+    /// paper's era of hardware.
     pub const DEFAULT_CALL_COST: SimDuration = SimDuration::from_micros(2);
 
     /// Consecutive put failures that trip the circuit breaker open.
@@ -115,19 +113,11 @@ impl HypercallChannel {
     /// Backoff ceiling for repeated failed probes.
     pub const BREAKER_MAX_BACKOFF: SimDuration = SimDuration::from_secs(10);
 
-    /// Creates a channel for a VM with the default hypercall cost.
+    /// Creates a channel for a VM.
     pub fn new(vm: VmId) -> HypercallChannel {
-        HypercallChannel::with_call_cost(vm, Self::DEFAULT_CALL_COST)
-    }
-
-    /// Creates a channel with an explicit per-call cost (for sensitivity
-    /// experiments).
-    pub fn with_call_cost(vm: VmId, call_cost: SimDuration) -> HypercallChannel {
         HypercallChannel {
             vm,
-            call_cost,
             counters: ChannelCounters::default(),
-            enabled: true,
             faults: None,
             breaker: CircuitBreaker::new(BreakerConfig {
                 threshold: Self::BREAKER_THRESHOLD,
@@ -141,18 +131,6 @@ impl HypercallChannel {
     /// The VM this channel belongs to.
     pub fn vm(&self) -> VmId {
         self.vm
-    }
-
-    /// Disables the data path (as if the guest booted without cleancache):
-    /// `get` always misses, `put` is always rejected, flushes are no-ops.
-    /// Control operations still work so pools can be pre-created.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether the data path is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Accumulated counters.
@@ -284,10 +262,7 @@ impl HypercallChannel {
     ) -> GetOutcome {
         self.counters.calls += 1;
         self.counters.gets += 1;
-        if !self.enabled {
-            return GetOutcome::Miss;
-        }
-        let mut call_cost = self.call_cost;
+        let mut call_cost = Self::DEFAULT_CALL_COST;
         match self.channel_decision(now) {
             FaultDecision::Error | FaultDecision::Stall(_) => {
                 // The call (or its reply) was lost: the cost is paid but
@@ -329,11 +304,6 @@ impl HypercallChannel {
         addr: BlockAddr,
         version: PageVersion,
     ) -> PutOutcome {
-        if !self.enabled {
-            self.counters.calls += 1;
-            self.counters.puts += 1;
-            return PutOutcome::Rejected;
-        }
         if !self.breaker.allows(now) {
             // Skipped locally: the guest never traps, so this is the
             // one outcome that charges no hypercall.
@@ -342,7 +312,7 @@ impl HypercallChannel {
         }
         self.counters.calls += 1;
         self.counters.puts += 1;
-        let mut call_cost = self.call_cost;
+        let mut call_cost = Self::DEFAULT_CALL_COST;
         match self.channel_decision(now) {
             FaultDecision::Error | FaultDecision::Stall(_) => {
                 self.counters.dropped_calls += 1;
@@ -381,7 +351,7 @@ impl HypercallChannel {
     }
 
     /// `flush` hypercall for one block. Returns the backend's flush
-    /// epoch for this invalidation (0 if unjournaled or disabled) and
+    /// epoch for this invalidation (0 if unjournaled) and
     /// folds it into [`HypercallChannel::flush_epoch`].
     pub fn flush(
         &mut self,
@@ -391,13 +361,9 @@ impl HypercallChannel {
     ) -> u64 {
         self.counters.calls += 1;
         self.counters.flushes += 1;
-        if self.enabled {
-            let epoch = backend.flush(self.vm, pool, addr);
-            self.flush_epoch = self.flush_epoch.max(epoch);
-            epoch
-        } else {
-            0
-        }
+        let epoch = backend.flush(self.vm, pool, addr);
+        self.flush_epoch = self.flush_epoch.max(epoch);
+        epoch
     }
 
     /// `flush` hypercall for a whole file. Epoch semantics as
@@ -410,13 +376,9 @@ impl HypercallChannel {
     ) -> u64 {
         self.counters.calls += 1;
         self.counters.flushes += 1;
-        if self.enabled {
-            let epoch = backend.flush_file(self.vm, pool, file);
-            self.flush_epoch = self.flush_epoch.max(epoch);
-            epoch
-        } else {
-            0
-        }
+        let epoch = backend.flush_file(self.vm, pool, file);
+        self.flush_epoch = self.flush_epoch.max(epoch);
+        epoch
     }
 
     // ------------------------------------------------------------------
@@ -444,10 +406,7 @@ impl HypercallChannel {
         }
         self.counters.calls += 1;
         self.counters.gets += addrs.len() as u64;
-        if !self.enabled {
-            return vec![GetOutcome::Miss; addrs.len()];
-        }
-        let mut call_cost = self.call_cost;
+        let mut call_cost = Self::DEFAULT_CALL_COST;
         match self.channel_decision(now) {
             FaultDecision::Error | FaultDecision::Stall(_) => {
                 self.counters.dropped_calls += 1;
@@ -493,18 +452,13 @@ impl HypercallChannel {
         if pages.is_empty() {
             return Vec::new();
         }
-        if !self.enabled {
-            self.counters.calls += 1;
-            self.counters.puts += pages.len() as u64;
-            return vec![PutOutcome::Rejected; pages.len()];
-        }
         if !self.breaker.allows(now) {
             self.counters.breaker_skipped_puts += pages.len() as u64;
             return vec![PutOutcome::Rejected; pages.len()];
         }
         self.counters.calls += 1;
         self.counters.puts += pages.len() as u64;
-        let mut call_cost = self.call_cost;
+        let mut call_cost = Self::DEFAULT_CALL_COST;
         match self.channel_decision(now) {
             FaultDecision::Error | FaultDecision::Stall(_) => {
                 self.counters.dropped_calls += 1;
@@ -553,13 +507,9 @@ impl HypercallChannel {
         }
         self.counters.calls += 1;
         self.counters.flushes += addrs.len() as u64;
-        if self.enabled {
-            let epoch = backend.flush_many(self.vm, pool, addrs);
-            self.flush_epoch = self.flush_epoch.max(epoch);
-            epoch
-        } else {
-            0
-        }
+        let epoch = backend.flush_many(self.vm, pool, addrs);
+        self.flush_epoch = self.flush_epoch.max(epoch);
+        epoch
     }
 }
 
@@ -664,25 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_channel_misses_and_rejects() {
-        let mut b = NullCache::new();
-        let mut ch = HypercallChannel::new(VmId(0));
-        let pool = ch.create_pool(&mut b, CachePolicy::default());
-        ch.set_enabled(false);
-        assert!(!ch.is_enabled());
-        assert_eq!(
-            ch.get(&mut b, SimTime::ZERO, pool, addr()),
-            GetOutcome::Miss
-        );
-        assert_eq!(
-            ch.put(&mut b, SimTime::ZERO, pool, addr(), PageVersion(0)),
-            PutOutcome::Rejected
-        );
-        // Flushes are silently dropped.
-        ch.flush(&mut b, pool, addr());
-    }
-
-    #[test]
     fn call_cost_is_charged() {
         // A backend that records the entry time it was called with.
         struct Probe {
@@ -724,8 +655,8 @@ mod tests {
         }
 
         let mut probe = Probe { seen: None };
-        let cost = SimDuration::from_micros(5);
-        let mut ch = HypercallChannel::with_call_cost(VmId(0), cost);
+        let cost = HypercallChannel::DEFAULT_CALL_COST;
+        let mut ch = HypercallChannel::new(VmId(0));
         let out = ch.get(&mut probe, SimTime::ZERO, PoolId(0), addr());
         // Backend entered after one call cost...
         assert_eq!(probe.seen, Some(SimTime::ZERO + cost));

@@ -29,19 +29,12 @@
 //!    boundary at or below that length under the same install epoch,
 //!    and every record at or below the commit epoch lies below its
 //!    segment's mark — the promise `commit_tick` makes without a lock.
-//! 5. **Front leaves** (`front-tree`) — in Global mode, the only mode
-//!    that maintains or reads them, each store's leaf for a shard holds
-//!    the sequence stamp of that shard's raw FIFO front (live or dead),
-//!    or the empty marker for an empty FIFO: a wrong leaf sends Global
-//!    eviction to the wrong shard.
-
-use std::sync::atomic::Ordering;
 
 use ddc_hypercache::index::Placement;
 use ddc_hypercache::{audit_cut, AuditFinding};
 use ddc_storage::Journal;
 
-use crate::sharded::{ShardedCache, EMPTY_FRONT};
+use crate::sharded::ShardedCache;
 
 fn placements() -> [Placement; 2] {
     [Placement::Mem, Placement::Ssd]
@@ -220,31 +213,6 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             }
         }
 
-        // 5. Front leaves: each mirrors its shard's raw Global FIFO
-        // front (dead or live). Only shards that keep Global FIFOs have
-        // fronts — the other modes never read the leaves and skip their
-        // maintenance, so theirs are legitimately stale.
-        for placement in placements() {
-            let leaves = cache.front_leaves(placement);
-            for ((si, shard), leaf) in shards.iter().enumerate().zip(leaves) {
-                let Some(global) = shard.state.global_fifos() else {
-                    continue;
-                };
-                let want = global.front_seq(placement).unwrap_or(EMPTY_FRONT);
-                let got = leaf.load(Ordering::Acquire);
-                if got != want {
-                    findings.push(AuditFinding {
-                        invariant: "front-tree",
-                        detail: format!(
-                            "shard {si} {} leaf holds seq {got} but the FIFO front \
-                             is {want}",
-                            store_name(placement)
-                        ),
-                    });
-                }
-            }
-        }
-
         findings
     })
 }
@@ -253,7 +221,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
 mod tests {
     use super::*;
     use ddc_cleancache::{CachePolicy, PageVersion, SecondChanceCache, VmId};
-    use ddc_hypercache::{CacheConfig, PartitionMode};
+    use ddc_hypercache::CacheConfig;
     use ddc_sim::SimTime;
     use ddc_storage::{BlockAddr, FileId, JournalRecord};
 
@@ -303,42 +271,6 @@ mod tests {
             assert_eq!(audit(&cache), vec![]);
         }
         assert_eq!(cache.pool_stats(VmId(1), a).unwrap().entitlement_pages, 16);
-    }
-
-    #[test]
-    fn a_front_leaf_that_drifted_from_its_fifo_is_detected_in_global_mode() {
-        for mode in [PartitionMode::Global, PartitionMode::DoubleDecker] {
-            let config = CacheConfig::mem_and_ssd(64, 64).with_mode(mode);
-            let mut cache = ShardedCache::new(config, 4);
-            cache.add_vm(VmId(1), 100);
-            let pool = cache.create_pool(VmId(1), CachePolicy::mem(100));
-            let si = cache.shard_of(VmId(1), pool);
-            for block in 0..8 {
-                let addr = BlockAddr::new(FileId(1), block);
-                cache.put(SimTime::ZERO, VmId(1), pool, addr, PageVersion(1));
-            }
-            assert_eq!(audit(&cache), vec![], "{mode:?}");
-            // An occupied leaf that points past its front, and an empty
-            // shard's leaf that claims a front.
-            let empty = (si + 1) % cache.shard_count();
-            cache.skew_front_leaf(si, Placement::Mem, 1 << 40);
-            cache.skew_front_leaf(empty, Placement::Ssd, 1);
-            let found = findings_of(&cache, "front-tree");
-            if mode == PartitionMode::Global {
-                assert_eq!(found.len(), 2, "{found:?}");
-                assert!(
-                    found[0].starts_with(&format!("shard {si} mem")),
-                    "{found:?}"
-                );
-                assert!(
-                    found[1].starts_with(&format!("shard {empty} ssd")),
-                    "{found:?}"
-                );
-            } else {
-                // Nothing reads the leaves outside Global mode.
-                assert_eq!(found, Vec::<String>::new());
-            }
-        }
     }
 
     #[test]

@@ -682,12 +682,6 @@ pub struct StressOutcome {
     /// Journal checkpoint rewrites triggered during the run
     /// (diagnostic; 0 on the volatile plane).
     pub journal_compactions: u64,
-    /// Global evictions that locked a shard no longer holding the
-    /// smallest front and nominated again (diagnostic).
-    pub front_tree_retries: u64,
-    /// Global evictions that exhausted their nomination budget and
-    /// ended the batch short (diagnostic).
-    pub front_tree_fallbacks: u64,
     /// Aggregate remote fetch counters across every binding (all zero
     /// when the run had no remote attached).
     pub remote: RemoteCounters,
@@ -823,8 +817,6 @@ pub fn run_stress(cfg: &StressConfig, threads: usize) -> StressOutcome {
         two_phase_fallbacks: cache.two_phase_fallbacks(),
         commit_epoch: cache.commit_epoch(),
         journal_compactions: cache.journal_compactions(),
-        front_tree_retries: cache.front_tree_retries(),
-        front_tree_fallbacks: cache.front_tree_fallbacks(),
         remote,
         remote_thirds: [mark(0), since(&mark(1), &mark(0)), since(&remote, &mark(1))],
         batched_ops: cache.batched_ops(),

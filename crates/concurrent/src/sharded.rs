@@ -23,8 +23,8 @@
 //!   Page allocation is a CAS (`used < capacity → used + 1`), so the
 //!   store can never oversubscribe no matter how threads interleave.
 //! * **Cross-shard eviction** — a full ledger triggers the one
-//!   eviction path (`evict_batch`), which never holds two shard locks.
-//!   DoubleDecker and Strict mode pick the victim with the policy
+//!   eviction path (`evict_batch`). DoubleDecker and Strict mode never
+//!   hold two shard locks: they pick the victim with the policy
 //!   module's two-level walk ([`ShareTable::select_victim`], the same
 //!   function the serial engine calls) over the share memo and
 //!   the lock-free per-pool [`UsageMirror`]s — registry read lock
@@ -32,9 +32,8 @@
 //!   re-validate the pick against a fresh snapshot, and retry if it
 //!   went stale; once the retry budget is spent the evictor takes its
 //!   current pick unvalidated, so progress is always guaranteed. Global
-//!   mode scans one atomic leaf per shard — the sequence stamp of its
-//!   FIFO front — for the smallest, and locks only that shard. A batch
-//!   that frees nothing rejects the put.
+//!   mode locks every shard and evicts the smallest live FIFO front
+//!   each time. A batch that frees nothing rejects the put.
 //! * **Lock order** — the evictor gate above all (taken with no other
 //!   lock held); then `registry` before any shard; shards in ascending
 //!   index; never acquire a lower-index (or the registry) lock while
@@ -47,8 +46,8 @@
 //!   consistent cut (`entries`, the auditor, wear and remote totals,
 //!   journal images and durable lengths), journal installation and
 //!   checkpoint rewrites (`enable_journal`, live compaction, the end of
-//!   `recover`), and `recover`'s front-leaf re-sync. None of them is
-//!   reachable from a put's eviction loop.
+//!   `recover`), and Global-mode eviction, which a put reaches only
+//!   from its eviction loop with no lock held.
 //!
 //! # Determinism contract
 //!
@@ -112,9 +111,7 @@ use ddc_cleancache::{
 use ddc_hypercache::index::{Placement, Pool, Slot, UsageMirror};
 use ddc_hypercache::policy::ShareTable;
 use ddc_hypercache::registry::{self, Control, ShareMemo};
-use ddc_hypercache::shard::{
-    self, Cut, FifoScrub, Placed, PoolVisit, ReplayLog, ShardState, StoreBackend,
-};
+use ddc_hypercache::shard::{self, Cut, Placed, PoolVisit, ReplayLog, ShardState, StoreBackend};
 use ddc_hypercache::{
     store_kind_code, AdmissionConfig, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
     JOURNAL_COMPACT_FACTOR,
@@ -127,9 +124,6 @@ use ddc_storage::{
 };
 
 use crate::backoff::{self, Backoff};
-
-/// A front leaf whose shard's FIFO (for that store) is empty.
-pub(crate) const EMPTY_FRONT: u64 = u64::MAX;
 
 /// Global page accounting for one store: capacity and used pages shared
 /// by every shard. `try_alloc` is a CAS loop, so concurrent puts can
@@ -492,13 +486,6 @@ struct StatCounters {
     /// Weighted evictions that spent their retry budget and evicted
     /// from their current pick without re-validating it.
     two_phase_fallbacks: AtomicU64,
-    /// Global evictions that locked the nominated shard, found that it
-    /// no longer holds the smallest front (its front died or moved) and
-    /// nominated again.
-    front_tree_retries: AtomicU64,
-    /// Global evictions that spent their nomination budget and ended
-    /// the batch short.
-    front_tree_fallbacks: AtomicU64,
     /// Checkpoint rewrites performed by live compaction.
     journal_compactions: AtomicU64,
 }
@@ -524,8 +511,7 @@ struct EvictorGate {
     gate: Mutex<()>,
 }
 
-/// Everything else: the test hooks, the Global-mode front leaves and
-/// the remote registry.
+/// Everything else: the test hooks and the remote registry.
 #[repr(align(64))]
 struct Cold {
     /// Test hook run between phases 1 and 2 with **no** locks held;
@@ -538,12 +524,6 @@ struct Cold {
     /// wait for it.
     #[cfg(test)]
     append_hook: RwLock<Option<AppendHook>>,
-    /// Global mode's front leaves, one array per store (indexed by
-    /// [`Placement::idx`]): leaf `s` holds the sequence stamp of shard
-    /// `s`'s FIFO front, live or lazily dead, or [`EMPTY_FRONT`] — the
-    /// shard with the smallest is the one Global eviction locks
-    /// ([`ShardedCache::publish_front`]).
-    front_leaves: [Box<[AtomicU64]>; 2],
     /// Registered remote chunk stores (bindings live per shard).
     remote_registry: Mutex<RemoteRegistry>,
 }
@@ -752,8 +732,6 @@ impl ShardedCache {
                 eviction_hook: RwLock::new(None),
                 #[cfg(test)]
                 append_hook: RwLock::new(None),
-                front_leaves: [(); 2]
-                    .map(|_| (0..n).map(|_| AtomicU64::new(EMPTY_FRONT)).collect()),
                 remote_registry: Mutex::new(RemoteRegistry::new()),
             },
         }))
@@ -910,7 +888,9 @@ impl ShardedCache {
     }
 
     /// Installs (or clears) a hook run between an eviction's victim
-    /// pick and its shard lock (every mode), with no locks held. Tests
+    /// pick and its shard lock, with no locks held (DoubleDecker and
+    /// Strict mode: Global eviction holds every shard and has no such
+    /// window). Tests
     /// use it to mutate the cache from the evicting thread's blind spot
     /// and force snapshot staleness; production code leaves it unset.
     pub fn set_eviction_hook(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
@@ -983,19 +963,17 @@ impl ShardedCache {
         (0, 0)
     }
 
-    /// Global evictions that locked their nominated shard, found it no
-    /// longer held the smallest front and nominated again.
+    /// Always 0: Global eviction holds every shard it compares, so no
+    /// nomination can go stale. Kept for the same reason as
+    /// [`Self::reservation_retries`].
     pub fn front_tree_retries(&self) -> u64 {
-        self.inner.stats.front_tree_retries.load(Ordering::Relaxed)
+        0
     }
 
-    /// Global evictions that spent their nomination budget and
-    /// returned what they had freed.
+    /// Always 0, kept for the same reason as
+    /// [`Self::reservation_retries`].
     pub fn front_tree_fallbacks(&self) -> u64 {
-        self.inner
-            .stats
-            .front_tree_fallbacks
-            .load(Ordering::Relaxed)
+        0
     }
 
     /// Always 0: puts no longer speculate on a placement, so there is
@@ -1052,11 +1030,6 @@ impl ShardedCache {
         );
     }
 
-    /// The front leaves of one store, one per shard (auditor use).
-    pub(crate) fn front_leaves(&self, placement: Placement) -> &[AtomicU64] {
-        &self.inner.cold.front_leaves[placement.idx()]
-    }
-
     /// This handle's memoized share table for one store, if it is filled
     /// and still valid against `reg`, the registry the auditor holds, by
     /// the memo's own rule (auditor use).
@@ -1071,31 +1044,6 @@ impl ShardedCache {
             m.pages(placement)
         })
         .cloned()
-    }
-
-    /// Republishes shard `si`'s FIFO front for one store into its front
-    /// leaf. Call under the shard's lock after any operation that
-    /// changed the queue's *head tuple* (push into an empty queue,
-    /// front pop, compaction, wholesale clear) — operations that merely
-    /// kill an entry in place leave the head tuple intact and need no
-    /// sync (the evictor pops dead fronts under the nominated shard's
-    /// lock).
-    ///
-    /// Only Global mode ever *reads* the leaves (its eviction scans
-    /// them), so the other modes skip maintenance entirely.
-    fn sync_front(&self, si: usize, shard: &Shard, placement: Placement) {
-        self.publish_front(si, placement, shard.state.front_seq(placement));
-    }
-
-    /// [`Self::sync_front`] for a caller that holds the front's stamp
-    /// itself (a [`shard::PoolVisit`] in progress). A release store
-    /// under the shard's lock: the leaf can only go stale through
-    /// another holder of that lock, who publishes in turn.
-    fn publish_front(&self, si: usize, placement: Placement, front_seq: Option<u64>) {
-        if self.inner.ro.mode == PartitionMode::Global {
-            let seq = front_seq.unwrap_or(EMPTY_FRONT);
-            self.front_leaves(placement)[si].store(seq, Ordering::Release);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1566,13 +1514,6 @@ impl ShardedCache {
             .append
             .journal_gen
             .store(log.next_gen, Ordering::Relaxed);
-
-        // Replay left the front leaves alone: make the invariant (leaf
-        // == front entry seq) hold before anything reads them.
-        for (si, shard) in cache.lock_all_shards().iter().enumerate() {
-            cache.sync_front(si, shard, Placement::Mem);
-            cache.sync_front(si, shard, Placement::Ssd);
-        }
         // Replayed capacity records may leave a store oversubscribed
         // (the journal recorded a shrink whose evictions were lost);
         // shrink with real evictions now.
@@ -1599,9 +1540,7 @@ impl ShardedCache {
     /// Applies one replayed record: a control record through
     /// [`Self::control`], everything that touches pools through the
     /// shard transitions on the pool's home shard. The journals are
-    /// still `None`, so nothing re-logs; the front leaves are re-synced
-    /// wholesale once replay is over. `false` for a dropped
-    /// `Put`.
+    /// still `None`, so nothing re-logs. `false` for a dropped `Put`.
     fn apply_record(&self, gen: u64, rec: &JournalRecord) -> bool {
         match *rec {
             JournalRecord::Put { vm, pool, .. }
@@ -1717,7 +1656,6 @@ impl ShardedCache {
             demoted += state.ttl_sweep_pool(&mut self.ledgers(), (vm, pid), ttl, |rec| {
                 self.log_in(si, journal, rec);
             });
-            self.sync_front(si, &shard, Placement::Ssd);
         }
         demoted
     }
@@ -1810,8 +1748,7 @@ impl ShardedCache {
     }
 
     /// Frees up to one eviction batch from `placement`'s store; 0 means
-    /// nothing could be freed. Caller must hold no shard lock. Never
-    /// holds two shard locks at once.
+    /// nothing could be freed. Caller must hold no shard lock.
     ///
     /// DoubleDecker and Strict mode: select the victim without shard
     /// locks ([`Self::select_victim`]), then lock only its home shard,
@@ -1819,7 +1756,7 @@ impl ShardedCache {
     /// pick someone else, or the locked pool turned out empty) retries;
     /// once [`Self::TWO_PHASE_MAX_RETRIES`] are spent the evictor
     /// takes its current pick as is, so it can never loop without
-    /// progress. Global mode nominates from the front leaves
+    /// progress. Global mode holds every shard
     /// ([`Self::evict_batch_global`]).
     ///
     /// Driven single-threaded the mirrors equal the locked usage, so the
@@ -1879,95 +1816,39 @@ impl ShardedCache {
         }
     }
 
-    /// Stale nominations before a Global eviction gives up on chasing a
-    /// moving front and returns what it has freed. Generous: a retry
-    /// only happens when a front died in place or another thread moved
-    /// one between the scan and the shard lock.
-    const MAX_STALE_NOMINATIONS: u32 = 64;
-
-    /// The shard whose front leaf holds the smallest sequence stamp, or
-    /// `None` when every leaf is empty. Stamps are unique, so there is
-    /// one such shard.
-    fn nominate(leaves: &[AtomicU64]) -> Option<usize> {
-        let seqs = leaves.iter().map(|leaf| leaf.load(Ordering::Acquire));
-        let (si, seq) = seqs.enumerate().min_by_key(|&(_, seq)| seq)?;
-        (seq != EMPTY_FRONT).then_some(si)
-    }
-
-    /// Global-mode eviction: scan the front leaves, lock only the
-    /// nominated shard, re-validate, evict while it stays the global
-    /// minimum. The per-shard FIFOs are pushed in strictly increasing
-    /// seq order, so taking the minimal live front each time
-    /// reconstructs the exact store-wide FIFO order. The scan may
-    /// nominate a shard whose front is lazily dead or already stale —
-    /// popping dead fronts and scanning again under that one shard's
-    /// lock repairs it. Driven single-threaded the first nomination
-    /// re-validates exactly (dead-front repair included), so
-    /// Global-mode determinism against the serial engine holds.
+    /// Global-mode eviction: lock every shard, read each one's live FIFO
+    /// front once, and evict the smallest, refreshing only the front
+    /// just taken. The per-shard FIFOs are pushed in strictly
+    /// increasing seq order, so this is the exact store-wide FIFO order
+    /// under any interleaving, and the batch ends short only when the
+    /// store holds nothing more to evict.
     fn evict_batch_global(&self, placement: Placement) -> u64 {
-        let leaves = self.front_leaves(placement);
+        let mut shards = self.lock_all_shards();
+        let live_front = |shard: &mut Shard| {
+            shard.state.pop_dead_fronts(placement);
+            shard.state.front_seq(placement)
+        };
+        let mut fronts: Vec<_> = shards.iter_mut().map(|s| live_front(s)).collect();
         let mut freed = 0;
-        let mut stale_nominations = 0u32;
-        'nominate: while freed < EVICTION_BATCH_PAGES {
-            let Some(si) = Self::nominate(leaves) else {
+        while freed < EVICTION_BATCH_PAGES {
+            let live = fronts.iter().enumerate();
+            let Some((_, si)) = live.filter_map(|(si, f)| f.map(|seq| (seq, si))).min() else {
                 break;
             };
-            // No locks held: the same blind spot as between the phases
-            // of the weighted evictor.
-            self.run_eviction_hook();
-            let mut shard = self.lock_shard(si);
-            // Repair a lazily-dead front under the lock, then scan
-            // again: the shard may no longer hold the global minimum.
-            self.pop_dead_fronts(si, &mut shard, placement);
-            if Self::nominate(leaves) != Some(si) {
-                // Fruitless nomination (dead-front repair, or another
-                // thread moved the front). Each repair fixes its leaf
-                // for good, so single-threaded this is bounded by the
-                // shard count — the budget only trips under adversarial
-                // cross-thread churn, where the batch ends short instead
-                // of chasing a moving front forever.
-                self.inner
-                    .stats
-                    .front_tree_retries
-                    .fetch_add(1, Ordering::Relaxed);
-                stale_nominations += 1;
-                if stale_nominations > Self::MAX_STALE_NOMINATIONS {
-                    self.inner
-                        .stats
-                        .front_tree_fallbacks
-                        .fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                continue;
-            }
-            // The shard's front is the (live) global minimum and we hold
-            // the shard: evict from it for as long as that stays true.
-            while freed < EVICTION_BATCH_PAGES {
-                let evicted = shard.state.evict_front(&mut self.ledgers(), placement);
-                let Some((vm, pool_id, addr)) = evicted else {
-                    continue 'nominate;
-                };
-                self.log_in(
-                    si,
-                    &mut shard.journal,
-                    shard::evict_record(vm, pool_id, addr),
-                );
-                freed += 1;
-                self.pop_dead_fronts(si, &mut shard, placement);
-                if Self::nominate(leaves) != Some(si) {
-                    continue 'nominate;
-                }
-            }
+            let shard = &mut *shards[si];
+            let (vm, pool_id, addr) = shard
+                .state
+                .evict_front(&mut self.ledgers(), placement)
+                .expect("a live front");
+            self.log_in(
+                si,
+                &mut shard.journal,
+                shard::evict_record(vm, pool_id, addr),
+            );
+            freed += 1;
+            fronts[si] = live_front(shard);
         }
         freed
-    }
-
-    /// Pops lazily-dead entries off one (locked) shard's FIFO front and
-    /// republishes its leaf. On return the front is live or the queue is
-    /// empty, and the leaf is exact.
-    fn pop_dead_fronts(&self, si: usize, shard: &mut Shard, placement: Placement) {
-        shard.state.pop_dead_fronts(placement);
-        self.sync_front(si, shard, placement);
     }
 
     /// One eviction batch of one pool out of its (locked) home shard
@@ -2224,9 +2105,6 @@ impl ShardedCache {
                     }
                 };
                 out[next - 1] = PutOutcome::Stored { finish };
-                // The push (into a possibly-empty queue) may have
-                // changed the head tuple.
-                self.publish_front(si, placement, visit.front_seq(placement));
                 if journal.is_some() {
                     let record = shard::put_record(vm, pool, addr, version, placement);
                     scratch.records.push(record);
@@ -2237,7 +2115,7 @@ impl ShardedCache {
                 }
             }
             let scrub = visit.end();
-            self.scrub_fifos(si, state, scrub);
+            state.scrub(scrub);
             self.leave_shard(si, shard, &mut scratch);
             drop(reg);
             match pause {
@@ -2256,19 +2134,6 @@ impl ShardedCache {
             }
         }
         self.scratch = scratch;
-    }
-
-    /// What a finished [`PoolVisit`] left to do on its (locked) shard:
-    /// the FIFOs its inserts left dominated by tombstones compacted,
-    /// and their fronts, which the compaction may have changed,
-    /// republished.
-    fn scrub_fifos(&self, si: usize, state: &mut ShardState, due: FifoScrub) {
-        state.scrub(due);
-        for placement in [Placement::Mem, Placement::Ssd] {
-            if due.wants(placement) {
-                self.publish_front(si, placement, state.front_seq(placement));
-            }
-        }
     }
 
     /// The flush group: one lock acquisition, every Flush record
@@ -2392,7 +2257,7 @@ impl ShardedCache {
 
     /// The target half on `to`'s (locked) home shard
     /// ([`ShardState::adopt`]; a page a racing put took first drops the
-    /// object too), then the front republished and the `Put` journaled.
+    /// object too), then the `Put` journaled.
     fn migrate_in(
         &self,
         si: usize,
@@ -2403,7 +2268,6 @@ impl ShardedCache {
         slot: Slot,
     ) {
         if shard.state.adopt(&mut self.ledgers(), vm, to, addr, slot) {
-            self.sync_front(si, shard, slot.placement);
             let put = shard::put_record(vm, to, addr, slot.version, slot.placement);
             self.log_in(si, &mut shard.journal, put);
         }
@@ -2452,8 +2316,6 @@ impl SecondChanceCache for ShardedCache {
             state.scrub(scrub);
             self.log_in(si, journal, shard::evict_record(vm, pool, addr));
             if moved {
-                // The insert may have changed the head tuple.
-                self.publish_front(si, to, state.front_seq(to));
                 self.log_in(si, journal, shard::put_record(vm, pool, addr, version, to));
             }
         }
@@ -2606,13 +2468,6 @@ mod tests {
             let capacity = self.ledger(placement).capacity_pages();
             let legacy_used = |_, _, m: &Arc<UsageMirror>| m.pages(placement);
             memo.with(&other, version, capacity, placement, legacy_used, |_| ());
-        }
-
-        /// Overwrites shard `si`'s front leaf for one store with `seq`
-        /// behind the shard's back, so tests can show the auditor
-        /// notices.
-        pub(crate) fn skew_front_leaf(&self, si: usize, placement: Placement, seq: u64) {
-            self.front_leaves(placement)[si].store(seq, Ordering::Release);
         }
 
         /// Corrupts one resident object's stored checksum behind the
@@ -2942,10 +2797,6 @@ mod tests {
                     );
                     assert!(ledger.used_pages() <= ledger.capacity_pages());
                 }
-            }
-            // The raw transitions left the front leaves to their caller.
-            for placement in [Placement::Mem, Placement::Ssd] {
-                cache.sync_front(0, &shard, placement);
             }
             drop(shard);
             let findings = audit(&cache);

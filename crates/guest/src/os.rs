@@ -180,12 +180,6 @@ impl GuestOs {
         self.counters
     }
 
-    /// Disables or enables the cleancache data path (a guest without the
-    /// DoubleDecker patch).
-    pub fn set_cleancache_enabled(&mut self, enabled: bool) {
-        self.channel.set_enabled(enabled);
-    }
-
     /// Installs (or clears) a fault schedule on the hypercall channel
     /// (dropped or slowed get/put calls). Flush and control hypercalls
     /// stay reliable; see [`HypercallChannel::set_fault_schedule`].
@@ -1135,26 +1129,6 @@ mod tests {
             !guest.destroy_cgroup(&mut env, cg),
             "double destroy is a safe no-op"
         );
-    }
-
-    #[test]
-    fn disabled_cleancache_never_puts() {
-        let mut guest = tiny_guest(4);
-        guest.set_cleancache_enabled(false);
-        let mut backend = new_dd_cache(1000);
-        let mut disk = Device::hdd();
-        let mut env = GuestEnv {
-            backend: &mut backend,
-            disk: &mut disk,
-        };
-        let cg = guest.create_cgroup(&mut env, "c", 4, CachePolicy::default());
-        let mut now = SimTime::ZERO;
-        for b in 0..8 {
-            now = guest.read(&mut env, now, cg, addr(1, b)).finish;
-        }
-        assert_eq!(guest.counters().cleancache_puts, 0);
-        let r = guest.read(&mut env, now, cg, addr(1, 0));
-        assert_eq!(r.level, HitLevel::Disk);
     }
 
     #[test]

@@ -150,12 +150,6 @@ impl GlobalFifos {
         self.stale[placement.idx()]
     }
 
-    /// The sequence stamp at the front of one FIFO, dead or live.
-    #[inline]
-    pub fn front_seq(&self, placement: Placement) -> Option<u64> {
-        self.fifo(placement).front().map(|&(_, _, _, seq)| seq)
-    }
-
     /// Queues one object; `true` if the queue now wants a compaction
     /// ([`ShardState::scrub`]).
     #[inline]
@@ -276,7 +270,8 @@ impl ShardState {
     /// `None` for an empty queue, or outside Global mode.
     #[inline]
     pub fn front_seq(&self, placement: Placement) -> Option<u64> {
-        self.global.as_ref()?.front_seq(placement)
+        let front = self.global.as_ref()?.fifo(placement).front();
+        front.map(|&(_, _, _, seq)| seq)
     }
 
     /// The entries of one Global FIFO that are dead right now, counted
@@ -720,13 +715,6 @@ impl ShardState {
 #[must_use = "hand it to ShardState::scrub, or the FIFOs keep their tombstones"]
 pub struct FifoScrub([bool; 2]);
 
-impl FifoScrub {
-    /// Whether `placement`'s FIFO is among them.
-    pub fn wants(self, placement: Placement) -> bool {
-        self.0[placement.idx()]
-    }
-}
-
 /// One pool of a [`ShardState`], resolved once ([`ShardState::visit`])
 /// for a run of transitions: what a group of puts, gets or flushes that
 /// names one pool runs through while it holds the shard. Every
@@ -751,12 +739,6 @@ impl PoolVisit<'_> {
     #[inline]
     pub fn end(self) -> FifoScrub {
         self.scrub
-    }
-
-    /// See [`ShardState::front_seq`].
-    #[inline]
-    pub fn front_seq(&self, placement: Placement) -> Option<u64> {
-        self.global.as_deref()?.front_seq(placement)
     }
 
     /// Removes one object (if resident): see [`ShardState::remove`].

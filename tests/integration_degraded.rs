@@ -8,36 +8,6 @@ fn a(vm: VmId, inode: u64, block: u64) -> BlockAddr {
     BlockAddr::new(vm_file(vm, inode), block)
 }
 
-/// Disabling cleancache mid-run degrades to disk gracefully: no stale
-/// reads, no stuck threads — just slower IO.
-#[test]
-fn cleancache_disabled_mid_run() {
-    let mut host = Host::new(HostConfig::new(CacheConfig::mem_only(1024)));
-    let vm = host.boot_vm(4, 100);
-    let cg = host.create_container(vm, "c", 8, CachePolicy::mem(100));
-    let mut now = SimTime::ZERO;
-    for b in 0..32 {
-        now = host.read(now, vm, cg, a(vm, 1, b)).finish;
-    }
-    assert!(host.container_cache_stats(vm, cg).unwrap().mem_pages > 0);
-    // Pull the plug on the data path (as if the DD patch were unloaded).
-    host.guest_mut(vm).set_cleancache_enabled(false);
-    for b in 0..32 {
-        let r = host.read(now, vm, cg, a(vm, 1, b));
-        now = r.finish;
-        assert_ne!(
-            r.level,
-            HitLevel::Cleancache,
-            "disabled channel must never hit"
-        );
-    }
-    // Reads still complete and are coherent; residual cache objects are
-    // simply stranded until re-enabled.
-    host.guest_mut(vm).set_cleancache_enabled(true);
-    let r = host.read(now, vm, cg, a(vm, 1, 0));
-    assert!(r.finish > now);
-}
-
 /// A cache shrunk to zero capacity rejects all puts; the guest keeps
 /// running on page cache + disk only.
 #[test]
