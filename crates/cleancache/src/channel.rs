@@ -89,7 +89,13 @@ pub struct ChannelCounters {
 /// assert!(!out.is_hit()); // NullCache always misses
 /// assert_eq!(chan.counters().gets, 1);
 /// ```
+///
+/// Line-aligned: one thread writes a channel's counters on every call,
+/// and callers keep one channel per VM side by side (a `Vec` of guests
+/// or clients), so two VMs' channels must not share a cache line
+/// whatever the channel's size is.
 #[derive(Clone, Debug)]
+#[repr(align(64))]
 pub struct HypercallChannel {
     vm: VmId,
     counters: ChannelCounters,
@@ -520,6 +526,12 @@ mod tests {
 
     fn addr() -> BlockAddr {
         BlockAddr::new(FileId(1), 0)
+    }
+
+    #[test]
+    fn channels_side_by_side_share_no_cache_line() {
+        assert_eq!(std::mem::align_of::<HypercallChannel>(), 64);
+        assert_eq!(std::mem::size_of::<HypercallChannel>() % 64, 0);
     }
 
     #[test]
