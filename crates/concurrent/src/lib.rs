@@ -13,8 +13,7 @@
 //!   shard's lock, as on the serial engine, and every put visit reads
 //!   its pool's policy under the registry and shard locks it holds
 //!   (DESIGN.md §15). Global-mode
-//!   eviction finds its victim by scanning one front leaf per shard and
-//!   locks only the shard it nominates.
+//!   eviction holds every shard and evicts the smallest live FIFO front.
 //! * [`driver`] — a multi-threaded VM driver: each guest runs its
 //!   hypercall stream on its own OS thread against the shared cache,
 //!   with a seeded deterministic-equivalence mode (single-threaded
@@ -24,8 +23,8 @@
 //!   from mutilated segment snapshots, keep driving the same guests.
 //! * [`audit`](mod@audit) — the cross-shard invariant auditor: the checks both
 //!   engines share (`ddc_hypercache::audit_cut`) over a lock-all cut,
-//!   plus shard-map placement, memo and mirror accuracy, journal health
-//!   and Global mode's front leaves.
+//!   plus shard-map placement, memo and mirror accuracy and journal
+//!   health.
 //!
 //! [`SecondChanceCache`]: ddc_cleancache::SecondChanceCache
 

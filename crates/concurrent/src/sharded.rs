@@ -37,11 +37,11 @@
 //! * **Lock order** — the evictor gate above all (taken with no other
 //!   lock held); then `registry` before any shard; shards in ascending
 //!   index; never acquire a lower-index (or the registry) lock while
-//!   holding a higher one. Get, put, flush, eviction and `pool_stats`
-//!   take only one pool's home shard (puts, eviction and `pool_stats`
-//!   the registry read lock before it: a put reads its pool's policy
-//!   and entitlements under both); a get, or a whole `get_many` batch,
-//!   hit or miss, is one visit of it. What still locks every shard, always
+//!   holding a higher one. Get, put, flush, weighted eviction and
+//!   `pool_stats` take only one pool's home shard (puts, eviction and
+//!   `pool_stats` the registry read lock before it: a put reads its
+//!   pool's policy and entitlements under both); a get, or a whole
+//!   `get_many` batch, hit or miss, is one visit of it. What still locks every shard, always
 //!   starting from no shard lock held: whole-cache reads that need one
 //!   consistent cut (`entries`, the auditor, wear and remote totals,
 //!   journal images and durable lengths), journal installation and
