@@ -704,7 +704,7 @@ fn stress_plane(args: &Args) -> bool {
     let mut eq = TextTable::new(vec!["mode", "shards", "byte-identical", "stale"]);
     for c in &report.equivalence {
         eq.row(vec![
-            stress::mode_name(c.mode).to_owned(),
+            c.mode.to_string(),
             c.shards.to_string(),
             if c.identical { "yes" } else { "NO" }.to_owned(),
             c.stale_reads.to_string(),
@@ -734,9 +734,9 @@ fn stress_plane(args: &Args) -> bool {
             format!("{:.0}", c.ops_per_sec()),
             c.stale_reads.to_string(),
             c.findings.len().to_string(),
-            c.commit_epoch.to_string(),
-            c.journal_compactions.to_string(),
-            c.batched_ops.to_string(),
+            c.cache.commit_epoch().to_string(),
+            c.cache.journal_compactions().to_string(),
+            c.cache.batched_ops().to_string(),
         ]);
     }
     println!("{}", sc.render());

@@ -691,7 +691,7 @@ fn run_threaded_case(master_seed: u64, id: u32) -> ThreadedChaosCase {
     }
 
     let kill_tick = rng.range_u64(8, 40);
-    h.drive(0, kill_tick);
+    h.drive(0, kill_tick, 1);
     let kill_vm = rng.range_usize(0, cfg.vms as usize);
     let budget = rng.range_u64(0, 2 + cfg.puts_per_tick + cfg.gets_per_tick);
     h.drive_killed_tick(kill_tick, kill_vm, budget);
@@ -719,7 +719,7 @@ fn run_threaded_case(master_seed: u64, id: u32) -> ThreadedChaosCase {
     let mut audit_findings = h.audit().len() as u64;
 
     // The same guests keep running on the 8-thread plane.
-    h.drive_threaded(
+    h.drive(
         kill_tick + 1,
         kill_tick + 1 + THREADED_CONT_TICKS,
         THREADED_PLANE_THREADS,
@@ -829,7 +829,7 @@ fn run_remote_case(master_seed: u64, id: u32) -> RemoteChaosCase {
     cfg = cfg.with_remote(setup);
 
     let mut h = CrashHarness::new(&cfg);
-    h.drive(0, kill_tick);
+    h.drive(0, kill_tick, 1);
     let kill_vm = rng.range_usize(0, cfg.vms as usize);
     let budget = rng.range_u64(0, 2 + cfg.puts_per_tick + cfg.gets_per_tick);
     h.drive_killed_tick(kill_tick, kill_vm, budget);
@@ -846,7 +846,7 @@ fn run_remote_case(master_seed: u64, id: u32) -> RemoteChaosCase {
     // The same guests continue on the 8-thread plane; `recover` rebuilt
     // the remote tier from scratch (fresh store, fresh bindings, fresh
     // breakers), so the post counters restart from zero.
-    h.drive_threaded(
+    h.drive(
         kill_tick + 1,
         kill_tick + 1 + REMOTE_CONT_TICKS,
         THREADED_PLANE_THREADS,

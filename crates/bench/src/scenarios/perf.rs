@@ -633,13 +633,13 @@ fn stress_work(cfg: StressConfig, ticks: u64) -> Json {
     o.set("trickle_downs", plane.trickle_downs());
     o.set("mem_pages", plane.mem_used_pages());
     o.set("ssd_pages", plane.ssd_used_pages());
-    o.set("two_phase_retries", out.two_phase_retries);
-    o.set("two_phase_fallbacks", out.two_phase_fallbacks);
-    o.set("commit_epoch", out.commit_epoch);
+    o.set("two_phase_retries", plane.two_phase_retries());
+    o.set("two_phase_fallbacks", plane.two_phase_fallbacks());
+    o.set("commit_epoch", plane.commit_epoch());
     o.set("journal_records", plane.journal_records().unwrap_or(0));
     let images = plane.journal_images().unwrap_or_default();
     o.set("journal_bytes", images.iter().map(Vec::len).sum::<usize>());
-    o.set("journal_compactions", out.journal_compactions);
+    o.set("journal_compactions", plane.journal_compactions());
     o.set("batch", snapshot_json(&plane.batch_counters()));
     o.set("remote", snapshot_json(&out.remote));
     o.set("wear", snapshot_json(&plane.wear_totals()));

@@ -29,7 +29,9 @@
 //! write plane (DESIGN.md §18) targets. Every row reports the batch
 //! plane's lock-acquisition and journal-append counters.
 
-use ddc_core::concurrent::{run_equivalence, run_stress, EngineKind, StressConfig, StressOutcome};
+use ddc_core::concurrent::{
+    run_equivalence, run_stress, ShardedCache, StressConfig, StressOutcome,
+};
 use ddc_core::prelude::*;
 use ddc_json::Json;
 
@@ -135,7 +137,7 @@ impl StressReport {
             && self
                 .scaling
                 .iter()
-                .all(|c| c.out.clean() && (c.out.commit_epoch > 0) == c.journal)
+                .all(|c| c.out.clean() && (c.out.cache.commit_epoch() > 0) == c.journal)
     }
 
     /// Machine-readable report (schema [`SCHEMA`]): seed-determined
@@ -149,7 +151,7 @@ impl StressReport {
         root.set("passed", self.passed());
         let equivalence = self.equivalence.iter().map(|c| {
             let mut o = Json::object();
-            o.set("mode", mode_name(c.mode));
+            o.set("mode", c.mode.to_string());
             o.set("shards", c.shards);
             o.set("identical", c.identical);
             o.set("stale_reads", c.stale_reads);
@@ -157,21 +159,21 @@ impl StressReport {
         });
         root.set("equivalence", equivalence.collect::<Vec<Json>>());
         let scaling = self.scaling.iter().map(|c| {
-            let out = &c.out;
+            let (out, plane) = (&c.out, &c.out.cache);
             let mut o = Json::object();
             o.set("threads", out.threads);
             o.set("journal", c.journal);
             o.set("total_ops", out.total_ops);
             o.set("clean", out.clean());
-            o.set("durable", out.commit_epoch > 0);
+            o.set("durable", plane.commit_epoch() > 0);
             if out.threads == 1 {
                 o.set("hits", out.hits);
                 o.set("stores", out.stores);
-                o.set("commit_epoch", out.commit_epoch);
-                o.set("journal_compactions", out.journal_compactions);
-                o.set("batched_ops", out.batched_ops);
-                o.set("batch_lock_acquisitions", out.batch_lock_acquisitions);
-                o.set("batch_journal_appends", out.batch_journal_appends);
+                o.set("commit_epoch", plane.commit_epoch());
+                o.set("journal_compactions", plane.journal_compactions());
+                o.set("batched_ops", plane.batched_ops());
+                o.set("batch_lock_acquisitions", plane.batch_lock_acquisitions());
+                o.set("batch_journal_appends", plane.batch_journal_appends());
             }
             o
         });
@@ -179,15 +181,6 @@ impl StressReport {
         let mut s = root.to_string_pretty();
         s.push('\n');
         s
-    }
-}
-
-/// Stable lowercase name of a partition mode for tables and JSON.
-pub fn mode_name(mode: PartitionMode) -> &'static str {
-    match mode {
-        PartitionMode::DoubleDecker => "doubledecker",
-        PartitionMode::Global => "global",
-        PartitionMode::Strict => "strict",
     }
 }
 
@@ -229,10 +222,10 @@ pub fn run_equivalence_matrix(seed: u64, smoke: bool, mix: StressMix) -> Vec<Equ
     for mode in modes {
         let mut cfg = base_config(seed, smoke, mix);
         cfg.cache = cfg.cache.with_mode(mode);
-        let serial = run_equivalence(&cfg, EngineKind::Serial);
+        let serial = run_equivalence::<DoubleDeckerCache>(&cfg);
         for shards in SHARD_COUNTS {
             cfg.shards = shards;
-            let sharded = run_equivalence(&cfg, EngineKind::Sharded { shards });
+            let sharded = run_equivalence::<ShardedCache>(&cfg);
             cells.push(EquivalenceCell {
                 mode,
                 shards,
@@ -285,7 +278,7 @@ mod tests {
         assert_eq!(r.scaling.len(), 2 * THREAD_COUNTS.len());
         assert!(r.passed(), "report: {}", r.to_json());
         for c in &r.scaling {
-            assert_eq!(c.journal, c.out.commit_epoch > 0, "cell: {c:?}");
+            assert_eq!(c.journal, c.out.cache.commit_epoch() > 0, "cell: {c:?}");
         }
         // The report is a function of the seed: nothing a clock or a
         // thread interleaving decides is in it.
@@ -325,13 +318,13 @@ mod tests {
         // records through the amortized run-append path.
         for c in &r.scaling {
             assert!(
-                c.out.batched_ops > 0 && c.out.batch_lock_acquisitions > 0,
+                c.out.cache.batched_ops() > 0 && c.out.cache.batch_lock_acquisitions() > 0,
                 "batch plane idle at {} threads: {c:?}",
                 c.out.threads
             );
             if c.journal {
                 assert!(
-                    c.out.batch_journal_appends > 0,
+                    c.out.cache.batch_journal_appends() > 0,
                     "journaled cell never batch-appended: {c:?}"
                 );
             }

@@ -39,8 +39,8 @@ pub mod sharded;
 
 pub use audit::audit;
 pub use driver::{
-    run_equivalence, run_stress, CrashHarness, EngineKind, EquivalenceReport, RemoteSetup,
-    StressConfig, StressOutcome,
+    run_equivalence, run_stress, CrashHarness, EquivalenceReport, RemoteSetup, StressConfig,
+    StressOutcome,
 };
 pub use sharded::{SegmentReplay, ShardedCache, ShardedRecoveryReport};
 

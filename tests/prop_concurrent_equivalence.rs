@@ -31,9 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ddc_core::cleancache::SecondChanceCache;
-use ddc_core::concurrent::{
-    audit, run_equivalence, run_stress, EngineKind, ShardedCache, StressConfig,
-};
+use ddc_core::concurrent::{audit, run_equivalence, run_stress, ShardedCache, StressConfig};
 use ddc_core::hypercache::DoubleDeckerCache;
 use ddc_core::prelude::*;
 use ddc_core::storage::{Journal, JournalRecord};
@@ -54,10 +52,10 @@ fn sharded_engine_is_byte_identical_to_serial_across_modes_and_seeds() {
     for seed in [1, 42, 0xDD04] {
         for mode in modes {
             let mut cfg = config(seed, mode);
-            let serial = run_equivalence(&cfg, EngineKind::Serial);
+            let serial = run_equivalence::<DoubleDeckerCache>(&cfg);
             for shards in [1, 4, 16] {
                 cfg.shards = shards;
-                let sharded = run_equivalence(&cfg, EngineKind::Sharded { shards });
+                let sharded = run_equivalence::<ShardedCache>(&cfg);
                 assert_eq!(
                     serial.json, sharded.json,
                     "report diverged: {mode:?}, {shards} shards, seed {seed}"
@@ -84,14 +82,14 @@ fn journaled_planes_agree_on_flush_epoch_watermarks() {
         for mode in modes {
             let mut cfg = config(seed, mode);
             cfg.journal = true;
-            let serial = run_equivalence(&cfg, EngineKind::Serial);
+            let serial = run_equivalence::<DoubleDeckerCache>(&cfg);
             assert!(
                 serial.json.contains("\"flush_epoch\""),
                 "report must expose the per-VM flush-epoch watermark"
             );
             for shards in [1, 4, 16] {
                 cfg.shards = shards;
-                let sharded = run_equivalence(&cfg, EngineKind::Sharded { shards });
+                let sharded = run_equivalence::<ShardedCache>(&cfg);
                 assert_eq!(
                     serial.json, sharded.json,
                     "journaled report diverged: {mode:?}, {shards} shards, seed {seed}"
@@ -564,10 +562,10 @@ fn read_heavy_mix_is_byte_identical_to_serial_across_modes() {
             cfg.ticks = 300;
             cfg.journal = journal;
             cfg.cache = cfg.cache.with_mode(mode);
-            let serial = run_equivalence(&cfg, EngineKind::Serial);
+            let serial = run_equivalence::<DoubleDeckerCache>(&cfg);
             for shards in [1, 4, 16] {
                 cfg.shards = shards;
-                let sharded = run_equivalence(&cfg, EngineKind::Sharded { shards });
+                let sharded = run_equivalence::<ShardedCache>(&cfg);
                 assert_eq!(
                     serial.json, sharded.json,
                     "read-heavy report diverged: {mode:?}, {shards} shards, journal {journal}"

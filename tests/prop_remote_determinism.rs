@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use ddc_core::concurrent::{run_equivalence, run_stress, EngineKind, StressConfig};
+use ddc_core::concurrent::{run_equivalence, run_stress, ShardedCache, StressConfig};
 use ddc_core::parallel::run_cells_with;
 use ddc_core::prelude::*;
 use ddc_core::storage::{
@@ -121,7 +121,7 @@ fn distinct_seeds_take_distinct_timelines() {
 #[test]
 fn remote_report_bytes_survive_worker_fanout_and_engines() {
     let mut cfg = StressConfig::remote_smoke(0xDE7);
-    let reference = run_equivalence(&cfg, EngineKind::Serial);
+    let reference = run_equivalence::<DoubleDeckerCache>(&cfg);
     assert_eq!(reference.stale_reads, 0, "serial oracle violated");
     assert!(
         reference.json.contains("\"remote_report\""),
@@ -131,7 +131,7 @@ fn remote_report_bytes_survive_worker_fanout_and_engines() {
     // DDC_THREADS) must reproduce the report byte for byte.
     for width in [1usize, 2, 8] {
         let reports = run_cells_with(width, vec![(); 4], |()| {
-            run_equivalence(&StressConfig::remote_smoke(0xDE7), EngineKind::Serial)
+            run_equivalence::<DoubleDeckerCache>(&StressConfig::remote_smoke(0xDE7))
         });
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(
@@ -144,7 +144,7 @@ fn remote_report_bytes_survive_worker_fanout_and_engines() {
     // section agrees across engines too.
     for shards in [1, 4, 16] {
         cfg.shards = shards;
-        let sharded = run_equivalence(&cfg, EngineKind::Sharded { shards });
+        let sharded = run_equivalence::<ShardedCache>(&cfg);
         assert_eq!(sharded.stale_reads, 0, "{shards} shards: stale reads");
         assert_eq!(
             sharded.json, reference.json,

@@ -53,7 +53,7 @@ fn check(h: &CrashHarness, cfg: &StressConfig, segments: &[Vec<u8>], what: &str)
 #[test]
 fn every_single_shard_prefix_recovers_sound() {
     let (mut h, cfg) = harness(0xDD61);
-    h.drive(0, 18);
+    h.drive(0, 18, 1);
     // Die mid-tick: VM 1's stream stops mid-`put_many`, VMs 2-3 and the
     // tick's group commit never run.
     h.drive_killed_tick(18, 1, 4);
@@ -76,7 +76,7 @@ fn every_single_shard_prefix_recovers_sound() {
 #[test]
 fn torn_and_corrupt_single_shard_tails_recover_sound() {
     let (mut h, cfg) = harness(0xDD62);
-    h.drive(0, 18);
+    h.drive(0, 18, 1);
     h.drive_killed_tick(18, 2, 7);
     let segments = h.segment_images();
     let mut rng = SimRng::new(0xDD62_0001);
@@ -107,7 +107,7 @@ fn torn_and_corrupt_single_shard_tails_recover_sound() {
 #[test]
 fn independent_joint_cuts_across_shards_recover_sound() {
     let (mut h, cfg) = harness(0xDD63);
-    h.drive(0, 18);
+    h.drive(0, 18, 1);
     h.drive_killed_tick(18, 0, 9);
     let segments = h.segment_images();
     let mut rng = SimRng::new(0xDD63_0001);
@@ -147,11 +147,7 @@ fn cuts_at_the_durable_marks_recover_sound() {
     let mut lost_bytes = 0;
     for (seed, ticks, threads, kill_vm, budget) in runs {
         let (mut h, cfg) = harness(seed);
-        if threads == 1 {
-            h.drive(0, ticks);
-        } else {
-            h.drive_threaded(0, ticks, threads);
-        }
+        h.drive(0, ticks, threads);
         // Mid-tick: the last commit closed tick `ticks - 1`, so this
         // tick's records sit above the marks on whichever shards they
         // reached.
@@ -188,7 +184,7 @@ fn cuts_at_the_durable_marks_recover_sound() {
 #[test]
 fn future_epochs_discard_rather_than_serve() {
     let (mut h, cfg) = harness(0xDD64);
-    h.drive(0, 15);
+    h.drive(0, 15, 1);
     let segments = h.segment_images();
     // A guest that outlived a journal the cache lost: its epochs point
     // past everything any segment holds. Everything suspect must go.

@@ -22,7 +22,7 @@
 //! (Seeded SimRng schedules — the in-tree replacement for proptest,
 //! which is unavailable offline.)
 
-use ddc_core::concurrent::{run_equivalence, CrashHarness, EngineKind, ShardedCache, StressConfig};
+use ddc_core::concurrent::{run_equivalence, CrashHarness, ShardedCache, StressConfig};
 use ddc_core::prelude::*;
 use ddc_core::storage::{Journal, WearCounters};
 use ddc_json::Json;
@@ -52,7 +52,7 @@ fn wear_field(report_json: &str, field: &str) -> f64 {
 fn ghost_decisions_and_wear_identical_serial_vs_sharded() {
     for seed in [0x3EA1u64, 0x3EA2] {
         let cfg = admission_cfg(seed);
-        let reference = run_equivalence(&cfg, EngineKind::Serial);
+        let reference = run_equivalence::<DoubleDeckerCache>(&cfg);
         assert_eq!(reference.stale_reads, 0, "serial oracle violated");
 
         // The filter must actually be engaging, or the identity claim
@@ -76,9 +76,10 @@ fn ghost_decisions_and_wear_identical_serial_vs_sharded() {
 
         // Shard cells fan out across the DDC_THREADS worker pool; every
         // one must reproduce the serial reference byte for byte.
-        let cells = ddc_core::parallel::run_cells(vec![1usize, 2, 4, 8], {
-            let cfg = cfg.clone();
-            move |shards| run_equivalence(&cfg, EngineKind::Sharded { shards })
+        let cells = ddc_core::parallel::run_cells(vec![1usize, 2, 4, 8], |shards| {
+            let mut cfg = cfg.clone();
+            cfg.shards = shards;
+            run_equivalence::<ShardedCache>(&cfg)
         });
         for (shards, cell) in [1usize, 2, 4, 8].into_iter().zip(cells) {
             assert_eq!(cell.stale_reads, 0, "{shards}-shard oracle violated");
@@ -166,7 +167,7 @@ fn sharded_wear_replays_exactly_across_segment_cuts() {
     cfg.working_set = 64;
     cfg.shards = 4;
     let mut h = CrashHarness::new(&cfg);
-    h.drive(0, 24);
+    h.drive(0, 24, 1);
 
     let live = h.cache().wear_totals();
     assert!(live.spill_rejects > 0, "filter never engaged");
