@@ -4,11 +4,9 @@
 //! the simulator carries its own small PRNG (xoshiro256++ seeded through
 //! SplitMix64) instead of depending on `rand`'s unstable `StdRng`
 //! algorithm. The sampling helpers cover everything the workload models
-//! need: uniform ranges, floats, exponential inter-arrival gaps and
-//! Bernoulli trials. Heavier-tailed distributions (Zipf, Pareto file sizes)
-//! are layered on top in `ddc-workloads`.
-
-use crate::SimDuration;
+//! need: uniform ranges, floats and Bernoulli trials. Heavier-tailed
+//! distributions (Zipf, Pareto file sizes) are layered on top in
+//! `ddc-workloads`.
 
 /// A deterministic PRNG (xoshiro256++) for simulation use.
 ///
@@ -120,30 +118,6 @@ impl SimRng {
         self.next_f64() < p
     }
 
-    /// Exponentially distributed duration with the given mean; used for
-    /// think times and inter-arrival gaps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is zero-length and a sample is requested (returns
-    /// `SimDuration::ZERO` instead; never panics).
-    pub fn exp_duration(&mut self, mean: SimDuration) -> SimDuration {
-        if mean == SimDuration::ZERO {
-            return SimDuration::ZERO;
-        }
-        // Inverse CDF; guard against ln(0).
-        let u = (1.0 - self.next_f64()).max(f64::MIN_POSITIVE);
-        SimDuration::from_nanos((mean.as_nanos() as f64 * -u.ln()).round() as u64)
-    }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     ///
     /// # Panics
@@ -243,35 +217,6 @@ mod tests {
         let mut rng = SimRng::new(29);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
-    }
-
-    #[test]
-    fn exp_duration_mean_close() {
-        let mut rng = SimRng::new(31);
-        let mean = SimDuration::from_micros(100);
-        const N: u64 = 20_000;
-        let total: SimDuration = (0..N).map(|_| rng.exp_duration(mean)).sum();
-        let avg_us = total.as_micros() as f64 / N as f64;
-        assert!(
-            (avg_us - 100.0).abs() < 5.0,
-            "empirical mean {avg_us}us should be near 100us"
-        );
-    }
-
-    #[test]
-    fn exp_duration_zero_mean_is_zero() {
-        let mut rng = SimRng::new(37);
-        assert_eq!(rng.exp_duration(SimDuration::ZERO), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(41);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl BlockAddr {
             block: self.block + 1,
         }
     }
-
-    /// Whether `other` is the page immediately following `self` in the same
-    /// file — used by devices to detect sequential streams.
-    pub fn is_successor_of(self, other: BlockAddr) -> bool {
-        self.file == other.file && self.block == other.block + 1
-    }
 }
 
 impl fmt::Display for BlockAddr {
@@ -99,15 +93,6 @@ mod tests {
         let b = a.next();
         assert_eq!(b.file, FileId(5));
         assert_eq!(b.block, 1);
-        assert!(b.is_successor_of(a));
-        assert!(!a.is_successor_of(b));
-    }
-
-    #[test]
-    fn successor_requires_same_file() {
-        let a = BlockAddr::new(FileId(1), 0);
-        let b = BlockAddr::new(FileId(2), 1);
-        assert!(!b.is_successor_of(a));
     }
 
     #[test]
