@@ -36,17 +36,6 @@ use ddc_storage::Journal;
 
 use crate::sharded::ShardedCache;
 
-fn placements() -> [Placement; 2] {
-    [Placement::Mem, Placement::Ssd]
-}
-
-fn store_name(placement: Placement) -> &'static str {
-    match placement {
-        Placement::Mem => "mem",
-        Placement::Ssd => "ssd",
-    }
-}
-
 /// Audits every cross-shard invariant of `cache`, returning one finding
 /// per violation (empty = healthy). Takes the lock-all path, so call it
 /// between phases, not on the hot path.
@@ -69,7 +58,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
         }
 
         // 2. This handle's memo against a fresh share table.
-        for placement in placements() {
+        for placement in Placement::ALL {
             let capacity = stores[placement.idx()].1;
             let fresh = reg.share_table(capacity, placement, |vm, pid, _| {
                 locked_pool(vm, pid).map_or(0, |p| p.used(placement))
@@ -83,7 +72,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
                     detail: format!(
                         "{} store: this handle's share memo passes its own validity \
                          check but differs from a fresh build (entitlements served stale)",
-                        store_name(placement)
+                        placement.name()
                     ),
                 });
             }
@@ -96,7 +85,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
                 let Some(pool) = locked_pool(vm, *pid) else {
                     continue;
                 };
-                for placement in placements() {
+                for placement in Placement::ALL {
                     let mirrored = mirror.pages(placement);
                     let exact = pool.used(placement);
                     if mirrored != exact {
@@ -105,7 +94,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
                             detail: format!(
                                 "{vm} {pid} {} mirror reads {mirrored} pages but the \
                                  pool holds {exact}",
-                                store_name(placement)
+                                placement.name()
                             ),
                         });
                     }
@@ -260,11 +249,11 @@ mod tests {
         // Warm the memo: filled and right.
         assert_eq!(cache.pool_stats(VmId(1), a).unwrap().entitlement_pages, 16);
         assert_eq!(audit(&cache), vec![]);
-        for placement in placements() {
+        for placement in Placement::ALL {
             cache.skew_share_memo(placement);
             let found = findings_of(&cache, "memo-accuracy");
             assert_eq!(found.len(), 1, "{placement:?}: {found:?}");
-            assert!(found[0].starts_with(store_name(placement)), "{found:?}");
+            assert!(found[0].starts_with(placement.name()), "{found:?}");
             // Any registry mutation retires it (a read would serve it,
             // and in a debug build trip the memo's own assertion).
             cache.set_vm_weight(VmId(1), 100);

@@ -86,22 +86,11 @@ impl std::fmt::Display for AuditFinding {
     }
 }
 
-fn placements() -> [Placement; 2] {
-    [Placement::Mem, Placement::Ssd]
-}
-
-fn store_name(placement: Placement) -> &'static str {
-    match placement {
-        Placement::Mem => "mem",
-        Placement::Ssd => "ssd",
-    }
-}
-
 /// Audits every cross-layer invariant of `cache`, returning one finding
 /// per violation (empty = healthy). Read-only and side-effect free, so
 /// it can run at any point of a simulation.
 pub fn audit(cache: &DoubleDeckerCache) -> Vec<AuditFinding> {
-    let stores = placements().map(|placement| {
+    let stores = Placement::ALL.map(|placement| {
         let store = cache.stores.of(placement);
         (store.used_pages(), store.capacity_pages())
     });
@@ -125,8 +114,8 @@ pub fn audit_cut<M: Clone>(
     let mut findings = Vec::new();
     let mut finding = |invariant, detail| findings.push(AuditFinding { invariant, detail });
     let shards = &cut.shards;
-    for placement in placements() {
-        let (name, (used, capacity)) = (store_name(placement), stores[placement.idx()]);
+    for placement in Placement::ALL {
+        let (name, (used, capacity)) = (placement.name(), stores[placement.idx()]);
         let pools = shards.iter().flat_map(|s| s.pools.values());
         let pooled: u64 = pools.map(|p| p.used(placement)).sum();
         if used != pooled {
@@ -293,7 +282,7 @@ fn audit_remote_bindings(bindings: &[(VmId, PoolId, &RemoteBinding)]) -> Vec<Aud
 pub fn audit_pool_slice(pools: &[(VmId, PoolId, &Pool)], next_seq: u64) -> Vec<AuditFinding> {
     let mut findings = Vec::new();
     for &(vm, pid, pool) in pools {
-        for placement in placements() {
+        for placement in Placement::ALL {
             let live: Vec<(SlotId, BlockAddr, u64)> = pool
                 .iter_ids()
                 .filter(|(_, _, s)| s.placement == placement)

@@ -56,6 +56,17 @@ pub enum Placement {
 }
 
 impl Placement {
+    /// Both stores, in [`Self::idx`] order.
+    pub const ALL: [Placement; 2] = [Placement::Mem, Placement::Ssd];
+
+    /// The store's name in audit findings and reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Placement::Mem => "mem",
+            Placement::Ssd => "ssd",
+        }
+    }
+
     /// Wire discriminant for journal records.
     pub fn code(self) -> u8 {
         match self {
