@@ -149,8 +149,9 @@ echo "==> remote-tier smoke (fault-axis matrix, per-third degradation ladder, co
 DDC_THREADS=8 cargo run --release -q -p ddc-bench --bin repro -- remote --smoke
 cargo test -q -p ddc-core --test prop_remote_determinism
 
-echo "==> stress smoke (serial-vs-sharded equivalence + threaded stress)"
+echo "==> stress smoke (serial-vs-sharded equivalence + threaded stress), then the driver's own tests under --release (the 8-thread crash continuation, the eviction storm at 2 and 8 threads, racing commit ticks against durable cuts)"
 cargo run --release -q -p ddc-bench --bin repro -- stress --smoke
+filtered --release -q -p ddc-concurrent --lib -- driver::
 # The three 8-worker smokes below oversubscribe the box, which is where a
 # spinning waiter could hurt: their "[repro finished in ...]" lines are the
 # wall times to compare before and after a change to crates/concurrent's
