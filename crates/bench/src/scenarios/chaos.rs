@@ -525,7 +525,6 @@ fn run_case(master_seed: u64, id: u32) -> ChaosCase {
     // both stores: 1 MiB guests (16 frames), 6-frame cgroups.
     let mut host = Host::new(HostConfig::new(CacheConfig::mem_and_ssd(96, 96)));
     host.enable_cache_journal();
-    host.set_ssd_fallback_mode(FallbackMode::ToMem);
     let vm1 = host.boot_vm(1, 100);
     let vm2 = host.boot_vm(1, 60);
     let c1 = host.create_container(vm1, "a", 6, CachePolicy::mem(100));

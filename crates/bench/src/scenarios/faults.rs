@@ -46,7 +46,6 @@ pub fn brownout(duration_secs: u64, seed: u64) -> FaultsRun {
     let mut host = Host::new(HostConfig::new(cache));
     let vm = host.boot_vm(16, 100);
     let cg = host.create_container(vm, "web", mb(8), CachePolicy::ssd(100));
-    host.set_ssd_fallback_mode(FallbackMode::ToMem);
     host.set_ssd_fault_schedule(Some(FaultSchedule::new(seed).with_window(
         SimTime::from_secs(from),
         Some(SimTime::from_secs(until)),

@@ -64,8 +64,8 @@ pub mod prelude {
         CgroupId, CgroupMemStats, GuestConfig, HitLevel, MissRatioCurve, MrcEstimator,
     };
     pub use ddc_hypercache::{
-        AdmissionConfig, CacheConfig, CacheTotals, DoubleDeckerCache, FallbackMode, GhostFilter,
-        PartitionMode, EVICTION_BATCH_PAGES,
+        AdmissionConfig, CacheConfig, CacheTotals, DoubleDeckerCache, GhostFilter, PartitionMode,
+        EVICTION_BATCH_PAGES,
     };
     pub use ddc_hypervisor::{vm_file, Host, HostConfig};
     pub use ddc_metrics::{

@@ -26,11 +26,10 @@ struct Probe {
 struct ThreadSlot {
     thread: Box<dyn WorkloadThread>,
     next_ready: SimTime,
-    stopped: bool,
 }
 
-/// The set of live workload threads. Control actions receive `&mut
-/// ThreadPool` so they can spawn or stop threads mid-experiment.
+/// The set of workload threads. Control actions receive `&mut
+/// ThreadPool` so they can spawn threads mid-experiment.
 #[derive(Default)]
 pub struct ThreadPool {
     slots: Vec<ThreadSlot>,
@@ -42,23 +41,7 @@ impl ThreadPool {
         self.slots.push(ThreadSlot {
             thread,
             next_ready: at,
-            stopped: false,
         });
-    }
-
-    /// Stops every thread whose label starts with `prefix` (it keeps its
-    /// recorded metrics but never runs again).
-    pub fn stop_matching(&mut self, prefix: &str) {
-        for slot in &mut self.slots {
-            if slot.thread.label().starts_with(prefix) {
-                slot.stopped = true;
-            }
-        }
-    }
-
-    /// Number of live (non-stopped) threads.
-    pub fn live_count(&self) -> usize {
-        self.slots.iter().filter(|s| !s.stopped).count()
     }
 
     /// Opens a steady-state measurement window on every thread's
@@ -79,12 +62,11 @@ impl ThreadPool {
             .sum()
     }
 
-    /// The earliest ready time among live threads.
+    /// The earliest ready time among the threads.
     fn next_ready(&self) -> Option<(usize, SimTime)> {
         self.slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.stopped)
             .map(|(i, s)| (i, s.next_ready))
             .min_by_key(|&(_, t)| t)
     }
@@ -94,7 +76,6 @@ impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("threads", &self.slots.len())
-            .field("live", &self.live_count())
             .finish()
     }
 }
@@ -376,19 +357,6 @@ mod tests {
         assert_eq!(report.threads.len(), 1);
         assert!(report.threads[0].ops > 0, "late thread ran");
         assert!(report.threads[0].label.starts_with("late"));
-    }
-
-    #[test]
-    fn stop_matching_halts_threads() {
-        let mut exp = small_web_experiment();
-        exp.schedule(SimTime::from_secs(2), |_host, pool, _at| {
-            pool.stop_matching("web");
-        });
-        let mid = exp.run_until(SimTime::from_secs(2));
-        let ops_at_2 = mid.threads[0].ops;
-        let fin = exp.run_until(SimTime::from_secs(5));
-        assert_eq!(fin.threads[0].ops, ops_at_2, "no ops after stop");
-        assert_eq!(exp.host().vm_ids().len(), 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use ddc_cleancache::{CachePolicy, VmId};
 use ddc_guest::CgroupId;
-use ddc_hypercache::{AdmissionConfig, CacheConfig, FallbackMode, PartitionMode};
+use ddc_hypercache::{AdmissionConfig, CacheConfig, PartitionMode};
 use ddc_hypervisor::{Host, HostConfig};
 use ddc_json::Json;
 use ddc_sim::{FaultKind, FaultSchedule, SimDuration, SimTime};
@@ -277,9 +277,6 @@ pub struct FaultSpec {
     /// RNG seed for the fault schedules (per-VM channel schedules derive
     /// distinct sub-seeds from it).
     pub seed: u64,
-    /// Where SSD-bound puts go while the tier is quarantined: `"to_mem"`
-    /// (default) or `"reject"`.
-    pub ssd_fallback: Option<String>,
     /// Fault windows on the SSD store.
     pub ssd: Vec<FaultWindowSpec>,
     /// Fault windows applied to each VM's hypercall channel.
@@ -389,14 +386,18 @@ mod parse {
         }
     }
 
-    /// A key the cache object does not know is an error: an old spec's
-    /// setting must not be dropped without a word.
-    fn cache(v: &Json) -> Result<CacheSpec, ScenarioError> {
-        let known = ["mem_mb", "ssd_mb", "mode"];
+    /// A key `what` does not know is an error: an old spec's setting must
+    /// not be dropped without a word.
+    fn known_fields(v: &Json, what: &str, known: &[&str]) -> Result<(), ScenarioError> {
         let fields = v.as_object().unwrap_or_default();
-        if let Some((key, _)) = fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
-            return Err(err(format!("unknown cache field {key:?}")));
+        match fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            Some((key, _)) => Err(err(format!("unknown {what} field {key:?}"))),
+            None => Ok(()),
         }
+    }
+
+    fn cache(v: &Json) -> Result<CacheSpec, ScenarioError> {
+        known_fields(v, "cache", &["mem_mb", "ssd_mb", "mode"])?;
         Ok(CacheSpec {
             mem_mb: u64_field(v, "mem_mb")?,
             ssd_mb: opt_u64(v, "ssd_mb")?.unwrap_or(0),
@@ -518,6 +519,14 @@ mod parse {
     }
 
     fn fault_window(v: &Json) -> Result<FaultWindowSpec, ScenarioError> {
+        let known = [
+            "from_secs",
+            "until_secs",
+            "kind",
+            "error_rate",
+            "extra_latency_us",
+        ];
+        known_fields(v, "fault window", &known)?;
         Ok(FaultWindowSpec {
             from_secs: u64_field(v, "from_secs")?,
             until_secs: opt_u64(v, "until_secs")?,
@@ -528,16 +537,9 @@ mod parse {
     }
 
     fn faults(v: &Json) -> Result<FaultSpec, ScenarioError> {
+        known_fields(v, "faults", &["seed", "ssd", "channel"])?;
         Ok(FaultSpec {
             seed: u64_field(v, "seed")?,
-            ssd_fallback: match v.get("ssd_fallback") {
-                None | Some(Json::Null) => None,
-                Some(m) => Some(
-                    m.as_str()
-                        .ok_or_else(|| err("\"ssd_fallback\" must be a string"))?
-                        .to_owned(),
-                ),
-            },
             ssd: list(v, "ssd")?
                 .iter()
                 .map(fault_window)
@@ -716,11 +718,6 @@ pub fn build(spec: &ScenarioSpec) -> Result<Experiment, ScenarioError> {
     }
 
     if let Some(f) = &spec.faults {
-        match f.ssd_fallback.as_deref() {
-            None | Some("to_mem") => host.set_ssd_fallback_mode(FallbackMode::ToMem),
-            Some("reject") => host.set_ssd_fallback_mode(FallbackMode::Reject),
-            Some(other) => return Err(err(format!("unknown ssd_fallback {other:?}"))),
-        }
         if !f.ssd.is_empty() {
             let mut schedule = FaultSchedule::new(f.seed);
             for w in &f.ssd {
@@ -950,7 +947,6 @@ mod tests {
             ] } ],
             "faults": {
                 "seed": 42,
-                "ssd_fallback": "to_mem",
                 "ssd": [ { "from_secs": 2, "until_secs": 5,
                            "kind": "brownout", "error_rate": 0.5,
                            "extra_latency_us": 500 } ],
@@ -996,16 +992,9 @@ mod tests {
         let e = build(&spec).unwrap_err();
         assert!(e.to_string().contains("error_rate"), "{e}");
 
-        let bad_fallback = r#"{
-            "name": "bad",
-            "cache": { "mem_mb": 4, "ssd_mb": 16 },
-            "duration_secs": 1,
-            "vms": [],
-            "faults": { "seed": 1, "ssd_fallback": "panic" }
-        }"#;
-        let spec = ScenarioSpec::from_json(bad_fallback).unwrap();
-        let e = build(&spec).unwrap_err();
-        assert!(e.to_string().contains("panic"), "{e}");
+        let fallback = base.replace("\"ssd\": [ WINDOW ]", "\"ssd_fallback\": \"reject\"");
+        let e = ScenarioSpec::from_json(&fallback).unwrap_err();
+        assert!(e.to_string().contains("\"ssd_fallback\""), "{e}");
     }
 
     #[test]
@@ -1042,6 +1031,30 @@ mod tests {
         }"#;
         let e = ScenarioSpec::from_json(json).unwrap_err();
         assert!(e.to_string().contains("\"compression\""), "{e}");
+    }
+
+    /// A misspelt fault-plan key is refused by name, not run as if the
+    /// setting were absent.
+    #[test]
+    fn an_unknown_faults_field_is_an_error_that_names_it() {
+        let window = r#"{ "from_secs": 0, "kind": "transient_errors", "error_rat": 0.5 }"#;
+        for (faults, key) in [
+            (
+                r#"{ "seed": 1, "ssd_falback": "reject" }"#.to_owned(),
+                "\"ssd_falback\"",
+            ),
+            (
+                format!(r#"{{ "seed": 1, "channel": [ {window} ] }}"#),
+                "\"error_rat\"",
+            ),
+        ] {
+            let json = format!(
+                r#"{{ "name": "typo", "cache": {{ "mem_mb": 4 }}, "duration_secs": 1,
+                "vms": [], "faults": {faults} }}"#
+            );
+            let e = ScenarioSpec::from_json(&json).unwrap_err();
+            assert!(e.to_string().contains(key), "{e}");
+        }
     }
 
     /// The error `from_json` gives a one-container spec running

@@ -362,7 +362,7 @@ impl GuestOs {
                 // kernel's writeback clustering does. The popped block's
                 // content now matches the disk and may enter the
                 // second-chance cache.
-                env.disk.write_async(now, addr);
+                env.disk.write(now, addr);
                 self.disk_versions.insert(addr, state.version);
                 self.counters.writebacks += 1;
                 let siblings: Vec<(BlockAddr, PageVersion)> = {
@@ -373,7 +373,7 @@ impl GuestOs {
                         .collect()
                 };
                 for (sib, version) in siblings {
-                    env.disk.write_async(now, sib);
+                    env.disk.write(now, sib);
                     self.cgroup_mut(cg).page_cache.mark_clean(sib);
                     self.disk_versions.insert(sib, version);
                     self.counters.writebacks += 1;
@@ -392,7 +392,7 @@ impl GuestOs {
         // No file pages left: swap anonymous memory.
         if let Some(page) = self.cgroup_mut(cg).anon.swap_out_lru() {
             let swap_addr = BlockAddr::new(FileId(SWAP_FILE_BASE + cg.0 as u64), page);
-            env.disk.write_async(now, swap_addr);
+            env.disk.write(now, swap_addr);
             self.counters.swap_outs += 1;
             return true;
         }
@@ -653,7 +653,7 @@ impl GuestOs {
                 Some(s) => s.version,
                 None => continue,
             };
-            env.disk.write_async(now, addr);
+            env.disk.write(now, addr);
             self.disk_versions.insert(addr, version);
             self.cgroup_mut(cg).page_cache.mark_clean(addr);
             self.counters.writebacks += 1;

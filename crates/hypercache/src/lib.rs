@@ -68,7 +68,7 @@ pub use config::{
     store_kind_code, store_kind_from_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
     JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS,
 };
-pub use ddcache::{CacheTotals, DoubleDeckerCache, FallbackMode, RecoveryReport, VmUsage};
+pub use ddcache::{CacheTotals, DoubleDeckerCache, RecoveryReport, VmUsage};
 pub use engine::Engine;
 pub use policy::{select_victim, select_victim_strict, EntityUsage};
 

@@ -131,7 +131,7 @@ impl BackingStore {
         if self.sync_writes {
             Ok(self.device.try_write(now, addr)?.finish)
         } else {
-            self.device.try_write_async(now, addr)?;
+            self.device.try_write(now, addr)?;
             Ok(now + self.async_stage_cost)
         }
     }

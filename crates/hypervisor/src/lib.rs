@@ -45,9 +45,7 @@ use ddc_cleancache::{CachePolicy, PoolStats, SecondChanceCache, VmId};
 use ddc_guest::{
     CgroupId, CgroupMemStats, GuestConfig, GuestEnv, GuestOs, ReadResult, WriteResult,
 };
-use ddc_hypercache::{
-    CacheConfig, CacheTotals, DoubleDeckerCache, FallbackMode, RecoveryReport, VmUsage,
-};
+use ddc_hypercache::{CacheConfig, CacheTotals, DoubleDeckerCache, RecoveryReport, VmUsage};
 use ddc_sim::{FaultSchedule, SimTime};
 use ddc_storage::{BlockAddr, Device, FileId};
 
@@ -100,14 +98,16 @@ impl Host {
     /// cache weight. Returns its id.
     pub fn boot_vm(&mut self, mem_mb: u64, cache_weight: u64) -> VmId {
         let vm = VmId(self.next_vm);
-        self.next_vm += 1;
-        self.cache.add_vm(vm, cache_weight);
-        self.vms
-            .insert(vm, GuestOs::new(vm, GuestConfig::with_mem_mb(mem_mb)));
+        let booted = self.boot_vm_with_id(vm, mem_mb, cache_weight);
+        debug_assert!(booted, "no VM holds an id at or past next_vm");
         vm
     }
 
-    /// Shuts a VM down, dropping all its cache objects.
+    /// Shuts a VM down, dropping all its cache objects. The guest goes
+    /// without any cgroup or pool teardown handshake, so an abrupt crash
+    /// is this same call. Cached copies are clean, so nothing is lost,
+    /// and a guest later booted under the id ([`Host::boot_vm_with_id`])
+    /// never observes stale cache state.
     ///
     /// Returns `false` (without side effects) if the VM does not exist,
     /// so teardown paths can run after a partial failure.
@@ -117,22 +117,6 @@ impl Host {
         }
         self.cache.remove_vm(vm);
         true
-    }
-
-    /// Crashes a VM abruptly: the guest disappears without any cgroup or
-    /// pool teardown handshakes, and the hypervisor reclaims every cache
-    /// page it owned (the cleancache contract — cached copies are clean,
-    /// so nothing is lost; the authoritative copy is on the virtual
-    /// disk). Returns `false` if the VM does not exist.
-    ///
-    /// A crashed VM id can be rebooted with [`Host::boot_vm_with_id`];
-    /// because the crash dropped every cached object, the rebooted guest
-    /// can never observe stale pre-crash cache state.
-    pub fn crash_vm(&mut self, vm: VmId) -> bool {
-        // In this model a crash and a shutdown reclaim the same state;
-        // the distinction is that crash skips guest-side teardown, which
-        // shutdown_vm does not perform either (pools die with the VM).
-        self.shutdown_vm(vm)
     }
 
     /// Boots a VM under a caller-chosen id — the reboot half of a
@@ -149,17 +133,17 @@ impl Host {
         true
     }
 
-    /// Reboots a VM in place: an abrupt crash followed by a boot under
-    /// the same domain id. All cache objects and guest state are
+    /// Reboots a VM in place: a shutdown followed by a boot under the
+    /// same domain id. All cache objects and guest state are
     /// dropped, so the rebooted guest starts cold and can never observe
     /// stale pre-reboot cache pages. Returns `false` (no side effects)
     /// if the VM does not exist.
     pub fn reboot_vm(&mut self, vm: VmId, mem_mb: u64, cache_weight: u64) -> bool {
-        if !self.crash_vm(vm) {
+        if !self.shutdown_vm(vm) {
             return false;
         }
         let booted = self.boot_vm_with_id(vm, mem_mb, cache_weight);
-        debug_assert!(booted, "id was just freed by crash_vm");
+        debug_assert!(booted, "id was just freed by shutdown_vm");
         booted
     }
 
@@ -183,17 +167,11 @@ impl Host {
     // ------------------------------------------------------------------
 
     /// Installs a fault schedule on the cache's SSD store. Faulted SSD IO
-    /// quarantines the tier (all SSD pages invalidated) and the cache
-    /// degrades per [`Host::set_ssd_fallback_mode`] until a recovery
-    /// probe succeeds. Pass `None` to clear.
+    /// quarantines the tier (all SSD pages invalidated); until a recovery
+    /// probe succeeds, SSD-bound puts go to the memory store, or are
+    /// turned away if it has no capacity. Pass `None` to clear.
     pub fn set_ssd_fault_schedule(&mut self, faults: Option<FaultSchedule>) {
         self.cache.set_ssd_fault_schedule(faults);
-    }
-
-    /// Chooses where SSD-bound puts go while the SSD tier is quarantined:
-    /// redirected to the memory store, or rejected (straight to disk).
-    pub fn set_ssd_fallback_mode(&mut self, mode: FallbackMode) {
-        self.cache.set_ssd_fallback_mode(mode);
     }
 
     /// Installs (or clears) a fault schedule on one VM's hypercall
@@ -579,7 +557,7 @@ mod tests {
             now = host.read(now, vm, cg, a(vm, 1, b)).finish;
         }
         assert!(host.cache_totals().mem_used_pages > 0);
-        assert!(host.crash_vm(vm));
+        assert!(host.shutdown_vm(vm));
         assert_eq!(
             host.cache_totals().mem_used_pages,
             0,
@@ -609,7 +587,6 @@ mod tests {
             None,
             FaultKind::TransientErrors { rate: 1.0 },
         )));
-        host.set_ssd_fallback_mode(ddc_hypercache::FallbackMode::Reject);
         assert!(
             !host.cache().ssd_quarantined(),
             "quarantine waits for real IO"
@@ -792,7 +769,6 @@ mod tests {
     fn corrupt_recovered_entry_is_quarantined_not_served() {
         let mut host = Host::new(HostConfig::new(CacheConfig::mem_and_ssd(128, 128)));
         host.enable_cache_journal();
-        host.set_ssd_fallback_mode(FallbackMode::Reject);
         let vm = host.boot_vm(1, 100);
         let cg = host.create_container(vm, "c", 4, CachePolicy::ssd(100));
         let mut now = SimTime::ZERO;

@@ -84,14 +84,6 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Pops the earliest event only if it is due at or before `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(t) if t <= now => self.pop(),
-            _ => None,
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -144,18 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_due_respects_now() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(5), "future");
-        assert_eq!(q.pop_due(SimTime::from_secs(4)), None);
-        assert_eq!(
-            q.pop_due(SimTime::from_secs(5)),
-            Some((SimTime::from_secs(5), "future"))
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(1), ());
@@ -169,7 +149,6 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time(), None);
-        assert_eq!(q.pop_due(SimTime::MAX), None);
     }
 
     #[test]

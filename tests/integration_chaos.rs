@@ -12,10 +12,9 @@ fn a(vm: VmId, inode: u64, block: u64) -> BlockAddr {
     BlockAddr::new(vm_file(vm, inode), block)
 }
 
-fn journaled_host(fallback: FallbackMode) -> (Host, VmId, CgroupId, VmId, CgroupId) {
+fn journaled_host() -> (Host, VmId, CgroupId, VmId, CgroupId) {
     let mut host = Host::new(HostConfig::new(CacheConfig::mem_and_ssd(96, 96)));
     host.enable_cache_journal();
-    host.set_ssd_fallback_mode(fallback);
     let vm1 = host.boot_vm(1, 100);
     let vm2 = host.boot_vm(1, 60);
     let cg1 = host.create_container(vm1, "a", 6, CachePolicy::mem(100));
@@ -42,55 +41,50 @@ fn churn(host: &mut Host, now: SimTime, vm: VmId, cg: CgroupId, rounds: u64) -> 
 /// and the cache warms back up for both the mem and SSD containers.
 #[test]
 fn crash_recover_continue_serves_fresh_data() {
-    for fallback in [FallbackMode::ToMem, FallbackMode::Reject] {
-        let (mut host, vm1, cg1, vm2, cg2) = journaled_host(fallback);
-        let mut now = SimTime::ZERO;
-        now = churn(&mut host, now, vm1, cg1, 4);
-        now = churn(&mut host, now, vm2, cg2, 4);
+    let (mut host, vm1, cg1, vm2, cg2) = journaled_host();
+    let mut now = SimTime::ZERO;
+    now = churn(&mut host, now, vm1, cg1, 4);
+    now = churn(&mut host, now, vm2, cg2, 4);
 
-        let image = host.cache_journal_image().expect("journaling on");
-        let bounds = Journal::record_boundaries(&image);
-        let cut = bounds[bounds.len() * 3 / 4];
-        let report = host.crash_and_recover(&image[..cut]);
-        assert!(!report.corrupt, "a clean prefix replays cleanly");
-        assert!(
-            report.new_epochs.len() >= 2,
-            "checkpoint re-arms every guest's flush epoch"
-        );
-        let findings = audit(host.cache());
-        assert!(
-            findings.is_empty(),
-            "post-recovery audit ({fallback:?}): {findings:?}"
-        );
+    let image = host.cache_journal_image().expect("journaling on");
+    let bounds = Journal::record_boundaries(&image);
+    let cut = bounds[bounds.len() * 3 / 4];
+    let report = host.crash_and_recover(&image[..cut]);
+    assert!(!report.corrupt, "a clean prefix replays cleanly");
+    assert!(
+        report.new_epochs.len() >= 2,
+        "checkpoint re-arms every guest's flush epoch"
+    );
+    let findings = audit(host.cache());
+    assert!(findings.is_empty(), "post-recovery audit: {findings:?}");
 
-        // Every surviving entry matches the guests' on-disk truth.
-        for (vm, _pool, addr, version) in host.cache().entries() {
-            assert_eq!(version, host.guest(vm).disk_version(addr));
-        }
-
-        // Life goes on: more churn, still zero stale oracle trips, and
-        // the cache actually serves hits again.
-        now = churn(&mut host, now, vm1, cg1, 3);
-        now = churn(&mut host, now, vm2, cg2, 3);
-        let mut hits = 0;
-        for b in 0..24 {
-            let r = host.read(now, vm1, cg1, a(vm1, 1, b));
-            now = r.finish;
-            if r.level != HitLevel::Disk {
-                hits += 1;
-            }
-        }
-        assert!(hits > 0, "recovered cache serves second-chance hits again");
-        for vm in host.vm_ids() {
-            assert_eq!(
-                host.guest(vm).counters().stale_cleancache_hits,
-                0,
-                "stale-read oracle stayed clean ({fallback:?})"
-            );
-        }
-        let findings = audit(host.cache());
-        assert!(findings.is_empty(), "post-continuation audit: {findings:?}");
+    // Every surviving entry matches the guests' on-disk truth.
+    for (vm, _pool, addr, version) in host.cache().entries() {
+        assert_eq!(version, host.guest(vm).disk_version(addr));
     }
+
+    // Life goes on: more churn, still zero stale oracle trips, and
+    // the cache actually serves hits again.
+    now = churn(&mut host, now, vm1, cg1, 3);
+    now = churn(&mut host, now, vm2, cg2, 3);
+    let mut hits = 0;
+    for b in 0..24 {
+        let r = host.read(now, vm1, cg1, a(vm1, 1, b));
+        now = r.finish;
+        if r.level != HitLevel::Disk {
+            hits += 1;
+        }
+    }
+    assert!(hits > 0, "recovered cache serves second-chance hits again");
+    for vm in host.vm_ids() {
+        assert_eq!(
+            host.guest(vm).counters().stale_cleancache_hits,
+            0,
+            "stale-read oracle stayed clean"
+        );
+    }
+    let findings = audit(host.cache());
+    assert!(findings.is_empty(), "post-continuation audit: {findings:?}");
 }
 
 /// Back-to-back crashes: the post-recovery checkpoint journal is itself
@@ -98,7 +92,7 @@ fn crash_recover_continue_serves_fresh_data() {
 /// (before any new durable records) still restarts cleanly.
 #[test]
 fn double_crash_recovers_from_checkpoint() {
-    let (mut host, vm1, cg1, vm2, cg2) = journaled_host(FallbackMode::ToMem);
+    let (mut host, vm1, cg1, vm2, cg2) = journaled_host();
     let mut now = SimTime::ZERO;
     now = churn(&mut host, now, vm1, cg1, 3);
     now = churn(&mut host, now, vm2, cg2, 3);
@@ -133,7 +127,7 @@ fn double_crash_recovers_from_checkpoint() {
 /// the damaged record; whatever survives is still sound.
 #[test]
 fn corrupt_journal_recovers_to_safe_prefix() {
-    let (mut host, vm1, cg1, _vm2, _cg2) = journaled_host(FallbackMode::ToMem);
+    let (mut host, vm1, cg1, _vm2, _cg2) = journaled_host();
     let mut now = SimTime::ZERO;
     now = churn(&mut host, now, vm1, cg1, 4);
 

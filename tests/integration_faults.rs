@@ -73,7 +73,7 @@ fn reboot_with_same_ids_never_hits_stale_data() {
         now = host.read(now, vm, cg, a(vm, 1, b)).finish;
     }
 
-    assert!(host.crash_vm(vm));
+    assert!(host.shutdown_vm(vm));
     assert!(host.boot_vm_with_id(vm, 8, 100));
     let cg2 = host.create_container(vm, "c", 8, CachePolicy::mem(100));
     assert_eq!(cg, cg2, "the fresh guest recycles the same cgroup id");
@@ -95,7 +95,6 @@ fn brownout_experiment(seed: u64) -> Experiment {
     let mut host = two_tier_host();
     let vm = host.boot_vm(8, 100);
     let cg = host.create_container(vm, "web", 1024, CachePolicy::ssd(100));
-    host.set_ssd_fallback_mode(FallbackMode::ToMem);
     host.set_ssd_fault_schedule(Some(FaultSchedule::new(seed).with_window(
         SimTime::from_secs(15),
         Some(SimTime::from_secs(30)),

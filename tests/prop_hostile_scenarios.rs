@@ -53,7 +53,7 @@ const EVERY_FIELD: &str = r#"{
     { "action": "set_container_limit_mb", "at_secs": 6, "container": "p", "limit_mb": 4 },
     { "action": "drop_caches", "at_secs": 7, "container": "m" }
   ],
-  "faults": { "seed": 7, "ssd_fallback": "reject",
+  "faults": { "seed": 7,
     "ssd": [ { "from_secs": 2, "until_secs": 5, "kind": "brownout",
                "error_rate": 0.5, "extra_latency_us": 500 } ],
     "channel": [ { "from_secs": 3, "kind": "transient_errors", "error_rate": 0.2 } ] }
@@ -122,7 +122,7 @@ fn every_field_spec() -> ScenarioSpec {
             SetContainerLimitMb { at_secs: 6, container: "p".to_owned(), limit_mb: 4 },
             DropCaches { at_secs: 7, container: "m".to_owned() },
         ],
-        faults: Some(FaultSpec { seed: 7, ssd_fallback: Some("reject".to_owned()),
+        faults: Some(FaultSpec { seed: 7,
             ssd: vec![window(2, Some(5), "brownout", Some(0.5), Some(500))],
             channel: vec![window(3, None, "transient_errors", Some(0.2), None)] }),
     }
