@@ -54,9 +54,12 @@ cargo test --release -q -p ddc-storage
 echo "==> one shard state machine, one control plane: both engines write one journal, report one entitlement and recover one cache (every 53-byte cut; release too, where the share memo runs without its debug assertion)"
 cargo test --release -q -p ddc-core --test prop_one_state_machine
 filtered --release -q -p ddc-hypercache -- registry
-echo "==> one conformance battery (serial, 1 and 16 shards, the null cache: exclusive, never stale, monotone epochs, exact stats, audit-clean after every step; a remote binding's localization; a destroyed pool id's stash kept for the pool that later takes the id) and the serial fault pin (SSD faults, quarantine, rot, re-homing and trickle-down into a faulting tier hash to recorded literals)"
+echo "==> one conformance battery (serial, 1 and 16 shards, the null cache: exclusive, never stale, monotone epochs, exact stats, audit-clean after every step; a remote binding's localization; a destroyed pool id's stash kept for the pool that later takes the id)"
 cargo test --release -q -p ddc-core --test prop_conformance
+echo "==> one fault path per layer: the serial fault pin (SSD faults, quarantine, rot, re-homing and trickle-down into a faulting tier hash to recorded literals, ghost admission on and off), the hypercall channel's tests (a scalar call and a one-element batch cross one trap: same outcomes, counters and breaker through drops, fail-opens, trips and recoveries) and a quarantined SSD with no memory store turning puts away"
 cargo test --release -q -p ddc-core --test serial_fault_pin
+filtered --release -q -p ddc-cleancache --lib -- channel::
+filtered --release -q -p ddc-hypercache --lib -- a_quarantined_ssd_with_no_memory_store_turns_puts_away
 echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, memo placements = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, a put that evicts across a policy swap storing nothing under the old policy, a mixed put_many through two handles answering as the serial engine does, an all-miss get_many answered in one shard visit once a held shard lock drops, and the layout itself: no two groups of the shared core, no two shards and no two handles on one cache line (release too: the memo's debug assertion is compiled out there)"
 cargo test --release -q -p ddc-core --test prop_shared_touches
 filtered --release -q -p ddc-core --test prop_conformance -- a_mixed_put_many_answers_as_the_serial_engine_does
