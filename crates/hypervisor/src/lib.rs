@@ -499,6 +499,27 @@ mod tests {
         assert!(stats.hits > 0);
     }
 
+    /// GET_STATS from inside the guest answers what the host reads for
+    /// the same container, for one control hypercall.
+    #[test]
+    fn guest_get_stats_is_the_host_view_for_one_control_call() {
+        let mut host = host_with_cache(1024);
+        let vm = host.boot_vm(1, 100);
+        let cg = host.create_container(vm, "c", 4, CachePolicy::mem(100));
+        let mut now = SimTime::ZERO;
+        for b in 0..12 {
+            now = host.read(now, vm, cg, a(vm, 1, b)).finish;
+        }
+        let want = host.container_cache_stats(vm, cg);
+        assert!(want.is_some_and(|s| s.mem_pages > 0 && s.puts > 0));
+        let before = host.guest(vm).channel().counters();
+        let (guest, mut env) = Host::split(&mut host.vms, &mut host.cache, &mut host.disk, vm);
+        assert_eq!(guest.hypercache_stats(&mut env, cg), want);
+        let after = host.guest(vm).channel().counters();
+        assert_eq!(after.calls - before.calls, 1);
+        assert_eq!(after.control_ops - before.control_ops, 1);
+    }
+
     #[test]
     fn two_vms_share_cache_with_isolation() {
         let mut host = host_with_cache(2 * EVICTION_BATCH_PAGES);
