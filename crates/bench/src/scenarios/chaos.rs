@@ -26,8 +26,8 @@
 //! round-robin so every diagnostic is seed-deterministic, the plane
 //! dies mid-tick — the victim VM's stream stops mid-`put_many`, the
 //! tick's group commit never happens — and on `hook_cut` cases the
-//! segment snapshot is the one the eviction hook took *between the two
-//! eviction phases*. Each shard's segment is then mutilated
+//! segment snapshot is the one the eviction hook took *at the start of
+//! an eviction batch*. Each shard's segment is then mutilated
 //! independently (intact / boundary cut / torn / bit-flipped),
 //! `ShardedCache::recover` warm-restarts, and the *same* guests
 //! continue on the 8-thread plane. Finally a second crash hits the
@@ -170,7 +170,7 @@ pub struct ThreadedChaosCase {
     /// Crash flavor applied (independently) to the shard segments.
     pub kind: CrashKind,
     /// The recovered snapshot was taken by the eviction hook — i.e. the
-    /// crash landed between the two eviction phases.
+    /// crash landed at the start of an eviction batch.
     pub hook_cut: bool,
     /// Tick the plane was killed in (its group commit never ran).
     pub kill_tick: u64,
@@ -670,16 +670,15 @@ fn run_threaded_case(master_seed: u64, id: u32) -> ThreadedChaosCase {
     let hook_case = id % 4 == 1;
 
     // A deliberately tight store relative to the working set keeps the
-    // two-phase eviction path (and therefore the eviction hook) hot.
+    // eviction path (and therefore the eviction hook) hot.
     let mut cfg = StressConfig::smoke(master_seed ^ (0xDD06 + u64::from(id)));
     cfg.cache = CacheConfig::mem_and_ssd(96, 128);
     cfg.working_set = 64;
     let mut h = CrashHarness::new(&cfg);
 
-    // Eviction-phase cut: the hook fires between the lock-free victim
-    // snapshot and the locked re-validation, with no locks held — its
-    // segment snapshot is what a crash at exactly that point would
-    // leave behind.
+    // Eviction-phase cut: the hook fires at the start of an eviction
+    // batch, with no cache lock held — its segment snapshot is what a
+    // crash at exactly that point would leave behind.
     let hook_snap: Arc<Mutex<Option<Vec<Vec<u8>>>>> = Arc::new(Mutex::new(None));
     if hook_case {
         let hook_cache = h.cache().clone();

@@ -12,10 +12,10 @@
 //! 1. **Shard map** — every pool sits in the shard its key hashes to.
 //! 2. **Memo accuracy** — the auditing handle's share memo, where it is
 //!    filled and still valid by its own rule, equals a fresh table.
-//! 3. **Mirror accuracy** — each pool's atomic usage mirror (the
-//!    lock-free snapshot source for two-phase eviction) equals the
-//!    pool's exact usage under lock-all quiescence. A drift here means
-//!    phase-1 victim selection is working from corrupt data.
+//! 3. **Mirror accuracy** — each pool's atomic usage mirror (what the
+//!    victim walk reads, with every shard held) equals the pool's exact
+//!    usage under lock-all quiescence. A drift here means eviction
+//!    picks its victim from corrupt data.
 //! 4. **Journal health** — when the plane journals (DESIGN.md §14),
 //!    every live shard segment must replay clean end-to-end under
 //!    quiescence (the auditor holds every lock, and we wrote every
@@ -78,8 +78,8 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             }
         }
 
-        // 3. Mirror accuracy: the two-phase snapshot source must match
-        // the exact usage while everything is locked.
+        // 3. Mirror accuracy: what the victim walk reads must match the
+        // exact usage while everything is locked.
         for (vm, row) in reg.vms() {
             for (pid, _, mirror) in &row.pools {
                 let Some(pool) = locked_pool(vm, *pid) else {

@@ -163,7 +163,7 @@ impl StressConfig {
 
     /// A put-heavy storm against a deliberately undersized store: most
     /// puts force an eviction, so the run spends its time in the
-    /// two-phase eviction path under thread contention. Used by the
+    /// eviction path under thread contention. Used by the
     /// `stress_eviction_storm` work cell and this crate's contention test.
     pub fn eviction_storm(seed: u64) -> StressConfig {
         StressConfig {
@@ -638,8 +638,8 @@ pub struct StressOutcome {
     /// totals are read, so the split is exact at any thread count.
     pub remote_thirds: [RemoteCounters; 3],
     /// The plane the run left behind: its accessors report everything
-    /// else it counted (evictions, commit epoch, compactions, batch and
-    /// two-phase counters, journal records, wear).
+    /// else it counted (evictions, commit epoch, compactions, batch
+    /// counters, journal records, wear).
     pub cache: ShardedCache,
 }
 
@@ -970,7 +970,7 @@ mod tests {
     #[test]
     fn eviction_storm_is_clean_under_contention() {
         // Nearly every put evicts, so the racing threads spend the run
-        // in two-phase eviction behind the single-evictor gate.
+        // in eviction behind the single-evictor gate.
         for threads in [2, 8] {
             let out = run_stress(&StressConfig::eviction_storm(0xEC0), threads);
             assert!(out.clean(), "{threads} threads: {:?}", out.findings);

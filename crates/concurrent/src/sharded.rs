@@ -23,31 +23,29 @@
 //!   Page allocation is a CAS (`used < capacity → used + 1`), so the
 //!   store can never oversubscribe no matter how threads interleave.
 //! * **Cross-shard eviction** — a full ledger triggers the one
-//!   eviction path (`evict_batch`). DoubleDecker and Strict mode never
-//!   hold two shard locks: they pick the victim with the policy
-//!   module's two-level walk ([`ShareTable::select_victim`], the same
-//!   function the serial engine calls) over the share memo and
-//!   the lock-free per-pool [`UsageMirror`]s — registry read lock
-//!   only, no shard lock — then lock only the victim's home shard,
-//!   re-validate the pick against a fresh snapshot, and retry if it
-//!   went stale; once the retry budget is spent the evictor takes its
-//!   current pick unvalidated, so progress is always guaranteed. Global
-//!   mode locks every shard and evicts the smallest live FIFO front
-//!   each time. A batch that frees nothing rejects the put.
+//!   eviction path (`evict_batch`), which decides with the registry
+//!   read lock and every shard held, in every mode. DoubleDecker and
+//!   Strict mode pick the victim once with the policy module's
+//!   two-level walk ([`ShareTable::select_victim`], the same function
+//!   the serial engine calls) over the share memo and the per-pool
+//!   [`UsageMirror`]s — the exact usage while every shard is held —
+//!   then keep only the victim's home shard and evict the batch there.
+//!   Global mode evicts the smallest live FIFO front each time, under
+//!   every shard. A batch that frees nothing rejects the put.
 //! * **Lock order** — the evictor gate above all (taken with no other
 //!   lock held); then `registry` before any shard; shards in ascending
 //!   index; never acquire a lower-index (or the registry) lock while
-//!   holding a higher one. Get, put, flush, weighted eviction and
-//!   `pool_stats` take only one pool's home shard (puts, eviction and
-//!   `pool_stats` the registry read lock before it: a put reads its
-//!   pool's policy and entitlements under both); a get, or a whole
-//!   `get_many` batch, hit or miss, is one visit of it. What still locks every shard, always
-//!   starting from no shard lock held: whole-cache reads that need one
-//!   consistent cut (`entries`, the auditor, wear and remote totals,
-//!   journal images and durable lengths), journal installation and
-//!   checkpoint rewrites (`enable_journal`, live compaction, the end of
-//!   `recover`), and Global-mode eviction, which a put reaches only
-//!   from its eviction loop with no lock held.
+//!   holding a higher one. Get, put, flush and `pool_stats` take only
+//!   one pool's home shard (puts and `pool_stats` the registry read
+//!   lock before it: a put reads its pool's policy and entitlements
+//!   under both); a get, or a whole `get_many` batch, hit or miss, is
+//!   one visit of it. What locks every shard, always starting from no
+//!   shard lock held: whole-cache reads that need one consistent cut
+//!   (`entries`, the auditor, wear and remote totals, journal images
+//!   and durable lengths), journal installation and checkpoint
+//!   rewrites (`enable_journal`, live compaction, the end of
+//!   `recover`), and eviction's decision, which a put reaches only
+//!   from its eviction loop with no cache lock held.
 //!
 //! # Determinism contract
 //!
@@ -358,8 +356,8 @@ pub(crate) struct Shard {
 /// The control-plane registry ([`ddc_hypercache::registry`]), each pool's
 /// row carrying its usage mirror: the mirror aliases the pool's
 /// per-store usage counters through atomics, so single-shard fast paths
-/// decide a placement, and phase 1 of two-phase eviction snapshots
-/// every entity's usage, from the registry alone — no shard lock.
+/// decide a placement from the registry alone — no other shard's lock
+/// — and eviction, holding every shard, reads the exact usage.
 pub(crate) type Registry = registry::Registry<Arc<UsageMirror>>;
 
 /// See [`Inner::append_hook`].
@@ -475,17 +473,10 @@ struct AppendWords {
     commit_epoch: AtomicU64,
 }
 
-/// Counters of what eviction and compaction did; nothing reads them on
-/// a hot path.
+/// Counters of what compaction did; nothing reads them on a hot path.
 #[derive(Default)]
 #[repr(align(64))]
 struct StatCounters {
-    /// Weighted-eviction attempts that found their pick stale under the
-    /// victim-shard lock and retried.
-    two_phase_retries: AtomicU64,
-    /// Weighted evictions that spent their retry budget and evicted
-    /// from their current pick without re-validating it.
-    two_phase_fallbacks: AtomicU64,
     /// Checkpoint rewrites performed by live compaction.
     journal_compactions: AtomicU64,
 }
@@ -514,9 +505,9 @@ struct EvictorGate {
 /// Everything else: the test hooks and the remote registry.
 #[repr(align(64))]
 struct Cold {
-    /// Test hook run between phases 1 and 2 with **no** locks held;
-    /// property tests use it to force snapshot staleness at the worst
-    /// possible moment.
+    /// Test hook run at the start of every eviction batch, with the
+    /// evictor gate held and no cache lock
+    /// ([`ShardedCache::set_eviction_hook`]).
     eviction_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
     /// Test hook run between a generation claim and its append (home
     /// shard locked, its commit cell odd), with the first claimed
@@ -876,23 +867,10 @@ impl ShardedCache {
         })
     }
 
-    /// Weighted evictions that re-validated stale and retried.
-    pub fn two_phase_retries(&self) -> u64 {
-        self.inner.stats.two_phase_retries.load(Ordering::Relaxed)
-    }
-
-    /// Weighted evictions that spent their retry budget and evicted
-    /// from an unvalidated pick.
-    pub fn two_phase_fallbacks(&self) -> u64 {
-        self.inner.stats.two_phase_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Installs (or clears) a hook run between an eviction's victim
-    /// pick and its shard lock, with no locks held (DoubleDecker and
-    /// Strict mode: Global eviction holds every shard and has no such
-    /// window). Tests
-    /// use it to mutate the cache from the evicting thread's blind spot
-    /// and force snapshot staleness; production code leaves it unset.
+    /// Installs (or clears) a hook run at the start of every eviction
+    /// batch, in every mode, with the evictor gate held and no cache
+    /// lock. Tests use it to change the cache under a put that dropped
+    /// its locks to evict; production code leaves it unset.
     pub fn set_eviction_hook(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
         let mut slot = self
             .inner
@@ -973,6 +951,19 @@ impl ShardedCache {
     /// Always 0, kept for the same reason as
     /// [`Self::reservation_retries`].
     pub fn front_tree_fallbacks(&self) -> u64 {
+        0
+    }
+
+    /// Always 0: every eviction picks its victim with every shard
+    /// locked, so no pick can go stale. Kept for the same reason as
+    /// [`Self::reservation_retries`].
+    pub fn two_phase_retries(&self) -> u64 {
+        0
+    }
+
+    /// Always 0, kept for the same reason as
+    /// [`Self::reservation_retries`].
+    pub fn two_phase_fallbacks(&self) -> u64 {
         0
     }
 
@@ -1730,14 +1721,10 @@ impl ShardedCache {
     // Eviction: one path for every mode (see the module docs).
     // ------------------------------------------------------------------
 
-    /// Stale-snapshot retries before the weighted evictor stops
-    /// re-validating and evicts from its current pick. Bounds the work
-    /// an adversarial interleaving can cause.
-    const TWO_PHASE_MAX_RETRIES: u32 = 4;
-
     /// Picks the victim `(vm, pool)` with the policy module's two-level
-    /// walk over the share memo and the atomic usage mirrors —
-    /// registry read lock, no shard lock.
+    /// walk over the share memo and the usage mirrors. The caller holds
+    /// the registry and every shard, so the mirrors are the exact usage
+    /// (auditor invariant `mirror-accuracy`).
     fn select_victim(&self, reg: &Registry, placement: Placement) -> Option<(VmId, PoolId)> {
         let strict = self.inner.ro.mode == PartitionMode::Strict;
         self.with_share_memo(reg, placement, |t| {
@@ -1748,82 +1735,48 @@ impl ShardedCache {
     }
 
     /// Frees up to one eviction batch from `placement`'s store; 0 means
-    /// nothing could be freed. Caller must hold no shard lock.
+    /// nothing could be freed. Caller holds the evictor gate and no
+    /// cache lock.
     ///
-    /// DoubleDecker and Strict mode: select the victim without shard
-    /// locks ([`Self::select_victim`]), then lock only its home shard,
-    /// re-validate, and evict. A stale snapshot (the walk would now
-    /// pick someone else, or the locked pool turned out empty) retries;
-    /// once [`Self::TWO_PHASE_MAX_RETRIES`] are spent the evictor
-    /// takes its current pick as is, so it can never loop without
-    /// progress. Global mode holds every shard
-    /// ([`Self::evict_batch_global`]).
-    ///
-    /// Driven single-threaded the mirrors equal the locked usage, so the
-    /// first snapshot re-validates unchanged and the victim (and every
-    /// evicted object) matches the serial engine exactly. Trickle-down
-    /// writes are charged at `now`.
+    /// Every mode decides with the registry and every shard locked.
+    /// Global mode evicts the store-wide oldest pages under those
+    /// guards ([`Self::evict_batch_global`]). DoubleDecker and Strict
+    /// mode run the walk once ([`Self::select_victim`]), keep only the
+    /// victim's home shard and evict the batch from it: the pick is
+    /// Algorithm 1 on exact usage, as on the serial engine, so driven
+    /// from one thread the victim (and every evicted object) matches
+    /// it exactly. Trickle-down writes are charged at `now`.
     fn evict_batch(&self, now: SimTime, placement: Placement) -> u64 {
+        self.run_eviction_hook();
+        let reg = self.inner.registry.lock.read().expect("registry poisoned");
+        let mut shards = self.lock_all_shards();
         if self.inner.ro.mode == PartitionMode::Global {
-            return self.evict_batch_global(placement);
+            return self.evict_batch_global(&mut shards, placement);
         }
-        let mut retries_left = Self::TWO_PHASE_MAX_RETRIES;
-        loop {
-            let victim = {
-                let reg = self.inner.registry.lock.read().expect("registry poisoned");
-                self.select_victim(&reg, placement)
-            };
-            let Some((vm, pool_id)) = victim else {
-                return 0;
-            };
-            // No locks held here: the hook (tests only) and any other
-            // thread are free to invalidate the snapshot before phase 2.
-            self.run_eviction_hook();
-
-            // Phase 2: registry read + the victim's home shard only.
-            let reg = self.inner.registry.lock.read().expect("registry poisoned");
-            let si = self.shard_of(vm, pool_id);
-            let mut shard = self.lock_shard(si);
-            let budget_spent = retries_left == 0;
-            let freed =
-                if budget_spent || self.select_victim(&reg, placement) == Some((vm, pool_id)) {
-                    let Shard { state, journal, .. } = &mut *shard;
-                    state.visit(vm, pool_id).map_or(0, |mut victim| {
-                        let ledgers = &mut self.ledgers();
-                        self.evict_from(si, &mut victim, ledgers, journal, now, placement)
-                    })
-                } else {
-                    0
-                };
-            if budget_spent {
-                self.inner
-                    .stats
-                    .two_phase_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-                return freed;
-            }
-            if freed > 0 {
-                return freed;
-            }
-            // Stale snapshot: the walk now picks someone else, or the
-            // mirrors promised pages the locked shard no longer has
-            // (raced with a flush or destroy).
-            self.inner
-                .stats
-                .two_phase_retries
-                .fetch_add(1, Ordering::Relaxed);
-            retries_left -= 1;
-        }
+        let Some((vm, pool_id)) = self.select_victim(&reg, placement) else {
+            return 0;
+        };
+        let si = self.shard_of(vm, pool_id);
+        let mut shard = shards.swap_remove(si);
+        drop(shards);
+        let Shard { state, journal, .. } = &mut *shard;
+        state.visit(vm, pool_id).map_or(0, |mut victim| {
+            let ledgers = &mut self.ledgers();
+            self.evict_from(si, &mut victim, ledgers, journal, now, placement)
+        })
     }
 
-    /// Global-mode eviction: lock every shard, read each one's live FIFO
-    /// front once, and evict the smallest, refreshing only the front
-    /// just taken. The per-shard FIFOs are pushed in strictly
+    /// Global-mode eviction over every shard's guard: read each one's
+    /// live FIFO front once, and evict the smallest, refreshing only
+    /// the front just taken. The per-shard FIFOs are pushed in strictly
     /// increasing seq order, so this is the exact store-wide FIFO order
     /// under any interleaving, and the batch ends short only when the
     /// store holds nothing more to evict.
-    fn evict_batch_global(&self, placement: Placement) -> u64 {
-        let mut shards = self.lock_all_shards();
+    fn evict_batch_global(
+        &self,
+        shards: &mut [MutexGuard<'_, Shard>],
+        placement: Placement,
+    ) -> u64 {
         let live_front = |shard: &mut Shard| {
             shard.state.pop_dead_fronts(placement);
             shard.state.front_seq(placement)
@@ -1853,8 +1806,8 @@ impl ShardedCache {
 
     /// One eviction batch of one pool out of its (locked) home shard
     /// ([`PoolVisit::evict_batch`]), each record journaled as it comes.
-    /// A pool only ever touches its home shard, so one guard suffices —
-    /// this is what lets eviction run without stopping the world.
+    /// A pool only ever touches its home shard, so one guard suffices:
+    /// the other shards are free again while the batch runs.
     fn evict_from(
         &self,
         si: usize,

@@ -163,9 +163,9 @@ pub struct PoolCounters {
 
 /// Lock-free mirror of one pool's per-store usage, kept in sync by the
 /// pool's accounting funnels. A concurrent assembly can attach one per
-/// pool and snapshot every entity's usage *without* taking the locks
-/// that guard the pools themselves — phase 1 of the two-phase eviction
-/// in `ddc-concurrent` is built on exactly this.
+/// pool and read every entity's usage *without* taking the locks that
+/// guard the pools themselves; `ddc-concurrent`'s evictor reads it with
+/// every one of those locks held, where it is exact.
 #[derive(Debug, Default)]
 pub struct UsageMirror {
     mem: AtomicU64,

@@ -225,10 +225,11 @@ impl ShareTable {
     /// `(VmId, PoolId)` order. `None` only when nothing is resident.
     ///
     /// Each level reads usage afresh. Shares sum exactly to the level
-    /// above, so with steady usage the store-wide fallback needs a
-    /// store at least `batch` pages short of full and the in-VM one
-    /// cannot trigger at all; they are there for callers whose usage
-    /// source moves under the walk (the sharded engine's mirrors).
+    /// above, so with steady usage — both engines hold it still for the
+    /// walk — the in-VM fallback cannot trigger at all and the
+    /// store-wide one needs a store at least `batch` pages short of
+    /// full: pages freed after the allocation that sent the caller here
+    /// failed, as by a racing flush.
     pub fn select_victim(
         &self,
         strict: bool,
