@@ -1,21 +1,27 @@
-//! Model-based property test for the Global-mode FIFO with tombstone
-//! (lazy-deletion) compaction.
+//! Model-based property tests for Global-mode eviction order, on the
+//! serial engine and on the sharded one at one and at sixteen shards.
 //!
 //! The reference model keeps an **eagerly scrubbed** FIFO: every
 //! removal (get hit, overwrite, flush, pool destruction) deletes the
 //! queue entry immediately, so its front is always live and its
-//! eviction order is the ground truth. The real cache instead leaves
-//! tombstones behind and compacts lazily. The property: under random
-//! insert / get / flush / destroy / eviction-pressure sequences, the two
-//! are observably identical — same put/get outcomes, same occupancy
-//! after every operation, and the same survivor set at the end (which
-//! pins the eviction *order*, since which objects survive depends on
-//! exactly which were evicted first).
+//! eviction order is the ground truth. The property: under random
+//! insert / get / flush / destroy / eviction-pressure sequences, each
+//! engine and the model are observably identical — same put/get
+//! outcomes, same occupancy after every operation, and the same
+//! survivor set at the end (which pins the eviction *order*, since
+//! which objects survive depends on exactly which were evicted first).
+//!
+//! A second property covers what the memory-only model cannot: hybrid
+//! pools over a memory and an SSD store, where a full SSD store evicts
+//! its own oldest page and an overwrite can move a block from one store
+//! to the other. There the engines must evict the same objects in the
+//! same order as each other, and the serial engine's order is pinned by
+//! a digest recorded before the eviction queues last changed shape.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
-use ddc_core::cleancache::SecondChanceCache;
+use ddc_core::concurrent::ShardedCache;
+use ddc_core::hypercache::Engine;
 use ddc_core::prelude::*;
 
 type Key = (u32, u32, u64, u64); // (vm, pool, file, block)
@@ -88,8 +94,10 @@ impl EagerModel {
     }
 }
 
-struct Harness {
-    cache: DoubleDeckerCache,
+struct Harness<E> {
+    engine: E,
+    /// The engine's evictions so far.
+    evictions: fn(&E) -> u64,
     model: EagerModel,
     /// Current pool id per (vm slot, pool slot); destroyed pools are
     /// re-created with fresh ids.
@@ -100,24 +108,29 @@ const VMS: u32 = 2;
 const POOLS_PER_VM: u32 = 2;
 const CAPACITY: u64 = 2 * EVICTION_BATCH_PAGES;
 
-impl Harness {
-    fn new() -> Harness {
-        let mut cache = DoubleDeckerCache::new(CacheConfig {
-            mem_capacity_pages: CAPACITY,
-            ssd_capacity_pages: 0,
-            mode: PartitionMode::Global,
-            admission: AdmissionConfig::off(),
-        });
+fn mem_config() -> CacheConfig {
+    CacheConfig {
+        mem_capacity_pages: CAPACITY,
+        ssd_capacity_pages: 0,
+        mode: PartitionMode::Global,
+        admission: AdmissionConfig::off(),
+    }
+}
+
+impl<E: Engine> Harness<E> {
+    fn new(shards: usize, evictions: fn(&E) -> u64) -> Harness<E> {
+        let mut engine = E::build(mem_config(), shards);
         let pools = (0..VMS)
             .map(|v| {
-                cache.add_vm(VmId(v), 100);
+                engine.add_vm(VmId(v), 100);
                 (0..POOLS_PER_VM)
-                    .map(|_| cache.create_pool(VmId(v), CachePolicy::mem(100)))
+                    .map(|_| engine.create_pool(VmId(v), CachePolicy::mem(100)))
                     .collect()
             })
             .collect();
         Harness {
-            cache,
+            engine,
+            evictions,
             model: EagerModel::new(CAPACITY),
             pools,
         }
@@ -139,37 +152,32 @@ impl Harness {
         let file = r.range_u64(0, 4);
         let block = r.range_u64(0, 700);
         let (key, vm, pool, addr) = self.key(v, p, file, block);
+        let cache = &mut self.engine;
         match r.range_u64(0, 10) {
             // Put-heavy mix: the eviction path only fires under pressure.
             0..=5 => {
-                let stored = self
-                    .cache
+                let stored = cache
                     .put(SimTime::from_secs(1), vm, pool, addr, PageVersion(1))
                     .is_stored();
                 assert_eq!(stored, self.model.put(key), "put outcome diverged");
             }
             6..=7 => {
-                let hit = self
-                    .cache
-                    .get(SimTime::from_secs(1), vm, pool, addr)
-                    .is_hit();
+                let hit = cache.get(SimTime::from_secs(1), vm, pool, addr).is_hit();
                 assert_eq!(hit, self.model.remove(key), "get outcome diverged");
             }
             8 => {
-                self.cache.flush(vm, pool, addr);
+                cache.flush(vm, pool, addr);
                 self.model.remove(key);
             }
             _ => {
-                // Destroy one pool (its queue entries become tombstones
-                // in the real cache) and re-create it under a fresh id.
-                self.cache.destroy_pool(vm, pool);
+                // Destroy one pool and re-create it under a fresh id.
+                cache.destroy_pool(vm, pool);
                 self.model.destroy_pool(v, pool.0);
-                self.pools[v as usize][p as usize] =
-                    self.cache.create_pool(vm, CachePolicy::mem(100));
+                self.pools[v as usize][p as usize] = cache.create_pool(vm, CachePolicy::mem(100));
             }
         }
         assert_eq!(
-            self.cache.totals().mem_used_pages,
+            self.engine.live_pages(),
             self.model.live.len() as u64,
             "occupancy diverged"
         );
@@ -179,14 +187,14 @@ impl Harness {
     /// hit/miss per key: any eviction-order difference shows up as a
     /// survivor-set mismatch here.
     fn check_survivors(mut self) {
-        assert_eq!(self.cache.totals().evictions, self.model.evictions);
+        assert_eq!((self.evictions)(&self.engine), self.model.evictions);
         for v in 0..VMS {
             for p in 0..POOLS_PER_VM {
                 for file in 0..4 {
                     for block in 0..700 {
                         let (key, vm, pool, addr) = self.key(v, p, file, block);
                         let hit = self
-                            .cache
+                            .engine
                             .get(SimTime::from_secs(1), vm, pool, addr)
                             .is_hit();
                         assert_eq!(
@@ -198,30 +206,207 @@ impl Harness {
                 }
             }
         }
-        assert_eq!(self.cache.totals().mem_used_pages, 0);
+        assert_eq!(self.engine.live_pages(), 0);
         assert!(self.model.live.is_empty());
     }
 }
 
-fn run_sequence(seed: u64, steps: u64) {
-    let mut h = Harness::new();
-    let mut r = SimRng::new(seed);
-    for _ in 0..steps {
-        h.step(&mut r);
+/// Runs the model property on one engine, `seeds` one after another.
+fn run_sequence<E: Engine>(shards: usize, evictions: fn(&E) -> u64, seeds: &[u64], steps: u64) {
+    for &seed in seeds {
+        let mut h = Harness::<E>::new(shards, evictions);
+        let mut r = SimRng::new(seed);
+        for _ in 0..steps {
+            h.step(&mut r);
+        }
+        h.check_survivors();
     }
-    h.check_survivors();
+}
+
+/// [`run_sequence`] on the serial engine and on the sharded one at one
+/// shard and at sixteen.
+fn on_every_engine(seeds: &[u64], steps: u64) {
+    run_sequence::<DoubleDeckerCache>(1, |c| c.totals().evictions, seeds, steps);
+    for shards in [1, 16] {
+        run_sequence::<ShardedCache>(shards, ShardedCache::evictions, seeds, steps);
+    }
 }
 
 #[test]
 fn tombstone_fifo_matches_eager_retain_model() {
-    for seed in [1, 7, 42, 1234, 0xDD01] {
-        run_sequence(seed, 6_000);
-    }
+    on_every_engine(&[1, 7, 42, 1234, 0xDD01], 6_000);
 }
 
 #[test]
 fn long_churn_survives_many_compactions() {
-    // One long run with a put-heavy prefix guarantees multiple
-    // tombstone-driven compaction passes over the global queue.
-    run_sequence(99, 25_000);
+    // One long put-heavy run: the queues turn over many times, over
+    // recycled slots.
+    on_every_engine(&[99], 25_000);
 }
+
+type Resident = (VmId, PoolId, BlockAddr);
+
+/// What [`hybrid_stream`] saw: every evicting put's victims in order,
+/// the residents at the end, and which store each page sat in.
+#[derive(Default, PartialEq, Eq)]
+struct HybridRun {
+    /// `(op, objects the put evicted)`, in op order.
+    evicted: Vec<(u64, Vec<Resident>)>,
+    /// The residents at the end, each with `true` if it sits on the SSD.
+    at: BTreeMap<Resident, bool>,
+    /// Overwrites that moved a block to the other store.
+    moved: u64,
+    /// Pages evicted from each store, `[mem, ssd]`.
+    per_store: [u64; 2],
+}
+
+/// `(mem, ssd)` pages over `pools`.
+fn store_pages(cache: &impl Engine, pools: &[(VmId, PoolId)]) -> (u64, u64) {
+    pools
+        .iter()
+        .filter_map(|&(vm, pool)| cache.pool_stats(vm, pool))
+        .fold((0, 0), |(m, s), st| (m + st.mem_pages, s + st.ssd_pages))
+}
+
+/// The pool in `slot` of [`hybrid_stream`], two a VM: a memory pool keeps the memory
+/// store full, so the hybrid pool's memory pages are evicted with its
+/// pages in one store-wide order.
+fn policy(slot: usize) -> CachePolicy {
+    [CachePolicy::hybrid(100), CachePolicy::mem(100)][slot % 2]
+}
+
+/// One seeded op stream over two VMs' hybrid and memory pools of a Global-mode cache
+/// with a 48-page memory and a 40-page SSD store, working set about
+/// three times both together: puts (a third of them overwrites of a
+/// resident block), exclusive gets, flushes and now and then a pool
+/// destroyed and re-created. The engines do not say where a put went,
+/// so each put's store is read off the page counts after it, once the
+/// pages it displaced and evicted are accounted for.
+fn hybrid_stream<E: Engine>(shards: usize) -> HybridRun {
+    let config = CacheConfig::mem_and_ssd(48, 40).with_mode(PartitionMode::Global);
+    let mut cache = E::build(config, shards);
+    let mut pools = Vec::new();
+    for v in 0..VMS {
+        cache.add_vm(VmId(v), 100 + 50 * u64::from(v));
+        for _ in 0..POOLS_PER_VM {
+            let pool = cache.create_pool(VmId(v), policy(pools.len()));
+            pools.push((VmId(v), pool));
+        }
+    }
+    let mut r = SimRng::new(0x4EB1);
+    let mut run = HybridRun::default();
+    for op in 0..4_000u64 {
+        // Three ops in four go to a hybrid pool, so its SSD share fills.
+        let slot = 2 * r.range_usize(0, VMS as usize) + usize::from(r.chance(0.25));
+        let (vm, pool) = pools[slot];
+        let own: Vec<BlockAddr> = (run.at.keys())
+            .filter(|k| (k.0, k.1) == (vm, pool))
+            .map(|k| k.2)
+            .collect();
+        // Each pool has files of its own: one VM's pools never share a
+        // block.
+        let file = FileId(4 * slot as u64 + r.range_u64(0, 4));
+        let fresh = BlockAddr::new(file, r.range_u64(0, 96));
+        let addr = if !own.is_empty() && r.chance(0.33) {
+            own[r.range_usize(0, own.len())]
+        } else {
+            fresh
+        };
+        let key = (vm, pool, addr);
+        match r.range_u64(0, 200) {
+            0..=139 => {
+                let before = store_pages(&cache, &pools);
+                let stored = cache.put(SimTime::from_secs(1), vm, pool, addr, PageVersion(op));
+                let after = store_pages(&cache, &pools);
+                let mut left = [before.0, before.1];
+                let displaced = run.at.remove(&key);
+                if let Some(ssd) = displaced {
+                    left[usize::from(ssd)] -= 1;
+                }
+                let residents = cache.entries();
+                let gone: Vec<Resident> = (run.at.keys())
+                    .filter(|k| {
+                        let probe = (k.0, k.1, k.2, PageVersion(0));
+                        let at = residents.partition_point(|e| *e < probe);
+                        residents.get(at).is_none_or(|e| (e.0, e.1, e.2) != **k)
+                    })
+                    .copied()
+                    .collect();
+                for k in &gone {
+                    let ssd = run.at.remove(k).expect("tracked");
+                    left[usize::from(ssd)] -= 1;
+                    run.per_store[usize::from(ssd)] += 1;
+                }
+                if stored.is_stored() {
+                    let to_ssd = match (after.0 - left[0], after.1 - left[1]) {
+                        (1, 0) => false,
+                        (0, 1) => true,
+                        other => panic!("op {op}: a put added {other:?} pages"),
+                    };
+                    run.moved += u64::from(displaced.is_some_and(|was| was != to_ssd));
+                    run.at.insert(key, to_ssd);
+                } else {
+                    assert_eq!([after.0, after.1], left, "op {op}: a rejected put");
+                }
+                if !gone.is_empty() {
+                    run.evicted.push((op, gone));
+                }
+            }
+            140..=171 => {
+                let hit = cache.get(SimTime::from_secs(1), vm, pool, addr).is_hit();
+                assert_eq!(hit, run.at.remove(&key).is_some(), "op {op}: get");
+            }
+            172..=198 => {
+                cache.flush(vm, pool, addr);
+                run.at.remove(&key);
+            }
+            _ => {
+                cache.destroy_pool(vm, pool);
+                run.at.retain(|k, _| (k.0, k.1) != (vm, pool));
+                pools[slot] = (vm, cache.create_pool(vm, policy(slot)));
+            }
+        }
+    }
+    let findings = cache.audit();
+    assert!(findings.is_empty(), "{findings:?}");
+    run
+}
+
+/// FNV-1a over the evicted sequence, op by op.
+fn digest(evicted: &[(u64, Vec<Resident>)]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for (op, gone) in evicted {
+        let words = gone
+            .iter()
+            .flat_map(|&(vm, pool, a)| [u64::from(vm.0), u64::from(pool.0), a.file.0, a.block]);
+        for word in std::iter::once(*op).chain(words) {
+            h = (h ^ word).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// Hybrid pools over an SSD store in Global mode: both stores fill and
+/// evict, overwrites move blocks between them, and the serial engine
+/// and the sharded one at one and at sixteen shards evict the same
+/// objects in the same order, the serial order being the pinned one.
+#[test]
+fn hybrid_pools_evict_both_stores_in_one_order_on_every_engine() {
+    let want = hybrid_stream::<DoubleDeckerCache>(1);
+    assert!(want.moved > 20, "{} overwrites moved a block", want.moved);
+    let [mem, ssd] = want.per_store;
+    assert!(mem > 100 && ssd > 100, "evicted {mem} mem, {ssd} ssd pages");
+    assert_eq!(digest(&want.evicted), HYBRID_EVICTION_DIGEST);
+    for shards in [1, 16] {
+        let got = hybrid_stream::<ShardedCache>(shards);
+        assert!(
+            got.evicted == want.evicted,
+            "{shards} shards: evicted sequence"
+        );
+        assert!(got == want, "{shards} shards: residents and stores");
+    }
+}
+
+/// [`digest`] of the serial engine's [`hybrid_stream`], recorded while
+/// each store's eviction queue was a lazily deleted `VecDeque`.
+const HYBRID_EVICTION_DIGEST: u64 = 0x0013_2C5B_ECFE_FC49;
