@@ -4,10 +4,10 @@
 //! runs the invariants both engines hold over that cut
 //! ([`ddc_hypercache::audit_cut`]: store accounting against the atomic
 //! ledgers — the invariant the CAS allocation loop exists to protect —
-//! Global-FIFO tombstones per shard, entitlement sums, registry
-//! policies, remote bindings, and index coherence, FIFO coverage and
-//! order, exclusivity, sequence monotonicity and arena shape over every
-//! pool), then what only the sharded layout has:
+//! entitlement sums, registry policies, remote bindings, and index
+//! coherence, queue chains and FIFO order, exclusivity, sequence
+//! monotonicity and arena shape over every pool), then what only the
+//! sharded layout has:
 //!
 //! 1. **Shard map** — every pool sits in the shard its key hashes to.
 //! 2. **Memo accuracy** — the auditing handle's share memo, where it is

@@ -98,9 +98,9 @@ fn journaled_planes_agree_on_flush_epoch_watermarks() {
 
 /// Every mode under 2 and 4 threads, each thread flushing its "old"
 /// pool's pages at the end of every round: the flushes race other
-/// threads' evictions (in Global mode they leave dead entries at the
-/// Global FIFO fronts the evictor pops through; in DoubleDecker and
-/// Strict mode they move the usage the victim walk reads). Every put
+/// threads' evictions (in Global mode they unlink the oldest pages the
+/// evictor merges the pools' queues for; in DoubleDecker and Strict
+/// mode they move the usage the victim walk reads). Every put
 /// returns, no get sees a version its thread did not store last, the
 /// auditor is clean, and eviction ran.
 #[test]
@@ -299,8 +299,8 @@ fn a_batch_evicts_the_walks_pick_on_the_usage_it_runs_against() {
 /// One store, three equal-weight VMs, 64 pages (entitlements 22/21/21,
 /// so the shares carry rounding slack): a single-threaded, journaled op
 /// stream that keeps the store full, with exclusive hits and flushes
-/// killing entries in place between the eviction batches (dead FIFO
-/// fronts for the Global evictor to pop), must evict the same objects
+/// unlinking entries from the queues between the eviction batches,
+/// must evict the same objects
 /// in the same order, end with the same residents and write the same
 /// journal on the serial engine and on the sharded one at every shard
 /// count, in every mode. This is the byte-identity contract seen
@@ -359,8 +359,8 @@ type Entries = Vec<(VmId, PoolId, BlockAddr, PageVersion)>;
 
 /// The evicting stream of the test above: 600 single-threaded ops on a
 /// full 64-page store, three in four a put of a fresh block, the rest an
-/// exclusive hit or a flush of an earlier block of the same pool (a dead
-/// FIFO entry). Returns the objects each evicting put took out, in
+/// exclusive hit or a flush of an earlier block of the same pool (an
+/// entry unlinked from its queue). Returns the objects each evicting put took out, in
 /// order, and the residents at the end.
 fn evicting_stream<C: SecondChanceCache>(
     cache: &mut C,
@@ -374,7 +374,7 @@ fn evicting_stream<C: SecondChanceCache>(
         let (vm, pool) = pools[r.range_usize(0, pools.len())];
         let file = FileId(u64::from(vm.0) + 1);
         // An earlier block of the pool: a hit or a flush of it
-        // leaves a dead entry in the FIFO.
+        // unlinks its queue entry.
         let earlier = BlockAddr::new(file, r.range_u64(0, op + 1));
         match r.range_u64(0, 8) {
             0 => drop(cache.get(SimTime::from_secs(1), vm, pool, earlier)),
@@ -417,8 +417,8 @@ const PREFIX_RESIDENTS: usize = 12;
 /// A put / exclusive-hit phase that evicts nothing: each round puts a
 /// fresh block into one pool and, once the pool holds
 /// [`PREFIX_RESIDENTS`], takes a random earlier one back with a hit.
-/// About 2,000 puts per pool over at most a dozen live objects: the
-/// pools' FIFOs end up almost all dead entries, well past 1,024 of them.
+/// About 2,000 puts per pool over at most a dozen live objects: nearly
+/// every queue entry leaves from the middle of its queue.
 /// Returns the residents it leaves, which it checks against `entries`.
 fn tombstone_heavy_prefix<C: SecondChanceCache>(
     cache: &mut C,
