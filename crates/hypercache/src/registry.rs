@@ -67,8 +67,8 @@ pub enum Control<M> {
     /// These pools of one VM left the registry, each with the payload
     /// its row carried: destroy them.
     Drain(VmId, Vec<(PoolId, M)>),
-    /// This pool is registered under this policy: create it, wired to
-    /// its row's payload (the existing one for an id already there).
+    /// This pool was registered under this policy: create it, wired to
+    /// its new row's payload.
     Install(VmId, PoolId, CachePolicy, M),
     /// This pool's row carries a new policy: give it to the pool.
     Swap(VmId, PoolId, CachePolicy),
@@ -139,9 +139,9 @@ impl<M: Clone> Registry<M> {
     /// the weights, and weights for a VM whose `AddVm` an image lost
     /// register it); a `CreatePool` for an unknown VM registers it at
     /// 100/100, so single-VM setups need no `AddVm`, and one for an id
-    /// already registered keeps the row's payload and takes the new
-    /// policy; records that name nothing registered are ignored. Every
-    /// other answer moves [`Self::version`].
+    /// already registered is a policy swap (the pool keeps its pages);
+    /// records that name nothing registered are ignored. Every other
+    /// answer moves [`Self::version`].
     pub fn apply(&mut self, rec: &JournalRecord, new_row: impl FnOnce() -> M) -> Control<M> {
         let control = self.transition(rec, new_row);
         if !matches!(control, Control::Ignored) {
@@ -190,18 +190,20 @@ impl<M: Clone> Registry<M> {
                 };
                 let (vm, pool, policy) = (VmId(vm), PoolId(pool), CachePolicy { store, weight });
                 let pools = &mut self.vms.entry(vm).or_insert_with(|| vm_row(100, 100)).pools;
+                self.last_pool = self.last_pool.max(pool.0);
                 // Live ids are minted monotonically (the row goes
                 // last); a replayed id may sit anywhere.
-                let i = match pools.binary_search_by_key(&pool, |r| r.0) {
-                    Ok(i) => i,
-                    Err(i) => {
-                        pools.insert(i, (pool, policy, new_row()));
-                        i
+                match pools.binary_search_by_key(&pool, |r| r.0) {
+                    Ok(i) => {
+                        pools[i].1 = policy;
+                        Control::Swap(vm, pool, policy)
                     }
-                };
-                pools[i].1 = policy;
-                self.last_pool = self.last_pool.max(pool.0);
-                Control::Install(vm, pool, policy, pools[i].2.clone())
+                    Err(i) => {
+                        let row = new_row();
+                        pools.insert(i, (pool, policy, row.clone()));
+                        Control::Install(vm, pool, policy, row)
+                    }
+                }
             }
             JournalRecord::DestroyPool { vm, pool } => {
                 let (vm, pool) = (VmId(vm), PoolId(pool));
@@ -520,7 +522,12 @@ mod tests {
                         vm, pool, store, ..
                     } if store < 3 => {
                         let (policy, payload) = model[&vm].1[&pool];
-                        Control::Install(VmId(vm), PoolId(pool), policy, payload)
+                        let known = before.get(&vm).is_some_and(|r| r.1.contains_key(&pool));
+                        if known {
+                            Control::Swap(VmId(vm), PoolId(pool), policy)
+                        } else {
+                            Control::Install(VmId(vm), PoolId(pool), policy, payload)
+                        }
                     }
                     JournalRecord::SetPolicy {
                         vm, pool, store, ..

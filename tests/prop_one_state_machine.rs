@@ -13,8 +13,9 @@
 //!   `recover`s: same entries, same report counters, same fresh epochs,
 //!   same wear totals, and a byte-identical fresh checkpoint.
 //! * **One answer where replay used to drift.** Hand-built images with
-//!   a `SetVmWeights` for a VM no `AddVm` registered, and with a
-//!   `SetMode` that disagrees with the recovery config.
+//!   a `SetVmWeights` for a VM no `AddVm` registered, with a `SetMode`
+//!   that disagrees with the recovery config, and with a second
+//!   `CreatePool` for a pool that already holds a page.
 //! * **One control plane.** A second stream that interleaves every
 //!   control verb both engines have (VM registration and re-weighting,
 //!   pool create / destroy, policy swaps that move a pool between the
@@ -303,6 +304,49 @@ fn the_journals_mode_wins_over_the_recovery_configs_on_both_engines() {
     // A journal that never recorded a mode leaves the config's.
     let (sharded, _) = ShardedCache::recover(config, &[Vec::new()], &[]);
     assert_eq!(sharded.mode(), PartitionMode::DoubleDecker);
+}
+
+#[test]
+fn a_second_create_pool_for_a_registered_pool_keeps_its_pages_on_both_engines() {
+    // A `CreatePool` for an id already registered swaps the pool's
+    // policy: the page it holds stays in the pool and in the store's
+    // count, and the auditor stays clean.
+    let create = |store| JournalRecord::CreatePool {
+        vm: 1,
+        pool: 2,
+        store: ddc_core::hypercache::store_kind_code(store),
+        weight: 100,
+    };
+    let addr = BlockAddr::new(FileId(1), 0);
+    let records = [
+        create(StoreKind::Mem),
+        JournalRecord::Put {
+            vm: 1,
+            pool: 2,
+            addr,
+            version: 1,
+            placement: 0,
+        },
+        create(StoreKind::Hybrid),
+    ];
+    let image = image(&records);
+    let config = config(PartitionMode::DoubleDecker);
+    recover_both(config, &image, &[], "a second CreatePool");
+
+    let kept = vec![(VmId(1), PoolId(2), addr, PageVersion(1))];
+    let (serial, _) = DoubleDeckerCache::recover(config, &image, &[]);
+    assert_eq!(serial.entries(), kept);
+    assert_eq!(ddc_core::hypercache::audit(&serial), vec![]);
+    let (sharded, _) = ShardedCache::recover(config, std::slice::from_ref(&image), &[]);
+    assert_eq!(sharded.entries(), kept);
+    assert_eq!(ddc_core::concurrent::audit(&sharded), vec![]);
+    let (fresh, _) = Journal::replay(serial.journal_bytes().expect("journaling on"));
+    assert!(
+        fresh
+            .iter()
+            .any(|(_, rec)| *rec == create(StoreKind::Hybrid)),
+        "the pool takes the second record's policy"
+    );
 }
 
 #[derive(Clone, Debug)]
