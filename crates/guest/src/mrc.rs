@@ -36,8 +36,8 @@ pub struct MissRatioCurve {
 
 impl MissRatioCurve {
     /// Estimated miss ratio for a cache of `size` blocks, linearly
-    /// interpolated between histogram buckets so that marginal-gain
-    /// queries see a smooth gradient (1.0 for an empty curve).
+    /// interpolated between histogram buckets so that callers comparing
+    /// sizes see a smooth gradient (1.0 for an empty curve).
     pub fn miss_ratio_at(&self, size: u64) -> f64 {
         if self.ratios.is_empty() {
             return 1.0;
@@ -59,26 +59,9 @@ impl MissRatioCurve {
         lo_ratio + (hi_ratio - lo_ratio) * f
     }
 
-    /// The marginal benefit of growing the cache from `from` to `to`
-    /// blocks: the drop in miss ratio (≥ 0).
-    pub fn marginal_gain(&self, from: u64, to: u64) -> f64 {
-        (self.miss_ratio_at(from) - self.miss_ratio_at(to)).max(0.0)
-    }
-
     /// Total accesses the curve is based on.
     pub fn accesses(&self) -> u64 {
         self.accesses
-    }
-
-    /// The smallest cache size whose estimated miss ratio is at most
-    /// `target`, if the curve ever gets there — a working-set-size
-    /// estimate.
-    pub fn size_for_miss_ratio(&self, target: f64) -> Option<u64> {
-        self.sizes
-            .iter()
-            .zip(&self.ratios)
-            .find(|(_, &r)| r <= target)
-            .map(|(&s, _)| s)
     }
 }
 
@@ -235,16 +218,6 @@ impl MrcEstimator {
             accesses: self.accesses,
         }
     }
-
-    /// Discards history (e.g. after a phase change).
-    pub fn reset(&mut self) {
-        self.clock = 0;
-        self.last_seen.clear();
-        self.stamps.clear();
-        self.histogram = [0; BUCKETS];
-        self.cold = 0;
-        self.accesses = 0;
-    }
 }
 
 impl Default for MrcEstimator {
@@ -291,30 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn marginal_gain_positive_at_the_knee() {
-        let mut mrc = MrcEstimator::with_sample_rate(1);
-        cyclic_scan(&mut mrc, 200, 10);
-        let curve = mrc.curve();
-        let at_knee = curve.marginal_gain(64, 512);
-        let past_knee = curve.marginal_gain(1024, 4096);
-        assert!(at_knee > 0.5, "crossing the knee buys a lot: {at_knee}");
-        assert!(past_knee < 0.1, "past the knee buys little: {past_knee}");
-    }
-
-    #[test]
-    fn size_for_miss_ratio_finds_working_set() {
-        let mut mrc = MrcEstimator::with_sample_rate(1);
-        cyclic_scan(&mut mrc, 200, 10);
-        let curve = mrc.curve();
-        let wss = curve.size_for_miss_ratio(0.2).expect("reachable");
-        assert!(
-            (200..=512).contains(&wss),
-            "WSS estimate {wss} should bracket the true 200-block set"
-        );
-        assert_eq!(curve.size_for_miss_ratio(0.0), None, "never zero (cold)");
-    }
-
-    #[test]
     fn empty_curve_is_all_misses() {
         let mrc = MrcEstimator::new();
         let curve = mrc.curve();
@@ -346,15 +295,6 @@ mod tests {
                 "sampled curve within 12% of full at size {size} (err {err:.3})"
             );
         }
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut mrc = MrcEstimator::with_sample_rate(1);
-        cyclic_scan(&mut mrc, 50, 5);
-        mrc.reset();
-        assert_eq!(mrc.curve().accesses(), 0);
-        assert_eq!(mrc.curve().miss_ratio_at(1024), 1.0);
     }
 
     #[test]

@@ -104,19 +104,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
-    /// Creates a span from fractional seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> SimDuration {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "duration seconds must be finite and non-negative, got {secs}"
-        );
-        SimDuration((secs * 1e9).round() as u64)
-    }
-
     /// Raw nanoseconds in the span.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -310,21 +297,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1000));
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
         assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1000));
-    }
-
-    #[test]
-    fn duration_from_secs_f64_rounds() {
-        assert_eq!(
-            SimDuration::from_secs_f64(0.5),
-            SimDuration::from_millis(500)
-        );
-        assert_eq!(SimDuration::from_secs_f64(0.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn duration_from_secs_f64_rejects_negative() {
-        let _ = SimDuration::from_secs_f64(-1.0);
     }
 
     #[test]
