@@ -66,12 +66,14 @@ filtered --release -q -p ddc-core --test prop_conformance -- a_mixed_put_many_an
 filtered --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses a_put_that_evicts_across_a_policy_swap an_all_miss_get_many_takes_one_shard_visit line_aligned share_no_cache_line
 echo "==> eviction under every shard lock: threads flushing their own pages race the evictor in every mode (2 and 4 threads), a batch evicts the pool the walk picks on the usage left by the hook's flushes (1/4/16 shards), a Global put is stored while the hook flushes the oldest page, and one evicted sequence and one journal with the serial engine at 1/4/16 shards with queue entries unlinked between batches"
 filtered --release -q -p ddc-core --test prop_concurrent_equivalence -- eviction_races_flushes a_batch_evicts_the_walks_pick a_global_put_is_stored single_threaded_eviction_sequence
-echo "==> eviction queues threaded through the slab: a pool's queues against a model (whole pop order after drains and store-changing overwrites, SlotIds under removal-heavy schedules, length = used after every step), Global eviction against an eager reference FIFO on the serial engine and the sharded one at 1 and 16 shards with one pinned order for hybrid pools over an SSD store, one evicted sequence and journal with the serial engine after a removal-heavy prefix in every mode at 1/4/16 shards, the auditor finding a live slot missing from its queue, and a pool drained only by exclusive gets holding exactly its live pages on its queues on both engines"
+echo "==> eviction queues and the lookup table threaded through the slab: a pool's queues against a model (whole pop order after drains and store-changing overwrites, SlotIds under removal-heavy schedules, length = used after every step), Global eviction against an eager reference FIFO on the serial engine and the sharded one at 1 and 16 shards with one pinned order for hybrid pools over an SSD store, one evicted sequence and journal with the serial engine after a removal-heavy prefix in every mode at 1/4/16 shards, the auditor finding a live slot missing from its queue, a pool drained only by exclusive gets holding exactly its live pages on its queues on both engines, the lookup table against a BTreeMap model (colliding tags, clusters wrapping past the last bucket, growth inside a cluster, removal inside a wrapped cluster, the census moving by exactly the buckets' bytes), and a second CreatePool for a registered pool keeping its pages on both engines"
 cargo test --release -q -p ddc-core --test prop_arena_model
 cargo test --release -q -p ddc-core --test prop_global_fifo
 filtered --release -q -p ddc-core --test prop_concurrent_equivalence -- eviction_sequence_matches_serial_after
 filtered --release -q -p ddc-hypercache --lib -- exclusive_gets_alone a_live_slot_missing_from_its_queue
 filtered --release -q -p ddc-concurrent --lib -- exclusive_gets_alone
+filtered --release -q -p ddc-hypercache --lib -- slot_table_matches_a_btreemap_model
+filtered --release -q -p ddc-core --test prop_one_state_machine -- a_second_create_pool_for_a_registered_pool
 
 echo "==> one wait policy: an eviction batch frees page by page (recording ledger), the Zipf guide table lands on the full search's rank, the backoff is bounded and a poisoned lock still panics (release too: the guide's debug assertion is compiled out there)"
 filtered --release -q -p ddc-hypercache --lib -- shard::
