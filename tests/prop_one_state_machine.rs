@@ -161,9 +161,14 @@ fn one_op_stream_writes_one_journal_on_both_engines() {
     }
 }
 
-/// Recovers `image` through both engines and holds everything the two
-/// reports and caches share against each other.
-fn recover_both(config: CacheConfig, image: &[u8], epochs: &[(VmId, u64)], what: &str) {
+/// Recovers `image` through both engines, holds everything the two
+/// reports and caches share against each other, and hands both back.
+fn recover_both(
+    config: CacheConfig,
+    image: &[u8],
+    epochs: &[(VmId, u64)],
+    what: &str,
+) -> (DoubleDeckerCache, ShardedCache) {
     let (serial, sr) = DoubleDeckerCache::recover(config, image, epochs);
     let (sharded, hr) = ShardedCache::recover(config, &[image.to_vec()], epochs);
     assert_eq!(serial.entries(), sharded.entries(), "{what}: entries");
@@ -194,6 +199,7 @@ fn recover_both(config: CacheConfig, image: &[u8], epochs: &[(VmId, u64)], what:
         serial.journal_bytes().expect("recovered caches journal") == &fresh[0][..],
         "{what}: fresh checkpoints differ"
     );
+    (serial, sharded)
 }
 
 #[test]
@@ -583,6 +589,174 @@ fn one_control_stream_is_one_policy_module_on_both_engines() {
         for cut in cuts {
             let what = format!("{mode:?}, control stream, cut {cut} of {}", image.len());
             recover_both(config(mode), &image[..cut], &[], &what);
+        }
+    }
+}
+
+/// One record of a hostile journal: any of the 17 kinds over VMs 1–3,
+/// pools 1–3, files 1–3 and blocks 0–5, with store, placement and mode
+/// codes that include one no version wrote. A `Put` carries `version`,
+/// unique in its stream, so a recovered entry names the put it came
+/// from.
+fn hostile_record(rng: &mut SimRng, version: u64) -> JournalRecord {
+    let vm = 1 + rng.range_u64(0, 3) as u32;
+    let pool = 1 + rng.range_u64(0, 3) as u32;
+    let addr = BlockAddr::new(FileId(1 + rng.range_u64(0, 3)), rng.range_u64(0, 6));
+    let weight = [0, 50, 100, 300][rng.range_usize(0, 4)];
+    let store = rng.range_u64(0, 4) as u8;
+    match rng.range_u64(0, 30) {
+        0..=9 => JournalRecord::Put {
+            vm,
+            pool,
+            addr,
+            version,
+            placement: rng.range_u64(0, 3) as u8,
+        },
+        10 | 11 => JournalRecord::Take { vm, pool, addr },
+        12 | 13 => JournalRecord::Evict { vm, pool, addr },
+        14 | 15 => JournalRecord::Flush { vm, pool, addr },
+        16 => JournalRecord::FlushFile {
+            vm,
+            pool,
+            file: addr.file,
+        },
+        17 => JournalRecord::CreatePool {
+            vm,
+            pool,
+            store,
+            weight,
+        },
+        18 => JournalRecord::DestroyPool { vm, pool },
+        19 => JournalRecord::SetPolicy {
+            vm,
+            pool,
+            store,
+            weight,
+        },
+        20 => JournalRecord::AddVm {
+            vm,
+            mem_weight: u64::from(weight),
+            ssd_weight: rng.range_u64(0, 300),
+        },
+        21 => JournalRecord::RemoveVm { vm },
+        22 => JournalRecord::SetVmWeights {
+            vm,
+            mem_weight: rng.range_u64(0, 300),
+            ssd_weight: u64::from(weight),
+        },
+        23 => JournalRecord::Epoch { vm },
+        24 => JournalRecord::SetMemCapacity {
+            pages: rng.range_u64(0, 20),
+        },
+        25 => JournalRecord::SetSsdCapacity {
+            pages: rng.range_u64(0, 20),
+        },
+        26 => JournalRecord::SetMode {
+            mode: rng.range_u64(0, 4) as u8,
+        },
+        27 => JournalRecord::SsdDrain,
+        _ => JournalRecord::WearTotals {
+            vm,
+            ssd_pages_written: rng.range_u64(0, 40),
+            pages_admitted: rng.range_u64(0, 40),
+        },
+    }
+}
+
+/// A hostile journal as `(generation, record)` in append order: a
+/// `CreatePool` for a random subset of the nine pools, then 1–79
+/// records of [`hostile_record`]. Generations are dense but for about
+/// one gap and one repeat in forty.
+fn hostile_stream(rng: &mut SimRng) -> Vec<(u64, JournalRecord)> {
+    let mut records = Vec::new();
+    for vm in 1..=3 {
+        for pool in 1..=3 {
+            if rng.chance(0.5) {
+                records.push(JournalRecord::CreatePool {
+                    vm,
+                    pool,
+                    store: rng.range_u64(0, 4) as u8,
+                    weight: [0, 50, 100, 300][rng.range_usize(0, 4)],
+                });
+            }
+        }
+    }
+    for _ in 0..rng.range_usize(1, 80) {
+        let version = records.len() as u64 + 1;
+        records.push(hostile_record(rng, version));
+    }
+    let mut gen = 0;
+    records
+        .into_iter()
+        .map(|rec| {
+            match rng.range_u64(0, 40) {
+                0 => gen += 2,
+                1 if gen > 0 => {}
+                _ => gen += 1,
+            }
+            (gen, rec)
+        })
+        .collect()
+}
+
+/// `stream` spread over `n` segments the way the sharded engine writes
+/// them: pool-scoped records (data and the pool's own control records)
+/// into the pool's home segment, everything else into segment 0.
+fn hostile_segments(stream: &[(u64, JournalRecord)], n: usize) -> Vec<Vec<u8>> {
+    let mut journals: Vec<Journal> = (0..n).map(|_| Journal::new()).collect();
+    for &(gen, rec) in stream {
+        let si = match rec {
+            JournalRecord::Put { vm, pool, .. }
+            | JournalRecord::Take { vm, pool, .. }
+            | JournalRecord::Evict { vm, pool, .. }
+            | JournalRecord::Flush { vm, pool, .. }
+            | JournalRecord::FlushFile { vm, pool, .. }
+            | JournalRecord::CreatePool { vm, pool, .. }
+            | JournalRecord::DestroyPool { vm, pool }
+            | JournalRecord::SetPolicy { vm, pool, .. } => {
+                ddc_core::hypercache::shard::home_shard(VmId(vm), PoolId(pool), n)
+            }
+            _ => 0,
+        };
+        journals[si].append_with_gen(&rec, gen);
+    }
+    journals.iter().map(|j| j.bytes().to_vec()).collect()
+}
+
+fn finding_names(findings: Vec<ddc_core::hypercache::AuditFinding>) -> Vec<&'static str> {
+    let mut names: Vec<_> = findings.into_iter().map(|f| f.invariant).collect();
+    names.sort_unstable();
+    names
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "100,000 streams; run with --release")]
+fn any_well_framed_journal_recovers_to_one_cache_on_both_engines() {
+    let mut rng = SimRng::new(0x4057_11E5);
+    for case in 0..100_000u64 {
+        let config = CacheConfig {
+            mem_capacity_pages: 16,
+            ssd_capacity_pages: 16,
+            ..config(MODES[case as usize % 3])
+        };
+        let stream = hostile_stream(&mut rng);
+        let mut epochs = Vec::new();
+        if case % 3 == 0 {
+            let last = stream.last().map_or(0, |&(gen, _)| gen);
+            for vm in 1..=3 {
+                epochs.push((VmId(vm), rng.range_u64(0, last + 2)));
+            }
+        }
+        let what = format!("hostile stream {case}");
+        let (serial, one) = recover_both(config, &hostile_segments(&stream, 1)[0], &epochs, &what);
+        let findings = finding_names(ddc_core::hypercache::audit(&serial));
+        assert_eq!(
+            finding_names(ddc_core::concurrent::audit(&one)),
+            findings,
+            "{what}: audit findings"
+        );
+        for shards in [4, 16] {
+            ShardedCache::recover(config, &hostile_segments(&stream, shards), &epochs);
         }
     }
 }
