@@ -608,8 +608,8 @@ fn run_case(master_seed: u64, id: u32) -> ChaosCase {
         cut,
         image_len: image.len(),
         records_replayed: report.records_replayed,
-        torn_tail: report.torn_tail,
-        corrupt: report.corrupt,
+        torn_tail: report.segments[0].torn_tail,
+        corrupt: report.segments[0].corrupt,
         recovered_entries: report.recovered_entries,
         discarded_stale: report.discarded_stale,
         poisoned,

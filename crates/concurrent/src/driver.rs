@@ -37,7 +37,7 @@ use std::time::Duration;
 use ddc_cleancache::{
     CachePolicy, GetOutcome, HypercallChannel, PageVersion, PoolId, SecondChanceCache, VmId,
 };
-use ddc_hypercache::{AuditFinding, CacheConfig, Engine};
+use ddc_hypercache::{AuditFinding, CacheConfig, Engine, RecoveryReport};
 use ddc_json::Json;
 use ddc_metrics::{snapshot_json, CounterSnapshot};
 use ddc_sim::{BreakerConfig, FaultSchedule, FxHashMap, SimDuration, SimRng, SimTime};
@@ -47,7 +47,7 @@ use ddc_storage::{
 };
 
 use crate::audit;
-use crate::sharded::{ShardedCache, ShardedRecoveryReport};
+use crate::sharded::ShardedCache;
 
 /// Remote chunk-store attachment for a driver run: one simulated store
 /// shared by every pool, bound under the full fault-tolerance stack.
@@ -804,7 +804,7 @@ impl CrashHarness {
     /// and the guests' epoch watermarks, then re-seeds each guest
     /// channel with its re-journaled checkpoint epoch (monotone, like
     /// the hypervisor's `note_recovery_epoch`).
-    pub fn recover(&mut self, segments: &[Vec<u8>]) -> ShardedRecoveryReport {
+    pub fn recover(&mut self, segments: &[Vec<u8>]) -> RecoveryReport {
         let epochs = self.guest_epochs();
         let (cache, report) = ShardedCache::recover(self.cfg.cache, segments, &epochs);
         for w in &mut self.workers {

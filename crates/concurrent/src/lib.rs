@@ -38,11 +38,14 @@ mod engine;
 pub mod sharded;
 
 pub use audit::audit;
+/// The one [`ddc_hypercache::RecoveryReport`], under the name the
+/// benchmark crate knows it by.
+pub use ddc_hypercache::RecoveryReport as ShardedRecoveryReport;
 pub use driver::{
     run_equivalence, run_stress, CrashHarness, EquivalenceReport, RemoteSetup, StressConfig,
     StressOutcome,
 };
-pub use sharded::{SegmentReplay, ShardedCache, ShardedRecoveryReport};
+pub use sharded::ShardedCache;
 
 // Vocabulary re-exports so downstream crates can name the shared types
 // without importing every layer.

@@ -109,7 +109,7 @@ use ddc_hypercache::index::{Placement, Pool, Slot, UsageMirror};
 use ddc_hypercache::policy::ShareTable;
 use ddc_hypercache::registry::{self, Control, ShareMemo};
 use ddc_hypercache::shard::{
-    self, Cut, OldestFirst, Placed, PoolVisit, ReplayLog, ShardState, StoreBackend,
+    self, Cut, OldestFirst, Placed, PoolVisit, RecoveryReport, ReplayLog, ShardState, StoreBackend,
 };
 use ddc_hypercache::{
     store_kind_code, AdmissionConfig, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
@@ -182,9 +182,8 @@ impl Ledger {
         self.capacity.load(Ordering::Relaxed)
     }
 
-    /// Replaces the capacity without touching `used`. Recovery applies
-    /// replayed `SetMemCapacity`/`SetSsdCapacity` records with this;
-    /// any resulting oversubscription is shrunk after replay.
+    /// Replaces the capacity without touching `used` (a replayed
+    /// capacity record, [`StoreBackend::set_capacity`]).
     fn set_capacity(&self, pages: u64) {
         self.capacity.store(pages, Ordering::Relaxed);
     }
@@ -221,6 +220,10 @@ impl StoreBackend for Ledgers<'_> {
     #[inline]
     fn next_seq(&mut self) -> u64 {
         self.put.next_seq.next.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn set_capacity(&mut self, placement: Placement, pages: u64) {
+        self.put.ledger(placement).set_capacity(pages);
     }
 }
 
@@ -639,47 +642,6 @@ impl std::fmt::Debug for ShardedCache {
             .field("ssd_used", &self.inner.put.ssd.used_pages())
             .finish()
     }
-}
-
-/// Replay outcome of one shard's segment during
-/// [`ShardedCache::recover`]. Diagnostics only — never part of the
-/// determinism-compared reports (PR 5 precedent).
-#[derive(Debug, Clone, Default)]
-pub struct SegmentReplay {
-    /// Index of the shard the segment belonged to.
-    pub shard: usize,
-    /// Records successfully decoded from this segment.
-    pub records: u64,
-    /// The segment ended in a torn (truncated) record.
-    pub torn_tail: bool,
-    /// Replay stopped at a corrupt (CRC-failing) record.
-    pub corrupt: bool,
-}
-
-/// What [`ShardedCache::recover`] rebuilt and what it had to drop.
-/// The asymmetry is the point: `recovered_entries` may be small and
-/// every `discarded_*` counter large — the cache can forget, never lie.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedRecoveryReport {
-    /// Records applied after merging all segments and truncating at the
-    /// first generation gap.
-    pub records_replayed: u64,
-    /// Decoded records discarded by the gap barrier (they came after a
-    /// lost suffix of some other segment, so their causal prefix is
-    /// incomplete).
-    pub gap_discarded: u64,
-    /// Entries resident after replay, epoch discard and capacity shrink.
-    pub recovered_entries: u64,
-    /// Entries dropped by the per-VM flush-epoch discard.
-    pub discarded_stale: u64,
-    /// Replayed puts dropped because their pool was gone or the store
-    /// had no room.
-    pub dropped_no_room: u64,
-    /// Fresh per-VM flush epochs minted by the recovery checkpoint;
-    /// guests must adopt these before issuing new flushes.
-    pub new_epochs: Vec<(VmId, u64)>,
-    /// Per-segment replay stats, in shard order.
-    pub segments: Vec<SegmentReplay>,
 }
 
 impl ShardedCache {
@@ -1458,60 +1420,41 @@ impl ShardedCache {
     /// images a crash left behind (`segments[i]` is shard `i`'s segment;
     /// the new cache has `segments.len()` shards) — the recovery core
     /// ([`ReplayLog`]) over `n` segments: independent replay, merge by
-    /// generation, truncation at the first gap, per-VM epoch discard
-    /// ([`ReplayLog::suspects`]), shrink, and a
-    /// fresh checkpoint (with fresh per-VM epochs) journaled before the
-    /// cache starts serving. The cache runs in the journal's partition
-    /// mode if the kept prefix recorded one, else in `config.mode`.
+    /// generation, truncation at the first gap, replay and per-VM epoch
+    /// discard ([`ReplayLog::replay`]) under the registry write lock and
+    /// every shard lock, taken once, then shrink, and a fresh checkpoint
+    /// (with fresh per-VM epochs) journaled before the cache starts
+    /// serving. The cache runs in the journal's partition mode if the
+    /// kept prefix recorded one, else in `config.mode`.
     ///
     /// The global-pressure ledgers and usage mirrors are rebuilt by the
     /// replay itself: every applied put allocates through the ledger
-    /// and inserts through the mirror-attached pool.
+    /// and inserts through the pool its row's mirror was attached to.
     pub fn recover(
         config: CacheConfig,
         segments: &[Vec<u8>],
         guest_epochs: &[(VmId, u64)],
-    ) -> (ShardedCache, ShardedRecoveryReport) {
+    ) -> (ShardedCache, RecoveryReport) {
         let log = ReplayLog::decode(segments);
         let mode = log.mode.unwrap_or(config.mode);
         let cache = ShardedCache::new(CacheConfig { mode, ..config }, segments.len().max(1));
-        let mut report = ShardedRecoveryReport {
-            records_replayed: log.records.len() as u64,
-            gap_discarded: log.gap_discarded,
-            ..ShardedRecoveryReport::default()
+        let mut report = {
+            let mut reg = cache.registry_mut();
+            let mut shards = cache.lock_all_shards();
+            let mut states: Vec<_> = shards.iter_mut().map(|s| &mut s.state).collect();
+            let ledgers = &mut cache.ledgers();
+            log.replay(
+                &mut reg,
+                &mut states,
+                ledgers,
+                Pool::set_mirror,
+                guest_epochs,
+            )
         };
-        for (shard, stats) in log.segments.iter().enumerate() {
-            report.segments.push(SegmentReplay {
-                shard,
-                records: stats.records,
-                torn_tail: stats.torn_tail,
-                corrupt: stats.corrupt,
-            });
-        }
-        for (gen, rec) in &log.records {
-            report.dropped_no_room += u64::from(!cache.apply_record(*gen, rec));
-        }
-        // Forget, never lie.
-        for (vm, epoch) in log.suspects(guest_epochs) {
-            for (_, pid) in cache.pool_ids().into_iter().filter(|p| p.0 == vm) {
-                let mut shard = cache.lock_shard(cache.shard_of(vm, pid));
-                report.discarded_stale +=
-                    shard
-                        .state
-                        .discard_older_than(&mut cache.ledgers(), vm, pid, epoch);
-            }
-        }
         // The two counters drift apart live and unify only here.
-        let inner = &cache.inner;
-        inner
-            .put
-            .next_seq
-            .next
-            .store(log.next_gen, Ordering::Relaxed);
-        inner
-            .append
-            .journal_gen
-            .store(log.next_gen, Ordering::Relaxed);
+        let (inner, gen) = (&cache.inner, log.next_gen);
+        inner.put.next_seq.next.store(gen, Ordering::Relaxed);
+        inner.append.journal_gen.store(gen, Ordering::Relaxed);
         // Replayed capacity records may leave a store oversubscribed
         // (the journal recorded a shrink whose evictions were lost);
         // shrink with real evictions now.
@@ -1523,65 +1466,14 @@ impl ShardedCache {
                 }
             }
         }
-        report.recovered_entries = cache.with_locked_cut(|cut| cut.resident());
-
         // Re-journal a checkpoint across fresh segments and go live.
-        {
-            let reg = inner.registry.lock.read().expect("registry poisoned");
-            let mut shards = cache.lock_all_shards();
-            inner.ro.journal_on.store(true, Ordering::Relaxed);
-            report.new_epochs = cache.write_checkpoint_locked(&reg, &mut shards, log.next_gen);
-        }
+        let reg = inner.registry.lock.read().expect("registry poisoned");
+        let mut shards = cache.lock_all_shards();
+        report.recovered_entries = Self::cut(&reg, &shards).resident();
+        inner.ro.journal_on.store(true, Ordering::Relaxed);
+        report.new_epochs = cache.write_checkpoint_locked(&reg, &mut shards, gen);
+        drop((reg, shards));
         (cache, report)
-    }
-
-    /// Applies one replayed record: a control record through
-    /// [`Self::control`], everything that touches pools through the
-    /// shard transitions on the pool's home shard. The journals are
-    /// still `None`, so nothing re-logs. `false` for a dropped `Put`.
-    fn apply_record(&self, gen: u64, rec: &JournalRecord) -> bool {
-        match *rec {
-            JournalRecord::Put { vm, pool, .. }
-            | JournalRecord::Take { vm, pool, .. }
-            | JournalRecord::Evict { vm, pool, .. }
-            | JournalRecord::Flush { vm, pool, .. }
-            | JournalRecord::FlushFile { vm, pool, .. } => {
-                let mut shard = self.lock_shard(self.shard_of(VmId(vm), PoolId(pool)));
-                return shard.state.replay(&mut self.ledgers(), gen, rec);
-            }
-            // `SetMode`: the recovery core picked the journal's mode
-            // before this cache was built (the field is immutable).
-            JournalRecord::Epoch { .. } | JournalRecord::SetMode { .. } => {}
-            JournalRecord::SetMemCapacity { pages } => self.inner.put.mem.set_capacity(pages),
-            JournalRecord::SetSsdCapacity { pages } => self.inner.put.ssd.set_capacity(pages),
-            JournalRecord::SsdDrain => {
-                for s in &self.inner.ro.shards {
-                    let mut shard = s.lock().expect("shard poisoned");
-                    shard.state.drain_ssd(&mut self.ledgers());
-                }
-            }
-            JournalRecord::WearTotals {
-                vm,
-                ssd_pages_written,
-                pages_admitted,
-            } => {
-                // Into shard 0's retired accumulator: the record lives on
-                // segment 0 with the other control records, and device
-                // totals sum retirements across shards, so the home is
-                // arbitrary.
-                let vm = VmId(vm);
-                let current = self.vm_wear(vm);
-                self.lock_shard(0).state.correct_wear(
-                    vm,
-                    current,
-                    ssd_pages_written,
-                    pages_admitted,
-                );
-            }
-            // Every other record is the registry's.
-            _ => drop(self.control(&mut self.registry_mut(), *rec)),
-        }
-        true
     }
 
     /// Every resident entry as `(vm, pool, addr, version)`, sorted —
@@ -2907,7 +2799,10 @@ mod tests {
         };
         // Warms this handle's share memo.
         assert_eq!(entitlement(&cache), 500);
-        cache.apply_record(0, &JournalRecord::RemoveVm { vm: vm_a.0 });
+        drop(cache.control(
+            &mut cache.registry_mut(),
+            JournalRecord::RemoveVm { vm: vm_a.0 },
+        ));
         assert_eq!(entitlement(&cache), 1000);
         assert_eq!(audit(&cache), vec![]);
     }
@@ -3213,7 +3108,9 @@ mod tests {
                                 let guest = h.create_pool(VmId(9), CachePolicy::ssd(50));
                                 h.put(SimTime::ZERO, VmId(9), guest, addr(8, step), PageVersion(1));
                             }
-                            _ => drop(h.apply_record(0, &JournalRecord::RemoveVm { vm: 9 })),
+                            _ => drop(
+                                h.control(&mut h.registry_mut(), JournalRecord::RemoveVm { vm: 9 }),
+                            ),
                         }
                     }
                     barrier.wait();

@@ -18,11 +18,12 @@ use ddc_storage::{
 };
 
 use crate::admission::AdmissionConfig;
-use crate::index::{Placement, Pool};
+use crate::index::Placement;
 use crate::policy::ShareTable;
-use crate::registry::{Control, Registry, ShareMemo};
+use crate::registry::{Registry, ShareMemo};
 use crate::shard::{
-    self, Cut, IoResult, OldestFirst, Placed, ReplayLog, ShardState, SsdHealth, StoreBackend,
+    self, Cut, IoResult, OldestFirst, Placed, RecoveryReport, ReplayLog, ShardState, SsdHealth,
+    StoreBackend,
 };
 use crate::store::BackingStore;
 use crate::{store_kind_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES};
@@ -62,32 +63,6 @@ pub struct CacheTotals {
     pub failed_gets: u64,
     /// Stores that failed on a store fault (all pools).
     pub failed_puts: u64,
-}
-
-/// Outcome of a warm restart ([`DoubleDeckerCache::recover`]): how much
-/// of the journal replayed, how it terminated, and what the recovered
-/// cache looks like. Clean-cache semantics make every loss here safe —
-/// the report exists so harnesses can assert recovery *only* loses.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Valid journal records consumed.
-    pub records_replayed: u64,
-    /// Replay stopped at a torn final record (crash mid-append).
-    pub torn_tail: bool,
-    /// Replay stopped at a corrupt record (checksum/framing failure).
-    pub corrupt: bool,
-    /// Entries resident after recovery (post epoch discard).
-    pub recovered_entries: u64,
-    /// Entries discarded because their generation predates the owning
-    /// guest's flush epoch while the replayed journal is missing acked
-    /// flushes (the lose-don't-resurrect rule).
-    pub discarded_stale: u64,
-    /// Replayed puts dropped for lack of store room (can only happen on
-    /// images corrupted into an impossible history; losing them is safe).
-    pub dropped_no_room: u64,
-    /// Fresh per-VM flush epochs minted by the post-recovery checkpoint;
-    /// the hypervisor distributes them to the guests' hypercall channels.
-    pub new_epochs: Vec<(VmId, u64)>,
 }
 
 /// The serial engine's [`StoreBackend`]: its two stores addressed by
@@ -173,6 +148,10 @@ impl StoreBackend for Stores {
     fn next_seq(&mut self) -> u64 {
         self.next_seq += 1;
         self.next_seq - 1
+    }
+
+    fn set_capacity(&mut self, placement: Placement, pages: u64) {
+        self.of_mut(placement).set_capacity_pages(pages);
     }
 
     #[inline]
@@ -411,7 +390,15 @@ impl DoubleDeckerCache {
     /// A control-plane verb: applies `rec` exactly as replay will and
     /// journals it.
     fn control(&mut self, rec: JournalRecord) {
-        self.apply_record(0, &rec);
+        let state = &mut [&mut self.state];
+        shard::replay_record(
+            &mut self.registry,
+            state,
+            &mut self.stores,
+            |_, ()| {},
+            0,
+            &rec,
+        );
         self.log(rec);
     }
 
@@ -718,7 +705,7 @@ impl DoubleDeckerCache {
     ///
     /// Replays the longest valid prefix of `journal_image` on a fresh
     /// cache built from `config` (in the journal's partition mode, if it
-    /// recorded one), then discards what [`ReplayLog::suspects`] names:
+    /// recorded one) with the epoch discard ([`ReplayLog::replay`]):
     /// flush records are synced before their hypercall returns, so a
     /// replay that stops short of a guest's flush epoch proves the image
     /// lost acked flushes (bit rot below the watermark).
@@ -736,84 +723,20 @@ impl DoubleDeckerCache {
         let log = ReplayLog::decode(&[journal_image]);
         let mode = log.mode.unwrap_or(config.mode);
         let mut cache = DoubleDeckerCache::new(CacheConfig { mode, ..config });
-        let mut report = RecoveryReport {
-            records_replayed: log.records.len() as u64,
-            torn_tail: log.segments[0].torn_tail,
-            corrupt: log.segments[0].corrupt,
-            ..RecoveryReport::default()
-        };
-        for (gen, rec) in &log.records {
-            report.dropped_no_room += u64::from(!cache.apply_record(*gen, rec));
-        }
-        // Recovery may lose entries, never resurrect one.
-        for (vm, epoch) in log.suspects(guest_epochs) {
-            for pid in cache.pool_ids(vm) {
-                report.discarded_stale +=
-                    cache
-                        .state
-                        .discard_older_than(&mut cache.stores, vm, pid, epoch);
-            }
-        }
+        let state = &mut [&mut cache.state];
+        let mut report = log.replay(
+            &mut cache.registry,
+            state,
+            &mut cache.stores,
+            |_, ()| {},
+            guest_epochs,
+        );
         cache.stores.next_seq = log.next_gen;
         cache.shrink_to_capacity(SimTime::ZERO, Placement::Mem);
         cache.shrink_to_capacity(SimTime::ZERO, Placement::Ssd);
         report.recovered_entries = cache.cut().resident();
         report.new_epochs = cache.write_checkpoint(log.next_gen);
         (cache, report)
-    }
-
-    /// Applies one replayed record to raw state: a control record goes
-    /// to the registry and this acts on what it returns, everything
-    /// that touches pools through the shard transitions. No journaling,
-    /// and no side effects (re-homing, shrinking, trickle-down) — those
-    /// were themselves journaled by the live cache and replay in order.
-    /// `false` for a dropped `Put`.
-    fn apply_record(&mut self, gen: u64, rec: &JournalRecord) -> bool {
-        match *rec {
-            JournalRecord::Put { .. }
-            | JournalRecord::Take { .. }
-            | JournalRecord::Evict { .. }
-            | JournalRecord::Flush { .. }
-            | JournalRecord::FlushFile { .. } => {
-                return self.state.replay(&mut self.stores, gen, rec);
-            }
-            // `SetMode`: the recovery core picked the journal's mode
-            // before this cache was built.
-            JournalRecord::Epoch { .. } | JournalRecord::SetMode { .. } => {}
-            JournalRecord::SetMemCapacity { pages } => self.stores.mem.set_capacity_pages(pages),
-            JournalRecord::SetSsdCapacity { pages } => self.stores.ssd.set_capacity_pages(pages),
-            JournalRecord::SsdDrain => {
-                self.state.drain_ssd(&mut self.stores);
-            }
-            JournalRecord::WearTotals {
-                vm,
-                ssd_pages_written,
-                pages_admitted,
-            } => {
-                let vm = VmId(vm);
-                let current = self.vm_wear(vm);
-                self.state
-                    .correct_wear(vm, current, ssd_pages_written, pages_admitted);
-            }
-            // Every other record is the registry's.
-            _ => match self.registry.apply(rec, || ()) {
-                Control::Ignored | Control::Weights => {}
-                Control::Drain(vm, pools) => {
-                    for (pid, ()) in pools {
-                        self.state.drain_pool(&mut self.stores, vm, pid);
-                    }
-                }
-                Control::Install(vm, pool, policy, ()) => {
-                    self.state.pools.insert((vm, pool), Pool::new(vm, policy));
-                }
-                Control::Swap(vm, pool, policy) => {
-                    if let Some(p) = self.state.pools.get_mut(&(vm, pool)) {
-                        p.set_policy(policy);
-                    }
-                }
-            },
-        }
-        true
     }
 
     /// Replaces the journal with a checkpoint of the current state
@@ -1978,7 +1901,7 @@ mod tests {
         assert_eq!(recovered.entries(), cache.entries(), "lossless replay");
         assert_eq!(report.discarded_stale, 0, "full image has no stale tail");
         assert_eq!(report.dropped_no_room, 0);
-        assert!(!report.torn_tail && !report.corrupt);
+        assert!(!report.segments[0].torn_tail && !report.segments[0].corrupt);
         assert_eq!(report.recovered_entries as usize, recovered.entries().len());
         assert!(
             crate::audit(&recovered).is_empty(),
@@ -2002,14 +1925,17 @@ mod tests {
         let torn = &image[..image.len() - 3];
         let (rec_torn, rep_torn) =
             DoubleDeckerCache::recover(cache.current_config(), torn, &epochs);
-        assert!(rep_torn.torn_tail, "partial trailing record detected");
+        assert!(
+            rep_torn.segments[0].torn_tail,
+            "partial trailing record detected"
+        );
         assert!(crate::audit(&rec_torn).is_empty());
         // Garbage appended past the real records: replay stops there.
         let mut noisy = image.clone();
         noisy.extend_from_slice(&[0xAB; 40]);
         let (rec_noisy, rep_noisy) =
             DoubleDeckerCache::recover(cache.current_config(), &noisy, &epochs);
-        assert!(rep_noisy.corrupt || rep_noisy.torn_tail);
+        assert!(rep_noisy.segments[0].corrupt || rep_noisy.segments[0].torn_tail);
         assert_eq!(
             rec_noisy.entries(),
             baseline,
@@ -2061,7 +1987,7 @@ mod tests {
         let image = cache.journal_bytes().unwrap().to_vec();
         let (recovered, report) =
             DoubleDeckerCache::recover(cache.current_config(), &image, &[(VM, last_epoch)]);
-        assert!(!report.torn_tail && !report.corrupt);
+        assert!(!report.segments[0].torn_tail && !report.segments[0].corrupt);
         assert!(report.records_replayed <= 1200);
         assert_eq!(report.discarded_stale, 0, "compaction never loses flushes");
         assert_eq!(

@@ -68,9 +68,10 @@ pub use config::{
     store_kind_code, store_kind_from_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES,
     JOURNAL_COMPACT_FACTOR, JOURNAL_COMPACT_MIN_RECORDS,
 };
-pub use ddcache::{CacheTotals, DoubleDeckerCache, RecoveryReport, VmUsage};
+pub use ddcache::{CacheTotals, DoubleDeckerCache, VmUsage};
 pub use engine::Engine;
 pub use policy::{select_victim, select_victim_strict, EntityUsage};
+pub use shard::RecoveryReport;
 
 // Re-export the interface vocabulary so downstream crates only need this
 // crate for the common case.

@@ -42,7 +42,7 @@ use ddc_storage::{
 };
 
 use crate::index::{Placement, Pool, Slot};
-use crate::registry::Registry;
+use crate::registry::{Control, Registry};
 use crate::{
     store_kind_code, AdmissionConfig, CachePolicy, PartitionMode, JOURNAL_COMPACT_FACTOR,
     JOURNAL_COMPACT_MIN_RECORDS,
@@ -62,6 +62,9 @@ pub trait StoreBackend {
     fn is_disabled(&self, placement: Placement) -> bool;
     /// The next insertion sequence stamp: FIFO order across the cache.
     fn next_seq(&mut self) -> u64;
+    /// Resizes `placement`'s store without touching its pages (a
+    /// replayed capacity record; recovery shrinks what no longer fits).
+    fn set_capacity(&mut self, placement: Placement, pages: u64);
 
     /// Charges one page read from `placement`'s store at `now`: when it
     /// finishes, or the I/O error.
@@ -1215,6 +1218,29 @@ impl<'a> Cut<'a> {
     }
 }
 
+/// What a warm restart rebuilt and what it had to drop, on either
+/// engine: `recovered_entries` may be small and every dropped count
+/// large — the cache can forget, never lie.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// Records applied: the kept prefix of the merged segments.
+    pub records_replayed: u64,
+    /// Decoded records past the kept prefix (the gap barrier).
+    pub gap_discarded: u64,
+    /// How each segment's decoding ended, in shard order (the serial
+    /// engine has one).
+    pub segments: Vec<ReplayStats>,
+    /// Entries resident after replay, epoch discard and shrink.
+    pub recovered_entries: u64,
+    /// Entries the epoch discard dropped (lose, don't resurrect).
+    pub discarded_stale: u64,
+    /// Replayed puts dropped: their pool was gone or their store full.
+    pub dropped_no_room: u64,
+    /// Fresh per-VM flush epochs minted by the recovery checkpoint; the
+    /// hypervisor hands them to the guests' hypercall channels.
+    pub new_epochs: Vec<(VmId, u64)>,
+}
+
 /// The journal a crash left behind, decoded: the recovery core both
 /// engines replay from (`segments[i]` is shard `i`'s; the serial engine
 /// has one).
@@ -1230,11 +1256,11 @@ impl<'a> Cut<'a> {
 #[derive(Debug)]
 pub struct ReplayLog {
     /// How each segment's decoding terminated, in shard order.
-    pub segments: Vec<ReplayStats>,
+    segments: Vec<ReplayStats>,
     /// The kept prefix, in generation order.
-    pub records: Vec<(u64, JournalRecord)>,
+    records: Vec<(u64, JournalRecord)>,
     /// Decoded records discarded by the gap barrier.
-    pub gap_discarded: u64,
+    gap_discarded: u64,
     /// The mode of the last `SetMode` in the kept prefix: the journal's
     /// mode wins over the recovery config's.
     pub mode: Option<PartitionMode>,
@@ -1289,24 +1315,117 @@ impl ReplayLog {
         }
     }
 
-    /// The **lose-don't-resurrect rule**: `guest_epochs` carries each
-    /// surviving guest's flush epoch (the largest generation any acked
-    /// flush returned). A replay whose last epoch-bearing generation for
-    /// a VM is *below* that proves the image lost acked flushes; every
-    /// entry of that VM whose sequence stamp predates the epoch must
-    /// then be discarded ([`ShardState::discard_older_than`]) as
-    /// potentially stale. Later entries are provably clean: any write
-    /// superseding them would have issued a flush with a still-later
-    /// generation, raising the epoch. Yields those `(vm, epoch)` pairs.
-    pub fn suspects<'a>(
-        &'a self,
-        guest_epochs: &'a [(VmId, u64)],
-    ) -> impl Iterator<Item = (VmId, u64)> + 'a {
-        guest_epochs
-            .iter()
-            .copied()
-            .filter(|&(vm, epoch)| self.replayed_epochs.get(&vm.0).copied().unwrap_or(0) < epoch)
+    /// Replays the kept prefix into a fresh engine — its registry, every
+    /// shard's state in shard order, its stores — one
+    /// [`replay_record`] each, then applies the **lose-don't-resurrect
+    /// rule**. `guest_epochs` carries each surviving guest's flush epoch
+    /// (the largest generation any acked flush returned); a prefix
+    /// whose last epoch-bearing generation for a VM is below it lost
+    /// acked flushes, so every entry of that VM stamped before the epoch
+    /// is discarded as possibly stale. Later entries are clean: a write
+    /// superseding one would have flushed at a later generation. The
+    /// engine then resumes its counters at [`Self::next_gen`], shrinks,
+    /// and fills in `recovered_entries` and `new_epochs`.
+    pub fn replay<M: Clone + Default>(
+        &self,
+        registry: &mut Registry<M>,
+        shards: &mut [&mut ShardState],
+        backend: &mut impl StoreBackend,
+        attach: fn(&mut Pool, M),
+        guest_epochs: &[(VmId, u64)],
+    ) -> RecoveryReport {
+        let mut report = RecoveryReport {
+            records_replayed: self.records.len() as u64,
+            gap_discarded: self.gap_discarded,
+            segments: self.segments.clone(),
+            ..RecoveryReport::default()
+        };
+        for &(gen, rec) in &self.records {
+            let kept = replay_record(registry, shards, backend, attach, gen, &rec);
+            report.dropped_no_room += u64::from(!kept);
+        }
+        let n = shards.len();
+        for &(vm, epoch) in guest_epochs {
+            if self.replayed_epochs.get(&vm.0).copied().unwrap_or(0) >= epoch {
+                continue;
+            }
+            for &(pid, _, _) in registry.vm(vm).map_or(&[][..], |row| &row.pools) {
+                let shard = &mut shards[home_shard(vm, pid, n)];
+                report.discarded_stale += shard.discard_older_than(backend, vm, pid, epoch);
+            }
+        }
+        report
     }
+}
+
+/// Applies one record to an engine's raw state, replayed or live (the
+/// serial engine's control verbs, `gen` 0): pool records through the
+/// transitions of the pool's home shard ([`ShardState::replay`]),
+/// capacities to the backend, an `SsdDrain` to every shard, a
+/// `WearTotals` into shard 0 (device totals sum every shard's, so the
+/// home is arbitrary), and control records to the registry, the pools
+/// acting on its answer (a new pool takes its row's payload through
+/// `attach`). No journaling and no side effects: re-homing, shrinking
+/// and trickle-down were journaled themselves. `false` for a dropped
+/// `Put`.
+pub fn replay_record<M: Clone + Default>(
+    registry: &mut Registry<M>,
+    shards: &mut [&mut ShardState],
+    backend: &mut impl StoreBackend,
+    attach: fn(&mut Pool, M),
+    gen: u64,
+    rec: &JournalRecord,
+) -> bool {
+    let n = shards.len();
+    match *rec {
+        JournalRecord::Put { vm, pool, .. }
+        | JournalRecord::Take { vm, pool, .. }
+        | JournalRecord::Evict { vm, pool, .. }
+        | JournalRecord::Flush { vm, pool, .. }
+        | JournalRecord::FlushFile { vm, pool, .. } => {
+            return shards[home_shard(VmId(vm), PoolId(pool), n)].replay(backend, gen, rec);
+        }
+        // `SetMode`: the recovery core picked the journal's mode before
+        // the engine was built.
+        JournalRecord::Epoch { .. } | JournalRecord::SetMode { .. } => {}
+        JournalRecord::SetMemCapacity { pages } => backend.set_capacity(Placement::Mem, pages),
+        JournalRecord::SetSsdCapacity { pages } => backend.set_capacity(Placement::Ssd, pages),
+        JournalRecord::SsdDrain => {
+            for shard in shards.iter_mut() {
+                shard.drain_ssd(backend);
+            }
+        }
+        JournalRecord::WearTotals {
+            vm,
+            ssd_pages_written,
+            pages_admitted,
+        } => {
+            let vm = VmId(vm);
+            let current = Cut::new(registry, shards.iter().map(|s| &**s).collect()).vm_wear(vm);
+            shards[0].correct_wear(vm, current, ssd_pages_written, pages_admitted);
+        }
+        // Every other record is the registry's.
+        _ => match registry.apply(rec, M::default) {
+            Control::Ignored | Control::Weights => {}
+            Control::Drain(vm, pools) => {
+                for (pid, _) in pools {
+                    shards[home_shard(vm, pid, n)].drain_pool(backend, vm, pid);
+                }
+            }
+            Control::Install(vm, pid, policy, row) => {
+                let mut pool = Pool::new(vm, policy);
+                attach(&mut pool, row);
+                shards[home_shard(vm, pid, n)].pools.insert((vm, pid), pool);
+            }
+            Control::Swap(vm, pid, policy) => {
+                let shard = &mut shards[home_shard(vm, pid, n)];
+                if let Some(p) = shard.pools.get_mut(&(vm, pid)) {
+                    p.set_policy(policy);
+                }
+            }
+        },
+    }
+    true
 }
 
 #[cfg(test)]
@@ -1359,6 +1478,10 @@ mod tests {
 
         fn next_seq(&mut self) -> u64 {
             self.seq.fetch_add(1, Ordering::Relaxed)
+        }
+
+        fn set_capacity(&mut self, _: Placement, _: u64) {
+            unreachable!("the capacities are constants");
         }
     }
 
@@ -2000,6 +2123,10 @@ mod tests {
         fn next_seq(&mut self) -> u64 {
             let mut pair = self.0;
             pair.next_seq()
+        }
+
+        fn set_capacity(&mut self, _: Placement, _: u64) {
+            unreachable!("the capacities are constants");
         }
     }
 

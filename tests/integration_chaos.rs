@@ -50,7 +50,10 @@ fn crash_recover_continue_serves_fresh_data() {
     let bounds = Journal::record_boundaries(&image);
     let cut = bounds[bounds.len() * 3 / 4];
     let report = host.crash_and_recover(&image[..cut]);
-    assert!(!report.corrupt, "a clean prefix replays cleanly");
+    assert!(
+        !report.segments[0].corrupt,
+        "a clean prefix replays cleanly"
+    );
     assert!(
         report.new_epochs.len() >= 2,
         "checkpoint re-arms every guest's flush epoch"
@@ -136,7 +139,7 @@ fn corrupt_journal_recovers_to_safe_prefix() {
     image[pos] ^= 0x40;
     let report = host.crash_and_recover(&image);
     assert!(
-        report.corrupt || report.torn_tail,
+        report.segments[0].corrupt || report.segments[0].torn_tail,
         "damage detected, replay stopped early"
     );
     for (vm, _pool, addr, version) in host.cache().entries() {
