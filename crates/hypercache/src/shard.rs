@@ -1251,8 +1251,9 @@ pub struct RecoveryReport {
 /// all segments, so a gap proves some segment lost a suffix, and
 /// everything after it is a possibly-inconsistent future (a later flush
 /// could otherwise survive while the earlier flush it depends on was
-/// lost). With one segment the rule is vacuous. What remains is an exact
-/// prefix of the record sequence.
+/// lost). No engine writes a generation twice, so a repeat ends the
+/// prefix too, before its first copy. What remains is an exact prefix
+/// of the record sequence.
 #[derive(Debug)]
 pub struct ReplayLog {
     /// How each segment's decoding terminated, in shard order.
@@ -1287,7 +1288,9 @@ impl ReplayLog {
         records.sort_unstable_by_key(|&(gen, _)| gen);
         let keep = (1..records.len())
             .find(|&i| records[i].0 != records[i - 1].0 + 1)
-            .unwrap_or(records.len());
+            .map_or(records.len(), |i| {
+                i - usize::from(records[i].0 == records[i - 1].0)
+            });
         let gap_discarded = (records.len() - keep) as u64;
         records.truncate(keep);
 

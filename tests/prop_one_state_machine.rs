@@ -756,7 +756,46 @@ fn any_well_framed_journal_recovers_to_one_cache_on_both_engines() {
             "{what}: audit findings"
         );
         for shards in [4, 16] {
-            ShardedCache::recover(config, &hostile_segments(&stream, shards), &epochs);
+            let segments = hostile_segments(&stream, shards);
+            let (sharded, _) = ShardedCache::recover(config, &segments, &epochs);
+            assert_eq!(
+                sharded.entries(),
+                serial.entries(),
+                "{what}, {shards} shards: entries"
+            );
         }
     }
+}
+
+#[test]
+fn a_generation_written_twice_ends_the_kept_prefix_before_both_copies() {
+    // Two puts share generation 3, one in each segment. Keeping either
+    // makes the recovered cache depend on how the records were spread
+    // over segments, so the kept prefix ends at generation 2.
+    let home = |pool: u32| ddc_core::hypercache::shard::home_shard(VmId(1), PoolId(pool), 2);
+    let (a, b) = (1..)
+        .find(|&a| home(a) == 0 && home(a + 1) == 1)
+        .map(|a| (a, a + 1))
+        .unwrap();
+    let create = |pool| JournalRecord::CreatePool {
+        vm: 1,
+        pool,
+        store: ddc_core::hypercache::store_kind_code(StoreKind::Mem),
+        weight: 100,
+    };
+    let put = |pool| JournalRecord::Put {
+        vm: 1,
+        pool,
+        addr: BlockAddr::new(FileId(1), u64::from(pool)),
+        version: 1,
+        placement: 0,
+    };
+    let stream = [(1, create(a)), (2, create(b)), (3, put(a)), (3, put(b))];
+    let config = config(PartitionMode::DoubleDecker);
+    let (sharded, report) = ShardedCache::recover(config, &hostile_segments(&stream, 2), &[]);
+    assert_eq!((report.records_replayed, report.gap_discarded), (2, 2));
+    assert_eq!(sharded.entries(), vec![]);
+    let image = &hostile_segments(&stream, 1)[0];
+    let (serial, _) = recover_both(config, image, &[], "a generation written twice");
+    assert_eq!(serial.entries(), vec![]);
 }
