@@ -1363,7 +1363,8 @@ impl ReplayLog {
 
 /// Applies one record to an engine's raw state, replayed or live (the
 /// serial engine's control verbs, `gen` 0): pool records through the
-/// transitions of the pool's home shard ([`ShardState::replay`]),
+/// transitions of the pool's home shard ([`ShardState::replay`]), a
+/// `Put` after taking its block out of the VM's other pools,
 /// capacities to the backend, an `SsdDrain` to every shard, a
 /// `WearTotals` into shard 0 (device totals sum every shard's, so the
 /// home is arbitrary), and control records to the registry, the pools
@@ -1381,8 +1382,18 @@ pub fn replay_record<M: Clone + Default>(
 ) -> bool {
     let n = shards.len();
     match *rec {
-        JournalRecord::Put { vm, pool, .. }
-        | JournalRecord::Take { vm, pool, .. }
+        JournalRecord::Put { vm, pool, addr, .. } => {
+            let (vm, pool) = (VmId(vm), PoolId(pool));
+            // One pool of a VM caches a block (exclusive caching): the
+            // put takes it from the others, as no live put finds it there.
+            for &(sib, _, _) in registry.vm(vm).map_or(&[][..], |row| &row.pools) {
+                if sib != pool {
+                    shards[home_shard(vm, sib, n)].remove(backend, vm, sib, addr);
+                }
+            }
+            return shards[home_shard(vm, pool, n)].replay(backend, gen, rec);
+        }
+        JournalRecord::Take { vm, pool, .. }
         | JournalRecord::Evict { vm, pool, .. }
         | JournalRecord::Flush { vm, pool, .. }
         | JournalRecord::FlushFile { vm, pool, .. } => {
