@@ -485,6 +485,9 @@ impl ShardState {
                 placement,
             } => {
                 let (vm, pool) = (VmId(vm), PoolId(pool));
+                // The older copy goes first, as in `PoolVisit::place`:
+                // a put that is then dropped must not leave it behind.
+                self.remove(backend, vm, pool, addr);
                 let Some(placement) = Placement::from_code(placement) else {
                     return true;
                 };

@@ -748,7 +748,34 @@ fn any_well_framed_journal_recovers_to_one_cache_on_both_engines() {
             }
         }
         let what = format!("hostile stream {case}");
+        // The kept prefix, as the recovery core cuts it: merged by
+        // generation, ended by the first gap or before a repeat.
+        let mut kept = stream.clone();
+        kept.sort_by_key(|&(gen, _)| gen);
+        if let Some(i) = (1..kept.len()).find(|&i| kept[i].0 != kept[i - 1].0 + 1) {
+            kept.truncate(i - usize::from(kept[i].0 == kept[i - 1].0));
+        }
+        let mut last_put = std::collections::BTreeMap::new();
+        for &(_, rec) in &kept {
+            if let JournalRecord::Put {
+                vm,
+                pool,
+                addr,
+                version,
+                ..
+            } = rec
+            {
+                last_put.insert((VmId(vm), addr), (PoolId(pool), PageVersion(version)));
+            }
+        }
         let (serial, one) = recover_both(config, &hostile_segments(&stream, 1)[0], &epochs, &what);
+        for (vm, pool, addr, version) in serial.entries() {
+            assert_eq!(
+                last_put.get(&(vm, addr)),
+                Some(&(pool, version)),
+                "{what}: {vm} {pool} {addr:?} {version:?} is not the last put of its block"
+            );
+        }
         let clean: Vec<&str> = Vec::new();
         let findings = finding_names(ddc_core::hypercache::audit(&serial));
         assert_eq!(findings, clean, "{what}: serial audit");
@@ -828,4 +855,55 @@ fn a_replayed_put_takes_its_block_from_the_vms_other_pools() {
     assert_eq!(ddc_core::hypercache::audit(&serial), vec![]);
     assert_eq!(sharded.entries(), kept);
     assert_eq!(ddc_core::concurrent::audit(&sharded), vec![]);
+}
+
+/// Recovers a one-page memory store that holds v1 of a block when
+/// `last`, a second put of it, comes: the versions each engine keeps,
+/// and the puts the serial report dropped for lack of room.
+fn recover_after_a_second_put(last: JournalRecord) -> ([Vec<PageVersion>; 2], u64) {
+    let records = [
+        JournalRecord::CreatePool {
+            vm: 1,
+            pool: 1,
+            store: ddc_core::hypercache::store_kind_code(StoreKind::Mem),
+            weight: 100,
+        },
+        JournalRecord::SetMemCapacity { pages: 1 },
+        one_block_put(1, 0),
+        last,
+    ];
+    let image = image(&records);
+    let config = config(PartitionMode::DoubleDecker);
+    let (serial, sharded) = recover_both(config, &image, &[], &format!("{last:?}"));
+    let (_, report) = DoubleDeckerCache::recover(config, &image, &[]);
+    let versions = [serial.entries(), sharded.entries()].map(|e| e.iter().map(|e| e.3).collect());
+    (versions, report.dropped_no_room)
+}
+
+fn one_block_put(version: u64, placement: u8) -> JournalRecord {
+    JournalRecord::Put {
+        vm: 1,
+        pool: 1,
+        addr: BlockAddr::new(FileId(1), 0),
+        version,
+        placement,
+    }
+}
+
+#[test]
+fn a_replayed_put_into_a_full_store_replaces_the_older_copy() {
+    // The live put takes v1 out first and stores v2 in its page; so
+    // does the replay.
+    let (versions, dropped) = recover_after_a_second_put(one_block_put(2, 0));
+    assert_eq!(versions, [vec![PageVersion(2)], vec![PageVersion(2)]]);
+    assert_eq!(dropped, 0);
+}
+
+#[test]
+fn a_replayed_put_with_an_unknown_placement_takes_the_older_copy_out() {
+    // A placement code no version wrote stores nothing, and the older
+    // copy it supersedes goes all the same.
+    let (versions, dropped) = recover_after_a_second_put(one_block_put(2, 2));
+    assert_eq!(versions, [vec![], vec![]]);
+    assert_eq!(dropped, 0);
 }
