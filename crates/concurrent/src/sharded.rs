@@ -181,12 +181,6 @@ impl Ledger {
     pub(crate) fn capacity_pages(&self) -> u64 {
         self.capacity.load(Ordering::Relaxed)
     }
-
-    /// Replaces the capacity without touching `used` (a replayed
-    /// capacity record, [`StoreBackend::set_capacity`]).
-    fn set_capacity(&self, pages: u64) {
-        self.capacity.store(pages, Ordering::Relaxed);
-    }
 }
 
 /// This engine's [`StoreBackend`]: both stores' ledgers and the
@@ -223,7 +217,8 @@ impl StoreBackend for Ledgers<'_> {
     }
 
     fn set_capacity(&mut self, placement: Placement, pages: u64) {
-        self.put.ledger(placement).set_capacity(pages);
+        let ledger = self.put.ledger(placement);
+        ledger.capacity.store(pages, Ordering::Relaxed);
     }
 }
 
@@ -1416,20 +1411,11 @@ impl ShardedCache {
         checkpoint.new_epochs
     }
 
-    /// Warm restart: rebuilds a sharded cache from the per-shard segment
-    /// images a crash left behind (`segments[i]` is shard `i`'s segment;
-    /// the new cache has `segments.len()` shards) — the recovery core
-    /// ([`ReplayLog`]) over `n` segments: independent replay, merge by
-    /// generation, truncation at the first gap, replay and per-VM epoch
-    /// discard ([`ReplayLog::replay`]) under the registry write lock and
-    /// every shard lock, taken once, then shrink, and a fresh checkpoint
-    /// (with fresh per-VM epochs) journaled before the cache starts
-    /// serving. The cache runs in the journal's partition mode if the
-    /// kept prefix recorded one, else in `config.mode`.
-    ///
-    /// The global-pressure ledgers and usage mirrors are rebuilt by the
-    /// replay itself: every applied put allocates through the ledger
-    /// and inserts through the pool its row's mirror was attached to.
+    /// Warm restart from the segments a crash left behind, one shard
+    /// each, in the journal's mode if it recorded one: [`ReplayLog`]
+    /// under the registry write lock and every shard lock, taken once,
+    /// then the shrink and a fresh checkpoint (DESIGN.md §11.2). The
+    /// replay itself rebuilds the ledgers and usage mirrors.
     pub fn recover(
         config: CacheConfig,
         segments: &[Vec<u8>],
@@ -1442,22 +1428,14 @@ impl ShardedCache {
             let mut reg = cache.registry_mut();
             let mut shards = cache.lock_all_shards();
             let mut states: Vec<_> = shards.iter_mut().map(|s| &mut s.state).collect();
-            let ledgers = &mut cache.ledgers();
-            log.replay(
-                &mut reg,
-                &mut states,
-                ledgers,
-                Pool::set_mirror,
-                guest_epochs,
-            )
+            log.replay(&mut reg, &mut states, &mut cache.ledgers(), guest_epochs)
         };
         // The two counters drift apart live and unify only here.
         let (inner, gen) = (&cache.inner, log.next_gen);
         inner.put.next_seq.next.store(gen, Ordering::Relaxed);
         inner.append.journal_gen.store(gen, Ordering::Relaxed);
-        // Replayed capacity records may leave a store oversubscribed
-        // (the journal recorded a shrink whose evictions were lost);
-        // shrink with real evictions now.
+        // A replayed shrink whose evictions were lost leaves a store
+        // oversubscribed: evict for real now.
         for placement in [Placement::Mem, Placement::Ssd] {
             let ledger = cache.ledger(placement);
             while ledger.used_pages() > ledger.capacity_pages() {
@@ -2033,8 +2011,8 @@ impl ShardedCache {
         self.inner.registry.lock.write().expect("registry poisoned")
     }
 
-    /// Every registry mutation, live or replayed (a replay's journals
-    /// are still `None`, so it logs nothing): [`registry::Registry::apply`]
+    /// Every live registry mutation (replay runs
+    /// [`shard::replay_record`]): [`registry::Registry::apply`]
     /// under the caller's write guard, then what the registry says must
     /// happen to pools (registry before shard, the lock-order rule) and
     /// the record into its segment. Installing a pool or swapping its

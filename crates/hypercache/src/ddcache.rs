@@ -391,14 +391,7 @@ impl DoubleDeckerCache {
     /// journals it.
     fn control(&mut self, rec: JournalRecord) {
         let state = &mut [&mut self.state];
-        shard::replay_record(
-            &mut self.registry,
-            state,
-            &mut self.stores,
-            |_, ()| {},
-            0,
-            &rec,
-        );
+        shard::replay_record(&mut self.registry, state, &mut self.stores, 0, &rec);
         self.log(rec);
     }
 
@@ -700,21 +693,11 @@ impl DoubleDeckerCache {
             .is_some_and(|p| p.corrupt(addr))
     }
 
-    /// Warm-restarts a cache from a (possibly truncated or corrupted)
-    /// journal image: the recovery core ([`ReplayLog`]) over one segment.
-    ///
-    /// Replays the longest valid prefix of `journal_image` on a fresh
-    /// cache built from `config` (in the journal's partition mode, if it
-    /// recorded one) with the epoch discard ([`ReplayLog::replay`]):
-    /// flush records are synced before their hypercall returns, so a
-    /// replay that stops short of a guest's flush epoch proves the image
-    /// lost acked flushes (bit rot below the watermark).
-    ///
-    /// The recovered cache starts a fresh journal seeded with a
-    /// checkpoint of the surviving state, so a second crash recovers
-    /// from a short journal instead of the whole history. The checkpoint
-    /// mints new per-VM epochs (returned in the report) which the
-    /// hypervisor distributes to the guests' hypercall channels.
+    /// Warm-restarts a cache from a (possibly damaged) journal image, in
+    /// the journal's mode if it recorded one: [`ReplayLog`] over one
+    /// segment, the shrink, and a fresh checkpointed journal whose new
+    /// epochs the report carries (DESIGN.md §11.2). Flushes are synced,
+    /// so the epoch discard only fires on bit rot below the durable mark.
     pub fn recover(
         config: CacheConfig,
         journal_image: &[u8],
@@ -724,13 +707,7 @@ impl DoubleDeckerCache {
         let mode = log.mode.unwrap_or(config.mode);
         let mut cache = DoubleDeckerCache::new(CacheConfig { mode, ..config });
         let state = &mut [&mut cache.state];
-        let mut report = log.replay(
-            &mut cache.registry,
-            state,
-            &mut cache.stores,
-            |_, ()| {},
-            guest_epochs,
-        );
+        let mut report = log.replay(&mut cache.registry, state, &mut cache.stores, guest_epochs);
         cache.stores.next_seq = log.next_gen;
         cache.shrink_to_capacity(SimTime::ZERO, Placement::Mem);
         cache.shrink_to_capacity(SimTime::ZERO, Placement::Ssd);

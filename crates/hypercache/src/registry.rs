@@ -16,20 +16,38 @@
 //! registry (the sharded engine's read lock), so the version cannot move
 //! under it.
 //!
-//! `M` is what an engine hangs on a pool's row: nothing for the serial
-//! engine, the pool's lock-free usage mirror for the sharded one. It is
-//! also the memo's probe — a legacy pool's usage is asked of its row
-//! payload, so the sharded re-check is two atomic loads per legacy pool
-//! and the serial one a pool-map lookup.
+//! `M` is what an engine hangs on a pool's row ([`RowPayload`]):
+//! nothing for the serial engine, the pool's lock-free usage mirror for
+//! the sharded one. It is also the memo's probe — a legacy pool's usage
+//! is asked of its row payload, so the sharded re-check is two atomic
+//! loads per legacy pool and the serial one a pool-map lookup.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ddc_cleancache::{CachePolicy, PoolId, VmId};
 use ddc_storage::{JournalRecord, RemoteError};
 
-use crate::index::Placement;
+use crate::index::{Placement, Pool, UsageMirror};
 use crate::policy::ShareTable;
 use crate::store_kind_from_code;
+
+/// What a pool row carries besides its policy, and how the pool the row
+/// installs takes it.
+pub trait RowPayload: Clone + Default {
+    /// Hands the payload to its row's new pool.
+    fn attach(self, pool: &mut Pool);
+}
+
+impl RowPayload for () {
+    fn attach(self, _: &mut Pool) {}
+}
+
+impl RowPayload for Arc<UsageMirror> {
+    fn attach(self, pool: &mut Pool) {
+        pool.set_mirror(self);
+    }
+}
 
 /// A VM's pools as `(pool, policy, payload)`, sorted by pool id.
 pub type PoolRows<M> = Vec<(PoolId, CachePolicy, M)>;

@@ -22,8 +22,10 @@
 //! engine's cache-global atomic ledgers. On top of the transitions sit
 //! the whole-cache procedures both engines run under their consistent
 //! cut: Global mode's eviction order ([`OldestFirst`]), the checkpoint
-//! writer ([`Cut::write_checkpoint`]), the recovery core ([`ReplayLog`])
-//! and the live-compaction threshold ([`compaction_due`]).
+//! writer ([`Cut::write_checkpoint`]), the live-compaction threshold
+//! ([`compaction_due`]) and recovery, one driver for both engines
+//! ([`ReplayLog::replay`]: [`replay_record`] per record, which the
+//! serial engine's control verbs run too, then the epoch discard).
 //!
 //! The per-operation transitions and the record builders are
 //! `#[inline]`: they used to be statements of the engines' own get, put
@@ -42,7 +44,7 @@ use ddc_storage::{
 };
 
 use crate::index::{Placement, Pool, Slot};
-use crate::registry::{Control, Registry};
+use crate::registry::{Control, Registry, RowPayload};
 use crate::{
     store_kind_code, AdmissionConfig, CachePolicy, PartitionMode, JOURNAL_COMPACT_FACTOR,
     JOURNAL_COMPACT_MIN_RECORDS,
@@ -484,7 +486,7 @@ impl ShardState {
                 version,
                 placement,
             } => {
-                let (vm, pool) = (VmId(vm), PoolId(pool));
+                let (vm, pool, version) = (VmId(vm), PoolId(pool), PageVersion(version));
                 // The older copy goes first, as in `PoolVisit::place`:
                 // a put that is then dropped must not leave it behind.
                 self.remove(backend, vm, pool, addr);
@@ -504,15 +506,7 @@ impl ShardState {
                 // The record's generation becomes the sequence stamp:
                 // generations are monotone, so replay preserves FIFO
                 // order.
-                self.insert(
-                    backend,
-                    vm,
-                    pool,
-                    addr,
-                    placement,
-                    PageVersion(version),
-                    gen,
-                );
+                self.insert(backend, vm, pool, addr, placement, version, gen);
             }
             JournalRecord::Take { vm, pool, addr } | JournalRecord::Evict { vm, pool, addr } => {
                 self.remove(backend, VmId(vm), PoolId(pool), addr);
@@ -1221,17 +1215,15 @@ impl<'a> Cut<'a> {
     }
 }
 
-/// What a warm restart rebuilt and what it had to drop, on either
-/// engine: `recovered_entries` may be small and every dropped count
-/// large — the cache can forget, never lie.
+/// What a warm restart rebuilt and dropped, on either engine: the cache
+/// may forget, never lie.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Records applied: the kept prefix of the merged segments.
     pub records_replayed: u64,
     /// Decoded records past the kept prefix (the gap barrier).
     pub gap_discarded: u64,
-    /// How each segment's decoding ended, in shard order (the serial
-    /// engine has one).
+    /// How each segment's decoding ended, in shard order.
     pub segments: Vec<ReplayStats>,
     /// Entries resident after replay, epoch discard and shrink.
     pub recovered_entries: u64,
@@ -1239,8 +1231,7 @@ pub struct RecoveryReport {
     pub discarded_stale: u64,
     /// Replayed puts dropped: their pool was gone or their store full.
     pub dropped_no_room: u64,
-    /// Fresh per-VM flush epochs minted by the recovery checkpoint; the
-    /// hypervisor hands them to the guests' hypercall channels.
+    /// Per-VM flush epochs the recovery checkpoint minted for the guests.
     pub new_epochs: Vec<(VmId, u64)>,
 }
 
@@ -1268,10 +1259,9 @@ pub struct ReplayLog {
     /// The mode of the last `SetMode` in the kept prefix: the journal's
     /// mode wins over the recovery config's.
     pub mode: Option<PartitionMode>,
-    /// One past the last kept generation: where the sequence and
-    /// generation counters resume (replayed entries carry their
-    /// generation as sequence stamp, so live stamps must stay above
-    /// them) and where the recovery checkpoint starts.
+    /// One past the last kept generation, where the sequence (replayed
+    /// entries are stamped with their generation), the generations and
+    /// the recovery checkpoint resume.
     pub next_gen: u64,
     /// The highest epoch-bearing generation each VM got back (flushes
     /// and epoch markers are what guests ack).
@@ -1321,23 +1311,20 @@ impl ReplayLog {
         }
     }
 
-    /// Replays the kept prefix into a fresh engine — its registry, every
-    /// shard's state in shard order, its stores — one
-    /// [`replay_record`] each, then applies the **lose-don't-resurrect
-    /// rule**. `guest_epochs` carries each surviving guest's flush epoch
-    /// (the largest generation any acked flush returned); a prefix
-    /// whose last epoch-bearing generation for a VM is below it lost
-    /// acked flushes, so every entry of that VM stamped before the epoch
-    /// is discarded as possibly stale. Later entries are clean: a write
-    /// superseding one would have flushed at a later generation. The
-    /// engine then resumes its counters at [`Self::next_gen`], shrinks,
-    /// and fills in `recovered_entries` and `new_epochs`.
-    pub fn replay<M: Clone + Default>(
+    /// Replays the kept prefix into a fresh engine (its registry, every
+    /// shard's state in shard order, its stores), one [`replay_record`]
+    /// each, then the **lose-don't-resurrect rule**: a prefix whose last
+    /// epoch-bearing generation for a VM is below the guest's flush epoch
+    /// (`guest_epochs`: the largest generation any acked flush returned)
+    /// lost acked flushes, so that VM's entries stamped before the epoch
+    /// are discarded; later ones are clean, as a write superseding one
+    /// would have flushed later still. The engine then resumes its
+    /// counters at [`Self::next_gen`] and shrinks.
+    pub fn replay<M: RowPayload>(
         &self,
         registry: &mut Registry<M>,
         shards: &mut [&mut ShardState],
         backend: &mut impl StoreBackend,
-        attach: fn(&mut Pool, M),
         guest_epochs: &[(VmId, u64)],
     ) -> RecoveryReport {
         let mut report = RecoveryReport {
@@ -1347,8 +1334,8 @@ impl ReplayLog {
             ..RecoveryReport::default()
         };
         for &(gen, rec) in &self.records {
-            let kept = replay_record(registry, shards, backend, attach, gen, &rec);
-            report.dropped_no_room += u64::from(!kept);
+            report.dropped_no_room +=
+                u64::from(!replay_record(registry, shards, backend, gen, &rec));
         }
         let n = shards.len();
         for &(vm, epoch) in guest_epochs {
@@ -1365,45 +1352,40 @@ impl ReplayLog {
 }
 
 /// Applies one record to an engine's raw state, replayed or live (the
-/// serial engine's control verbs, `gen` 0): pool records through the
-/// transitions of the pool's home shard ([`ShardState::replay`]), a
-/// `Put` after taking its block out of the VM's other pools,
-/// capacities to the backend, an `SsdDrain` to every shard, a
-/// `WearTotals` into shard 0 (device totals sum every shard's, so the
-/// home is arbitrary), and control records to the registry, the pools
-/// acting on its answer (a new pool takes its row's payload through
-/// `attach`). No journaling and no side effects: re-homing, shrinking
-/// and trickle-down were journaled themselves. `false` for a dropped
-/// `Put`.
-pub fn replay_record<M: Clone + Default>(
+/// serial engine's control verbs, `gen` 0): a pool record through its
+/// pool's home shard ([`ShardState::replay`]), a `Put` once its block
+/// left the VM's other pools; capacities to the backend; `SsdDrain` to
+/// every shard; `WearTotals` into shard 0 (device totals sum the shards);
+/// control records to the registry, the pools acting on its answer. No
+/// journaling and no side effects: those were journaled too. `false` for
+/// a dropped `Put`.
+pub fn replay_record<M: RowPayload>(
     registry: &mut Registry<M>,
     shards: &mut [&mut ShardState],
     backend: &mut impl StoreBackend,
-    attach: fn(&mut Pool, M),
     gen: u64,
     rec: &JournalRecord,
 ) -> bool {
     let n = shards.len();
     match *rec {
-        JournalRecord::Put { vm, pool, addr, .. } => {
+        JournalRecord::Put { vm, pool, .. }
+        | JournalRecord::Take { vm, pool, .. }
+        | JournalRecord::Evict { vm, pool, .. }
+        | JournalRecord::Flush { vm, pool, .. }
+        | JournalRecord::FlushFile { vm, pool, .. } => {
             let (vm, pool) = (VmId(vm), PoolId(pool));
-            // One pool of a VM caches a block (exclusive caching): the
-            // put takes it from the others, as no live put finds it there.
-            for &(sib, _, _) in registry.vm(vm).map_or(&[][..], |row| &row.pools) {
-                if sib != pool {
-                    shards[home_shard(vm, sib, n)].remove(backend, vm, sib, addr);
+            // One pool of a VM caches a block (exclusive caching): a put
+            // takes it from the others, where no live put finds it.
+            if let JournalRecord::Put { addr, .. } = *rec {
+                for &(sib, _, _) in registry.vm(vm).map_or(&[][..], |row| &row.pools) {
+                    if sib != pool {
+                        shards[home_shard(vm, sib, n)].remove(backend, vm, sib, addr);
+                    }
                 }
             }
             return shards[home_shard(vm, pool, n)].replay(backend, gen, rec);
         }
-        JournalRecord::Take { vm, pool, .. }
-        | JournalRecord::Evict { vm, pool, .. }
-        | JournalRecord::Flush { vm, pool, .. }
-        | JournalRecord::FlushFile { vm, pool, .. } => {
-            return shards[home_shard(VmId(vm), PoolId(pool), n)].replay(backend, gen, rec);
-        }
-        // `SetMode`: the recovery core picked the journal's mode before
-        // the engine was built.
+        // `SetMode`: the mode was picked before the engine was built.
         JournalRecord::Epoch { .. } | JournalRecord::SetMode { .. } => {}
         JournalRecord::SetMemCapacity { pages } => backend.set_capacity(Placement::Mem, pages),
         JournalRecord::SetSsdCapacity { pages } => backend.set_capacity(Placement::Ssd, pages),
@@ -1431,12 +1413,11 @@ pub fn replay_record<M: Clone + Default>(
             }
             Control::Install(vm, pid, policy, row) => {
                 let mut pool = Pool::new(vm, policy);
-                attach(&mut pool, row);
+                row.attach(&mut pool);
                 shards[home_shard(vm, pid, n)].pools.insert((vm, pid), pool);
             }
             Control::Swap(vm, pid, policy) => {
-                let shard = &mut shards[home_shard(vm, pid, n)];
-                if let Some(p) = shard.pools.get_mut(&(vm, pid)) {
+                if let Some(p) = shards[home_shard(vm, pid, n)].pools.get_mut(&(vm, pid)) {
                     p.set_policy(policy);
                 }
             }
