@@ -2012,7 +2012,7 @@ impl ShardedCache {
     }
 
     /// Every live registry mutation (replay runs
-    /// [`shard::replay_record`]): [`registry::Registry::apply`]
+    /// [`ReplayLog::replay`]): [`registry::Registry::apply`]
     /// under the caller's write guard, then what the registry says must
     /// happen to pools (registry before shard, the lock-order rule) and
     /// the record into its segment. Installing a pool or swapping its

@@ -24,7 +24,7 @@
 //! cut: Global mode's eviction order ([`OldestFirst`]), the checkpoint
 //! writer ([`Cut::write_checkpoint`]), the live-compaction threshold
 //! ([`compaction_due`]) and recovery, one driver for both engines
-//! ([`ReplayLog::replay`]: [`replay_record`] per record, which the
+//! ([`ReplayLog::replay`]: `replay_record` per record, which the
 //! serial engine's control verbs run too, then the epoch discard).
 //!
 //! The per-operation transitions and the record builders are
@@ -1312,7 +1312,7 @@ impl ReplayLog {
     }
 
     /// Replays the kept prefix into a fresh engine (its registry, every
-    /// shard's state in shard order, its stores), one [`replay_record`]
+    /// shard's state in shard order, its stores), one `replay_record`
     /// each, then the **lose-don't-resurrect rule**: a prefix whose last
     /// epoch-bearing generation for a VM is below the guest's flush epoch
     /// (`guest_epochs`: the largest generation any acked flush returned)
@@ -1359,7 +1359,7 @@ impl ReplayLog {
 /// control records to the registry, the pools acting on its answer. No
 /// journaling and no side effects: those were journaled too. `false` for
 /// a dropped `Put`.
-pub fn replay_record<M: RowPayload>(
+pub(crate) fn replay_record<M: RowPayload>(
     registry: &mut Registry<M>,
     shards: &mut [&mut ShardState],
     backend: &mut impl StoreBackend,
