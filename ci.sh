@@ -51,8 +51,9 @@ cargo test --release -q -p ddc-core --test prop_hostile_scenarios
 echo "==> journal codec under optimisation (CRC offset x length sweep, golden image; the sliced loop is only unrolled in release)"
 cargo test --release -q -p ddc-storage
 
-echo "==> one shard state machine, one control plane: both engines write one journal, report one entitlement and recover one cache (every 53-byte cut; release too, where the share memo runs without its debug assertion)"
-cargo test --release -q -p ddc-core --test prop_one_state_machine
+echo "==> one shard state machine, one control plane: both engines write one journal, report one entitlement and recover one cache (every 53-byte cut; release too, where the share memo runs without its debug assertion); any well-framed journal (100,000 hostile streams, release only) recovers to one audit-clean, never-stale cache on the serial engine and at 1, 4 and 16 shards, and the four hand-built images of its answers (a generation written twice, a put into a sibling pool, a put into a full store, a put with an unknown placement)"
+filtered --release -q -p ddc-core --test prop_one_state_machine -- any_well_framed_journal_recovers_to_one_cache a_generation_written_twice_ends_the_kept_prefix a_replayed_put_takes_its_block_from_the_vms_other_pools a_replayed_put_into_a_full_store_replaces_the_older_copy a_replayed_put_with_an_unknown_placement_takes_the_older_copy_out
+cargo test --release -q -p ddc-core --test prop_one_state_machine -- --skip any_well_framed_journal
 filtered --release -q -p ddc-hypercache -- registry
 echo "==> one conformance battery (serial, 1 and 16 shards, the null cache: exclusive, never stale, monotone epochs, exact stats, audit-clean after every step; a remote binding's localization; a destroyed pool id's stash kept for the pool that later takes the id)"
 cargo test --release -q -p ddc-core --test prop_conformance
