@@ -21,9 +21,9 @@
 //!   pool create / destroy, policy swaps that move a pool between the
 //!   stores and switch it off while it still holds pages, migrations
 //!   that leave a pool holding pages in a store its policy does not
-//!   name) with data ops: the entitlement every engine reports agrees
-//!   after every verb, and the journal and recovery claims above hold
-//!   for it too.
+//!   name) with data ops: the entitlement every engine reports, the
+//!   resident entries and the merged journal records agree after every
+//!   verb, and the journal and recovery claims above hold for it too.
 
 use ddc_core::cleancache::SecondChanceCache;
 use ddc_core::concurrent::ShardedCache;
@@ -531,6 +531,22 @@ fn one_control_stream_is_one_policy_module_on_both_engines() {
                 continue;
             }
             verbs += 1;
+            // The whole cache and the whole journal, at the verb that
+            // made them drift.
+            let entries = serial.entries();
+            let (records, _) = Journal::replay(serial.journal_bytes().expect("journaling on"));
+            for cache in &sharded {
+                let what = format!(
+                    "{mode:?}, {} shards, after op {i} {op:?}",
+                    cache.shard_count()
+                );
+                assert_eq!(cache.entries(), entries, "{what}: entries");
+                let segments = cache.journal_images().expect("journaling on");
+                assert!(
+                    merged_records(&segments) == records,
+                    "{what}: merged records differ from the serial journal"
+                );
+            }
             // Every pool that ever existed: a destroyed one answers
             // `None` on both.
             for &(vm, pool) in &ever {
