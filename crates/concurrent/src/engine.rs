@@ -3,6 +3,7 @@
 
 use ddc_cleancache::{PageVersion, PoolId, VmId};
 use ddc_hypercache::{AuditFinding, CacheConfig, Engine};
+use ddc_sim::SimTime;
 use ddc_storage::{
     BlockAddr, ChunkStore, RemoteCounters, RemoteError, RemoteFetchConfig, RemoteId, WearCounters,
 };
@@ -21,6 +22,12 @@ impl Engine for ShardedCache {
     }
     fn set_vm_weight(&mut self, vm: VmId, weight: u64) {
         ShardedCache::set_vm_weight(self, vm, weight);
+    }
+    fn remove_vm(&mut self, vm: VmId) {
+        ShardedCache::remove_vm(self, vm);
+    }
+    fn set_mem_capacity(&mut self, now: SimTime, pages: u64) {
+        ShardedCache::set_mem_capacity(self, now, pages);
     }
     fn entries(&self) -> Vec<(VmId, PoolId, BlockAddr, PageVersion)> {
         ShardedCache::entries(self)

@@ -43,8 +43,11 @@
 //!   (`entries`, the auditor, wear and remote totals, journal images
 //!   and durable lengths), journal installation and checkpoint
 //!   rewrites (`enable_journal`, live compaction, the end of
-//!   `recover`), and eviction's decision, which a put reaches only
-//!   from its eviction loop with no cache lock held.
+//!   `recover`), eviction's decision, which a put reaches only from its
+//!   eviction loop with no cache lock held, and every control verb: it
+//!   runs the body recovery runs ([`shard::replay_record`]), which may
+//!   drain pools on several shards; the benchmark's workloads issue
+//!   control verbs at setup only.
 //!
 //! # Determinism contract
 //!
@@ -71,9 +74,9 @@
 //! and the union of all segments is one **dense** global sequence. Pool-
 //! scoped records (puts, takes, evictions, flushes, pool control) go to
 //! the pool's home segment, so an entry's whole causal history lives in
-//! one segment; VM/store control records go to segment 0. `flush` /
-//! `flush_file` return their record's generation as a real, non-zero
-//! flush epoch *without* syncing — group commit
+//! one segment, VM/store records to segment 0 ([`shard::segment_of`]).
+//! `flush` / `flush_file` return their record's generation as a real,
+//! non-zero flush epoch *without* syncing — group commit
 //! ([`ShardedCache::commit_tick`]) raises every segment's durable mark
 //! at virtual-time tick boundaries instead of once per operation, and
 //! takes no shard lock to do it (the marks live in per-segment atomic
@@ -105,9 +108,9 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use ddc_cleancache::{
     CachePolicy, GetOutcome, PageVersion, PoolId, PoolStats, PutOutcome, SecondChanceCache, VmId,
 };
-use ddc_hypercache::index::{Placement, Pool, Slot, UsageMirror};
+use ddc_hypercache::index::{Placement, Slot, UsageMirror};
 use ddc_hypercache::policy::ShareTable;
-use ddc_hypercache::registry::{self, Control, ShareMemo};
+use ddc_hypercache::registry::{self, ShareMemo};
 use ddc_hypercache::shard::{
     self, Cut, OldestFirst, Placed, PoolVisit, RecoveryReport, ReplayLog, ShardState, StoreBackend,
 };
@@ -144,12 +147,12 @@ impl Ledger {
         }
     }
 
-    /// Reserves one page if the store has room. Lock-free.
+    /// Reserves one page if the store has room. Lock-free; a retry
+    /// reads the capacity afresh, so it never reserves past a shrink.
     fn try_alloc(&self) -> bool {
-        let cap = self.capacity.load(Ordering::Relaxed);
         let mut used = self.used.load(Ordering::Relaxed);
         loop {
-            if used >= cap {
+            if used >= self.capacity.load(Ordering::Relaxed) {
                 return false;
             }
             match self.used.compare_exchange_weak(
@@ -793,6 +796,22 @@ impl ShardedCache {
         }
     }
 
+    /// Removes a VM, dropping every object of all its pools; an unknown
+    /// VM is ignored.
+    pub fn remove_vm(&self, vm: VmId) {
+        let rec = JournalRecord::RemoveVm { vm: vm.0 };
+        self.control(&mut self.registry_mut(), rec);
+    }
+
+    /// Resizes the memory store, evicting the excess if shrinking
+    /// (growth takes effect at once). Journaled before the shrink, so
+    /// replay sees the evictions it caused in causal order.
+    pub fn set_mem_capacity(&self, now: SimTime, pages: u64) {
+        let rec = JournalRecord::SetMemCapacity { pages };
+        self.control(&mut self.registry_mut(), rec);
+        self.shrink_to_capacity(now, Placement::Mem);
+    }
+
     /// Pages resident in the memory store (global ledger).
     pub fn mem_used_pages(&self) -> u64 {
         self.inner.put.mem.used_pages()
@@ -1175,17 +1194,6 @@ impl ShardedCache {
         self.append_claimed(si, j, std::slice::from_ref(&rec))
     }
 
-    /// Appends a control-plane record to shard `si`'s segment, taking
-    /// that shard's lock. Caller must hold no shard lock (the registry
-    /// write lock is fine — registry orders before shards).
-    fn log_at(&self, si: usize, rec: JournalRecord) -> u64 {
-        if !self.journal_enabled() {
-            return 0;
-        }
-        let mut shard = self.lock_shard(si);
-        self.log_in(si, &mut shard.journal, rec)
-    }
-
     /// Drains the pending records into shard `si`'s (locked) segment as
     /// one contiguous generation run: one `fetch_add(n)` on the global
     /// generation counter, one buffered batch append (wire-identical to
@@ -1436,14 +1444,8 @@ impl ShardedCache {
         inner.append.journal_gen.store(gen, Ordering::Relaxed);
         // A replayed shrink whose evictions were lost leaves a store
         // oversubscribed: evict for real now.
-        for placement in [Placement::Mem, Placement::Ssd] {
-            let ledger = cache.ledger(placement);
-            while ledger.used_pages() > ledger.capacity_pages() {
-                if cache.evict_batch(SimTime::ZERO, placement) == 0 {
-                    break;
-                }
-            }
-        }
+        cache.shrink_to_capacity(SimTime::ZERO, Placement::Mem);
+        cache.shrink_to_capacity(SimTime::ZERO, Placement::Ssd);
         // Re-journal a checkpoint across fresh segments and go live.
         let reg = inner.registry.lock.read().expect("registry poisoned");
         let mut shards = cache.lock_all_shards();
@@ -1616,6 +1618,21 @@ impl ShardedCache {
                 reg.pool(vm, pool).map_or(0, |row| row.2.pages(placement))
             })
         })
+    }
+
+    /// After a capacity shrink, evicts batches until `placement`'s store
+    /// fits again, holding the evictor gate so no put's eviction loop
+    /// runs a batch beside it. Caller holds no lock.
+    fn shrink_to_capacity(&self, now: SimTime, placement: Placement) {
+        let gate = &self.inner.evictor.gate;
+        let _evictor = gate.lock().expect("eviction gate poisoned");
+        let ledger = self.ledger(placement);
+        while ledger.used_pages() > ledger.capacity_pages() {
+            // Every batch frees at least a page or ends the loop.
+            if self.evict_batch(now, placement) == 0 {
+                break;
+            }
+        }
     }
 
     /// Frees up to one eviction batch from `placement`'s store; 0 means
@@ -2011,59 +2028,26 @@ impl ShardedCache {
         self.inner.registry.lock.write().expect("registry poisoned")
     }
 
-    /// Every live registry mutation (replay runs
-    /// [`ReplayLog::replay`]): [`registry::Registry::apply`]
-    /// under the caller's write guard, then what the registry says must
-    /// happen to pools (registry before shard, the lock-order rule) and
-    /// the record into its segment. Installing a pool or swapping its
-    /// policy hands the home shard back still locked.
+    /// Every live control verb, the serial engine's way: under the
+    /// caller's registry write guard and every shard (registry before
+    /// shards, the lock-order rule), [`shard::replay_record`] — the body
+    /// recovery runs — then the record into the segment
+    /// [`shard::segment_of`] names. A record the registry ignored
+    /// journals nothing and answers `None`; otherwise that segment's
+    /// shard comes back still locked and the others drop.
     fn control<'a>(
         &'a self,
         reg: &mut Registry,
         rec: JournalRecord,
     ) -> Option<(usize, MutexGuard<'a, Shard>)> {
-        let (si, mut shard) = match reg.apply(&rec, Arc::default) {
-            Control::Ignored => return None,
-            Control::Weights => {
-                self.log_at(0, rec);
-                return None;
-            }
-            Control::Drain(vm, pools) => {
-                // `RemoveVm` is a VM record, on segment 0 like `AddVm`.
-                let whole_vm = matches!(rec, JournalRecord::RemoveVm { .. });
-                for (pid, _) in pools {
-                    let si = self.shard_of(vm, pid);
-                    let mut shard = self.lock_shard(si);
-                    shard.state.drain_pool(&mut self.ledgers(), vm, pid);
-                    if !whole_vm {
-                        self.log_in(si, &mut shard.journal, rec);
-                    }
-                }
-                if whole_vm {
-                    self.log_at(0, rec);
-                }
-                return None;
-            }
-            // Routable the moment the shard insert lands.
-            Control::Install(vm, pid, policy, mirror) => {
-                let si = self.shard_of(vm, pid);
-                let mut shard = self.lock_shard(si);
-                let mut pool = Pool::new(vm, policy);
-                pool.set_mirror(mirror);
-                shard.state.pools.insert((vm, pid), pool);
-                (si, shard)
-            }
-            Control::Swap(vm, pool, policy) => {
-                let si = self.shard_of(vm, pool);
-                let mut shard = self.lock_shard(si);
-                if let Some(p) = shard.state.pools.get_mut(&(vm, pool)) {
-                    p.set_policy(policy);
-                }
-                (si, shard)
-            }
-        };
-        self.log_in(si, &mut shard.journal, rec);
-        Some((si, shard))
+        let mut shards = self.lock_all_shards();
+        let mut states: Vec<_> = shards.iter_mut().map(|s| &mut s.state).collect();
+        if !shard::replay_record(reg, &mut states, &mut self.ledgers(), 0, &rec) {
+            return None;
+        }
+        let si = shard::segment_of(&rec, shards.len());
+        self.log_in(si, &mut shards[si].journal, rec);
+        Some((si, shards.swap_remove(si)))
     }
 
     /// The source half of a migration on its (locked) home shard: the
@@ -2777,10 +2761,7 @@ mod tests {
         };
         // Warms this handle's share memo.
         assert_eq!(entitlement(&cache), 500);
-        drop(cache.control(
-            &mut cache.registry_mut(),
-            JournalRecord::RemoveVm { vm: vm_a.0 },
-        ));
+        cache.remove_vm(vm_a);
         assert_eq!(entitlement(&cache), 1000);
         assert_eq!(audit(&cache), vec![]);
     }
@@ -3086,9 +3067,7 @@ mod tests {
                                 let guest = h.create_pool(VmId(9), CachePolicy::ssd(50));
                                 h.put(SimTime::ZERO, VmId(9), guest, addr(8, step), PageVersion(1));
                             }
-                            _ => drop(
-                                h.control(&mut h.registry_mut(), JournalRecord::RemoveVm { vm: 9 }),
-                            ),
+                            _ => h.remove_vm(VmId(9)),
                         }
                     }
                     barrier.wait();
@@ -3110,6 +3089,177 @@ mod tests {
         for h in &handles {
             assert_eq!(audit(h), vec![]);
         }
+    }
+
+    #[test]
+    fn a_memory_shrink_racing_hybrid_puts_holds_once_it_returns() {
+        use std::sync::atomic::{fence, AtomicBool};
+        const ROUNDS: usize = 40;
+        let cache = ShardedCache::new(CacheConfig::mem_and_ssd(64, 128), 4);
+        cache.enable_journal();
+        let mut setup = cache.clone();
+        let pools =
+            [VmId(1), VmId(2)].map(|vm| (vm, setup.create_pool(vm, CachePolicy::hybrid(100))));
+        // The capacity the last resize left, valid while `epoch` is even
+        // and unmoved: odd while a resize is under way.
+        let (epoch, capacity, done) = (
+            AtomicU64::new(0),
+            AtomicU64::new(64),
+            AtomicBool::new(false),
+        );
+        // What the putters and the checker have done so far.
+        let (batches, checks) = (AtomicU64::new(0), AtomicU64::new(0));
+        let lasts = std::thread::scope(|scope| {
+            // Each the only writer of its pool: whatever a get of it hits
+            // is the version this thread stored last.
+            let putters = pools.map(|(vm, pool)| {
+                let (mut h, done, batches) = (cache.clone(), &done, &batches);
+                scope.spawn(move || {
+                    let mut last = std::collections::BTreeMap::new();
+                    let mut version = 0u64;
+                    while !done.load(Ordering::Relaxed) {
+                        version += 1;
+                        let block = |i: u64| addr(u64::from(vm.0), (version * 3 + i) % 150);
+                        if version.is_multiple_of(3) {
+                            let got = match h.get(SimTime::ZERO, vm, pool, block(0)) {
+                                GetOutcome::Hit { version, .. } => Some(version),
+                                _ => None,
+                            };
+                            let want = last.remove(&block(0));
+                            assert!(got.is_none() || got == want, "stale hit");
+                            continue;
+                        }
+                        let pages: Vec<_> =
+                            (0..4).map(|i| (block(i), PageVersion(version))).collect();
+                        let out = h.put_many(SimTime::ZERO, vm, pool, &pages);
+                        for (&(a, v), o) in pages.iter().zip(out) {
+                            if o.is_stored() {
+                                last.insert(a, v);
+                            } else {
+                                last.remove(&a);
+                            }
+                        }
+                        batches.fetch_add(1, Ordering::Relaxed);
+                    }
+                    last
+                })
+            });
+            let checker = scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    let (before, cap) = (
+                        epoch.load(Ordering::SeqCst),
+                        capacity.load(Ordering::SeqCst),
+                    );
+                    let used = cache.mem_used_pages();
+                    fence(Ordering::SeqCst);
+                    if before.is_multiple_of(2) && epoch.load(Ordering::SeqCst) == before {
+                        assert!(used <= cap, "{used} pages in a memory store of {cap}");
+                        checks.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+            // Each resize waits for the puts to run a while and for the
+            // checker to read what the last one settled, unless one of
+            // them has failed.
+            let failed = || checker.is_finished() || putters.iter().any(|p| p.is_finished());
+            let h = cache.clone();
+            for round in 0..ROUNDS {
+                let (put, checked) = (
+                    batches.load(Ordering::Relaxed),
+                    checks.load(Ordering::Relaxed),
+                );
+                while (batches.load(Ordering::Relaxed) < put + 40
+                    || checks.load(Ordering::Relaxed) == checked)
+                    && !failed()
+                {
+                    std::thread::yield_now();
+                }
+                let pages = [16, 64, 8, 48][round % 4];
+                epoch.fetch_add(1, Ordering::SeqCst);
+                h.set_mem_capacity(SimTime::ZERO, pages);
+                capacity.store(pages, Ordering::SeqCst);
+                epoch.fetch_add(1, Ordering::SeqCst);
+            }
+            done.store(true, Ordering::Relaxed);
+            checker.join().expect("checker");
+            putters.map(|p| p.join().expect("putter"))
+        });
+        assert_eq!(audit(&cache), vec![]);
+        for (vm, pool, addr, version) in cache.entries() {
+            let i = pools
+                .iter()
+                .position(|&p| p == (vm, pool))
+                .expect("a putter's pool");
+            assert_eq!(lasts[i].get(&addr), Some(&version), "stale {addr:?}");
+        }
+    }
+
+    #[test]
+    fn a_vm_removal_racing_another_vms_puts_leaves_its_pages_alone() {
+        use std::sync::atomic::AtomicBool;
+        const ROUNDS: u64 = 30;
+        let cache = ShardedCache::new(CacheConfig::mem_and_ssd(4096, 4096), 4);
+        cache.enable_journal();
+        let (gone, other) = (VmId(1), VmId(2));
+        let pool = cache.clone().create_pool(other, CachePolicy::hybrid(100));
+        let (done, batches) = (AtomicBool::new(false), AtomicU64::new(0));
+        let (last, removed) = std::thread::scope(|scope| {
+            let putter = scope.spawn(|| {
+                let mut h = cache.clone();
+                let mut last = std::collections::BTreeMap::new();
+                let mut version = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    version += 1;
+                    let pages: Vec<_> = (0..4)
+                        .map(|i| (addr(2, (version * 5 + i) % 500), PageVersion(version)))
+                        .collect();
+                    let out = h.put_many(SimTime::ZERO, other, pool, &pages);
+                    for (&(a, v), o) in pages.iter().zip(out) {
+                        assert!(o.is_stored(), "a store with room turned a put away");
+                        last.insert(a, v);
+                    }
+                    batches.fetch_add(1, Ordering::Relaxed);
+                }
+                last
+            });
+            // VM 1, over and over: pools on several shards, holding
+            // pages, removed while the other VM puts.
+            let mut h = cache.clone();
+            let mut removed = Vec::new();
+            for round in 0..ROUNDS {
+                h.add_vm(gone, 100);
+                for i in 0..4 {
+                    let p = h.create_pool(gone, CachePolicy::hybrid(50));
+                    for b in 0..8 {
+                        h.put(
+                            SimTime::ZERO,
+                            gone,
+                            p,
+                            addr(1, 8 * i + b),
+                            PageVersion(round),
+                        );
+                    }
+                    removed.push(p);
+                }
+                // Not before the other VM's puts are under way.
+                let seen = batches.load(Ordering::Relaxed);
+                while batches.load(Ordering::Relaxed) == seen && !putter.is_finished() {
+                    std::thread::yield_now();
+                }
+                h.remove_vm(gone);
+            }
+            done.store(true, Ordering::Relaxed);
+            (putter.join().expect("putter"), removed)
+        });
+        let homes: std::collections::BTreeSet<_> =
+            removed.iter().map(|&p| cache.shard_of(gone, p)).collect();
+        assert!(homes.len() >= 2, "VM 1's pools all homed on one shard");
+        for &p in &removed {
+            assert_eq!(cache.pool_stats(gone, p), None);
+        }
+        let kept: Vec<_> = last.iter().map(|(&a, &v)| (other, pool, a, v)).collect();
+        assert_eq!(cache.entries(), kept);
+        assert_eq!(audit(&cache), vec![]);
     }
 
     /// Fills a memory store of `pages` pages from one pool, then sends

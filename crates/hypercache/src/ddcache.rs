@@ -388,11 +388,12 @@ impl DoubleDeckerCache {
     }
 
     /// A control-plane verb: applies `rec` exactly as replay will and
-    /// journals it.
+    /// journals it, unless the registry ignored it.
     fn control(&mut self, rec: JournalRecord) {
         let state = &mut [&mut self.state];
-        shard::replay_record(&mut self.registry, state, &mut self.stores, 0, &rec);
-        self.log(rec);
+        if shard::replay_record(&mut self.registry, state, &mut self.stores, 0, &rec) {
+            self.log(rec);
+        }
     }
 
     /// Updates a VM's weight in both stores (dynamic provisioning,
@@ -409,11 +410,9 @@ impl DoubleDeckerCache {
         }
     }
 
-    /// Removes a VM, dropping every object of all its pools.
+    /// Removes a VM, dropping every object of all its pools; an unknown
+    /// VM is ignored.
     pub fn remove_vm(&mut self, vm: VmId) {
-        if self.registry.vm(vm).is_none() {
-            return;
-        }
         self.control(JournalRecord::RemoveVm { vm: vm.0 });
     }
 
@@ -795,18 +794,13 @@ impl SecondChanceCache for DoubleDeckerCache {
     }
 
     fn destroy_pool(&mut self, vm: VmId, pool: PoolId) {
-        if self.state.pools.contains_key(&(vm, pool)) {
-            self.control(JournalRecord::DestroyPool {
-                vm: vm.0,
-                pool: pool.0,
-            });
-        }
+        self.control(JournalRecord::DestroyPool {
+            vm: vm.0,
+            pool: pool.0,
+        });
     }
 
     fn set_policy(&mut self, vm: VmId, pool: PoolId, policy: CachePolicy) {
-        if !self.state.pools.contains_key(&(vm, pool)) {
-            return;
-        }
         // Journaled before the re-homing: replay applies the policy raw
         // and then the re-homing's logged evictions and puts in order.
         self.control(JournalRecord::SetPolicy {

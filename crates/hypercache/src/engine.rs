@@ -1,6 +1,7 @@
 //! The one engine trait the harnesses drive both engines through.
 
 use ddc_cleancache::{PageVersion, PoolId, SecondChanceCache, VmId};
+use ddc_sim::SimTime;
 use ddc_storage::{
     BlockAddr, ChunkStore, RemoteCounters, RemoteError, RemoteFetchConfig, RemoteId, WearCounters,
 };
@@ -26,6 +27,11 @@ pub trait Engine: SecondChanceCache + Sized {
     fn add_vm_with_store_weights(&mut self, vm: VmId, mem_weight: u64, ssd_weight: u64);
     /// Re-weighs a registered VM; an unknown one is ignored.
     fn set_vm_weight(&mut self, vm: VmId, weight: u64);
+    /// Removes a VM and every page of its pools; an unknown one is
+    /// ignored.
+    fn remove_vm(&mut self, vm: VmId);
+    /// Resizes the memory store, evicting the excess if it shrinks.
+    fn set_mem_capacity(&mut self, now: SimTime, pages: u64);
     /// Every resident entry as `(vm, pool, addr, version)`, sorted.
     fn entries(&self) -> Vec<(VmId, PoolId, BlockAddr, PageVersion)>;
     /// Pages resident across both stores.
@@ -73,6 +79,12 @@ impl Engine for DoubleDeckerCache {
     }
     fn set_vm_weight(&mut self, vm: VmId, weight: u64) {
         DoubleDeckerCache::set_vm_weight(self, vm, weight);
+    }
+    fn remove_vm(&mut self, vm: VmId) {
+        DoubleDeckerCache::remove_vm(self, vm);
+    }
+    fn set_mem_capacity(&mut self, now: SimTime, pages: u64) {
+        DoubleDeckerCache::set_mem_capacity(self, now, pages);
     }
     fn entries(&self) -> Vec<(VmId, PoolId, BlockAddr, PageVersion)> {
         DoubleDeckerCache::entries(self)

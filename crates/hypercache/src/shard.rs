@@ -1001,6 +1001,23 @@ pub fn home_shard(vm: VmId, pool: PoolId, shards: usize) -> usize {
     (mixed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as usize % shards
 }
 
+/// The segment `rec` goes to among `shards`: a pool's data and control
+/// records to its home segment (a page's whole history lives in one),
+/// every VM and store record to segment 0.
+pub fn segment_of(rec: &JournalRecord, shards: usize) -> usize {
+    match *rec {
+        JournalRecord::Put { vm, pool, .. }
+        | JournalRecord::Take { vm, pool, .. }
+        | JournalRecord::Evict { vm, pool, .. }
+        | JournalRecord::Flush { vm, pool, .. }
+        | JournalRecord::FlushFile { vm, pool, .. }
+        | JournalRecord::CreatePool { vm, pool, .. }
+        | JournalRecord::DestroyPool { vm, pool }
+        | JournalRecord::SetPolicy { vm, pool, .. } => home_shard(VmId(vm), PoolId(pool), shards),
+        _ => 0,
+    }
+}
+
 /// One consistent cut of an engine, held still by the caller (the
 /// serial engine's `&self`; the sharded engine's registry read lock plus
 /// every shard lock): what the whole-cache readers walk.
@@ -1334,8 +1351,9 @@ impl ReplayLog {
             ..RecoveryReport::default()
         };
         for &(gen, rec) in &self.records {
+            let applied = replay_record(registry, shards, backend, gen, &rec);
             report.dropped_no_room +=
-                u64::from(!replay_record(registry, shards, backend, gen, &rec));
+                u64::from(!applied && matches!(rec, JournalRecord::Put { .. }));
         }
         let n = shards.len();
         for &(vm, epoch) in guest_epochs {
@@ -1351,15 +1369,16 @@ impl ReplayLog {
     }
 }
 
-/// Applies one record to an engine's raw state, replayed or live (the
-/// serial engine's control verbs, `gen` 0): a pool record through its
-/// pool's home shard ([`ShardState::replay`]), a `Put` once its block
-/// left the VM's other pools; capacities to the backend; `SsdDrain` to
-/// every shard; `WearTotals` into shard 0 (device totals sum the shards);
-/// control records to the registry, the pools acting on its answer. No
-/// journaling and no side effects: those were journaled too. `false` for
-/// a dropped `Put`.
-pub(crate) fn replay_record<M: RowPayload>(
+/// Applies one record to an engine's raw state, replayed or live (both
+/// engines' control verbs, `gen` 0): a pool record through its pool's
+/// home shard ([`ShardState::replay`]), a `Put` once its block left the
+/// VM's other pools; capacities to the backend; `SsdDrain` to every
+/// shard; `WearTotals` into shard 0 (device totals sum the shards);
+/// control records to the registry, the pools acting on its answer (the
+/// one copy of that). No journaling and no side effects: those were
+/// journaled too. `false` for a dropped `Put` and for a record the
+/// registry ignored, which a live verb does not journal.
+pub fn replay_record<M: RowPayload>(
     registry: &mut Registry<M>,
     shards: &mut [&mut ShardState],
     backend: &mut impl StoreBackend,
@@ -1405,7 +1424,8 @@ pub(crate) fn replay_record<M: RowPayload>(
         }
         // Every other record is the registry's.
         _ => match registry.apply(rec, M::default) {
-            Control::Ignored | Control::Weights => {}
+            Control::Ignored => return false,
+            Control::Weights => {}
             Control::Drain(vm, pools) => {
                 for (pid, _) in pools {
                     shards[home_shard(vm, pid, n)].drain_pool(backend, vm, pid);
