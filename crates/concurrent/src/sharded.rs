@@ -147,12 +147,12 @@ impl Ledger {
         }
     }
 
-    /// Reserves one page if the store has room. Lock-free; a retry
-    /// reads the capacity afresh, so it never reserves past a shrink.
+    /// Reserves one page if the store has room. Lock-free.
     fn try_alloc(&self) -> bool {
+        let cap = self.capacity.load(Ordering::Relaxed);
         let mut used = self.used.load(Ordering::Relaxed);
         loop {
-            if used >= self.capacity.load(Ordering::Relaxed) {
+            if used >= cap {
                 return false;
             }
             match self.used.compare_exchange_weak(
