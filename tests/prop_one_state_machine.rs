@@ -460,12 +460,13 @@ fn control_stream(seed: u64) -> (Vec<Op>, Vec<(VmId, PoolId)>) {
                     ops.push(Op::Destroy(vm, pool));
                     ops.push(Op::SetPolicy(VmId(4), pool, CachePolicy::mem(10)));
                 }
-                // VM 4 is never registered: ignored by both.
+                // VM 4 is never registered: its removal is ignored by
+                // both, and it is not registered again.
                 10 => {
                     let vm = VmId(1 + rng.range_u64(0, 4) as u32);
                     ops.push(Op::RemoveVm(vm));
                     live.retain(|&(v, _)| v != vm);
-                    if rng.chance(0.5) {
+                    if vm != VmId(4) && rng.chance(0.5) {
                         ops.push(Op::RegisterVm(vm, 100, 100));
                     }
                 }
