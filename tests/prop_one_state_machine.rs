@@ -24,6 +24,10 @@
 //!   name) with data ops: the entitlement every engine reports, the
 //!   resident entries and the merged journal records agree after every
 //!   verb, and the journal and recovery claims above hold for it too.
+//! * **One usage read.** A recovered journal that leaves pools holding
+//!   pages outside their policy's stores, driven to zero and back: the
+//!   stats (entitlements included), eviction counts and entries agree
+//!   after every step.
 
 use ddc_core::cleancache::SecondChanceCache;
 use ddc_core::concurrent::ShardedCache;
@@ -996,4 +1000,145 @@ fn a_replayed_put_with_an_unknown_placement_takes_the_older_copy_out() {
     let (versions, dropped) = recover_after_a_second_put(one_block_put(2, 2));
     assert_eq!(versions, [vec![], vec![]]);
     assert_eq!(dropped, 0);
+}
+
+/// Recovers a journal that leaves pools holding pages in a store their
+/// policy does not assign (a `Mem` pool's pages put to the SSD, an
+/// `Ssd` pool's put to memory, and VM 3's only SSD pages) on the serial
+/// engine and at 1, 4 and 16 shards, then drives all four with gets,
+/// flushes and other VMs' puts that take those pages to zero, and
+/// migrations between VM 1's two pools that bring them back. After every step each pool's stats (its
+/// entitlement and its eviction count included) and the resident
+/// entries agree: the legacy pools enter the share tables, leave them
+/// and are picked as victims alike on both engines.
+#[test]
+fn recovered_pages_outside_their_policys_stores_entitle_and_evict_alike_on_both_engines() {
+    let code = ddc_core::hypercache::store_kind_code;
+    let mut records = vec![
+        JournalRecord::AddVm {
+            vm: 1,
+            mem_weight: 100,
+            ssd_weight: 100,
+        },
+        JournalRecord::AddVm {
+            vm: 2,
+            mem_weight: 150,
+            ssd_weight: 50,
+        },
+    ];
+    // `(vm, pool, store, weight, placement code of its recovered pages)`.
+    let pools = [
+        (1, 1, StoreKind::Mem, 100, 1),
+        (1, 2, StoreKind::Ssd, 100, 0),
+        (2, 3, StoreKind::Hybrid, 100, 0),
+        (2, 4, StoreKind::Mem, 60, 0),
+        (3, 5, StoreKind::Mem, 80, 1),
+    ];
+    for (vm, pool, store, weight, placement) in pools {
+        records.push(JournalRecord::CreatePool {
+            vm,
+            pool,
+            store: code(store),
+            weight,
+        });
+        records.extend((0..8).map(|block| JournalRecord::Put {
+            vm,
+            pool,
+            addr: BlockAddr::new(FileId(u64::from(pool) * 10), block),
+            version: 1,
+            placement,
+        }));
+    }
+    let stream: Vec<(u64, JournalRecord)> = (1..).zip(records).collect();
+    let ids: Vec<(VmId, PoolId)> = pools.map(|p| (VmId(p.0), PoolId(p.1))).to_vec();
+    for (mi, mode) in MODES.into_iter().enumerate() {
+        let config = CacheConfig {
+            mem_capacity_pages: 24,
+            ssd_capacity_pages: 28,
+            ..config(mode)
+        };
+        let image = &hostile_segments(&stream, 1)[0];
+        let (mut serial, _) = recover_both(config, image, &[], &format!("{mode:?}"));
+        let mut sharded: Vec<ShardedCache> = [1usize, 4, 16]
+            .into_iter()
+            .map(|n| ShardedCache::recover(config, &hostile_segments(&stream, n), &[]).0)
+            .collect();
+        let legacy = |stats: Option<PoolStats>, pool: PoolId| {
+            stats.map_or(0, |s| [s.ssd_pages, s.mem_pages][pool.0 as usize - 1])
+        };
+        let mut rng = SimRng::new(0x1E6AC7 + mi as u64);
+        // Steps on which a legacy pool's pages crossed zero, either way,
+        // and steps on which a legacy pool was evicted from.
+        let (mut crossings, mut legacy_evictions) = (0, 0);
+        // Which of VM 1's two pools caches each of its blocks (a guest
+        // file belongs to one container): a migration moves the block.
+        let mut owner = std::collections::BTreeMap::new();
+        for step in 0..3000u64 {
+            let (vm, pool) = ids[rng.range_usize(0, ids.len())];
+            let file = u64::from(pool.0) * 10 + rng.range_u64(0, 2);
+            let addr = BlockAddr::new(FileId(file), rng.range_u64(0, 12));
+            let pool = match vm {
+                VmId(1) => *owner.entry(addr).or_insert(pool),
+                _ => pool,
+            };
+            let op = match rng.range_u64(0, 20) {
+                0..=7 => Op::Put(vm, pool, addr, PageVersion(2 + step)),
+                8..=13 => Op::Get(vm, pool, addr),
+                14..=16 => Op::Flush(vm, pool, addr),
+                17 => Op::FlushMany(vm, pool, vec![addr]),
+                // The block changes pools and keeps its store: pool 2's
+                // SSD pages join pool 1 (a `Mem` pool) there, pool 1's
+                // memory pages join pool 2 (an `Ssd` pool) there.
+                _ if vm == VmId(1) => {
+                    let to = PoolId(3 - pool.0);
+                    owner.insert(addr, to);
+                    Op::Migrate(vm, pool, to, addr)
+                }
+                _ => Op::Put(vm, pool, addr, PageVersion(2 + step)),
+            };
+            let before: Vec<_> = ids[..2]
+                .iter()
+                .map(|&(vm, pool)| serial.pool_stats(vm, pool))
+                .collect();
+            apply(&mut serial, &op);
+            for cache in &mut sharded {
+                apply(cache, &op);
+            }
+            let what = |cache: &ShardedCache| {
+                format!(
+                    "{mode:?}, {} shards, step {step} {op:?}",
+                    cache.shard_count()
+                )
+            };
+            let entries = serial.entries();
+            for cache in &sharded {
+                assert_eq!(cache.entries(), entries, "{}: entries", what(cache));
+            }
+            for &(vm, pool) in &ids {
+                let want = serial.pool_stats(vm, pool);
+                for cache in &sharded {
+                    let got = cache.pool_stats(vm, pool);
+                    assert_eq!(got, want, "{}: stats of {vm} {pool}", what(cache));
+                }
+            }
+            for (&(vm, pool), was) in ids[..2].iter().zip(before) {
+                let is = serial.pool_stats(vm, pool);
+                crossings += u64::from((legacy(was, pool) == 0) != (legacy(is, pool) == 0));
+                let evicted = |s: Option<PoolStats>| s.map_or(0, |s| s.evictions);
+                legacy_evictions += u64::from(legacy(was, pool) > 0 && evicted(is) > evicted(was));
+            }
+        }
+        assert!(crossings >= 20, "{mode:?}: {crossings} zero crossings");
+        if mode != PartitionMode::Global {
+            assert!(
+                legacy_evictions >= 5,
+                "{mode:?}: legacy pools evicted from on {legacy_evictions} steps"
+            );
+        }
+        for cache in &sharded {
+            let findings = ddc_core::concurrent::audit(cache);
+            assert_eq!(findings, vec![], "{mode:?}, {} shards", cache.shard_count());
+        }
+        assert_eq!(ddc_core::hypercache::audit(&serial), vec![], "{mode:?}");
+    }
 }
