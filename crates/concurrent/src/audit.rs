@@ -12,11 +12,7 @@
 //! 1. **Shard map** — every pool sits in the shard its key hashes to.
 //! 2. **Memo accuracy** — the auditing handle's share memo, where it is
 //!    filled and still valid by its own rule, equals a fresh table.
-//! 3. **Mirror accuracy** — each pool's atomic usage mirror (what the
-//!    victim walk reads, with every shard held) equals the pool's exact
-//!    usage under lock-all quiescence. A drift here means eviction
-//!    picks its victim from corrupt data.
-//! 4. **Journal health** — when the plane journals (DESIGN.md §14),
+//! 3. **Journal health** — when the plane journals (DESIGN.md §14),
 //!    every live shard segment must replay clean end-to-end under
 //!    quiescence (the auditor holds every lock, and we wrote every
 //!    byte ourselves — a torn or corrupt frame here means the
@@ -42,7 +38,6 @@ use crate::sharded::ShardedCache;
 pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
     cache.with_all_locked(|reg, shards, stores, next_seq| {
         let mut findings = audit_cut(reg, &ShardedCache::cut(reg, shards), stores, next_seq);
-        let locked_pool = |vm, pid| shards[cache.shard_of(vm, pid)].state.pools.get(&(vm, pid));
 
         // 1. Shard map.
         for (si, shard) in shards.iter().enumerate() {
@@ -60,9 +55,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
         // 2. This handle's memo against a fresh share table.
         for placement in Placement::ALL {
             let capacity = stores[placement.idx()].1;
-            let fresh = reg.share_table(capacity, placement, |vm, pid, _| {
-                locked_pool(vm, pid).map_or(0, |p| p.used(placement))
-            });
+            let fresh = reg.share_table(capacity, placement);
             if cache
                 .cached_share_table(reg, placement)
                 .is_some_and(|t| t != fresh)
@@ -78,31 +71,7 @@ pub fn audit(cache: &ShardedCache) -> Vec<AuditFinding> {
             }
         }
 
-        // 3. Mirror accuracy: what the victim walk reads must match the
-        // exact usage while everything is locked.
-        for (vm, row) in reg.vms() {
-            for (pid, _, mirror) in &row.pools {
-                let Some(pool) = locked_pool(vm, *pid) else {
-                    continue;
-                };
-                for placement in Placement::ALL {
-                    let mirrored = mirror.pages(placement);
-                    let exact = pool.used(placement);
-                    if mirrored != exact {
-                        findings.push(AuditFinding {
-                            invariant: "mirror-accuracy",
-                            detail: format!(
-                                "{vm} {pid} {} mirror reads {mirrored} pages but the \
-                                 pool holds {exact}",
-                                placement.name()
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-
-        // 4. Journal health (only when the plane journals).
+        // 3. Journal health (only when the plane journals).
         if let Some(expected_records) = cache.journal_records() {
             // Sampled before the marks: a committer still sweeping only
             // raises marks, and publishes its epoch after them.

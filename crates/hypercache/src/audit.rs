@@ -29,8 +29,9 @@
 //!    §4.2, so the sums can never exceed the level above), over a fresh
 //!    share table. **Registry** (`registry-policy`) — the registry's
 //!    `(vm, pool)` set is the set of pools that exist, and each row
-//!    mirrors its pool's policy: the share tables are built from the
-//!    rows, placement is decided from the pools.
+//!    carries its pool's policy and shares its pool's usage cell: the
+//!    share tables and the victim walk read the rows, placement and
+//!    accounting the pools.
 //! 6. **Exclusive cache** — no block address is cached by two pools of
 //!    the same VM (each guest file belongs to one container; duplicates
 //!    would mean a migrate/put path leaked a copy).
@@ -58,12 +59,14 @@
 //!     page the guest invalidated survives in the readahead buffer (the
 //!     no-stale-data-during-partition guarantee).
 
-use ddc_cleancache::{CachePolicy, PoolId, VmId};
+use std::sync::Arc;
+
+use ddc_cleancache::{PoolId, VmId};
 use ddc_storage::RemoteBinding;
 
 use crate::index::{Placement, Pool, SlotId};
 use crate::registry::Registry;
-use crate::shard::{home_shard, Cut};
+use crate::shard::Cut;
 use crate::DoubleDeckerCache;
 
 /// One violated invariant, as structured data (never a panic).
@@ -101,8 +104,8 @@ pub fn audit(cache: &DoubleDeckerCache) -> Vec<AuditFinding> {
 /// a fresh share table, the registry's rows against the pools,
 /// remote-binding consistency, and the pool slice under the engine's
 /// next stamp `next_seq`.
-pub fn audit_cut<M: Clone>(
-    registry: &Registry<M>,
+pub fn audit_cut(
+    registry: &Registry,
     cut: &Cut<'_>,
     stores: [(u64, u64); 2],
     next_seq: u64,
@@ -122,9 +125,7 @@ pub fn audit_cut<M: Clone>(
             let detail = format!("{name} store uses {used} pages over its capacity of {capacity}");
             finding("store-accounting", detail);
         }
-        let table = registry.share_table(capacity, placement, |vm, pool, _| {
-            shards[home_shard(vm, pool, shards.len())].used(vm, pool, placement)
-        });
+        let table = registry.share_table(capacity, placement);
         let vm_sum: u64 = table.rows().map(|r| r.1).sum();
         if vm_sum > capacity {
             let detail = format!(
@@ -145,7 +146,7 @@ pub fn audit_cut<M: Clone>(
         }
     }
     let pools = shards.iter().flat_map(|s| s.pools.iter());
-    let mut pools: Vec<_> = pools.map(|(&(vm, pid), p)| (vm, pid, p.policy())).collect();
+    let mut pools: Vec<_> = pools.map(|(&(vm, pid), p)| (vm, pid, p)).collect();
     pools.sort_unstable_by_key(|&(vm, pid, _)| (vm, pid));
     findings.extend(audit_registry_policies(registry, &pools));
     let bindings = shards.iter().flat_map(|s| s.remote_bindings.iter());
@@ -303,13 +304,13 @@ pub fn audit_pool_slice(pools: &[(VmId, PoolId, &Pool)], next_seq: u64) -> Vec<A
 
 /// The registry's rows against the pools that exist (`pools` sorted by
 /// `(vm, pool)`, as the rows are): the same keys, and under each the
-/// same policy.
-fn audit_registry_policies<M: Clone>(
-    registry: &Registry<M>,
-    pools: &[(VmId, PoolId, CachePolicy)],
+/// same policy and one usage cell.
+fn audit_registry_policies(
+    registry: &Registry,
+    pools: &[(VmId, PoolId, &Pool)],
 ) -> Vec<AuditFinding> {
     let rows = registry.vms();
-    let rows = rows.flat_map(|(vm, row)| row.pools.iter().map(move |r| (vm, r.0, r.1)));
+    let rows = rows.flat_map(|(vm, row)| row.pools.iter().map(move |r| (vm, r.0, r.1, &r.2)));
     let rows: Vec<_> = rows.collect();
     let mut findings = Vec::new();
     if !rows
@@ -327,14 +328,22 @@ fn audit_registry_policies<M: Clone>(
         });
         return findings;
     }
-    for (&(vm, pid, row), &(_, _, pool)) in rows.iter().zip(pools) {
-        if row != pool {
+    for (&(vm, pid, row, usage), &(_, _, pool)) in rows.iter().zip(pools) {
+        let mut finding = |detail| {
+            let detail = format!("{vm} {pid}: {detail}");
             findings.push(AuditFinding {
                 invariant: "registry-policy",
-                detail: format!(
-                    "{vm} {pid}: the registry row says {row:?} but the pool runs {pool:?}"
-                ),
-            });
+                detail,
+            })
+        };
+        if row != pool.policy() {
+            finding(format!(
+                "the registry row says {row:?} but the pool runs {:?}",
+                pool.policy()
+            ));
+        }
+        if !Arc::ptr_eq(usage, pool.usage()) {
+            finding("the pool counts its pages in a cell its registry row does not read".into());
         }
     }
     findings
@@ -703,6 +712,17 @@ mod tests {
         assert!(found[0].contains("the pool runs"), "{found:?}");
         let pool = cache.state.pools.get_mut(&(VmId(0), kept)).unwrap();
         pool.set_policy(CachePolicy::mem(70));
+        assert_eq!(audit(&cache), vec![]);
+
+        // A pool that counts its pages in a cell of its own (a clone):
+        // the share tables and the victim walk would not see them.
+        let key = (VmId(0), kept);
+        let own = cache.state.pools[&key].clone();
+        let registered = cache.state.pools.insert(key, own).unwrap();
+        let found = registry_findings(&cache);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("does not read"), "{found:?}");
+        cache.state.pools.insert(key, registered);
         assert_eq!(audit(&cache), vec![]);
 
         // A pool that went without its row.

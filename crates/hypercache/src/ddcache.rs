@@ -216,13 +216,13 @@ pub struct DoubleDeckerCache {
     mode: PartitionMode,
     pub(crate) stores: Stores,
     /// Registered VMs and pools ([`crate::registry`]).
-    pub(crate) registry: Registry<()>,
+    pub(crate) registry: Registry,
     /// Every pool and the retired wear: the one shard of this engine
     /// (see [`crate::shard`]).
     pub(crate) state: ShardState,
     // Interior mutability because readers (`pool_stats`) fill it behind
     // `&self`.
-    pub(crate) share_memo: RefCell<ShareMemo<()>>,
+    pub(crate) share_memo: RefCell<ShareMemo>,
     quarantine_invalidated: u64,
     /// How many times live compaction rewrote the journal as a
     /// checkpoint (see [`DoubleDeckerCache::maybe_compact_journal`]).
@@ -564,7 +564,6 @@ impl DoubleDeckerCache {
             self.registry.version(),
             self.stores.of(placement).capacity_pages(),
             placement,
-            |vm, pool, ()| self.state.used(vm, pool, placement),
             f,
         )
     }
@@ -605,16 +604,13 @@ impl DoubleDeckerCache {
     }
 
     /// Two-level weighted eviction: the policy module's victim walk
-    /// ([`ShareTable::select_victim`]) over fresh usage, then one batch
+    /// ([`Registry::victim`]) over fresh usage, then one batch
     /// evicted FIFO from the victim container's pool. Hybrid pools
     /// trickle evicted memory objects down to their SSD share.
     fn evict_batch_weighted(&mut self, now: SimTime, placement: Placement) -> u64 {
         let strict = self.mode == PartitionMode::Strict;
-        let victim = self.with_share_table(placement, |table| {
-            table.select_victim(strict, EVICTION_BATCH_PAGES, |vm, pool| {
-                self.state.pools[&(vm, pool)].used(placement)
-            })
-        });
+        let victim =
+            self.with_share_table(placement, |t| self.registry.victim(t, placement, strict));
         let Some(mut visit) = victim.and_then(|(vm, pool)| self.state.visit(vm, pool)) else {
             return 0;
         };

@@ -178,33 +178,29 @@ pub struct PoolCounters {
     pub failed_puts: u64,
 }
 
-/// Lock-free mirror of one pool's per-store usage, kept in sync by the
-/// pool's accounting funnels. A concurrent assembly can attach one per
-/// pool and read every entity's usage *without* taking the locks that
-/// guard the pools themselves; `ddc-concurrent`'s evictor reads it with
-/// every one of those locks held, where it is exact.
+/// One pool's resident pages per store, `[mem, ssd]`: the one copy of
+/// its usage, owned by the pool and shared with its registry row, so the
+/// share tables and the victim walk read it without the pool. Only the
+/// holder of `&mut Pool` writes it, with a plain load and store.
 #[derive(Debug, Default)]
-pub struct UsageMirror {
-    mem: AtomicU64,
-    ssd: AtomicU64,
+pub struct Usage([AtomicU64; 2]);
+
+impl Usage {
+    /// Pages the pool holds in the given store (exact to a holder of the
+    /// pool; a snapshot to anyone else).
+    pub fn pages(&self, placement: Placement) -> u64 {
+        self.0[placement.idx()].load(Ordering::Relaxed)
+    }
 }
 
-impl UsageMirror {
-    /// Pages the owning pool currently holds in the given store, as of
-    /// the last accounting update (exact under a quiescent pool; a
-    /// best-effort snapshot under concurrent mutation).
-    pub fn pages(&self, placement: Placement) -> u64 {
-        match placement {
-            Placement::Mem => self.mem.load(Ordering::Relaxed),
-            Placement::Ssd => self.ssd.load(Ordering::Relaxed),
-        }
-    }
+/// A pool's own [`Usage`] cell: a cloned pool counts its own pages.
+#[derive(Debug)]
+struct OwnUsage(Arc<Usage>);
 
-    fn cell(&self, placement: Placement) -> &AtomicU64 {
-        match placement {
-            Placement::Mem => &self.mem,
-            Placement::Ssd => &self.ssd,
-        }
+impl Clone for OwnUsage {
+    fn clone(&self) -> OwnUsage {
+        let pages = Placement::ALL.map(|p| AtomicU64::new(self.0.pages(p)));
+        OwnUsage(Arc::new(Usage(pages)))
     }
 }
 
@@ -422,10 +418,7 @@ pub struct Pool {
     /// youngest entry ([`NIL`] both when it is empty).
     oldest: [u32; 2],
     youngest: [u32; 2],
-    used_mem: u64,
-    used_ssd: u64,
-    /// Optional lock-free usage mirror (see [`UsageMirror`]).
-    mirror: Option<Arc<UsageMirror>>,
+    usage: OwnUsage,
     /// Public counters, updated by the cache front-end.
     pub counters: PoolCounters,
     /// SSD endurance ledger: every insert is charged here (slot-level
@@ -449,6 +442,12 @@ pub struct Pool {
 impl Pool {
     /// Creates an empty pool owned by `vm` with the given policy.
     pub fn new(vm: VmId, policy: CachePolicy) -> Pool {
+        Pool::on(vm, policy, Arc::default())
+    }
+
+    /// [`Self::new`], counting its pages in `usage` (its registry row's
+    /// cell, which must read zero).
+    pub fn on(vm: VmId, policy: CachePolicy, usage: Arc<Usage>) -> Pool {
         Pool {
             vm,
             policy,
@@ -458,27 +457,13 @@ impl Pool {
             file_heads: FxHashMap::default(),
             oldest: [NIL; 2],
             youngest: [NIL; 2],
-            used_mem: 0,
-            used_ssd: 0,
-            mirror: None,
+            usage: OwnUsage(usage),
             counters: PoolCounters::default(),
             wear: PoolWear::default(),
             ghost: GhostFilter::default(),
             insert_count: 0,
             slot_birth: Vec::new(),
         }
-    }
-
-    /// Attaches a usage mirror; every subsequent accounting change is
-    /// reflected into it. The serial engine runs without one.
-    pub fn set_mirror(&mut self, mirror: Arc<UsageMirror>) {
-        mirror
-            .cell(Placement::Mem)
-            .store(self.used_mem, Ordering::Relaxed);
-        mirror
-            .cell(Placement::Ssd)
-            .store(self.used_ssd, Ordering::Relaxed);
-        self.mirror = Some(mirror);
     }
 
     /// The owning VM.
@@ -497,16 +482,19 @@ impl Pool {
     }
 
     /// Pages resident in the given store.
+    #[inline]
     pub fn used(&self, placement: Placement) -> u64 {
-        match placement {
-            Placement::Mem => self.used_mem,
-            Placement::Ssd => self.used_ssd,
-        }
+        self.usage.0.pages(placement)
+    }
+
+    /// The cell the pool counts its pages in.
+    pub fn usage(&self) -> &Arc<Usage> {
+        &self.usage.0
     }
 
     /// Total resident pages.
     pub fn total_used(&self) -> u64 {
-        self.used_mem + self.used_ssd
+        self.used(Placement::Mem) + self.used(Placement::Ssd)
     }
 
     /// Whether the pool indexes no objects.
@@ -789,7 +777,7 @@ impl Pool {
     /// as `(mem, ssd)` (DESTROY_CGROUP). Resets the slab, so previously
     /// issued `SlotId`s are all dead afterwards.
     pub fn drain(&mut self) -> (u64, u64) {
-        let freed = (self.used_mem, self.used_ssd);
+        let freed = (self.used(Placement::Mem), self.used(Placement::Ssd));
         self.slots.clear();
         self.free.clear();
         self.table.clear();
@@ -844,8 +832,8 @@ impl Pool {
     /// [primary store](Self::primary_placement).
     pub fn stats(&self, entitlement_pages: u64) -> PoolStats {
         PoolStats {
-            mem_pages: self.used_mem,
-            ssd_pages: self.used_ssd,
+            mem_pages: self.used(Placement::Mem),
+            ssd_pages: self.used(Placement::Ssd),
             entitlement_pages,
             gets: self.counters.gets,
             hits: self.counters.hits,
@@ -1002,33 +990,18 @@ impl Pool {
     }
 
     fn credit(&mut self, placement: Placement) {
-        match placement {
-            Placement::Mem => self.used_mem += 1,
-            Placement::Ssd => self.used_ssd += 1,
-        }
-        if let Some(m) = &self.mirror {
-            m.cell(placement).fetch_add(1, Ordering::Relaxed);
-        }
+        self.set_used(placement, self.used(placement) + 1);
     }
 
     fn debit(&mut self, placement: Placement) {
-        match placement {
-            Placement::Mem => self.used_mem -= 1,
-            Placement::Ssd => self.used_ssd -= 1,
-        }
-        if let Some(m) = &self.mirror {
-            m.cell(placement).fetch_sub(1, Ordering::Relaxed);
-        }
+        self.set_used(placement, self.used(placement) - 1);
     }
 
+    /// The one write to the usage cell: `&mut self` makes it the only
+    /// writer, so a plain store, never a read-modify-write.
+    #[inline]
     fn set_used(&mut self, placement: Placement, pages: u64) {
-        match placement {
-            Placement::Mem => self.used_mem = pages,
-            Placement::Ssd => self.used_ssd = pages,
-        }
-        if let Some(m) = &self.mirror {
-            m.cell(placement).store(pages, Ordering::Relaxed);
-        }
+        self.usage.0 .0[placement.idx()].store(pages, Ordering::Relaxed);
     }
 }
 
@@ -1274,24 +1247,22 @@ mod tests {
     }
 
     #[test]
-    fn usage_mirror_tracks_accounting() {
-        let mut p = pool();
-        let mirror = Arc::new(UsageMirror::default());
-        p.set_mirror(Arc::clone(&mirror));
+    fn a_pool_counts_in_the_cell_it_was_built_on_and_a_clone_in_its_own() {
+        let cell = Arc::new(Usage::default());
+        let mut p = Pool::on(VmId(0), CachePolicy::mem(100), Arc::clone(&cell));
         p.insert(addr(1, 0), Placement::Mem, PageVersion(0), 1);
         p.insert(addr(1, 1), Placement::Ssd, PageVersion(0), 2);
-        assert_eq!(mirror.pages(Placement::Mem), 1);
-        assert_eq!(mirror.pages(Placement::Ssd), 1);
+        assert_eq!(cell.pages(Placement::Mem), 1);
+        assert_eq!(cell.pages(Placement::Ssd), 1);
+        let mut q = p.clone();
         p.remove(addr(1, 0));
-        assert_eq!(mirror.pages(Placement::Mem), 0);
+        assert_eq!(cell.pages(Placement::Mem), 0);
         p.drain();
-        assert_eq!(mirror.pages(Placement::Ssd), 0);
-        // Attaching to a non-empty pool seeds the mirror.
-        let mut q = pool();
-        q.insert(addr(2, 0), Placement::Mem, PageVersion(0), 1);
-        let m2 = Arc::new(UsageMirror::default());
-        q.set_mirror(Arc::clone(&m2));
-        assert_eq!(m2.pages(Placement::Mem), 1);
+        assert_eq!(cell.pages(Placement::Ssd), 0);
+        assert!(!Arc::ptr_eq(q.usage(), &cell));
+        assert_eq!((q.used(Placement::Mem), q.used(Placement::Ssd)), (1, 1));
+        q.remove(addr(1, 1));
+        assert_eq!((q.used(Placement::Ssd), cell.pages(Placement::Ssd)), (0, 0));
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //! registry (the sharded engine's read lock), so the version cannot move
 //! under it.
 //!
-//! `M` is what an engine hangs on a pool's row ([`RowPayload`]):
-//! nothing for the serial engine, the pool's lock-free usage mirror for
-//! the sharded one. It is also the memo's probe — a legacy pool's usage
-//! is asked of its row payload, so the sharded re-check is two atomic
-//! loads per legacy pool and the serial one a pool-map lookup.
+//! Each pool row shares its pool's [`Usage`] cell: [`Registry::apply`]
+//! makes it, the pool the row installs counts its pages in it, and
+//! every reader of usage here — the share tables, the memo's re-check,
+//! the victim walk ([`Registry::victim`]) — reads it off the row, on
+//! both engines. One cell per pool, so there is no second copy to
+//! drift, and the re-check is one atomic load per legacy pool.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,45 +29,28 @@ use std::sync::Arc;
 use ddc_cleancache::{CachePolicy, PoolId, VmId};
 use ddc_storage::{JournalRecord, RemoteError};
 
-use crate::index::{Placement, Pool, UsageMirror};
+use crate::index::{Placement, Usage};
 use crate::policy::ShareTable;
-use crate::store_kind_from_code;
+use crate::{store_kind_from_code, EVICTION_BATCH_PAGES};
 
-/// What a pool row carries besides its policy, and how the pool the row
-/// installs takes it.
-pub trait RowPayload: Clone + Default {
-    /// Hands the payload to its row's new pool.
-    fn attach(self, pool: &mut Pool);
-}
-
-impl RowPayload for () {
-    fn attach(self, _: &mut Pool) {}
-}
-
-impl RowPayload for Arc<UsageMirror> {
-    fn attach(self, pool: &mut Pool) {
-        pool.set_mirror(self);
-    }
-}
-
-/// A VM's pools as `(pool, policy, payload)`, sorted by pool id.
-pub type PoolRows<M> = Vec<(PoolId, CachePolicy, M)>;
+/// A VM's pools as `(pool, policy, usage)`, sorted by pool id.
+pub type PoolRows = Vec<(PoolId, CachePolicy, Arc<Usage>)>;
 
 /// One VM's row: its per-store weights and its pools.
 #[derive(Clone, Debug)]
-pub struct VmRow<M> {
+pub struct VmRow {
     /// Weight in the memory store.
     pub mem_weight: u64,
     /// Weight in the SSD store.
     pub ssd_weight: u64,
     /// The VM's pools.
-    pub pools: PoolRows<M>,
+    pub pools: PoolRows,
 }
 
 /// The control-plane registry (see the [module docs](self)).
 #[derive(Clone, Debug, Default)]
-pub struct Registry<M> {
-    vms: BTreeMap<VmId, VmRow<M>>,
+pub struct Registry {
+    vms: BTreeMap<VmId, VmRow>,
     /// The highest pool id ever registered (0, never minted: none yet).
     last_pool: u32,
     /// How many records changed the registry (see [`Self::version`]).
@@ -75,57 +59,56 @@ pub struct Registry<M> {
 
 /// What a control record, once applied to the registry, leaves for the
 /// engine to do to its pools.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Control<M> {
+#[derive(Clone, Debug)]
+pub enum Control {
     /// Not a registry record, or one that names a VM, pool or store
     /// kind that does not exist: nothing changed.
     Ignored,
     /// A VM row was upserted; no pool is affected.
     Weights,
-    /// These pools of one VM left the registry, each with the payload
-    /// its row carried: destroy them.
-    Drain(VmId, Vec<(PoolId, M)>),
-    /// This pool was registered under this policy: create it, wired to
-    /// its new row's payload.
-    Install(VmId, PoolId, CachePolicy, M),
+    /// These pools of one VM left the registry: destroy them.
+    Drain(VmId, Vec<PoolId>),
+    /// This pool was registered under this policy: create it on its
+    /// new row's cell.
+    Install(VmId, PoolId, CachePolicy, Arc<Usage>),
     /// This pool's row carries a new policy: give it to the pool.
     Swap(VmId, PoolId, CachePolicy),
 }
 
-impl<M: Clone> Registry<M> {
+impl Registry {
     /// Every VM row, in `VmId` order.
-    pub fn vms(&self) -> impl Iterator<Item = (VmId, &VmRow<M>)> + '_ {
+    pub fn vms(&self) -> impl Iterator<Item = (VmId, &VmRow)> + '_ {
         self.vms.iter().map(|(&vm, row)| (vm, row))
     }
 
     /// One VM's row.
-    pub fn vm(&self, vm: VmId) -> Option<&VmRow<M>> {
+    pub fn vm(&self, vm: VmId) -> Option<&VmRow> {
         self.vms.get(&vm)
     }
 
-    /// One pool's `(id, policy, payload)`.
-    pub fn pool(&self, vm: VmId, pool: PoolId) -> Option<&(PoolId, CachePolicy, M)> {
+    /// One pool's `(id, policy, usage)`.
+    pub fn pool(&self, vm: VmId, pool: PoolId) -> Option<&(PoolId, CachePolicy, Arc<Usage>)> {
         let pools = &self.vms.get(&vm)?.pools;
         let i = pools.binary_search_by_key(&pool, |r| r.0).ok()?;
         Some(&pools[i])
     }
 
-    /// The payload of the pool a remote is about to be bound to, or the
-    /// typed error naming what is not registered.
-    pub fn bind_target(&self, vm: VmId, pool: PoolId) -> Result<&M, RemoteError> {
+    /// Whether a remote may be bound to this pool, or the typed error
+    /// naming what is not registered.
+    pub fn bind_target(&self, vm: VmId, pool: PoolId) -> Result<(), RemoteError> {
         let unknown_pool = || RemoteError::UnknownPool {
             vm: vm.0,
             pool: pool.0,
         };
         match self.pool(vm, pool) {
-            Some(row) => Ok(&row.2),
+            Some(_) => Ok(()),
             None if self.vms.contains_key(&vm) => Err(unknown_pool()),
             None => Err(RemoteError::UnknownVm(vm.0)),
         }
     }
 
     /// One registered pool as its VM's pool list and its index there.
-    fn row_mut(&mut self, vm: VmId, pool: PoolId) -> Option<(&mut PoolRows<M>, usize)> {
+    fn row_mut(&mut self, vm: VmId, pool: PoolId) -> Option<(&mut PoolRows, usize)> {
         let pools = &mut self.vms.get_mut(&vm)?.pools;
         let i = pools.binary_search_by_key(&pool, |r| r.0).ok()?;
         Some((pools, i))
@@ -151,8 +134,8 @@ impl<M: Clone> Registry<M> {
     }
 
     /// Applies the registry half of one control record, live or
-    /// replayed; `new_row` makes the payload of a pool row that did not
-    /// exist. Every answer a replay needs is decided here, once:
+    /// replayed; a pool row that did not exist gets a fresh cell. Every
+    /// answer a replay needs is decided here, once:
     /// `AddVm` and `SetVmWeights` both upsert (re-registering updates
     /// the weights, and weights for a VM whose `AddVm` an image lost
     /// register it); a `CreatePool` for an unknown VM registers it at
@@ -160,8 +143,8 @@ impl<M: Clone> Registry<M> {
     /// already registered is a policy swap (the pool keeps its pages);
     /// records that name nothing registered are ignored. Every other
     /// answer moves [`Self::version`].
-    pub fn apply(&mut self, rec: &JournalRecord, new_row: impl FnOnce() -> M) -> Control<M> {
-        let control = self.transition(rec, new_row);
+    pub fn apply(&mut self, rec: &JournalRecord) -> Control {
+        let control = self.transition(rec);
         if !matches!(control, Control::Ignored) {
             self.version += 1;
         }
@@ -169,7 +152,7 @@ impl<M: Clone> Registry<M> {
     }
 
     /// [`Self::apply`] without the version.
-    fn transition(&mut self, rec: &JournalRecord, new_row: impl FnOnce() -> M) -> Control<M> {
+    fn transition(&mut self, rec: &JournalRecord) -> Control {
         let vm_row = |mem_weight, ssd_weight| VmRow {
             mem_weight,
             ssd_weight,
@@ -191,10 +174,7 @@ impl<M: Clone> Registry<M> {
                 Control::Weights
             }
             JournalRecord::RemoveVm { vm } => match self.vms.remove(&VmId(vm)) {
-                Some(row) => {
-                    let pools = row.pools.into_iter().map(|(p, _, m)| (p, m));
-                    Control::Drain(VmId(vm), pools.collect())
-                }
+                Some(row) => Control::Drain(VmId(vm), row.pools.iter().map(|r| r.0).collect()),
                 None => Control::Ignored,
             },
             JournalRecord::CreatePool {
@@ -217,16 +197,16 @@ impl<M: Clone> Registry<M> {
                         Control::Swap(vm, pool, policy)
                     }
                     Err(i) => {
-                        let row = new_row();
-                        pools.insert(i, (pool, policy, row.clone()));
-                        Control::Install(vm, pool, policy, row)
+                        let usage = Arc::<Usage>::default();
+                        pools.insert(i, (pool, policy, Arc::clone(&usage)));
+                        Control::Install(vm, pool, policy, usage)
                     }
                 }
             }
             JournalRecord::DestroyPool { vm, pool } => {
                 let (vm, pool) = (VmId(vm), PoolId(pool));
                 match self.row_mut(vm, pool) {
-                    Some((pools, i)) => Control::Drain(vm, vec![(pool, pools.remove(i).2)]),
+                    Some((pools, i)) => Control::Drain(vm, vec![pools.remove(i).0]),
                     None => Control::Ignored,
                 }
             }
@@ -261,24 +241,32 @@ impl<M: Clone> Registry<M> {
 
     /// One store's share table over this registry, through the policy
     /// module's one builder. A pool participates if its policy assigns
-    /// it to the store, or — at weight 0 — while it still holds legacy
-    /// pages there; `legacy_used` is asked about exactly the pools the
-    /// policy does not assign.
-    pub fn share_table(
+    /// it to the store, or — at weight 0 — while its cell shows legacy
+    /// pages there.
+    pub fn share_table(&self, capacity: u64, placement: Placement) -> ShareTable {
+        self.share_table_seeing(capacity, placement, |_, _| ())
+    }
+
+    /// [`Self::share_table`], showing `legacy` the cell of every pool
+    /// the policy does not assign to the store and whether it joined.
+    fn share_table_seeing(
         &self,
         capacity: u64,
         placement: Placement,
-        mut legacy_used: impl FnMut(VmId, PoolId, &M) -> u64,
+        mut legacy: impl FnMut(&Arc<Usage>, bool),
     ) -> ShareTable {
         ShareTable::build(
             capacity,
             self.vms().map(|(vm, row)| {
                 let mut pools = Vec::new();
-                for (pid, policy, payload) in &row.pools {
+                for (pid, policy, usage) in &row.pools {
                     if placement.allowed_by(policy.store) {
                         pools.push((*pid, u64::from(policy.weight)));
-                    } else if legacy_used(vm, *pid, payload) > 0 {
+                    } else if usage.pages(placement) > 0 {
+                        legacy(usage, true);
                         pools.push((*pid, 0));
+                    } else {
+                        legacy(usage, false);
                     }
                 }
                 let weight = match placement {
@@ -289,47 +277,52 @@ impl<M: Clone> Registry<M> {
             }),
         )
     }
+
+    /// Algorithm 1's victim in one store, `(vm, pool)`: the policy
+    /// module's two-level walk over `table`, each pool's usage read off
+    /// its row. Both engines' weighted eviction picks through this.
+    pub fn victim(
+        &self,
+        table: &ShareTable,
+        placement: Placement,
+        strict: bool,
+    ) -> Option<(VmId, PoolId)> {
+        table.select_victim(strict, EVICTION_BATCH_PAGES, |vm, pool| {
+            self.pool(vm, pool).map_or(0, |row| row.2.pages(placement))
+        })
+    }
 }
 
 /// Memoized share tables, one per store, valid by construction: see the
 /// [module docs](self) for the rule and why it is exact.
 #[derive(Clone, Debug, Default)]
-pub struct ShareMemo<M> {
+pub struct ShareMemo {
     /// The registry version the tables were built under.
     version: u64,
     /// Per store (`[mem, ssd]`), lazily built.
-    tables: [Option<StoreMemo<M>>; 2],
+    tables: [Option<StoreMemo>; 2],
 }
 
 #[derive(Clone, Debug)]
-struct StoreMemo<M> {
+struct StoreMemo {
     /// Store capacity the shares were split over.
     capacity: u64,
     shares: ShareTable,
-    /// Every pool the policy does *not* assign to this store, and
-    /// whether it participated (held legacy pages) at build time, in
-    /// registry order. A flip in any of these is the only way usage
-    /// can change the table.
-    legacy: Vec<(VmId, PoolId, M, bool)>,
+    /// The cell of every pool the policy does *not* assign to this
+    /// store, and whether it participated (held legacy pages) at build
+    /// time, in registry order. A flip in any of these is the only way
+    /// usage can change the table.
+    legacy: Vec<(Arc<Usage>, bool)>,
 }
 
-impl<M: Clone> ShareMemo<M> {
+impl ShareMemo {
     /// The memoized table for one store, if it is filled and its three
     /// inputs still read as they did when it was built.
-    pub fn cached(
-        &self,
-        version: u64,
-        capacity: u64,
-        placement: Placement,
-        legacy_used: impl Fn(VmId, PoolId, &M) -> u64,
-    ) -> Option<&ShareTable> {
+    pub fn cached(&self, version: u64, capacity: u64, placement: Placement) -> Option<&ShareTable> {
         let table = self.tables[placement.idx()].as_ref()?;
         let valid = self.version == version
             && table.capacity == capacity
-            && table
-                .legacy
-                .iter()
-                .all(|(vm, pool, m, joined)| (legacy_used(*vm, *pool, m) > 0) == *joined);
+            && (table.legacy.iter()).all(|(usage, joined)| (usage.pages(placement) > 0) == *joined);
         valid.then_some(&table.shares)
     }
 
@@ -339,23 +332,20 @@ impl<M: Clone> ShareMemo<M> {
     ///
     /// Debug builds also build the table from scratch and assert that
     /// a memo which passes its own check again afterwards (under
-    /// concurrency a mirror may move between the reads) equals it, so a
+    /// concurrency a cell may move between the reads) equals it, so a
     /// hole in the rule fails loudly in `cargo test`.
     pub fn with<R>(
         &mut self,
-        registry: &Registry<M>,
+        registry: &Registry,
         version: u64,
         capacity: u64,
         placement: Placement,
-        legacy_used: impl Fn(VmId, PoolId, &M) -> u64,
         f: impl FnOnce(&ShareTable) -> R,
     ) -> R {
         let build = || {
             let mut legacy = Vec::new();
-            let shares = registry.share_table(capacity, placement, |vm, pool, m| {
-                let used = legacy_used(vm, pool, m);
-                legacy.push((vm, pool, m.clone(), used > 0));
-                used
+            let shares = registry.share_table_seeing(capacity, placement, |usage, joined| {
+                legacy.push((Arc::clone(usage), joined));
             });
             StoreMemo {
                 capacity,
@@ -364,10 +354,7 @@ impl<M: Clone> ShareMemo<M> {
             }
         };
         let idx = placement.idx();
-        if self
-            .cached(version, capacity, placement, &legacy_used)
-            .is_none()
-        {
+        if self.cached(version, capacity, placement).is_none() {
             if self.version != version {
                 (self.version, self.tables) = (version, [None, None]);
             }
@@ -378,10 +365,7 @@ impl<M: Clone> ShareMemo<M> {
         {
             let fresh = build().shares;
             assert!(
-                fresh == table.shares
-                    || self
-                        .cached(version, capacity, placement, &legacy_used)
-                        .is_none(),
+                fresh == table.shares || self.cached(version, capacity, placement).is_none(),
                 "stale share memo for {placement:?}: {:?}, built fresh {fresh:?}",
                 table.shares
             );
@@ -393,12 +377,13 @@ impl<M: Clone> ShareMemo<M> {
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
+    use ddc_cleancache::PageVersion;
     use ddc_sim::SimRng;
+    use ddc_storage::{BlockAddr, FileId};
 
     use super::*;
+    use crate::index::Pool;
 
     /// A seeded control record over a small id space: mostly records a
     /// live engine would write, plus the hostile-but-valid ones a replay
@@ -449,7 +434,8 @@ mod tests {
     }
 
     /// What [`Registry::apply`] must do, on plain maps: `(weights, pool →
-    /// (policy, payload))` per VM and the highest id seen.
+    /// (policy, the step whose record made its cell))` per VM and the
+    /// highest id seen.
     type Model = BTreeMap<u32, ((u64, u64), BTreeMap<u32, (CachePolicy, u32)>)>;
 
     fn model_apply(model: &mut Model, last: &mut u32, rec: &JournalRecord, fresh: u32) {
@@ -496,12 +482,41 @@ mod tests {
         }
     }
 
-    fn flatten(registry: &Registry<u32>) -> Model {
+    /// The registry as a [`Model`]: each row's cell named by the step of
+    /// the `Install` answer that handed it out (`u32::MAX`: none did).
+    fn flatten(registry: &Registry, cells: &[(u32, Arc<Usage>)]) -> Model {
+        let made = |usage: &Arc<Usage>| {
+            let cell = cells.iter().find(|c| Arc::ptr_eq(&c.1, usage));
+            cell.map_or(u32::MAX, |c| c.0)
+        };
         let rows = registry.vms().map(|(vm, row)| {
-            let pools = row.pools.iter().map(|&(p, policy, m)| (p.0, (policy, m)));
+            let pools = row
+                .pools
+                .iter()
+                .map(|(p, policy, u)| (p.0, (*policy, made(u))));
             (vm.0, ((row.mem_weight, row.ssd_weight), pools.collect()))
         });
         rows.collect()
+    }
+
+    /// A [`Control`] with its cell named as [`flatten`] names it.
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        Ignored,
+        Weights,
+        Drain(VmId, Vec<PoolId>),
+        Install(VmId, PoolId, CachePolicy, u32),
+        Swap(VmId, PoolId, CachePolicy),
+    }
+
+    fn answer(control: &Control, step: u32) -> Answer {
+        match control {
+            Control::Ignored => Answer::Ignored,
+            Control::Weights => Answer::Weights,
+            Control::Drain(vm, pools) => Answer::Drain(*vm, pools.clone()),
+            Control::Install(vm, pool, policy, _) => Answer::Install(*vm, *pool, *policy, step),
+            Control::Swap(vm, pool, policy) => Answer::Swap(*vm, *pool, *policy),
+        }
     }
 
     #[test]
@@ -509,16 +524,29 @@ mod tests {
         for seed in 0..24 {
             let mut rng = SimRng::new(0x5E61 + seed);
             let (mut registry, mut model, mut last) = (Registry::default(), Model::new(), 0);
+            // Every cell an `Install` answer handed out, with its step.
+            let mut cells = Vec::new();
             for step in 0..400u32 {
                 let rec = arbitrary_control(&mut rng, last + 1);
                 let before = model.clone();
                 model_apply(&mut model, &mut last, &rec, step);
                 let version = registry.version();
-                let control = registry.apply(&rec, || step);
-                assert_eq!(flatten(&registry), model, "seed {seed} step {step} {rec:?}");
+                let control = registry.apply(&rec);
+                if let Control::Install(.., usage) = &control {
+                    cells.push((step, Arc::clone(usage)));
+                }
+                // Each row carries the cell its `Install` answer handed
+                // out, and keeps it through every swap (a second
+                // `CreatePool` included).
+                assert_eq!(
+                    flatten(&registry, &cells),
+                    model,
+                    "seed {seed} step {step} {rec:?}"
+                );
                 assert_eq!(registry.next_pool(), PoolId(last + 1));
                 // The pools the record took away, and the one it gave
-                // or changed, are what the engine is told.
+                // (with its new cell) or changed, are what the engine is
+                // told.
                 let pools_of = |m: &Model| -> Vec<(u32, u32, CachePolicy, u32)> {
                     let rows = m.iter();
                     rows.flat_map(|(&vm, row)| row.1.iter().map(move |(&p, &(c, m))| (vm, p, c, m)))
@@ -528,37 +556,41 @@ mod tests {
                 let gone: Vec<_> = was.iter().filter(|r| !is.contains(r)).collect();
                 let want = match rec {
                     JournalRecord::AddVm { .. } | JournalRecord::SetVmWeights { .. } => {
-                        Control::Weights
+                        Answer::Weights
                     }
                     JournalRecord::RemoveVm { vm } if before.contains_key(&vm) => {
-                        Control::Drain(VmId(vm), gone.iter().map(|r| (PoolId(r.1), r.3)).collect())
+                        Answer::Drain(VmId(vm), gone.iter().map(|r| PoolId(r.1)).collect())
                     }
                     JournalRecord::DestroyPool { vm, .. } if !gone.is_empty() => {
-                        Control::Drain(VmId(vm), vec![(PoolId(gone[0].1), gone[0].3)])
+                        Answer::Drain(VmId(vm), vec![PoolId(gone[0].1)])
                     }
                     JournalRecord::CreatePool {
                         vm, pool, store, ..
                     } if store < 3 => {
-                        let (policy, payload) = model[&vm].1[&pool];
+                        let (policy, made) = model[&vm].1[&pool];
                         let known = before.get(&vm).is_some_and(|r| r.1.contains_key(&pool));
                         if known {
-                            Control::Swap(VmId(vm), PoolId(pool), policy)
+                            Answer::Swap(VmId(vm), PoolId(pool), policy)
                         } else {
-                            Control::Install(VmId(vm), PoolId(pool), policy, payload)
+                            Answer::Install(VmId(vm), PoolId(pool), policy, made)
                         }
                     }
                     JournalRecord::SetPolicy {
                         vm, pool, store, ..
                     } if store < 3 && before.get(&vm).is_some_and(|r| r.1.contains_key(&pool)) => {
-                        Control::Swap(VmId(vm), PoolId(pool), model[&vm].1[&pool].0)
+                        Answer::Swap(VmId(vm), PoolId(pool), model[&vm].1[&pool].0)
                     }
-                    _ => Control::Ignored,
+                    _ => Answer::Ignored,
                 };
-                assert_eq!(control, want, "seed {seed} step {step} {rec:?}");
+                assert_eq!(
+                    answer(&control, step),
+                    want,
+                    "seed {seed} step {step} {rec:?}"
+                );
                 // The version moves exactly when the answer is not
                 // `Ignored`, and `Ignored` changed nothing: no memo is
                 // retired over a record that names nothing.
-                let moved = control != Control::Ignored;
+                let moved = !matches!(control, Control::Ignored);
                 assert_eq!(registry.version(), version + u64::from(moved));
                 assert!(moved || model == before);
             }
@@ -566,31 +598,22 @@ mod tests {
         // An id at the top of the range does not wrap the mint.
         let mut registry = Registry::default();
         let (vm, pool, store, weight) = (1, u32::MAX, 0, 100);
-        registry.apply(
-            &JournalRecord::CreatePool {
-                vm,
-                pool,
-                store,
-                weight,
-            },
-            || 0,
-        );
+        registry.apply(&JournalRecord::CreatePool {
+            vm,
+            pool,
+            store,
+            weight,
+        });
         assert_eq!(registry.next_pool(), PoolId(u32::MAX));
-        assert_eq!(
-            registry.apply(&JournalRecord::SsdDrain, || 0),
-            Control::Ignored
-        );
+        let ignored = registry.apply(&JournalRecord::SsdDrain);
+        assert!(matches!(ignored, Control::Ignored));
     }
-
-    /// The pages of one pool in `[mem, ssd]`, shared with its row (the
-    /// sharded engine's shape: the memo probes the payload itself).
-    type Mirror = Arc<[AtomicU64; 2]>;
 
     /// `ShareTable::build` over the registry's rows and the true usage,
     /// written out here so the oracle shares nothing with
     /// [`Registry::share_table`].
-    fn from_scratch<M: Clone>(
-        registry: &Registry<M>,
+    fn from_scratch(
+        registry: &Registry,
         capacity: u64,
         placement: Placement,
         usage: &BTreeMap<(VmId, PoolId), [u64; 2]>,
@@ -609,15 +632,26 @@ mod tests {
         ShareTable::build(capacity, participants)
     }
 
+    /// Puts or takes pages of `pool` in one store until it holds `pages`
+    /// there, the way an engine moves a pool's usage.
+    fn hold(pool: &mut Pool, placement: Placement, pages: u64) {
+        let addr = |block| BlockAddr::new(FileId(placement.idx() as u64), block);
+        while pool.used(placement) < pages {
+            let block = pool.used(placement);
+            pool.insert(addr(block), placement, PageVersion(1), block);
+        }
+        while pool.used(placement) > pages {
+            pool.remove(addr(pool.used(placement) - 1));
+        }
+    }
+
     /// The memo against a from-scratch build after every step of a
     /// seeded stream that changes each of the table's three inputs on
     /// its own: registry records (weights, policy store and weight,
     /// pool create / destroy, VM removal — the only steps that move the
     /// version), capacity (a resize of either store), and a legacy
-    /// pool's usage crossing zero in either direction. Both probe shapes run
-    /// side by side: usage looked up by `(vm, pool)` (payload `()`, the
-    /// serial engine) and usage read off the row's payload (the sharded
-    /// engine's mirror).
+    /// pool's usage crossing zero in either direction, written by a
+    /// pool built on its row's cell, as both engines' pools are.
     ///
     /// Deleting the version compare, the capacity compare or the legacy
     /// re-check from [`ShareMemo::cached`] each fails this test (in a
@@ -625,62 +659,52 @@ mod tests {
     #[test]
     fn share_memo_equals_a_from_scratch_build_after_every_step() {
         let mut rng = SimRng::new(0x3E30);
-        let mut by_key = (Registry::<()>::default(), ShareMemo::default());
-        let mut by_row = (Registry::<Mirror>::default(), ShareMemo::default());
+        let (mut registry, mut memo) = (Registry::default(), ShareMemo::default());
+        let mut pools: BTreeMap<(VmId, PoolId), Pool> = BTreeMap::new();
         let mut usage: BTreeMap<(VmId, PoolId), [u64; 2]> = BTreeMap::new();
         let mut pages = [400u64, 900];
         let (mut crossings, mut rebuilds) = (0, 0);
         for step in 0..4000 {
-            let pools: Vec<(VmId, PoolId)> = by_key.0.pool_ids().collect();
+            let ids: Vec<(VmId, PoolId)> = registry.pool_ids().collect();
             match rng.range_u64(0, 10) {
                 0..=2 => {
-                    let rec = arbitrary_control(&mut rng, by_key.0.next_pool().0);
-                    by_key.0.apply(&rec, || ());
-                    by_row.0.apply(&rec, Mirror::default);
-                    usage.retain(|&(vm, pool), _| by_key.0.pool(vm, pool).is_some());
+                    let rec = arbitrary_control(&mut rng, registry.next_pool().0);
+                    match registry.apply(&rec) {
+                        Control::Install(vm, pool, policy, cell) => {
+                            pools.insert((vm, pool), Pool::on(vm, policy, cell));
+                        }
+                        Control::Drain(vm, gone) => {
+                            for pool in gone {
+                                pools.remove(&(vm, pool));
+                                usage.remove(&(vm, pool));
+                            }
+                        }
+                        _ => {}
+                    }
                 }
                 3 | 4 => pages[rng.range_usize(0, 2)] = rng.range_u64(0, 5) * 300,
-                _ if !pools.is_empty() => {
+                _ if !ids.is_empty() => {
                     // Mostly to and from zero: that is what moves a
                     // legacy pool in and out of a store.
-                    let (vm, pool) = pools[rng.range_usize(0, pools.len())];
+                    let (vm, pool) = ids[rng.range_usize(0, ids.len())];
                     let store = rng.range_usize(0, 2);
                     let used = [0, 0, 1, 7][rng.range_usize(0, 4)];
                     let old =
                         std::mem::replace(&mut usage.entry((vm, pool)).or_default()[store], used);
                     crossings += u64::from((old == 0) != (used == 0));
-                    let mirror = &by_row.0.pool(vm, pool).expect("same registry").2;
-                    mirror[store].store(used, Ordering::Relaxed);
+                    let pool = pools.get_mut(&(vm, pool)).expect("every row has its pool");
+                    hold(pool, Placement::ALL[store], used);
                 }
                 _ => {}
             }
             for placement in [Placement::Mem, Placement::Ssd] {
-                let i = placement.idx();
-                let capacity = pages[i];
-                let want = from_scratch(&by_key.0, capacity, placement, &usage);
-                let version = by_key.0.version();
-                assert_eq!(by_row.0.version(), version);
-                let was_cached = |cached: Option<&ShareTable>| u64::from(cached.is_none());
-                let keyed = |vm, pool, _: &()| usage.get(&(vm, pool)).map_or(0, |u| u[i]);
-                rebuilds += was_cached(by_key.1.cached(version, capacity, placement, keyed));
-                let got =
-                    by_key
-                        .1
-                        .with(&by_key.0, version, capacity, placement, keyed, Clone::clone);
-                assert_eq!(got, want, "step {step}, {placement:?}, usage by key");
-                let probed = |_, _, m: &Mirror| m[i].load(Ordering::Relaxed);
-                let got = by_row.1.with(
-                    &by_row.0,
-                    version,
-                    capacity,
-                    placement,
-                    probed,
-                    Clone::clone,
-                );
-                assert_eq!(
-                    got, want,
-                    "step {step}, {placement:?}, usage by row payload"
-                );
+                let capacity = pages[placement.idx()];
+                let want = from_scratch(&registry, capacity, placement, &usage);
+                let version = registry.version();
+                let cached = memo.cached(version, capacity, placement);
+                rebuilds += u64::from(cached.is_none());
+                let got = memo.with(&registry, version, capacity, placement, Clone::clone);
+                assert_eq!(got, want, "step {step}, {placement:?}");
             }
         }
         // The stream did exercise the rule, and the memo did memoize.

@@ -44,7 +44,7 @@ use ddc_storage::{
 };
 
 use crate::index::{Placement, Pool, Slot};
-use crate::registry::{Control, Registry, RowPayload};
+use crate::registry::{Control, Registry};
 use crate::{
     store_kind_code, AdmissionConfig, CachePolicy, PartitionMode, JOURNAL_COMPACT_FACTOR,
     JOURNAL_COMPACT_MIN_RECORDS,
@@ -1033,7 +1033,7 @@ pub struct Cut<'a> {
 impl<'a> Cut<'a> {
     /// Resolves the registry against every shard's state, in shard
     /// order.
-    pub fn new<M: Clone>(registry: &Registry<M>, shards: Vec<&'a ShardState>) -> Cut<'a> {
+    pub fn new(registry: &Registry, shards: Vec<&'a ShardState>) -> Cut<'a> {
         let (mut vms, mut pools) = (Vec::new(), Vec::new());
         for (vm, row) in registry.vms() {
             vms.push((vm, row.mem_weight, row.ssd_weight));
@@ -1337,9 +1337,9 @@ impl ReplayLog {
     /// are discarded; later ones are clean, as a write superseding one
     /// would have flushed later still. The engine then resumes its
     /// counters at [`Self::next_gen`] and shrinks.
-    pub fn replay<M: RowPayload>(
+    pub fn replay(
         &self,
-        registry: &mut Registry<M>,
+        registry: &mut Registry,
         shards: &mut [&mut ShardState],
         backend: &mut impl StoreBackend,
         guest_epochs: &[(VmId, u64)],
@@ -1378,8 +1378,8 @@ impl ReplayLog {
 /// one copy of that). No journaling and no side effects: those were
 /// journaled too. `false` for a dropped `Put` and for a record the
 /// registry ignored, which a live verb does not journal.
-pub fn replay_record<M: RowPayload>(
-    registry: &mut Registry<M>,
+pub fn replay_record(
+    registry: &mut Registry,
     shards: &mut [&mut ShardState],
     backend: &mut impl StoreBackend,
     gen: u64,
@@ -1423,17 +1423,16 @@ pub fn replay_record<M: RowPayload>(
             shards[0].correct_wear(vm, current, ssd_pages_written, pages_admitted);
         }
         // Every other record is the registry's.
-        _ => match registry.apply(rec, M::default) {
+        _ => match registry.apply(rec) {
             Control::Ignored => return false,
             Control::Weights => {}
             Control::Drain(vm, pools) => {
-                for (pid, _) in pools {
+                for pid in pools {
                     shards[home_shard(vm, pid, n)].drain_pool(backend, vm, pid);
                 }
             }
-            Control::Install(vm, pid, policy, row) => {
-                let mut pool = Pool::new(vm, policy);
-                row.attach(&mut pool);
+            Control::Install(vm, pid, policy, usage) => {
+                let pool = Pool::on(vm, policy, usage);
                 shards[home_shard(vm, pid, n)].pools.insert((vm, pid), pool);
             }
             Control::Swap(vm, pid, policy) => {
@@ -1585,15 +1584,12 @@ mod tests {
         let mut registry = Registry::default();
         for &(vm, pool) in &POOLS {
             let (vm, pool, store, weight) = (vm.0, pool.0, 0, 100);
-            registry.apply(
-                &JournalRecord::CreatePool {
-                    vm,
-                    pool,
-                    store,
-                    weight,
-                },
-                || (),
-            );
+            registry.apply(&JournalRecord::CreatePool {
+                vm,
+                pool,
+                store,
+                weight,
+            });
         }
         Cut::new(&registry, vec![state]).vm_wear(vm)
     }
