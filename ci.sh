@@ -51,11 +51,11 @@ cargo test --release -q -p ddc-core --test prop_hostile_scenarios
 echo "==> journal codec under optimisation (CRC offset x length sweep, golden image; the sliced loop is only unrolled in release)"
 cargo test --release -q -p ddc-storage
 
-echo "==> one shard state machine, one control path: both engines write one journal, report one entitlement and recover one cache (every 53-byte cut; release too, where the share memo runs without its debug assertion); the control stream (every control verb, remove_vm and set_mem_capacity among them) agrees on stats, entries and merged journal records after every verb; any well-framed journal (100,000 hostile streams, release only) recovers to one audit-clean, never-stale cache on the serial engine and at 1, 4 and 16 shards, and the four hand-built images of its answers (a generation written twice, a put into a sibling pool, a put into a full store, a put with an unknown placement); on the sharded engine a memory shrink holds its capacity once it returns while hybrid puts race it, and a VM removal leaves another VM's racing puts alone"
-filtered --release -q -p ddc-core --test prop_one_state_machine -- one_control_stream_is_one_policy_module_on_both_engines any_well_framed_journal_recovers_to_one_cache a_generation_written_twice_ends_the_kept_prefix a_replayed_put_takes_its_block_from_the_vms_other_pools a_replayed_put_into_a_full_store_replaces_the_older_copy a_replayed_put_with_an_unknown_placement_takes_the_older_copy_out
+echo "==> one shard state machine, one control path: both engines write one journal, report one entitlement and recover one cache (every 53-byte cut; release too, where the share memo runs without its debug assertion); the control stream (every control verb, remove_vm and set_mem_capacity among them) agrees on stats, entries and merged journal records after every verb; any well-framed journal (100,000 hostile streams, release only) recovers to one audit-clean, never-stale cache on the serial engine and at 1, 4 and 16 shards, and the four hand-built images of its answers (a generation written twice, a put into a sibling pool, a put into a full store, a put with an unknown placement); a recovered journal that leaves pools holding pages outside their policy's stores, driven to zero and back, agrees on stats (entitlements included), eviction counts and entries after every step; on the sharded engine a memory shrink holds its capacity once it returns while hybrid puts race it, a VM removal leaves another VM's racing puts alone, and control verbs racing hybrid puts serve nothing stale (a failing thread ends that test instead of hanging it); the registry's two properties (apply against a map model, the share memo against a from-scratch build)"
+filtered --release -q -p ddc-core --test prop_one_state_machine -- one_control_stream_is_one_policy_module_on_both_engines any_well_framed_journal_recovers_to_one_cache a_generation_written_twice_ends_the_kept_prefix a_replayed_put_takes_its_block_from_the_vms_other_pools a_replayed_put_into_a_full_store_replaces_the_older_copy a_replayed_put_with_an_unknown_placement_takes_the_older_copy_out recovered_pages_outside_their_policys_stores_entitle_and_evict_alike_on_both_engines
 cargo test --release -q -p ddc-core --test prop_one_state_machine -- --skip any_well_framed_journal --skip one_control_stream
-filtered --release -q -p ddc-concurrent --lib -- a_memory_shrink_racing_hybrid_puts_holds_once_it_returns a_vm_removal_racing_another_vms_puts_leaves_its_pages_alone
-filtered --release -q -p ddc-hypercache -- registry
+filtered --release -q -p ddc-concurrent --lib -- a_memory_shrink_racing_hybrid_puts_holds_once_it_returns a_vm_removal_racing_another_vms_puts_leaves_its_pages_alone control_verbs_racing_hybrid_puts_serve_nothing_stale_and_leave_clean_memos
+filtered --release -q -p ddc-hypercache -- registry apply_matches_a_map_model_over_hostile_control_sequences share_memo_equals_a_from_scratch_build_after_every_step
 echo "==> one conformance battery (serial, 1 and 16 shards, the null cache: exclusive, never stale, monotone epochs, exact stats, audit-clean after every step; a remote binding's localization; a destroyed pool id's stash kept for the pool that later takes the id)"
 cargo test --release -q -p ddc-core --test prop_conformance
 echo "==> one fault path per layer: the serial fault pin (SSD faults, quarantine, rot, re-homing and trickle-down into a faulting tier hash to recorded literals, ghost admission on and off), the hypercall channel's tests (a scalar call and a one-element batch cross one trap: same outcomes, counters and breaker through drops, fail-opens, trips and recoveries) and a quarantined SSD with no memory store turning puts away"

@@ -23,8 +23,8 @@
 //!   from mutilated segment snapshots, keep driving the same guests.
 //! * [`audit`](mod@audit) — the cross-shard invariant auditor: the checks both
 //!   engines share (`ddc_hypercache::audit_cut`) over a lock-all cut,
-//!   plus shard-map placement, memo and mirror accuracy and journal
-//!   health.
+//!   plus shard-map placement, memo accuracy and journal health (each
+//!   pool's usage has one copy, the cell its registry row shares).
 //!
 //! [`SecondChanceCache`]: ddc_cleancache::SecondChanceCache
 
