@@ -3,6 +3,13 @@
 # Run from the workspace root; any failure aborts the script.
 set -eu
 
+# The tracked files' state (status and content), checked again at the end.
+tracked_state() {
+    git status --porcelain --untracked-files=no
+    git diff --binary HEAD | cksum
+}
+tracked_before=$(tracked_state)
+
 # `cargo test ARGS -- FILTER...` passes when a filter matches no test, so
 # a renamed or deleted test would leave its step green and empty.
 # `need_tests ARGS -- FILTER...` lists the tests of `cargo test ARGS`
@@ -51,18 +58,18 @@ cargo test --release -q -p ddc-core --test prop_hostile_scenarios
 echo "==> journal codec under optimisation (CRC offset x length sweep, golden image; the sliced loop is only unrolled in release)"
 cargo test --release -q -p ddc-storage
 
-echo "==> one shard state machine, one control path: both engines write one journal, report one entitlement and recover one cache (every 53-byte cut; release too, where the share memo runs without its debug assertion); the control stream (every control verb, remove_vm and set_mem_capacity among them) agrees on stats, entries and merged journal records after every verb; any well-framed journal (100,000 hostile streams, release only) recovers to one audit-clean, never-stale cache on the serial engine and at 1, 4 and 16 shards, and the four hand-built images of its answers (a generation written twice, a put into a sibling pool, a put into a full store, a put with an unknown placement); a recovered journal that leaves pools holding pages outside their policy's stores, driven to zero and back, agrees on stats (entitlements included), eviction counts and entries after every step; on the sharded engine a memory shrink holds its capacity once it returns while hybrid puts race it, a VM removal leaves another VM's racing puts alone, and control verbs racing hybrid puts serve nothing stale (a failing thread ends that test instead of hanging it); the registry's two properties (apply against a map model, the share memo against a from-scratch build)"
+echo "==> one shard state machine, one control path: both engines write one journal, report one entitlement and recover one cache (every 53-byte cut, in release too); the control stream (every control verb, remove_vm and set_mem_capacity among them) agrees on stats, entries and merged journal records after every verb; any well-framed journal (100,000 hostile streams, release only) recovers to one audit-clean, never-stale cache on the serial engine and at 1, 4 and 16 shards, and the four hand-built images of its answers (a generation written twice, a put into a sibling pool, a put into a full store, a put with an unknown placement); a recovered journal that leaves pools holding pages outside their policy's stores, driven to zero and back, agrees on stats (entitlements included), eviction counts and entries after every step; on the sharded engine a memory shrink holds its capacity once it returns while hybrid puts race it, a VM removal leaves another VM's racing puts alone, and control verbs racing hybrid puts serve nothing stale (a failing thread ends that test instead of hanging it); the registry's two properties (apply against a map model, the kept weights' entitlements and victims against a from-scratch share table), the split rule (one entity's share is its entry of the whole split; a weight read differently on the second pass neither underflows nor panics) and the auditor finding a skewed weight table"
 filtered --release -q -p ddc-core --test prop_one_state_machine -- one_control_stream_is_one_policy_module_on_both_engines any_well_framed_journal_recovers_to_one_cache a_generation_written_twice_ends_the_kept_prefix a_replayed_put_takes_its_block_from_the_vms_other_pools a_replayed_put_into_a_full_store_replaces_the_older_copy a_replayed_put_with_an_unknown_placement_takes_the_older_copy_out recovered_pages_outside_their_policys_stores_entitle_and_evict_alike_on_both_engines
 cargo test --release -q -p ddc-core --test prop_one_state_machine -- --skip any_well_framed_journal --skip one_control_stream
-filtered --release -q -p ddc-concurrent --lib -- a_memory_shrink_racing_hybrid_puts_holds_once_it_returns a_vm_removal_racing_another_vms_puts_leaves_its_pages_alone control_verbs_racing_hybrid_puts_serve_nothing_stale_and_leave_clean_memos
-filtered --release -q -p ddc-hypercache -- registry apply_matches_a_map_model_over_hostile_control_sequences share_memo_equals_a_from_scratch_build_after_every_step
+filtered --release -q -p ddc-concurrent --lib -- a_memory_shrink_racing_hybrid_puts_holds_once_it_returns a_vm_removal_racing_another_vms_puts_leaves_its_pages_alone control_verbs_racing_hybrid_puts_serve_nothing_stale
+filtered --release -q -p ddc-hypercache -- registry apply_matches_a_map_model_over_hostile_control_sequences weight_tables_equal_a_from_scratch_build_after_every_step one_share_is_its_entry_of_the_split a_weight_that_flips_between_passes a_skewed_weight_table_is_detected
 echo "==> one conformance battery (serial, 1 and 16 shards, the null cache: exclusive, never stale, monotone epochs, exact stats, audit-clean after every step; a remote binding's localization; a destroyed pool id's stash kept for the pool that later takes the id)"
 cargo test --release -q -p ddc-core --test prop_conformance
 echo "==> one fault path per layer: the serial fault pin (SSD faults, quarantine, rot, re-homing and trickle-down into a faulting tier hash to recorded literals, ghost admission on and off), the hypercall channel's tests (a scalar call and a one-element batch cross one trap: same outcomes, counters and breaker through drops, fail-opens, trips and recoveries) and a quarantined SSD with no memory store turning puts away"
 cargo test --release -q -p ddc-core --test serial_fault_pin
 filtered --release -q -p ddc-cleancache --lib -- channel::
 filtered --release -q -p ddc-hypercache --lib -- a_quarantined_ssd_with_no_memory_store_turns_puts_away
-echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, memo placements = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, a put that evicts across a policy swap storing nothing under the old policy, a mixed put_many through two handles answering as the serial engine does, an all-miss get_many answered in one shard visit once a held shard lock drops, and the layout itself: no two groups of the shared core, no two shards and no two handles on one cache line (release too: the memo's debug assertion is compiled out there)"
+echo "==> shared touches off the hot path: compaction at the serial engine's operation through one handle and through handles taking turns, two threads inside the stated bound, placements from the registry's weights = the serial engine's, control verbs racing hybrid puts, a put group that loses its pool mid-eviction, a put that evicts across a policy swap storing nothing under the old policy, a mixed put_many through two handles answering as the serial engine does, an all-miss get_many answered in one shard visit once a held shard lock drops, and the layout itself: no two groups of the shared core, no two shards and no two handles on one cache line (release too)"
 cargo test --release -q -p ddc-core --test prop_shared_touches
 filtered --release -q -p ddc-core --test prop_conformance -- a_mixed_put_many_answers_as_the_serial_engine_does
 filtered --release -q -p ddc-concurrent --lib -- control_verbs_racing a_put_group_that_loses a_put_that_evicts_across_a_policy_swap an_all_miss_get_many_takes_one_shard_visit line_aligned share_no_cache_line
@@ -83,6 +90,10 @@ filtered --release -q -p ddc-workloads --lib -- zipf
 filtered --release -q -p ddc-concurrent --lib -- backoff poisoned
 
 echo "==> frozen benchmark crate still builds and passes against the public API"
+# Building the frozen crate rewrites its lock file. The copy goes back
+# when the script exits, pass or fail, so a run changes no tracked file.
+cp benchmark/Cargo.lock target/benchmark-Cargo.lock
+trap 'cp target/benchmark-Cargo.lock benchmark/Cargo.lock' EXIT
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "==> ddbench smoke: all four workloads end to end (exit 1 on a stale hit, audit finding, recovery or same-seed mismatch)"
@@ -203,6 +214,14 @@ if [ "${DDC_TSAN:-0}" = "1" ]; then
     else
         echo "DDC_TSAN=1 set but no nightly toolchain; skipping TSan smoke"
     fi
+fi
+
+echo "==> the run changed no tracked file"
+cp target/benchmark-Cargo.lock benchmark/Cargo.lock
+if [ "$(tracked_state)" != "$tracked_before" ]; then
+    echo "tracked files changed during the run:"
+    git status --porcelain --untracked-files=no
+    exit 1
 fi
 
 echo "CI green."

@@ -23,7 +23,7 @@
 //!   from mutilated segment snapshots, keep driving the same guests.
 //! * [`audit`](mod@audit) — the cross-shard invariant auditor: the checks both
 //!   engines share (`ddc_hypercache::audit_cut`) over a lock-all cut,
-//!   plus shard-map placement, memo accuracy and journal health (each
+//!   plus shard-map placement and journal health (each
 //!   pool's usage has one copy, the cell its registry row shares).
 //!
 //! [`SecondChanceCache`]: ddc_cleancache::SecondChanceCache

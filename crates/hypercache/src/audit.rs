@@ -30,8 +30,10 @@
 //!    share table. **Registry** (`registry-policy`) — the registry's
 //!    `(vm, pool)` set is the set of pools that exist, and each row
 //!    carries its pool's policy and shares its pool's usage cell: the
-//!    share tables and the victim walk read the rows, placement and
-//!    accounting the pools.
+//!    weights and the victim walk read the rows, placement and
+//!    accounting the pools. **Shares** (`registry-shares`) — the weight
+//!    tables the registry keeps are the ones its rows give, and every
+//!    pool's entitlement read from them is the fresh share table's.
 //! 6. **Exclusive cache** — no block address is cached by two pools of
 //!    the same VM (each guest file belongs to one container; duplicates
 //!    would mean a migrate/put path leaked a copy).
@@ -142,6 +144,21 @@ pub fn audit_cut(
                      entitlement of {vm_share}"
                 );
                 finding("entitlement-sums", detail);
+            }
+        }
+        if !registry.weights_current(placement) {
+            let detail = format!("{name} store: the kept weights are not the registry rows'");
+            finding("registry-shares", detail);
+        }
+        for (vm, pool) in registry.pool_ids() {
+            let kept = registry.entitlement(vm, pool, placement, capacity);
+            let fresh = table.pool_entitlement(vm, pool);
+            if kept != fresh {
+                let detail = format!(
+                    "{name} store: {vm} {pool} is entitled to {kept} pages, {fresh} by a fresh \
+                     share table"
+                );
+                finding("registry-shares", detail);
             }
         }
     }
@@ -730,6 +747,36 @@ mod tests {
         let found = registry_findings(&cache);
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].contains("lists 2 pools but 1 exist"), "{found:?}");
+    }
+
+    #[test]
+    fn a_skewed_weight_table_is_detected() {
+        let mut cache = DoubleDeckerCache::new(CacheConfig::mem_and_ssd(64, 64));
+        cache.add_vm(VmId(1), 100);
+        cache.add_vm(VmId(2), 300);
+        let a = cache.create_pool(VmId(1), CachePolicy::mem(100));
+        cache.create_pool(VmId(2), CachePolicy::hybrid(100));
+        assert_eq!(cache.pool_entitlement(VmId(1), a), 16);
+        assert_eq!(audit(&cache), vec![]);
+        for placement in Placement::ALL {
+            cache.registry.skew_weights(placement);
+            let found = audit(&cache).into_iter();
+            let found: Vec<_> = found.filter(|f| f.invariant == "registry-shares").collect();
+            assert!(
+                found[0].detail.ends_with("not the registry rows'"),
+                "{found:?}"
+            );
+            assert!(found.iter().all(|f| f.detail.starts_with(placement.name())));
+            // VM 1 holds no SSD page, so only its memory share moved.
+            let moved = found
+                .iter()
+                .filter(|f| f.detail.contains("fresh share table"));
+            assert_eq!(moved.count(), [2, 0][placement.idx()], "{found:?}");
+            // Any control record rebuilds the table from the rows.
+            cache.set_vm_weight(VmId(1), 100);
+            assert_eq!(audit(&cache), vec![]);
+        }
+        assert_eq!(cache.pool_entitlement(VmId(1), a), 16);
     }
 
     #[test]

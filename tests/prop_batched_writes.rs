@@ -18,7 +18,7 @@
 //!    `*_many` traffic only; scalar ops, which run the same group
 //!    helpers, leave them at zero.
 //! 3. **Placement under the lock converges** — hybrid puts decide
-//!    mem-vs-SSD under the home-shard lock from the entitlement memo.
+//!    mem-vs-SSD under the home-shard lock from the registry's weights.
 //!    Threads issuing scalar and `put_many` hybrid puts into one pool
 //!    race a thread that swings a VM weight between extremes (so the
 //!    pool's entitlement, and with it the placement decision, keeps

@@ -20,7 +20,7 @@
 //!   handle's group in flight had not yet appended: at every quiescent
 //!   point the records are within one group per other handle of the
 //!   threshold.
-//! * **Placement decided from a memoized share table is the locked
+//! * **Placement decided from the registry's weights is the locked
 //!   decision.** A control stream (weights, pool create and destroy,
 //!   policy swaps) interleaved with hybrid puts through two handles on
 //!   one thread places every page where the serial engine places it.
@@ -344,7 +344,7 @@ fn control_step(h: &mut impl Engine, pools: &mut Vec<(VmId, PoolId)>, rng: &mut 
 }
 
 #[test]
-fn placements_from_the_share_memo_are_the_serial_engines_after_every_control_verb() {
+fn placements_are_the_serial_engines_after_every_control_verb() {
     for mode in [PartitionMode::DoubleDecker, PartitionMode::Strict] {
         let config = CacheConfig { mode, ..CONFIG };
         let mut serial = DoubleDeckerCache::new(config);
