@@ -17,6 +17,10 @@
 //! to the other. There the engines must evict the same objects in the
 //! same order as each other, and the serial engine's order is pinned by
 //! a digest recorded before the eviction queues last changed shape.
+//!
+//! A third holds the order across a restart: a cache recovered from its
+//! own compacted journal evicts the same pages as the cache it came from
+//! under the same puts, on the serial engine and at 1, 4 and 16 shards.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -404,6 +408,110 @@ fn hybrid_pools_evict_both_stores_in_one_order_on_every_engine() {
             "{shards} shards: evicted sequence"
         );
         assert!(got == want, "{shards} shards: residents and stores");
+    }
+}
+
+/// One seeded op of [`recovered_stream`]: the pool slot (three in four a
+/// hybrid pool), the block (the slot's own files) and whether it is a
+/// put (else an exclusive get, or a flush if `flush`).
+fn seeded_op(r: &mut SimRng) -> (usize, BlockAddr, bool, bool) {
+    let slot = 2 * r.range_usize(0, VMS as usize) + usize::from(r.chance(0.25));
+    let file = FileId(4 * slot as u64 + r.range_u64(0, 2));
+    let addr = BlockAddr::new(file, r.range_u64(0, 1_024));
+    let kind = r.range_u64(0, 10);
+    (slot, addr, kind >= 2, kind == 1)
+}
+
+/// A Global-mode cache of two VMs' hybrid and memory pools ([`policy`])
+/// over a 1,024-page memory and a 768-page SSD store (each larger than
+/// one eviction batch, so a batch takes the oldest pages and leaves the
+/// rest), journal on, runs 12,000 seeded puts, gets and flushes,
+/// compacting its journal on the way; a second cache is then recovered
+/// from that journal, whole. Under 8,000 more seeded puts the two must
+/// answer alike and hold the same entries after every put that evicted:
+/// the recovered cache evicts the same pages, batch by batch, as the one
+/// it came from, which holds only if the checkpoint and the tail
+/// replayed its pages in their store-wide stamp order.
+fn recovered_stream<E: Engine>(shards: usize, recover: fn(&E, CacheConfig) -> E) {
+    let config = CacheConfig::mem_and_ssd(1_024, 768).with_mode(PartitionMode::Global);
+    let mut cache = E::build(config, shards);
+    cache.enable_journal();
+    let mut pools = Vec::new();
+    for v in 0..VMS {
+        cache.add_vm(VmId(v), 100 + 50 * u64::from(v));
+        for _ in 0..POOLS_PER_VM {
+            let pool = cache.create_pool(VmId(v), policy(pools.len()));
+            pools.push((VmId(v), pool));
+        }
+    }
+    let now = SimTime::from_secs(1);
+    let mut r = SimRng::new(0x2EC0);
+    for op in 0..12_000u64 {
+        let (slot, addr, put, flush) = seeded_op(&mut r);
+        let (vm, pool) = pools[slot];
+        if put {
+            cache.put(now, vm, pool, addr, PageVersion(op));
+        } else if flush {
+            cache.flush(vm, pool, addr);
+        } else {
+            cache.get(now, vm, pool, addr);
+        }
+    }
+    let what = format!("{shards} shards");
+    assert!(cache.journal_compactions() >= 1, "{what}: no compaction");
+    let mut twin = recover(&cache, config);
+    assert!(
+        twin.entries() == cache.entries(),
+        "{what}: recovered entries"
+    );
+    // Batches evicted from each store: a store's pages fall by two or
+    // more only when a batch ran there.
+    let mut batches = [0; 2];
+    for op in 12_000..20_000u64 {
+        let (slot, addr, _, _) = seeded_op(&mut r);
+        let (vm, pool) = pools[slot];
+        let before = store_pages(&cache, &pools);
+        let stored = cache.put(now, vm, pool, addr, PageVersion(op)).is_stored();
+        let twin_stored = twin.put(now, vm, pool, addr, PageVersion(op)).is_stored();
+        assert_eq!(twin_stored, stored, "{what}, op {op}: put outcome");
+        let after = store_pages(&cache, &pools);
+        let evicted = [after.0 + 2 <= before.0, after.1 + 2 <= before.1];
+        if evicted.contains(&true) {
+            assert!(
+                twin.entries() == cache.entries(),
+                "{what}, op {op}: evicted pages"
+            );
+        }
+        for (n, hit) in batches.iter_mut().zip(evicted) {
+            *n += u32::from(hit);
+        }
+    }
+    assert!(
+        twin.entries() == cache.entries(),
+        "{what}: entries at the end"
+    );
+    assert!(
+        batches.iter().all(|&n| n >= 3),
+        "{what}: batches {batches:?}"
+    );
+    for findings in [cache.audit(), twin.audit()] {
+        assert!(findings.is_empty(), "{what}: {findings:?}");
+    }
+}
+
+/// [`recovered_stream`] on the serial engine and on the sharded one at
+/// one, four and sixteen shards.
+#[test]
+fn a_cache_recovered_from_its_compacted_journal_evicts_in_its_sources_order() {
+    recovered_stream::<DoubleDeckerCache>(1, |cache, config| {
+        let image = cache.journal_bytes().expect("journaling on");
+        DoubleDeckerCache::recover(config, image, &[]).0
+    });
+    for shards in [1, 4, 16] {
+        recovered_stream::<ShardedCache>(shards, |cache, config| {
+            let segments = cache.journal_images().expect("journaling on");
+            ShardedCache::recover(config, &segments, &[]).0
+        });
     }
 }
 
