@@ -22,7 +22,7 @@ use crate::shard::{
     StoreBackend,
 };
 use crate::store::BackingStore;
-use crate::{store_kind_code, CacheConfig, PartitionMode, EVICTION_BATCH_PAGES};
+use crate::{CacheConfig, PartitionMode, EVICTION_BATCH_PAGES};
 
 /// Aggregate usage of one VM across both stores, in pages.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -564,7 +564,7 @@ impl DoubleDeckerCache {
     fn evict_batch_global(&mut self, placement: Placement) -> u64 {
         let mut order = OldestFirst::new(placement, [&self.state]);
         let mut freed = 0;
-        while freed < EVICTION_BATCH_PAGES && order.shard().is_some() {
+        while freed < EVICTION_BATCH_PAGES && order.head().is_some() {
             let (vm, pool, addr) = order.evict(&mut self.state, &mut self.stores);
             self.log(shard::evict_record(vm, pool, addr));
             freed += 1;
@@ -732,12 +732,7 @@ impl SecondChanceCache for DoubleDeckerCache {
         // Unknown VMs are auto-registered with a default weight, so
         // single-VM setups need no explicit add_vm call.
         let id = self.registry.next_pool();
-        self.control(JournalRecord::CreatePool {
-            vm: vm.0,
-            pool: id.0,
-            store: store_kind_code(policy.store),
-            weight: policy.weight,
-        });
+        self.control(shard::policy_record(vm, id, policy, true));
         id
     }
 
@@ -751,12 +746,7 @@ impl SecondChanceCache for DoubleDeckerCache {
     fn set_policy(&mut self, vm: VmId, pool: PoolId, policy: CachePolicy) {
         // Journaled before the re-homing: replay applies the policy raw
         // and then the re-homing's logged evictions and puts in order.
-        self.control(JournalRecord::SetPolicy {
-            vm: vm.0,
-            pool: pool.0,
-            store: store_kind_code(policy.store),
-            weight: policy.weight,
-        });
+        self.control(shard::policy_record(vm, pool, policy, false));
         // What the new policy no longer allows where it is moves or goes
         // (e.g. a container switched from `Mem` to `SSD`, Fig. 12's
         // third phase).

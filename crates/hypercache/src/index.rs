@@ -705,14 +705,6 @@ impl Pool {
         Some(entry)
     }
 
-    /// The sequence stamp of the oldest object in the given store, the
-    /// one [`Self::pop_oldest`] takes next.
-    #[inline]
-    pub(crate) fn oldest_seq(&self, placement: Placement) -> Option<u64> {
-        let oldest = self.slots.get(self.oldest[placement.idx()] as usize)?;
-        oldest.as_ref().map(|e| e.slot.seq)
-    }
-
     /// Removes and returns the oldest object in the given store (FIFO
     /// eviction order), or `None` if the store side of the pool is
     /// empty.
@@ -1092,12 +1084,11 @@ mod tests {
             "exactly the live pages"
         );
         p.remove(addr(1, 3)).unwrap(); // the youngest end
-        assert_eq!(p.oldest_seq(Placement::Mem), Some(2));
+        assert_eq!(queue(&p, Placement::Mem), vec![2]);
         let (a, _) = p.pop_oldest(Placement::Mem).unwrap();
         assert_eq!(a, addr(1, 1));
         assert_eq!(p.pop_oldest(Placement::Mem), None);
         assert_eq!(p.fifo_ends(Placement::Mem), (None, None));
-        assert_eq!(p.oldest_seq(Placement::Mem), None);
     }
 
     #[test]

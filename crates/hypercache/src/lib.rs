@@ -70,7 +70,6 @@ pub use config::{
 };
 pub use ddcache::{CacheTotals, DoubleDeckerCache, VmUsage};
 pub use engine::Engine;
-pub use policy::{select_victim, select_victim_strict, EntityUsage};
 pub use shard::RecoveryReport;
 
 // Re-export the interface vocabulary so downstream crates only need this

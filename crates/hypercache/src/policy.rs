@@ -71,15 +71,6 @@ pub fn select_victim(entities: &[EntityUsage], eviction_size: u64) -> Option<usi
     select_victim_inner(entities, eviction_size, true)
 }
 
-/// Variant of [`select_victim`] with slack redistribution disabled: the
-/// underused buffer is treated as zero, so an entity's effective
-/// entitlement is exactly its configured share. Models strictly
-/// partitioned (Morai-style) caches used as a comparator in the paper's
-/// §5.2.
-pub fn select_victim_strict(entities: &[EntityUsage], eviction_size: u64) -> Option<usize> {
-    select_victim_inner(entities, eviction_size, false)
-}
-
 fn select_victim_inner(
     entities: &[EntityUsage],
     eviction_size: u64,
